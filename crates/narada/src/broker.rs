@@ -7,6 +7,7 @@ use crate::matching::{MatchedDelivery, MatchingEngine};
 use crate::protocol::{
     deliver_bytes, BrokerToBroker, BrokerToClient, ClientToBroker, CONTROL_FRAME_BYTES,
 };
+use crate::seqset::SeqSet;
 use jms::{AckMode, Selector};
 use simcore::{Actor, ActorId, Context, Payload, SimDuration, SimTime};
 use simnet::{ConnId, Delivery, Endpoint, NetworkFabric, Transport};
@@ -113,8 +114,8 @@ pub struct Broker {
     peer_interests: HashMap<u16, Vec<wire::TopicId>>,
     /// Next sequence number for messages this broker originates.
     next_fwd_seq: u64,
-    /// Flood dedup: (origin broker, seq) already processed.
-    seen_forwards: std::collections::HashSet<(u16, u64)>,
+    /// Flood dedup: per origin broker, the seqs already processed.
+    seen_forwards: HashMap<u16, SeqSet>,
     /// True while the JVM is fault-crashed: all network input is dropped.
     crashed: bool,
     /// Crash-surviving message log, keyed by subscriber actor index.
@@ -140,7 +141,7 @@ impl Broker {
             topics: wire::TopicTable::new(),
             peer_interests: HashMap::new(),
             next_fwd_seq: 0,
-            seen_forwards: std::collections::HashSet::new(),
+            seen_forwards: HashMap::new(),
             crashed: false,
             stable: std::collections::BTreeMap::new(),
             durable_subs: std::collections::BTreeMap::new(),
@@ -430,13 +431,13 @@ impl Broker {
         // (point-to-point) deliver to exactly one receiver and are not
         // forwarded through the broker network (queues live on the broker
         // they were created on).
-        let topic = message.headers.destination.clone();
+        let topic: &str = &message.headers.destination;
         let match_t0 = simscope::start(ctx);
         let (matches, match_cost) = if queue {
-            let (hit, cost) = self.engine.match_queue(&topic, &message);
+            let (hit, cost) = self.engine.match_queue(topic, &message);
             (hit.into_iter().collect(), cost)
         } else {
-            self.engine.match_message(&topic, &message)
+            self.engine.match_message(topic, &message)
         };
         simscope::record(ctx, simscope::Site::JmsMatch, match_t0);
         let mut cost = self.cfg.costs.broker_publish_base + self.per_byte(wire_bytes) + match_cost;
@@ -457,12 +458,12 @@ impl Broker {
         let missed = if queue {
             0
         } else {
-            (self.engine.topic_len(&topic) as u32).saturating_sub(matched)
+            (self.engine.topic_len(topic) as u32).saturating_sub(matched)
         };
         self.record_selector_outcome(ctx, probe, matched, missed);
 
         if !queue {
-            self.capture_orphans(probe, &message, &topic);
+            self.capture_orphans(probe, &message);
         }
         self.dispatch_deliveries(ctx, probe, &message, matches, done);
 
@@ -473,8 +474,8 @@ impl Broker {
         let seq = self.next_fwd_seq;
         self.next_fwd_seq += 1;
         let my_ix = self.my_ix;
-        self.seen_forwards.insert((my_ix, seq));
-        self.forward_to_peers(ctx, probe, &message, &topic, done, my_ix, seq, my_ix);
+        self.seen_forwards.entry(my_ix).or_default().insert(seq);
+        self.forward_to_peers(ctx, probe, &message, done, my_ix, seq, my_ix);
     }
 
     fn record_selector_outcome(
@@ -530,7 +531,6 @@ impl Broker {
                 )
                 .max(ready_at);
             let bytes = deliver_bytes(message);
-            let transport = self.conns.get(&m.conn).map(|c| c.transport);
             let deliver = BrokerToClient::Deliver {
                 sub_id: m.sub_id,
                 probe,
@@ -543,8 +543,8 @@ impl Broker {
             });
             self.stats.borrow_mut().delivered += 1;
             // CLIENT-ack over UDP: retain for gap recovery.
-            if transport == Some(Transport::Udp) {
-                let state = self.conns.get_mut(&m.conn).expect("delivery to live conn");
+            let state = self.conns.get_mut(&m.conn);
+            if let Some(state) = state.filter(|c| c.transport == Transport::Udp) {
                 state.max_sent_seq = Some(
                     state
                         .max_sent_seq
@@ -583,7 +583,6 @@ impl Broker {
         ctx: &mut Context<'_>,
         probe: ProbeId,
         message: &Message,
-        topic: &str,
         ready_at: SimTime,
         origin: u16,
         seq: u64,
@@ -595,9 +594,9 @@ impl Broker {
         let ep = self.endpoint;
         let my_ix = self.my_ix;
         let bytes = deliver_bytes(message);
-        let peers: Vec<(u16, ConnId)> = self.peers.clone();
+        let topic: &str = &message.headers.destination;
         let mut sent: u32 = 0;
-        for (peer_ix, conn) in peers {
+        for &(peer_ix, conn) in &self.peers {
             // Never send back where it came from or to the origin.
             if peer_ix == from_ix || peer_ix == origin {
                 continue;
@@ -671,7 +670,7 @@ impl Broker {
     ) {
         self.stats.borrow_mut().from_peers += 1;
         // Flood dedup: duplicates still cost deserialization.
-        if !self.seen_forwards.insert((origin, seq)) {
+        if !self.seen_forwards.entry(origin).or_default().insert(seq) {
             self.stats.borrow_mut().dup_publishes += 1;
             self.cpu(
                 ctx,
@@ -680,7 +679,7 @@ impl Broker {
             );
             return;
         }
-        let topic = message.headers.destination.clone();
+        let topic: &str = &message.headers.destination;
         let broker = u32::from(self.my_ix);
         let actor = self.endpoint.actor.index() as u64;
         simtrace::with_trace(ctx, |tr, at| {
@@ -692,27 +691,28 @@ impl Broker {
             );
         });
         let match_t0 = simscope::start(ctx);
-        let (matches, match_cost) = self.engine.match_message(&topic, &message);
+        let (matches, match_cost) = self.engine.match_message(topic, &message);
         simscope::record(ctx, simscope::Site::JmsMatch, match_t0);
         let cost = self.cfg.costs.broker_publish_base + self.per_byte(wire_bytes) + match_cost;
         let done = simprof::profile_span!(ctx, simprof::Component::NaradaRoute, {
             self.cpu_matched(ctx, cost, match_cost)
         });
         let matched = matches.len() as u32;
-        let missed = (self.engine.topic_len(&topic) as u32).saturating_sub(matched);
+        let missed = (self.engine.topic_len(topic) as u32).saturating_sub(matched);
         self.record_selector_outcome(ctx, probe, matched, missed);
-        self.capture_orphans(probe, &message, &topic);
+        self.capture_orphans(probe, &message);
         self.dispatch_deliveries(ctx, probe, &message, matches, done);
         // v1.1.3 floods onward (the congestion the paper found).
         if self.cfg.dbn_broadcast {
-            self.forward_to_peers(ctx, probe, &message, &topic, done, origin, seq, from_ix);
+            self.forward_to_peers(ctx, probe, &message, done, origin, seq, from_ix);
         }
     }
 
     /// While a durable subscriber is detached (the broker restarted and
     /// the client has not resubscribed yet), matching topic publishes go
     /// to its stable log instead of being lost.
-    fn capture_orphans(&mut self, probe: ProbeId, message: &Message, topic: &str) {
+    fn capture_orphans(&mut self, probe: ProbeId, message: &Message) {
+        let topic: &str = &message.headers.destination;
         for (&peer, subs) in &self.durable_subs {
             for d in subs {
                 if !d.attached && d.topic == topic && d.selector.matches(message) {
@@ -877,7 +877,7 @@ impl Broker {
         // Everything at or below the cumulative seq (or listed) is acked.
         state
             .pending
-            .retain(|&seq, _| seq > cumulative && !extra.contains(&seq));
+            .retain(|&seq, _| seq > cumulative && extra.binary_search(&seq).is_err());
         // Gap recovery: anything still pending below the connection's max
         // sent seq was evidently lost — retransmit once, then give up.
         let max_sent = state.max_sent_seq.unwrap_or(0);

@@ -10,11 +10,12 @@
 
 use crate::config::{ConnSettings, NaradaConfig};
 use crate::protocol::{publish_bytes, BrokerToClient, ClientToBroker, CONTROL_FRAME_BYTES};
+use crate::seqset::SeqSet;
 use jms::AckMode;
 use simcore::{Context, SimDuration, SimTime};
 use simnet::{ConnId, Delivery, Endpoint, NetworkFabric, Transport};
 use simos::{NodeId, OsModel};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use telemetry::{ProbeId, RttCollector};
 use wire::Message;
 
@@ -78,11 +79,10 @@ struct PendingPub {
     queue: bool,
 }
 
+#[derive(Default)]
 struct SubRecv {
-    /// Highest contiguous delivery seq received.
-    cumulative: Option<u64>,
-    /// Received seqs above the contiguous prefix.
-    out_of_order: BTreeSet<u64>,
+    /// Delivery seqs received (duplicate filter and ack state).
+    seen: SeqSet,
     /// Dirty since last ack flush.
     dirty: bool,
 }
@@ -281,14 +281,7 @@ impl NaradaClientSet {
     ) {
         let state = self.conns.get_mut(&conn).expect("unknown connection");
         assert_eq!(state.phase, ConnPhase::Ready, "subscribe before ConnectOk");
-        state.recv.insert(
-            sub_id,
-            SubRecv {
-                cumulative: None,
-                out_of_order: BTreeSet::new(),
-                dirty: false,
-            },
-        );
+        state.recv.insert(sub_id, SubRecv::default());
         let ack_mode = state.settings.ack_mode;
         if state.settings.reconnect.is_some() {
             state.subs.push(SubSpec {
@@ -545,20 +538,8 @@ impl NaradaClientSet {
                     return events;
                 };
                 // Duplicate filter.
-                let already = recv.cumulative.is_some_and(|c| deliver_seq <= c)
-                    || recv.out_of_order.contains(&deliver_seq);
-                if already {
+                if !recv.seen.insert(deliver_seq) {
                     return events;
-                }
-                recv.out_of_order.insert(deliver_seq);
-                // Advance the contiguous prefix.
-                loop {
-                    let next = recv.cumulative.map_or(0, |c| c + 1);
-                    if recv.out_of_order.remove(&next) {
-                        recv.cumulative = Some(next);
-                    } else {
-                        break;
-                    }
                 }
                 recv.dirty = true;
                 let transport = state.settings.transport;
@@ -823,9 +804,7 @@ impl NaradaClientSet {
             );
         });
         for recv in state.recv.values_mut() {
-            recv.cumulative = None;
-            recv.out_of_order.clear();
-            recv.dirty = false;
+            *recv = SubRecv::default();
         }
         simfault::with_faults(ctx, |inj, _| inj.stats.reconnect_attempts += 1);
         telemetry::with_metrics(ctx, |m, _| m.add_counter("narada.reconnect_attempts", 1));
@@ -866,14 +845,7 @@ impl NaradaClientSet {
         let mut msgs = Vec::new();
         for spec in subs.iter_mut() {
             spec.needs_resync = durable && !spec.queue;
-            recv.insert(
-                spec.sub_id,
-                SubRecv {
-                    cumulative: None,
-                    out_of_order: BTreeSet::new(),
-                    dirty: false,
-                },
-            );
+            recv.insert(spec.sub_id, SubRecv::default());
             msgs.push(ClientToBroker::Subscribe {
                 sub_id: spec.sub_id,
                 topic: spec.topic.clone(),
@@ -945,21 +917,25 @@ impl NaradaClientSet {
         let Some(state) = self.conns.get_mut(&conn) else {
             return;
         };
-        let mut to_send = Vec::new();
+        // Only a CLIENT-ack broker retains deliveries, so only then does
+        // the selective part of the ack tell it anything. In AUTO and
+        // DUPS_OK the set of seqs above an unrecovered gap never drains;
+        // listing it on every delivery made the host cost of a run
+        // quadratic in its length. The frame is `CONTROL_FRAME_BYTES`
+        // on the simulated wire whatever it lists.
+        let selective = state.settings.ack_mode == AckMode::Client;
         for recv in state.recv.values_mut() {
             if !recv.dirty {
                 continue;
             }
             recv.dirty = false;
-            to_send.push((
-                recv.cumulative.unwrap_or(0),
-                recv.out_of_order.iter().copied().collect::<Vec<u64>>(),
-            ));
-        }
-        for (cumulative_seq, extra) in to_send {
             let ack = ClientToBroker::Ack {
-                cumulative_seq,
-                extra,
+                cumulative_seq: recv.seen.contiguous_max().unwrap_or(0),
+                extra: if selective {
+                    recv.seen.above().collect()
+                } else {
+                    Vec::new()
+                },
             };
             ctx.with_service::<NetworkFabric, _>(|net, ctx| {
                 net.send_at(ctx, conn, me, CONTROL_FRAME_BYTES, Box::new(ack), at);

@@ -21,6 +21,7 @@ pub mod config;
 pub mod matching;
 pub mod network;
 pub mod protocol;
+mod seqset;
 
 pub use broker::{Broker, BrokerControl, BrokerStats, StatsHandle};
 pub use client::{ClientEvent, ClientTimer, NaradaClientSet};

@@ -56,7 +56,9 @@ pub enum ClientToBroker {
     Ack {
         /// Highest contiguous delivery sequence received.
         cumulative_seq: u64,
-        /// Individually acked out-of-order sequences beyond it.
+        /// Individually acked out-of-order sequences beyond it, ascending.
+        /// Empty unless the session is CLIENT-ack: no other mode has the
+        /// broker retain deliveries.
         extra: Vec<u64>,
     },
     /// Liveness probe sent by reconnect-enabled clients; a broker that is

@@ -2,6 +2,7 @@
 //! match → deliver → acknowledge across every transport the paper tests.
 
 use jms::AckMode;
+use narada::protocol::{BrokerToClient, ClientToBroker};
 use narada::{
     Broker, BrokerNetwork, ClientEvent, ClientTimer, ConnSettings, NaradaClientSet, NaradaConfig,
 };
@@ -60,6 +61,11 @@ struct Driver {
     publishers: Vec<ConnId>,
     shared: Rc<RefCell<Shared>>,
     next_msg_id: u64,
+    /// Forced delivery gap: the first-transmission `Deliver` frame with
+    /// this index (0-based, in arrival order) is lost before the client
+    /// sees it.
+    lose_delivery: Option<u32>,
+    deliveries_seen: u32,
 }
 
 struct PublishTick {
@@ -94,6 +100,8 @@ impl Driver {
             publishers: Vec::new(),
             shared,
             next_msg_id: 0,
+            lose_delivery: None,
+            deliveries_seen: 0,
         }
     }
 
@@ -127,6 +135,15 @@ impl Actor for Driver {
         let set = self.set.as_mut().expect("started");
         let msg = match msg.downcast::<Delivery>() {
             Ok(d) => {
+                if let Some(BrokerToClient::Deliver {
+                    retransmit: false, ..
+                }) = d.payload.downcast_ref::<BrokerToClient>()
+                {
+                    self.deliveries_seen += 1;
+                    if self.lose_delivery == Some(self.deliveries_seen - 1) {
+                        return;
+                    }
+                }
                 let events = set.handle_delivery(ctx, *d);
                 for ev in events {
                     match ev {
@@ -706,4 +723,138 @@ fn disconnect_frees_broker_threads_for_new_connections() {
         accepted, 8,
         "6 initial + 2 after churn are accepted (threads were freed)"
     );
+}
+
+/// (cumulative seq, selective list) of every ack, in arrival order.
+type AckLog = Vec<(u64, Vec<u64>)>;
+
+/// A broker whose incoming `Ack` frames the test can read.
+struct AckTap {
+    broker: Broker,
+    acks: Rc<RefCell<AckLog>>,
+}
+
+impl Actor for AckTap {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        self.broker.on_start(ctx);
+    }
+
+    fn handle(&mut self, msg: Payload, ctx: &mut Context<'_>) {
+        if let Some(ClientToBroker::Ack {
+            cumulative_seq,
+            extra,
+        }) = msg
+            .downcast_ref::<Delivery>()
+            .and_then(|d| d.payload.downcast_ref::<ClientToBroker>())
+        {
+            self.acks
+                .borrow_mut()
+                .push((*cumulative_seq, extra.clone()));
+        }
+        self.broker.handle(msg, ctx);
+    }
+}
+
+struct GapRun {
+    arrived: u32,
+    acks: AckLog,
+    retransmissions: u64,
+}
+
+/// One publisher, one subscriber over loss-free UDP; the subscriber's
+/// second delivery (seq 1) is lost on the way in, so every later one
+/// arrives above a gap.
+fn udp_run_with_delivery_gap(ack_mode: AckMode, msgs: u32) -> GapRun {
+    let (mut sim, nodes) = build_world(2, quiet_fabric(), 31);
+    let proc = jvm(&mut sim, nodes[0]);
+    let broker = Broker::new(NaradaConfig::v1_1_3(), nodes[0], proc);
+    let stats = broker.stats_handle();
+    let acks = Rc::new(RefCell::new(Vec::new()));
+    let broker_id = sim.add_actor(AckTap {
+        broker,
+        acks: acks.clone(),
+    });
+    let shared = Rc::new(RefCell::new(Shared::default()));
+    let mut driver = Driver::new(
+        nodes[1],
+        Endpoint::new(nodes[0], broker_id),
+        ConnSettings {
+            transport: Transport::Udp,
+            ack_mode,
+            reconnect: None,
+        },
+        "",
+        1,
+        msgs,
+        NaradaConfig::v1_1_3(),
+        shared.clone(),
+    );
+    driver.lose_delivery = Some(1);
+    sim.add_actor(driver);
+    sim.run_until(SimTime::from_secs(120));
+    let arrived = shared.borrow().arrived;
+    let retransmissions = stats.borrow().retransmissions;
+    let acks = acks.borrow().clone();
+    GapRun {
+        arrived,
+        acks,
+        retransmissions,
+    }
+}
+
+#[test]
+fn udp_auto_acks_carry_no_selective_list_after_a_gap() {
+    let run = udp_run_with_delivery_gap(AckMode::Auto, 30);
+    assert_eq!(run.arrived, 29, "AUTO never recovers the lost delivery");
+    assert_eq!(run.retransmissions, 0);
+    assert_eq!(run.acks.len(), 29, "one ack per delivery");
+    assert_eq!(
+        run.acks.last().unwrap().0,
+        0,
+        "the prefix is stuck at the gap"
+    );
+    assert!(
+        run.acks.iter().all(|(_, extra)| extra.is_empty()),
+        "a broker that retains nothing is told nothing: {:?}",
+        run.acks
+    );
+}
+
+#[test]
+fn udp_client_ack_lists_the_gap_and_broker_retransmits_once() {
+    let run = udp_run_with_delivery_gap(AckMode::Client, 30);
+    assert_eq!(run.arrived, 30, "the retransmission fills the gap");
+    assert_eq!(run.retransmissions, 1);
+    let (cumulative, extra) = run
+        .acks
+        .iter()
+        .find(|(_, extra)| !extra.is_empty())
+        .expect("an ack flushed while the gap was open");
+    assert_eq!(*cumulative, 0);
+    assert_eq!(extra[0], 2, "seq 1 is the one missing");
+    assert!(
+        extra.windows(2).all(|w| w[0] < w[1]),
+        "ascending: {extra:?}"
+    );
+    let (last_cumulative, last_extra) = run.acks.last().unwrap();
+    assert_eq!(*last_cumulative, 29);
+    assert!(last_extra.is_empty(), "the set drained once the gap closed");
+}
+
+/// Scaling-shape guard (no wall clock): what the subscriber ships in
+/// acks must not grow with the length of the run after a gap. Before the
+/// AUTO ack stopped listing its undrainable out-of-order set, twice the
+/// messages meant four times the entries, and the host time with them.
+#[test]
+fn udp_auto_ack_volume_is_flat_in_run_length() {
+    let entries = |run: &GapRun| run.acks.iter().map(|(_, e)| e.len()).sum::<usize>();
+    let short = udp_run_with_delivery_gap(AckMode::Auto, 40);
+    let long = udp_run_with_delivery_gap(AckMode::Auto, 80);
+    assert_eq!(long.arrived, 2 * short.arrived + 1);
+    assert_eq!(
+        long.acks.len(),
+        2 * short.acks.len() + 1,
+        "one ack per delivery"
+    );
+    assert_eq!(entries(&long), entries(&short));
 }

@@ -169,7 +169,7 @@ mod tests {
         let mut rng = SimRng::new(2);
         let g = GeneratorState::new(42, &mut rng);
         let m = g.narada_message(1, SimTime::ZERO, 1);
-        let wire::Body::Map(map) = &m.body else {
+        let wire::Body::Map(map) = m.body() else {
             panic!("map message")
         };
         let count = |t: wire::ValueType| map.values().filter(|v| v.value_type() == t).count();

@@ -210,8 +210,8 @@ pub fn encode_message(m: &Message) -> Bytes {
         }
     }
     put_str(&mut buf, &h.destination);
-    encode_value_map(&mut buf, &m.properties);
-    match &m.body {
+    encode_value_map(&mut buf, m.properties());
+    match m.body() {
         Body::Map(map) => {
             buf.put_u8(tag::BODY_MAP);
             encode_value_map(&mut buf, map);
@@ -268,11 +268,7 @@ pub fn decode_message(mut buf: Bytes) -> Result<Message> {
     headers.priority = priority;
     headers.delivery_mode = delivery_mode;
     headers.correlation_id = (corr_flag == 1).then_some(corr_val);
-    Ok(Message {
-        headers,
-        properties,
-        body,
-    })
+    Ok(Message::new(headers, properties, body))
 }
 
 /// Encode a tuple.
@@ -384,11 +380,7 @@ mod tests {
         let h = Headers::new(MessageId(1), "t", SimTime::ZERO);
         let m = Message::text(h.clone(), "hello");
         assert_eq!(decode_message(encode_message(&m)).unwrap(), m);
-        let m = Message {
-            headers: h,
-            properties: BTreeMap::new(),
-            body: Body::Bytes(vec![1, 2, 3, 255]),
-        };
+        let m = Message::new(h, BTreeMap::new(), Body::Bytes(vec![1, 2, 3, 255]));
         assert_eq!(decode_message(encode_message(&m)).unwrap(), m);
     }
 

@@ -4,6 +4,7 @@
 use crate::value::Value;
 use simcore::SimTime;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Globally unique message id within one simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -24,8 +25,9 @@ pub enum DeliveryMode {
 pub struct Headers {
     /// Unique id, assigned by the sending session.
     pub message_id: MessageId,
-    /// Destination (topic/queue) name.
-    pub destination: String,
+    /// Destination (topic/queue) name; shared, so cloning the headers
+    /// does not copy it.
+    pub destination: Arc<str>,
     /// Send timestamp (set by the publishing client).
     pub timestamp: SimTime,
     /// Priority 0-9 (4 = default; the paper used non-priority settings).
@@ -49,7 +51,11 @@ pub struct Headers {
 
 impl Headers {
     /// Headers with defaults matching the paper's test configuration.
-    pub fn new(message_id: MessageId, destination: impl Into<String>, timestamp: SimTime) -> Self {
+    pub fn new(
+        message_id: MessageId,
+        destination: impl Into<Arc<str>>,
+        timestamp: SimTime,
+    ) -> Self {
         Headers {
             message_id,
             destination: destination.into(),
@@ -100,45 +106,78 @@ impl Body {
     }
 }
 
+/// Everything of a message that is fixed once it is built. One block,
+/// shared by every clone of the message.
+#[derive(Debug, Clone, PartialEq)]
+struct Content {
+    properties: BTreeMap<String, Value>,
+    body: Body,
+}
+
 /// A complete JMS-style message.
+///
+/// A published message is an immutable event: brokers forward it,
+/// retain it and deliver it, but never change it. `clone()` therefore
+/// shares the properties and body (and the destination string) instead
+/// of copying them; only the plain-data [`Headers`] are per clone, which
+/// is what lets the publishing client stamp `trace` / `published_at`
+/// before the first send. The *simulated* cost of copying and
+/// serialising a message is charged through `OsModel::execute_metered`,
+/// never through host copying.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Message {
     /// Standard headers.
     pub headers: Headers,
-    /// Application properties, visible to selectors.
-    pub properties: BTreeMap<String, Value>,
-    /// Body.
-    pub body: Body,
+    content: Arc<Content>,
 }
 
 impl Message {
-    /// New map message.
-    pub fn map(headers: Headers, entries: impl IntoIterator<Item = (String, Value)>) -> Self {
+    /// A message from its three parts.
+    pub fn new(headers: Headers, properties: BTreeMap<String, Value>, body: Body) -> Self {
         Message {
             headers,
-            properties: BTreeMap::new(),
-            body: Body::Map(entries.into_iter().collect()),
+            content: Arc::new(Content { properties, body }),
         }
+    }
+
+    /// New map message.
+    pub fn map(headers: Headers, entries: impl IntoIterator<Item = (String, Value)>) -> Self {
+        Message::new(
+            headers,
+            BTreeMap::new(),
+            Body::Map(entries.into_iter().collect()),
+        )
     }
 
     /// New text message.
     pub fn text(headers: Headers, text: impl Into<String>) -> Self {
-        Message {
-            headers,
-            properties: BTreeMap::new(),
-            body: Body::Text(text.into()),
-        }
+        Message::new(headers, BTreeMap::new(), Body::Text(text.into()))
     }
 
-    /// Set a selector-visible property (builder style).
+    /// Application properties, visible to selectors.
+    pub fn properties(&self) -> &BTreeMap<String, Value> {
+        &self.content.properties
+    }
+
+    /// Body.
+    pub fn body(&self) -> &Body {
+        &self.content.body
+    }
+
+    /// Set a selector-visible property (builder style). Copy-on-write:
+    /// a message that is the only holder of its content (the builder
+    /// case) is changed in place; a clone gets its own copy and the
+    /// message it was cloned from is untouched.
     pub fn with_property(mut self, name: impl Into<String>, v: impl Into<Value>) -> Self {
-        self.properties.insert(name.into(), v.into());
+        Arc::make_mut(&mut self.content)
+            .properties
+            .insert(name.into(), v.into());
         self
     }
 
     /// Look up a property (selector evaluation).
     pub fn property(&self, name: &str) -> Option<&Value> {
-        self.properties.get(name)
+        self.properties().get(name)
     }
 
     /// Total encoded size: headers + properties + body tag + body.
@@ -146,12 +185,12 @@ impl Message {
         self.headers.wire_size()
             + 4
             + self
-                .properties
+                .properties()
                 .iter()
                 .map(|(k, v)| 4 + k.len() + v.wire_size())
                 .sum::<usize>()
             + 1
-            + self.body.wire_size()
+            + self.body().wire_size()
     }
 }
 
@@ -178,10 +217,39 @@ mod tests {
     }
 
     #[test]
+    fn clone_shares_content_and_destination() {
+        let m = msg();
+        let c = m.clone();
+        assert!(Arc::ptr_eq(&m.content, &c.content));
+        assert!(Arc::ptr_eq(&m.headers.destination, &c.headers.destination));
+        assert_eq!(m, c);
+    }
+
+    #[test]
+    fn with_property_on_a_clone_leaves_the_original_untouched() {
+        let m = msg();
+        let c = m.clone().with_property("region", "uk");
+        assert_eq!(c.property("region"), Some(&Value::Str("uk".into())));
+        assert_eq!(m.property("region"), None);
+        assert_eq!(m, msg());
+        assert!(!Arc::ptr_eq(&m.content, &c.content));
+        assert_ne!(m, c);
+    }
+
+    #[test]
+    fn stamping_headers_of_a_clone_keeps_the_content_shared() {
+        let m = msg();
+        let mut c = m.clone();
+        c.headers.published_at = Some(SimTime::from_secs(2));
+        assert_eq!(m.headers.published_at, None);
+        assert!(Arc::ptr_eq(&m.content, &c.content));
+    }
+
+    #[test]
     fn wire_size_is_sum_of_parts() {
         let m = msg();
         let h = m.headers.wire_size();
-        let b = m.body.wire_size();
+        let b = m.body().wire_size();
         assert_eq!(
             m.wire_size(),
             h + 4 + (4 + 2 + Value::Int(7).wire_size()) + 1 + b

@@ -60,7 +60,7 @@ prop_compose! {
             DeliveryMode::NonPersistent
         };
         headers.correlation_id = corr;
-        Message { headers, properties: props, body }
+        Message::new(headers, props, body)
     }
 }
 
