@@ -26,8 +26,8 @@ use crate::calibration;
 use jms::AckMode;
 use narada::{BrokerNetwork, ConnSettings, NaradaConfig};
 use powergrid::{
-    FleetStatsHandle, GridlogFleet, GridlogFleetConfig, GridlogSubscriber, NaradaFleet,
-    NaradaFleetConfig, NaradaSubscriber, RgmaFleet, RgmaFleetConfig, RgmaSubscriber, TABLE_SQL,
+    Fleet, FleetConfig, FleetProtocol, FleetStatsHandle, GridlogPublisher, GridlogSubscriber,
+    NaradaPublisher, NaradaSubscriber, RgmaPublisher, RgmaSubscriber, TABLE_SQL,
 };
 use rgma::{
     ConsumerControl, ConsumerServlet, ProducerControl, ProducerServlet, RegistryActor, RgmaConfig,
@@ -35,6 +35,7 @@ use rgma::{
 };
 use simcore::{ActorId, RemoteEnvelope, SimDuration, SimTime, Simulation};
 use simfault::{FaultDriver, FaultInjector, FaultSchedule, FaultStats};
+use simnet::session::ReconnectPolicy;
 use simnet::{Endpoint, NetworkFabric, Transport};
 use simos::{NodeId, OsModel, ProcessId, VmstatLog, VmstatSampler};
 use simshard::ShardPlan;
@@ -351,6 +352,8 @@ struct Layout {
     fleet_nodes_n: usize,
     total_nodes: usize,
     per_fleet: Vec<usize>,
+    /// Stagger between generator creations within a fleet.
+    creation_interval: SimDuration,
     horizon: SimTime,
     steady_from: SimTime,
     steady_to: SimTime,
@@ -401,6 +404,7 @@ fn layout(spec: &ExperimentSpec) -> Layout {
         fleet_nodes_n,
         total_nodes,
         per_fleet,
+        creation_interval,
         horizon: SimTime::ZERO + ramp + spec.warmup.1 + publishing + drain,
         steady_from: SimTime::ZERO + ramp + spec.warmup.1,
         steady_to: SimTime::ZERO + ramp + publishing,
@@ -411,9 +415,42 @@ fn layout(spec: &ExperimentSpec) -> Layout {
 /// the world's actors share with the driver. Never crosses threads.
 struct WorldHandles {
     fleet_stats: Vec<FleetStatsHandle>,
-    #[allow(dead_code)]
-    sub_stats: Vec<FleetStatsHandle>,
     broker_stats: Vec<narada::StatsHandle>,
+}
+
+/// Add one generator fleet per fleet-hosting client node: fleet `i` runs
+/// in the driver JVM `drivers[i]`, publishes through `server_eps[i % n]`
+/// and speaks the protocol `protocol` builds for its node. Generator ids
+/// are dense across fleets.
+fn add_fleets<P: FleetProtocol + 'static>(
+    sim: &mut Simulation,
+    spec: &ExperimentSpec,
+    lay: &Layout,
+    drivers: &[(NodeId, ProcessId)],
+    server_eps: &[Endpoint],
+    protocol: impl Fn(NodeId) -> P,
+) -> Vec<FleetStatsHandle> {
+    let mut stats = Vec::new();
+    let mut first_id = 0u32;
+    for (i, &n_generators) in lay.per_fleet.iter().enumerate() {
+        let (node, proc) = drivers[i];
+        let cfg = FleetConfig {
+            proc,
+            server_ep: server_eps[i % server_eps.len()],
+            n_generators,
+            first_id,
+            creation_interval: lay.creation_interval,
+            warmup: spec.warmup,
+            publish_interval: spec.publish_interval,
+            msgs_per_generator: spec.msgs_per_generator,
+        };
+        let fleet = Fleet::new(cfg, protocol(node));
+        stats.push(fleet.stats_handle());
+        sim.on_node(node.0);
+        sim.add_actor(fleet);
+        first_id += n_generators as u32;
+    }
+    stats
 }
 
 /// Construct one replica of the whole cluster into `sim`.
@@ -491,10 +528,10 @@ fn build_world(
             )
         })
         .collect();
-    // Driver processes.
-    let client_procs: Vec<ProcessId> = client_nodes
+    // Driver processes, one JVM per client node.
+    let drivers: Vec<(NodeId, ProcessId)> = client_nodes
         .iter()
-        .map(|&n| os.add_process(n, calibration::driver_process()))
+        .map(|&n| (n, os.add_process(n, calibration::driver_process())))
         .collect();
     if spec.scope {
         // `execute_metered` has no Context access, so the OS model meters
@@ -528,8 +565,12 @@ fn build_world(
     }
 
     // --- Middleware + workload -------------------------------------
-    let mut fleet_stats: Vec<FleetStatsHandle> = Vec::new();
-    let mut sub_stats: Vec<FleetStatsHandle> = Vec::new();
+    // The last client node hosts the subscriber program.
+    let sub_node = *client_nodes.last().expect("at least one client node");
+    // Broker clients ride faults out with the default recovery policy and
+    // stay fail-stop (the paper's behaviour) without them.
+    let reconnect = (!spec.faults.is_empty()).then(ReconnectPolicy::default);
+    let fleet_stats: Vec<FleetStatsHandle>;
     let mut broker_stats: Vec<narada::StatsHandle> = Vec::new();
     // Fault targets, filled in by the deployment branches below.
     let mut fault_brokers: Vec<ActorId> = Vec::new();
@@ -564,11 +605,7 @@ fn build_world(
             let settings = ConnSettings {
                 transport: spec.transport,
                 ack_mode: spec.ack_mode,
-                reconnect: if spec.faults.is_empty() {
-                    None
-                } else {
-                    Some(narada::ReconnectPolicy::default())
-                },
+                reconnect,
             };
             // Fig 5 topology: "Publishers connect to publishing brokers.
             // Subscribers connect to subscribing brokers." The last broker
@@ -586,36 +623,14 @@ fn build_world(
                 endpoints.clone()
             };
             // Fleets: fleet i connects to broker i % n.
-            let mut first_id = 0u32;
-            for (i, &n_gens) in lay.per_fleet.iter().enumerate() {
-                let broker_ep = pub_eps[i % pub_eps.len()];
-                let fleet = NaradaFleet::new(NaradaFleetConfig {
-                    node: client_nodes[i],
-                    proc: client_procs[i],
-                    broker_ep,
-                    n_generators: n_gens,
-                    first_id,
-                    creation_interval: calibration::narada_creation_interval(),
-                    warmup: spec.warmup,
-                    publish_interval: spec.publish_interval,
-                    settings,
-                    payload_repeat: spec.payload_repeat,
-                    msgs_per_generator: spec.msgs_per_generator,
-                    narada: ncfg.clone(),
-                });
-                fleet_stats.push(fleet.stats_handle());
-                sim.on_node(client_nodes[i].0);
-                sim.add_actor(fleet);
-                first_id += n_gens as u32;
-            }
+            fleet_stats = add_fleets(sim, spec, lay, &drivers, &pub_eps, |node| {
+                NaradaPublisher::new(node, settings, spec.payload_repeat, ncfg.clone())
+            });
             // Subscribers: one per subscribing broker, on the dedicated
             // client node.
-            let sub_node = *client_nodes.last().expect("at least one client node");
             for ep in &sub_eps {
-                let sub = NaradaSubscriber::new(sub_node, *ep, settings, ncfg.clone());
-                sub_stats.push(sub.stats_handle());
                 sim.on_node(sub_node.0);
-                sim.add_actor(sub);
+                sim.add_actor(NaradaSubscriber::new(sub_node, *ep, settings, ncfg.clone()));
             }
         }
         SystemUnderTest::GridlogSingle => {
@@ -625,11 +640,6 @@ fn build_world(
             let id = sim.add_actor(broker);
             let broker_ep = Endpoint::new(server_nodes[0], id);
             fault_brokers = vec![id];
-            let reconnect = if spec.faults.is_empty() {
-                None
-            } else {
-                Some(gridlog::ReconnectPolicy::default())
-            };
             // The JMS acknowledge axis maps onto Kafka's offset axis:
             // CLIENT_ACKNOWLEDGE ↦ committed-offset resume (zero loss
             // across a broker crash), AUTO_ACKNOWLEDGE ↦
@@ -639,34 +649,15 @@ fn build_world(
             } else {
                 gridlog::OffsetReset::Latest
             };
-            let mut first_id = 0u32;
-            for (i, &n_gens) in lay.per_fleet.iter().enumerate() {
-                let fleet = GridlogFleet::new(GridlogFleetConfig {
-                    node: client_nodes[i],
-                    proc: client_procs[i],
-                    broker_ep,
-                    n_generators: n_gens,
-                    first_id,
-                    creation_interval: calibration::narada_creation_interval(),
-                    warmup: spec.warmup,
-                    publish_interval: spec.publish_interval,
-                    payload_repeat: spec.payload_repeat,
-                    msgs_per_generator: spec.msgs_per_generator,
-                    reconnect,
-                    gridlog: gcfg.clone(),
-                });
-                fleet_stats.push(fleet.stats_handle());
-                sim.on_node(client_nodes[i].0);
-                sim.add_actor(fleet);
-                first_id += n_gens as u32;
-            }
+            fleet_stats = add_fleets(sim, spec, lay, &drivers, &[broker_ep], |node| {
+                GridlogPublisher::new(node, reconnect, spec.payload_repeat, gcfg.clone())
+            });
             // One consumer host with a two-member group on the dedicated
             // client node: the partitions split between the members.
-            let sub_node = *client_nodes.last().expect("at least one client node");
-            let sub = GridlogSubscriber::new(sub_node, broker_ep, 2, reset, reconnect, gcfg);
-            sub_stats.push(sub.stats_handle());
             sim.on_node(sub_node.0);
-            sim.add_actor(sub);
+            sim.add_actor(GridlogSubscriber::new(
+                sub_node, broker_ep, 2, reset, reconnect, gcfg,
+            ));
         }
         SystemUnderTest::RgmaSingle
         | SystemUnderTest::RgmaDistributed
@@ -749,37 +740,18 @@ fn build_world(
                 powergrid::TABLE
             };
             // Fleets spread over producer servlets.
-            let mut first_id = 0u32;
-            for (i, &n_gens) in lay.per_fleet.iter().enumerate() {
-                let fleet = RgmaFleet::new(RgmaFleetConfig {
-                    node: client_nodes[i],
-                    proc: client_procs[i],
-                    producer_ep: prod_eps[i % prod_eps.len()],
-                    n_generators: n_gens,
-                    first_id,
-                    creation_interval: calibration::rgma_creation_interval(),
-                    warmup: spec.warmup,
-                    publish_interval: spec.publish_interval,
-                    msgs_per_generator: spec.msgs_per_generator,
-                    rgma: rcfg.clone(),
-                });
-                fleet_stats.push(fleet.stats_handle());
-                sim.on_node(client_nodes[i].0);
-                sim.add_actor(fleet);
-                first_id += n_gens as u32;
-            }
+            fleet_stats = add_fleets(sim, spec, lay, &drivers, &prod_eps, |node| {
+                RgmaPublisher::new(node, rcfg.clone())
+            });
             // One subscriber per consumer servlet.
-            let sub_node = *client_nodes.last().expect("at least one client node");
             for ep in &cons_eps {
-                let sub = RgmaSubscriber::new(
+                sim.on_node(sub_node.0);
+                sim.add_actor(RgmaSubscriber::new(
                     sub_node,
                     *ep,
                     format!("SELECT * FROM {subscriber_table}"),
                     rcfg.clone(),
-                );
-                sub_stats.push(sub.stats_handle());
-                sim.on_node(sub_node.0);
-                sim.add_actor(sub);
+                ));
             }
         }
     }
@@ -819,7 +791,6 @@ fn build_world(
 
     WorldHandles {
         fleet_stats,
-        sub_stats,
         broker_stats,
     }
 }

@@ -1,27 +1,26 @@
 //! Client-side gridlog sessions: a [`GridlogClientSet`] manages many
 //! logical connections — batching producers and consumer-group members —
-//! inside one host actor, mirroring the narada client set so the driver
-//! programs look identical across middlewares.
+//! inside one host actor, over the same [`simnet::session`] the narada
+//! client set runs on, so the driver programs look identical across
+//! middlewares.
 //!
 //! Host-actor contract: forward [`simnet::Delivery`] payloads to
 //! [`GridlogClientSet::handle_delivery`] and [`ClientTimer`] payloads to
 //! [`GridlogClientSet::handle_timer`]; both return [`ClientEvent`]s for
 //! the host to act on.
 
-use crate::config::{GridlogConfig, OffsetReset, ReconnectPolicy};
+use crate::config::{GridlogConfig, OffsetReset};
 use crate::protocol::{
     offsets_bytes, produce_bytes, BrokerToClient, ClientToBroker, ProducerRecord,
     CONTROL_FRAME_BYTES, RECORD_OVERHEAD_BYTES,
 };
 use simcore::{Context, SimDuration, SimTime};
-use simnet::{ConnId, Delivery, Endpoint, NetworkFabric, Transport};
-use simos::{NodeId, OsModel};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use simnet::session::{ClientTimer, Fired, ReconnectPolicy, SessionProtocol, SessionSet};
+use simnet::{ConnId, Delivery, Endpoint, Transport};
+use simos::NodeId;
+use std::collections::{BTreeMap, BTreeSet};
 use telemetry::{ProbeId, RttCollector};
 use wire::Message;
-
-/// Timer payload the host actor must route back via `handle_timer`.
-pub struct ClientTimer(pub u64);
 
 /// Events surfaced to the host actor.
 #[derive(Debug, PartialEq)]
@@ -74,13 +73,6 @@ pub enum ClientEvent {
     ConnectionLost(ConnId),
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ConnPhase {
-    Connecting,
-    Ready,
-    Refused,
-}
-
 struct ProducerState {
     producer_id: u64,
     topic: String,
@@ -108,54 +100,65 @@ struct ConsumerState {
     in_flight: BTreeSet<u32>,
 }
 
+/// What a gridlog connection carries on top of the shared session.
 enum Role {
     Producer(ProducerState),
     Consumer(ConsumerState),
 }
 
-struct ConnState {
-    reconnect: Option<ReconnectPolicy>,
-    broker_ep: Endpoint,
-    phase: ConnPhase,
-    role: Role,
-    /// Last instant the broker was heard from (reconnect detection).
-    last_seen: SimTime,
-    /// Reconnect attempts made so far (0 = never lost). Refunded on
-    /// every successful connect: the cap bounds one outage.
-    attempt: u32,
-    /// True once this logical connection reached `Ready` at least once.
-    ever_connected: bool,
-}
-
 enum TimerKind {
     /// Producer batch linger expired: flush.
-    Linger {
-        conn: ConnId,
-    },
+    Linger { conn: ConnId },
     /// Committed-mode consumer: flush offset commits.
-    Commit {
-        conn: ConnId,
-    },
-    /// Liveness heartbeat + silence check.
-    Heartbeat {
-        conn: ConnId,
-    },
-    ReconnectTry {
-        conn: ConnId,
-    },
-    ReconnectDeadline {
-        conn: ConnId,
-        attempt: u32,
-    },
+    Commit { conn: ConnId },
+}
+
+/// The log protocol over the shared broker session.
+struct LogSession;
+
+impl SessionProtocol for LogSession {
+    type Frame = ClientToBroker;
+    type Timer = TimerKind;
+    type State = Role;
+    const COMPONENT: simprof::Component = simprof::Component::GridlogClient;
+    const RECONNECT_COUNTER: &'static str = "gridlog.reconnect_attempts";
+    const CONTROL_FRAME_BYTES: usize = CONTROL_FRAME_BYTES;
+    const CONNECT: ClientToBroker = ClientToBroker::Connect;
+    const DISCONNECT: ClientToBroker = ClientToBroker::Disconnect;
+
+    fn heartbeat(role: &Role) -> ClientToBroker {
+        match role {
+            Role::Consumer(c) => ClientToBroker::Heartbeat {
+                group: c.group.clone(),
+                member: c.member,
+            },
+            Role::Producer(_) => ClientToBroker::Ping,
+        }
+    }
+
+    /// The producer's unflushed/unacked records and the consumer's group
+    /// identity and positions carry over; what was in flight does not.
+    fn abandon(role: &mut Role, ctx: &mut Context<'_>) {
+        match role {
+            Role::Producer(prod) => {
+                // Unflushed batch records join the offline queue; the
+                // linger timer for the old conn is now stale.
+                let n = prod.batch.len() as u64;
+                prod.offline.append(&mut prod.batch);
+                prod.linger_armed = false;
+                if n > 0 {
+                    simfault::with_faults(ctx, |inj, _| inj.stats.delayed += n);
+                }
+            }
+            Role::Consumer(cons) => cons.in_flight.clear(),
+        }
+    }
 }
 
 /// A set of gridlog client connections owned by one host actor.
 pub struct GridlogClientSet {
     cfg: GridlogConfig,
-    node: NodeId,
-    conns: HashMap<ConnId, ConnState>,
-    timers: HashMap<u64, TimerKind>,
-    next_timer: u64,
+    sessions: SessionSet<LogSession>,
     /// Cross-member duplicate filter: partition → first offset not yet
     /// surfaced to the host. Partition handoffs between members of the
     /// same group re-fetch from the committed offset; this keeps each
@@ -169,25 +172,9 @@ impl GridlogClientSet {
     pub fn new(cfg: GridlogConfig, node: NodeId) -> Self {
         GridlogClientSet {
             cfg,
-            node,
-            conns: HashMap::new(),
-            timers: HashMap::new(),
-            next_timer: 0,
+            sessions: SessionSet::new(node),
             delivered_to: BTreeMap::new(),
         }
-    }
-
-    fn my_ep(&self, ctx: &Context<'_>) -> Endpoint {
-        Endpoint::new(self.node, ctx.self_id())
-    }
-
-    fn cpu(&self, ctx: &mut Context<'_>, cost: SimDuration) -> SimTime {
-        let node = self.node;
-        ctx.with_service::<OsModel, _>(|os, ctx| {
-            let (done, effective) = os.execute_metered(node, ctx.now(), cost);
-            simprof::charge(ctx, simprof::Component::GridlogClient, effective);
-            done
-        })
     }
 
     fn serialize_cost(&self, bytes: usize) -> SimDuration {
@@ -204,61 +191,6 @@ impl GridlogClientSet {
             )
     }
 
-    fn arm_timer(&mut self, ctx: &mut Context<'_>, delay: SimDuration, kind: TimerKind) -> u64 {
-        let token = self.next_timer;
-        self.next_timer += 1;
-        self.timers.insert(token, kind);
-        ctx.timer(delay, ClientTimer(token));
-        token
-    }
-
-    fn open(&mut self, ctx: &mut Context<'_>, broker_ep: Endpoint) -> ConnId {
-        let me = self.my_ep(ctx);
-        ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-            let conn = net.open(ctx.now(), Transport::Tcp, me, broker_ep);
-            net.send(
-                ctx,
-                conn,
-                me,
-                CONTROL_FRAME_BYTES,
-                Box::new(ClientToBroker::Connect),
-            );
-            conn
-        })
-    }
-
-    fn insert_conn(
-        &mut self,
-        ctx: &mut Context<'_>,
-        conn: ConnId,
-        broker_ep: Endpoint,
-        role: Role,
-        reconnect: Option<ReconnectPolicy>,
-    ) {
-        self.conns.insert(
-            conn,
-            ConnState {
-                reconnect,
-                broker_ep,
-                phase: ConnPhase::Connecting,
-                role,
-                last_seen: ctx.now(),
-                attempt: 0,
-                ever_connected: false,
-            },
-        );
-        // With recovery enabled the *initial* connect gets the same
-        // deadline as a reconnect attempt: a Connect frame swallowed by
-        // a crashed broker must not strand the client forever.
-        if let Some(policy) = reconnect {
-            self.arm_timer(
-                ctx,
-                policy.detect_timeout,
-                TimerKind::ReconnectDeadline { conn, attempt: 0 },
-            );
-        }
-    }
-
     /// Open a producer connection. `producer_id` is the stable
     /// idempotence identity (survives reconnects).
     pub fn connect_producer(
@@ -269,23 +201,17 @@ impl GridlogClientSet {
         topic: impl Into<String>,
         reconnect: Option<ReconnectPolicy>,
     ) -> ConnId {
-        let conn = self.open(ctx, broker_ep);
-        self.insert_conn(
-            ctx,
-            conn,
-            broker_ep,
-            Role::Producer(ProducerState {
-                producer_id,
-                topic: topic.into(),
-                batch: Vec::new(),
-                linger_armed: false,
-                next_batch_seq: 0,
-                pending: BTreeMap::new(),
-                offline: Vec::new(),
-            }),
-            reconnect,
-        );
-        conn
+        let role = Role::Producer(ProducerState {
+            producer_id,
+            topic: topic.into(),
+            batch: Vec::new(),
+            linger_armed: false,
+            next_batch_seq: 0,
+            pending: BTreeMap::new(),
+            offline: Vec::new(),
+        });
+        self.sessions
+            .open(ctx, broker_ep, Transport::Tcp, reconnect, role)
     }
 
     /// Open a consumer connection that joins `group` on `topic` once the
@@ -301,24 +227,18 @@ impl GridlogClientSet {
         reset: OffsetReset,
         reconnect: Option<ReconnectPolicy>,
     ) -> ConnId {
-        let conn = self.open(ctx, broker_ep);
-        self.insert_conn(
-            ctx,
-            conn,
-            broker_ep,
-            Role::Consumer(ConsumerState {
-                group: group.into(),
-                member,
-                topic: topic.into(),
-                reset,
-                epoch: 0,
-                owned: Vec::new(),
-                positions: BTreeMap::new(),
-                in_flight: BTreeSet::new(),
-            }),
-            reconnect,
-        );
-        conn
+        let role = Role::Consumer(ConsumerState {
+            group: group.into(),
+            member,
+            topic: topic.into(),
+            reset,
+            epoch: 0,
+            owned: Vec::new(),
+            positions: BTreeMap::new(),
+            in_flight: BTreeSet::new(),
+        });
+        self.sessions
+            .open(ctx, broker_ep, Transport::Tcp, reconnect, role)
     }
 
     /// Produce one record. Instruments `before_sending` immediately (the
@@ -351,9 +271,9 @@ impl GridlogClientSet {
                 simtrace::EventKind::PublishBegin,
             );
         });
-        let state = self.conns.get_mut(&conn).expect("unknown connection");
-        let reconnecting = state.phase == ConnPhase::Connecting && state.reconnect.is_some();
-        let Role::Producer(prod) = &mut state.role else {
+        let sess = self.sessions.get_mut(conn).expect("unknown connection");
+        let (reconnecting, ready) = (sess.reconnecting(), sess.is_ready());
+        let Role::Producer(prod) = &mut sess.state else {
             panic!("produce on a consumer connection");
         };
         let rec = ProducerRecord {
@@ -369,7 +289,7 @@ impl GridlogClientSet {
             simfault::with_faults(ctx, |inj, _| inj.stats.delayed += 1);
             return probe;
         }
-        assert_eq!(state.phase, ConnPhase::Ready, "produce before ConnectOk");
+        assert!(ready, "produce before ConnectOk");
         prod.batch.push(rec);
         let occupancy = prod.batch.len() as u32;
         let full = prod.batch.len() >= self.cfg.batching.max_records;
@@ -389,7 +309,7 @@ impl GridlogClientSet {
             self.flush_batch(ctx, conn);
         } else if arm {
             let linger = self.cfg.batching.linger;
-            self.arm_timer(ctx, linger, TimerKind::Linger { conn });
+            self.sessions.arm(ctx, linger, TimerKind::Linger { conn });
         }
         probe
     }
@@ -398,17 +318,18 @@ impl GridlogClientSet {
     /// `after_sending`/`PublishEnd` for every record at the flush
     /// instant, then the batch goes on the wire.
     fn flush_batch(&mut self, ctx: &mut Context<'_>, conn: ConnId) {
-        let Some(state) = self.conns.get_mut(&conn) else {
+        let Some(sess) = self.sessions.get_mut(conn) else {
             return;
         };
-        let Role::Producer(prod) = &mut state.role else {
+        let ready = sess.is_ready();
+        let Role::Producer(prod) = &mut sess.state else {
             return;
         };
         if prod.batch.is_empty() {
             return;
         }
         prod.linger_armed = false;
-        if state.phase != ConnPhase::Ready {
+        if !ready {
             // Went into reconnect mid-linger: everything buffered moves
             // to the offline queue.
             let n = prod.batch.len() as u64;
@@ -428,7 +349,7 @@ impl GridlogClientSet {
             tr.record(at, None, actor, simtrace::EventKind::BatchFlush { tuples });
             tr.count(simtrace::Counter::BatchFlushes, 1);
         });
-        let ser_done = self.cpu(ctx, self.serialize_cost(bytes));
+        let ser_done = self.sessions.cpu(ctx, self.serialize_cost(bytes));
         for rec in &records {
             let probe = rec.probe;
             ctx.service_mut::<RttCollector>()
@@ -442,12 +363,11 @@ impl GridlogClientSet {
                 );
             });
         }
-        let state = self.conns.get_mut(&conn).expect("still here");
-        let Role::Producer(prod) = &mut state.role else {
+        let sess = self.sessions.get_mut(conn).expect("still here");
+        let Role::Producer(prod) = &mut sess.state else {
             unreachable!("checked above");
         };
         prod.pending.insert(seq, records.clone());
-        let me = self.my_ep(ctx);
         let msg = ClientToBroker::Produce {
             producer_id,
             batch_seq: seq,
@@ -455,21 +375,18 @@ impl GridlogClientSet {
             records,
             retransmit: false,
         };
-        ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-            net.send_at(ctx, conn, me, bytes, Box::new(msg), ser_done);
-        });
+        self.sessions.send_at(ctx, conn, bytes, msg, ser_done);
     }
 
     /// Issue a long-poll fetch for one owned partition.
     fn send_fetch(&mut self, ctx: &mut Context<'_>, conn: ConnId, partition: u32) {
-        let me = self.my_ep(ctx);
-        let Some(state) = self.conns.get_mut(&conn) else {
+        let Some(sess) = self.sessions.get_mut(conn) else {
             return;
         };
-        if state.phase != ConnPhase::Ready {
+        if !sess.is_ready() {
             return;
         }
-        let Role::Consumer(cons) = &mut state.role else {
+        let Role::Consumer(cons) = &mut sess.state else {
             return;
         };
         if !cons.owned.contains(&partition) || cons.in_flight.contains(&partition) {
@@ -484,9 +401,7 @@ impl GridlogClientSet {
             offset: cons.positions.get(&partition).copied().unwrap_or(0),
         };
         let bytes = CONTROL_FRAME_BYTES + cons.group.len() + 20;
-        ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-            net.send(ctx, conn, me, bytes, Box::new(msg));
-        });
+        self.sessions.send(ctx, conn, bytes, msg);
     }
 
     /// Handle a network delivery addressed to the host actor. Returns
@@ -500,28 +415,20 @@ impl GridlogClientSet {
         let Ok(b2c) = payload.downcast::<BrokerToClient>() else {
             return Vec::new();
         };
-        // Any broker frame counts as liveness for crash detection.
-        if let Some(state) = self.conns.get_mut(&conn) {
-            state.last_seen = ctx.now();
-        }
+        self.sessions.heard_from(ctx, conn);
         let mut events = Vec::new();
         match *b2c {
             BrokerToClient::ConnectOk => {
-                let Some(state) = self.conns.get_mut(&conn) else {
+                let Some(was_reconnect) = self.sessions.connect_ok(ctx, conn) else {
                     return events;
                 };
-                state.phase = ConnPhase::Ready;
-                let reconnect = state.reconnect;
-                let was_reconnect = state.ever_connected && state.attempt > 0;
-                state.attempt = 0;
-                state.ever_connected = true;
-                if was_reconnect {
-                    events.push(ClientEvent::Reconnected(conn));
-                    simfault::with_faults(ctx, |inj, _| inj.stats.reconnects += 1);
+                events.push(if was_reconnect {
+                    ClientEvent::Reconnected(conn)
                 } else {
-                    events.push(ClientEvent::Connected(conn));
-                }
-                let is_committed_consumer = match &state.role {
+                    ClientEvent::Connected(conn)
+                });
+                let sess = self.sessions.get(conn).expect("just accepted");
+                match &sess.state {
                     Role::Consumer(c) => {
                         let join = ClientToBroker::JoinGroup {
                             group: c.group.clone(),
@@ -530,14 +437,11 @@ impl GridlogClientSet {
                             reset: c.reset,
                         };
                         let bytes = CONTROL_FRAME_BYTES + c.group.len() + c.topic.len() + 16;
-                        let me = self.my_ep(ctx);
-                        ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-                            net.send(ctx, conn, me, bytes, Box::new(join));
-                        });
-                        let state = self.conns.get(&conn).expect("still here");
-                        match &state.role {
-                            Role::Consumer(c) => c.reset == OffsetReset::Committed,
-                            Role::Producer(_) => false,
+                        let committed = c.reset == OffsetReset::Committed;
+                        self.sessions.send(ctx, conn, bytes, join);
+                        if committed {
+                            let interval = self.cfg.group.commit_interval;
+                            self.sessions.arm(ctx, interval, TimerKind::Commit { conn });
                         }
                     }
                     Role::Producer(_) => {
@@ -545,30 +449,18 @@ impl GridlogClientSet {
                             self.republish_pending(ctx, conn);
                             self.drain_offline(ctx, conn);
                         }
-                        false
                     }
-                };
-                if is_committed_consumer {
-                    let interval = self.cfg.group.commit_interval;
-                    self.arm_timer(ctx, interval, TimerKind::Commit { conn });
                 }
-                if let Some(policy) = reconnect {
-                    self.arm_timer(
-                        ctx,
-                        policy.heartbeat_interval,
-                        TimerKind::Heartbeat { conn },
-                    );
-                }
+                self.sessions.start_heartbeat(ctx, conn);
             }
             BrokerToClient::ConnectRefused { reason } => {
-                if let Some(state) = self.conns.get_mut(&conn) {
-                    state.phase = ConnPhase::Refused;
+                if self.sessions.refused(conn) {
                     events.push(ClientEvent::Refused(conn, reason));
                 }
             }
             BrokerToClient::ProduceAck { batch_seq } => {
-                if let Some(state) = self.conns.get_mut(&conn) {
-                    if let Role::Producer(prod) = &mut state.role {
+                if let Some(sess) = self.sessions.get_mut(conn) {
+                    if let Role::Producer(prod) = &mut sess.state {
                         prod.pending.remove(&batch_seq);
                     }
                 }
@@ -578,10 +470,10 @@ impl GridlogClientSet {
                 epoch,
                 partitions,
             } => {
-                let Some(state) = self.conns.get_mut(&conn) else {
+                let Some(sess) = self.sessions.get_mut(conn) else {
                     return events;
                 };
-                let Role::Consumer(cons) = &mut state.role else {
+                let Role::Consumer(cons) = &mut sess.state else {
                     return events;
                 };
                 if epoch < cons.epoch {
@@ -623,10 +515,10 @@ impl GridlogClientSet {
                 end_offset: _,
             } => {
                 let now = ctx.now();
-                let Some(state) = self.conns.get_mut(&conn) else {
+                let Some(sess) = self.sessions.get_mut(conn) else {
                     return events;
                 };
-                let Role::Consumer(cons) = &mut state.role else {
+                let Role::Consumer(cons) = &mut sess.state else {
                     return events;
                 };
                 if epoch != cons.epoch || !cons.owned.contains(&partition) {
@@ -649,7 +541,7 @@ impl GridlogClientSet {
                         ctx.service_mut::<RttCollector>()
                             .before_receiving(rec.probe, now);
                     }
-                    let done = self.cpu(ctx, self.deliver_cost(bytes));
+                    let done = self.sessions.cpu(ctx, self.deliver_cost(bytes));
                     if fresh {
                         ctx.service_mut::<RttCollector>()
                             .after_receiving(rec.probe, done);
@@ -679,8 +571,8 @@ impl GridlogClientSet {
                         });
                     }
                 }
-                if let Some(state) = self.conns.get_mut(&conn) {
-                    if let Role::Consumer(cons) = &mut state.role {
+                if let Some(sess) = self.sessions.get_mut(conn) {
+                    if let Role::Consumer(cons) = &mut sess.state {
                         cons.positions.insert(partition, pos);
                     }
                 }
@@ -696,205 +588,78 @@ impl GridlogClientSet {
 
     /// Handle a [`ClientTimer`] delivered to the host actor.
     pub fn handle_timer(&mut self, ctx: &mut Context<'_>, timer: ClientTimer) -> Vec<ClientEvent> {
-        let Some(kind) = self.timers.remove(&timer.0) else {
-            return Vec::new(); // stale
-        };
-        match kind {
-            TimerKind::Linger { conn } => {
+        match self.sessions.fire(ctx, timer) {
+            Fired::Idle => Vec::new(),
+            Fired::Own(TimerKind::Linger { conn }) => {
                 self.flush_batch(ctx, conn);
                 Vec::new()
             }
-            TimerKind::Commit { conn } => {
-                let me = self.my_ep(ctx);
-                let Some(state) = self.conns.get_mut(&conn) else {
-                    return Vec::new(); // conn replaced or closed
-                };
-                if state.phase != ConnPhase::Ready {
-                    return Vec::new();
-                }
-                let Role::Consumer(cons) = &mut state.role else {
-                    return Vec::new();
-                };
-                let offsets: Vec<(u32, u64)> = cons
-                    .owned
-                    .iter()
-                    .filter_map(|&p| cons.positions.get(&p).map(|&o| (p, o)))
-                    .collect();
-                if !offsets.is_empty() {
-                    let msg = ClientToBroker::CommitOffsets {
-                        group: cons.group.clone(),
-                        member: cons.member,
-                        epoch: cons.epoch,
-                        offsets: offsets.clone(),
-                    };
-                    let bytes = offsets_bytes(offsets.len()) + cons.group.len();
-                    ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-                        net.send(ctx, conn, me, bytes, Box::new(msg));
-                    });
-                }
-                let interval = self.cfg.group.commit_interval;
-                self.arm_timer(ctx, interval, TimerKind::Commit { conn });
+            Fired::Own(TimerKind::Commit { conn }) => {
+                self.commit_offsets(ctx, conn);
                 Vec::new()
             }
-            TimerKind::Heartbeat { conn } => {
-                let Some(state) = self.conns.get(&conn) else {
-                    return Vec::new(); // conn replaced or closed
-                };
-                let Some(policy) = state.reconnect else {
-                    return Vec::new();
-                };
-                if state.phase != ConnPhase::Ready {
-                    return Vec::new();
-                }
-                if ctx.now().saturating_since(state.last_seen) > policy.detect_timeout {
-                    return self.begin_reconnect(ctx, conn);
-                }
-                let msg = match &state.role {
-                    Role::Consumer(c) => ClientToBroker::Heartbeat {
-                        group: c.group.clone(),
-                        member: c.member,
-                    },
-                    Role::Producer(_) => ClientToBroker::Ping,
-                };
-                let me = self.my_ep(ctx);
-                ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-                    net.send(ctx, conn, me, CONTROL_FRAME_BYTES, Box::new(msg));
-                });
-                self.arm_timer(
-                    ctx,
-                    policy.heartbeat_interval,
-                    TimerKind::Heartbeat { conn },
-                );
-                Vec::new()
-            }
-            TimerKind::ReconnectTry { conn } => self.begin_reconnect(ctx, conn),
-            TimerKind::ReconnectDeadline { conn, attempt } => {
-                let Some(state) = self.conns.get(&conn) else {
-                    return Vec::new();
-                };
-                if state.phase != ConnPhase::Connecting || state.attempt != attempt {
-                    return Vec::new(); // connected meanwhile or superseded
-                }
-                let policy = state.reconnect.expect("reconnecting conn");
-                if attempt >= policy.max_attempts {
-                    // Give up for good; everything unflushed is lost.
-                    let me = self.my_ep(ctx);
-                    ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-                        net.send(
-                            ctx,
+            Fired::Reconnecting { old, new } => vec![ClientEvent::Reconnecting { old, new }],
+            Fired::Lost(conn, role) => {
+                // Everything unflushed is lost with the connection.
+                let mut events = vec![ClientEvent::ConnectionLost(conn)];
+                if let Role::Producer(prod) = role {
+                    let lost = prod
+                        .pending
+                        .values()
+                        .flatten()
+                        .chain(&prod.offline)
+                        .chain(&prod.batch);
+                    for rec in lost {
+                        events.push(ClientEvent::ProduceAbandoned {
                             conn,
-                            me,
-                            CONTROL_FRAME_BYTES,
-                            Box::new(ClientToBroker::Disconnect),
-                        );
-                    });
-                    let state = self.conns.remove(&conn).expect("checked above");
-                    let mut events = vec![ClientEvent::ConnectionLost(conn)];
-                    if let Role::Producer(prod) = state.role {
-                        for records in prod.pending.values() {
-                            for rec in records {
-                                events.push(ClientEvent::ProduceAbandoned {
-                                    conn,
-                                    probe: rec.probe,
-                                });
-                            }
-                        }
-                        for rec in prod.offline.iter().chain(prod.batch.iter()) {
-                            events.push(ClientEvent::ProduceAbandoned {
-                                conn,
-                                probe: rec.probe,
-                            });
-                        }
+                            probe: rec.probe,
+                        });
                     }
-                    return events;
                 }
-                // Exponential backoff with equal jitter: de-synchronizes
-                // the reconnect herd after a broker restart.
-                let shift = (attempt.saturating_sub(1)).min(20);
-                let base = policy
-                    .backoff_initial
-                    .saturating_mul(1u64 << shift)
-                    .min(policy.backoff_max);
-                let backoff = base / 2 + ctx.rng().duration_between(SimDuration::ZERO, base / 2);
-                self.arm_timer(ctx, backoff, TimerKind::ReconnectTry { conn });
-                Vec::new()
+                events
             }
         }
     }
 
-    /// Abandon `old` and open a replacement connection to the same
-    /// broker endpoint, carrying over the producer's unflushed/unacked
-    /// records and the consumer's group identity and positions.
-    fn begin_reconnect(&mut self, ctx: &mut Context<'_>, old: ConnId) -> Vec<ClientEvent> {
-        let Some(mut state) = self.conns.remove(&old) else {
-            return Vec::new();
+    /// Committed-mode consumer: send the positions of the owned
+    /// partitions and re-arm the commit timer.
+    fn commit_offsets(&mut self, ctx: &mut Context<'_>, conn: ConnId) {
+        let Some(sess) = self.sessions.get(conn) else {
+            return; // conn replaced or closed
         };
-        let Some(policy) = state.reconnect else {
-            self.conns.insert(old, state);
-            return Vec::new();
-        };
-        state.attempt += 1;
-        state.phase = ConnPhase::Connecting;
-        match &mut state.role {
-            Role::Producer(prod) => {
-                // Unflushed batch records join the offline queue; the
-                // linger timer for the old conn is now stale.
-                let n = prod.batch.len() as u64;
-                prod.offline.append(&mut prod.batch);
-                prod.linger_armed = false;
-                if n > 0 {
-                    simfault::with_faults(ctx, |inj, _| inj.stats.delayed += n);
-                }
-            }
-            Role::Consumer(cons) => {
-                cons.in_flight.clear();
-            }
+        if !sess.is_ready() {
+            return;
         }
-        // Best-effort goodbye on the abandoned connection: if the broker
-        // is actually up (slow, not dead), this frees its service thread.
-        let me = self.my_ep(ctx);
-        ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-            net.send(
-                ctx,
-                old,
-                me,
-                CONTROL_FRAME_BYTES,
-                Box::new(ClientToBroker::Disconnect),
-            );
-        });
-        simfault::with_faults(ctx, |inj, _| inj.stats.reconnect_attempts += 1);
-        telemetry::with_metrics(ctx, |m, _| m.add_counter("gridlog.reconnect_attempts", 1));
-        let broker_ep = state.broker_ep;
-        let new = ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-            let c = net.open(ctx.now(), Transport::Tcp, me, broker_ep);
-            net.send(
-                ctx,
-                c,
-                me,
-                CONTROL_FRAME_BYTES,
-                Box::new(ClientToBroker::Connect),
-            );
-            c
-        });
-        let attempt = state.attempt;
-        self.conns.insert(new, state);
-        self.arm_timer(
-            ctx,
-            policy.detect_timeout,
-            TimerKind::ReconnectDeadline { conn: new, attempt },
-        );
-        vec![ClientEvent::Reconnecting { old, new }]
+        let Role::Consumer(cons) = &sess.state else {
+            return;
+        };
+        let offsets: Vec<(u32, u64)> = cons
+            .owned
+            .iter()
+            .filter_map(|&p| cons.positions.get(&p).map(|&o| (p, o)))
+            .collect();
+        if !offsets.is_empty() {
+            let bytes = offsets_bytes(offsets.len()) + cons.group.len();
+            let msg = ClientToBroker::CommitOffsets {
+                group: cons.group.clone(),
+                member: cons.member,
+                epoch: cons.epoch,
+                offsets,
+            };
+            self.sessions.send(ctx, conn, bytes, msg);
+        }
+        let interval = self.cfg.group.commit_interval;
+        self.sessions.arm(ctx, interval, TimerKind::Commit { conn });
     }
 
     /// Re-send every flushed-but-unacked batch on a reconnected
     /// connection with its original sequence; the broker's durable
     /// producer sequences filter the ones that were already appended.
     fn republish_pending(&mut self, ctx: &mut Context<'_>, conn: ConnId) {
-        let me = self.my_ep(ctx);
-        let Some(state) = self.conns.get(&conn) else {
+        let Some(sess) = self.sessions.get(conn) else {
             return;
         };
-        let Role::Producer(prod) = &state.role else {
+        let Role::Producer(prod) = &sess.state else {
             return;
         };
         let producer_id = prod.producer_id;
@@ -909,7 +674,7 @@ impl GridlogClientSet {
             let bytes = produce_bytes(&records);
             // Retransmission re-serializes from the buffered form:
             // cheaper than first serialization.
-            let done = self.cpu(ctx, self.cfg.costs.client_serialize_base);
+            let done = self.sessions.cpu(ctx, self.cfg.costs.client_serialize_base);
             let msg = ClientToBroker::Produce {
                 producer_id,
                 batch_seq: seq,
@@ -917,9 +682,7 @@ impl GridlogClientSet {
                 records,
                 retransmit: true,
             };
-            ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-                net.send_at(ctx, conn, me, bytes, Box::new(msg), done);
-            });
+            self.sessions.send_at(ctx, conn, bytes, msg, done);
         }
         if n > 0 {
             simfault::with_faults(ctx, |inj, _| inj.stats.republished += n);
@@ -929,10 +692,10 @@ impl GridlogClientSet {
     /// Flush the offline record buffer of a reconnected producer as an
     /// immediate batch (no linger — these records are already late).
     fn drain_offline(&mut self, ctx: &mut Context<'_>, conn: ConnId) {
-        let Some(state) = self.conns.get_mut(&conn) else {
+        let Some(sess) = self.sessions.get_mut(conn) else {
             return;
         };
-        let Role::Producer(prod) = &mut state.role else {
+        let Role::Producer(prod) = &mut sess.state else {
             return;
         };
         if prod.offline.is_empty() {
@@ -946,54 +709,20 @@ impl GridlogClientSet {
     /// Close a connection: the broker frees its service thread; a
     /// consumer leaves its group first so the partitions rebalance away.
     pub fn disconnect(&mut self, ctx: &mut Context<'_>, conn: ConnId) {
-        let Some(state) = self.conns.remove(&conn) else {
+        let Some(sess) = self.sessions.remove(conn) else {
             return;
         };
-        let me = self.my_ep(ctx);
-        if let Role::Consumer(cons) = &state.role {
-            if state.phase == ConnPhase::Ready {
+        if let Role::Consumer(cons) = &sess.state {
+            if sess.is_ready() {
                 let leave = ClientToBroker::LeaveGroup {
                     group: cons.group.clone(),
                     member: cons.member,
                 };
                 let bytes = CONTROL_FRAME_BYTES + cons.group.len();
-                ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-                    net.send(ctx, conn, me, bytes, Box::new(leave));
-                });
+                self.sessions.send(ctx, conn, bytes, leave);
             }
         }
-        ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-            net.send(
-                ctx,
-                conn,
-                me,
-                CONTROL_FRAME_BYTES,
-                Box::new(ClientToBroker::Disconnect),
-            );
-        });
-    }
-
-    /// Phase of a connection, for the host's bookkeeping.
-    pub fn is_ready(&self, conn: ConnId) -> bool {
-        self.conns
-            .get(&conn)
-            .is_some_and(|c| c.phase == ConnPhase::Ready)
-    }
-
-    /// Was the connection refused?
-    pub fn is_refused(&self, conn: ConnId) -> bool {
-        self.conns
-            .get(&conn)
-            .is_some_and(|c| c.phase == ConnPhase::Refused)
-    }
-
-    /// Number of connections in the set.
-    pub fn len(&self) -> usize {
-        self.conns.len()
-    }
-
-    /// True if no connections were opened.
-    pub fn is_empty(&self) -> bool {
-        self.conns.is_empty()
+        self.sessions
+            .send(ctx, conn, CONTROL_FRAME_BYTES, ClientToBroker::Disconnect);
     }
 }

@@ -188,36 +188,6 @@ pub enum OffsetReset {
     Latest,
 }
 
-/// Client-side reconnect behaviour across broker crashes, identical in
-/// shape to narada's policy so the two middlewares face the same
-/// fault-tolerance knobs. `None` (the default) disables liveness and
-/// reconnects entirely: paper-mode runs stay heartbeat-free.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReconnectPolicy {
-    /// How often an idle connection sends a liveness heartbeat.
-    pub heartbeat_interval: SimDuration,
-    /// Silence longer than this declares the broker dead.
-    pub detect_timeout: SimDuration,
-    /// First reconnect backoff step.
-    pub backoff_initial: SimDuration,
-    /// Backoff ceiling.
-    pub backoff_max: SimDuration,
-    /// Reconnect attempts before the connection is abandoned for good.
-    pub max_attempts: u32,
-}
-
-impl Default for ReconnectPolicy {
-    fn default() -> Self {
-        ReconnectPolicy {
-            heartbeat_interval: SimDuration::from_secs(1),
-            detect_timeout: SimDuration::from_secs(5),
-            backoff_initial: SimDuration::from_millis(250),
-            backoff_max: SimDuration::from_secs(4),
-            max_attempts: 10,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,7 +201,7 @@ mod tests {
         assert!(c.fetching.max_wait > c.batching.linger);
         assert!(c.partitions >= 1);
         assert!(c.segment_records >= 1);
-        let p = ReconnectPolicy::default();
+        let p = simnet::session::ReconnectPolicy::default();
         assert!(p.detect_timeout > p.heartbeat_interval);
         assert!(p.backoff_max >= p.backoff_initial);
         assert!(c.group.session_timeout > p.detect_timeout);

@@ -31,13 +31,13 @@ pub mod log;
 pub mod protocol;
 
 pub use broker::{BrokerTimer, LogBroker, LogBrokerStats, StatsHandle};
-pub use client::{ClientEvent, ClientTimer, GridlogClientSet};
+pub use client::{ClientEvent, GridlogClientSet};
 pub use config::{
     Batching, BrokerMemory, CostModel, Fetching, GridlogConfig, GroupPolicy, OffsetReset,
-    ReconnectPolicy,
 };
 pub use log::{partition_for, PartitionLog, Segment, StoredRecord, TopicLog};
 pub use protocol::{
     fetch_response_bytes, offsets_bytes, produce_bytes, BrokerToClient, ClientToBroker,
     FetchedRecord, ProducerRecord,
 };
+pub use simnet::session::{ClientTimer, ReconnectPolicy};

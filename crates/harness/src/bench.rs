@@ -13,9 +13,9 @@
 //! p50/p99 — all deterministic for a given build and seed, so [`gate`]
 //! can fail on a latency-percentile regression exactly, not just on
 //! noisy wall time. It serializes to a schema-versioned JSON file that
-//! is committed at the repo root (`BENCH_PR5.json` is still schema v1,
-//! `BENCH_PR9.json` v2 — [`BenchReport::parse`] reads all three) and
-//! re-generated by CI, where [`gate`] fails the build on a wall-time
+//! is committed at the repo root (`BENCH_PR10.json`;
+//! [`BenchReport::parse`] also reads the v1 and v2 schemas of the
+//! reports that preceded it) and re-generated by CI, where [`gate`] fails the build on a wall-time
 //! regression beyond the tolerance.
 //!
 //! The emitter keeps every *wall-time-derived* field on its own line so

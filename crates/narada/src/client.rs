@@ -13,14 +13,12 @@ use crate::protocol::{publish_bytes, BrokerToClient, ClientToBroker, CONTROL_FRA
 use crate::seqset::SeqSet;
 use jms::AckMode;
 use simcore::{Context, SimDuration, SimTime};
+use simnet::session::{ClientTimer, Fired, SessionProtocol, SessionSet};
 use simnet::{ConnId, Delivery, Endpoint, NetworkFabric, Transport};
-use simos::{NodeId, OsModel};
-use std::collections::{BTreeMap, HashMap};
+use simos::NodeId;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use telemetry::{ProbeId, RttCollector};
 use wire::Message;
-
-/// Timer payload the host actor must route back via `handle_timer`.
-pub struct ClientTimer(pub u64);
 
 /// Events surfaced to the host actor.
 #[derive(Debug, PartialEq)]
@@ -64,13 +62,6 @@ pub enum ClientEvent {
     ConnectionLost(ConnId),
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ConnPhase {
-    Connecting,
-    Ready,
-    Refused,
-}
-
 struct PendingPub {
     probe: ProbeId,
     message: Message,
@@ -100,10 +91,10 @@ struct SubSpec {
     needs_resync: bool,
 }
 
+/// What a JMS connection carries on top of the shared session.
+#[derive(Default)]
 struct ConnState {
-    settings: ConnSettings,
-    broker_ep: Endpoint,
-    phase: ConnPhase,
+    ack_mode: AckMode,
     next_pub_seq: u64,
     pending_pubs: HashMap<u64, PendingPub>,
     /// Per-subscription receive tracking (sub_id → state; BTreeMap for
@@ -113,37 +104,50 @@ struct ConnState {
     /// Subscriptions ever created on this logical connection, for
     /// re-subscribe after reconnect.
     subs: Vec<SubSpec>,
-    /// Last instant the broker was heard from (reconnect detection).
-    last_seen: SimTime,
-    /// Reconnect attempts made so far (0 = never lost). Refunded on every
-    /// successful connect: the cap bounds one outage, not a lifetime.
-    attempt: u32,
-    /// True once this logical connection reached `Ready` at least once;
-    /// distinguishes a retried *initial* connect (surfaces `Connected`)
-    /// from a true reconnect (surfaces `Reconnected` + recovery).
-    ever_connected: bool,
     /// Publishes issued while reconnecting, drained on reconnect.
     offline: Vec<(ProbeId, Message, bool)>,
     /// Probes already surfaced to the listener; filters the duplicates a
     /// resync can produce. Only populated when reconnect is enabled.
-    seen_probes: std::collections::HashSet<u64>,
+    seen_probes: HashSet<u64>,
 }
 
 enum TimerKind {
     PubRetry { conn: ConnId, seq: u64 },
     AckFlush { conn: ConnId },
-    Heartbeat { conn: ConnId },
-    ReconnectTry { conn: ConnId },
-    ReconnectDeadline { conn: ConnId, attempt: u32 },
+}
+
+/// JMS over the shared broker session.
+struct Jms;
+
+impl SessionProtocol for Jms {
+    type Frame = ClientToBroker;
+    type Timer = TimerKind;
+    type State = ConnState;
+    const COMPONENT: simprof::Component = simprof::Component::NaradaTransport;
+    const RECONNECT_COUNTER: &'static str = "narada.reconnect_attempts";
+    const CONTROL_FRAME_BYTES: usize = CONTROL_FRAME_BYTES;
+    const CONNECT: ClientToBroker = ClientToBroker::Connect;
+    const DISCONNECT: ClientToBroker = ClientToBroker::Disconnect;
+
+    fn heartbeat(_: &ConnState) -> ClientToBroker {
+        ClientToBroker::Ping
+    }
+
+    /// Subscriptions, pending publishes and the offline buffer carry
+    /// over; receive state resets, because the restarted broker assigns
+    /// delivery seqs from scratch.
+    fn abandon(state: &mut ConnState, _: &mut Context<'_>) {
+        state.ack_flush_armed = false;
+        for recv in state.recv.values_mut() {
+            *recv = SubRecv::default();
+        }
+    }
 }
 
 /// A set of client connections owned by one host actor.
 pub struct NaradaClientSet {
     cfg: NaradaConfig,
-    node: NodeId,
-    conns: HashMap<ConnId, ConnState>,
-    timers: HashMap<u64, TimerKind>,
-    next_timer: u64,
+    sessions: SessionSet<Jms>,
 }
 
 impl NaradaClientSet {
@@ -151,24 +155,8 @@ impl NaradaClientSet {
     pub fn new(cfg: NaradaConfig, node: NodeId) -> Self {
         NaradaClientSet {
             cfg,
-            node,
-            conns: HashMap::new(),
-            timers: HashMap::new(),
-            next_timer: 0,
+            sessions: SessionSet::new(node),
         }
-    }
-
-    fn my_ep(&self, ctx: &Context<'_>) -> Endpoint {
-        Endpoint::new(self.node, ctx.self_id())
-    }
-
-    fn cpu(&self, ctx: &mut Context<'_>, cost: SimDuration) -> SimTime {
-        let node = self.node;
-        ctx.with_service::<OsModel, _>(|os, ctx| {
-            let (done, effective) = os.execute_metered(node, ctx.now(), cost);
-            simprof::charge(ctx, simprof::Component::NaradaTransport, effective);
-            done
-        })
     }
 
     fn serialize_cost(&self, bytes: usize) -> SimDuration {
@@ -185,14 +173,6 @@ impl NaradaClientSet {
             )
     }
 
-    fn arm_timer(&mut self, ctx: &mut Context<'_>, delay: SimDuration, kind: TimerKind) -> u64 {
-        let token = self.next_timer;
-        self.next_timer += 1;
-        self.timers.insert(token, kind);
-        ctx.timer(delay, ClientTimer(token));
-        token
-    }
-
     /// Open a connection to `broker_ep`. The broker replies ConnectOk /
     /// ConnectRefused, surfaced later as a [`ClientEvent`].
     pub fn connect(
@@ -201,48 +181,17 @@ impl NaradaClientSet {
         broker_ep: Endpoint,
         settings: ConnSettings,
     ) -> ConnId {
-        let me = self.my_ep(ctx);
-        let conn = ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-            let conn = net.open(ctx.now(), settings.transport, me, broker_ep);
-            net.send(
-                ctx,
-                conn,
-                me,
-                CONTROL_FRAME_BYTES,
-                Box::new(ClientToBroker::Connect),
-            );
-            conn
-        });
-        self.conns.insert(
-            conn,
-            ConnState {
-                settings,
-                broker_ep,
-                phase: ConnPhase::Connecting,
-                next_pub_seq: 0,
-                pending_pubs: HashMap::new(),
-                recv: BTreeMap::new(),
-                ack_flush_armed: false,
-                subs: Vec::new(),
-                last_seen: ctx.now(),
-                attempt: 0,
-                ever_connected: false,
-                offline: Vec::new(),
-                seen_probes: std::collections::HashSet::new(),
-            },
-        );
-        // With recovery enabled, the *initial* connect gets the same
-        // deadline as a reconnect attempt: a Connect frame swallowed by a
-        // crashed broker must not strand the client in `Connecting`
-        // forever (it retries through the normal backoff machinery).
-        if let Some(policy) = settings.reconnect {
-            self.arm_timer(
-                ctx,
-                policy.detect_timeout,
-                TimerKind::ReconnectDeadline { conn, attempt: 0 },
-            );
-        }
-        conn
+        let state = ConnState {
+            ack_mode: settings.ack_mode,
+            ..ConnState::default()
+        };
+        self.sessions.open(
+            ctx,
+            broker_ep,
+            settings.transport,
+            settings.reconnect,
+            state,
+        )
     }
 
     /// Create a topic subscription on an established connection.
@@ -279,12 +228,12 @@ impl NaradaClientSet {
         selector: String,
         queue: bool,
     ) {
-        let state = self.conns.get_mut(&conn).expect("unknown connection");
-        assert_eq!(state.phase, ConnPhase::Ready, "subscribe before ConnectOk");
-        state.recv.insert(sub_id, SubRecv::default());
-        let ack_mode = state.settings.ack_mode;
-        if state.settings.reconnect.is_some() {
-            state.subs.push(SubSpec {
+        let sess = self.sessions.get_mut(conn).expect("unknown connection");
+        assert!(sess.is_ready(), "subscribe before ConnectOk");
+        sess.state.recv.insert(sub_id, SubRecv::default());
+        let ack_mode = sess.state.ack_mode;
+        if sess.policy.is_some() {
+            sess.state.subs.push(SubSpec {
                 sub_id,
                 topic: topic.clone(),
                 selector: selector.clone(),
@@ -292,7 +241,6 @@ impl NaradaClientSet {
                 needs_resync: false,
             });
         }
-        let me = self.my_ep(ctx);
         let msg = ClientToBroker::Subscribe {
             sub_id,
             topic,
@@ -300,9 +248,7 @@ impl NaradaClientSet {
             ack_mode,
             queue,
         };
-        ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-            net.send(ctx, conn, me, CONTROL_FRAME_BYTES + 64, Box::new(msg));
-        });
+        self.sessions.send(ctx, conn, CONTROL_FRAME_BYTES + 64, msg);
     }
 
     /// Publish a message to its destination topic. Instruments
@@ -350,16 +296,16 @@ impl NaradaClientSet {
                 simtrace::EventKind::PublishBegin,
             );
         });
-        let state = self.conns.get_mut(&conn).expect("unknown connection");
-        if state.phase == ConnPhase::Connecting && state.settings.reconnect.is_some() {
+        let sess = self.sessions.get_mut(conn).expect("unknown connection");
+        if sess.reconnecting() {
             // Broker presumed dead and a reconnect is in flight: buffer
             // the publish; it is re-sent (delayed, not dropped) once the
             // replacement connection comes up.
-            state.offline.push((probe, message, queue));
+            sess.state.offline.push((probe, message, queue));
             simfault::with_faults(ctx, |inj, _| inj.stats.delayed += 1);
             return probe;
         }
-        assert_eq!(state.phase, ConnPhase::Ready, "publish before ConnectOk");
+        assert!(sess.is_ready(), "publish before ConnectOk");
         self.send_publish(ctx, conn, probe, message, queue);
         probe
     }
@@ -375,21 +321,23 @@ impl NaradaClientSet {
         queue: bool,
     ) {
         let actor = ctx.self_id().index() as u64;
-        let state = self.conns.get_mut(&conn).expect("unknown connection");
-        let seq = state.next_pub_seq;
-        state.next_pub_seq += 1;
-        let transport = state.settings.transport;
+        let sess = self.sessions.get_mut(conn).expect("unknown connection");
+        let seq = sess.state.next_pub_seq;
+        sess.state.next_pub_seq += 1;
+        let transport = sess.transport;
         let bytes = publish_bytes(&message);
 
         // Serialization on the client CPU.
-        let ser_done = self.cpu(ctx, self.serialize_cost(bytes));
+        let ser_done = self.sessions.cpu(ctx, self.serialize_cost(bytes));
 
         if transport == Transport::Udp {
             // JMS-over-UDP: publish() is synchronous until the broker ack.
             let timeout = self.cfg.udp.ack_timeout;
-            let timer = self.arm_timer(ctx, timeout, TimerKind::PubRetry { conn, seq });
-            let state = self.conns.get_mut(&conn).expect("still here");
-            state.pending_pubs.insert(
+            let timer = self
+                .sessions
+                .arm(ctx, timeout, TimerKind::PubRetry { conn, seq });
+            let sess = self.sessions.get_mut(conn).expect("still here");
+            sess.state.pending_pubs.insert(
                 seq,
                 PendingPub {
                     probe,
@@ -413,7 +361,6 @@ impl NaradaClientSet {
             });
         }
 
-        let me = self.my_ep(ctx);
         let pub_msg = ClientToBroker::Publish {
             probe,
             seq,
@@ -421,9 +368,7 @@ impl NaradaClientSet {
             retransmit: false,
             queue,
         };
-        ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-            net.send_at(ctx, conn, me, bytes, Box::new(pub_msg), ser_done);
-        });
+        self.sessions.send_at(ctx, conn, bytes, pub_msg, ser_done);
     }
 
     /// Handle a network delivery addressed to the host actor. Returns the
@@ -442,85 +387,64 @@ impl NaradaClientSet {
         let Ok(b2c) = payload.downcast::<BrokerToClient>() else {
             return Vec::new();
         };
-        // Any broker frame counts as liveness for crash detection.
-        if let Some(state) = self.conns.get_mut(&conn) {
-            state.last_seen = ctx.now();
-        }
+        self.sessions.heard_from(ctx, conn);
         let mut events = Vec::new();
         match *b2c {
             BrokerToClient::ConnectOk => {
-                let Some(state) = self.conns.get_mut(&conn) else {
+                let Some(was_reconnect) = self.sessions.connect_ok(ctx, conn) else {
                     return events;
                 };
-                state.phase = ConnPhase::Ready;
-                let reconnect = state.settings.reconnect;
-                // A successful (re)connect refunds the attempt budget: the
-                // cap bounds one outage, not the connection's lifetime.
-                let was_reconnect = state.ever_connected && state.attempt > 0;
-                state.attempt = 0;
-                state.ever_connected = true;
                 if was_reconnect {
                     events.push(ClientEvent::Reconnected(conn));
-                    simfault::with_faults(ctx, |inj, _| inj.stats.reconnects += 1);
                     self.resubscribe_all(ctx, conn);
                     self.republish_pending(ctx, conn);
                     self.drain_offline(ctx, conn);
                 } else {
                     events.push(ClientEvent::Connected(conn));
                 }
-                if let Some(policy) = reconnect {
-                    self.arm_timer(ctx, policy.ping_interval, TimerKind::Heartbeat { conn });
-                }
+                self.sessions.start_heartbeat(ctx, conn);
             }
             BrokerToClient::ConnectRefused { reason } => {
-                if let Some(state) = self.conns.get_mut(&conn) {
-                    state.phase = ConnPhase::Refused;
+                if self.sessions.refused(conn) {
                     events.push(ClientEvent::Refused(conn, reason));
                 }
             }
             BrokerToClient::SubscribeOk { sub_id } => {
                 events.push(ClientEvent::Subscribed(conn, sub_id));
-                let me = self.my_ep(ctx);
-                if let Some(state) = self.conns.get_mut(&conn) {
-                    if let Some(spec) = state.subs.iter_mut().find(|s| s.sub_id == sub_id) {
-                        if spec.needs_resync {
-                            // Re-subscribe confirmed: ask the broker to
-                            // replay this subscription's stable log.
-                            spec.needs_resync = false;
-                            ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-                                net.send(
-                                    ctx,
-                                    conn,
-                                    me,
-                                    CONTROL_FRAME_BYTES,
-                                    Box::new(ClientToBroker::Resync { sub_id }),
-                                );
-                            });
-                        }
-                    }
+                let spec = self
+                    .sessions
+                    .get_mut(conn)
+                    .and_then(|s| s.state.subs.iter_mut().find(|s| s.sub_id == sub_id));
+                if spec.is_some_and(|spec| std::mem::take(&mut spec.needs_resync)) {
+                    // Re-subscribe confirmed: ask the broker to replay
+                    // this subscription's stable log.
+                    let resync = ClientToBroker::Resync { sub_id };
+                    self.sessions.send(ctx, conn, CONTROL_FRAME_BYTES, resync);
                 }
             }
             BrokerToClient::Pong => {}
             BrokerToClient::PublishAck { seq } => {
-                if let Some(state) = self.conns.get_mut(&conn) {
-                    if let Some(p) = state.pending_pubs.remove(&seq) {
-                        // publish() completes now: UDP PRT includes the
-                        // network round trip plus broker ack processing.
-                        let now = ctx.now();
-                        ctx.service_mut::<RttCollector>()
-                            .after_sending(p.probe, now);
-                        self.timers.remove(&p.timer);
-                        let actor = ctx.self_id().index() as u64;
-                        let probe = p.probe;
-                        simtrace::with_trace(ctx, |tr, at| {
-                            tr.record(
-                                at,
-                                Some(simtrace::TraceId(probe.0)),
-                                actor,
-                                simtrace::EventKind::PublishEnd,
-                            );
-                        });
-                    }
+                let acked = self
+                    .sessions
+                    .get_mut(conn)
+                    .and_then(|s| s.state.pending_pubs.remove(&seq));
+                if let Some(p) = acked {
+                    // publish() completes now: UDP PRT includes the
+                    // network round trip plus broker ack processing.
+                    let now = ctx.now();
+                    ctx.service_mut::<RttCollector>()
+                        .after_sending(p.probe, now);
+                    self.sessions.cancel(p.timer);
+                    let actor = ctx.self_id().index() as u64;
+                    let probe = p.probe;
+                    simtrace::with_trace(ctx, |tr, at| {
+                        tr.record(
+                            at,
+                            Some(simtrace::TraceId(probe.0)),
+                            actor,
+                            simtrace::EventKind::PublishEnd,
+                        );
+                    });
                 }
             }
             BrokerToClient::Deliver {
@@ -531,10 +455,10 @@ impl NaradaClientSet {
                 retransmit: _,
             } => {
                 let now = ctx.now();
-                let Some(state) = self.conns.get_mut(&conn) else {
+                let Some(sess) = self.sessions.get_mut(conn) else {
                     return events;
                 };
-                let Some(recv) = state.recv.get_mut(&sub_id) else {
+                let Some(recv) = sess.state.recv.get_mut(&sub_id) else {
                     return events;
                 };
                 // Duplicate filter.
@@ -542,19 +466,19 @@ impl NaradaClientSet {
                     return events;
                 }
                 recv.dirty = true;
-                let transport = state.settings.transport;
-                let ack_mode = state.settings.ack_mode;
+                let transport = sess.transport;
+                let ack_mode = sess.state.ack_mode;
                 // A resync after reconnect re-delivers under a fresh seq
                 // space; dedup those by probe (reconnect-enabled only, so
                 // the paper-mode hot path stays untouched).
-                let fresh = state.settings.reconnect.is_none() || state.seen_probes.insert(probe.0);
+                let fresh = sess.policy.is_none() || sess.state.seen_probes.insert(probe.0);
 
                 // Listener callback: deserialize + user code.
                 if fresh {
                     ctx.service_mut::<RttCollector>()
                         .before_receiving(probe, now);
                 }
-                let done = self.cpu(ctx, self.deliver_cost(bytes));
+                let done = self.sessions.cpu(ctx, self.deliver_cost(bytes));
                 if fresh {
                     ctx.service_mut::<RttCollector>()
                         .after_receiving(probe, done);
@@ -591,11 +515,11 @@ impl NaradaClientSet {
                             self.flush_acks(ctx, conn, done);
                         }
                         AckMode::Client => {
-                            let state = self.conns.get_mut(&conn).expect("still here");
-                            if !state.ack_flush_armed {
-                                state.ack_flush_armed = true;
+                            let sess = self.sessions.get_mut(conn).expect("still here");
+                            if !sess.state.ack_flush_armed {
+                                sess.state.ack_flush_armed = true;
                                 let flush = self.cfg.udp.client_ack_flush;
-                                self.arm_timer(ctx, flush, TimerKind::AckFlush { conn });
+                                self.sessions.arm(ctx, flush, TimerKind::AckFlush { conn });
                             }
                         }
                     }
@@ -607,241 +531,130 @@ impl NaradaClientSet {
 
     /// Handle a [`ClientTimer`] delivered to the host actor.
     pub fn handle_timer(&mut self, ctx: &mut Context<'_>, timer: ClientTimer) -> Vec<ClientEvent> {
-        let Some(kind) = self.timers.remove(&timer.0) else {
-            return Vec::new(); // stale (already acked)
-        };
-        match kind {
-            TimerKind::PubRetry { conn, seq } => {
-                let max_retries = self.cfg.udp.max_retries;
-                let mut timeout = self.cfg.udp.ack_timeout;
-                let Some(state) = self.conns.get_mut(&conn) else {
-                    return Vec::new();
-                };
-                let Some(p) = state.pending_pubs.get_mut(&seq) else {
-                    return Vec::new(); // acked meanwhile
-                };
-                if p.retries >= max_retries {
-                    match state.settings.reconnect {
-                        Some(policy) if state.phase == ConnPhase::Ready => {
-                            if ctx.now().saturating_since(state.last_seen) > policy.detect_timeout {
-                                // Liveness failure: keep the pending
-                                // publish (republished after reconnect)
-                                // and fail over.
-                                return self.begin_reconnect(ctx, conn);
-                            }
-                            // The broker was heard from inside the
-                            // liveness window: a late publish-ack is
-                            // congestion, not a crash. Failing over here
-                            // feeds a reconnect storm (every reconnect
-                            // republishes its pendings, adding more load
-                            // and more late acks); retransmit at a
-                            // gentler cadence instead and let the
-                            // silence detector decide about the broker.
-                            timeout = timeout.saturating_mul(4);
-                        }
-                        _ => {
-                            let probe = p.probe;
-                            state.pending_pubs.remove(&seq);
-                            return vec![ClientEvent::PublishAbandoned { conn, probe }];
-                        }
-                    }
-                }
-                p.retries += 1;
-                let probe = p.probe;
-                let message = p.message.clone();
-                let queue = p.queue;
-                let attempt = p.retries;
-                let actor = ctx.self_id().index() as u64;
-                simtrace::with_trace(ctx, |tr, at| {
-                    tr.record(
-                        at,
-                        Some(simtrace::TraceId(probe.0)),
-                        actor,
-                        simtrace::EventKind::Retransmit { attempt },
-                    );
-                    tr.count(simtrace::Counter::Retries, 1);
-                });
-                let timer = self.arm_timer(ctx, timeout, TimerKind::PubRetry { conn, seq });
-                let state = self.conns.get_mut(&conn).expect("still here");
-                if let Some(p) = state.pending_pubs.get_mut(&seq) {
-                    p.timer = timer;
-                }
-                let bytes = publish_bytes(&message);
-                // Retransmission re-serializes from the buffered form:
-                // cheaper than first serialization.
-                let done = self.cpu(ctx, self.cfg.costs.client_serialize_base);
-                let me = self.my_ep(ctx);
-                let msg = ClientToBroker::Publish {
-                    probe,
-                    seq,
-                    message,
-                    retransmit: true,
-                    queue,
-                };
-                ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-                    net.send_at(ctx, conn, me, bytes, Box::new(msg), done);
-                });
-                Vec::new()
-            }
-            TimerKind::AckFlush { conn } => {
+        match self.sessions.fire(ctx, timer) {
+            Fired::Idle => Vec::new(),
+            Fired::Own(TimerKind::PubRetry { conn, seq }) => self.retry_publish(ctx, conn, seq),
+            Fired::Own(TimerKind::AckFlush { conn }) => {
                 let now = ctx.now();
-                if let Some(state) = self.conns.get_mut(&conn) {
-                    state.ack_flush_armed = false;
+                if let Some(sess) = self.sessions.get_mut(conn) {
+                    sess.state.ack_flush_armed = false;
                 }
                 self.flush_acks(ctx, conn, now);
                 Vec::new()
             }
-            TimerKind::Heartbeat { conn } => {
-                let Some(state) = self.conns.get(&conn) else {
-                    return Vec::new(); // conn replaced or closed
-                };
-                let Some(policy) = state.settings.reconnect else {
-                    return Vec::new();
-                };
-                if state.phase != ConnPhase::Ready {
-                    return Vec::new();
+            Fired::Reconnecting { old, new } => vec![ClientEvent::Reconnecting { old, new }],
+            Fired::Lost(conn, state) => {
+                // Everything unflushed is lost with the connection.
+                let mut events = vec![ClientEvent::ConnectionLost(conn)];
+                let mut seqs: Vec<u64> = state.pending_pubs.keys().copied().collect();
+                seqs.sort_unstable();
+                for seq in seqs {
+                    let probe = state.pending_pubs[&seq].probe;
+                    events.push(ClientEvent::PublishAbandoned { conn, probe });
                 }
-                if ctx.now().saturating_since(state.last_seen) > policy.detect_timeout {
-                    return self.begin_reconnect(ctx, conn);
-                }
-                let me = self.my_ep(ctx);
-                ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-                    net.send(
-                        ctx,
+                for (probe, _, _) in &state.offline {
+                    events.push(ClientEvent::PublishAbandoned {
                         conn,
-                        me,
-                        CONTROL_FRAME_BYTES,
-                        Box::new(ClientToBroker::Ping),
-                    );
-                });
-                self.arm_timer(ctx, policy.ping_interval, TimerKind::Heartbeat { conn });
-                Vec::new()
-            }
-            TimerKind::ReconnectTry { conn } => self.begin_reconnect(ctx, conn),
-            TimerKind::ReconnectDeadline { conn, attempt } => {
-                let Some(state) = self.conns.get(&conn) else {
-                    return Vec::new();
-                };
-                if state.phase != ConnPhase::Connecting || state.attempt != attempt {
-                    return Vec::new(); // connected meanwhile or superseded
-                }
-                let policy = state.settings.reconnect.expect("reconnecting conn");
-                if attempt >= policy.max_attempts {
-                    // Give up for good; everything unflushed is lost. Say
-                    // goodbye so a slow-but-alive broker frees the thread.
-                    let me = self.my_ep(ctx);
-                    ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-                        net.send(
-                            ctx,
-                            conn,
-                            me,
-                            CONTROL_FRAME_BYTES,
-                            Box::new(ClientToBroker::Disconnect),
-                        );
+                        probe: *probe,
                     });
-                    let state = self.conns.remove(&conn).expect("checked above");
-                    let mut events = vec![ClientEvent::ConnectionLost(conn)];
-                    let mut seqs: Vec<u64> = state.pending_pubs.keys().copied().collect();
-                    seqs.sort_unstable();
-                    for seq in seqs {
-                        let probe = state.pending_pubs[&seq].probe;
-                        events.push(ClientEvent::PublishAbandoned { conn, probe });
-                    }
-                    for (probe, _, _) in &state.offline {
-                        events.push(ClientEvent::PublishAbandoned {
-                            conn,
-                            probe: *probe,
-                        });
-                    }
-                    return events;
                 }
-                // Exponential backoff with equal jitter before the next
-                // attempt. The jitter de-synchronizes the reconnect herd
-                // after a broker restart: hundreds of clients detect the
-                // crash within one ping interval of each other, and
-                // identical backoff schedules would slam the recovering
-                // broker with simultaneous Connects, pushing ConnectOk
-                // latency past the attempt deadline for everyone.
-                let shift = (attempt.saturating_sub(1)).min(20);
-                let base = policy
-                    .backoff_initial
-                    .saturating_mul(1u64 << shift)
-                    .min(policy.backoff_max);
-                let backoff = base / 2 + ctx.rng().duration_between(SimDuration::ZERO, base / 2);
-                self.arm_timer(ctx, backoff, TimerKind::ReconnectTry { conn });
-                Vec::new()
+                events
             }
         }
     }
 
-    /// Abandon `old` and open a replacement connection to the same broker
-    /// endpoint, carrying over subscriptions, pending publishes and the
-    /// offline buffer. Receive state resets: the restarted broker assigns
-    /// delivery seqs from scratch.
-    fn begin_reconnect(&mut self, ctx: &mut Context<'_>, old: ConnId) -> Vec<ClientEvent> {
-        let Some(mut state) = self.conns.remove(&old) else {
+    /// A UDP publish went unacknowledged for one ack timeout: retransmit,
+    /// fail over, or give up.
+    fn retry_publish(&mut self, ctx: &mut Context<'_>, conn: ConnId, seq: u64) -> Vec<ClientEvent> {
+        let max_retries = self.cfg.udp.max_retries;
+        let mut timeout = self.cfg.udp.ack_timeout;
+        let Some(sess) = self.sessions.get_mut(conn) else {
             return Vec::new();
         };
-        let Some(policy) = state.settings.reconnect else {
-            self.conns.insert(old, state);
-            return Vec::new();
+        let recoverable = sess.policy.is_some() && sess.is_ready();
+        let silent = sess.broker_silent(ctx.now());
+        let Some(p) = sess.state.pending_pubs.get_mut(&seq) else {
+            return Vec::new(); // acked meanwhile
         };
-        state.attempt += 1;
-        state.phase = ConnPhase::Connecting;
-        state.ack_flush_armed = false;
-        // Best-effort goodbye on the abandoned connection: if the broker
-        // is actually up (slow, not dead), this frees its service thread.
-        // Without it every superseded connect attempt leaks a broker
-        // thread and the reconnect herd exhausts the accept capacity.
-        let me = self.my_ep(ctx);
-        ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-            net.send(
-                ctx,
-                old,
-                me,
-                CONTROL_FRAME_BYTES,
-                Box::new(ClientToBroker::Disconnect),
-            );
-        });
-        for recv in state.recv.values_mut() {
-            *recv = SubRecv::default();
+        if p.retries >= max_retries {
+            if !recoverable {
+                let probe = p.probe;
+                sess.state.pending_pubs.remove(&seq);
+                return vec![ClientEvent::PublishAbandoned { conn, probe }];
+            }
+            if silent {
+                // Liveness failure: keep the pending publish (republished
+                // after reconnect) and fail over.
+                return match self.sessions.begin_reconnect(ctx, conn) {
+                    Some(new) => vec![ClientEvent::Reconnecting { old: conn, new }],
+                    None => Vec::new(),
+                };
+            }
+            // The broker was heard from inside the liveness window: a
+            // late publish-ack is congestion, not a crash. Failing over
+            // here feeds a reconnect storm (every reconnect republishes
+            // its pendings, adding more load and more late acks);
+            // retransmit at a gentler cadence instead and let the
+            // silence detector decide about the broker.
+            timeout = timeout.saturating_mul(4);
         }
-        simfault::with_faults(ctx, |inj, _| inj.stats.reconnect_attempts += 1);
-        telemetry::with_metrics(ctx, |m, _| m.add_counter("narada.reconnect_attempts", 1));
-        let broker_ep = state.broker_ep;
-        let transport = state.settings.transport;
-        let new = ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-            let c = net.open(ctx.now(), transport, me, broker_ep);
-            net.send(
-                ctx,
-                c,
-                me,
-                CONTROL_FRAME_BYTES,
-                Box::new(ClientToBroker::Connect),
+        p.retries += 1;
+        let (probe, message, queue) = (p.probe, p.message.clone(), p.queue);
+        let attempt = p.retries;
+        let actor = ctx.self_id().index() as u64;
+        simtrace::with_trace(ctx, |tr, at| {
+            tr.record(
+                at,
+                Some(simtrace::TraceId(probe.0)),
+                actor,
+                simtrace::EventKind::Retransmit { attempt },
             );
-            c
+            tr.count(simtrace::Counter::Retries, 1);
         });
-        let attempt = state.attempt;
-        self.conns.insert(new, state);
-        self.arm_timer(
-            ctx,
-            policy.detect_timeout,
-            TimerKind::ReconnectDeadline { conn: new, attempt },
-        );
-        vec![ClientEvent::Reconnecting { old, new }]
+        let timer = self
+            .sessions
+            .arm(ctx, timeout, TimerKind::PubRetry { conn, seq });
+        let sess = self.sessions.get_mut(conn).expect("still here");
+        if let Some(p) = sess.state.pending_pubs.get_mut(&seq) {
+            p.timer = timer;
+        }
+        self.resend(ctx, conn, probe, seq, message, queue);
+        Vec::new()
+    }
+
+    /// Put an already-published message on the wire again under its
+    /// original seq. Retransmission re-serializes from the buffered form:
+    /// cheaper than first serialization.
+    fn resend(
+        &mut self,
+        ctx: &mut Context<'_>,
+        conn: ConnId,
+        probe: ProbeId,
+        seq: u64,
+        message: Message,
+        queue: bool,
+    ) {
+        let bytes = publish_bytes(&message);
+        let done = self.sessions.cpu(ctx, self.cfg.costs.client_serialize_base);
+        let msg = ClientToBroker::Publish {
+            probe,
+            seq,
+            message,
+            retransmit: true,
+            queue,
+        };
+        self.sessions.send_at(ctx, conn, bytes, msg, done);
     }
 
     /// Re-create every subscription of a reconnected connection, flagging
     /// CLIENT-ack UDP topic subs for a stable-storage resync.
     fn resubscribe_all(&mut self, ctx: &mut Context<'_>, conn: ConnId) {
-        let me = self.my_ep(ctx);
-        let Some(state) = self.conns.get_mut(&conn) else {
+        let Some(sess) = self.sessions.get_mut(conn) else {
             return;
         };
-        let ack_mode = state.settings.ack_mode;
-        let transport = state.settings.transport;
-        let durable = transport == Transport::Udp && ack_mode == AckMode::Client;
-        let ConnState { subs, recv, .. } = state;
+        let ack_mode = sess.state.ack_mode;
+        let durable = sess.transport == Transport::Udp && ack_mode == AckMode::Client;
+        let ConnState { subs, recv, .. } = &mut sess.state;
         let mut msgs = Vec::new();
         for spec in subs.iter_mut() {
             spec.needs_resync = durable && !spec.queue;
@@ -855,9 +668,7 @@ impl NaradaClientSet {
             });
         }
         for msg in msgs {
-            ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-                net.send(ctx, conn, me, CONTROL_FRAME_BYTES + 64, Box::new(msg));
-            });
+            self.sessions.send(ctx, conn, CONTROL_FRAME_BYTES + 64, msg);
         }
     }
 
@@ -865,35 +676,23 @@ impl NaradaClientSet {
     /// connection, keeping the original seqs (the broker's dup filter
     /// reset with the crash).
     fn republish_pending(&mut self, ctx: &mut Context<'_>, conn: ConnId) {
-        let Some(state) = self.conns.get(&conn) else {
+        let Some(sess) = self.sessions.get(conn) else {
             return;
         };
-        let mut seqs: Vec<u64> = state.pending_pubs.keys().copied().collect();
+        let mut seqs: Vec<u64> = sess.state.pending_pubs.keys().copied().collect();
         seqs.sort_unstable();
         let n = seqs.len() as u64;
         for seq in seqs {
             let timeout = self.cfg.udp.ack_timeout;
-            let timer = self.arm_timer(ctx, timeout, TimerKind::PubRetry { conn, seq });
-            let state = self.conns.get_mut(&conn).expect("still here");
-            let p = state.pending_pubs.get_mut(&seq).expect("listed above");
+            let timer = self
+                .sessions
+                .arm(ctx, timeout, TimerKind::PubRetry { conn, seq });
+            let sess = self.sessions.get_mut(conn).expect("still here");
+            let p = sess.state.pending_pubs.get_mut(&seq).expect("listed above");
             p.retries = 0;
             p.timer = timer;
-            let probe = p.probe;
-            let message = p.message.clone();
-            let queue = p.queue;
-            let bytes = publish_bytes(&message);
-            let done = self.cpu(ctx, self.cfg.costs.client_serialize_base);
-            let me = self.my_ep(ctx);
-            let msg = ClientToBroker::Publish {
-                probe,
-                seq,
-                message,
-                retransmit: true,
-                queue,
-            };
-            ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-                net.send_at(ctx, conn, me, bytes, Box::new(msg), done);
-            });
+            let (probe, message, queue) = (p.probe, p.message.clone(), p.queue);
+            self.resend(ctx, conn, probe, seq, message, queue);
         }
         if n > 0 {
             simfault::with_faults(ctx, |inj, _| inj.stats.republished += n);
@@ -902,10 +701,10 @@ impl NaradaClientSet {
 
     /// Drain the offline publish buffer of a reconnected connection.
     fn drain_offline(&mut self, ctx: &mut Context<'_>, conn: ConnId) {
-        let Some(state) = self.conns.get_mut(&conn) else {
+        let Some(sess) = self.sessions.get_mut(conn) else {
             return;
         };
-        let offline = std::mem::take(&mut state.offline);
+        let offline = std::mem::take(&mut sess.state.offline);
         for (probe, message, queue) in offline {
             self.send_publish(ctx, conn, probe, message, queue);
         }
@@ -913,8 +712,8 @@ impl NaradaClientSet {
 
     /// Send ack state for every dirty subscription on `conn`.
     fn flush_acks(&mut self, ctx: &mut Context<'_>, conn: ConnId, at: SimTime) {
-        let me = self.my_ep(ctx);
-        let Some(state) = self.conns.get_mut(&conn) else {
+        let me = self.sessions.endpoint(ctx);
+        let Some(sess) = self.sessions.get_mut(conn) else {
             return;
         };
         // Only a CLIENT-ack broker retains deliveries, so only then does
@@ -923,8 +722,8 @@ impl NaradaClientSet {
         // listing it on every delivery made the host cost of a run
         // quadratic in its length. The frame is `CONTROL_FRAME_BYTES`
         // on the simulated wire whatever it lists.
-        let selective = state.settings.ack_mode == AckMode::Client;
-        for recv in state.recv.values_mut() {
+        let selective = sess.state.ack_mode == AckMode::Client;
+        for recv in sess.state.recv.values_mut() {
             if !recv.dirty {
                 continue;
             }
@@ -946,42 +745,14 @@ impl NaradaClientSet {
     /// Close a connection: the broker frees its service thread and drops
     /// its subscriptions; further use of `conn` is a protocol error.
     pub fn disconnect(&mut self, ctx: &mut Context<'_>, conn: ConnId) {
-        if self.conns.remove(&conn).is_none() {
-            return;
+        if self.sessions.remove(conn).is_some() {
+            self.sessions
+                .send(ctx, conn, CONTROL_FRAME_BYTES, ClientToBroker::Disconnect);
         }
-        let me = self.my_ep(ctx);
-        ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-            net.send(
-                ctx,
-                conn,
-                me,
-                CONTROL_FRAME_BYTES,
-                Box::new(ClientToBroker::Disconnect),
-            );
-        });
     }
 
-    /// Phase of a connection, for the host's bookkeeping.
+    /// Has the broker accepted `conn`?
     pub fn is_ready(&self, conn: ConnId) -> bool {
-        self.conns
-            .get(&conn)
-            .is_some_and(|c| c.phase == ConnPhase::Ready)
-    }
-
-    /// Was the connection refused?
-    pub fn is_refused(&self, conn: ConnId) -> bool {
-        self.conns
-            .get(&conn)
-            .is_some_and(|c| c.phase == ConnPhase::Refused)
-    }
-
-    /// Number of connections in the set.
-    pub fn len(&self) -> usize {
-        self.conns.len()
-    }
-
-    /// True if no connections were opened.
-    pub fn is_empty(&self) -> bool {
-        self.conns.is_empty()
+        self.sessions.get(conn).is_some_and(|s| s.is_ready())
     }
 }

@@ -8,6 +8,7 @@
 
 use jms::AckMode;
 use simcore::SimDuration;
+use simnet::session::ReconnectPolicy;
 use simnet::Transport;
 use simos::Bytes;
 
@@ -129,36 +130,6 @@ impl NaradaConfig {
     }
 }
 
-/// Client-side reconnect behaviour across broker crashes: liveness
-/// pings, crash detection, and exponentially backed-off reconnect
-/// attempts. `None` in [`ConnSettings`] (the default) disables all of it
-/// and reproduces the paper's fail-stop clients exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReconnectPolicy {
-    /// How often an idle connection sends a liveness ping.
-    pub ping_interval: SimDuration,
-    /// Silence longer than this declares the broker dead.
-    pub detect_timeout: SimDuration,
-    /// First reconnect backoff step.
-    pub backoff_initial: SimDuration,
-    /// Backoff ceiling.
-    pub backoff_max: SimDuration,
-    /// Reconnect attempts before the connection is abandoned for good.
-    pub max_attempts: u32,
-}
-
-impl Default for ReconnectPolicy {
-    fn default() -> Self {
-        ReconnectPolicy {
-            ping_interval: SimDuration::from_secs(1),
-            detect_timeout: SimDuration::from_secs(5),
-            backoff_initial: SimDuration::from_millis(250),
-            backoff_max: SimDuration::from_secs(4),
-            max_attempts: 10,
-        }
-    }
-}
-
 /// Per-connection client settings (transport + ack mode), i.e. what the
 /// paper's Table II varies, plus the optional fault-tolerance layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -211,7 +182,7 @@ mod tests {
         assert_eq!(s.reconnect, None);
         let r = s.with_reconnect(ReconnectPolicy::default());
         let p = r.reconnect.expect("policy set");
-        assert!(p.detect_timeout > p.ping_interval);
+        assert!(p.detect_timeout > p.heartbeat_interval);
         assert!(p.backoff_max >= p.backoff_initial);
         assert!(p.max_attempts >= 1);
     }

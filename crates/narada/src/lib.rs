@@ -24,7 +24,8 @@ pub mod protocol;
 mod seqset;
 
 pub use broker::{Broker, BrokerControl, BrokerStats, StatsHandle};
-pub use client::{ClientEvent, ClientTimer, NaradaClientSet};
-pub use config::{ConnSettings, CostModel, NaradaConfig, ReconnectPolicy, UdpReliability};
+pub use client::{ClientEvent, NaradaClientSet};
+pub use config::{ConnSettings, CostModel, NaradaConfig, UdpReliability};
 pub use matching::{MatchedDelivery, MatchingEngine, Subscription};
 pub use network::{BrokerDiscoveryNode, BrokerList, BrokerNetwork, DiscoverBrokers};
+pub use simnet::session::{ClientTimer, ReconnectPolicy};

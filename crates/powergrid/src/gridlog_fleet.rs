@@ -1,284 +1,127 @@
-//! The gridlog driver programs: a fleet actor hosting one batching
-//! producer per generator (staggered creation, random warm-up sleep,
-//! fixed publish period — identical workload shape to the narada fleet)
-//! and a subscriber actor hosting a consumer group whose members split
-//! the topic's partitions between them.
+//! The gridlog side of the driver programs: one batching producer per
+//! generator, and a subscriber actor hosting a consumer group whose
+//! members split the topic's partitions between them.
 
+use crate::fleet::{dispatch, ClientSet, FleetProtocol, Signal};
 use crate::generator::{GeneratorState, TOPIC};
-use crate::narada_fleet::FleetStatsHandle;
-use gridlog::{ClientEvent, ClientTimer, GridlogClientSet, GridlogConfig, OffsetReset};
-use simcore::{Actor, Context, Payload, SimDuration, SimRng};
+use gridlog::{
+    ClientEvent, ClientTimer, GridlogClientSet, GridlogConfig, OffsetReset, ReconnectPolicy,
+};
+use simcore::{Actor, Context, Payload};
 use simnet::{ConnId, Delivery, Endpoint};
-use simos::{OsModel, ProcessId};
+use simos::NodeId;
 use std::collections::HashMap;
 
-/// Configuration of one gridlog producer fleet (one driver JVM).
-#[derive(Clone)]
-pub struct GridlogFleetConfig {
-    /// Node hosting the driver program.
-    pub node: simos::NodeId,
-    /// Its JVM (generator threads are accounted here).
-    pub proc: ProcessId,
-    /// Log broker to connect to.
-    pub broker_ep: Endpoint,
-    /// Number of simulated generators.
-    pub n_generators: usize,
-    /// First generator id (offset for multi-node fleets; also the
-    /// stable producer id and partitioning key).
-    pub first_id: u32,
-    /// Interval between generator creations (paper: 0.5 s).
-    pub creation_interval: SimDuration,
-    /// Warm-up sleep range before the first publish (paper: 10–20 s).
-    pub warmup: (SimDuration, SimDuration),
-    /// Publish period (paper: 10 s).
-    pub publish_interval: SimDuration,
-    /// Payload multiplier (the "Triple" test used 3).
-    pub payload_repeat: usize,
-    /// Messages each generator publishes (paper: 30 min at 10 s = 180).
-    pub msgs_per_generator: u32,
-    /// Reconnect policy (`None` outside fault campaigns).
-    pub reconnect: Option<gridlog::ReconnectPolicy>,
-    /// Middleware configuration (client-side costs + batching).
-    pub gridlog: GridlogConfig,
-}
+impl ClientSet for GridlogClientSet {
+    type Timer = ClientTimer;
+    type Event = ClientEvent;
 
-struct CreateGen(usize);
-struct PubTick {
-    ix: usize,
-    remaining: u32,
-}
-
-/// The producer fleet actor.
-pub struct GridlogFleet {
-    cfg: GridlogFleetConfig,
-    set: Option<GridlogClientSet>,
-    gens: Vec<GeneratorState>,
-    conn_of: Vec<Option<ConnId>>,
-    gen_of_conn: HashMap<ConnId, usize>,
-    rng: Option<SimRng>,
-    stats: FleetStatsHandle,
-    next_msg_id: u64,
-}
-
-impl GridlogFleet {
-    /// New fleet; clone the returned stats handle before `add_actor`.
-    pub fn new(cfg: GridlogFleetConfig) -> Self {
-        let n = cfg.n_generators;
-        GridlogFleet {
-            cfg,
-            set: None,
-            gens: Vec::with_capacity(n),
-            conn_of: vec![None; n],
-            gen_of_conn: HashMap::new(),
-            rng: None,
-            stats: FleetStatsHandle::default(),
-            next_msg_id: 0,
-        }
+    fn on_timer(&mut self, ctx: &mut Context<'_>, timer: ClientTimer) -> Vec<ClientEvent> {
+        self.handle_timer(ctx, timer)
     }
 
-    /// Statistics handle.
-    pub fn stats_handle(&self) -> FleetStatsHandle {
-        self.stats.clone()
+    fn on_delivery(&mut self, ctx: &mut Context<'_>, delivery: Delivery) -> Vec<ClientEvent> {
+        self.handle_delivery(ctx, delivery)
     }
+}
 
-    /// Remap producer connections across reconnects and count losses.
-    fn note_event(&mut self, ev: &ClientEvent) {
-        match ev {
-            ClientEvent::Reconnecting { old, new } => {
-                if let Some(ix) = self.gen_of_conn.remove(old) {
-                    self.conn_of[ix] = Some(*new);
-                    self.gen_of_conn.insert(*new, ix);
-                }
-            }
-            ClientEvent::Reconnected(_) => {
-                self.stats.borrow_mut().reconnects += 1;
-            }
-            ClientEvent::ConnectionLost(conn) => {
-                if let Some(ix) = self.gen_of_conn.remove(conn) {
-                    self.conn_of[ix] = None;
-                }
-                self.stats.borrow_mut().lost += 1;
-            }
-            ClientEvent::ProduceAbandoned { .. } => {
-                self.stats.borrow_mut().abandoned += 1;
-            }
-            _ => {}
+/// Log producing for [`Fleet`](crate::Fleet): one producer connection
+/// per generator, the generator id as stable producer id and partitioning
+/// key.
+pub struct GridlogPublisher {
+    set: GridlogClientSet,
+    reconnect: Option<ReconnectPolicy>,
+    payload_repeat: usize,
+}
+
+impl GridlogPublisher {
+    /// Publisher for a driver on `node`: `reconnect` is `None` outside
+    /// fault campaigns, `payload_repeat` the payload multiplier,
+    /// `gridlog` the client-side costs and batching.
+    pub fn new(
+        node: NodeId,
+        reconnect: Option<ReconnectPolicy>,
+        payload_repeat: usize,
+        gridlog: GridlogConfig,
+    ) -> Self {
+        GridlogPublisher {
+            set: GridlogClientSet::new(gridlog, node),
+            reconnect,
+            payload_repeat,
         }
     }
 }
 
-impl Actor for GridlogFleet {
-    fn on_start(&mut self, ctx: &mut Context<'_>) {
-        self.set = Some(GridlogClientSet::new(
-            self.cfg.gridlog.clone(),
-            self.cfg.node,
-        ));
-        let mut rng = ctx.rng().derive(u64::from(self.cfg.first_id) + 1);
-        for ix in 0..self.cfg.n_generators {
-            self.gens
-                .push(GeneratorState::new(self.cfg.first_id + ix as u32, &mut rng));
-            ctx.timer(
-                self.cfg.creation_interval.saturating_mul(ix as u64),
-                CreateGen(ix),
-            );
-        }
-        self.rng = Some(rng);
+impl FleetProtocol for GridlogPublisher {
+    type Client = GridlogClientSet;
+    type Handle = ConnId;
+    const RNG_SALT: u64 = 1;
+    const NAME: &'static str = "gridlog-fleet";
+
+    fn client(&mut self) -> &mut GridlogClientSet {
+        &mut self.set
     }
 
-    fn handle(&mut self, msg: Payload, ctx: &mut Context<'_>) {
-        let msg = match msg.downcast::<CreateGen>() {
-            Ok(c) => {
-                let ix = c.0;
-                // One generator thread in the driver JVM.
-                let proc = self.cfg.proc;
-                let _ = ctx.with_service::<OsModel, _>(|os, _| os.spawn_thread(proc));
-                let gen_id = self.cfg.first_id + ix as u32;
-                let set = self.set.as_mut().expect("started");
-                let conn = set.connect_producer(
-                    ctx,
-                    self.cfg.broker_ep,
-                    u64::from(gen_id),
-                    TOPIC,
-                    self.cfg.reconnect,
-                );
-                self.conn_of[ix] = Some(conn);
-                self.gen_of_conn.insert(conn, ix);
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.downcast::<PubTick>() {
-            Ok(t) => {
-                let PubTick { ix, remaining } = *t;
-                if remaining == 0 {
-                    return;
-                }
-                let Some(conn) = self.conn_of[ix] else {
-                    return;
-                };
-                let rng = self.rng.as_mut().expect("started");
-                let gen = &mut self.gens[ix];
-                gen.step(rng, self.cfg.publish_interval.as_secs_f64());
-                self.next_msg_id += 1;
-                let key = gen.id;
-                let message =
-                    gen.narada_message(self.next_msg_id, ctx.now(), self.cfg.payload_repeat);
-                let set = self.set.as_mut().expect("started");
-                set.produce(ctx, conn, key, message);
-                self.stats.borrow_mut().published += 1;
-                if remaining > 1 {
-                    ctx.timer(
-                        self.cfg.publish_interval,
-                        PubTick {
-                            ix,
-                            remaining: remaining - 1,
-                        },
-                    );
-                }
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.downcast::<ClientTimer>() {
-            Ok(t) => {
-                let set = self.set.as_mut().expect("started");
-                let events = set.handle_timer(ctx, *t);
-                for ev in events {
-                    self.note_event(&ev);
-                }
-                return;
-            }
-            Err(m) => m,
-        };
-        if let Ok(d) = msg.downcast::<Delivery>() {
-            let set = self.set.as_mut().expect("started");
-            let events = set.handle_delivery(ctx, *d);
-            for ev in events {
-                match ev {
-                    ClientEvent::Connected(conn) => {
-                        self.stats.borrow_mut().connected += 1;
-                        if let Some(&ix) = self.gen_of_conn.get(&conn) {
-                            let (lo, hi) = self.cfg.warmup;
-                            let delay = ctx.rng().duration_between(lo, hi);
-                            ctx.timer(
-                                delay,
-                                PubTick {
-                                    ix,
-                                    remaining: self.cfg.msgs_per_generator,
-                                },
-                            );
-                        }
-                    }
-                    ClientEvent::Refused(conn, _) => {
-                        if let Some(ix) = self.gen_of_conn.remove(&conn) {
-                            self.conn_of[ix] = None;
-                        }
-                        self.stats.borrow_mut().refused += 1;
-                    }
-                    ev => self.note_event(&ev),
-                }
-            }
-        }
+    fn open(&mut self, ctx: &mut Context<'_>, broker_ep: Endpoint, gen_id: u32) -> ConnId {
+        self.set
+            .connect_producer(ctx, broker_ep, u64::from(gen_id), TOPIC, self.reconnect)
     }
 
-    fn name(&self) -> &str {
-        "gridlog-fleet"
+    fn publish(&mut self, ctx: &mut Context<'_>, conn: ConnId, gen: &GeneratorState, msg_id: u64) {
+        let message = gen.narada_message(msg_id, ctx.now(), self.payload_repeat);
+        self.set.produce(ctx, conn, gen.id, message);
+    }
+
+    fn classify(event: &ClientEvent) -> Option<Signal<ConnId>> {
+        match *event {
+            ClientEvent::Connected(conn) => Some(Signal::Ready(conn)),
+            ClientEvent::Refused(conn, _) => Some(Signal::Refused(conn)),
+            ClientEvent::Reconnecting { old, new } => Some(Signal::Remapped { old, new }),
+            ClientEvent::ConnectionLost(conn) => Some(Signal::Lost(conn)),
+            ClientEvent::ProduceAbandoned { .. } => Some(Signal::Abandoned),
+            _ => None,
+        }
     }
 }
 
 /// The receiving program: a consumer group of `members` connections that
-/// split the topic's partitions, counting fetched records. The set-level
-/// duplicate filter inside [`GridlogClientSet`] makes the count exact
-/// across partition handoffs.
+/// split the topic's partitions. The set-level duplicate filter inside
+/// [`GridlogClientSet`] keeps each record surfacing once across partition
+/// handoffs.
 pub struct GridlogSubscriber {
-    node: simos::NodeId,
     broker_ep: Endpoint,
-    group: String,
     members: u32,
     reset: OffsetReset,
-    reconnect: Option<gridlog::ReconnectPolicy>,
-    gridlog: GridlogConfig,
-    set: Option<GridlogClientSet>,
+    reconnect: Option<ReconnectPolicy>,
+    set: GridlogClientSet,
     member_of_conn: HashMap<ConnId, u64>,
-    stats: FleetStatsHandle,
 }
 
 impl GridlogSubscriber {
     /// New subscriber hosting `members` group members.
     pub fn new(
-        node: simos::NodeId,
+        node: NodeId,
         broker_ep: Endpoint,
         members: u32,
         reset: OffsetReset,
-        reconnect: Option<gridlog::ReconnectPolicy>,
+        reconnect: Option<ReconnectPolicy>,
         gridlog: GridlogConfig,
     ) -> Self {
         GridlogSubscriber {
-            node,
             broker_ep,
-            group: "power-consumers".to_owned(),
             members,
             reset,
             reconnect,
-            gridlog,
-            set: None,
+            set: GridlogClientSet::new(gridlog, node),
             member_of_conn: HashMap::new(),
-            stats: FleetStatsHandle::default(),
         }
     }
 
-    /// Statistics handle (`received` counts fetched records).
-    pub fn stats_handle(&self) -> FleetStatsHandle {
-        self.stats.clone()
-    }
-
     fn join(&mut self, ctx: &mut Context<'_>, member: u64) {
-        let group = self.group.clone();
-        let set = self.set.as_mut().expect("started");
-        let conn = set.connect_consumer(
+        let conn = self.set.connect_consumer(
             ctx,
             self.broker_ep,
-            group,
+            "power-consumers",
             member,
             TOPIC,
             self.reset,
@@ -286,70 +129,37 @@ impl GridlogSubscriber {
         );
         self.member_of_conn.insert(conn, member);
     }
-
-    /// React to client events from either the timer or the delivery
-    /// path. The subscriber is the experiment's measurement tap, so a
-    /// member that exhausts its reconnect budget is bootstrapped again
-    /// from scratch under the same member identity.
-    fn note_events(&mut self, ctx: &mut Context<'_>, events: Vec<ClientEvent>) {
-        let mut rebootstrap = Vec::new();
-        for ev in events {
-            match ev {
-                ClientEvent::Connected(_) => {
-                    self.stats.borrow_mut().connected += 1;
-                }
-                ClientEvent::Refused(conn, _) => {
-                    self.member_of_conn.remove(&conn);
-                    self.stats.borrow_mut().refused += 1;
-                }
-                ClientEvent::RecordArrived { .. } => {
-                    self.stats.borrow_mut().received += 1;
-                }
-                ClientEvent::Reconnecting { old, new } => {
-                    if let Some(m) = self.member_of_conn.remove(&old) {
-                        self.member_of_conn.insert(new, m);
-                    }
-                }
-                ClientEvent::Reconnected(_) => {
-                    self.stats.borrow_mut().reconnects += 1;
-                }
-                ClientEvent::ConnectionLost(conn) => {
-                    self.stats.borrow_mut().lost += 1;
-                    if let Some(m) = self.member_of_conn.remove(&conn) {
-                        rebootstrap.push(m);
-                    }
-                }
-                _ => {}
-            }
-        }
-        for m in rebootstrap {
-            self.join(ctx, m);
-        }
-    }
 }
 
 impl Actor for GridlogSubscriber {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
-        self.set = Some(GridlogClientSet::new(self.gridlog.clone(), self.node));
         for m in 0..self.members {
             self.join(ctx, u64::from(m));
         }
     }
 
     fn handle(&mut self, msg: Payload, ctx: &mut Context<'_>) {
-        let msg = match msg.downcast::<ClientTimer>() {
-            Ok(t) => {
-                let set = self.set.as_mut().expect("started");
-                let events = set.handle_timer(ctx, *t);
-                self.note_events(ctx, events);
-                return;
+        for event in dispatch(&mut self.set, msg, ctx) {
+            match event {
+                ClientEvent::Refused(conn, _) => {
+                    self.member_of_conn.remove(&conn);
+                }
+                ClientEvent::Reconnecting { old, new } => {
+                    if let Some(m) = self.member_of_conn.remove(&old) {
+                        self.member_of_conn.insert(new, m);
+                    }
+                }
+                // The subscriber is the experiment's measurement tap, so
+                // a member that exhausts its reconnect budget is
+                // bootstrapped again from scratch under the same member
+                // identity.
+                ClientEvent::ConnectionLost(conn) => {
+                    if let Some(m) = self.member_of_conn.remove(&conn) {
+                        self.join(ctx, m);
+                    }
+                }
+                _ => {}
             }
-            Err(m) => m,
-        };
-        if let Ok(d) = msg.downcast::<Delivery>() {
-            let set = self.set.as_mut().expect("started");
-            let events = set.handle_delivery(ctx, *d);
-            self.note_events(ctx, events);
         }
     }
 

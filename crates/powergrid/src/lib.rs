@@ -9,14 +9,16 @@
 //! R-GMA: 4 int + 8 double + 4 char(20) in an SQL INSERT), and the
 //! subscriber uses the paper's selector `id<10000`.
 
+pub mod fleet;
 pub mod generator;
 pub mod gridlog_fleet;
 pub mod narada_fleet;
 pub mod rgma_fleet;
 
-pub use generator::{GeneratorState, PAPER_SELECTOR, TABLE, TABLE_SQL, TOPIC};
-pub use gridlog_fleet::{GridlogFleet, GridlogFleetConfig, GridlogSubscriber};
-pub use narada_fleet::{
-    FleetStats, FleetStatsHandle, NaradaFleet, NaradaFleetConfig, NaradaSubscriber,
+pub use fleet::{
+    dispatch, ClientSet, Fleet, FleetConfig, FleetProtocol, FleetStats, FleetStatsHandle, Signal,
 };
-pub use rgma_fleet::{RgmaFleet, RgmaFleetConfig, RgmaSubscriber};
+pub use generator::{GeneratorState, PAPER_SELECTOR, TABLE, TABLE_SQL, TOPIC};
+pub use gridlog_fleet::{GridlogPublisher, GridlogSubscriber};
+pub use narada_fleet::{NaradaPublisher, NaradaSubscriber};
+pub use rgma_fleet::{RgmaPublisher, RgmaSubscriber};

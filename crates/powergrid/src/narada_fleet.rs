@@ -1,338 +1,131 @@
-//! The Narada driver programs: a fleet actor that simulates many
-//! generators publishing over JMS (one connection each, staggered
-//! creation, random warm-up sleep, fixed publish period), and a
-//! subscriber actor using the JMS notification mechanism with the
-//! paper's selector.
+//! The Narada side of the driver programs: generators publishing over
+//! JMS (one connection each), and a subscriber actor using the JMS
+//! notification mechanism with the paper's selector.
 
+use crate::fleet::{dispatch, ClientSet, FleetProtocol, Signal};
 use crate::generator::{GeneratorState, PAPER_SELECTOR, TOPIC};
 use narada::{ClientEvent, ClientTimer, ConnSettings, NaradaClientSet, NaradaConfig};
-use simcore::{Actor, Context, Payload, SimDuration, SimRng};
+use simcore::{Actor, Context, Payload};
 use simnet::{ConnId, Delivery, Endpoint};
-use simos::{OsModel, ProcessId};
-use std::cell::RefCell;
-use std::collections::HashMap;
-use std::rc::Rc;
+use simos::NodeId;
 
-/// Counters shared with the experiment driver.
-#[derive(Debug, Default)]
-pub struct FleetStats {
-    /// Connections established.
-    pub connected: u32,
-    /// Connections refused by the middleware.
-    pub refused: u32,
-    /// Messages published.
-    pub published: u64,
-    /// UDP publishes abandoned after retries.
-    pub abandoned: u64,
-    /// Messages received (subscriber side).
-    pub received: u64,
-    /// Successful broker reconnections (fault campaigns only).
-    pub reconnects: u32,
-    /// Connections lost for good after exhausting reconnect attempts.
-    pub lost: u32,
-}
+impl ClientSet for NaradaClientSet {
+    type Timer = ClientTimer;
+    type Event = ClientEvent;
 
-/// Shared handle to fleet statistics.
-pub type FleetStatsHandle = Rc<RefCell<FleetStats>>;
-
-/// Configuration of one Narada generator fleet (one driver JVM).
-#[derive(Clone)]
-pub struct NaradaFleetConfig {
-    /// Node hosting the driver program.
-    pub node: simos::NodeId,
-    /// Its JVM (generator threads are accounted here).
-    pub proc: ProcessId,
-    /// Broker to connect to.
-    pub broker_ep: Endpoint,
-    /// Number of simulated generators.
-    pub n_generators: usize,
-    /// First generator id (offset for multi-node fleets).
-    pub first_id: u32,
-    /// Interval between generator creations (paper: 0.5 s).
-    pub creation_interval: SimDuration,
-    /// Warm-up sleep range before the first publish (paper: 10–20 s).
-    pub warmup: (SimDuration, SimDuration),
-    /// Publish period (paper: 10 s; the "80" test used 1 s).
-    pub publish_interval: SimDuration,
-    /// Transport + ack mode (Table II).
-    pub settings: ConnSettings,
-    /// Payload multiplier (the "Triple" test used 3).
-    pub payload_repeat: usize,
-    /// Messages each generator publishes (paper: 30 min at 10 s = 180).
-    pub msgs_per_generator: u32,
-    /// Middleware configuration (client-side costs).
-    pub narada: NaradaConfig,
-}
-
-struct CreateGen(usize);
-struct PubTick {
-    ix: usize,
-    remaining: u32,
-}
-
-/// The fleet actor.
-pub struct NaradaFleet {
-    cfg: NaradaFleetConfig,
-    set: Option<NaradaClientSet>,
-    gens: Vec<GeneratorState>,
-    conn_of: Vec<Option<ConnId>>,
-    gen_of_conn: HashMap<ConnId, usize>,
-    rng: Option<SimRng>,
-    stats: FleetStatsHandle,
-    next_msg_id: u64,
-}
-
-impl NaradaFleet {
-    /// New fleet; clone the returned stats handle before `add_actor`.
-    pub fn new(cfg: NaradaFleetConfig) -> Self {
-        let n = cfg.n_generators;
-        NaradaFleet {
-            cfg,
-            set: None,
-            gens: Vec::with_capacity(n),
-            conn_of: vec![None; n],
-            gen_of_conn: HashMap::new(),
-            rng: None,
-            stats: FleetStatsHandle::default(),
-            next_msg_id: 0,
-        }
+    fn on_timer(&mut self, ctx: &mut Context<'_>, timer: ClientTimer) -> Vec<ClientEvent> {
+        self.handle_timer(ctx, timer)
     }
 
-    /// Statistics handle.
-    pub fn stats_handle(&self) -> FleetStatsHandle {
-        self.stats.clone()
+    fn on_delivery(&mut self, ctx: &mut Context<'_>, delivery: Delivery) -> Vec<ClientEvent> {
+        self.handle_delivery(ctx, delivery)
     }
+}
 
-    /// Fleet bookkeeping shared between the timer and delivery paths:
-    /// remap generator connections across reconnects and count losses.
-    fn note_event(&mut self, ev: &ClientEvent) {
-        match ev {
-            ClientEvent::Reconnecting { old, new } => {
-                if let Some(ix) = self.gen_of_conn.remove(old) {
-                    self.conn_of[ix] = Some(*new);
-                    self.gen_of_conn.insert(*new, ix);
-                }
-            }
-            ClientEvent::Reconnected(_) => {
-                self.stats.borrow_mut().reconnects += 1;
-            }
-            ClientEvent::ConnectionLost(conn) => {
-                if let Some(ix) = self.gen_of_conn.remove(conn) {
-                    self.conn_of[ix] = None;
-                }
-                self.stats.borrow_mut().lost += 1;
-            }
-            ClientEvent::PublishAbandoned { .. } => {
-                self.stats.borrow_mut().abandoned += 1;
-            }
-            _ => {}
+/// JMS publishing for [`Fleet`](crate::Fleet): one connection per
+/// generator, one MapMessage per reading.
+pub struct NaradaPublisher {
+    set: NaradaClientSet,
+    settings: ConnSettings,
+    payload_repeat: usize,
+}
+
+impl NaradaPublisher {
+    /// Publisher for a driver on `node`: `settings` is the transport + ack
+    /// mode (Table II), `payload_repeat` the payload multiplier (the
+    /// "Triple" test used 3), `narada` the client-side costs.
+    pub fn new(
+        node: NodeId,
+        settings: ConnSettings,
+        payload_repeat: usize,
+        narada: NaradaConfig,
+    ) -> Self {
+        NaradaPublisher {
+            set: NaradaClientSet::new(narada, node),
+            settings,
+            payload_repeat,
         }
     }
 }
 
-impl Actor for NaradaFleet {
-    fn on_start(&mut self, ctx: &mut Context<'_>) {
-        self.set = Some(NaradaClientSet::new(self.cfg.narada.clone(), self.cfg.node));
-        let mut rng = ctx.rng().derive(u64::from(self.cfg.first_id) + 1);
-        for ix in 0..self.cfg.n_generators {
-            self.gens
-                .push(GeneratorState::new(self.cfg.first_id + ix as u32, &mut rng));
-            ctx.timer(
-                self.cfg.creation_interval.saturating_mul(ix as u64),
-                CreateGen(ix),
-            );
-        }
-        self.rng = Some(rng);
+impl FleetProtocol for NaradaPublisher {
+    type Client = NaradaClientSet;
+    type Handle = ConnId;
+    const RNG_SALT: u64 = 1;
+    const NAME: &'static str = "narada-fleet";
+
+    fn client(&mut self) -> &mut NaradaClientSet {
+        &mut self.set
     }
 
-    fn handle(&mut self, msg: Payload, ctx: &mut Context<'_>) {
-        let msg = match msg.downcast::<CreateGen>() {
-            Ok(c) => {
-                let ix = c.0;
-                // One generator thread in the driver JVM.
-                let proc = self.cfg.proc;
-                let _ = ctx.with_service::<OsModel, _>(|os, _| os.spawn_thread(proc));
-                let set = self.set.as_mut().expect("started");
-                let conn = set.connect(ctx, self.cfg.broker_ep, self.cfg.settings);
-                self.conn_of[ix] = Some(conn);
-                self.gen_of_conn.insert(conn, ix);
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.downcast::<PubTick>() {
-            Ok(t) => {
-                let PubTick { ix, remaining } = *t;
-                if remaining == 0 {
-                    return;
-                }
-                let Some(conn) = self.conn_of[ix] else {
-                    return;
-                };
-                let rng = self.rng.as_mut().expect("started");
-                let gen = &mut self.gens[ix];
-                gen.step(rng, self.cfg.publish_interval.as_secs_f64());
-                self.next_msg_id += 1;
-                let message =
-                    gen.narada_message(self.next_msg_id, ctx.now(), self.cfg.payload_repeat);
-                let set = self.set.as_mut().expect("started");
-                set.publish(ctx, conn, message);
-                self.stats.borrow_mut().published += 1;
-                if remaining > 1 {
-                    ctx.timer(
-                        self.cfg.publish_interval,
-                        PubTick {
-                            ix,
-                            remaining: remaining - 1,
-                        },
-                    );
-                }
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.downcast::<ClientTimer>() {
-            Ok(t) => {
-                let set = self.set.as_mut().expect("started");
-                let events = set.handle_timer(ctx, *t);
-                for ev in events {
-                    self.note_event(&ev);
-                }
-                return;
-            }
-            Err(m) => m,
-        };
-        if let Ok(d) = msg.downcast::<Delivery>() {
-            let set = self.set.as_mut().expect("started");
-            let events = set.handle_delivery(ctx, *d);
-            for ev in events {
-                match ev {
-                    ClientEvent::Connected(conn) => {
-                        self.stats.borrow_mut().connected += 1;
-                        if let Some(&ix) = self.gen_of_conn.get(&conn) {
-                            let (lo, hi) = self.cfg.warmup;
-                            let delay = ctx.rng().duration_between(lo, hi);
-                            ctx.timer(
-                                delay,
-                                PubTick {
-                                    ix,
-                                    remaining: self.cfg.msgs_per_generator,
-                                },
-                            );
-                        }
-                    }
-                    ClientEvent::Refused(conn, _) => {
-                        // A refused *re*connect attempt still holds the
-                        // generator's conn slot; clear it so publish ticks
-                        // stop instead of publishing into a dead handle.
-                        if let Some(ix) = self.gen_of_conn.remove(&conn) {
-                            self.conn_of[ix] = None;
-                        }
-                        self.stats.borrow_mut().refused += 1;
-                    }
-                    ev => self.note_event(&ev),
-                }
-            }
-        }
+    fn open(&mut self, ctx: &mut Context<'_>, broker_ep: Endpoint, _gen_id: u32) -> ConnId {
+        self.set.connect(ctx, broker_ep, self.settings)
     }
 
-    fn name(&self) -> &str {
-        "narada-fleet"
+    fn publish(&mut self, ctx: &mut Context<'_>, conn: ConnId, gen: &GeneratorState, msg_id: u64) {
+        let message = gen.narada_message(msg_id, ctx.now(), self.payload_repeat);
+        self.set.publish(ctx, conn, message);
+    }
+
+    fn classify(event: &ClientEvent) -> Option<Signal<ConnId>> {
+        match *event {
+            ClientEvent::Connected(conn) => Some(Signal::Ready(conn)),
+            ClientEvent::Refused(conn, _) => Some(Signal::Refused(conn)),
+            ClientEvent::Reconnecting { old, new } => Some(Signal::Remapped { old, new }),
+            ClientEvent::ConnectionLost(conn) => Some(Signal::Lost(conn)),
+            ClientEvent::PublishAbandoned { .. } => Some(Signal::Abandoned),
+            _ => None,
+        }
     }
 }
 
 /// The receiving program: one JMS connection, one topic subscription with
-/// the paper's selector, counting notified messages.
+/// the paper's selector.
 pub struct NaradaSubscriber {
-    node: simos::NodeId,
     broker_ep: Endpoint,
     settings: ConnSettings,
-    narada: NaradaConfig,
-    selector: String,
-    set: Option<NaradaClientSet>,
-    stats: FleetStatsHandle,
+    set: NaradaClientSet,
 }
 
 impl NaradaSubscriber {
     /// New subscriber with the paper's selector.
     pub fn new(
-        node: simos::NodeId,
+        node: NodeId,
         broker_ep: Endpoint,
         settings: ConnSettings,
         narada: NaradaConfig,
     ) -> Self {
         NaradaSubscriber {
-            node,
             broker_ep,
             settings,
-            narada,
-            selector: PAPER_SELECTOR.to_owned(),
-            set: None,
-            stats: FleetStatsHandle::default(),
-        }
-    }
-
-    /// Statistics handle (only `received` is used).
-    pub fn stats_handle(&self) -> FleetStatsHandle {
-        self.stats.clone()
-    }
-
-    /// React to client events from either the timer or the delivery path.
-    /// The subscriber is the experiment's measurement tap, so it never
-    /// stays down: if the client library exhausts its reconnect budget,
-    /// the host bootstraps a fresh connection from scratch — exactly what
-    /// a monitoring operator (or an `ExceptionListener` restart loop)
-    /// would do.
-    fn note_events(&mut self, ctx: &mut Context<'_>, events: Vec<ClientEvent>) {
-        let mut rebootstrap = false;
-        for ev in events {
-            match ev {
-                ClientEvent::Connected(conn) => {
-                    let selector = self.selector.clone();
-                    let set = self.set.as_mut().expect("started");
-                    set.subscribe(ctx, conn, 0, TOPIC, selector);
-                }
-                ClientEvent::MessageArrived { .. } => {
-                    self.stats.borrow_mut().received += 1;
-                }
-                ClientEvent::Reconnected(_) => {
-                    self.stats.borrow_mut().reconnects += 1;
-                }
-                ClientEvent::ConnectionLost(_) => {
-                    self.stats.borrow_mut().lost += 1;
-                    rebootstrap = true;
-                }
-                _ => {}
-            }
-        }
-        if rebootstrap {
-            let set = self.set.as_mut().expect("started");
-            set.connect(ctx, self.broker_ep, self.settings);
+            set: NaradaClientSet::new(narada, node),
         }
     }
 }
 
 impl Actor for NaradaSubscriber {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
-        let mut set = NaradaClientSet::new(self.narada.clone(), self.node);
-        set.connect(ctx, self.broker_ep, self.settings);
-        self.set = Some(set);
+        self.set.connect(ctx, self.broker_ep, self.settings);
     }
 
     fn handle(&mut self, msg: Payload, ctx: &mut Context<'_>) {
-        let set = self.set.as_mut().expect("started");
-        let msg = match msg.downcast::<ClientTimer>() {
-            Ok(t) => {
-                // Reconnects re-subscribe internally; only count outcomes.
-                let events = set.handle_timer(ctx, *t);
-                self.note_events(ctx, events);
-                return;
+        for event in dispatch(&mut self.set, msg, ctx) {
+            match event {
+                // Reconnects re-subscribe internally; only a first
+                // connect needs the subscription created.
+                ClientEvent::Connected(conn) => {
+                    self.set.subscribe(ctx, conn, 0, TOPIC, PAPER_SELECTOR);
+                }
+                // The subscriber is the experiment's measurement tap, so
+                // it never stays down: if the client library exhausts its
+                // reconnect budget, the host bootstraps a fresh connection
+                // from scratch — exactly what a monitoring operator (or an
+                // `ExceptionListener` restart loop) would do.
+                ClientEvent::ConnectionLost(_) => {
+                    self.set.connect(ctx, self.broker_ep, self.settings);
+                }
+                _ => {}
             }
-            Err(m) => m,
-        };
-        if let Ok(d) = msg.downcast::<Delivery>() {
-            let events = set.handle_delivery(ctx, *d);
-            self.note_events(ctx, events);
         }
     }
 

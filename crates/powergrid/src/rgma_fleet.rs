@@ -1,239 +1,115 @@
-//! The R-GMA driver programs: a fleet of Primary Producer clients
-//! (staggered creation at 1 s, warm-up wait, 10 s insert period) and a
-//! subscriber polling the Consumer servlet every 100 ms.
+//! The R-GMA side of the driver programs: Primary Producer clients
+//! inserting one tuple per reading, and a subscriber polling the Consumer
+//! servlet every 100 ms.
 
+use crate::fleet::{dispatch, ClientSet, FleetProtocol, Signal};
 use crate::generator::{GeneratorState, TABLE};
-use crate::narada_fleet::FleetStatsHandle;
 use rgma::{ProducerHandle, RgmaClientSet, RgmaConfig, RgmaEvent, RgmaTimer};
-use simcore::{Actor, Context, Payload, SimDuration, SimRng};
+use simcore::{Actor, Context, Payload};
 use simnet::{Delivery, Endpoint};
-use simos::{OsModel, ProcessId};
-use std::collections::HashMap;
+use simos::NodeId;
 
-/// Configuration of one R-GMA generator fleet (one driver JVM).
-#[derive(Clone)]
-pub struct RgmaFleetConfig {
-    /// Node hosting the driver program.
-    pub node: simos::NodeId,
-    /// Its JVM.
-    pub proc: ProcessId,
-    /// Producer servlet to publish through.
-    pub producer_ep: Endpoint,
-    /// Number of simulated generators.
-    pub n_generators: usize,
-    /// First generator id.
-    pub first_id: u32,
-    /// Interval between producer creations (paper: 1 s).
-    pub creation_interval: SimDuration,
-    /// Warm-up wait range before the first insert (paper: 10–20 s; the
-    /// no-warm-up loss test sets this near zero).
-    pub warmup: (SimDuration, SimDuration),
-    /// Insert period (paper: 10 s).
-    pub publish_interval: SimDuration,
-    /// Inserts each generator performs (paper: 30 min at 10 s = 180).
-    pub msgs_per_generator: u32,
-    /// Middleware configuration.
-    pub rgma: RgmaConfig,
+impl ClientSet for RgmaClientSet {
+    type Timer = RgmaTimer;
+    type Event = RgmaEvent;
+
+    fn on_timer(&mut self, ctx: &mut Context<'_>, timer: RgmaTimer) -> Vec<RgmaEvent> {
+        self.handle_timer(ctx, timer);
+        Vec::new()
+    }
+
+    fn on_delivery(&mut self, ctx: &mut Context<'_>, delivery: Delivery) -> Vec<RgmaEvent> {
+        self.handle_delivery(ctx, delivery)
+    }
 }
 
-struct CreateGen(usize);
-struct InsertTick {
-    ix: usize,
-    remaining: u32,
+/// SQL-INSERT publishing for [`Fleet`](crate::Fleet): one Primary
+/// Producer (one HTTP connection) per generator.
+pub struct RgmaPublisher {
+    set: RgmaClientSet,
 }
 
-/// The R-GMA fleet actor.
-pub struct RgmaFleet {
-    cfg: RgmaFleetConfig,
-    set: Option<RgmaClientSet>,
-    gens: Vec<GeneratorState>,
-    handle_of: Vec<Option<ProducerHandle>>,
-    gen_of_handle: HashMap<ProducerHandle, usize>,
-    rng: Option<SimRng>,
-    stats: FleetStatsHandle,
-}
-
-impl RgmaFleet {
-    /// New fleet.
-    pub fn new(cfg: RgmaFleetConfig) -> Self {
-        let n = cfg.n_generators;
-        RgmaFleet {
-            cfg,
-            set: None,
-            gens: Vec::with_capacity(n),
-            handle_of: vec![None; n],
-            gen_of_handle: HashMap::new(),
-            rng: None,
-            stats: FleetStatsHandle::default(),
+impl RgmaPublisher {
+    /// Publisher for a driver on `node`.
+    pub fn new(node: NodeId, rgma: RgmaConfig) -> Self {
+        RgmaPublisher {
+            set: RgmaClientSet::new(rgma, node),
         }
     }
-
-    /// Statistics handle.
-    pub fn stats_handle(&self) -> FleetStatsHandle {
-        self.stats.clone()
-    }
 }
 
-impl Actor for RgmaFleet {
-    fn on_start(&mut self, ctx: &mut Context<'_>) {
-        self.set = Some(RgmaClientSet::new(self.cfg.rgma.clone(), self.cfg.node));
-        let mut rng = ctx.rng().derive(u64::from(self.cfg.first_id) + 0x5EC0);
-        for ix in 0..self.cfg.n_generators {
-            self.gens
-                .push(GeneratorState::new(self.cfg.first_id + ix as u32, &mut rng));
-            ctx.timer(
-                self.cfg.creation_interval.saturating_mul(ix as u64),
-                CreateGen(ix),
-            );
-        }
-        self.rng = Some(rng);
+impl FleetProtocol for RgmaPublisher {
+    type Client = RgmaClientSet;
+    type Handle = ProducerHandle;
+    const RNG_SALT: u64 = 0x5EC0;
+    const NAME: &'static str = "rgma-fleet";
+
+    fn client(&mut self) -> &mut RgmaClientSet {
+        &mut self.set
     }
 
-    fn handle(&mut self, msg: Payload, ctx: &mut Context<'_>) {
-        let msg = match msg.downcast::<CreateGen>() {
-            Ok(c) => {
-                let ix = c.0;
-                let proc = self.cfg.proc;
-                let _ = ctx.with_service::<OsModel, _>(|os, _| os.spawn_thread(proc));
-                let set = self.set.as_mut().expect("started");
-                let handle = set.create_producer(ctx, self.cfg.producer_ep, TABLE);
-                self.handle_of[ix] = Some(handle);
-                self.gen_of_handle.insert(handle, ix);
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.downcast::<InsertTick>() {
-            Ok(t) => {
-                let InsertTick { ix, remaining } = *t;
-                if remaining == 0 {
-                    return;
-                }
-                let Some(handle) = self.handle_of[ix] else {
-                    return;
-                };
-                let rng = self.rng.as_mut().expect("started");
-                let gen = &mut self.gens[ix];
-                gen.step(rng, self.cfg.publish_interval.as_secs_f64());
-                let sql = gen.rgma_insert_sql();
-                let set = self.set.as_mut().expect("started");
-                set.insert(ctx, handle, sql);
-                self.stats.borrow_mut().published += 1;
-                if remaining > 1 {
-                    ctx.timer(
-                        self.cfg.publish_interval,
-                        InsertTick {
-                            ix,
-                            remaining: remaining - 1,
-                        },
-                    );
-                }
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.downcast::<RgmaTimer>() {
-            Ok(t) => {
-                let set = self.set.as_mut().expect("started");
-                set.handle_timer(ctx, *t);
-                return;
-            }
-            Err(m) => m,
-        };
-        if let Ok(d) = msg.downcast::<Delivery>() {
-            let set = self.set.as_mut().expect("started");
-            for ev in set.handle_delivery(ctx, *d) {
-                match ev {
-                    RgmaEvent::ProducerReady(h) => {
-                        self.stats.borrow_mut().connected += 1;
-                        if let Some(&ix) = self.gen_of_handle.get(&h) {
-                            let (lo, hi) = self.cfg.warmup;
-                            let delay = if hi > lo {
-                                ctx.rng().duration_between(lo, hi)
-                            } else {
-                                lo
-                            };
-                            ctx.timer(
-                                delay,
-                                InsertTick {
-                                    ix,
-                                    remaining: self.cfg.msgs_per_generator,
-                                },
-                            );
-                        }
-                    }
-                    RgmaEvent::ProducerFailed(_, _) => {
-                        self.stats.borrow_mut().refused += 1;
-                    }
-                    _ => {}
-                }
-            }
-        }
+    fn open(
+        &mut self,
+        ctx: &mut Context<'_>,
+        producer_ep: Endpoint,
+        _gen_id: u32,
+    ) -> ProducerHandle {
+        self.set.create_producer(ctx, producer_ep, TABLE)
     }
 
-    fn name(&self) -> &str {
-        "rgma-fleet"
+    fn publish(
+        &mut self,
+        ctx: &mut Context<'_>,
+        handle: ProducerHandle,
+        gen: &GeneratorState,
+        _msg_id: u64,
+    ) {
+        self.set.insert(ctx, handle, gen.rgma_insert_sql());
+    }
+
+    fn classify(event: &RgmaEvent) -> Option<Signal<ProducerHandle>> {
+        match *event {
+            RgmaEvent::ProducerReady(handle) => Some(Signal::Ready(handle)),
+            RgmaEvent::ProducerFailed(handle, _) => Some(Signal::Refused(handle)),
+            _ => None,
+        }
     }
 }
 
 /// The subscriber program: creates one consumer running the continuous
-/// query and polls it every 100 ms (counting tuples as they arrive).
+/// query and polls it every 100 ms.
 pub struct RgmaSubscriber {
-    node: simos::NodeId,
     consumer_ep: Endpoint,
     query: String,
-    rgma: RgmaConfig,
-    set: Option<RgmaClientSet>,
-    stats: FleetStatsHandle,
+    set: RgmaClientSet,
 }
 
 impl RgmaSubscriber {
     /// New subscriber running `query`.
     pub fn new(
-        node: simos::NodeId,
+        node: NodeId,
         consumer_ep: Endpoint,
         query: impl Into<String>,
         rgma: RgmaConfig,
     ) -> Self {
         RgmaSubscriber {
-            node,
             consumer_ep,
             query: query.into(),
-            rgma,
-            set: None,
-            stats: FleetStatsHandle::default(),
+            set: RgmaClientSet::new(rgma, node),
         }
-    }
-
-    /// Statistics handle (only `received` is used).
-    pub fn stats_handle(&self) -> FleetStatsHandle {
-        self.stats.clone()
     }
 }
 
 impl Actor for RgmaSubscriber {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
-        let mut set = RgmaClientSet::new(self.rgma.clone(), self.node);
-        set.create_subscriber(ctx, self.consumer_ep, &self.query);
-        self.set = Some(set);
+        self.set
+            .create_subscriber(ctx, self.consumer_ep, &self.query);
     }
 
     fn handle(&mut self, msg: Payload, ctx: &mut Context<'_>) {
-        let set = self.set.as_mut().expect("started");
-        let msg = match msg.downcast::<RgmaTimer>() {
-            Ok(t) => {
-                set.handle_timer(ctx, *t);
-                return;
-            }
-            Err(m) => m,
-        };
-        if let Ok(d) = msg.downcast::<Delivery>() {
-            for ev in set.handle_delivery(ctx, *d) {
-                if let RgmaEvent::Polled(_, n) = ev {
-                    self.stats.borrow_mut().received += n as u64;
-                }
-            }
-        }
+        // The client set polls on its own; arrivals are counted by the
+        // shared `RttCollector`, so no event needs a reaction here.
+        dispatch(&mut self.set, msg, ctx);
     }
 
     fn name(&self) -> &str {

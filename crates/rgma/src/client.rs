@@ -13,6 +13,7 @@ use crate::protocol::{
     QueryType,
 };
 use simcore::{Context, SimDuration};
+use simnet::session::backoff_step;
 use simnet::{http, ConnId, Delivery, Endpoint, HttpResponse, NetworkFabric, Transport};
 use simos::{NodeId, OsModel};
 use std::collections::HashMap;
@@ -114,11 +115,7 @@ pub struct RgmaClientSet {
 
 /// Exponential backoff for the `retries`-th retry.
 fn http_backoff(policy: &crate::config::HttpRetryPolicy, retries: u32) -> SimDuration {
-    let shift = retries.min(20);
-    policy
-        .backoff_initial
-        .saturating_mul(1u64 << shift)
-        .min(policy.backoff_max)
+    backoff_step(policy.backoff_initial, policy.backoff_max, retries)
 }
 
 impl RgmaClientSet {
@@ -615,17 +612,5 @@ impl RgmaClientSet {
                 self.send_create(ctx, handle);
             }
         }
-    }
-
-    /// Is the producer usable yet?
-    pub fn producer_ready(&self, handle: ProducerHandle) -> bool {
-        self.producers
-            .get(&handle)
-            .is_some_and(|p| p.server.is_some())
-    }
-
-    /// Number of producers created through this set.
-    pub fn producer_count(&self) -> usize {
-        self.producers.len()
     }
 }

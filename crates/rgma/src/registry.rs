@@ -45,8 +45,6 @@ pub type RegistryStatsHandle = Rc<RefCell<RegistryStats>>;
 pub struct RegistryActor {
     cfg: RgmaConfig,
     node: NodeId,
-    #[allow(dead_code)]
-    proc: ProcessId,
     endpoint: Endpoint,
     directory: Directory,
     /// Parallel map: registration → producer instance id.
@@ -60,13 +58,13 @@ pub struct RegistryActor {
 }
 
 impl RegistryActor {
-    /// New registry on `node`/`proc`.
-    pub fn new(cfg: RgmaConfig, node: NodeId, proc: ProcessId) -> Self {
+    /// New registry on `node`. It takes its host process like the
+    /// servlets do, but holds no per-process memory to account there.
+    pub fn new(cfg: RgmaConfig, node: NodeId, _proc: ProcessId) -> Self {
         let propagation = cfg.registry_propagation;
         RegistryActor {
             cfg,
             node,
-            proc,
             endpoint: Endpoint::new(node, ActorId::NONE),
             directory: Directory::new(propagation),
             instance_of: HashMap::new(),

@@ -10,11 +10,14 @@
 //! * [`Transport`] — TCP / NIO / UDP / HTTP flavours.
 //! * [`Delivery`] — the event a receiving actor gets.
 //! * [`http`] — request/response framing for the R-GMA servlet paths.
+//! * [`session`] — the connect → live → suspect → backoff → reconnect
+//!   session shared by the broker clients (narada, gridlog).
 //! * [`partition_nodes`] — the topology partitioner for sharded runs.
 
 pub mod addr;
 pub mod fabric;
 pub mod http;
+pub mod session;
 
 pub use addr::Endpoint;
 pub use fabric::{ConnId, ConnMeta, Delivery, FabricConfig, FabricStats, NetworkFabric, Transport};
