@@ -50,19 +50,18 @@ fn bench_selector(c: &mut Criterion) {
 
 fn bench_minisql(c: &mut Criterion) {
     let mut g = c.benchmark_group("minisql");
-    let insert = "INSERT INTO generator (id, status, power, site) \
-                  VALUES (42, 1, 812.503, 'site-0042')";
+    // The statement the paper's driver sends: 16 columns, one reading.
+    let mut rng = simcore::SimRng::new(4);
+    let mut gen = powergrid::GeneratorState::new(42, &mut rng);
+    gen.step(&mut rng, 10.0);
+    let insert = gen.rgma_insert_sql();
+    let insert = insert.as_str();
     g.bench_function("parse_insert", |b| {
         b.iter(|| minisql::parse(black_box(insert)).unwrap())
     });
     let mut cat = minisql::Catalog::new();
-    cat.create(
-        &minisql::parse(
-            "CREATE TABLE generator (id INTEGER, status INTEGER, power DOUBLE, site CHAR(20))",
-        )
-        .unwrap(),
-    )
-    .unwrap();
+    cat.create(&minisql::parse(powergrid::TABLE_SQL).unwrap())
+        .unwrap();
     let schema = cat.table("generator").unwrap().clone();
     let minisql::Statement::Insert {
         columns, values, ..
@@ -76,6 +75,10 @@ fn bench_minisql(c: &mut Criterion) {
                 .normalize_insert(black_box(&columns), black_box(&values))
                 .unwrap()
         })
+    });
+    // What the producer servlet runs: both steps in one pass.
+    g.bench_function("bind_insert", |b| {
+        b.iter(|| cat.bind_insert(black_box(insert)).unwrap().1)
     });
     let row = schema.normalize_insert(&columns, &values).unwrap();
     let minisql::Statement::Select { predicate, .. } =

@@ -23,6 +23,6 @@ pub mod schema;
 
 pub use ast::{CmpOp, ColumnDef, Predicate, SqlType, Statement};
 pub use eval::{eval_predicate, predicate_cost, row_matches};
-pub use lexer::{lex, LexError, Token};
+pub use lexer::{lex, LexError, Lexer, Token};
 pub use parser::{parse, ParseError};
-pub use schema::{Catalog, SchemaError, TableSchema};
+pub use schema::{BindError, Catalog, SchemaError, TableSchema};

@@ -1,7 +1,7 @@
 //! Recursive-descent parser for the SQL subset.
 
 use crate::ast::{CmpOp, ColumnDef, Predicate, SqlType, Statement};
-use crate::lexer::{lex, Keyword, LexError, Token};
+use crate::lexer::{lex, Keyword, LexError, Lexer, Token};
 use std::fmt;
 use wire::Value;
 
@@ -12,13 +12,13 @@ pub enum ParseError {
     Lex(LexError),
     /// Unexpected token / end of input.
     Unexpected {
-        /// What was found (None = end).
-        found: Option<Token>,
+        /// The token found, as written (None = end).
+        found: Option<String>,
         /// What was expected.
         expected: String,
     },
-    /// Trailing tokens after a complete statement.
-    TrailingInput(Token),
+    /// Trailing token (as written) after a complete statement.
+    TrailingInput(String),
 }
 
 impl fmt::Display for ParseError {
@@ -36,41 +36,105 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-impl From<LexError> for ParseError {
-    fn from(e: LexError) -> Self {
-        ParseError::Lex(e)
-    }
-}
-
 /// Parse one SQL statement (a trailing `;` is allowed).
 pub fn parse(input: &str) -> Result<Statement, ParseError> {
-    let tokens = lex(input)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(input);
     let stmt = p.statement()?;
-    p.eat(&Token::Semi);
-    if let Some(t) = p.peek() {
-        return Err(ParseError::TrailingInput(t.clone()));
-    }
+    p.finish()?;
     Ok(stmt)
 }
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
+/// Receives the parts of an `INSERT` in text order as the grammar reads
+/// them: the table, the named columns (none for a positional insert),
+/// then the literals.
+pub(crate) trait InsertSink {
+    fn table(&mut self, name: &str);
+    /// A column list of about `n` names follows.
+    fn expect_columns(&mut self, _n: usize) {}
+    fn column(&mut self, name: &str);
+    /// A value list of about `n` literals follows.
+    fn expect_values(&mut self, _n: usize) {}
+    fn value(&mut self, literal: Value);
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos)
+/// Parse one statement like [`parse`], but feed an `INSERT` to `sink`
+/// instead of building its AST. Returns whether it was an `INSERT`; the
+/// errors are exactly [`parse`]'s.
+pub(crate) fn parse_insert(input: &str, sink: &mut impl InsertSink) -> Result<bool, ParseError> {
+    let mut p = Parser::new(input);
+    let is_insert = p.eat_kw(Keyword::Insert);
+    if is_insert {
+        p.insert(sink)?;
+    } else {
+        p.statement()?;
+    }
+    p.finish()?;
+    Ok(is_insert)
+}
+
+/// The sink behind [`Statement::Insert`].
+#[derive(Default)]
+struct OwnedInsert {
+    table: String,
+    columns: Vec<String>,
+    values: Vec<Value>,
+}
+
+impl InsertSink for OwnedInsert {
+    fn table(&mut self, name: &str) {
+        self.table = name.to_owned();
+    }
+    fn expect_columns(&mut self, n: usize) {
+        self.columns.reserve(n);
+    }
+    fn column(&mut self, name: &str) {
+        self.columns.push(name.to_owned());
+    }
+    fn expect_values(&mut self, n: usize) {
+        self.values.reserve(n);
+    }
+    fn value(&mut self, literal: Value) {
+        self.values.push(literal);
+    }
+}
+
+/// One token of lookahead over the streaming lexer. A lexical error ends
+/// the token stream and is reported in place of whatever the grammar
+/// would have said about the missing token.
+struct Parser<'a> {
+    lexer: Lexer<'a>,
+    cur: Option<Token<'a>>,
+    lex_err: Option<LexError>,
+}
+
+impl<'a> Parser<'a> {
+    fn new(input: &'a str) -> Self {
+        let mut p = Parser {
+            lexer: lex(input),
+            cur: None,
+            lex_err: None,
+        };
+        p.bump();
+        p
     }
 
-    fn eat(&mut self, t: &Token) -> bool {
-        if self.peek() == Some(t) {
-            self.pos += 1;
-            true
-        } else {
-            false
+    fn bump(&mut self) {
+        self.cur = match self.lexer.next() {
+            Some(Ok(t)) => Some(t),
+            Some(Err(e)) => {
+                self.lex_err = Some(e);
+                None
+            }
+            None => None,
+        };
+    }
+
+    fn eat(&mut self, t: &Token<'_>) -> bool {
+        let hit = self.cur.as_ref() == Some(t);
+        if hit {
+            self.bump();
         }
+        hit
     }
 
     fn eat_kw(&mut self, k: Keyword) -> bool {
@@ -85,7 +149,7 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, t: Token, what: &str) -> Result<(), ParseError> {
+    fn expect(&mut self, t: Token<'_>, what: &str) -> Result<(), ParseError> {
         if self.eat(&t) {
             Ok(())
         } else {
@@ -94,28 +158,56 @@ impl Parser {
     }
 
     fn unexpected(&self, expected: &str) -> ParseError {
-        ParseError::Unexpected {
-            found: self.peek().cloned(),
-            expected: expected.to_owned(),
+        match &self.lex_err {
+            Some(e) => ParseError::Lex(e.clone()),
+            None => ParseError::Unexpected {
+                found: self.cur.as_ref().map(Token::to_string),
+                expected: expected.to_owned(),
+            },
         }
     }
 
-    fn ident(&mut self, what: &str) -> Result<String, ParseError> {
-        match self.peek() {
-            Some(Token::Ident(s)) => {
-                let s = s.clone();
-                self.pos += 1;
-                Ok(s)
-            }
-            _ => Err(self.unexpected(what)),
+    /// After a complete statement: an optional `;`, then nothing.
+    fn finish(&mut self) -> Result<(), ParseError> {
+        self.eat(&Token::Semi);
+        match (&self.cur, self.lex_err.take()) {
+            (Some(t), _) => Err(ParseError::TrailingInput(t.to_string())),
+            (None, Some(e)) => Err(ParseError::Lex(e)),
+            (None, None) => Ok(()),
         }
+    }
+
+    fn ident(&mut self, what: &str) -> Result<&'a str, ParseError> {
+        if let Some(Token::Ident(s)) = self.cur {
+            self.bump();
+            Ok(s)
+        } else {
+            Err(self.unexpected(what))
+        }
+    }
+
+    /// Items in the parenthesised list just opened: the commas before the
+    /// next `)`, plus one. Exact for names; a capacity hint for literals
+    /// (a quoted `,` or `)` skews it).
+    fn list_len_hint(&self) -> usize {
+        let rest = self.lexer.rest().bytes();
+        1 + rest
+            .take_while(|&b| b != b')')
+            .filter(|&b| b == b',')
+            .count()
     }
 
     fn statement(&mut self) -> Result<Statement, ParseError> {
         if self.eat_kw(Keyword::Create) {
             self.create_table()
         } else if self.eat_kw(Keyword::Insert) {
-            self.insert()
+            let mut owned = OwnedInsert::default();
+            self.insert(&mut owned)?;
+            Ok(Statement::Insert {
+                table: owned.table,
+                columns: owned.columns,
+                values: owned.values,
+            })
         } else if self.eat_kw(Keyword::Select) {
             self.select()
         } else {
@@ -125,11 +217,11 @@ impl Parser {
 
     fn create_table(&mut self) -> Result<Statement, ParseError> {
         self.expect_kw(Keyword::Table)?;
-        let table = self.ident("table name")?;
+        let table = self.ident("table name")?.to_owned();
         self.expect(Token::LParen, "'(' before column list")?;
         let mut columns = Vec::new();
         loop {
-            let name = self.ident("column name")?;
+            let name = self.ident("column name")?.to_owned();
             let ty = self.sql_type()?;
             columns.push(ColumnDef { name, ty });
             if self.eat(&Token::Comma) {
@@ -163,22 +255,23 @@ impl Parser {
 
     fn width(&mut self) -> Result<u16, ParseError> {
         self.expect(Token::LParen, "'(' before width")?;
-        let w = match self.peek() {
-            Some(Token::Int(v)) if (1..=65535).contains(v) => *v as u16,
+        let w = match self.cur {
+            Some(Token::Int(v)) if (1..=65535).contains(&v) => v as u16,
             _ => return Err(self.unexpected("width 1..65535")),
         };
-        self.pos += 1;
+        self.bump();
         self.expect(Token::RParen, "')' after width")?;
         Ok(w)
     }
 
-    fn insert(&mut self) -> Result<Statement, ParseError> {
+    /// The one INSERT grammar (after the `INSERT` keyword).
+    fn insert(&mut self, sink: &mut impl InsertSink) -> Result<(), ParseError> {
         self.expect_kw(Keyword::Into)?;
-        let table = self.ident("table name")?;
-        let mut columns = Vec::new();
+        sink.table(self.ident("table name")?);
         if self.eat(&Token::LParen) {
+            sink.expect_columns(self.list_len_hint());
             loop {
-                columns.push(self.ident("column name")?);
+                sink.column(self.ident("column name")?);
                 if self.eat(&Token::Comma) {
                     continue;
                 }
@@ -188,36 +281,30 @@ impl Parser {
         }
         self.expect_kw(Keyword::Values)?;
         self.expect(Token::LParen, "'(' before values")?;
-        let mut values = Vec::new();
+        sink.expect_values(self.list_len_hint());
         loop {
-            values.push(self.literal()?);
+            sink.value(self.literal()?);
             if self.eat(&Token::Comma) {
                 continue;
             }
             self.expect(Token::RParen, "')' after values")?;
             break;
         }
-        Ok(Statement::Insert {
-            table,
-            columns,
-            values,
-        })
+        Ok(())
     }
 
     fn literal(&mut self) -> Result<Value, ParseError> {
-        let v = match self.peek() {
-            Some(Token::Int(v)) => {
-                // SQL integer literals fit the column's width at insert
-                // validation time; carry as the widest integer.
-                Value::Long(*v)
-            }
+        let v = match &mut self.cur {
+            // SQL integer literals fit the column's width at insert
+            // validation time; carry as the widest integer.
+            Some(Token::Int(v)) => Value::Long(*v),
             Some(Token::Float(v)) => Value::Double(*v),
-            Some(Token::Str(s)) => Value::Str(s.clone()),
+            Some(Token::Str(s)) => Value::Str(std::mem::take(s).into_owned()),
             Some(Token::Keyword(Keyword::True)) => Value::Bool(true),
             Some(Token::Keyword(Keyword::False)) => Value::Bool(false),
             _ => return Err(self.unexpected("literal value")),
         };
-        self.pos += 1;
+        self.bump();
         Ok(v)
     }
 
@@ -225,14 +312,14 @@ impl Parser {
         let mut columns = Vec::new();
         if !self.eat(&Token::Star) {
             loop {
-                columns.push(self.ident("column name or '*'")?);
+                columns.push(self.ident("column name or '*'")?.to_owned());
                 if !self.eat(&Token::Comma) {
                     break;
                 }
             }
         }
         self.expect_kw(Keyword::From)?;
-        let table = self.ident("table name")?;
+        let table = self.ident("table name")?.to_owned();
         let predicate = if self.eat_kw(Keyword::Where) {
             Some(self.or_pred()?)
         } else {
@@ -283,8 +370,8 @@ impl Parser {
         if self.eat_kw(Keyword::False) {
             return Ok(Predicate::Const(false));
         }
-        let column = self.ident("column name")?;
-        let op = match self.peek() {
+        let column = self.ident("column name")?.to_owned();
+        let op = match self.cur {
             Some(Token::Eq) => CmpOp::Eq,
             Some(Token::Ne) => CmpOp::Ne,
             Some(Token::Lt) => CmpOp::Lt,
@@ -293,7 +380,7 @@ impl Parser {
             Some(Token::Ge) => CmpOp::Ge,
             _ => return Err(self.unexpected("comparison operator")),
         };
-        self.pos += 1;
+        self.bump();
         let value = self.literal()?;
         Ok(Predicate::Cmp { column, op, value })
     }

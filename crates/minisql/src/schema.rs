@@ -2,6 +2,7 @@
 //! model).
 
 use crate::ast::{ColumnDef, SqlType, Statement};
+use crate::parser::{parse_insert, InsertSink, ParseError};
 use std::collections::HashMap;
 use std::fmt;
 use wire::{Tuple, Value};
@@ -68,6 +69,29 @@ impl fmt::Display for SchemaError {
 
 impl std::error::Error for SchemaError {}
 
+/// Why [`Catalog::bind_insert`] rejected a statement.
+#[derive(Debug, Clone, PartialEq)]
+pub enum BindError {
+    /// The text is not one well-formed statement.
+    Parse(ParseError),
+    /// A well-formed statement other than `INSERT`.
+    NotInsert,
+    /// The `INSERT` does not fit the catalogue.
+    Schema(SchemaError),
+}
+
+impl fmt::Display for BindError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            BindError::Parse(e) => write!(f, "{e}"),
+            BindError::NotInsert => write!(f, "not an INSERT"),
+            BindError::Schema(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for BindError {}
+
 /// One table's schema.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TableSchema {
@@ -132,8 +156,7 @@ impl TableSchema {
         }
         let mut row = vec![Value::Int(0); self.arity()];
         for (slot, v) in order.into_iter().zip(values) {
-            let col = &self.columns[slot];
-            row[slot] = coerce(v, col)?;
+            row[slot] = coerce(v.clone(), &self.columns[slot])?;
         }
         Ok(row)
     }
@@ -159,50 +182,130 @@ impl TableSchema {
     }
 }
 
-fn coerce(v: &Value, col: &ColumnDef) -> Result<Value, SchemaError> {
-    let mismatch = || SchemaError::TypeMismatch {
+/// Coerce a literal into `col`'s declared type (integer narrowing and
+/// widening, Str→Char, width checks). Takes the value: a string moves
+/// into the cell.
+fn coerce(v: Value, col: &ColumnDef) -> Result<Value, SchemaError> {
+    let mismatch = |v: &Value| SchemaError::TypeMismatch {
         column: col.name.clone(),
         expected: col.ty,
         got: v.to_string(),
     };
-    Ok(match (col.ty, v) {
-        (SqlType::Integer, Value::Int(x)) => Value::Int(*x),
-        (SqlType::Integer, Value::Long(x)) => {
-            Value::Int(i32::try_from(*x).map_err(|_| mismatch())?)
+    let check_width = |s: &str, width: u16| {
+        if s.len() > width as usize {
+            Err(SchemaError::TooLong {
+                column: col.name.clone(),
+                width,
+                len: s.len(),
+            })
+        } else {
+            Ok(())
         }
-        (SqlType::Bigint, Value::Int(x)) => Value::Long(i64::from(*x)),
-        (SqlType::Bigint, Value::Long(x)) => Value::Long(*x),
-        (SqlType::Real, Value::Float(x)) => Value::Float(*x),
-        (SqlType::Real, Value::Int(x)) => Value::Float(*x as f32),
-        (SqlType::Real, Value::Long(x)) => Value::Float(*x as f32),
-        (SqlType::Real, Value::Double(x)) => Value::Float(*x as f32),
-        (SqlType::Double, Value::Double(x)) => Value::Double(*x),
-        (SqlType::Double, Value::Float(x)) => Value::Double(f64::from(*x)),
-        (SqlType::Double, Value::Int(x)) => Value::Double(f64::from(*x)),
-        (SqlType::Double, Value::Long(x)) => Value::Double(*x as f64),
+    };
+    Ok(match (col.ty, v) {
+        (SqlType::Integer, Value::Int(x)) => Value::Int(x),
+        (SqlType::Integer, Value::Long(x)) => {
+            Value::Int(i32::try_from(x).map_err(|_| mismatch(&Value::Long(x)))?)
+        }
+        (SqlType::Bigint, Value::Int(x)) => Value::Long(i64::from(x)),
+        (SqlType::Bigint, Value::Long(x)) => Value::Long(x),
+        (SqlType::Real, Value::Float(x)) => Value::Float(x),
+        (SqlType::Real, Value::Int(x)) => Value::Float(x as f32),
+        (SqlType::Real, Value::Long(x)) => Value::Float(x as f32),
+        (SqlType::Real, Value::Double(x)) => Value::Float(x as f32),
+        (SqlType::Double, Value::Double(x)) => Value::Double(x),
+        (SqlType::Double, Value::Float(x)) => Value::Double(f64::from(x)),
+        (SqlType::Double, Value::Int(x)) => Value::Double(f64::from(x)),
+        (SqlType::Double, Value::Long(x)) => Value::Double(x as f64),
         (SqlType::Char(w), Value::Str(s)) | (SqlType::Char(w), Value::Char { content: s, .. }) => {
-            if s.len() > w as usize {
-                return Err(SchemaError::TooLong {
-                    column: col.name.clone(),
-                    width: w,
-                    len: s.len(),
-                });
-            }
-            Value::fixed_char(s.clone(), w)
+            check_width(&s, w)?;
+            Value::fixed_char(s, w)
         }
         (SqlType::Varchar(w), Value::Str(s))
         | (SqlType::Varchar(w), Value::Char { content: s, .. }) => {
-            if s.len() > w as usize {
-                return Err(SchemaError::TooLong {
-                    column: col.name.clone(),
-                    width: w,
-                    len: s.len(),
-                });
-            }
-            Value::Str(s.clone())
+            check_width(&s, w)?;
+            Value::Str(s)
         }
-        _ => return Err(mismatch()),
+        (_, v) => return Err(mismatch(&v)),
     })
+}
+
+/// The schema-directed sink of the INSERT grammar: resolves names and
+/// coerces each literal into its row slot as it is read. Errors are held
+/// back so that they surface in `parse` → `normalize_insert` order: a
+/// syntax error anywhere first, then table, columns, arity, cells.
+struct RowBinder<'c> {
+    catalog: &'c Catalog,
+    /// The table once its name is read; then the first name that did not
+    /// resolve.
+    target: Result<&'c TableSchema, SchemaError>,
+    /// Row slots of the named columns, in statement order.
+    order: Vec<usize>,
+    row: Vec<Value>,
+    values_seen: usize,
+    cell_error: Option<SchemaError>,
+}
+
+impl InsertSink for RowBinder<'_> {
+    fn table(&mut self, name: &str) {
+        self.target = self.catalog.table(name);
+        if let Ok(schema) = self.target {
+            self.row = vec![Value::Int(0); schema.arity()];
+        }
+    }
+
+    fn expect_columns(&mut self, n: usize) {
+        self.order.reserve(n);
+    }
+
+    fn column(&mut self, name: &str) {
+        if let Ok(schema) = self.target {
+            match schema.column_index(name) {
+                Some(slot) => self.order.push(slot),
+                None => self.target = Err(SchemaError::NoSuchColumn(name.to_owned())),
+            }
+        }
+    }
+
+    fn value(&mut self, literal: Value) {
+        let position = self.values_seen;
+        self.values_seen += 1;
+        let (Ok(schema), None) = (&self.target, &self.cell_error) else {
+            return;
+        };
+        let slot = if self.order.is_empty() {
+            Some(position).filter(|&p| p < schema.arity())
+        } else {
+            self.order.get(position).copied()
+        };
+        if let Some(slot) = slot {
+            match coerce(literal, &schema.columns[slot]) {
+                Ok(cell) => self.row[slot] = cell,
+                Err(e) => self.cell_error = Some(e),
+            }
+        }
+    }
+}
+
+impl<'c> RowBinder<'c> {
+    fn finish(self) -> Result<(&'c TableSchema, Vec<Value>), SchemaError> {
+        let schema = self.target?;
+        let targets = if self.order.is_empty() {
+            schema.arity()
+        } else {
+            self.order.len()
+        };
+        if targets != self.values_seen || targets != schema.arity() {
+            return Err(SchemaError::ArityMismatch {
+                expected: schema.arity(),
+                got: self.values_seen,
+            });
+        }
+        match self.cell_error {
+            Some(e) => Err(e),
+            None => Ok((schema, self.row)),
+        }
+    }
 }
 
 /// A catalogue of table schemas (the Schema service's store).
@@ -237,6 +340,26 @@ impl Catalog {
         self.tables
             .get(name)
             .ok_or_else(|| SchemaError::NoSuchTable(name.to_owned()))
+    }
+
+    /// Parse, validate and normalize one `INSERT` in a single pass over
+    /// its text: the row [`parse`](crate::parse) →
+    /// [`TableSchema::normalize_insert`] would produce (and the same
+    /// error where they fail), without the intermediate AST.
+    pub fn bind_insert(&self, sql: &str) -> Result<(&TableSchema, Vec<Value>), BindError> {
+        let mut binder = RowBinder {
+            catalog: self,
+            // Replaced by `table()`, the grammar's first call.
+            target: Err(SchemaError::NoSuchTable(String::new())),
+            order: Vec::new(),
+            row: Vec::new(),
+            values_seen: 0,
+            cell_error: None,
+        };
+        if !parse_insert(sql, &mut binder).map_err(BindError::Parse)? {
+            return Err(BindError::NotInsert);
+        }
+        binder.finish().map_err(BindError::Schema)
     }
 
     /// Number of tables.
@@ -368,6 +491,37 @@ mod tests {
             ),
             Err(SchemaError::TypeMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn bind_insert_in_one_pass() {
+        let c = catalog();
+        let (schema, row) = c
+            .bind_insert("INSERT INTO g (site, id, power) VALUES ('x', 9, 3);")
+            .unwrap();
+        assert_eq!(schema.name, "g");
+        assert_eq!(
+            row,
+            vec![Value::Int(9), Value::Double(3.0), Value::fixed_char("x", 8)]
+        );
+        // Errors rank as in parse → normalize_insert: syntax anywhere
+        // first, then names, then arity, then cells.
+        assert!(matches!(
+            c.bind_insert("INSERT INTO g (bogus) VALUES (1"),
+            Err(BindError::Parse(_))
+        ));
+        assert_eq!(
+            c.bind_insert("INSERT INTO h (bogus) VALUES (1)"),
+            Err(BindError::Schema(SchemaError::NoSuchTable("h".into())))
+        );
+        assert_eq!(
+            c.bind_insert("INSERT INTO g VALUES ('not an id', 1)"),
+            Err(BindError::Schema(SchemaError::ArityMismatch {
+                expected: 3,
+                got: 2
+            }))
+        );
+        assert_eq!(c.bind_insert("SELECT * FROM g"), Err(BindError::NotInsert));
     }
 
     #[test]

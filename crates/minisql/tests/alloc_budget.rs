@@ -1,0 +1,107 @@
+//! Allocation budget of the R-GMA insert path, counted, not timed: the
+//! producer servlet binds one 16-column `INSERT` per reading, so every
+//! allocation here is paid half a million times in a paper-scale run.
+
+use minisql::{parse, Catalog, Statement};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    // Const-initialised and without a destructor: touching it from
+    // inside the allocator neither allocates nor registers a dtor.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts this thread's allocation calls (alloc, alloc_zeroed, realloc),
+/// so tests running on other threads do not leak into the count.
+struct Counting;
+
+fn note() {
+    // `try_with`: the allocator also runs while a thread tears down.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the bookkeeping touches one
+// thread-local `Cell` and cannot allocate, unwind or re-enter.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note();
+        // SAFETY: `ptr` came from this allocator (hence from `System`)
+        // with `layout`, as the caller vouched for.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator (hence from `System`)
+        // with `layout`, as the caller vouched for.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCS.get();
+    let out = f();
+    (out, ALLOCS.get() - before)
+}
+
+/// `powergrid::TABLE_SQL` and one `GeneratorState::rgma_insert_sql()`
+/// reading, copied: minisql must not depend on powergrid (whose own
+/// tests bind the live text).
+const TABLE_SQL: &str = "CREATE TABLE generator (\
+     id INTEGER, status INTEGER, seq INTEGER, uptime INTEGER, \
+     power DOUBLE PRECISION, energy DOUBLE PRECISION, rating DOUBLE PRECISION, \
+     voltage DOUBLE PRECISION, frequency DOUBLE PRECISION, current DOUBLE PRECISION, \
+     temp DOUBLE PRECISION, wind DOUBLE PRECISION, \
+     site CHAR(20), operator CHAR(20), model CHAR(20), fw CHAR(20))";
+const INSERT_SQL: &str = "INSERT INTO generator (id, status, seq, uptime, \
+     power, energy, rating, voltage, frequency, current, temp, wind, \
+     site, operator, model, fw) VALUES \
+     (42, 1, 17, 170, 812.503, 3.385, 1500.000, 230.41, 50.003, 3526.336, 35.5, 7.25, \
+     'site-0042', 'gridcc', 'WT-2000/E', 'glite-3.0')";
+
+fn catalog() -> Catalog {
+    let mut cat = Catalog::new();
+    cat.create(&parse(TABLE_SQL).unwrap()).unwrap();
+    cat
+}
+
+#[test]
+fn bind_allocates_the_row_the_column_order_and_the_char_cells() {
+    let cat = catalog();
+    let (bound, allocs) = allocations(|| cat.bind_insert(INSERT_SQL));
+    let (schema, row) = bound.unwrap();
+    assert_eq!((schema.name.as_str(), row.len()), ("generator", 16));
+    // Row Vec + named-column order Vec + four CHAR(20) contents.
+    assert!(allocs <= 6, "bind_insert allocated {allocs} times");
+}
+
+#[test]
+fn parse_allocates_once_per_name_and_string() {
+    let (stmt, allocs) = allocations(|| parse(INSERT_SQL));
+    let Statement::Insert {
+        columns, values, ..
+    } = stmt.unwrap()
+    else {
+        panic!("INSERT expected")
+    };
+    assert_eq!((columns.len(), values.len()), (16, 16));
+    // Table name + 16 column names + 4 string literals + the two Vecs.
+    let budget = 1 + 16 + 4 + 2;
+    assert!(allocs <= budget, "parse allocated {allocs} times");
+}

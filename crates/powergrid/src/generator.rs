@@ -108,7 +108,11 @@ impl GeneratorState {
     /// The R-GMA test payload: an SQL INSERT with 4 integer + 8 double +
     /// 4 char(20) values.
     pub fn rgma_insert_sql(&self) -> String {
-        format!(
+        use std::fmt::Write;
+        // Pre-sized: `format!` starts empty and regrows several times.
+        let mut sql = String::with_capacity(RGMA_INSERT_SQL_CAPACITY);
+        write!(
+            sql,
             "INSERT INTO {TABLE} (id, status, seq, uptime, \
              power, energy, rating, voltage, frequency, current, temp, wind, \
              site, operator, model, fw) VALUES \
@@ -128,8 +132,14 @@ impl GeneratorState {
             7.25,
             self.id % 977,
         )
+        .expect("writing to a String cannot fail");
+        sql
     }
 }
+
+/// Bytes reserved for one [`GeneratorState::rgma_insert_sql`] text (a
+/// reading late in a paper-scale run is about 330).
+const RGMA_INSERT_SQL_CAPACITY: usize = 384;
 
 /// Topic used by the Narada tests.
 pub const TOPIC: &str = "power.monitor";
@@ -202,7 +212,8 @@ mod tests {
         let create = minisql::parse(TABLE_SQL).unwrap();
         let mut cat = minisql::Catalog::new();
         cat.create(&create).unwrap();
-        let stmt = minisql::parse(&g.rgma_insert_sql()).unwrap();
+        let sql = g.rgma_insert_sql();
+        let stmt = minisql::parse(&sql).unwrap();
         let minisql::Statement::Insert {
             table,
             columns,
@@ -220,6 +231,20 @@ mod tests {
         assert_eq!(count(wire::ValueType::Int), 4);
         assert_eq!(count(wire::ValueType::Double), 8);
         assert_eq!(count(wire::ValueType::Char), 4);
+        // The servlet's one-pass bind sees the same row.
+        assert_eq!(cat.bind_insert(&sql).unwrap(), (schema, row));
+    }
+
+    #[test]
+    fn rgma_sql_fits_its_reservation() {
+        let mut rng = SimRng::new(5);
+        let mut g = GeneratorState::new(3999, &mut rng);
+        for _ in 0..180 {
+            g.step(&mut rng, 10.0);
+        }
+        let sql = g.rgma_insert_sql();
+        assert!(sql.len() <= RGMA_INSERT_SQL_CAPACITY, "{} bytes", sql.len());
+        assert_eq!(sql.capacity(), RGMA_INSERT_SQL_CAPACITY, "never regrown");
     }
 
     #[test]

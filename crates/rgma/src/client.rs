@@ -17,6 +17,7 @@ use simnet::session::backoff_step;
 use simnet::{http, ConnId, Delivery, Endpoint, HttpResponse, NetworkFabric, Transport};
 use simos::{NodeId, OsModel};
 use std::collections::HashMap;
+use std::sync::Arc;
 use telemetry::RttCollector;
 
 /// Timer payload routed back by the host actor.
@@ -50,7 +51,7 @@ pub enum RgmaEvent {
     /// A poll returned `count` tuples.
     Polled(SubscriberHandle, usize),
     /// A one-time latest/history query completed with its tuples.
-    QueryCompleted(QueryHandle, Vec<(telemetry::ProbeId, wire::Tuple)>),
+    QueryCompleted(QueryHandle, Vec<crate::protocol::Entry>),
     /// A one-time query failed.
     QueryFailed(QueryHandle, String),
 }
@@ -80,7 +81,7 @@ struct SubscriberState {
 /// Everything needed to retry a synchronous insert with the same probe
 /// (and the same freshness stamp — a retry is the same reading).
 struct InsertInfo {
-    sql: String,
+    sql: Arc<str>,
     probe: telemetry::ProbeId,
     published_at: simcore::SimTime,
     retries: u32,
@@ -90,7 +91,7 @@ enum TimerPurpose {
     Poll(SubscriberHandle),
     InsertRetry {
         handle: ProducerHandle,
-        sql: String,
+        sql: Arc<str>,
         probe: telemetry::ProbeId,
         published_at: simcore::SimTime,
         retries: u32,
@@ -206,7 +207,7 @@ impl RgmaClientSet {
         &mut self,
         ctx: &mut Context<'_>,
         handle: ProducerHandle,
-        sql: String,
+        sql: impl Into<Arc<str>>,
     ) -> telemetry::ProbeId {
         let now = ctx.now();
         let lane = ctx.self_id().index() as u32;
@@ -224,7 +225,7 @@ impl RgmaClientSet {
                 simtrace::EventKind::PublishBegin,
             );
         });
-        self.send_insert(ctx, handle, sql, probe, now, 0);
+        self.send_insert(ctx, handle, sql.into(), probe, now, 0);
         probe
     }
 
@@ -234,7 +235,7 @@ impl RgmaClientSet {
         &mut self,
         ctx: &mut Context<'_>,
         handle: ProducerHandle,
-        sql: String,
+        sql: Arc<str>,
         probe: telemetry::ProbeId,
         published_at: simcore::SimTime,
         retries: u32,
@@ -279,7 +280,7 @@ impl RgmaClientSet {
                 bytes + http::REQUEST_OVERHEAD,
                 Box::new(simnet::HttpRequest {
                     req_id: rid,
-                    path: "/producer/insert".into(),
+                    path: "/producer/insert",
                     body: Box::new(body),
                     issued_at: done,
                 }),

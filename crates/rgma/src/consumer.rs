@@ -5,17 +5,18 @@
 
 use crate::config::RgmaConfig;
 use crate::protocol::{
-    poll_result_bytes, ConsumerId, ConsumerRequest, ConsumerResponse, ProducerRequest,
-    ProducerResponse, QueryType, RegistryRequest, RegistryResponse, StreamChunk,
+    poll_result_bytes, ConsumerId, ConsumerRequest, ConsumerResponse, Entry, ProducerRequest,
+    ProducerResponse, QueryType, RegistryRequest, RegistryResponse, Reply, StreamChunk,
 };
-use minisql::{Statement, TableSchema};
+use minisql::{Catalog, Statement, TableSchema};
 use simcore::{Actor, ActorId, Context, Payload, SimDuration, SimTime};
 use simnet::{
     http, ConnId, Delivery, Endpoint, HttpRequest, HttpResponse, NetworkFabric, Transport,
 };
 use simos::{NodeId, OsModel, ProcessId};
 use std::collections::{BTreeMap, HashMap, HashSet};
-use telemetry::{ProbeId, RttCollector};
+use std::sync::Arc;
+use telemetry::RttCollector;
 use wire::Tuple;
 
 /// Deployment-time control messages.
@@ -31,24 +32,41 @@ struct CInstance {
     table: String,
     predicate: Option<minisql::Predicate>,
     columns: Vec<String>,
-    buffer: Vec<(ProbeId, Tuple)>,
+    buffer: Vec<Entry>,
     /// Producer-instance endpoints already in the plan (port = pid).
     planned: HashSet<Endpoint>,
 }
 
 struct PlanTick;
 
+/// What a query naming `columns` returns for a stored tuple: the shared
+/// tuple itself for `*` (or without a schema replica), a projected copy
+/// otherwise.
+fn project(schema: Option<&TableSchema>, columns: &[String], tuple: Arc<Tuple>) -> Arc<Tuple> {
+    let (false, Some(schema)) = (columns.is_empty(), schema) else {
+        return tuple;
+    };
+    match schema.project(&tuple.values, columns) {
+        Ok(values) => Arc::new(Tuple {
+            table: tuple.table.clone(),
+            values,
+            inserted_at: tuple.inserted_at,
+            published_at: tuple.published_at,
+        }),
+        Err(_) => tuple,
+    }
+}
+
 /// An in-flight one-time (latest/history) query.
 struct PendingQuery {
-    client_conn: ConnId,
-    client_req: u64,
+    client: Reply,
     table: String,
     predicate: Option<minisql::Predicate>,
     columns: Vec<String>,
     query_type: QueryType,
     /// Producer servlets still to answer.
     outstanding: usize,
-    collected: Vec<(ProbeId, Tuple)>,
+    collected: Vec<Entry>,
 }
 
 /// The Consumer servlet actor.
@@ -59,7 +77,8 @@ pub struct ConsumerServlet {
     endpoint: Endpoint,
     registry_ep: Endpoint,
     registry_conn: Option<ConnId>,
-    schemas: HashMap<String, TableSchema>,
+    /// Replica of the Schema service's tables.
+    catalog: Catalog,
     instances: HashMap<ConsumerId, CInstance>,
     next_instance: u32,
     /// Open producer-servlet connections, by servlet actor endpoint
@@ -86,7 +105,7 @@ impl ConsumerServlet {
             endpoint: Endpoint::new(node, ActorId::NONE),
             registry_ep,
             registry_conn: None,
-            schemas: HashMap::new(),
+            catalog: Catalog::new(),
             instances: HashMap::new(),
             next_instance: 0,
             producer_conns: HashMap::new(),
@@ -137,49 +156,14 @@ impl ConsumerServlet {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn respond_at(
-        &self,
-        ctx: &mut Context<'_>,
-        conn: ConnId,
-        req_id: u64,
-        status: u16,
-        bytes: usize,
-        body: ConsumerResponse,
-        at: SimTime,
-    ) {
-        let ep = self.endpoint;
-        ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-            net.send_at(
-                ctx,
-                conn,
-                ep,
-                bytes + http::RESPONSE_OVERHEAD,
-                Box::new(HttpResponse {
-                    req_id,
-                    status,
-                    body: Box::new(body),
-                }),
-                at,
-            );
-        });
-    }
-
-    fn on_create_consumer(
-        &mut self,
-        ctx: &mut Context<'_>,
-        conn: ConnId,
-        req_id: u64,
-        query: String,
-    ) {
+    fn on_create_consumer(&mut self, ctx: &mut Context<'_>, reply: Reply, query: String) {
         let heap = self.cfg.memory.heap_per_consumer;
         let alloc = ctx.with_service::<OsModel, _>(|os, _| os.alloc(self.proc, heap));
         if let Err(e) = alloc {
             let now = ctx.now();
-            self.respond_at(
+            reply.send_at(
                 ctx,
-                conn,
-                req_id,
+                self.endpoint,
                 503,
                 64,
                 ConsumerResponse::Error {
@@ -198,10 +182,9 @@ impl ConsumerServlet {
             }) => (table, predicate, columns),
             Ok(_) => {
                 let now = ctx.now();
-                self.respond_at(
+                reply.send_at(
                     ctx,
-                    conn,
-                    req_id,
+                    self.endpoint,
                     400,
                     64,
                     ConsumerResponse::Error {
@@ -213,10 +196,9 @@ impl ConsumerServlet {
             }
             Err(e) => {
                 let now = ctx.now();
-                self.respond_at(
+                reply.send_at(
                     ctx,
-                    conn,
-                    req_id,
+                    self.endpoint,
                     400,
                     64,
                     ConsumerResponse::Error {
@@ -249,10 +231,9 @@ impl ConsumerServlet {
         let table = self.instances[&cid].table.clone();
         self.register_interest(ctx, table);
         self.lookup_for(ctx, cid);
-        self.respond_at(
+        reply.send_at(
             ctx,
-            conn,
-            req_id,
+            self.endpoint,
             200,
             48,
             ConsumerResponse::Created { consumer: cid },
@@ -288,8 +269,7 @@ impl ConsumerServlet {
     fn on_one_time_query(
         &mut self,
         ctx: &mut Context<'_>,
-        conn: ConnId,
-        req_id: u64,
+        reply: Reply,
         query: String,
         query_type: QueryType,
     ) {
@@ -302,10 +282,9 @@ impl ConsumerServlet {
             }) => (table, predicate, columns),
             _ => {
                 let now = ctx.now();
-                self.respond_at(
+                reply.send_at(
                     ctx,
-                    conn,
-                    req_id,
+                    self.endpoint,
                     400,
                     64,
                     ConsumerResponse::Error {
@@ -321,8 +300,7 @@ impl ConsumerServlet {
         self.queries.insert(
             qid,
             PendingQuery {
-                client_conn: conn,
-                client_req: req_id,
+                client: reply,
                 table: table.clone(),
                 predicate,
                 columns,
@@ -409,7 +387,7 @@ impl ConsumerServlet {
     }
 
     /// One producer servlet answered a fetch.
-    fn on_fetch_result(&mut self, ctx: &mut Context<'_>, qid: u64, entries: Vec<(ProbeId, Tuple)>) {
+    fn on_fetch_result(&mut self, ctx: &mut Context<'_>, qid: u64, entries: Vec<Entry>) {
         let n = entries.len() as u64;
         self.cpu(
             ctx,
@@ -432,32 +410,24 @@ impl ConsumerServlet {
         let Some(q) = self.queries.remove(&qid) else {
             return;
         };
-        let schema = self.schemas.get(&q.table);
-        let entries: Vec<(ProbeId, Tuple)> = q
+        let schema = self.catalog.table(&q.table).ok();
+        let entries: Vec<Entry> = q
             .collected
             .into_iter()
             .filter(|(_, t)| match (&q.predicate, schema) {
                 (None, _) | (_, None) => true,
                 (Some(p), Some(s)) => minisql::eval_predicate(p, s, &t.values) == Some(true),
             })
-            .map(|(p, mut t)| {
-                if let (false, Some(s)) = (q.columns.is_empty(), schema) {
-                    if let Ok(projected) = s.project(&t.values, &q.columns) {
-                        t.values = projected;
-                    }
-                }
-                (p, t)
-            })
+            .map(|(p, t)| (p, project(schema, &q.columns, t)))
             .collect();
         let n = entries.len() as u64;
         let cost = self.cfg.costs.poll_answer
             + SimDuration::from_micros(self.cfg.costs.per_tuple.as_micros() * n / 2);
         let done = self.cpu(ctx, simprof::Component::RgmaSelect, cost);
         let bytes = poll_result_bytes(&entries);
-        self.respond_at(
+        q.client.send_at(
             ctx,
-            q.client_conn,
-            q.client_req,
+            self.endpoint,
             200,
             bytes,
             ConsumerResponse::QueryResult { entries },
@@ -501,7 +471,6 @@ impl ConsumerServlet {
             self.next_req += 1;
             let req = ProducerRequest::StartStream {
                 table: table.clone(),
-                consumer_ep: me,
                 consumer: cid,
                 producers,
             };
@@ -528,12 +497,13 @@ impl ConsumerServlet {
         let Some(inst) = self.instances.get_mut(&chunk.consumer) else {
             return;
         };
+        let schema = self.catalog.table(&inst.table).ok();
         let mut accepted = 0u64;
         let mut filtered = 0u64;
         let actor = self.endpoint.actor.index() as u64;
         for (probe, tuple) in chunk.entries {
             // Continuous-query predicate filter at the consumer.
-            let matches = match (&inst.predicate, self.schemas.get(&inst.table)) {
+            let matches = match (&inst.predicate, schema) {
                 (None, _) => true,
                 (Some(p), Some(schema)) => {
                     minisql::eval_predicate(p, schema, &tuple.values) == Some(true)
@@ -576,13 +546,12 @@ impl ConsumerServlet {
         });
     }
 
-    fn on_poll(&mut self, ctx: &mut Context<'_>, conn: ConnId, req_id: u64, cid: ConsumerId) {
+    fn on_poll(&mut self, ctx: &mut Context<'_>, reply: Reply, cid: ConsumerId) {
         let Some(inst) = self.instances.get_mut(&cid) else {
             let now = ctx.now();
-            self.respond_at(
+            reply.send_at(
                 ctx,
-                conn,
-                req_id,
+                self.endpoint,
                 404,
                 64,
                 ConsumerResponse::Error {
@@ -592,22 +561,12 @@ impl ConsumerServlet {
             );
             return;
         };
-        let entries: Vec<(ProbeId, Tuple)> = {
-            let schema = self.schemas.get(&inst.table);
-            let drained: Vec<(ProbeId, Tuple)> = inst.buffer.drain(..).collect();
-            match (&inst.columns[..], schema) {
-                ([], _) | (_, None) => drained,
-                (cols, Some(schema)) => drained
-                    .into_iter()
-                    .map(|(p, mut t)| {
-                        if let Ok(projected) = schema.project(&t.values, cols) {
-                            t.values = projected;
-                        }
-                        (p, t)
-                    })
-                    .collect(),
-            }
-        };
+        let schema = self.catalog.table(&inst.table).ok();
+        let entries: Vec<Entry> = inst
+            .buffer
+            .drain(..)
+            .map(|(p, t)| (p, project(schema, &inst.columns, t)))
+            .collect();
         let n = entries.len() as u64;
         if n > 0 {
             let heap = simos::Bytes(self.cfg.memory.heap_per_tuple.0 * n);
@@ -617,10 +576,9 @@ impl ConsumerServlet {
             + SimDuration::from_micros(self.cfg.costs.per_tuple.as_micros() * n / 2);
         let done = self.cpu(ctx, simprof::Component::RgmaSelect, cost);
         let bytes = poll_result_bytes(&entries);
-        self.respond_at(
+        reply.send_at(
             ctx,
-            conn,
-            req_id,
+            self.endpoint,
             200,
             bytes,
             ConsumerResponse::PollResult { entries },
@@ -691,11 +649,7 @@ impl Actor for ConsumerServlet {
                 match *ctrl {
                     ConsumerControl::DeclareTable { sql } => {
                         let stmt = minisql::parse(&sql).expect("deployment SQL parses");
-                        let Statement::CreateTable { table, columns } = stmt else {
-                            panic!("DeclareTable needs CREATE TABLE");
-                        };
-                        self.schemas
-                            .insert(table.clone(), TableSchema::new(table, columns));
+                        self.catalog.create(&stmt).expect("table not yet declared");
                     }
                 }
                 return;
@@ -751,6 +705,7 @@ impl Actor for ConsumerServlet {
             return;
         };
         let HttpRequest { req_id, body, .. } = *req;
+        let reply = Reply { conn, req_id };
         // Fault injection: a stalled servlet answers 503 without work.
         if simfault::node_stalled(ctx, self.node) {
             simfault::with_faults(ctx, |inj, _| inj.stats.stall_rejections += 1);
@@ -758,10 +713,9 @@ impl Actor for ConsumerServlet {
                 tr.count(simtrace::Counter::FaultRejections, 1);
             });
             let now = ctx.now();
-            self.respond_at(
+            reply.send_at(
                 ctx,
-                conn,
-                req_id,
+                self.endpoint,
                 503,
                 64,
                 ConsumerResponse::Error {
@@ -773,10 +727,9 @@ impl Actor for ConsumerServlet {
         }
         if let Err(reason) = self.ensure_thread(ctx, conn) {
             let now = ctx.now();
-            self.respond_at(
+            reply.send_at(
                 ctx,
-                conn,
-                req_id,
+                self.endpoint,
                 503,
                 64,
                 ConsumerResponse::Error { reason },
@@ -793,12 +746,10 @@ impl Actor for ConsumerServlet {
             self.cfg.costs.servlet_dispatch,
         );
         match *body {
-            ConsumerRequest::CreateConsumer { query } => {
-                self.on_create_consumer(ctx, conn, req_id, query)
-            }
-            ConsumerRequest::Poll { consumer } => self.on_poll(ctx, conn, req_id, consumer),
+            ConsumerRequest::CreateConsumer { query } => self.on_create_consumer(ctx, reply, query),
+            ConsumerRequest::Poll { consumer } => self.on_poll(ctx, reply, consumer),
             ConsumerRequest::OneTimeQuery { query, query_type } => {
-                self.on_one_time_query(ctx, conn, req_id, query, query_type)
+                self.on_one_time_query(ctx, reply, query, query_type)
             }
             ConsumerRequest::CloseConsumer { consumer } => {
                 if self.instances.remove(&consumer).is_some() {
@@ -806,10 +757,9 @@ impl Actor for ConsumerServlet {
                     ctx.with_service::<OsModel, _>(|os, _| os.free(self.proc, heap));
                 }
                 let now = ctx.now();
-                self.respond_at(
+                reply.send_at(
                     ctx,
-                    conn,
-                    req_id,
+                    self.endpoint,
                     200,
                     24,
                     ConsumerResponse::PollResult { entries: vec![] },

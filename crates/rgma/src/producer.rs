@@ -10,16 +10,17 @@
 use crate::config::RgmaConfig;
 use crate::protocol::{
     chunk_bytes, ConsumerId, ProducerId, ProducerRequest, ProducerResponse, QueryType,
-    RegistryRequest, StreamChunk,
+    RegistryRequest, Reply, StreamChunk,
 };
 use crate::storage::MemoryStorage;
-use minisql::{Statement, TableSchema};
+use minisql::Catalog;
 use simcore::{Actor, ActorId, Context, Payload, SimDuration, SimTime};
 use simnet::{
     http, ConnId, Delivery, Endpoint, HttpRequest, HttpResponse, NetworkFabric, Transport,
 };
 use simos::{NodeId, OsModel, ProcessId};
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::Arc;
 use telemetry::ProbeId;
 
 /// Deployment-time control messages.
@@ -55,7 +56,8 @@ pub struct ProducerServlet {
     endpoint: Endpoint,
     registry_ep: Endpoint,
     registry_conn: Option<ConnId>,
-    schemas: HashMap<String, TableSchema>,
+    /// Replica of the Schema service's tables.
+    catalog: Catalog,
     instances: HashMap<ProducerId, Instance>,
     next_instance: u32,
     streams: Vec<StreamState>,
@@ -74,7 +76,7 @@ impl ProducerServlet {
             endpoint: Endpoint::new(node, ActorId::NONE),
             registry_ep,
             registry_conn: None,
-            schemas: HashMap::new(),
+            catalog: Catalog::new(),
             instances: HashMap::new(),
             next_instance: 0,
             streams: Vec::new(),
@@ -108,50 +110,15 @@ impl ProducerServlet {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn respond_at(
-        &self,
-        ctx: &mut Context<'_>,
-        conn: ConnId,
-        req_id: u64,
-        status: u16,
-        bytes: usize,
-        body: ProducerResponse,
-        at: SimTime,
-    ) {
-        let ep = self.endpoint;
-        ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-            net.send_at(
-                ctx,
-                conn,
-                ep,
-                bytes + http::RESPONSE_OVERHEAD,
-                Box::new(HttpResponse {
-                    req_id,
-                    status,
-                    body: Box::new(body),
-                }),
-                at,
-            );
-        });
-    }
-
-    fn on_create_producer(
-        &mut self,
-        ctx: &mut Context<'_>,
-        conn: ConnId,
-        req_id: u64,
-        table: String,
-    ) {
+    fn on_create_producer(&mut self, ctx: &mut Context<'_>, reply: Reply, table: String) {
         // Heap for the instance.
         let heap = self.cfg.memory.heap_per_producer;
         let alloc = ctx.with_service::<OsModel, _>(|os, _| os.alloc(self.proc, heap));
         if let Err(e) = alloc {
             let now = ctx.now();
-            self.respond_at(
+            reply.send_at(
                 ctx,
-                conn,
-                req_id,
+                self.endpoint,
                 503,
                 64,
                 ProducerResponse::Error {
@@ -198,10 +165,9 @@ impl ProducerServlet {
                 Box::new(req),
             );
         });
-        self.respond_at(
+        reply.send_at(
             ctx,
-            conn,
-            req_id,
+            self.endpoint,
             200,
             48,
             ProducerResponse::Created { producer: pid },
@@ -209,14 +175,12 @@ impl ProducerServlet {
         );
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn on_insert(
         &mut self,
         ctx: &mut Context<'_>,
-        conn: ConnId,
-        req_id: u64,
+        reply: Reply,
         producer: ProducerId,
-        sql: String,
+        sql: Arc<str>,
         probe: ProbeId,
         published_at: simcore::SimTime,
     ) {
@@ -234,25 +198,10 @@ impl ProducerServlet {
                 .instances
                 .get_mut(&producer)
                 .ok_or_else(|| format!("no such producer {producer:?}"))?;
-            let stmt = minisql::parse(&sql).map_err(|e| e.to_string())?;
-            let Statement::Insert {
-                table,
-                columns,
-                values,
-            } = stmt
-            else {
-                return Err("not an INSERT".into());
-            };
-            if table != inst.table {
-                return Err(format!("wrong table {table}"));
+            let (schema, row) = self.catalog.bind_insert(&sql).map_err(|e| e.to_string())?;
+            if schema.name != inst.table {
+                return Err(format!("wrong table {}", schema.name));
             }
-            let schema = self
-                .schemas
-                .get(&table)
-                .ok_or_else(|| format!("unknown table {table}"))?;
-            let row = schema
-                .normalize_insert(&columns, &values)
-                .map_err(|e| e.to_string())?;
             let mut tuple = schema.to_tuple(row);
             // Out-of-band freshness stamp: parsed SQL can't carry it, so
             // the servlet copies it from the request onto the stored
@@ -265,7 +214,14 @@ impl ProducerServlet {
             Ok(rows) => {
                 let heap = self.cfg.memory.heap_per_tuple;
                 let _ = ctx.with_service::<OsModel, _>(|os, _| os.alloc(self.proc, heap));
-                self.respond_at(ctx, conn, req_id, 200, 24, ProducerResponse::InsertOk, done);
+                reply.send_at(
+                    ctx,
+                    self.endpoint,
+                    200,
+                    24,
+                    ProducerResponse::InsertOk,
+                    done,
+                );
                 let actor = self.endpoint.actor.index() as u64;
                 simtrace::with_trace(ctx, |tr, _| {
                     tr.record(
@@ -278,10 +234,9 @@ impl ProducerServlet {
                 });
             }
             Err(reason) => {
-                self.respond_at(
+                reply.send_at(
                     ctx,
-                    conn,
-                    req_id,
+                    self.endpoint,
                     400,
                     64,
                     ProducerResponse::Error { reason },
@@ -294,8 +249,7 @@ impl ProducerServlet {
     fn on_start_stream(
         &mut self,
         ctx: &mut Context<'_>,
-        conn: ConnId,
-        req_id: u64,
+        reply: Reply,
         table: String,
         consumer: ConsumerId,
         producers: Vec<ProducerId>,
@@ -310,14 +264,12 @@ impl ProducerServlet {
         let stream_ix = self
             .streams
             .iter()
-            .position(|s| s.consumer == consumer && s.conn == conn);
+            .position(|s| s.consumer == consumer && s.conn == reply.conn);
         let stream_ix = match stream_ix {
             Some(ix) => ix,
             None => {
-                let consumer_ep = ctx.service::<NetworkFabric>().peer_of(conn, self.endpoint);
-                let _ = consumer_ep;
                 self.streams.push(StreamState {
-                    conn,
+                    conn: reply.conn,
                     consumer,
                     cursors: BTreeMap::new(),
                 });
@@ -341,10 +293,9 @@ impl ProducerServlet {
                     .or_insert_with(|| inst.storage.cursor_since(replay_from));
             }
         }
-        self.respond_at(
+        reply.send_at(
             ctx,
-            conn,
-            req_id,
+            self.endpoint,
             200,
             24,
             ProducerResponse::StreamStarted,
@@ -354,12 +305,10 @@ impl ProducerServlet {
 
     /// One-shot latest/history fetch against instance storage (the GMA
     /// query/response mode).
-    #[allow(clippy::too_many_arguments)]
     fn on_fetch(
         &mut self,
         ctx: &mut Context<'_>,
-        conn: ConnId,
-        req_id: u64,
+        reply: Reply,
         table: String,
         query_type: QueryType,
         producers: Vec<ProducerId>,
@@ -395,10 +344,9 @@ impl ProducerServlet {
             + SimDuration::from_micros(self.cfg.costs.per_tuple.as_micros() * n / 2);
         let done = self.cpu(ctx, simprof::Component::RgmaSelect, cost);
         let bytes = crate::protocol::poll_result_bytes(&entries);
-        self.respond_at(
+        reply.send_at(
             ctx,
-            conn,
-            req_id,
+            self.endpoint,
             200,
             bytes,
             ProducerResponse::FetchResult { token, entries },
@@ -517,11 +465,7 @@ impl Actor for ProducerServlet {
                 match *ctrl {
                     ProducerControl::DeclareTable { sql } => {
                         let stmt = minisql::parse(&sql).expect("deployment SQL parses");
-                        let Statement::CreateTable { table, columns } = stmt else {
-                            panic!("DeclareTable needs CREATE TABLE");
-                        };
-                        self.schemas
-                            .insert(table.clone(), TableSchema::new(table, columns));
+                        self.catalog.create(&stmt).expect("table not yet declared");
                     }
                 }
                 return;
@@ -563,6 +507,7 @@ impl Actor for ProducerServlet {
             return;
         };
         let HttpRequest { req_id, body, .. } = *req;
+        let reply = Reply { conn, req_id };
         // Fault injection: a stalled servlet (Tomcat GC pause / overload)
         // answers 503 without doing any work.
         if simfault::node_stalled(ctx, self.node) {
@@ -571,10 +516,9 @@ impl Actor for ProducerServlet {
                 tr.count(simtrace::Counter::FaultRejections, 1);
             });
             let now = ctx.now();
-            self.respond_at(
+            reply.send_at(
                 ctx,
-                conn,
-                req_id,
+                self.endpoint,
                 503,
                 64,
                 ProducerResponse::Error {
@@ -587,10 +531,9 @@ impl Actor for ProducerServlet {
         // Thread-per-connection accept gate.
         if let Err(reason) = self.ensure_thread(ctx, conn) {
             let now = ctx.now();
-            self.respond_at(
+            reply.send_at(
                 ctx,
-                conn,
-                req_id,
+                self.endpoint,
                 503,
                 64,
                 ProducerResponse::Error { reason },
@@ -608,35 +551,32 @@ impl Actor for ProducerServlet {
             self.cfg.costs.servlet_dispatch,
         );
         match *body {
-            ProducerRequest::CreateProducer { table } => {
-                self.on_create_producer(ctx, conn, req_id, table)
-            }
+            ProducerRequest::CreateProducer { table } => self.on_create_producer(ctx, reply, table),
             ProducerRequest::Insert {
                 producer,
                 sql,
                 probe,
                 published_at,
-            } => self.on_insert(ctx, conn, req_id, producer, sql, probe, published_at),
+            } => self.on_insert(ctx, reply, producer, sql, probe, published_at),
             ProducerRequest::CloseProducer { producer } => {
                 if self.instances.remove(&producer).is_some() {
                     let heap = self.cfg.memory.heap_per_producer;
                     ctx.with_service::<OsModel, _>(|os, _| os.free(self.proc, heap));
                 }
                 let now = ctx.now();
-                self.respond_at(ctx, conn, req_id, 200, 24, ProducerResponse::InsertOk, now);
+                reply.send_at(ctx, self.endpoint, 200, 24, ProducerResponse::InsertOk, now);
             }
             ProducerRequest::StartStream {
                 table,
-                consumer_ep: _,
                 consumer,
                 producers,
-            } => self.on_start_stream(ctx, conn, req_id, table, consumer, producers),
+            } => self.on_start_stream(ctx, reply, table, consumer, producers),
             ProducerRequest::Fetch {
                 table,
                 query_type,
                 producers,
                 token,
-            } => self.on_fetch(ctx, conn, req_id, table, query_type, producers, token),
+            } => self.on_fetch(ctx, reply, table, query_type, producers, token),
         }
     }
 

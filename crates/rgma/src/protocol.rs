@@ -4,10 +4,53 @@
 //! the entity bodies. Byte sizes are estimated from the carried SQL text
 //! and tuples (plus the HTTP framing added by `simnet::http`).
 
-use simcore::SimTime;
-use simnet::Endpoint;
+use simcore::{Context, SimTime};
+use simnet::{http, ConnId, Endpoint, HttpResponse, NetworkFabric};
+use std::any::Any;
+use std::sync::Arc;
 use telemetry::ProbeId;
 use wire::Tuple;
+
+/// A tuple in flight with the telemetry probe of its insert. The tuple
+/// is the one the producer's storage stamped, shared — no hop copies it.
+pub type Entry = (ProbeId, Arc<Tuple>);
+
+/// What a servlet needs to answer a request: the connection it arrived
+/// on and its correlation id.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Reply {
+    pub(crate) conn: ConnId,
+    pub(crate) req_id: u64,
+}
+
+impl Reply {
+    /// Answer from servlet `from`: `bytes` of entity plus the response
+    /// framing, leaving at `at`.
+    pub(crate) fn send_at(
+        self,
+        ctx: &mut Context<'_>,
+        from: Endpoint,
+        status: u16,
+        bytes: usize,
+        body: impl Any + Send,
+        at: SimTime,
+    ) {
+        ctx.with_service::<NetworkFabric, _>(|net, ctx| {
+            net.send_at(
+                ctx,
+                self.conn,
+                from,
+                bytes + http::RESPONSE_OVERHEAD,
+                Box::new(HttpResponse {
+                    req_id: self.req_id,
+                    status,
+                    body: Box::new(body),
+                }),
+                at,
+            );
+        });
+    }
+}
 
 /// Server-side producer instance id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -39,8 +82,8 @@ pub enum ProducerRequest {
     Insert {
         /// Target producer instance.
         producer: ProducerId,
-        /// Full SQL INSERT text.
-        sql: String,
+        /// Full SQL INSERT text (shared with the client's retry record).
+        sql: Arc<str>,
         /// Telemetry probe.
         probe: ProbeId,
         /// Virtual instant the application called insert (`simslo`
@@ -71,8 +114,6 @@ pub enum ProducerRequest {
     StartStream {
         /// Table wanted.
         table: String,
-        /// Consumer servlet's endpoint (chunks flow there).
-        consumer_ep: Endpoint,
         /// Consumer instance to tag chunks with.
         consumer: ConsumerId,
         /// Producer instances to attach (from the registry lookup). Only
@@ -98,7 +139,7 @@ pub enum ProducerResponse {
         /// Token from the request.
         token: u64,
         /// Matching `(probe, tuple)` pairs.
-        entries: Vec<(ProbeId, Tuple)>,
+        entries: Vec<Entry>,
     },
     /// Request failed (OOM, unknown instance, bad SQL…).
     Error {
@@ -112,7 +153,7 @@ pub struct StreamChunk {
     /// Receiving consumer instance.
     pub consumer: ConsumerId,
     /// `(probe, tuple)` pairs in insertion order.
-    pub entries: Vec<(ProbeId, Tuple)>,
+    pub entries: Vec<Entry>,
 }
 
 /// Requests to the Consumer servlet.
@@ -151,12 +192,12 @@ pub enum ConsumerResponse {
     /// Poll result: the drained tuples.
     PollResult {
         /// `(probe, tuple)` pairs.
-        entries: Vec<(ProbeId, Tuple)>,
+        entries: Vec<Entry>,
     },
     /// One-time query result: all matching tuples from the plan.
     QueryResult {
         /// `(probe, tuple)` pairs.
-        entries: Vec<(ProbeId, Tuple)>,
+        entries: Vec<Entry>,
     },
     /// Request failed.
     Error {
@@ -215,15 +256,11 @@ pub enum RegistryResponse {
 
 /// Approximate entity bytes for a chunk.
 pub fn chunk_bytes(chunk: &StreamChunk) -> usize {
-    24 + chunk
-        .entries
-        .iter()
-        .map(|(_, t)| t.wire_size() + 8)
-        .sum::<usize>()
+    poll_result_bytes(&chunk.entries)
 }
 
 /// Approximate entity bytes for a poll result.
-pub fn poll_result_bytes(entries: &[(ProbeId, Tuple)]) -> usize {
+pub fn poll_result_bytes(entries: &[Entry]) -> usize {
     24 + entries
         .iter()
         .map(|(_, t)| t.wire_size() + 8)
@@ -238,6 +275,7 @@ mod tests {
     #[test]
     fn byte_estimates_scale_with_tuples() {
         let t = Tuple::new("g", vec![Value::Int(1), Value::Double(2.0)]);
+        let t = Arc::new(t);
         let chunk = StreamChunk {
             consumer: ConsumerId(1),
             entries: vec![(ProbeId(0), t.clone()), (ProbeId(1), t.clone())],

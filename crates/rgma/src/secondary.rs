@@ -10,8 +10,8 @@
 
 use crate::config::RgmaConfig;
 use crate::protocol::{
-    chunk_bytes, ConsumerId, ProducerRequest, ProducerResponse, RegistryRequest, RegistryResponse,
-    StreamChunk,
+    chunk_bytes, ConsumerId, Entry, ProducerRequest, ProducerResponse, RegistryRequest,
+    RegistryResponse, Reply, StreamChunk,
 };
 use crate::storage::MemoryStorage;
 use simcore::{Actor, ActorId, Context, Payload, SimDuration, SimTime};
@@ -20,8 +20,7 @@ use simnet::{
 };
 use simos::{NodeId, OsModel, ProcessId};
 use std::collections::{BTreeMap, HashMap, HashSet};
-use telemetry::ProbeId;
-use wire::Tuple;
+use std::sync::Arc;
 
 struct FlushTick;
 struct PlanTick;
@@ -46,7 +45,7 @@ pub struct SecondaryProducer {
     /// Table republished (consumers attach to this).
     output_table: String,
     /// Pending batch (accumulates for `secondary_flush`).
-    batch: Vec<(ProbeId, Tuple)>,
+    batch: Vec<Entry>,
     /// Republished storage (for streams + retention).
     storage: MemoryStorage,
     /// Upstream plan: producer-instance endpoints already streamed from.
@@ -155,7 +154,6 @@ impl SecondaryProducer {
             // happens by the conn, so any unique value works.
             let req = ProducerRequest::StartStream {
                 table: self.input_table.clone(),
-                consumer_ep: me,
                 consumer: ConsumerId(u32::MAX),
                 producers,
             };
@@ -186,8 +184,11 @@ impl SecondaryProducer {
             let cost = self.cfg.costs.insert_base
                 + SimDuration::from_micros(self.cfg.costs.per_tuple.as_micros() * n);
             let done = self.cpu(ctx, simprof::Component::RgmaSecondary, cost);
+            // Republishing re-stamps `inserted_at`, so this producer makes
+            // its own copy unless the primary has already evicted its.
             for (probe, tuple) in std::mem::take(&mut self.batch) {
-                self.storage.insert(tuple, probe, done);
+                self.storage
+                    .insert(Arc::unwrap_or_clone(tuple), probe, done);
             }
             let actor = self.endpoint.actor.index() as u64;
             simtrace::with_trace(ctx, |tr, _| {
@@ -352,21 +353,14 @@ impl Actor for SecondaryProducer {
                     simprof::Component::RgmaSecondary,
                     self.cfg.costs.servlet_dispatch,
                 );
-                let ep = self.endpoint;
-                ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-                    net.send_at(
-                        ctx,
-                        conn,
-                        ep,
-                        24 + http::RESPONSE_OVERHEAD,
-                        Box::new(HttpResponse {
-                            req_id,
-                            status: 200,
-                            body: Box::new(ProducerResponse::StreamStarted),
-                        }),
-                        done,
-                    );
-                });
+                Reply { conn, req_id }.send_at(
+                    ctx,
+                    self.endpoint,
+                    200,
+                    24,
+                    ProducerResponse::StreamStarted,
+                    done,
+                );
             }
         }
     }

@@ -7,14 +7,16 @@
 //! minute.").
 
 use simcore::{SimDuration, SimTime};
+use std::sync::Arc;
 use telemetry::ProbeId;
 use wire::Tuple;
 
 /// A stored tuple plus its telemetry probe.
 #[derive(Debug, Clone)]
 pub struct StoredTuple {
-    /// The tuple (with `inserted_at` stamped).
-    pub tuple: Tuple,
+    /// The tuple (with `inserted_at` stamped), shared from here on:
+    /// streaming, fetches and polls hand out this allocation.
+    pub tuple: Arc<Tuple>,
     /// Telemetry probe of the insert.
     pub probe: ProbeId,
 }
@@ -22,9 +24,10 @@ pub struct StoredTuple {
 /// In-memory tuple store with retention sweeping and stream cursors.
 #[derive(Debug, Default)]
 pub struct MemoryStorage {
-    /// Tuples in insertion order; `start` is the logical head after
-    /// evictions (indices below it are gone).
+    /// Live tuples in insertion order, hence in non-decreasing
+    /// `inserted_at` order (what the binary searches below rely on).
     entries: Vec<StoredTuple>,
+    /// Tuples evicted so far: cursor of `entries[0]`.
     evicted: usize,
     latest_retention: SimDuration,
     history_retention: SimDuration,
@@ -41,12 +44,25 @@ impl MemoryStorage {
         }
     }
 
-    /// Insert a tuple at `now`; stamps `inserted_at`. Returns its cursor
-    /// position (monotonic across evictions).
+    /// Insert a tuple at `now` (never earlier than the previous insert);
+    /// stamps `inserted_at`, the last write before the tuple is shared.
+    /// Returns its cursor position (monotonic across evictions).
     pub fn insert(&mut self, mut tuple: Tuple, probe: ProbeId, now: SimTime) -> u64 {
+        debug_assert!(self
+            .entries
+            .last()
+            .is_none_or(|e| e.tuple.inserted_at <= now));
         tuple.inserted_at = now;
-        self.entries.push(StoredTuple { tuple, probe });
+        self.entries.push(StoredTuple {
+            tuple: Arc::new(tuple),
+            probe,
+        });
         (self.evicted + self.entries.len() - 1) as u64
+    }
+
+    /// Index of the first live tuple inserted at or after `t`.
+    fn first_at_or_after(&self, t: SimTime) -> usize {
+        self.entries.partition_point(|e| e.tuple.inserted_at < t)
     }
 
     /// Evict tuples older than the history retention. Returns how many
@@ -56,11 +72,7 @@ impl MemoryStorage {
             now.as_micros()
                 .saturating_sub(self.history_retention.as_micros()),
         );
-        let keep_from = self
-            .entries
-            .iter()
-            .position(|e| e.tuple.inserted_at >= cutoff_time)
-            .unwrap_or(self.entries.len());
+        let keep_from = self.first_at_or_after(cutoff_time);
         if keep_from > 0 {
             self.entries.drain(..keep_from);
             self.evicted += keep_from;
@@ -90,12 +102,7 @@ impl MemoryStorage {
     /// Cursor positioned at the first live tuple inserted at or after
     /// `since` (attach point including a replay window).
     pub fn cursor_since(&self, since: SimTime) -> u64 {
-        let offset = self
-            .entries
-            .iter()
-            .position(|e| e.tuple.inserted_at >= since)
-            .unwrap_or(self.entries.len());
-        (self.evicted + offset) as u64
+        (self.evicted + self.first_at_or_after(since)) as u64
     }
 
     /// Latest query: the most recent tuple within the latest-retention
@@ -106,9 +113,8 @@ impl MemoryStorage {
                 .saturating_sub(self.latest_retention.as_micros()),
         );
         self.entries
-            .iter()
-            .rev()
-            .find(|e| e.tuple.inserted_at >= cutoff)
+            .last()
+            .filter(|e| e.tuple.inserted_at >= cutoff)
     }
 
     /// History query: all tuples still retained.
@@ -199,6 +205,30 @@ mod tests {
         assert!(s.latest(SimTime::from_secs(31)).is_none());
         s.insert(tup(2), ProbeId(1), SimTime::from_secs(40));
         assert_eq!(s.latest(SimTime::from_secs(41)).unwrap().probe, ProbeId(1));
+    }
+
+    #[test]
+    fn equal_timestamps_at_the_cut_off_are_kept() {
+        // Three tuples share t=10 (one CPU completion instant), between
+        // an older and a newer one; every cut-off is `>=`.
+        let mut s = storage();
+        for (probe, secs) in [(0, 5), (1, 10), (2, 10), (3, 10), (4, 20)] {
+            s.insert(tup(probe as i32), ProbeId(probe), SimTime::from_secs(secs));
+        }
+        assert_eq!(s.cursor_since(SimTime::from_secs(10)), 1);
+        assert_eq!(s.cursor_since(SimTime::from_micros(10_000_001)), 4);
+        assert_eq!(s.cursor_since(SimTime::from_secs(21)), s.tail_cursor());
+        // Latest retention 30 s: at t=50 the newest (t=20) sits exactly
+        // on the cut-off and still answers; one microsecond later not.
+        assert_eq!(s.latest(SimTime::from_secs(50)).unwrap().probe, ProbeId(4));
+        assert!(s.latest(SimTime::from_micros(50_000_001)).is_none());
+        // History retention 60 s: at t=70 the cut-off is t=10 — only the
+        // t=5 tuple goes, all three t=10 tuples stay.
+        assert_eq!(s.sweep(SimTime::from_secs(70)), 1);
+        assert_eq!(s.history()[0].probe, ProbeId(1));
+        assert_eq!(s.cursor_since(SimTime::from_secs(10)), 1, "cursors survive");
+        assert_eq!(s.sweep(SimTime::from_micros(70_000_001)), 3);
+        assert_eq!(s.history()[0].probe, ProbeId(4));
     }
 
     #[test]

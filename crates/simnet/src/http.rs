@@ -22,7 +22,7 @@ pub struct HttpRequest {
     /// Correlation id: echo into the [`HttpResponse`].
     pub req_id: u64,
     /// Resource path (servlet routing).
-    pub path: String,
+    pub path: &'static str,
     /// Application payload.
     pub body: Payload,
     /// When the client issued the request.
@@ -48,11 +48,10 @@ pub fn send_request(
     conn: ConnId,
     from: Endpoint,
     req_id: u64,
-    path: impl Into<String>,
+    path: &'static str,
     body_bytes: usize,
     body: Payload,
 ) -> Option<SimTime> {
-    let path = path.into();
     let bytes = body_bytes + REQUEST_OVERHEAD + path.len();
     let issued_at = ctx.now();
     net.send(
