@@ -1024,7 +1024,7 @@ fn merge_results(
             .collect();
         Some(TraceArtifacts {
             jsonl: simtrace::export::jsonl(&tr, &resources),
-            chrome: simtrace::export::chrome_trace(&tr),
+            chrome: simtrace::export::chrome_trace(&tr, &trace_summary),
             summary: trace_summary,
             disagreements,
         })

@@ -21,6 +21,8 @@ pub struct FrameStat {
 pub struct Profiler {
     /// Open span stack (component per `profile_span!` level).
     stack: Vec<Component>,
+    /// Scratch for the charged path when it is the stack plus a leaf.
+    path: Vec<Component>,
     /// Self time per component (exactly the effective CPU cost charged).
     self_time: [SimDuration; COMPONENT_COUNT],
     /// Events per component: span entries plus `hit()` counts.
@@ -62,11 +64,19 @@ impl Profiler {
     pub fn charge(&mut self, c: Component, d: SimDuration) {
         self.self_time[c as usize] += d;
         self.charges[c as usize] += 1;
-        let mut path = self.stack.clone();
-        if path.last() != Some(&c) {
-            path.push(c);
-        }
-        let f = self.frames.entry(path).or_default();
+        let path = if self.stack.last() == Some(&c) {
+            &self.stack
+        } else {
+            self.path.clear();
+            self.path.extend_from_slice(&self.stack);
+            self.path.push(c);
+            &self.path
+        };
+        // Borrowed lookup: a path allocates only the first time it is seen.
+        let f = match self.frames.get_mut(path.as_slice()) {
+            Some(f) => f,
+            None => self.frames.entry(path.clone()).or_default(),
+        };
         f.time += d;
         f.charges += 1;
     }

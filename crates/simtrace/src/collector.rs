@@ -9,10 +9,21 @@
 //! happens on exactly one shard), gauges by replaying a keyed op log
 //! (a gauge like the NIC backlog has many writers spread across
 //! shards), and counter samples by summing the per-shard snapshots the
-//! replicated sampler takes at identical instants. The ring bound is
-//! applied at merge time (`evicted` counts what the trim discarded),
-//! so the retained window is a function of the merged key order, never
-//! of which shard recorded an event.
+//! replicated sampler takes at identical instants.
+//!
+//! Retention rule: the trace keeps the newest `capacity` events *by
+//! key*, not by insertion order — events are stamped in the future
+//! (`NetDeliver` at its delivery instant, `NetDrop` at `tx_done`), so
+//! the last `capacity` records made are not the last `capacity` of the
+//! merged order. Each store buffers up to `2 × capacity` records, then
+//! selects the newest `capacity` by key and drops the rest (amortised
+//! O(1) per record). An event in the newest `capacity` of the whole run
+//! is in the newest `capacity` of every subset that holds it, so no
+//! store ever drops one and the merge-time trim of the union is exact
+//! at any shard count. `evicted()` is `recorded − retained`. The gauge
+//! log is bounded the same way: a sample reads only the max-key write
+//! of each gauge at or before its instant, so writes fold as they are
+//! made to one op per (gauge, sample interval).
 
 use crate::event::{Counter, EventKind, Gauge, TraceEvent, TraceId, COUNTER_COUNT, GAUGE_COUNT};
 use crate::sampler::CounterSample;
@@ -24,53 +35,54 @@ use std::collections::{BTreeMap, HashMap};
 /// `Copy` events.
 pub const DEFAULT_CAPACITY: usize = 1 << 18;
 
-#[derive(Debug, Clone, Copy)]
-enum GaugeOpKind {
-    Set(u64),
-    Add(i64),
-}
-
+/// One `gauge_set`. Gauges are last-writer-by-key: of the writes to a
+/// gauge at or before a sample instant, the max-key one is the level.
 #[derive(Debug, Clone, Copy)]
 struct GaugeOp {
     at: SimTime,
     lane: u32,
     seq: u64,
     gauge: usize,
-    kind: GaugeOpKind,
+    value: u64,
 }
 
 impl GaugeOp {
-    fn key(&self) -> (SimTime, u32, u64, usize, u8, u64) {
-        let (tag, raw) = match self.kind {
-            GaugeOpKind::Set(v) => (0u8, v),
-            GaugeOpKind::Add(d) => (1u8, d as u64),
-        };
-        (self.at, self.lane, self.seq, self.gauge, tag, raw)
-    }
-
-    fn apply(&self, gauges: &mut [u64; GAUGE_COUNT]) {
-        let slot = &mut gauges[self.gauge];
-        match self.kind {
-            GaugeOpKind::Set(v) => *slot = v,
-            GaugeOpKind::Add(d) => *slot = slot.saturating_add_signed(d),
-        }
+    fn key(&self) -> (SimTime, u32, u64, usize, u64) {
+        (self.at, self.lane, self.seq, self.gauge, self.value)
     }
 }
 
-/// Event sink plus live counters, registered as a kernel service. The
-/// store is unbounded during the run; the capacity bound is enforced by
+type Keyed = (u32, u64, TraceEvent);
+
+fn event_key((lane, seq, ev): &Keyed) -> (SimTime, u32, u64) {
+    (ev.at, *lane, *seq)
+}
+
+/// Keep the newest `capacity` of `events` by key, in no particular order.
+fn keep_newest(events: &mut Vec<Keyed>, capacity: usize) {
+    if events.len() > capacity {
+        events.select_nth_unstable_by_key(capacity - 1, |e| std::cmp::Reverse(event_key(e)));
+        events.truncate(capacity);
+    }
+}
+
+/// Event sink plus live counters, registered as a kernel service. A
+/// store holds at most `2 × capacity` events and always the newest
+/// `capacity` by key of those it recorded (module doc);
 /// [`merged`](TraceCollector::merged), which every run (any shard
-/// count) goes through before exporting.
+/// count) goes through before exporting, orders them.
 pub struct TraceCollector {
-    /// `(lane, seq, event)` in recording order.
-    events: Vec<(u32, u64, TraceEvent)>,
+    /// `(lane, seq, event)`; in key order only after `merged`.
+    events: Vec<Keyed>,
     capacity: usize,
-    /// Events discarded by the merge-time capacity trim.
-    evicted: u64,
+    /// Events ever recorded, retained or not.
+    recorded: u64,
     counters: [u64; COUNTER_COUNT],
     gauges: [u64; GAUGE_COUNT],
     samples: Vec<CounterSample>,
-    gauge_ops: Vec<GaugeOp>,
+    /// `[sample interval][gauge]`: that interval's max-key write.
+    /// Interval `i` ends at `samples[i].at` inclusive; the last is open.
+    gauge_ops: Vec<[Option<GaugeOp>; GAUGE_COUNT]>,
     cur_lane: u32,
     cur_at: SimTime,
     lane_seqs: HashMap<u32, u64>,
@@ -87,7 +99,7 @@ impl TraceCollector {
         TraceCollector {
             events: Vec::new(),
             capacity: capacity.max(1),
-            evicted: 0,
+            recorded: 0,
             counters: [0; COUNTER_COUNT],
             gauges: [0; GAUGE_COUNT],
             samples: Vec::new(),
@@ -117,6 +129,15 @@ impl TraceCollector {
     #[inline]
     pub fn record(&mut self, at: SimTime, trace: Option<TraceId>, actor: u64, kind: EventKind) {
         let seq = self.next_seq();
+        self.recorded += 1;
+        if self.events.len() == self.events.capacity() {
+            // Full: drop what can no longer be exported, then double, up
+            // to the 2 × capacity buffer and never past it.
+            keep_newest(&mut self.events, self.capacity);
+            let len = self.events.len();
+            self.events
+                .reserve_exact(len.max(16).min(2 * self.capacity - len));
+        }
         self.events.push((
             self.cur_lane,
             seq,
@@ -137,7 +158,9 @@ impl TraceCollector {
         self.counters[c as usize] += delta;
     }
 
-    /// Set a gauge level.
+    /// Set a gauge level. The recorder clock never runs behind the last
+    /// sample, so the write belongs to the open interval unless it is
+    /// stamped exactly at that sample's instant, which still reads it.
     #[inline]
     pub fn gauge_set(&mut self, g: Gauge, v: u64) {
         self.gauges[g as usize] = v;
@@ -146,24 +169,18 @@ impl TraceCollector {
             lane: self.cur_lane,
             seq: self.next_seq(),
             gauge: g as usize,
-            kind: GaugeOpKind::Set(v),
+            value: v,
         };
-        self.gauge_ops.push(op);
-    }
-
-    /// Adjust a gauge level by a signed delta (saturating at zero).
-    #[inline]
-    pub fn gauge_add(&mut self, g: Gauge, delta: i64) {
-        let slot = &mut self.gauges[g as usize];
-        *slot = slot.saturating_add_signed(delta);
-        let op = GaugeOp {
-            at: self.cur_at,
-            lane: self.cur_lane,
-            seq: self.next_seq(),
-            gauge: g as usize,
-            kind: GaugeOpKind::Add(delta),
-        };
-        self.gauge_ops.push(op);
+        let closed = self.samples.last().is_some_and(|s| op.at <= s.at);
+        debug_assert!(self.samples.last().is_none_or(|s| s.at <= op.at));
+        let interval = self.samples.len() - usize::from(closed);
+        if self.gauge_ops.len() <= interval {
+            self.gauge_ops.resize(interval + 1, [None; GAUGE_COUNT]);
+        }
+        let slot = &mut self.gauge_ops[interval][op.gauge];
+        if slot.is_none_or(|old| old.key() < op.key()) {
+            *slot = Some(op);
+        }
     }
 
     /// Current value of one counter.
@@ -179,6 +196,7 @@ impl TraceCollector {
     /// Snapshot all counters/gauges into the sample log (called by
     /// [`crate::TraceSampler`] on the vmstat cadence).
     pub fn sample(&mut self, at: SimTime) {
+        debug_assert!(self.cur_at <= at, "samples follow the recorder clock");
         self.samples.push(CounterSample {
             at,
             counters: self.counters,
@@ -191,7 +209,7 @@ impl TraceCollector {
         &self.samples
     }
 
-    /// Retained events, oldest first.
+    /// Retained events; oldest first once [`merged`](Self::merged).
     pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
         self.events.iter().map(|(_, _, ev)| ev)
     }
@@ -206,20 +224,19 @@ impl TraceCollector {
         self.events.is_empty()
     }
 
-    /// Events evicted by the capacity bound (0 means the trace is
-    /// complete). Set by [`merged`](Self::merged).
+    /// Events evicted by the capacity bound so far (0 means the trace is
+    /// complete): recorded minus retained.
     pub fn evicted(&self) -> u64 {
-        self.evicted
+        self.recorded - self.events.len() as u64
     }
 
     /// Merge per-shard collectors into the canonical whole-run trace.
     ///
-    /// * events: union re-sorted by `(time, lane, seq)`, then trimmed to
-    ///   the capacity bound keeping the newest (the serial ring's
-    ///   behavior, now defined on the canonical order);
+    /// * events: the newest `capacity` of the union by `(time, lane,
+    ///   seq)`, sorted by it (exact: see the module doc);
     /// * counters: element-wise sum;
-    /// * gauges: keyed op-log replay (exact duplicate ops from
-    ///   replicated recorders collapse to one);
+    /// * gauges: the folded per-interval writes replayed in key order
+    ///   (not retained afterwards);
     /// * samples: per-instant element-wise sum of counter snapshots,
     ///   with gauge levels recomputed from the op log at each instant.
     ///
@@ -227,17 +244,23 @@ impl TraceCollector {
     /// exports are byte-identical across shard counts by construction.
     pub fn merged(parts: impl IntoIterator<Item = TraceCollector>) -> TraceCollector {
         let mut capacity = 1;
-        let mut events: Vec<(u32, u64, TraceEvent)> = Vec::new();
+        let mut recorded = 0;
+        let mut events: Vec<Keyed> = Vec::new();
         let mut counters = [0u64; COUNTER_COUNT];
         let mut gauge_ops: Vec<GaugeOp> = Vec::new();
         let mut sample_sums: BTreeMap<SimTime, [u64; COUNTER_COUNT]> = BTreeMap::new();
         for part in parts {
             capacity = capacity.max(part.capacity);
-            events.extend(part.events);
+            recorded += part.recorded;
+            if events.is_empty() {
+                events = part.events;
+            } else {
+                events.extend(part.events);
+            }
             for (i, v) in part.counters.iter().enumerate() {
                 counters[i] += v;
             }
-            gauge_ops.extend(part.gauge_ops);
+            gauge_ops.extend(part.gauge_ops.into_iter().flatten().flatten());
             for s in part.samples {
                 let sums = sample_sums.entry(s.at).or_insert([0; COUNTER_COUNT]);
                 for (i, v) in s.counters.iter().enumerate() {
@@ -245,20 +268,17 @@ impl TraceCollector {
                 }
             }
         }
-        events.sort_by_key(|(lane, seq, ev)| (ev.at, *lane, *seq));
-        let evicted = events.len().saturating_sub(capacity) as u64;
-        events.drain(..evicted as usize);
-        gauge_ops.sort_by_key(|op| op.key());
-        gauge_ops.dedup_by_key(|op| op.key());
+        keep_newest(&mut events, capacity);
+        events.sort_unstable_by_key(event_key);
+        gauge_ops.sort_unstable_by_key(GaugeOp::key);
         // Rebuild samples: counters are the summed snapshots; gauges are
         // the op log replayed up to each instant.
         let mut samples = Vec::with_capacity(sample_sums.len());
         let mut gauges = [0u64; GAUGE_COUNT];
-        let mut cursor = 0usize;
+        let mut ops = gauge_ops.into_iter().peekable();
         for (at, sums) in sample_sums {
-            while cursor < gauge_ops.len() && gauge_ops[cursor].at <= at {
-                gauge_ops[cursor].apply(&mut gauges);
-                cursor += 1;
+            while let Some(op) = ops.next_if(|op| op.at <= at) {
+                gauges[op.gauge] = op.value;
             }
             samples.push(CounterSample {
                 at,
@@ -266,18 +286,17 @@ impl TraceCollector {
                 gauges,
             });
         }
-        let mut final_gauges = gauges;
-        for op in &gauge_ops[cursor..] {
-            op.apply(&mut final_gauges);
+        for op in ops {
+            gauges[op.gauge] = op.value;
         }
         TraceCollector {
             events,
             capacity,
-            evicted,
+            recorded,
             counters,
-            gauges: final_gauges,
+            gauges,
             samples,
-            gauge_ops,
+            gauge_ops: Vec::new(),
             cur_lane: 0,
             cur_at: SimTime::ZERO,
             lane_seqs: HashMap::new(),
@@ -327,7 +346,8 @@ mod tests {
             let (at, t, a, k) = ev(n);
             c.record(at, t, a, k);
         }
-        assert_eq!(c.len(), 5, "live store is unbounded");
+        assert_eq!(c.len(), 5, "the store buffers up to 2 x capacity");
+        assert_eq!(c.evicted(), 0);
         let m = TraceCollector::merged([c]);
         assert_eq!(m.len(), 3);
         assert_eq!(m.evicted(), 2);
@@ -336,13 +356,64 @@ mod tests {
     }
 
     #[test]
+    fn newest_is_by_key_not_by_insertion_order() {
+        // A future-stamped record made early (the fabric stamps
+        // `NetDeliver` at its delivery instant) outlives later records
+        // with older stamps.
+        let mut c = TraceCollector::with_capacity(2);
+        let (_, t, a, k) = ev(100);
+        c.record(SimTime::from_micros(100), t, a, k);
+        for n in 0..9 {
+            let (at, t, a, k) = ev(n);
+            c.record(at, t, a, k);
+        }
+        let m = TraceCollector::merged([c]);
+        let ids: Vec<u64> = m.events().map(|e| e.trace.unwrap().0).collect();
+        assert_eq!(ids, vec![8, 100]);
+        assert_eq!(m.evicted(), 8);
+    }
+
+    #[test]
+    fn store_never_holds_more_than_twice_capacity() {
+        for capacity in [1usize, 7, 64, 1000] {
+            let mut c = TraceCollector::with_capacity(capacity);
+            for n in 0..10 * capacity as u64 {
+                let (at, t, a, k) = ev(n);
+                c.record(at, t, a, k);
+                assert!(c.events.capacity() <= 2 * capacity, "capacity {capacity}");
+            }
+            assert_eq!(c.evicted() + c.len() as u64, 10 * capacity as u64);
+            assert_eq!(TraceCollector::merged([c]).evicted(), 9 * capacity as u64);
+        }
+    }
+
+    #[test]
+    fn gauge_log_folds_to_one_op_per_gauge_and_interval() {
+        let mut c = TraceCollector::new();
+        for n in 0..1_000_000u64 {
+            if n % 100_000 == 0 {
+                c.sample(SimTime::from_micros(n));
+            }
+            c.set_recorder((n % 7) as u32, SimTime::from_micros(n));
+            c.gauge_set(Gauge::ALL[(n % 2) as usize], n);
+        }
+        assert_eq!(c.samples().len(), 10);
+        let ops = c.gauge_ops.iter().flatten().flatten().count();
+        assert!(ops <= GAUGE_COUNT * 11, "{ops} ops retained");
+        let m = TraceCollector::merged([c]);
+        // The write stamped exactly at a sample instant is read by it.
+        assert_eq!(m.samples()[1].gauge(Gauge::NicBacklogUs), 100_000);
+        assert_eq!(m.samples()[1].gauge(Gauge::BatchOccupancy), 99_999);
+        assert_eq!(m.gauge(Gauge::BatchOccupancy), 999_999);
+    }
+
+    #[test]
     fn counters_and_gauges() {
         let mut c = TraceCollector::new();
         c.count(Counter::NetDrops, 2);
         c.count(Counter::NetDrops, 1);
-        c.gauge_add(Gauge::NicBacklogUs, 5);
-        c.gauge_add(Gauge::NicBacklogUs, -2);
-        c.gauge_add(Gauge::BatchOccupancy, -9); // saturates at 0
+        c.gauge_set(Gauge::NicBacklogUs, 5);
+        c.gauge_set(Gauge::NicBacklogUs, 3);
         assert_eq!(c.counter(Counter::NetDrops), 3);
         assert_eq!(c.gauge(Gauge::NicBacklogUs), 3);
         assert_eq!(c.gauge(Gauge::BatchOccupancy), 0);
@@ -361,25 +432,31 @@ mod tests {
         a.set_recorder(1, t(1));
         a.record(t(1), Some(TraceId(10)), 1, EventKind::PublishBegin);
         a.count(Counter::BrokerPublishes, 2);
-        a.gauge_add(Gauge::NicBacklogUs, 7);
+        a.gauge_set(Gauge::NicBacklogUs, 7);
         a.set_recorder(1, t(3));
         a.record(t(3), Some(TraceId(11)), 1, EventKind::PublishEnd);
         a.sample(t(5));
+        a.set_recorder(1, t(6));
+        a.gauge_set(Gauge::NicBacklogUs, 9);
         let mut b = TraceCollector::new();
         b.set_recorder(2, t(2));
         b.record(t(2), Some(TraceId(20)), 2, EventKind::Available);
         b.count(Counter::BrokerPublishes, 1);
-        b.gauge_add(Gauge::NicBacklogUs, -3);
+        b.gauge_set(Gauge::NicBacklogUs, 4);
         b.sample(t(5));
 
         let m = TraceCollector::merged([a, b]);
         let order: Vec<u64> = m.events().map(|e| e.trace.unwrap().0).collect();
         assert_eq!(order, vec![10, 20, 11], "canonical (at, lane, seq) order");
         assert_eq!(m.counter(Counter::BrokerPublishes), 3);
-        assert_eq!(m.gauge(Gauge::NicBacklogUs), 4, "7 then -3 in key order");
         assert_eq!(m.samples().len(), 1, "same-instant snapshots fuse");
         assert_eq!(m.samples()[0].counter(Counter::BrokerPublishes), 3);
-        assert_eq!(m.samples()[0].gauge(Gauge::NicBacklogUs), 4);
+        assert_eq!(
+            m.samples()[0].gauge(Gauge::NicBacklogUs),
+            4,
+            "7 at t=1 then 4 at t=2 in key order"
+        );
+        assert_eq!(m.gauge(Gauge::NicBacklogUs), 9, "written after the sample");
     }
 
     #[test]

@@ -73,7 +73,8 @@ fn faults_active(tr: &TraceCollector) -> bool {
 /// sample, and (merged in time order) the machine resource rows —
 /// the "one unified resource log".
 pub fn jsonl(tr: &TraceCollector, resources: &[ResourceRow]) -> String {
-    let mut out = String::new();
+    // ~105 B per event line: sized once, not grown by doubling.
+    let mut out = String::with_capacity(tr.len() * 112);
     let with_faults = faults_active(tr);
     // Events first (time-ordered by construction).
     for ev in tr.events() {
@@ -142,8 +143,11 @@ pub fn jsonl(tr: &TraceCollector, resources: &[ResourceRow]) -> String {
 /// trace id + 1); its reconstructed PRT/PT/SRT phases are duration
 /// events and its hops are instants. Counter samples become `ph:"C"`
 /// counter tracks. Anonymous infrastructure events share track 0.
-pub fn chrome_trace(tr: &TraceCollector) -> String {
-    let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
+/// `summary` is [`TraceSummary::from_collector`] of the same `tr`.
+pub fn chrome_trace(tr: &TraceCollector, summary: &TraceSummary) -> String {
+    // ~140 B per event, its share of phase rows included.
+    let mut out = String::with_capacity(tr.len() * 160);
+    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
     out.push_str(
         "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\
          \"args\":{\"name\":\"gridmon-sim\"}}",
@@ -162,7 +166,6 @@ pub fn chrome_trace(tr: &TraceCollector) -> String {
         kind_args(&mut out, ev.kind);
         out.push_str("}}");
     }
-    let summary = TraceSummary::from_collector(tr);
     for (id, b) in &summary.probes {
         let tid = id.0 + 1;
         let phases = [
@@ -271,7 +274,8 @@ mod tests {
 
     #[test]
     fn chrome_trace_has_phases_and_counters() {
-        let text = chrome_trace(&sample_collector());
+        let tr = sample_collector();
+        let text = chrome_trace(&tr, &TraceSummary::from_collector(&tr));
         assert!(text.starts_with('{') && text.trim_end().ends_with('}'));
         assert!(text.contains("\"name\":\"PRT\""));
         assert!(text.contains("\"name\":\"PT\""));

@@ -13,8 +13,8 @@
 //!
 //! * [`TraceId`] — causal id carried in `wire::Message` headers and
 //!   mirrored from `telemetry::ProbeId` for probe traffic.
-//! * [`TraceCollector`] — a bounded ring buffer of [`TraceEvent`]s plus
-//!   live [`Counter`]s/[`Gauge`]s, registered as a kernel service.
+//! * [`TraceCollector`] — a bounded store of the newest [`TraceEvent`]s
+//!   plus live [`Counter`]s/[`Gauge`]s, registered as a kernel service.
 //!   Instrumentation sites look it up with `Context::try_service_mut`,
 //!   so when tracing is off (service absent) the cost is one type-map
 //!   probe and no allocation.

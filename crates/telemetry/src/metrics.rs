@@ -15,42 +15,51 @@
 use crate::histogram::LatencyHistogram;
 use crate::report::trim_float;
 use simcore::{Context, SimTime};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// One recorded mutation of the registry, replayable at merge time.
-#[derive(Debug, Clone, PartialEq)]
-enum MetricOp {
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum OpKind {
     /// `add_counter(name, delta)`.
-    CounterAdd(String, u64),
+    CounterAdd(u64),
     /// `set_gauge(name, value)`.
-    GaugeSet(String, f64),
+    GaugeSet(f64),
     /// `observe(name, micros)`.
-    Observe(String, u64),
+    Observe(u64),
     /// `sample(at)` — snapshot the live maps into the series.
     Sample,
 }
 
-impl MetricOp {
-    /// Total order among ops sharing a (time, lane, seq) key — only
-    /// replicated recorders produce such ties, and only when their
-    /// replicas record *different* content (e.g. each shard's vmstat
-    /// replica gauging its own nodes).
-    fn content_key(&self) -> (u8, &str, u64) {
-        match self {
-            MetricOp::CounterAdd(n, v) => (0, n, *v),
-            MetricOp::GaugeSet(n, v) => (1, n, v.to_bits()),
-            MetricOp::Observe(n, v) => (2, n, *v),
-            MetricOp::Sample => (3, "", 0),
-        }
-    }
-}
-
-#[derive(Debug, Clone)]
+/// 40 bytes, `Copy`: the metric name is an interned id.
+#[derive(Debug, Clone, Copy)]
 struct OpRec {
     at: SimTime,
-    lane: u32,
     seq: u64,
-    op: MetricOp,
+    lane: u32,
+    name: u32,
+    kind: OpKind,
+}
+
+impl OpRec {
+    fn key(&self) -> (SimTime, u32, u64) {
+        (self.at, self.lane, self.seq)
+    }
+
+    /// Total order of the merged replay. The content part orders ops
+    /// sharing a (time, lane, seq) key — only replicated recorders
+    /// produce such ties, and only when their replicas record
+    /// *different* content (e.g. each shard's vmstat replica gauging its
+    /// own nodes). Name ids compare like the names once
+    /// [`merged`](MetricsRegistry::merged) has renumbered them.
+    fn sort_key(&self) -> (SimTime, u32, u64, u8, u32, u64) {
+        let (tag, raw) = match self.kind {
+            OpKind::CounterAdd(v) => (0, v),
+            OpKind::GaugeSet(v) => (1, v.to_bits()),
+            OpKind::Observe(v) => (2, v),
+            OpKind::Sample => (3, 0),
+        };
+        (self.at, self.lane, self.seq, tag, self.name, raw)
+    }
 }
 
 /// Registry of named metrics plus the sampled time series.
@@ -59,12 +68,17 @@ struct OpRec {
 /// them where the target format requires it. `BTreeMap` keys keep every
 /// export deterministic.
 ///
-/// Every mutation is also appended to an op log keyed by
-/// `(time, recorder lane, per-lane seq)` — an interleaving-invariant key,
-/// since each lane's op stream is a function of that actor's own
-/// deterministic execution. [`merged`](Self::merged) replays the union of
-/// per-shard logs in key order, so any sharding of the same run rebuilds
-/// byte-identical counters, gauges, histograms, and time series.
+/// Every mutation is also logged under the key `(time, recorder lane,
+/// per-lane seq)` — interleaving-invariant, since each lane's op stream
+/// is a function of that actor's own deterministic execution (a lane
+/// recorded on several shards records the same stream on each).
+/// [`merged`](Self::merged) replays the union of per-shard logs in key
+/// order, so any sharding of the same run rebuilds byte-identical
+/// counters, gauges, histograms, and time series. The log holds what
+/// that replay can still tell apart: every observation in order (they
+/// feed a Welford mean), but one op per (lane, counter or gauge, sample
+/// interval) — a snapshot reads only the sum of a counter's deltas and
+/// the max-key write of a gauge, and a lane writes in key order.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
@@ -72,8 +86,14 @@ pub struct MetricsRegistry {
     hists: BTreeMap<String, LatencyHistogram>,
     /// Long-format samples: (instant, metric, value).
     series: Vec<(SimTime, String, f64)>,
-    ops: Vec<OpRec>,
-    lane_seqs: std::collections::HashMap<u32, u64>,
+    /// Interned metric names; ids are per registry until merged.
+    names: HashMap<String, u32>,
+    observes: Vec<OpRec>,
+    marks: Vec<OpRec>,
+    /// (sample interval, lane, name, is gauge) → that interval's folded
+    /// op, carrying the key of the lane's last write in it.
+    folded: HashMap<(usize, u32, u32, bool), OpRec>,
+    lane_seqs: HashMap<u32, u64>,
     cur_lane: u32,
     cur_at: SimTime,
 }
@@ -92,15 +112,54 @@ impl MetricsRegistry {
         self.cur_at = at;
     }
 
-    fn record(&mut self, at: SimTime, op: MetricOp) {
+    fn record(&mut self, at: SimTime, name: &str, kind: OpKind) {
+        let name = match self.names.get(name) {
+            Some(&id) => id,
+            None => {
+                let id = self.names.len() as u32;
+                self.names.insert(name.to_owned(), id);
+                id
+            }
+        };
         let seq = self.lane_seqs.entry(self.cur_lane).or_insert(0);
-        self.ops.push(OpRec {
+        let rec = OpRec {
             at,
-            lane: self.cur_lane,
             seq: *seq,
-            op,
-        });
+            lane: self.cur_lane,
+            name,
+            kind,
+        };
         *seq += 1;
+        match kind {
+            OpKind::Observe(_) => self.observes.push(rec),
+            OpKind::Sample => {
+                debug_assert!(
+                    self.folded.values().all(|op| op.key() < rec.key()),
+                    "a snapshot mark sorts after every counter and gauge op made before it"
+                );
+                self.marks.push(rec);
+            }
+            OpKind::CounterAdd(_) | OpKind::GaugeSet(_) => {
+                // The clock never runs behind the last snapshot, but an op
+                // stamped at its instant on a lower lane is made after it
+                // and replays before it: the key decides, not call order.
+                let closed = self.marks.last().is_some_and(|m| rec.key() < m.key());
+                let interval = self.marks.len() - usize::from(closed);
+                let is_gauge = matches!(kind, OpKind::GaugeSet(_));
+                self.folded
+                    .entry((interval, rec.lane, name, is_gauge))
+                    .and_modify(|old| {
+                        let kind = match (old.kind, kind) {
+                            (OpKind::CounterAdd(sum), OpKind::CounterAdd(d)) => {
+                                OpKind::CounterAdd(sum + d)
+                            }
+                            _ => kind,
+                        };
+                        *old = OpRec { kind, ..rec };
+                    })
+                    .or_insert(rec);
+            }
+        }
     }
 
     fn apply_counter(&mut self, name: &str, delta: u64) {
@@ -141,19 +200,19 @@ impl MetricsRegistry {
     /// Add `delta` to a monotonic counter (created at 0 on first use).
     pub fn add_counter(&mut self, name: &str, delta: u64) {
         self.apply_counter(name, delta);
-        self.record(self.cur_at, MetricOp::CounterAdd(name.to_owned(), delta));
+        self.record(self.cur_at, name, OpKind::CounterAdd(delta));
     }
 
     /// Set an instantaneous gauge level.
     pub fn set_gauge(&mut self, name: &str, value: f64) {
         self.apply_gauge(name, value);
-        self.record(self.cur_at, MetricOp::GaugeSet(name.to_owned(), value));
+        self.record(self.cur_at, name, OpKind::GaugeSet(value));
     }
 
     /// Record one observation (microseconds) into a latency histogram.
     pub fn observe(&mut self, name: &str, micros: u64) {
         self.apply_observe(name, micros);
-        self.record(self.cur_at, MetricOp::Observe(name.to_owned(), micros));
+        self.record(self.cur_at, name, OpKind::Observe(micros));
     }
 
     /// Current value of a counter (0 if never touched).
@@ -172,16 +231,19 @@ impl MetricsRegistry {
     }
 
     /// Snapshot every counter and gauge into the time series at `at`
-    /// (called by the vmstat sampler on its cadence).
+    /// (called by the vmstat sampler on its cadence). The mark must ride
+    /// a lane that sorts after every op already made, as the sampler's
+    /// does: the merged replay snapshots in key order.
     pub fn sample(&mut self, at: SimTime) {
         self.apply_sample(at);
-        self.record(at, MetricOp::Sample);
+        self.record(at, "", OpKind::Sample);
     }
 
     /// Merge per-shard registries by replaying the union of their op
     /// logs in `(time, lane, seq, content)` order. Exact duplicates
     /// (the same op recorded by two replicas of a replicated actor, e.g.
     /// the per-shard vmstat samplers' `Sample` marks) collapse to one.
+    /// The replayed log is not retained.
     ///
     /// `derived_gauges` are whole-run gauges that no single shard can
     /// compute (e.g. `probes_in_flight`, which needs the merged RTT
@@ -193,21 +255,40 @@ impl MetricsRegistry {
         parts: impl IntoIterator<Item = MetricsRegistry>,
         derived_gauges: &[(String, Vec<(SimTime, f64)>)],
     ) -> MetricsRegistry {
-        let mut ops: Vec<OpRec> = parts.into_iter().flat_map(|p| p.ops).collect();
-        ops.sort_by(|a, b| {
-            (a.at, a.lane, a.seq)
-                .cmp(&(b.at, b.lane, b.seq))
-                .then_with(|| a.op.content_key().cmp(&b.op.content_key()))
-        });
-        ops.dedup_by(|a, b| a.at == b.at && a.lane == b.lane && a.seq == b.seq && a.op == b.op);
+        let parts: Vec<MetricsRegistry> = parts.into_iter().collect();
+        // Renumber names by rank so ids compare like the names do.
+        let mut names: Vec<String> = parts.iter().flat_map(|p| p.names.keys().cloned()).collect();
+        names.sort_unstable();
+        names.dedup();
+        let mut ops: Vec<OpRec> = Vec::new();
+        for p in parts {
+            let mut rank = vec![0u32; p.names.len()];
+            for (name, &id) in &p.names {
+                rank[id as usize] = names.binary_search(name).expect("collected above") as u32;
+            }
+            let from = ops.len();
+            if ops.is_empty() {
+                ops = p.observes;
+            } else {
+                ops.extend(p.observes);
+            }
+            ops.extend(p.folded.into_values());
+            ops.extend(p.marks);
+            for rec in &mut ops[from..] {
+                rec.name = rank[rec.name as usize];
+            }
+        }
+        ops.sort_unstable_by_key(OpRec::sort_key);
+        ops.dedup_by_key(|rec| rec.sort_key());
         let mut out = MetricsRegistry::new();
         let mut cursors = vec![0usize; derived_gauges.len()];
         for rec in ops {
-            match &rec.op {
-                MetricOp::CounterAdd(n, d) => out.apply_counter(n, *d),
-                MetricOp::GaugeSet(n, v) => out.apply_gauge(n, *v),
-                MetricOp::Observe(n, us) => out.apply_observe(n, *us),
-                MetricOp::Sample => {
+            let name = &names[rec.name as usize];
+            match rec.kind {
+                OpKind::CounterAdd(d) => out.apply_counter(name, d),
+                OpKind::GaugeSet(v) => out.apply_gauge(name, v),
+                OpKind::Observe(us) => out.apply_observe(name, us),
+                OpKind::Sample => {
                     for (i, (name, points)) in derived_gauges.iter().enumerate() {
                         while cursors[i] < points.len() && points[cursors[i]].0 <= rec.at {
                             out.apply_gauge(name, points[cursors[i]].1);
@@ -217,7 +298,6 @@ impl MetricsRegistry {
                     out.apply_sample(rec.at);
                 }
             }
-            out.ops.push(rec);
         }
         // Late derived points (after the final snapshot) still set the
         // end-of-run gauge level for the Prometheus export.
@@ -322,6 +402,29 @@ mod tests {
         assert_eq!(m.gauge("g"), Some(2.5));
         assert_eq!(m.histogram("h_us").unwrap().count(), 2);
         assert!((m.histogram("h_us").unwrap().mean() - 200.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn log_folds_writes_and_keeps_observations_small() {
+        assert_eq!(std::mem::size_of::<OpRec>(), 40);
+        let mut m = MetricsRegistry::new();
+        for tick in 1..=10u64 {
+            for n in 0..1000u64 {
+                m.set_recorder(
+                    (n % 3) as u32,
+                    SimTime::from_micros(tick * 1_000_000 - 1000 + n),
+                );
+                m.add_counter("c", 1);
+                m.set_gauge("g", n as f64);
+            }
+            m.set_recorder(u32::MAX, SimTime::from_secs(tick));
+            m.sample(SimTime::from_secs(tick));
+        }
+        // 3 lanes x (counter, gauge) x 10 intervals, not 20 000 ops.
+        assert_eq!(m.folded.len(), 60);
+        let merged = MetricsRegistry::merged([m], &[]);
+        assert_eq!(merged.counter("c"), 10_000);
+        assert!(merged.csv().ends_with("10,c,10000\n10,g,999\n"));
     }
 
     #[test]

@@ -1,12 +1,140 @@
 //! Property tests for the measurement substrate: histogram quantiles
-//! against exact order statistics, Welford against naive moments, and
-//! collector conservation.
+//! against exact order statistics, Welford against naive moments,
+//! collector conservation, and the folded metrics op log against a
+//! replay-everything reference.
 
 use proptest::prelude::*;
 use simcore::SimTime;
-use telemetry::{LatencyHistogram, RttCollector, Welford};
+use telemetry::{LatencyHistogram, MetricsRegistry, RttCollector, Welford};
+
+/// Lane of the replicated snapshot marks; sorts after every other lane,
+/// like `simos::VmstatSampler`'s.
+const SAMPLE_LANE: u32 = u32::MAX;
+/// A replicated lane: every shard records the same op stream on it.
+const REPLICATED_LANE: u32 = 4;
+/// A lane whose replicas record *different* gauge content under one key.
+const TIE_LANE: u32 = 5;
+
+#[derive(Debug, Clone, Copy)]
+enum MetricAction {
+    Counter {
+        name: usize,
+        delta: u64,
+    },
+    Gauge {
+        name: usize,
+        value: u32,
+    },
+    Observe {
+        name: usize,
+        micros: u64,
+    },
+    /// Every shard sets the same gauge under the same key to its own value.
+    TieGauge {
+        value: u32,
+    },
+    Sample,
+}
+
+const NAMES: [&str; 3] = ["b.metric", "a.metric", "c.metric"];
+
+fn metric_action() -> impl Strategy<Value = MetricAction> {
+    prop_oneof![
+        // Deltas include 0: a zero first touch still creates the series row.
+        (0usize..3, 0u64..3).prop_map(|(name, delta)| MetricAction::Counter { name, delta }),
+        (0usize..3, 0u32..50).prop_map(|(name, value)| MetricAction::Gauge { name, value }),
+        (0usize..3, 1u64..100_000)
+            .prop_map(|(name, micros)| MetricAction::Observe { name, micros }),
+        (0u32..50).prop_map(|value| MetricAction::TieGauge { value }),
+        Just(MetricAction::Sample),
+    ]
+}
+
+/// One logged op of the reference: the full replay key, then what to do.
+type LoggedOp = ((SimTime, u32, u64, u8, &'static str, u64), MetricAction);
+
+/// The reference: every op of every shard kept, sorted by the full key,
+/// exact duplicates dropped, applied one by one to a fresh registry whose
+/// live maps are then exported (no fold, no merge).
+fn replay_all(mut log: Vec<LoggedOp>) -> (String, String) {
+    log.sort_by_key(|(key, _)| *key);
+    log.dedup_by_key(|(key, _)| *key);
+    let mut m = MetricsRegistry::new();
+    for ((at, _, _, _, name, _), action) in log {
+        match action {
+            MetricAction::Counter { delta, .. } => m.add_counter(name, delta),
+            MetricAction::Gauge { value, .. } | MetricAction::TieGauge { value } => {
+                m.set_gauge(name, f64::from(value))
+            }
+            MetricAction::Observe { micros, .. } => m.observe(name, micros),
+            MetricAction::Sample => m.sample(at),
+        }
+    }
+    (m.csv(), m.prometheus())
+}
 
 proptest! {
+    #[test]
+    fn folded_registry_equals_replay_all(
+        // (clock advance, lane, action); a zero advance after a `Sample`
+        // stamps an op at the sample instant, made after the mark but
+        // replayed before it.
+        steps in proptest::collection::vec((0u64..2, 0u32..5, metric_action()), 0..300),
+        shards in 1usize..5,
+    ) {
+        let mut parts: Vec<MetricsRegistry> = (0..shards).map(|_| MetricsRegistry::new()).collect();
+        let mut log: Vec<LoggedOp> = Vec::new();
+        let mut seqs = std::collections::HashMap::<u32, u64>::new();
+        let mut now = SimTime::ZERO;
+        let mut last_sample = None;
+        for &(dt, lane, action) in &steps {
+            now = SimTime::from_micros(now.as_micros() + dt);
+            let (lane, on): (u32, Vec<usize>) = match action {
+                MetricAction::Sample if last_sample == Some(now) => continue,
+                MetricAction::Sample => (SAMPLE_LANE, (0..shards).collect()),
+                MetricAction::TieGauge { .. } => (TIE_LANE, (0..shards).collect()),
+                _ if lane == REPLICATED_LANE => (lane, (0..shards).collect()),
+                _ => (lane, vec![lane as usize % shards]),
+            };
+            let seq = seqs.entry(lane).or_insert(0);
+            for shard in on {
+                let m = &mut parts[shard];
+                m.set_recorder(lane, now);
+                let (tag, name, raw, logged) = match action {
+                    MetricAction::Counter { name, delta } => {
+                        m.add_counter(NAMES[name], delta);
+                        (0, NAMES[name], delta, action)
+                    }
+                    MetricAction::Gauge { name, value } => {
+                        m.set_gauge(NAMES[name], f64::from(value));
+                        (1, NAMES[name], f64::from(value).to_bits(), action)
+                    }
+                    MetricAction::TieGauge { value } => {
+                        let value = value + shard as u32;
+                        m.set_gauge("tie", f64::from(value));
+                        let logged = MetricAction::TieGauge { value };
+                        (1, "tie", f64::from(value).to_bits(), logged)
+                    }
+                    MetricAction::Observe { name, micros } => {
+                        m.observe(NAMES[name], micros);
+                        (2, NAMES[name], micros, action)
+                    }
+                    MetricAction::Sample => {
+                        m.sample(now);
+                        last_sample = Some(now);
+                        (3, "", 0, action)
+                    }
+                };
+                log.push(((now, lane, *seq, tag, name, raw), logged));
+            }
+            *seq += 1;
+        }
+        let merged = MetricsRegistry::merged(parts, &[]);
+        let (csv, prometheus) = replay_all(log);
+        prop_assert_eq!(merged.csv(), csv);
+        prop_assert_eq!(merged.prometheus(), prometheus);
+    }
+
     #[test]
     fn histogram_quantiles_bounded_relative_error(
         mut values in proptest::collection::vec(1u64..10_000_000, 1..500),

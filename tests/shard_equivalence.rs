@@ -217,6 +217,44 @@ fn observed_artifacts_are_byte_identical_across_shard_counts() {
     }
 }
 
+/// The trace bound under sharding: the serial store fills its
+/// `2 x DEFAULT_CAPACITY` buffer and trims while recording, the three
+/// shard stores are trimmed only when merged, and both must hold exactly
+/// the newest `DEFAULT_CAPACITY` events of the run (with the metrics and
+/// gauge logs folded per shard). Only unit tests reach eviction otherwise.
+#[test]
+fn evicting_traced_run_is_shard_invariant() {
+    let name = "shard/evict-dbn";
+    let spec = ExperimentSpec::paper_default(name, SystemUnderTest::NaradaDbn { brokers: 3 }, 120)
+        .traced()
+        .profiled()
+        .with_slo(gridmon::core::SloSpec::grid_default());
+    let serial = run_experiment(&spec);
+    let summary = &serial.trace.as_ref().expect("traced").summary;
+    assert_eq!(
+        summary.total_events,
+        gridmon::simtrace::DEFAULT_CAPACITY as u64
+    );
+    assert!(
+        summary.evicted_events > summary.total_events,
+        "{name}: {} retained, {} evicted",
+        summary.total_events,
+        summary.evicted_events
+    );
+    let sharded = run_experiment(&spec.clone().sharded(3));
+    assert_equivalent(&serial, &sharded, &format!("{name}@3"));
+    assert_eq!(
+        sharded
+            .trace
+            .as_ref()
+            .expect("traced")
+            .summary
+            .evicted_events,
+        summary.evicted_events,
+        "{name}: evicted count"
+    );
+}
+
 /// Freshness plane under sharding: publishes and deliveries for one
 /// reading can land on different shards (multi-node deployments), so
 /// the keyed-union merge of the SLO collectors — and every derived
