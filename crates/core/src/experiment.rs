@@ -215,8 +215,8 @@ impl ExperimentSpec {
         self
     }
 
-    /// A scaled-down variant for tests and criterion benches: fewer
-    /// messages per generator, same mechanisms.
+    /// A scaled-down variant for tests: fewer messages per generator,
+    /// same mechanisms.
     pub fn scaled(mut self, msgs: u32) -> Self {
         self.msgs_per_generator = msgs;
         self
@@ -273,7 +273,7 @@ pub struct ProfileArtifacts {
 /// (`spec.scope = true`).
 #[derive(Debug, Clone)]
 pub struct ScopeArtifacts {
-    /// The parsed per-site attribution report.
+    /// The per-site attribution report.
     pub report: simscope::HotpathReport,
     /// `gridmon-hotpath/1` JSON.
     pub json: String,

@@ -2,7 +2,7 @@
 //!
 //! Every function takes a `msgs_per_generator` scale: `180` reproduces
 //! the paper's 30-minute runs; smaller values exercise identical
-//! mechanisms for tests and criterion benches.
+//! mechanisms for tests.
 
 use crate::experiment::{ExperimentSpec, SystemUnderTest};
 use jms::AckMode;
@@ -203,42 +203,6 @@ pub fn three_way_outage_specs(msgs: u32) -> Vec<ExperimentSpec> {
     vec![narada, rgma, gridlog, committed]
 }
 
-/// The perf-baseline suite (`repro bench`): one representative spec per
-/// deployment shape, small enough to run on CI yet exercising every
-/// mechanism (both transports, the DBN flood, the servlet chain). Every
-/// spec carries the grid-default SLO so the baseline embeds the
-/// deterministic freshness rows the gate's latency-percentile checks
-/// need (`gridmon-bench/3`) — SLO measurement never perturbs the run.
-pub fn bench_specs(msgs: u32) -> Vec<ExperimentSpec> {
-    let mut udp =
-        ExperimentSpec::paper_default("bench/narada-udp", SystemUnderTest::NaradaSingle, 800)
-            .scaled(msgs);
-    udp.transport = Transport::Udp;
-    let specs = vec![
-        ExperimentSpec::paper_default("bench/narada-tcp", SystemUnderTest::NaradaSingle, 800)
-            .scaled(msgs),
-        udp,
-        ExperimentSpec::paper_default(
-            "bench/narada-dbn",
-            SystemUnderTest::NaradaDbn { brokers: 3 },
-            800,
-        )
-        .scaled(msgs),
-        ExperimentSpec::paper_default("bench/rgma-single", SystemUnderTest::RgmaSingle, 400)
-            .scaled(msgs),
-        ExperimentSpec::paper_default("bench/rgma-dist", SystemUnderTest::RgmaDistributed, 800)
-            .scaled(msgs),
-        ExperimentSpec::paper_default("bench/rgma-secondary", SystemUnderTest::RgmaSecondary, 100)
-            .scaled(msgs),
-        ExperimentSpec::paper_default("bench/gridlog", SystemUnderTest::GridlogSingle, 800)
-            .scaled(msgs),
-    ];
-    specs
-        .into_iter()
-        .map(|s| s.with_slo(simslo::SloSpec::grid_default()))
-        .collect()
-}
-
 /// Fig 15: RTT decomposition — Narada TCP at 800 and R-GMA single at 400.
 pub fn fig15_specs(msgs: u32) -> Vec<ExperimentSpec> {
     vec![
@@ -385,9 +349,6 @@ mod tests {
             assert_eq!(s.publish_interval, tw[0].publish_interval);
             assert_eq!(s.msgs_per_generator, tw[0].msgs_per_generator);
         }
-        assert!(bench_specs(5)
-            .iter()
-            .any(|s| s.system == SystemUnderTest::GridlogSingle));
         // The outage leg keeps the workload and flips only the fault
         // schedule (plus the ack axis on the committed-offset spec).
         let ow = three_way_outage_specs(10);

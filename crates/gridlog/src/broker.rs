@@ -263,8 +263,8 @@ impl LogBroker {
                 os.free(self.proc, heap);
             });
             simprof::hit(ctx, simprof::Component::OsSched);
-            // Membership is not torn down here: the session timer (or an
-            // explicit LeaveGroup) collects members of dead connections.
+            // Membership is not torn down here: the session timer
+            // collects members of dead connections.
         }
     }
 
@@ -475,19 +475,6 @@ impl LogBroker {
             },
         );
         self.rebalance(ctx, &group);
-    }
-
-    fn on_leave(&mut self, ctx: &mut Context<'_>, group: String, member: u64) {
-        let Some(g) = self.groups.get_mut(&group) else {
-            return;
-        };
-        if g.members.remove(&member).is_none() {
-            return;
-        }
-        g.assignment.remove(&member);
-        if !g.members.is_empty() {
-            self.rebalance(ctx, &group);
-        }
     }
 
     /// Recompute the range assignment, bump the epoch, and push the new
@@ -969,7 +956,6 @@ impl Actor for LogBroker {
                 topic,
                 reset,
             } => self.on_join(ctx, conn, group, member, topic, reset),
-            ClientToBroker::LeaveGroup { group, member } => self.on_leave(ctx, group, member),
             ClientToBroker::Fetch {
                 group,
                 member,

@@ -705,24 +705,4 @@ impl GridlogClientSet {
         prod.batch.append(&mut offline);
         self.flush_batch(ctx, conn);
     }
-
-    /// Close a connection: the broker frees its service thread; a
-    /// consumer leaves its group first so the partitions rebalance away.
-    pub fn disconnect(&mut self, ctx: &mut Context<'_>, conn: ConnId) {
-        let Some(sess) = self.sessions.remove(conn) else {
-            return;
-        };
-        if let Role::Consumer(cons) = &sess.state {
-            if sess.is_ready() {
-                let leave = ClientToBroker::LeaveGroup {
-                    group: cons.group.clone(),
-                    member: cons.member,
-                };
-                let bytes = CONTROL_FRAME_BYTES + cons.group.len();
-                self.sessions.send(ctx, conn, bytes, leave);
-            }
-        }
-        self.sessions
-            .send(ctx, conn, CONTROL_FRAME_BYTES, ClientToBroker::Disconnect);
-    }
 }

@@ -74,13 +74,6 @@ pub enum ClientToBroker {
         /// Where this member starts on partitions it has no position for.
         reset: OffsetReset,
     },
-    /// Leave a consumer group (triggers a rebalance).
-    LeaveGroup {
-        /// Group name.
-        group: String,
-        /// Member identity.
-        member: u64,
-    },
     /// Long-poll fetch from one assigned partition.
     Fetch {
         /// Group name.

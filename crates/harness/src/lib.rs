@@ -6,8 +6,6 @@
 //! exact rows/series each paper artifact reports.
 
 pub mod artifacts;
-pub mod bench;
 pub mod campaign;
-pub mod diff;
 
 pub use campaign::Campaign;

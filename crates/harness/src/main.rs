@@ -3,18 +3,18 @@
 //! ```text
 //! repro [--scale=N] [--threads=N] [--shards=N] [--out=DIR | --no-csv]
 //!       [--trace[=DIR]] [--faults=SCENARIO] [--profile[=DIR]]
-//!       [--scope[=DIR]] [--slo[=DIR]] [--bench-json=FILE] <artifact>...
+//!       [--scope[=DIR]] [--slo[=DIR]] <artifact>...
 //!
 //! artifacts: table1 table2 table3 fig3 fig4 fig5 fig6 fig7 fig8 fig9
 //!            fig10 fig11 fig12 fig13 fig14 fig15 rgma-warmup
 //!            ablation-routing ablation-secondary ablation-poll
-//!            ablation-aggregation gridlog compare checks bench all
+//!            ablation-aggregation gridlog compare checks all
 //!
 //! Every value-taking option accepts both `--opt value` and
 //! `--opt=value`. Unknown options are rejected with the valid list;
 //! unknown artifact / fault-scenario names suggest the nearest match.
 //! `--list-scenarios` prints every named scenario (artifacts, fault
-//! schedules, bench + gridlog experiment specs) with a one-line
+//! schedules, gridlog + compare experiment specs) with a one-line
 //! description.
 //!
 //! --scale N        messages per generator (default 180 = the paper's
@@ -60,19 +60,13 @@
 //!                  the publish stamps ride out-of-band, so measured
 //!                  runs stay byte-identical to plain ones on every
 //!                  other artifact
-//! --bench-json FILE  run the perf-baseline suite (`bench`) and write a
-//!                  schema-versioned machine-readable report
-//!                  (gridmon-bench/3, with per-event-type kernel
-//!                  accounting and freshness/SLO rows) to FILE; compare
-//!                  against a committed baseline with `bench_gate` or
-//!                  `bench_diff`
 //! ```
 
 use harness::{artifacts, Campaign};
 use std::io::Write;
 
 const VALID_OPTIONS: &str = "--scale --threads --shards --out --no-csv --trace[=DIR] \
-     --faults --profile[=DIR] --scope[=DIR] --slo[=DIR] --bench-json --list-scenarios --help";
+     --faults --profile[=DIR] --scope[=DIR] --slo[=DIR] --list-scenarios --help";
 
 struct Options {
     scale: u32,
@@ -83,7 +77,6 @@ struct Options {
     profile: Option<std::path::PathBuf>,
     scope: Option<std::path::PathBuf>,
     slo: Option<std::path::PathBuf>,
-    bench_json: Option<std::path::PathBuf>,
     faults: Option<gridmon_core::FaultSchedule>,
     artifacts: Vec<String>,
 }
@@ -149,7 +142,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Options, String> {
     let mut profile = None;
     let mut scope = None;
     let mut slo = None;
-    let mut bench_json = None;
     let mut faults = None;
     let mut artifacts = Vec::new();
     let mut args = args.peekable();
@@ -219,13 +211,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Options, String> {
                     None => "results/slo".to_owned(),
                 }));
             }
-            "--bench-json" => {
-                bench_json = Some(std::path::PathBuf::from(take_value(
-                    "--bench-json",
-                    inline.as_deref(),
-                    &mut args,
-                )?));
-            }
             "--faults" => {
                 faults = Some(parse_fault_scenario(&take_value(
                     "--faults",
@@ -242,7 +227,7 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Options, String> {
             }
         }
     }
-    if artifacts.is_empty() && bench_json.is_none() {
+    if artifacts.is_empty() {
         artifacts.push("help".to_owned());
     }
     Ok(Options {
@@ -254,7 +239,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Options, String> {
         profile,
         scope,
         slo,
-        bench_json,
         faults,
         artifacts,
     })
@@ -371,17 +355,13 @@ const FAULT_SCENARIOS: &[(&str, &str)] = &[
 ];
 
 /// `--list-scenarios`: every named scenario — artifacts, fault
-/// schedules, and the named experiment specs behind `bench`, `gridlog`
-/// and `compare` — with one-line descriptions.
+/// schedules, and the named experiment specs behind `gridlog` and
+/// `compare` — with one-line descriptions.
 fn list_scenarios(scale: u32) {
     println!("artifacts (repro <name>):");
     for (name, desc) in ARTIFACTS {
         println!("  {name:<22} {desc}");
     }
-    println!(
-        "  {:<22} perf-baseline suite (see also --bench-json)",
-        "bench"
-    );
     println!("  {:<22} every artifact above", "all");
     println!("\nfault scenarios (--faults=<name>):");
     for (name, desc) in FAULT_SCENARIOS {
@@ -397,8 +377,7 @@ fn list_scenarios(scale: u32) {
         );
     }
     println!("\nexperiment specs (run via the artifacts that own them):");
-    let catalogues: [(&str, Vec<gridmon_core::ExperimentSpec>); 3] = [
-        ("bench", gridmon_core::scenarios::bench_specs(scale)),
+    let catalogues: [(&str, Vec<gridmon_core::ExperimentSpec>); 2] = [
         (
             "gridlog",
             gridmon_core::scenarios::gridlog_single_specs(scale),
@@ -454,8 +433,8 @@ fn main() {
              usage: repro [--scale=N] [--threads=N] [--shards=N] \
              [--out=DIR | --no-csv] [--trace[=DIR]] [--faults=SCENARIO] \
              [--profile[=DIR]] [--scope[=DIR]] [--slo[=DIR]] \
-             [--bench-json=FILE] [--list-scenarios] <artifact>...\n\n\
-             artifacts: {} bench all\n\
+             [--list-scenarios] <artifact>...\n\n\
+             artifacts: {} all\n\
              fault scenarios: {}\n\n\
              --list-scenarios describes every named scenario",
             artifact_names.join(" "),
@@ -475,11 +454,11 @@ fn main() {
     // Validate artifact names before running anything: a typo at the end
     // of the list must not cost a full campaign first.
     for name in &names {
-        if name != "bench" && !artifact_names.contains(&name.as_str()) {
+        if !artifact_names.contains(&name.as_str()) {
             eprintln!(
-                "error: unknown artifact {name:?} (artifacts: {} bench all){}",
+                "error: unknown artifact {name:?} (artifacts: {} all){}",
                 artifact_names.join(" "),
-                suggestion(name, artifact_names.iter().copied().chain(["bench", "all"]))
+                suggestion(name, artifact_names.iter().copied().chain(["all"]))
             );
             std::process::exit(2);
         }
@@ -488,7 +467,7 @@ fn main() {
     let mut campaign = Campaign::new(opts.threads);
     campaign.set_shards(opts.shards);
     campaign.set_trace(opts.trace.is_some());
-    campaign.set_profile(opts.profile.is_some() || opts.bench_json.is_some());
+    campaign.set_profile(opts.profile.is_some());
     campaign.set_scope(opts.scope.is_some());
     if opts.slo.is_some() {
         campaign.set_slo(Some(gridmon_core::SloSpec::grid_default()));
@@ -497,7 +476,8 @@ fn main() {
         campaign.set_faults(faults.clone());
     }
     let scale = opts.scale;
-    let mut timer = gridmon_bench::SelfTimer::start();
+    let started = std::time::Instant::now();
+    let mut failed_checks = 0;
     for name in &names {
         match name.as_str() {
             "table1" => {
@@ -573,50 +553,16 @@ fn main() {
                 }
             }
             "checks" => {
-                let checks = artifacts::headline_checks(&mut campaign, scale);
-                let mut table = telemetry::Table::new(
-                    "Paper findings vs measurements",
-                    &["claim", "paper", "measured", "holds"],
-                );
-                let mut failures = 0;
-                for (claim, paper, measured, holds) in checks {
-                    if !holds {
-                        failures += 1;
-                    }
-                    table.push_row(vec![
-                        claim,
-                        paper,
-                        measured,
-                        if holds { "yes".into() } else { "NO".into() },
-                    ]);
-                }
+                let (table, failures) =
+                    checks_table(artifacts::headline_checks(&mut campaign, scale));
                 println!("{}", table.render());
                 write_csv(&opts.out, "checks", &table.to_csv());
                 if failures > 0 {
                     eprintln!("{failures} checks failed");
                 }
-            }
-            "bench" => {
-                run_bench_suite(&mut campaign, scale, &mut timer);
+                failed_checks = failures;
             }
             _ => unreachable!("validated above"),
-        }
-    }
-    if let Some(path) = &opts.bench_json {
-        let results = run_bench_suite(&mut campaign, scale, &mut timer);
-        let report = harness::bench::BenchReport::from_results(
-            &results,
-            scale,
-            opts.threads,
-            opts.shards,
-            timer.total_secs(),
-        );
-        match std::fs::write(path, report.to_json()) {
-            Ok(()) => eprintln!("perf baseline written to {}", path.display()),
-            Err(e) => {
-                eprintln!("error: cannot write {}: {e}", path.display());
-                std::process::exit(1);
-            }
         }
     }
     if opts.faults.is_some() {
@@ -680,46 +626,34 @@ fn main() {
         "{} experiments, {:.1}s simulated-experiment wall time, {:.1}s total",
         campaign.runs(),
         campaign.wall_seconds,
-        timer.total_secs()
+        started.elapsed().as_secs_f64()
     );
+    // Every requested artifact is written by now; a finding that does
+    // not hold fails the invocation so scripts and CI can gate on it.
+    if failed_checks > 0 {
+        std::process::exit(1);
+    }
 }
 
-/// Run (or fetch memoized) the perf-baseline suite and print its
-/// summary table.
-fn run_bench_suite(
-    campaign: &mut Campaign,
-    scale: u32,
-    timer: &mut gridmon_bench::SelfTimer,
-) -> Vec<gridmon_core::ExperimentResult> {
-    let specs = gridmon_core::scenarios::bench_specs(scale);
-    let results = timer.span("bench-suite", || campaign.ensure(&specs));
+/// The findings table, and how many of its rows do not hold.
+fn checks_table(checks: Vec<(String, String, String, bool)>) -> (telemetry::Table, usize) {
     let mut table = telemetry::Table::new(
-        "Perf baseline suite",
-        &[
-            "run",
-            "sent",
-            "received",
-            "events",
-            "peak depth",
-            "timers",
-            "RTT mean ms",
-            "wall s",
-        ],
+        "Paper findings vs measurements",
+        &["claim", "paper", "measured", "holds"],
     );
-    for r in &results {
+    let mut failures = 0;
+    for (claim, paper, measured, holds) in checks {
+        if !holds {
+            failures += 1;
+        }
         table.push_row(vec![
-            r.name.clone(),
-            r.summary.sent.to_string(),
-            r.summary.received.to_string(),
-            r.events.to_string(),
-            r.kernel.peak_queue_depth.to_string(),
-            r.kernel.timer_scheduled.to_string(),
-            format!("{:.2}", r.summary.rtt_mean_ms),
-            format!("{:.3}", r.wall_secs),
+            claim,
+            paper,
+            measured,
+            if holds { "yes".into() } else { "NO".into() },
         ]);
     }
-    println!("{}", table.render());
-    results
+    (table, failures)
 }
 
 fn emit_fig(
@@ -736,6 +670,7 @@ fn emit_fig(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn fault_descriptions_cover_every_scenario() {
@@ -746,7 +681,7 @@ mod tests {
     #[test]
     fn artifact_list_has_no_duplicates_and_reserved_names() {
         let mut names: Vec<&str> = ARTIFACTS.iter().map(|(n, _)| *n).collect();
-        assert!(!names.contains(&"bench") && !names.contains(&"all"));
+        assert!(!names.contains(&"all"));
         let before = names.len();
         names.sort_unstable();
         names.dedup();
@@ -792,5 +727,121 @@ mod tests {
         assert_eq!(opts.artifacts, vec!["list-scenarios"]);
         let err = parse_fault_scenario("broker-cash").unwrap_err();
         assert!(err.contains("did you mean"), "{err}");
+    }
+
+    #[test]
+    fn failed_check_counts_towards_the_exit_status() {
+        let row = |holds| ("claim".to_owned(), "p".to_owned(), "m".to_owned(), holds);
+        let (table, failures) = checks_table(vec![row(true), row(false), row(true)]);
+        assert_eq!(failures, 1);
+        assert!(
+            table.to_csv().contains("claim,p,m,NO"),
+            "{}",
+            table.to_csv()
+        );
+        assert_eq!(checks_table(vec![row(true), row(true)]).1, 0);
+    }
+
+    /// One of `options`, uniformly.
+    fn one_of(options: &'static [&'static str]) -> impl Strategy<Value = &'static str> {
+        (0..options.len()).prop_map(move |i| options[i])
+    }
+
+    /// Argument vectors shaped like the flag grammar: real option names
+    /// and near misses, each bare, as `--opt=` or as `--opt=value`, mixed
+    /// with artifact-shaped words. A bare value-taking option takes the
+    /// next argument whatever it looks like, or finds none at the end.
+    fn arg_vector() -> impl Strategy<Value = Vec<String>> {
+        const OPTIONS: &[&str] = &[
+            "--scale",
+            "--threads",
+            "--shards",
+            "--out",
+            "--no-csv",
+            "--trace",
+            "--faults",
+            "--profile",
+            "--scope",
+            "--slo",
+            "--list-scenarios",
+            "--help",
+            "-h",
+            "--retired",
+            "--sloo",
+            "--Scale",
+            "--",
+            "-",
+            "--é",
+            "-—scale",
+        ];
+        const WORDS: &[&str] = &[
+            "",
+            "20",
+            "0",
+            "-1",
+            "1.5",
+            "99999999999999999999",
+            "fig7",
+            "all",
+            "checks",
+            "broker-crash",
+            "broker-cash",
+            "dir/é",
+            "=",
+            "a=b",
+            "\u{0}",
+            "𝔰𝔠𝔞𝔩𝔢",
+        ];
+        let option =
+            (one_of(OPTIONS), 0..3u8, one_of(WORDS)).prop_map(|(opt, shape, value)| match shape {
+                0 => opt.to_owned(),
+                1 => format!("{opt}="),
+                _ => format!("{opt}={value}"),
+            });
+        proptest::collection::vec(
+            prop_oneof![option, one_of(WORDS).prop_map(str::to_owned)],
+            0..8,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn parse_args_never_panics(args in arg_vector()) {
+            if let Err(e) = parse_args(args.into_iter()) {
+                if e.starts_with("unknown option") {
+                    prop_assert!(e.ends_with(&format!("(valid options: {VALID_OPTIONS})")), "{e}");
+                }
+            }
+        }
+
+        /// Whatever follows it, the first unrecognised option after a
+        /// well-formed prefix is reported by name with the valid list —
+        /// what a retired flag left in someone's script gets.
+        #[test]
+        fn unknown_option_error_lists_the_valid_ones(
+            prefix in proptest::collection::vec(
+                one_of(&[
+                    "--scale=3", "--threads=1", "--shards=2", "--out=d", "--no-csv", "--trace",
+                    "--trace=d", "--faults=broker-crash", "--profile", "--scope=d", "--slo",
+                    "--list-scenarios", "-h", "fig7", "é",
+                ]),
+                0..4,
+            ),
+            unknown in one_of(&["--retired", "--sloo", "--Scale", "--", "-", "--é", "-x"]),
+            value in proptest::option::of(one_of(&["", "x.json", "é", "--scale"])),
+            suffix in arg_vector(),
+        ) {
+            let arg = match value {
+                Some(v) => format!("{unknown}={v}"),
+                None => unknown.to_owned(),
+            };
+            let args = prefix.iter().map(|a| (*a).to_owned()).chain([arg]).chain(suffix);
+            prop_assert_eq!(
+                parse_args(args).err(),
+                Some(format!("unknown option {unknown} (valid options: {VALID_OPTIONS})"))
+            );
+        }
     }
 }

@@ -1,16 +1,33 @@
 //! The GMA directory service: an in-memory registry of producers and
 //! consumers with *registration propagation delay*.
 //!
-//! GMA separates discovery from data transfer. The directory is eventually
+//! The GGF Grid Monitoring Architecture (GFD.7), through which the paper
+//! frames both middlewares, separates discovery from data transfer:
+//! producers gather data, consumers receive it, and a directory service
+//! mediates between them off the data path. The directory is eventually
 //! consistent: a registration becomes *visible* to searches only after a
 //! propagation delay (registry replication, mediator refresh cycles). This
 //! single mechanism produces the paper's R-GMA warm-up behaviour: tuples
 //! published before any consumer's plan includes the new producer are
 //! never delivered (0.17 % loss in the 400-generator no-wait test).
 
-use crate::modes::TransferMode;
 use simcore::SimTime;
 use simnet::Endpoint;
+
+/// How data moves from producer to consumer once discovery has happened
+/// (GFD.7 §3).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum TransferMode {
+    /// Either party initiates; the producer then streams events until
+    /// either side terminates. Narada topics and R-GMA continuous queries
+    /// are this mode.
+    PublishSubscribe,
+    /// The consumer initiates; the producer answers with all data in one
+    /// response. R-GMA latest/history queries are this mode.
+    QueryResponse,
+    /// The producer initiates and transfers all data in one notification.
+    Notification,
+}
 
 /// Handle to a registration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

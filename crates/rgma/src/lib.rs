@@ -23,6 +23,7 @@
 pub mod client;
 pub mod config;
 pub mod consumer;
+pub mod directory;
 pub mod producer;
 pub mod protocol;
 pub mod registry;

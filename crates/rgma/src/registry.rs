@@ -7,8 +7,8 @@
 //! paper's warm-up data loss.
 
 use crate::config::RgmaConfig;
+use crate::directory::{Directory, RegistrationId, TransferMode};
 use crate::protocol::{ProducerId, RegistryRequest, RegistryResponse};
-use gma::{Directory, RegistrationId, TransferMode};
 use minisql::{Catalog, Statement};
 use simcore::{Actor, ActorId, Context, Payload, SimTime};
 use simfault::FaultSignal;

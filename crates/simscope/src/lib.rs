@@ -20,8 +20,8 @@
 //!   state, so scoped runs are byte-identical to plain runs at a fixed
 //!   seed (proptest-enforced in `tests/simulation_invariants.rs`).
 //! * [`HotpathReport`] — the `gridmon-hotpath/1` exchange format:
-//!   line-oriented JSON (hand-rolled, like `gridmon-bench`) plus a
-//!   collapsed-stack rendering that reuses simprof's flamegraph format.
+//!   line-oriented JSON (hand-rolled) plus a collapsed-stack rendering
+//!   that reuses simprof's flamegraph format.
 //! * [`calibrate_probe_ns`] — measures the cost of one start/record
 //!   timing probe pair on this machine, so readers can subtract the
 //!   observer overhead from the attributed totals.

@@ -1,8 +1,7 @@
 //! The `gridmon-hotpath/1` exchange format: per-site wall-clock totals
-//! for one run, as line-oriented JSON (hand-rolled, mirroring the
-//! `gridmon-bench` report: one key per line so diffs and parsers stay
-//! trivial) plus a collapsed-stack rendering in simprof's flamegraph
-//! format (`path;to;frame <micros>`).
+//! for one run, as line-oriented JSON (hand-rolled: one key per line so
+//! diffs stay trivial) plus a collapsed-stack rendering in simprof's
+//! flamegraph format (`path;to;frame <micros>`).
 
 /// Schema tag embedded in every report.
 pub const SCHEMA: &str = "gridmon-hotpath/1";
@@ -23,7 +22,7 @@ pub struct SiteRow {
 pub struct HotpathReport {
     /// Schema tag (`gridmon-hotpath/1`).
     pub schema: String,
-    /// Run name (e.g. `bench/narada-tcp`).
+    /// Run name (e.g. `compare/narada`).
     pub run: String,
     /// Measured cost of one timing probe pair on the producing machine,
     /// in nanoseconds — the observer overhead baked into each counted
@@ -93,42 +92,6 @@ impl HotpathReport {
         out
     }
 
-    /// Parse a report produced by [`to_json`](Self::to_json).
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let mut report = HotpathReport {
-            schema: String::new(),
-            run: String::new(),
-            probe_overhead_ns: 0,
-            wall_secs: 0.0,
-            sites: Vec::new(),
-        };
-        for line in text.lines() {
-            let line = line.trim();
-            if let Some(v) = str_field(line, "site") {
-                report.sites.push(SiteRow {
-                    site: v,
-                    nanos: num_field(line, "nanos")? as u64,
-                    count: num_field(line, "count")? as u64,
-                });
-            } else if let Some(v) = str_field(line, "schema") {
-                report.schema = v;
-            } else if let Some(v) = str_field(line, "run") {
-                report.run = v;
-            } else if line.starts_with("\"probe_overhead_ns\"") {
-                report.probe_overhead_ns = num_field(line, "probe_overhead_ns")? as u64;
-            } else if line.starts_with("\"wall_secs\"") {
-                report.wall_secs = num_field(line, "wall_secs")?;
-            }
-        }
-        if report.schema != SCHEMA {
-            return Err(format!(
-                "unsupported hotpath schema {:?} (expected {SCHEMA:?})",
-                report.schema
-            ));
-        }
-        Ok(report)
-    }
-
     /// Collapsed stacks in simprof's flamegraph format. Queue push/pop
     /// are kernel-loop roots; every non-kernel site nests under
     /// `kernel.dispatch` (that is where actor callbacks run), and
@@ -158,28 +121,6 @@ impl HotpathReport {
     }
 }
 
-fn str_field(line: &str, key: &str) -> Option<String> {
-    let marker = format!("\"{key}\": \"");
-    let start = line.find(&marker)? + marker.len();
-    let end = line[start..].find('"')? + start;
-    Some(line[start..end].to_owned())
-}
-
-fn num_field(line: &str, key: &str) -> Result<f64, String> {
-    let marker = format!("\"{key}\": ");
-    let start = line
-        .find(&marker)
-        .ok_or_else(|| format!("missing {key:?} in {line:?}"))?
-        + marker.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end]
-        .parse::<f64>()
-        .map_err(|e| format!("bad number for {key:?} in {line:?}: {e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,7 +129,7 @@ mod tests {
     fn sample() -> HotpathReport {
         let mut r = HotpathReport {
             schema: SCHEMA.to_owned(),
-            run: "bench/narada-tcp".to_owned(),
+            run: "compare/narada".to_owned(),
             probe_overhead_ns: 30,
             wall_secs: 1.5,
             sites: Vec::new(),
@@ -232,18 +173,24 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrips() {
-        let r = sample();
-        let parsed = HotpathReport::parse(&r.to_json()).unwrap();
-        assert_eq!(parsed, r);
-        // And regeneration is byte-stable.
-        assert_eq!(parsed.to_json(), r.to_json());
-    }
-
-    #[test]
-    fn parse_rejects_foreign_schema() {
-        let text = sample().to_json().replace("gridmon-hotpath/1", "other/9");
-        assert!(HotpathReport::parse(&text).is_err());
+    fn json_bytes_are_pinned() {
+        assert_eq!(
+            sample().to_json(),
+            r#"{
+  "schema": "gridmon-hotpath/1",
+  "run": "compare/narada",
+  "probe_overhead_ns": 30,
+  "wall_secs": 1.500000,
+  "sites": [
+    { "site": "kernel.dispatch", "nanos": 900000000, "count": 1000 },
+    { "site": "kernel.queue.push", "nanos": 100000000, "count": 1200 },
+    { "site": "kernel.queue.pop", "nanos": 50000000, "count": 1200 },
+    { "site": "net.fabric.send", "nanos": 300000000, "count": 400 },
+    { "site": "jms.match", "nanos": 200000000, "count": 300 }
+  ]
+}
+"#
+        );
     }
 
     #[test]

@@ -4,7 +4,6 @@
 //! Re-exports the full public API of the IPPS 2007 pub/sub study
 //! reproduction. See the workspace README for the architecture overview.
 
-pub use gma;
 pub use gridmon_core as core;
 pub use jms;
 pub use minisql;

@@ -240,9 +240,7 @@ proptest! {
             "kernel event accounting must not change under scoping");
         prop_assert!(a.scope.is_none(), "plain run must not carry hot-path artifacts");
         let scope = b.scope.expect("scoped run carries hot-path artifacts");
-        let parsed = gridmon::simscope::HotpathReport::parse(&scope.json)
-            .expect("exported hotpath JSON parses");
-        prop_assert_eq!(parsed.to_json(), scope.json, "hotpath JSON re-generates byte-stably");
+        prop_assert_eq!(scope.report.to_json(), scope.json, "hotpath JSON re-generates byte-stably");
         let dispatch = scope.report.site("kernel.dispatch").expect("dispatch site present");
         prop_assert_eq!(dispatch.count, a.events, "one dispatch timing per kernel event");
         let (ta, tb) = (a.trace.expect("traced"), b.trace.expect("traced"));
