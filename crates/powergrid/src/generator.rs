@@ -7,7 +7,15 @@
 //! values, which were wrapped in an SQL statement".
 
 use simcore::{SimRng, SimTime};
-use wire::{Headers, Message, MessageId, Value};
+use std::borrow::Cow;
+use std::sync::Arc;
+use wire::{Body, Headers, Message, MessageId, Value};
+
+thread_local! {
+    /// [`TOPIC`] as the one string every reading built on this thread
+    /// points its headers at.
+    static SHARED_TOPIC: Arc<str> = Arc::from(TOPIC);
+}
 
 /// Operating state of one small renewable generator.
 #[derive(Debug, Clone)]
@@ -65,13 +73,14 @@ impl GeneratorState {
     /// paper's selector (`id<10000`) filters on. `repeat` multiplies the
     /// payload (the "Triple" test used `repeat = 3`).
     pub fn narada_message(&self, msg_id: u64, now: SimTime, repeat: usize) -> Message {
-        let mut entries: Vec<(String, Value)> = Vec::with_capacity(16 * repeat);
+        let mut entries: Vec<(Cow<'static, str>, Value)> = Vec::with_capacity(16 * repeat);
         for r in 0..repeat {
-            let p = |name: &str| {
+            // The schema's own names are borrowed; only a copy's are built.
+            let p = |name: &'static str| {
                 if r == 0 {
-                    name.to_owned()
+                    Cow::Borrowed(name)
                 } else {
-                    format!("{name}_{r}")
+                    Cow::Owned(format!("{name}_{r}"))
                 }
             };
             entries.extend([
@@ -101,8 +110,11 @@ impl GeneratorState {
                 (p("fw"), Value::Str("v1.1.3".into())),
             ]);
         }
-        Message::map(Headers::new(MessageId(msg_id), TOPIC, now), entries)
-            .with_property("id", self.id as i32)
+        Message::new(
+            Headers::new(MessageId(msg_id), SHARED_TOPIC.with(Arc::clone), now),
+            [("id", Value::Int(self.id as i32))].into_iter().collect(),
+            Body::Map(entries.into_iter().collect()),
+        )
     }
 
     /// The R-GMA test payload: an SQL INSERT with 4 integer + 8 double +

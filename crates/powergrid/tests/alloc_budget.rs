@@ -1,0 +1,110 @@
+//! Allocation budget of one reading, counted, not timed: every
+//! generator builds one `narada_message` per publish and the log keeps
+//! every one of them, so an allocation here is paid — and, under
+//! gridlog, held — 720 000 times in a paper-scale run.
+
+use powergrid::GeneratorState;
+use simcore::{SimRng, SimTime};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    // Const-initialised and without a destructor: touching it from
+    // inside the allocator neither allocates nor registers a dtor.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts this thread's allocation calls (alloc, alloc_zeroed, realloc),
+/// so tests running on other threads do not leak into the count.
+struct Counting;
+
+fn note() {
+    // `try_with`: the allocator also runs while a thread tears down.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the bookkeeping touches one
+// thread-local `Cell` and cannot allocate, unwind or re-enter.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note();
+        // SAFETY: `ptr` came from this allocator (hence from `System`)
+        // with `layout`, as the caller vouched for.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator (hence from `System`)
+        // with `layout`, as the caller vouched for.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCS.get();
+    let out = f();
+    (out, ALLOCS.get() - before)
+}
+
+/// A generator a few readings into its run, on a thread that has built a
+/// reading before (the shared topic string is made once per thread).
+fn warm_generator() -> GeneratorState {
+    let mut rng = SimRng::new(7);
+    let mut g = GeneratorState::new(42, &mut rng);
+    g.step(&mut rng, 10.0);
+    g.narada_message(0, SimTime::ZERO, 1);
+    g
+}
+
+#[test]
+fn a_reading_is_a_handful_of_blocks() {
+    let g = warm_generator();
+    let (m, allocs) = allocations(|| g.narada_message(1, SimTime::from_secs(10), 1));
+    // The 16-entry body, the one-entry properties, the block that holds
+    // both, and the four string cells ("site-NNNN" and three constants).
+    assert!(allocs <= 8, "narada_message allocated {allocs} times");
+    assert_eq!(m.wire_size(), wire::encode_message(&m).len());
+}
+
+#[test]
+fn forwarding_and_sizing_a_reading_allocate_nothing() {
+    let g = warm_generator();
+    let m = g.narada_message(1, SimTime::from_secs(10), 1);
+    let (copy, allocs) = allocations(|| m.clone());
+    assert_eq!(allocs, 0, "clone allocated");
+    let (size, allocs) = allocations(|| copy.wire_size());
+    assert_eq!(allocs, 0, "wire_size allocated");
+    assert_eq!(size, wire::encode_message(&m).len());
+}
+
+#[test]
+fn a_triple_reading_owns_only_the_names_of_its_copies() {
+    let g = warm_generator();
+    let (m, allocs) = allocations(|| g.narada_message(1, SimTime::from_secs(10), 3));
+    // As above with twelve string cells, plus the 32 `name_r` names of
+    // the second and third copies (`format!` regrows the longer ones).
+    assert!(
+        allocs <= 70,
+        "narada_message(repeat 3) allocated {allocs} times"
+    );
+    let wire::Body::Map(map) = m.body() else {
+        panic!("map message")
+    };
+    assert_eq!(map.len(), 48);
+}

@@ -6,12 +6,12 @@
 //! serialization CPU cost. Format: little-endian, length-prefixed strings,
 //! one tag byte per value.
 
-use crate::message::{Body, DeliveryMode, Headers, Message, MessageId};
+use crate::message::{Body, DeliveryMode, Headers, Message, MessageId, ValueMap};
 use crate::tuple::Tuple;
 use crate::value::Value;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use simcore::SimTime;
-use std::collections::BTreeMap;
+use std::borrow::Cow;
 use std::fmt;
 
 /// Decode failure.
@@ -166,26 +166,35 @@ pub fn decode_value(buf: &mut Bytes) -> Result<Value> {
     })
 }
 
-fn encode_value_map(buf: &mut BytesMut, map: &BTreeMap<String, Value>) {
+fn encode_value_map(buf: &mut BytesMut, map: &ValueMap) {
     buf.put_u32_le(map.len() as u32);
-    for (k, v) in map {
+    for (k, v) in map.iter() {
         put_str(buf, k);
         encode_value(buf, v);
     }
 }
 
-fn decode_value_map(buf: &mut Bytes) -> Result<BTreeMap<String, Value>> {
+/// Smallest encoded value: a tag and one payload byte.
+const MIN_VALUE_BYTES: usize = 2;
+/// Smallest encoded map entry: the length prefix of an empty name, then
+/// a value.
+const MIN_ENTRY_BYTES: usize = 4 + MIN_VALUE_BYTES;
+
+fn decode_value_map(buf: &mut Bytes) -> Result<ValueMap> {
     if buf.remaining() < 4 {
         return Err(CodecError::Truncated);
     }
-    let n = buf.get_u32_le();
-    let mut map = BTreeMap::new();
+    let n = buf.get_u32_le() as usize;
+    // The count is the sender's word: reserve for no more entries than
+    // the bytes that are actually there could hold.
+    let mut entries: Vec<(Cow<'static, str>, Value)> =
+        Vec::with_capacity(n.min(buf.remaining() / MIN_ENTRY_BYTES));
     for _ in 0..n {
         let k = get_str(buf)?;
         let v = decode_value(buf)?;
-        map.insert(k, v);
+        entries.push((Cow::Owned(k), v));
     }
-    Ok(map)
+    Ok(entries.into_iter().collect())
 }
 
 /// Encode a full message; returns the frozen buffer.
@@ -289,8 +298,9 @@ pub fn decode_tuple(mut buf: Bytes) -> Result<Tuple> {
     if buf.remaining() < 4 {
         return Err(CodecError::Truncated);
     }
-    let n = buf.get_u32_le();
-    let mut values = Vec::with_capacity(n as usize);
+    let n = buf.get_u32_le() as usize;
+    // As in `decode_value_map`: the count is not to be trusted.
+    let mut values = Vec::with_capacity(n.min(buf.remaining() / MIN_VALUE_BYTES));
     for _ in 0..n {
         values.push(decode_value(&mut buf)?);
     }
@@ -337,7 +347,14 @@ mod tests {
     #[test]
     fn encoded_length_matches_wire_size_model() {
         let m = sample_message();
-        assert_eq!(encode_message(&m).len(), m.wire_size());
+        let size = m.wire_size();
+        assert_eq!(encode_message(&m).len(), size);
+        // The size is cached per content block: a property set on a clone
+        // re-measures the clone and leaves the original's figure alone.
+        let c = m.clone().with_property("zone", 3i32);
+        assert_eq!(c.wire_size(), size + 4 + 4 + 5);
+        assert_eq!(encode_message(&c).len(), c.wire_size());
+        assert_eq!(m.wire_size(), size);
         let t = Tuple::new(
             "generator",
             vec![Value::Int(1), Value::fixed_char("ab", 20)],
@@ -380,7 +397,7 @@ mod tests {
         let h = Headers::new(MessageId(1), "t", SimTime::ZERO);
         let m = Message::text(h.clone(), "hello");
         assert_eq!(decode_message(encode_message(&m)).unwrap(), m);
-        let m = Message::new(h, BTreeMap::new(), Body::Bytes(vec![1, 2, 3, 255]));
+        let m = Message::new(h, ValueMap::default(), Body::Bytes(vec![1, 2, 3, 255]));
         assert_eq!(decode_message(encode_message(&m)).unwrap(), m);
     }
 
@@ -399,6 +416,18 @@ mod tests {
             let r = decode_message(full.slice(0..cut));
             assert!(r.is_err(), "cut at {cut} should fail");
         }
+    }
+
+    #[test]
+    fn a_huge_element_count_is_an_error_not_an_allocation() {
+        // Empty table name, then 2^32 - 1 values announced and none sent.
+        let tuple = Bytes::from(vec![0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff]);
+        assert_eq!(decode_tuple(tuple), Err(CodecError::Truncated));
+        // The same count where a message's properties start.
+        let m = encode_message(&sample_message());
+        let mut bytes = m[..sample_message().headers.wire_size()].to_vec();
+        bytes.extend_from_slice(&[0xff; 4]);
+        assert_eq!(decode_message(bytes.into()), Err(CodecError::Truncated));
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! * [`Value`] — dynamically-typed cells used by JMS map bodies, selector
 //!   properties, and R-GMA tuples, with SQL/JMS three-valued comparison.
 //! * [`Message`] — JMS-style messages (headers, properties, Map/Text/Bytes
-//!   bodies) with an exact wire-size model.
+//!   bodies) with an exact wire-size model; [`ValueMap`] is the sorted
+//!   name→value block behind properties and map bodies.
 //! * [`Tuple`] / [`Column`] — relational rows for the R-GMA virtual
 //!   database.
 //! * [`TopicId`] / [`TopicTable`] — interned topic names for routing
@@ -20,7 +21,7 @@ pub mod tuple;
 pub mod value;
 
 pub use codec::{decode_message, decode_tuple, encode_message, encode_tuple, CodecError};
-pub use message::{Body, DeliveryMode, Headers, Message, MessageId};
+pub use message::{Body, DeliveryMode, Headers, Message, MessageId, ValueMap};
 pub use topic::{TopicId, TopicTable};
 pub use tuple::{Column, Tuple};
 pub use value::{Value, ValueType};

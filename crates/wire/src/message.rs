@@ -3,7 +3,7 @@
 
 use crate::value::Value;
 use simcore::SimTime;
-use std::collections::BTreeMap;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Globally unique message id within one simulation.
@@ -77,12 +77,94 @@ impl Headers {
     }
 }
 
+/// Name→value pairs — a map body, or a message's properties — as one
+/// block: a boxed slice sorted by name (byte-wise) with each name once.
+///
+/// Collecting into it has `BTreeMap`'s semantics: whatever order the
+/// pairs come in, iteration (and therefore the wire layout) is in name
+/// order, and the last value given for a name wins. A schema name is
+/// borrowed (`&'static str`), so a reading built from its schema owns no
+/// key; names read off the wire are owned.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct ValueMap(Box<[(Cow<'static, str>, Value)]>);
+
+impl ValueMap {
+    fn search(&self, name: &str) -> Result<usize, usize> {
+        self.0.binary_search_by(|(k, _)| (**k).cmp(name))
+    }
+
+    /// The value under `name`.
+    pub fn get(&self, name: &str) -> Option<&Value> {
+        self.search(name).ok().map(|i| &self.0[i].1)
+    }
+
+    /// Pairs in name order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&str, &Value)> {
+        self.0.iter().map(|(k, v)| (&**k, v))
+    }
+
+    /// Values in name order.
+    pub fn values(&self) -> impl ExactSizeIterator<Item = &Value> {
+        self.0.iter().map(|(_, v)| v)
+    }
+
+    /// Number of pairs.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// True when there is no pair.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Encoded size: a count, then a length-prefixed name and a value
+    /// per pair.
+    pub fn wire_size(&self) -> usize {
+        4 + self
+            .iter()
+            .map(|(k, v)| 4 + k.len() + v.wire_size())
+            .sum::<usize>()
+    }
+
+    /// Set `name` to `value`, keeping the order.
+    fn insert(&mut self, name: Cow<'static, str>, value: Value) {
+        match self.search(&name) {
+            Ok(i) => self.0[i].1 = value,
+            Err(i) => {
+                let mut entries = std::mem::take(&mut self.0).into_vec();
+                entries.reserve_exact(1);
+                entries.insert(i, (name, value));
+                self.0 = entries.into_boxed_slice();
+            }
+        }
+    }
+}
+
+impl<K: Into<Cow<'static, str>>> FromIterator<(K, Value)> for ValueMap {
+    fn from_iter<I: IntoIterator<Item = (K, Value)>>(iter: I) -> Self {
+        let mut entries: Vec<(Cow<'static, str>, Value)> =
+            iter.into_iter().map(|(k, v)| (k.into(), v)).collect();
+        // Stable: equal names stay in input order, so the value that ends
+        // up in the kept (first) slot of a run is the last one given.
+        entries.sort_by(|a, b| a.0.cmp(&b.0));
+        entries.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                std::mem::swap(&mut later.1, &mut kept.1);
+            }
+            same
+        });
+        ValueMap(entries.into_boxed_slice())
+    }
+}
+
 /// Message body variants.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Body {
-    /// `MapMessage`: ordered name→value pairs (BTreeMap for deterministic
+    /// `MapMessage`: name→value pairs in name order (deterministic
     /// iteration and wire layout).
-    Map(BTreeMap<String, Value>),
+    Map(ValueMap),
     /// `TextMessage`.
     Text(String),
     /// `BytesMessage` (length is what matters for the wire model; content
@@ -94,12 +176,7 @@ impl Body {
     /// Encoded size of the body.
     pub fn wire_size(&self) -> usize {
         match self {
-            Body::Map(m) => {
-                4 + m
-                    .iter()
-                    .map(|(k, v)| 4 + k.len() + v.wire_size())
-                    .sum::<usize>()
-            }
+            Body::Map(m) => m.wire_size(),
             Body::Text(s) => 4 + s.len(),
             Body::Bytes(b) => 4 + b.len(),
         }
@@ -110,8 +187,22 @@ impl Body {
 /// shared by every clone of the message.
 #[derive(Debug, Clone, PartialEq)]
 struct Content {
-    properties: BTreeMap<String, Value>,
+    properties: ValueMap,
     body: Body,
+    /// Encoded size of `properties`, the body tag and `body`: measured
+    /// when they are set, so no hop walks them again.
+    wire_size: usize,
+}
+
+impl Content {
+    fn new(properties: ValueMap, body: Body) -> Self {
+        let wire_size = properties.wire_size() + 1 + body.wire_size();
+        Content {
+            properties,
+            body,
+            wire_size,
+        }
+    }
 }
 
 /// A complete JMS-style message.
@@ -133,29 +224,32 @@ pub struct Message {
 
 impl Message {
     /// A message from its three parts.
-    pub fn new(headers: Headers, properties: BTreeMap<String, Value>, body: Body) -> Self {
+    pub fn new(headers: Headers, properties: ValueMap, body: Body) -> Self {
         Message {
             headers,
-            content: Arc::new(Content { properties, body }),
+            content: Arc::new(Content::new(properties, body)),
         }
     }
 
     /// New map message.
-    pub fn map(headers: Headers, entries: impl IntoIterator<Item = (String, Value)>) -> Self {
+    pub fn map<K: Into<Cow<'static, str>>>(
+        headers: Headers,
+        entries: impl IntoIterator<Item = (K, Value)>,
+    ) -> Self {
         Message::new(
             headers,
-            BTreeMap::new(),
+            ValueMap::default(),
             Body::Map(entries.into_iter().collect()),
         )
     }
 
     /// New text message.
     pub fn text(headers: Headers, text: impl Into<String>) -> Self {
-        Message::new(headers, BTreeMap::new(), Body::Text(text.into()))
+        Message::new(headers, ValueMap::default(), Body::Text(text.into()))
     }
 
     /// Application properties, visible to selectors.
-    pub fn properties(&self) -> &BTreeMap<String, Value> {
+    pub fn properties(&self) -> &ValueMap {
         &self.content.properties
     }
 
@@ -167,11 +261,16 @@ impl Message {
     /// Set a selector-visible property (builder style). Copy-on-write:
     /// a message that is the only holder of its content (the builder
     /// case) is changed in place; a clone gets its own copy and the
-    /// message it was cloned from is untouched.
-    pub fn with_property(mut self, name: impl Into<String>, v: impl Into<Value>) -> Self {
-        Arc::make_mut(&mut self.content)
-            .properties
-            .insert(name.into(), v.into());
+    /// message it was cloned from is untouched, cached size included.
+    pub fn with_property(
+        mut self,
+        name: impl Into<Cow<'static, str>>,
+        v: impl Into<Value>,
+    ) -> Self {
+        let content = Arc::make_mut(&mut self.content);
+        let before = content.properties.wire_size();
+        content.properties.insert(name.into(), v.into());
+        content.wire_size = content.wire_size - before + content.properties.wire_size();
         self
     }
 
@@ -182,15 +281,7 @@ impl Message {
 
     /// Total encoded size: headers + properties + body tag + body.
     pub fn wire_size(&self) -> usize {
-        self.headers.wire_size()
-            + 4
-            + self
-                .properties()
-                .iter()
-                .map(|(k, v)| 4 + k.len() + v.wire_size())
-                .sum::<usize>()
-            + 1
-            + self.body().wire_size()
+        self.headers.wire_size() + self.content.wire_size
     }
 }
 
@@ -262,8 +353,49 @@ mod tests {
     fn body_sizes() {
         assert_eq!(Body::Text("abc".into()).wire_size(), 7);
         assert_eq!(Body::Bytes(vec![0; 10]).wire_size(), 14);
-        let map: BTreeMap<String, Value> = [("k".to_string(), Value::Int(1))].into_iter().collect();
+        let map: ValueMap = [("k", Value::Int(1))].into_iter().collect();
         assert_eq!(Body::Map(map).wire_size(), 4 + 4 + 1 + 5);
+    }
+
+    #[test]
+    fn value_map_sorts_by_name_and_the_last_value_wins() {
+        let map: ValueMap = [
+            ("b".to_string(), Value::Int(1)),
+            ("a_1".to_string(), Value::Int(2)),
+            ("b".to_string(), Value::Int(3)),
+            ("a".to_string(), Value::Int(4)),
+            ("b".to_string(), Value::Int(5)),
+        ]
+        .into_iter()
+        .collect();
+        let pairs: Vec<_> = map.iter().collect();
+        assert_eq!(
+            pairs,
+            [
+                ("a", &Value::Int(4)),
+                ("a_1", &Value::Int(2)),
+                ("b", &Value::Int(5))
+            ]
+        );
+        assert_eq!(map.get("b"), Some(&Value::Int(5)));
+        assert_eq!(map.get("c"), None);
+        assert_eq!(map.len(), 3);
+        assert!(ValueMap::default().is_empty());
+    }
+
+    #[test]
+    fn with_property_replaces_or_inserts_in_order_and_keeps_the_size_exact() {
+        let m = msg()
+            .with_property("zone", 1i32)
+            .with_property("area", "north")
+            .with_property("id", 8i32);
+        let names: Vec<_> = m.properties().iter().map(|(k, _)| k).collect();
+        assert_eq!(names, ["area", "id", "zone"]);
+        assert_eq!(m.property("id"), Some(&Value::Int(8)));
+        assert_eq!(
+            m.wire_size(),
+            m.headers.wire_size() + m.properties().wire_size() + 1 + m.body().wire_size()
+        );
     }
 
     #[test]

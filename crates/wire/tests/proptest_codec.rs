@@ -1,11 +1,14 @@
 //! Property tests: the codec round-trips every representable message and
-//! tuple, and the wire-size model always matches the true encoded length.
+//! tuple, the wire-size model always matches the true encoded length, and
+//! [`ValueMap`] is a `BTreeMap` in everything a reader or the wire can see.
 
+use bytes::BufMut;
 use proptest::prelude::*;
 use simcore::SimTime;
+use std::collections::BTreeMap;
 use wire::{
     decode_message, decode_tuple, encode_message, encode_tuple, Body, DeliveryMode, Headers,
-    Message, MessageId, Tuple, Value,
+    Message, MessageId, Tuple, Value, ValueMap,
 };
 
 /// ASCII-ish strings without trailing spaces (CHAR(n) strips trailing pad
@@ -35,7 +38,8 @@ fn arb_value() -> impl Strategy<Value = Value> {
 
 fn arb_body() -> impl Strategy<Value = Body> {
     prop_oneof![
-        proptest::collection::btree_map("[a-z_]{1,12}", arb_value(), 0..12).prop_map(Body::Map),
+        proptest::collection::btree_map("[a-z_]{1,12}", arb_value(), 0..12)
+            .prop_map(|m| Body::Map(m.into_iter().collect())),
         "[ -~]{0,256}".prop_map(Body::Text),
         proptest::collection::vec(any::<u8>(), 0..256).prop_map(Body::Bytes),
     ]
@@ -60,7 +64,7 @@ prop_compose! {
             DeliveryMode::NonPersistent
         };
         headers.correlation_id = corr;
-        Message::new(headers, props, body)
+        Message::new(headers, props.into_iter().collect(), body)
     }
 }
 
@@ -76,11 +80,35 @@ prop_compose! {
     }
 }
 
+/// The map layout written straight from a `BTreeMap`: what the codec
+/// produced when messages held one.
+fn reference_map(buf: &mut bytes::BytesMut, map: &BTreeMap<String, Value>) {
+    buf.put_u32_le(map.len() as u32);
+    for (k, v) in map {
+        buf.put_u32_le(k.len() as u32);
+        buf.put_slice(k.as_bytes());
+        wire::codec::encode_value(buf, v);
+    }
+}
+
+/// A valid encoding cut right before a 32-bit element count, continued
+/// with `count` and `tail`.
+fn with_count(prefix: &[u8], count: u32, tail: &[u8]) -> bytes::Bytes {
+    let mut buf = prefix.to_vec();
+    buf.extend_from_slice(&count.to_le_bytes());
+    buf.extend_from_slice(tail);
+    bytes::Bytes::from(buf)
+}
+
 proptest! {
     #[test]
     fn message_roundtrip(m in arb_message()) {
         let encoded = encode_message(&m);
         prop_assert_eq!(encoded.len(), m.wire_size());
+        // A property set on a clone is sized on the clone alone.
+        let c = m.clone().with_property("id", 7i32).with_property("zz", "top");
+        prop_assert_eq!(encode_message(&c).len(), c.wire_size());
+        prop_assert_eq!(m.wire_size(), encoded.len());
         let back = decode_message(encoded).unwrap();
         prop_assert_eq!(back, m);
     }
@@ -121,5 +149,57 @@ proptest! {
         if a.sql_cmp(&a).is_some() {
             prop_assert_eq!(a.sql_cmp(&a), Some(Ordering::Equal));
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn value_map_is_a_btree_map(
+        pairs in proptest::collection::vec(("[ab_1]{1,3}", arb_value()), 0..64),
+        probes in proptest::collection::vec("[ab_1]{1,3}", 0..8),
+    ) {
+        let map: ValueMap = pairs.iter().cloned().collect();
+        let mut reference = BTreeMap::new();
+        for (k, v) in pairs {
+            reference.insert(k, v);
+        }
+        prop_assert_eq!(map.len(), reference.len());
+        prop_assert!(map.iter().eq(reference.iter().map(|(k, v)| (k.as_str(), v))));
+        prop_assert!(map.values().eq(reference.values()));
+        for name in reference.keys().chain(&probes) {
+            prop_assert_eq!(map.get(name), reference.get(name));
+        }
+        // Every encoded byte: the same map as properties and as body.
+        let headers = Headers::new(MessageId(1), "t", SimTime::ZERO);
+        let m = Message::new(headers.clone(), map.clone(), Body::Map(map));
+        let encoded = encode_message(&m);
+        let mut expected = bytes::BytesMut::new();
+        expected.put_slice(&encoded[..headers.wire_size()]);
+        reference_map(&mut expected, &reference);
+        expected.put_u8(0x10);
+        reference_map(&mut expected, &reference);
+        prop_assert_eq!(m.wire_size(), expected.len());
+        prop_assert_eq!(encoded, expected.freeze());
+    }
+
+    #[test]
+    fn any_count_after_a_valid_prefix_never_panics(
+        m in arb_message(),
+        t in arb_tuple(),
+        count in prop_oneof![any::<u32>(), 0u32..64, Just(u32::MAX)],
+        tail in proptest::collection::vec(any::<u8>(), 0..96),
+    ) {
+        // Random bytes die at the first length prefix; these reach the
+        // element counts of the properties, the map body and the tuple.
+        let headers = m.headers.wire_size();
+        let text = encode_message(&Message::text(m.headers.clone(), ""));
+        let _ = decode_message(with_count(&text[..headers], count, &tail));
+        let mut to_body = text[..headers + 4].to_vec();
+        to_body.push(0x10);
+        let _ = decode_message(with_count(&to_body, count, &tail));
+        let table = &encode_tuple(&t)[..4 + t.table.len()];
+        let _ = decode_tuple(with_count(table, count, &tail));
     }
 }
