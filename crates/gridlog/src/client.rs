@@ -476,8 +476,13 @@ impl GridlogClientSet {
                 let Role::Consumer(cons) = &mut sess.state else {
                     return events;
                 };
-                if epoch < cons.epoch {
-                    return events; // out-of-order rebalance push
+                if epoch <= cons.epoch {
+                    // Old news: an out-of-order push, or the re-push a
+                    // request sent under the previous epoch provokes.
+                    // An assignment is applied once per epoch — again, it
+                    // would start a second fetch loop per partition and
+                    // (reset-to-latest) skip to the current log end.
+                    return events;
                 }
                 cons.epoch = epoch;
                 cons.owned = partitions.iter().map(|&(p, _)| p).collect();

@@ -55,9 +55,13 @@ fn golden() -> Vec<(ExperimentSpec, &'static str)> {
              on_time=131 late=1869 lost=0 worst_burn=100.000000 delivery_p99_ms=32243.712000",
         ),
         (
+            // Moved once (was rtt_mean_ms=11.341019, both p99s 16.128000):
+            // the consumer applied every re-pushed same-epoch assignment
+            // and ran nine fetch loops per partition, whose broker CPU the
+            // readings queued behind. One loop per partition since.
             spec("gridlog", SystemUnderTest::GridlogSingle, 800),
-            "sent=16000 received=16000 rtt_mean_ms=11.341019 rtt_p99_ms=16.128000 \
-             on_time=16000 late=0 lost=0 worst_burn=0.000000 delivery_p99_ms=16.128000",
+            "sent=16000 received=16000 rtt_mean_ms=11.241422 rtt_p99_ms=15.104000 \
+             on_time=16000 late=0 lost=0 worst_burn=0.000000 delivery_p99_ms=15.104000",
         ),
     ]
 }
