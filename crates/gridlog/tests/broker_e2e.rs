@@ -66,18 +66,6 @@ impl Actor for FetchTap {
     }
 }
 
-/// The last assignment push a connection received, as a frame that can
-/// be delivered again.
-struct SeenAssignment {
-    conn: ConnId,
-    from: Endpoint,
-    bytes: usize,
-    sent_at: SimTime,
-    meta: simnet::ConnMeta,
-    epoch: u64,
-    partitions: Vec<(u32, u64)>,
-}
-
 struct ProduceTick(u32);
 struct ReplayAssignment;
 
@@ -90,7 +78,11 @@ struct Driver {
     set: Option<GridlogClientSet>,
     producer: Option<ConnId>,
     member0: Option<ConnId>,
-    last_assignment: Option<SeenAssignment>,
+    /// Member 0's last assignment push as the frame a stale-epoch request
+    /// makes the broker push again: same epoch, same partitions, start
+    /// offsets at the (by then further) log end — here far beyond it, so
+    /// an adopted position would show as records never read.
+    repush: Option<(u64, Delivery)>,
     replay_at: Option<SimTime>,
     watch: Rc<RefCell<Watch>>,
 }
@@ -135,17 +127,22 @@ impl Actor for Driver {
                         *n.expect("a response to a fetch the broker received") -= 1;
                     }
                     Some(BrokerToClient::Assignment {
-                        epoch, partitions, ..
+                        group,
+                        epoch,
+                        partitions,
                     }) if Some(d.conn) == self.member0 => {
-                        self.last_assignment = Some(SeenAssignment {
-                            conn: d.conn,
-                            from: d.from,
-                            bytes: d.bytes,
-                            sent_at: d.sent_at,
-                            meta: d.meta,
+                        let again = BrokerToClient::Assignment {
+                            group: group.clone(),
                             epoch: *epoch,
-                            partitions: partitions.clone(),
-                        });
+                            partitions: partitions.iter().map(|&(p, at)| (p, at + 1_000)).collect(),
+                        };
+                        self.repush = Some((
+                            *epoch,
+                            Delivery {
+                                payload: Box::new(again),
+                                ..*d
+                            },
+                        ));
                     }
                     _ => {}
                 }
@@ -186,31 +183,9 @@ impl Actor for Driver {
             Err(m) => m,
         };
         if msg.downcast::<ReplayAssignment>().is_ok() {
-            // The frame a stale-epoch request makes the broker re-push:
-            // same epoch, same partitions, start offsets at the (by then
-            // further) log end — here far beyond it, so an adopted
-            // position would show as records never read.
-            let seen = self.last_assignment.take().expect("member 0 was assigned");
-            assert_eq!(seen.epoch, FINAL_EPOCH);
-            let events = set.handle_delivery(
-                ctx,
-                Delivery {
-                    conn: seen.conn,
-                    from: seen.from,
-                    bytes: seen.bytes,
-                    sent_at: seen.sent_at,
-                    meta: seen.meta,
-                    payload: Box::new(BrokerToClient::Assignment {
-                        group: GROUP.to_owned(),
-                        epoch: seen.epoch,
-                        partitions: seen
-                            .partitions
-                            .iter()
-                            .map(|&(p, start)| (p, start + 1_000))
-                            .collect(),
-                    }),
-                },
-            );
+            let (epoch, frame) = self.repush.take().expect("member 0 was assigned");
+            assert_eq!(epoch, FINAL_EPOCH);
+            let events = set.handle_delivery(ctx, frame);
             self.watch.borrow_mut().replay_events = Some(events.len());
         }
     }
@@ -241,7 +216,7 @@ fn run(replay_at: Option<SimTime>) -> (LogBrokerStats, Watch) {
         set: None,
         producer: None,
         member0: None,
-        last_assignment: None,
+        repush: None,
         replay_at,
         watch: watch.clone(),
     });

@@ -260,17 +260,21 @@ impl Message {
 
     /// Set a selector-visible property (builder style). Copy-on-write:
     /// a message that is the only holder of its content (the builder
-    /// case) is changed in place; a clone gets its own copy and the
-    /// message it was cloned from is untouched, cached size included.
+    /// case) gives its parts to the new block; a clone gets its own copy
+    /// and the message it was cloned from is untouched, cached size
+    /// included. Either way the block is measured again.
     pub fn with_property(
         mut self,
         name: impl Into<Cow<'static, str>>,
         v: impl Into<Value>,
     ) -> Self {
-        let content = Arc::make_mut(&mut self.content);
-        let before = content.properties.wire_size();
-        content.properties.insert(name.into(), v.into());
-        content.wire_size = content.wire_size - before + content.properties.wire_size();
+        let Content {
+            mut properties,
+            body,
+            ..
+        } = Arc::unwrap_or_clone(self.content);
+        properties.insert(name.into(), v.into());
+        self.content = Arc::new(Content::new(properties, body));
         self
     }
 
