@@ -14,10 +14,10 @@ use crate::log::{partition_for, StoredRecord, TopicLog};
 use crate::protocol::{
     fetch_response_bytes, offsets_bytes, BrokerToClient, ClientToBroker, CONTROL_FRAME_BYTES,
 };
-use simcore::{Actor, ActorId, Context, Payload, SimDuration, SimTime};
+use simcore::{Actor, ActorId, Context, FastMap, FastSet, Payload, SimDuration, SimTime};
 use simnet::{ConnId, Delivery, Endpoint, NetworkFabric};
 use simos::{NodeId, OsModel, ProcessId};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use wire::TopicId;
 
 /// Timer payload the kernel routes back to the broker.
@@ -122,8 +122,8 @@ pub struct LogBroker {
     groups: BTreeMap<String, Group>,
     /// Parked long-poll fetches keyed by (topic, partition).
     parked: BTreeMap<(TopicId, u32), Vec<ParkedFetch>>,
-    conns: HashSet<ConnId>,
-    timers: HashMap<u64, TimerKind>,
+    conns: FastSet<ConnId>,
+    timers: FastMap<u64, TimerKind>,
     next_timer: u64,
     /// True while the process is fault-crashed: network input evaporates.
     crashed: bool,
@@ -143,8 +143,8 @@ impl LogBroker {
             producer_seqs: BTreeMap::new(),
             groups: BTreeMap::new(),
             parked: BTreeMap::new(),
-            conns: HashSet::new(),
-            timers: HashMap::new(),
+            conns: FastSet::default(),
+            timers: FastMap::default(),
             next_timer: 0,
             crashed: false,
             stats: StatsHandle::default(),

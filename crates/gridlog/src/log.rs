@@ -231,7 +231,7 @@ mod tests {
             assert_eq!(p, partition_for(key, 8));
         }
         // Dense keys must not all land in one partition.
-        let hit: std::collections::HashSet<u32> = (0..64).map(|k| partition_for(k, 8)).collect();
+        let hit: simcore::FastSet<u32> = (0..64).map(|k| partition_for(k, 8)).collect();
         assert!(hit.len() >= 4, "degenerate spread: {hit:?}");
     }
 

@@ -6,11 +6,10 @@ use gridlog::{
     BrokerToClient, ClientEvent, ClientTimer, ClientToBroker, GridlogClientSet, GridlogConfig,
     LogBroker, LogBrokerStats, OffsetReset,
 };
-use simcore::{Actor, Context, Payload, SimDuration, SimTime, Simulation};
+use simcore::{Actor, Context, FastMap, Payload, SimDuration, SimTime, Simulation};
 use simnet::{ConnId, Delivery, Endpoint, FabricConfig, NetworkFabric};
 use simos::{NodeId, NodeSpec, OsModel, ProcessSpec};
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 use telemetry::RttCollector;
 use wire::{Headers, Message, MessageId, Value};
@@ -27,7 +26,7 @@ struct Watch {
     /// Final-epoch fetches the broker has received and not yet answered,
     /// per (connection, partition). The broker answers each exactly once
     /// — at once, on the next append, or when the long poll expires.
-    outstanding: HashMap<(ConnId, u32), u32>,
+    outstanding: FastMap<(ConnId, u32), u32>,
     most_outstanding: u32,
     arrived: u32,
     /// `Assigned` events by epoch, in arrival order.

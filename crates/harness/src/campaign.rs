@@ -1,7 +1,7 @@
 //! Memoized parallel execution of experiment specs.
 
 use gridmon_core::{run_all, ExperimentResult, ExperimentSpec, FaultSchedule, FaultStats, SloSpec};
-use std::collections::HashMap;
+use simcore::FastMap;
 
 /// Runs specs on demand, caching results by spec name so artifacts that
 /// share runs (fig 3 / fig 4; figs 6–9) pay for them once.
@@ -13,7 +13,7 @@ pub struct Campaign {
     scope: bool,
     slo: Option<SloSpec>,
     faults: FaultSchedule,
-    results: HashMap<String, ExperimentResult>,
+    results: FastMap<String, ExperimentResult>,
     /// Wall-clock seconds spent running experiments.
     pub wall_seconds: f64,
 }
@@ -29,7 +29,7 @@ impl Campaign {
             scope: false,
             slo: None,
             faults: FaultSchedule::new(),
-            results: HashMap::new(),
+            results: FastMap::default(),
             wall_seconds: 0.0,
         }
     }

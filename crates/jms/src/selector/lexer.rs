@@ -192,11 +192,13 @@ pub fn lex(input: &str) -> Result<Vec<Token>, LexError> {
                 out.push(tok);
                 i = next;
             }
-            other => {
+            _ => {
+                // `c` is only the first byte; report the scalar it starts.
+                let ch = input[i..].chars().next().expect("valid utf-8");
                 return Err(LexError {
-                    message: format!("unexpected character {other:?}"),
+                    message: format!("unexpected character {ch:?}"),
                     at: i,
-                })
+                });
             }
         }
     }
@@ -387,6 +389,10 @@ mod tests {
     fn bad_char_errors() {
         let err = lex("a ? b").unwrap_err();
         assert_eq!(err.at, 2);
+        // A multi-byte character is reported whole, not as its first byte.
+        let err = lex("a = é").unwrap_err();
+        assert_eq!(err.message, "unexpected character 'é'");
+        assert_eq!(err.at, 4);
     }
 
     #[test]

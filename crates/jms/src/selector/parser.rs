@@ -36,7 +36,16 @@ pub enum ParseError {
     },
     /// Tokens remained after a complete expression.
     TrailingInput(Token),
+    /// The expression nests past [`MAX_DEPTH`].
+    TooDeep,
 }
+
+/// How deep a selector's syntax tree may grow: each `NOT`, unary sign and
+/// `(`, and each further term of an `OR` / `AND` / `+` / `*` chain, is one
+/// level. The parser, the evaluator and the tree's `Drop` all recurse once
+/// per level and a selector is text a peer sends, so the depth is bounded
+/// here, far above any selector a person writes.
+pub const MAX_DEPTH: usize = 128;
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -47,6 +56,7 @@ impl fmt::Display for ParseError {
                 None => write!(f, "unexpected end of selector (expected {expected})"),
             },
             ParseError::TrailingInput(t) => write!(f, "trailing input starting at `{t}`"),
+            ParseError::TooDeep => write!(f, "selector nests deeper than {MAX_DEPTH} levels"),
         }
     }
 }
@@ -67,7 +77,11 @@ pub fn parse(input: &str) -> Result<Expr, ParseError> {
     if tokens.is_empty() {
         return Ok(Expr::Bool(true));
     }
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let expr = p.or_expr()?;
     if let Some(t) = p.peek() {
         return Err(ParseError::TrailingInput(t.clone()));
@@ -78,6 +92,7 @@ pub fn parse(input: &str) -> Result<Expr, ParseError> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    depth: usize,
 }
 
 impl Parser {
@@ -117,27 +132,54 @@ impl Parser {
         }
     }
 
+    /// Go one level down the tree. A chain rule restores `depth` itself
+    /// once its last term is read; an error ends the parse.
+    fn descend(&mut self) -> Result<(), ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(ParseError::TooDeep);
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Run `rule` one level down.
+    fn nested(
+        &mut self,
+        rule: fn(&mut Self) -> Result<Expr, ParseError>,
+    ) -> Result<Expr, ParseError> {
+        self.descend()?;
+        let inner = rule(self)?;
+        self.depth -= 1;
+        Ok(inner)
+    }
+
     fn or_expr(&mut self) -> Result<Expr, ParseError> {
+        let base = self.depth;
         let mut lhs = self.and_expr()?;
         while self.eat(&Token::Or) {
+            self.descend()?;
             let rhs = self.and_expr()?;
             lhs = Expr::Or(Box::new(lhs), Box::new(rhs));
         }
+        self.depth = base;
         Ok(lhs)
     }
 
     fn and_expr(&mut self) -> Result<Expr, ParseError> {
+        let base = self.depth;
         let mut lhs = self.not_expr()?;
         while self.eat(&Token::And) {
+            self.descend()?;
             let rhs = self.not_expr()?;
             lhs = Expr::And(Box::new(lhs), Box::new(rhs));
         }
+        self.depth = base;
         Ok(lhs)
     }
 
     fn not_expr(&mut self) -> Result<Expr, ParseError> {
         if self.eat(&Token::Not) {
-            let inner = self.not_expr()?;
+            let inner = self.nested(Self::not_expr)?;
             Ok(Expr::Not(Box::new(inner)))
         } else {
             self.predicate()
@@ -239,6 +281,7 @@ impl Parser {
     }
 
     fn sum(&mut self) -> Result<Expr, ParseError> {
+        let base = self.depth;
         let mut lhs = self.product()?;
         loop {
             let op = match self.peek() {
@@ -247,13 +290,16 @@ impl Parser {
                 _ => break,
             };
             self.pos += 1;
+            self.descend()?;
             let rhs = self.product()?;
             lhs = Expr::Arith(op, Box::new(lhs), Box::new(rhs));
         }
+        self.depth = base;
         Ok(lhs)
     }
 
     fn product(&mut self) -> Result<Expr, ParseError> {
+        let base = self.depth;
         let mut lhs = self.unary()?;
         loop {
             let op = match self.peek() {
@@ -262,18 +308,20 @@ impl Parser {
                 _ => break,
             };
             self.pos += 1;
+            self.descend()?;
             let rhs = self.unary()?;
             lhs = Expr::Arith(op, Box::new(lhs), Box::new(rhs));
         }
+        self.depth = base;
         Ok(lhs)
     }
 
     fn unary(&mut self) -> Result<Expr, ParseError> {
         if self.eat(&Token::Minus) {
-            let inner = self.unary()?;
+            let inner = self.nested(Self::unary)?;
             Ok(Expr::Neg(Box::new(inner)))
         } else if self.eat(&Token::Plus) {
-            self.unary()
+            self.nested(Self::unary)
         } else {
             self.primary()
         }
@@ -303,7 +351,7 @@ impl Parser {
             }
             Some(Token::LParen) => {
                 self.pos += 1;
-                let inner = self.or_expr()?;
+                let inner = self.nested(Self::or_expr)?;
                 self.expect(Token::RParen, "closing ')'")?;
                 Ok(inner)
             }
@@ -425,6 +473,24 @@ mod tests {
         assert!(parse("x = 1 y").is_err(), "trailing input");
         assert!(parse("x NOT 5").is_err());
         assert!(parse("x LIKE 'a' ESCAPE 'ab'").is_err());
+    }
+
+    #[test]
+    fn hostile_depth_is_an_error_not_a_stack_overflow() {
+        let n = 100_000;
+        for deep in [
+            format!("{}a = 1", "NOT ".repeat(n)),
+            format!("{}a = 1{}", "(".repeat(n), ")".repeat(n)),
+            format!("a = {}1", "-".repeat(n)),
+            format!("a = 1{}", " OR a = 1".repeat(n)),
+            format!("a = 1{}", " + 1".repeat(n)),
+        ] {
+            assert_eq!(parse(&deep), Err(ParseError::TooDeep));
+        }
+        // The limit is far from anything legitimate: 100 levels of each.
+        p(&format!("{}a = 1", "NOT ".repeat(100)));
+        p(&format!("{}a = 1{}", "(".repeat(100), ")".repeat(100)));
+        p(&format!("a = 1{}", " OR a = 1".repeat(100)));
     }
 
     #[test]

@@ -19,7 +19,16 @@ pub enum ParseError {
     },
     /// Trailing token (as written) after a complete statement.
     TrailingInput(String),
+    /// The `WHERE` clause nests past [`MAX_DEPTH`].
+    TooDeep,
 }
+
+/// How deep a predicate's syntax tree may grow: each `NOT` and `(`, and
+/// each further term of an `OR` / `AND` chain, is one level. The parser,
+/// the evaluator and the tree's `Drop` all recurse once per level and a
+/// query is text a peer sends, so the depth is bounded here, far above any
+/// query a person writes.
+pub const MAX_DEPTH: usize = 128;
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -30,6 +39,7 @@ impl fmt::Display for ParseError {
                 None => write!(f, "unexpected end of SQL (expected {expected})"),
             },
             ParseError::TrailingInput(t) => write!(f, "trailing input at `{t}`"),
+            ParseError::TooDeep => write!(f, "WHERE clause nests deeper than {MAX_DEPTH} levels"),
         }
     }
 }
@@ -105,6 +115,7 @@ struct Parser<'a> {
     lexer: Lexer<'a>,
     cur: Option<Token<'a>>,
     lex_err: Option<LexError>,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -113,6 +124,7 @@ impl<'a> Parser<'a> {
             lexer: lex(input),
             cur: None,
             lex_err: None,
+            depth: 0,
         };
         p.bump();
         p
@@ -332,27 +344,54 @@ impl<'a> Parser<'a> {
         })
     }
 
+    /// Go one level down the tree. A chain rule restores `depth` itself
+    /// once its last term is read; an error ends the parse.
+    fn descend(&mut self) -> Result<(), ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(ParseError::TooDeep);
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Run `rule` one level down.
+    fn nested(
+        &mut self,
+        rule: fn(&mut Self) -> Result<Predicate, ParseError>,
+    ) -> Result<Predicate, ParseError> {
+        self.descend()?;
+        let inner = rule(self)?;
+        self.depth -= 1;
+        Ok(inner)
+    }
+
     fn or_pred(&mut self) -> Result<Predicate, ParseError> {
+        let base = self.depth;
         let mut lhs = self.and_pred()?;
         while self.eat_kw(Keyword::Or) {
+            self.descend()?;
             let rhs = self.and_pred()?;
             lhs = Predicate::Or(Box::new(lhs), Box::new(rhs));
         }
+        self.depth = base;
         Ok(lhs)
     }
 
     fn and_pred(&mut self) -> Result<Predicate, ParseError> {
+        let base = self.depth;
         let mut lhs = self.not_pred()?;
         while self.eat_kw(Keyword::And) {
+            self.descend()?;
             let rhs = self.not_pred()?;
             lhs = Predicate::And(Box::new(lhs), Box::new(rhs));
         }
+        self.depth = base;
         Ok(lhs)
     }
 
     fn not_pred(&mut self) -> Result<Predicate, ParseError> {
         if self.eat_kw(Keyword::Not) {
-            Ok(Predicate::Not(Box::new(self.not_pred()?)))
+            Ok(Predicate::Not(Box::new(self.nested(Self::not_pred)?)))
         } else {
             self.atom_pred()
         }
@@ -360,7 +399,7 @@ impl<'a> Parser<'a> {
 
     fn atom_pred(&mut self) -> Result<Predicate, ParseError> {
         if self.eat(&Token::LParen) {
-            let inner = self.or_pred()?;
+            let inner = self.nested(Self::or_pred)?;
             self.expect(Token::RParen, "closing ')'")?;
             return Ok(inner);
         }
@@ -497,6 +536,27 @@ mod tests {
         assert!(parse("SELECT * FROM t extra").is_err());
         assert!(parse("CREATE TABLE t (a CHAR(0))").is_err());
         assert!(parse("CREATE TABLE t (a CHAR(99999))").is_err());
+    }
+
+    #[test]
+    fn hostile_depth_is_an_error_not_a_stack_overflow() {
+        let n = 100_000;
+        for deep in [
+            format!("{}a = 1", "NOT ".repeat(n)),
+            format!("{}a = 1{}", "(".repeat(n), ")".repeat(n)),
+            format!("a = 1{}", " OR a = 1".repeat(n)),
+        ] {
+            let sql = format!("SELECT * FROM t WHERE {deep}");
+            assert_eq!(parse(&sql), Err(ParseError::TooDeep));
+        }
+        // The limit is far from anything legitimate: 100 levels of each.
+        for fine in [
+            format!("{}a = 1", "NOT ".repeat(100)),
+            format!("{}a = 1{}", "(".repeat(100), ")".repeat(100)),
+            format!("a = 1{}", " AND a = 1".repeat(100)),
+        ] {
+            parse(&format!("SELECT * FROM t WHERE {fine}")).unwrap();
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use crate::ast::{ColumnDef, SqlType, Statement};
 use crate::parser::{parse_insert, InsertSink, ParseError};
-use std::collections::HashMap;
+use simcore::FastMap;
 use std::fmt;
 use wire::{Tuple, Value};
 
@@ -99,7 +99,7 @@ pub struct TableSchema {
     pub name: String,
     /// Columns in declaration order.
     pub columns: Vec<ColumnDef>,
-    index: HashMap<String, usize>,
+    index: FastMap<String, usize>,
 }
 
 impl TableSchema {
@@ -311,7 +311,7 @@ impl<'c> RowBinder<'c> {
 /// A catalogue of table schemas (the Schema service's store).
 #[derive(Debug, Default, Clone)]
 pub struct Catalog {
-    tables: HashMap<String, TableSchema>,
+    tables: FastMap<String, TableSchema>,
 }
 
 impl Catalog {

@@ -9,10 +9,9 @@ use crate::protocol::{
 };
 use crate::seqset::SeqSet;
 use jms::{AckMode, Selector};
-use simcore::{Actor, ActorId, Context, Payload, SimDuration, SimTime};
+use simcore::{Actor, ActorId, Context, FastMap, Payload, SimDuration, SimTime};
 use simnet::{ConnId, Delivery, Endpoint, NetworkFabric, Transport};
 use simos::{NodeId, OsModel, ProcessId};
-use std::collections::HashMap;
 use telemetry::ProbeId;
 use wire::Message;
 
@@ -64,7 +63,7 @@ struct ConnState {
     last_pub_seq: Option<u64>,
     /// Pending (unacked) deliveries for CLIENT-ack UDP gap recovery,
     /// keyed by delivery seq. Bounded by the ack flush interval.
-    pending: HashMap<u64, PendingDelivery>,
+    pending: FastMap<u64, PendingDelivery>,
     /// Highest delivery seq ever sent on this connection.
     max_sent_seq: Option<u64>,
 }
@@ -102,7 +101,7 @@ pub struct Broker {
     proc: ProcessId,
     endpoint: Endpoint, // actor id filled in on_start
     engine: MatchingEngine,
-    conns: HashMap<ConnId, ConnState>,
+    conns: FastMap<ConnId, ConnState>,
     my_ix: u16,
     peers: Vec<(u16, ConnId)>,
     /// Broker-local topic interning table: route-map entries are dense
@@ -111,11 +110,11 @@ pub struct Broker {
     /// the table never leaves this broker.
     topics: wire::TopicTable,
     /// Peer broker index → topics it has local interest in (routed mode).
-    peer_interests: HashMap<u16, Vec<wire::TopicId>>,
+    peer_interests: FastMap<u16, Vec<wire::TopicId>>,
     /// Next sequence number for messages this broker originates.
     next_fwd_seq: u64,
     /// Flood dedup: per origin broker, the seqs already processed.
-    seen_forwards: HashMap<u16, SeqSet>,
+    seen_forwards: FastMap<u16, SeqSet>,
     /// True while the JVM is fault-crashed: all network input is dropped.
     crashed: bool,
     /// Crash-surviving message log, keyed by subscriber actor index.
@@ -135,13 +134,13 @@ impl Broker {
             proc,
             endpoint: Endpoint::new(node, ActorId::NONE),
             engine: MatchingEngine::new(),
-            conns: HashMap::new(),
+            conns: FastMap::default(),
             my_ix: 0,
             peers: Vec::new(),
             topics: wire::TopicTable::new(),
-            peer_interests: HashMap::new(),
+            peer_interests: FastMap::default(),
             next_fwd_seq: 0,
-            seen_forwards: HashMap::new(),
+            seen_forwards: FastMap::default(),
             crashed: false,
             stable: std::collections::BTreeMap::new(),
             durable_subs: std::collections::BTreeMap::new(),
@@ -238,7 +237,7 @@ impl Broker {
                     ConnState {
                         transport,
                         last_pub_seq: None,
-                        pending: HashMap::new(),
+                        pending: FastMap::default(),
                         max_sent_seq: None,
                     },
                 );

@@ -12,11 +12,11 @@ use crate::config::{ConnSettings, NaradaConfig};
 use crate::protocol::{publish_bytes, BrokerToClient, ClientToBroker, CONTROL_FRAME_BYTES};
 use crate::seqset::SeqSet;
 use jms::AckMode;
-use simcore::{Context, SimDuration, SimTime};
+use simcore::{Context, FastMap, FastSet, SimDuration, SimTime};
 use simnet::session::{ClientTimer, Fired, SessionProtocol, SessionSet};
 use simnet::{ConnId, Delivery, Endpoint, NetworkFabric, Transport};
 use simos::NodeId;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 use telemetry::{ProbeId, RttCollector};
 use wire::Message;
 
@@ -96,7 +96,7 @@ struct SubSpec {
 struct ConnState {
     ack_mode: AckMode,
     next_pub_seq: u64,
-    pending_pubs: HashMap<u64, PendingPub>,
+    pending_pubs: FastMap<u64, PendingPub>,
     /// Per-subscription receive tracking (sub_id → state; BTreeMap for
     /// deterministic ack-flush order).
     recv: BTreeMap<u32, SubRecv>,
@@ -108,7 +108,7 @@ struct ConnState {
     offline: Vec<(ProbeId, Message, bool)>,
     /// Probes already surfaced to the listener; filters the duplicates a
     /// resync can produce. Only populated when reconnect is enabled.
-    seen_probes: HashSet<u64>,
+    seen_probes: FastSet<u64>,
 }
 
 enum TimerKind {

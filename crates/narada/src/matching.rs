@@ -5,9 +5,8 @@
 //! returned to the caller so the broker charges it to its CPU.
 
 use jms::{AckMode, Selector};
-use simcore::SimDuration;
+use simcore::{FastMap, SimDuration};
 use simnet::ConnId;
-use std::collections::HashMap;
 use wire::Message;
 
 /// One live subscription.
@@ -41,9 +40,9 @@ pub struct MatchedDelivery {
 /// Topic-indexed subscription store, plus point-to-point queues.
 #[derive(Default)]
 pub struct MatchingEngine {
-    by_topic: HashMap<String, Vec<Subscription>>,
+    by_topic: FastMap<String, Vec<Subscription>>,
     /// PTP queues: receivers share the queue; each message goes to one.
-    by_queue: HashMap<String, (Vec<Subscription>, usize)>,
+    by_queue: FastMap<String, (Vec<Subscription>, usize)>,
     subscription_count: usize,
 }
 

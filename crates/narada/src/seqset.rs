@@ -48,7 +48,7 @@ impl SeqSet {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::collections::{HashMap, HashSet};
+    use simcore::{FastMap, FastSet};
 
     #[test]
     fn in_order_stream_keeps_no_stragglers() {
@@ -84,8 +84,8 @@ mod tests {
         fn matches_hash_set_reference(
             stream in proptest::collection::vec((0u16..4, 0u64..48), 0..400),
         ) {
-            let mut reference: HashSet<(u16, u64)> = HashSet::new();
-            let mut sets: HashMap<u16, SeqSet> = HashMap::new();
+            let mut reference: FastSet<(u16, u64)> = FastSet::default();
+            let mut sets: FastMap<u16, SeqSet> = FastMap::default();
             for (origin, seq) in stream {
                 prop_assert_eq!(
                     sets.entry(origin).or_default().insert(seq),

@@ -4,11 +4,10 @@
 
 use narada::{Broker, ClientEvent, ClientTimer, ConnSettings, NaradaClientSet, NaradaConfig};
 use proptest::prelude::*;
-use simcore::{Actor, Context, Payload, SimDuration, SimTime, Simulation};
+use simcore::{Actor, Context, FastMap, Payload, SimDuration, SimTime, Simulation};
 use simnet::{ConnId, Delivery, Endpoint, FabricConfig, NetworkFabric, Transport};
 use simos::{NodeId, NodeSpec, OsModel, ProcessSpec, VmstatLog};
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 use telemetry::RttCollector;
 use wire::{Headers, Message, MessageId, Value};
@@ -38,7 +37,7 @@ fn arb_scenario() -> impl Strategy<Value = Scenario> {
         })
 }
 
-type Arrivals = Rc<RefCell<HashMap<(usize, i32), u32>>>; // (sub_ix, msg_id) -> count
+type Arrivals = Rc<RefCell<FastMap<(usize, i32), u32>>>; // (sub_ix, msg_id) -> count
 
 struct Host {
     scenario: Scenario,
@@ -48,8 +47,8 @@ struct Host {
     pub_conn: Option<ConnId>,
     subscribed: usize,
     arrivals: Arrivals,
-    sub_of_conn: HashMap<ConnId, usize>,
-    id_of_probe: HashMap<u64, i32>,
+    sub_of_conn: FastMap<ConnId, usize>,
+    id_of_probe: FastMap<u64, i32>,
 }
 
 struct PublishAll;
@@ -122,7 +121,7 @@ impl Actor for Host {
     }
 }
 
-fn run(scenario: &Scenario) -> HashMap<(usize, i32), u32> {
+fn run(scenario: &Scenario) -> FastMap<(usize, i32), u32> {
     let mut sim = Simulation::new(scenario.seed);
     let mut os = OsModel::new();
     let n0 = os.add_node(NodeSpec::hydra("hydra1", 0.0005));
@@ -148,8 +147,8 @@ fn run(scenario: &Scenario) -> HashMap<(usize, i32), u32> {
         pub_conn: None,
         subscribed: 0,
         arrivals: arrivals.clone(),
-        sub_of_conn: HashMap::new(),
-        id_of_probe: HashMap::new(),
+        sub_of_conn: FastMap::default(),
+        id_of_probe: FastMap::default(),
     });
     sim.run_until(SimTime::from_secs(60));
     let out = arrivals.borrow().clone();
@@ -165,7 +164,7 @@ proptest! {
         // Expected: subscription i receives message id iff id < bound_i,
         // exactly once. Count per (sub, id) pair, accounting for
         // duplicate ids in the publish list.
-        let mut expected: HashMap<(usize, i32), u32> = HashMap::new();
+        let mut expected: FastMap<(usize, i32), u32> = FastMap::default();
         for (i, &bound) in scenario.sub_bounds.iter().enumerate() {
             for &id in &scenario.pub_ids {
                 if id < bound {

@@ -6,11 +6,10 @@
 //! [`FleetProtocol`] each middleware module implements.
 
 use crate::generator::GeneratorState;
-use simcore::{Actor, Context, Payload, SimDuration, SimRng};
+use simcore::{Actor, Context, FastMap, Payload, SimDuration, SimRng};
 use simnet::{Delivery, Endpoint};
 use simos::{OsModel, ProcessId};
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::hash::Hash;
 use std::rc::Rc;
 
@@ -139,7 +138,7 @@ pub struct Fleet<P: FleetProtocol> {
     protocol: P,
     gens: Vec<GeneratorState>,
     handle_of: Vec<Option<P::Handle>>,
-    gen_of_handle: HashMap<P::Handle, usize>,
+    gen_of_handle: FastMap<P::Handle, usize>,
     rng: Option<SimRng>,
     stats: FleetStatsHandle,
     next_msg_id: u64,
@@ -154,7 +153,7 @@ impl<P: FleetProtocol> Fleet<P> {
             protocol,
             gens: Vec::with_capacity(n),
             handle_of: vec![None; n],
-            gen_of_handle: HashMap::new(),
+            gen_of_handle: FastMap::default(),
             rng: None,
             stats: FleetStatsHandle::default(),
             next_msg_id: 0,

@@ -7,10 +7,9 @@ use crate::generator::{GeneratorState, TOPIC};
 use gridlog::{
     ClientEvent, ClientTimer, GridlogClientSet, GridlogConfig, OffsetReset, ReconnectPolicy,
 };
-use simcore::{Actor, Context, Payload};
+use simcore::{Actor, Context, FastMap, Payload};
 use simnet::{ConnId, Delivery, Endpoint};
 use simos::NodeId;
-use std::collections::HashMap;
 
 impl ClientSet for GridlogClientSet {
     type Timer = ClientTimer;
@@ -94,7 +93,7 @@ pub struct GridlogSubscriber {
     reset: OffsetReset,
     reconnect: Option<ReconnectPolicy>,
     set: GridlogClientSet,
-    member_of_conn: HashMap<ConnId, u64>,
+    member_of_conn: FastMap<ConnId, u64>,
 }
 
 impl GridlogSubscriber {
@@ -113,7 +112,7 @@ impl GridlogSubscriber {
             reset,
             reconnect,
             set: GridlogClientSet::new(gridlog, node),
-            member_of_conn: HashMap::new(),
+            member_of_conn: FastMap::default(),
         }
     }
 

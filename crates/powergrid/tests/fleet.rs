@@ -2,11 +2,10 @@
 //! warm-up, publish count and cadence, and its reaction to every signal.
 
 use powergrid::{ClientSet, Fleet, FleetConfig, FleetProtocol, GeneratorState, Signal};
-use simcore::{ActorId, Context, SimDuration, SimTime, Simulation};
+use simcore::{ActorId, Context, FastMap, SimDuration, SimTime, Simulation};
 use simnet::{Delivery, Endpoint};
 use simos::{NodeId, NodeSpec, OsModel, ProcessSpec};
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,8 +29,8 @@ struct Fired(u64);
 
 /// A client set that plays back, per generator, the cues of a script.
 struct Scripted {
-    script: HashMap<u32, Vec<Cue>>,
-    armed: HashMap<u64, Vec<Event>>,
+    script: FastMap<u32, Vec<Cue>>,
+    armed: FastMap<u64, Vec<Event>>,
     next_token: u64,
 }
 
@@ -127,7 +126,7 @@ fn fleet_drives_every_generator_through_its_script() {
     };
     // Handles are 100 + generator id; every connection answers 100 ms
     // after it was opened.
-    let script = HashMap::from([
+    let script = FastMap::from_iter([
         // Connects and runs to completion.
         (40, vec![cue(100, &[Event::Noise, Event::Up(140)])]),
         // Connects, fails over between its first publish (≤ 2.1 s after
@@ -178,7 +177,7 @@ fn fleet_drives_every_generator_through_its_script() {
         Fake {
             set: Scripted {
                 script,
-                armed: HashMap::new(),
+                armed: FastMap::default(),
                 next_token: 0,
             },
             calls: calls.clone(),

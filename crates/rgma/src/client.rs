@@ -12,11 +12,10 @@ use crate::protocol::{
     ConsumerId, ConsumerRequest, ConsumerResponse, ProducerId, ProducerRequest, ProducerResponse,
     QueryType,
 };
-use simcore::{Context, SimDuration};
+use simcore::{Context, FastMap, SimDuration};
 use simnet::session::backoff_step;
 use simnet::{http, ConnId, Delivery, Endpoint, HttpResponse, NetworkFabric, Transport};
 use simos::{NodeId, OsModel};
-use std::collections::HashMap;
 use std::sync::Arc;
 use telemetry::RttCollector;
 
@@ -103,13 +102,13 @@ enum TimerPurpose {
 pub struct RgmaClientSet {
     cfg: RgmaConfig,
     node: NodeId,
-    producers: HashMap<ProducerHandle, ProducerState>,
-    subscribers: HashMap<SubscriberHandle, SubscriberState>,
+    producers: FastMap<ProducerHandle, ProducerState>,
+    subscribers: FastMap<SubscriberHandle, SubscriberState>,
     next_handle: u32,
-    pending: HashMap<u64, ReqPurpose>,
+    pending: FastMap<u64, ReqPurpose>,
     /// Outstanding inserts by request id (probe + retry budget).
-    insert_info: HashMap<u64, InsertInfo>,
-    timers: HashMap<u64, TimerPurpose>,
+    insert_info: FastMap<u64, InsertInfo>,
+    timers: FastMap<u64, TimerPurpose>,
     next_req: u64,
     next_timer: u64,
 }
@@ -125,12 +124,12 @@ impl RgmaClientSet {
         RgmaClientSet {
             cfg,
             node,
-            producers: HashMap::new(),
-            subscribers: HashMap::new(),
+            producers: FastMap::default(),
+            subscribers: FastMap::default(),
             next_handle: 0,
-            pending: HashMap::new(),
-            insert_info: HashMap::new(),
-            timers: HashMap::new(),
+            pending: FastMap::default(),
+            insert_info: FastMap::default(),
+            timers: FastMap::default(),
             next_req: 0,
             next_timer: 0,
         }

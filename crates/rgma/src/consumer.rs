@@ -9,12 +9,12 @@ use crate::protocol::{
     ProducerResponse, QueryType, RegistryRequest, RegistryResponse, Reply, StreamChunk,
 };
 use minisql::{Catalog, Statement, TableSchema};
-use simcore::{Actor, ActorId, Context, Payload, SimDuration, SimTime};
+use simcore::{Actor, ActorId, Context, FastMap, FastSet, Payload, SimDuration, SimTime};
 use simnet::{
     http, ConnId, Delivery, Endpoint, HttpRequest, HttpResponse, NetworkFabric, Transport,
 };
 use simos::{NodeId, OsModel, ProcessId};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use telemetry::RttCollector;
 use wire::Tuple;
@@ -34,7 +34,7 @@ struct CInstance {
     columns: Vec<String>,
     buffer: Vec<Entry>,
     /// Producer-instance endpoints already in the plan (port = pid).
-    planned: HashSet<Endpoint>,
+    planned: FastSet<Endpoint>,
 }
 
 struct PlanTick;
@@ -79,19 +79,19 @@ pub struct ConsumerServlet {
     registry_conn: Option<ConnId>,
     /// Replica of the Schema service's tables.
     catalog: Catalog,
-    instances: HashMap<ConsumerId, CInstance>,
+    instances: FastMap<ConsumerId, CInstance>,
     next_instance: u32,
     /// Open producer-servlet connections, by servlet actor endpoint
     /// (port-stripped).
-    producer_conns: HashMap<(NodeId, ActorId), ConnId>,
+    producer_conns: FastMap<(NodeId, ActorId), ConnId>,
     /// Correlates registry lookups with consumer instances.
-    pending_lookups: HashMap<u64, ConsumerId>,
+    pending_lookups: FastMap<u64, ConsumerId>,
     /// Correlates registry lookups with one-time queries.
-    pending_query_lookups: HashMap<u64, u64>,
+    pending_query_lookups: FastMap<u64, u64>,
     /// One-time queries awaiting producer fetches, by query token.
-    queries: HashMap<u64, PendingQuery>,
+    queries: FastMap<u64, PendingQuery>,
     next_query: u64,
-    seen_conns: HashSet<ConnId>,
+    seen_conns: FastSet<ConnId>,
     next_req: u64,
 }
 
@@ -106,14 +106,14 @@ impl ConsumerServlet {
             registry_ep,
             registry_conn: None,
             catalog: Catalog::new(),
-            instances: HashMap::new(),
+            instances: FastMap::default(),
             next_instance: 0,
-            producer_conns: HashMap::new(),
-            pending_lookups: HashMap::new(),
-            pending_query_lookups: HashMap::new(),
-            queries: HashMap::new(),
+            producer_conns: FastMap::default(),
+            pending_lookups: FastMap::default(),
+            pending_query_lookups: FastMap::default(),
+            queries: FastMap::default(),
             next_query: 0,
-            seen_conns: HashSet::new(),
+            seen_conns: FastSet::default(),
             next_req: 0,
         }
     }
@@ -218,7 +218,7 @@ impl ConsumerServlet {
                 predicate,
                 columns,
                 buffer: Vec::new(),
-                planned: HashSet::new(),
+                planned: FastSet::default(),
             },
         );
         let done = self.cpu(

@@ -14,12 +14,12 @@ use crate::protocol::{
 };
 use crate::storage::MemoryStorage;
 use minisql::Catalog;
-use simcore::{Actor, ActorId, Context, Payload, SimDuration, SimTime};
+use simcore::{Actor, ActorId, Context, FastMap, FastSet, Payload, SimDuration, SimTime};
 use simnet::{
     http, ConnId, Delivery, Endpoint, HttpRequest, HttpResponse, NetworkFabric, Transport,
 };
 use simos::{NodeId, OsModel, ProcessId};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use telemetry::ProbeId;
 
@@ -58,11 +58,11 @@ pub struct ProducerServlet {
     registry_conn: Option<ConnId>,
     /// Replica of the Schema service's tables.
     catalog: Catalog,
-    instances: HashMap<ProducerId, Instance>,
+    instances: FastMap<ProducerId, Instance>,
     next_instance: u32,
     streams: Vec<StreamState>,
     /// Connections that already hold a service thread.
-    seen_conns: HashSet<ConnId>,
+    seen_conns: FastSet<ConnId>,
     next_req: u64,
 }
 
@@ -77,10 +77,10 @@ impl ProducerServlet {
             registry_ep,
             registry_conn: None,
             catalog: Catalog::new(),
-            instances: HashMap::new(),
+            instances: FastMap::default(),
             next_instance: 0,
             streams: Vec::new(),
-            seen_conns: HashSet::new(),
+            seen_conns: FastSet::default(),
             next_req: 0,
         }
     }

@@ -10,12 +10,11 @@ use crate::config::RgmaConfig;
 use crate::directory::{Directory, RegistrationId, TransferMode};
 use crate::protocol::{ProducerId, RegistryRequest, RegistryResponse};
 use minisql::{Catalog, Statement};
-use simcore::{Actor, ActorId, Context, Payload, SimTime};
+use simcore::{Actor, ActorId, Context, FastMap, Payload, SimTime};
 use simfault::FaultSignal;
 use simnet::{http, Delivery, Endpoint, HttpRequest, NetworkFabric};
 use simos::{NodeId, OsModel, ProcessId};
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 /// Direct (non-HTTP) control for deployment setup.
@@ -48,11 +47,11 @@ pub struct RegistryActor {
     endpoint: Endpoint,
     directory: Directory,
     /// Parallel map: registration → producer instance id.
-    instance_of: HashMap<RegistrationId, ProducerId>,
+    instance_of: FastMap<RegistrationId, ProducerId>,
     /// Idempotence for soft-state refreshes: `(table, endpoint)` pairs
     /// already registered. Wiped (with the directory) on restart, so the
     /// next refresh re-lands the entry.
-    registered: HashMap<(String, Endpoint), RegistrationId>,
+    registered: FastMap<(String, Endpoint), RegistrationId>,
     catalog: Catalog,
     stats: RegistryStatsHandle,
 }
@@ -67,8 +66,8 @@ impl RegistryActor {
             node,
             endpoint: Endpoint::new(node, ActorId::NONE),
             directory: Directory::new(propagation),
-            instance_of: HashMap::new(),
-            registered: HashMap::new(),
+            instance_of: FastMap::default(),
+            registered: FastMap::default(),
             catalog: Catalog::new(),
             stats: RegistryStatsHandle::default(),
         }

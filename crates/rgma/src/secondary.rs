@@ -14,12 +14,12 @@ use crate::protocol::{
     RegistryResponse, Reply, StreamChunk,
 };
 use crate::storage::MemoryStorage;
-use simcore::{Actor, ActorId, Context, Payload, SimDuration, SimTime};
+use simcore::{Actor, ActorId, Context, FastMap, FastSet, Payload, SimDuration, SimTime};
 use simnet::{
     http, ConnId, Delivery, Endpoint, HttpRequest, HttpResponse, NetworkFabric, Transport,
 };
 use simos::{NodeId, OsModel, ProcessId};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 struct FlushTick;
@@ -49,8 +49,8 @@ pub struct SecondaryProducer {
     /// Republished storage (for streams + retention).
     storage: MemoryStorage,
     /// Upstream plan: producer-instance endpoints already streamed from.
-    planned: HashSet<Endpoint>,
-    upstream_conns: HashMap<(NodeId, ActorId), ConnId>,
+    planned: FastSet<Endpoint>,
+    upstream_conns: FastMap<(NodeId, ActorId), ConnId>,
     /// Downstream consumer streams.
     downstreams: Vec<DownStream>,
     pending_lookup: Option<u64>,
@@ -82,8 +82,8 @@ impl SecondaryProducer {
             output_table: output_table.into(),
             batch: Vec::new(),
             storage,
-            planned: HashSet::new(),
-            upstream_conns: HashMap::new(),
+            planned: FastSet::default(),
+            upstream_conns: FastMap::default(),
             downstreams: Vec::new(),
             pending_lookup: None,
             next_req: 0,

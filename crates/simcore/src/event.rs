@@ -14,16 +14,17 @@
 //! The queue also keeps always-on, allocation-free accounting: per-payload-
 //! type scheduled/executed/dropped counts, the timer vs. message mix, and
 //! the queue-depth high-watermark. Counting happens on the schedule/pop
-//! path with one `HashMap<TypeId, u16>` probe per schedule (amortised O(1),
-//! no allocation after the first event of each type) and plain integer
-//! increments elsewhere, so it is cheap enough to leave on for every run.
+//! path with one `FastMap<TypeId, u16>` probe per schedule (one multiply
+//! to hash, no allocation after the first event of each type) and plain
+//! integer increments elsewhere, so it is cheap enough to leave on for
+//! every run.
 
 use crate::actor::ActorId;
 use crate::time::SimTime;
+use crate::FastMap;
 use std::any::{Any, TypeId};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// Opaque payload delivered to an actor. Actors downcast to their own
@@ -146,7 +147,7 @@ pub struct EventQueue {
     scheduled_total: u64,
     timer_scheduled: u64,
     peak_depth: usize,
-    type_ix: HashMap<TypeId, u16>,
+    type_ix: FastMap<TypeId, u16>,
     types: Vec<TypeAccount>,
     /// Wall-clock push/pop timing; `None` (the default) keeps both probes
     /// off the hot path entirely.

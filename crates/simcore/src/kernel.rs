@@ -900,29 +900,21 @@ impl Context<'_> {
         id
     }
 
-    /// Deactivate an actor: subsequent messages to it are counted as
-    /// dropped. Deactivating self is allowed (takes effect after the current
-    /// callback returns).
+    /// Deactivate another actor: subsequent messages to it are counted as
+    /// dropped. Retiring self is not supported — the running actor is out of
+    /// its slot for the length of the callback and is put back after it.
     pub fn retire(&mut self, id: ActorId) {
-        if id != self.self_id {
-            if let Some(slot) = self.actors.get_mut(id.index()) {
-                *slot = None;
-            }
-        } else {
-            // Self-retirement: mark via a tombstone the kernel recognises.
-            // The kernel re-inserts the running actor unconditionally, so we
-            // instead retire self lazily: replace the (currently empty) slot
-            // with a tombstone is impossible; callers should retire
-            // themselves by having their owner retire them. Document and
-            // ignore.
+        debug_assert!(id != self.self_id, "an actor cannot retire itself");
+        if let Some(slot) = self.actors.get_mut(id.index()) {
+            *slot = None;
         }
     }
 
     /// Exclusive access to a shared service while retaining the ability to
     /// schedule events and touch *other* services from inside the closure.
     ///
-    /// Panics if the service is not registered or is already taken
-    /// (re-entrant access).
+    /// Panics if the service was never registered, or is already taken
+    /// (re-entrant access), saying which.
     pub fn with_service<S: 'static, R>(
         &mut self,
         f: impl FnOnce(&mut S, &mut Context<'_>) -> R,
@@ -930,7 +922,7 @@ impl Context<'_> {
         let mut svc = self
             .services
             .take::<S>()
-            .unwrap_or_else(|| panic_missing::<S>());
+            .unwrap_or_else(|| panic_missing::<S>(self.services));
         let r = f(
             &mut svc,
             &mut Context {
@@ -953,16 +945,17 @@ impl Context<'_> {
 
     /// Plain mutable access to a service when no scheduling is needed.
     pub fn service_mut<S: 'static>(&mut self) -> &mut S {
-        self.services
-            .get_mut::<S>()
-            .unwrap_or_else(|| panic_missing::<S>())
+        if !self.services.contains::<S>() {
+            panic_missing::<S>(self.services);
+        }
+        self.services.get_mut::<S>().expect("checked above")
     }
 
     /// Plain shared access to a service.
     pub fn service<S: 'static>(&self) -> &S {
         self.services
             .get::<S>()
-            .unwrap_or_else(|| panic_missing::<S>())
+            .unwrap_or_else(|| panic_missing::<S>(self.services))
     }
 
     /// Mutable access to a service that may not be registered (e.g. the
@@ -975,11 +968,12 @@ impl Context<'_> {
 }
 
 #[cold]
-fn panic_missing<S>() -> ! {
-    panic!(
-        "service {} not registered (or re-entrantly taken)",
-        std::any::type_name::<S>()
-    )
+fn panic_missing<S: 'static>(services: &ServiceMap) -> ! {
+    let name = std::any::type_name::<S>();
+    if services.registered::<S>() {
+        panic!("service {name} is already taken (re-entrant access)")
+    }
+    panic!("service {name} was never registered")
 }
 
 #[cfg(test)]
@@ -1150,6 +1144,29 @@ mod tests {
         sim.schedule(SimDuration::ZERO, src, Box::new(()));
         sim.run_to_completion(10);
         assert_eq!(sim.service::<Net>().unwrap().delivered, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "service u32 is already taken (re-entrant access)")]
+    fn reentrant_with_service_says_taken() {
+        let mut sim = Simulation::new(7);
+        sim.add_service(0u32);
+        let a = sim.add_actor(FnActor(|_m: Payload, ctx: &mut Context| {
+            ctx.with_service::<u32, _>(|_, inner| inner.with_service::<u32, _>(|_, _| ()));
+        }));
+        sim.schedule(SimDuration::ZERO, a, Box::new(()));
+        sim.run_to_completion(10);
+    }
+
+    #[test]
+    #[should_panic(expected = "service u32 was never registered")]
+    fn service_on_an_empty_world_says_never_registered() {
+        let mut sim = Simulation::new(7);
+        let a = sim.add_actor(FnActor(|_m: Payload, ctx: &mut Context| {
+            ctx.service::<u32>();
+        }));
+        sim.schedule(SimDuration::ZERO, a, Box::new(()));
+        sim.run_to_completion(10);
     }
 
     #[test]

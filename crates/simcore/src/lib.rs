@@ -10,6 +10,8 @@
 //!   middleware component is written against.
 //! * [`ServiceMap`] — type-keyed shared state (network fabric, OS resource
 //!   accounting, metrics collectors).
+//! * [`FastMap`] / [`FastSet`] — `HashMap` / `HashSet` with the one fixed
+//!   hasher every table in the workspace uses.
 //! * [`SimRng`] — a frozen xoshiro256++ implementation for reproducible
 //!   randomness.
 //!
@@ -22,6 +24,7 @@
 
 pub mod actor;
 pub mod event;
+pub mod hash;
 pub mod kernel;
 pub mod rng;
 pub mod service;
@@ -29,6 +32,7 @@ pub mod time;
 
 pub use actor::{Actor, ActorId, FnActor, NullActor};
 pub use event::{EventQueue, EventTypeStat, Payload, ScheduledEvent, WallAccum, EXTERNAL_LANE};
+pub use hash::{FastMap, FastSet};
 pub use kernel::{
     Context, KernelHotpath, KernelStats, RemoteEnvelope, RemoteRouter, RunOutcome, Simulation,
 };

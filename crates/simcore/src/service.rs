@@ -6,18 +6,21 @@
 //! type-keyed singleton that actors access through their context.
 //!
 //! To keep borrows sound while still letting a service callback schedule
-//! events, services are temporarily *taken out* of the map for the duration
+//! events, services are temporarily *taken out* of their slot for the duration
 //! of the access (see [`crate::Context::with_service`]) and put back after.
 //! Nested access to two different services works; re-entrant access to the
 //! same service panics with a clear message instead of aliasing.
 
 use std::any::{Any, TypeId};
-use std::collections::HashMap;
 
-/// Type-keyed map of singleton services.
+/// Type-keyed table of singleton services.
+///
+/// A world registers at most ten services, so the table is a flat vector
+/// scanned by `TypeId`: a lookup — hit or miss — is a handful of integer
+/// compares, and `take` / `put` empty and refill a slot in place.
 #[derive(Default)]
 pub struct ServiceMap {
-    slots: HashMap<TypeId, Box<dyn Any>>,
+    slots: Vec<(TypeId, Option<Box<dyn Any>>)>,
 }
 
 impl ServiceMap {
@@ -26,54 +29,81 @@ impl ServiceMap {
         Self::default()
     }
 
+    #[inline]
+    fn slot<S: Any>(&self) -> Option<&Option<Box<dyn Any>>> {
+        let id = TypeId::of::<S>();
+        self.slots.iter().find(|(t, _)| *t == id).map(|(_, s)| s)
+    }
+
+    #[inline]
+    fn slot_mut<S: Any>(&mut self) -> Option<&mut Option<Box<dyn Any>>> {
+        let id = TypeId::of::<S>();
+        self.slots
+            .iter_mut()
+            .find(|(t, _)| *t == id)
+            .map(|(_, s)| s)
+    }
+
     /// Register a service, replacing any previous instance of the same type.
     pub fn insert<S: Any>(&mut self, svc: S) {
-        self.slots.insert(TypeId::of::<S>(), Box::new(svc));
+        self.put(Box::new(svc));
     }
 
     /// True if a service of type `S` is registered (and not currently taken).
     pub fn contains<S: Any>(&self) -> bool {
-        self.slots.contains_key(&TypeId::of::<S>())
+        self.slot::<S>().is_some_and(Option::is_some)
     }
 
     /// Remove the service of type `S` for exclusive use. Pair with [`put`].
     ///
     /// [`put`]: ServiceMap::put
+    #[inline]
     pub fn take<S: Any>(&mut self) -> Option<Box<S>> {
-        self.slots
-            .remove(&TypeId::of::<S>())
+        self.slot_mut::<S>()?
+            .take()
             .map(|b| b.downcast::<S>().expect("service slot type mismatch"))
     }
 
     /// Return a service previously removed with [`take`].
     ///
     /// [`take`]: ServiceMap::take
+    #[inline]
     pub fn put<S: Any>(&mut self, svc: Box<S>) {
-        self.slots.insert(TypeId::of::<S>(), svc);
+        match self.slot_mut::<S>() {
+            Some(slot) => *slot = Some(svc),
+            None => self.slots.push((TypeId::of::<S>(), Some(svc))),
+        }
     }
 
     /// Borrow a service immutably.
+    #[inline]
     pub fn get<S: Any>(&self) -> Option<&S> {
-        self.slots
-            .get(&TypeId::of::<S>())
+        self.slot::<S>()?
+            .as_ref()
             .map(|b| b.downcast_ref::<S>().expect("service slot type mismatch"))
     }
 
     /// Borrow a service mutably.
+    #[inline]
     pub fn get_mut<S: Any>(&mut self) -> Option<&mut S> {
-        self.slots
-            .get_mut(&TypeId::of::<S>())
+        self.slot_mut::<S>()?
+            .as_mut()
             .map(|b| b.downcast_mut::<S>().expect("service slot type mismatch"))
     }
 
-    /// Number of registered services.
+    /// True if `S` has a slot, whether its service is present or taken.
+    pub(crate) fn registered<S: Any>(&self) -> bool {
+        self.slot::<S>().is_some()
+    }
+
+    /// Number of registered services (not counting any currently taken).
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.slots.iter().filter(|(_, s)| s.is_some()).count()
     }
 
     /// True if no services are registered.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.len() == 0
     }
 }
 

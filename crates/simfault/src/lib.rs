@@ -15,9 +15,8 @@
 //! hook (`should_drop_frame`, `node_stalled`, `with_faults`) no-ops, and
 //! a no-fault run is byte-identical to a build without this crate.
 
-use simcore::{Actor, ActorId, Context, Payload, SimDuration, SimTime};
+use simcore::{Actor, ActorId, Context, FastMap, Payload, SimDuration, SimTime};
 use simos::{NodeId, OsModel};
-use std::collections::HashMap;
 
 /// Seed-stream tag for the injector's private draws; keeps fault draws
 /// off the kernel RNG so an empty schedule perturbs nothing.
@@ -299,12 +298,12 @@ pub struct FaultInjector {
     /// recovery paths (via [`with_faults`]).
     pub stats: FaultStats,
     seed: u64,
-    burst_seqs: HashMap<(NodeId, NodeId), u64>,
+    burst_seqs: FastMap<(NodeId, NodeId), u64>,
     burst_until: SimTime,
     burst_prob: f64,
     burst_node: Option<NodeId>,
     partitions: Vec<(Vec<NodeId>, SimTime)>,
-    stalled: HashMap<NodeId, SimTime>,
+    stalled: FastMap<NodeId, SimTime>,
 }
 
 impl FaultInjector {
@@ -313,12 +312,12 @@ impl FaultInjector {
         FaultInjector {
             stats: FaultStats::default(),
             seed,
-            burst_seqs: HashMap::new(),
+            burst_seqs: FastMap::default(),
             burst_until: SimTime::ZERO,
             burst_prob: 0.0,
             burst_node: None,
             partitions: Vec::new(),
-            stalled: HashMap::new(),
+            stalled: FastMap::default(),
         }
     }
 

@@ -9,8 +9,7 @@
 //! larger than the MSS are segmented and pay per-packet overhead.
 
 use crate::addr::Endpoint;
-use simcore::{Context, Payload, SimDuration, SimTime};
-use std::collections::HashMap;
+use simcore::{Context, FastMap, Payload, SimDuration, SimTime};
 
 /// Fabric configuration.
 #[derive(Debug, Clone)]
@@ -166,11 +165,11 @@ struct Nic {
 pub struct NetworkFabric {
     cfg: FabricConfig,
     nics: Vec<Nic>,
-    conns: HashMap<u32, Connection>,
+    conns: FastMap<u32, Connection>,
     /// Sequential id source for build-phase opens.
     build_opens: u32,
     /// Per-opener-actor runtime open counts (id packing).
-    runtime_opens: HashMap<u32, u32>,
+    runtime_opens: FastMap<u32, u32>,
     /// Set by [`finish_build`](Self::finish_build); switches id allocation
     /// from sequential to opener-derived.
     build_done: bool,
@@ -183,9 +182,9 @@ impl NetworkFabric {
         NetworkFabric {
             cfg,
             nics: vec![Nic::default(); nodes],
-            conns: HashMap::new(),
+            conns: FastMap::default(),
             build_opens: 0,
-            runtime_opens: HashMap::new(),
+            runtime_opens: FastMap::default(),
             build_done: false,
             stats: FabricStats::default(),
         }

@@ -10,9 +10,8 @@
 //! only.
 
 use crate::{ConnId, Endpoint, NetworkFabric, Transport};
-use simcore::{Context, SimDuration, SimRng, SimTime};
+use simcore::{Context, FastMap, SimDuration, SimRng, SimTime};
 use simos::{NodeId, OsModel};
-use std::collections::HashMap;
 
 /// Timer payload the host actor must route back via its client set's
 /// `handle_timer`.
@@ -175,8 +174,8 @@ pub enum Fired<T, S> {
 /// The connections of one host actor and their timers.
 pub struct SessionSet<P: SessionProtocol> {
     node: NodeId,
-    conns: HashMap<ConnId, Session<P::State>>,
-    timers: HashMap<u64, SessionTimer<P::Timer>>,
+    conns: FastMap<ConnId, Session<P::State>>,
+    timers: FastMap<u64, SessionTimer<P::Timer>>,
     next_timer: u64,
 }
 
@@ -185,8 +184,8 @@ impl<P: SessionProtocol> SessionSet<P> {
     pub fn new(node: NodeId) -> Self {
         SessionSet {
             node,
-            conns: HashMap::new(),
-            timers: HashMap::new(),
+            conns: FastMap::default(),
+            timers: FastMap::default(),
             next_timer: 0,
         }
     }

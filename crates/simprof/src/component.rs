@@ -128,8 +128,7 @@ mod tests {
 
     #[test]
     fn names_are_unique_and_dotted() {
-        let names: std::collections::HashSet<&str> =
-            Component::ALL.iter().map(|c| c.name()).collect();
+        let names: simcore::FastSet<&str> = Component::ALL.iter().map(|c| c.name()).collect();
         assert_eq!(names.len(), COMPONENT_COUNT);
     }
 }

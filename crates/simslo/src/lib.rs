@@ -906,7 +906,7 @@ mod tests {
             k in prop_oneof![Just(2usize), Just(4)],
         ) {
             // Dedup (lane, seq) so each probe publishes once.
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = simcore::FastSet::default();
             let events: Vec<_> = events
                 .into_iter()
                 .filter(|e| seen.insert((e.0, e.1)))

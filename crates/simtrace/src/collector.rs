@@ -27,8 +27,8 @@
 
 use crate::event::{Counter, EventKind, Gauge, TraceEvent, TraceId, COUNTER_COUNT, GAUGE_COUNT};
 use crate::sampler::CounterSample;
-use simcore::{Context, SimTime};
-use std::collections::{BTreeMap, HashMap};
+use simcore::{Context, FastMap, SimTime};
+use std::collections::BTreeMap;
 
 /// Default ring capacity: enough for every event of the scaled
 /// experiment suite while bounding the exported artifact to a few MB of
@@ -85,7 +85,7 @@ pub struct TraceCollector {
     gauge_ops: Vec<[Option<GaugeOp>; GAUGE_COUNT]>,
     cur_lane: u32,
     cur_at: SimTime,
-    lane_seqs: HashMap<u32, u64>,
+    lane_seqs: FastMap<u32, u64>,
 }
 
 impl TraceCollector {
@@ -106,7 +106,7 @@ impl TraceCollector {
             gauge_ops: Vec::new(),
             cur_lane: 0,
             cur_at: SimTime::ZERO,
-            lane_seqs: HashMap::new(),
+            lane_seqs: FastMap::default(),
         }
     }
 
@@ -299,7 +299,7 @@ impl TraceCollector {
             gauge_ops: Vec::new(),
             cur_lane: 0,
             cur_at: SimTime::ZERO,
-            lane_seqs: HashMap::new(),
+            lane_seqs: FastMap::default(),
         }
     }
 }

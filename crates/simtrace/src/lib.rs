@@ -16,8 +16,8 @@
 //! * [`TraceCollector`] — a bounded store of the newest [`TraceEvent`]s
 //!   plus live [`Counter`]s/[`Gauge`]s, registered as a kernel service.
 //!   Instrumentation sites look it up with `Context::try_service_mut`,
-//!   so when tracing is off (service absent) the cost is one type-map
-//!   probe and no allocation.
+//!   so when tracing is off (service absent) the cost is one scan of the
+//!   kernel's few service slots and no allocation.
 //! * [`TraceSampler`] — an actor sampling the counters on the same
 //!   cadence as `simos::VmstatSampler`, producing the unified resource
 //!   log.

@@ -3,12 +3,11 @@
 //! return what sorting and replaying the complete logs would.
 
 use proptest::prelude::*;
-use simcore::SimTime;
+use simcore::{FastMap, SimTime};
 use simtrace::{
     Counter, CounterSample, EventKind, Gauge, TraceCollector, TraceEvent, TraceId, COUNTER_COUNT,
     GAUGE_COUNT,
 };
-use std::collections::HashMap;
 
 #[derive(Debug, Clone, Copy)]
 enum Action {
@@ -46,7 +45,7 @@ struct Reference {
     gauge_ops: Vec<((SimTime, u32, u64), usize, u64)>,
     counters: [u64; COUNTER_COUNT],
     samples: Vec<(SimTime, [u64; COUNTER_COUNT])>,
-    lane_seqs: HashMap<u32, u64>,
+    lane_seqs: FastMap<u32, u64>,
 }
 
 impl Reference {

@@ -14,8 +14,8 @@
 
 use crate::histogram::LatencyHistogram;
 use crate::report::trim_float;
-use simcore::{Context, SimTime};
-use std::collections::{BTreeMap, HashMap};
+use simcore::{Context, FastMap, SimTime};
+use std::collections::BTreeMap;
 
 /// One recorded mutation of the registry, replayable at merge time.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -87,13 +87,13 @@ pub struct MetricsRegistry {
     /// Long-format samples: (instant, metric, value).
     series: Vec<(SimTime, String, f64)>,
     /// Interned metric names; ids are per registry until merged.
-    names: HashMap<String, u32>,
+    names: FastMap<String, u32>,
     observes: Vec<OpRec>,
     marks: Vec<OpRec>,
     /// (sample interval, lane, name, is gauge) → that interval's folded
     /// op, carrying the key of the lane's last write in it.
-    folded: HashMap<(usize, u32, u32, bool), OpRec>,
-    lane_seqs: HashMap<u32, u64>,
+    folded: FastMap<(usize, u32, u32, bool), OpRec>,
+    lane_seqs: FastMap<u32, u64>,
     cur_lane: u32,
     cur_at: SimTime,
 }

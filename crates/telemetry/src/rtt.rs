@@ -15,8 +15,8 @@
 
 use crate::histogram::{HistogramSummary, LatencyHistogram};
 use crate::stats::Welford;
-use simcore::SimTime;
-use std::collections::{BTreeMap, HashMap};
+use simcore::{FastMap, SimTime};
+use std::collections::BTreeMap;
 
 /// Handle to one in-flight probe record.
 ///
@@ -146,7 +146,7 @@ impl Conservation {
 /// event interleaving that produced the records.
 pub struct RttCollector {
     records: BTreeMap<u64, Record>,
-    lane_seqs: HashMap<u32, u32>,
+    lane_seqs: FastMap<u32, u32>,
 }
 
 impl Default for RttCollector {
@@ -160,7 +160,7 @@ impl RttCollector {
     pub fn new() -> Self {
         RttCollector {
             records: BTreeMap::new(),
-            lane_seqs: HashMap::new(),
+            lane_seqs: FastMap::default(),
         }
     }
 

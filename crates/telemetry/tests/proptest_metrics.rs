@@ -84,7 +84,7 @@ proptest! {
     ) {
         let mut parts: Vec<MetricsRegistry> = (0..shards).map(|_| MetricsRegistry::new()).collect();
         let mut log: Vec<LoggedOp> = Vec::new();
-        let mut seqs = std::collections::HashMap::<u32, u64>::new();
+        let mut seqs = simcore::FastMap::<u32, u64>::default();
         let mut now = SimTime::ZERO;
         let mut last_sample = None;
         for &(dt, lane, action) in &steps {

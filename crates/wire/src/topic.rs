@@ -9,7 +9,7 @@
 //! process-wide registry): wire messages still carry the topic string,
 //! so two brokers never need to agree on numbering.
 
-use std::collections::HashMap;
+use simcore::FastMap;
 
 /// Dense handle for an interned topic name, valid only with the
 /// [`TopicTable`] that issued it.
@@ -23,7 +23,7 @@ pub struct TopicId(pub u32);
 /// simulator relies on for byte-identical replays.
 #[derive(Debug, Default, Clone)]
 pub struct TopicTable {
-    by_name: HashMap<String, TopicId>,
+    by_name: FastMap<String, TopicId>,
     names: Vec<String>,
 }
 

@@ -6,9 +6,11 @@
 //! that moves means the simulation changed, and the PR that moves it
 //! replaces the literal and says why.
 
-use gridmon::core::{run_all, ExperimentResult, ExperimentSpec, SystemUnderTest};
+use gridmon::core::{run_all, run_experiment, ExperimentResult, ExperimentSpec, SystemUnderTest};
 use gridmon::simnet::Transport;
 use gridmon::simslo::SloSpec;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 
 /// Messages per generator (the paper's runs are 180).
 const MSGS: u32 = 20;
@@ -91,5 +93,75 @@ fn virtual_clock_numbers_match_the_golden_table() {
     let (specs, lines): (Vec<_>, Vec<_>) = golden().into_iter().unzip();
     for (result, line) in run_all(&specs, 0).iter().zip(lines) {
         assert_eq!(render(result), line, "{}", result.name);
+    }
+}
+
+/// Counts the calling thread's allocation calls, so the other test of
+/// this binary, on its own thread, does not leak into the count.
+struct Counting;
+
+thread_local! {
+    // Const-initialised and without a destructor: touching it from
+    // inside the allocator neither allocates nor registers a dtor.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn note() {
+    // `try_with`: the allocator also runs while a thread tears down.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the bookkeeping touches one
+// thread-local `Cell` and cannot allocate, unwind or re-enter.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note();
+        // SAFETY: `ptr` came from this allocator (hence from `System`)
+        // with `layout`, as the caller vouched for.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator (hence from `System`)
+        // with `layout`, as the caller vouched for.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// No table draws a `RandomState` seed, so nothing about a run — not
+/// even when a table regrows — differs between two runs of one seed:
+/// they make the same number of allocation calls. (Under
+/// `GRIDMON_SHARDS` the shards run on threads of their own and this
+/// counts the build-and-merge side only.)
+#[test]
+fn same_seed_runs_allocate_identically() {
+    let small = |name, system| {
+        ExperimentSpec::paper_default(format!("allocs/{name}"), system, 60).scaled(5)
+    };
+    for spec in [
+        small("narada-dbn", SystemUnderTest::NaradaDbn { brokers: 3 }),
+        small("rgma-dist", SystemUnderTest::RgmaDistributed),
+        small("gridlog", SystemUnderTest::GridlogSingle),
+    ] {
+        let counted = || {
+            let before = ALLOCS.get();
+            let events = run_experiment(&spec).events;
+            (events, ALLOCS.get() - before)
+        };
+        // The first run on a thread also fills its lazily built statics.
+        counted();
+        let (first, second) = (counted(), counted());
+        assert!(first.1 > 0, "{}: the counter is live", spec.name);
+        assert_eq!(first, second, "{}: (events, allocations)", spec.name);
     }
 }
