@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! gridlog — a partitioned-log (Kafka-style) middleware contender for
 //! the grid-monitoring study, simulated on the same planes as narada
 //! and R-GMA.

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! `repro` — regenerate the paper's tables and figures.
 //!
 //! ```text

@@ -40,8 +40,8 @@ impl Ev {
             Value::Long(x) => Ev::Num(*x as f64),
             Value::Float(x) => Ev::Num(f64::from(*x)),
             Value::Double(x) => Ev::Num(*x),
-            Value::Str(s) => Ev::Str(s.clone()),
-            Value::Char { content, .. } => Ev::Str(content.clone()),
+            Value::Str(s) => Ev::Str(s.as_str().to_owned()),
+            Value::Char { content, .. } => Ev::Str(content.as_str().to_owned()),
             Value::Bool(b) => Ev::Bool(*b),
         }
     }

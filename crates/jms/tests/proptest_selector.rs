@@ -10,7 +10,7 @@ fn arb_value() -> impl Strategy<Value = Value> {
         any::<i32>().prop_map(Value::Int),
         any::<i64>().prop_map(Value::Long),
         proptest::num::f64::NORMAL.prop_map(Value::Double),
-        "[a-z%_]{0,12}".prop_map(Value::Str),
+        "[a-z%_]{0,12}".prop_map(Value::from),
         any::<bool>().prop_map(Value::Bool),
     ]
 }

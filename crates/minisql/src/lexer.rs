@@ -1,9 +1,16 @@
-//! SQL lexer for the R-GMA subset: one borrowed, streaming pass. Words
-//! and literals are slices of the input; only a string literal holding an
-//! escaped quote (`''`) is copied.
+//! The SQL text codec of the R-GMA subset, both halves.
+//!
+//! *Reading* is one borrowed, streaming pass that classifies: a token is
+//! a [`Kind`] and a byte range ([`Span`]), and its text becomes a number
+//! or a string only where the grammar consumes it, so a comma costs a
+//! byte compare and nothing is built to be dropped. [`lex`] / [`Token`]
+//! are the public view over the same spans. *Writing* is
+//! [`write_uint`] and [`write_fixed`]: the literals a publisher wraps in
+//! its `INSERT`, appended to a buffer it reuses — [`write_fixed`] prints
+//! byte for byte what `{:.p$}` prints, by exact integer arithmetic.
 
 use std::borrow::Cow;
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// SQL token, borrowing from the lexed text.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,36 +77,76 @@ pub enum Keyword {
     Varchar,
 }
 
-const KEYWORDS: [(&str, Keyword); 22] = [
-    ("CREATE", Keyword::Create),
-    ("TABLE", Keyword::Table),
-    ("INSERT", Keyword::Insert),
-    ("INTO", Keyword::Into),
-    ("VALUES", Keyword::Values),
-    ("SELECT", Keyword::Select),
-    ("FROM", Keyword::From),
-    ("WHERE", Keyword::Where),
-    ("AND", Keyword::And),
-    ("OR", Keyword::Or),
-    ("NOT", Keyword::Not),
-    ("NULL", Keyword::Null),
-    ("TRUE", Keyword::True),
-    ("FALSE", Keyword::False),
-    ("INTEGER", Keyword::Integer),
-    ("INT", Keyword::Int),
-    ("BIGINT", Keyword::Bigint),
-    ("REAL", Keyword::Real),
-    ("DOUBLE", Keyword::Double),
-    ("PRECISION", Keyword::Precision),
-    ("CHAR", Keyword::Char),
-    ("VARCHAR", Keyword::Varchar),
-];
+/// What a token is, apart from its text. `Copy`, and compared as one or
+/// two bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Kind {
+    Ident,
+    Keyword(Keyword),
+    Int,
+    Float,
+    /// Quoted string; `escaped` when it holds a `''`.
+    Str {
+        escaped: bool,
+    },
+    LParen,
+    RParen,
+    Comma,
+    Star,
+    Eq,
+    Ne,
+    Lt,
+    Le,
+    Gt,
+    Ge,
+    Semi,
+    /// The end of the input, or of the tokens before a lexical error.
+    End,
+}
+
+/// One token: its kind and the bytes `start..end` of the text (a string
+/// literal's range includes its quotes).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Span {
+    pub(crate) kind: Kind,
+    pub(crate) start: usize,
+    pub(crate) end: usize,
+}
 
 impl Keyword {
-    fn parse(word: &str) -> Option<Keyword> {
-        KEYWORDS
+    /// The keyword `word` spells, in any case. Keywords are two to nine
+    /// letters long and a statement is mostly names, so the length picks
+    /// the few candidates first: a column name is compared with the
+    /// keywords of its length, not with all twenty-two.
+    fn parse(word: &[u8]) -> Option<Keyword> {
+        use Keyword::*;
+        let candidates: &[(&str, Keyword)] = match word.len() {
+            2 => &[("OR", Or)],
+            3 => &[("AND", And), ("NOT", Not), ("INT", Int)],
+            4 => &[
+                ("INTO", Into),
+                ("FROM", From),
+                ("NULL", Null),
+                ("TRUE", True),
+                ("REAL", Real),
+                ("CHAR", Char),
+            ],
+            5 => &[("TABLE", Table), ("WHERE", Where), ("FALSE", False)],
+            6 => &[
+                ("CREATE", Create),
+                ("INSERT", Insert),
+                ("VALUES", Values),
+                ("SELECT", Select),
+                ("BIGINT", Bigint),
+                ("DOUBLE", Double),
+            ],
+            7 => &[("INTEGER", Integer), ("VARCHAR", Varchar)],
+            9 => &[("PRECISION", Precision)],
+            _ => return None,
+        };
+        candidates
             .iter()
-            .find(|(text, _)| text.eq_ignore_ascii_case(word))
+            .find(|(text, _)| text.as_bytes().eq_ignore_ascii_case(word))
             .map(|&(_, k)| k)
     }
 }
@@ -156,7 +203,11 @@ impl LexError {
 /// Tokenize SQL text lazily: the iterator yields one token per call and
 /// ends after the first error.
 pub fn lex(input: &str) -> Lexer<'_> {
-    Lexer { input, pos: 0 }
+    Lexer {
+        input,
+        pos: 0,
+        error: None,
+    }
 }
 
 /// Streaming tokenizer returned by [`lex`].
@@ -164,6 +215,8 @@ pub fn lex(input: &str) -> Lexer<'_> {
 pub struct Lexer<'a> {
     input: &'a str,
     pos: usize,
+    /// Why the spans ended early, until someone takes it.
+    error: Option<LexError>,
 }
 
 impl<'a> Lexer<'a> {
@@ -172,63 +225,92 @@ impl<'a> Lexer<'a> {
         &self.input[self.pos..]
     }
 
-    fn token(&mut self) -> Result<Option<Token<'a>>, LexError> {
-        let input = self.input;
-        let bytes = input.as_bytes();
-        while matches!(bytes.get(self.pos), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.pos += 1;
+    /// The lexical error that ended the spans, if one did.
+    pub(crate) fn error(&self) -> Option<&LexError> {
+        self.error.as_ref()
+    }
+
+    /// End the spans here with an error.
+    fn fail(&mut self, at: usize, message: impl Into<String>) -> Span {
+        self.error = Some(LexError::new(at, message));
+        self.pos = self.input.len();
+        Span {
+            kind: Kind::End,
+            start: at,
+            end: at,
         }
-        let start = self.pos;
+    }
+
+    /// Classify the next token. Numbers are delimited, not converted: a
+    /// malformed one is reported by [`int`](Self::int) /
+    /// [`float`](Self::float) / [`token`](Self::token). Inlined into its
+    /// three callers (the parser's `bump`, its constructor, the token
+    /// iterator): a separate call per token was a sixth of `bind_insert`.
+    #[inline(always)]
+    pub(crate) fn next_span(&mut self) -> Span {
+        let bytes = self.input.as_bytes();
+        let mut start = self.pos;
+        while let Some(b' ' | b'\t' | b'\r' | b'\n') = bytes.get(start) {
+            start += 1;
+        }
         let Some(&b) = bytes.get(start) else {
-            return Ok(None);
+            self.pos = start;
+            return Span {
+                kind: Kind::End,
+                start,
+                end: start,
+            };
         };
         let next_is = |c: u8| bytes.get(start + 1) == Some(&c);
-        let (tok, len) = match b {
-            b'(' => (Token::LParen, 1),
-            b')' => (Token::RParen, 1),
-            b',' => (Token::Comma, 1),
-            b'*' => (Token::Star, 1),
-            b';' => (Token::Semi, 1),
-            b'=' => (Token::Eq, 1),
-            b'!' if next_is(b'=') => (Token::Ne, 2),
-            b'!' => return Err(LexError::new(start, "expected '=' after '!'")),
-            b'<' if next_is(b'>') => (Token::Ne, 2),
-            b'<' if next_is(b'=') => (Token::Le, 2),
-            b'<' => (Token::Lt, 1),
-            b'>' if next_is(b'=') => (Token::Ge, 2),
-            b'>' => (Token::Gt, 1),
-            b'\'' => return self.string(start).map(Some),
-            b'-' | b'0'..=b'9' | b'.' => return self.number(start).map(Some),
+        let (kind, len) = match b {
+            b'(' => (Kind::LParen, 1),
+            b')' => (Kind::RParen, 1),
+            b',' => (Kind::Comma, 1),
+            b'*' => (Kind::Star, 1),
+            b';' => (Kind::Semi, 1),
+            b'=' => (Kind::Eq, 1),
+            b'!' if next_is(b'=') => (Kind::Ne, 2),
+            b'!' => return self.fail(start, "expected '=' after '!'"),
+            b'<' if next_is(b'>') => (Kind::Ne, 2),
+            b'<' if next_is(b'=') => (Kind::Le, 2),
+            b'<' => (Kind::Lt, 1),
+            b'>' if next_is(b'=') => (Kind::Ge, 2),
+            b'>' => (Kind::Gt, 1),
+            b'\'' => return self.string(start),
+            b'-' | b'0'..=b'9' | b'.' => return self.number(start),
             b if b.is_ascii_alphabetic() || b == b'_' => {
-                let len = bytes[start..]
-                    .iter()
-                    .take_while(|b| b.is_ascii_alphanumeric() || **b == b'_')
-                    .count();
-                let word = &input[start..start + len];
-                let tok = Keyword::parse(word).map_or(Token::Ident(word), Token::Keyword);
-                (tok, len)
+                let mut end = start + 1;
+                while let Some(b'0'..=b'9' | b'A'..=b'Z' | b'a'..=b'z' | b'_') = bytes.get(end) {
+                    end += 1;
+                }
+                let word = Keyword::parse(&bytes[start..end]);
+                (word.map_or(Kind::Ident, Kind::Keyword), end - start)
             }
             _ => {
-                let other = input[start..].chars().next().expect("start is in bounds");
-                return Err(LexError::new(
-                    start,
-                    format!("unexpected character {other:?}"),
-                ));
+                let other = self.input[start..]
+                    .chars()
+                    .next()
+                    .expect("start is in bounds");
+                return self.fail(start, format!("unexpected character {other:?}"));
             }
         };
         self.pos = start + len;
-        Ok(Some(tok))
+        Span {
+            kind,
+            start,
+            end: start + len,
+        }
     }
 
     /// String literal opening at `start`. `'` is ASCII, so scanning bytes
     /// for it never splits a multi-byte character.
-    fn string(&mut self, start: usize) -> Result<Token<'a>, LexError> {
+    fn string(&mut self, start: usize) -> Span {
         let bytes = self.input.as_bytes();
         let mut escaped = false;
         let mut end = start + 1;
         loop {
             match bytes.get(end) {
-                None => return Err(LexError::new(start, "unterminated string literal")),
+                None => return self.fail(start, "unterminated string literal"),
                 Some(b'\'') if bytes.get(end + 1) == Some(&b'\'') => {
                     escaped = true;
                     end += 2;
@@ -238,17 +320,16 @@ impl<'a> Lexer<'a> {
             }
         }
         self.pos = end + 1;
-        let raw = &self.input[start + 1..end];
-        Ok(Token::Str(if escaped {
-            Cow::Owned(raw.replace("''", "'"))
-        } else {
-            Cow::Borrowed(raw)
-        }))
+        Span {
+            kind: Kind::Str { escaped },
+            start,
+            end: end + 1,
+        }
     }
 
     /// Numeric literal starting at `start`. '-' only starts a number if
     /// a digit or '.' follows (the subset has no arithmetic).
-    fn number(&mut self, start: usize) -> Result<Token<'a>, LexError> {
+    fn number(&mut self, start: usize) -> Span {
         let bytes = self.input.as_bytes();
         let mut i = start;
         if bytes[i] == b'-' {
@@ -256,7 +337,7 @@ impl<'a> Lexer<'a> {
                 .get(i + 1)
                 .is_some_and(|b| b.is_ascii_digit() || *b == b'.')
             {
-                return Err(LexError::new(start, "unexpected '-'"));
+                return self.fail(start, "unexpected '-'");
             }
             i += 1;
         }
@@ -279,16 +360,68 @@ impl<'a> Lexer<'a> {
             }
         }
         self.pos = i;
-        let text = &self.input[start..i];
-        if float {
-            text.parse()
-                .map(Token::Float)
-                .map_err(|e| LexError::new(start, format!("bad float {text:?}: {e}")))
-        } else {
-            text.parse()
-                .map(Token::Int)
-                .map_err(|e| LexError::new(start, format!("bad integer {text:?}: {e}")))
+        Span {
+            kind: if float { Kind::Float } else { Kind::Int },
+            start,
+            end: i,
         }
+    }
+
+    /// The bytes of `span` as written.
+    #[inline]
+    pub(crate) fn text(&self, span: Span) -> &'a str {
+        &self.input[span.start..span.end]
+    }
+
+    /// The value of a [`Kind::Int`] span.
+    #[inline]
+    pub(crate) fn int(&self, span: Span) -> Result<i64, LexError> {
+        let text = self.text(span);
+        text.parse()
+            .map_err(|e| LexError::new(span.start, format!("bad integer {text:?}: {e}")))
+    }
+
+    /// The value of a [`Kind::Float`] span.
+    #[inline]
+    pub(crate) fn float(&self, span: Span) -> Result<f64, LexError> {
+        let text = self.text(span);
+        text.parse()
+            .map_err(|e| LexError::new(span.start, format!("bad float {text:?}: {e}")))
+    }
+
+    /// The content of a [`Kind::Str`] span: quotes stripped, `''`
+    /// unescaped (the only case that copies).
+    #[inline]
+    pub(crate) fn string_content(&self, span: Span) -> Cow<'a, str> {
+        let raw = &self.input[span.start + 1..span.end - 1];
+        if span.kind == (Kind::Str { escaped: true }) {
+            Cow::Owned(raw.replace("''", "'"))
+        } else {
+            Cow::Borrowed(raw)
+        }
+    }
+
+    /// `span` (not [`Kind::End`]) as a public token.
+    pub(crate) fn token(&self, span: Span) -> Result<Token<'a>, LexError> {
+        Ok(match span.kind {
+            Kind::Ident => Token::Ident(self.text(span)),
+            Kind::Keyword(k) => Token::Keyword(k),
+            Kind::Int => Token::Int(self.int(span)?),
+            Kind::Float => Token::Float(self.float(span)?),
+            Kind::Str { .. } => Token::Str(self.string_content(span)),
+            Kind::LParen => Token::LParen,
+            Kind::RParen => Token::RParen,
+            Kind::Comma => Token::Comma,
+            Kind::Star => Token::Star,
+            Kind::Eq => Token::Eq,
+            Kind::Ne => Token::Ne,
+            Kind::Lt => Token::Lt,
+            Kind::Le => Token::Le,
+            Kind::Gt => Token::Gt,
+            Kind::Ge => Token::Ge,
+            Kind::Semi => Token::Semi,
+            Kind::End => unreachable!("the end is not a token"),
+        })
     }
 }
 
@@ -296,11 +429,109 @@ impl<'a> Iterator for Lexer<'a> {
     type Item = Result<Token<'a>, LexError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        let item = self.token().transpose();
-        if matches!(item, Some(Err(_))) {
+        let span = self.next_span();
+        if span.kind == Kind::End {
+            return self.error.take().map(Err);
+        }
+        let token = self.token(span);
+        if token.is_err() {
             self.pos = self.input.len();
         }
-        item
+        Some(token)
+    }
+}
+
+/// `10^n` for every `n` whose power fits a `u64`.
+const POW10: [u64; 20] = {
+    let mut table = [1u64; 20];
+    let mut n = 1;
+    while n < 20 {
+        table[n] = table[n - 1] * 10;
+        n += 1;
+    }
+    table
+};
+
+/// Append `v` in decimal, zero-padded to at least `min_digits` digits:
+/// what `{v:0min_digits$}` prints.
+pub fn write_uint(out: &mut String, mut v: u64, min_digits: usize) {
+    // Least significant digit first, from the end of the buffer.
+    let mut digits = [b'0'; 20];
+    let mut at = digits.len();
+    while v > 0 {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+    }
+    for _ in digits.len() - at..min_digits.max(1) {
+        match at.checked_sub(1) {
+            Some(left) => at = left,
+            // Padding wider than a u64 is long: beyond the buffer.
+            None => out.push('0'),
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+/// Append `x` with exactly `precision` decimals: byte for byte what
+/// `{x:.precision$}` prints.
+///
+/// `core::fmt` rounds the *exact* binary value half-to-even, so this does
+/// too, in integers: `|x| = m × 2^e`, and its fraction times `10^p` is a
+/// `u128` product whose low `-e` bits are the exact remainder to round
+/// on. Values at or past `2^63`, precisions past 19 and non-finite input
+/// are left to `core::fmt` itself.
+pub fn write_fixed(out: &mut String, x: f64, precision: usize) {
+    const FRACTION_BITS: u32 = 52;
+    let bits = x.to_bits();
+    let biased = (bits >> FRACTION_BITS) & 0x7ff;
+    let fraction = bits & ((1 << FRACTION_BITS) - 1);
+    // Subnormals have no implicit bit and the smallest exponent.
+    let (mantissa, exponent) = match biased {
+        0 => (fraction, -1074),
+        _ => (fraction | 1 << FRACTION_BITS, biased as i32 - 1075),
+    };
+    if exponent > 10 || precision >= POW10.len() {
+        // Huge, infinite, NaN, or more decimals than a u64 holds.
+        write!(out, "{x:.precision$}").expect("writing to a String cannot fail");
+        return;
+    }
+    let scale = POW10[precision];
+    // |x| = whole + part / 2^shift, with part < 2^shift.
+    let (mut whole, part, shift) = match exponent {
+        0.. => (mantissa << exponent, 0, 1),
+        -63..=-1 => {
+            let shift = -exponent as u32;
+            (mantissa >> shift, mantissa & ((1 << shift) - 1), shift)
+        }
+        _ => (0, mantissa, -exponent as u32),
+    };
+    // part < 2^53 and scale < 2^64: the product is exact in a u128. Past
+    // 127 bits of shift it is below half a unit, and rounds to zero.
+    let product = u128::from(part) * u128::from(scale);
+    let mut decimals = 0;
+    if shift < u128::BITS {
+        decimals = (product >> shift) as u64;
+        let remainder = product & ((1 << shift) - 1);
+        let half = 1 << (shift - 1);
+        // A tie goes to the even last digit, which `{:.0}` prints from
+        // the whole part.
+        let last = if precision == 0 { whole } else { decimals };
+        if remainder > half || (remainder == half && last % 2 == 1) {
+            decimals += 1;
+        }
+        if decimals == scale {
+            decimals = 0;
+            whole += 1;
+        }
+    }
+    if x.is_sign_negative() {
+        out.push('-');
+    }
+    write_uint(out, whole, 1);
+    if precision > 0 {
+        out.push('.');
+        write_uint(out, decimals, precision);
     }
 }
 

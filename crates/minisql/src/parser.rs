@@ -1,7 +1,7 @@
 //! Recursive-descent parser for the SQL subset.
 
 use crate::ast::{CmpOp, ColumnDef, Predicate, SqlType, Statement};
-use crate::lexer::{lex, Keyword, LexError, Lexer, Token};
+use crate::lexer::{lex, Keyword, Kind, LexError, Lexer, Span};
 use std::fmt;
 use wire::Value;
 
@@ -59,11 +59,11 @@ pub fn parse(input: &str) -> Result<Statement, ParseError> {
 /// then the literals.
 pub(crate) trait InsertSink {
     fn table(&mut self, name: &str);
-    /// A column list of about `n` names follows.
-    fn expect_columns(&mut self, _n: usize) {}
+    /// A column list of about `n()` names follows.
+    fn expect_columns(&mut self, _n: impl FnOnce() -> usize) {}
     fn column(&mut self, name: &str);
-    /// A value list of about `n` literals follows.
-    fn expect_values(&mut self, _n: usize) {}
+    /// A value list of about `n()` literals follows.
+    fn expect_values(&mut self, _n: impl FnOnce() -> usize) {}
     fn value(&mut self, literal: Value);
 }
 
@@ -94,55 +94,52 @@ impl InsertSink for OwnedInsert {
     fn table(&mut self, name: &str) {
         self.table = name.to_owned();
     }
-    fn expect_columns(&mut self, n: usize) {
-        self.columns.reserve(n);
+    fn expect_columns(&mut self, n: impl FnOnce() -> usize) {
+        self.columns.reserve(n());
     }
     fn column(&mut self, name: &str) {
         self.columns.push(name.to_owned());
     }
-    fn expect_values(&mut self, n: usize) {
-        self.values.reserve(n);
+    fn expect_values(&mut self, n: impl FnOnce() -> usize) {
+        self.values.reserve(n());
     }
     fn value(&mut self, literal: Value) {
         self.values.push(literal);
     }
 }
 
-/// One token of lookahead over the streaming lexer. A lexical error ends
-/// the token stream and is reported in place of whatever the grammar
-/// would have said about the missing token.
+/// One token of lookahead over the streaming lexer, held as a span: its
+/// text is converted where a rule consumes it. A lexical error ends the
+/// spans and is reported in place of whatever the grammar would have
+/// said about the missing token.
 struct Parser<'a> {
     lexer: Lexer<'a>,
-    cur: Option<Token<'a>>,
-    lex_err: Option<LexError>,
+    cur: Span,
     depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(input: &'a str) -> Self {
-        let mut p = Parser {
-            lexer: lex(input),
-            cur: None,
-            lex_err: None,
+        let mut lexer = lex(input);
+        let cur = lexer.next_span();
+        Parser {
+            lexer,
+            cur,
             depth: 0,
-        };
-        p.bump();
-        p
+        }
     }
 
+    /// Advance to the next token. The one copy of the scanner: rules
+    /// call this, and [`Lexer::next_span`] is inlined into it, so a token
+    /// costs one call and its span is stored where the rules read it.
+    #[inline(never)]
     fn bump(&mut self) {
-        self.cur = match self.lexer.next() {
-            Some(Ok(t)) => Some(t),
-            Some(Err(e)) => {
-                self.lex_err = Some(e);
-                None
-            }
-            None => None,
-        };
+        self.cur = self.lexer.next_span();
     }
 
-    fn eat(&mut self, t: &Token<'_>) -> bool {
-        let hit = self.cur.as_ref() == Some(t);
+    #[inline]
+    fn eat(&mut self, kind: Kind) -> bool {
+        let hit = self.cur.kind == kind;
         if hit {
             self.bump();
         }
@@ -150,7 +147,7 @@ impl<'a> Parser<'a> {
     }
 
     fn eat_kw(&mut self, k: Keyword) -> bool {
-        self.eat(&Token::Keyword(k))
+        self.eat(Kind::Keyword(k))
     }
 
     fn expect_kw(&mut self, k: Keyword) -> Result<(), ParseError> {
@@ -161,19 +158,29 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect(&mut self, t: Token<'_>, what: &str) -> Result<(), ParseError> {
-        if self.eat(&t) {
+    fn expect(&mut self, kind: Kind, what: &str) -> Result<(), ParseError> {
+        if self.eat(kind) {
             Ok(())
         } else {
             Err(self.unexpected(what))
         }
     }
 
+    /// The current token as errors quote it (`None` at the end of the
+    /// input) — or the lexical error that stands in its place: the one
+    /// that ended the spans, or its own if it is a malformed number.
+    fn found(&self) -> Result<Option<String>, LexError> {
+        if self.cur.kind == Kind::End {
+            return self.lexer.error().map_or(Ok(None), |e| Err(e.clone()));
+        }
+        self.lexer.token(self.cur).map(|t| Some(t.to_string()))
+    }
+
     fn unexpected(&self, expected: &str) -> ParseError {
-        match &self.lex_err {
-            Some(e) => ParseError::Lex(e.clone()),
-            None => ParseError::Unexpected {
-                found: self.cur.as_ref().map(Token::to_string),
+        match self.found() {
+            Err(e) => ParseError::Lex(e),
+            Ok(found) => ParseError::Unexpected {
+                found,
                 expected: expected.to_owned(),
             },
         }
@@ -181,18 +188,20 @@ impl<'a> Parser<'a> {
 
     /// After a complete statement: an optional `;`, then nothing.
     fn finish(&mut self) -> Result<(), ParseError> {
-        self.eat(&Token::Semi);
-        match (&self.cur, self.lex_err.take()) {
-            (Some(t), _) => Err(ParseError::TrailingInput(t.to_string())),
-            (None, Some(e)) => Err(ParseError::Lex(e)),
-            (None, None) => Ok(()),
+        self.eat(Kind::Semi);
+        match self.found() {
+            Err(e) => Err(ParseError::Lex(e)),
+            Ok(Some(t)) => Err(ParseError::TrailingInput(t)),
+            Ok(None) => Ok(()),
         }
     }
 
+    #[inline]
     fn ident(&mut self, what: &str) -> Result<&'a str, ParseError> {
-        if let Some(Token::Ident(s)) = self.cur {
+        if self.cur.kind == Kind::Ident {
+            let name = self.lexer.text(self.cur);
             self.bump();
-            Ok(s)
+            Ok(name)
         } else {
             Err(self.unexpected(what))
         }
@@ -230,16 +239,16 @@ impl<'a> Parser<'a> {
     fn create_table(&mut self) -> Result<Statement, ParseError> {
         self.expect_kw(Keyword::Table)?;
         let table = self.ident("table name")?.to_owned();
-        self.expect(Token::LParen, "'(' before column list")?;
+        self.expect(Kind::LParen, "'(' before column list")?;
         let mut columns = Vec::new();
         loop {
             let name = self.ident("column name")?.to_owned();
             let ty = self.sql_type()?;
             columns.push(ColumnDef { name, ty });
-            if self.eat(&Token::Comma) {
+            if self.eat(Kind::Comma) {
                 continue;
             }
-            self.expect(Token::RParen, "')' after column list")?;
+            self.expect(Kind::RParen, "')' after column list")?;
             break;
         }
         Ok(Statement::CreateTable { table, columns })
@@ -266,13 +275,16 @@ impl<'a> Parser<'a> {
     }
 
     fn width(&mut self) -> Result<u16, ParseError> {
-        self.expect(Token::LParen, "'(' before width")?;
-        let w = match self.cur {
-            Some(Token::Int(v)) if (1..=65535).contains(&v) => v as u16,
-            _ => return Err(self.unexpected("width 1..65535")),
+        self.expect(Kind::LParen, "'(' before width")?;
+        let w = match self.cur.kind {
+            Kind::Int => self.lexer.int(self.cur).ok(),
+            _ => None,
+        };
+        let Some(w) = w.and_then(|w| u16::try_from(w).ok()).filter(|&w| w > 0) else {
+            return Err(self.unexpected("width 1..65535"));
         };
         self.bump();
-        self.expect(Token::RParen, "')' after width")?;
+        self.expect(Kind::RParen, "')' after width")?;
         Ok(w)
     }
 
@@ -280,40 +292,42 @@ impl<'a> Parser<'a> {
     fn insert(&mut self, sink: &mut impl InsertSink) -> Result<(), ParseError> {
         self.expect_kw(Keyword::Into)?;
         sink.table(self.ident("table name")?);
-        if self.eat(&Token::LParen) {
-            sink.expect_columns(self.list_len_hint());
+        if self.eat(Kind::LParen) {
+            sink.expect_columns(|| self.list_len_hint());
             loop {
                 sink.column(self.ident("column name")?);
-                if self.eat(&Token::Comma) {
+                if self.eat(Kind::Comma) {
                     continue;
                 }
-                self.expect(Token::RParen, "')' after columns")?;
+                self.expect(Kind::RParen, "')' after columns")?;
                 break;
             }
         }
         self.expect_kw(Keyword::Values)?;
-        self.expect(Token::LParen, "'(' before values")?;
-        sink.expect_values(self.list_len_hint());
+        self.expect(Kind::LParen, "'(' before values")?;
+        sink.expect_values(|| self.list_len_hint());
         loop {
             sink.value(self.literal()?);
-            if self.eat(&Token::Comma) {
+            if self.eat(Kind::Comma) {
                 continue;
             }
-            self.expect(Token::RParen, "')' after values")?;
+            self.expect(Kind::RParen, "')' after values")?;
             break;
         }
         Ok(())
     }
 
+    #[inline]
     fn literal(&mut self) -> Result<Value, ParseError> {
-        let v = match &mut self.cur {
+        let span = self.cur;
+        let v = match span.kind {
             // SQL integer literals fit the column's width at insert
             // validation time; carry as the widest integer.
-            Some(Token::Int(v)) => Value::Long(*v),
-            Some(Token::Float(v)) => Value::Double(*v),
-            Some(Token::Str(s)) => Value::Str(std::mem::take(s).into_owned()),
-            Some(Token::Keyword(Keyword::True)) => Value::Bool(true),
-            Some(Token::Keyword(Keyword::False)) => Value::Bool(false),
+            Kind::Int => Value::Long(self.lexer.int(span).map_err(ParseError::Lex)?),
+            Kind::Float => Value::Double(self.lexer.float(span).map_err(ParseError::Lex)?),
+            Kind::Str { .. } => Value::Str(self.lexer.string_content(span).into()),
+            Kind::Keyword(Keyword::True) => Value::Bool(true),
+            Kind::Keyword(Keyword::False) => Value::Bool(false),
             _ => return Err(self.unexpected("literal value")),
         };
         self.bump();
@@ -322,10 +336,10 @@ impl<'a> Parser<'a> {
 
     fn select(&mut self) -> Result<Statement, ParseError> {
         let mut columns = Vec::new();
-        if !self.eat(&Token::Star) {
+        if !self.eat(Kind::Star) {
             loop {
                 columns.push(self.ident("column name or '*'")?.to_owned());
-                if !self.eat(&Token::Comma) {
+                if !self.eat(Kind::Comma) {
                     break;
                 }
             }
@@ -398,9 +412,9 @@ impl<'a> Parser<'a> {
     }
 
     fn atom_pred(&mut self) -> Result<Predicate, ParseError> {
-        if self.eat(&Token::LParen) {
+        if self.eat(Kind::LParen) {
             let inner = self.nested(Self::or_pred)?;
-            self.expect(Token::RParen, "closing ')'")?;
+            self.expect(Kind::RParen, "closing ')'")?;
             return Ok(inner);
         }
         if self.eat_kw(Keyword::True) {
@@ -410,13 +424,13 @@ impl<'a> Parser<'a> {
             return Ok(Predicate::Const(false));
         }
         let column = self.ident("column name")?.to_owned();
-        let op = match self.cur {
-            Some(Token::Eq) => CmpOp::Eq,
-            Some(Token::Ne) => CmpOp::Ne,
-            Some(Token::Lt) => CmpOp::Lt,
-            Some(Token::Le) => CmpOp::Le,
-            Some(Token::Gt) => CmpOp::Gt,
-            Some(Token::Ge) => CmpOp::Ge,
+        let op = match self.cur.kind {
+            Kind::Eq => CmpOp::Eq,
+            Kind::Ne => CmpOp::Ne,
+            Kind::Lt => CmpOp::Lt,
+            Kind::Le => CmpOp::Le,
+            Kind::Gt => CmpOp::Gt,
+            Kind::Ge => CmpOp::Ge,
             _ => return Err(self.unexpected("comparison operator")),
         };
         self.bump();

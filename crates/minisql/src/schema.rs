@@ -5,7 +5,8 @@ use crate::ast::{ColumnDef, SqlType, Statement};
 use crate::parser::{parse_insert, InsertSink, ParseError};
 use simcore::FastMap;
 use std::fmt;
-use wire::{Tuple, Value};
+use std::sync::Arc;
+use wire::{Text, Tuple, Value};
 
 /// Validation failure for an insert.
 #[derive(Debug, Clone, PartialEq)]
@@ -95,8 +96,9 @@ impl std::error::Error for BindError {}
 /// One table's schema.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TableSchema {
-    /// Table name.
-    pub name: String,
+    /// Table name, shared with every tuple [`to_tuple`](Self::to_tuple)
+    /// builds.
+    pub name: Arc<str>,
     /// Columns in declaration order.
     pub columns: Vec<ColumnDef>,
     index: FastMap<String, usize>,
@@ -104,7 +106,7 @@ pub struct TableSchema {
 
 impl TableSchema {
     /// Build from a parsed `CREATE TABLE`.
-    pub fn new(name: impl Into<String>, columns: Vec<ColumnDef>) -> Self {
+    pub fn new(name: impl Into<Arc<str>>, columns: Vec<ColumnDef>) -> Self {
         let name = name.into();
         let index = columns
             .iter()
@@ -185,13 +187,14 @@ impl TableSchema {
 /// Coerce a literal into `col`'s declared type (integer narrowing and
 /// widening, Str→Char, width checks). Takes the value: a string moves
 /// into the cell.
+#[inline]
 fn coerce(v: Value, col: &ColumnDef) -> Result<Value, SchemaError> {
     let mismatch = |v: &Value| SchemaError::TypeMismatch {
         column: col.name.clone(),
         expected: col.ty,
         got: v.to_string(),
     };
-    let check_width = |s: &str, width: u16| {
+    let check_width = |s: &Text, width: u16| {
         if s.len() > width as usize {
             Err(SchemaError::TooLong {
                 column: col.name.clone(),
@@ -239,7 +242,11 @@ struct RowBinder<'c> {
     /// The table once its name is read; then the first name that did not
     /// resolve.
     target: Result<&'c TableSchema, SchemaError>,
-    /// Row slots of the named columns, in statement order.
+    /// Column names read so far (0 for a positional insert).
+    named: usize,
+    /// Row slots of the named columns, in statement order — left empty
+    /// while every name stands at its declaration position, where slot
+    /// and position are the same number.
     order: Vec<usize>,
     row: Vec<Value>,
     values_seen: usize,
@@ -250,20 +257,30 @@ impl InsertSink for RowBinder<'_> {
     fn table(&mut self, name: &str) {
         self.target = self.catalog.table(name);
         if let Ok(schema) = self.target {
-            self.row = vec![Value::Int(0); schema.arity()];
+            self.row.reserve_exact(schema.arity());
         }
     }
 
-    fn expect_columns(&mut self, n: usize) {
-        self.order.reserve(n);
-    }
-
     fn column(&mut self, name: &str) {
-        if let Ok(schema) = self.target {
-            match schema.column_index(name) {
-                Some(slot) => self.order.push(slot),
-                None => self.target = Err(SchemaError::NoSuchColumn(name.to_owned())),
+        let position = self.named;
+        self.named += 1;
+        let Ok(schema) = self.target else {
+            return;
+        };
+        // A generated statement names the columns as declared: one
+        // string compare, and no hash probe.
+        let in_place = (schema.columns.get(position)).is_some_and(|c| c.name == name);
+        if in_place && self.order.is_empty() {
+            return;
+        }
+        match schema.column_index(name) {
+            Some(slot) => {
+                if self.order.is_empty() {
+                    self.order.extend(0..position);
+                }
+                self.order.push(slot);
             }
+            None => self.target = Err(SchemaError::NoSuchColumn(name.to_owned())),
         }
     }
 
@@ -274,27 +291,43 @@ impl InsertSink for RowBinder<'_> {
             return;
         };
         let slot = if self.order.is_empty() {
-            Some(position).filter(|&p| p < schema.arity())
+            Some(position).filter(|&p| p < targets(self.named, schema))
         } else {
             self.order.get(position).copied()
         };
-        if let Some(slot) = slot {
-            match coerce(literal, &schema.columns[slot]) {
-                Ok(cell) => self.row[slot] = cell,
-                Err(e) => self.cell_error = Some(e),
+        let Some(slot) = slot else {
+            return;
+        };
+        match coerce(literal, &schema.columns[slot]) {
+            // Cells mostly arrive in slot order and are appended; the
+            // first that does not finds the row filled out to be
+            // assigned into.
+            Ok(cell) if slot == self.row.len() => self.row.push(cell),
+            Ok(cell) => {
+                if self.row.len() < schema.arity() {
+                    self.row.resize(schema.arity(), Value::Int(0));
+                }
+                self.row[slot] = cell;
             }
+            Err(e) => self.cell_error = Some(e),
         }
+    }
+}
+
+/// How many columns a statement targets: the `named` ones, or every
+/// column of `schema` when it names none.
+fn targets(named: usize, schema: &TableSchema) -> usize {
+    if named == 0 {
+        schema.arity()
+    } else {
+        named
     }
 }
 
 impl<'c> RowBinder<'c> {
     fn finish(self) -> Result<(&'c TableSchema, Vec<Value>), SchemaError> {
         let schema = self.target?;
-        let targets = if self.order.is_empty() {
-            schema.arity()
-        } else {
-            self.order.len()
-        };
+        let targets = targets(self.named, schema);
         if targets != self.values_seen || targets != schema.arity() {
             return Err(SchemaError::ArityMismatch {
                 expected: schema.arity(),
@@ -351,6 +384,7 @@ impl Catalog {
             catalog: self,
             // Replaced by `table()`, the grammar's first call.
             target: Err(SchemaError::NoSuchTable(String::new())),
+            named: 0,
             order: Vec::new(),
             row: Vec::new(),
             values_seen: 0,
@@ -499,7 +533,7 @@ mod tests {
         let (schema, row) = c
             .bind_insert("INSERT INTO g (site, id, power) VALUES ('x', 9, 3);")
             .unwrap();
-        assert_eq!(schema.name, "g");
+        assert_eq!(&*schema.name, "g");
         assert_eq!(
             row,
             vec![Value::Int(9), Value::Double(3.0), Value::fixed_char("x", 8)]
@@ -544,7 +578,7 @@ mod tests {
             Value::Double(2.0),
             Value::fixed_char("s", 8),
         ]);
-        assert_eq!(tuple.table, "g");
+        assert_eq!(&*tuple.table, "g");
         assert_eq!(tuple.values.len(), 3);
     }
 }

@@ -1,8 +1,9 @@
 //! Property tests for the SQL subset: total parser, round-trippable
-//! generated statements, insert normalization type safety, and the
-//! one-pass bind against its two-step reference.
+//! generated statements, insert normalization type safety, the one-pass
+//! bind against its two-step reference, and the literal writer against
+//! `core::fmt`.
 
-use minisql::{parse, BindError, Catalog, SqlType, Statement};
+use minisql::{parse, write_fixed, write_uint, BindError, Catalog, SqlType, Statement};
 use proptest::prelude::*;
 use wire::Value;
 
@@ -25,7 +26,7 @@ fn parse_then_normalize(cat: &Catalog, sql: &str) -> Result<(String, Vec<Value>)
 
 fn bind(cat: &Catalog, sql: &str) -> Result<(String, Vec<Value>), BindError> {
     cat.bind_insert(sql)
-        .map(|(schema, row)| (schema.name.clone(), row))
+        .map(|(schema, row)| (schema.name.to_string(), row))
 }
 
 /// Any Unicode scalar value but a control character (`\PC`, which the
@@ -88,6 +89,117 @@ fn hostile_sql() -> impl Strategy<Value = String> {
             )
         });
     prop_oneof![soup, skeleton]
+}
+
+/// Doubles that exercise [`write_fixed`]: any bit pattern (mostly huge,
+/// tiny or non-finite: the deferred and the rounds-to-zero ends), binary
+/// fractions `n / 2^j` (exact ties at every precision below `j`) and
+/// decimal-looking `n / 10^k` (a hair above or below a tie).
+fn arb_double() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        any::<u64>().prop_map(f64::from_bits),
+        (-(1i64 << 24)..1 << 24, 0i32..12).prop_map(|(n, j)| n as f64 / f64::powi(2.0, j)),
+        (-1_000_000_000i64..1_000_000_000, 0i32..8)
+            .prop_map(|(n, k)| n as f64 / f64::powi(10.0, k)),
+    ]
+}
+
+/// The plausible wrong writer: round half *up*, on the decimal string.
+/// The named ties must tell it from the right one, or they name nothing.
+fn half_up_on_the_decimal_string(x: f64, precision: usize) -> String {
+    // Sixty decimals print every tie below exactly.
+    let exact = format!("{x:.60}");
+    let cut = exact.find('.').expect("sixty decimals") + 1 + precision;
+    let mut digits: Vec<u8> = exact[..cut].trim_end_matches('.').bytes().collect();
+    if exact.as_bytes()[cut] >= b'5' {
+        let mut at = digits.len();
+        loop {
+            match at.checked_sub(1).map(|i| (i, digits[i])) {
+                Some((i, b'9')) => digits[i] = b'0',
+                Some((i, d @ b'0'..=b'8')) => {
+                    digits[i] = d + 1;
+                    break;
+                }
+                Some((_, b'.')) => {}
+                // Carried out of the leading digit (after any sign).
+                Some((i, _)) => {
+                    digits.insert(i + 1, b'1');
+                    break;
+                }
+                None => {
+                    digits.insert(0, b'1');
+                    break;
+                }
+            }
+            at -= 1;
+        }
+    }
+    String::from_utf8(digits).expect("ASCII")
+}
+
+fn fixed(x: f64, precision: usize) -> String {
+    let mut out = String::from("x = ");
+    write_fixed(&mut out, x, precision);
+    out.split_off(4)
+}
+
+/// Ties and edges by name: what `core::fmt` prints for each is the
+/// expectation, spelled out where the reason is worth a line.
+#[test]
+fn fixed_point_writer_at_the_named_ties() {
+    for (x, precision, printed) in [
+        // Exact ties go to the even digit…
+        (0.125, 2, "0.12"),
+        (0.375, 2, "0.38"),
+        (0.25, 1, "0.2"),
+        (0.75, 1, "0.8"),
+        (0.5, 0, "0"),
+        (1.5, 0, "2"),
+        (2.5, 0, "2"),
+        // …but these doubles are not ties: 0.0005 lies above 5/10^4,
+        // 1.005 below 1005/10^3.
+        (0.0005, 3, "0.001"),
+        (1.005, 2, "1.00"),
+        // The sign is the sign bit's, whatever is left of the value.
+        (-0.0, 3, "-0.000"),
+        (-0.0004, 3, "-0.000"),
+        (-2.5, 0, "-2"),
+        // Carries into and out of the whole part.
+        (0.9996, 3, "1.000"),
+        (999.9995, 3, "1000.000"),
+        (9.5, 0, "10"),
+        (35.5, 1, "35.5"),
+        (7.25, 2, "7.25"),
+    ] {
+        assert_eq!(format!("{x:.precision$}"), printed, "core::fmt on {x:?}");
+        assert_eq!(fixed(x, precision), printed, "{x:?} at {precision}");
+    }
+    for x in [
+        5e-324,
+        f64::MIN_POSITIVE,
+        f64::EPSILON,
+        (1u64 << 53) as f64,
+        (1u64 << 63) as f64 - 1024.0,
+        (1u64 << 63) as f64,
+        1e300,
+        f64::MAX,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+    ] {
+        for precision in [0, 1, 3, 6, 19, 20, 40] {
+            assert_eq!(fixed(x, precision), format!("{x:.precision$}"), "{x:?}");
+            assert_eq!(fixed(-x, precision), format!("{:.precision$}", -x));
+        }
+    }
+    // The negative control: half-up disagrees with `core::fmt` on the
+    // ties above and agrees off them, so the list can tell the two apart.
+    assert_eq!(half_up_on_the_decimal_string(0.125, 2), "0.13");
+    assert_eq!(half_up_on_the_decimal_string(2.5, 0), "3");
+    assert_eq!(half_up_on_the_decimal_string(-2.5, 0), "-3");
+    assert_eq!(half_up_on_the_decimal_string(0.375, 2), "0.38");
+    assert_eq!(half_up_on_the_decimal_string(999.9995, 3), "1000.000");
+    assert_eq!(half_up_on_the_decimal_string(9.5, 0), "10");
 }
 
 fn ident() -> impl Strategy<Value = String> {
@@ -167,7 +279,7 @@ fn value_for(ty: SqlType, seed: i64) -> (String, Value) {
                 .cycle()
                 .take((seed.unsigned_abs() as usize % w as usize).clamp(1, 8))
                 .collect();
-            (format!("'{s}'"), Value::Str(s))
+            (format!("'{s}'"), Value::Str(s.into()))
         }
     }
 }
@@ -295,6 +407,22 @@ proptest! {
         let twists = [TWISTS[first], if seed % 2 == 0 { Twist::None } else { TWISTS[second] }];
         let sql = twisted_insert(stmt.table(), &cols, seed, named, rotate, twists, at);
         prop_assert_eq!(bind(&cat, &sql), parse_then_normalize(&cat, &sql), "{}", sql);
+    }
+
+    /// The writer prints what `core::fmt` prints, byte for byte.
+    #[test]
+    fn fixed_point_writer_matches_core_fmt(x in arb_double(), precision in 0usize..=6) {
+        prop_assert_eq!(fixed(x, precision), format!("{x:.precision$}"), "{:?}", x);
+    }
+
+    #[test]
+    fn uint_writer_matches_core_fmt(
+        v in prop_oneof![any::<u64>(), 0u64..100_000],
+        min_digits in 0usize..24,
+    ) {
+        let mut out = String::from("v = ");
+        write_uint(&mut out, v, min_digits);
+        prop_assert_eq!(out, format!("v = {v:0min_digits$}"));
     }
 
     /// Neither entry point panics on arbitrary Unicode, and both say the

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! # narada — a NaradaBrokering-like JMS broker
 //!

@@ -6,10 +6,11 @@
 //! R-GMA tests: "four integer, eight double and four char (length 20)
 //! values, which were wrapped in an SQL statement".
 
+use minisql::{write_fixed, write_uint};
 use simcore::{SimRng, SimTime};
 use std::borrow::Cow;
 use std::sync::Arc;
-use wire::{Body, Headers, Message, MessageId, Value};
+use wire::{Body, Headers, Message, MessageId, Text, Value};
 
 thread_local! {
     /// [`TOPIC`] as the one string every reading built on this thread
@@ -104,7 +105,7 @@ impl GeneratorState {
                 (p("energy_kwh"), Value::Double(self.energy_kwh)),
                 (p("rating_kw"), Value::Double(self.rating_kw)),
                 // 4 string
-                (p("site"), Value::Str(format!("site-{:04}", self.id % 977))),
+                (p("site"), Value::Str(self.site())),
                 (p("operator"), Value::Str("gridcc".into())),
                 (p("model"), Value::Str("WT-2000/E".into())),
                 (p("fw"), Value::Str("v1.1.3".into())),
@@ -117,41 +118,57 @@ impl GeneratorState {
         )
     }
 
+    /// `site-NNNN`, the site this generator stands on (one of 977).
+    fn site(&self) -> Text {
+        let mut name = *b"site-0000";
+        let mut number = self.id % 977;
+        for digit in name[5..].iter_mut().rev() {
+            *digit = b'0' + (number % 10) as u8;
+            number /= 10;
+        }
+        std::str::from_utf8(&name).expect("ASCII").into()
+    }
+
     /// The R-GMA test payload: an SQL INSERT with 4 integer + 8 double +
-    /// 4 char(20) values.
-    pub fn rgma_insert_sql(&self) -> String {
-        use std::fmt::Write;
-        // Pre-sized: `format!` starts empty and regrows several times.
-        let mut sql = String::with_capacity(RGMA_INSERT_SQL_CAPACITY);
-        write!(
-            sql,
-            "INSERT INTO {TABLE} (id, status, seq, uptime, \
-             power, energy, rating, voltage, frequency, current, temp, wind, \
-             site, operator, model, fw) VALUES \
-             ({}, {}, {}, {}, {:.3}, {:.3}, {:.3}, {:.2}, {:.3}, {:.3}, {:.1}, {:.2}, \
-             'site-{:04}', 'gridcc', 'WT-2000/E', 'glite-3.0')",
-            self.id,
-            i32::from(self.online),
-            self.seq,
-            self.seq * 10,
-            self.power_kw,
-            self.energy_kwh,
-            self.rating_kw,
-            self.voltage_v,
-            self.frequency_hz,
-            self.power_kw * 1000.0 / self.voltage_v,
-            35.5,
-            7.25,
-            self.id % 977,
-        )
-        .expect("writing to a String cannot fail");
-        sql
+    /// 4 char(20) values, appended to `sql` — the buffer a publisher
+    /// clears and reuses, so a reading's text is written in place and
+    /// copied once, into the request that carries it.
+    pub fn rgma_insert_sql(&self, sql: &mut String) {
+        let int = |sql: &mut String, v: u64| {
+            write_uint(sql, v, 1);
+            sql.push_str(", ");
+        };
+        let fixed = |sql: &mut String, x: f64, precision: usize| {
+            write_fixed(sql, x, precision);
+            sql.push_str(", ");
+        };
+        sql.push_str(RGMA_INSERT_HEAD);
+        int(sql, u64::from(self.id));
+        int(sql, u64::from(self.online));
+        int(sql, self.seq);
+        int(sql, self.seq * 10);
+        fixed(sql, self.power_kw, 3);
+        fixed(sql, self.energy_kwh, 3);
+        fixed(sql, self.rating_kw, 3);
+        fixed(sql, self.voltage_v, 2);
+        fixed(sql, self.frequency_hz, 3);
+        fixed(sql, self.power_kw * 1000.0 / self.voltage_v, 3);
+        fixed(sql, 35.5, 1);
+        fixed(sql, 7.25, 2);
+        sql.push_str("'site-");
+        write_uint(sql, u64::from(self.id % 977), 4);
+        sql.push_str("', 'gridcc', 'WT-2000/E', 'glite-3.0')");
     }
 }
 
-/// Bytes reserved for one [`GeneratorState::rgma_insert_sql`] text (a
-/// reading late in a paper-scale run is about 330).
-const RGMA_INSERT_SQL_CAPACITY: usize = 384;
+/// Everything of an R-GMA `INSERT` before its first value.
+const RGMA_INSERT_HEAD: &str = "INSERT INTO generator (id, status, seq, uptime, \
+     power, energy, rating, voltage, frequency, current, temp, wind, \
+     site, operator, model, fw) VALUES (";
+
+/// Bytes a publisher reserves for its [`GeneratorState::rgma_insert_sql`]
+/// buffer (a reading late in a paper-scale run is about 330).
+pub(crate) const RGMA_INSERT_SQL_CAPACITY: usize = 384;
 
 /// Topic used by the Narada tests.
 pub const TOPIC: &str = "power.monitor";
@@ -201,6 +218,7 @@ mod tests {
         assert_eq!(count(wire::ValueType::Double), 3);
         assert_eq!(count(wire::ValueType::Str), 4);
         assert_eq!(m.property("id"), Some(&Value::Int(42)));
+        assert_eq!(map.get("site"), Some(&Value::Str("site-0042".into())));
         // The paper's selector matches.
         let sel = jms::Selector::compile(PAPER_SELECTOR).unwrap();
         assert!(sel.matches(&m));
@@ -224,7 +242,8 @@ mod tests {
         let create = minisql::parse(TABLE_SQL).unwrap();
         let mut cat = minisql::Catalog::new();
         cat.create(&create).unwrap();
-        let sql = g.rgma_insert_sql();
+        let mut sql = String::new();
+        g.rgma_insert_sql(&mut sql);
         let stmt = minisql::parse(&sql).unwrap();
         let minisql::Statement::Insert {
             table,
@@ -254,7 +273,8 @@ mod tests {
         for _ in 0..180 {
             g.step(&mut rng, 10.0);
         }
-        let sql = g.rgma_insert_sql();
+        let mut sql = String::with_capacity(RGMA_INSERT_SQL_CAPACITY);
+        g.rgma_insert_sql(&mut sql);
         assert!(sql.len() <= RGMA_INSERT_SQL_CAPACITY, "{} bytes", sql.len());
         assert_eq!(sql.capacity(), RGMA_INSERT_SQL_CAPACITY, "never regrown");
     }

@@ -3,7 +3,7 @@
 //! servlet every 100 ms.
 
 use crate::fleet::{dispatch, ClientSet, FleetProtocol, Signal};
-use crate::generator::{GeneratorState, TABLE};
+use crate::generator::{GeneratorState, RGMA_INSERT_SQL_CAPACITY, TABLE};
 use rgma::{ProducerHandle, RgmaClientSet, RgmaConfig, RgmaEvent, RgmaTimer};
 use simcore::{Actor, Context, Payload};
 use simnet::{Delivery, Endpoint};
@@ -27,6 +27,9 @@ impl ClientSet for RgmaClientSet {
 /// Producer (one HTTP connection) per generator.
 pub struct RgmaPublisher {
     set: RgmaClientSet,
+    /// The text of the reading being published: written in place, then
+    /// copied once into the request.
+    sql: String,
 }
 
 impl RgmaPublisher {
@@ -34,6 +37,7 @@ impl RgmaPublisher {
     pub fn new(node: NodeId, rgma: RgmaConfig) -> Self {
         RgmaPublisher {
             set: RgmaClientSet::new(rgma, node),
+            sql: String::with_capacity(RGMA_INSERT_SQL_CAPACITY),
         }
     }
 }
@@ -64,7 +68,9 @@ impl FleetProtocol for RgmaPublisher {
         gen: &GeneratorState,
         _msg_id: u64,
     ) {
-        self.set.insert(ctx, handle, gen.rgma_insert_sql());
+        self.sql.clear();
+        gen.rgma_insert_sql(&mut self.sql);
+        self.set.insert(ctx, handle, self.sql.as_str());
     }
 
     fn classify(event: &RgmaEvent) -> Option<Signal<ProducerHandle>> {

@@ -751,21 +751,6 @@ impl Actor for ConsumerServlet {
             ConsumerRequest::OneTimeQuery { query, query_type } => {
                 self.on_one_time_query(ctx, reply, query, query_type)
             }
-            ConsumerRequest::CloseConsumer { consumer } => {
-                if self.instances.remove(&consumer).is_some() {
-                    let heap = self.cfg.memory.heap_per_consumer;
-                    ctx.with_service::<OsModel, _>(|os, _| os.free(self.proc, heap));
-                }
-                let now = ctx.now();
-                reply.send_at(
-                    ctx,
-                    self.endpoint,
-                    200,
-                    24,
-                    ConsumerResponse::PollResult { entries: vec![] },
-                    now,
-                );
-            }
         }
     }
 

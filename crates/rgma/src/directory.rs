@@ -11,7 +11,7 @@
 //! published before any consumer's plan includes the new producer are
 //! never delivered (0.17 % loss in the 400-generator no-wait test).
 
-use simcore::SimTime;
+use simcore::{FastMap, SimTime};
 use simnet::Endpoint;
 
 /// How data moves from producer to consumer once discovery has happened
@@ -67,7 +67,9 @@ pub struct ConsumerEntry {
 
 /// In-memory directory with propagation delay.
 pub struct Directory {
-    producers: Vec<ProducerEntry>,
+    /// Producers by resource, each list in registration order: a search
+    /// hashes the resource name once and compares no strings.
+    producers: FastMap<String, Vec<ProducerEntry>>,
     consumers: Vec<ConsumerEntry>,
     propagation: simcore::SimDuration,
     next_id: u64,
@@ -77,7 +79,7 @@ impl Directory {
     /// Directory whose registrations take `propagation` to become visible.
     pub fn new(propagation: simcore::SimDuration) -> Self {
         Directory {
-            producers: Vec::new(),
+            producers: FastMap::default(),
             consumers: Vec::new(),
             propagation,
             next_id: 0,
@@ -99,14 +101,16 @@ impl Directory {
         modes: Vec<TransferMode>,
     ) -> RegistrationId {
         let id = self.next();
-        self.producers.push(ProducerEntry {
+        let resource = resource.into();
+        let entry = ProducerEntry {
             id,
             endpoint,
-            resource: resource.into(),
+            resource: resource.clone(),
             modes,
             registered_at: now,
             visible_at: now + self.propagation,
-        });
+        };
+        self.producers.entry(resource).or_default().push(entry);
         id
     }
 
@@ -130,16 +134,16 @@ impl Directory {
 
     /// Remove a registration (producer or consumer).
     pub fn unregister(&mut self, id: RegistrationId) {
-        self.producers.retain(|p| p.id != id);
+        for entries in self.producers.values_mut() {
+            entries.retain(|p| p.id != id);
+        }
         self.consumers.retain(|c| c.id != id);
     }
 
-    /// Producers for `resource` visible at `now`.
+    /// Producers for `resource` visible at `now`, in registration order.
     pub fn find_producers(&self, now: SimTime, resource: &str) -> Vec<&ProducerEntry> {
-        self.producers
-            .iter()
-            .filter(|p| p.resource == resource && p.visible_at <= now)
-            .collect()
+        let entries = self.producers.get(resource).map_or(&[][..], Vec::as_slice);
+        entries.iter().filter(|p| p.visible_at <= now).collect()
     }
 
     /// Consumers for `resource` visible at `now`.
@@ -153,7 +157,7 @@ impl Directory {
     /// All producer registrations (including not-yet-visible), for
     /// diagnostics.
     pub fn producer_count(&self) -> usize {
-        self.producers.len()
+        self.producers.values().map(Vec::len).sum()
     }
 
     /// All consumer registrations.

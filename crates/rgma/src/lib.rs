@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! # rgma — a Relational Grid Monitoring Architecture implementation
 //!

@@ -9,17 +9,16 @@
 
 use crate::config::RgmaConfig;
 use crate::protocol::{
-    chunk_bytes, ConsumerId, ProducerId, ProducerRequest, ProducerResponse, QueryType,
+    chunk_bytes, ConsumerId, Entry, ProducerId, ProducerRequest, ProducerResponse, QueryType,
     RegistryRequest, Reply, StreamChunk,
 };
 use crate::storage::MemoryStorage;
 use minisql::Catalog;
-use simcore::{Actor, ActorId, Context, FastMap, FastSet, Payload, SimDuration, SimTime};
+use simcore::{Actor, ActorId, Context, FastSet, Payload, SimDuration, SimTime};
 use simnet::{
     http, ConnId, Delivery, Endpoint, HttpRequest, HttpResponse, NetworkFabric, Transport,
 };
 use simos::{NodeId, OsModel, ProcessId};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use telemetry::ProbeId;
 
@@ -35,13 +34,14 @@ pub enum ProducerControl {
 struct Instance {
     table: String,
     storage: MemoryStorage,
+    /// Read cursor of each stream attached to this instance, by index
+    /// into the servlet's `streams`.
+    cursors: Vec<(usize, u64)>,
 }
 
 struct StreamState {
     conn: ConnId,
     consumer: ConsumerId,
-    /// Per-instance read cursors (BTreeMap: deterministic flush order).
-    cursors: BTreeMap<ProducerId, u64>,
 }
 
 struct FlushTick;
@@ -58,9 +58,14 @@ pub struct ProducerServlet {
     registry_conn: Option<ConnId>,
     /// Replica of the Schema service's tables.
     catalog: Catalog,
-    instances: FastMap<ProducerId, Instance>,
-    next_instance: u32,
+    /// Instances by id: ids count up from 0 and an instance lives as
+    /// long as its servlet.
+    instances: Vec<Instance>,
     streams: Vec<StreamState>,
+    /// Instances the next flush has to read: each one that took a tuple,
+    /// or got a stream attached behind its tail, since the last flush
+    /// (possibly more than once). Every other cursor is at its tail.
+    dirty: Vec<ProducerId>,
     /// Connections that already hold a service thread.
     seen_conns: FastSet<ConnId>,
     next_req: u64,
@@ -77,9 +82,9 @@ impl ProducerServlet {
             registry_ep,
             registry_conn: None,
             catalog: Catalog::new(),
-            instances: FastMap::default(),
-            next_instance: 0,
+            instances: Vec::new(),
             streams: Vec::new(),
+            dirty: Vec::new(),
             seen_conns: FastSet::default(),
             next_req: 0,
         }
@@ -128,15 +133,12 @@ impl ProducerServlet {
             );
             return;
         }
-        let pid = ProducerId(self.next_instance);
-        self.next_instance += 1;
-        self.instances.insert(
-            pid,
-            Instance {
-                table: table.clone(),
-                storage: MemoryStorage::new(self.cfg.latest_retention, self.cfg.history_retention),
-            },
-        );
+        let pid = ProducerId(self.instances.len() as u32);
+        self.instances.push(Instance {
+            table: table.clone(),
+            storage: MemoryStorage::new(self.cfg.latest_retention, self.cfg.history_retention),
+            cursors: Vec::new(),
+        });
         let done = self.cpu(
             ctx,
             simprof::Component::RgmaServlet,
@@ -196,10 +198,10 @@ impl ProducerServlet {
         let result: Result<u32, String> = (|| {
             let inst = self
                 .instances
-                .get_mut(&producer)
+                .get_mut(producer.0 as usize)
                 .ok_or_else(|| format!("no such producer {producer:?}"))?;
             let (schema, row) = self.catalog.bind_insert(&sql).map_err(|e| e.to_string())?;
-            if schema.name != inst.table {
+            if *schema.name != *inst.table {
                 return Err(format!("wrong table {}", schema.name));
             }
             let mut tuple = schema.to_tuple(row);
@@ -208,6 +210,7 @@ impl ProducerServlet {
             // tuple, whence it rides through streaming/fetch/poll.
             tuple.published_at = Some(published_at);
             inst.storage.insert(tuple, probe, done);
+            self.dirty.push(producer);
             Ok(inst.storage.len() as u32)
         })();
         match result {
@@ -260,7 +263,8 @@ impl ProducerServlet {
             self.cfg.costs.servlet_dispatch,
         );
         // Attach (or extend) the stream for this consumer: any instance of
-        // `table` not yet covered gets a cursor at its current tail.
+        // `table` not yet covered gets a cursor at the start of its
+        // replay window.
         let stream_ix = self
             .streams
             .iter()
@@ -271,27 +275,28 @@ impl ProducerServlet {
                 self.streams.push(StreamState {
                     conn: reply.conn,
                     consumer,
-                    cursors: BTreeMap::new(),
                 });
                 self.streams.len() - 1
             }
         };
-        let stream = &mut self.streams[stream_ix];
         let replay_from = simcore::SimTime::from_micros(
             ctx.now()
                 .as_micros()
                 .saturating_sub(self.cfg.attach_replay.as_micros()),
         );
         for pid in producers {
-            let Some(inst) = self.instances.get(&pid) else {
+            let Some(inst) = self.instances.get_mut(pid.0 as usize) else {
                 continue;
             };
-            if inst.table == table {
-                stream
-                    .cursors
-                    .entry(pid)
-                    .or_insert_with(|| inst.storage.cursor_since(replay_from));
+            if inst.table != table || inst.cursors.iter().any(|&(s, _)| s == stream_ix) {
+                continue;
             }
+            let cursor = inst.storage.cursor_since(replay_from);
+            if cursor < inst.storage.tail_cursor() {
+                // Tuples to stream though no insert announces them.
+                self.dirty.push(pid);
+            }
+            inst.cursors.push((stream_ix, cursor));
         }
         reply.send_at(
             ctx,
@@ -317,7 +322,7 @@ impl ProducerServlet {
         let now = ctx.now();
         let mut entries = Vec::new();
         for pid in producers {
-            let Some(inst) = self.instances.get(&pid) else {
+            let Some(inst) = self.instances.get(pid.0 as usize) else {
                 continue;
             };
             if inst.table != table {
@@ -355,30 +360,31 @@ impl ProducerServlet {
     }
 
     /// The streaming cycle: collect new tuples per stream and push one
-    /// merged chunk per consumer stream.
+    /// merged chunk per consumer stream. Only the `dirty` instances are
+    /// read, in id order, so a chunk lists its tuples as a walk over
+    /// every cursor of every instance would.
     fn on_flush(&mut self, ctx: &mut Context<'_>) {
         let ep = self.endpoint;
-        let mut sends: Vec<(ConnId, StreamChunk)> = Vec::new();
-        for stream in &mut self.streams {
-            let mut entries = Vec::new();
-            for (pid, cursor) in stream.cursors.iter_mut() {
-                if let Some(inst) = self.instances.get(pid) {
-                    let (chunk, next) = inst.storage.read_from(*cursor);
-                    entries.extend(chunk.iter().map(|e| (e.probe, e.tuple.clone())));
-                    *cursor = next;
-                }
-            }
-            if !entries.is_empty() {
-                sends.push((
-                    stream.conn,
-                    StreamChunk {
-                        consumer: stream.consumer,
-                        entries,
-                    },
-                ));
+        self.dirty.sort_unstable();
+        self.dirty.dedup();
+        let mut chunks: Vec<Vec<Entry>> = vec![Vec::new(); self.streams.len()];
+        for pid in self.dirty.drain(..) {
+            let inst = &mut self.instances[pid.0 as usize];
+            for (stream, cursor) in &mut inst.cursors {
+                let (new, next) = inst.storage.read_from(*cursor);
+                chunks[*stream].extend(new.iter().map(|e| (e.probe, e.tuple.clone())));
+                *cursor = next;
             }
         }
-        for (conn, chunk) in sends {
+        for (stream, entries) in self.streams.iter().zip(chunks) {
+            if entries.is_empty() {
+                continue;
+            }
+            let conn = stream.conn;
+            let chunk = StreamChunk {
+                consumer: stream.consumer,
+                entries,
+            };
             let n = chunk.entries.len() as u64;
             let cost = self.cfg.costs.stream_send
                 + SimDuration::from_micros(self.cfg.costs.per_tuple.as_micros() * n / 4);
@@ -400,14 +406,11 @@ impl ProducerServlet {
         };
         let my_ep = self.endpoint;
         let reg_conn = self.registry_conn.expect("registry conn opened on start");
-        let mut pids: Vec<ProducerId> = self.instances.keys().copied().collect();
-        pids.sort_unstable();
-        let n = pids.len() as u64;
-        for pid in pids {
-            let table = self.instances[&pid].table.clone();
+        let n = self.instances.len() as u64;
+        for (pid, inst) in self.instances.iter().enumerate() {
             let req = RegistryRequest::RegisterProducer {
-                table,
-                endpoint: Endpoint::with_port(my_ep.node, my_ep.actor, pid.0 as u16),
+                table: inst.table.clone(),
+                endpoint: Endpoint::with_port(my_ep.node, my_ep.actor, pid as u16),
             };
             let rid = self.next_req;
             self.next_req += 1;
@@ -433,7 +436,7 @@ impl ProducerServlet {
     fn on_sweep(&mut self, ctx: &mut Context<'_>) {
         let now = ctx.now();
         let mut evicted = 0usize;
-        for inst in self.instances.values_mut() {
+        for inst in &mut self.instances {
             evicted += inst.storage.sweep(now);
         }
         if evicted > 0 {
@@ -558,14 +561,6 @@ impl Actor for ProducerServlet {
                 probe,
                 published_at,
             } => self.on_insert(ctx, reply, producer, sql, probe, published_at),
-            ProducerRequest::CloseProducer { producer } => {
-                if self.instances.remove(&producer).is_some() {
-                    let heap = self.cfg.memory.heap_per_producer;
-                    ctx.with_service::<OsModel, _>(|os, _| os.free(self.proc, heap));
-                }
-                let now = ctx.now();
-                reply.send_at(ctx, self.endpoint, 200, 24, ProducerResponse::InsertOk, now);
-            }
             ProducerRequest::StartStream {
                 table,
                 consumer,

@@ -93,11 +93,6 @@ pub enum ProducerRequest {
         /// tuple, whence it rides to consumers.
         published_at: SimTime,
     },
-    /// Close the instance (unregisters and frees storage).
-    CloseProducer {
-        /// Instance to close.
-        producer: ProducerId,
-    },
     /// One-shot fetch from producer-instance storage (latest/history
     /// query plan step).
     Fetch {
@@ -173,11 +168,6 @@ pub enum ConsumerRequest {
     /// Subscriber poll: drain buffered tuples.
     Poll {
         /// Consumer instance.
-        consumer: ConsumerId,
-    },
-    /// Close the instance.
-    CloseConsumer {
-        /// Instance to close.
         consumer: ConsumerId,
     },
 }

@@ -19,6 +19,9 @@ pub struct StoredTuple {
     pub tuple: Arc<Tuple>,
     /// Telemetry probe of the insert.
     pub probe: ProbeId,
+    /// `tuple.inserted_at` again, beside the pointer: the retention
+    /// searches compare times without following it.
+    pub inserted_at: SimTime,
 }
 
 /// In-memory tuple store with retention sweeping and stream cursors.
@@ -48,21 +51,19 @@ impl MemoryStorage {
     /// stamps `inserted_at`, the last write before the tuple is shared.
     /// Returns its cursor position (monotonic across evictions).
     pub fn insert(&mut self, mut tuple: Tuple, probe: ProbeId, now: SimTime) -> u64 {
-        debug_assert!(self
-            .entries
-            .last()
-            .is_none_or(|e| e.tuple.inserted_at <= now));
+        debug_assert!(self.entries.last().is_none_or(|e| e.inserted_at <= now));
         tuple.inserted_at = now;
         self.entries.push(StoredTuple {
             tuple: Arc::new(tuple),
             probe,
+            inserted_at: now,
         });
         (self.evicted + self.entries.len() - 1) as u64
     }
 
     /// Index of the first live tuple inserted at or after `t`.
     fn first_at_or_after(&self, t: SimTime) -> usize {
-        self.entries.partition_point(|e| e.tuple.inserted_at < t)
+        self.entries.partition_point(|e| e.inserted_at < t)
     }
 
     /// Evict tuples older than the history retention. Returns how many
@@ -72,11 +73,14 @@ impl MemoryStorage {
             now.as_micros()
                 .saturating_sub(self.history_retention.as_micros()),
         );
-        let keep_from = self.first_at_or_after(cutoff_time);
-        if keep_from > 0 {
-            self.entries.drain(..keep_from);
-            self.evicted += keep_from;
+        // The common sweep evicts nothing: one compare says so.
+        let oldest = self.entries.first();
+        if oldest.is_none_or(|e| e.inserted_at >= cutoff_time) {
+            return 0;
         }
+        let keep_from = self.first_at_or_after(cutoff_time);
+        self.entries.drain(..keep_from);
+        self.evicted += keep_from;
         keep_from
     }
 
@@ -112,9 +116,7 @@ impl MemoryStorage {
             now.as_micros()
                 .saturating_sub(self.latest_retention.as_micros()),
         );
-        self.entries
-            .last()
-            .filter(|e| e.tuple.inserted_at >= cutoff)
+        self.entries.last().filter(|e| e.inserted_at >= cutoff)
     }
 
     /// History query: all tuples still retained.

@@ -1,17 +1,21 @@
 //! End-to-end R-GMA pipeline tests: insert → producer storage → stream →
-//! consumer buffer → subscriber poll, including warm-up loss and the
-//! Secondary Producer's 30 s delay.
+//! consumer buffer → subscriber poll, including warm-up loss, the
+//! Secondary Producer's 30 s delay, and the producer servlet's stream
+//! chunks against a walk over every cursor.
 
+use rgma::protocol::{ProducerRequest, ProducerResponse, StreamChunk};
 use rgma::{
-    ConsumerControl, ConsumerServlet, ProducerControl, ProducerHandle, ProducerServlet,
-    RegistryActor, RgmaClientSet, RgmaConfig, RgmaEvent, RgmaTimer, SecondaryProducer,
+    ConsumerControl, ConsumerId, ConsumerServlet, MemoryStorage, ProducerControl, ProducerHandle,
+    ProducerId, ProducerServlet, RegistryActor, RgmaClientSet, RgmaConfig, RgmaEvent, RgmaTimer,
+    SecondaryProducer,
 };
 use simcore::{Actor, Context, Payload, SimDuration, SimTime, Simulation};
 use simnet::{Delivery, Endpoint, FabricConfig, NetworkFabric};
 use simos::{NodeId, NodeSpec, OsModel, ProcessId, ProcessSpec, VmstatLog};
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::rc::Rc;
-use telemetry::RttCollector;
+use telemetry::{ProbeId, RttCollector};
 
 const TABLE_SQL: &str =
     "CREATE TABLE generator (id INTEGER, power DOUBLE PRECISION, site CHAR(20))";
@@ -614,4 +618,315 @@ fn one_time_latest_and_history_queries() {
     // producer, queried at t≈40 with 60 s retention → all 4 each.
     assert_eq!(history[0], 12, "full history within retention");
     assert!(history[0] > latest[0]);
+}
+
+// ---------------------------------------------------------------------
+// Streaming: the servlet flushes only the instances that changed, and a
+// consumer must not be able to tell. The oracle below is the flush the
+// servlet used to run — every stream walks every cursor it holds.
+// ---------------------------------------------------------------------
+
+/// One scripted request to the producer servlet.
+#[derive(Clone)]
+enum Step {
+    Create,
+    Insert(ProducerId, ProbeId),
+    Attach(ConsumerId, Vec<ProducerId>),
+}
+
+struct Due(usize);
+
+/// What the servlet sent back, in arrival order.
+#[derive(Default)]
+struct Seen {
+    created: Vec<ProducerId>,
+    /// `(consumer, [(probe, inserted_at)])` per chunk.
+    chunks: Vec<(ConsumerId, Vec<(ProbeId, SimTime)>)>,
+}
+
+/// Raw-protocol peer of the producer servlet: plays the clients and the
+/// consumer servlet of `script` over one HTTP connection.
+struct StreamPeer {
+    node: NodeId,
+    producer_ep: Endpoint,
+    script: Vec<(SimTime, Step)>,
+    conn: Option<simnet::ConnId>,
+    seen: Rc<RefCell<Seen>>,
+}
+
+impl Actor for StreamPeer {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        let me = Endpoint::new(self.node, ctx.self_id());
+        let servlet = self.producer_ep;
+        self.conn = Some(ctx.with_service::<NetworkFabric, _>(|net, ctx| {
+            net.open(ctx.now(), simnet::Transport::Http, me, servlet)
+        }));
+        for (ix, (at, _)) in self.script.iter().enumerate() {
+            ctx.timer(SimDuration::from_micros(at.as_micros()), Due(ix));
+        }
+    }
+
+    fn handle(&mut self, msg: Payload, ctx: &mut Context<'_>) {
+        let msg = match msg.downcast::<Due>() {
+            Ok(due) => {
+                let now = ctx.now();
+                let (path, request) = match self.script[due.0].1.clone() {
+                    Step::Create => (
+                        "/producer/create",
+                        ProducerRequest::CreateProducer {
+                            table: "generator".into(),
+                        },
+                    ),
+                    Step::Insert(producer, probe) => (
+                        "/producer/insert",
+                        ProducerRequest::Insert {
+                            producer,
+                            sql: "INSERT INTO generator VALUES (1, 2.5, 'hydra')".into(),
+                            probe,
+                            published_at: now,
+                        },
+                    ),
+                    Step::Attach(consumer, producers) => (
+                        "/producer/stream",
+                        ProducerRequest::StartStream {
+                            table: "generator".into(),
+                            consumer,
+                            producers,
+                        },
+                    ),
+                };
+                let me = Endpoint::new(self.node, ctx.self_id());
+                let conn = self.conn.expect("opened on start");
+                ctx.with_service::<NetworkFabric, _>(|net, ctx| {
+                    let req_id = due.0 as u64;
+                    simnet::http::send_request(
+                        net,
+                        ctx,
+                        conn,
+                        me,
+                        req_id,
+                        path,
+                        96,
+                        Box::new(request),
+                    );
+                });
+                return;
+            }
+            Err(m) => m,
+        };
+        let delivery = msg
+            .downcast::<Delivery>()
+            .expect("a frame from the servlet");
+        let mut seen = self.seen.borrow_mut();
+        match delivery.payload.downcast::<StreamChunk>() {
+            Ok(chunk) => {
+                let entries = chunk.entries.iter().map(|(p, t)| (*p, t.inserted_at));
+                seen.chunks.push((chunk.consumer, entries.collect()));
+            }
+            Err(other) => {
+                let response = other
+                    .downcast::<simnet::HttpResponse>()
+                    .expect("a response");
+                assert_eq!(response.status, 200);
+                if let Ok(body) = response.body.downcast::<ProducerResponse>() {
+                    if let ProducerResponse::Created { producer } = *body {
+                        seen.created.push(producer);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The reference flush: per stream a cursor per attached instance, all of
+/// them read on every tick, in `ProducerId` order.
+struct WalkEveryCursor {
+    cfg: RgmaConfig,
+    instances: Vec<MemoryStorage>,
+    streams: Vec<(ConsumerId, BTreeMap<ProducerId, u64>)>,
+    /// Every insert's instant, to check the script keeps clear of ties.
+    insert_times: Vec<SimTime>,
+    replayed: usize,
+    evicted: usize,
+}
+
+impl WalkEveryCursor {
+    /// A cut-off `window` before `now` — never within 50 ms of an insert:
+    /// the oracle knows when a request left, not when the servlet's CPU
+    /// finished with it (a few milliseconds later).
+    fn cutoff(&self, now: SimTime, window: SimDuration) -> SimTime {
+        let cutoff = now.as_micros().saturating_sub(window.as_micros());
+        for t in &self.insert_times {
+            assert!(t.as_micros().abs_diff(cutoff) > 50_000, "tie at {t:?}");
+        }
+        SimTime::from_micros(cutoff)
+    }
+
+    fn step(&mut self, now: SimTime, step: &Step) {
+        match step {
+            Step::Create => self.instances.push(MemoryStorage::new(
+                self.cfg.latest_retention,
+                self.cfg.history_retention,
+            )),
+            Step::Insert(pid, probe) => {
+                let tuple = wire::Tuple::new("generator", Vec::new());
+                self.instances[pid.0 as usize].insert(tuple, *probe, now);
+                self.insert_times.push(now);
+            }
+            Step::Attach(consumer, pids) => {
+                let since = self.cutoff(now, self.cfg.attach_replay);
+                let known = self.streams.iter().position(|(c, _)| c == consumer);
+                let stream = known.unwrap_or_else(|| {
+                    self.streams.push((*consumer, BTreeMap::new()));
+                    self.streams.len() - 1
+                });
+                for pid in pids {
+                    let storage = &self.instances[pid.0 as usize];
+                    let cursor = storage.cursor_since(since);
+                    if let std::collections::btree_map::Entry::Vacant(slot) =
+                        self.streams[stream].1.entry(*pid)
+                    {
+                        slot.insert(cursor);
+                        self.replayed += usize::from(cursor < storage.tail_cursor());
+                    }
+                }
+            }
+        }
+    }
+
+    fn sweep(&mut self, now: SimTime) {
+        // `MemoryStorage::sweep` cuts at the same instant.
+        self.cutoff(now, self.cfg.history_retention);
+        for storage in &mut self.instances {
+            self.evicted += storage.sweep(now);
+        }
+    }
+
+    fn flush(&mut self) -> Vec<(ConsumerId, Vec<ProbeId>)> {
+        let mut chunks = Vec::new();
+        for (consumer, cursors) in &mut self.streams {
+            let mut probes = Vec::new();
+            for (pid, cursor) in cursors.iter_mut() {
+                let (new, next) = self.instances[pid.0 as usize].read_from(*cursor);
+                probes.extend(new.iter().map(|e| e.probe));
+                *cursor = next;
+            }
+            if !probes.is_empty() {
+                chunks.push((*consumer, probes));
+            }
+        }
+        chunks
+    }
+}
+
+#[test]
+fn chunks_are_those_of_a_walk_over_every_cursor() {
+    const PRODUCERS: u32 = 6;
+    const PERIODS: u64 = 40;
+    let mut cfg = RgmaConfig::glite_3_0();
+    // Short enough that tuples are evicted under the streams' feet, long
+    // enough that none is evicted between its replay and its flush.
+    cfg.history_retention = SimDuration::from_secs(8);
+    let period = cfg.streaming_period.as_micros();
+    assert_eq!(period, 1_500_000, "the script's offsets assume 1.5 s");
+    let at = |k: u64, offset_ms: u64| SimTime::from_micros(k * period + offset_ms * 1000);
+
+    // Instances first, then 40 periods of inserts (three slots each) and
+    // attaches (one slot), all well between two flush ticks; instance 0
+    // is never attached, instance 1 only late.
+    let mut rng = simcore::SimRng::new(0x5eed);
+    let mut script: Vec<(SimTime, Step)> = (0..PRODUCERS)
+        .map(|i| (at(0, 100 + 100 * u64::from(i)), Step::Create))
+        .collect();
+    let mut probe = 0;
+    for k in 1..PERIODS {
+        for offset_ms in [200, 600, 900] {
+            if rng.chance(0.7) {
+                let pid = ProducerId(rng.below(u64::from(PRODUCERS)) as u32);
+                script.push((at(k, offset_ms), Step::Insert(pid, ProbeId(probe))));
+                probe += 1;
+            }
+        }
+        if rng.chance(0.3) {
+            let consumer = ConsumerId(7 + 2 * rng.below(2) as u32);
+            let first = if k < PERIODS / 2 { 2 } else { 1 };
+            let pids = (first..PRODUCERS).filter(|_| rng.chance(0.4));
+            let step = Step::Attach(consumer, pids.map(ProducerId).collect());
+            script.push((at(k, 1200), step));
+        }
+    }
+
+    let (mut sim, nodes) = build_world(2, 67);
+    let server = deploy_single_server(&mut sim, nodes[0], &cfg);
+    let seen: Rc<RefCell<Seen>> = Default::default();
+    sim.add_actor(StreamPeer {
+        node: nodes[1],
+        producer_ep: server.producer,
+        script: script.clone(),
+        conn: None,
+        seen: seen.clone(),
+    });
+    sim.run_until(at(PERIODS + 1, 0));
+
+    // The same script through the oracle, with the servlet's own ticks:
+    // a flush every period, a sweep every five seconds.
+    let mut oracle = WalkEveryCursor {
+        cfg,
+        instances: Vec::new(),
+        streams: Vec::new(),
+        insert_times: Vec::new(),
+        replayed: 0,
+        evicted: 0,
+    };
+    enum Tick {
+        Script(Step),
+        Sweep,
+        Flush,
+    }
+    let mut timeline: Vec<(SimTime, Tick)> = script
+        .into_iter()
+        .map(|(at, step)| (at, Tick::Script(step)))
+        .collect();
+    timeline.extend((1..=PERIODS).map(|k| (at(k, 0), Tick::Flush)));
+    let sweeps = (1..).map(|j| SimTime::from_secs(5 * j));
+    timeline.extend(
+        sweeps
+            .take_while(|t| *t < at(PERIODS, 0))
+            .map(|t| (t, Tick::Sweep)),
+    );
+    timeline.sort_by_key(|(at, _)| *at);
+    let mut expected = Vec::new();
+    for (now, tick) in &timeline {
+        match tick {
+            Tick::Script(step) => oracle.step(*now, step),
+            Tick::Sweep => oracle.sweep(*now),
+            Tick::Flush => expected.extend(oracle.flush()),
+        }
+    }
+
+    let seen = seen.borrow();
+    assert_eq!(
+        seen.created,
+        (0..PRODUCERS).map(ProducerId).collect::<Vec<_>>()
+    );
+    let got: Vec<(ConsumerId, Vec<ProbeId>)> = seen
+        .chunks
+        .iter()
+        .map(|(c, entries)| (*c, entries.iter().map(|(p, _)| *p).collect()))
+        .collect();
+    assert_eq!(got, expected);
+    // The script did exercise what it is for…
+    assert!(expected.len() > 20, "{} chunks", expected.len());
+    assert!(
+        oracle.replayed > 3,
+        "{} cursors placed behind a tail",
+        oracle.replayed
+    );
+    assert!(oracle.evicted > 20, "{} tuples evicted", oracle.evicted);
+    // …and the oracle's clock was close enough: each tuple was stamped
+    // within 50 ms of its request leaving.
+    for (probe, stamped) in seen.chunks.iter().flat_map(|(_, entries)| entries) {
+        let sent = oracle.insert_times[probe.0 as usize];
+        assert!(*stamped >= sent && stamped.as_micros() - sent.as_micros() < 50_000);
+    }
 }

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! # simcore — deterministic discrete-event simulation kernel
 //!

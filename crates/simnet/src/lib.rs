@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! # simnet — the simulated 100 Mbps switched LAN
 //!

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! # simprof — virtual-time profiling for the gridmon simulation stack
 //!

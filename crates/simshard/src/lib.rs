@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! # simshard — conservative parallel execution of a partitioned world
 //!

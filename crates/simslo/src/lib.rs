@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! # simslo — data freshness (Age-of-Information) and deadline/SLO plane
 //!

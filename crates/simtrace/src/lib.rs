@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! `simtrace`: deterministic tracing and live metrics for the gridmon
 //! simulation stack.
 //!

@@ -13,6 +13,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use simcore::SimTime;
 use std::borrow::Cow;
 use std::fmt;
+use std::sync::Arc;
 
 /// Decode failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,21 +53,31 @@ mod tag {
     pub const BODY_BYTES: u8 = 0x12;
 }
 
-fn put_str(buf: &mut BytesMut, s: &str) {
+/// A length-prefixed string, as its bytes (a [`Text`](crate::Text)
+/// hands them over unchecked).
+fn put_str(buf: &mut BytesMut, s: &[u8]) {
     buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
+    buf.put_slice(s);
 }
 
-fn get_str(buf: &mut Bytes) -> Result<String> {
+/// The next `len` bytes as text, converted by `make` straight from the
+/// buffer (a short [`Text`](crate::Text) never touches the heap).
+fn get_utf8<T>(buf: &mut Bytes, len: usize, make: impl FnOnce(&str) -> T) -> Result<T> {
+    if buf.remaining() < len {
+        return Err(CodecError::Truncated);
+    }
+    let text = std::str::from_utf8(&buf[..len]).map_err(|_| CodecError::BadUtf8)?;
+    let out = make(text);
+    buf.advance(len);
+    Ok(out)
+}
+
+fn get_str<T: for<'a> From<&'a str>>(buf: &mut Bytes) -> Result<T> {
     if buf.remaining() < 4 {
         return Err(CodecError::Truncated);
     }
     let len = buf.get_u32_le() as usize;
-    if buf.remaining() < len {
-        return Err(CodecError::Truncated);
-    }
-    let raw = buf.copy_to_bytes(len);
-    String::from_utf8(raw.to_vec()).map_err(|_| CodecError::BadUtf8)
+    get_utf8(buf, len, |text| T::from(text))
 }
 
 /// Encode one value (tag + payload).
@@ -90,7 +101,7 @@ pub fn encode_value(buf: &mut BytesMut, v: &Value) {
         }
         Value::Str(s) => {
             buf.put_u8(tag::STR);
-            put_str(buf, s);
+            put_str(buf, s.as_bytes());
         }
         Value::Bool(b) => {
             buf.put_u8(tag::BOOL);
@@ -100,11 +111,12 @@ pub fn encode_value(buf: &mut BytesMut, v: &Value) {
             buf.put_u8(tag::CHAR);
             buf.put_u16_le(*width);
             // Space-padded to declared width, like SQL CHAR(n).
-            let mut padded = content.clone();
-            while padded.len() < *width as usize {
-                padded.push(' ');
+            let content = content.as_bytes();
+            let kept = content.len().min(usize::from(*width));
+            buf.put_slice(&content[..kept]);
+            for _ in kept..usize::from(*width) {
+                buf.put_u8(b' ');
             }
-            buf.put_slice(&padded.as_bytes()[..*width as usize]);
         }
     }
 }
@@ -152,15 +164,10 @@ pub fn decode_value(buf: &mut Bytes) -> Result<Value> {
                 return Err(CodecError::Truncated);
             }
             let width = buf.get_u16_le();
-            if buf.remaining() < width as usize {
-                return Err(CodecError::Truncated);
-            }
-            let raw = buf.copy_to_bytes(width as usize);
-            let s = std::str::from_utf8(&raw).map_err(|_| CodecError::BadUtf8)?;
-            Value::Char {
-                content: s.trim_end_matches(' ').to_owned(),
-                width,
-            }
+            let content = get_utf8(buf, usize::from(width), |padded| {
+                padded.trim_end_matches(' ').into()
+            })?;
+            Value::Char { content, width }
         }
         other => return Err(CodecError::BadTag(other)),
     })
@@ -169,7 +176,7 @@ pub fn decode_value(buf: &mut Bytes) -> Result<Value> {
 fn encode_value_map(buf: &mut BytesMut, map: &ValueMap) {
     buf.put_u32_le(map.len() as u32);
     for (k, v) in map.iter() {
-        put_str(buf, k);
+        put_str(buf, k.as_bytes());
         encode_value(buf, v);
     }
 }
@@ -190,7 +197,7 @@ fn decode_value_map(buf: &mut Bytes) -> Result<ValueMap> {
     let mut entries: Vec<(Cow<'static, str>, Value)> =
         Vec::with_capacity(n.min(buf.remaining() / MIN_ENTRY_BYTES));
     for _ in 0..n {
-        let k = get_str(buf)?;
+        let k: String = get_str(buf)?;
         let v = decode_value(buf)?;
         entries.push((Cow::Owned(k), v));
     }
@@ -218,7 +225,7 @@ pub fn encode_message(m: &Message) -> Bytes {
             buf.put_u64_le(c);
         }
     }
-    put_str(&mut buf, &h.destination);
+    put_str(&mut buf, h.destination.as_bytes());
     encode_value_map(&mut buf, m.properties());
     match m.body() {
         Body::Map(map) => {
@@ -227,7 +234,7 @@ pub fn encode_message(m: &Message) -> Bytes {
         }
         Body::Text(s) => {
             buf.put_u8(tag::BODY_TEXT);
-            put_str(&mut buf, s);
+            put_str(&mut buf, s.as_bytes());
         }
         Body::Bytes(b) => {
             buf.put_u8(tag::BODY_BYTES);
@@ -253,7 +260,7 @@ pub fn decode_message(mut buf: Bytes) -> Result<Message> {
     };
     let corr_flag = buf.get_u8();
     let corr_val = buf.get_u64_le();
-    let destination = get_str(&mut buf)?;
+    let destination: Arc<str> = get_str(&mut buf)?;
     let properties = decode_value_map(&mut buf)?;
     if buf.remaining() < 1 {
         return Err(CodecError::Truncated);
@@ -283,7 +290,7 @@ pub fn decode_message(mut buf: Bytes) -> Result<Message> {
 /// Encode a tuple.
 pub fn encode_tuple(t: &Tuple) -> Bytes {
     let mut buf = BytesMut::with_capacity(t.wire_size());
-    put_str(&mut buf, &t.table);
+    put_str(&mut buf, t.table.as_bytes());
     buf.put_u32_le(t.values.len() as u32);
     for v in &t.values {
         encode_value(&mut buf, v);
@@ -294,7 +301,7 @@ pub fn encode_tuple(t: &Tuple) -> Bytes {
 
 /// Decode a tuple.
 pub fn decode_tuple(mut buf: Bytes) -> Result<Tuple> {
-    let table = get_str(&mut buf)?;
+    let table: Arc<str> = get_str(&mut buf)?;
     if buf.remaining() < 4 {
         return Err(CodecError::Truncated);
     }

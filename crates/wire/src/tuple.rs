@@ -2,6 +2,7 @@
 
 use crate::value::{Value, ValueType};
 use simcore::SimTime;
+use std::sync::Arc;
 
 /// A column definition (name + type, plus CHAR width where applicable).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,8 +38,9 @@ impl Column {
 /// A tuple published into a table of the virtual database.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tuple {
-    /// Table the tuple belongs to.
-    pub table: String,
+    /// Table the tuple belongs to: one string per table, shared by every
+    /// tuple the schema builds.
+    pub table: Arc<str>,
     /// Cell values, in the table's column order.
     pub values: Vec<Value>,
     /// The R-GMA server-side insertion timestamp (set by the Primary
@@ -56,7 +58,7 @@ pub struct Tuple {
 impl Tuple {
     /// New tuple (insertion timestamp is stamped by the producer on
     /// arrival; callers usually leave it zero).
-    pub fn new(table: impl Into<String>, values: Vec<Value>) -> Self {
+    pub fn new(table: impl Into<Arc<str>>, values: Vec<Value>) -> Self {
         Tuple {
             table: table.into(),
             values,

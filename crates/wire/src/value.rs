@@ -5,6 +5,7 @@
 //! JMS selector language, and the `minisql`/R-GMA tuple cells, so the two
 //! middlewares exchange exactly comparable payloads.
 
+use crate::text::Text;
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -54,24 +55,32 @@ pub enum Value {
     /// Java `double`.
     Double(f64),
     /// Java `String`.
-    Str(String),
+    Str(Text),
     /// Boolean.
     Bool(bool),
     /// Fixed-width char field: content plus declared width (space-padded on
     /// the wire, like SQL `CHAR(n)`).
     Char {
         /// Field content (unpadded).
-        content: String,
+        content: Text,
         /// Declared width.
         width: u16,
     },
 }
 
 impl Value {
-    /// Construct a `CHAR(n)` value, truncating over-long content.
-    pub fn fixed_char(content: impl Into<String>, width: u16) -> Value {
+    /// Construct a `CHAR(n)` value, truncating over-long content to the
+    /// longest prefix of whole characters that fits `width` bytes.
+    pub fn fixed_char(content: impl Into<Text>, width: u16) -> Value {
         let mut content = content.into();
-        content.truncate(width as usize);
+        if content.len() > usize::from(width) {
+            let text = content.as_str();
+            let end = (0..=usize::from(width))
+                .rev()
+                .find(|&at| text.is_char_boundary(at))
+                .expect("0 is a boundary");
+            content = Text::from(&text[..end]);
+        }
         Value::Char { content, width }
     }
 
@@ -202,12 +211,12 @@ impl From<f64> for Value {
 }
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
-        Value::Str(v.to_owned())
+        Value::Str(v.into())
     }
 }
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::Str(v)
+        Value::Str(v.into())
     }
 }
 impl From<bool> for Value {
@@ -231,6 +240,15 @@ mod tests {
     fn fixed_char_truncates() {
         let v = Value::fixed_char("abcdefgh", 4);
         assert_eq!(v.as_str(), Some("abcd"));
+    }
+
+    #[test]
+    fn fixed_char_truncates_between_characters() {
+        // 'é' is two bytes: a cut at byte 2 would split it.
+        for (width, kept) in [(1, "a"), (2, "a"), (3, "aé")] {
+            assert_eq!(Value::fixed_char("aé", width).as_str(), Some(kept));
+        }
+        assert_eq!(Value::fixed_char("é", 1).as_str(), Some(""));
     }
 
     #[test]

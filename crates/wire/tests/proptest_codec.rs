@@ -1,6 +1,7 @@
 //! Property tests: the codec round-trips every representable message and
-//! tuple, the wire-size model always matches the true encoded length, and
-//! [`ValueMap`] is a `BTreeMap` in everything a reader or the wire can see.
+//! tuple, the wire-size model always matches the true encoded length,
+//! [`ValueMap`] is a `BTreeMap` and [`Text`] a `String` in everything a
+//! reader or the wire can see.
 
 use bytes::BufMut;
 use proptest::prelude::*;
@@ -8,7 +9,7 @@ use simcore::SimTime;
 use std::collections::BTreeMap;
 use wire::{
     decode_message, decode_tuple, encode_message, encode_tuple, Body, DeliveryMode, Headers,
-    Message, MessageId, Tuple, Value, ValueMap,
+    Message, MessageId, Text, Tuple, Value, ValueMap,
 };
 
 /// ASCII-ish strings without trailing spaces (CHAR(n) strips trailing pad
@@ -30,9 +31,12 @@ fn arb_value() -> impl Strategy<Value = Value> {
         // assertions, and the middlewares never transmit NaN telemetry.
         proptest::num::f32::NORMAL.prop_map(Value::Float),
         proptest::num::f64::NORMAL.prop_map(Value::Double),
-        "[a-zA-Z0-9 _.,:-]{0,64}".prop_map(Value::Str),
+        "[a-zA-Z0-9 _.,:-]{0,64}".prop_map(|s| Value::Str(s.into())),
         any::<bool>().prop_map(Value::Bool),
-        arb_char_content(32).prop_map(|(content, width)| Value::Char { content, width }),
+        arb_char_content(32).prop_map(|(content, width)| Value::Char {
+            content: content.into(),
+            width
+        }),
     ]
 }
 
@@ -78,6 +82,28 @@ prop_compose! {
         t.inserted_at = SimTime::from_micros(ts);
         t
     }
+}
+
+/// Strings of one- to four-byte characters, 0 to 30 bytes or so long:
+/// both sides of [`Text::INLINE`], the edge itself included.
+fn arb_string() -> impl Strategy<Value = String> {
+    let ch = prop_oneof![
+        0x20u32..0x7f,
+        0x20u32..0x7f,
+        0xa0u32..0x800,
+        0x800u32..0xd800,
+        0x1_0000u32..0x11_0000
+    ]
+    .prop_map(|u| char::from_u32(u).expect("no surrogate in these ranges"));
+    proptest::collection::vec(ch, 0..30).prop_map(|chars| {
+        let mut s = String::new();
+        for c in chars {
+            if s.len() + c.len_utf8() <= 30 {
+                s.push(c);
+            }
+        }
+        s
+    })
 }
 
 /// The map layout written straight from a `BTreeMap`: what the codec
@@ -182,6 +208,45 @@ proptest! {
         reference_map(&mut expected, &reference);
         prop_assert_eq!(m.wire_size(), expected.len());
         prop_assert_eq!(encoded, expected.freeze());
+    }
+
+    #[test]
+    fn text_is_a_string(a in arb_string(), b in arb_string(), width in 0u16..40) {
+        let (ta, tb) = (Text::from(a.as_str()), Text::from(b.clone()));
+        prop_assert_eq!(ta.len(), a.len());
+        prop_assert_eq!(ta.is_empty(), a.is_empty());
+        prop_assert_eq!(ta.as_bytes(), a.as_bytes());
+        prop_assert_eq!(&*ta, a.as_str());
+        prop_assert_eq!(ta.clone(), Text::from(a.clone()));
+        prop_assert_eq!(ta == tb, a == b);
+        prop_assert_eq!(ta.cmp(&tb), a.cmp(&b));
+        prop_assert_eq!(ta.partial_cmp(&tb), a.partial_cmp(&b));
+        prop_assert_eq!(format!("{ta}|{ta:?}|{ta:<25}|"), format!("{a}|{a:?}|{a:<25}|"));
+        prop_assert_eq!(tb.to_string(), b);
+        // On the wire: the bytes a `String` cell wrote, and back.
+        let mut encoded = bytes::BytesMut::new();
+        wire::codec::encode_value(&mut encoded, &Value::Str(ta.clone()));
+        let mut expected = bytes::BytesMut::new();
+        expected.put_u8(0x05);
+        expected.put_u32_le(a.len() as u32);
+        expected.put_slice(a.as_bytes());
+        prop_assert_eq!(encoded.clone().freeze(), expected.freeze());
+        let back = wire::codec::decode_value(&mut encoded.freeze());
+        prop_assert_eq!(back, Ok(Value::Str(ta)));
+        // A CHAR(n) cell keeps whole characters and pads with spaces.
+        let cell = Value::fixed_char(a.as_str(), width);
+        let kept = cell.as_str().expect("a string cell");
+        prop_assert!(a.starts_with(kept) && kept.len() <= usize::from(width));
+        let dropped = a[kept.len()..].chars().next();
+        prop_assert!(dropped.is_none_or(|c| kept.len() + c.len_utf8() > usize::from(width)));
+        let mut encoded = bytes::BytesMut::new();
+        wire::codec::encode_value(&mut encoded, &cell);
+        let mut expected = bytes::BytesMut::new();
+        expected.put_u8(0x07);
+        expected.put_u16_le(width);
+        expected.put_slice(kept.as_bytes());
+        expected.put_slice(&b" ".repeat(usize::from(width) - kept.len()));
+        prop_assert_eq!(encoded.freeze(), expected.freeze());
     }
 
     #[test]

@@ -165,3 +165,41 @@ fn same_seed_runs_allocate_identically() {
         assert_eq!(first, second, "{}: (events, allocations)", spec.name);
     }
 }
+
+/// What one more R-GMA reading allocates, end to end (publisher, HTTP
+/// hops, both servlets, storage, stream, poll), as the difference
+/// between runs of 10, 20 and 40 messages per generator: exact counts,
+/// no wall clock. The ceiling holds the text written once, the two-block
+/// tuple and the order-free binder in place (25.6 before them); the
+/// second difference matching the first says the cost per reading does
+/// not grow with the run.
+#[test]
+fn an_rgma_reading_allocates_a_bounded_constant_number_of_blocks() {
+    if std::env::var("GRIDMON_SHARDS").is_ok_and(|n| n != "1") {
+        // The shards' threads are not this thread: nothing to count.
+        return;
+    }
+    const GENERATORS: usize = 200;
+    let allocs = |msgs: u32| {
+        let spec = ExperimentSpec::paper_default(
+            "allocs/rgma",
+            SystemUnderTest::RgmaDistributed,
+            GENERATORS,
+        )
+        .scaled(msgs);
+        let before = ALLOCS.get();
+        let result = run_experiment(&spec);
+        assert_eq!(result.summary.sent, GENERATORS as u64 * u64::from(msgs));
+        (ALLOCS.get() - before) as f64
+    };
+    // The first run on a thread also fills its lazily built statics.
+    allocs(1);
+    let (ten, twenty, forty) = (allocs(10), allocs(20), allocs(40));
+    let early = (twenty - ten) / (GENERATORS * 10) as f64;
+    let late = (forty - twenty) / (GENERATORS * 20) as f64;
+    assert!(early <= 19.6, "{early} allocations per reading");
+    assert!(
+        (late / early - 1.0).abs() <= 0.02,
+        "{early} then {late} per reading"
+    );
+}
