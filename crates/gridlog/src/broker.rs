@@ -12,11 +12,14 @@
 use crate::config::{GridlogConfig, OffsetReset};
 use crate::log::{partition_for, StoredRecord, TopicLog};
 use crate::protocol::{
-    fetch_response_bytes, offsets_bytes, BrokerToClient, ClientToBroker, CONTROL_FRAME_BYTES,
+    fetch_response_bytes, offsets_bytes, BrokerToClient, ClientToBroker, Membership, Produce,
+    CONTROL_FRAME_BYTES,
 };
-use simcore::{Actor, ActorId, Context, FastMap, FastSet, Payload, SimDuration, SimTime};
-use simnet::{ConnId, Delivery, Endpoint, NetworkFabric};
-use simos::{NodeId, OsModel, ProcessId};
+use simcore::{Actor, Context, FastMap, Payload, SimDuration, SimTime};
+use simnet::server::{Acceptor, Inbound};
+use simnet::ConnId;
+use simos::{NodeId, ProcessId};
+use simprof::Component;
 use std::collections::{BTreeMap, BTreeSet};
 use wire::TopicId;
 
@@ -89,9 +92,10 @@ impl Group {
     }
 }
 
-/// A fetch waiting at the broker for data to arrive (long poll).
-struct ParkedFetch {
-    token: u64,
+/// One fetch of a partition: who asked, under which assignment, from
+/// where. Served at once or parked until data arrives (long poll).
+#[derive(Clone, Copy)]
+struct Fetch {
     conn: ConnId,
     epoch: u64,
     offset: u64,
@@ -107,9 +111,8 @@ enum TimerKind {
 /// The log-broker actor.
 pub struct LogBroker {
     cfg: GridlogConfig,
-    node: NodeId,
-    proc: ProcessId,
-    endpoint: Endpoint, // actor id filled in on_start
+    /// Accepted connections: a thread and `heap_per_conn` each.
+    server: Acceptor<()>,
     /// Broker-local topic interning table; `logs` is indexed by the
     /// dense [`TopicId`]s it hands out.
     topics: wire::TopicTable,
@@ -120,13 +123,11 @@ pub struct LogBroker {
     producer_seqs: BTreeMap<u64, u64>,
     /// Consumer groups (committed offsets durable, membership volatile).
     groups: BTreeMap<String, Group>,
-    /// Parked long-poll fetches keyed by (topic, partition).
-    parked: BTreeMap<(TopicId, u32), Vec<ParkedFetch>>,
-    conns: FastSet<ConnId>,
+    /// Parked long-poll fetches keyed by (topic, partition), each under
+    /// the token of its expiry timer.
+    parked: BTreeMap<(TopicId, u32), Vec<(u64, Fetch)>>,
     timers: FastMap<u64, TimerKind>,
     next_timer: u64,
-    /// True while the process is fault-crashed: network input evaporates.
-    crashed: bool,
     stats: StatsHandle,
 }
 
@@ -134,19 +135,15 @@ impl LogBroker {
     /// Create a log broker to be hosted on `node` inside process `proc`.
     pub fn new(cfg: GridlogConfig, node: NodeId, proc: ProcessId) -> Self {
         LogBroker {
+            server: Acceptor::new(node, proc, cfg.memory.heap_per_conn),
             cfg,
-            node,
-            proc,
-            endpoint: Endpoint::new(node, ActorId::NONE),
             topics: wire::TopicTable::new(),
             logs: Vec::new(),
             producer_seqs: BTreeMap::new(),
             groups: BTreeMap::new(),
             parked: BTreeMap::new(),
-            conns: FastSet::default(),
             timers: FastMap::default(),
             next_timer: 0,
-            crashed: false,
             stats: StatsHandle::default(),
         }
     }
@@ -156,36 +153,14 @@ impl LogBroker {
         self.stats.clone()
     }
 
-    /// The node this broker runs on.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
-    fn cpu(&self, ctx: &mut Context<'_>, comp: simprof::Component, cost: SimDuration) -> SimTime {
-        let node = self.node;
-        ctx.with_service::<OsModel, _>(|os, ctx| {
-            let (done, effective) = os.execute_metered(node, ctx.now(), cost);
-            simprof::charge(ctx, comp, effective);
-            done
-        })
-    }
-
     fn per_byte(&self, bytes: usize) -> SimDuration {
         SimDuration::from_micros((bytes as u64 * self.cfg.costs.broker_per_byte_ns).div_ceil(1000))
     }
 
-    fn send_to_client(
-        &self,
-        ctx: &mut Context<'_>,
-        conn: ConnId,
-        bytes: usize,
-        msg: BrokerToClient,
-        at: SimTime,
-    ) {
-        let ep = self.endpoint;
-        ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-            net.send_at(ctx, conn, ep, bytes, Box::new(msg), at);
-        });
+    /// Put a control frame on `conn` at `at`.
+    fn control(&self, ctx: &mut Context<'_>, conn: ConnId, frame: BrokerToClient, at: SimTime) {
+        self.server
+            .send_at(ctx, conn, CONTROL_FRAME_BYTES, frame, at);
     }
 
     fn arm_timer(&mut self, ctx: &mut Context<'_>, delay: SimDuration, kind: TimerKind) -> u64 {
@@ -210,79 +185,39 @@ impl LogBroker {
     }
 
     fn on_connect(&mut self, ctx: &mut Context<'_>, conn: ConnId) {
-        let accept_result = ctx.with_service::<OsModel, _>(|os, _| {
-            os.spawn_thread(self.proc).and_then(|()| {
-                match os.alloc(self.proc, self.cfg.memory.heap_per_conn) {
-                    Ok(()) => Ok(()),
-                    Err(e) => {
-                        os.kill_thread(self.proc);
-                        Err(e)
-                    }
-                }
-            })
-        });
-        match accept_result {
+        match self.server.accept(ctx, conn, ()) {
             Ok(()) => {
-                simprof::hit(ctx, simprof::Component::OsSched);
-                let done = self.cpu(
-                    ctx,
-                    simprof::Component::GridlogRebalance,
-                    self.cfg.costs.broker_accept,
-                );
-                self.conns.insert(conn);
+                simprof::hit(ctx, Component::OsSched);
                 self.stats.borrow_mut().accepted += 1;
-                self.send_to_client(
-                    ctx,
-                    conn,
-                    CONTROL_FRAME_BYTES,
-                    BrokerToClient::ConnectOk,
-                    done,
-                );
+                let cost = self.cfg.costs.broker_accept;
+                let done = self.server.cpu(ctx, Component::GridlogRebalance, cost);
+                self.control(ctx, conn, BrokerToClient::ConnectOk, done);
             }
             Err(e) => {
                 self.stats.borrow_mut().refused += 1;
+                let reason = e.to_string();
                 let now = ctx.now();
-                self.send_to_client(
-                    ctx,
-                    conn,
-                    CONTROL_FRAME_BYTES,
-                    BrokerToClient::ConnectRefused {
-                        reason: e.to_string(),
-                    },
-                    now,
-                );
+                self.control(ctx, conn, BrokerToClient::ConnectRefused { reason }, now);
             }
         }
     }
 
     fn on_disconnect(&mut self, ctx: &mut Context<'_>, conn: ConnId) {
-        if self.conns.remove(&conn) {
-            let heap = self.cfg.memory.heap_per_conn;
-            ctx.with_service::<OsModel, _>(|os, _| {
-                os.kill_thread(self.proc);
-                os.free(self.proc, heap);
-            });
-            simprof::hit(ctx, simprof::Component::OsSched);
+        if self.server.release(ctx, conn).is_some() {
+            simprof::hit(ctx, Component::OsSched);
             // Membership is not torn down here: the session timer
             // collects members of dead connections.
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn on_produce(
-        &mut self,
-        ctx: &mut Context<'_>,
-        conn: ConnId,
-        producer_id: u64,
-        batch_seq: u64,
-        topic: String,
-        records: Vec<crate::protocol::ProducerRecord>,
-        retransmit: bool,
-        wire_bytes: usize,
-    ) {
-        if !self.conns.contains(&conn) {
-            return; // connection refused / unknown: drop
-        }
+    fn on_produce(&mut self, ctx: &mut Context<'_>, conn: ConnId, batch: Produce, bytes: usize) {
+        let Produce {
+            producer_id,
+            batch_seq,
+            topic,
+            records,
+            retransmit,
+        } = batch;
         // Idempotent producer: a batch at or below the durable sequence
         // was already appended — re-acknowledge without re-appending, so
         // post-crash retransmissions never duplicate records.
@@ -290,18 +225,9 @@ impl LogBroker {
             if let Some(&last) = self.producer_seqs.get(&producer_id) {
                 if batch_seq <= last {
                     self.stats.borrow_mut().dup_batches += 1;
-                    let done = self.cpu(
-                        ctx,
-                        simprof::Component::GridlogAppend,
-                        self.cfg.costs.broker_append_base + self.per_byte(wire_bytes),
-                    );
-                    self.send_to_client(
-                        ctx,
-                        conn,
-                        CONTROL_FRAME_BYTES,
-                        BrokerToClient::ProduceAck { batch_seq },
-                        done,
-                    );
+                    let cost = self.cfg.costs.broker_append_base + self.per_byte(bytes);
+                    let done = self.server.cpu(ctx, Component::GridlogAppend, cost);
+                    self.control(ctx, conn, BrokerToClient::ProduceAck { batch_seq }, done);
                     return;
                 }
             }
@@ -315,10 +241,10 @@ impl LogBroker {
         }
         let tid = self.topic_log(&topic);
         let cost = self.cfg.costs.broker_append_base
-            + self.per_byte(wire_bytes)
+            + self.per_byte(bytes)
             + self.cfg.costs.broker_append_per_record.saturating_mul(n);
-        let done = self.cpu(ctx, simprof::Component::GridlogAppend, cost);
-        let actor = self.endpoint.actor.index() as u64;
+        let done = self.server.cpu(ctx, Component::GridlogAppend, cost);
+        let actor = ctx.self_id().index() as u64;
         let mut touched: BTreeSet<u32> = BTreeSet::new();
         for rec in records {
             let p = partition_for(rec.key, self.cfg.partitions);
@@ -343,13 +269,7 @@ impl LogBroker {
             m.add_counter("gridlog.appended_records", n);
             m.observe("gridlog.append_cost_us", cost.as_micros());
         });
-        self.send_to_client(
-            ctx,
-            conn,
-            CONTROL_FRAME_BYTES,
-            BrokerToClient::ProduceAck { batch_seq },
-            done,
-        );
+        self.control(ctx, conn, BrokerToClient::ProduceAck { batch_seq }, done);
         // Fresh data completes parked long polls on the touched
         // partitions.
         for p in touched {
@@ -371,9 +291,9 @@ impl LogBroker {
             return;
         };
         let mut ready = Vec::new();
-        waiters.retain(|w| {
-            if w.offset < end {
-                ready.push((w.conn, w.epoch, w.offset, w.token));
+        waiters.retain(|&(token, fetch)| {
+            if fetch.offset < end {
+                ready.push((token, fetch));
                 false
             } else {
                 true
@@ -382,24 +302,26 @@ impl LogBroker {
         if waiters.is_empty() {
             self.parked.remove(&(topic, partition));
         }
-        for (conn, epoch, offset, token) in ready {
+        for (token, fetch) in ready {
             self.timers.remove(&token);
-            self.serve_fetch(ctx, conn, topic, partition, offset, epoch, floor);
+            self.serve_fetch(ctx, topic, partition, fetch, floor);
         }
     }
 
-    /// Read records at `offset` and send them, charging the fetch path.
-    #[allow(clippy::too_many_arguments)]
+    /// Read records for `fetch` and send them, charging the fetch path.
     fn serve_fetch(
         &mut self,
         ctx: &mut Context<'_>,
-        conn: ConnId,
         topic: TopicId,
         partition: u32,
-        offset: u64,
-        epoch: u64,
+        fetch: Fetch,
         floor: SimTime,
     ) {
+        let Fetch {
+            conn,
+            epoch,
+            offset,
+        } = fetch;
         let plog = &self.logs[topic.0 as usize].partitions[partition as usize];
         let records = plog.read_from(offset, self.cfg.fetching.max_records);
         let end_offset = plog.end_offset();
@@ -408,14 +330,15 @@ impl LogBroker {
         let cost = self.cfg.costs.broker_fetch_base
             + self.cfg.costs.broker_fetch_per_record.saturating_mul(n);
         let done = self
-            .cpu(ctx, simprof::Component::GridlogFetch, cost)
+            .server
+            .cpu(ctx, Component::GridlogFetch, cost)
             .max(floor);
         {
             let mut st = self.stats.borrow_mut();
             st.fetches += 1;
             st.records_served += n;
         }
-        let actor = self.endpoint.actor.index() as u64;
+        let actor = ctx.self_id().index() as u64;
         for rec in &records {
             let probe = rec.probe;
             simtrace::with_trace(ctx, |tr, at| {
@@ -435,32 +358,22 @@ impl LogBroker {
             m.set_gauge("gridlog.fetch_batch_occupancy", n as f64);
             m.observe("gridlog.fetch_cost_us", cost.as_micros());
         });
-        self.send_to_client(
-            ctx,
-            conn,
-            bytes,
-            BrokerToClient::Records {
-                partition,
-                epoch,
-                records,
-                end_offset,
-            },
-            done,
-        );
+        let response = BrokerToClient::Records {
+            partition,
+            epoch,
+            records,
+            end_offset,
+        };
+        self.server.send_at(ctx, conn, bytes, response, done);
     }
 
-    fn on_join(
-        &mut self,
-        ctx: &mut Context<'_>,
-        conn: ConnId,
-        group: String,
-        member: u64,
-        topic: String,
-        reset: OffsetReset,
-    ) {
-        if !self.conns.contains(&conn) {
-            return;
-        }
+    fn on_join(&mut self, ctx: &mut Context<'_>, conn: ConnId, join: Membership) {
+        let Membership {
+            group,
+            member,
+            topic,
+            reset,
+        } = join;
         let tid = self.topic_log(&topic);
         let now = ctx.now();
         let g = self.groups.entry(group.clone()).or_insert_with(Group::new);
@@ -480,11 +393,8 @@ impl LogBroker {
     /// Recompute the range assignment, bump the epoch, and push the new
     /// [`BrokerToClient::Assignment`] to every member.
     fn rebalance(&mut self, ctx: &mut Context<'_>, group: &str) {
-        let done = self.cpu(
-            ctx,
-            simprof::Component::GridlogRebalance,
-            self.cfg.costs.broker_rebalance,
-        );
+        let cost = self.cfg.costs.broker_rebalance;
+        let done = self.server.cpu(ctx, Component::GridlogRebalance, cost);
         let Some(g) = self.groups.get_mut(group) else {
             return;
         };
@@ -515,8 +425,8 @@ impl LogBroker {
         // and every member re-fetches once it sees the new assignment.
         for p in 0..parts {
             if let Some(waiters) = self.parked.remove(&(tid, p)) {
-                for w in waiters {
-                    self.timers.remove(&w.token);
+                for (token, _) in waiters {
+                    self.timers.remove(&token);
                 }
             }
         }
@@ -555,17 +465,12 @@ impl LogBroker {
         let group = group.to_owned();
         for (conn, partitions) in sends {
             let bytes = offsets_bytes(partitions.len()) + group.len();
-            self.send_to_client(
-                ctx,
-                conn,
-                bytes,
-                BrokerToClient::Assignment {
-                    group: group.clone(),
-                    epoch,
-                    partitions,
-                },
-                at,
-            );
+            let assignment = BrokerToClient::Assignment {
+                group: group.clone(),
+                epoch,
+                partitions,
+            };
+            self.server.send_at(ctx, conn, bytes, assignment, at);
         }
     }
 
@@ -595,38 +500,30 @@ impl LogBroker {
         let conn = m.conn;
         let epoch = g.epoch;
         let bytes = offsets_bytes(partitions.len()) + group.len();
-        self.send_to_client(
-            ctx,
-            conn,
-            bytes,
-            BrokerToClient::Assignment {
-                group: group.to_owned(),
-                epoch,
-                partitions,
-            },
-            now,
-        );
+        let assignment = BrokerToClient::Assignment {
+            group: group.to_owned(),
+            epoch,
+            partitions,
+        };
+        self.server.send_at(ctx, conn, bytes, assignment, now);
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn on_fetch(
         &mut self,
         ctx: &mut Context<'_>,
-        conn: ConnId,
-        group: String,
+        group: &str,
         member: u64,
-        epoch: u64,
         partition: u32,
-        offset: u64,
+        fetch: Fetch,
     ) {
-        let Some(g) = self.groups.get(&group) else {
+        let Some(g) = self.groups.get(group) else {
             return; // unknown group (pre-crash member): silence → rejoin
         };
         if !g.members.contains_key(&member) {
             return;
         }
-        if g.epoch != epoch {
-            self.resend_assignment(ctx, &group, member);
+        if g.epoch != fetch.epoch {
+            self.resend_assignment(ctx, group, member);
             return;
         }
         let Some(tid) = g.topic else {
@@ -636,30 +533,20 @@ impl LogBroker {
             return;
         }
         let end = self.logs[tid.0 as usize].partitions[partition as usize].end_offset();
-        let now = ctx.now();
-        if offset < end {
-            self.serve_fetch(ctx, conn, tid, partition, offset, epoch, now);
+        if fetch.offset < end {
+            let now = ctx.now();
+            self.serve_fetch(ctx, tid, partition, fetch, now);
         } else {
             // Nothing to read yet: park until an append or the long-poll
             // deadline, whichever comes first.
             let max_wait = self.cfg.fetching.max_wait;
-            let token = self.arm_timer(
-                ctx,
-                max_wait,
-                TimerKind::FetchExpire {
-                    topic: tid,
-                    partition,
-                },
-            );
-            self.parked
-                .entry((tid, partition))
-                .or_default()
-                .push(ParkedFetch {
-                    token,
-                    conn,
-                    epoch,
-                    offset,
-                });
+            let expire = TimerKind::FetchExpire {
+                topic: tid,
+                partition,
+            };
+            let token = self.arm_timer(ctx, max_wait, expire);
+            let waiters = self.parked.entry((tid, partition)).or_default();
+            waiters.push((token, fetch));
         }
     }
 
@@ -673,36 +560,36 @@ impl LogBroker {
         let Some(waiters) = self.parked.get_mut(&(topic, partition)) else {
             return; // served or wiped meanwhile
         };
-        let Some(ix) = waiters.iter().position(|w| w.token == token) else {
+        let Some(ix) = waiters.iter().position(|&(t, _)| t == token) else {
             return;
         };
-        let w = waiters.remove(ix);
+        let (_, fetch) = waiters.remove(ix);
         if waiters.is_empty() {
             self.parked.remove(&(topic, partition));
         }
         // Empty response: unblocks the consumer's poll loop with a fresh
         // end-offset observation.
-        self.serve_fetch(ctx, w.conn, topic, partition, w.offset, w.epoch, ctx.now());
+        let now = ctx.now();
+        self.serve_fetch(ctx, topic, partition, fetch, now);
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn on_commit(
         &mut self,
         ctx: &mut Context<'_>,
         conn: ConnId,
-        group: String,
+        group: &str,
         member: u64,
         epoch: u64,
         offsets: Vec<(u32, u64)>,
     ) {
-        let Some(g) = self.groups.get_mut(&group) else {
+        let Some(g) = self.groups.get_mut(group) else {
             return;
         };
         if !g.members.contains_key(&member) {
             return;
         }
         if g.epoch != epoch {
-            self.resend_assignment(ctx, &group, member);
+            self.resend_assignment(ctx, group, member);
             return;
         }
         for (p, off) in offsets {
@@ -710,14 +597,11 @@ impl LogBroker {
             *slot = (*slot).max(off);
         }
         self.stats.borrow_mut().commits += 1;
-        let done = self.cpu(
-            ctx,
-            simprof::Component::GridlogCommit,
-            self.cfg.costs.broker_commit_process,
-        );
+        let cost = self.cfg.costs.broker_commit_process;
+        let done = self.server.cpu(ctx, Component::GridlogCommit, cost);
         // End-offset lag: how far the group's durable position trails
         // the head of the log, summed over committed partitions.
-        let g = self.groups.get(&group).expect("still here");
+        let g = self.groups.get(group).expect("still here");
         let lag: u64 = if let Some(tid) = g.topic {
             let log = &self.logs[tid.0 as usize];
             g.committed
@@ -731,19 +615,10 @@ impl LogBroker {
             m.add_counter("gridlog.commits", 1);
             m.set_gauge("gridlog.end_offset_lag", lag as f64);
         });
-        self.send_to_client(
-            ctx,
-            conn,
-            CONTROL_FRAME_BYTES,
-            BrokerToClient::CommitOk { epoch },
-            done,
-        );
+        self.control(ctx, conn, BrokerToClient::CommitOk { epoch }, done);
     }
 
     fn on_heartbeat(&mut self, ctx: &mut Context<'_>, conn: ConnId, group: String, member: u64) {
-        if !self.conns.contains(&conn) {
-            return;
-        }
         let now = ctx.now();
         let session = self.cfg.group.session_timeout;
         let mut arm = false;
@@ -764,7 +639,7 @@ impl LogBroker {
         if arm {
             self.arm_timer(ctx, session, TimerKind::SessionCheck { group, member });
         }
-        self.send_to_client(ctx, conn, CONTROL_FRAME_BYTES, BrokerToClient::Pong, now);
+        self.control(ctx, conn, BrokerToClient::Pong, now);
     }
 
     fn on_session_check(&mut self, ctx: &mut Context<'_>, group: String, member: u64) {
@@ -800,25 +675,12 @@ impl LogBroker {
         }
     }
 
-    /// Fault injection kills the process: connections, threads, group
-    /// membership, and parked fetches are lost; the segments, committed
-    /// offsets, and producer sequences survive on disk.
-    fn on_crash(&mut self, ctx: &mut Context<'_>) {
-        if self.crashed {
-            return;
-        }
-        self.crashed = true;
+    /// Fault injection killed the process: connections and threads (the
+    /// acceptor's), group membership, and parked fetches are lost; the
+    /// segments, committed offsets, and producer sequences survive on
+    /// disk.
+    fn on_crash(&mut self) {
         self.stats.borrow_mut().crashes += 1;
-        let mut conn_ids: Vec<ConnId> = self.conns.iter().copied().collect();
-        conn_ids.sort_unstable_by_key(|c| c.0);
-        let heap = self.cfg.memory.heap_per_conn;
-        for _conn in conn_ids {
-            ctx.with_service::<OsModel, _>(|os, _| {
-                os.kill_thread(self.proc);
-                os.free(self.proc, heap);
-            });
-        }
-        self.conns.clear();
         for g in self.groups.values_mut() {
             g.members.clear();
             g.assignment.clear();
@@ -835,10 +697,6 @@ impl LogBroker {
     /// committed offsets will re-deliver — the recovery the CLIENT-mode
     /// narada resync performs with its stable log.
     fn on_restart(&mut self, ctx: &mut Context<'_>) {
-        if !self.crashed {
-            return;
-        }
-        self.crashed = false;
         let total: u64 = self.logs.iter().map(TopicLog::total_records).sum();
         if total > 0 {
             let cost = self
@@ -846,7 +704,7 @@ impl LogBroker {
                 .costs
                 .broker_replay_per_record
                 .saturating_mul(total);
-            self.cpu(ctx, simprof::Component::GridlogRebalance, cost);
+            self.server.cpu(ctx, Component::GridlogRebalance, cost);
         }
         self.stats.borrow_mut().replayed_records += total;
         // Messages preserved by durability: the tail between each
@@ -872,114 +730,64 @@ impl LogBroker {
 }
 
 impl Actor for LogBroker {
-    fn on_start(&mut self, ctx: &mut Context<'_>) {
-        self.endpoint = Endpoint::new(self.node, ctx.self_id());
-    }
-
     fn handle(&mut self, msg: Payload, ctx: &mut Context<'_>) {
-        // Own timers first: their state (parked fetches, members) was
-        // wiped by any crash, so stale fires are naturally inert.
-        let msg = match msg.downcast::<BrokerTimer>() {
-            Ok(timer) => {
-                let Some(kind) = self.timers.remove(&timer.0) else {
-                    return; // cancelled or wiped
+        let opens = |f: &ClientToBroker| matches!(f, ClientToBroker::Connect);
+        let (conn, bytes, frame) = match self.server.inbound(ctx, msg, opens) {
+            Inbound::Frame { conn, bytes, frame } => (conn, bytes, frame),
+            Inbound::Crashed(_) => return self.on_crash(),
+            Inbound::Restarted => return self.on_restart(ctx),
+            Inbound::Dropped => return,
+            Inbound::NotMine(msg) => {
+                // Own timers: their state (parked fetches, members) was
+                // wiped by any crash, so stale fires are naturally inert.
+                let Ok(timer) = msg.downcast::<BrokerTimer>() else {
+                    return; // unknown message type: ignore
                 };
-                match kind {
-                    TimerKind::FetchExpire { topic, partition } => {
+                return match self.timers.remove(&timer.0) {
+                    Some(TimerKind::FetchExpire { topic, partition }) => {
                         self.on_fetch_expire(ctx, topic, partition, timer.0)
                     }
-                    TimerKind::SessionCheck { group, member } => {
+                    Some(TimerKind::SessionCheck { group, member }) => {
                         self.on_session_check(ctx, group, member)
                     }
-                }
-                return;
+                    None => {} // cancelled or wiped
+                };
             }
-            Err(m) => m,
         };
-        // Fault injection: crash/restart signals arrive directly from
-        // the fault driver, not over the network, so a crashed broker
-        // still hears its own restart.
-        let msg = match msg.downcast::<simfault::FaultSignal>() {
-            Ok(sig) => {
-                match *sig {
-                    simfault::FaultSignal::BrokerCrash => self.on_crash(ctx),
-                    simfault::FaultSignal::BrokerRestart => self.on_restart(ctx),
-                    simfault::FaultSignal::RegistryRestart => {}
-                }
-                return;
-            }
-            Err(m) => m,
-        };
-        // Network deliveries.
-        let Ok(delivery) = msg.downcast::<Delivery>() else {
-            return; // unknown message type: ignore
-        };
-        if self.crashed {
-            // A dead process: every frame aimed at it evaporates.
-            simfault::with_faults(ctx, |inj, _| inj.stats.crash_drops += 1);
-            simtrace::with_trace(ctx, |tr, _| {
-                tr.count(simtrace::Counter::FaultDrops, 1);
-            });
-            return;
-        }
-        let Delivery {
-            conn,
-            bytes,
-            payload,
-            ..
-        } = *delivery;
-        let Ok(c2b) = payload.downcast::<ClientToBroker>() else {
-            return;
-        };
-        match *c2b {
+        match frame {
             ClientToBroker::Connect => self.on_connect(ctx, conn),
             ClientToBroker::Disconnect => self.on_disconnect(ctx, conn),
-            ClientToBroker::Produce {
-                producer_id,
-                batch_seq,
-                topic,
-                records,
-                retransmit,
-            } => self.on_produce(
-                ctx,
-                conn,
-                producer_id,
-                batch_seq,
-                topic,
-                records,
-                retransmit,
-                bytes,
-            ),
-            ClientToBroker::JoinGroup {
-                group,
-                member,
-                topic,
-                reset,
-            } => self.on_join(ctx, conn, group, member, topic, reset),
+            ClientToBroker::Produce(batch) => self.on_produce(ctx, conn, batch, bytes),
+            ClientToBroker::JoinGroup(join) => self.on_join(ctx, conn, join),
             ClientToBroker::Fetch {
                 group,
                 member,
                 epoch,
                 partition,
                 offset,
-            } => self.on_fetch(ctx, conn, group, member, epoch, partition, offset),
+            } => {
+                let fetch = Fetch {
+                    conn,
+                    epoch,
+                    offset,
+                };
+                self.on_fetch(ctx, &group, member, partition, fetch)
+            }
             ClientToBroker::CommitOffsets {
                 group,
                 member,
                 epoch,
                 offsets,
-            } => self.on_commit(ctx, conn, group, member, epoch, offsets),
+            } => self.on_commit(ctx, conn, &group, member, epoch, offsets),
             ClientToBroker::Heartbeat { group, member } => {
                 self.on_heartbeat(ctx, conn, group, member)
             }
             ClientToBroker::Ping => {
-                // Only connections this incarnation accepted get an
-                // answer; pings on pre-crash connections go unanswered
-                // and trigger client-side detection.
-                if self.conns.contains(&conn) {
-                    let now = ctx.now();
-                    self.send_to_client(ctx, conn, CONTROL_FRAME_BYTES, BrokerToClient::Pong, now);
-                }
+                // Only held connections get here: pings on pre-crash
+                // connections go unanswered and trigger client-side
+                // detection.
+                let now = ctx.now();
+                self.control(ctx, conn, BrokerToClient::Pong, now);
             }
         }
     }

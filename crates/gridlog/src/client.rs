@@ -11,8 +11,8 @@
 
 use crate::config::{GridlogConfig, OffsetReset};
 use crate::protocol::{
-    offsets_bytes, produce_bytes, BrokerToClient, ClientToBroker, ProducerRecord,
-    CONTROL_FRAME_BYTES, RECORD_OVERHEAD_BYTES,
+    offsets_bytes, produce_bytes, BrokerToClient, ClientToBroker, Membership, Produce,
+    ProducerRecord, CONTROL_FRAME_BYTES, RECORD_OVERHEAD_BYTES,
 };
 use simcore::{Context, SimDuration, SimTime};
 use simnet::session::{ClientTimer, Fired, ReconnectPolicy, SessionProtocol, SessionSet};
@@ -87,10 +87,8 @@ struct ProducerState {
 }
 
 struct ConsumerState {
-    group: String,
-    member: u64,
-    topic: String,
-    reset: OffsetReset,
+    /// Who this consumer is in its group; re-sent on every (re)connect.
+    join: Membership,
     epoch: u64,
     /// Partitions currently owned.
     owned: Vec<u32>,
@@ -129,8 +127,8 @@ impl SessionProtocol for LogSession {
     fn heartbeat(role: &Role) -> ClientToBroker {
         match role {
             Role::Consumer(c) => ClientToBroker::Heartbeat {
-                group: c.group.clone(),
-                member: c.member,
+                group: c.join.group.clone(),
+                member: c.join.member,
             },
             Role::Producer(_) => ClientToBroker::Ping,
         }
@@ -214,24 +212,17 @@ impl GridlogClientSet {
             .open(ctx, broker_ep, Transport::Tcp, reconnect, role)
     }
 
-    /// Open a consumer connection that joins `group` on `topic` once the
+    /// Open a consumer connection that joins its group as `join` once the
     /// connection is up.
-    #[allow(clippy::too_many_arguments)]
     pub fn connect_consumer(
         &mut self,
         ctx: &mut Context<'_>,
         broker_ep: Endpoint,
-        group: impl Into<String>,
-        member: u64,
-        topic: impl Into<String>,
-        reset: OffsetReset,
+        join: Membership,
         reconnect: Option<ReconnectPolicy>,
     ) -> ConnId {
         let role = Role::Consumer(ConsumerState {
-            group: group.into(),
-            member,
-            topic: topic.into(),
-            reset,
+            join,
             epoch: 0,
             owned: Vec::new(),
             positions: BTreeMap::new(),
@@ -368,13 +359,13 @@ impl GridlogClientSet {
             unreachable!("checked above");
         };
         prod.pending.insert(seq, records.clone());
-        let msg = ClientToBroker::Produce {
+        let msg = ClientToBroker::Produce(Produce {
             producer_id,
             batch_seq: seq,
             topic,
             records,
             retransmit: false,
-        };
+        });
         self.sessions.send_at(ctx, conn, bytes, msg, ser_done);
     }
 
@@ -394,13 +385,13 @@ impl GridlogClientSet {
         }
         cons.in_flight.insert(partition);
         let msg = ClientToBroker::Fetch {
-            group: cons.group.clone(),
-            member: cons.member,
+            group: cons.join.group.clone(),
+            member: cons.join.member,
             epoch: cons.epoch,
             partition,
             offset: cons.positions.get(&partition).copied().unwrap_or(0),
         };
-        let bytes = CONTROL_FRAME_BYTES + cons.group.len() + 20;
+        let bytes = CONTROL_FRAME_BYTES + cons.join.group.len() + 20;
         self.sessions.send(ctx, conn, bytes, msg);
     }
 
@@ -430,14 +421,10 @@ impl GridlogClientSet {
                 let sess = self.sessions.get(conn).expect("just accepted");
                 match &sess.state {
                     Role::Consumer(c) => {
-                        let join = ClientToBroker::JoinGroup {
-                            group: c.group.clone(),
-                            member: c.member,
-                            topic: c.topic.clone(),
-                            reset: c.reset,
-                        };
-                        let bytes = CONTROL_FRAME_BYTES + c.group.len() + c.topic.len() + 16;
-                        let committed = c.reset == OffsetReset::Committed;
+                        let join = c.join.clone();
+                        let bytes = CONTROL_FRAME_BYTES + join.group.len() + join.topic.len() + 16;
+                        let committed = join.reset == OffsetReset::Committed;
+                        let join = ClientToBroker::JoinGroup(join);
                         self.sessions.send(ctx, conn, bytes, join);
                         if committed {
                             let interval = self.cfg.group.commit_interval;
@@ -487,7 +474,7 @@ impl GridlogClientSet {
                 cons.epoch = epoch;
                 cons.owned = partitions.iter().map(|&(p, _)| p).collect();
                 for &(p, start) in &partitions {
-                    match cons.reset {
+                    match cons.join.reset {
                         OffsetReset::Committed => {
                             // Keep a live position if we have one (it is
                             // ≥ the committed offset); adopt the broker's
@@ -644,10 +631,10 @@ impl GridlogClientSet {
             .filter_map(|&p| cons.positions.get(&p).map(|&o| (p, o)))
             .collect();
         if !offsets.is_empty() {
-            let bytes = offsets_bytes(offsets.len()) + cons.group.len();
+            let bytes = offsets_bytes(offsets.len()) + cons.join.group.len();
             let msg = ClientToBroker::CommitOffsets {
-                group: cons.group.clone(),
-                member: cons.member,
+                group: cons.join.group.clone(),
+                member: cons.join.member,
                 epoch: cons.epoch,
                 offsets,
             };
@@ -680,13 +667,13 @@ impl GridlogClientSet {
             // Retransmission re-serializes from the buffered form:
             // cheaper than first serialization.
             let done = self.sessions.cpu(ctx, self.cfg.costs.client_serialize_base);
-            let msg = ClientToBroker::Produce {
+            let msg = ClientToBroker::Produce(Produce {
                 producer_id,
                 batch_seq: seq,
                 topic: topic.clone(),
                 records,
                 retransmit: true,
-            };
+            });
             self.sessions.send_at(ctx, conn, bytes, msg, done);
         }
         if n > 0 {

@@ -39,6 +39,6 @@ pub use config::{
 pub use log::{partition_for, PartitionLog, Segment, StoredRecord, TopicLog};
 pub use protocol::{
     fetch_response_bytes, offsets_bytes, produce_bytes, BrokerToClient, ClientToBroker,
-    FetchedRecord, ProducerRecord,
+    FetchedRecord, Membership, Produce, ProducerRecord,
 };
 pub use simnet::session::{ClientTimer, ReconnectPolicy};

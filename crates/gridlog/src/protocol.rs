@@ -49,31 +49,9 @@ pub enum ClientToBroker {
     /// Close the connection (broker frees the thread).
     Disconnect,
     /// Append a batch of records to a topic.
-    Produce {
-        /// Stable producer identity (idempotence key, durable at the
-        /// broker like Kafka's producer-id state in the log).
-        producer_id: u64,
-        /// Monotonic per-producer batch sequence (duplicate filter for
-        /// post-crash retransmissions).
-        batch_seq: u64,
-        /// Destination topic.
-        topic: String,
-        /// The records.
-        records: Vec<ProducerRecord>,
-        /// True if this batch may already have been appended.
-        retransmit: bool,
-    },
+    Produce(Produce),
     /// Join a consumer group (also the implicit group/topic creation).
-    JoinGroup {
-        /// Group name.
-        group: String,
-        /// Stable member identity.
-        member: u64,
-        /// Topic the group consumes.
-        topic: String,
-        /// Where this member starts on partitions it has no position for.
-        reset: OffsetReset,
-    },
+    JoinGroup(Membership),
     /// Long-poll fetch from one assigned partition.
     Fetch {
         /// Group name.
@@ -112,6 +90,37 @@ pub enum ClientToBroker {
     },
     /// Producer liveness probe (no group attached).
     Ping,
+}
+
+/// The fields of [`ClientToBroker::Produce`].
+pub struct Produce {
+    /// Stable producer identity (idempotence key, durable at the
+    /// broker like Kafka's producer-id state in the log).
+    pub producer_id: u64,
+    /// Monotonic per-producer batch sequence (duplicate filter for
+    /// post-crash retransmissions).
+    pub batch_seq: u64,
+    /// Destination topic.
+    pub topic: String,
+    /// The records.
+    pub records: Vec<ProducerRecord>,
+    /// True if this batch may already have been appended.
+    pub retransmit: bool,
+}
+
+/// A consumer's place in its group: what it joins with
+/// ([`ClientToBroker::JoinGroup`]) and re-joins with after every
+/// reconnect.
+#[derive(Debug, Clone)]
+pub struct Membership {
+    /// Group name.
+    pub group: String,
+    /// Stable member identity.
+    pub member: u64,
+    /// Topic the group consumes.
+    pub topic: String,
+    /// Where this member starts on partitions it has no position for.
+    pub reset: OffsetReset,
 }
 
 /// Broker → client.

@@ -4,7 +4,7 @@
 
 use gridlog::{
     BrokerToClient, ClientEvent, ClientTimer, ClientToBroker, GridlogClientSet, GridlogConfig,
-    LogBroker, LogBrokerStats, OffsetReset,
+    LogBroker, LogBrokerStats, Membership, OffsetReset,
 };
 use simcore::{Actor, Context, FastMap, Payload, SimDuration, SimTime, Simulation};
 use simnet::{ConnId, Delivery, Endpoint, FabricConfig, NetworkFabric};
@@ -91,15 +91,13 @@ impl Actor for Driver {
         let mut set = GridlogClientSet::new(GridlogConfig::default(), self.node);
         self.producer = Some(set.connect_producer(ctx, self.broker_ep, 7, TOPIC, None));
         for member in 0..2 {
-            let conn = set.connect_consumer(
-                ctx,
-                self.broker_ep,
-                GROUP,
+            let join = Membership {
+                group: GROUP.to_owned(),
                 member,
-                TOPIC,
-                OffsetReset::Latest,
-                None,
-            );
+                topic: TOPIC.to_owned(),
+                reset: OffsetReset::Latest,
+            };
+            let conn = set.connect_consumer(ctx, self.broker_ep, join, None);
             if member == 0 {
                 self.member0 = Some(conn);
             }

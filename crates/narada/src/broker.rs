@@ -5,13 +5,16 @@
 use crate::config::NaradaConfig;
 use crate::matching::{MatchedDelivery, MatchingEngine};
 use crate::protocol::{
-    deliver_bytes, BrokerToBroker, BrokerToClient, ClientToBroker, CONTROL_FRAME_BYTES,
+    deliver_bytes, BrokerToBroker, BrokerToClient, ClientToBroker, Flood, Publish, Subscribe,
+    CONTROL_FRAME_BYTES,
 };
 use crate::seqset::SeqSet;
 use jms::{AckMode, Selector};
-use simcore::{Actor, ActorId, Context, FastMap, Payload, SimDuration, SimTime};
-use simnet::{ConnId, Delivery, Endpoint, NetworkFabric, Transport};
+use simcore::{Actor, Context, FastMap, Payload, SimDuration, SimTime};
+use simnet::server::{Acceptor, Inbound};
+use simnet::{ConnId, Delivery, NetworkFabric, Transport};
 use simos::{NodeId, OsModel, ProcessId};
+use simprof::Component;
 use telemetry::ProbeId;
 use wire::Message;
 
@@ -52,6 +55,9 @@ pub struct BrokerStats {
     pub crashes: u64,
     /// Messages re-delivered from stable storage after a restart.
     pub resynced: u64,
+    /// Subscribes refused for a selector that does not compile (JMS's
+    /// `InvalidSelectorException`: nothing is created).
+    pub invalid_selectors: u64,
 }
 
 /// Shared handle for reading a broker's stats after the simulation.
@@ -97,11 +103,9 @@ struct DurableSub {
 /// The broker actor.
 pub struct Broker {
     cfg: NaradaConfig,
-    node: NodeId,
-    proc: ProcessId,
-    endpoint: Endpoint, // actor id filled in on_start
+    /// Accepted connections: a thread and `heap_per_conn` each.
+    server: Acceptor<ConnState>,
     engine: MatchingEngine,
-    conns: FastMap<ConnId, ConnState>,
     my_ix: u16,
     peers: Vec<(u16, ConnId)>,
     /// Broker-local topic interning table: route-map entries are dense
@@ -115,8 +119,6 @@ pub struct Broker {
     next_fwd_seq: u64,
     /// Flood dedup: per origin broker, the seqs already processed.
     seen_forwards: FastMap<u16, SeqSet>,
-    /// True while the JVM is fault-crashed: all network input is dropped.
-    crashed: bool,
     /// Crash-surviving message log, keyed by subscriber actor index.
     stable: std::collections::BTreeMap<u64, Vec<StableEntry>>,
     /// Durable (CLIENT-ack UDP topic) subscriptions remembered across
@@ -129,19 +131,15 @@ impl Broker {
     /// Create a broker to be hosted on `node` inside process `proc`.
     pub fn new(cfg: NaradaConfig, node: NodeId, proc: ProcessId) -> Self {
         Broker {
+            server: Acceptor::new(node, proc, cfg.memory.heap_per_conn),
             cfg,
-            node,
-            proc,
-            endpoint: Endpoint::new(node, ActorId::NONE),
             engine: MatchingEngine::new(),
-            conns: FastMap::default(),
             my_ix: 0,
             peers: Vec::new(),
             topics: wire::TopicTable::new(),
             peer_interests: FastMap::default(),
             next_fwd_seq: 0,
             seen_forwards: FastMap::default(),
-            crashed: false,
             stable: std::collections::BTreeMap::new(),
             durable_subs: std::collections::BTreeMap::new(),
             stats: StatsHandle::default(),
@@ -151,20 +149,6 @@ impl Broker {
     /// Handle to this broker's statistics (clone before `add_actor`).
     pub fn stats_handle(&self) -> StatsHandle {
         self.stats.clone()
-    }
-
-    /// The node this broker runs on.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
-    fn cpu(&self, ctx: &mut Context<'_>, comp: simprof::Component, cost: SimDuration) -> SimTime {
-        let node = self.node;
-        ctx.with_service::<OsModel, _>(|os, ctx| {
-            let (done, effective) = os.execute_metered(node, ctx.now(), cost);
-            simprof::charge(ctx, comp, effective);
-            done
-        })
     }
 
     /// One CPU submission covering deserialize+route plus selector
@@ -177,13 +161,13 @@ impl Broker {
         total: SimDuration,
         match_part: SimDuration,
     ) -> SimTime {
-        let node = self.node;
+        let node = self.server.node();
         ctx.with_service::<OsModel, _>(|os, ctx| {
             let (done, effective) = os.execute_metered(node, ctx.now(), total);
             simprof::charge_split(
                 ctx,
-                simprof::Component::NaradaRoute,
-                simprof::Component::NaradaMatch,
+                Component::NaradaRoute,
+                Component::NaradaMatch,
                 effective,
                 match_part,
                 total,
@@ -196,117 +180,76 @@ impl Broker {
         SimDuration::from_micros((bytes as u64 * self.cfg.costs.broker_per_byte_ns).div_ceil(1000))
     }
 
-    fn send_to_client(
-        &self,
-        ctx: &mut Context<'_>,
-        conn: ConnId,
-        bytes: usize,
-        msg: BrokerToClient,
-        at: SimTime,
-    ) {
-        let ep = self.endpoint;
-        ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-            net.send_at(ctx, conn, ep, bytes, Box::new(msg), at);
-        });
+    /// Put a control frame on `conn` at `at`.
+    fn control(&self, ctx: &mut Context<'_>, conn: ConnId, frame: BrokerToClient, at: SimTime) {
+        self.server
+            .send_at(ctx, conn, CONTROL_FRAME_BYTES, frame, at);
     }
 
-    fn on_connect(&mut self, ctx: &mut Context<'_>, conn: ConnId, transport: Transport) {
-        let accept_result = ctx.with_service::<OsModel, _>(|os, _| {
-            os.spawn_thread(self.proc).and_then(|()| {
-                match os.alloc(self.proc, self.cfg.memory.heap_per_conn) {
-                    Ok(()) => Ok(()),
-                    Err(e) => {
-                        os.kill_thread(self.proc);
-                        Err(e)
-                    }
-                }
-            })
-        });
-        match accept_result {
+    /// The actor at the far end of `conn`: the key a durable subscriber
+    /// keeps across reconnects.
+    fn subscriber_on(&self, ctx: &Context<'_>, conn: ConnId) -> u64 {
+        self.server.peer(ctx, conn).actor.index() as u64
+    }
+
+    fn on_connect(&mut self, ctx: &mut Context<'_>, conn: ConnId) {
+        let state = ConnState {
+            transport: ctx.service::<NetworkFabric>().transport(conn),
+            last_pub_seq: None,
+            pending: FastMap::default(),
+            max_sent_seq: None,
+        };
+        match self.server.accept(ctx, conn, state) {
             Ok(()) => {
                 // Connection setup spawned a service thread: scheduler
                 // churn the profiler counts against `simos.sched`.
-                simprof::hit(ctx, simprof::Component::OsSched);
-                let done = self.cpu(
-                    ctx,
-                    simprof::Component::NaradaRoute,
-                    self.cfg.costs.broker_accept,
-                );
-                self.conns.insert(
-                    conn,
-                    ConnState {
-                        transport,
-                        last_pub_seq: None,
-                        pending: FastMap::default(),
-                        max_sent_seq: None,
-                    },
-                );
+                simprof::hit(ctx, Component::OsSched);
                 self.stats.borrow_mut().accepted += 1;
-                self.send_to_client(
-                    ctx,
-                    conn,
-                    CONTROL_FRAME_BYTES,
-                    BrokerToClient::ConnectOk,
-                    done,
-                );
+                let cost = self.cfg.costs.broker_accept;
+                let done = self.server.cpu(ctx, Component::NaradaRoute, cost);
+                self.control(ctx, conn, BrokerToClient::ConnectOk, done);
             }
             Err(e) => {
                 self.stats.borrow_mut().refused += 1;
+                let reason = e.to_string();
                 let now = ctx.now();
-                self.send_to_client(
-                    ctx,
-                    conn,
-                    CONTROL_FRAME_BYTES,
-                    BrokerToClient::ConnectRefused {
-                        reason: e.to_string(),
-                    },
-                    now,
-                );
+                self.control(ctx, conn, BrokerToClient::ConnectRefused { reason }, now);
             }
         }
     }
 
     fn on_disconnect(&mut self, ctx: &mut Context<'_>, conn: ConnId) {
-        if self.conns.remove(&conn).is_some() {
-            let heap = self.cfg.memory.heap_per_conn;
-            ctx.with_service::<OsModel, _>(|os, _| {
-                os.kill_thread(self.proc);
-                os.free(self.proc, heap);
-            });
-            simprof::hit(ctx, simprof::Component::OsSched);
+        if self.server.release(ctx, conn).is_some() {
+            simprof::hit(ctx, Component::OsSched);
             self.engine.drop_connection(conn);
             self.gossip_interests(ctx);
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn on_subscribe(
-        &mut self,
-        ctx: &mut Context<'_>,
-        conn: ConnId,
-        sub_id: u32,
-        topic: String,
-        selector: String,
-        ack_mode: AckMode,
-        queue: bool,
-    ) {
-        let selector = Selector::compile(&selector).unwrap_or_else(|e| {
-            // Real JMS raises InvalidSelectorException at subscribe time;
-            // the study never sends invalid selectors, so treat as fatal.
-            panic!("invalid selector {selector:?}: {e}")
-        });
+    fn on_subscribe(&mut self, ctx: &mut Context<'_>, conn: ConnId, sub: Subscribe) {
+        let Subscribe {
+            sub_id,
+            topic,
+            selector,
+            ack_mode,
+            queue,
+        } = sub;
+        let cost = self.cfg.costs.broker_accept / 2;
+        let Ok(selector) = Selector::compile(&selector) else {
+            // JMS raises InvalidSelectorException at createSubscriber and
+            // creates nothing: the work is done, no SubscribeOk follows.
+            self.stats.borrow_mut().invalid_selectors += 1;
+            self.server.cpu(ctx, Component::NaradaRoute, cost);
+            return;
+        };
         let had_interest = self.engine.has_interest(&topic);
         // CLIENT-ack UDP topic subscriptions double as durable ones: the
         // broker remembers them across crashes so it can keep capturing
         // matching publishes into stable storage while the subscriber is
         // still reconnecting, then resync on request.
-        let transport = self.conns.get(&conn).map(|c| c.transport);
+        let transport = self.server.state(conn).map(|c| c.transport);
         if !queue && ack_mode == AckMode::Client && transport == Some(Transport::Udp) {
-            let peer = ctx
-                .service::<NetworkFabric>()
-                .peer_of(conn, self.endpoint)
-                .actor
-                .index() as u64;
+            let peer = self.subscriber_on(ctx, conn);
             let subs = self.durable_subs.entry(peer).or_default();
             match subs.iter_mut().find(|d| d.sub_id == sub_id) {
                 Some(d) => {
@@ -329,18 +272,8 @@ impl Broker {
             self.engine
                 .subscribe(&topic, conn, sub_id, selector, ack_mode);
         }
-        let done = self.cpu(
-            ctx,
-            simprof::Component::NaradaRoute,
-            self.cfg.costs.broker_accept / 2,
-        );
-        self.send_to_client(
-            ctx,
-            conn,
-            CONTROL_FRAME_BYTES,
-            BrokerToClient::SubscribeOk { sub_id },
-            done,
-        );
+        let done = self.server.cpu(ctx, Component::NaradaRoute, cost);
+        self.control(ctx, conn, BrokerToClient::SubscribeOk { sub_id }, done);
         if !had_interest {
             self.gossip_interests(ctx);
         }
@@ -353,57 +286,39 @@ impl Broker {
             return;
         }
         let topics = self.engine.interested_topics();
-        let my_ix = self.my_ix;
-        let ep = self.endpoint;
         let bytes = CONTROL_FRAME_BYTES + topics.iter().map(|t| t.len() + 4).sum::<usize>();
         let now = ctx.now();
         for &(_, conn) in &self.peers {
             let update = BrokerToBroker::InterestUpdate {
-                broker: my_ix,
+                broker: self.my_ix,
                 topics: topics.clone(),
             };
-            ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-                net.send_at(ctx, conn, ep, bytes, Box::new(update), now);
-            });
+            self.server.send_at(ctx, conn, bytes, update, now);
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn on_publish(
-        &mut self,
-        ctx: &mut Context<'_>,
-        conn: ConnId,
-        probe: ProbeId,
-        seq: u64,
-        message: Message,
-        retransmit: bool,
-        queue: bool,
-        wire_bytes: usize,
-    ) {
-        let transport = match self.conns.get(&conn) {
-            Some(c) => c.transport,
-            None => return, // connection refused / unknown: drop
+    fn on_publish(&mut self, ctx: &mut Context<'_>, conn: ConnId, publish: Publish, bytes: usize) {
+        let Publish {
+            probe,
+            seq,
+            message,
+            retransmit,
+            queue,
+        } = publish;
+        let Some(transport) = self.server.state(conn).map(|c| c.transport) else {
+            return;
         };
 
         // UDP transport reliability: ack every publish, including
         // duplicates (the original ack may have been lost).
         if transport == Transport::Udp {
-            let ack_done = self.cpu(
-                ctx,
-                simprof::Component::NaradaAck,
-                self.cfg.costs.broker_ack_process,
-            );
-            self.send_to_client(
-                ctx,
-                conn,
-                CONTROL_FRAME_BYTES,
-                BrokerToClient::PublishAck { seq },
-                ack_done,
-            );
+            let cost = self.cfg.costs.broker_ack_process;
+            let ack_done = self.server.cpu(ctx, Component::NaradaAck, cost);
+            self.control(ctx, conn, BrokerToClient::PublishAck { seq }, ack_done);
         }
 
         // Duplicate filter.
-        let state = self.conns.get_mut(&conn).expect("checked above");
+        let state = self.server.state_mut(conn).expect("checked above");
         if retransmit {
             if let Some(last) = state.last_pub_seq {
                 if seq <= last {
@@ -415,7 +330,7 @@ impl Broker {
         state.last_pub_seq = Some(state.last_pub_seq.map_or(seq, |l| l.max(seq)));
         self.stats.borrow_mut().published += 1;
         let broker = u32::from(self.my_ix);
-        let actor = self.endpoint.actor.index() as u64;
+        let actor = ctx.self_id().index() as u64;
         simtrace::with_trace(ctx, |tr, at| {
             tr.record(
                 at,
@@ -439,11 +354,11 @@ impl Broker {
             self.engine.match_message(topic, &message)
         };
         simscope::record(ctx, simscope::Site::JmsMatch, match_t0);
-        let mut cost = self.cfg.costs.broker_publish_base + self.per_byte(wire_bytes) + match_cost;
+        let mut cost = self.cfg.costs.broker_publish_base + self.per_byte(bytes) + match_cost;
         if transport == Transport::Nio {
             cost += self.cfg.costs.nio_extra;
         }
-        let done = simprof::profile_span!(ctx, simprof::Component::NaradaRoute, {
+        let done = simprof::profile_span!(ctx, Component::NaradaRoute, {
             self.cpu_matched(ctx, cost, match_cost)
         });
         telemetry::with_metrics(ctx, |m, _| {
@@ -474,7 +389,12 @@ impl Broker {
         self.next_fwd_seq += 1;
         let my_ix = self.my_ix;
         self.seen_forwards.entry(my_ix).or_default().insert(seq);
-        self.forward_to_peers(ctx, probe, &message, done, my_ix, seq, my_ix);
+        let flood = Flood {
+            origin: my_ix,
+            seq,
+            from_ix: my_ix,
+        };
+        self.forward_to_peers(ctx, probe, &message, done, flood);
     }
 
     fn record_selector_outcome(
@@ -484,7 +404,7 @@ impl Broker {
         matched: u32,
         missed: u32,
     ) {
-        let actor = self.endpoint.actor.index() as u64;
+        let actor = ctx.self_id().index() as u64;
         simtrace::with_trace(ctx, |tr, at| {
             tr.record(
                 at,
@@ -505,11 +425,10 @@ impl Broker {
         matches: Vec<MatchedDelivery>,
         mut ready_at: SimTime,
     ) {
-        let ep = self.endpoint;
         let fanout = matches.len() as u32;
         if fanout > 0 {
             let broker = u32::from(self.my_ix);
-            let actor = self.endpoint.actor.index() as u64;
+            let actor = ctx.self_id().index() as u64;
             simtrace::with_trace(ctx, |tr, at| {
                 tr.record(
                     at,
@@ -522,12 +441,10 @@ impl Broker {
         }
         for m in matches {
             // Each delivery costs serialization on the broker.
+            let cost = self.cfg.costs.broker_deliver_base;
             ready_at = self
-                .cpu(
-                    ctx,
-                    simprof::Component::NaradaTransport,
-                    self.cfg.costs.broker_deliver_base,
-                )
+                .server
+                .cpu(ctx, Component::NaradaTransport, cost)
                 .max(ready_at);
             let bytes = deliver_bytes(message);
             let deliver = BrokerToClient::Deliver {
@@ -537,12 +454,10 @@ impl Broker {
                 message: message.clone(),
                 retransmit: false,
             };
-            ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-                net.send_at(ctx, m.conn, ep, bytes, Box::new(deliver), ready_at);
-            });
+            self.server.send_at(ctx, m.conn, bytes, deliver, ready_at);
             self.stats.borrow_mut().delivered += 1;
             // CLIENT-ack over UDP: retain for gap recovery.
-            let state = self.conns.get_mut(&m.conn);
+            let state = self.server.state_mut(m.conn);
             if let Some(state) = state.filter(|c| c.transport == Transport::Udp) {
                 state.max_sent_seq = Some(
                     state
@@ -566,9 +481,9 @@ impl Broker {
         // (CLIENT-ack UDP retention). Only computed when the metrics
         // plane is on.
         let broker_ix = self.my_ix;
-        let conns = &self.conns;
+        let server = &self.server;
         telemetry::with_metrics(ctx, |m, _| {
-            let depth: usize = conns.values().map(|c| c.pending.len()).sum();
+            let depth: usize = server.states().map(|c| c.pending.len()).sum();
             m.set_gauge(
                 &format!("narada.broker{broker_ix}.pending_acks"),
                 depth as f64,
@@ -576,35 +491,32 @@ impl Broker {
         });
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Send `message` on to the peers its `flood` has not reached.
     fn forward_to_peers(
         &mut self,
         ctx: &mut Context<'_>,
         probe: ProbeId,
         message: &Message,
         ready_at: SimTime,
-        origin: u16,
-        seq: u64,
-        from_ix: u16,
+        flood: Flood,
     ) {
         if self.peers.is_empty() {
             return;
         }
-        let ep = self.endpoint;
         let my_ix = self.my_ix;
         let bytes = deliver_bytes(message);
         let topic: &str = &message.headers.destination;
         let mut sent: u32 = 0;
         for &(peer_ix, conn) in &self.peers {
             // Never send back where it came from or to the origin.
-            if peer_ix == from_ix || peer_ix == origin {
+            if peer_ix == flood.from_ix || peer_ix == flood.origin {
                 continue;
             }
             // v1.1.3 deficiency: flood to every peer regardless of
             // interest. Routed mode prunes using gossiped interests and
             // never re-floods (single hop suffices in a full mesh).
             if !self.cfg.dbn_broadcast {
-                if my_ix != origin {
+                if my_ix != flood.origin {
                     continue;
                 }
                 // A topic never interned locally has no registered peer
@@ -618,29 +530,26 @@ impl Broker {
                     continue;
                 }
             }
+            let cost = self.cfg.costs.broker_deliver_base;
             let at = self
-                .cpu(
-                    ctx,
-                    simprof::Component::NaradaRoute,
-                    self.cfg.costs.broker_deliver_base,
-                )
+                .server
+                .cpu(ctx, Component::NaradaRoute, cost)
                 .max(ready_at);
             let fwd = BrokerToBroker::Forward {
                 probe,
                 message: message.clone(),
-                origin,
-                seq,
-                from_ix: my_ix,
+                flood: Flood {
+                    from_ix: my_ix,
+                    ..flood
+                },
             };
-            ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-                net.send_at(ctx, conn, ep, bytes, Box::new(fwd), at);
-            });
+            self.server.send_at(ctx, conn, bytes, fwd, at);
             self.stats.borrow_mut().forwarded += 1;
             sent += 1;
         }
         if sent > 0 {
             let broker = u32::from(my_ix);
-            let actor = ep.actor.index() as u64;
+            let actor = ctx.self_id().index() as u64;
             simtrace::with_trace(ctx, |tr, at| {
                 tr.record(
                     at,
@@ -656,31 +565,26 @@ impl Broker {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn on_peer_forward(
         &mut self,
         ctx: &mut Context<'_>,
         probe: ProbeId,
         message: Message,
-        wire_bytes: usize,
-        origin: u16,
-        seq: u64,
-        from_ix: u16,
+        bytes: usize,
+        flood: Flood,
     ) {
         self.stats.borrow_mut().from_peers += 1;
         // Flood dedup: duplicates still cost deserialization.
-        if !self.seen_forwards.entry(origin).or_default().insert(seq) {
+        let seen = self.seen_forwards.entry(flood.origin).or_default();
+        if !seen.insert(flood.seq) {
             self.stats.borrow_mut().dup_publishes += 1;
-            self.cpu(
-                ctx,
-                simprof::Component::NaradaRoute,
-                self.cfg.costs.broker_publish_base / 2 + self.per_byte(wire_bytes),
-            );
+            let cost = self.cfg.costs.broker_publish_base / 2 + self.per_byte(bytes);
+            self.server.cpu(ctx, Component::NaradaRoute, cost);
             return;
         }
         let topic: &str = &message.headers.destination;
         let broker = u32::from(self.my_ix);
-        let actor = self.endpoint.actor.index() as u64;
+        let actor = ctx.self_id().index() as u64;
         simtrace::with_trace(ctx, |tr, at| {
             tr.record(
                 at,
@@ -692,8 +596,8 @@ impl Broker {
         let match_t0 = simscope::start(ctx);
         let (matches, match_cost) = self.engine.match_message(topic, &message);
         simscope::record(ctx, simscope::Site::JmsMatch, match_t0);
-        let cost = self.cfg.costs.broker_publish_base + self.per_byte(wire_bytes) + match_cost;
-        let done = simprof::profile_span!(ctx, simprof::Component::NaradaRoute, {
+        let cost = self.cfg.costs.broker_publish_base + self.per_byte(bytes) + match_cost;
+        let done = simprof::profile_span!(ctx, Component::NaradaRoute, {
             self.cpu_matched(ctx, cost, match_cost)
         });
         let matched = matches.len() as u32;
@@ -703,7 +607,7 @@ impl Broker {
         self.dispatch_deliveries(ctx, probe, &message, matches, done);
         // v1.1.3 floods onward (the congestion the paper found).
         if self.cfg.dbn_broadcast {
-            self.forward_to_peers(ctx, probe, &message, done, origin, seq, from_ix);
+            self.forward_to_peers(ctx, probe, &message, done, flood);
         }
     }
 
@@ -725,40 +629,24 @@ impl Broker {
         }
     }
 
-    /// Fault injection kills the JVM: volatile state (connections,
-    /// threads, the matching engine, flood dedup) is lost; CLIENT-ack
-    /// pendings move to the stable log keyed by subscriber actor, which
-    /// is the durability the resync protocol recovers from.
-    fn on_crash(&mut self, ctx: &mut Context<'_>) {
-        if self.crashed {
-            return;
-        }
-        self.crashed = true;
+    /// Fault injection killed the JVM: volatile state (the connections in
+    /// `held` and their threads, the matching engine, flood dedup) is lost;
+    /// CLIENT-ack pendings move to the stable log keyed by subscriber
+    /// actor — connections in id order, pendings in seq order — which is
+    /// the durability the resync protocol recovers from.
+    fn on_crash(&mut self, ctx: &mut Context<'_>, held: Vec<(ConnId, ConnState)>) {
         self.stats.borrow_mut().crashes += 1;
-        let mut conn_ids: Vec<ConnId> = self.conns.keys().copied().collect();
-        conn_ids.sort_unstable_by_key(|c| c.0);
-        let heap = self.cfg.memory.heap_per_conn;
-        for conn in conn_ids {
-            let mut state = self.conns.remove(&conn).expect("listed");
-            let peer = ctx
-                .service::<NetworkFabric>()
-                .peer_of(conn, self.endpoint)
-                .actor
-                .index() as u64;
-            let mut seqs: Vec<u64> = state.pending.keys().copied().collect();
-            seqs.sort_unstable();
-            for seq in seqs {
-                let p = state.pending.remove(&seq).expect("listed");
+        for (conn, state) in held {
+            let peer = self.subscriber_on(ctx, conn);
+            let mut pending: Vec<(u64, PendingDelivery)> = state.pending.into_iter().collect();
+            pending.sort_unstable_by_key(|&(seq, _)| seq);
+            for (_, p) in pending {
                 self.stable.entry(peer).or_default().push(StableEntry {
                     sub_id: p.sub_id,
                     probe: p.probe,
                     message: p.message,
                 });
             }
-            ctx.with_service::<OsModel, _>(|os, _| {
-                os.kill_thread(self.proc);
-                os.free(self.proc, heap);
-            });
         }
         for subs in self.durable_subs.values_mut() {
             for d in subs.iter_mut() {
@@ -772,24 +660,12 @@ impl Broker {
         // them silently discard fresh messages.
     }
 
-    fn on_restart(&mut self, ctx: &mut Context<'_>) {
-        if !self.crashed {
-            return;
-        }
-        self.crashed = false;
-        self.gossip_interests(ctx);
-    }
-
     /// Re-deliver everything the stable log holds for this subscriber's
     /// subscription, with fresh delivery sequences from its re-created
     /// subscription. The re-injected messages re-enter the normal
     /// CLIENT-ack pending set so gap recovery covers them too.
     fn on_resync(&mut self, ctx: &mut Context<'_>, conn: ConnId, sub_id: u32) {
-        let peer = ctx
-            .service::<NetworkFabric>()
-            .peer_of(conn, self.endpoint)
-            .actor
-            .index() as u64;
+        let peer = self.subscriber_on(ctx, conn);
         if let Some(subs) = self.durable_subs.get_mut(&peer) {
             if let Some(d) = subs.iter_mut().find(|d| d.sub_id == sub_id) {
                 d.attached = true;
@@ -811,19 +687,16 @@ impl Broker {
         if mine.is_empty() {
             return;
         }
-        let ep = self.endpoint;
         let n = mine.len() as u64;
         let mut ready_at = ctx.now();
         for e in mine {
             let Some(seq) = self.engine.assign_seq(conn, sub_id) else {
                 continue;
             };
+            let cost = self.cfg.costs.broker_deliver_base;
             ready_at = self
-                .cpu(
-                    ctx,
-                    simprof::Component::NaradaTransport,
-                    self.cfg.costs.broker_deliver_base,
-                )
+                .server
+                .cpu(ctx, Component::NaradaTransport, cost)
                 .max(ready_at);
             let bytes = deliver_bytes(&e.message);
             let deliver = BrokerToClient::Deliver {
@@ -833,15 +706,13 @@ impl Broker {
                 message: e.message.clone(),
                 retransmit: true,
             };
-            ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-                net.send_at(ctx, conn, ep, bytes, Box::new(deliver), ready_at);
-            });
+            self.server.send_at(ctx, conn, bytes, deliver, ready_at);
             {
                 let mut st = self.stats.borrow_mut();
                 st.delivered += 1;
                 st.resynced += 1;
             }
-            if let Some(state) = self.conns.get_mut(&conn) {
+            if let Some(state) = self.server.state_mut(conn) {
                 state.max_sent_seq = Some(state.max_sent_seq.map_or(seq, |s| s.max(seq)));
                 state.pending.insert(
                     seq,
@@ -862,12 +733,9 @@ impl Broker {
 
     fn on_ack(&mut self, ctx: &mut Context<'_>, conn: ConnId, cumulative: u64, extra: Vec<u64>) {
         self.stats.borrow_mut().acks += 1;
-        let done = self.cpu(
-            ctx,
-            simprof::Component::NaradaAck,
-            self.cfg.costs.broker_ack_process,
-        );
-        let Some(state) = self.conns.get_mut(&conn) else {
+        let cost = self.cfg.costs.broker_ack_process;
+        let done = self.server.cpu(ctx, Component::NaradaAck, cost);
+        let Some(state) = self.server.state_mut(conn) else {
             return;
         };
         if state.pending.is_empty() {
@@ -897,8 +765,9 @@ impl Broker {
         for seq in drop_list {
             state.pending.remove(&seq);
         }
-        let ep = self.endpoint;
+        let actor = ctx.self_id().index() as u64;
         for seq in to_retx {
+            let state = self.server.state_mut(conn).expect("checked above");
             let p = state.pending.get_mut(&seq).expect("just selected");
             p.retransmitted = true;
             let probe = p.probe;
@@ -910,11 +779,8 @@ impl Broker {
                 retransmit: true,
             };
             let bytes = deliver_bytes(&p.message);
-            ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-                net.send_at(ctx, conn, ep, bytes, Box::new(deliver), done);
-            });
+            self.server.send_at(ctx, conn, bytes, deliver, done);
             self.stats.borrow_mut().retransmissions += 1;
-            let actor = ep.actor.index() as u64;
             simtrace::with_trace(ctx, |tr, at| {
                 tr.record(
                     at,
@@ -926,125 +792,70 @@ impl Broker {
             });
         }
     }
-}
 
-impl Actor for Broker {
-    fn on_start(&mut self, ctx: &mut Context<'_>) {
-        self.endpoint = Endpoint::new(self.node, ctx.self_id());
-    }
-
-    fn handle(&mut self, msg: Payload, ctx: &mut Context<'_>) {
-        // Direct control from the deployment layer.
+    /// Everything that is not a client frame: deployment control and the
+    /// broker network's peer links (not accepted connections).
+    fn on_other(&mut self, ctx: &mut Context<'_>, msg: Payload) {
         let msg = match msg.downcast::<BrokerControl>() {
             Ok(ctrl) => {
-                match *ctrl {
-                    BrokerControl::SetPeers { my_ix, peers } => {
-                        self.my_ix = my_ix;
-                        self.peers = peers;
-                        self.gossip_interests(ctx);
-                    }
-                }
+                let BrokerControl::SetPeers { my_ix, peers } = *ctrl;
+                self.my_ix = my_ix;
+                self.peers = peers;
+                self.gossip_interests(ctx);
                 return;
             }
             Err(m) => m,
         };
-        // Fault injection: crash/restart signals arrive directly from the
-        // fault driver, not over the network, so a crashed broker still
-        // hears its own restart.
-        let msg = match msg.downcast::<simfault::FaultSignal>() {
-            Ok(sig) => {
-                match *sig {
-                    simfault::FaultSignal::BrokerCrash => self.on_crash(ctx),
-                    simfault::FaultSignal::BrokerRestart => self.on_restart(ctx),
-                    simfault::FaultSignal::RegistryRestart => {}
-                }
-                return;
-            }
-            Err(m) => m,
-        };
-        // Network deliveries.
         let Ok(delivery) = msg.downcast::<Delivery>() else {
             return; // unknown message type: ignore
         };
-        if self.crashed {
-            // A dead JVM: every frame aimed at it evaporates.
-            simfault::with_faults(ctx, |inj, _| inj.stats.crash_drops += 1);
-            simtrace::with_trace(ctx, |tr, _| {
-                tr.count(simtrace::Counter::FaultDrops, 1);
-            });
-            return;
+        let Delivery { bytes, payload, .. } = *delivery;
+        match payload.downcast::<BrokerToBroker>().map(|b| *b) {
+            Ok(BrokerToBroker::Forward {
+                probe,
+                message,
+                flood,
+            }) => self.on_peer_forward(ctx, probe, message, bytes, flood),
+            Ok(BrokerToBroker::InterestUpdate { broker, topics }) => {
+                let interned = topics.iter().map(|t| self.topics.intern(t)).collect();
+                self.peer_interests.insert(broker, interned);
+            }
+            Err(_) => {}
         }
-        let Delivery {
-            conn,
-            bytes,
-            payload,
-            ..
-        } = *delivery;
-        let payload = match payload.downcast::<ClientToBroker>() {
-            Ok(c2b) => {
-                match *c2b {
-                    ClientToBroker::Connect => {
-                        let transport = ctx.service::<NetworkFabric>().transport(conn);
-                        self.on_connect(ctx, conn, transport);
-                    }
-                    ClientToBroker::Disconnect => self.on_disconnect(ctx, conn),
-                    ClientToBroker::Subscribe {
-                        sub_id,
-                        topic,
-                        selector,
-                        ack_mode,
-                        queue,
-                    } => self.on_subscribe(ctx, conn, sub_id, topic, selector, ack_mode, queue),
-                    ClientToBroker::Unsubscribe { sub_id } => {
-                        self.engine.unsubscribe(conn, sub_id);
-                        self.gossip_interests(ctx);
-                    }
-                    ClientToBroker::Publish {
-                        probe,
-                        seq,
-                        message,
-                        retransmit,
-                        queue,
-                    } => self.on_publish(ctx, conn, probe, seq, message, retransmit, queue, bytes),
-                    ClientToBroker::Ack {
-                        cumulative_seq,
-                        extra,
-                    } => self.on_ack(ctx, conn, cumulative_seq, extra),
-                    ClientToBroker::Ping => {
-                        // Only connections this incarnation accepted get an
-                        // answer; pings on pre-crash connections go
-                        // unanswered and trigger client-side detection.
-                        if self.conns.contains_key(&conn) {
-                            let now = ctx.now();
-                            self.send_to_client(
-                                ctx,
-                                conn,
-                                CONTROL_FRAME_BYTES,
-                                BrokerToClient::Pong,
-                                now,
-                            );
-                        }
-                    }
-                    ClientToBroker::Resync { sub_id } => self.on_resync(ctx, conn, sub_id),
-                }
-                return;
-            }
-            Err(p) => p,
+    }
+}
+
+impl Actor for Broker {
+    fn handle(&mut self, msg: Payload, ctx: &mut Context<'_>) {
+        let opens = |f: &ClientToBroker| matches!(f, ClientToBroker::Connect);
+        let (conn, bytes, frame) = match self.server.inbound(ctx, msg, opens) {
+            Inbound::Frame { conn, bytes, frame } => (conn, bytes, frame),
+            Inbound::Crashed(held) => return self.on_crash(ctx, held),
+            Inbound::Restarted => return self.gossip_interests(ctx),
+            Inbound::Dropped => return,
+            Inbound::NotMine(msg) => return self.on_other(ctx, msg),
         };
-        if let Ok(b2b) = payload.downcast::<BrokerToBroker>() {
-            match *b2b {
-                BrokerToBroker::Forward {
-                    probe,
-                    message,
-                    origin,
-                    seq,
-                    from_ix,
-                } => self.on_peer_forward(ctx, probe, message, bytes, origin, seq, from_ix),
-                BrokerToBroker::InterestUpdate { broker, topics } => {
-                    let interned = topics.iter().map(|t| self.topics.intern(t)).collect();
-                    self.peer_interests.insert(broker, interned);
-                }
+        match frame {
+            ClientToBroker::Connect => self.on_connect(ctx, conn),
+            ClientToBroker::Disconnect => self.on_disconnect(ctx, conn),
+            ClientToBroker::Subscribe(sub) => self.on_subscribe(ctx, conn, sub),
+            ClientToBroker::Unsubscribe { sub_id } => {
+                self.engine.unsubscribe(conn, sub_id);
+                self.gossip_interests(ctx);
             }
+            ClientToBroker::Publish(publish) => self.on_publish(ctx, conn, publish, bytes),
+            ClientToBroker::Ack {
+                cumulative_seq,
+                extra,
+            } => self.on_ack(ctx, conn, cumulative_seq, extra),
+            ClientToBroker::Ping => {
+                // Only held connections get here: pings on pre-crash
+                // connections go unanswered and trigger client-side
+                // detection.
+                let now = ctx.now();
+                self.control(ctx, conn, BrokerToClient::Pong, now);
+            }
+            ClientToBroker::Resync { sub_id } => self.on_resync(ctx, conn, sub_id),
         }
     }
 

@@ -9,7 +9,9 @@
 //! host to act on.
 
 use crate::config::{ConnSettings, NaradaConfig};
-use crate::protocol::{publish_bytes, BrokerToClient, ClientToBroker, CONTROL_FRAME_BYTES};
+use crate::protocol::{
+    publish_bytes, BrokerToClient, ClientToBroker, Publish, Subscribe, CONTROL_FRAME_BYTES,
+};
 use crate::seqset::SeqSet;
 use jms::AckMode;
 use simcore::{Context, FastMap, FastSet, SimDuration, SimTime};
@@ -241,13 +243,13 @@ impl NaradaClientSet {
                 needs_resync: false,
             });
         }
-        let msg = ClientToBroker::Subscribe {
+        let msg = ClientToBroker::Subscribe(Subscribe {
             sub_id,
             topic,
             selector,
             ack_mode,
             queue,
-        };
+        });
         self.sessions.send(ctx, conn, CONTROL_FRAME_BYTES + 64, msg);
     }
 
@@ -361,13 +363,13 @@ impl NaradaClientSet {
             });
         }
 
-        let pub_msg = ClientToBroker::Publish {
+        let pub_msg = ClientToBroker::Publish(Publish {
             probe,
             seq,
             message,
             retransmit: false,
             queue,
-        };
+        });
         self.sessions.send_at(ctx, conn, bytes, pub_msg, ser_done);
     }
 
@@ -636,13 +638,13 @@ impl NaradaClientSet {
     ) {
         let bytes = publish_bytes(&message);
         let done = self.sessions.cpu(ctx, self.cfg.costs.client_serialize_base);
-        let msg = ClientToBroker::Publish {
+        let msg = ClientToBroker::Publish(Publish {
             probe,
             seq,
             message,
             retransmit: true,
             queue,
-        };
+        });
         self.sessions.send_at(ctx, conn, bytes, msg, done);
     }
 
@@ -659,13 +661,13 @@ impl NaradaClientSet {
         for spec in subs.iter_mut() {
             spec.needs_resync = durable && !spec.queue;
             recv.insert(spec.sub_id, SubRecv::default());
-            msgs.push(ClientToBroker::Subscribe {
+            msgs.push(ClientToBroker::Subscribe(Subscribe {
                 sub_id: spec.sub_id,
                 topic: spec.topic.clone(),
                 selector: spec.selector.clone(),
                 ack_mode,
                 queue: spec.queue,
-            });
+            }));
         }
         for msg in msgs {
             self.sessions.send(ctx, conn, CONTROL_FRAME_BYTES + 64, msg);

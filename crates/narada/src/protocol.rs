@@ -6,7 +6,7 @@
 
 use jms::AckMode;
 use telemetry::ProbeId;
-use wire::{Message, MessageId};
+use wire::Message;
 
 /// Framing bytes for control messages (type tag + ids).
 pub const CONTROL_FRAME_BYTES: usize = 32;
@@ -20,38 +20,14 @@ pub enum ClientToBroker {
     /// Close the connection (broker frees the thread).
     Disconnect,
     /// Create a subscription on this connection.
-    Subscribe {
-        /// Client-chosen id, unique per connection.
-        sub_id: u32,
-        /// Destination name.
-        topic: String,
-        /// Selector source text (compiled broker-side, as real JMS does).
-        selector: String,
-        /// Acknowledge mode of the consuming session.
-        ack_mode: AckMode,
-        /// True for a JMS queue receiver (point-to-point mode); false for
-        /// a topic subscription.
-        queue: bool,
-    },
+    Subscribe(Subscribe),
     /// Tear down a subscription.
     Unsubscribe {
         /// Id from `Subscribe`.
         sub_id: u32,
     },
     /// Publish a message to its destination.
-    Publish {
-        /// Telemetry probe (carried, not transmitted in the byte count —
-        /// it stands in for the sender timestamp the real payload holds).
-        probe: ProbeId,
-        /// Per-connection sequence number (gap detection over UDP).
-        seq: u64,
-        /// The message.
-        message: Message,
-        /// True if this is a retransmission (duplicates are filtered).
-        retransmit: bool,
-        /// True for a queue send (point-to-point); false for pub/sub.
-        queue: bool,
-    },
+    Publish(Publish),
     /// Subscriber acknowledges deliveries (UDP reliability / CLIENT mode).
     Ack {
         /// Highest contiguous delivery sequence received.
@@ -71,6 +47,36 @@ pub enum ClientToBroker {
         /// Id of the (re-created) subscription to resync.
         sub_id: u32,
     },
+}
+
+/// The fields of [`ClientToBroker::Subscribe`].
+pub struct Subscribe {
+    /// Client-chosen id, unique per connection.
+    pub sub_id: u32,
+    /// Destination name.
+    pub topic: String,
+    /// Selector source text (compiled broker-side, as real JMS does).
+    pub selector: String,
+    /// Acknowledge mode of the consuming session.
+    pub ack_mode: AckMode,
+    /// True for a JMS queue receiver (point-to-point mode); false for
+    /// a topic subscription.
+    pub queue: bool,
+}
+
+/// The fields of [`ClientToBroker::Publish`].
+pub struct Publish {
+    /// Telemetry probe (carried, not transmitted in the byte count —
+    /// it stands in for the sender timestamp the real payload holds).
+    pub probe: ProbeId,
+    /// Per-connection sequence number (gap detection over UDP).
+    pub seq: u64,
+    /// The message.
+    pub message: Message,
+    /// True if this is a retransmission (duplicates are filtered).
+    pub retransmit: bool,
+    /// True for a queue send (point-to-point); false for pub/sub.
+    pub queue: bool,
 }
 
 /// Broker → client.
@@ -122,12 +128,8 @@ pub enum BrokerToBroker {
         probe: ProbeId,
         /// The message.
         message: Message,
-        /// Originating broker index.
-        origin: u16,
-        /// Per-origin sequence number (dedup key).
-        seq: u64,
-        /// Broker that sent this copy (suppresses immediate back-flow).
-        from_ix: u16,
+        /// Where this copy stands in the flood.
+        flood: Flood,
     },
     /// Gossip: a broker's subscription interest set changed. Carries the
     /// full topic list (small in these experiments); with
@@ -141,13 +143,16 @@ pub enum BrokerToBroker {
     },
 }
 
-/// Duplicate-filter key for deliveries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct DeliveryKey {
-    /// Subscription.
-    pub sub_id: u32,
-    /// Delivery sequence.
-    pub deliver_seq: u64,
+/// One copy of a flooded message: what travels with it from broker to
+/// broker.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Flood {
+    /// Originating broker index.
+    pub origin: u16,
+    /// Per-origin sequence number (dedup key).
+    pub seq: u64,
+    /// Broker that sent this copy (suppresses immediate back-flow).
+    pub from_ix: u16,
 }
 
 /// Convenience: wire size of a published message including envelope.
@@ -160,30 +165,16 @@ pub fn deliver_bytes(message: &Message) -> usize {
     message.wire_size() + EVENT_ENVELOPE_BYTES
 }
 
-/// A message id that is unique per (connection, seq); used in logs.
-pub fn seq_message_id(conn_ix: u32, seq: u64) -> MessageId {
-    MessageId(((conn_ix as u64) << 40) | (seq & 0xFF_FFFF_FFFF))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use simcore::SimTime;
-    use wire::Headers;
+    use wire::{Headers, MessageId};
 
     #[test]
     fn byte_helpers_add_envelope() {
         let m = Message::text(Headers::new(MessageId(1), "t", SimTime::ZERO), "body");
         assert_eq!(publish_bytes(&m), m.wire_size() + EVENT_ENVELOPE_BYTES);
         assert_eq!(deliver_bytes(&m), m.wire_size() + EVENT_ENVELOPE_BYTES);
-    }
-
-    #[test]
-    fn seq_message_ids_unique_across_conns() {
-        let a = seq_message_id(1, 7);
-        let b = seq_message_id(2, 7);
-        let c = seq_message_id(1, 8);
-        assert_ne!(a, b);
-        assert_ne!(a, c);
     }
 }

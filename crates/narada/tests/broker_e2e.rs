@@ -858,3 +858,200 @@ fn udp_auto_ack_volume_is_flat_in_run_length() {
     );
     assert_eq!(entries(&long), entries(&short));
 }
+
+// ---------------------------------------------------------------------
+// Who may talk on a connection: only a peer the broker accepted. A raw
+// peer speaks the protocol by hand, beside the scripted driver (one
+// subscriber, one publisher).
+// ---------------------------------------------------------------------
+
+/// What a raw peer got back from the broker.
+#[derive(Debug, Default, PartialEq)]
+struct Heard {
+    connect_ok: u32,
+    refused: u32,
+    /// `sub_id` of every `SubscribeOk`.
+    subscribed: Vec<u32>,
+    deliveries: u32,
+}
+
+struct Say(usize);
+
+/// Opens one TCP connection and puts `script`'s frames on it at the
+/// given instants, whatever the broker answers.
+struct RawPeer {
+    node: NodeId,
+    broker_ep: Endpoint,
+    script: Vec<(SimDuration, Option<ClientToBroker>)>,
+    conn: Option<ConnId>,
+    heard: Rc<RefCell<Heard>>,
+}
+
+impl Actor for RawPeer {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        let me = Endpoint::new(self.node, ctx.self_id());
+        self.conn = Some(ctx.with_service::<NetworkFabric, _>(|net, ctx| {
+            net.open(ctx.now(), Transport::Tcp, me, self.broker_ep)
+        }));
+        for (ix, (at, _)) in self.script.iter().enumerate() {
+            ctx.timer(*at, Say(ix));
+        }
+    }
+
+    fn handle(&mut self, msg: Payload, ctx: &mut Context<'_>) {
+        let msg = match msg.downcast::<Say>() {
+            Ok(say) => {
+                let me = Endpoint::new(self.node, ctx.self_id());
+                let conn = self.conn.expect("opened on start");
+                let frame = self.script[say.0].1.take().expect("said once");
+                ctx.with_service::<NetworkFabric, _>(|net, ctx| {
+                    net.send(ctx, conn, me, 96, Box::new(frame));
+                });
+                return;
+            }
+            Err(m) => m,
+        };
+        let d = msg.downcast::<Delivery>().expect("a frame from the broker");
+        let mut heard = self.heard.borrow_mut();
+        match *d
+            .payload
+            .downcast::<BrokerToClient>()
+            .expect("its protocol")
+        {
+            BrokerToClient::ConnectOk => heard.connect_ok += 1,
+            BrokerToClient::ConnectRefused { .. } => heard.refused += 1,
+            BrokerToClient::SubscribeOk { sub_id } => heard.subscribed.push(sub_id),
+            BrokerToClient::Deliver { .. } => heard.deliveries += 1,
+            BrokerToClient::PublishAck { .. } | BrokerToClient::Pong => {}
+        }
+    }
+}
+
+fn subscribe(sub_id: u32, selector: &str) -> Option<ClientToBroker> {
+    Some(ClientToBroker::Subscribe(narada::protocol::Subscribe {
+        sub_id,
+        topic: "power.monitor".into(),
+        selector: selector.into(),
+        ack_mode: AckMode::Auto,
+        queue: false,
+    }))
+}
+
+struct PeerRun {
+    heard: Heard,
+    stats: narada::BrokerStats,
+    /// Messages the driver's own (accepted) subscriber received.
+    arrived: u32,
+    broker_threads: u32,
+}
+
+/// The driver publishes `msgs` messages 200 ms apart from about t = 0.1 s
+/// to its own subscriber, while a raw peer plays `script` against a
+/// broker whose process fits `thread_slots` threads.
+fn run_beside_raw_peer(
+    thread_slots: u64,
+    msgs: u32,
+    script: Vec<(SimDuration, Option<ClientToBroker>)>,
+) -> PeerRun {
+    let (mut sim, nodes) = build_world(3, quiet_fabric(), 29);
+    // Native pool = 2048 − 256 OS − 1500 heap = 292 MiB.
+    let proc = sim.service_mut::<OsModel>().unwrap().add_process(
+        nodes[0],
+        ProcessSpec {
+            heap_cap: Bytes::mib(1500),
+            stack_size: Bytes(Bytes::mib(292).0 / thread_slots),
+            baseline: Bytes::mib(16),
+        },
+    );
+    let broker = Broker::new(NaradaConfig::v1_1_3(), nodes[0], proc);
+    let stats = broker.stats_handle();
+    let broker_id = sim.add_actor(broker);
+    let broker_ep = Endpoint::new(nodes[0], broker_id);
+    let shared = Rc::new(RefCell::new(Shared::default()));
+    sim.add_actor(Driver::new(
+        nodes[1],
+        broker_ep,
+        ConnSettings::tcp_auto(),
+        "",
+        1,
+        msgs,
+        NaradaConfig::v1_1_3(),
+        shared.clone(),
+    ));
+    let heard: Rc<RefCell<Heard>> = Default::default();
+    sim.add_actor(RawPeer {
+        node: nodes[2],
+        broker_ep,
+        script,
+        conn: None,
+        heard: heard.clone(),
+    });
+    sim.run_until(SimTime::from_secs(30));
+    let broker_threads = sim.service::<OsModel>().unwrap().mem(proc).threads();
+    let (heard, stats) = (heard.take(), stats.borrow().clone());
+    let arrived = shared.borrow().arrived;
+    PeerRun {
+        heard,
+        stats,
+        arrived,
+        broker_threads,
+    }
+}
+
+const MS: fn(u64) -> SimDuration = SimDuration::from_millis;
+
+#[test]
+fn a_connection_nobody_accepted_cannot_subscribe() {
+    // Subscribe with no Connect, before the first publish; the goodbye
+    // at the end must find nothing to clean up either.
+    let script = vec![
+        (MS(10), subscribe(0, "")),
+        (MS(5_000), Some(ClientToBroker::Disconnect)),
+    ];
+    let run = run_beside_raw_peer(100, 5, script);
+    assert_eq!(run.heard, Heard::default(), "the squatter hears nothing");
+    assert_eq!(run.arrived, 5, "the accepted subscriber is served");
+    assert_eq!(run.stats.delivered, 5, "and is the only one delivered to");
+    assert_eq!((run.stats.accepted, run.broker_threads), (2, 2));
+}
+
+#[test]
+fn a_refused_peer_that_subscribes_anyway_gets_nothing() {
+    // Two thread slots, both the driver's: the peer's Connect at 1 s is
+    // refused, and its Subscribe rides in behind it all the same.
+    let script = vec![
+        (MS(1_000), Some(ClientToBroker::Connect)),
+        (MS(1_500), subscribe(0, "")),
+    ];
+    let run = run_beside_raw_peer(2, 20, script);
+    let refused_only = Heard {
+        refused: 1,
+        ..Heard::default()
+    };
+    assert_eq!(run.heard, refused_only);
+    assert_eq!((run.arrived, run.stats.delivered), (20, 20));
+    assert_eq!((run.stats.accepted, run.stats.refused), (2, 1));
+    assert_eq!(run.broker_threads, 2);
+}
+
+#[test]
+fn an_invalid_selector_is_counted_and_the_connection_lives_on() {
+    // JMS: InvalidSelectorException, nothing created. The same
+    // connection's next, valid subscribe is served — as any accepted
+    // peer's is.
+    let script = vec![
+        (MS(1), Some(ClientToBroker::Connect)),
+        (MS(5), subscribe(0, "a = = 1")),
+        (MS(10), subscribe(1, "")),
+    ];
+    let run = run_beside_raw_peer(100, 5, script);
+    assert_eq!(run.stats.invalid_selectors, 1);
+    let served = Heard {
+        connect_ok: 1,
+        subscribed: vec![1],
+        deliveries: 5,
+        ..Heard::default()
+    };
+    assert_eq!(run.heard, served);
+    assert_eq!((run.arrived, run.stats.delivered), (5, 10));
+}

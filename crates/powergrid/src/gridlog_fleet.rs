@@ -5,7 +5,8 @@
 use crate::fleet::{dispatch, ClientSet, FleetProtocol, Signal};
 use crate::generator::{GeneratorState, TOPIC};
 use gridlog::{
-    ClientEvent, ClientTimer, GridlogClientSet, GridlogConfig, OffsetReset, ReconnectPolicy,
+    ClientEvent, ClientTimer, GridlogClientSet, GridlogConfig, Membership, OffsetReset,
+    ReconnectPolicy,
 };
 use simcore::{Actor, Context, FastMap, Payload};
 use simnet::{ConnId, Delivery, Endpoint};
@@ -117,15 +118,15 @@ impl GridlogSubscriber {
     }
 
     fn join(&mut self, ctx: &mut Context<'_>, member: u64) {
-        let conn = self.set.connect_consumer(
-            ctx,
-            self.broker_ep,
-            "power-consumers",
+        let join = Membership {
+            group: "power-consumers".to_owned(),
             member,
-            TOPIC,
-            self.reset,
-            self.reconnect,
-        );
+            topic: TOPIC.to_owned(),
+            reset: self.reset,
+        };
+        let conn = self
+            .set
+            .connect_consumer(ctx, self.broker_ep, join, self.reconnect);
         self.member_of_conn.insert(conn, member);
     }
 }

@@ -12,10 +12,11 @@ use crate::protocol::{
     ConsumerId, ConsumerRequest, ConsumerResponse, ProducerId, ProducerRequest, ProducerResponse,
     QueryType,
 };
-use simcore::{Context, FastMap, SimDuration};
+use simcore::{Context, FastMap, SimDuration, SimTime};
+use simnet::http::Caller;
 use simnet::session::backoff_step;
-use simnet::{http, ConnId, Delivery, Endpoint, HttpResponse, NetworkFabric, Transport};
-use simos::{NodeId, OsModel};
+use simnet::{server, ConnId, Delivery, Endpoint, HttpResponse};
+use simos::NodeId;
 use std::sync::Arc;
 use telemetry::RttCollector;
 
@@ -102,6 +103,7 @@ enum TimerPurpose {
 pub struct RgmaClientSet {
     cfg: RgmaConfig,
     node: NodeId,
+    http: Caller,
     producers: FastMap<ProducerHandle, ProducerState>,
     subscribers: FastMap<SubscriberHandle, SubscriberState>,
     next_handle: u32,
@@ -109,7 +111,6 @@ pub struct RgmaClientSet {
     /// Outstanding inserts by request id (probe + retry budget).
     insert_info: FastMap<u64, InsertInfo>,
     timers: FastMap<u64, TimerPurpose>,
-    next_req: u64,
     next_timer: u64,
 }
 
@@ -124,25 +125,21 @@ impl RgmaClientSet {
         RgmaClientSet {
             cfg,
             node,
+            http: Caller::new(node),
             producers: FastMap::default(),
             subscribers: FastMap::default(),
             next_handle: 0,
             pending: FastMap::default(),
             insert_info: FastMap::default(),
             timers: FastMap::default(),
-            next_req: 0,
             next_timer: 0,
         }
     }
 
-    fn my_ep(&self, ctx: &Context<'_>) -> Endpoint {
-        Endpoint::new(self.node, ctx.self_id())
-    }
-
-    fn req_id(&mut self) -> u64 {
-        let id = self.next_req;
-        self.next_req += 1;
-        id
+    /// Client-side HTTP work of `cost` on the driver's node; returns the
+    /// completion time.
+    fn cpu(&self, ctx: &mut Context<'_>, cost: SimDuration) -> SimTime {
+        server::cpu(ctx, self.node, simprof::Component::RgmaClient, cost)
     }
 
     /// Create a Primary Producer publishing into `table` via the producer
@@ -157,10 +154,7 @@ impl RgmaClientSet {
         let handle = ProducerHandle(self.next_handle);
         self.next_handle += 1;
         let table: String = table.into();
-        let me = self.my_ep(ctx);
-        let conn = ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-            net.open(ctx.now(), Transport::Http, me, servlet_ep)
-        });
+        let conn = self.http.open(ctx, servlet_ep);
         self.producers.insert(
             handle,
             ProducerState {
@@ -181,22 +175,9 @@ impl RgmaClientSet {
         };
         let conn = state.conn;
         let table = state.table.clone();
-        let me = self.my_ep(ctx);
-        let rid = self.req_id();
-        self.pending.insert(rid, ReqPurpose::CreateProducer(handle));
         let body = ProducerRequest::CreateProducer { table };
-        ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-            http::send_request(
-                net,
-                ctx,
-                conn,
-                me,
-                rid,
-                "/producer/create",
-                96,
-                Box::new(body),
-            );
-        });
+        let rid = self.http.request(ctx, conn, "/producer/create", 96, body);
+        self.pending.insert(rid, ReqPurpose::CreateProducer(handle));
     }
 
     /// Insert one tuple as a full SQL text. Instruments
@@ -245,47 +226,25 @@ impl RgmaClientSet {
             .expect("insert before ProducerReady — wait for the event");
         let conn = state.conn;
         // Client-side HTTP assembly cost.
-        let node = self.node;
-        let client_cost = self.cfg.costs.client_http;
-        let done = ctx.with_service::<OsModel, _>(|os, ctx| {
-            let (done, effective) = os.execute_metered(node, ctx.now(), client_cost);
-            simprof::charge(ctx, simprof::Component::RgmaClient, effective);
-            done
-        });
-        let rid = self.req_id();
-        self.pending.insert(rid, ReqPurpose::Insert(handle));
-        self.insert_info.insert(
-            rid,
-            InsertInfo {
-                sql: sql.clone(),
-                probe,
-                published_at,
-                retries,
-            },
-        );
-        let bytes = sql.len();
-        let me = self.my_ep(ctx);
+        let done = self.cpu(ctx, self.cfg.costs.client_http);
         let body = ProducerRequest::Insert {
             producer: server,
-            sql,
+            sql: sql.clone(),
             probe,
             published_at,
         };
-        ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-            net.send_at(
-                ctx,
-                conn,
-                me,
-                bytes + http::REQUEST_OVERHEAD,
-                Box::new(simnet::HttpRequest {
-                    req_id: rid,
-                    path: "/producer/insert",
-                    body: Box::new(body),
-                    issued_at: done,
-                }),
-                done,
-            );
-        });
+        // The path is not in the byte count (ROADMAP item 5).
+        let rid = self
+            .http
+            .request_at(ctx, conn, "/producer/insert", sql.len(), body, done);
+        self.pending.insert(rid, ReqPurpose::Insert(handle));
+        let info = InsertInfo {
+            sql,
+            probe,
+            published_at,
+            retries,
+        };
+        self.insert_info.insert(rid, info);
     }
 
     /// Issue a one-time latest/history query against a Consumer servlet
@@ -300,28 +259,13 @@ impl RgmaClientSet {
     ) -> QueryHandle {
         let handle = QueryHandle(self.next_handle);
         self.next_handle += 1;
-        let me = self.my_ep(ctx);
-        let conn = ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-            net.open(ctx.now(), Transport::Http, me, servlet_ep)
-        });
-        let rid = self.req_id();
-        self.pending.insert(rid, ReqPurpose::OneTimeQuery(handle));
+        let conn = self.http.open(ctx, servlet_ep);
         let body = ConsumerRequest::OneTimeQuery {
             query: query.into(),
             query_type,
         };
-        ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-            http::send_request(
-                net,
-                ctx,
-                conn,
-                me,
-                rid,
-                "/consumer/query",
-                128,
-                Box::new(body),
-            );
-        });
+        let rid = self.http.request(ctx, conn, "/consumer/query", 128, body);
+        self.pending.insert(rid, ReqPurpose::OneTimeQuery(handle));
         handle
     }
 
@@ -335,10 +279,7 @@ impl RgmaClientSet {
     ) -> SubscriberHandle {
         let handle = SubscriberHandle(self.next_handle);
         self.next_handle += 1;
-        let me = self.my_ep(ctx);
-        let conn = ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-            net.open(ctx.now(), Transport::Http, me, servlet_ep)
-        });
+        let conn = self.http.open(ctx, servlet_ep);
         self.subscribers.insert(
             handle,
             SubscriberState {
@@ -347,23 +288,11 @@ impl RgmaClientSet {
                 polling: false,
             },
         );
-        let rid = self.req_id();
-        self.pending.insert(rid, ReqPurpose::CreateConsumer(handle));
         let body = ConsumerRequest::CreateConsumer {
             query: query.into(),
         };
-        ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-            http::send_request(
-                net,
-                ctx,
-                conn,
-                me,
-                rid,
-                "/consumer/create",
-                128,
-                Box::new(body),
-            );
-        });
+        let rid = self.http.request(ctx, conn, "/consumer/create", 128, body);
+        self.pending.insert(rid, ReqPurpose::CreateConsumer(handle));
         handle
     }
 
@@ -375,21 +304,9 @@ impl RgmaClientSet {
             return;
         };
         let conn = state.conn;
-        let rid = self.req_id();
+        let poll = ConsumerRequest::Poll { consumer: server };
+        let rid = self.http.request(ctx, conn, "/consumer/poll", 32, poll);
         self.pending.insert(rid, ReqPurpose::Poll(handle));
-        let me = self.my_ep(ctx);
-        ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-            http::send_request(
-                net,
-                ctx,
-                conn,
-                me,
-                rid,
-                "/consumer/poll",
-                32,
-                Box::new(ConsumerRequest::Poll { consumer: server }),
-            );
-        });
     }
 
     fn arm_timer(&mut self, ctx: &mut Context<'_>, delay: SimDuration, purpose: TimerPurpose) {
@@ -539,14 +456,9 @@ impl RgmaClientSet {
                     if let ConsumerResponse::PollResult { entries } = *r {
                         let n = entries.len();
                         // Client-side processing of the poll result.
-                        let node = self.node;
                         let cost =
                             self.cfg.costs.client_http + SimDuration::from_micros(50 * n as u64);
-                        let done = ctx.with_service::<OsModel, _>(|os, ctx| {
-                            let (done, effective) = os.execute_metered(node, ctx.now(), cost);
-                            simprof::charge(ctx, simprof::Component::RgmaClient, effective);
-                            done
-                        });
+                        let done = self.cpu(ctx, cost);
                         let actor = ctx.self_id().index() as u64;
                         for (probe, tuple) in entries {
                             ctx.service_mut::<RttCollector>()

@@ -5,15 +5,16 @@
 
 use crate::config::RgmaConfig;
 use crate::protocol::{
-    poll_result_bytes, ConsumerId, ConsumerRequest, ConsumerResponse, Entry, ProducerRequest,
-    ProducerResponse, QueryType, RegistryRequest, RegistryResponse, Reply, StreamChunk,
+    poll_result_bytes, ConsumerId, ConsumerRequest, ConsumerResponse, Entry, ProducerId,
+    ProducerRequest, ProducerResponse, QueryType, RegistryRequest, RegistryResponse, StreamChunk,
 };
 use minisql::{Catalog, Statement, TableSchema};
-use simcore::{Actor, ActorId, Context, FastMap, FastSet, Payload, SimDuration, SimTime};
-use simnet::{
-    http, ConnId, Delivery, Endpoint, HttpRequest, HttpResponse, NetworkFabric, Transport,
-};
-use simos::{NodeId, OsModel, ProcessId};
+use simcore::{Actor, ActorId, Context, FastMap, FastSet, Payload, SimDuration};
+use simnet::http::{Caller, Reply};
+use simnet::server::Acceptor;
+use simnet::{ConnId, Delivery, Endpoint, HttpRequest, HttpResponse};
+use simos::{Bytes, NodeId, ProcessId};
+use simprof::Component;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use telemetry::RttCollector;
@@ -72,9 +73,9 @@ struct PendingQuery {
 /// The Consumer servlet actor.
 pub struct ConsumerServlet {
     cfg: RgmaConfig,
-    node: NodeId,
-    proc: ProcessId,
-    endpoint: Endpoint,
+    /// Client connections: a Tomcat service thread each, no heap.
+    server: Acceptor<()>,
+    http: Caller,
     registry_ep: Endpoint,
     registry_conn: Option<ConnId>,
     /// Replica of the Schema service's tables.
@@ -91,8 +92,6 @@ pub struct ConsumerServlet {
     /// One-time queries awaiting producer fetches, by query token.
     queries: FastMap<u64, PendingQuery>,
     next_query: u64,
-    seen_conns: FastSet<ConnId>,
-    next_req: u64,
 }
 
 impl ConsumerServlet {
@@ -100,9 +99,8 @@ impl ConsumerServlet {
     pub fn new(cfg: RgmaConfig, node: NodeId, proc: ProcessId, registry_ep: Endpoint) -> Self {
         ConsumerServlet {
             cfg,
-            node,
-            proc,
-            endpoint: Endpoint::new(node, ActorId::NONE),
+            server: Acceptor::new(node, proc, Bytes(0)),
+            http: Caller::new(node),
             registry_ep,
             registry_conn: None,
             catalog: Catalog::new(),
@@ -113,156 +111,72 @@ impl ConsumerServlet {
             pending_query_lookups: FastMap::default(),
             queries: FastMap::default(),
             next_query: 0,
-            seen_conns: FastSet::default(),
-            next_req: 0,
         }
     }
 
     fn producer_conn(&mut self, ctx: &mut Context<'_>, node: NodeId, actor: ActorId) -> ConnId {
-        let me = self.endpoint;
-        match self.producer_conns.get(&(node, actor)) {
-            Some(c) => *c,
-            None => {
-                let servlet_ep = Endpoint::new(node, actor);
-                let c = ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-                    net.open(ctx.now(), Transport::Http, me, servlet_ep)
-                });
-                self.producer_conns.insert((node, actor), c);
-                c
-            }
-        }
+        let http = &self.http;
+        *self
+            .producer_conns
+            .entry((node, actor))
+            .or_insert_with(|| http.open(ctx, Endpoint::new(node, actor)))
     }
 
-    fn cpu(&self, ctx: &mut Context<'_>, comp: simprof::Component, cost: SimDuration) -> SimTime {
-        let node = self.node;
-        ctx.with_service::<OsModel, _>(|os, ctx| {
-            let (done, effective) = os.execute_metered(node, ctx.now(), cost);
-            simprof::charge(ctx, comp, effective);
-            done
-        })
+    /// Ask the registry which producers publish `table`; returns the
+    /// request's correlation id.
+    fn lookup(&mut self, ctx: &mut Context<'_>, table: String) -> u64 {
+        let conn = self.registry_conn.expect("opened on start");
+        let lookup = RegistryRequest::LookupProducers { table };
+        self.http.request(ctx, conn, "/registry/lookup", 64, lookup)
     }
 
-    fn ensure_thread(&mut self, ctx: &mut Context<'_>, conn: ConnId) -> Result<(), String> {
-        if self.seen_conns.contains(&conn) {
-            return Ok(());
-        }
-        let r = ctx.with_service::<OsModel, _>(|os, _| os.spawn_thread(self.proc));
-        match r {
-            Ok(()) => {
-                self.seen_conns.insert(conn);
-                Ok(())
-            }
-            Err(e) => Err(e.to_string()),
-        }
+    /// Answer `reply` with an error at once.
+    fn fail(ctx: &mut Context<'_>, reply: Reply, status: u16, reason: String) {
+        let now = ctx.now();
+        reply.send_at(ctx, status, 64, ConsumerResponse::Error { reason }, now);
     }
 
     fn on_create_consumer(&mut self, ctx: &mut Context<'_>, reply: Reply, query: String) {
-        let heap = self.cfg.memory.heap_per_consumer;
-        let alloc = ctx.with_service::<OsModel, _>(|os, _| os.alloc(self.proc, heap));
-        if let Err(e) = alloc {
-            let now = ctx.now();
-            reply.send_at(
-                ctx,
-                self.endpoint,
-                503,
-                64,
-                ConsumerResponse::Error {
-                    reason: e.to_string(),
-                },
-                now,
-            );
-            return;
+        if let Err(e) = self.server.alloc(ctx, self.cfg.memory.heap_per_consumer) {
+            return Self::fail(ctx, reply, 503, e.to_string());
         }
-        let parsed = minisql::parse(&query);
-        let (table, predicate, columns) = match parsed {
+        let (table, predicate, columns) = match minisql::parse(&query) {
             Ok(Statement::Select {
                 columns,
                 table,
                 predicate,
             }) => (table, predicate, columns),
-            Ok(_) => {
-                let now = ctx.now();
-                reply.send_at(
-                    ctx,
-                    self.endpoint,
-                    400,
-                    64,
-                    ConsumerResponse::Error {
-                        reason: "not a SELECT".into(),
-                    },
-                    now,
-                );
-                return;
-            }
-            Err(e) => {
-                let now = ctx.now();
-                reply.send_at(
-                    ctx,
-                    self.endpoint,
-                    400,
-                    64,
-                    ConsumerResponse::Error {
-                        reason: e.to_string(),
-                    },
-                    now,
-                );
-                return;
-            }
+            Ok(_) => return Self::fail(ctx, reply, 400, "not a SELECT".into()),
+            Err(e) => return Self::fail(ctx, reply, 400, e.to_string()),
         };
         let cid = ConsumerId(self.next_instance);
         self.next_instance += 1;
         self.instances.insert(
             cid,
             CInstance {
-                table,
+                table: table.clone(),
                 predicate,
                 columns,
                 buffer: Vec::new(),
                 planned: FastSet::default(),
             },
         );
-        let done = self.cpu(
-            ctx,
-            simprof::Component::RgmaServlet,
-            self.cfg.costs.create_instance,
-        );
+        let cost = self.cfg.costs.create_instance;
+        let done = self.server.cpu(ctx, Component::RgmaServlet, cost);
         // Announce the consumer to the registry (soft-state mode only),
         // then kick an immediate mediation pass for this instance.
-        let table = self.instances[&cid].table.clone();
         self.register_interest(ctx, table);
         self.lookup_for(ctx, cid);
-        reply.send_at(
-            ctx,
-            self.endpoint,
-            200,
-            48,
-            ConsumerResponse::Created { consumer: cid },
-            done,
-        );
+        let created = ConsumerResponse::Created { consumer: cid };
+        reply.send_at(ctx, 200, 48, created, done);
     }
 
     fn lookup_for(&mut self, ctx: &mut Context<'_>, cid: ConsumerId) {
         let Some(inst) = self.instances.get(&cid) else {
             return;
         };
-        let table = inst.table.clone();
-        let rid = self.next_req;
-        self.next_req += 1;
+        let rid = self.lookup(ctx, inst.table.clone());
         self.pending_lookups.insert(rid, cid);
-        let me = self.endpoint;
-        let conn = self.registry_conn.expect("opened on start");
-        ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-            http::send_request(
-                net,
-                ctx,
-                conn,
-                me,
-                rid,
-                "/registry/lookup",
-                64,
-                Box::new(RegistryRequest::LookupProducers { table }),
-            );
-        });
     }
 
     /// Start a one-time latest/history query (GMA query/response mode).
@@ -273,27 +187,13 @@ impl ConsumerServlet {
         query: String,
         query_type: QueryType,
     ) {
-        let parsed = minisql::parse(&query);
-        let (table, predicate, columns) = match parsed {
-            Ok(Statement::Select {
-                columns,
-                table,
-                predicate,
-            }) => (table, predicate, columns),
-            _ => {
-                let now = ctx.now();
-                reply.send_at(
-                    ctx,
-                    self.endpoint,
-                    400,
-                    64,
-                    ConsumerResponse::Error {
-                        reason: "one-time query must be a SELECT".into(),
-                    },
-                    now,
-                );
-                return;
-            }
+        let Ok(Statement::Select {
+            columns,
+            table,
+            predicate,
+        }) = minisql::parse(&query)
+        else {
+            return Self::fail(ctx, reply, 400, "one-time query must be a SELECT".into());
         };
         let qid = self.next_query;
         self.next_query += 1;
@@ -309,29 +209,11 @@ impl ConsumerServlet {
                 collected: Vec::new(),
             },
         );
-        self.cpu(
-            ctx,
-            simprof::Component::RgmaServlet,
-            self.cfg.costs.create_instance / 4,
-        );
+        let cost = self.cfg.costs.create_instance / 4;
+        self.server.cpu(ctx, Component::RgmaServlet, cost);
         // Mediate: look the producers up, then fan the fetch out.
-        let rid = self.next_req;
-        self.next_req += 1;
+        let rid = self.lookup(ctx, table);
         self.pending_query_lookups.insert(rid, qid);
-        let me = self.endpoint;
-        let reg_conn = self.registry_conn.expect("opened on start");
-        ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-            http::send_request(
-                net,
-                ctx,
-                reg_conn,
-                me,
-                rid,
-                "/registry/lookup",
-                64,
-                Box::new(RegistryRequest::LookupProducers { table }),
-            );
-        });
     }
 
     /// Fan a one-time query out to the producer servlets the registry
@@ -342,19 +224,17 @@ impl ConsumerServlet {
         qid: u64,
         endpoints: Vec<Endpoint>,
     ) {
-        let me = self.endpoint;
         let Some(q) = self.queries.get(&qid) else {
             return;
         };
         let table = q.table.clone();
         let query_type = q.query_type;
-        let mut servlets: BTreeMap<(NodeId, ActorId), Vec<crate::protocol::ProducerId>> =
-            BTreeMap::new();
+        let mut servlets: BTreeMap<(NodeId, ActorId), Vec<ProducerId>> = BTreeMap::new();
         for ep in endpoints {
             servlets
                 .entry((ep.node, ep.actor))
                 .or_default()
-                .push(crate::protocol::ProducerId(u32::from(ep.port)));
+                .push(ProducerId(u32::from(ep.port)));
         }
         if servlets.is_empty() {
             self.finish_query(ctx, qid);
@@ -363,38 +243,22 @@ impl ConsumerServlet {
         self.queries.get_mut(&qid).expect("checked").outstanding = servlets.len();
         for ((node, actor), producers) in servlets {
             let conn = self.producer_conn(ctx, node, actor);
-            let rid = self.next_req;
-            self.next_req += 1;
             let req = ProducerRequest::Fetch {
                 table: table.clone(),
                 query_type,
                 producers,
                 token: qid,
             };
-            ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-                http::send_request(
-                    net,
-                    ctx,
-                    conn,
-                    me,
-                    rid,
-                    "/producer/fetch",
-                    96,
-                    Box::new(req),
-                );
-            });
+            self.http.request(ctx, conn, "/producer/fetch", 96, req);
         }
     }
 
     /// One producer servlet answered a fetch.
     fn on_fetch_result(&mut self, ctx: &mut Context<'_>, qid: u64, entries: Vec<Entry>) {
         let n = entries.len() as u64;
-        self.cpu(
-            ctx,
-            simprof::Component::RgmaSelect,
-            self.cfg.costs.chunk_ingest_base
-                + SimDuration::from_micros(self.cfg.costs.per_tuple.as_micros() * n),
-        );
+        let cost = self.cfg.costs.chunk_ingest_base
+            + SimDuration::from_micros(self.cfg.costs.per_tuple.as_micros() * n);
+        self.server.cpu(ctx, Component::RgmaSelect, cost);
         let Some(q) = self.queries.get_mut(&qid) else {
             return;
         };
@@ -423,16 +287,10 @@ impl ConsumerServlet {
         let n = entries.len() as u64;
         let cost = self.cfg.costs.poll_answer
             + SimDuration::from_micros(self.cfg.costs.per_tuple.as_micros() * n / 2);
-        let done = self.cpu(ctx, simprof::Component::RgmaSelect, cost);
+        let done = self.server.cpu(ctx, Component::RgmaSelect, cost);
         let bytes = poll_result_bytes(&entries);
-        q.client.send_at(
-            ctx,
-            self.endpoint,
-            200,
-            bytes,
-            ConsumerResponse::QueryResult { entries },
-            done,
-        );
+        let result = ConsumerResponse::QueryResult { entries };
+        q.client.send_at(ctx, 200, bytes, result, done);
     }
 
     fn on_lookup_result(
@@ -441,7 +299,6 @@ impl ConsumerServlet {
         cid: ConsumerId,
         endpoints: Vec<Endpoint>,
     ) {
-        let me = self.endpoint;
         let Some(inst) = self.instances.get_mut(&cid) else {
             return;
         };
@@ -456,36 +313,22 @@ impl ConsumerServlet {
         }
         // Group the fresh instances by hosting servlet; one StartStream
         // per servlet attaches exactly those instances.
-        let mut servlets: BTreeMap<(NodeId, ActorId), Vec<crate::protocol::ProducerId>> =
-            BTreeMap::new();
+        let mut servlets: BTreeMap<(NodeId, ActorId), Vec<ProducerId>> = BTreeMap::new();
         for ep in &fresh {
             servlets
                 .entry((ep.node, ep.actor))
                 .or_default()
-                .push(crate::protocol::ProducerId(u32::from(ep.port)));
+                .push(ProducerId(u32::from(ep.port)));
             inst.planned.insert(*ep);
         }
         for ((node, actor), producers) in servlets {
             let conn = self.producer_conn(ctx, node, actor);
-            let rid = self.next_req;
-            self.next_req += 1;
             let req = ProducerRequest::StartStream {
                 table: table.clone(),
                 consumer: cid,
                 producers,
             };
-            ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-                http::send_request(
-                    net,
-                    ctx,
-                    conn,
-                    me,
-                    rid,
-                    "/producer/stream",
-                    96,
-                    Box::new(req),
-                );
-            });
+            self.http.request(ctx, conn, "/producer/stream", 96, req);
         }
     }
 
@@ -493,14 +336,14 @@ impl ConsumerServlet {
         let n = chunk.entries.len() as u64;
         let cost = self.cfg.costs.chunk_ingest_base
             + SimDuration::from_micros(self.cfg.costs.per_tuple.as_micros() * n);
-        let done = self.cpu(ctx, simprof::Component::RgmaSelect, cost);
+        let done = self.server.cpu(ctx, Component::RgmaSelect, cost);
         let Some(inst) = self.instances.get_mut(&chunk.consumer) else {
             return;
         };
         let schema = self.catalog.table(&inst.table).ok();
         let mut accepted = 0u64;
         let mut filtered = 0u64;
-        let actor = self.endpoint.actor.index() as u64;
+        let actor = ctx.self_id().index() as u64;
         for (probe, tuple) in chunk.entries {
             // Continuous-query predicate filter at the consumer.
             let matches = match (&inst.predicate, schema) {
@@ -535,8 +378,8 @@ impl ConsumerServlet {
             tr.count(simtrace::Counter::SelectorMisses, filtered);
         });
         if accepted > 0 {
-            let heap = simos::Bytes(self.cfg.memory.heap_per_tuple.0 * accepted);
-            let _ = ctx.with_service::<OsModel, _>(|os, _| os.alloc(self.proc, heap));
+            let heap = Bytes(self.cfg.memory.heap_per_tuple.0 * accepted);
+            let _ = self.server.alloc(ctx, heap);
         }
         // Servlet backlog: tuples buffered awaiting the next client poll.
         let instances = &self.instances;
@@ -548,18 +391,7 @@ impl ConsumerServlet {
 
     fn on_poll(&mut self, ctx: &mut Context<'_>, reply: Reply, cid: ConsumerId) {
         let Some(inst) = self.instances.get_mut(&cid) else {
-            let now = ctx.now();
-            reply.send_at(
-                ctx,
-                self.endpoint,
-                404,
-                64,
-                ConsumerResponse::Error {
-                    reason: format!("no consumer {cid:?}"),
-                },
-                now,
-            );
-            return;
+            return Self::fail(ctx, reply, 404, format!("no consumer {cid:?}"));
         };
         let schema = self.catalog.table(&inst.table).ok();
         let entries: Vec<Entry> = inst
@@ -569,21 +401,15 @@ impl ConsumerServlet {
             .collect();
         let n = entries.len() as u64;
         if n > 0 {
-            let heap = simos::Bytes(self.cfg.memory.heap_per_tuple.0 * n);
-            ctx.with_service::<OsModel, _>(|os, _| os.free(self.proc, heap));
+            self.server
+                .free(ctx, Bytes(self.cfg.memory.heap_per_tuple.0 * n));
         }
         let cost = self.cfg.costs.poll_answer
             + SimDuration::from_micros(self.cfg.costs.per_tuple.as_micros() * n / 2);
-        let done = self.cpu(ctx, simprof::Component::RgmaSelect, cost);
+        let done = self.server.cpu(ctx, Component::RgmaSelect, cost);
         let bytes = poll_result_bytes(&entries);
-        reply.send_at(
-            ctx,
-            self.endpoint,
-            200,
-            bytes,
-            ConsumerResponse::PollResult { entries },
-            done,
-        );
+        let result = ConsumerResponse::PollResult { entries };
+        reply.send_at(ctx, 200, bytes, result, done);
     }
 
     /// Register this servlet's interest in `table` with the registry
@@ -594,25 +420,11 @@ impl ConsumerServlet {
         if self.cfg.soft_state_refresh.is_none() {
             return;
         }
-        let me = self.endpoint;
+        let endpoint = self.server.endpoint(ctx);
         let conn = self.registry_conn.expect("opened on start");
-        let rid = self.next_req;
-        self.next_req += 1;
-        ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-            http::send_request(
-                net,
-                ctx,
-                conn,
-                me,
-                rid,
-                "/registry/register-consumer",
-                96,
-                Box::new(RegistryRequest::RegisterConsumer {
-                    table,
-                    endpoint: me,
-                }),
-            );
-        });
+        let req = RegistryRequest::RegisterConsumer { table, endpoint };
+        self.http
+            .request(ctx, conn, "/registry/register-consumer", 96, req);
     }
 
     fn on_plan_tick(&mut self, ctx: &mut Context<'_>) {
@@ -634,12 +446,7 @@ impl ConsumerServlet {
 
 impl Actor for ConsumerServlet {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
-        self.endpoint = Endpoint::new(self.node, ctx.self_id());
-        let me = self.endpoint;
-        let reg = self.registry_ep;
-        self.registry_conn = Some(ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-            net.open(ctx.now(), Transport::Http, me, reg)
-        }));
+        self.registry_conn = Some(self.http.open(ctx, self.registry_ep));
         ctx.timer(self.cfg.plan_refresh, PlanTick);
     }
 
@@ -704,48 +511,13 @@ impl Actor for ConsumerServlet {
         let Ok(req) = payload.downcast::<HttpRequest>() else {
             return;
         };
-        let HttpRequest { req_id, body, .. } = *req;
-        let reply = Reply { conn, req_id };
-        // Fault injection: a stalled servlet answers 503 without work.
-        if simfault::node_stalled(ctx, self.node) {
-            simfault::with_faults(ctx, |inj, _| inj.stats.stall_rejections += 1);
-            simtrace::with_trace(ctx, |tr, _| {
-                tr.count(simtrace::Counter::FaultRejections, 1);
-            });
-            let now = ctx.now();
-            reply.send_at(
-                ctx,
-                self.endpoint,
-                503,
-                64,
-                ConsumerResponse::Error {
-                    reason: "servlet stalled".into(),
-                },
-                now,
-            );
-            return;
-        }
-        if let Err(reason) = self.ensure_thread(ctx, conn) {
-            let now = ctx.now();
-            reply.send_at(
-                ctx,
-                self.endpoint,
-                503,
-                64,
-                ConsumerResponse::Error { reason },
-                now,
-            );
-            return;
-        }
-        let Ok(body) = body.downcast::<ConsumerRequest>() else {
+        let refusal = |reason| ConsumerResponse::Error { reason };
+        let Some((reply, body)) = self.server.admit(ctx, conn, *req, refusal) else {
             return;
         };
-        self.cpu(
-            ctx,
-            simprof::Component::RgmaServlet,
-            self.cfg.costs.servlet_dispatch,
-        );
-        match *body {
+        let cost = self.cfg.costs.servlet_dispatch;
+        self.server.cpu(ctx, Component::RgmaServlet, cost);
+        match body {
             ConsumerRequest::CreateConsumer { query } => self.on_create_consumer(ctx, reply, query),
             ConsumerRequest::Poll { consumer } => self.on_poll(ctx, reply, consumer),
             ConsumerRequest::OneTimeQuery { query, query_type } => {

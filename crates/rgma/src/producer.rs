@@ -10,15 +10,16 @@
 use crate::config::RgmaConfig;
 use crate::protocol::{
     chunk_bytes, ConsumerId, Entry, ProducerId, ProducerRequest, ProducerResponse, QueryType,
-    RegistryRequest, Reply, StreamChunk,
+    RegistryRequest, StreamChunk,
 };
 use crate::storage::MemoryStorage;
 use minisql::Catalog;
-use simcore::{Actor, ActorId, Context, FastSet, Payload, SimDuration, SimTime};
-use simnet::{
-    http, ConnId, Delivery, Endpoint, HttpRequest, HttpResponse, NetworkFabric, Transport,
-};
-use simos::{NodeId, OsModel, ProcessId};
+use simcore::{Actor, Context, Payload, SimDuration};
+use simnet::http::{Caller, Reply};
+use simnet::server::Acceptor;
+use simnet::{ConnId, Delivery, Endpoint, HttpRequest, HttpResponse};
+use simos::{Bytes, NodeId, ProcessId};
+use simprof::Component;
 use std::sync::Arc;
 use telemetry::ProbeId;
 
@@ -51,9 +52,9 @@ struct RefreshTick;
 /// The Primary Producer servlet actor.
 pub struct ProducerServlet {
     cfg: RgmaConfig,
-    node: NodeId,
-    proc: ProcessId,
-    endpoint: Endpoint,
+    /// Client connections: a Tomcat service thread each, no heap.
+    server: Acceptor<()>,
+    http: Caller,
     registry_ep: Endpoint,
     registry_conn: Option<ConnId>,
     /// Replica of the Schema service's tables.
@@ -66,9 +67,6 @@ pub struct ProducerServlet {
     /// or got a stream attached behind its tail, since the last flush
     /// (possibly more than once). Every other cursor is at its tail.
     dirty: Vec<ProducerId>,
-    /// Connections that already hold a service thread.
-    seen_conns: FastSet<ConnId>,
-    next_req: u64,
 }
 
 impl ProducerServlet {
@@ -76,61 +74,33 @@ impl ProducerServlet {
     pub fn new(cfg: RgmaConfig, node: NodeId, proc: ProcessId, registry_ep: Endpoint) -> Self {
         ProducerServlet {
             cfg,
-            node,
-            proc,
-            endpoint: Endpoint::new(node, ActorId::NONE),
+            server: Acceptor::new(node, proc, Bytes(0)),
+            http: Caller::new(node),
             registry_ep,
             registry_conn: None,
             catalog: Catalog::new(),
             instances: Vec::new(),
             streams: Vec::new(),
             dirty: Vec::new(),
-            seen_conns: FastSet::default(),
-            next_req: 0,
         }
     }
 
-    fn cpu(&self, ctx: &mut Context<'_>, comp: simprof::Component, cost: SimDuration) -> SimTime {
-        let node = self.node;
-        ctx.with_service::<OsModel, _>(|os, ctx| {
-            let (done, effective) = os.execute_metered(node, ctx.now(), cost);
-            simprof::charge(ctx, comp, effective);
-            done
-        })
-    }
-
-    /// First request on a connection costs a Tomcat service thread; OOM
-    /// here is the paper's "cannot accept N concurrent connections".
-    fn ensure_thread(&mut self, ctx: &mut Context<'_>, conn: ConnId) -> Result<(), String> {
-        if self.seen_conns.contains(&conn) {
-            return Ok(());
-        }
-        let r = ctx.with_service::<OsModel, _>(|os, _| os.spawn_thread(self.proc));
-        match r {
-            Ok(()) => {
-                self.seen_conns.insert(conn);
-                Ok(())
-            }
-            Err(e) => Err(e.to_string()),
-        }
+    /// Announce instance `pid` publishing `table` to the registry
+    /// (fire-and-forget: the answer needs no handling).
+    fn register(&mut self, ctx: &mut Context<'_>, pid: u16, table: String) {
+        let me = self.server.endpoint(ctx);
+        let endpoint = Endpoint::with_port(me.node, me.actor, pid);
+        let req = RegistryRequest::RegisterProducer { table, endpoint };
+        let conn = self.registry_conn.expect("registry conn opened on start");
+        self.http.request(ctx, conn, "/registry/register", 96, req);
     }
 
     fn on_create_producer(&mut self, ctx: &mut Context<'_>, reply: Reply, table: String) {
         // Heap for the instance.
-        let heap = self.cfg.memory.heap_per_producer;
-        let alloc = ctx.with_service::<OsModel, _>(|os, _| os.alloc(self.proc, heap));
-        if let Err(e) = alloc {
+        if let Err(e) = self.server.alloc(ctx, self.cfg.memory.heap_per_producer) {
+            let reason = e.to_string();
             let now = ctx.now();
-            reply.send_at(
-                ctx,
-                self.endpoint,
-                503,
-                64,
-                ProducerResponse::Error {
-                    reason: e.to_string(),
-                },
-                now,
-            );
+            reply.send_at(ctx, 503, 64, ProducerResponse::Error { reason }, now);
             return;
         }
         let pid = ProducerId(self.instances.len() as u32);
@@ -139,42 +109,14 @@ impl ProducerServlet {
             storage: MemoryStorage::new(self.cfg.latest_retention, self.cfg.history_retention),
             cursors: Vec::new(),
         });
-        let done = self.cpu(
-            ctx,
-            simprof::Component::RgmaServlet,
-            self.cfg.costs.create_instance,
-        );
+        let cost = self.cfg.costs.create_instance;
+        let done = self.server.cpu(ctx, Component::RgmaServlet, cost);
         // Register the instance with the registry (async; the instance is
         // immediately usable by its client, but invisible to consumers
         // until registration propagates — the warm-up window).
-        let my_ep = self.endpoint;
-        let reg_conn = self.registry_conn.expect("registry conn opened on start");
-        let req = RegistryRequest::RegisterProducer {
-            table,
-            endpoint: Endpoint::with_port(my_ep.node, my_ep.actor, pid.0 as u16),
-        };
-        let rid = self.next_req;
-        self.next_req += 1;
-        ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-            http::send_request(
-                net,
-                ctx,
-                reg_conn,
-                my_ep,
-                rid,
-                "/registry/register",
-                96,
-                Box::new(req),
-            );
-        });
-        reply.send_at(
-            ctx,
-            self.endpoint,
-            200,
-            48,
-            ProducerResponse::Created { producer: pid },
-            done,
-        );
+        self.register(ctx, pid.0 as u16, table);
+        let created = ProducerResponse::Created { producer: pid };
+        reply.send_at(ctx, 200, 48, created, done);
     }
 
     fn on_insert(
@@ -190,7 +132,7 @@ impl ProducerServlet {
             + SimDuration::from_micros(
                 (sql.len() as u64 * self.cfg.costs.insert_per_byte_ns).div_ceil(1000),
             );
-        let done = self.cpu(ctx, simprof::Component::RgmaInsert, cost);
+        let done = self.server.cpu(ctx, Component::RgmaInsert, cost);
         telemetry::with_metrics(ctx, |m, _| {
             m.add_counter("rgma.inserts", 1);
             m.observe("rgma.insert_cost_us", cost.as_micros());
@@ -215,17 +157,9 @@ impl ProducerServlet {
         })();
         match result {
             Ok(rows) => {
-                let heap = self.cfg.memory.heap_per_tuple;
-                let _ = ctx.with_service::<OsModel, _>(|os, _| os.alloc(self.proc, heap));
-                reply.send_at(
-                    ctx,
-                    self.endpoint,
-                    200,
-                    24,
-                    ProducerResponse::InsertOk,
-                    done,
-                );
-                let actor = self.endpoint.actor.index() as u64;
+                let _ = self.server.alloc(ctx, self.cfg.memory.heap_per_tuple);
+                reply.send_at(ctx, 200, 24, ProducerResponse::InsertOk, done);
+                let actor = ctx.self_id().index() as u64;
                 simtrace::with_trace(ctx, |tr, _| {
                     tr.record(
                         done,
@@ -236,16 +170,7 @@ impl ProducerServlet {
                     tr.count(simtrace::Counter::TuplesStored, 1);
                 });
             }
-            Err(reason) => {
-                reply.send_at(
-                    ctx,
-                    self.endpoint,
-                    400,
-                    64,
-                    ProducerResponse::Error { reason },
-                    done,
-                );
-            }
+            Err(reason) => reply.send_at(ctx, 400, 64, ProducerResponse::Error { reason }, done),
         }
     }
 
@@ -257,11 +182,8 @@ impl ProducerServlet {
         consumer: ConsumerId,
         producers: Vec<ProducerId>,
     ) {
-        let done = self.cpu(
-            ctx,
-            simprof::Component::RgmaServlet,
-            self.cfg.costs.servlet_dispatch,
-        );
+        let cost = self.cfg.costs.servlet_dispatch;
+        let done = self.server.cpu(ctx, Component::RgmaServlet, cost);
         // Attach (or extend) the stream for this consumer: any instance of
         // `table` not yet covered gets a cursor at the start of its
         // replay window.
@@ -298,14 +220,7 @@ impl ProducerServlet {
             }
             inst.cursors.push((stream_ix, cursor));
         }
-        reply.send_at(
-            ctx,
-            self.endpoint,
-            200,
-            24,
-            ProducerResponse::StreamStarted,
-            done,
-        );
+        reply.send_at(ctx, 200, 24, ProducerResponse::StreamStarted, done);
     }
 
     /// One-shot latest/history fetch against instance storage (the GMA
@@ -347,16 +262,10 @@ impl ProducerServlet {
         let n = entries.len() as u64;
         let cost = self.cfg.costs.poll_answer
             + SimDuration::from_micros(self.cfg.costs.per_tuple.as_micros() * n / 2);
-        let done = self.cpu(ctx, simprof::Component::RgmaSelect, cost);
+        let done = self.server.cpu(ctx, Component::RgmaSelect, cost);
         let bytes = crate::protocol::poll_result_bytes(&entries);
-        reply.send_at(
-            ctx,
-            self.endpoint,
-            200,
-            bytes,
-            ProducerResponse::FetchResult { token, entries },
-            done,
-        );
+        let result = ProducerResponse::FetchResult { token, entries };
+        reply.send_at(ctx, 200, bytes, result, done);
     }
 
     /// The streaming cycle: collect new tuples per stream and push one
@@ -364,7 +273,6 @@ impl ProducerServlet {
     /// read, in id order, so a chunk lists its tuples as a walk over
     /// every cursor of every instance would.
     fn on_flush(&mut self, ctx: &mut Context<'_>) {
-        let ep = self.endpoint;
         self.dirty.sort_unstable();
         self.dirty.dedup();
         let mut chunks: Vec<Vec<Entry>> = vec![Vec::new(); self.streams.len()];
@@ -388,11 +296,9 @@ impl ProducerServlet {
             let n = chunk.entries.len() as u64;
             let cost = self.cfg.costs.stream_send
                 + SimDuration::from_micros(self.cfg.costs.per_tuple.as_micros() * n / 4);
-            let done = self.cpu(ctx, simprof::Component::RgmaSelect, cost);
+            let done = self.server.cpu(ctx, Component::RgmaSelect, cost);
             let bytes = chunk_bytes(&chunk);
-            ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-                net.send_at(ctx, conn, ep, bytes, Box::new(chunk), done);
-            });
+            self.server.send_at(ctx, conn, bytes, chunk, done);
         }
         ctx.timer(self.cfg.streaming_period, FlushTick);
     }
@@ -404,28 +310,10 @@ impl ProducerServlet {
         let Some(period) = self.cfg.soft_state_refresh else {
             return;
         };
-        let my_ep = self.endpoint;
-        let reg_conn = self.registry_conn.expect("registry conn opened on start");
         let n = self.instances.len() as u64;
-        for (pid, inst) in self.instances.iter().enumerate() {
-            let req = RegistryRequest::RegisterProducer {
-                table: inst.table.clone(),
-                endpoint: Endpoint::with_port(my_ep.node, my_ep.actor, pid as u16),
-            };
-            let rid = self.next_req;
-            self.next_req += 1;
-            ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-                http::send_request(
-                    net,
-                    ctx,
-                    reg_conn,
-                    my_ep,
-                    rid,
-                    "/registry/register",
-                    96,
-                    Box::new(req),
-                );
-            });
+        for pid in 0..self.instances.len() {
+            let table = self.instances[pid].table.clone();
+            self.register(ctx, pid as u16, table);
         }
         if n > 0 {
             simfault::with_faults(ctx, |inj, _| inj.stats.reregistrations += n);
@@ -440,8 +328,8 @@ impl ProducerServlet {
             evicted += inst.storage.sweep(now);
         }
         if evicted > 0 {
-            let heap = simos::Bytes(self.cfg.memory.heap_per_tuple.0 * evicted as u64);
-            ctx.with_service::<OsModel, _>(|os, _| os.free(self.proc, heap));
+            let heap = Bytes(self.cfg.memory.heap_per_tuple.0 * evicted as u64);
+            self.server.free(ctx, heap);
         }
         ctx.timer(SimDuration::from_secs(5), SweepTick);
     }
@@ -449,12 +337,7 @@ impl ProducerServlet {
 
 impl Actor for ProducerServlet {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
-        self.endpoint = Endpoint::new(self.node, ctx.self_id());
-        let me = self.endpoint;
-        let reg = self.registry_ep;
-        self.registry_conn = Some(ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-            net.open(ctx.now(), Transport::Http, me, reg)
-        }));
+        self.registry_conn = Some(self.http.open(ctx, self.registry_ep));
         ctx.timer(self.cfg.streaming_period, FlushTick);
         ctx.timer(SimDuration::from_secs(5), SweepTick);
         if let Some(period) = self.cfg.soft_state_refresh {
@@ -509,51 +392,14 @@ impl Actor for ProducerServlet {
         let Ok(req) = payload.downcast::<HttpRequest>() else {
             return;
         };
-        let HttpRequest { req_id, body, .. } = *req;
-        let reply = Reply { conn, req_id };
-        // Fault injection: a stalled servlet (Tomcat GC pause / overload)
-        // answers 503 without doing any work.
-        if simfault::node_stalled(ctx, self.node) {
-            simfault::with_faults(ctx, |inj, _| inj.stats.stall_rejections += 1);
-            simtrace::with_trace(ctx, |tr, _| {
-                tr.count(simtrace::Counter::FaultRejections, 1);
-            });
-            let now = ctx.now();
-            reply.send_at(
-                ctx,
-                self.endpoint,
-                503,
-                64,
-                ProducerResponse::Error {
-                    reason: "servlet stalled".into(),
-                },
-                now,
-            );
-            return;
-        }
-        // Thread-per-connection accept gate.
-        if let Err(reason) = self.ensure_thread(ctx, conn) {
-            let now = ctx.now();
-            reply.send_at(
-                ctx,
-                self.endpoint,
-                503,
-                64,
-                ProducerResponse::Error { reason },
-                now,
-            );
-            return;
-        }
-        let Ok(body) = body.downcast::<ProducerRequest>() else {
+        let refusal = |reason| ProducerResponse::Error { reason };
+        let Some((reply, body)) = self.server.admit(ctx, conn, *req, refusal) else {
             return;
         };
         // Base servlet dispatch cost applies to every request.
-        self.cpu(
-            ctx,
-            simprof::Component::RgmaServlet,
-            self.cfg.costs.servlet_dispatch,
-        );
-        match *body {
+        let cost = self.cfg.costs.servlet_dispatch;
+        self.server.cpu(ctx, Component::RgmaServlet, cost);
+        match body {
             ProducerRequest::CreateProducer { table } => self.on_create_producer(ctx, reply, table),
             ProducerRequest::Insert {
                 producer,

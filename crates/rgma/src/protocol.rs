@@ -4,9 +4,8 @@
 //! the entity bodies. Byte sizes are estimated from the carried SQL text
 //! and tuples (plus the HTTP framing added by `simnet::http`).
 
-use simcore::{Context, SimTime};
-use simnet::{http, ConnId, Endpoint, HttpResponse, NetworkFabric};
-use std::any::Any;
+use simcore::SimTime;
+use simnet::Endpoint;
 use std::sync::Arc;
 use telemetry::ProbeId;
 use wire::Tuple;
@@ -14,43 +13,6 @@ use wire::Tuple;
 /// A tuple in flight with the telemetry probe of its insert. The tuple
 /// is the one the producer's storage stamped, shared — no hop copies it.
 pub type Entry = (ProbeId, Arc<Tuple>);
-
-/// What a servlet needs to answer a request: the connection it arrived
-/// on and its correlation id.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Reply {
-    pub(crate) conn: ConnId,
-    pub(crate) req_id: u64,
-}
-
-impl Reply {
-    /// Answer from servlet `from`: `bytes` of entity plus the response
-    /// framing, leaving at `at`.
-    pub(crate) fn send_at(
-        self,
-        ctx: &mut Context<'_>,
-        from: Endpoint,
-        status: u16,
-        bytes: usize,
-        body: impl Any + Send,
-        at: SimTime,
-    ) {
-        ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-            net.send_at(
-                ctx,
-                self.conn,
-                from,
-                bytes + http::RESPONSE_OVERHEAD,
-                Box::new(HttpResponse {
-                    req_id: self.req_id,
-                    status,
-                    body: Box::new(body),
-                }),
-                at,
-            );
-        });
-    }
-}
 
 /// Server-side producer instance id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -219,19 +181,12 @@ pub enum RegistryRequest {
         /// Table wanted.
         table: String,
     },
-    /// Declare a table in the Schema (CREATE TABLE text).
-    DeclareTable {
-        /// The `CREATE TABLE` SQL.
-        sql: String,
-    },
 }
 
 /// Responses from the Registry servlet.
 pub enum RegistryResponse {
     /// Registration accepted.
     Registered,
-    /// Table declared (or already present with identical definition).
-    TableDeclared,
     /// Lookup result: producer-servlet endpoints currently visible.
     Producers {
         /// Visible endpoints.

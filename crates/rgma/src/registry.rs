@@ -1,30 +1,23 @@
-//! The Registry + Schema servlet: R-GMA's directory service.
+//! The Registry servlet: R-GMA's directory service.
 //!
 //! Producers register `(table, servlet endpoint, instance id)`; consumers
 //! look up producers for their query's table. Registrations become
 //! visible only after the propagation delay (replication between registry
 //! instances / mediator caches in gLite) — the mechanism behind the
-//! paper's warm-up data loss.
+//! paper's warm-up data loss. (The Schema half of the real servlet is
+//! not modelled here: the servlets get their table replicas at deployment,
+//! through `ProducerControl` / `ConsumerControl`.)
 
 use crate::config::RgmaConfig;
 use crate::directory::{Directory, RegistrationId, TransferMode};
 use crate::protocol::{ProducerId, RegistryRequest, RegistryResponse};
-use minisql::{Catalog, Statement};
-use simcore::{Actor, ActorId, Context, FastMap, Payload, SimTime};
+use simcore::{Actor, Context, FastMap, Payload};
 use simfault::FaultSignal;
-use simnet::{http, Delivery, Endpoint, HttpRequest, NetworkFabric};
-use simos::{NodeId, OsModel, ProcessId};
+use simnet::http::Reply;
+use simnet::{server, Delivery, Endpoint, HttpRequest};
+use simos::{NodeId, ProcessId};
 use std::cell::RefCell;
 use std::rc::Rc;
-
-/// Direct (non-HTTP) control for deployment setup.
-pub enum RegistryControl {
-    /// Declare a table in the schema before the run starts.
-    DeclareTable {
-        /// `CREATE TABLE` SQL.
-        sql: String,
-    },
-}
 
 /// Registry counters shared with the experiment driver.
 #[derive(Debug, Default, Clone, Copy)]
@@ -44,7 +37,6 @@ pub type RegistryStatsHandle = Rc<RefCell<RegistryStats>>;
 pub struct RegistryActor {
     cfg: RgmaConfig,
     node: NodeId,
-    endpoint: Endpoint,
     directory: Directory,
     /// Parallel map: registration → producer instance id.
     instance_of: FastMap<RegistrationId, ProducerId>,
@@ -52,23 +44,21 @@ pub struct RegistryActor {
     /// already registered. Wiped (with the directory) on restart, so the
     /// next refresh re-lands the entry.
     registered: FastMap<(String, Endpoint), RegistrationId>,
-    catalog: Catalog,
     stats: RegistryStatsHandle,
 }
 
 impl RegistryActor {
     /// New registry on `node`. It takes its host process like the
-    /// servlets do, but holds no per-process memory to account there.
+    /// servlets do, but holds no per-process memory to account there and
+    /// takes no thread for a connection (ROADMAP item 5).
     pub fn new(cfg: RgmaConfig, node: NodeId, _proc: ProcessId) -> Self {
         let propagation = cfg.registry_propagation;
         RegistryActor {
             cfg,
             node,
-            endpoint: Endpoint::new(node, ActorId::NONE),
             directory: Directory::new(propagation),
             instance_of: FastMap::default(),
             registered: FastMap::default(),
-            catalog: Catalog::new(),
             stats: RegistryStatsHandle::default(),
         }
     }
@@ -78,8 +68,7 @@ impl RegistryActor {
         self.stats.clone()
     }
 
-    /// A Tomcat restart: every soft-state registration is lost; the
-    /// schema catalog (backed by the database) survives.
+    /// A Tomcat restart: every soft-state registration is lost.
     fn on_restart(&mut self) {
         self.directory = Directory::new(self.cfg.registry_propagation);
         self.instance_of.clear();
@@ -87,116 +76,60 @@ impl RegistryActor {
         self.stats.borrow_mut().restarts += 1;
     }
 
-    fn handle_request(
-        &mut self,
-        ctx: &mut Context<'_>,
-        delivery_conn: simnet::ConnId,
-        req: HttpRequest,
-    ) {
-        let node = self.node;
-        let done: SimTime = ctx.with_service::<OsModel, _>(|os, ctx| {
-            let (done, effective) = os.execute_metered(
-                node,
-                ctx.now(),
-                self.cfg.costs.servlet_dispatch + self.cfg.costs.registry_op,
-            );
-            simprof::charge(ctx, simprof::Component::RgmaRegistry, effective);
-            done
-        });
-        let body = req.body.downcast::<RegistryRequest>();
-        let resp = match body {
-            Ok(b) => match *b {
-                RegistryRequest::RegisterProducer { table, endpoint } => {
-                    // Producer id travels in the endpoint's port field by
-                    // convention (see producer servlet). Soft-state
-                    // refreshes of a live entry are no-ops.
-                    if !self.registered.contains_key(&(table.clone(), endpoint)) {
-                        let pid = ProducerId(u32::from(endpoint.port));
-                        let reg = self.directory.register_producer(
-                            ctx.now(),
-                            endpoint,
-                            table.clone(),
-                            vec![TransferMode::PublishSubscribe, TransferMode::QueryResponse],
-                        );
-                        self.instance_of.insert(reg, pid);
-                        self.registered.insert((table, endpoint), reg);
-                        self.stats.borrow_mut().registrations += 1;
-                    }
-                    RegistryResponse::Registered
+    fn handle_request(&mut self, ctx: &mut Context<'_>, reply: Reply, body: Payload) {
+        let cost = self.cfg.costs.servlet_dispatch + self.cfg.costs.registry_op;
+        server::cpu(ctx, self.node, simprof::Component::RgmaRegistry, cost);
+        let resp = match body.downcast::<RegistryRequest>().map(|b| *b) {
+            Ok(RegistryRequest::RegisterProducer { table, endpoint }) => {
+                // Producer id travels in the endpoint's port field by
+                // convention (see producer servlet). Soft-state
+                // refreshes of a live entry are no-ops.
+                if !self.registered.contains_key(&(table.clone(), endpoint)) {
+                    let pid = ProducerId(u32::from(endpoint.port));
+                    let reg = self.directory.register_producer(
+                        ctx.now(),
+                        endpoint,
+                        table.clone(),
+                        vec![TransferMode::PublishSubscribe, TransferMode::QueryResponse],
+                    );
+                    self.instance_of.insert(reg, pid);
+                    self.registered.insert((table, endpoint), reg);
+                    self.stats.borrow_mut().registrations += 1;
                 }
-                RegistryRequest::RegisterConsumer { table, endpoint } => {
-                    if !self.registered.contains_key(&(table.clone(), endpoint)) {
-                        let reg = self
-                            .directory
-                            .register_consumer(ctx.now(), endpoint, &table);
-                        self.registered.insert((table, endpoint), reg);
-                        self.stats.borrow_mut().consumer_registrations += 1;
-                    }
-                    RegistryResponse::Registered
-                }
-                RegistryRequest::LookupProducers { table } => {
-                    let endpoints = self
+                RegistryResponse::Registered
+            }
+            Ok(RegistryRequest::RegisterConsumer { table, endpoint }) => {
+                if !self.registered.contains_key(&(table.clone(), endpoint)) {
+                    let reg = self
                         .directory
-                        .find_producers(ctx.now(), &table)
-                        .into_iter()
-                        .map(|p| p.endpoint)
-                        .collect();
-                    RegistryResponse::Producers { endpoints }
+                        .register_consumer(ctx.now(), endpoint, &table);
+                    self.registered.insert((table, endpoint), reg);
+                    self.stats.borrow_mut().consumer_registrations += 1;
                 }
-                RegistryRequest::DeclareTable { sql } => match minisql::parse(&sql) {
-                    Ok(stmt @ Statement::CreateTable { .. }) => match self.catalog.create(&stmt) {
-                        Ok(_) => RegistryResponse::TableDeclared,
-                        Err(e) => RegistryResponse::Error {
-                            reason: e.to_string(),
-                        },
-                    },
-                    Ok(_) => RegistryResponse::Error {
-                        reason: "not a CREATE TABLE".into(),
-                    },
-                    Err(e) => RegistryResponse::Error {
-                        reason: e.to_string(),
-                    },
-                },
-            },
+                RegistryResponse::Registered
+            }
+            Ok(RegistryRequest::LookupProducers { table }) => {
+                let endpoints = self
+                    .directory
+                    .find_producers(ctx.now(), &table)
+                    .into_iter()
+                    .map(|p| p.endpoint)
+                    .collect();
+                RegistryResponse::Producers { endpoints }
+            }
             Err(_) => RegistryResponse::Error {
                 reason: "malformed registry request".into(),
             },
         };
-        let ep = self.endpoint;
-        ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-            http::send_response(
-                net,
-                ctx,
-                delivery_conn,
-                ep,
-                req.req_id,
-                200,
-                96,
-                Box::new(resp),
-            );
-        });
-        let _ = done;
+        // The answer leaves now, whatever the CPU charge above returned,
+        // and is 96 bytes however long the list (ROADMAP item 5).
+        let now = ctx.now();
+        reply.send_at(ctx, 200, 96, resp, now);
     }
 }
 
 impl Actor for RegistryActor {
-    fn on_start(&mut self, ctx: &mut Context<'_>) {
-        self.endpoint = Endpoint::new(self.node, ctx.self_id());
-    }
-
     fn handle(&mut self, msg: Payload, ctx: &mut Context<'_>) {
-        let msg = match msg.downcast::<RegistryControl>() {
-            Ok(ctrl) => {
-                match *ctrl {
-                    RegistryControl::DeclareTable { sql } => {
-                        let stmt = minisql::parse(&sql).expect("deployment-provided SQL parses");
-                        self.catalog.create(&stmt).expect("table not yet declared");
-                    }
-                }
-                return;
-            }
-            Err(m) => m,
-        };
         let msg = match msg.downcast::<FaultSignal>() {
             Ok(sig) => {
                 if matches!(*sig, FaultSignal::RegistryRestart) {
@@ -209,7 +142,12 @@ impl Actor for RegistryActor {
         if let Ok(d) = msg.downcast::<Delivery>() {
             let Delivery { conn, payload, .. } = *d;
             if let Ok(req) = payload.downcast::<HttpRequest>() {
-                self.handle_request(ctx, conn, *req);
+                let reply = Reply {
+                    conn,
+                    req_id: req.req_id,
+                    from: Endpoint::new(self.node, ctx.self_id()),
+                };
+                self.handle_request(ctx, reply, req.body);
             }
         }
     }
@@ -222,9 +160,10 @@ impl Actor for RegistryActor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simcore::{FnActor, SimDuration, Simulation};
-    use simnet::{FabricConfig, HttpResponse, Transport};
-    use simos::{NodeSpec, ProcessSpec};
+    use simcore::{FnActor, SimDuration, SimTime, Simulation};
+    use simnet::http::Caller;
+    use simnet::{FabricConfig, HttpResponse, NetworkFabric};
+    use simos::{NodeSpec, OsModel, ProcessSpec};
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -245,27 +184,15 @@ mod tests {
         let results: Rc<RefCell<Vec<usize>>> = Default::default();
         let results2 = results.clone();
         struct Probe;
+        let mut lookups = Caller::new(NodeId(1));
         let client = sim.add_actor(FnActor(move |msg: Payload, ctx: &mut Context| {
             let msg = match msg.downcast::<Probe>() {
                 Ok(_) => {
-                    // Lookup phase.
-                    let me = Endpoint::new(NodeId(1), ctx.self_id());
-                    ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-                        // Re-open a conn each time for simplicity.
-                        let conn = net.open(ctx.now(), Transport::Http, me, reg_ep);
-                        http::send_request(
-                            net,
-                            ctx,
-                            conn,
-                            me,
-                            2,
-                            "/registry",
-                            64,
-                            Box::new(RegistryRequest::LookupProducers {
-                                table: "generator".into(),
-                            }),
-                        );
-                    });
+                    // Lookup phase, on a connection of its own each time.
+                    let conn = lookups.open(ctx, reg_ep);
+                    let table = "generator".into();
+                    let lookup = RegistryRequest::LookupProducers { table };
+                    lookups.request(ctx, conn, "/registry", 64, lookup);
                     return;
                 }
                 Err(m) => m,
@@ -282,27 +209,17 @@ mod tests {
         }));
         // Register at t=0 (from the client actor's node 1, producer id 7).
         struct Kick;
+        let mut registrations = Caller::new(NodeId(1));
         let starter = sim.add_actor(FnActor(move |msg: Payload, ctx: &mut Context| {
             if msg.downcast::<Kick>().is_err() {
                 return; // ignore our own HTTP response
             }
-            let me = Endpoint::new(NodeId(1), ctx.self_id());
-            ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-                let conn = net.open(ctx.now(), Transport::Http, me, reg_ep);
-                http::send_request(
-                    net,
-                    ctx,
-                    conn,
-                    me,
-                    1,
-                    "/registry",
-                    96,
-                    Box::new(RegistryRequest::RegisterProducer {
-                        table: "generator".into(),
-                        endpoint: Endpoint::with_port(NodeId(1), ctx.self_id(), 7),
-                    }),
-                );
-            });
+            let conn = registrations.open(ctx, reg_ep);
+            let register = RegistryRequest::RegisterProducer {
+                table: "generator".into(),
+                endpoint: Endpoint::with_port(NodeId(1), ctx.self_id(), 7),
+            };
+            registrations.request(ctx, conn, "/registry", 96, register);
         }));
         sim.schedule(SimDuration::ZERO, starter, Box::new(Kick));
         // Lookup at t=1s (before propagation) and t=6s (after).

@@ -10,15 +10,16 @@
 
 use crate::config::RgmaConfig;
 use crate::protocol::{
-    chunk_bytes, ConsumerId, Entry, ProducerRequest, ProducerResponse, RegistryRequest,
-    RegistryResponse, Reply, StreamChunk,
+    chunk_bytes, ConsumerId, Entry, ProducerId, ProducerRequest, ProducerResponse, RegistryRequest,
+    RegistryResponse, StreamChunk,
 };
 use crate::storage::MemoryStorage;
-use simcore::{Actor, ActorId, Context, FastMap, FastSet, Payload, SimDuration, SimTime};
-use simnet::{
-    http, ConnId, Delivery, Endpoint, HttpRequest, HttpResponse, NetworkFabric, Transport,
-};
-use simos::{NodeId, OsModel, ProcessId};
+use simcore::{Actor, ActorId, Context, FastMap, FastSet, Payload, SimDuration};
+use simnet::http::{Caller, Reply};
+use simnet::server::Acceptor;
+use simnet::{ConnId, Delivery, Endpoint, HttpRequest, HttpResponse};
+use simos::{Bytes, NodeId, ProcessId};
+use simprof::Component;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -34,10 +35,11 @@ struct DownStream {
 /// The Secondary Producer actor.
 pub struct SecondaryProducer {
     cfg: RgmaConfig,
-    node: NodeId,
-    /// Hosting JVM (batch heap is accounted here).
-    proc: ProcessId,
-    endpoint: Endpoint,
+    /// The hosting JVM's CPU, heap (the batch is accounted here) and
+    /// wire. It accepts nothing: a downstream consumer's stream costs
+    /// this producer no thread (ROADMAP item 5).
+    server: Acceptor<()>,
+    http: Caller,
     registry_ep: Endpoint,
     registry_conn: Option<ConnId>,
     /// Table consumed from primaries.
@@ -54,7 +56,6 @@ pub struct SecondaryProducer {
     /// Downstream consumer streams.
     downstreams: Vec<DownStream>,
     pending_lookup: Option<u64>,
-    next_req: u64,
     /// The well-known id of our single published instance.
     my_pid_port: u16,
 }
@@ -73,9 +74,8 @@ impl SecondaryProducer {
         let storage = MemoryStorage::new(cfg.latest_retention, cfg.history_retention * 10);
         SecondaryProducer {
             cfg,
-            node,
-            proc,
-            endpoint: Endpoint::new(node, ActorId::NONE),
+            server: Acceptor::new(node, proc, Bytes(0)),
+            http: Caller::new(node),
             registry_ep,
             registry_conn: None,
             input_table: input_table.into(),
@@ -86,70 +86,38 @@ impl SecondaryProducer {
             upstream_conns: FastMap::default(),
             downstreams: Vec::new(),
             pending_lookup: None,
-            next_req: 0,
             my_pid_port: 0,
         }
     }
 
-    fn cpu(&self, ctx: &mut Context<'_>, comp: simprof::Component, cost: SimDuration) -> SimTime {
-        let node = self.node;
-        ctx.with_service::<OsModel, _>(|os, ctx| {
-            let (done, effective) = os.execute_metered(node, ctx.now(), cost);
-            simprof::charge(ctx, comp, effective);
-            done
-        })
-    }
-
-    fn req_id(&mut self) -> u64 {
-        let id = self.next_req;
-        self.next_req += 1;
-        id
-    }
-
     /// Mediation towards the primaries.
     fn lookup_upstream(&mut self, ctx: &mut Context<'_>) {
-        let rid = self.req_id();
-        self.pending_lookup = Some(rid);
-        let me = self.endpoint;
         let conn = self.registry_conn.expect("opened on start");
         let table = self.input_table.clone();
-        ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-            http::send_request(
-                net,
-                ctx,
-                conn,
-                me,
-                rid,
-                "/registry/lookup",
-                64,
-                Box::new(RegistryRequest::LookupProducers { table }),
-            );
-        });
+        let lookup = RegistryRequest::LookupProducers { table };
+        let rid = self.http.request(ctx, conn, "/registry/lookup", 64, lookup);
+        self.pending_lookup = Some(rid);
     }
 
     fn attach_upstream(&mut self, ctx: &mut Context<'_>, endpoints: Vec<Endpoint>) {
-        let me = self.endpoint;
         let fresh: Vec<Endpoint> = endpoints
             .into_iter()
             .filter(|ep| !self.planned.contains(ep))
             .collect();
-        let mut servlets: BTreeMap<(NodeId, ActorId), Vec<crate::protocol::ProducerId>> =
-            BTreeMap::new();
+        let mut servlets: BTreeMap<(NodeId, ActorId), Vec<ProducerId>> = BTreeMap::new();
         for ep in &fresh {
             servlets
                 .entry((ep.node, ep.actor))
                 .or_default()
-                .push(crate::protocol::ProducerId(u32::from(ep.port)));
+                .push(ProducerId(u32::from(ep.port)));
             self.planned.insert(*ep);
         }
         for ((node, actor), producers) in servlets {
-            let servlet_ep = Endpoint::new(node, actor);
-            let conn = *self.upstream_conns.entry((node, actor)).or_insert_with(|| {
-                ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-                    net.open(ctx.now(), Transport::Http, me, servlet_ep)
-                })
-            });
-            let rid = self.req_id();
+            let http = &self.http;
+            let conn = *self
+                .upstream_conns
+                .entry((node, actor))
+                .or_insert_with(|| http.open(ctx, Endpoint::new(node, actor)));
             // We pose as consumer id u32::MAX - our port: chunk routing
             // happens by the conn, so any unique value works.
             let req = ProducerRequest::StartStream {
@@ -157,18 +125,7 @@ impl SecondaryProducer {
                 consumer: ConsumerId(u32::MAX),
                 producers,
             };
-            ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-                http::send_request(
-                    net,
-                    ctx,
-                    conn,
-                    me,
-                    rid,
-                    "/producer/stream",
-                    96,
-                    Box::new(req),
-                );
-            });
+            self.http.request(ctx, conn, "/producer/stream", 96, req);
         }
     }
 
@@ -178,19 +135,18 @@ impl SecondaryProducer {
         let n = self.batch.len() as u64;
         if n > 0 {
             // The republished batch leaves the accumulation buffer.
-            let heap = simos::Bytes(self.cfg.memory.heap_per_tuple.0 * n);
-            let proc = self.proc;
-            ctx.with_service::<OsModel, _>(|os, _| os.free(proc, heap));
+            self.server
+                .free(ctx, Bytes(self.cfg.memory.heap_per_tuple.0 * n));
             let cost = self.cfg.costs.insert_base
                 + SimDuration::from_micros(self.cfg.costs.per_tuple.as_micros() * n);
-            let done = self.cpu(ctx, simprof::Component::RgmaSecondary, cost);
+            let done = self.server.cpu(ctx, Component::RgmaSecondary, cost);
             // Republishing re-stamps `inserted_at`, so this producer makes
             // its own copy unless the primary has already evicted its.
             for (probe, tuple) in std::mem::take(&mut self.batch) {
                 self.storage
                     .insert(Arc::unwrap_or_clone(tuple), probe, done);
             }
-            let actor = self.endpoint.actor.index() as u64;
+            let actor = ctx.self_id().index() as u64;
             simtrace::with_trace(ctx, |tr, _| {
                 tr.record(
                     done,
@@ -202,7 +158,6 @@ impl SecondaryProducer {
                 tr.gauge_set(simtrace::Gauge::BatchOccupancy, 0);
             });
             // Stream to downstream consumers.
-            let ep = self.endpoint;
             let mut sends = Vec::new();
             for ds in &mut self.downstreams {
                 let (chunk, next) = self.storage.read_from(ds.cursor);
@@ -219,14 +174,9 @@ impl SecondaryProducer {
             }
             for (conn, chunk) in sends {
                 let bytes = chunk_bytes(&chunk);
-                let at = self.cpu(
-                    ctx,
-                    simprof::Component::RgmaSecondary,
-                    self.cfg.costs.stream_send,
-                );
-                ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-                    net.send_at(ctx, conn, ep, bytes, Box::new(chunk), at);
-                });
+                let cost = self.cfg.costs.stream_send;
+                let at = self.server.cpu(ctx, Component::RgmaSecondary, cost);
+                self.server.send_at(ctx, conn, bytes, chunk, at);
             }
         }
         ctx.timer(self.cfg.secondary_flush, FlushTick);
@@ -235,31 +185,15 @@ impl SecondaryProducer {
 
 impl Actor for SecondaryProducer {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
-        self.endpoint = Endpoint::new(self.node, ctx.self_id());
-        let me = self.endpoint;
-        let reg = self.registry_ep;
-        let conn = ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-            net.open(ctx.now(), Transport::Http, me, reg)
-        });
+        let conn = self.http.open(ctx, self.registry_ep);
         self.registry_conn = Some(conn);
         // Register our single republished instance (port 0 by convention).
-        let rid = self.req_id();
+        let me = self.server.endpoint(ctx);
         let req = RegistryRequest::RegisterProducer {
             table: self.output_table.clone(),
             endpoint: Endpoint::with_port(me.node, me.actor, self.my_pid_port),
         };
-        ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-            http::send_request(
-                net,
-                ctx,
-                conn,
-                me,
-                rid,
-                "/registry/register",
-                96,
-                Box::new(req),
-            );
-        });
+        self.http.request(ctx, conn, "/registry/register", 96, req);
         ctx.timer(self.cfg.plan_refresh, PlanTick);
         ctx.timer(self.cfg.secondary_flush, FlushTick);
     }
@@ -289,18 +223,14 @@ impl Actor for SecondaryProducer {
         let payload = match payload.downcast::<StreamChunk>() {
             Ok(chunk) => {
                 let n = chunk.entries.len() as u64;
-                self.cpu(
-                    ctx,
-                    simprof::Component::RgmaSecondary,
-                    self.cfg.costs.chunk_ingest_base
-                        + SimDuration::from_micros(self.cfg.costs.per_tuple.as_micros() * n),
-                );
-                let heap = simos::Bytes(self.cfg.memory.heap_per_tuple.0 * n);
-                let proc = self.proc;
-                let _ = ctx.with_service::<OsModel, _>(|os, _| os.alloc(proc, heap));
+                let cost = self.cfg.costs.chunk_ingest_base
+                    + SimDuration::from_micros(self.cfg.costs.per_tuple.as_micros() * n);
+                self.server.cpu(ctx, Component::RgmaSecondary, cost);
+                let heap = Bytes(self.cfg.memory.heap_per_tuple.0 * n);
+                let _ = self.server.alloc(ctx, heap);
                 self.batch.extend(chunk.entries);
                 let occupancy = self.batch.len() as u32;
-                let actor = self.endpoint.actor.index() as u64;
+                let actor = ctx.self_id().index() as u64;
                 simtrace::with_trace(ctx, |tr, at| {
                     tr.record(
                         at,
@@ -348,19 +278,11 @@ impl Actor for SecondaryProducer {
                     consumer,
                     cursor: self.storage.tail_cursor(),
                 });
-                let done = self.cpu(
-                    ctx,
-                    simprof::Component::RgmaSecondary,
-                    self.cfg.costs.servlet_dispatch,
-                );
-                Reply { conn, req_id }.send_at(
-                    ctx,
-                    self.endpoint,
-                    200,
-                    24,
-                    ProducerResponse::StreamStarted,
-                    done,
-                );
+                let cost = self.cfg.costs.servlet_dispatch;
+                let done = self.server.cpu(ctx, Component::RgmaSecondary, cost);
+                let from = self.server.endpoint(ctx);
+                let reply = Reply { conn, req_id, from };
+                reply.send_at(ctx, 200, 24, ProducerResponse::StreamStarted, done);
             }
         }
     }

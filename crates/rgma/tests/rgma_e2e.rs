@@ -647,7 +647,7 @@ struct Seen {
 /// Raw-protocol peer of the producer servlet: plays the clients and the
 /// consumer servlet of `script` over one HTTP connection.
 struct StreamPeer {
-    node: NodeId,
+    http: simnet::http::Caller,
     producer_ep: Endpoint,
     script: Vec<(SimTime, Step)>,
     conn: Option<simnet::ConnId>,
@@ -656,11 +656,7 @@ struct StreamPeer {
 
 impl Actor for StreamPeer {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
-        let me = Endpoint::new(self.node, ctx.self_id());
-        let servlet = self.producer_ep;
-        self.conn = Some(ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-            net.open(ctx.now(), simnet::Transport::Http, me, servlet)
-        }));
+        self.conn = Some(self.http.open(ctx, self.producer_ep));
         for (ix, (at, _)) in self.script.iter().enumerate() {
             ctx.timer(SimDuration::from_micros(at.as_micros()), Due(ix));
         }
@@ -695,21 +691,8 @@ impl Actor for StreamPeer {
                         },
                     ),
                 };
-                let me = Endpoint::new(self.node, ctx.self_id());
                 let conn = self.conn.expect("opened on start");
-                ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-                    let req_id = due.0 as u64;
-                    simnet::http::send_request(
-                        net,
-                        ctx,
-                        conn,
-                        me,
-                        req_id,
-                        path,
-                        96,
-                        Box::new(request),
-                    );
-                });
+                self.http.request(ctx, conn, path, 96, request);
                 return;
             }
             Err(m) => m,
@@ -860,7 +843,7 @@ fn chunks_are_those_of_a_walk_over_every_cursor() {
     let server = deploy_single_server(&mut sim, nodes[0], &cfg);
     let seen: Rc<RefCell<Seen>> = Default::default();
     sim.add_actor(StreamPeer {
-        node: nodes[1],
+        http: simnet::http::Caller::new(nodes[1]),
         producer_ep: server.producer,
         script: script.clone(),
         conn: None,

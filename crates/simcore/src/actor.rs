@@ -11,7 +11,7 @@ use crate::kernel::Context;
 use std::fmt;
 
 /// Identifies an actor within one simulation. Stable for the lifetime of
-/// the simulation (actors are never removed, only deactivated).
+/// the simulation (actors are never removed).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ActorId(u32);
 

@@ -91,7 +91,7 @@ pub struct EventTypeStat {
     pub scheduled: u64,
     /// Events of this type dispatched to a live actor.
     pub executed: u64,
-    /// Events of this type dropped (target retired or never registered).
+    /// Events of this type dropped (target never registered).
     pub dropped: u64,
     /// Of `scheduled`, how many were timer self-sends.
     pub timers: u64,
@@ -288,7 +288,7 @@ impl EventQueue {
         self.types[type_ix as usize].executed += 1;
     }
 
-    /// Record that a popped event was dropped (target retired or missing).
+    /// Record that a popped event was dropped (target never registered).
     pub(crate) fn note_dropped(&mut self, type_ix: u16) {
         self.types[type_ix as usize].dropped += 1;
     }

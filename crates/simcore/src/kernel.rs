@@ -37,8 +37,7 @@ use std::time::Instant;
 pub struct KernelStats {
     /// Events dispatched so far.
     pub events_processed: u64,
-    /// Events dropped because their target actor was never registered or
-    /// has been deactivated.
+    /// Events dropped because their target actor was never registered.
     pub events_dropped: u64,
     /// Total events ever scheduled (monotonic).
     pub scheduled_total: u64,
@@ -900,16 +899,6 @@ impl Context<'_> {
         id
     }
 
-    /// Deactivate another actor: subsequent messages to it are counted as
-    /// dropped. Retiring self is not supported — the running actor is out of
-    /// its slot for the length of the callback and is put back after it.
-    pub fn retire(&mut self, id: ActorId) {
-        debug_assert!(id != self.self_id, "an actor cannot retire itself");
-        if let Some(slot) = self.actors.get_mut(id.index()) {
-            *slot = None;
-        }
-    }
-
     /// Exclusive access to a shared service while retaining the ability to
     /// schedule events and touch *other* services from inside the closure.
     ///
@@ -1092,13 +1081,13 @@ mod tests {
 
     #[test]
     fn messages_to_retired_actor_are_dropped() {
+        // Nothing retires any more; the empty slot an event can still find
+        // is one no actor was ever registered in.
         let mut sim = Simulation::new(5);
-        let victim = sim.add_actor(crate::actor::NullActor);
-        let killer = sim.add_actor(FnActor(move |_m: Payload, ctx: &mut Context| {
-            ctx.retire(victim);
-        }));
-        sim.schedule(SimDuration::from_secs(1), killer, Box::new(()));
-        sim.schedule(SimDuration::from_secs(2), victim, Box::new(()));
+        let alive = sim.add_actor(crate::actor::NullActor);
+        let nobody = ActorId::from_index(7);
+        sim.schedule(SimDuration::from_secs(1), alive, Box::new(()));
+        sim.schedule(SimDuration::from_secs(2), nobody, Box::new(()));
         sim.run_to_completion(10);
         assert_eq!(sim.stats().events_processed, 1);
         assert_eq!(sim.stats().events_dropped, 1);

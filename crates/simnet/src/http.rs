@@ -6,10 +6,15 @@
 //! request. (Persistent connections — HTTP/1.1 keep-alive — are assumed,
 //! as Tomcat and the R-GMA clients used them; connection setup is paid
 //! once at `open`.)
+//!
+//! Every request in the workspace leaves through a [`Caller`] and every
+//! response through the [`Reply`] its request was turned into.
 
 use crate::addr::Endpoint;
-use crate::fabric::{ConnId, NetworkFabric};
+use crate::fabric::{ConnId, NetworkFabric, Transport};
 use simcore::{Context, Payload, SimTime};
+use simos::NodeId;
+use std::any::Any;
 
 /// Bytes of request line + headers on a typical R-GMA servlet call.
 pub const REQUEST_OVERHEAD: usize = 220;
@@ -25,8 +30,6 @@ pub struct HttpRequest {
     pub path: &'static str,
     /// Application payload.
     pub body: Payload,
-    /// When the client issued the request.
-    pub issued_at: SimTime,
 }
 
 /// An HTTP response as delivered back to the client actor.
@@ -39,67 +42,115 @@ pub struct HttpResponse {
     pub body: Payload,
 }
 
-/// Send an HTTP request over `conn` from `from`. `body_bytes` is the
-/// entity size; framing overhead is added here.
-#[allow(clippy::too_many_arguments)]
-pub fn send_request(
-    net: &mut NetworkFabric,
-    ctx: &mut Context<'_>,
-    conn: ConnId,
-    from: Endpoint,
-    req_id: u64,
-    path: &'static str,
-    body_bytes: usize,
-    body: Payload,
-) -> Option<SimTime> {
-    let bytes = body_bytes + REQUEST_OVERHEAD + path.len();
-    let issued_at = ctx.now();
-    net.send(
-        ctx,
-        conn,
-        from,
-        bytes,
-        Box::new(HttpRequest {
-            req_id,
-            path,
-            body,
-            issued_at,
-        }),
-    )
+/// The calling side of HTTP for one actor on `node`: opens connections,
+/// writes requests and mints their correlation ids.
+pub struct Caller {
+    node: NodeId,
+    next_req: u64,
 }
 
-/// Send an HTTP response over `conn` from the server endpoint `from`.
-#[allow(clippy::too_many_arguments)]
-pub fn send_response(
-    net: &mut NetworkFabric,
-    ctx: &mut Context<'_>,
-    conn: ConnId,
-    from: Endpoint,
-    req_id: u64,
-    status: u16,
-    body_bytes: usize,
-    body: Payload,
-) -> Option<SimTime> {
-    let bytes = body_bytes + RESPONSE_OVERHEAD;
-    net.send(
-        ctx,
-        conn,
-        from,
-        bytes,
-        Box::new(HttpResponse {
+impl Caller {
+    /// A caller for an actor hosted on `node`; ids count up from 0.
+    pub fn new(node: NodeId) -> Self {
+        Caller { node, next_req: 0 }
+    }
+
+    fn endpoint(&self, ctx: &Context<'_>) -> Endpoint {
+        Endpoint::new(self.node, ctx.self_id())
+    }
+
+    /// Open a keep-alive connection from the calling actor to `to`.
+    pub fn open(&self, ctx: &mut Context<'_>, to: Endpoint) -> ConnId {
+        let me = self.endpoint(ctx);
+        ctx.with_service::<NetworkFabric, _>(|net, ctx| {
+            net.open(ctx.now(), Transport::Http, me, to)
+        })
+    }
+
+    /// Send a request for `path` over `conn` now. `bytes` is the entity
+    /// size; the path and the framing overhead are added here. Returns the
+    /// correlation id the response will carry.
+    #[inline]
+    pub fn request<B: Any + Send>(
+        &mut self,
+        ctx: &mut Context<'_>,
+        conn: ConnId,
+        path: &'static str,
+        bytes: usize,
+        body: B,
+    ) -> u64 {
+        let now = ctx.now();
+        self.request_at(ctx, conn, path, bytes + path.len(), body, now)
+    }
+
+    /// Like [`request`](Self::request), leaving once the caller's CPU work
+    /// completes at `at`. `bytes` goes on the wire as given, plus the
+    /// framing overhead: whether the path is in it is the caller's count
+    /// (R-GMA's insert leaves it out, ROADMAP item 5).
+    #[inline]
+    pub fn request_at<B: Any + Send>(
+        &mut self,
+        ctx: &mut Context<'_>,
+        conn: ConnId,
+        path: &'static str,
+        bytes: usize,
+        body: B,
+        at: SimTime,
+    ) -> u64 {
+        let req_id = self.next_req;
+        self.next_req += 1;
+        let from = self.endpoint(ctx);
+        let body: Payload = Box::new(body);
+        let request = Box::new(HttpRequest { req_id, path, body });
+        ctx.with_service::<NetworkFabric, _>(|net, ctx| {
+            net.send_at(ctx, conn, from, bytes + REQUEST_OVERHEAD, request, at);
+        });
+        req_id
+    }
+}
+
+/// What a servlet needs to answer a request: the connection it arrived
+/// on, its correlation id and the servlet's own end of the connection.
+#[derive(Debug, Clone, Copy)]
+pub struct Reply {
+    /// Connection the request arrived on.
+    pub conn: ConnId,
+    /// Correlation id of the request.
+    pub req_id: u64,
+    /// The answering servlet's endpoint.
+    pub from: Endpoint,
+}
+
+impl Reply {
+    /// Answer with `bytes` of entity plus the response framing, leaving
+    /// at `at`.
+    #[inline]
+    pub fn send_at<B: Any + Send>(
+        self,
+        ctx: &mut Context<'_>,
+        status: u16,
+        bytes: usize,
+        body: B,
+        at: SimTime,
+    ) {
+        let Reply { conn, req_id, from } = self;
+        let body: Payload = Box::new(body);
+        let response = Box::new(HttpResponse {
             req_id,
             status,
             body,
-        }),
-    )
+        });
+        ctx.with_service::<NetworkFabric, _>(|net, ctx| {
+            net.send_at(ctx, conn, from, bytes + RESPONSE_OVERHEAD, response, at);
+        });
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fabric::{Delivery, FabricConfig, Transport};
+    use crate::fabric::{Delivery, FabricConfig};
     use simcore::{Actor, FnActor, SimDuration, Simulation};
-    use simos::NodeId;
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -111,19 +162,13 @@ mod tests {
         fn handle(&mut self, msg: Payload, ctx: &mut Context<'_>) {
             let d = msg.downcast::<Delivery>().unwrap();
             let req = d.payload.downcast::<HttpRequest>().unwrap();
-            let me = Endpoint::new(self.node, ctx.self_id());
-            ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-                send_response(
-                    net,
-                    ctx,
-                    d.conn,
-                    me,
-                    req.req_id,
-                    200,
-                    64,
-                    Box::new(req.req_id * 2),
-                );
-            });
+            let reply = Reply {
+                conn: d.conn,
+                req_id: req.req_id,
+                from: Endpoint::new(self.node, ctx.self_id()),
+            };
+            let now = ctx.now();
+            reply.send_at(ctx, 200, 64, req.req_id * 2, now);
         }
     }
 
@@ -134,6 +179,7 @@ mod tests {
         let servlet = sim.add_actor(EchoServlet { node: NodeId(1) });
         let answers: Rc<RefCell<Vec<(u64, u16, u64)>>> = Default::default();
         let answers2 = answers.clone();
+        let mut http = Caller::new(NodeId(0));
         let client = sim.add_actor(FnActor(move |msg: Payload, ctx: &mut Context| {
             if let Ok(d) = msg.downcast::<Delivery>() {
                 let resp = d.payload.downcast::<HttpResponse>().unwrap();
@@ -142,19 +188,20 @@ mod tests {
                     .borrow_mut()
                     .push((resp.req_id, resp.status, doubled));
             } else {
-                // Kick-off: open a connection and fire two requests.
-                let me = Endpoint::new(NodeId(0), ctx.self_id());
-                let srv = Endpoint::new(NodeId(1), servlet);
-                ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-                    let conn = net.open(ctx.now(), Transport::Http, me, srv);
-                    send_request(net, ctx, conn, me, 1, "/rgma/insert", 300, Box::new(()));
-                    send_request(net, ctx, conn, me, 2, "/rgma/insert", 300, Box::new(()));
-                });
+                // Kick-off: open a connection and fire three requests
+                // (id 0 doubles to itself; 1 and 2 tell).
+                let conn = http.open(ctx, Endpoint::new(NodeId(1), servlet));
+                assert_eq!(http.request(ctx, conn, "/rgma/insert", 300, ()), 0);
+                assert_eq!(http.request(ctx, conn, "/rgma/insert", 300, ()), 1);
+                assert_eq!(http.request(ctx, conn, "/rgma/insert", 300, ()), 2);
             }
         }));
         sim.schedule(SimDuration::ZERO, client, Box::new("go"));
         sim.run_to_completion(100);
-        assert_eq!(*answers.borrow(), vec![(1, 200, 2), (2, 200, 4)]);
+        assert_eq!(
+            *answers.borrow(),
+            vec![(0, 200, 0), (1, 200, 2), (2, 200, 4)]
+        );
     }
 
     #[test]
@@ -162,13 +209,10 @@ mod tests {
         let mut sim = Simulation::new(8);
         sim.add_service(NetworkFabric::new(FabricConfig::default(), 2));
         let sink = sim.add_actor(simcore::NullActor);
+        let mut http = Caller::new(NodeId(0));
         let client = sim.add_actor(FnActor(move |_msg: Payload, ctx: &mut Context| {
-            let me = Endpoint::new(NodeId(0), ctx.self_id());
-            let srv = Endpoint::new(NodeId(1), sink);
-            ctx.with_service::<NetworkFabric, _>(|net, ctx| {
-                let conn = net.open(ctx.now(), Transport::Http, me, srv);
-                send_request(net, ctx, conn, me, 1, "/x", 100, Box::new(()));
-            });
+            let conn = http.open(ctx, Endpoint::new(NodeId(1), sink));
+            http.request(ctx, conn, "/x", 100, ());
         }));
         sim.schedule(SimDuration::ZERO, client, Box::new(()));
         sim.run_to_completion(10);

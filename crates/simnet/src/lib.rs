@@ -10,14 +10,20 @@
 //! * [`NetworkFabric`] — the kernel service actors send through.
 //! * [`Transport`] — TCP / NIO / UDP / HTTP flavours.
 //! * [`Delivery`] — the event a receiving actor gets.
-//! * [`http`] — request/response framing for the R-GMA servlet paths.
+//! * [`http`] — request/response framing for the R-GMA servlet paths:
+//!   the [`http::Caller`] every request leaves through and the
+//!   [`http::Reply`] every response does.
 //! * [`session`] — the connect → live → suspect → backoff → reconnect
 //!   session shared by the broker clients (narada, gridlog).
+//! * [`server`] — the other end: the [`server::Acceptor`] every server
+//!   holds its connections in (thread + heap per connection, refusal,
+//!   the inbound gate, crash / restart).
 //! * [`partition_nodes`] — the topology partitioner for sharded runs.
 
 pub mod addr;
 pub mod fabric;
 pub mod http;
+pub mod server;
 pub mod session;
 
 pub use addr::Endpoint;

@@ -11,7 +11,7 @@
 
 use crate::{ConnId, Endpoint, NetworkFabric, Transport};
 use simcore::{Context, FastMap, SimDuration, SimRng, SimTime};
-use simos::{NodeId, OsModel};
+use simos::NodeId;
 
 /// Timer payload the host actor must route back via its client set's
 /// `handle_timer`.
@@ -198,12 +198,7 @@ impl<P: SessionProtocol> SessionSet<P> {
     /// Run `cost` on the host node's CPU, charged to the client's
     /// component; returns the completion time.
     pub fn cpu(&self, ctx: &mut Context<'_>, cost: SimDuration) -> SimTime {
-        let node = self.node;
-        ctx.with_service::<OsModel, _>(|os, ctx| {
-            let (done, effective) = os.execute_metered(node, ctx.now(), cost);
-            simprof::charge(ctx, P::COMPONENT, effective);
-            done
-        })
+        crate::server::cpu(ctx, self.node, P::COMPONENT, cost)
     }
 
     /// Put `frame` on `conn` now.
