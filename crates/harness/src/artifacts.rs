@@ -1,9 +1,238 @@
-//! Builders that turn experiment results into the paper's tables and
-//! figures.
+//! The paper's tables and figures: [`ARTIFACTS`] names each one once,
+//! and the builders below it turn experiment results into the rows and
+//! series it reports.
 
-use crate::campaign::Campaign;
+use crate::campaign::{slo_table, Campaign, Runs};
 use gridmon_core::{scenarios, ExperimentResult};
 use telemetry::{trim_float, Figure, Table};
+
+/// One thing an artifact prints and writes.
+pub struct Sheet {
+    /// Follows the artifact's name in the CSV file's stem.
+    pub suffix: &'static str,
+    /// Terminal rendering.
+    pub text: String,
+    /// CSV rendering.
+    pub csv: String,
+    /// Findings on it that do not hold; any fails the invocation.
+    pub failed: usize,
+}
+
+impl From<Table> for Sheet {
+    fn from(t: Table) -> Self {
+        Sheet {
+            suffix: "",
+            text: t.render(),
+            csv: t.to_csv(),
+            failed: 0,
+        }
+    }
+}
+
+impl From<Figure> for Sheet {
+    fn from(f: Figure) -> Self {
+        Sheet {
+            suffix: "",
+            text: f.render(),
+            csv: f.to_csv(),
+            failed: 0,
+        }
+    }
+}
+
+fn one(sheet: impl Into<Sheet>) -> Vec<Sheet> {
+    vec![sheet.into()]
+}
+
+/// A table or figure `repro` can regenerate.
+pub struct Artifact {
+    /// Command-line name, CSV file stem and (for a figure) its id.
+    pub name: &'static str,
+    /// One-line description, as `--list-scenarios` prints it.
+    pub about: &'static str,
+    /// Build it under its `name`, running what it needs on the campaign
+    /// at that many messages per generator.
+    pub render: fn(&str, &mut Campaign, u32) -> Vec<Sheet>,
+}
+
+/// Every artifact, in the order `all` builds them. The one place a name
+/// is written: the usage text, `all`, `--list-scenarios`, validation,
+/// "did you mean" and dispatch all read this table.
+pub const ARTIFACTS: &[Artifact] = &[
+    Artifact {
+        name: "table1",
+        about: "hardware and software calibration constants (Table I)",
+        render: |_, _, _| one(table1()),
+    },
+    Artifact {
+        name: "table2",
+        about: "Narada comparison test settings and measured loss (Table II)",
+        render: |_, c, n| one(table2(c, n)),
+    },
+    Artifact {
+        name: "fig3",
+        about: "Narada comparison tests: RTT mean and standard deviation",
+        render: |id, c, n| one(fig3(id, c, n)),
+    },
+    Artifact {
+        name: "fig4",
+        about: "Narada comparison tests: RTT percentiles 95-100",
+        render: |id, c, n| one(fig4(id, c, n)),
+    },
+    Artifact {
+        name: "fig5",
+        about: "distributed broker architecture as deployed (topology)",
+        render: |_, _, _| one(fig5()),
+    },
+    Artifact {
+        name: "fig6",
+        about: "Narada CPU idle and memory vs connections",
+        render: |id, c, n| {
+            let title =
+                "Narada tests, CPU idle (%) and memory (MB); CPU/MEM single server, CPU2/MEM2 DBN";
+            one(cpu_mem(id, title, &narada_scalability(c, n)))
+        },
+    },
+    Artifact {
+        name: "fig7",
+        about: "Narada RTT and stddev vs connections (single vs DBN)",
+        render: |id, c, n| {
+            let title = "Narada tests, round-trip time and standard deviation; \
+                         RTT/STDDEV single, RTT2/STDDEV2 DBN";
+            one(rtt_stddev(id, title, EXACT_MS, &narada_scalability(c, n)))
+        },
+    },
+    Artifact {
+        name: "fig8",
+        about: "Narada single-broker RTT percentiles per connection count",
+        render: |id, c, n| {
+            let title = "Narada single server tests, percentile of RTT (500–3000 connections)";
+            let runs = c.ensure(&scenarios::narada_single_specs(n));
+            one(percentile_curves(id, title, EXACT_MS, &runs))
+        },
+    },
+    Artifact {
+        name: "fig9",
+        about: "Narada DBN RTT percentiles per connection count",
+        render: |id, c, n| {
+            let title = "Narada DBN tests, percentile of RTT (2000–4000 connections)";
+            let runs = c.ensure(&scenarios::narada_dbn_specs(n));
+            one(percentile_curves(id, title, EXACT_MS, &runs))
+        },
+    },
+    Artifact {
+        name: "fig10",
+        about: "R-GMA Primary + Secondary Producer RTT percentiles",
+        render: |id, c, n| {
+            let title = "R-GMA Primary and Secondary Producer tests, \
+                         percentile of RTT (50–200 connections)";
+            // Largest series first, in seconds, as the paper plots it.
+            let mut runs = c.ensure(&scenarios::rgma_secondary_specs(n));
+            runs.reverse();
+            one(percentile_curves(id, title, TENTH_S, &runs))
+        },
+    },
+    Artifact {
+        name: "fig11",
+        about: "R-GMA RTT and stddev vs connections (single vs distributed)",
+        render: |id, c, n| {
+            let title = "R-GMA Primary Producer and Consumer tests; \
+                         RTT/STDDEV single server, RTT2/STDDEV2 distributed";
+            one(rtt_stddev(id, title, WHOLE_MS, &rgma_scalability(c, n)))
+        },
+    },
+    Artifact {
+        name: "fig12",
+        about: "R-GMA single-server RTT percentiles per connection count",
+        render: |id, c, n| {
+            let title = "R-GMA Primary Producer and Consumer single server tests, \
+                         percentile of RTT (100–600)";
+            let runs = c.ensure(&scenarios::rgma_single_specs(n));
+            one(percentile_curves(id, title, WHOLE_MS, &runs))
+        },
+    },
+    Artifact {
+        name: "fig13",
+        about: "R-GMA CPU idle and memory (single vs distributed)",
+        render: |id, c, n| {
+            let title = "R-GMA Consumer tests, CPU idle (%) and memory (MB); \
+                         CPU/MEM single, CPU2/MEM2 distributed";
+            one(cpu_mem(id, title, &rgma_scalability(c, n)))
+        },
+    },
+    Artifact {
+        name: "fig14",
+        about: "R-GMA distributed RTT percentiles per connection count",
+        render: |id, c, n| {
+            let title = "R-GMA distributed network tests, percentile of RTT (400–1000)";
+            let runs = c.ensure(&scenarios::rgma_distributed_specs(n));
+            one(percentile_curves(id, title, WHOLE_MS, &runs))
+        },
+    },
+    Artifact {
+        name: "fig15",
+        about: "RTT decomposition (PRT / PT / SRT), cumulative phases",
+        render: |id, c, n| one(fig15(id, c, n)),
+    },
+    Artifact {
+        name: "table3",
+        about: "qualitative comparison derived from the measurements (Table III)",
+        render: |_, c, n| one(table3(c, n)),
+    },
+    Artifact {
+        name: "rgma-warmup",
+        about: "S-III.F warm-up loss study (with vs without the wait)",
+        render: |_, c, n| one(rgma_warmup(c, n)),
+    },
+    Artifact {
+        name: "ablation-routing",
+        about: "DBN broadcast (v1.1.3) vs subscription-aware routing",
+        render: |_, c, n| one(ablation_routing(c, n)),
+    },
+    Artifact {
+        name: "ablation-secondary",
+        about: "Secondary Producer 30 s delay on vs off",
+        render: |_, c, n| one(ablation_secondary(c, n)),
+    },
+    Artifact {
+        name: "ablation-poll",
+        about: "subscriber poll period sweep (10 ms - 1 s)",
+        render: |_, c, n| one(ablation_poll(c, n)),
+    },
+    Artifact {
+        name: "ablation-aggregation",
+        about: "sender-side aggregation at constant byte rate",
+        render: |_, c, n| one(ablation_aggregation(c, n)),
+    },
+    Artifact {
+        name: "gridlog",
+        about: "gridlog partitioned-log scalability series (500-2000 conns)",
+        render: |_, c, n| one(gridlog_scaling(c, n)),
+    },
+    Artifact {
+        name: "compare",
+        about: "three-way Narada/R-GMA/gridlog RTT + outage-loss comparison",
+        render: |_, c, n| {
+            let mut sheets = one(three_way(c, n));
+            sheets.extend(three_way_slo(c, n).map(|t| Sheet {
+                suffix: "-slo",
+                ..t.into()
+            }));
+            sheets
+        },
+    },
+    Artifact {
+        name: "checks",
+        about: "headline paper findings checked against measurements",
+        render: |_, c, n| {
+            let (table, failed) = checks_table(headline_checks(c, n));
+            vec![Sheet {
+                failed,
+                ..table.into()
+            }]
+        },
+    },
+];
 
 fn ms(v: f64) -> String {
     trim_float((v * 100.0).round() / 100.0)
@@ -13,13 +242,9 @@ fn pct(v: f64) -> String {
     format!("{:.2}%", v * 100.0)
 }
 
-fn p99(r: &ExperimentResult) -> f64 {
-    r.summary
-        .percentiles_ms
-        .iter()
-        .find(|p| p.0 == 99)
-        .map(|p| p.1)
-        .unwrap_or(0.0)
+fn percentile(r: &ExperimentResult, p: u32) -> f64 {
+    let series = &r.summary.percentiles_ms;
+    series.iter().find(|x| x.0 == p).map_or(0.0, |x| x.1)
 }
 
 /// gridlog single-broker scalability — the third contender's analogue
@@ -49,7 +274,7 @@ pub fn gridlog_scaling(campaign: &mut Campaign, msgs: u32) -> Table {
             pct(r.summary.loss_rate),
             ms(r.summary.rtt_mean_ms),
             ms(r.summary.rtt_stddev_ms),
-            ms(p99(r)),
+            ms(percentile(r, 99)),
             pct(r.server_idle),
             format!("{:.1}", r.server_mem_mb),
         ]);
@@ -96,7 +321,7 @@ pub fn three_way(campaign: &mut Campaign, msgs: u32) -> Table {
                 (
                     ms(c.summary.rtt_mean_ms),
                     ms(c.summary.rtt_stddev_ms),
-                    ms(p99(c)),
+                    ms(percentile(c, 99)),
                     pct(c.summary.loss_rate),
                 )
             }
@@ -124,27 +349,14 @@ pub fn three_way(campaign: &mut Campaign, msgs: u32) -> Table {
 /// [`three_way`]): deadline compliance, windowed delivery-latency
 /// percentiles and error-budget burn for the same fault-free and
 /// outage runs — degradation reported as SLO burn rather than raw
-/// loss. Rows without SLO artifacts (campaign ran without `--slo`)
-/// render as dashes instead of re-running anything.
-pub fn three_way_slo(campaign: &mut Campaign, msgs: u32) -> Table {
-    let clean = campaign.ensure(&scenarios::three_way_specs(msgs));
-    let outage = campaign.ensure(&scenarios::three_way_outage_specs(msgs));
-    let cols = gridmon_core::SloReport::table_columns();
-    let mut t = Table::new(
+/// loss. `None` when the campaign does not measure freshness.
+pub fn three_way_slo(campaign: &mut Campaign, msgs: u32) -> Option<Table> {
+    let mut runs = campaign.ensure(&scenarios::three_way_specs(msgs));
+    runs.extend(campaign.ensure(&scenarios::three_way_outage_specs(msgs)));
+    slo_table(
         "Three-contender freshness — deadline-SLO compliance, identical workload and seed",
-        cols,
-    );
-    for r in clean.iter().chain(outage.iter()) {
-        match &r.slo {
-            Some(s) => t.push_row(s.report.table_row(&r.name)),
-            None => t.push_row(
-                std::iter::once(r.name.clone())
-                    .chain(std::iter::repeat_n("—".to_string(), cols.len() - 1))
-                    .collect(),
-            ),
-        }
-    }
-    t
+        &runs,
+    )
 }
 
 /// Table I — hardware specifications and software versions (documented
@@ -211,55 +423,59 @@ pub fn table2(campaign: &mut Campaign, msgs: u32) -> Table {
 }
 
 /// Fig 3 — Narada comparison tests: RTT and standard deviation.
-pub fn fig3(campaign: &mut Campaign, msgs: u32) -> Figure {
+pub fn fig3(id: &str, campaign: &mut Campaign, msgs: u32) -> Figure {
     let results = campaign.ensure(&scenarios::table2_specs(msgs));
     let mut f = Figure::new(
-        "fig3",
+        id,
         "Narada comparison tests: round-trip time and standard deviation",
         "test",
         "millisecond",
     );
     // X positions follow the paper's bar order: UDP, UDP CLI, NIO, Triple, TCP, 80.
     let order = [0usize, 1, 2, 4, 3, 5];
-    let rtt: Vec<(f64, f64)> = order
-        .iter()
-        .enumerate()
-        .map(|(x, &i)| (x as f64, results[i].summary.rtt_mean_ms))
-        .collect();
-    let sd: Vec<(f64, f64)> = order
-        .iter()
-        .enumerate()
-        .map(|(x, &i)| (x as f64, results[i].summary.rtt_stddev_ms))
-        .collect();
-    f.push_series("RTT", rtt);
-    f.push_series("STDDEV", sd);
+    let bars = |y: fn(&ExperimentResult) -> f64| {
+        order
+            .iter()
+            .enumerate()
+            .map(|(x, &i)| (x as f64, y(&results[i])))
+            .collect()
+    };
+    f.push_series("RTT", bars(|r| r.summary.rtt_mean_ms));
+    f.push_series("STDDEV", bars(|r| r.summary.rtt_stddev_ms));
     f
 }
 
+/// A figure's y unit: the axis label, and what a measured millisecond
+/// value becomes on that axis.
+type Unit = (&'static str, fn(f64) -> f64);
+/// Narada's figures: milliseconds as measured.
+const EXACT_MS: Unit = ("millisecond", |v| v);
+/// R-GMA's figures: whole milliseconds.
+const WHOLE_MS: Unit = ("millisecond", f64::round);
+/// Fig 10: seconds to one decimal, as in the paper.
+const TENTH_S: Unit = ("second", |v| (v / 100.0).round() / 10.0);
+
+/// One run's RTT percentile curve (95–100 %) in `unit`.
+fn percentile_curve(r: &ExperimentResult, unit: Unit) -> Vec<(f64, f64)> {
+    let series = &r.summary.percentiles_ms;
+    series
+        .iter()
+        .map(|&(p, v)| (f64::from(p), (unit.1)(v)))
+        .collect()
+}
+
 /// Fig 4 — comparison tests, percentile of RTT (95–100 %).
-pub fn fig4(campaign: &mut Campaign, msgs: u32) -> Figure {
+pub fn fig4(id: &str, campaign: &mut Campaign, msgs: u32) -> Figure {
     let results = campaign.ensure(&scenarios::table2_specs(msgs));
     let mut f = Figure::new(
-        "fig4",
+        id,
         "Narada comparison tests, percentile of RTT",
         "percentile",
-        "millisecond",
+        EXACT_MS.0,
     );
     // The paper plots NIO, TCP, UDP, Triple, 80 (UDP CLI omitted).
-    for &(label, ix) in &[
-        ("NIO", 2usize),
-        ("TCP", 3),
-        ("UDP", 0),
-        ("Triple", 4),
-        ("80", 5),
-    ] {
-        let pts = results[ix]
-            .summary
-            .percentiles_ms
-            .iter()
-            .map(|&(p, v)| (f64::from(p), v))
-            .collect();
-        f.push_series(label, pts);
+    for (label, ix) in [("NIO", 2), ("TCP", 3), ("UDP", 0), ("Triple", 4), ("80", 5)] {
+        f.push_series(label, percentile_curve(&results[ix], EXACT_MS));
     }
     f
 }
@@ -293,292 +509,71 @@ pub fn fig5() -> Table {
     t
 }
 
-fn narada_scalability(
-    campaign: &mut Campaign,
-    msgs: u32,
-) -> (Vec<ExperimentResult>, Vec<ExperimentResult>) {
+/// A middleware's scalability series: one server, then its scaled-out
+/// deployment.
+type Pair = (Runs, Runs);
+
+fn narada_scalability(campaign: &mut Campaign, msgs: u32) -> Pair {
     let single = campaign.ensure(&scenarios::narada_single_specs(msgs));
     let dbn = campaign.ensure(&scenarios::narada_dbn_specs(msgs));
     (single, dbn)
 }
 
-/// Fig 6 — Narada CPU idle and memory consumption vs connections.
-pub fn fig6(campaign: &mut Campaign, msgs: u32) -> Figure {
-    let (single, dbn) = narada_scalability(campaign, msgs);
-    let mut f = Figure::new(
-        "fig6",
-        "Narada tests, CPU idle (%) and memory (MB); CPU/MEM single server, CPU2/MEM2 DBN",
-        "concurrent connections",
-        "CPU idle % / memory (MB)",
-    );
-    f.push_series(
-        "CPU",
-        single
-            .iter()
-            .map(|r| (r.generators as f64, (r.server_idle * 100.0).round()))
-            .collect(),
-    );
-    f.push_series(
-        "CPU2",
-        dbn.iter()
-            .map(|r| (r.generators as f64, (r.server_idle * 100.0).round()))
-            .collect(),
-    );
-    f.push_series(
-        "MEM",
-        single
-            .iter()
-            .map(|r| (r.generators as f64, r.server_mem_mb.round()))
-            .collect(),
-    );
-    f.push_series(
-        "MEM2",
-        dbn.iter()
-            .map(|r| (r.generators as f64, r.server_mem_mb.round()))
-            .collect(),
-    );
-    f
-}
-
-/// Fig 7 — Narada RTT and STDDEV vs connections (single vs DBN).
-pub fn fig7(campaign: &mut Campaign, msgs: u32) -> Figure {
-    let (single, dbn) = narada_scalability(campaign, msgs);
-    let mut f = Figure::new(
-        "fig7",
-        "Narada tests, round-trip time and standard deviation; RTT/STDDEV single, RTT2/STDDEV2 DBN",
-        "concurrent connections",
-        "millisecond",
-    );
-    f.push_series(
-        "RTT",
-        single
-            .iter()
-            .map(|r| (r.generators as f64, r.summary.rtt_mean_ms))
-            .collect(),
-    );
-    f.push_series(
-        "STDDEV",
-        single
-            .iter()
-            .map(|r| (r.generators as f64, r.summary.rtt_stddev_ms))
-            .collect(),
-    );
-    f.push_series(
-        "RTT2",
-        dbn.iter()
-            .map(|r| (r.generators as f64, r.summary.rtt_mean_ms))
-            .collect(),
-    );
-    f.push_series(
-        "STDDEV2",
-        dbn.iter()
-            .map(|r| (r.generators as f64, r.summary.rtt_stddev_ms))
-            .collect(),
-    );
-    f
-}
-
-/// Fig 8 — Narada single-server percentile of RTT per connection count.
-pub fn fig8(campaign: &mut Campaign, msgs: u32) -> Figure {
-    let single = campaign.ensure(&scenarios::narada_single_specs(msgs));
-    let mut f = Figure::new(
-        "fig8",
-        "Narada single server tests, percentile of RTT (500–3000 connections)",
-        "percentile",
-        "millisecond",
-    );
-    for r in &single {
-        f.push_series(
-            r.generators.to_string(),
-            r.summary
-                .percentiles_ms
-                .iter()
-                .map(|&(p, v)| (f64::from(p), v))
-                .collect(),
-        );
-    }
-    f
-}
-
-/// Fig 9 — Narada DBN percentile of RTT per connection count.
-pub fn fig9(campaign: &mut Campaign, msgs: u32) -> Figure {
-    let dbn = campaign.ensure(&scenarios::narada_dbn_specs(msgs));
-    let mut f = Figure::new(
-        "fig9",
-        "Narada DBN tests, percentile of RTT (2000–4000 connections)",
-        "percentile",
-        "millisecond",
-    );
-    for r in &dbn {
-        f.push_series(
-            r.generators.to_string(),
-            r.summary
-                .percentiles_ms
-                .iter()
-                .map(|&(p, v)| (f64::from(p), v))
-                .collect(),
-        );
-    }
-    f
-}
-
-/// Fig 10 — R-GMA Primary + Secondary Producer percentile of RTT
-/// (seconds, as in the paper).
-pub fn fig10(campaign: &mut Campaign, msgs: u32) -> Figure {
-    let results = campaign.ensure(&scenarios::rgma_secondary_specs(msgs));
-    let mut f = Figure::new(
-        "fig10",
-        "R-GMA Primary and Secondary Producer tests, percentile of RTT (50–200 connections)",
-        "percentile",
-        "second",
-    );
-    for r in results.iter().rev() {
-        f.push_series(
-            r.generators.to_string(),
-            r.summary
-                .percentiles_ms
-                .iter()
-                .map(|&(p, v)| (f64::from(p), (v / 100.0).round() / 10.0))
-                .collect(),
-        );
-    }
-    f
-}
-
-fn rgma_scalability(
-    campaign: &mut Campaign,
-    msgs: u32,
-) -> (Vec<ExperimentResult>, Vec<ExperimentResult>) {
+fn rgma_scalability(campaign: &mut Campaign, msgs: u32) -> Pair {
     let single = campaign.ensure(&scenarios::rgma_single_specs(msgs));
     let dist = campaign.ensure(&scenarios::rgma_distributed_specs(msgs));
     (single, dist)
 }
 
-/// Fig 11 — R-GMA RTT and STDDEV vs connections (single vs distributed).
-pub fn fig11(campaign: &mut Campaign, msgs: u32) -> Figure {
-    let (single, dist) = rgma_scalability(campaign, msgs);
-    let mut f = Figure::new(
-        "fig11",
-        "R-GMA Primary Producer and Consumer tests; RTT/STDDEV single server, RTT2/STDDEV2 distributed",
-        "concurrent connections",
-        "millisecond",
-    );
-    f.push_series(
-        "RTT",
-        single
-            .iter()
-            .map(|r| (r.generators as f64, r.summary.rtt_mean_ms.round()))
-            .collect(),
-    );
-    f.push_series(
-        "STDDEV",
-        single
-            .iter()
-            .map(|r| (r.generators as f64, r.summary.rtt_stddev_ms.round()))
-            .collect(),
-    );
-    f.push_series(
-        "RTT2",
-        dist.iter()
-            .map(|r| (r.generators as f64, r.summary.rtt_mean_ms.round()))
-            .collect(),
-    );
-    f.push_series(
-        "STDDEV2",
-        dist.iter()
-            .map(|r| (r.generators as f64, r.summary.rtt_stddev_ms.round()))
-            .collect(),
-    );
-    f
+/// `y` of every run against its connection count.
+fn by_connections(runs: &Runs, y: impl Fn(&ExperimentResult) -> f64) -> Vec<(f64, f64)> {
+    runs.iter().map(|r| (r.generators as f64, y(r))).collect()
 }
 
-/// Fig 12 — R-GMA single-server percentile of RTT per connection count.
-pub fn fig12(campaign: &mut Campaign, msgs: u32) -> Figure {
-    let single = campaign.ensure(&scenarios::rgma_single_specs(msgs));
+/// Figs 6 and 13 — server CPU idle (%) and memory (MB) vs connections.
+fn cpu_mem(id: &str, title: &str, (single, scaled): &Pair) -> Figure {
     let mut f = Figure::new(
-        "fig12",
-        "R-GMA Primary Producer and Consumer single server tests, percentile of RTT (100–600)",
-        "percentile",
-        "millisecond",
-    );
-    for r in &single {
-        f.push_series(
-            r.generators.to_string(),
-            r.summary
-                .percentiles_ms
-                .iter()
-                .map(|&(p, v)| (f64::from(p), v.round()))
-                .collect(),
-        );
-    }
-    f
-}
-
-/// Fig 13 — R-GMA CPU idle and memory (single vs distributed).
-pub fn fig13(campaign: &mut Campaign, msgs: u32) -> Figure {
-    let (single, dist) = rgma_scalability(campaign, msgs);
-    let mut f = Figure::new(
-        "fig13",
-        "R-GMA Consumer tests, CPU idle (%) and memory (MB); CPU/MEM single, CPU2/MEM2 distributed",
+        id,
+        title,
         "concurrent connections",
         "CPU idle % / memory (MB)",
     );
-    f.push_series(
-        "CPU",
-        single
-            .iter()
-            .map(|r| (r.generators as f64, (r.server_idle * 100.0).round()))
-            .collect(),
-    );
-    f.push_series(
-        "CPU2",
-        dist.iter()
-            .map(|r| (r.generators as f64, (r.server_idle * 100.0).round()))
-            .collect(),
-    );
-    f.push_series(
-        "MEM",
-        single
-            .iter()
-            .map(|r| (r.generators as f64, r.server_mem_mb.round()))
-            .collect(),
-    );
-    f.push_series(
-        "MEM2",
-        dist.iter()
-            .map(|r| (r.generators as f64, r.server_mem_mb.round()))
-            .collect(),
-    );
+    let idle = |r: &ExperimentResult| (r.server_idle * 100.0).round();
+    let mem = |r: &ExperimentResult| r.server_mem_mb.round();
+    f.push_series("CPU", by_connections(single, idle));
+    f.push_series("CPU2", by_connections(scaled, idle));
+    f.push_series("MEM", by_connections(single, mem));
+    f.push_series("MEM2", by_connections(scaled, mem));
     f
 }
 
-/// Fig 14 — R-GMA distributed percentile of RTT per connection count.
-pub fn fig14(campaign: &mut Campaign, msgs: u32) -> Figure {
-    let dist = campaign.ensure(&scenarios::rgma_distributed_specs(msgs));
-    let mut f = Figure::new(
-        "fig14",
-        "R-GMA distributed network tests, percentile of RTT (400–1000)",
-        "percentile",
-        "millisecond",
-    );
-    for r in &dist {
-        f.push_series(
-            r.generators.to_string(),
-            r.summary
-                .percentiles_ms
-                .iter()
-                .map(|&(p, v)| (f64::from(p), v.round()))
-                .collect(),
-        );
+/// Figs 7 and 11 — RTT mean and standard deviation vs connections.
+fn rtt_stddev(id: &str, title: &str, unit: Unit, (single, scaled): &Pair) -> Figure {
+    let mut f = Figure::new(id, title, "concurrent connections", unit.0);
+    let mean = |r: &ExperimentResult| (unit.1)(r.summary.rtt_mean_ms);
+    let stddev = |r: &ExperimentResult| (unit.1)(r.summary.rtt_stddev_ms);
+    f.push_series("RTT", by_connections(single, mean));
+    f.push_series("STDDEV", by_connections(single, stddev));
+    f.push_series("RTT2", by_connections(scaled, mean));
+    f.push_series("STDDEV2", by_connections(scaled, stddev));
+    f
+}
+
+/// Figs 8, 9, 10, 12 and 14 — percentile of RTT, one curve per
+/// connection count.
+fn percentile_curves(id: &str, title: &str, unit: Unit, runs: &Runs) -> Figure {
+    let mut f = Figure::new(id, title, "percentile", unit.0);
+    for r in runs {
+        f.push_series(r.generators.to_string(), percentile_curve(r, unit));
     }
     f
 }
 
 /// Fig 15 — RTT decomposition (PRT / PT / SRT), cumulative phase plot.
-pub fn fig15(campaign: &mut Campaign, msgs: u32) -> Figure {
+pub fn fig15(id: &str, campaign: &mut Campaign, msgs: u32) -> Figure {
     let results = campaign.ensure(&scenarios::fig15_specs(msgs));
     let mut f = Figure::new(
-        "fig15",
+        id,
         "RTT decomposition: cumulative time at each phase boundary",
         "phase (0=before_sending 1=after_sending 2=before_receiving 3=after_receiving)",
         "millisecond",
@@ -611,21 +606,18 @@ pub fn table3(campaign: &mut Campaign, msgs: u32) -> Table {
     };
     // Scalability: how much extra capacity the distributed deployment
     // adds, and at what cost.
-    let narada_rtt = nsingle.last().map(|r| r.summary.rtt_mean_ms).unwrap_or(0.0);
-    let rgma_rtt = rsingle.last().map(|r| r.summary.rtt_mean_ms).unwrap_or(0.0);
+    let last_rtt = |runs: &Runs| runs.last().map(|r| r.summary.rtt_mean_ms);
+    let narada_rtt = last_rtt(&nsingle).unwrap_or(0.0);
+    let rgma_rtt = last_rtt(&rsingle).unwrap_or(0.0);
     let narada_scal = if ndbn.iter().all(|r| r.refused == 0)
-        && ndbn.last().map(|r| r.summary.rtt_mean_ms).unwrap_or(0.0) <= narada_rtt * 1.5
+        && last_rtt(&ndbn).unwrap_or(0.0) <= narada_rtt * 1.5
     {
         "Average" // more connections, but no RTT benefit and wasted CPU
     } else {
         "Poor"
     };
     let rgma_scal = if rdist.iter().all(|r| r.refused == 0)
-        && rdist
-            .last()
-            .map(|r| r.summary.rtt_mean_ms)
-            .unwrap_or(f64::MAX)
-            < rgma_rtt
+        && last_rtt(&rdist).unwrap_or(f64::MAX) < rgma_rtt
     {
         "Very good"
     } else {
@@ -666,23 +658,21 @@ pub fn rgma_warmup(campaign: &mut Campaign, msgs: u32) -> Table {
         "§III.F — R-GMA warm-up loss (400 generators)",
         &["configuration", "sent", "received", "loss"],
     );
-    let r = &no_warm[0];
-    t.push_row(vec![
-        "publish immediately".into(),
-        r.summary.sent.to_string(),
-        r.summary.received.to_string(),
-        pct(r.summary.loss_rate),
-    ]);
     let r400 = warm
         .iter()
         .find(|r| r.generators == 400)
         .expect("400 in series");
-    t.push_row(vec![
-        "wait 10-20s before publishing".into(),
-        r400.summary.sent.to_string(),
-        r400.summary.received.to_string(),
-        pct(r400.summary.loss_rate),
-    ]);
+    for (configuration, r) in [
+        ("publish immediately", &no_warm[0]),
+        ("wait 10-20s before publishing", r400),
+    ] {
+        t.push_row(vec![
+            configuration.into(),
+            r.summary.sent.to_string(),
+            r.summary.received.to_string(),
+            pct(r.summary.loss_rate),
+        ]);
+    }
     t
 }
 
@@ -728,7 +718,7 @@ pub fn ablation_secondary(campaign: &mut Campaign, msgs: u32) -> Table {
                 "0.5 s".into()
             },
             ms(r.summary.rtt_mean_ms),
-            ms(r.summary.percentiles_ms.last().map(|p| p.1).unwrap_or(0.0)),
+            ms(percentile(r, 100)),
         ]);
     }
     t
@@ -785,149 +775,120 @@ pub fn headline_checks(campaign: &mut Campaign, msgs: u32) -> Vec<(String, Strin
     let n4000 = campaign.ensure(&[scenarios::narada_single_4000(msgs)]);
     let r800 = campaign.ensure(&[scenarios::rgma_single_800(msgs)]);
     let sec = campaign.ensure(&scenarios::rgma_secondary_specs(msgs));
+    let fig15 = campaign.ensure(&scenarios::fig15_specs(msgs));
+    fn last(runs: &Runs) -> &ExperimentResult {
+        runs.last().expect("a series has runs")
+    }
     let mut checks = Vec::new();
+    let mut check = |claim: &str, paper: &str, measured: String, holds: bool| {
+        checks.push((claim.to_owned(), paper.to_owned(), measured, holds));
+    };
 
     let udp = &t2[0].summary;
     let tcp = &t2[3].summary;
-    checks.push((
-        "UDP slower than TCP (fig 3)".into(),
-        "12 ms vs 4 ms".into(),
+    check(
+        "UDP slower than TCP (fig 3)",
+        "12 ms vs 4 ms",
         format!("{} ms vs {} ms", ms(udp.rtt_mean_ms), ms(tcp.rtt_mean_ms)),
         udp.rtt_mean_ms > tcp.rtt_mean_ms * 1.3,
-    ));
-    checks.push((
-        "UDP AUTO loss ≈ 0.06 %".into(),
-        "0.06 %".into(),
+    );
+    check(
+        "UDP AUTO loss ≈ 0.06 %",
+        "0.06 %",
         pct(udp.loss_rate),
         udp.loss_rate > 0.0001 && udp.loss_rate < 0.002,
-    ));
-    checks.push((
-        "TCP loss zero".into(),
-        "0".into(),
+    );
+    check(
+        "TCP loss zero",
+        "0",
         pct(tcp.loss_rate),
         tcp.loss_rate == 0.0,
-    ));
+    );
     let within = nsingle
         .iter()
         .map(|r| r.summary.within_100ms)
         .fold(f64::INFINITY, f64::min);
-    checks.push((
-        "99.8 % of Narada messages within 100 ms".into(),
-        "99.8 %".into(),
+    check(
+        "99.8 % of Narada messages within 100 ms",
+        "99.8 %",
         pct(within),
         within > 0.99,
-    ));
-    let growth =
-        nsingle.last().unwrap().summary.rtt_mean_ms / nsingle.first().unwrap().summary.rtt_mean_ms;
-    checks.push((
-        "smooth RTT increase with connections (fig 7)".into(),
-        "~5x from 500→3000".into(),
-        format!("{:.1}x", growth),
+    );
+    let growth = last(&nsingle).summary.rtt_mean_ms / nsingle[0].summary.rtt_mean_ms;
+    check(
+        "smooth RTT increase with connections (fig 7)",
+        "~5x from 500→3000",
+        format!("{growth:.1}x"),
         growth > 2.0 && growth < 10.0,
-    ));
-    checks.push((
-        "single broker cannot accept 4000 connections".into(),
-        "refused".into(),
+    );
+    check(
+        "single broker cannot accept 4000 connections",
+        "refused",
         format!("{} refused", n4000[0].refused),
         n4000[0].refused > 0,
-    ));
-    checks.push((
-        "DBN accepts 4000+ connections".into(),
-        "accepted".into(),
-        format!("{} refused", ndbn.last().unwrap().refused),
-        ndbn.last().unwrap().refused == 0,
-    ));
-    checks.push((
-        "DBN no faster than single server (broadcast deficiency)".into(),
-        "RTT2 ≥ RTT".into(),
-        format!(
-            "{} ms vs {} ms at 3000",
-            ms(ndbn[1].summary.rtt_mean_ms),
-            ms(nsingle[3].summary.rtt_mean_ms)
-        ),
-        ndbn[1].summary.rtt_mean_ms > nsingle[3].summary.rtt_mean_ms * 0.5,
-    ));
-    let rgma600 = rsingle.last().unwrap();
-    checks.push((
-        "R-GMA RTT ≫ Narada RTT".into(),
-        "seconds vs milliseconds".into(),
+    );
+    check(
+        "DBN accepts 4000+ connections",
+        "accepted",
+        format!("{} refused", last(&ndbn).refused),
+        last(&ndbn).refused == 0,
+    );
+    let (dbn3000, single3000) = (ndbn[1].summary.rtt_mean_ms, nsingle[3].summary.rtt_mean_ms);
+    check(
+        "DBN no faster than single server (broadcast deficiency)",
+        "RTT2 ≥ RTT",
+        format!("{} ms vs {} ms at 3000", ms(dbn3000), ms(single3000)),
+        dbn3000 > single3000 * 0.5,
+    );
+    let rgma600 = last(&rsingle);
+    let rgma_rtt = rgma600.summary.rtt_mean_ms;
+    check(
+        "R-GMA RTT ≫ Narada RTT",
+        "seconds vs milliseconds",
         format!(
             "{} ms vs {} ms",
-            ms(rgma600.summary.rtt_mean_ms),
+            ms(rgma_rtt),
             ms(nsingle[1].summary.rtt_mean_ms)
         ),
-        rgma600.summary.rtt_mean_ms > 50.0 * nsingle[1].summary.rtt_mean_ms,
-    ));
-    checks.push((
-        "99 % of R-GMA messages within 4000 ms".into(),
-        "p99 ≤ ~4000 ms".into(),
-        format!(
-            "p99 = {} ms at 600",
-            ms(rgma600
-                .summary
-                .percentiles_ms
-                .iter()
-                .find(|p| p.0 == 99)
-                .map(|p| p.1)
-                .unwrap_or(0.0))
-        ),
-        rgma600
-            .summary
-            .percentiles_ms
-            .iter()
-            .find(|p| p.0 == 99)
-            .map(|p| p.1)
-            .unwrap_or(f64::MAX)
-            < 8000.0,
-    ));
-    checks.push((
-        "one R-GMA server cannot accept 800 connections".into(),
-        "refused".into(),
+        rgma_rtt > 50.0 * nsingle[1].summary.rtt_mean_ms,
+    );
+    let p99 = percentile(rgma600, 99);
+    check(
+        "99 % of R-GMA messages within 4000 ms",
+        "p99 ≤ ~4000 ms",
+        format!("p99 = {} ms at 600", ms(p99)),
+        // No percentile at all (nothing delivered) is not a pass.
+        p99 > 0.0 && p99 < 8000.0,
+    );
+    check(
+        "one R-GMA server cannot accept 800 connections",
+        "refused",
         format!("{} refused", r800[0].refused),
         r800[0].refused > 0,
-    ));
-    checks.push((
-        "distributed R-GMA accepts 1000 and outperforms single".into(),
-        "RTT2 < RTT, no refusals".into(),
+    );
+    let dist1000 = last(&rdist);
+    check(
+        "distributed R-GMA accepts 1000 and outperforms single",
+        "RTT2 < RTT, no refusals",
         format!(
             "{} ms vs {} ms, {} refused",
-            ms(rdist.last().unwrap().summary.rtt_mean_ms),
-            ms(rgma600.summary.rtt_mean_ms),
-            rdist.last().unwrap().refused
+            ms(dist1000.summary.rtt_mean_ms),
+            ms(rgma_rtt),
+            dist1000.refused
         ),
-        rdist.last().unwrap().refused == 0
-            && rdist.last().unwrap().summary.rtt_mean_ms < rgma600.summary.rtt_mean_ms,
-    ));
-    checks.push((
-        "Secondary Producer delays up to ~35 s (fig 10)".into(),
-        "25-35 s".into(),
-        format!(
-            "p100 = {:.1} s",
-            sec.last()
-                .unwrap()
-                .summary
-                .percentiles_ms
-                .last()
-                .map(|p| p.1 / 1000.0)
-                .unwrap_or(0.0)
-        ),
-        {
-            let p100 = sec
-                .last()
-                .unwrap()
-                .summary
-                .percentiles_ms
-                .last()
-                .map(|p| p.1)
-                .unwrap_or(0.0);
-            (25_000.0..45_000.0).contains(&p100)
-        },
-    ));
-    let fig15 = campaign.ensure(&scenarios::fig15_specs(msgs));
+        dist1000.refused == 0 && dist1000.summary.rtt_mean_ms < rgma_rtt,
+    );
+    let p100 = percentile(last(&sec), 100);
+    check(
+        "Secondary Producer delays up to ~35 s (fig 10)",
+        "25-35 s",
+        format!("p100 = {:.1} s", p100 / 1000.0),
+        (25_000.0..45_000.0).contains(&p100),
+    );
     let rg = &fig15[1].summary;
-    checks.push((
-        "R-GMA Process Time dominates RTT (fig 15)".into(),
-        "PT ≫ PRT, SRT".into(),
+    check(
+        "R-GMA Process Time dominates RTT (fig 15)",
+        "PT ≫ PRT, SRT",
         format!(
             "PRT {} / PT {} / SRT {} ms",
             ms(rg.prt_mean_ms),
@@ -935,13 +896,37 @@ pub fn headline_checks(campaign: &mut Campaign, msgs: u32) -> Vec<(String, Strin
             ms(rg.srt_mean_ms)
         ),
         rg.pt_mean_ms > rg.prt_mean_ms && rg.pt_mean_ms > rg.srt_mean_ms,
-    ));
+    );
     checks
 }
 
+/// The findings table, and how many of its rows do not hold.
+pub fn checks_table(checks: Vec<(String, String, String, bool)>) -> (Table, usize) {
+    let mut table = Table::new(
+        "Paper findings vs measurements",
+        &["claim", "paper", "measured", "holds"],
+    );
+    let mut failures = 0;
+    for (claim, paper, measured, holds) in checks {
+        if !holds {
+            failures += 1;
+        }
+        table.push_row(vec![
+            claim,
+            paper,
+            measured,
+            if holds { "yes".into() } else { "NO".into() },
+        ]);
+    }
+    (table, failures)
+}
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn plain() -> Campaign {
+        Campaign::new(0, 1, gridmon_core::FaultSchedule::new(), Vec::new())
+    }
 
     #[test]
     fn table1_and_fig5_are_static() {
@@ -951,7 +936,7 @@ mod tests {
 
     #[test]
     fn gridlog_and_three_way_artifacts_build() {
-        let mut c = Campaign::new(0);
+        let mut c = plain();
         let g = gridlog_scaling(&mut c, 1);
         assert_eq!(g.rows.len(), 3);
         let t = three_way(&mut c, 1);
@@ -965,16 +950,16 @@ mod tests {
 
     #[test]
     fn artifacts_build_at_tiny_scale() {
-        let mut c = Campaign::new(0);
+        let mut c = plain();
         let t2 = table2(&mut c, 2);
         assert_eq!(t2.rows.len(), 6);
-        let f3 = fig3(&mut c, 2);
+        let f3 = fig3("fig3", &mut c, 2);
         assert_eq!(f3.series.len(), 2);
-        let f4 = fig4(&mut c, 2);
+        let f4 = fig4("fig4", &mut c, 2);
         assert_eq!(f4.series.len(), 5);
         // fig3/fig4 reuse the table2 runs.
         assert_eq!(c.runs(), 6);
-        let f15 = fig15(&mut c, 2);
+        let f15 = fig15("fig15", &mut c, 2);
         assert_eq!(f15.series.len(), 2);
         // Cumulative phases are non-decreasing.
         for s in &f15.series {

@@ -1,107 +1,250 @@
-//! Memoized parallel execution of experiment specs.
+//! Memoized parallel execution of experiment specs, and the observation
+//! planes ([`PLANES`]) whose exports are written as each run finishes.
 
-use gridmon_core::{run_all, ExperimentResult, ExperimentSpec, FaultSchedule, FaultStats, SloSpec};
+use gridmon_core::{
+    run_all, ExperimentResult, ExperimentSpec, FaultSchedule, FaultStats, SloReport, SloSpec,
+};
 use simcore::FastMap;
+use std::mem::take;
+use std::path::{Path, PathBuf};
+use std::rc::Rc;
+use telemetry::Table;
+
+/// Finished runs, shared between the campaign's cache and the artifacts.
+pub type Runs = Vec<Rc<ExperimentResult>>;
+
+/// One observation plane `repro` can arm on every run of a campaign.
+pub struct Plane {
+    /// Command-line flag, taken as `<flag>[=DIR]`.
+    pub flag: &'static str,
+    /// Where a bare `<flag>` writes.
+    pub default_dir: &'static str,
+    /// What the `N <noun> files written` line calls the files.
+    pub noun: &'static str,
+    /// Switch the plane on in a spec about to run.
+    pub arm: fn(&mut ExperimentSpec),
+    /// Take a finished run's exports out of it, as (file suffix,
+    /// contents): once written they are let go, and only the small
+    /// things `terminal` and the artifacts read stay in the result.
+    pub files: fn(&mut ExperimentResult) -> Vec<(&'static str, String)>,
+    /// After the last artifact, over every run sorted by name: print the
+    /// plane's tables, write any campaign-wide file under the directory
+    /// and return how many were written.
+    pub terminal: fn(&[Rc<ExperimentResult>], &Path) -> usize,
+}
+
+/// `--slo`: data freshness (Age-of-Information) and deadline compliance
+/// against the grid default SLO. Named because `--list-scenarios`
+/// describes it.
+pub const SLO: Plane = Plane {
+    flag: "--slo",
+    default_dir: "results/slo",
+    noun: "freshness",
+    arm: |s| {
+        s.slo.get_or_insert_with(SloSpec::grid_default);
+    },
+    files: |r| match &mut r.slo {
+        Some(s) => vec![(".slo.csv", take(&mut s.csv))],
+        None => Vec::new(),
+    },
+    terminal: |runs, dir| {
+        let Some(table) = slo_table("Deadline-SLO compliance", runs) else {
+            return 0;
+        };
+        println!("{}", table.render());
+        let mut md = format!(
+            "# {}\n\n| {} |\n|{}\n",
+            table.title,
+            table.columns.join(" | "),
+            " --- |".repeat(table.columns.len())
+        );
+        for row in &table.rows {
+            md.push_str(&format!("| {} |\n", row.join(" | ")));
+        }
+        usize::from(write_file(dir, "compliance", ".md", md.as_bytes()))
+    },
+};
+
+/// Every observation plane, in the order their tables close the output.
+pub const PLANES: &[Plane] = &[
+    // Per-message lifecycle traces: JSONL events + unified resource log,
+    // and Chrome `trace_event` (Perfetto-loadable).
+    Plane {
+        flag: "--trace",
+        default_dir: "results/trace",
+        noun: "trace",
+        arm: |s| s.trace = true,
+        files: |r| match &mut r.trace {
+            Some(t) => vec![
+                (".trace.jsonl", take(&mut t.jsonl)),
+                (".trace.json", take(&mut t.chrome)),
+            ],
+            None => Vec::new(),
+        },
+        terminal: |runs, _| {
+            let mut disagreements = 0;
+            for r in runs {
+                for d in r.trace.iter().flat_map(|t| &t.disagreements) {
+                    eprintln!("trace cross-check [{}]: {d}", r.name);
+                    disagreements += 1;
+                }
+            }
+            if disagreements > 0 {
+                eprintln!(
+                    "WARNING: {disagreements} trace/RttCollector cross-check \
+                     disagreements — the trace and the telemetry disagree \
+                     about when messages moved; this indicates a bug"
+                );
+            }
+            0
+        },
+    },
+    // Virtual-time profiler + metrics: the self-time table, flamegraph
+    // collapsed stacks, Prometheus text exposition, metric time series.
+    Plane {
+        flag: "--profile",
+        default_dir: "results/prof",
+        noun: "profile",
+        arm: |s| s.profile = true,
+        files: |r| match &mut r.profile {
+            Some(p) => vec![
+                (".selftime.txt", p.table.clone()),
+                (".collapsed.txt", take(&mut p.collapsed)),
+                (".prom.txt", take(&mut p.prometheus)),
+                (".metrics.csv", take(&mut p.metrics_csv)),
+            ],
+            None => Vec::new(),
+        },
+        terminal: |runs, _| {
+            for p in runs.iter().filter_map(|r| r.profile.as_ref()) {
+                println!("{}", p.table);
+            }
+            0
+        },
+    },
+    // Wall-clock hot-path attribution (`simscope`): `gridmon-hotpath/1`
+    // JSON and collapsed stacks in wall-clock microseconds.
+    Plane {
+        flag: "--scope",
+        default_dir: "results/scope",
+        noun: "hot-path",
+        arm: |s| s.scope = true,
+        files: |r| match &mut r.scope {
+            Some(s) => vec![
+                (".hotpath.json", take(&mut s.json)),
+                (".hotpath.collapsed.txt", take(&mut s.collapsed)),
+            ],
+            None => Vec::new(),
+        },
+        terminal: |runs, _| {
+            for r in runs {
+                if let Some(scope) = &r.scope {
+                    println!("{}", render_scope(&r.name, scope, &r.kernel));
+                }
+            }
+            0
+        },
+    },
+    SLO,
+];
+
+/// Write `bytes` to `<dir>/<stem><suffix>`; a run name's `/` and spaces
+/// become `_` in the stem. A failure is one warning on stderr and
+/// `false` — never a panic or an early return, so the files after it
+/// are still written and the exit status says nothing about the disk.
+pub fn write_file(dir: &Path, stem: &str, suffix: &str, bytes: &[u8]) -> bool {
+    let path = dir.join(format!("{}{suffix}", stem.replace(['/', ' '], "_")));
+    match std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, bytes)) {
+        Ok(()) => true,
+        Err(e) => {
+            eprintln!("warning: cannot write {}: {e}", path.display());
+            false
+        }
+    }
+}
+
+/// The compliance rows of every SLO-measured run among `runs`, in their
+/// order; `None` when there is none.
+pub(crate) fn slo_table(title: &str, runs: &[Rc<ExperimentResult>]) -> Option<Table> {
+    let mut table = Table::new(title, SloReport::table_columns());
+    for r in runs {
+        if let Some(slo) = &r.slo {
+            table.push_row(slo.report.table_row(&r.name));
+        }
+    }
+    (!table.rows.is_empty()).then_some(table)
+}
 
 /// Runs specs on demand, caching results by spec name so artifacts that
 /// share runs (fig 3 / fig 4; figs 6–9) pay for them once.
 pub struct Campaign {
     threads: usize,
     shards: usize,
-    trace: bool,
-    profile: bool,
-    scope: bool,
-    slo: Option<SloSpec>,
     faults: FaultSchedule,
-    results: FastMap<String, ExperimentResult>,
-    /// Wall-clock seconds spent running experiments.
+    /// Each armed plane, its directory and the files written there so far.
+    planes: Vec<(&'static Plane, PathBuf, usize)>,
+    results: FastMap<String, Rc<ExperimentResult>>,
+    /// Wall-clock seconds spent running experiments (not writing files).
     pub wall_seconds: f64,
 }
 
 impl Campaign {
-    /// New campaign; `threads = 0` uses all cores.
-    pub fn new(threads: usize) -> Self {
+    /// New campaign on `threads` workers (0 = all cores). Every spec it
+    /// runs is raised to `shards` conservative parallel shards (results
+    /// are byte-identical at any count), carries `faults` unless it has a
+    /// schedule of its own, and is observed by each of `planes`, whose
+    /// files go under the directory paired with it.
+    pub fn new(
+        threads: usize,
+        shards: usize,
+        faults: FaultSchedule,
+        planes: Vec<(&'static Plane, PathBuf)>,
+    ) -> Self {
         Campaign {
             threads,
-            shards: 1,
-            trace: false,
-            profile: false,
-            scope: false,
-            slo: None,
-            faults: FaultSchedule::new(),
+            shards,
+            faults,
+            planes: planes.into_iter().map(|(p, dir)| (p, dir, 0)).collect(),
             results: FastMap::default(),
             wall_seconds: 0.0,
         }
     }
 
-    /// Enable `simtrace` lifecycle tracing on every spec this campaign
-    /// runs from now on (`--trace`).
-    pub fn set_trace(&mut self, on: bool) {
-        self.trace = on;
-    }
-
-    /// Enable the virtual-time profiler + metrics plane on every spec
-    /// this campaign runs from now on (`--profile`).
-    pub fn set_profile(&mut self, on: bool) {
-        self.profile = on;
-    }
-
-    /// Enable wall-clock hot-path attribution (`simscope`) on every
-    /// spec this campaign runs from now on (`--scope`).
-    pub fn set_scope(&mut self, on: bool) {
-        self.scope = on;
-    }
-
-    /// Inject this fault schedule into every spec this campaign runs
-    /// from now on (`--faults <scenario>`).
-    pub fn set_faults(&mut self, faults: FaultSchedule) {
-        self.faults = faults;
-    }
-
-    /// Measure data freshness and deadline compliance against `spec` on
-    /// every run this campaign executes from now on (`--slo`).
-    pub fn set_slo(&mut self, spec: Option<SloSpec>) {
-        self.slo = spec;
-    }
-
-    /// Run every spec on `shards` conservative parallel shards
-    /// (`--shards N`; 1 = the serial event loop). Results are
-    /// byte-identical across shard counts, so this only changes how the
-    /// wall clock is spent.
-    pub fn set_shards(&mut self, shards: usize) {
-        self.shards = shards.max(1);
-    }
-
     /// Ensure every spec has been run; returns results in spec order.
-    pub fn ensure(&mut self, specs: &[ExperimentSpec]) -> Vec<ExperimentResult> {
+    /// A newly finished run's plane files are written here, right after
+    /// its batch returns, so no export outlives the batch that made it.
+    pub fn ensure(&mut self, specs: &[ExperimentSpec]) -> Runs {
         let missing: Vec<ExperimentSpec> = specs
             .iter()
             .filter(|s| !self.results.contains_key(&s.name))
             .cloned()
             .map(|mut s| {
-                s.trace |= self.trace;
-                s.profile |= self.profile;
-                s.scope |= self.scope;
+                for (plane, ..) in &self.planes {
+                    (plane.arm)(&mut s);
+                }
                 s.shards = s.shards.max(self.shards);
                 if s.faults.is_empty() {
                     s.faults = self.faults.clone();
-                }
-                if s.slo.is_none() {
-                    s.slo = self.slo.clone();
                 }
                 s
             })
             .collect();
         if !missing.is_empty() {
             let t0 = std::time::Instant::now();
-            for r in run_all(&missing, self.threads) {
-                self.results.insert(r.name.clone(), r);
-            }
+            let finished = run_all(&missing, self.threads);
             self.wall_seconds += t0.elapsed().as_secs_f64();
+            for mut r in finished {
+                for (plane, dir, written) in &mut self.planes {
+                    for (suffix, text) in (plane.files)(&mut r) {
+                        *written += usize::from(write_file(dir, &r.name, suffix, text.as_bytes()));
+                    }
+                }
+                self.results.insert(r.name.clone(), Rc::new(r));
+            }
         }
         specs
             .iter()
-            .map(|s| self.results[&s.name].clone())
+            .map(|s| Rc::clone(&self.results[&s.name]))
             .collect()
     }
 
@@ -122,192 +265,19 @@ impl Campaign {
         rows
     }
 
-    /// Write the trace artifacts of every traced run under `dir`:
-    /// `<name>.trace.jsonl` (events + unified resource log) and
-    /// `<name>.trace.json` (Chrome `trace_event`, Perfetto-loadable).
-    /// Returns `(files written, cross-check disagreements)`.
-    pub fn write_traces(&self, dir: &std::path::Path) -> std::io::Result<(usize, usize)> {
-        let mut files = 0;
-        let mut disagreements = 0;
-        let mut names: Vec<&String> = self.results.keys().collect();
-        names.sort_unstable();
-        for name in names {
-            let r = &self.results[name];
-            let Some(trace) = &r.trace else { continue };
-            std::fs::create_dir_all(dir)?;
-            let stem: String = name
-                .chars()
-                .map(|c| if c == '/' || c == ' ' { '_' } else { c })
-                .collect();
-            std::fs::write(dir.join(format!("{stem}.trace.jsonl")), &trace.jsonl)?;
-            std::fs::write(dir.join(format!("{stem}.trace.json")), &trace.chrome)?;
-            files += 2;
-            for d in &trace.disagreements {
-                eprintln!("trace cross-check [{name}]: {d}");
-            }
-            disagreements += trace.disagreements.len();
+    /// After the last artifact: each armed plane's terminal tables on
+    /// stdout and its `N files written` line on stderr.
+    pub fn report_planes(&self) {
+        let mut runs: Runs = self.results.values().cloned().collect();
+        runs.sort_unstable_by(|a, b| a.name.cmp(&b.name));
+        for (plane, dir, written) in &self.planes {
+            let files = written + (plane.terminal)(&runs, dir);
+            eprintln!(
+                "{files} {} files written under {}",
+                plane.noun,
+                dir.display()
+            );
         }
-        Ok((files, disagreements))
-    }
-}
-
-impl Campaign {
-    /// Rendered per-component self-time tables of every profiled run,
-    /// sorted by run name (the `--profile` terminal output).
-    pub fn profile_tables(&self) -> Vec<(String, String)> {
-        let mut rows: Vec<(String, String)> = self
-            .results
-            .iter()
-            .filter_map(|(name, r)| r.profile.as_ref().map(|p| (name.clone(), p.table.clone())))
-            .collect();
-        rows.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        rows
-    }
-
-    /// Write the profiler artifacts of every profiled run under `dir`:
-    /// `<name>.selftime.txt` (the rendered per-component table),
-    /// `<name>.collapsed.txt` (flamegraph collapsed stacks — feed to
-    /// `flamegraph.pl` / inferno), `<name>.prom.txt` (Prometheus text
-    /// exposition) and `<name>.metrics.csv` (deterministic time series).
-    /// Returns the number of files written.
-    pub fn write_profiles(&self, dir: &std::path::Path) -> std::io::Result<usize> {
-        let mut files = 0;
-        let mut names: Vec<&String> = self.results.keys().collect();
-        names.sort_unstable();
-        for name in names {
-            let r = &self.results[name];
-            let Some(prof) = &r.profile else { continue };
-            std::fs::create_dir_all(dir)?;
-            let stem: String = name
-                .chars()
-                .map(|c| if c == '/' || c == ' ' { '_' } else { c })
-                .collect();
-            std::fs::write(dir.join(format!("{stem}.selftime.txt")), &prof.table)?;
-            std::fs::write(dir.join(format!("{stem}.collapsed.txt")), &prof.collapsed)?;
-            std::fs::write(dir.join(format!("{stem}.prom.txt")), &prof.prometheus)?;
-            std::fs::write(dir.join(format!("{stem}.metrics.csv")), &prof.metrics_csv)?;
-            files += 4;
-        }
-        Ok(files)
-    }
-
-    /// One compliance table covering every SLO-measured run, sorted by
-    /// run name (the `--slo` terminal output). `None` when no run
-    /// carried an SLO spec.
-    pub fn slo_table(&self) -> Option<String> {
-        let rows = self.slo_rows();
-        if rows.is_empty() {
-            return None;
-        }
-        let mut table = telemetry::Table::new(
-            "Deadline-SLO compliance".to_string(),
-            gridmon_core::SloReport::table_columns(),
-        );
-        for (_, row) in rows {
-            table.push_row(row);
-        }
-        Some(table.render())
-    }
-
-    /// The same compliance rows as a GitHub-flavoured markdown table
-    /// (committed next to `slo.csv` by `--slo=DIR`).
-    pub fn slo_markdown(&self) -> Option<String> {
-        let rows = self.slo_rows();
-        if rows.is_empty() {
-            return None;
-        }
-        let cols = gridmon_core::SloReport::table_columns();
-        let mut out = String::from("# Deadline-SLO compliance\n\n");
-        out.push_str(&format!("| {} |\n", cols.join(" | ")));
-        out.push_str(&format!("|{}\n", " --- |".repeat(cols.len())));
-        for (_, row) in rows {
-            out.push_str(&format!("| {} |\n", row.join(" | ")));
-        }
-        Some(out)
-    }
-
-    fn slo_rows(&self) -> Vec<(String, Vec<String>)> {
-        let mut rows: Vec<(String, Vec<String>)> = self
-            .results
-            .iter()
-            .filter_map(|(name, r)| {
-                r.slo
-                    .as_ref()
-                    .map(|s| (name.clone(), s.report.table_row(name)))
-            })
-            .collect();
-        rows.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        rows
-    }
-
-    /// Write the freshness artifacts of every SLO-measured run under
-    /// `dir`: `<name>.slo.csv` (AoI sawtooth + burn-window time series)
-    /// plus one `compliance.md` markdown table covering all runs.
-    /// Returns the number of files written.
-    pub fn write_slo(&self, dir: &std::path::Path) -> std::io::Result<usize> {
-        let mut files = 0;
-        let mut names: Vec<&String> = self.results.keys().collect();
-        names.sort_unstable();
-        for name in names {
-            let r = &self.results[name];
-            let Some(slo) = &r.slo else { continue };
-            std::fs::create_dir_all(dir)?;
-            let stem: String = name
-                .chars()
-                .map(|c| if c == '/' || c == ' ' { '_' } else { c })
-                .collect();
-            std::fs::write(dir.join(format!("{stem}.slo.csv")), &slo.csv)?;
-            files += 1;
-        }
-        if let Some(md) = self.slo_markdown() {
-            std::fs::create_dir_all(dir)?;
-            std::fs::write(dir.join("compliance.md"), md)?;
-            files += 1;
-        }
-        Ok(files)
-    }
-
-    /// Rendered hot-path attribution + kernel event-accounting summary
-    /// of every scoped run, sorted by run name (the `--scope` terminal
-    /// output).
-    pub fn scope_tables(&self) -> Vec<(String, String)> {
-        let mut rows: Vec<(String, String)> = self
-            .results
-            .iter()
-            .filter_map(|(name, r)| {
-                r.scope
-                    .as_ref()
-                    .map(|s| (name.clone(), render_scope(name, s, &r.kernel)))
-            })
-            .collect();
-        rows.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        rows
-    }
-
-    /// Write the hot-path artifacts of every scoped run under `dir`:
-    /// `<name>.hotpath.json` (`gridmon-hotpath/1`) and
-    /// `<name>.hotpath.collapsed.txt` (flamegraph collapsed stacks,
-    /// wall-clock microseconds). Returns the number of files written.
-    pub fn write_scopes(&self, dir: &std::path::Path) -> std::io::Result<usize> {
-        let mut files = 0;
-        let mut names: Vec<&String> = self.results.keys().collect();
-        names.sort_unstable();
-        for name in names {
-            let r = &self.results[name];
-            let Some(scope) = &r.scope else { continue };
-            std::fs::create_dir_all(dir)?;
-            let stem: String = name
-                .chars()
-                .map(|c| if c == '/' || c == ' ' { '_' } else { c })
-                .collect();
-            std::fs::write(dir.join(format!("{stem}.hotpath.json")), &scope.json)?;
-            std::fs::write(
-                dir.join(format!("{stem}.hotpath.collapsed.txt")),
-                &scope.collapsed,
-            )?;
-            files += 2;
-        }
-        Ok(files)
     }
 }
 
@@ -319,7 +289,7 @@ fn render_scope(
     scope: &gridmon_core::ScopeArtifacts,
     kernel: &simcore::KernelStats,
 ) -> String {
-    let mut hot = telemetry::Table::new(
+    let mut hot = Table::new(
         format!("Hot-path wall time — {name}"),
         &["site", "ms", "count", "ns/op"],
     );
@@ -332,7 +302,7 @@ fn render_scope(
             ns_per_op.to_string(),
         ]);
     }
-    let mut mix = telemetry::Table::new(
+    let mut mix = Table::new(
         format!(
             "Kernel event accounting — {name} (peak queue depth {}, {} timers / {} messages)",
             kernel.peak_queue_depth, kernel.timer_scheduled, kernel.message_scheduled
@@ -359,17 +329,93 @@ fn render_scope(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gridmon_core::SystemUnderTest;
+    use gridmon_core::{run_experiment, SystemUnderTest};
 
     #[test]
     fn memoizes_by_name() {
-        let mut c = Campaign::new(2);
+        let mut c = Campaign::new(2, 1, FaultSchedule::new(), Vec::new());
         let spec =
             ExperimentSpec::paper_default("memo", SystemUnderTest::NaradaSingle, 4).scaled(2);
         let a = c.ensure(std::slice::from_ref(&spec));
         assert_eq!(c.runs(), 1);
         let b = c.ensure(std::slice::from_ref(&spec));
         assert_eq!(c.runs(), 1, "second call hits the cache");
-        assert_eq!(a[0].summary.sent, b[0].summary.sent);
+        assert!(Rc::ptr_eq(&a[0], &b[0]), "one shared result, not a copy");
+    }
+
+    /// Every export is on disk, byte for byte what a direct run of the
+    /// same spec renders, and gone from the result the campaign keeps;
+    /// what the terminal tables read stays.
+    #[test]
+    fn ensure_writes_each_runs_exports_and_lets_them_go() {
+        let dir = std::env::temp_dir().join(format!("harness-ensure-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let armed = |flag: &str| {
+            let plane = PLANES.iter().find(|p| p.flag == flag).expect("a plane");
+            (plane, dir.join(&flag[2..]))
+        };
+        let mut c = Campaign::new(
+            1,
+            1,
+            FaultSchedule::new(),
+            vec![armed("--trace"), armed("--profile"), armed("--slo")],
+        );
+        let spec =
+            ExperimentSpec::paper_default("let go/1", SystemUnderTest::GridlogSingle, 6).scaled(3);
+        let kept = c.ensure(std::slice::from_ref(&spec)).remove(0);
+        let direct = run_experiment(&spec.traced().profiled().with_slo(SloSpec::grid_default()));
+
+        let (trace, prof, slo) = (
+            direct.trace.expect("traced"),
+            direct.profile.expect("profiled"),
+            direct.slo.expect("measured"),
+        );
+        let expected = [
+            ("trace/let_go_1.trace.jsonl", &trace.jsonl),
+            ("trace/let_go_1.trace.json", &trace.chrome),
+            ("profile/let_go_1.selftime.txt", &prof.table),
+            ("profile/let_go_1.collapsed.txt", &prof.collapsed),
+            ("profile/let_go_1.prom.txt", &prof.prometheus),
+            ("profile/let_go_1.metrics.csv", &prof.metrics_csv),
+            ("slo/let_go_1.slo.csv", &slo.csv),
+        ];
+        for (file, text) in expected {
+            assert!(!text.is_empty(), "{file} has content");
+            let on_disk = std::fs::read_to_string(dir.join(file)).expect(file);
+            assert!(on_disk == *text, "{file} differs from the direct run's");
+        }
+        let written: usize = c.planes.iter().map(|p| p.2).sum();
+        assert_eq!(written, expected.len());
+
+        let (t, p, s) = (
+            kept.trace.as_ref().expect("traced"),
+            kept.profile.as_ref().expect("profiled"),
+            kept.slo.as_ref().expect("measured"),
+        );
+        assert!(t.jsonl.is_empty() && t.chrome.is_empty());
+        assert!(p.collapsed.is_empty() && p.prometheus.is_empty() && p.metrics_csv.is_empty());
+        assert!(s.csv.is_empty());
+        assert_eq!(p.table, prof.table);
+        assert_eq!(t.disagreements, trace.disagreements);
+        assert_eq!(
+            s.report.table_row("x"),
+            slo.report.table_row("x"),
+            "the compliance row outlives the CSV"
+        );
+        std::fs::remove_dir_all(&dir).expect("scratch directory");
+    }
+
+    /// A file that cannot be written costs one `false`, not the files
+    /// after it.
+    #[test]
+    fn a_write_error_is_reported_and_the_next_file_still_written() {
+        let dir = std::env::temp_dir().join(format!("harness-write-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(write_file(&dir, "a/b c", ".csv", b"x"));
+        assert_eq!(std::fs::read(dir.join("a_b_c.csv")).expect("written"), b"x");
+        // A regular file where a directory is wanted.
+        assert!(!write_file(&dir.join("a_b_c.csv"), "t", ".csv", b"y"));
+        assert!(write_file(&dir, "after", ".csv", b"z"));
+        std::fs::remove_dir_all(&dir).expect("scratch directory");
     }
 }

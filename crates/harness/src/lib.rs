@@ -2,9 +2,11 @@
 #![warn(missing_docs)]
 //! # harness — regenerating the paper's tables and figures
 //!
-//! A [`Campaign`] runs the experiment specs (once each, in parallel,
-//! memoized by name) and the `artifacts` module turns results into the
-//! exact rows/series each paper artifact reports.
+//! Two tables: [`artifacts::ARTIFACTS`] names every table and figure
+//! once, with the builder that turns results into its rows/series;
+//! [`campaign::PLANES`] does the same for the observation planes. A
+//! [`Campaign`] runs the experiment specs (once each, in parallel,
+//! memoized by name) and writes each plane's files as runs finish.
 
 pub mod artifacts;
 pub mod campaign;

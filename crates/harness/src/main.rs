@@ -6,10 +6,8 @@
 //!       [--trace[=DIR]] [--faults=SCENARIO] [--profile[=DIR]]
 //!       [--scope[=DIR]] [--slo[=DIR]] <artifact>...
 //!
-//! artifacts: table1 table2 table3 fig3 fig4 fig5 fig6 fig7 fig8 fig9
-//!            fig10 fig11 fig12 fig13 fig14 fig15 rgma-warmup
-//!            ablation-routing ablation-secondary ablation-poll
-//!            ablation-aggregation gridlog compare checks all
+//! artifacts: the rows of `harness::artifacts::ARTIFACTS`, or `all`
+//!            (`repro --help` lists them)
 //!
 //! Every value-taking option accepts both `--opt value` and
 //! `--opt=value`. Unknown options are rejected with the valid list;
@@ -62,32 +60,72 @@
 //!                  runs stay byte-identical to plain ones on every
 //!                  other artifact
 //! ```
+//!
+//! A plane's files are written as each run finishes; a file that cannot
+//! be written is a `warning:` on stderr and never changes the exit
+//! status (0; 1 when a finding prints `NO`; 2 for a bad command line).
 
-use harness::{artifacts, Campaign};
-use std::io::Write;
+use gridmon_core::{scenarios, FaultSchedule, SloSpec};
+use harness::artifacts::{Artifact, ARTIFACTS};
+use harness::campaign::{write_file, Campaign, Plane, PLANES, SLO};
+use std::path::PathBuf;
 
-const VALID_OPTIONS: &str = "--scale --threads --shards --out --no-csv --trace[=DIR] \
-     --faults --profile[=DIR] --scope[=DIR] --slo[=DIR] --list-scenarios --help";
+/// Stands for every row of `ARTIFACTS`, in order.
+const ALL: &str = "all";
+
+/// How a plane's flag is listed.
+fn listed(plane: &Plane) -> String {
+    format!("{}[=DIR]", plane.flag)
+}
+
+/// The plane flags where every listing of the options puts them: the
+/// first before `--faults`, the rest after it (the text scripts and the
+/// grammar proptests have pinned).
+fn plane_flags(show: impl Fn(&Plane) -> String) -> (String, String) {
+    let shown: Vec<String> = PLANES.iter().map(show).collect();
+    (shown[0].clone(), shown[1..].join(" "))
+}
+
+fn valid_options() -> String {
+    let (first, rest) = plane_flags(listed);
+    format!(
+        "--scale --threads --shards --out --no-csv {first} --faults {rest} \
+         --list-scenarios --help"
+    )
+}
+
+fn usage() -> String {
+    let (first, rest) = plane_flags(|p| format!("[{}]", listed(p)));
+    format!(
+        "usage: repro [--scale=N] [--threads=N] [--shards=N] [--out=DIR | --no-csv] \
+         {first} [--faults=SCENARIO] {rest} [--list-scenarios] <artifact>..."
+    )
+}
+
+/// Every artifact name and `all`, as the usage text and the
+/// unknown-artifact error list them.
+fn artifact_names() -> String {
+    let names: Vec<&str> = ARTIFACTS.iter().map(|a| a.name).chain([ALL]).collect();
+    names.join(" ")
+}
 
 struct Options {
     scale: u32,
     threads: usize,
     shards: usize,
-    out: Option<std::path::PathBuf>,
-    trace: Option<std::path::PathBuf>,
-    profile: Option<std::path::PathBuf>,
-    scope: Option<std::path::PathBuf>,
-    slo: Option<std::path::PathBuf>,
-    faults: Option<gridmon_core::FaultSchedule>,
+    out: Option<PathBuf>,
+    /// The directory of each armed plane, row for row with `PLANES`.
+    planes: Vec<Option<PathBuf>>,
+    faults: Option<FaultSchedule>,
     artifacts: Vec<String>,
 }
 
-fn parse_fault_scenario(name: &str) -> Result<gridmon_core::FaultSchedule, String> {
-    gridmon_core::FaultSchedule::scenario(name).ok_or_else(|| {
+fn parse_fault_scenario(name: &str) -> Result<FaultSchedule, String> {
+    FaultSchedule::scenario(name).ok_or_else(|| {
         format!(
             "unknown fault scenario {name:?} (one of: {}){}",
-            gridmon_core::FaultSchedule::SCENARIOS.join(" "),
-            suggestion(name, gridmon_core::FaultSchedule::SCENARIOS.iter().copied())
+            FaultSchedule::SCENARIOS.join(" "),
+            suggestion(name, FaultSchedule::SCENARIOS.iter().copied())
         )
     })
 }
@@ -121,218 +159,80 @@ fn suggestion<'a>(name: &str, candidates: impl Iterator<Item = &'a str>) -> Stri
 }
 
 /// The value of `--opt value` / `--opt=value`, from `inline` (the text
-/// after `=`, if any) or the next argument.
-fn take_value(
+/// after `=`, if any) or the next argument, parsed as a `T`.
+fn take_value<T: std::str::FromStr>(
     opt: &str,
     inline: Option<&str>,
     args: &mut impl Iterator<Item = String>,
-) -> Result<String, String> {
-    match inline {
-        Some(v) if !v.is_empty() => Ok(v.to_owned()),
-        Some(_) => Err(format!("{opt}= needs a value")),
-        None => args.next().ok_or_else(|| format!("{opt} needs a value")),
-    }
+) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    let text = match inline {
+        Some(v) if !v.is_empty() => v.to_owned(),
+        Some(_) => return Err(format!("{opt}= needs a value")),
+        None => args.next().ok_or_else(|| format!("{opt} needs a value"))?,
+    };
+    text.parse().map_err(|e| format!("bad {opt}: {e}"))
 }
 
 fn parse_args(args: impl Iterator<Item = String>) -> Result<Options, String> {
-    let mut scale = 180u32;
-    let mut threads = 0usize;
-    let mut shards = 1usize;
-    let mut out = Some(std::path::PathBuf::from("results"));
-    let mut trace = None;
-    let mut profile = None;
-    let mut scope = None;
-    let mut slo = None;
-    let mut faults = None;
-    let mut artifacts = Vec::new();
+    let mut opts = Options {
+        scale: 180,
+        threads: 0,
+        shards: 1,
+        out: Some(PathBuf::from("results")),
+        planes: vec![None; PLANES.len()],
+        faults: None,
+        artifacts: Vec::new(),
+    };
     let mut args = args.peekable();
     while let Some(a) = args.next() {
         if !a.starts_with('-') {
-            artifacts.push(a);
+            opts.artifacts.push(a);
             continue;
         }
         let (opt, inline) = match a.split_once('=') {
-            Some((o, v)) => (o.to_owned(), Some(v.to_owned())),
-            None => (a, None),
+            Some((o, v)) => (o, Some(v)),
+            None => (a.as_str(), None),
         };
-        match opt.as_str() {
-            "--scale" => {
-                scale = take_value("--scale", inline.as_deref(), &mut args)?
-                    .parse()
-                    .map_err(|e| format!("bad --scale: {e}"))?;
-            }
-            "--threads" => {
-                threads = take_value("--threads", inline.as_deref(), &mut args)?
-                    .parse()
-                    .map_err(|e| format!("bad --threads: {e}"))?;
-            }
+        match opt {
+            "--scale" => opts.scale = take_value(opt, inline, &mut args)?,
+            "--threads" => opts.threads = take_value(opt, inline, &mut args)?,
             "--shards" => {
-                shards = take_value("--shards", inline.as_deref(), &mut args)?
-                    .parse()
-                    .map_err(|e| format!("bad --shards: {e}"))?;
-                if shards == 0 {
+                opts.shards = take_value(opt, inline, &mut args)?;
+                if opts.shards == 0 {
                     return Err("bad --shards: need at least 1".into());
                 }
             }
-            "--out" => {
-                out = Some(std::path::PathBuf::from(take_value(
-                    "--out",
-                    inline.as_deref(),
-                    &mut args,
-                )?));
-            }
-            "--no-csv" => out = None,
-            "--trace" => {
-                trace = Some(std::path::PathBuf::from(match inline {
-                    Some(dir) if !dir.is_empty() => dir,
-                    Some(_) => return Err("--trace= needs a directory (or bare --trace)".into()),
-                    None => "results/trace".to_owned(),
-                }));
-            }
-            "--profile" => {
-                profile = Some(std::path::PathBuf::from(match inline {
-                    Some(dir) if !dir.is_empty() => dir,
-                    Some(_) => {
-                        return Err("--profile= needs a directory (or bare --profile)".into())
-                    }
-                    None => "results/prof".to_owned(),
-                }));
-            }
-            "--scope" => {
-                scope = Some(std::path::PathBuf::from(match inline {
-                    Some(dir) if !dir.is_empty() => dir,
-                    Some(_) => return Err("--scope= needs a directory (or bare --scope)".into()),
-                    None => "results/scope".to_owned(),
-                }));
-            }
-            "--slo" => {
-                slo = Some(std::path::PathBuf::from(match inline {
-                    Some(dir) if !dir.is_empty() => dir,
-                    Some(_) => return Err("--slo= needs a directory (or bare --slo)".into()),
-                    None => "results/slo".to_owned(),
-                }));
-            }
+            "--out" => opts.out = Some(take_value(opt, inline, &mut args)?),
+            "--no-csv" => opts.out = None,
             "--faults" => {
-                faults = Some(parse_fault_scenario(&take_value(
-                    "--faults",
-                    inline.as_deref(),
-                    &mut args,
-                )?)?);
+                let name: String = take_value(opt, inline, &mut args)?;
+                opts.faults = Some(parse_fault_scenario(&name)?);
             }
-            "--list-scenarios" => artifacts.push("list-scenarios".to_owned()),
-            "--help" | "-h" => artifacts.push("help".to_owned()),
-            other => {
-                return Err(format!(
-                    "unknown option {other} (valid options: {VALID_OPTIONS})"
-                ));
+            "--list-scenarios" => opts.artifacts.push("list-scenarios".to_owned()),
+            "--help" | "-h" => opts.artifacts.push("help".to_owned()),
+            _ => {
+                let Some(row) = PLANES.iter().position(|p| p.flag == opt) else {
+                    return Err(format!(
+                        "unknown option {opt} (valid options: {})",
+                        valid_options()
+                    ));
+                };
+                opts.planes[row] = Some(PathBuf::from(match inline {
+                    Some("") => return Err(format!("{opt}= needs a directory (or bare {opt})")),
+                    Some(dir) => dir,
+                    None => PLANES[row].default_dir,
+                }));
             }
         }
     }
-    if artifacts.is_empty() {
-        artifacts.push("help".to_owned());
+    if opts.artifacts.is_empty() {
+        opts.artifacts.push("help".to_owned());
     }
-    Ok(Options {
-        scale,
-        threads,
-        shards,
-        out,
-        trace,
-        profile,
-        scope,
-        slo,
-        faults,
-        artifacts,
-    })
+    Ok(opts)
 }
-
-/// Every artifact `repro` can build, with the one-line description
-/// `--list-scenarios` prints. Order is the `all` execution order.
-const ARTIFACTS: &[(&str, &str)] = &[
-    (
-        "table1",
-        "hardware and software calibration constants (Table I)",
-    ),
-    (
-        "table2",
-        "Narada comparison test settings and measured loss (Table II)",
-    ),
-    (
-        "fig3",
-        "Narada comparison tests: RTT mean and standard deviation",
-    ),
-    ("fig4", "Narada comparison tests: RTT percentiles 95-100"),
-    (
-        "fig5",
-        "distributed broker architecture as deployed (topology)",
-    ),
-    ("fig6", "Narada CPU idle and memory vs connections"),
-    (
-        "fig7",
-        "Narada RTT and stddev vs connections (single vs DBN)",
-    ),
-    (
-        "fig8",
-        "Narada single-broker RTT percentiles per connection count",
-    ),
-    ("fig9", "Narada DBN RTT percentiles per connection count"),
-    (
-        "fig10",
-        "R-GMA Primary + Secondary Producer RTT percentiles",
-    ),
-    (
-        "fig11",
-        "R-GMA RTT and stddev vs connections (single vs distributed)",
-    ),
-    (
-        "fig12",
-        "R-GMA single-server RTT percentiles per connection count",
-    ),
-    ("fig13", "R-GMA CPU idle and memory (single vs distributed)"),
-    (
-        "fig14",
-        "R-GMA distributed RTT percentiles per connection count",
-    ),
-    (
-        "fig15",
-        "RTT decomposition (PRT / PT / SRT), cumulative phases",
-    ),
-    (
-        "table3",
-        "qualitative comparison derived from the measurements (Table III)",
-    ),
-    (
-        "rgma-warmup",
-        "S-III.F warm-up loss study (with vs without the wait)",
-    ),
-    (
-        "ablation-routing",
-        "DBN broadcast (v1.1.3) vs subscription-aware routing",
-    ),
-    (
-        "ablation-secondary",
-        "Secondary Producer 30 s delay on vs off",
-    ),
-    (
-        "ablation-poll",
-        "subscriber poll period sweep (10 ms - 1 s)",
-    ),
-    (
-        "ablation-aggregation",
-        "sender-side aggregation at constant byte rate",
-    ),
-    (
-        "gridlog",
-        "gridlog partitioned-log scalability series (500-2000 conns)",
-    ),
-    (
-        "compare",
-        "three-way Narada/R-GMA/gridlog RTT + outage-loss comparison",
-    ),
-    (
-        "checks",
-        "headline paper findings checked against measurements",
-    ),
-];
 
 /// One-line descriptions of the named fault scenarios, keyed to
 /// `FaultSchedule::SCENARIOS` (a unit test keeps them in lockstep).
@@ -360,86 +260,76 @@ const FAULT_SCENARIOS: &[(&str, &str)] = &[
 /// `compare` — with one-line descriptions.
 fn list_scenarios(scale: u32) {
     println!("artifacts (repro <name>):");
-    for (name, desc) in ARTIFACTS {
-        println!("  {name:<22} {desc}");
+    for a in ARTIFACTS {
+        println!("  {:<22} {}", a.name, a.about);
     }
-    println!("  {:<22} every artifact above", "all");
+    println!("  {ALL:<22} every artifact above");
     println!("\nfault scenarios (--faults=<name>):");
     for (name, desc) in FAULT_SCENARIOS {
         println!("  {name:<22} {desc}");
     }
-    {
-        let slo = gridmon_core::SloSpec::grid_default();
-        println!(
-            "\nfreshness / SLO plane (--slo[=DIR]): grid default = {} ms \
-             deadline, {:.0}% on-time target; applies to every spec below",
-            slo.deadline.as_millis_f64(),
-            slo.target_fraction * 100.0
-        );
-    }
+    let slo = SloSpec::grid_default();
+    println!(
+        "\nfreshness / SLO plane ({}): grid default = {} ms \
+         deadline, {:.0}% on-time target; applies to every spec below",
+        listed(&SLO),
+        slo.deadline.as_millis_f64(),
+        slo.target_fraction * 100.0
+    );
     println!("\nexperiment specs (run via the artifacts that own them):");
-    let catalogues: [(&str, Vec<gridmon_core::ExperimentSpec>); 2] = [
-        (
-            "gridlog",
-            gridmon_core::scenarios::gridlog_single_specs(scale),
-        ),
-        ("compare", {
-            let mut v = gridmon_core::scenarios::three_way_specs(scale);
-            v.extend(gridmon_core::scenarios::three_way_outage_specs(scale));
-            v
-        }),
-    ];
-    for (owner, specs) in catalogues {
-        for s in specs {
-            let faults = if s.faults.is_empty() {
-                String::new()
-            } else {
-                format!(", {} fault event(s)", s.faults.events.len())
-            };
-            println!(
-                "  {:<30} [{owner}] {:?}, {} generators x {} msgs{faults}",
-                s.name, s.system, s.generators, s.msgs_per_generator
-            );
-        }
+    let specs = scenarios::gridlog_single_specs(scale)
+        .into_iter()
+        .chain(scenarios::three_way_specs(scale))
+        .chain(scenarios::three_way_outage_specs(scale));
+    for s in specs {
+        // A spec's name starts with the artifact that runs it.
+        let owner = s.name.split('/').next().unwrap_or_default();
+        let faults = if s.faults.is_empty() {
+            String::new()
+        } else {
+            format!(", {} fault event(s)", s.faults.events.len())
+        };
+        println!(
+            "  {:<30} [{owner}] {:?}, {} generators x {} msgs{faults}",
+            s.name, s.system, s.generators, s.msgs_per_generator
+        );
     }
 }
 
-fn write_csv(out: &Option<std::path::PathBuf>, name: &str, csv: &str) {
-    let Some(dir) = out else { return };
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
+/// The rows `names` ask for — all of them once `all` is among the names
+/// — or the unknown-artifact error.
+fn select(names: &[String]) -> Result<Vec<&'static Artifact>, String> {
+    if names.iter().any(|n| n == ALL) {
+        return Ok(ARTIFACTS.iter().collect());
     }
-    let path = dir.join(format!("{name}.csv"));
-    match std::fs::File::create(&path) {
-        Ok(mut f) => {
-            let _ = f.write_all(csv.as_bytes());
-        }
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-    }
+    let row = |name: &String| {
+        ARTIFACTS.iter().find(|a| a.name == name).ok_or_else(|| {
+            format!(
+                "unknown artifact {name:?} (artifacts: {}){}",
+                artifact_names(),
+                suggestion(name, ARTIFACTS.iter().map(|a| a.name).chain([ALL]))
+            )
+        })
+    };
+    names.iter().map(row).collect()
 }
 
 fn main() {
-    let opts = match parse_args(std::env::args().skip(1)) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
+    let fail = |e: String| -> ! {
+        eprintln!("error: {e}");
+        std::process::exit(2)
     };
-    let artifact_names: Vec<&str> = ARTIFACTS.iter().map(|(n, _)| *n).collect();
+    let opts = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| fail(e));
     if opts.artifacts.iter().any(|a| a == "help") {
         eprintln!(
             "repro — regenerate the IPPS 2007 pub/sub study artifacts\n\n\
-             usage: repro [--scale=N] [--threads=N] [--shards=N] \
-             [--out=DIR | --no-csv] [--trace[=DIR]] [--faults=SCENARIO] \
-             [--profile[=DIR]] [--scope[=DIR]] [--slo[=DIR]] \
-             [--list-scenarios] <artifact>...\n\n\
-             artifacts: {} all\n\
+             {}\n\n\
+             artifacts: {}\n\
              fault scenarios: {}\n\n\
              --list-scenarios describes every named scenario",
-            artifact_names.join(" "),
-            gridmon_core::FaultSchedule::SCENARIOS.join(" ")
+            usage(),
+            artifact_names(),
+            FaultSchedule::SCENARIOS.join(" ")
         );
         return;
     }
@@ -447,123 +337,32 @@ fn main() {
         list_scenarios(opts.scale);
         return;
     }
-    let names: Vec<String> = if opts.artifacts.iter().any(|a| a == "all") {
-        artifact_names.iter().map(|s| (*s).to_owned()).collect()
-    } else {
-        opts.artifacts.clone()
-    };
     // Validate artifact names before running anything: a typo at the end
     // of the list must not cost a full campaign first.
-    for name in &names {
-        if !artifact_names.contains(&name.as_str()) {
-            eprintln!(
-                "error: unknown artifact {name:?} (artifacts: {} all){}",
-                artifact_names.join(" "),
-                suggestion(name, artifact_names.iter().copied().chain(["all"]))
-            );
-            std::process::exit(2);
-        }
-    }
+    let rows = select(&opts.artifacts).unwrap_or_else(|e| fail(e));
 
-    let mut campaign = Campaign::new(opts.threads);
-    campaign.set_shards(opts.shards);
-    campaign.set_trace(opts.trace.is_some());
-    campaign.set_profile(opts.profile.is_some());
-    campaign.set_scope(opts.scope.is_some());
-    if opts.slo.is_some() {
-        campaign.set_slo(Some(gridmon_core::SloSpec::grid_default()));
-    }
-    if let Some(faults) = &opts.faults {
-        campaign.set_faults(faults.clone());
-    }
-    let scale = opts.scale;
+    let armed = PLANES.iter().zip(opts.planes);
+    let mut campaign = Campaign::new(
+        opts.threads,
+        opts.shards,
+        opts.faults.clone().unwrap_or_default(),
+        armed.filter_map(|(p, dir)| Some((p, dir?))).collect(),
+    );
+    let csv = |stem: &str, suffix: &str, text: String| {
+        if let Some(dir) = &opts.out {
+            write_file(dir, stem, suffix, text.as_bytes());
+        }
+    };
     let started = std::time::Instant::now();
     let mut failed_checks = 0;
-    for name in &names {
-        match name.as_str() {
-            "table1" => {
-                let t = artifacts::table1();
-                println!("{}", t.render());
-                write_csv(&opts.out, "table1", &t.to_csv());
+    for a in rows {
+        for sheet in (a.render)(a.name, &mut campaign, opts.scale) {
+            println!("{}", sheet.text);
+            csv(a.name, &format!("{}.csv", sheet.suffix), sheet.csv);
+            if sheet.failed > 0 {
+                eprintln!("{} checks failed", sheet.failed);
             }
-            "table2" => {
-                let t = artifacts::table2(&mut campaign, scale);
-                println!("{}", t.render());
-                write_csv(&opts.out, "table2", &t.to_csv());
-            }
-            "table3" => {
-                let t = artifacts::table3(&mut campaign, scale);
-                println!("{}", t.render());
-                write_csv(&opts.out, "table3", &t.to_csv());
-            }
-            "fig3" => emit_fig(&mut campaign, scale, &opts.out, artifacts::fig3),
-            "fig4" => emit_fig(&mut campaign, scale, &opts.out, artifacts::fig4),
-            "fig5" => {
-                let t = artifacts::fig5();
-                println!("{}", t.render());
-                write_csv(&opts.out, "fig5", &t.to_csv());
-            }
-            "fig6" => emit_fig(&mut campaign, scale, &opts.out, artifacts::fig6),
-            "fig7" => emit_fig(&mut campaign, scale, &opts.out, artifacts::fig7),
-            "fig8" => emit_fig(&mut campaign, scale, &opts.out, artifacts::fig8),
-            "fig9" => emit_fig(&mut campaign, scale, &opts.out, artifacts::fig9),
-            "fig10" => emit_fig(&mut campaign, scale, &opts.out, artifacts::fig10),
-            "fig11" => emit_fig(&mut campaign, scale, &opts.out, artifacts::fig11),
-            "fig12" => emit_fig(&mut campaign, scale, &opts.out, artifacts::fig12),
-            "fig13" => emit_fig(&mut campaign, scale, &opts.out, artifacts::fig13),
-            "fig14" => emit_fig(&mut campaign, scale, &opts.out, artifacts::fig14),
-            "fig15" => emit_fig(&mut campaign, scale, &opts.out, artifacts::fig15),
-            "rgma-warmup" => {
-                let t = artifacts::rgma_warmup(&mut campaign, scale);
-                println!("{}", t.render());
-                write_csv(&opts.out, "rgma-warmup", &t.to_csv());
-            }
-            "ablation-routing" => {
-                let t = artifacts::ablation_routing(&mut campaign, scale);
-                println!("{}", t.render());
-                write_csv(&opts.out, "ablation-routing", &t.to_csv());
-            }
-            "ablation-secondary" => {
-                let t = artifacts::ablation_secondary(&mut campaign, scale);
-                println!("{}", t.render());
-                write_csv(&opts.out, "ablation-secondary", &t.to_csv());
-            }
-            "ablation-poll" => {
-                let t = artifacts::ablation_poll(&mut campaign, scale);
-                println!("{}", t.render());
-                write_csv(&opts.out, "ablation-poll", &t.to_csv());
-            }
-            "ablation-aggregation" => {
-                let t = artifacts::ablation_aggregation(&mut campaign, scale);
-                println!("{}", t.render());
-                write_csv(&opts.out, "ablation-aggregation", &t.to_csv());
-            }
-            "gridlog" => {
-                let t = artifacts::gridlog_scaling(&mut campaign, scale);
-                println!("{}", t.render());
-                write_csv(&opts.out, "gridlog", &t.to_csv());
-            }
-            "compare" => {
-                let t = artifacts::three_way(&mut campaign, scale);
-                println!("{}", t.render());
-                write_csv(&opts.out, "compare", &t.to_csv());
-                if opts.slo.is_some() {
-                    let t = artifacts::three_way_slo(&mut campaign, scale);
-                    println!("{}", t.render());
-                    write_csv(&opts.out, "compare-slo", &t.to_csv());
-                }
-            }
-            "checks" => {
-                let (table, failures) =
-                    checks_table(artifacts::headline_checks(&mut campaign, scale));
-                println!("{}", table.render());
-                write_csv(&opts.out, "checks", &table.to_csv());
-                if failures > 0 {
-                    eprintln!("{failures} checks failed");
-                }
-                failed_checks = failures;
-            }
-            _ => unreachable!("validated above"),
+            failed_checks += sheet.failed;
         }
     }
     if opts.faults.is_some() {
@@ -573,56 +372,10 @@ fn main() {
                 &stats.rows(),
             );
             println!("{}", table.render());
-            write_csv(
-                &opts.out,
-                &format!("{}.faults", name.replace(['/', ' '], "_")),
-                &table.to_csv(),
-            );
+            csv(&name, ".faults.csv", table.to_csv());
         }
     }
-    if let Some(dir) = &opts.trace {
-        match campaign.write_traces(dir) {
-            Ok((files, disagreements)) => {
-                eprintln!("{files} trace files written under {}", dir.display());
-                if disagreements > 0 {
-                    eprintln!(
-                        "WARNING: {disagreements} trace/RttCollector cross-check \
-                         disagreements — the trace and the telemetry disagree \
-                         about when messages moved; this indicates a bug"
-                    );
-                }
-            }
-            Err(e) => eprintln!("warning: cannot write traces: {e}"),
-        }
-    }
-    if let Some(dir) = &opts.profile {
-        for (name, table) in campaign.profile_tables() {
-            let _ = name;
-            println!("{table}");
-        }
-        match campaign.write_profiles(dir) {
-            Ok(files) => eprintln!("{files} profile files written under {}", dir.display()),
-            Err(e) => eprintln!("warning: cannot write profiles: {e}"),
-        }
-    }
-    if let Some(dir) = &opts.scope {
-        for (_name, summary) in campaign.scope_tables() {
-            println!("{summary}");
-        }
-        match campaign.write_scopes(dir) {
-            Ok(files) => eprintln!("{files} hot-path files written under {}", dir.display()),
-            Err(e) => eprintln!("warning: cannot write hot-path reports: {e}"),
-        }
-    }
-    if let Some(dir) = &opts.slo {
-        if let Some(table) = campaign.slo_table() {
-            println!("{table}");
-        }
-        match campaign.write_slo(dir) {
-            Ok(files) => eprintln!("{files} freshness files written under {}", dir.display()),
-            Err(e) => eprintln!("warning: cannot write freshness reports: {e}"),
-        }
-    }
+    campaign.report_planes();
     eprintln!(
         "{} experiments, {:.1}s simulated-experiment wall time, {:.1}s total",
         campaign.runs(),
@@ -636,38 +389,6 @@ fn main() {
     }
 }
 
-/// The findings table, and how many of its rows do not hold.
-fn checks_table(checks: Vec<(String, String, String, bool)>) -> (telemetry::Table, usize) {
-    let mut table = telemetry::Table::new(
-        "Paper findings vs measurements",
-        &["claim", "paper", "measured", "holds"],
-    );
-    let mut failures = 0;
-    for (claim, paper, measured, holds) in checks {
-        if !holds {
-            failures += 1;
-        }
-        table.push_row(vec![
-            claim,
-            paper,
-            measured,
-            if holds { "yes".into() } else { "NO".into() },
-        ]);
-    }
-    (table, failures)
-}
-
-fn emit_fig(
-    campaign: &mut Campaign,
-    scale: u32,
-    out: &Option<std::path::PathBuf>,
-    f: fn(&mut Campaign, u32) -> telemetry::Figure,
-) {
-    let fig = f(campaign, scale);
-    println!("{}", fig.render());
-    write_csv(out, &fig.id.clone(), &fig.to_csv());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -676,13 +397,13 @@ mod tests {
     #[test]
     fn fault_descriptions_cover_every_scenario() {
         let described: Vec<&str> = FAULT_SCENARIOS.iter().map(|(n, _)| *n).collect();
-        assert_eq!(described, gridmon_core::FaultSchedule::SCENARIOS);
+        assert_eq!(described, FaultSchedule::SCENARIOS);
     }
 
     #[test]
     fn artifact_list_has_no_duplicates_and_reserved_names() {
-        let mut names: Vec<&str> = ARTIFACTS.iter().map(|(n, _)| *n).collect();
-        assert!(!names.contains(&"all"));
+        let mut names: Vec<&str> = ARTIFACTS.iter().map(|a| a.name).collect();
+        assert!(!names.contains(&ALL));
         let before = names.len();
         names.sort_unstable();
         names.dedup();
@@ -693,13 +414,10 @@ mod tests {
     fn suggestion_finds_near_misses_and_ignores_rubbish() {
         assert_eq!(edit_distance("fig13", "fig13"), 0);
         assert_eq!(edit_distance("", "abc"), 3);
-        let arts = || ARTIFACTS.iter().map(|(n, _)| *n);
+        let arts = || ARTIFACTS.iter().map(|a| a.name);
         assert_eq!(suggestion("checkz", arts()), " — did you mean \"checks\"?");
         assert_eq!(
-            suggestion(
-                "broker-cash",
-                gridmon_core::FaultSchedule::SCENARIOS.iter().copied()
-            ),
+            suggestion("broker-cash", FaultSchedule::SCENARIOS.iter().copied()),
             " — did you mean \"broker-crash\"?"
         );
         assert_eq!(suggestion("zzzzzzzz", arts()), "");
@@ -709,17 +427,79 @@ mod tests {
 
     #[test]
     fn parse_args_handles_slo_flag_grammar() {
+        let slo = |o: &Options| o.planes[PLANES.len() - 1].clone();
         let bare = parse_args(["--slo".to_owned(), "compare".to_owned()].into_iter()).unwrap();
-        assert_eq!(
-            bare.slo.as_deref(),
-            Some(std::path::Path::new("results/slo"))
-        );
+        assert_eq!(slo(&bare), Some(PathBuf::from("results/slo")));
+        assert_eq!(bare.planes.iter().flatten().count(), 1);
         let with_dir = parse_args(["--slo=fresh".to_owned()].into_iter()).unwrap();
-        assert_eq!(with_dir.slo.as_deref(), Some(std::path::Path::new("fresh")));
+        assert_eq!(slo(&with_dir), Some(PathBuf::from("fresh")));
         let err = parse_args(["--slo=".to_owned()].into_iter()).err().unwrap();
         assert!(err.contains("--slo="), "{err}");
         let unknown = parse_args(["--sloo".to_owned()].into_iter()).err().unwrap();
         assert!(unknown.contains("--slo[=DIR]"), "{unknown}");
+    }
+
+    /// The option listings are built around the plane table; their text
+    /// is what scripts and the proptests below have always seen.
+    #[test]
+    fn option_listings_keep_their_text() {
+        assert_eq!(
+            valid_options(),
+            "--scale --threads --shards --out --no-csv --trace[=DIR] --faults --profile[=DIR] \
+             --scope[=DIR] --slo[=DIR] --list-scenarios --help"
+        );
+        assert_eq!(
+            usage(),
+            "usage: repro [--scale=N] [--threads=N] [--shards=N] [--out=DIR | --no-csv] \
+             [--trace[=DIR]] [--faults=SCENARIO] [--profile[=DIR]] [--scope[=DIR]] [--slo[=DIR]] \
+             [--list-scenarios] <artifact>..."
+        );
+        assert_eq!(SLO.flag, PLANES[PLANES.len() - 1].flag);
+    }
+
+    /// `select` expands `all`, keeps repeats, and names the nearest
+    /// artifact for a typo.
+    #[test]
+    fn select_resolves_names_against_the_table() {
+        let pick = |names: &[&str]| {
+            let names: Vec<String> = names.iter().map(|n| (*n).to_owned()).collect();
+            select(&names).map(|rows| rows.iter().map(|a| a.name).collect::<Vec<_>>())
+        };
+        assert_eq!(
+            pick(&["fig7", "fig7", "table1"]).unwrap(),
+            ["fig7", "fig7", "table1"]
+        );
+        assert_eq!(pick(&["fig7", "all"]).unwrap().len(), ARTIFACTS.len());
+        let err = pick(&["fig7", "checkz"]).unwrap_err();
+        assert!(
+            err.starts_with("unknown artifact \"checkz\" (artifacts: table1 "),
+            "{err}"
+        );
+        assert!(
+            err.ends_with("checks all) — did you mean \"checks\"?"),
+            "{err}"
+        );
+    }
+
+    /// The committed `results/` are this binary's: one CSV per row of
+    /// the table and no other file (CI diffs their bytes at paper
+    /// scale). Directories are a bare plane flag's, and ignored.
+    #[test]
+    fn results_directory_holds_one_csv_per_artifact() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
+        let mut found: Vec<String> = std::fs::read_dir(dir)
+            .expect("results/ is committed")
+            .map(|e| e.expect("entry"))
+            .filter(|e| e.path().is_file())
+            .map(|e| e.file_name().into_string().expect("utf-8 name"))
+            .collect();
+        found.sort();
+        let mut expected: Vec<String> = ARTIFACTS
+            .iter()
+            .map(|a| format!("{}.csv", a.name))
+            .collect();
+        expected.sort();
+        assert_eq!(found, expected);
     }
 
     #[test]
@@ -733,6 +513,7 @@ mod tests {
     #[test]
     fn failed_check_counts_towards_the_exit_status() {
         let row = |holds| ("claim".to_owned(), "p".to_owned(), "m".to_owned(), holds);
+        let checks_table = harness::artifacts::checks_table;
         let (table, failures) = checks_table(vec![row(true), row(false), row(true)]);
         assert_eq!(failures, 1);
         assert!(
@@ -812,7 +593,7 @@ mod tests {
         fn parse_args_never_panics(args in arg_vector()) {
             if let Err(e) = parse_args(args.into_iter()) {
                 if e.starts_with("unknown option") {
-                    prop_assert!(e.ends_with(&format!("(valid options: {VALID_OPTIONS})")), "{e}");
+                    prop_assert!(e.ends_with(&format!("(valid options: {})", valid_options())), "{e}");
                 }
             }
         }
@@ -841,7 +622,7 @@ mod tests {
             let args = prefix.iter().map(|a| (*a).to_owned()).chain([arg]).chain(suffix);
             prop_assert_eq!(
                 parse_args(args).err(),
-                Some(format!("unknown option {unknown} (valid options: {VALID_OPTIONS})"))
+                Some(format!("unknown option {unknown} (valid options: {})", valid_options()))
             );
         }
     }
