@@ -16,10 +16,10 @@ use crate::protocol::{
 };
 use simcore::{Context, SimDuration, SimTime};
 use simnet::session::{ClientTimer, Fired, ReconnectPolicy, SessionProtocol, SessionSet};
-use simnet::{ConnId, Delivery, Endpoint, Transport};
+use simnet::{probe, ConnId, Delivery, Endpoint, Transport};
 use simos::NodeId;
 use std::collections::{BTreeMap, BTreeSet};
-use telemetry::{ProbeId, RttCollector};
+use telemetry::ProbeId;
 use wire::Message;
 
 /// Events surfaced to the host actor.
@@ -244,24 +244,11 @@ impl GridlogClientSet {
         mut message: Message,
     ) -> ProbeId {
         let now = ctx.now();
-        let lane = ctx.self_id().index() as u32;
-        let probe = ctx.service_mut::<RttCollector>().before_sending(lane, now);
-        message.headers.trace = Some(simtrace::TraceId(probe.0));
-        // Freshness stamp: out-of-band like the trace id, read back by
-        // the consumer when the record arrives in a fetch response.
+        let probe = probe::published(ctx, &message.headers.destination);
+        // Freshness stamp, out-of-band (not part of the wire encoding):
+        // read back by the consumer when the record arrives in a fetch
+        // response.
         message.headers.published_at = Some(now);
-        simslo::with_slo(ctx, |slo, at| {
-            slo.record_publish(probe, &message.headers.destination, at)
-        });
-        let actor = ctx.self_id().index() as u64;
-        simtrace::with_trace(ctx, |tr, at| {
-            tr.record(
-                at,
-                Some(simtrace::TraceId(probe.0)),
-                actor,
-                simtrace::EventKind::PublishBegin,
-            );
-        });
         let sess = self.sessions.get_mut(conn).expect("unknown connection");
         let (reconnecting, ready) = (sess.reconnecting(), sess.is_ready());
         let Role::Producer(prod) = &mut sess.state else {
@@ -288,6 +275,7 @@ impl GridlogClientSet {
         if arm {
             prod.linger_armed = true;
         }
+        let actor = ctx.self_id().index() as u64;
         simtrace::with_trace(ctx, |tr, at| {
             tr.record(
                 at,
@@ -342,17 +330,7 @@ impl GridlogClientSet {
         });
         let ser_done = self.sessions.cpu(ctx, self.serialize_cost(bytes));
         for rec in &records {
-            let probe = rec.probe;
-            ctx.service_mut::<RttCollector>()
-                .after_sending(probe, ser_done);
-            simtrace::with_trace(ctx, |tr, _| {
-                tr.record(
-                    ser_done,
-                    Some(simtrace::TraceId(probe.0)),
-                    actor,
-                    simtrace::EventKind::PublishEnd,
-                );
-            });
+            probe::sent(ctx, rec.probe, ser_done);
         }
         let sess = self.sessions.get_mut(conn).expect("still here");
         let Role::Producer(prod) = &mut sess.state else {
@@ -518,7 +496,6 @@ impl GridlogClientSet {
                 }
                 cons.in_flight.remove(&partition);
                 let mut pos = cons.positions.get(&partition).copied().unwrap_or(0);
-                let actor = ctx.self_id().index() as u64;
                 for rec in records {
                     pos = pos.max(rec.offset + 1);
                     let next = self.delivered_to.entry(partition).or_insert(0);
@@ -530,30 +507,15 @@ impl GridlogClientSet {
                     // Deserialization is paid for duplicates too; only
                     // fresh records reach the listener and the probes.
                     if fresh {
-                        ctx.service_mut::<RttCollector>()
-                            .before_receiving(rec.probe, now);
+                        probe::available(ctx, rec.probe, now);
                     }
                     let done = self.sessions.cpu(ctx, self.deliver_cost(bytes));
                     if fresh {
-                        ctx.service_mut::<RttCollector>()
-                            .after_receiving(rec.probe, done);
-                        let id = Some(simtrace::TraceId(rec.probe.0));
-                        simtrace::with_trace(ctx, |tr, _| {
-                            tr.record(now, id, actor, simtrace::EventKind::Available);
-                            tr.record(done, id, actor, simtrace::EventKind::Delivered);
-                        });
-                        // Freshness plane: committed-offset replay after
-                        // a crash redelivers records, but the `fresh`
-                        // gate (and first-wins collector semantics)
-                        // keeps one delivery per reading.
-                        simslo::with_slo(ctx, |slo, _| {
-                            slo.record_delivery(
-                                rec.probe,
-                                actor as u32,
-                                done,
-                                rec.message.headers.published_at,
-                            );
-                        });
+                        // Committed-offset replay after a crash redelivers
+                        // records, but the `fresh` gate (and first-wins
+                        // recorder semantics) keeps one delivery per
+                        // reading.
+                        probe::delivered(ctx, rec.probe, done, rec.message.headers.published_at);
                         events.push(ClientEvent::RecordArrived {
                             conn,
                             partition,

@@ -16,10 +16,10 @@ use crate::seqset::SeqSet;
 use jms::AckMode;
 use simcore::{Context, FastMap, FastSet, SimDuration, SimTime};
 use simnet::session::{ClientTimer, Fired, SessionProtocol, SessionSet};
-use simnet::{ConnId, Delivery, Endpoint, NetworkFabric, Transport};
+use simnet::{probe, ConnId, Delivery, Endpoint, NetworkFabric, Transport};
 use simos::NodeId;
 use std::collections::BTreeMap;
-use telemetry::{ProbeId, RttCollector};
+use telemetry::ProbeId;
 use wire::Message;
 
 /// Events surfaced to the host actor.
@@ -253,9 +253,9 @@ impl NaradaClientSet {
         self.sessions.send(ctx, conn, CONTROL_FRAME_BYTES + 64, msg);
     }
 
-    /// Publish a message to its destination topic. Instruments
-    /// `before_sending`/`after_sending` on the shared [`RttCollector`]
-    /// and returns the probe id.
+    /// Publish a message to its destination topic. Stamps
+    /// `before_sending`/`after_sending` ([`simnet::probe`]) and returns
+    /// the probe id.
     pub fn publish(&mut self, ctx: &mut Context<'_>, conn: ConnId, message: Message) -> ProbeId {
         self.publish_inner(ctx, conn, message, false)
     }
@@ -278,26 +278,10 @@ impl NaradaClientSet {
         queue: bool,
     ) -> ProbeId {
         let now = ctx.now();
-        let lane = ctx.self_id().index() as u32;
-        let probe = ctx.service_mut::<RttCollector>().before_sending(lane, now);
-        // Thread the causal trace id through the middleware (out-of-band:
-        // not part of the wire encoding, see `wire::Headers::trace`).
-        message.headers.trace = Some(simtrace::TraceId(probe.0));
-        // Freshness stamp, same out-of-band discipline: carried so the
-        // subscriber side can compute delivery age; zero wire bytes.
+        let probe = probe::published(ctx, &message.headers.destination);
+        // Freshness stamp, out-of-band (not part of the wire encoding):
+        // carried so the subscriber side can compute delivery age.
         message.headers.published_at = Some(now);
-        simslo::with_slo(ctx, |slo, at| {
-            slo.record_publish(probe, &message.headers.destination, at)
-        });
-        let actor = ctx.self_id().index() as u64;
-        simtrace::with_trace(ctx, |tr, at| {
-            tr.record(
-                at,
-                Some(simtrace::TraceId(probe.0)),
-                actor,
-                simtrace::EventKind::PublishBegin,
-            );
-        });
         let sess = self.sessions.get_mut(conn).expect("unknown connection");
         if sess.reconnecting() {
             // Broker presumed dead and a reconnect is in flight: buffer
@@ -322,7 +306,6 @@ impl NaradaClientSet {
         message: Message,
         queue: bool,
     ) {
-        let actor = ctx.self_id().index() as u64;
         let sess = self.sessions.get_mut(conn).expect("unknown connection");
         let seq = sess.state.next_pub_seq;
         sess.state.next_pub_seq += 1;
@@ -351,16 +334,7 @@ impl NaradaClientSet {
             );
         } else {
             // TCP family: publish() returns once the write completes.
-            ctx.service_mut::<RttCollector>()
-                .after_sending(probe, ser_done);
-            simtrace::with_trace(ctx, |tr, _| {
-                tr.record(
-                    ser_done,
-                    Some(simtrace::TraceId(probe.0)),
-                    actor,
-                    simtrace::EventKind::PublishEnd,
-                );
-            });
+            probe::sent(ctx, probe, ser_done);
         }
 
         let pub_msg = ClientToBroker::Publish(Publish {
@@ -434,19 +408,8 @@ impl NaradaClientSet {
                     // publish() completes now: UDP PRT includes the
                     // network round trip plus broker ack processing.
                     let now = ctx.now();
-                    ctx.service_mut::<RttCollector>()
-                        .after_sending(p.probe, now);
+                    probe::sent(ctx, p.probe, now);
                     self.sessions.cancel(p.timer);
-                    let actor = ctx.self_id().index() as u64;
-                    let probe = p.probe;
-                    simtrace::with_trace(ctx, |tr, at| {
-                        tr.record(
-                            at,
-                            Some(simtrace::TraceId(probe.0)),
-                            actor,
-                            simtrace::EventKind::PublishEnd,
-                        );
-                    });
                 }
             }
             BrokerToClient::Deliver {
@@ -477,31 +440,11 @@ impl NaradaClientSet {
 
                 // Listener callback: deserialize + user code.
                 if fresh {
-                    ctx.service_mut::<RttCollector>()
-                        .before_receiving(probe, now);
+                    probe::available(ctx, probe, now);
                 }
                 let done = self.sessions.cpu(ctx, self.deliver_cost(bytes));
                 if fresh {
-                    ctx.service_mut::<RttCollector>()
-                        .after_receiving(probe, done);
-                    let actor = ctx.self_id().index() as u64;
-                    simtrace::with_trace(ctx, |tr, _| {
-                        let id = Some(simtrace::TraceId(probe.0));
-                        tr.record(now, id, actor, simtrace::EventKind::Available);
-                        tr.record(done, id, actor, simtrace::EventKind::Delivered);
-                    });
-                    // Freshness plane: the subscribing application has
-                    // the reading at `done` (same instant the RTT probe
-                    // completes); the carried stamp cross-checks the
-                    // publisher-side record.
-                    simslo::with_slo(ctx, |slo, _| {
-                        slo.record_delivery(
-                            probe,
-                            actor as u32,
-                            done,
-                            message.headers.published_at,
-                        );
-                    });
+                    probe::delivered(ctx, probe, done, message.headers.published_at);
                     events.push(ClientEvent::MessageArrived {
                         conn,
                         sub_id,

@@ -15,10 +15,9 @@ use crate::protocol::{
 use simcore::{Context, FastMap, SimDuration, SimTime};
 use simnet::http::Caller;
 use simnet::session::backoff_step;
-use simnet::{server, ConnId, Delivery, Endpoint, HttpResponse};
+use simnet::{probe, server, ConnId, Delivery, Endpoint, HttpResponse};
 use simos::NodeId;
 use std::sync::Arc;
-use telemetry::RttCollector;
 
 /// Timer payload routed back by the host actor.
 pub struct RgmaTimer(pub u64);
@@ -190,21 +189,10 @@ impl RgmaClientSet {
         sql: impl Into<Arc<str>>,
     ) -> telemetry::ProbeId {
         let now = ctx.now();
-        let lane = ctx.self_id().index() as u32;
-        let probe = ctx.service_mut::<RttCollector>().before_sending(lane, now);
-        // Freshness plane: the "topic" of an R-GMA reading is the table
-        // its producer declares.
+        // The "topic" of an R-GMA reading is the table its producer
+        // declares.
         let topic = self.producers.get(&handle).map_or("", |p| p.table.as_str());
-        simslo::with_slo(ctx, |slo, at| slo.record_publish(probe, topic, at));
-        let actor = ctx.self_id().index() as u64;
-        simtrace::with_trace(ctx, |tr, at| {
-            tr.record(
-                at,
-                Some(simtrace::TraceId(probe.0)),
-                actor,
-                simtrace::EventKind::PublishBegin,
-            );
-        });
+        let probe = probe::published(ctx, topic);
         self.send_insert(ctx, handle, sql.into(), probe, now, 0);
         probe
     }
@@ -377,18 +365,8 @@ impl RgmaClientSet {
                         ProducerResponse::InsertOk => {
                             if let Some(info) = info {
                                 // The synchronous insert() has returned.
-                                let probe = info.probe;
                                 let now = ctx.now();
-                                ctx.service_mut::<RttCollector>().after_sending(probe, now);
-                                let actor = ctx.self_id().index() as u64;
-                                simtrace::with_trace(ctx, |tr, at| {
-                                    tr.record(
-                                        at,
-                                        Some(simtrace::TraceId(probe.0)),
-                                        actor,
-                                        simtrace::EventKind::PublishEnd,
-                                    );
-                                });
+                                probe::sent(ctx, info.probe, now);
                             }
                         }
                         ProducerResponse::Error { reason } => {
@@ -459,27 +437,16 @@ impl RgmaClientSet {
                         let cost =
                             self.cfg.costs.client_http + SimDuration::from_micros(50 * n as u64);
                         let done = self.cpu(ctx, cost);
-                        let actor = ctx.self_id().index() as u64;
                         for (probe, tuple) in entries {
-                            ctx.service_mut::<RttCollector>()
-                                .after_receiving(probe, done);
-                            simtrace::with_trace(ctx, |tr, _| {
-                                tr.record(
-                                    done,
-                                    Some(simtrace::TraceId(probe.0)),
-                                    actor,
-                                    simtrace::EventKind::Delivered,
-                                );
-                                tr.count(simtrace::Counter::TuplesDelivered, 1);
-                            });
-                            // Freshness plane: the subscriber has the
-                            // tuple once the poll-result processing is
-                            // done; the stamp rode on the tuple from the
-                            // producer servlet's storage.
-                            simslo::with_slo(ctx, |slo, _| {
-                                slo.record_delivery(probe, actor as u32, done, tuple.published_at);
-                            });
+                            // The subscriber has the tuple once the
+                            // poll-result processing is done; the stamp
+                            // rode on the tuple from the producer
+                            // servlet's storage.
+                            probe::delivered(ctx, probe, done, tuple.published_at);
                         }
+                        simtrace::with_trace(ctx, |tr, _| {
+                            tr.count(simtrace::Counter::TuplesDelivered, n as u64);
+                        });
                         events.push(RgmaEvent::Polled(handle, n));
                     }
                 }

@@ -12,12 +12,11 @@ use minisql::{Catalog, Statement, TableSchema};
 use simcore::{Actor, ActorId, Context, FastMap, FastSet, Payload, SimDuration};
 use simnet::http::{Caller, Reply};
 use simnet::server::Acceptor;
-use simnet::{ConnId, Delivery, Endpoint, HttpRequest, HttpResponse};
+use simnet::{probe, ConnId, Delivery, Endpoint, HttpRequest, HttpResponse};
 use simos::{Bytes, NodeId, ProcessId};
 use simprof::Component;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use telemetry::RttCollector;
 use wire::Tuple;
 
 /// Deployment-time control messages.
@@ -357,19 +356,16 @@ impl ConsumerServlet {
                 filtered += 1;
                 continue;
             }
-            // The tuple is now *available* to the subscriber.
-            ctx.service_mut::<RttCollector>()
-                .before_receiving(probe, done);
             simtrace::with_trace(ctx, |tr, _| {
-                let id = Some(simtrace::TraceId(probe.0));
                 tr.record(
                     done,
-                    id,
+                    Some(simtrace::TraceId(probe.0)),
                     actor,
                     simtrace::EventKind::SelectMatch { consumers: 1 },
                 );
-                tr.record(done, id, actor, simtrace::EventKind::Available);
             });
+            // The tuple is now *available* to the subscriber.
+            probe::available(ctx, probe, done);
             inst.buffer.push((probe, tuple));
             accepted += 1;
         }

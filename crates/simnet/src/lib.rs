@@ -18,11 +18,14 @@
 //! * [`server`] — the other end: the [`server::Acceptor`] every server
 //!   holds its connections in (thread + heap per connection, refusal,
 //!   the inbound gate, crash / restart).
+//! * [`probe`] — the stamp both ends make: the four lifecycle instants
+//!   of a reading, written to every recorder from one place.
 //! * [`partition_nodes`] — the topology partitioner for sharded runs.
 
 pub mod addr;
 pub mod fabric;
 pub mod http;
+pub mod probe;
 pub mod server;
 pub mod session;
 

@@ -1,0 +1,105 @@
+//! A reading's lifecycle, stamped in one place: the four instants of the
+//! paper's RTT = PRT + PT + SRT decomposition (`before_sending`,
+//! `after_sending`, `before_receiving`, `after_receiving`) and every
+//! recorder that keeps them.
+//!
+//! A client (narada's, gridlog's, R-GMA's) or a servlet calls
+//! [`published`], [`sent`], [`available`] and [`delivered`] where the
+//! reading reaches that stage and knows nothing of who listens: the
+//! [`RttCollector`] always, the [`simslo::SloCollector`] and the
+//! [`simtrace::TraceCollector`] when their planes are on. The lane and
+//! the actor a stamp is filed under are the calling actor's own index.
+//! Hop events and counters (a broker's receive, a selector match, a batch
+//! flush) are not lifecycle stamps and stay `simtrace::with_trace`
+//! closures at their sites.
+
+use simcore::{Context, SimTime};
+use simtrace::{EventKind, TraceId};
+use telemetry::{ProbeId, RttCollector};
+
+/// The calling actor's kernel lane: what keys the [`ProbeId`]s it mints
+/// and the deliveries it receives.
+#[inline]
+fn lane(ctx: &Context<'_>) -> u32 {
+    u32::try_from(ctx.self_id().index()).expect("actor index fits a probe lane")
+}
+
+/// One lifecycle event of `probe` at `at` into the trace, if the trace
+/// plane is on.
+#[inline]
+fn trace(ctx: &mut Context<'_>, probe: ProbeId, at: SimTime, kind: EventKind) {
+    let actor = u64::from(lane(ctx));
+    simtrace::with_trace(ctx, |tr, _| {
+        tr.record(at, Some(TraceId(probe.0)), actor, kind)
+    });
+}
+
+/// The application hands a reading for `topic` to its middleware, now
+/// (`before_sending`): mints the reading's probe.
+#[inline]
+pub fn published(ctx: &mut Context<'_>, topic: &str) -> ProbeId {
+    let now = ctx.now();
+    let lane = lane(ctx);
+    let probe = ctx.service_mut::<RttCollector>().before_sending(lane, now);
+    simslo::with_slo(ctx, |slo, at| slo.record_publish(probe, topic, at));
+    trace(ctx, probe, now, EventKind::PublishBegin);
+    probe
+}
+
+/// The middleware's publish call returns to the application at `at`
+/// (`after_sending`).
+#[inline]
+pub fn sent(ctx: &mut Context<'_>, probe: ProbeId, at: SimTime) {
+    ctx.service_mut::<RttCollector>().after_sending(probe, at);
+    trace(ctx, probe, at, EventKind::PublishEnd);
+}
+
+/// The reading is within the subscriber's reach at `at`
+/// (`before_receiving`): on its connection, or in the servlet it polls.
+#[inline]
+pub fn available(ctx: &mut Context<'_>, probe: ProbeId, at: SimTime) {
+    ctx.service_mut::<RttCollector>()
+        .before_receiving(probe, at);
+    trace(ctx, probe, at, EventKind::Available);
+}
+
+/// The subscribing application has the reading at `at`
+/// (`after_receiving`). `carried` is the publish stamp that rode with it,
+/// which the freshness plane checks against the publisher's own record.
+#[inline]
+pub fn delivered(ctx: &mut Context<'_>, probe: ProbeId, at: SimTime, carried: Option<SimTime>) {
+    ctx.service_mut::<RttCollector>().after_receiving(probe, at);
+    trace(ctx, probe, at, EventKind::Delivered);
+    let lane = lane(ctx);
+    simslo::with_slo(ctx, |slo, _| slo.record_delivery(probe, lane, at, carried));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use simcore::{Actor, Payload, Simulation};
+
+    /// Publishes once on start.
+    struct Publisher;
+
+    impl Actor for Publisher {
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            published(ctx, "t");
+        }
+        fn handle(&mut self, _: Payload, _: &mut Context<'_>) {}
+    }
+
+    #[test]
+    fn a_probe_is_keyed_by_its_publishers_actor_index() {
+        let mut sim = Simulation::new(1);
+        sim.add_service(RttCollector::new());
+        for _ in 0..3 {
+            sim.add_actor(Publisher);
+        }
+        sim.run_until(SimTime::from_secs(1));
+        let rtt = sim.service::<RttCollector>().expect("registered");
+        let minted: Vec<ProbeId> = rtt.probe_ids().collect();
+        let expected: Vec<ProbeId> = (0..3).map(|lane| ProbeId::compose(lane, 0)).collect();
+        assert_eq!(minted, expected);
+    }
+}

@@ -36,16 +36,13 @@ pub struct Headers {
     pub delivery_mode: DeliveryMode,
     /// Correlation id, free-form.
     pub correlation_id: Option<u64>,
-    /// Causal trace id (`simtrace`). Out-of-band instrumentation: it is
-    /// carried through the middleware alongside the message but is NOT
-    /// part of the wire encoding, so enabling tracing cannot perturb
-    /// the calibrated transfer timings ([`Headers::wire_size`] and the
-    /// codec ignore it; decode always yields `None`).
-    pub trace: Option<simtrace::TraceId>,
     /// Virtual publish instant (`simslo` freshness plane). Out-of-band
-    /// exactly like `trace`: rides with the message so the subscriber
-    /// side can compute delivery age, contributes zero wire bytes, and
-    /// is `None` whenever the SLO plane is off.
+    /// instrumentation: the publishing client stamps it on every message,
+    /// whether or not the SLO plane is on, and it rides with the message
+    /// so the subscriber side can compute delivery age — but it is NOT
+    /// part of the wire encoding, so it cannot perturb the calibrated
+    /// transfer timings ([`Headers::wire_size`] and the codec ignore it;
+    /// decode always yields `None`).
     pub published_at: Option<SimTime>,
 }
 
@@ -63,14 +60,13 @@ impl Headers {
             priority: 4,
             delivery_mode: DeliveryMode::NonPersistent,
             correlation_id: None,
-            trace: None,
             published_at: None,
         }
     }
 
-    /// Encoded size of the headers on the wire. The `trace` id and the
-    /// `published_at` stamp are deliberately excluded: observation must
-    /// be free when off and must not change message timing when on.
+    /// Encoded size of the headers on the wire. The `published_at` stamp
+    /// is deliberately excluded: observation must not change message
+    /// timing.
     pub fn wire_size(&self) -> usize {
         // id + ts + prio + mode + corr flag/value + destination string.
         8 + 8 + 1 + 1 + 9 + 4 + self.destination.len()
@@ -211,10 +207,10 @@ impl Content {
 /// retain it and deliver it, but never change it. `clone()` therefore
 /// shares the properties and body (and the destination string) instead
 /// of copying them; only the plain-data [`Headers`] are per clone, which
-/// is what lets the publishing client stamp `trace` / `published_at`
-/// before the first send. The *simulated* cost of copying and
-/// serialising a message is charged through `OsModel::execute_metered`,
-/// never through host copying.
+/// is what lets the publishing client stamp `published_at` before the
+/// first send. The *simulated* cost of copying and serialising a message
+/// is charged through `OsModel::execute_metered`, never through host
+/// copying.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Message {
     /// Standard headers.

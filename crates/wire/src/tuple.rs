@@ -48,8 +48,9 @@ pub struct Tuple {
     pub inserted_at: SimTime,
     /// Virtual publish instant (`simslo` freshness plane). Out-of-band
     /// instrumentation, mirroring `wire::Headers::published_at`: the
-    /// stamp rides with the tuple through producer storage, streaming,
-    /// and consumer polls, but is NOT part of the wire encoding
+    /// producer servlet sets it on every tuple it stores, whether or not
+    /// the SLO plane is on, and it rides with the tuple through storage,
+    /// streaming and consumer polls, but is NOT part of the wire encoding
     /// ([`Tuple::wire_size`] and the codec ignore it; decode always
     /// yields `None`), so the SLO plane cannot perturb transfer timing.
     pub published_at: Option<SimTime>,

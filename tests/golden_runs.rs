@@ -9,8 +9,10 @@
 use gridmon::core::{run_all, run_experiment, ExperimentResult, ExperimentSpec, SystemUnderTest};
 use gridmon::simnet::Transport;
 use gridmon::simslo::SloSpec;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::{allocations, Counting};
 
 /// Messages per generator (the paper's runs are 180).
 const MSGS: u32 = 20;
@@ -96,45 +98,8 @@ fn virtual_clock_numbers_match_the_golden_table() {
     }
 }
 
-/// Counts the calling thread's allocation calls, so the other test of
-/// this binary, on its own thread, does not leak into the count.
-struct Counting;
-
-thread_local! {
-    // Const-initialised and without a destructor: touching it from
-    // inside the allocator neither allocates nor registers a dtor.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn note() {
-    // `try_with`: the allocator also runs while a thread tears down.
-    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the bookkeeping touches one
-// thread-local `Cell` and cannot allocate, unwind or re-enter.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
-        // SAFETY: same layout the caller vouched for.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
-        // SAFETY: `ptr` came from this allocator (hence from `System`)
-        // with `layout`, as the caller vouched for.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from this allocator (hence from `System`)
-        // with `layout`, as the caller vouched for.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
+/// Counts per thread, so the other tests of this binary, on their own
+/// threads, do not leak into a count.
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
@@ -153,11 +118,7 @@ fn same_seed_runs_allocate_identically() {
         small("rgma-dist", SystemUnderTest::RgmaDistributed),
         small("gridlog", SystemUnderTest::GridlogSingle),
     ] {
-        let counted = || {
-            let before = ALLOCS.get();
-            let events = run_experiment(&spec).events;
-            (events, ALLOCS.get() - before)
-        };
+        let counted = || allocations(|| run_experiment(&spec).events);
         // The first run on a thread also fills its lazily built statics.
         counted();
         let (first, second) = (counted(), counted());
@@ -187,10 +148,9 @@ fn an_rgma_reading_allocates_a_bounded_constant_number_of_blocks() {
             GENERATORS,
         )
         .scaled(msgs);
-        let before = ALLOCS.get();
-        let result = run_experiment(&spec);
+        let (result, allocs) = allocations(|| run_experiment(&spec));
         assert_eq!(result.summary.sent, GENERATORS as u64 * u64::from(msgs));
-        (ALLOCS.get() - before) as f64
+        allocs as f64
     };
     // The first run on a thread also fills its lazily built statics.
     allocs(1);
