@@ -888,8 +888,7 @@ fn inject_delivery(sim: &mut Simulation, env: RemoteEnvelope) {
 /// old serial sampler used to refresh it.
 fn probes_in_flight_series(rtt: &RttCollector) -> Vec<(SimTime, f64)> {
     let mut deltas: Vec<(SimTime, i64)> = Vec::new();
-    for id in rtt.probe_ids() {
-        let Some(i) = rtt.instants(id) else { continue };
+    for (_, i) in rtt.records() {
         deltas.push((i.before_sending, 1));
         if let Some(t) = i.after_receiving {
             deltas.push((t, -1));
@@ -990,8 +989,7 @@ fn merge_results(
         // the exact same four instants in the trace. Any disagreement is
         // an instrumentation bug in one of the two independent paths.
         let mut disagreements = Vec::new();
-        for id in rtt.probe_ids() {
-            let Some(i) = rtt.instants(id) else { continue };
+        for (id, i) in rtt.records() {
             if let Some(err) = trace_summary.check_probe(
                 TraceId(id.0),
                 i.before_sending,
@@ -1035,7 +1033,7 @@ fn merge_results(
     // Freshness plane: keyed union of the per-shard collectors (the
     // publisher and the subscriber of one reading may live on different
     // shards), then every statistic derives from the merged record set.
-    let slo_state = spec.slo.as_ref().map(|slo_spec| {
+    let slo_report = spec.slo.as_ref().map(|slo_spec| {
         let col = SloCollector::merged(slo_parts.into_iter().flatten());
         let report = col.report(
             slo_spec,
@@ -1050,7 +1048,7 @@ fn merge_results(
             report.stamp_disagreements, 0,
             "carried publish stamps disagree with recorded publish instants"
         );
-        (col, report)
+        report
     });
 
     let profile = if spec.profile {
@@ -1060,8 +1058,8 @@ fn merge_results(
             "probes_in_flight".to_string(),
             probes_in_flight_series(&rtt),
         )];
-        if let (Some((col, _)), Some(slo_spec)) = (&slo_state, &spec.slo) {
-            derived.extend(col.metric_series(slo_spec.deadline, now, simslo::SAMPLE_CADENCE));
+        if let Some(slo) = &slo_report {
+            derived.extend(slo.series.iter().cloned());
         }
         let metrics =
             telemetry::MetricsRegistry::merged(metrics_parts.into_iter().flatten(), &derived);
@@ -1120,7 +1118,7 @@ fn merge_results(
         Some(FaultStats::merged(faults.into_iter().flatten()))
     };
 
-    let slo = slo_state.map(|(_, report)| SloArtifacts {
+    let slo = slo_report.map(|report| SloArtifacts {
         csv: report.csv(),
         report,
     });

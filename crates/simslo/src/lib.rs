@@ -23,8 +23,9 @@
 //! A publish is recorded on the shard that owns the publishing client;
 //! a delivery on the shard that owns the subscriber. Records are keyed
 //! by the content-derived [`telemetry::ProbeId`] (publish) and
-//! `(subscriber lane, probe)` (delivery) — never by event interleaving
-//! — so [`SloCollector::merged`] is a commutative keyed union and the
+//! `(subscriber lane, probe)` (delivery) — never by event interleaving,
+//! and held in [`telemetry::ProbeTable`]s, one slot per reading — so
+//! [`SloCollector::merged`] is a commutative keyed union and the
 //! canonical `extract_partial`/`merge_results` pipeline applies
 //! unchanged. The publish instant additionally rides **out-of-band** on
 //! the wire message (the way `simtrace` threads `TraceId` through
@@ -41,9 +42,9 @@
 //! delivered. Deadline misses = late + lost, so a broker crash burns
 //! error budget instead of vanishing from a delivered-only denominator.
 
-use simcore::{Context, SimDuration, SimTime};
+use simcore::{Context, FastMap, SimDuration, SimTime};
 use std::collections::BTreeMap;
-use telemetry::{trim_float, HistogramSummary, LatencyHistogram, ProbeId};
+use telemetry::{trim_float, HistogramSummary, LatencyHistogram, ProbeId, ProbeTable, Slot};
 
 /// A declarative service-level objective for one scenario: the fraction
 /// of published readings that must be delivered within the deadline.
@@ -81,19 +82,78 @@ pub const DEFAULT_WINDOW: SimDuration = SimDuration::from_secs(30);
 /// sample.
 pub const SAMPLE_CADENCE: SimDuration = SimDuration::from_secs(1);
 
-#[derive(Debug, Clone)]
+/// A named metric series: `(sample instant, value)` on the cadence.
+type MetricSeries = (String, Vec<(SimTime, f64)>);
+
+/// A reading's publish instant and its topic (an index into the
+/// collector's [`Topics`]); `at == SimTime::MAX` is the vacant slot.
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct PublishRec {
-    topic: String,
     at: SimTime,
+    topic: u32,
 }
 
-#[derive(Debug, Clone, Copy)]
+/// The earliest publish wins; on a tie the record already there.
+impl Slot for PublishRec {
+    const VACANT: PublishRec = PublishRec {
+        at: SimTime::MAX,
+        topic: u32::MAX,
+    };
+
+    fn fold(&mut self, other: PublishRec) {
+        if other.at < self.at {
+            *self = other;
+        }
+    }
+}
+
+/// One subscriber's copy of a reading; `at == SimTime::MAX` is the vacant
+/// slot.
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct DeliveryRec {
     at: SimTime,
     /// The out-of-band publish stamp carried on the wire message, when
-    /// the contender could thread it. Cross-checked against the publish
-    /// record at report time.
-    carried: Option<SimTime>,
+    /// the contender could thread it (`SimTime::MAX` when it could not).
+    /// Cross-checked against the publish record at report time.
+    carried: SimTime,
+}
+
+/// The earliest delivery wins, with the stamp it carried.
+impl Slot for DeliveryRec {
+    const VACANT: DeliveryRec = DeliveryRec {
+        at: SimTime::MAX,
+        carried: SimTime::MAX,
+    };
+
+    fn fold(&mut self, other: DeliveryRec) {
+        if other.at < self.at {
+            *self = other;
+        }
+    }
+}
+
+/// The topics one collector has seen, each stored once and named by its
+/// index in a [`PublishRec`].
+#[derive(Debug, Clone, Default)]
+struct Topics {
+    names: Vec<Box<str>>,
+    ids: FastMap<Box<str>, u32>,
+}
+
+impl Topics {
+    fn id(&mut self, name: &str) -> u32 {
+        if let Some(&id) = self.ids.get(name) {
+            return id;
+        }
+        let id = u32::try_from(self.names.len()).expect("fewer than 2^32 topics");
+        self.names.push(name.into());
+        self.ids.insert(name.into(), id);
+        id
+    }
+
+    fn name(&self, id: u32) -> &str {
+        &self.names[id as usize]
+    }
 }
 
 /// The freshness measurement service: publish and delivery sites report
@@ -104,11 +164,13 @@ struct DeliveryRec {
 #[derive(Debug, Clone, Default)]
 pub struct SloCollector {
     /// Keyed by probe id (content-derived, shard-invariant).
-    publishes: BTreeMap<u64, PublishRec>,
-    /// Keyed by `(subscriber lane, probe id)`: the same reading delivered
-    /// to two subscribers is two records; a duplicate redelivery to the
-    /// same subscriber keeps the first instant.
-    deliveries: BTreeMap<(u32, u64), DeliveryRec>,
+    publishes: ProbeTable<PublishRec>,
+    topics: Topics,
+    /// One table per subscriber lane, so a walk is in `(subscriber lane,
+    /// probe id)` order: the same reading delivered to two subscribers
+    /// is two records; a duplicate redelivery to the same subscriber
+    /// keeps the first instant.
+    deliveries: BTreeMap<u32, ProbeTable<DeliveryRec>>,
 }
 
 impl SloCollector {
@@ -120,10 +182,13 @@ impl SloCollector {
     /// The application published a reading on `topic`. First write wins
     /// (publish-side retries reuse the probe id).
     pub fn record_publish(&mut self, probe: ProbeId, topic: &str, at: SimTime) {
-        self.publishes.entry(probe.0).or_insert_with(|| PublishRec {
-            topic: topic.to_owned(),
-            at,
-        });
+        let rec = self.publishes.slot_mut(probe);
+        if *rec == PublishRec::VACANT {
+            *rec = PublishRec {
+                at,
+                topic: self.topics.id(topic),
+            };
+        }
     }
 
     /// The subscriber application on kernel lane `sub_lane` received the
@@ -136,46 +201,54 @@ impl SloCollector {
         at: SimTime,
         carried: Option<SimTime>,
     ) {
-        let e = self
-            .deliveries
-            .entry((sub_lane, probe.0))
-            .or_insert(DeliveryRec { at, carried });
-        if at < e.at {
-            e.at = at;
-            e.carried = carried;
-        }
+        self.deliveries
+            .entry(sub_lane)
+            .or_default()
+            .slot_mut(probe)
+            .fold(DeliveryRec {
+                at,
+                carried: carried.unwrap_or(SimTime::MAX),
+            });
     }
 
     /// Readings published so far.
     pub fn published(&self) -> u64 {
-        self.publishes.len() as u64
+        self.publishes.count()
     }
 
     /// Deliveries recorded so far (unique per subscriber × reading).
     pub fn delivered(&self) -> u64 {
-        self.deliveries.len() as u64
+        self.deliveries.values().map(ProbeTable::count).sum()
     }
 
     /// Union per-shard collectors into the whole-run collector:
-    /// publishes first-wins by probe, deliveries keep the earliest
-    /// instant per `(subscriber, probe)`. Merged-of-one is the identity.
+    /// publishes earliest-wins by probe, deliveries keep the earliest
+    /// instant per `(subscriber, probe)`. Merged-of-one is the identity,
+    /// through the same fold.
     pub fn merged(parts: impl IntoIterator<Item = SloCollector>) -> SloCollector {
         let mut out = SloCollector::new();
-        for part in parts {
-            for (id, rec) in part.publishes {
-                let e = out.publishes.entry(id).or_insert_with(|| rec.clone());
-                if rec.at < e.at {
-                    *e = rec;
-                }
+        for mut part in parts {
+            let ids: Vec<u32> = part.topics.names.iter().map(|n| out.topics.id(n)).collect();
+            for p in part.publishes.values_mut() {
+                p.topic = ids[p.topic as usize];
             }
-            for (key, rec) in part.deliveries {
-                let e = out.deliveries.entry(key).or_insert(rec);
-                if rec.at < e.at {
-                    *e = rec;
-                }
+            out.publishes.fold_in(part.publishes);
+            for (lane, table) in part.deliveries {
+                out.deliveries.entry(lane).or_default().fold_in(table);
             }
         }
         out
+    }
+
+    /// Every delivery with its publish record, in `(subscriber lane,
+    /// probe)` order. Deliveries whose publish half sits on another shard
+    /// are skipped until the merge restores it.
+    fn paired(&self) -> impl Iterator<Item = (u32, ProbeId, DeliveryRec, PublishRec)> + '_ {
+        self.deliveries.iter().flat_map(move |(&lane, table)| {
+            table
+                .iter()
+                .filter_map(move |(probe, d)| Some((lane, probe, d, self.publishes.get(probe)?)))
+        })
     }
 
     /// Windowed delivery-latency histograms: delivery ages (µs) bucketed
@@ -188,10 +261,7 @@ impl SloCollector {
     pub fn windowed_histograms(&self, window: SimDuration) -> BTreeMap<u64, LatencyHistogram> {
         let w = window.as_micros().max(1);
         let mut out: BTreeMap<u64, LatencyHistogram> = BTreeMap::new();
-        for ((_lane, probe), d) in &self.deliveries {
-            let Some(p) = self.publishes.get(probe) else {
-                continue;
-            };
+        for (_lane, _probe, d, p) in self.paired() {
             let age = d.at.saturating_since(p.at).as_micros();
             out.entry(d.at.as_micros() / w).or_default().record(age);
         }
@@ -217,23 +287,18 @@ impl SloCollector {
         let w_us = window.as_micros().max(1);
 
         // Per-reading outcome: earliest delivery age across subscribers.
-        let mut first_delivery: BTreeMap<u64, SimTime> = BTreeMap::new();
+        let mut first_delivery: ProbeTable<SimTime> = ProbeTable::new();
         let mut stamp_disagreements = 0u64;
         let mut age_hist = LatencyHistogram::new();
-        for ((_lane, probe), d) in &self.deliveries {
-            let Some(p) = self.publishes.get(probe) else {
-                continue;
-            };
-            if let Some(carried) = d.carried {
-                if carried != p.at {
-                    stamp_disagreements += 1;
-                }
+        for (_lane, probe, d, p) in self.paired() {
+            if d.carried != SimTime::MAX && d.carried != p.at {
+                stamp_disagreements += 1;
             }
             age_hist.record(d.at.saturating_since(p.at).as_micros());
-            let e = first_delivery.entry(*probe).or_insert(d.at);
-            *e = (*e).min(d.at);
+            first_delivery.slot_mut(probe).fold(d.at);
         }
 
+        let mut published = 0u64;
         let mut on_time = 0u64;
         let mut late = 0u64;
         let mut lost = 0u64;
@@ -241,13 +306,14 @@ impl SloCollector {
         // crash window swallowed burns the budget of the window it was
         // published in.
         let mut burn_windows: BTreeMap<u64, (u64, u64)> = BTreeMap::new(); // (published, missed)
-        for (probe, p) in &self.publishes {
+        for (probe, p) in self.publishes.iter() {
+            published += 1;
             let slot = burn_windows
                 .entry(p.at.as_micros() / w_us)
                 .or_insert((0, 0));
             slot.0 += 1;
             match first_delivery.get(probe) {
-                Some(&rx) if rx.saturating_since(p.at) <= deadline => on_time += 1,
+                Some(rx) if rx.saturating_since(p.at) <= deadline => on_time += 1,
                 Some(_) => {
                     late += 1;
                     slot.1 += 1;
@@ -258,7 +324,6 @@ impl SloCollector {
                 }
             }
         }
-        let published = self.publishes.len() as u64;
         let compliance = if published == 0 {
             1.0
         } else {
@@ -298,18 +363,20 @@ impl SloCollector {
                 }
             })
             .collect();
+        let (aoi, series) = self.sample(deadline, horizon, cadence);
 
         SloReport {
             spec: spec.clone(),
             published,
-            delivered: self.deliveries.len() as u64,
+            delivered: self.delivered(),
             on_time,
             late,
             lost,
             compliance,
             compliant: compliance >= spec.target_fraction,
             age_us: age_hist.summary(),
-            aoi: self.sample_aoi(horizon, cadence),
+            aoi,
+            series,
             windows,
             worst_burn,
             stamp_disagreements,
@@ -321,12 +388,9 @@ impl SloCollector {
     /// material for the sawtooth and the per-subscriber gauge series.
     fn pair_streams(&self) -> BTreeMap<(u32, &str), Vec<(SimTime, SimTime)>> {
         let mut pairs: BTreeMap<(u32, &str), Vec<(SimTime, SimTime)>> = BTreeMap::new();
-        for ((lane, probe), d) in &self.deliveries {
-            let Some(p) = self.publishes.get(probe) else {
-                continue;
-            };
+        for (lane, _probe, d, p) in self.paired() {
             pairs
-                .entry((*lane, p.topic.as_str()))
+                .entry((lane, self.topics.name(p.topic)))
                 .or_default()
                 .push((d.at, p.at));
         }
@@ -336,78 +400,35 @@ impl SloCollector {
         pairs
     }
 
-    /// Sample the Age-of-Information sawtooth on `cadence` up to
-    /// `horizon`. At instant `t` a `(subscriber, topic)` pair's age is
-    /// `t − max{publish_at : delivered_at ≤ t}` — the staleness of the
-    /// freshest reading the subscriber holds. Pairs that have not yet
-    /// received anything are excluded (age undefined). The series
-    /// aggregates mean and peak across pairs; accumulation order is the
-    /// `(lane, topic)` key order, never event interleaving.
-    fn sample_aoi(&self, horizon: SimTime, cadence: SimDuration) -> Vec<AoiSample> {
-        let step = cadence.as_micros().max(1);
-        let n = (horizon.as_micros() / step) as usize;
-        if n == 0 {
-            return Vec::new();
-        }
-        let mut sum = vec![0.0f64; n];
-        let mut peak = vec![0.0f64; n];
-        let mut live = vec![0u64; n];
-        for stream in self.pair_streams().values() {
-            let mut i = 0usize;
-            let mut freshest: Option<SimTime> = None;
-            for s in 0..n {
-                let t = SimTime::from_micros((s as u64 + 1) * step);
-                while i < stream.len() && stream[i].0 <= t {
-                    let pub_at = stream[i].1;
-                    freshest = Some(freshest.map_or(pub_at, |f| f.max(pub_at)));
-                    i += 1;
-                }
-                if let Some(f) = freshest {
-                    let age = t.saturating_since(f).as_millis_f64();
-                    sum[s] += age;
-                    peak[s] = peak[s].max(age);
-                    live[s] += 1;
-                }
-            }
-        }
-        (0..n)
-            .map(|s| AoiSample {
-                at: SimTime::from_micros((s as u64 + 1) * step),
-                mean_ms: if live[s] == 0 {
-                    0.0
-                } else {
-                    sum[s] / live[s] as f64
-                },
-                peak_ms: peak[s],
-                pairs: live[s],
-            })
-            .collect()
-    }
-
-    /// Derived metric series for the `MetricsRegistry` plane, sampled on
-    /// `cadence`: aggregate + per-subscriber `freshness_age_ms` gauges
-    /// (a subscriber's gauge is its stalest topic's age) and cumulative
-    /// `deadline_miss_total` counters (late deliveries, attributed to
-    /// the subscriber that received them late). Spliced into the metrics
-    /// op log by the experiment merge exactly like `probes_in_flight`.
-    pub fn metric_series(
+    /// Sample every `(subscriber, topic)` pair's Age-of-Information on
+    /// `cadence` up to `horizon`, in one walk of the pair streams. At
+    /// instant `t` a pair's age is `t − max{publish_at : delivered_at ≤
+    /// t}` — the staleness of the freshest reading the subscriber holds.
+    /// Pairs that have not yet received anything are excluded (age
+    /// undefined). Returns the sawtooth (mean and peak across pairs) and
+    /// [`SloReport::series`]; accumulation order is the `(lane, topic)`
+    /// key order, never event interleaving.
+    fn sample(
         &self,
         deadline: SimDuration,
         horizon: SimTime,
         cadence: SimDuration,
-    ) -> Vec<(String, Vec<(SimTime, f64)>)> {
+    ) -> (Vec<AoiSample>, Vec<MetricSeries>) {
         let step = cadence.as_micros().max(1);
         let n = (horizon.as_micros() / step) as usize;
         if n == 0 {
-            return Vec::new();
+            return (Vec::new(), Vec::new());
         }
         let ts = |s: usize| SimTime::from_micros((s as u64 + 1) * step);
-        // Per-lane peak age and cumulative late-delivery counts.
-        let mut lane_age: BTreeMap<u32, Vec<f64>> = BTreeMap::new();
-        let mut lane_miss: BTreeMap<u32, Vec<f64>> = BTreeMap::new();
+        let mut sum = vec![0.0f64; n];
+        let mut peak = vec![0.0f64; n];
+        let mut live = vec![0u64; n];
+        // Per lane: the stalest topic's age and cumulative late deliveries.
+        let mut lanes: BTreeMap<u32, (Vec<f64>, Vec<f64>)> = BTreeMap::new();
         for ((lane, _topic), stream) in self.pair_streams() {
-            let age = lane_age.entry(lane).or_insert_with(|| vec![0.0; n]);
-            let miss = lane_miss.entry(lane).or_insert_with(|| vec![0.0; n]);
+            let (age, miss) = lanes
+                .entry(lane)
+                .or_insert_with(|| (vec![0.0; n], vec![0.0; n]));
             let mut i = 0usize;
             let mut freshest: Option<SimTime> = None;
             let mut late_so_far = 0u64;
@@ -422,33 +443,46 @@ impl SloCollector {
                     i += 1;
                 }
                 if let Some(f) = freshest {
-                    age[s] = age[s].max(t.saturating_since(f).as_millis_f64());
+                    let a = t.saturating_since(f).as_millis_f64();
+                    sum[s] += a;
+                    peak[s] = peak[s].max(a);
+                    live[s] += 1;
+                    age[s] = age[s].max(a);
                 }
                 miss[s] += late_so_far as f64;
             }
         }
-        let mut out: Vec<(String, Vec<(SimTime, f64)>)> = Vec::new();
-        let series = |vals: &[f64]| -> Vec<(SimTime, f64)> {
+        let aoi = (0..n)
+            .map(|s| AoiSample {
+                at: ts(s),
+                mean_ms: if live[s] == 0 {
+                    0.0
+                } else {
+                    sum[s] / live[s] as f64
+                },
+                peak_ms: peak[s],
+                pairs: live[s],
+            })
+            .collect();
+
+        let mut series: Vec<MetricSeries> = Vec::new();
+        let timed = |vals: &[f64]| -> Vec<(SimTime, f64)> {
             vals.iter().enumerate().map(|(s, &v)| (ts(s), v)).collect()
         };
         let mut total_miss = vec![0.0f64; n];
         let mut peak_age = vec![0.0f64; n];
-        for (lane, vals) in &lane_age {
+        for (lane, (age, miss)) in &lanes {
             for s in 0..n {
-                peak_age[s] = peak_age[s].max(vals[s]);
+                peak_age[s] = peak_age[s].max(age[s]);
+                total_miss[s] += miss[s];
             }
-            out.push((format!("freshness_age_ms/lane{lane}"), series(vals)));
+            series.push((format!("freshness_age_ms/lane{lane}"), timed(age)));
+            series.push((format!("deadline_miss_total/lane{lane}"), timed(miss)));
         }
-        for (lane, vals) in &lane_miss {
-            for s in 0..n {
-                total_miss[s] += vals[s];
-            }
-            out.push((format!("deadline_miss_total/lane{lane}"), series(vals)));
-        }
-        out.push(("freshness_age_ms/peak".into(), series(&peak_age)));
-        out.push(("deadline_miss_total".into(), series(&total_miss)));
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
+        series.push(("freshness_age_ms/peak".into(), timed(&peak_age)));
+        series.push(("deadline_miss_total".into(), timed(&total_miss)));
+        series.sort_by(|a, b| a.0.cmp(&b.0));
+        (aoi, series)
     }
 }
 
@@ -506,6 +540,14 @@ pub struct SloReport {
     pub age_us: Option<HistogramSummary>,
     /// Aggregated AoI sawtooth samples on the vmstat cadence.
     pub aoi: Vec<AoiSample>,
+    /// Derived metric series for the `MetricsRegistry` plane, on the same
+    /// cadence and sorted by name: aggregate + per-subscriber
+    /// `freshness_age_ms` gauges (a subscriber's gauge is its stalest
+    /// topic's age) and cumulative `deadline_miss_total` counters (late
+    /// deliveries, attributed to the subscriber that received them
+    /// late). Spliced into the metrics op log by the experiment merge
+    /// exactly like `probes_in_flight`.
+    pub series: Vec<MetricSeries>,
     /// Burn/percentile windows.
     pub windows: Vec<SloWindow>,
     /// The worst single-window burn (the fault-campaign headline).
@@ -784,7 +826,14 @@ mod tests {
         c.record_delivery(probe(1, 0), 7, t(50), None); // on time
         c.record_publish(probe(1, 1), "b", t(0));
         c.record_delivery(probe(1, 1), 9, t(600), None); // late
-        let series = c.metric_series(deadline, t(2000), SimDuration::from_secs(1));
+        let series = c
+            .report(
+                &SloSpec::new(deadline, 0.9),
+                t(2000),
+                SimDuration::from_secs(1),
+                DEFAULT_WINDOW,
+            )
+            .series;
         let names: Vec<&str> = series.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(
             names,
@@ -859,6 +908,7 @@ mod tests {
             // *window merge* (the pipeline merges collectors first).
             let mut with_pubs = part.clone();
             with_pubs.publishes = merged.publishes.clone();
+            with_pubs.topics = merged.topics.clone();
             for (w, h) in with_pubs.windowed_histograms(DEFAULT_WINDOW) {
                 merged_win.entry(w).or_default().merge(&h);
             }

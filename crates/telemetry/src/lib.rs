@@ -11,6 +11,9 @@
 //! * [`LatencyHistogram`] — log-bucketed, <1.6 % relative quantile error.
 //! * [`RttCollector`] — the kernel service middleware code reports
 //!   instrumentation points to.
+//! * [`ProbeTable`] — a reading's record keyed by its [`ProbeId`],
+//!   stored per publisher lane in `seq`-indexed chunks; what the RTT and
+//!   SLO recorders keep their records in.
 //! * [`MetricsRegistry`] — the time-series metrics plane: named
 //!   counters/gauges/histograms sampled on the vmstat cadence, exported
 //!   as Prometheus text format and deterministic CSV.
@@ -18,12 +21,14 @@
 
 pub mod histogram;
 pub mod metrics;
+pub mod probe_table;
 pub mod report;
 pub mod rtt;
 pub mod stats;
 
 pub use histogram::{HistogramSummary, LatencyHistogram};
 pub use metrics::{with_metrics, MetricsRegistry};
+pub use probe_table::{ProbeTable, Slot};
 pub use report::{degradation_table, trim_float, Figure, Series, Table};
 pub use rtt::{Conservation, ProbeId, ProbeInstants, RttCollector, RttSummary};
 pub use stats::Welford;

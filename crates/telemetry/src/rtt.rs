@@ -14,9 +14,9 @@
 //! SRT = after_receiving − before_receiving (Subscribing Response Time).
 
 use crate::histogram::{HistogramSummary, LatencyHistogram};
+use crate::probe_table::{ProbeTable, Slot};
 use crate::stats::Welford;
 use simcore::{FastMap, SimTime};
-use std::collections::BTreeMap;
 
 /// Handle to one in-flight probe record.
 ///
@@ -33,26 +33,65 @@ impl ProbeId {
     pub fn compose(lane: u32, seq: u32) -> ProbeId {
         ProbeId(u64::from(lane) << 32 | u64::from(seq))
     }
+
+    /// The publisher's lane: the high half [`compose`](Self::compose)
+    /// packed. Together with [`seq`](Self::seq) the one place the packing
+    /// is decoded.
+    pub fn lane(self) -> u32 {
+        (self.0 >> 32) as u32
+    }
+
+    /// The publisher's own probe count: the low half.
+    pub fn seq(self) -> u32 {
+        (self.0 & u64::from(u32::MAX)) as u32
+    }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
+/// One probe's four instants; [`SimTime::MAX`] means "not stamped". A
+/// shard that only hosts the subscriber has a partial record (receive
+/// side only) until the end-of-run merge folds in the publisher shard's
+/// half.
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Record {
-    // All four instants are optional: a shard that only hosts the
-    // subscriber has a partial record (receive side only) until the
-    // end-of-run merge unions it with the publisher shard's half.
-    before_sending: Option<SimTime>,
-    after_sending: Option<SimTime>,
-    before_receiving: Option<SimTime>,
-    after_receiving: Option<SimTime>,
+    before_sending: SimTime,
+    after_sending: SimTime,
+    before_receiving: SimTime,
+    after_receiving: SimTime,
 }
 
-/// Keep the earliest instant. Within one shard calls arrive in time
-/// order so this is plain first-wins idempotence (duplicate deliveries
-/// keep the first); across shards it makes the merge commutative.
-fn keep_min(slot: &mut Option<SimTime>, now: SimTime) {
-    match slot {
-        Some(t) if *t <= now => {}
-        _ => *slot = Some(now),
+/// Each instant keeps its earliest stamp. Within one shard calls arrive
+/// in time order so this is plain first-wins idempotence (duplicate
+/// deliveries keep the first); across shards it makes the merge
+/// commutative.
+impl Slot for Record {
+    const VACANT: Record = Record {
+        before_sending: SimTime::MAX,
+        after_sending: SimTime::MAX,
+        before_receiving: SimTime::MAX,
+        after_receiving: SimTime::MAX,
+    };
+
+    fn fold(&mut self, other: Record) {
+        self.before_sending = self.before_sending.min(other.before_sending);
+        self.after_sending = self.after_sending.min(other.after_sending);
+        self.before_receiving = self.before_receiving.min(other.before_receiving);
+        self.after_receiving = self.after_receiving.min(other.after_receiving);
+    }
+}
+
+/// A stamped instant, `None` for the sentinel.
+fn stamped(t: SimTime) -> Option<SimTime> {
+    (t != SimTime::MAX).then_some(t)
+}
+
+impl Record {
+    fn instants(&self) -> Option<ProbeInstants> {
+        Some(ProbeInstants {
+            before_sending: stamped(self.before_sending)?,
+            after_sending: stamped(self.after_sending),
+            before_receiving: stamped(self.before_receiving),
+            after_receiving: stamped(self.after_receiving),
+        })
     }
 }
 
@@ -138,14 +177,15 @@ impl Conservation {
 /// The measurement service: middlewares and clients report instants; the
 /// experiment reads the summary at the end.
 ///
-/// Raw instants are the only thing stored during the run. All derived
-/// statistics (Welford moments, the latency histogram) are computed by
-/// [`summary`](Self::summary) from the record map in probe-id order, so a
+/// Raw instants are the only thing stored during the run: one 32-byte
+/// slot per probe in a [`ProbeTable`]. All derived statistics (Welford
+/// moments, the latency histogram) are computed by
+/// [`summary`](Self::summary) from the table in probe-id order, so a
 /// merged collector and a serial one produce bit-identical summaries —
 /// the accumulation order is a function of the *keys*, never of the
 /// event interleaving that produced the records.
 pub struct RttCollector {
-    records: BTreeMap<u64, Record>,
+    records: ProbeTable<Record>,
     lane_seqs: FastMap<u32, u32>,
 }
 
@@ -159,7 +199,7 @@ impl RttCollector {
     /// Empty collector.
     pub fn new() -> Self {
         RttCollector {
-            records: BTreeMap::new(),
+            records: ProbeTable::new(),
             lane_seqs: FastMap::default(),
         }
     }
@@ -171,18 +211,16 @@ impl RttCollector {
         let seq = self.lane_seqs.entry(lane).or_insert(0);
         let id = ProbeId::compose(lane, *seq);
         *seq = seq.checked_add(1).expect("2^32 probes from one publisher");
-        keep_min(
-            &mut self.records.entry(id.0).or_default().before_sending,
-            now,
-        );
+        let r = self.records.slot_mut(id);
+        r.before_sending = r.before_sending.min(now);
         id
     }
 
     /// The synchronous send completed.
     pub fn after_sending(&mut self, id: ProbeId, now: SimTime) {
-        let r = self.records.entry(id.0).or_default();
-        debug_assert!(r.after_sending.is_none(), "double after_sending");
-        keep_min(&mut r.after_sending, now);
+        let r = self.records.slot_mut(id);
+        debug_assert!(r.after_sending == SimTime::MAX, "double after_sending");
+        r.after_sending = r.after_sending.min(now);
     }
 
     /// The middleware made the message available to the subscriber.
@@ -190,44 +228,26 @@ impl RttCollector {
     /// wins. On a shard that does not host the publisher this creates a
     /// partial record, completed by the end-of-run [`merged`](Self::merged).
     pub fn before_receiving(&mut self, id: ProbeId, now: SimTime) {
-        keep_min(
-            &mut self.records.entry(id.0).or_default().before_receiving,
-            now,
-        );
+        let r = self.records.slot_mut(id);
+        r.before_receiving = r.before_receiving.min(now);
     }
 
     /// The receiving application has the message. Duplicate deliveries
     /// (UDP retransmission) are counted once — first delivery wins.
     pub fn after_receiving(&mut self, id: ProbeId, now: SimTime) {
-        keep_min(
-            &mut self.records.entry(id.0).or_default().after_receiving,
-            now,
-        );
+        let r = self.records.slot_mut(id);
+        r.after_receiving = r.after_receiving.min(now);
     }
 
     /// Union per-shard collectors into the whole-run collector. Records
-    /// merge field-wise keeping the earliest instant per phase, so the
+    /// fold field-wise keeping the earliest instant per phase, so the
     /// publisher shard's send half and the subscriber shard's receive
     /// half combine into the record a serial run would have written.
-    /// Merged-of-one is the identity.
+    /// Merged-of-one is the identity, through the same fold.
     pub fn merged(parts: impl IntoIterator<Item = RttCollector>) -> RttCollector {
         let mut out = RttCollector::new();
         for part in parts {
-            for (id, r) in part.records {
-                let dst = out.records.entry(id).or_default();
-                if let Some(t) = r.before_sending {
-                    keep_min(&mut dst.before_sending, t);
-                }
-                if let Some(t) = r.after_sending {
-                    keep_min(&mut dst.after_sending, t);
-                }
-                if let Some(t) = r.before_receiving {
-                    keep_min(&mut dst.before_receiving, t);
-                }
-                if let Some(t) = r.after_receiving {
-                    keep_min(&mut dst.after_receiving, t);
-                }
-            }
+            out.records.fold_in(part.records);
             for (lane, seq) in part.lane_seqs {
                 let s = out.lane_seqs.entry(lane).or_insert(0);
                 *s = (*s).max(seq);
@@ -240,34 +260,34 @@ impl RttCollector {
     /// receive-side records on a subscriber shard don't count until the
     /// merge restores their send half).
     pub fn sent(&self) -> u64 {
-        self.records
-            .values()
-            .filter(|r| r.before_sending.is_some())
-            .count() as u64
+        self.records().count() as u64
     }
 
     /// Messages received so far.
     pub fn received(&self) -> u64 {
         self.records
-            .values()
-            .filter(|r| r.after_receiving.is_some())
+            .iter()
+            .filter(|(_, r)| r.after_receiving != SimTime::MAX)
             .count() as u64
     }
 
     /// Every probe id with a record, in id order.
     pub fn probe_ids(&self) -> impl Iterator<Item = ProbeId> + '_ {
-        self.records.keys().map(|&k| ProbeId(k))
+        self.records.iter().map(|(id, _)| id)
+    }
+
+    /// Every probe with a publish instant and its raw instants, in id
+    /// order: one walk where `probe_ids` plus [`instants`](Self::instants)
+    /// would look each id up again.
+    pub fn records(&self) -> impl Iterator<Item = (ProbeId, ProbeInstants)> + '_ {
+        self.records
+            .iter()
+            .filter_map(|(id, r)| Some((id, r.instants()?)))
     }
 
     /// Raw instants of one probe (`None` if the id was never issued).
     pub fn instants(&self, id: ProbeId) -> Option<ProbeInstants> {
-        let r = self.records.get(&id.0)?;
-        Some(ProbeInstants {
-            before_sending: r.before_sending?,
-            after_sending: r.after_sending,
-            before_receiving: r.before_receiving,
-            after_receiving: r.after_receiving,
-        })
+        self.records.get(id)?.instants()
     }
 
     /// Classify every sent message at end of run. `dropped` is the
@@ -288,7 +308,7 @@ impl RttCollector {
     }
 
     /// Summarize at end of experiment. Statistics accumulate in probe-id
-    /// order — a pure function of the record map — so any partition of
+    /// order — a pure function of the probe table — so any partition of
     /// the same run summarizes, after [`merged`](Self::merged), to
     /// bit-identical floats.
     pub fn summary(&self) -> RttSummary {
@@ -297,9 +317,11 @@ impl RttCollector {
         let mut pt = Welford::new();
         let mut srt = Welford::new();
         let mut hist = LatencyHistogram::new();
-        for r in self.records.values() {
-            let (Some(sent_at), Some(rx)) = (r.before_sending, r.after_receiving) else {
-                continue;
+        let mut sent = 0u64;
+        self.records().for_each(|(_, r)| {
+            sent += 1;
+            let (sent_at, Some(rx)) = (r.before_sending, r.after_receiving) else {
+                return;
             };
             let d = rx.saturating_since(sent_at);
             rtt.push(d.as_millis_f64());
@@ -311,8 +333,7 @@ impl RttCollector {
                     srt.push(rx.saturating_since(bef_rx).as_millis_f64());
                 }
             }
-        }
-        let sent = self.sent();
+        });
         let received = rtt.count();
         let loss_rate = if sent == 0 {
             0.0
@@ -346,6 +367,20 @@ mod tests {
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
+    }
+
+    #[test]
+    fn lane_and_seq_decode_what_compose_packed() {
+        for (lane, seq) in [
+            (0, 0),
+            (u32::MAX, 0),
+            (0, u32::MAX),
+            (u32::MAX, u32::MAX),
+            (7, 9),
+        ] {
+            let id = ProbeId::compose(lane, seq);
+            assert_eq!((id.lane(), id.seq()), (lane, seq));
+        }
     }
 
     #[test]

@@ -131,9 +131,10 @@ fn same_seed_runs_allocate_identically() {
 /// hops, both servlets, storage, stream, poll), as the difference
 /// between runs of 10, 20 and 40 messages per generator: exact counts,
 /// no wall clock. The ceiling holds the text written once, the two-block
-/// tuple and the order-free binder in place (25.6 before them); the
-/// second difference matching the first says the cost per reading does
-/// not grow with the run.
+/// tuple and the order-free binder in place (25.6 before them) and the
+/// lifecycle record in its lane's chunk rather than a B-tree node (18.574
+/// before, 18.244 since); the second difference matching the first says
+/// the cost per reading does not grow with the run.
 #[test]
 fn an_rgma_reading_allocates_a_bounded_constant_number_of_blocks() {
     if std::env::var("GRIDMON_SHARDS").is_ok_and(|n| n != "1") {
@@ -157,7 +158,7 @@ fn an_rgma_reading_allocates_a_bounded_constant_number_of_blocks() {
     let (ten, twenty, forty) = (allocs(10), allocs(20), allocs(40));
     let early = (twenty - ten) / (GENERATORS * 10) as f64;
     let late = (forty - twenty) / (GENERATORS * 20) as f64;
-    assert!(early <= 19.6, "{early} allocations per reading");
+    assert!(early <= 18.35, "{early} allocations per reading");
     assert!(
         (late / early - 1.0).abs() <= 0.02,
         "{early} then {late} per reading"
