@@ -39,8 +39,8 @@ use simnet::session::ReconnectPolicy;
 use simnet::{Endpoint, NetworkFabric, Transport};
 use simos::{NodeId, OsModel, ProcessId, VmstatLog, VmstatSampler};
 use simshard::ShardPlan;
-use simslo::{SloCollector, SloReport, SloSpec};
-use simtrace::{TraceCollector, TraceId, TraceSampler, TraceSummary};
+use simslo::{SloReport, SloSpec};
+use simtrace::{TraceCollector, TraceSampler, TraceSummary};
 use telemetry::{RttCollector, RttSummary};
 
 /// Which deployment is under test.
@@ -125,12 +125,10 @@ pub struct ExperimentSpec {
     /// never touch the RNG or the event queue, so scoped runs are
     /// byte-identical to plain runs at a fixed seed.
     pub scope: bool,
-    /// Data-freshness / SLO accounting (`simslo`). Off by default: no
-    /// `SloCollector` service is registered, so every recording site
-    /// reduces to one failed type-map probe and the run is
-    /// byte-identical to a build without the plane. The publish stamps
-    /// ride out-of-band (like the trace id) and cost zero wire bytes,
-    /// so enabling it never perturbs timing either.
+    /// Data-freshness / SLO accounting (`simslo`). Off by default: the
+    /// `RttCollector` keeps no topic or per-subscriber column. Armed, it
+    /// keeps them, which is bookkeeping only: no event, no RNG draw and
+    /// no wire byte changes, so every other artifact is byte-identical.
     pub slo: Option<SloSpec>,
     /// Conservative-parallel shard count (`simshard`). The cluster's
     /// nodes partition round-robin into this many shards, each a full
@@ -238,8 +236,9 @@ pub struct TraceArtifacts {
     pub chrome: String,
     /// Per-message PRT/PT/SRT reconstruction.
     pub summary: TraceSummary,
-    /// Cross-check failures against the independent `RttCollector`
-    /// instants. Non-empty means one instrumentation path is buggy.
+    /// Always empty: the trace's lifecycle events and the
+    /// `RttCollector` record are written by the same `simnet::probe`
+    /// call. Kept because gridbench reads it (ROADMAP item 1 deletes it).
     pub disagreements: Vec<String>,
 }
 
@@ -485,7 +484,15 @@ fn build_world(
         calibration::hydra_fabric(),
         lay.total_nodes,
     ));
-    sim.add_service(RttCollector::new());
+    // The one record of every reading. An SLO adds its topic and
+    // subscriber columns: pure bookkeeping keyed by content-derived probe
+    // ids, so SLO-armed runs are byte-identical to plain runs on every
+    // other artifact.
+    sim.add_service(if spec.slo.is_some() {
+        RttCollector::with_freshness()
+    } else {
+        RttCollector::new()
+    });
     sim.add_service(VmstatLog::new());
     if spec.trace {
         sim.add_service(TraceCollector::new());
@@ -499,12 +506,6 @@ fn build_world(
     if spec.profile {
         sim.add_service(simprof::Profiler::new());
         sim.add_service(telemetry::MetricsRegistry::new());
-    }
-    if spec.slo.is_some() {
-        // Pure bookkeeping keyed by content-derived probe ids: recording
-        // never touches the RNG or the event queue, so SLO-enabled runs
-        // are byte-identical to plain runs on every other artifact.
-        sim.add_service(SloCollector::new());
     }
     if spec.scope {
         // Arm the kernel's internal dispatch/queue timers and register the
@@ -808,7 +809,6 @@ struct ShardPartial {
     profiler: Option<simprof::Profiler>,
     metrics: Option<telemetry::MetricsRegistry>,
     wallscope: Option<simscope::WallScope>,
-    slo: Option<SloCollector>,
     os_busy: SimDuration,
     os_wall: Option<simcore::WallAccum>,
     now: SimTime,
@@ -848,7 +848,6 @@ fn extract_partial(sim: &mut Simulation, world: &WorldHandles) -> ShardPartial {
         wallscope: sim
             .service_mut::<simscope::WallScope>()
             .map(|w| std::mem::replace(w, simscope::WallScope::new())),
-        slo: sim.service_mut::<SloCollector>().map(std::mem::take),
         os_busy: sim
             .service::<OsModel>()
             .expect("os registered")
@@ -933,7 +932,6 @@ fn merge_results(
     let mut profilers = Vec::new();
     let mut metrics_parts = Vec::new();
     let mut wallscopes = Vec::new();
-    let mut slo_parts = Vec::new();
     let mut os_walls = Vec::new();
     let mut kernel_busy = SimDuration::ZERO;
     let (mut connected, mut refused) = (0u32, 0u32);
@@ -948,7 +946,6 @@ fn merge_results(
         profilers.push(p.profiler);
         metrics_parts.push(p.metrics);
         wallscopes.push(p.wallscope);
-        slo_parts.push(p.slo);
         os_walls.push(p.os_wall);
         kernel_busy += p.os_busy;
         connected += p.connected;
@@ -985,29 +982,6 @@ fn merge_results(
     let trace = if spec.trace {
         let tr = TraceCollector::merged(traces.into_iter().flatten());
         let trace_summary = TraceSummary::from_collector(&tr);
-        // Cross-check: every probe the RttCollector saw must decompose to
-        // the exact same four instants in the trace. Any disagreement is
-        // an instrumentation bug in one of the two independent paths.
-        let mut disagreements = Vec::new();
-        for (id, i) in rtt.records() {
-            if let Some(err) = trace_summary.check_probe(
-                TraceId(id.0),
-                i.before_sending,
-                i.after_sending,
-                i.before_receiving,
-                i.after_receiving,
-            ) {
-                disagreements.push(err);
-            }
-        }
-        // Hard assertion in test/debug builds: the two instrumentation
-        // paths share nothing but the message, so any disagreement is a
-        // bug, not a tolerable measurement artifact. Release harness
-        // runs still surface the list via `TraceArtifacts` + a warning.
-        debug_assert!(
-            disagreements.is_empty(),
-            "trace/RttCollector cross-check failed: {disagreements:?}"
-        );
         // Unified resource log: vmstat rows ride along with the counter
         // samples in the JSONL export.
         let resources: Vec<simtrace::export::ResourceRow> = vm
@@ -1024,31 +998,21 @@ fn merge_results(
             jsonl: simtrace::export::jsonl(&tr, &resources),
             chrome: simtrace::export::chrome_trace(&tr, &trace_summary),
             summary: trace_summary,
-            disagreements,
+            disagreements: Vec::new(),
         })
     } else {
         None
     };
 
-    // Freshness plane: keyed union of the per-shard collectors (the
-    // publisher and the subscriber of one reading may live on different
-    // shards), then every statistic derives from the merged record set.
+    // Freshness plane: every statistic derives from the merged record.
     let slo_report = spec.slo.as_ref().map(|slo_spec| {
-        let col = SloCollector::merged(slo_parts.into_iter().flatten());
-        let report = col.report(
+        SloReport::from_collector(
+            &rtt,
             slo_spec,
             now,
             simslo::SAMPLE_CADENCE,
             simslo::DEFAULT_WINDOW,
-        );
-        // The carried stamp and the collector's own publish record are
-        // independent paths to the same instant; a disagreement is an
-        // instrumentation bug, exactly like the trace cross-check above.
-        debug_assert_eq!(
-            report.stamp_disagreements, 0,
-            "carried publish stamps disagree with recorded publish instants"
-        );
-        report
+        )
     });
 
     let profile = if spec.profile {
@@ -1301,7 +1265,6 @@ mod tests {
                 "{system:?}: outcomes partition the readings"
             );
             assert!(rep.delivered > 0, "{system:?}: deliveries recorded");
-            assert_eq!(rep.stamp_disagreements, 0);
             assert!(slo.csv.starts_with("t_s,metric,value\n"));
             // Fault-free smoke runs at tiny load meet the grid default.
             assert!(rep.compliant, "{system:?}: {rep:?}");

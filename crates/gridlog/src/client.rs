@@ -241,14 +241,9 @@ impl GridlogClientSet {
         ctx: &mut Context<'_>,
         conn: ConnId,
         key: u32,
-        mut message: Message,
+        message: Message,
     ) -> ProbeId {
-        let now = ctx.now();
         let probe = probe::published(ctx, &message.headers.destination);
-        // Freshness stamp, out-of-band (not part of the wire encoding):
-        // read back by the consumer when the record arrives in a fetch
-        // response.
-        message.headers.published_at = Some(now);
         let sess = self.sessions.get_mut(conn).expect("unknown connection");
         let (reconnecting, ready) = (sess.reconnecting(), sess.is_ready());
         let Role::Producer(prod) = &mut sess.state else {
@@ -515,7 +510,7 @@ impl GridlogClientSet {
                         // records, but the `fresh` gate (and first-wins
                         // recorder semantics) keeps one delivery per
                         // reading.
-                        probe::delivered(ctx, rec.probe, done, rec.message.headers.published_at);
+                        probe::delivered(ctx, rec.probe, done);
                         events.push(ClientEvent::RecordArrived {
                             conn,
                             partition,

@@ -81,23 +81,7 @@ pub const PLANES: &[Plane] = &[
             ],
             None => Vec::new(),
         },
-        terminal: |runs, _| {
-            let mut disagreements = 0;
-            for r in runs {
-                for d in r.trace.iter().flat_map(|t| &t.disagreements) {
-                    eprintln!("trace cross-check [{}]: {d}", r.name);
-                    disagreements += 1;
-                }
-            }
-            if disagreements > 0 {
-                eprintln!(
-                    "WARNING: {disagreements} trace/RttCollector cross-check \
-                     disagreements — the trace and the telemetry disagree \
-                     about when messages moved; this indicates a bug"
-                );
-            }
-            0
-        },
+        terminal: |_, _| 0,
     },
     // Virtual-time profiler + metrics: the self-time table, flamegraph
     // collapsed stacks, Prometheus text exposition, metric time series.
@@ -396,7 +380,7 @@ mod tests {
         assert!(p.collapsed.is_empty() && p.prometheus.is_empty() && p.metrics_csv.is_empty());
         assert!(s.csv.is_empty());
         assert_eq!(p.table, prof.table);
-        assert_eq!(t.disagreements, trace.disagreements);
+        assert_eq!(t.summary.probes, trace.summary.probes);
         assert_eq!(
             s.report.table_row("x"),
             slo.report.table_row("x"),

@@ -274,14 +274,10 @@ impl NaradaClientSet {
         &mut self,
         ctx: &mut Context<'_>,
         conn: ConnId,
-        mut message: Message,
+        message: Message,
         queue: bool,
     ) -> ProbeId {
-        let now = ctx.now();
         let probe = probe::published(ctx, &message.headers.destination);
-        // Freshness stamp, out-of-band (not part of the wire encoding):
-        // carried so the subscriber side can compute delivery age.
-        message.headers.published_at = Some(now);
         let sess = self.sessions.get_mut(conn).expect("unknown connection");
         if sess.reconnecting() {
             // Broker presumed dead and a reconnect is in flight: buffer
@@ -416,7 +412,7 @@ impl NaradaClientSet {
                 sub_id,
                 probe,
                 deliver_seq,
-                message,
+                message: _,
                 retransmit: _,
             } => {
                 let now = ctx.now();
@@ -444,7 +440,7 @@ impl NaradaClientSet {
                 }
                 let done = self.sessions.cpu(ctx, self.deliver_cost(bytes));
                 if fresh {
-                    probe::delivered(ctx, probe, done, message.headers.published_at);
+                    probe::delivered(ctx, probe, done);
                     events.push(ClientEvent::MessageArrived {
                         conn,
                         sub_id,

@@ -78,11 +78,10 @@ struct SubscriberState {
 }
 
 /// Everything needed to retry a synchronous insert with the same probe
-/// (and the same freshness stamp — a retry is the same reading).
+/// (a retry is the same reading).
 struct InsertInfo {
     sql: Arc<str>,
     probe: telemetry::ProbeId,
-    published_at: simcore::SimTime,
     retries: u32,
 }
 
@@ -92,7 +91,6 @@ enum TimerPurpose {
         handle: ProducerHandle,
         sql: Arc<str>,
         probe: telemetry::ProbeId,
-        published_at: simcore::SimTime,
         retries: u32,
     },
     CreateRetry(ProducerHandle),
@@ -188,24 +186,21 @@ impl RgmaClientSet {
         handle: ProducerHandle,
         sql: impl Into<Arc<str>>,
     ) -> telemetry::ProbeId {
-        let now = ctx.now();
         // The "topic" of an R-GMA reading is the table its producer
         // declares.
         let topic = self.producers.get(&handle).map_or("", |p| p.table.as_str());
         let probe = probe::published(ctx, topic);
-        self.send_insert(ctx, handle, sql.into(), probe, now, 0);
+        self.send_insert(ctx, handle, sql.into(), probe, 0);
         probe
     }
 
-    /// Send (or retry) an insert carrying `probe` and the original
-    /// freshness stamp.
+    /// Send (or retry) an insert carrying `probe`.
     fn send_insert(
         &mut self,
         ctx: &mut Context<'_>,
         handle: ProducerHandle,
         sql: Arc<str>,
         probe: telemetry::ProbeId,
-        published_at: simcore::SimTime,
         retries: u32,
     ) {
         let state = self.producers.get(&handle).expect("unknown producer");
@@ -219,9 +214,8 @@ impl RgmaClientSet {
             producer: server,
             sql: sql.clone(),
             probe,
-            published_at,
         };
-        // The path is not in the byte count (ROADMAP item 5).
+        // The path is not in the byte count (ROADMAP item 4).
         let rid = self
             .http
             .request_at(ctx, conn, "/producer/insert", sql.len(), body, done);
@@ -229,7 +223,6 @@ impl RgmaClientSet {
         let info = InsertInfo {
             sql,
             probe,
-            published_at,
             retries,
         };
         self.insert_info.insert(rid, info);
@@ -387,7 +380,6 @@ impl RgmaClientSet {
                                         handle,
                                         sql: info.sql,
                                         probe: info.probe,
-                                        published_at: info.published_at,
                                         retries: info.retries + 1,
                                     },
                                 );
@@ -437,12 +429,10 @@ impl RgmaClientSet {
                         let cost =
                             self.cfg.costs.client_http + SimDuration::from_micros(50 * n as u64);
                         let done = self.cpu(ctx, cost);
-                        for (probe, tuple) in entries {
+                        for (probe, _) in entries {
                             // The subscriber has the tuple once the
-                            // poll-result processing is done; the stamp
-                            // rode on the tuple from the producer
-                            // servlet's storage.
-                            probe::delivered(ctx, probe, done, tuple.published_at);
+                            // poll-result processing is done.
+                            probe::delivered(ctx, probe, done);
                         }
                         simtrace::with_trace(ctx, |tr, _| {
                             tr.count(simtrace::Counter::TuplesDelivered, n as u64);
@@ -470,7 +460,6 @@ impl RgmaClientSet {
                 handle,
                 sql,
                 probe,
-                published_at,
                 retries,
             } => {
                 simtrace::with_trace(ctx, |tr, _| {
@@ -481,7 +470,7 @@ impl RgmaClientSet {
                     .get(&handle)
                     .is_some_and(|s| s.server.is_some())
                 {
-                    self.send_insert(ctx, handle, sql, probe, published_at, retries);
+                    self.send_insert(ctx, handle, sql, probe, retries);
                 }
             }
             TimerPurpose::CreateRetry(handle) => {

@@ -51,7 +51,6 @@ fn project(schema: Option<&TableSchema>, columns: &[String], tuple: Arc<Tuple>) 
             table: tuple.table.clone(),
             values,
             inserted_at: tuple.inserted_at,
-            published_at: tuple.published_at,
         }),
         Err(_) => tuple,
     }

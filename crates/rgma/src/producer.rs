@@ -126,7 +126,6 @@ impl ProducerServlet {
         producer: ProducerId,
         sql: Arc<str>,
         probe: ProbeId,
-        published_at: simcore::SimTime,
     ) {
         let cost = self.cfg.costs.insert_base
             + SimDuration::from_micros(
@@ -146,12 +145,7 @@ impl ProducerServlet {
             if *schema.name != *inst.table {
                 return Err(format!("wrong table {}", schema.name));
             }
-            let mut tuple = schema.to_tuple(row);
-            // Out-of-band freshness stamp: parsed SQL can't carry it, so
-            // the servlet copies it from the request onto the stored
-            // tuple, whence it rides through streaming/fetch/poll.
-            tuple.published_at = Some(published_at);
-            inst.storage.insert(tuple, probe, done);
+            inst.storage.insert(schema.to_tuple(row), probe, done);
             self.dirty.push(producer);
             Ok(inst.storage.len() as u32)
         })();
@@ -405,8 +399,7 @@ impl Actor for ProducerServlet {
                 producer,
                 sql,
                 probe,
-                published_at,
-            } => self.on_insert(ctx, reply, producer, sql, probe, published_at),
+            } => self.on_insert(ctx, reply, producer, sql, probe),
             ProducerRequest::StartStream {
                 table,
                 consumer,

@@ -4,7 +4,6 @@
 //! the entity bodies. Byte sizes are estimated from the carried SQL text
 //! and tuples (plus the HTTP framing added by `simnet::http`).
 
-use simcore::SimTime;
 use simnet::Endpoint;
 use std::sync::Arc;
 use telemetry::ProbeId;
@@ -46,14 +45,9 @@ pub enum ProducerRequest {
         producer: ProducerId,
         /// Full SQL INSERT text (shared with the client's retry record).
         sql: Arc<str>,
-        /// Telemetry probe.
+        /// Telemetry probe (out-of-band: byte accounting only counts the
+        /// SQL text).
         probe: ProbeId,
-        /// Virtual instant the application called insert (`simslo`
-        /// freshness stamp). Out-of-band like `probe`: byte accounting
-        /// only counts the SQL text, and retries re-send the original
-        /// stamp. The producer servlet copies it onto the stored
-        /// tuple, whence it rides to consumers.
-        published_at: SimTime,
     },
     /// One-shot fetch from producer-instance storage (latest/history
     /// query plan step).

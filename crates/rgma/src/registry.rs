@@ -50,7 +50,7 @@ pub struct RegistryActor {
 impl RegistryActor {
     /// New registry on `node`. It takes its host process like the
     /// servlets do, but holds no per-process memory to account there and
-    /// takes no thread for a connection (ROADMAP item 5).
+    /// takes no thread for a connection (ROADMAP item 4).
     pub fn new(cfg: RgmaConfig, node: NodeId, _proc: ProcessId) -> Self {
         let propagation = cfg.registry_propagation;
         RegistryActor {
@@ -122,7 +122,7 @@ impl RegistryActor {
             },
         };
         // The answer leaves now, whatever the CPU charge above returned,
-        // and is 96 bytes however long the list (ROADMAP item 5).
+        // and is 96 bytes however long the list (ROADMAP item 4).
         let now = ctx.now();
         reply.send_at(ctx, 200, 96, resp, now);
     }

@@ -37,7 +37,7 @@ pub struct SecondaryProducer {
     cfg: RgmaConfig,
     /// The hosting JVM's CPU, heap (the batch is accounted here) and
     /// wire. It accepts nothing: a downstream consumer's stream costs
-    /// this producer no thread (ROADMAP item 5).
+    /// this producer no thread (ROADMAP item 4).
     server: Acceptor<()>,
     http: Caller,
     registry_ep: Endpoint,

@@ -665,7 +665,6 @@ impl Actor for StreamPeer {
     fn handle(&mut self, msg: Payload, ctx: &mut Context<'_>) {
         let msg = match msg.downcast::<Due>() {
             Ok(due) => {
-                let now = ctx.now();
                 let (path, request) = match self.script[due.0].1.clone() {
                     Step::Create => (
                         "/producer/create",
@@ -679,7 +678,6 @@ impl Actor for StreamPeer {
                             producer,
                             sql: "INSERT INTO generator VALUES (1, 2.5, 'hydra')".into(),
                             probe,
-                            published_at: now,
                         },
                     ),
                     Step::Attach(consumer, producers) => (

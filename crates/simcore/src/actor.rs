@@ -28,6 +28,13 @@ impl ActorId {
     pub fn index(self) -> usize {
         self.0 as usize
     }
+
+    /// The actor's kernel lane: the slab index as the `u32` it is stored
+    /// as, what keys the records an actor makes (probe ids, trace and
+    /// metric records).
+    pub fn lane(self) -> u32 {
+        self.0
+    }
 }
 
 impl fmt::Display for ActorId {
@@ -84,6 +91,8 @@ mod tests {
     fn actor_id_roundtrip() {
         let id = ActorId::from_index(17);
         assert_eq!(id.index(), 17);
+        assert_eq!(id.lane(), 17);
+        assert_eq!(ActorId::NONE.lane(), u32::MAX);
         assert_eq!(format!("{id}"), "actor#17");
         assert_ne!(id, ActorId::NONE);
     }

@@ -86,7 +86,7 @@ impl Caller {
     /// Like [`request`](Self::request), leaving once the caller's CPU work
     /// completes at `at`. `bytes` goes on the wire as given, plus the
     /// framing overhead: whether the path is in it is the caller's count
-    /// (R-GMA's insert leaves it out, ROADMAP item 5).
+    /// (R-GMA's insert leaves it out, ROADMAP item 4).
     #[inline]
     pub fn request_at<B: Any + Send>(
         &mut self,

@@ -1,34 +1,27 @@
 //! A reading's lifecycle, stamped in one place: the four instants of the
 //! paper's RTT = PRT + PT + SRT decomposition (`before_sending`,
-//! `after_sending`, `before_receiving`, `after_receiving`) and every
-//! recorder that keeps them.
+//! `after_sending`, `before_receiving`, `after_receiving`).
 //!
 //! A client (narada's, gridlog's, R-GMA's) or a servlet calls
 //! [`published`], [`sent`], [`available`] and [`delivered`] where the
-//! reading reaches that stage and knows nothing of who listens: the
-//! [`RttCollector`] always, the [`simslo::SloCollector`] and the
-//! [`simtrace::TraceCollector`] when their planes are on. The lane and
-//! the actor a stamp is filed under are the calling actor's own index.
-//! Hop events and counters (a broker's receive, a selector match, a batch
-//! flush) are not lifecycle stamps and stay `simtrace::with_trace`
-//! closures at their sites.
+//! reading reaches that stage and knows nothing of who listens. Each call
+//! writes the reading's one record, the [`RttCollector`] (which also
+//! keeps the topic and each subscriber's copy when the run measures
+//! freshness), and the [`simtrace::TraceCollector`]'s lifecycle event
+//! when the trace plane is on. The lane and the actor a stamp is filed
+//! under are the calling actor's own. Hop events and counters (a broker's
+//! receive, a selector match, a batch flush) are not lifecycle stamps and
+//! stay `simtrace::with_trace` closures at their sites.
 
 use simcore::{Context, SimTime};
 use simtrace::{EventKind, TraceId};
 use telemetry::{ProbeId, RttCollector};
 
-/// The calling actor's kernel lane: what keys the [`ProbeId`]s it mints
-/// and the deliveries it receives.
-#[inline]
-fn lane(ctx: &Context<'_>) -> u32 {
-    u32::try_from(ctx.self_id().index()).expect("actor index fits a probe lane")
-}
-
 /// One lifecycle event of `probe` at `at` into the trace, if the trace
 /// plane is on.
 #[inline]
 fn trace(ctx: &mut Context<'_>, probe: ProbeId, at: SimTime, kind: EventKind) {
-    let actor = u64::from(lane(ctx));
+    let actor = u64::from(ctx.self_id().lane());
     simtrace::with_trace(ctx, |tr, _| {
         tr.record(at, Some(TraceId(probe.0)), actor, kind)
     });
@@ -39,9 +32,10 @@ fn trace(ctx: &mut Context<'_>, probe: ProbeId, at: SimTime, kind: EventKind) {
 #[inline]
 pub fn published(ctx: &mut Context<'_>, topic: &str) -> ProbeId {
     let now = ctx.now();
-    let lane = lane(ctx);
-    let probe = ctx.service_mut::<RttCollector>().before_sending(lane, now);
-    simslo::with_slo(ctx, |slo, at| slo.record_publish(probe, topic, at));
+    let lane = ctx.self_id().lane();
+    let probe = ctx
+        .service_mut::<RttCollector>()
+        .published(lane, topic, now);
     trace(ctx, probe, now, EventKind::PublishBegin);
     probe
 }
@@ -64,14 +58,12 @@ pub fn available(ctx: &mut Context<'_>, probe: ProbeId, at: SimTime) {
 }
 
 /// The subscribing application has the reading at `at`
-/// (`after_receiving`). `carried` is the publish stamp that rode with it,
-/// which the freshness plane checks against the publisher's own record.
+/// (`after_receiving`).
 #[inline]
-pub fn delivered(ctx: &mut Context<'_>, probe: ProbeId, at: SimTime, carried: Option<SimTime>) {
-    ctx.service_mut::<RttCollector>().after_receiving(probe, at);
+pub fn delivered(ctx: &mut Context<'_>, probe: ProbeId, at: SimTime) {
+    let lane = ctx.self_id().lane();
+    ctx.service_mut::<RttCollector>().delivered(probe, lane, at);
     trace(ctx, probe, at, EventKind::Delivered);
-    let lane = lane(ctx);
-    simslo::with_slo(ctx, |slo, _| slo.record_delivery(probe, lane, at, carried));
 }
 
 #[cfg(test)]

@@ -5,9 +5,10 @@
 //! Everything that existed before this crate attributes *virtual* time:
 //! `simtrace` follows messages through the simulated system, `simprof`
 //! charges simulated CPU work to components. Nobody could say where the
-//! simulator's own *wall-clock* time goes — which is the number that
-//! matters for ROADMAP item 1's 10–100× events/sec kernel overhaul.
-//! simscope closes that gap:
+//! simulator's own *wall-clock* time goes — which is the number a host
+//! regression moves and a per-layer speed-up must show in, layer by
+//! layer (`repro --scope`, gridbench's per-layer table). simscope closes
+//! that gap:
 //!
 //! * [`Site`] — the fixed taxonomy of instrumented hot paths: kernel
 //!   event dispatch, queue push/pop, simnet fabric delivery, `OsModel`

@@ -319,7 +319,7 @@ impl Default for TraceCollector {
 #[inline]
 pub fn with_trace(ctx: &mut Context<'_>, f: impl FnOnce(&mut TraceCollector, SimTime)) {
     let now = ctx.now();
-    let lane = ctx.self_id().index() as u32;
+    let lane = ctx.self_id().lane();
     if let Some(tr) = ctx.try_service_mut::<TraceCollector>() {
         tr.set_recorder(lane, now);
         f(tr, now);

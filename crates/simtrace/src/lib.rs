@@ -24,9 +24,9 @@
 //!   log.
 //! * [`export`] — JSONL and Chrome `trace_event` (Perfetto-loadable)
 //!   exporters, all byte-deterministic for a given event stream.
-//! * [`TraceSummary`] — per-message PRT/PT/SRT reconstruction that can
-//!   be cross-checked against the `RttCollector`'s independent record;
-//!   any disagreement is a bug in the instrumentation or the kernel.
+//! * [`TraceSummary`] — per-message PRT/PT/SRT reconstruction from the
+//!   lifecycle events `simnet::probe` writes beside the `RttCollector`
+//!   record, with each hop counted between them.
 
 mod collector;
 mod event;

@@ -112,56 +112,6 @@ impl TraceSummary {
             evicted_events: tr.evicted(),
         }
     }
-
-    /// Cross-check one probe's trace-derived instants against an
-    /// independent record of the same four instants (the
-    /// `RttCollector`'s). Returns a description of the first
-    /// disagreement, or `None` when they match exactly. Because the
-    /// decomposition telescopes (PRT + PT + SRT = RTT by construction),
-    /// instant-level equality is the strongest possible check.
-    ///
-    /// `evicted_events > 0` disables the "missing from trace" direction
-    /// for absent probes, since eviction legitimately loses history.
-    pub fn check_probe(
-        &self,
-        id: TraceId,
-        before_sending: SimTime,
-        after_sending: Option<SimTime>,
-        before_receiving: Option<SimTime>,
-        after_receiving: Option<SimTime>,
-    ) -> Option<String> {
-        let Some(b) = self.probes.get(&id) else {
-            if self.evicted_events > 0 {
-                return None;
-            }
-            return Some(format!("probe {} missing from trace", id.0));
-        };
-        let pairs = [
-            ("before_sending", Some(before_sending), b.publish_begin),
-            ("after_sending", after_sending, b.publish_end),
-            ("before_receiving", before_receiving, b.available),
-            ("after_receiving", after_receiving, b.delivered),
-        ];
-        for (name, collector, trace) in pairs {
-            if let Some(c) = collector {
-                match trace {
-                    None if self.evicted_events == 0 => {
-                        return Some(format!("probe {}: {name} missing from trace", id.0));
-                    }
-                    Some(t) if t != c => {
-                        return Some(format!(
-                            "probe {}: {name} disagrees (trace {} us, collector {} us)",
-                            id.0,
-                            t.as_micros(),
-                            c.as_micros()
-                        ));
-                    }
-                    _ => {}
-                }
-            }
-        }
-        None
-    }
 }
 
 #[cfg(test)]
@@ -212,20 +162,6 @@ mod tests {
     }
 
     #[test]
-    fn cross_check_detects_disagreement() {
-        let c = collector_with_full_lifecycle();
-        let s = TraceSummary::from_collector(&c);
-        assert_eq!(
-            s.check_probe(TraceId(7), t(10), Some(t(12)), Some(t(40)), Some(t(45))),
-            None
-        );
-        let bad = s.check_probe(TraceId(7), t(10), Some(t(12)), Some(t(41)), Some(t(45)));
-        assert!(bad.unwrap().contains("before_receiving"));
-        let missing = s.check_probe(TraceId(9), t(0), None, None, None);
-        assert!(missing.unwrap().contains("missing"));
-    }
-
-    #[test]
     fn eviction_suppresses_missing_probe_reports() {
         let mut c = TraceCollector::with_capacity(1);
         c.record(t(1), Some(TraceId(0)), 0, EventKind::PublishBegin);
@@ -235,6 +171,5 @@ mod tests {
         let c = TraceCollector::merged([c]);
         let s = TraceSummary::from_collector(&c);
         assert_eq!(s.evicted_events, 1);
-        assert_eq!(s.check_probe(TraceId(0), t(1), None, None, None), None);
     }
 }

@@ -377,7 +377,7 @@ fn sanitize(name: &str) -> String {
 #[inline]
 pub fn with_metrics(ctx: &mut Context<'_>, f: impl FnOnce(&mut MetricsRegistry, SimTime)) {
     let now = ctx.now();
-    let lane = ctx.self_id().index() as u32;
+    let lane = ctx.self_id().lane();
     if let Some(m) = ctx.try_service_mut::<MetricsRegistry>() {
         m.set_recorder(lane, now);
         f(m, now);

@@ -12,11 +12,17 @@
 //! PRT = after_sending − before_sending (Publishing Response Time),
 //! PT = before_receiving − after_sending (Process Time),
 //! SRT = after_receiving − before_receiving (Subscribing Response Time).
+//!
+//! The collector is the run's only record of a reading. A run that
+//! measures freshness builds it [`with_freshness`](RttCollector::with_freshness):
+//! two more columns, each probe's topic and each subscriber's first copy,
+//! from which `simslo` derives its report.
 
 use crate::histogram::{HistogramSummary, LatencyHistogram};
 use crate::probe_table::{ProbeTable, Slot};
 use crate::stats::Welford;
 use simcore::{FastMap, SimTime};
+use std::collections::BTreeMap;
 
 /// Handle to one in-flight probe record.
 ///
@@ -95,10 +101,72 @@ impl Record {
     }
 }
 
-/// The four raw instants of one probe, in fig 15 order. Exposed so an
-/// independent observer (the `simtrace` subsystem) can cross-check its
-/// own per-message reconstruction against this collector — any
-/// disagreement means one of the two instrumentation paths is buggy.
+/// A topic, as its index in the collector's [`Topics`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Topic(u32);
+
+/// A probe publishes once, so there is one topic per probe to keep.
+impl Slot for Topic {
+    const VACANT: Topic = Topic(u32::MAX);
+
+    fn fold(&mut self, other: Topic) {
+        if *self == Topic::VACANT {
+            *self = other;
+        }
+    }
+}
+
+/// The topics one collector has seen, each stored once.
+#[derive(Debug, Clone, Default)]
+struct Topics {
+    names: Vec<Box<str>>,
+    ids: FastMap<Box<str>, u32>,
+}
+
+impl Topics {
+    fn id(&mut self, name: &str) -> Topic {
+        if let Some(&id) = self.ids.get(name) {
+            return Topic(id);
+        }
+        let id = u32::try_from(self.names.len()).expect("fewer than 2^32 topics");
+        self.names.push(name.into());
+        self.ids.insert(name.into(), id);
+        Topic(id)
+    }
+}
+
+/// What the freshness plane reads besides the four instants.
+#[derive(Debug, Clone, Default)]
+struct FreshnessColumns {
+    topics: Topics,
+    /// Each probe's topic.
+    topic: ProbeTable<Topic>,
+    /// Per subscriber lane, its first copy of each probe: the same reading
+    /// delivered to two subscribers is two records, a redelivery to one
+    /// keeps the first instant.
+    deliveries: BTreeMap<u32, ProbeTable<SimTime>>,
+}
+
+impl FreshnessColumns {
+    /// Fold another shard's columns in, renaming its topics into ours.
+    fn fold_in(&mut self, mut other: FreshnessColumns) {
+        let ids: Vec<Topic> = other
+            .topics
+            .names
+            .iter()
+            .map(|n| self.topics.id(n))
+            .collect();
+        for t in other.topic.values_mut() {
+            *t = ids[t.0 as usize];
+        }
+        self.topic.fold_in(other.topic);
+        for (lane, table) in other.deliveries {
+            self.deliveries.entry(lane).or_default().fold_in(table);
+        }
+    }
+}
+
+/// The four raw instants of one probe, in fig 15 order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProbeInstants {
     /// The application called publish/insert.
@@ -187,6 +255,8 @@ impl Conservation {
 pub struct RttCollector {
     records: ProbeTable<Record>,
     lane_seqs: FastMap<u32, u32>,
+    /// Allocated only by [`with_freshness`](Self::with_freshness).
+    freshness: Option<Box<FreshnessColumns>>,
 }
 
 impl Default for RttCollector {
@@ -201,6 +271,42 @@ impl RttCollector {
         RttCollector {
             records: ProbeTable::new(),
             lane_seqs: FastMap::default(),
+            freshness: None,
+        }
+    }
+
+    /// Empty collector that also keeps each probe's topic and each
+    /// subscriber's first copy of it: what `simslo` reports on.
+    pub fn with_freshness() -> Self {
+        RttCollector {
+            freshness: Some(Box::default()),
+            ..Self::new()
+        }
+    }
+
+    /// The application publishes a reading on `topic`:
+    /// [`before_sending`](Self::before_sending), and the topic when the
+    /// collector keeps freshness.
+    pub fn published(&mut self, lane: u32, topic: &str, now: SimTime) -> ProbeId {
+        let id = self.before_sending(lane, now);
+        if let Some(f) = &mut self.freshness {
+            let topic = f.topics.id(topic);
+            f.topic.slot_mut(id).fold(topic);
+        }
+        id
+    }
+
+    /// The subscribing application on lane `subscriber` has the reading:
+    /// [`after_receiving`](Self::after_receiving), and that subscriber's
+    /// first copy when the collector keeps freshness.
+    pub fn delivered(&mut self, id: ProbeId, subscriber: u32, now: SimTime) {
+        self.after_receiving(id, now);
+        if let Some(f) = &mut self.freshness {
+            f.deliveries
+                .entry(subscriber)
+                .or_default()
+                .slot_mut(id)
+                .fold(now);
         }
     }
 
@@ -243,7 +349,9 @@ impl RttCollector {
     /// fold field-wise keeping the earliest instant per phase, so the
     /// publisher shard's send half and the subscriber shard's receive
     /// half combine into the record a serial run would have written.
-    /// Merged-of-one is the identity, through the same fold.
+    /// Merged-of-one is the identity, through the same fold. The
+    /// freshness columns fold the same way: a subscriber's copy keeps its
+    /// earliest instant.
     pub fn merged(parts: impl IntoIterator<Item = RttCollector>) -> RttCollector {
         let mut out = RttCollector::new();
         for part in parts {
@@ -252,8 +360,31 @@ impl RttCollector {
                 let s = out.lane_seqs.entry(lane).or_insert(0);
                 *s = (*s).max(seq);
             }
+            if let Some(f) = part.freshness {
+                out.freshness.get_or_insert_default().fold_in(*f);
+            }
         }
         out
+    }
+
+    /// The topic `id` was published on, when the collector keeps
+    /// freshness and has the publish.
+    pub fn topic(&self, id: ProbeId) -> Option<&str> {
+        let f = self.freshness.as_ref()?;
+        let t = f.topic.get(id)?;
+        Some(&f.topics.names[t.0 as usize])
+    }
+
+    /// Every subscriber's first copy of every probe, `(subscriber lane,
+    /// probe, instant)` in that order; nothing when the collector does
+    /// not keep freshness. A copy whose publish half sits on another shard
+    /// is here too: [`instants`](Self::instants) pairs it after the merge.
+    pub fn deliveries(&self) -> impl Iterator<Item = (u32, ProbeId, SimTime)> + '_ {
+        self.freshness.iter().flat_map(|f| {
+            f.deliveries
+                .iter()
+                .flat_map(|(&lane, table)| table.iter().map(move |(id, at)| (lane, id, at)))
+        })
     }
 
     /// Messages sent so far (records with a publish instant; partial

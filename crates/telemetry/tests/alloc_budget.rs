@@ -84,3 +84,34 @@ fn stamping_readings_allocates_only_to_grow_a_lane() {
         "{PROBES} readings on {LANES} lanes allocated {allocs} times"
     );
 }
+
+/// The same readings with the freshness columns armed, as an SLO run
+/// keeps them: the topic column and one subscriber's first copies are
+/// probe tables too, so each grows by the same never-copied chunks, and
+/// the topic name is stored once.
+#[test]
+fn stamping_readings_with_freshness_allocates_only_to_grow_three_tables() {
+    const LANES: u64 = 4;
+    const PROBES: u64 = 100_000;
+    const SUBSCRIBER: u32 = 100;
+    let mut c = RttCollector::with_freshness();
+    let ((), allocs) = allocations(|| {
+        for i in 0..PROBES {
+            let t = SimTime::from_micros(i * 10);
+            let id = c.published((i % LANES) as u32, "grid/readings", t);
+            c.after_sending(id, t + SimDuration::from_micros(100));
+            c.before_receiving(id, t + SimDuration::from_micros(4_000));
+            c.delivered(id, SUBSCRIBER, t + SimDuration::from_micros(5_000));
+        }
+    });
+    assert_eq!(c.received(), PROBES);
+    assert_eq!(c.deliveries().count() as u64, PROBES);
+    // Twelve chunks a lane in each of the record, topic and delivery
+    // tables, their per-table bookkeeping as above, and a handful for
+    // the topic name and the subscriber's entry.
+    let chunks = 3 * LANES * 12;
+    assert!(
+        allocs <= chunks + 3 * 5 * LANES + 8,
+        "{PROBES} readings on {LANES} lanes allocated {allocs} times"
+    );
+}

@@ -1,14 +1,15 @@
-//! Differential property test of the probe tables behind `RttCollector`
-//! and `simslo::SloCollector`: the same stamps — on sparse and very large
-//! lanes, in any order, restamped, received before they were sent — fed
-//! to the table-backed collectors and to the `BTreeMap` collectors they
-//! replaced (kept below verbatim as the reference model), serially and
-//! split into 1–4 shards merged in any order, must summarize, report and
-//! render identically, float bit for float bit.
+//! Differential property test of the one lifecycle record: the same
+//! stamps — on sparse and very large lanes, in any order, restamped,
+//! delivered twice or to two subscribers, received before they were
+//! sent — fed to `RttCollector::with_freshness` (summarized, and reported
+//! on by `simslo::SloReport::from_collector`) and to the two `BTreeMap`
+//! collectors it replaced (kept below verbatim as the reference model),
+//! serially and split into 1–4 shards merged in any order, must
+//! summarize, report and render identically, float bit for float bit.
 
 use proptest::prelude::*;
 use simcore::{SimDuration, SimTime};
-use simslo::{SloCollector, SloReport, SloSpec};
+use simslo::{SloReport, SloSpec};
 use telemetry::{ProbeId, ProbeInstants, RttCollector, RttSummary};
 
 /// The parent's collectors: one `BTreeMap` entry per probe.
@@ -497,14 +498,6 @@ const LANES: [u32; 8] = [0, 1, 3, 64, 4097, 1_000_003, u32::MAX - 1, u32::MAX];
 const TOPICS: [&str; 3] = ["grid/b", "grid/a", "grid/c"];
 
 #[derive(Debug, Clone, Copy)]
-enum Carried {
-    None,
-    /// The publish instant on record for the probe (when there is one).
-    Publish,
-    Other(u64),
-}
-
-#[derive(Debug, Clone, Copy)]
 enum Op {
     /// Mint a probe on `LANES[lane]`'s home shard, maybe complete the send.
     Publish {
@@ -512,15 +505,6 @@ enum Op {
         at_ms: u64,
         sent_ms: Option<u64>,
         topic: usize,
-    },
-    /// A publish-side retry re-records an issued (or not yet issued)
-    /// probe, on any shard.
-    Republish {
-        lane: usize,
-        seq: u32,
-        at_ms: u64,
-        topic: usize,
-        part: usize,
     },
     /// The receive side, on any shard, of a probe that may not be minted
     /// yet — or ever.
@@ -530,13 +514,13 @@ enum Op {
         at_ms: u64,
         part: usize,
     },
+    /// One of two subscribers has a copy.
     Delivered {
         lane: usize,
         seq: u32,
         at_ms: u64,
         part: usize,
         sub: u32,
-        carried: Carried,
     },
 }
 
@@ -560,11 +544,6 @@ fn at_ms(below_s: u64) -> impl Strategy<Value = u64> {
 }
 
 fn op() -> impl Strategy<Value = Op> {
-    let carried = prop_oneof![
-        Just(Carried::None),
-        Just(Carried::Publish),
-        at_ms(70).prop_map(Carried::Other),
-    ];
     prop_oneof![
         (
             lane(),
@@ -578,15 +557,6 @@ fn op() -> impl Strategy<Value = Op> {
                 sent_ms: sent.map(|d| at_ms + d),
                 topic,
             }),
-        (lane(), seq(), at_ms(60), 0usize..3, 0usize..4).prop_map(
-            |(lane, seq, at_ms, topic, part)| Op::Republish {
-                lane,
-                seq,
-                at_ms,
-                topic,
-                part,
-            }
-        ),
         (lane(), seq(), at_ms(65), 0usize..4).prop_map(|(lane, seq, at_ms, part)| {
             Op::Available {
                 lane,
@@ -595,14 +565,13 @@ fn op() -> impl Strategy<Value = Op> {
                 part,
             }
         }),
-        (lane(), seq(), at_ms(65), 0usize..4, 100u32..103, carried).prop_map(
-            |(lane, seq, at_ms, part, sub, carried)| Op::Delivered {
+        (lane(), seq(), at_ms(65), 0usize..4, 100u32..102).prop_map(
+            |(lane, seq, at_ms, part, sub)| Op::Delivered {
                 lane,
                 seq,
                 at_ms,
                 part,
                 sub,
-                carried,
             }
         ),
     ]
@@ -612,23 +581,30 @@ fn ms(v: u64) -> SimTime {
     SimTime::from_millis(v)
 }
 
-/// One world: the table-backed collectors and the reference ones.
-#[derive(Default)]
+/// One world: the one record and the two reference collectors.
 struct Pair {
     rtt: RttCollector,
-    slo: SloCollector,
     ref_rtt: reference::Rtt,
     ref_slo: reference::Slo,
 }
 
+impl Pair {
+    fn new() -> Pair {
+        Pair {
+            rtt: RttCollector::with_freshness(),
+            ref_rtt: Default::default(),
+            ref_slo: Default::default(),
+        }
+    }
+}
+
 /// Feed `ops` serially and split into `k` shards: publishes to their
 /// lane's home shard (a publisher lives on one shard), receive-side
-/// stamps to the shard the op names. `pub_at` tracks the first recorded
-/// publish instant per probe for [`Carried::Publish`].
+/// stamps to the shard the op names. No stamp rides with a reading, so
+/// the reference SLO collector is handed none.
 fn run(ops: &[Op], k: usize) -> (Pair, Vec<Pair>) {
-    let mut serial = Pair::default();
-    let mut parts: Vec<Pair> = (0..k).map(|_| Pair::default()).collect();
-    let mut pub_at: std::collections::BTreeMap<u64, SimTime> = Default::default();
+    let mut serial = Pair::new();
+    let mut parts: Vec<Pair> = (0..k).map(|_| Pair::new()).collect();
     for op in ops {
         match *op {
             Op::Publish {
@@ -641,9 +617,8 @@ fn run(ops: &[Op], k: usize) -> (Pair, Vec<Pair>) {
                 let home = lane % k;
                 let mut ids = Vec::new();
                 for w in [&mut serial, &mut parts[home]] {
-                    let id = w.rtt.before_sending(lane_id, at);
+                    let id = w.rtt.published(lane_id, TOPICS[topic], at);
                     assert_eq!(id, w.ref_rtt.before_sending(lane_id, at));
-                    w.slo.record_publish(id, TOPICS[topic], at);
                     w.ref_slo.record_publish(id, TOPICS[topic], at);
                     if let Some(s) = sent_ms {
                         w.rtt.after_sending(id, ms(s));
@@ -652,21 +627,6 @@ fn run(ops: &[Op], k: usize) -> (Pair, Vec<Pair>) {
                     ids.push(id);
                 }
                 assert_eq!(ids[0], ids[1], "a probe's id is shard-invariant");
-                pub_at.entry(ids[0].0).or_insert(at);
-            }
-            Op::Republish {
-                lane,
-                seq,
-                at_ms,
-                topic,
-                part,
-            } => {
-                let id = ProbeId::compose(LANES[lane], seq);
-                for w in [&mut serial, &mut parts[part % k]] {
-                    w.slo.record_publish(id, TOPICS[topic], ms(at_ms));
-                    w.ref_slo.record_publish(id, TOPICS[topic], ms(at_ms));
-                }
-                pub_at.entry(id.0).or_insert(ms(at_ms));
             }
             Op::Available {
                 lane,
@@ -686,19 +646,12 @@ fn run(ops: &[Op], k: usize) -> (Pair, Vec<Pair>) {
                 at_ms,
                 part,
                 sub,
-                carried,
             } => {
                 let id = ProbeId::compose(LANES[lane], seq);
-                let carried = match carried {
-                    Carried::None => None,
-                    Carried::Publish => pub_at.get(&id.0).copied(),
-                    Carried::Other(v) => Some(ms(v)),
-                };
                 for w in [&mut serial, &mut parts[part % k]] {
-                    w.rtt.after_receiving(id, ms(at_ms));
+                    w.rtt.delivered(id, sub, ms(at_ms));
                     w.ref_rtt.after_receiving(id, ms(at_ms));
-                    w.slo.record_delivery(id, sub, ms(at_ms), carried);
-                    w.ref_slo.record_delivery(id, sub, ms(at_ms), carried);
+                    w.ref_slo.record_delivery(id, sub, ms(at_ms), None);
                 }
             }
         }
@@ -711,18 +664,15 @@ fn merged(parts: Vec<Pair>, order: &[u64]) -> Pair {
     let mut parts: Vec<(u64, Pair)> = order.iter().copied().zip(parts).collect();
     parts.sort_by_key(|(key, _)| *key);
     let mut rtts = Vec::new();
-    let mut slos = Vec::new();
     let mut ref_rtts = Vec::new();
     let mut ref_slos = Vec::new();
     for (_, p) in parts {
         rtts.push(p.rtt);
-        slos.push(p.slo);
         ref_rtts.push(p.ref_rtt);
         ref_slos.push(p.ref_slo);
     }
     Pair {
         rtt: RttCollector::merged(rtts),
-        slo: SloCollector::merged(slos),
         ref_rtt: reference::Rtt::merged(ref_rtts),
         ref_slo: reference::Slo::merged(ref_slos),
     }
@@ -768,7 +718,7 @@ fn reports(w: &Pair, spec: &SloSpec) -> (SloReport, SloReport) {
         simslo::DEFAULT_WINDOW,
     );
     (
-        w.slo.report(spec, horizon, cadence, window),
+        SloReport::from_collector(&w.rtt, spec, horizon, cadence, window),
         w.ref_slo.report(spec, horizon, cadence, window),
     )
 }
@@ -812,19 +762,13 @@ fn check(w: &Pair, what: &str) -> Result<(), TestCaseError> {
         );
     }
 
-    prop_assert_eq!(w.slo.published(), w.ref_slo.published());
-    prop_assert_eq!(w.slo.delivered(), w.ref_slo.delivered());
     for spec in [
         SloSpec::new(SimDuration::from_millis(250), 0.9),
         SloSpec::grid_default(),
     ] {
         let (new, old) = reports(w, &spec);
-        prop_assert_eq!(
-            new.stamp_disagreements,
-            old.stamp_disagreements,
-            "{}: stamp disagreements",
-            what
-        );
+        prop_assert_eq!(new.published, w.ref_slo.published(), "{}: published", what);
+        prop_assert_eq!(new.delivered, w.ref_slo.delivered(), "{}: delivered", what);
         prop_assert_eq!(&new.series, &old.series, "{}: metric series", what);
         prop_assert_eq!(new.csv(), old.csv(), "{}: csv", what);
         // Debug prints every float in its shortest round-trip form.
@@ -846,8 +790,8 @@ proptest! {
         check(&serial, "serial")?;
         let merged = merged(parts, &order[..k]);
         check(&merged, "merged")?;
-        // The minimum per instant is order-free, so the RTT half of the
-        // merged world is the serial one.
+        // The minimum per instant is order-free, so the merged record is
+        // the serial one, freshness columns and report included.
         prop_assert_eq!(
             summary_bits(&merged.rtt.summary()),
             summary_bits(&serial.rtt.summary())
@@ -855,6 +799,15 @@ proptest! {
         prop_assert_eq!(
             merged.rtt.records().collect::<Vec<_>>(),
             serial.rtt.records().collect::<Vec<_>>()
+        );
+        prop_assert_eq!(
+            merged.rtt.deliveries().collect::<Vec<_>>(),
+            serial.rtt.deliveries().collect::<Vec<_>>()
+        );
+        let spec = SloSpec::grid_default();
+        prop_assert_eq!(
+            format!("{:?}", reports(&merged, &spec).0),
+            format!("{:?}", reports(&serial, &spec).0)
         );
     }
 }

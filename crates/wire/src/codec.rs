@@ -319,7 +319,6 @@ pub fn decode_tuple(mut buf: Bytes) -> Result<Tuple> {
         table,
         values,
         inserted_at,
-        published_at: None,
     })
 }
 
@@ -382,21 +381,6 @@ mod tests {
         t.inserted_at = SimTime::from_secs(9);
         let back = decode_tuple(encode_tuple(&t)).unwrap();
         assert_eq!(t, back);
-    }
-
-    #[test]
-    fn out_of_band_stamps_never_hit_the_wire() {
-        let mut m = sample_message();
-        let plain_len = encode_message(&m).len();
-        m.headers.published_at = Some(SimTime::from_secs(3));
-        let bytes = encode_message(&m);
-        assert_eq!(bytes.len(), plain_len, "stamp contributes zero bytes");
-        assert_eq!(decode_message(bytes).unwrap().headers.published_at, None);
-        let mut t = Tuple::new("generator", vec![Value::Int(4)]);
-        t.published_at = Some(SimTime::from_secs(3));
-        let enc = encode_tuple(&t);
-        assert_eq!(enc.len(), t.wire_size());
-        assert_eq!(decode_tuple(enc).unwrap().published_at, None);
     }
 
     #[test]

@@ -36,14 +36,6 @@ pub struct Headers {
     pub delivery_mode: DeliveryMode,
     /// Correlation id, free-form.
     pub correlation_id: Option<u64>,
-    /// Virtual publish instant (`simslo` freshness plane). Out-of-band
-    /// instrumentation: the publishing client stamps it on every message,
-    /// whether or not the SLO plane is on, and it rides with the message
-    /// so the subscriber side can compute delivery age — but it is NOT
-    /// part of the wire encoding, so it cannot perturb the calibrated
-    /// transfer timings ([`Headers::wire_size`] and the codec ignore it;
-    /// decode always yields `None`).
-    pub published_at: Option<SimTime>,
 }
 
 impl Headers {
@@ -60,13 +52,10 @@ impl Headers {
             priority: 4,
             delivery_mode: DeliveryMode::NonPersistent,
             correlation_id: None,
-            published_at: None,
         }
     }
 
-    /// Encoded size of the headers on the wire. The `published_at` stamp
-    /// is deliberately excluded: observation must not change message
-    /// timing.
+    /// Encoded size of the headers on the wire.
     pub fn wire_size(&self) -> usize {
         // id + ts + prio + mode + corr flag/value + destination string.
         8 + 8 + 1 + 1 + 9 + 4 + self.destination.len()
@@ -206,9 +195,8 @@ impl Content {
 /// A published message is an immutable event: brokers forward it,
 /// retain it and deliver it, but never change it. `clone()` therefore
 /// shares the properties and body (and the destination string) instead
-/// of copying them; only the plain-data [`Headers`] are per clone, which
-/// is what lets the publishing client stamp `published_at` before the
-/// first send. The *simulated* cost of copying and serialising a message
+/// of copying them; only the plain-data [`Headers`] are per clone. The
+/// *simulated* cost of copying and serialising a message
 /// is charged through `OsModel::execute_metered`, never through host
 /// copying.
 #[derive(Debug, Clone, PartialEq)]
@@ -331,8 +319,8 @@ mod tests {
     fn stamping_headers_of_a_clone_keeps_the_content_shared() {
         let m = msg();
         let mut c = m.clone();
-        c.headers.published_at = Some(SimTime::from_secs(2));
-        assert_eq!(m.headers.published_at, None);
+        c.headers.correlation_id = Some(2);
+        assert_eq!(m.headers.correlation_id, None);
         assert!(Arc::ptr_eq(&m.content, &c.content));
     }
 

@@ -46,14 +46,6 @@ pub struct Tuple {
     /// The R-GMA server-side insertion timestamp (set by the Primary
     /// Producer; drives retention).
     pub inserted_at: SimTime,
-    /// Virtual publish instant (`simslo` freshness plane). Out-of-band
-    /// instrumentation, mirroring `wire::Headers::published_at`: the
-    /// producer servlet sets it on every tuple it stores, whether or not
-    /// the SLO plane is on, and it rides with the tuple through storage,
-    /// streaming and consumer polls, but is NOT part of the wire encoding
-    /// ([`Tuple::wire_size`] and the codec ignore it; decode always
-    /// yields `None`), so the SLO plane cannot perturb transfer timing.
-    pub published_at: Option<SimTime>,
 }
 
 impl Tuple {
@@ -64,12 +56,10 @@ impl Tuple {
             table: table.into(),
             values,
             inserted_at: SimTime::ZERO,
-            published_at: None,
         }
     }
 
-    /// Encoded size of the tuple (table name + cells). The out-of-band
-    /// `published_at` stamp contributes nothing.
+    /// Encoded size of the tuple (table name + cells).
     pub fn wire_size(&self) -> usize {
         4 + self.table.len() + 4 + self.values.iter().map(Value::wire_size).sum::<usize>() + 8
     }

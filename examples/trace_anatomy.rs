@@ -24,12 +24,7 @@ fn main() {
         let result = run_experiment(&spec);
         let trace = result.trace.as_ref().expect("tracing was enabled");
         print_anatomy(label, trace);
-        if !trace.disagreements.is_empty() {
-            eprintln!("cross-check FAILED: {:?}", trace.disagreements);
-            std::process::exit(1);
-        }
     }
-    println!("trace/RttCollector cross-check: clean on both systems");
 }
 
 fn print_anatomy(label: &str, trace: &TraceArtifacts) {

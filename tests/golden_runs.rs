@@ -2,9 +2,12 @@
 //! Narada transports, the DBN flood, the three R-GMA servlet chains,
 //! gridlog), measured against the grid-default SLO and compared for
 //! *equality* with a literal table. Every number is read off the virtual
-//! clock, so it is the same on any host and at any shard count; a line
-//! that moves means the simulation changed, and the PR that moves it
-//! replaces the literal and says why.
+//! clock or counted by the kernel (`events=`, every event executes on
+//! exactly one shard), so it is the same on any host and at any shard
+//! count; a line that moves means the simulation changed, and the PR
+//! that moves it replaces the literal and says why. A change that leaves
+//! the simulated numbers alone but adds, drops or moves an event shows
+//! in `events=`.
 
 use gridmon::core::{run_all, run_experiment, ExperimentResult, ExperimentSpec, SystemUnderTest};
 use gridmon::simnet::Transport;
@@ -31,32 +34,38 @@ fn golden() -> Vec<(ExperimentSpec, &'static str)> {
         (
             spec("narada-tcp", SystemUnderTest::NaradaSingle, 800),
             "sent=16000 received=16000 rtt_mean_ms=6.535130 rtt_p99_ms=8.704000 \
-             on_time=16000 late=0 lost=0 worst_burn=0.000000 delivery_p99_ms=8.704000",
+             on_time=16000 late=0 lost=0 worst_burn=0.000000 delivery_p99_ms=8.704000 \
+             events=51055",
         ),
         (
             udp,
             "sent=15960 received=15952 rtt_mean_ms=10.494266 rtt_p99_ms=18.176000 \
-             on_time=15952 late=0 lost=8 worst_burn=0.291971 delivery_p99_ms=18.176000",
+             on_time=15952 late=0 lost=8 worst_burn=0.291971 delivery_p99_ms=18.176000 \
+             events=98808",
         ),
         (
             spec("narada-dbn", SystemUnderTest::NaradaDbn { brokers: 3 }, 800),
             "sent=16000 received=16000 rtt_mean_ms=8.191986 rtt_p99_ms=10.624000 \
-             on_time=16000 late=0 lost=0 worst_burn=0.000000 delivery_p99_ms=10.624000",
+             on_time=16000 late=0 lost=0 worst_burn=0.000000 delivery_p99_ms=10.624000 \
+             events=115109",
         ),
         (
             spec("rgma-single", SystemUnderTest::RgmaSingle, 400),
             "sent=8000 received=8000 rtt_mean_ms=884.774008 rtt_p99_ms=1605.632000 \
-             on_time=8000 late=0 lost=0 worst_burn=0.000000 delivery_p99_ms=1605.632000",
+             on_time=8000 late=0 lost=0 worst_burn=0.000000 delivery_p99_ms=1605.632000 \
+             events=45505",
         ),
         (
             spec("rgma-dist", SystemUnderTest::RgmaDistributed, 800),
             "sent=16000 received=16000 rtt_mean_ms=904.091204 rtt_p99_ms=1654.784000 \
-             on_time=16000 late=0 lost=0 worst_burn=0.000000 delivery_p99_ms=1654.784000",
+             on_time=16000 late=0 lost=0 worst_burn=0.000000 delivery_p99_ms=1654.784000 \
+             events=92147",
         ),
         (
             spec("rgma-secondary", SystemUnderTest::RgmaSecondary, 100),
             "sent=2000 received=2000 rtt_mean_ms=17687.888007 rtt_p99_ms=32243.712000 \
-             on_time=131 late=1869 lost=0 worst_burn=100.000000 delivery_p99_ms=32243.712000",
+             on_time=131 late=1869 lost=0 worst_burn=100.000000 delivery_p99_ms=32243.712000 \
+             events=20286",
         ),
         (
             // Moved once (was rtt_mean_ms=11.341019, both p99s 16.128000):
@@ -65,7 +74,8 @@ fn golden() -> Vec<(ExperimentSpec, &'static str)> {
             // readings queued behind. One loop per partition since.
             spec("gridlog", SystemUnderTest::GridlogSingle, 800),
             "sent=16000 received=16000 rtt_mean_ms=11.241422 rtt_p99_ms=15.104000 \
-             on_time=16000 late=0 lost=0 worst_burn=0.000000 delivery_p99_ms=15.104000",
+             on_time=16000 late=0 lost=0 worst_burn=0.000000 delivery_p99_ms=15.104000 \
+             events=128064",
         ),
     ]
 }
@@ -77,7 +87,8 @@ fn render(r: &ExperimentResult) -> String {
     let slo = &r.slo.as_ref().expect("spec carries an SLO").report;
     format!(
         "sent={} received={} rtt_mean_ms={:.6} rtt_p99_ms={:.6} \
-         on_time={} late={} lost={} worst_burn={:.6} delivery_p99_ms={:.6}",
+         on_time={} late={} lost={} worst_burn={:.6} delivery_p99_ms={:.6} \
+         events={}",
         r.summary.sent,
         r.summary.received,
         r.summary.rtt_mean_ms,
@@ -87,6 +98,7 @@ fn render(r: &ExperimentResult) -> String {
         slo.lost,
         slo.worst_burn,
         slo.age_us.map_or(0.0, |h| h.p99 as f64 / 1000.0),
+        r.events,
     )
 }
 

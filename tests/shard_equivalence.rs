@@ -91,11 +91,6 @@ fn assert_equivalent(serial: &ExperimentResult, sharded: &ExperimentResult, labe
         (Some(ta), Some(tb)) => {
             assert_eq!(ta.jsonl, tb.jsonl, "{label}: trace JSONL bytes");
             assert_eq!(ta.chrome, tb.chrome, "{label}: Chrome trace bytes");
-            assert!(
-                tb.disagreements.is_empty(),
-                "{label}: sharded trace/RttCollector cross-check failed: {:?}",
-                tb.disagreements
-            );
         }
         _ => panic!("{label}: trace artifacts present on one side only"),
     }
