@@ -23,6 +23,7 @@
 //!    differentially.
 
 use crate::calibration;
+use crate::report::HotpathReport;
 use jms::AckMode;
 use narada::{BrokerNetwork, ConnSettings, NaradaConfig};
 use powergrid::{
@@ -33,7 +34,7 @@ use rgma::{
     ConsumerControl, ConsumerServlet, ProducerControl, ProducerServlet, RegistryActor, RgmaConfig,
     SecondaryProducer,
 };
-use simcore::{ActorId, RemoteEnvelope, SimDuration, SimTime, Simulation};
+use simcore::{ActorId, RemoteEnvelope, SimDuration, SimTime, Simulation, Site, WallAccum};
 use simfault::{FaultDriver, FaultInjector, FaultSchedule, FaultStats};
 use simnet::session::ReconnectPolicy;
 use simnet::{Endpoint, NetworkFabric, Transport};
@@ -118,12 +119,12 @@ pub struct ExperimentSpec {
     /// every charge site reduces to one failed type-map probe and the
     /// run is byte-identical to an unprofiled build.
     pub profile: bool,
-    /// Enable wall-clock hot-path attribution (`simscope`). Off by
-    /// default: no `WallScope` service is registered and the kernel's
-    /// internal timers stay disarmed, so every probe reduces to one
-    /// failed type-map probe or one `Option` check. Wall-clock reads
-    /// never touch the RNG or the event queue, so scoped runs are
-    /// byte-identical to plain runs at a fixed seed.
+    /// Enable wall-clock hot-path attribution: arm the kernel's site
+    /// table (`Simulation::enable_hotpath_timing`) and report it as a
+    /// [`HotpathReport`](crate::HotpathReport). Off by default: the table
+    /// stays disarmed and every site reduces to one `Option` check.
+    /// Wall-clock reads never touch the RNG or the event order, so scoped
+    /// runs are byte-identical to plain runs at a fixed seed.
     pub scope: bool,
     /// Data-freshness / SLO accounting (`simslo`). Off by default: the
     /// `RttCollector` keeps no topic or per-subscriber column. Armed, it
@@ -273,7 +274,7 @@ pub struct ProfileArtifacts {
 #[derive(Debug, Clone)]
 pub struct ScopeArtifacts {
     /// The per-site attribution report.
-    pub report: simscope::HotpathReport,
+    pub report: HotpathReport,
     /// `gridmon-hotpath/1` JSON.
     pub json: String,
     /// Flamegraph-compatible collapsed-stack lines (simprof's format,
@@ -508,11 +509,7 @@ fn build_world(
         sim.add_service(telemetry::MetricsRegistry::new());
     }
     if spec.scope {
-        // Arm the kernel's internal dispatch/queue timers and register the
-        // service the simnet/narada probes look up. Wall-clock reads never
-        // touch simulation state, so this cannot change the run.
         sim.enable_hotpath_timing();
-        sim.add_service(simscope::WallScope::new());
     }
 
     // Server processes.
@@ -534,11 +531,6 @@ fn build_world(
         .iter()
         .map(|&n| (n, os.add_process(n, calibration::driver_process())))
         .collect();
-    if spec.scope {
-        // `execute_metered` has no Context access, so the OS model meters
-        // its own wall time instead of using the WallScope service.
-        os.enable_wall_metering();
-    }
     sim.add_service(os);
     // The sampler is replicated (one replica per shard), each replica
     // sampling only the server nodes its shard hosts: a node's CPU/memory
@@ -801,16 +793,14 @@ fn build_world(
 /// shard thread.
 struct ShardPartial {
     kernel: simcore::KernelStats,
-    hotpath: Option<simcore::KernelHotpath>,
+    wall: Option<[WallAccum; Site::COUNT]>,
     rtt: RttCollector,
     vm: VmstatLog,
     trace: Option<TraceCollector>,
     fault: Option<FaultStats>,
     profiler: Option<simprof::Profiler>,
     metrics: Option<telemetry::MetricsRegistry>,
-    wallscope: Option<simscope::WallScope>,
     os_busy: SimDuration,
-    os_wall: Option<simcore::WallAccum>,
     now: SimTime,
     connected: u32,
     refused: u32,
@@ -825,7 +815,7 @@ struct ShardPartial {
 fn extract_partial(sim: &mut Simulation, world: &WorldHandles) -> ShardPartial {
     ShardPartial {
         kernel: sim.stats(),
-        hotpath: sim.hotpath(),
+        wall: sim.hotpath(),
         rtt: std::mem::replace(
             sim.service_mut::<RttCollector>()
                 .expect("collector registered"),
@@ -845,14 +835,10 @@ fn extract_partial(sim: &mut Simulation, world: &WorldHandles) -> ShardPartial {
         metrics: sim
             .service_mut::<telemetry::MetricsRegistry>()
             .map(std::mem::take),
-        wallscope: sim
-            .service_mut::<simscope::WallScope>()
-            .map(|w| std::mem::replace(w, simscope::WallScope::new())),
         os_busy: sim
             .service::<OsModel>()
             .expect("os registered")
             .total_submitted_work(),
-        os_wall: sim.service::<OsModel>().and_then(|os| os.wall_metering()),
         now: sim.now(),
         connected: world.fleet_stats.iter().map(|s| s.borrow().connected).sum(),
         refused: world.fleet_stats.iter().map(|s| s.borrow().refused).sum(),
@@ -924,29 +910,32 @@ fn merge_results(
     );
 
     let mut kernels = Vec::new();
-    let mut hotpaths = Vec::new();
+    let mut wall: Option<[WallAccum; Site::COUNT]> = None;
     let mut rtts = Vec::new();
     let mut vms = Vec::new();
     let mut traces = Vec::new();
     let mut faults = Vec::new();
     let mut profilers = Vec::new();
     let mut metrics_parts = Vec::new();
-    let mut wallscopes = Vec::new();
-    let mut os_walls = Vec::new();
     let mut kernel_busy = SimDuration::ZERO;
     let (mut connected, mut refused) = (0u32, 0u32);
     let (mut published, mut broker_forwards) = (0u64, 0u64);
     for p in partials {
         kernels.push(p.kernel);
-        hotpaths.push(p.hotpath);
+        // Site tables sum: the counts are deterministic at a fixed seed,
+        // the nanoseconds are host time (the documented carve-out).
+        if let Some(part) = p.wall {
+            let total = wall.get_or_insert_with(Default::default);
+            for (t, w) in total.iter_mut().zip(part) {
+                t.merge(w);
+            }
+        }
         rtts.push(p.rtt);
         vms.push(p.vm);
         traces.push(p.trace);
         faults.push(p.fault);
         profilers.push(p.profiler);
         metrics_parts.push(p.metrics);
-        wallscopes.push(p.wallscope);
-        os_walls.push(p.os_wall);
         kernel_busy += p.os_busy;
         connected += p.connected;
         refused += p.refused;
@@ -1042,39 +1031,14 @@ fn merge_results(
         None
     };
 
-    let scope = {
-        let hotpath = hotpaths.into_iter().flatten().reduce(|mut a, b| {
-            a.merge(&b);
-            a
-        });
-        let ws = simscope::WallScope::merged(wallscopes.into_iter().flatten());
-        let os_wall = os_walls.into_iter().flatten().reduce(|mut a, b| {
-            a.merge(b);
-            a
-        });
-        hotpath.map(|hp| {
-            let mut report = simscope::HotpathReport::new(&spec.name, wall_secs);
-            report.push(simscope::Site::KernelDispatch.name(), hp.dispatch);
-            report.push(simscope::Site::KernelQueuePush.name(), hp.queue_push);
-            report.push(simscope::Site::KernelQueuePop.name(), hp.queue_pop);
-            report.push(
-                simscope::Site::NetFabricSend.name(),
-                ws.get(simscope::Site::NetFabricSend),
-            );
-            report.push(
-                simscope::Site::JmsMatch.name(),
-                ws.get(simscope::Site::JmsMatch),
-            );
-            if let Some(w) = os_wall {
-                report.push(simscope::Site::OsExecute.name(), w);
-            }
-            ScopeArtifacts {
-                json: report.to_json(),
-                collapsed: report.collapsed(),
-                report,
-            }
-        })
-    };
+    let scope = wall.map(|table| {
+        let report = HotpathReport::new(&spec.name, wall_secs, &table);
+        ScopeArtifacts {
+            json: report.to_json(),
+            collapsed: report.collapsed(),
+            report,
+        }
+    });
 
     let fault_stats = if spec.faults.is_empty() {
         None

@@ -12,9 +12,12 @@
 //! * [`scenarios`] — the catalogue: one spec set per table/figure.
 //! * [`sweep`] — run many experiments in parallel across OS threads
 //!   (each experiment is an independent deterministic simulation).
+//! * [`report`] — the `gridmon-hotpath/1` report a scoped run makes of
+//!   the kernel's wall-clock site table.
 
 pub mod calibration;
 pub mod experiment;
+pub mod report;
 pub mod scenarios;
 pub mod sweep;
 
@@ -22,6 +25,20 @@ pub use experiment::{
     run_experiment, ExperimentResult, ExperimentSpec, ProfileArtifacts, ScopeArtifacts,
     SloArtifacts, SystemUnderTest, TraceArtifacts,
 };
+pub use report::HotpathReport;
 pub use simfault::{FaultKind, FaultSchedule, FaultStats};
 pub use simslo::{SloReport, SloSpec};
 pub use sweep::run_all;
+
+#[cfg(test)]
+mod tests {
+    use super::report::calibrate_probe_ns;
+
+    #[test]
+    fn calibration_returns_small_positive_overhead() {
+        let ns = calibrate_probe_ns();
+        // A clock-read pair costs somewhere between sub-ns (aggressively
+        // optimized) and a few microseconds (VM with slow vDSO).
+        assert!(ns < 100_000, "probe overhead implausibly large: {ns}ns");
+    }
+}

@@ -1,7 +1,11 @@
-//! The `gridmon-hotpath/1` exchange format: per-site wall-clock totals
-//! for one run, as line-oriented JSON (hand-rolled: one key per line so
-//! diffs stay trivial) plus a collapsed-stack rendering in simprof's
-//! flamegraph format (`path;to;frame <micros>`).
+//! The `gridmon-hotpath/1` exchange format: one scoped run's kernel
+//! wall-clock site table (`simcore::Simulation::hotpath`, summed over
+//! shards) as line-oriented JSON (hand-rolled: one key per line so diffs
+//! stay trivial) plus a collapsed-stack rendering in simprof's flamegraph
+//! format (`path;to;frame <micros>`).
+
+use simcore::{Site, WallAccum};
+use std::time::Instant;
 
 /// Schema tag embedded in every report.
 pub const SCHEMA: &str = "gridmon-hotpath/1";
@@ -9,7 +13,7 @@ pub const SCHEMA: &str = "gridmon-hotpath/1";
 /// Wall-clock totals for one instrumented site.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SiteRow {
-    /// Dotted site name (see [`crate::Site::name`]).
+    /// Dotted site name ([`Site::name`]).
     pub site: String,
     /// Total wall-clock nanoseconds attributed to the site.
     pub nanos: u64,
@@ -30,30 +34,28 @@ pub struct HotpathReport {
     pub probe_overhead_ns: u64,
     /// Total wall-clock seconds of the run (attributed + unattributed).
     pub wall_secs: f64,
-    /// Per-site totals, in [`crate::Site::ALL`] order.
+    /// Per-site totals, in [`Site::ALL`] order.
     pub sites: Vec<SiteRow>,
 }
 
 impl HotpathReport {
-    /// Empty report for `run`, stamped with this machine's probe
-    /// overhead.
-    pub fn new(run: &str, wall_secs: f64) -> Self {
+    /// The report of `run`'s site table, stamped with this machine's
+    /// probe overhead.
+    pub fn new(run: &str, wall_secs: f64, table: &[WallAccum; Site::COUNT]) -> Self {
         HotpathReport {
             schema: SCHEMA.to_owned(),
             run: run.to_owned(),
-            probe_overhead_ns: crate::calibrate_probe_ns(),
+            probe_overhead_ns: calibrate_probe_ns(),
             wall_secs,
-            sites: Vec::new(),
+            sites: Site::ALL
+                .iter()
+                .map(|&site| SiteRow {
+                    site: site.name().to_owned(),
+                    nanos: table[site as usize].nanos,
+                    count: table[site as usize].count,
+                })
+                .collect(),
         }
-    }
-
-    /// Append one site's totals.
-    pub fn push(&mut self, site: &str, accum: simcore::WallAccum) {
-        self.sites.push(SiteRow {
-            site: site.to_owned(),
-            nanos: accum.nanos,
-            count: accum.count,
-        });
     }
 
     /// Totals for one site by name.
@@ -121,55 +123,47 @@ impl HotpathReport {
     }
 }
 
+/// Measure the wall-clock cost of one start/record probe pair (two
+/// monotonic clock reads plus an elapsed conversion) in nanoseconds, so
+/// report readers can subtract observer overhead: a site with N counted
+/// operations carries roughly `N * probe_overhead_ns` of measurement
+/// cost inside its total.
+pub fn calibrate_probe_ns() -> u64 {
+    const ITERS: u32 = 10_000;
+    let outer = Instant::now();
+    let mut sink = 0u64;
+    for _ in 0..ITERS {
+        let t0 = Instant::now();
+        sink = sink.wrapping_add(t0.elapsed().as_nanos() as u64);
+    }
+    let total = outer.elapsed().as_nanos() as u64;
+    std::hint::black_box(sink);
+    total / u64::from(ITERS)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simcore::WallAccum;
 
     fn sample() -> HotpathReport {
-        let mut r = HotpathReport {
+        let row = |site: &str, nanos, count| SiteRow {
+            site: site.to_owned(),
+            nanos,
+            count,
+        };
+        HotpathReport {
             schema: SCHEMA.to_owned(),
             run: "compare/narada".to_owned(),
             probe_overhead_ns: 30,
             wall_secs: 1.5,
-            sites: Vec::new(),
-        };
-        r.push(
-            "kernel.dispatch",
-            WallAccum {
-                nanos: 900_000_000,
-                count: 1_000,
-            },
-        );
-        r.push(
-            "kernel.queue.push",
-            WallAccum {
-                nanos: 100_000_000,
-                count: 1_200,
-            },
-        );
-        r.push(
-            "kernel.queue.pop",
-            WallAccum {
-                nanos: 50_000_000,
-                count: 1_200,
-            },
-        );
-        r.push(
-            "net.fabric.send",
-            WallAccum {
-                nanos: 300_000_000,
-                count: 400,
-            },
-        );
-        r.push(
-            "jms.match",
-            WallAccum {
-                nanos: 200_000_000,
-                count: 300,
-            },
-        );
-        r
+            sites: vec![
+                row("kernel.dispatch", 900_000_000, 1_000),
+                row("kernel.queue.push", 100_000_000, 1_200),
+                row("kernel.queue.pop", 50_000_000, 1_200),
+                row("net.fabric.send", 300_000_000, 400),
+                row("jms.match", 200_000_000, 300),
+            ],
+        }
     }
 
     #[test]

@@ -106,8 +106,9 @@ pub const PLANES: &[Plane] = &[
             0
         },
     },
-    // Wall-clock hot-path attribution (`simscope`): `gridmon-hotpath/1`
-    // JSON and collapsed stacks in wall-clock microseconds.
+    // Wall-clock hot-path attribution (the kernel's site table):
+    // `gridmon-hotpath/1` JSON and collapsed stacks in wall-clock
+    // microseconds.
     Plane {
         flag: "--scope",
         default_dir: "results/scope",

@@ -41,15 +41,16 @@
 //!                  `<run>.prom.txt` (Prometheus text exposition) and
 //!                  `<run>.metrics.csv` under DIR (default:
 //!                  results/prof/)
-//! --scope[=DIR]    attribute real wall-clock time to kernel hot paths
-//!                  (queue push/pop, dispatch, fabric delivery, OS
-//!                  metering, JMS selector matching) with `simscope`,
-//!                  print each run's hot-path + kernel event-accounting
-//!                  tables, and write `<run>.hotpath.json`
-//!                  (gridmon-hotpath/1) and `<run>.hotpath.collapsed.txt`
-//!                  (flamegraph collapsed stacks) under DIR (default:
-//!                  results/scope/); instrumented runs stay byte-identical
-//!                  to plain ones at the same seed
+//! --scope[=DIR]    attribute real wall-clock time to the hot paths
+//!                  (dispatch, queue push/pop, fabric send, JMS selector
+//!                  matching, OS metering) in the kernel's one site
+//!                  table, print each run's hot-path + kernel
+//!                  event-accounting tables, and write
+//!                  `<run>.hotpath.json` (gridmon-hotpath/1) and
+//!                  `<run>.hotpath.collapsed.txt` (flamegraph collapsed
+//!                  stacks) under DIR (default: results/scope/);
+//!                  instrumented runs stay byte-identical to plain ones
+//!                  at the same seed
 //! --slo[=DIR]      measure data freshness (Age-of-Information) and
 //!                  deadline compliance against the grid default SLO
 //!                  (5 s deadline, 99% target) on every run, print the

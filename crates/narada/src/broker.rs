@@ -10,7 +10,7 @@ use crate::protocol::{
 };
 use crate::seqset::SeqSet;
 use jms::{AckMode, Selector};
-use simcore::{Actor, Context, FastMap, Payload, SimDuration, SimTime};
+use simcore::{Actor, Context, FastMap, Payload, SimDuration, SimTime, Site};
 use simnet::server::{Acceptor, Inbound};
 use simnet::{ConnId, Delivery, NetworkFabric, Transport};
 use simos::{NodeId, OsModel, ProcessId};
@@ -163,7 +163,9 @@ impl Broker {
     ) -> SimTime {
         let node = self.server.node();
         ctx.with_service::<OsModel, _>(|os, ctx| {
+            let t0 = ctx.wall_start();
             let (done, effective) = os.execute_metered(node, ctx.now(), total);
+            ctx.wall_record(Site::OsExecute, t0);
             simprof::charge_split(
                 ctx,
                 Component::NaradaRoute,
@@ -346,14 +348,14 @@ impl Broker {
         // forwarded through the broker network (queues live on the broker
         // they were created on).
         let topic: &str = &message.headers.destination;
-        let match_t0 = simscope::start(ctx);
+        let match_t0 = ctx.wall_start();
         let (matches, match_cost) = if queue {
             let (hit, cost) = self.engine.match_queue(topic, &message);
             (hit.into_iter().collect(), cost)
         } else {
             self.engine.match_message(topic, &message)
         };
-        simscope::record(ctx, simscope::Site::JmsMatch, match_t0);
+        ctx.wall_record(Site::JmsMatch, match_t0);
         let mut cost = self.cfg.costs.broker_publish_base + self.per_byte(bytes) + match_cost;
         if transport == Transport::Nio {
             cost += self.cfg.costs.nio_extra;
@@ -593,9 +595,9 @@ impl Broker {
                 simtrace::EventKind::BrokerRecv { broker },
             );
         });
-        let match_t0 = simscope::start(ctx);
+        let match_t0 = ctx.wall_start();
         let (matches, match_cost) = self.engine.match_message(topic, &message);
-        simscope::record(ctx, simscope::Site::JmsMatch, match_t0);
+        ctx.wall_record(Site::JmsMatch, match_t0);
         let cost = self.cfg.costs.broker_publish_base + self.per_byte(bytes) + match_cost;
         let done = simprof::profile_span!(ctx, Component::NaradaRoute, {
             self.cpu_matched(ctx, cost, match_cost)

@@ -17,7 +17,8 @@
 //! path with one `FastMap<TypeId, u16>` probe per schedule (one multiply
 //! to hash, no allocation after the first event of each type) and plain
 //! integer increments elsewhere, so it is cheap enough to leave on for
-//! every run.
+//! every run. It also holds the kernel's one wall-clock site table (a
+//! [`WallAccum`] per [`Site`]), off unless armed.
 
 use crate::actor::ActorId;
 use crate::time::SimTime;
@@ -132,10 +133,51 @@ impl WallAccum {
     }
 }
 
-#[derive(Default)]
-struct QueueWall {
-    push: WallAccum,
-    pop: WallAccum,
+/// The instrumented hot-path sites, one row each of the kernel's
+/// wall-clock table, declared in report order (`site as usize` is the
+/// row).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Site {
+    /// Kernel event dispatch (actor `handle` callbacks).
+    KernelDispatch,
+    /// Event-heap push.
+    KernelQueuePush,
+    /// Event-heap pop.
+    KernelQueuePop,
+    /// `simnet` fabric send: MTU segmentation, latency/loss draws,
+    /// delivery scheduling.
+    NetFabricSend,
+    /// JMS selector matching inside the broker publish/forward paths.
+    JmsMatch,
+    /// `OsModel::execute_metered`, timed by its callers.
+    OsExecute,
+}
+
+impl Site {
+    /// Number of sites.
+    pub const COUNT: usize = 6;
+
+    /// All sites in report order.
+    pub const ALL: [Site; Site::COUNT] = [
+        Site::KernelDispatch,
+        Site::KernelQueuePush,
+        Site::KernelQueuePop,
+        Site::NetFabricSend,
+        Site::JmsMatch,
+        Site::OsExecute,
+    ];
+
+    /// Stable dotted name used in reports and collapsed stacks.
+    pub fn name(self) -> &'static str {
+        match self {
+            Site::KernelDispatch => "kernel.dispatch",
+            Site::KernelQueuePush => "kernel.queue.push",
+            Site::KernelQueuePop => "kernel.queue.pop",
+            Site::NetFabricSend => "net.fabric.send",
+            Site::JmsMatch => "jms.match",
+            Site::OsExecute => "os.execute",
+        }
+    }
 }
 
 /// Time-ordered queue of scheduled events.
@@ -149,9 +191,15 @@ pub struct EventQueue {
     peak_depth: usize,
     type_ix: FastMap<TypeId, u16>,
     types: Vec<TypeAccount>,
-    /// Wall-clock push/pop timing; `None` (the default) keeps both probes
-    /// off the hot path entirely.
-    wall: Option<Box<QueueWall>>,
+    /// The wall-clock site table, one row per [`Site`], armed and read
+    /// only through the [`Simulation`]. The queue times its own push/pop,
+    /// the kernel its dispatch, and every other site writes it through
+    /// [`Context::wall_record`]. `None` (the default) keeps every site
+    /// down to one discriminant check.
+    ///
+    /// [`Simulation`]: crate::Simulation
+    /// [`Context::wall_record`]: crate::Context::wall_record
+    pub(crate) wall: Option<Box<[WallAccum; Site::COUNT]>>,
 }
 
 impl EventQueue {
@@ -263,24 +311,36 @@ impl EventQueue {
     /// Push a fully-keyed event (key already assigned — e.g. one that
     /// crossed a shard boundary carrying its sender-side key).
     pub fn push_keyed(&mut self, ev: ScheduledEvent) {
-        let t0 = self.wall.as_ref().map(|_| Instant::now());
+        let t0 = self.wall_start();
         self.heap.push(ev);
         if self.heap.len() > self.peak_depth {
             self.peak_depth = self.heap.len();
         }
-        if let (Some(t0), Some(w)) = (t0, self.wall.as_mut()) {
-            w.push.add(t0.elapsed().as_nanos() as u64);
-        }
+        self.wall_record(Site::KernelQueuePush, t0);
     }
 
     /// Pop the earliest event, if any.
     pub fn pop(&mut self) -> Option<ScheduledEvent> {
-        let t0 = self.wall.as_ref().map(|_| Instant::now());
+        let t0 = self.wall_start();
         let ev = self.heap.pop();
-        if let (Some(t0), Some(w)) = (t0, self.wall.as_mut()) {
-            w.pop.add(t0.elapsed().as_nanos() as u64);
-        }
+        self.wall_record(Site::KernelQueuePop, t0);
         ev
+    }
+
+    /// Open a timing probe: the clock is read only when the table is
+    /// armed.
+    #[inline]
+    pub(crate) fn wall_start(&self) -> Option<Instant> {
+        self.wall.as_ref().map(|_| Instant::now())
+    }
+
+    /// Close a probe opened by [`wall_start`](Self::wall_start), adding
+    /// the elapsed nanoseconds to `site`'s row. No-op when `t0` is `None`.
+    #[inline]
+    pub(crate) fn wall_record(&mut self, site: Site, t0: Option<Instant>) {
+        if let (Some(t0), Some(table)) = (t0, self.wall.as_mut()) {
+            table[site as usize].add(t0.elapsed().as_nanos() as u64);
+        }
     }
 
     /// Record that a popped event was dispatched to a live actor.
@@ -341,19 +401,6 @@ impl EventQueue {
             .collect();
         rows.sort_by(|a, b| b.scheduled.cmp(&a.scheduled).then(a.name.cmp(&b.name)));
         rows
-    }
-
-    /// Turn on wall-clock timing of heap push/pop. Off by default; when off
-    /// the only hot-path cost is one `Option` discriminant check.
-    pub fn enable_wall_timing(&mut self) {
-        if self.wall.is_none() {
-            self.wall = Some(Box::default());
-        }
-    }
-
-    /// Wall-clock totals for (push, pop), if timing was enabled.
-    pub fn wall_timing(&self) -> Option<(WallAccum, WallAccum)> {
-        self.wall.as_ref().map(|w| (w.push, w.pop))
     }
 }
 
@@ -508,16 +555,17 @@ mod tests {
     }
 
     #[test]
-    fn wall_timing_counts_operations() {
+    fn wall_table_counts_queue_operations() {
         let mut q = EventQueue::new();
-        assert_eq!(q.wall_timing(), None);
-        q.enable_wall_timing();
+        assert_eq!(q.wall_start(), None);
+        q.wall = Some(Box::default());
         q.schedule(SimTime::ZERO, aid(0), Box::new(()));
         q.schedule(SimTime::ZERO, aid(0), Box::new(()));
         q.pop();
-        let (push, pop) = q.wall_timing().unwrap();
-        assert_eq!(push.count, 2);
-        assert_eq!(pop.count, 1);
+        let table = q.wall.unwrap();
+        assert_eq!(table[Site::KernelQueuePush as usize].count, 2);
+        assert_eq!(table[Site::KernelQueuePop as usize].count, 1);
+        assert_eq!(table[Site::KernelDispatch as usize].count, 0);
     }
 
     #[test]

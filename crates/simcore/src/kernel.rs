@@ -24,7 +24,9 @@
 //! shards.
 
 use crate::actor::{Actor, ActorId};
-use crate::event::{EventQueue, EventTypeStat, Payload, ScheduledEvent, WallAccum, EXTERNAL_LANE};
+use crate::event::{
+    EventQueue, EventTypeStat, Payload, ScheduledEvent, Site, WallAccum, EXTERNAL_LANE,
+};
 use crate::rng::SimRng;
 use crate::service::ServiceMap;
 use crate::time::{SimDuration, SimTime};
@@ -122,27 +124,6 @@ impl KernelStats {
     }
 }
 
-/// Wall-clock totals for the kernel's own hot paths, populated only after
-/// [`Simulation::enable_hotpath_timing`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct KernelHotpath {
-    /// Time inside actor `handle` callbacks (event dispatch).
-    pub dispatch: WallAccum,
-    /// Time pushing onto the event heap.
-    pub queue_push: WallAccum,
-    /// Time popping from the event heap.
-    pub queue_pop: WallAccum,
-}
-
-impl KernelHotpath {
-    /// Sum another shard's hot-path totals into this one.
-    pub fn merge(&mut self, other: &KernelHotpath) {
-        self.dispatch.merge(other.dispatch);
-        self.queue_push.merge(other.queue_push);
-        self.queue_pop.merge(other.queue_pop);
-    }
-}
-
 /// Depth-over-virtual-time sampling stops coarsening only once the sample
 /// vector would exceed this many entries; past it, every other sample is
 /// dropped and the interval doubles.
@@ -234,7 +215,6 @@ pub struct Simulation {
     depth_interval: SimDuration,
     next_depth_sample: SimTime,
     depth_samples: Vec<(SimTime, u64)>,
-    dispatch_wall: Option<WallAccum>,
     started: bool,
     locality: Option<LocalityFn>,
     current_node: Option<u16>,
@@ -261,7 +241,6 @@ impl Simulation {
             depth_interval: SimDuration::from_secs(1),
             next_depth_sample: SimTime::ZERO,
             depth_samples: Vec::new(),
-            dispatch_wall: None,
             started: false,
             locality: None,
             current_node: None,
@@ -293,27 +272,20 @@ impl Simulation {
         }
     }
 
-    /// Turn on wall-clock timing of the kernel's own hot paths (event
-    /// dispatch and queue push/pop). Off by default; when off the only cost
-    /// is one `Option` discriminant check per site.
+    /// Arm the wall-clock site table: every [`Site`] starts timing. Off by
+    /// default; when off each site costs one `Option` discriminant check.
+    /// Reading a monotonic clock touches no simulation state, so an armed
+    /// run is byte-identical to a plain one.
     pub fn enable_hotpath_timing(&mut self) {
-        if self.dispatch_wall.is_none() {
-            self.dispatch_wall = Some(WallAccum::default());
-        }
-        self.queue.enable_wall_timing();
+        self.queue.wall.get_or_insert_with(Box::default);
     }
 
-    /// Wall-clock hot-path totals, if [`enable_hotpath_timing`] was called.
+    /// The wall-clock site table, indexed by `site as usize`, if
+    /// [`enable_hotpath_timing`] was called.
     ///
     /// [`enable_hotpath_timing`]: Simulation::enable_hotpath_timing
-    pub fn hotpath(&self) -> Option<KernelHotpath> {
-        let dispatch = self.dispatch_wall?;
-        let (queue_push, queue_pop) = self.queue.wall_timing().unwrap_or_default();
-        Some(KernelHotpath {
-            dispatch,
-            queue_push,
-            queue_pop,
-        })
+    pub fn hotpath(&self) -> Option<[WallAccum; Site::COUNT]> {
+        self.queue.wall.as_deref().copied()
     }
 
     /// Events dispatched to one actor so far.
@@ -583,7 +555,7 @@ impl Simulation {
         match taken {
             Some(mut actor) => {
                 let t0 = if count_it {
-                    self.dispatch_wall.as_ref().map(|_| Instant::now())
+                    self.queue.wall_start()
                 } else {
                     None
                 };
@@ -601,9 +573,7 @@ impl Simulation {
                     started: self.started,
                 };
                 actor.handle(ev.payload, &mut ctx);
-                if let (Some(t0), Some(w)) = (t0, self.dispatch_wall.as_mut()) {
-                    w.add(t0.elapsed().as_nanos() as u64);
-                }
+                self.queue.wall_record(Site::KernelDispatch, t0);
                 // The slot is still None (actors are only ever inserted at
                 // fresh indices while running), so this cannot clobber.
                 self.actors[ix] = Some(actor);
@@ -749,6 +719,22 @@ impl Context<'_> {
     /// replicated actors count a side effect exactly once across shards.
     pub fn accounting_primary(&self) -> bool {
         self.primary
+    }
+
+    /// Open a wall-clock probe: `Some(now)` only when the site table is
+    /// armed ([`Simulation::enable_hotpath_timing`]), so a plain run never
+    /// reads the clock.
+    #[inline]
+    pub fn wall_start(&self) -> Option<Instant> {
+        self.queue.wall_start()
+    }
+
+    /// Close a probe opened by [`wall_start`](Self::wall_start), adding
+    /// the elapsed wall-clock nanoseconds to `site`. No-op when `t0` is
+    /// `None`.
+    #[inline]
+    pub fn wall_record(&mut self, site: Site, t0: Option<Instant>) {
+        self.queue.wall_record(site, t0);
     }
 
     /// Send a message to `target` after `delay`. The value is boxed here;
@@ -1249,9 +1235,9 @@ mod tests {
         }
         sim.run_to_completion(100);
         let hp = sim.hotpath().unwrap();
-        assert_eq!(hp.dispatch.count, 4);
-        assert_eq!(hp.queue_push.count, 4);
-        assert_eq!(hp.queue_pop.count, 4);
+        assert_eq!(hp[Site::KernelDispatch as usize].count, 4);
+        assert_eq!(hp[Site::KernelQueuePush as usize].count, 4);
+        assert_eq!(hp[Site::KernelQueuePop as usize].count, 4);
     }
 
     #[test]

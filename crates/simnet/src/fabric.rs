@@ -9,7 +9,7 @@
 //! larger than the MSS are segmented and pay per-packet overhead.
 
 use crate::addr::Endpoint;
-use simcore::{Context, FastMap, Payload, SimDuration, SimTime};
+use simcore::{Context, FastMap, Payload, SimDuration, SimTime, Site};
 
 /// Fabric configuration.
 #[derive(Debug, Clone)]
@@ -351,11 +351,11 @@ impl NetworkFabric {
         start_at: SimTime,
     ) -> Option<SimTime> {
         // Wall-clock attribution of the whole fabric path (segmentation,
-        // loss/jitter draws, NIC FIFO, delivery scheduling); no-op unless a
-        // simscope::WallScope service is registered.
-        let t0 = simscope::start(ctx);
+        // loss/jitter draws, NIC FIFO, delivery scheduling); no-op unless
+        // the kernel's site table is armed.
+        let t0 = ctx.wall_start();
         let out = self.send_at_inner(ctx, conn, from, bytes, payload, start_at);
-        simscope::record(ctx, simscope::Site::NetFabricSend, t0);
+        ctx.wall_record(Site::NetFabricSend, t0);
         out
     }
 

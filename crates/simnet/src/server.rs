@@ -11,7 +11,7 @@
 
 use crate::http::{HttpRequest, Reply};
 use crate::{ConnId, Delivery, Endpoint, NetworkFabric};
-use simcore::{Context, FastMap, Payload, SimDuration, SimTime};
+use simcore::{Context, FastMap, Payload, SimDuration, SimTime, Site};
 use simfault::FaultSignal;
 use simos::{Bytes, NodeId, OomError, OsModel, ProcessId};
 use simprof::Component;
@@ -28,7 +28,9 @@ pub fn cpu(
     cost: SimDuration,
 ) -> SimTime {
     ctx.with_service::<OsModel, _>(|os, ctx| {
+        let t0 = ctx.wall_start();
         let (done, effective) = os.execute_metered(node, ctx.now(), cost);
+        ctx.wall_record(Site::OsExecute, t0);
         simprof::charge(ctx, component, effective);
         done
     })

@@ -13,7 +13,7 @@
 //! means.
 
 use crate::node::{NodeId, OsModel, ProcessId};
-use simcore::{Actor, Context, Payload, SimDuration};
+use simcore::{Actor, Context, Payload, SimDuration, Site};
 
 /// GC behaviour of one JVM process.
 #[derive(Debug, Clone)]
@@ -124,7 +124,9 @@ impl Actor for GcPauser {
         // queues behind it.
         let node = self.node;
         ctx.with_service::<OsModel, _>(|os, ctx| {
+            let t0 = ctx.wall_start();
             let (_, effective) = os.execute_metered(node, ctx.now(), pause);
+            ctx.wall_record(Site::OsExecute, t0);
             simprof::charge(ctx, simprof::Component::OsGc, effective);
         });
         let actor = ctx.self_id().index() as u64;

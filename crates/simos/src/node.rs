@@ -140,13 +140,6 @@ impl ProcessSpec {
 #[derive(Default)]
 pub struct OsModel {
     nodes: Vec<Node>,
-    /// Gated wall-clock metering of [`OsModel::execute_metered`]; `None`
-    /// (the default) keeps the hot path down to one discriminant check.
-    /// `execute_metered` has no kernel [`Context`] access, so it cannot
-    /// use the simscope service and accumulates internally instead.
-    ///
-    /// [`Context`]: simcore::Context
-    wall: Option<simcore::WallAccum>,
 }
 
 impl OsModel {
@@ -213,14 +206,14 @@ impl OsModel {
     /// Like [`OsModel::execute`], but also returns the *effective* cost
     /// the CPU accepted (after slowdown and thread inflation) — what a
     /// profiling site must charge so attribution conserves exactly
-    /// against [`OsModel::total_submitted_work`].
+    /// against [`OsModel::total_submitted_work`]. Its callers time it as
+    /// the `os.execute` wall-clock site (`simcore::Site::OsExecute`).
     pub fn execute_metered(
         &mut self,
         node: NodeId,
         now: SimTime,
         cost: SimDuration,
     ) -> (SimTime, SimDuration) {
-        let t0 = self.wall.as_ref().map(|_| std::time::Instant::now());
         let n = &mut self.nodes[node.0 as usize];
         let cost = if now < n.slow_until {
             cost.mul_f64(n.slow_factor)
@@ -229,24 +222,7 @@ impl OsModel {
         };
         let before = n.cpu.total_work();
         let done = n.cpu.execute(now, cost);
-        let out = (done, n.cpu.total_work().saturating_sub(before));
-        if let (Some(t0), Some(w)) = (t0, self.wall.as_mut()) {
-            w.add(t0.elapsed().as_nanos() as u64);
-        }
-        out
-    }
-
-    /// Turn on wall-clock metering of [`OsModel::execute_metered`]. Off by
-    /// default.
-    pub fn enable_wall_metering(&mut self) {
-        if self.wall.is_none() {
-            self.wall = Some(simcore::WallAccum::default());
-        }
-    }
-
-    /// Wall-clock totals for CPU metering, if enabled.
-    pub fn wall_metering(&self) -> Option<simcore::WallAccum> {
-        self.wall
+        (done, n.cpu.total_work().saturating_sub(before))
     }
 
     /// Total effective CPU work ever submitted across all nodes — the

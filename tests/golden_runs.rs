@@ -8,6 +8,14 @@
 //! that moves it replaces the literal and says why. A change that leaves
 //! the simulated numbers alone but adds, drops or moves an event shows
 //! in `events=`.
+//!
+//! `fabric_sends=`, `executes=` and `jms_matches=` are the operation
+//! counts of the `--scope` site table (each spec runs scoped; scoping is
+//! inert, `scoped_runs_are_byte_identical_to_plain`). They catch a
+//! host-cost change that leaves every simulated number and every event
+//! alone — a second fabric send, CPU submission or selector match per
+//! reading, or a quadratic re-send like a UDP ack list that grows with
+//! the run.
 
 use gridmon::core::{run_all, run_experiment, ExperimentResult, ExperimentSpec, SystemUnderTest};
 use gridmon::simnet::Transport;
@@ -24,6 +32,7 @@ fn spec(name: &str, system: SystemUnderTest, generators: usize) -> ExperimentSpe
     ExperimentSpec::paper_default(format!("golden/{name}"), system, generators)
         .scaled(MSGS)
         .with_slo(SloSpec::grid_default())
+        .scoped()
 }
 
 /// Each spec beside the line [`render`] must produce for it.
@@ -35,37 +44,43 @@ fn golden() -> Vec<(ExperimentSpec, &'static str)> {
             spec("narada-tcp", SystemUnderTest::NaradaSingle, 800),
             "sent=16000 received=16000 rtt_mean_ms=6.535130 rtt_p99_ms=8.704000 \
              on_time=16000 late=0 lost=0 worst_burn=0.000000 delivery_p99_ms=8.704000 \
-             events=51055",
+             events=51055 \
+             fabric_sends=33604 executes=64823 jms_matches=16000",
         ),
         (
             udp,
             "sent=15960 received=15952 rtt_mean_ms=10.494266 rtt_p99_ms=18.176000 \
              on_time=15952 late=0 lost=8 worst_burn=0.291971 delivery_p99_ms=18.176000 \
-             events=98808",
+             events=98808 \
+             fabric_sends=65455 executes=96578 jms_matches=15960",
         ),
         (
             spec("narada-dbn", SystemUnderTest::NaradaDbn { brokers: 3 }, 800),
             "sent=16000 received=16000 rtt_mean_ms=8.191986 rtt_p99_ms=10.624000 \
              on_time=16000 late=0 lost=0 worst_burn=0.000000 delivery_p99_ms=10.624000 \
-             events=115109",
+             events=115109 \
+             fabric_sends=97606 executes=192864 jms_matches=48000",
         ),
         (
             spec("rgma-single", SystemUnderTest::RgmaSingle, 400),
             "sent=8000 received=8000 rtt_mean_ms=884.774008 rtt_p99_ms=1605.632000 \
              on_time=8000 late=0 lost=0 worst_burn=0.000000 delivery_p99_ms=1605.632000 \
-             events=45505",
+             events=45505 \
+             fabric_sends=29943 executes=43624 jms_matches=0",
         ),
         (
             spec("rgma-dist", SystemUnderTest::RgmaDistributed, 800),
             "sent=16000 received=16000 rtt_mean_ms=904.091204 rtt_p99_ms=1654.784000 \
              on_time=16000 late=0 lost=0 worst_burn=0.000000 delivery_p99_ms=1654.784000 \
-             events=92147",
+             events=92147 \
+             fabric_sends=61368 executes=89813 jms_matches=0",
         ),
         (
             spec("rgma-secondary", SystemUnderTest::RgmaSecondary, 100),
             "sent=2000 received=2000 rtt_mean_ms=17687.888007 rtt_p99_ms=32243.712000 \
              on_time=131 late=1869 lost=0 worst_burn=100.000000 delivery_p99_ms=32243.712000 \
-             events=20286",
+             events=20286 \
+             fabric_sends=13064 executes=19107 jms_matches=0",
         ),
         (
             // Moved once (was rtt_mean_ms=11.341019, both p99s 16.128000):
@@ -75,7 +90,8 @@ fn golden() -> Vec<(ExperimentSpec, &'static str)> {
             spec("gridlog", SystemUnderTest::GridlogSingle, 800),
             "sent=16000 received=16000 rtt_mean_ms=11.241422 rtt_p99_ms=15.104000 \
              on_time=16000 late=0 lost=0 worst_burn=0.000000 delivery_p99_ms=15.104000 \
-             events=128064",
+             events=128064 \
+             fabric_sends=74599 executes=69308 jms_matches=0",
         ),
     ]
 }
@@ -85,10 +101,12 @@ fn golden() -> Vec<(ExperimentSpec, &'static str)> {
 fn render(r: &ExperimentResult) -> String {
     let p99 = r.summary.percentiles_ms.iter().find(|(q, _)| *q == 99);
     let slo = &r.slo.as_ref().expect("spec carries an SLO").report;
+    let scope = &r.scope.as_ref().expect("spec is scoped").report;
+    let count = |site| scope.site(site).map_or(0, |row| row.count);
     format!(
         "sent={} received={} rtt_mean_ms={:.6} rtt_p99_ms={:.6} \
          on_time={} late={} lost={} worst_burn={:.6} delivery_p99_ms={:.6} \
-         events={}",
+         events={} fabric_sends={} executes={} jms_matches={}",
         r.summary.sent,
         r.summary.received,
         r.summary.rtt_mean_ms,
@@ -99,6 +117,9 @@ fn render(r: &ExperimentResult) -> String {
         slo.worst_burn,
         slo.age_us.map_or(0.0, |h| h.p99 as f64 / 1000.0),
         r.events,
+        count("net.fabric.send"),
+        count("os.execute"),
+        count("jms.match"),
     )
 }
 

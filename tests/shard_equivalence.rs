@@ -121,11 +121,11 @@ fn assert_equivalent(serial: &ExperimentResult, sharded: &ExperimentResult, labe
         _ => panic!("{label}: SLO artifacts present on one side only"),
     }
     // Scope artifacts measure host wall time (non-deterministic by
-    // nature); only their *shape* must match.
+    // nature); their shape and the operation counts must match.
     match (&serial.scope, &sharded.scope) {
         (None, None) => {}
         (Some(sa), Some(sb)) => {
-            let sites = |r: &gridmon::simscope::HotpathReport| -> Vec<String> {
+            let sites = |r: &gridmon::core::HotpathReport| -> Vec<String> {
                 r.sites.iter().map(|s| s.site.clone()).collect()
             };
             assert_eq!(
@@ -133,6 +133,21 @@ fn assert_equivalent(serial: &ExperimentResult, sharded: &ExperimentResult, labe
                 sites(&sb.report),
                 "{label}: hot-path site set"
             );
+            // Not kernel.queue.push/pop: replicated samplers' timers are
+            // pushed and popped on every shard.
+            for site in [
+                "kernel.dispatch",
+                "net.fabric.send",
+                "jms.match",
+                "os.execute",
+            ] {
+                let count = |r: &gridmon::core::HotpathReport| r.site(site).map(|s| s.count);
+                assert_eq!(
+                    count(&sa.report),
+                    count(&sb.report),
+                    "{label}: {site} count"
+                );
+            }
         }
         _ => panic!("{label}: scope artifacts present on one side only"),
     }
