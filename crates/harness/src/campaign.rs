@@ -52,15 +52,7 @@ pub const SLO: Plane = Plane {
             return 0;
         };
         println!("{}", table.render());
-        let mut md = format!(
-            "# {}\n\n| {} |\n|{}\n",
-            table.title,
-            table.columns.join(" | "),
-            " --- |".repeat(table.columns.len())
-        );
-        for row in &table.rows {
-            md.push_str(&format!("| {} |\n", row.join(" | ")));
-        }
+        let md = table.to_markdown();
         usize::from(write_file(dir, "compliance", ".md", md.as_bytes()))
     },
 };

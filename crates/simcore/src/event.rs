@@ -11,8 +11,9 @@
 //! `crates/simshard`). Within one lane the order is still FIFO, which keeps
 //! single-source schedules (and the classic external-schedule tests) stable.
 //!
-//! The queue also keeps always-on, allocation-free accounting: per-payload-
-//! type scheduled/executed/dropped counts, the timer vs. message mix, and
+//! The queue also keeps the kernel's one accounting record, always on and
+//! allocation-free: per-payload-type scheduled / executed / dropped /
+//! timer counts (every total in `KernelStats` is a column sum of it) and
 //! the queue-depth high-watermark. Counting happens on the schedule/pop
 //! path with one `FastMap<TypeId, u16>` probe per schedule (one multiply
 //! to hash, no allocation after the first event of each type) and plain
@@ -186,8 +187,6 @@ pub struct EventQueue {
     heap: BinaryHeap<ScheduledEvent>,
     lane_seqs: Vec<u64>,
     external_seq: u64,
-    scheduled_total: u64,
-    timer_scheduled: u64,
     peak_depth: usize,
     type_ix: FastMap<TypeId, u16>,
     types: Vec<TypeAccount>,
@@ -208,43 +207,16 @@ impl EventQueue {
         Self::default()
     }
 
-    /// Push an event from the external lane; assigns the deterministic
-    /// per-lane sequence number.
+    /// Push an event from the external lane, counted: the kernel's enqueue
+    /// rule for a bare queue with no actor table (the kernel itself
+    /// enqueues through `Simulation::schedule` and `Context`'s senders).
     pub fn schedule(&mut self, at: SimTime, target: ActorId, payload: Payload) {
-        self.schedule_tagged(at, target, payload, None, false);
-    }
-
-    /// Push an external-lane event carrying accounting tags: the payload's
-    /// type name (if statically known at the call site) and whether it is a
-    /// timer self-send. [`schedule`](Self::schedule) delegates here with no
-    /// tags.
-    pub fn schedule_tagged(
-        &mut self,
-        at: SimTime,
-        target: ActorId,
-        payload: Payload,
-        name: Option<&'static str>,
-        timer: bool,
-    ) {
-        self.schedule_on_lane(at, EXTERNAL_LANE, target, payload, name, timer);
-    }
-
-    /// Push an event on a specific scheduling lane, with full accounting.
-    pub fn schedule_on_lane(
-        &mut self,
-        at: SimTime,
-        lane: u32,
-        target: ActorId,
-        payload: Payload,
-        name: Option<&'static str>,
-        timer: bool,
-    ) {
-        let type_ix = self.intern_type(payload.as_ref().type_id(), name);
-        self.count_scheduled(type_ix, timer);
-        let lane_seq = self.next_lane_seq(lane);
+        let lane_seq = self.next_lane_seq(EXTERNAL_LANE);
+        let type_ix = self.intern_type(payload.as_ref().type_id(), None);
+        self.count_scheduled(type_ix, false);
         self.push_keyed(ScheduledEvent {
             at,
-            lane,
+            lane: EXTERNAL_LANE,
             lane_seq,
             target,
             payload,
@@ -256,7 +228,7 @@ impl EventQueue {
     /// counter. Lanes are created on first use. Counters advance even for
     /// events that are ultimately dropped or routed to another shard — the
     /// key stream of a lane must not depend on where its targets live.
-    pub fn next_lane_seq(&mut self, lane: u32) -> u64 {
+    pub(crate) fn next_lane_seq(&mut self, lane: u32) -> u64 {
         if lane == EXTERNAL_LANE {
             let s = self.external_seq;
             self.external_seq += 1;
@@ -274,7 +246,7 @@ impl EventQueue {
 
     /// Intern a payload type into the accounting table without counting
     /// anything. Returns the table index used by [`ScheduledEvent`].
-    pub fn intern_type(&mut self, tid: TypeId, name: Option<&'static str>) -> u16 {
+    pub(crate) fn intern_type(&mut self, tid: TypeId, name: Option<&'static str>) -> u16 {
         let ix = match self.type_ix.get(&tid) {
             Some(&ix) => ix as usize,
             None => {
@@ -298,19 +270,15 @@ impl EventQueue {
     /// [`push_keyed`](Self::push_keyed) so the kernel can decide *where*
     /// an event is accounted (sender shard vs. receiver shard, primary-only
     /// for replicated actors) independently of where it is enqueued.
-    pub fn count_scheduled(&mut self, type_ix: u16, timer: bool) {
-        self.scheduled_total += 1;
+    pub(crate) fn count_scheduled(&mut self, type_ix: u16, timer: bool) {
         let acct = &mut self.types[type_ix as usize];
         acct.scheduled += 1;
-        if timer {
-            acct.timers += 1;
-            self.timer_scheduled += 1;
-        }
+        acct.timers += u64::from(timer);
     }
 
     /// Push a fully-keyed event (key already assigned — e.g. one that
     /// crossed a shard boundary carrying its sender-side key).
-    pub fn push_keyed(&mut self, ev: ScheduledEvent) {
+    pub(crate) fn push_keyed(&mut self, ev: ScheduledEvent) {
         let t0 = self.wall_start();
         self.heap.push(ev);
         if self.heap.len() > self.peak_depth {
@@ -343,14 +311,15 @@ impl EventQueue {
         }
     }
 
-    /// Record that a popped event was dispatched to a live actor.
-    pub(crate) fn note_executed(&mut self, type_ix: u16) {
-        self.types[type_ix as usize].executed += 1;
-    }
-
-    /// Record that a popped event was dropped (target never registered).
-    pub(crate) fn note_dropped(&mut self, type_ix: u16) {
-        self.types[type_ix as usize].dropped += 1;
+    /// Count one popped event of type `type_ix`: dispatched to a live
+    /// actor (`executed`), or dropped (target never registered).
+    pub(crate) fn count_dispatched(&mut self, type_ix: u16, executed: bool) {
+        let acct = &mut self.types[type_ix as usize];
+        if executed {
+            acct.executed += 1;
+        } else {
+            acct.dropped += 1;
+        }
     }
 
     /// Time of the earliest pending event.
@@ -368,26 +337,15 @@ impl EventQueue {
         self.heap.is_empty()
     }
 
-    /// Total number of events ever scheduled (monotonic counter).
-    pub fn scheduled_total(&self) -> u64 {
-        self.scheduled_total
-    }
-
-    /// Of all scheduled events, how many were timer self-sends.
-    pub fn timer_scheduled(&self) -> u64 {
-        self.timer_scheduled
-    }
-
     /// High-watermark of pending events.
-    pub fn peak_depth(&self) -> usize {
+    pub(crate) fn peak_depth(&self) -> usize {
         self.peak_depth
     }
 
-    /// Per-payload-type accounting snapshot, sorted by scheduled count
-    /// descending then name (deterministic regardless of `TypeId` hashing).
-    pub fn type_stats(&self) -> Vec<EventTypeStat> {
-        let mut rows: Vec<EventTypeStat> = self
-            .types
+    /// Per-payload-type accounting snapshot, in interning order
+    /// (`KernelStats` sorts it).
+    pub(crate) fn type_stats(&self) -> Vec<EventTypeStat> {
+        self.types
             .iter()
             .map(|t| EventTypeStat {
                 name: t
@@ -398,9 +356,7 @@ impl EventQueue {
                 dropped: t.dropped,
                 timers: t.timers,
             })
-            .collect();
-        rows.sort_by(|a, b| b.scheduled.cmp(&a.scheduled).then(a.name.cmp(&b.name)));
-        rows
+            .collect()
     }
 }
 
@@ -429,6 +385,33 @@ mod tests {
 
     fn aid(n: usize) -> ActorId {
         ActorId::from_index(n)
+    }
+
+    /// Enqueue `value` on `lane`, counted, as the kernel does for a
+    /// target hosted here.
+    fn push<T: Any + Send>(
+        q: &mut EventQueue,
+        at: SimTime,
+        lane: u32,
+        value: T,
+        name: Option<&'static str>,
+        timer: bool,
+    ) {
+        let lane_seq = q.next_lane_seq(lane);
+        let type_ix = q.intern_type(TypeId::of::<T>(), name);
+        q.count_scheduled(type_ix, timer);
+        q.push_keyed(ScheduledEvent {
+            at,
+            lane,
+            lane_seq,
+            target: aid(0),
+            payload: Box::new(value),
+            type_ix,
+        });
+    }
+
+    fn scheduled(q: &EventQueue) -> u64 {
+        q.type_stats().iter().map(|t| t.scheduled).sum()
     }
 
     #[test]
@@ -463,12 +446,12 @@ mod tests {
         // Interleave schedules across lanes 1, 0 and the external lane; the
         // pop order must be lane 0's events FIFO, then lane 1's, then the
         // external lane's — independent of scheduling interleaving.
-        q.schedule_on_lane(t, 1, aid(0), Box::new(10u32), None, false);
-        q.schedule_tagged(t, aid(0), Box::new(90u32), None, false);
-        q.schedule_on_lane(t, 0, aid(0), Box::new(0u32), None, false);
-        q.schedule_on_lane(t, 1, aid(0), Box::new(11u32), None, false);
-        q.schedule_on_lane(t, 0, aid(0), Box::new(1u32), None, false);
-        q.schedule_tagged(t, aid(0), Box::new(91u32), None, false);
+        push(&mut q, t, 1, 10u32, None, false);
+        q.schedule(t, aid(0), Box::new(90u32));
+        push(&mut q, t, 0, 0u32, None, false);
+        push(&mut q, t, 1, 11u32, None, false);
+        push(&mut q, t, 0, 1u32, None, false);
+        q.schedule(t, aid(0), Box::new(91u32));
         let order: Vec<u32> = std::iter::from_fn(|| q.pop())
             .map(|e| *e.payload.downcast::<u32>().unwrap())
             .collect();
@@ -481,7 +464,7 @@ mod tests {
         // order exactly as if it had been scheduled locally.
         let mut q = EventQueue::new();
         let t = SimTime::from_secs(1);
-        q.schedule_on_lane(t, 2, aid(0), Box::new(2u32), None, false);
+        push(&mut q, t, 2, 2u32, None, false);
         let ix = q.intern_type(TypeId::of::<u32>(), Some("u32"));
         q.push_keyed(ScheduledEvent {
             at: t,
@@ -515,23 +498,43 @@ mod tests {
         q.schedule(SimTime::ZERO, aid(0), Box::new(()));
         q.schedule(SimTime::ZERO, aid(0), Box::new(()));
         assert_eq!(q.len(), 2);
-        assert_eq!(q.scheduled_total(), 2);
+        assert_eq!(scheduled(&q), 2);
         q.pop();
         assert_eq!(q.len(), 1);
-        assert_eq!(q.scheduled_total(), 2);
+        assert_eq!(scheduled(&q), 2);
     }
 
     #[test]
     fn type_accounting_sums_to_scheduled_total() {
         let mut q = EventQueue::new();
-        q.schedule_tagged(SimTime::ZERO, aid(0), Box::new(1u32), Some("u32"), false);
-        q.schedule_tagged(SimTime::ZERO, aid(0), Box::new(2u32), Some("u32"), true);
-        q.schedule_tagged(SimTime::ZERO, aid(0), Box::new("s"), Some("&str"), false);
+        push(
+            &mut q,
+            SimTime::ZERO,
+            EXTERNAL_LANE,
+            1u32,
+            Some("u32"),
+            false,
+        );
+        push(
+            &mut q,
+            SimTime::ZERO,
+            EXTERNAL_LANE,
+            2u32,
+            Some("u32"),
+            true,
+        );
+        push(
+            &mut q,
+            SimTime::ZERO,
+            EXTERNAL_LANE,
+            "s",
+            Some("&str"),
+            false,
+        );
         q.schedule(SimTime::ZERO, aid(0), Box::new(3.0f64));
         let stats = q.type_stats();
-        let scheduled: u64 = stats.iter().map(|s| s.scheduled).sum();
-        assert_eq!(scheduled, q.scheduled_total());
-        assert_eq!(q.timer_scheduled(), 1);
+        assert_eq!(scheduled(&q), q.len() as u64);
+        assert_eq!(stats.iter().map(|s| s.timers).sum::<u64>(), 1);
         assert_eq!(q.peak_depth(), 4);
         let u32_row = stats.iter().find(|s| s.name == "u32").unwrap();
         assert_eq!(u32_row.scheduled, 2);
@@ -543,12 +546,26 @@ mod tests {
     #[test]
     fn executed_and_dropped_tallies() {
         let mut q = EventQueue::new();
-        q.schedule_tagged(SimTime::ZERO, aid(0), Box::new(1u32), Some("u32"), false);
-        q.schedule_tagged(SimTime::ZERO, aid(0), Box::new(2u32), Some("u32"), false);
+        push(
+            &mut q,
+            SimTime::ZERO,
+            EXTERNAL_LANE,
+            1u32,
+            Some("u32"),
+            false,
+        );
+        push(
+            &mut q,
+            SimTime::ZERO,
+            EXTERNAL_LANE,
+            2u32,
+            Some("u32"),
+            false,
+        );
         let a = q.pop().unwrap();
-        q.note_executed(a.type_ix);
+        q.count_dispatched(a.type_ix, true);
         let b = q.pop().unwrap();
-        q.note_dropped(b.type_ix);
+        q.count_dispatched(b.type_ix, false);
         let stats = q.type_stats();
         assert_eq!(stats[0].executed, 1);
         assert_eq!(stats[0].dropped, 1);

@@ -1,5 +1,5 @@
-//! The simulation kernel: actor slab, event loop, and the [`Context`]
-//! through which actors touch the world.
+//! The simulation kernel: actor slot table, event loop, and the
+//! [`Context`] through which actors touch the world.
 //!
 //! ## Sharding model
 //!
@@ -16,7 +16,9 @@
 //! A few actors (fault driver, samplers) are *replicated*: they run
 //! identically on every shard and only touch shard-local state. Their
 //! self-sends are accounted only on the *primary* shard so that summed
-//! [`KernelStats`] match a serial run exactly.
+//! [`KernelStats`] match a serial run exactly. The external lane (build-
+//! time [`Simulation::schedule`]) is a replicated sender too, so one
+//! enqueue rule serves it and every actor.
 //!
 //! Every randomness draw goes through a per-actor RNG stream derived from
 //! `(seed, actor index)` — never a shared sequential stream — so the draw
@@ -33,18 +35,19 @@ use crate::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-/// Kernel run statistics: a snapshot built on demand from the always-on
-/// event accounting inside the kernel and its queue.
+/// Kernel run statistics: a snapshot of the kernel's one accounting
+/// record, the per-type table. Every total is a column sum of `by_type`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct KernelStats {
-    /// Events dispatched so far.
+    /// Events dispatched so far (the `executed` column).
     pub events_processed: u64,
-    /// Events dropped because their target actor was never registered.
+    /// Events dropped because their target actor was never registered
+    /// (the `dropped` column).
     pub events_dropped: u64,
-    /// Total events ever scheduled (monotonic).
+    /// Total events ever scheduled (the `scheduled` column).
     pub scheduled_total: u64,
     /// Of `scheduled_total`, how many were timer self-sends
-    /// ([`Context::timer`]).
+    /// ([`Context::timer`]; the `timers` column).
     pub timer_scheduled: u64,
     /// Of `scheduled_total`, how many were ordinary messages.
     pub message_scheduled: u64,
@@ -53,54 +56,55 @@ pub struct KernelStats {
     /// Per-payload-type counters, sorted by scheduled count descending then
     /// name.
     pub by_type: Vec<EventTypeStat>,
-    /// Queue depth sampled over virtual time, roughly once per virtual
-    /// second (coarsened adaptively so the vector stays bounded).
-    pub depth_samples: Vec<(SimTime, u64)>,
 }
 
 impl KernelStats {
+    /// Sort `by_type` and derive every total from it.
+    fn from_types(mut by_type: Vec<EventTypeStat>, peak_queue_depth: u64) -> KernelStats {
+        by_type.sort_by(|a, b| b.scheduled.cmp(&a.scheduled).then(a.name.cmp(&b.name)));
+        let sum = |col: fn(&EventTypeStat) -> u64| by_type.iter().map(col).sum::<u64>();
+        let (scheduled_total, timer_scheduled) = (sum(|t| t.scheduled), sum(|t| t.timers));
+        KernelStats {
+            events_processed: sum(|t| t.executed),
+            events_dropped: sum(|t| t.dropped),
+            scheduled_total,
+            timer_scheduled,
+            message_scheduled: scheduled_total - timer_scheduled,
+            peak_queue_depth,
+            by_type,
+        }
+    }
+
     /// Merge per-shard statistics into the totals a serial run would have
     /// produced. All event counters sum exactly (cross-shard events are
     /// scheduled on the sender shard and executed on the receiver shard;
     /// replicated actors are accounted on the primary shard only).
     ///
-    /// Two fields are *shard-local observations*, not conserved quantities,
-    /// and are excluded from [`determinism_digest`](Self::determinism_digest):
-    /// `peak_queue_depth` (merged as the max over shards — a serial run
-    /// holding every shard's events in one heap generally peaks higher) and
-    /// `depth_samples` (taken from the first shard).
+    /// `peak_queue_depth` is a *shard-local observation*, not a conserved
+    /// quantity, and is excluded from
+    /// [`determinism_digest`](Self::determinism_digest): it is merged as
+    /// the max over shards, and a serial run holding every shard's events
+    /// in one heap generally peaks higher.
     pub fn merged(parts: &[KernelStats]) -> KernelStats {
-        let mut out = KernelStats::default();
-        let mut by_name: BTreeMap<String, EventTypeStat> = BTreeMap::new();
-        for p in parts {
-            out.events_processed += p.events_processed;
-            out.events_dropped += p.events_dropped;
-            out.scheduled_total += p.scheduled_total;
-            out.timer_scheduled += p.timer_scheduled;
-            out.message_scheduled += p.message_scheduled;
-            out.peak_queue_depth = out.peak_queue_depth.max(p.peak_queue_depth);
-            for t in &p.by_type {
-                let e = by_name.entry(t.name.clone()).or_default();
-                e.name = t.name.clone();
-                e.scheduled += t.scheduled;
-                e.executed += t.executed;
-                e.dropped += t.dropped;
-                e.timers += t.timers;
-            }
+        let mut by_name: BTreeMap<&str, EventTypeStat> = BTreeMap::new();
+        for t in parts.iter().flat_map(|p| &p.by_type) {
+            let e = by_name.entry(&t.name).or_insert_with(|| EventTypeStat {
+                name: t.name.clone(),
+                ..EventTypeStat::default()
+            });
+            e.scheduled += t.scheduled;
+            e.executed += t.executed;
+            e.dropped += t.dropped;
+            e.timers += t.timers;
         }
-        if let Some(first) = parts.first() {
-            out.depth_samples = first.depth_samples.clone();
-        }
-        let mut rows: Vec<EventTypeStat> = by_name.into_values().collect();
-        rows.sort_by(|a, b| b.scheduled.cmp(&a.scheduled).then(a.name.cmp(&b.name)));
-        out.by_type = rows;
-        out
+        let peak = parts.iter().map(|p| p.peak_queue_depth).max().unwrap_or(0);
+        KernelStats::from_types(by_name.into_values().collect(), peak)
     }
 
     /// Canonical text of every *conserved* kernel counter — the quantities
     /// that must be byte-identical between serial and sharded runs of the
-    /// same seed. Excludes `peak_queue_depth` and `depth_samples`, which
-    /// measure shard-local heap shape rather than simulation behaviour.
+    /// same seed. Excludes `peak_queue_depth`, which measures shard-local
+    /// heap shape rather than simulation behaviour.
     pub fn determinism_digest(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::new();
@@ -123,11 +127,6 @@ impl KernelStats {
         s
     }
 }
-
-/// Depth-over-virtual-time sampling stops coarsening only once the sample
-/// vector would exceed this many entries; past it, every other sample is
-/// dropped and the interval doubles.
-const DEPTH_SAMPLE_CAP: usize = 2048;
 
 /// Why a `run_*` call returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -167,109 +166,182 @@ pub trait RemoteRouter {
     fn route(&mut self, env: RemoteEnvelope, target_node: u16);
 }
 
-/// Per-actor kernel bookkeeping for sharded runs.
-#[derive(Debug, Clone, Copy, Default)]
-struct ActorMeta {
-    /// Actor lives on another shard; slot holds no behaviour here.
-    ghost: bool,
-    /// Actor runs identically on every shard (accounted on primary only).
-    replicated: bool,
+/// One row of the actor table: everything the kernel keeps per actor.
+struct Slot {
+    /// The behaviour; `None` for a ghost, and while the actor runs.
+    actor: Option<Box<dyn Actor>>,
+    /// The actor's RNG stream, a pure function of `(seed, index)`, so its
+    /// draw sequence never depends on which other actors ran before it —
+    /// the property that makes randomness shard-invariant.
+    rng: SimRng,
     /// Simulated node the actor was registered under, if declared.
     node: Option<u16>,
+    /// Lives on another shard; holds no behaviour here.
+    ghost: bool,
+    /// Runs identically on every shard (accounted on primary only).
+    replicated: bool,
 }
 
-/// Lazily-derived per-actor RNG streams. Stream `ix` is a pure function of
-/// `(seed, ix)`, so an actor's draw sequence never depends on which other
-/// actors ran before it — the property that makes randomness shard-invariant.
-struct ActorRngs {
-    seed: u64,
-    streams: Vec<Option<SimRng>>,
+type LocalityFn = Box<dyn Fn(u16) -> bool>;
+
+/// Everything a [`Context`] reaches: the state an event can touch.
+struct World {
+    now: SimTime,
+    queue: EventQueue,
+    services: ServiceMap,
+    slots: Vec<Slot>,
+    /// The root every actor's RNG stream is derived from.
+    rng: SimRng,
+    router: Option<Box<dyn RemoteRouter>>,
+    /// The shard's locality filter; `None` in a serial world.
+    locality: Option<LocalityFn>,
+    primary: bool,
+    started: bool,
 }
 
-impl ActorRngs {
-    fn get(&mut self, ix: usize) -> &mut SimRng {
-        if ix >= self.streams.len() {
-            self.streams.resize_with(ix + 1, || None);
+impl World {
+    /// Append a slot; a ghost keeps no behaviour. A world already started
+    /// runs the newcomer's `on_start` at once.
+    fn add(
+        &mut self,
+        actor: Box<dyn Actor>,
+        node: Option<u16>,
+        ghost: bool,
+        replicated: bool,
+    ) -> ActorId {
+        let id = ActorId::from_index(self.slots.len());
+        self.slots.push(Slot {
+            actor: (!ghost).then_some(actor),
+            rng: self.rng.derive(id.index() as u64 + 1),
+            node,
+            ghost,
+            replicated,
+        });
+        if self.started {
+            self.with_actor(id, |actor, ctx| actor.on_start(ctx));
         }
-        let seed = self.seed;
-        self.streams[ix].get_or_insert_with(|| SimRng::new(seed).derive(ix as u64 + 1))
+        id
+    }
+
+    /// Run `f` on actor `id` with a [`Context`] for it — the one place a
+    /// context is built. The actor leaves its slot meanwhile (so it can
+    /// reach the world through the context) and goes back after. False if
+    /// the slot holds no actor: never registered, or a ghost.
+    fn with_actor(
+        &mut self,
+        id: ActorId,
+        f: impl FnOnce(&mut dyn Actor, &mut Context<'_>),
+    ) -> bool {
+        let ix = id.index();
+        let Some(mut actor) = self.slots.get_mut(ix).and_then(|s| s.actor.take()) else {
+            return false;
+        };
+        f(
+            actor.as_mut(),
+            &mut Context {
+                world: self,
+                self_id: id,
+            },
+        );
+        // The slot is still empty (actors are only ever registered at fresh
+        // indices), so this cannot clobber.
+        self.slots[ix].actor = Some(actor);
+        true
+    }
+
+    /// The one enqueue rule, for the external lane and every actor lane.
+    /// The event takes `lane`'s next key, then the shard policy applies:
+    ///
+    /// * target hosted here — enqueue, and account unless the target is
+    ///   replicated and this is not the primary shard;
+    /// * ghost target, sender running on every shard (the external lane or
+    ///   a replicated actor) — drop: the sender's copy on the target's own
+    ///   shard makes the send there;
+    /// * ghost target, any other sender — account here (sender side) and
+    ///   hand the keyed envelope to the router.
+    fn enqueue(
+        &mut self,
+        at: SimTime,
+        lane: u32,
+        target: ActorId,
+        payload: Payload,
+        name: Option<&'static str>,
+        timer: bool,
+    ) {
+        let lane_seq = self.queue.next_lane_seq(lane);
+        let (ghost, replicated, node) = self
+            .slots
+            .get(target.index())
+            .map_or((false, false, None), |s| (s.ghost, s.replicated, s.node));
+        if ghost && (lane == EXTERNAL_LANE || self.slots[lane as usize].replicated) {
+            return;
+        }
+        let type_ix = self.queue.intern_type(payload.as_ref().type_id(), name);
+        if self.primary || !replicated {
+            self.queue.count_scheduled(type_ix, timer);
+        }
+        if !ghost {
+            self.queue.push_keyed(ScheduledEvent {
+                at,
+                lane,
+                lane_seq,
+                target,
+                payload,
+                type_ix,
+            });
+            return;
+        }
+        let env = RemoteEnvelope {
+            at,
+            lane,
+            lane_seq,
+            target,
+            payload,
+            type_name: name,
+        };
+        self.router
+            .as_mut()
+            .expect("message to a ghost actor but no router installed")
+            .route(env, node.expect("ghost actor has no node"));
     }
 }
-
-type ActorSlot = Option<Box<dyn Actor>>;
-type LocalityFn = Box<dyn Fn(u16) -> bool>;
 
 /// A complete simulated world (or, in sharded runs, one shard's replica of
 /// it — see the module docs).
 pub struct Simulation {
-    now: SimTime,
-    queue: EventQueue,
-    actors: Vec<ActorSlot>,
-    meta: Vec<ActorMeta>,
-    services: ServiceMap,
-    actor_rngs: ActorRngs,
-    events_processed: u64,
-    events_dropped: u64,
-    /// Events dispatched per actor (diagnostics / hot-actor tracing).
-    dispatch_counts: Vec<u64>,
-    depth_interval: SimDuration,
-    next_depth_sample: SimTime,
-    depth_samples: Vec<(SimTime, u64)>,
-    started: bool,
-    locality: Option<LocalityFn>,
+    world: World,
     current_node: Option<u16>,
-    primary: bool,
-    router: Option<Box<dyn RemoteRouter>>,
 }
 
 impl Simulation {
     /// New empty world with the given RNG seed.
     pub fn new(seed: u64) -> Self {
         Simulation {
-            now: SimTime::ZERO,
-            queue: EventQueue::new(),
-            actors: Vec::new(),
-            meta: Vec::new(),
-            services: ServiceMap::new(),
-            actor_rngs: ActorRngs {
-                seed,
-                streams: Vec::new(),
+            world: World {
+                now: SimTime::ZERO,
+                queue: EventQueue::new(),
+                services: ServiceMap::new(),
+                slots: Vec::new(),
+                rng: SimRng::new(seed),
+                router: None,
+                locality: None,
+                primary: true,
+                started: false,
             },
-            events_processed: 0,
-            events_dropped: 0,
-            dispatch_counts: Vec::new(),
-            depth_interval: SimDuration::from_secs(1),
-            next_depth_sample: SimTime::ZERO,
-            depth_samples: Vec::new(),
-            started: false,
-            locality: None,
             current_node: None,
-            primary: true,
-            router: None,
         }
     }
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.world.now
     }
 
-    /// Kernel statistics so far: a snapshot of the always-on event
-    /// accounting (per-type counts, timer/message mix, queue-depth
-    /// high-watermark and depth-over-time samples).
+    /// Kernel statistics so far: the per-type event accounting, its
+    /// totals, and the queue-depth high-watermark.
     pub fn stats(&self) -> KernelStats {
-        let scheduled_total = self.queue.scheduled_total();
-        let timer_scheduled = self.queue.timer_scheduled();
-        KernelStats {
-            events_processed: self.events_processed,
-            events_dropped: self.events_dropped,
-            scheduled_total,
-            timer_scheduled,
-            message_scheduled: scheduled_total - timer_scheduled,
-            peak_queue_depth: self.queue.peak_depth() as u64,
-            by_type: self.queue.type_stats(),
-            depth_samples: self.depth_samples.clone(),
-        }
+        let q = &self.world.queue;
+        KernelStats::from_types(q.type_stats(), q.peak_depth() as u64)
     }
 
     /// Arm the wall-clock site table: every [`Site`] starts timing. Off by
@@ -277,7 +349,7 @@ impl Simulation {
     /// Reading a monotonic clock touches no simulation state, so an armed
     /// run is byte-identical to a plain one.
     pub fn enable_hotpath_timing(&mut self) {
-        self.queue.wall.get_or_insert_with(Box::default);
+        self.world.queue.wall.get_or_insert_with(Box::default);
     }
 
     /// The wall-clock site table, indexed by `site as usize`, if
@@ -285,32 +357,7 @@ impl Simulation {
     ///
     /// [`enable_hotpath_timing`]: Simulation::enable_hotpath_timing
     pub fn hotpath(&self) -> Option<[WallAccum; Site::COUNT]> {
-        self.queue.wall.as_deref().copied()
-    }
-
-    /// Events dispatched to one actor so far.
-    pub fn dispatch_count(&self, id: ActorId) -> u64 {
-        self.dispatch_counts.get(id.index()).copied().unwrap_or(0)
-    }
-
-    /// The `n` busiest actors as `(id, name, events)`, descending.
-    pub fn busiest_actors(&self, n: usize) -> Vec<(ActorId, String, u64)> {
-        let mut rows: Vec<(ActorId, String, u64)> = self
-            .dispatch_counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(ix, &c)| {
-                let id = ActorId::from_index(ix);
-                let name = self.actors[ix]
-                    .as_ref()
-                    .map_or_else(|| "<retired>".to_owned(), |a| a.name().to_owned());
-                (id, name, c)
-            })
-            .collect();
-        rows.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(&b.0)));
-        rows.truncate(n);
-        rows
+        self.world.queue.wall.as_deref().copied()
     }
 
     /// Install the shard locality filter: `f(node)` answers "is this node
@@ -319,7 +366,7 @@ impl Simulation {
     /// [`add_replicated_actor`](Self::add_replicated_actor)); actors on
     /// foreign nodes become ghosts.
     pub fn set_locality(&mut self, f: impl Fn(u16) -> bool + 'static) {
-        self.locality = Some(Box::new(f));
+        self.world.locality = Some(Box::new(f));
     }
 
     /// Declare the simulated node that subsequently-registered actors live
@@ -332,29 +379,29 @@ impl Simulation {
     /// Whether a locality filter is installed (i.e. this world is one shard
     /// of a partitioned run — possibly a 1-shard one).
     pub fn is_sharded(&self) -> bool {
-        self.locality.is_some()
+        self.world.locality.is_some()
     }
 
     /// Mark this shard as the accounting primary (shard 0). Replicated
     /// actors' events are only counted on the primary so that summed
     /// [`KernelStats`] equal a serial run. Serial worlds are primary.
     pub fn set_primary(&mut self, primary: bool) {
-        self.primary = primary;
+        self.world.primary = primary;
     }
 
     /// Install the cross-shard router consulted for messages to ghosts.
     pub fn set_router(&mut self, r: impl RemoteRouter + 'static) {
-        self.router = Some(Box::new(r));
+        self.world.router = Some(Box::new(r));
     }
 
     /// True if `id` is a ghost here (hosted by another shard).
     pub fn is_ghost(&self, id: ActorId) -> bool {
-        self.meta.get(id.index()).is_some_and(|m| m.ghost)
+        self.world.slots.get(id.index()).is_some_and(|s| s.ghost)
     }
 
     /// The declared node of an actor, if any.
     pub fn actor_node(&self, id: ActorId) -> Option<u16> {
-        self.meta.get(id.index()).and_then(|m| m.node)
+        self.world.slots.get(id.index()).and_then(|s| s.node)
     }
 
     /// Register an actor; returns its id. Actors registered before the
@@ -364,8 +411,7 @@ impl Simulation {
     /// Under sharding the actor's node (from [`on_node`](Self::on_node))
     /// decides whether it is hosted here or becomes a ghost.
     pub fn add_actor(&mut self, actor: impl Actor + 'static) -> ActorId {
-        let id = ActorId::from_index(self.actors.len());
-        let (ghost, node) = match &self.locality {
+        let (ghost, node) = match &self.world.locality {
             Some(f) => {
                 let n = self.current_node.expect(
                     "sharded build: declare the actor's node with on_node(..) \
@@ -375,89 +421,46 @@ impl Simulation {
             }
             None => (false, self.current_node),
         };
-        self.meta.push(ActorMeta {
-            ghost,
-            replicated: false,
-            node,
-        });
-        if ghost {
-            self.actors.push(None);
-        } else {
-            self.actors.push(Some(Box::new(actor)));
-            if self.started {
-                self.start_actor(id);
-            }
-        }
-        id
+        self.world.add(Box::new(actor), node, ghost, false)
     }
 
     /// Register an actor that runs identically on *every* shard (e.g. the
     /// fault driver or a sampler whose state is shard-local). Never a
     /// ghost; its events are accounted on the primary shard only.
     pub fn add_replicated_actor(&mut self, actor: impl Actor + 'static) -> ActorId {
-        let id = ActorId::from_index(self.actors.len());
-        self.meta.push(ActorMeta {
-            ghost: false,
-            replicated: true,
-            node: None,
-        });
-        self.actors.push(Some(Box::new(actor)));
-        if self.started {
-            self.start_actor(id);
-        }
-        id
+        self.world.add(Box::new(actor), None, false, true)
     }
 
     /// Register a shared service.
     pub fn add_service<S: 'static>(&mut self, svc: S) {
-        self.services.insert(svc);
+        self.world.services.insert(svc);
     }
 
     /// Immutable access to a service (between runs; e.g. to read metrics).
     pub fn service<S: 'static>(&self) -> Option<&S> {
-        self.services.get::<S>()
+        self.world.services.get::<S>()
     }
 
     /// Mutable access to a service (between runs).
     pub fn service_mut<S: 'static>(&mut self) -> Option<&mut S> {
-        self.services.get_mut::<S>()
+        self.world.services.get_mut::<S>()
     }
 
     /// Schedule a message from outside the actor system (e.g. test setup or
-    /// experiment wiring). Uses the external scheduling lane.
+    /// experiment wiring). Uses the external scheduling lane: a replicated
+    /// build makes the same schedule on every shard, so the lane's keys
+    /// agree everywhere, and only the shard hosting the target enqueues it.
     pub fn schedule(&mut self, delay: SimDuration, target: ActorId, payload: Payload) {
-        let at = self.now + delay;
-        self.schedule_external(at, target, payload);
+        let at = self.world.now + delay;
+        self.world
+            .enqueue(at, EXTERNAL_LANE, target, payload, None, false);
     }
 
     /// Schedule at an absolute instant (must not be in the past).
     pub fn schedule_at(&mut self, at: SimTime, target: ActorId, payload: Payload) {
-        assert!(at >= self.now, "cannot schedule into the past");
-        self.schedule_external(at, target, payload);
-    }
-
-    /// External-lane scheduling with ghost handling: a replicated build
-    /// performs the same external schedule on every shard, so the lane
-    /// counter advances everywhere (identical keys) but only the shard
-    /// hosting the target enqueues and accounts the event.
-    fn schedule_external(&mut self, at: SimTime, target: ActorId, payload: Payload) {
-        let lane_seq = self.queue.next_lane_seq(EXTERNAL_LANE);
-        let tmeta = self.meta.get(target.index()).copied().unwrap_or_default();
-        if tmeta.ghost {
-            return;
-        }
-        let type_ix = self.queue.intern_type(payload.as_ref().type_id(), None);
-        if self.primary || !tmeta.replicated {
-            self.queue.count_scheduled(type_ix, false);
-        }
-        self.queue.push_keyed(ScheduledEvent {
-            at,
-            lane: EXTERNAL_LANE,
-            lane_seq,
-            target,
-            payload,
-            type_ix,
-        });
+        assert!(at >= self.world.now, "cannot schedule into the past");
+        self.world
+            .enqueue(at, EXTERNAL_LANE, target, payload, None, false);
     }
 
     /// Inject an event that crossed the shard boundary. Its `scheduled`
@@ -465,13 +468,12 @@ impl Simulation {
     /// (and will be accounted as executed/dropped where it dispatches).
     pub fn inject_remote(&mut self, env: RemoteEnvelope) {
         debug_assert!(
-            env.at >= self.now,
+            env.at >= self.world.now,
             "remote envelope arrived in this shard's past: lookahead violated"
         );
-        let type_ix = self
-            .queue
-            .intern_type(env.payload.as_ref().type_id(), env.type_name);
-        self.queue.push_keyed(ScheduledEvent {
+        let queue = &mut self.world.queue;
+        let type_ix = queue.intern_type(env.payload.as_ref().type_id(), env.type_name);
+        queue.push_keyed(ScheduledEvent {
             at: env.at,
             lane: env.lane,
             lane_seq: env.lane_seq,
@@ -483,13 +485,13 @@ impl Simulation {
 
     /// Number of pending events.
     pub fn pending_events(&self) -> usize {
-        self.queue.len()
+        self.world.queue.len()
     }
 
     /// Time of the earliest pending event (the shard's contribution to the
     /// lower-bound-timestamp computation).
     pub fn next_event_time(&self) -> Option<SimTime> {
-        self.queue.peek_time()
+        self.world.queue.peek_time()
     }
 
     /// Run `on_start` for every registered actor now (idempotent). The
@@ -498,133 +500,51 @@ impl Simulation {
     /// timers are part of the initial event population, and a shard whose
     /// only events come from them would otherwise report an empty queue.
     pub fn start(&mut self) {
-        self.ensure_started();
-    }
-
-    fn ensure_started(&mut self) {
-        if self.started {
+        if self.world.started {
             return;
         }
-        self.started = true;
-        for ix in 0..self.actors.len() {
-            self.start_actor(ActorId::from_index(ix));
+        self.world.started = true;
+        for ix in 0..self.world.slots.len() {
+            self.world
+                .with_actor(ActorId::from_index(ix), |actor, ctx| actor.on_start(ctx));
         }
-    }
-
-    fn start_actor(&mut self, id: ActorId) {
-        let Some(slot) = self.actors.get_mut(id.index()) else {
-            return;
-        };
-        let Some(mut actor) = slot.take() else {
-            return;
-        };
-        let mut ctx = Context {
-            now: self.now,
-            self_id: id,
-            queue: &mut self.queue,
-            services: &mut self.services,
-            rngs: &mut self.actor_rngs,
-            actors: &mut self.actors,
-            meta: &mut self.meta,
-            router: &mut self.router,
-            primary: self.primary,
-            sharded: self.locality.is_some(),
-            started: self.started,
-        };
-        actor.on_start(&mut ctx);
-        self.actors[id.index()] = Some(actor);
     }
 
     /// Dispatch exactly one event. Returns `false` if the queue was empty.
     pub fn step(&mut self) -> bool {
-        self.ensure_started();
-        let Some(ev) = self.queue.pop() else {
+        self.start();
+        let w = &mut self.world;
+        let Some(ev) = w.queue.pop() else {
             return false;
         };
-        debug_assert!(ev.at >= self.now, "event queue went backwards");
-        self.now = ev.at;
-        self.sample_depth();
-        let ix = ev.target.index();
-        let type_ix = ev.type_ix;
+        debug_assert!(ev.at >= w.now, "event queue went backwards");
+        w.now = ev.at;
         // Replicated actors execute on every shard but are accounted only
         // on the primary, so summed shard stats equal a serial run. The
         // wall-clock dispatch sample follows the same rule, keeping the
         // merged timing count equal to the merged event count.
-        let count_it = self.primary || !self.meta.get(ix).is_some_and(|m| m.replicated);
-        let taken = self.actors.get_mut(ix).and_then(|s| s.take());
-        match taken {
-            Some(mut actor) => {
-                let t0 = if count_it {
-                    self.queue.wall_start()
-                } else {
-                    None
-                };
-                let mut ctx = Context {
-                    now: self.now,
-                    self_id: ev.target,
-                    queue: &mut self.queue,
-                    services: &mut self.services,
-                    rngs: &mut self.actor_rngs,
-                    actors: &mut self.actors,
-                    meta: &mut self.meta,
-                    router: &mut self.router,
-                    primary: self.primary,
-                    sharded: self.locality.is_some(),
-                    started: self.started,
-                };
-                actor.handle(ev.payload, &mut ctx);
-                self.queue.wall_record(Site::KernelDispatch, t0);
-                // The slot is still None (actors are only ever inserted at
-                // fresh indices while running), so this cannot clobber.
-                self.actors[ix] = Some(actor);
-                if count_it {
-                    self.events_processed += 1;
-                    self.queue.note_executed(type_ix);
-                }
-                if self.dispatch_counts.len() <= ix {
-                    self.dispatch_counts.resize(ix + 1, 0);
-                }
-                self.dispatch_counts[ix] += 1;
-            }
-            None => {
-                if count_it {
-                    self.events_dropped += 1;
-                    self.queue.note_dropped(type_ix);
-                }
-            }
+        let count_it = w.primary || !w.slots.get(ev.target.index()).is_some_and(|s| s.replicated);
+        let t0 = if count_it { w.queue.wall_start() } else { None };
+        let executed = w.with_actor(ev.target, |actor, ctx| actor.handle(ev.payload, ctx));
+        if executed {
+            w.queue.wall_record(Site::KernelDispatch, t0);
+        }
+        if count_it {
+            w.queue.count_dispatched(ev.type_ix, executed);
         }
         true
-    }
-
-    /// Record one queue-depth sample if the sampling cadence is due.
-    /// Bounded: hitting [`DEPTH_SAMPLE_CAP`] drops every other sample and
-    /// doubles the interval.
-    fn sample_depth(&mut self) {
-        if self.now < self.next_depth_sample {
-            return;
-        }
-        self.depth_samples.push((self.now, self.queue.len() as u64));
-        self.next_depth_sample = self.now + self.depth_interval;
-        if self.depth_samples.len() >= DEPTH_SAMPLE_CAP {
-            let mut keep = false;
-            self.depth_samples.retain(|_| {
-                keep = !keep;
-                keep
-            });
-            self.depth_interval = self.depth_interval.saturating_mul(2);
-        }
     }
 
     /// Run until the queue is empty or `horizon` is reached. Events at
     /// exactly `horizon` still fire; the clock ends at
     /// `min(horizon, last event time)`.
     pub fn run_until(&mut self, horizon: SimTime) -> RunOutcome {
-        self.ensure_started();
+        self.start();
         loop {
-            match self.queue.peek_time() {
+            match self.world.queue.peek_time() {
                 None => return RunOutcome::QueueEmpty,
                 Some(t) if t > horizon => {
-                    self.now = horizon;
+                    self.world.now = horizon;
                     return RunOutcome::HorizonReached;
                 }
                 Some(_) => {
@@ -640,8 +560,8 @@ impl Simulation {
     /// `end` nor drains events *at* `end`; the shard executor owns the
     /// window bookkeeping.
     pub fn run_window(&mut self, end: SimTime, horizon: SimTime) {
-        self.ensure_started();
-        while let Some(t) = self.queue.peek_time() {
+        self.start();
+        while let Some(t) = self.world.queue.peek_time() {
             if t >= end || t > horizon {
                 break;
             }
@@ -652,25 +572,20 @@ impl Simulation {
     /// Advance the clock to `t` without executing anything (end-of-run
     /// normalisation by the shard executor).
     pub fn advance_to(&mut self, t: SimTime) {
-        debug_assert!(t >= self.now, "cannot move the clock backwards");
-        self.now = t;
-    }
-
-    /// Run for a relative span of virtual time.
-    pub fn run_for(&mut self, d: SimDuration) -> RunOutcome {
-        let horizon = self.now + d;
-        self.run_until(horizon)
+        debug_assert!(t >= self.world.now, "cannot move the clock backwards");
+        self.world.now = t;
     }
 
     /// Run until the queue drains, with a hard event-count limit as runaway
     /// protection.
     pub fn run_to_completion(&mut self, max_events: u64) -> RunOutcome {
-        self.ensure_started();
-        let start = self.events_processed + self.events_dropped;
-        while !self.queue.is_empty() {
-            if self.events_processed + self.events_dropped - start >= max_events {
+        self.start();
+        let mut left = max_events;
+        while !self.world.queue.is_empty() {
+            if left == 0 {
                 return RunOutcome::EventLimit;
             }
+            left -= 1;
             self.step();
         }
         RunOutcome::QueueEmpty
@@ -679,23 +594,14 @@ impl Simulation {
 
 /// The world as seen from inside an actor callback.
 pub struct Context<'a> {
-    now: SimTime,
+    world: &'a mut World,
     self_id: ActorId,
-    queue: &'a mut EventQueue,
-    services: &'a mut ServiceMap,
-    rngs: &'a mut ActorRngs,
-    actors: &'a mut Vec<ActorSlot>,
-    meta: &'a mut Vec<ActorMeta>,
-    router: &'a mut Option<Box<dyn RemoteRouter>>,
-    primary: bool,
-    sharded: bool,
-    started: bool,
 }
 
 impl Context<'_> {
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.world.now
     }
 
     /// The id of the actor currently handling a message.
@@ -707,18 +613,18 @@ impl Context<'_> {
     /// `(seed, actor index)`, so the draw sequence is independent of event
     /// interleaving with other actors (and therefore of sharding).
     pub fn rng(&mut self) -> &mut SimRng {
-        self.rngs.get(self.self_id.index())
+        &mut self.world.slots[self.self_id.index()].rng
     }
 
     /// True if `id` is hosted by another shard (always false serially).
     pub fn is_remote(&self, id: ActorId) -> bool {
-        self.meta.get(id.index()).is_some_and(|m| m.ghost)
+        self.world.slots.get(id.index()).is_some_and(|s| s.ghost)
     }
 
     /// True on the accounting-primary shard (and in serial runs). Lets
     /// replicated actors count a side effect exactly once across shards.
     pub fn accounting_primary(&self) -> bool {
-        self.primary
+        self.world.primary
     }
 
     /// Open a wall-clock probe: `Some(now)` only when the site table is
@@ -726,7 +632,7 @@ impl Context<'_> {
     /// reads the clock.
     #[inline]
     pub fn wall_start(&self) -> Option<Instant> {
-        self.queue.wall_start()
+        self.world.queue.wall_start()
     }
 
     /// Close a probe opened by [`wall_start`](Self::wall_start), adding
@@ -734,7 +640,7 @@ impl Context<'_> {
     /// `None`.
     #[inline]
     pub fn wall_record(&mut self, site: Site, t0: Option<Instant>) {
-        self.queue.wall_record(site, t0);
+        self.world.queue.wall_record(site, t0);
     }
 
     /// Send a message to `target` after `delay`. The value is boxed here;
@@ -748,87 +654,24 @@ impl Context<'_> {
         target: ActorId,
         value: T,
     ) {
-        self.schedule_typed(delay, target, value, false);
+        let name = Some(std::any::type_name::<T>());
+        self.send(delay, target, Box::new(value), name, false);
     }
 
-    /// Shared typed scheduling path: captures the payload type name (for the
-    /// kernel's per-type event accounting) before boxing erases it.
-    fn schedule_typed<T: std::any::Any + Send>(
+    /// Every actor send: this actor's lane through the one enqueue rule.
+    /// `name` is the payload's type name, captured by the typed senders
+    /// before boxing erases it.
+    fn send(
         &mut self,
         delay: SimDuration,
-        target: ActorId,
-        value: T,
-        timer: bool,
-    ) {
-        self.schedule_keyed(
-            self.now + delay,
-            target,
-            Box::new(value),
-            Some(std::any::type_name::<T>()),
-            timer,
-        );
-    }
-
-    /// The one scheduling choke point for actor sends. Assigns the
-    /// deterministic `(at, lane, lane_seq)` key from this actor's lane, then
-    /// applies the shard policy:
-    ///
-    /// * local target — enqueue (and account, unless the target is
-    ///   replicated and this is not the primary shard);
-    /// * ghost target, normal sender — account here (sender side) and hand
-    ///   the keyed envelope to the router;
-    /// * ghost target, replicated sender — drop silently: the sender's
-    ///   replica on the target's own shard performs the local send.
-    fn schedule_keyed(
-        &mut self,
-        at: SimTime,
         target: ActorId,
         payload: Payload,
         name: Option<&'static str>,
         timer: bool,
     ) {
-        let lane = self.self_id.index() as u32;
-        let lane_seq = self.queue.next_lane_seq(lane);
-        let tmeta = self.meta.get(target.index()).copied().unwrap_or_default();
-        if tmeta.ghost {
-            let self_rep = self
-                .meta
-                .get(self.self_id.index())
-                .is_some_and(|m| m.replicated);
-            if self_rep {
-                return;
-            }
-            let type_ix = self.queue.intern_type(payload.as_ref().type_id(), name);
-            self.queue.count_scheduled(type_ix, timer);
-            let node = tmeta.node.expect("ghost actor has no node");
-            self.router
-                .as_mut()
-                .expect("message to a ghost actor but no router installed")
-                .route(
-                    RemoteEnvelope {
-                        at,
-                        lane,
-                        lane_seq,
-                        target,
-                        payload,
-                        type_name: name,
-                    },
-                    node,
-                );
-            return;
-        }
-        let type_ix = self.queue.intern_type(payload.as_ref().type_id(), name);
-        if self.primary || !tmeta.replicated {
-            self.queue.count_scheduled(type_ix, timer);
-        }
-        self.queue.push_keyed(ScheduledEvent {
-            at,
-            lane,
-            lane_seq,
-            target,
-            payload,
-            type_ix,
-        });
+        let at = self.world.now + delay;
+        let lane = self.self_id.lane();
+        self.world.enqueue(at, lane, target, payload, name, timer);
     }
 
     /// Send a message to `target` at the current instant. Among events for
@@ -840,14 +683,14 @@ impl Context<'_> {
 
     /// Forward an already-boxed payload without re-boxing.
     pub fn send_raw_in(&mut self, delay: SimDuration, target: ActorId, payload: Payload) {
-        self.schedule_keyed(self.now + delay, target, payload, None, false);
+        self.send(delay, target, payload, None, false);
     }
 
     /// Send a message to self after `delay` (a timer). Counted separately
     /// from ordinary messages in the kernel's event accounting.
     pub fn timer<T: std::any::Any + Send>(&mut self, delay: SimDuration, value: T) {
-        let me = self.self_id;
-        self.schedule_typed(delay, me, value, true);
+        let name = Some(std::any::type_name::<T>());
+        self.send(delay, self.self_id, Box::new(value), name, true);
     }
 
     /// Spawn a new actor mid-simulation; `on_start` runs immediately.
@@ -857,32 +700,10 @@ impl Context<'_> {
     /// no production component needs it.
     pub fn spawn(&mut self, actor: impl Actor + 'static) -> ActorId {
         assert!(
-            !self.sharded,
+            self.world.locality.is_none(),
             "Context::spawn is not supported in sharded runs"
         );
-        let id = ActorId::from_index(self.actors.len());
-        self.actors.push(Some(Box::new(actor)));
-        self.meta.push(ActorMeta::default());
-        if self.started {
-            // Run on_start with a nested context for the new actor.
-            let mut newcomer = self.actors[id.index()].take().expect("just inserted");
-            let mut ctx = Context {
-                now: self.now,
-                self_id: id,
-                queue: self.queue,
-                services: self.services,
-                rngs: self.rngs,
-                actors: self.actors,
-                meta: self.meta,
-                router: self.router,
-                primary: self.primary,
-                sharded: self.sharded,
-                started: self.started,
-            };
-            newcomer.on_start(&mut ctx);
-            self.actors[id.index()] = Some(newcomer);
-        }
-        id
+        self.world.add(Box::new(actor), None, false, false)
     }
 
     /// Exclusive access to a shared service while retaining the ability to
@@ -894,43 +715,30 @@ impl Context<'_> {
         &mut self,
         f: impl FnOnce(&mut S, &mut Context<'_>) -> R,
     ) -> R {
-        let mut svc = self
-            .services
+        let services = &mut self.world.services;
+        let mut svc = services
             .take::<S>()
-            .unwrap_or_else(|| panic_missing::<S>(self.services));
-        let r = f(
-            &mut svc,
-            &mut Context {
-                now: self.now,
-                self_id: self.self_id,
-                queue: self.queue,
-                services: self.services,
-                rngs: self.rngs,
-                actors: self.actors,
-                meta: self.meta,
-                router: self.router,
-                primary: self.primary,
-                sharded: self.sharded,
-                started: self.started,
-            },
-        );
-        self.services.put(svc);
+            .unwrap_or_else(|| panic_missing::<S>(services));
+        let r = f(&mut svc, self);
+        self.world.services.put(svc);
         r
     }
 
     /// Plain mutable access to a service when no scheduling is needed.
     pub fn service_mut<S: 'static>(&mut self) -> &mut S {
-        if !self.services.contains::<S>() {
-            panic_missing::<S>(self.services);
+        let services = &mut self.world.services;
+        if !services.contains::<S>() {
+            panic_missing::<S>(services);
         }
-        self.services.get_mut::<S>().expect("checked above")
+        services.get_mut::<S>().expect("checked above")
     }
 
     /// Plain shared access to a service.
     pub fn service<S: 'static>(&self) -> &S {
-        self.services
+        let services = &self.world.services;
+        services
             .get::<S>()
-            .unwrap_or_else(|| panic_missing::<S>(self.services))
+            .unwrap_or_else(|| panic_missing::<S>(services))
     }
 
     /// Mutable access to a service that may not be registered (e.g. the
@@ -938,7 +746,7 @@ impl Context<'_> {
     /// instrumentation can no-op when the service is absent.
     #[inline]
     pub fn try_service_mut<S: 'static>(&mut self) -> Option<&mut S> {
-        self.services.get_mut::<S>()
+        self.world.services.get_mut::<S>()
     }
 }
 
@@ -1159,25 +967,6 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_counters_track_hot_actors() {
-        let mut sim = Simulation::new(12);
-        let quiet = sim.add_actor(crate::actor::NullActor);
-        let busy = sim.add_actor(crate::actor::NullActor);
-        sim.schedule(SimDuration::from_secs(1), quiet, Box::new(()));
-        for i in 0..5u64 {
-            sim.schedule(SimDuration::from_secs(i + 1), busy, Box::new(()));
-        }
-        sim.run_to_completion(100);
-        assert_eq!(sim.dispatch_count(quiet), 1);
-        assert_eq!(sim.dispatch_count(busy), 5);
-        let top = sim.busiest_actors(1);
-        assert_eq!(top.len(), 1);
-        assert_eq!(top[0].0, busy);
-        assert_eq!(top[0].2, 5);
-        assert_eq!(sim.dispatch_count(ActorId::from_index(99)), 0);
-    }
-
-    #[test]
     fn stats_type_counts_sum_to_scheduled_total() {
         #[derive(Debug)]
         struct Ping;
@@ -1216,7 +1005,6 @@ mod tests {
         assert_eq!(stats.timer_scheduled, 1);
         assert_eq!(stats.events_dropped, 1);
         assert!(stats.peak_queue_depth >= 1);
-        assert!(!stats.depth_samples.is_empty());
         // Typed sends carry their short type names; raw schedule() is
         // <untyped>.
         assert!(stats.by_type.iter().any(|t| t.name == "Ping"));
@@ -1417,39 +1205,20 @@ mod tests {
             dropped: 0,
             timers: 0,
         };
-        let a = KernelStats {
-            events_processed: 3,
-            events_dropped: 1,
-            scheduled_total: 5,
-            timer_scheduled: 2,
-            message_scheduled: 3,
-            peak_queue_depth: 4,
-            by_type: vec![mk("Tick", 3, 2), mk("Ping", 2, 1)],
-            depth_samples: vec![(SimTime::ZERO, 1)],
-        };
-        let b = KernelStats {
-            events_processed: 2,
-            events_dropped: 0,
-            scheduled_total: 2,
-            timer_scheduled: 1,
-            message_scheduled: 1,
-            peak_queue_depth: 9,
-            by_type: vec![mk("Tick", 2, 2)],
-            depth_samples: vec![(SimTime::ZERO, 7)],
-        };
+        let a = KernelStats::from_types(vec![mk("Tick", 3, 2), mk("Ping", 2, 1)], 4);
+        let b = KernelStats::from_types(vec![mk("Tick", 2, 2)], 9);
+        assert_eq!((a.events_processed, a.scheduled_total), (3, 5));
         let m = KernelStats::merged(&[a.clone(), b]);
         assert_eq!(m.events_processed, 5);
         assert_eq!(m.scheduled_total, 7);
         assert_eq!(m.peak_queue_depth, 9);
-        assert_eq!(m.depth_samples, vec![(SimTime::ZERO, 1)]);
         let tick = m.by_type.iter().find(|t| t.name == "Tick").unwrap();
         assert_eq!(tick.scheduled, 5);
         assert_eq!(tick.executed, 4);
-        // Digest ignores the carve-outs: same conserved counters, different
-        // peak depth / samples → same digest.
+        // Digest ignores the carve-out: same conserved counters, different
+        // peak depth → same digest.
         let mut a2 = a.clone();
         a2.peak_queue_depth = 999;
-        a2.depth_samples.clear();
         assert_eq!(a.determinism_digest(), a2.determinism_digest());
         assert_ne!(a.determinism_digest(), m.determinism_digest());
         // merged of a single part is digest-identical to the part.

@@ -66,38 +66,21 @@ impl Table {
         out
     }
 
-    /// GitHub-flavored markdown rendering: `### title`, then a pipe
-    /// table. Cells containing `|` are escaped.
+    /// GitHub-flavored markdown rendering: `# title`, then a pipe table
+    /// with `| --- |` separators. Cells containing `|` are escaped.
     pub fn to_markdown(&self) -> String {
-        let esc = |s: &str| s.replace('|', "\\|");
+        let row = |cells: &[String]| {
+            let cells: Vec<String> = cells.iter().map(|c| c.replace('|', "\\|")).collect();
+            format!("| {} |\n", cells.join(" | "))
+        };
         let mut out = String::new();
         if !self.title.is_empty() {
-            let _ = writeln!(out, "### {}\n", self.title);
+            let _ = writeln!(out, "# {}\n", self.title);
         }
-        let _ = writeln!(
-            out,
-            "| {} |",
-            self.columns
-                .iter()
-                .map(|c| esc(c))
-                .collect::<Vec<_>>()
-                .join(" | ")
-        );
-        let _ = writeln!(
-            out,
-            "|{}|",
-            self.columns
-                .iter()
-                .map(|_| "---")
-                .collect::<Vec<_>>()
-                .join("|")
-        );
-        for row in &self.rows {
-            let _ = writeln!(
-                out,
-                "| {} |",
-                row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(" | ")
-            );
+        out.push_str(&row(&self.columns));
+        let _ = writeln!(out, "|{}", " --- |".repeat(self.columns.len()));
+        for cells in &self.rows {
+            out.push_str(&row(cells));
         }
         out
     }
@@ -276,11 +259,10 @@ mod tests {
         t.push_row(vec!["jms.match".into(), "+12.5".into()]);
         t.push_row(vec!["a|b".into(), "0".into()]);
         let md = t.to_markdown();
-        assert!(md.starts_with("### Attribution\n"));
-        assert!(md.contains("| site | Δ ms |"));
-        assert!(md.contains("|---|---|"));
-        assert!(md.contains("| jms.match | +12.5 |"));
-        assert!(md.contains("| a\\|b | 0 |"));
+        assert_eq!(
+            md,
+            "# Attribution\n\n| site | Δ ms |\n| --- | --- |\n| jms.match | +12.5 |\n| a\\|b | 0 |\n"
+        );
     }
 
     #[test]

@@ -9,6 +9,13 @@
 //! the simulated numbers alone but adds, drops or moves an event shows
 //! in `events=`.
 //!
+//! Beside each line sits the run's `KernelStats::determinism_digest()`:
+//! per payload type, the events scheduled, executed, dropped and the
+//! timers among them, and the totals those columns sum to. It is
+//! shard-invariant by construction (`tests/shard_equivalence.rs`), so it
+//! pins the kernel's one accounting record exactly at every
+//! `GRIDMON_SHARDS` value.
+//!
 //! `fabric_sends=`, `executes=` and `jms_matches=` are the operation
 //! counts of the `--scope` site table (each spec runs scoped; scoping is
 //! inert, `scoped_runs_are_byte_identical_to_plain`). They catch a
@@ -35,8 +42,9 @@ fn spec(name: &str, system: SystemUnderTest, generators: usize) -> ExperimentSpe
         .scoped()
 }
 
-/// Each spec beside the line [`render`] must produce for it.
-fn golden() -> Vec<(ExperimentSpec, &'static str)> {
+/// Each spec beside the line [`render`] must produce for it and its
+/// kernel's `determinism_digest()`.
+fn golden() -> Vec<(ExperimentSpec, &'static str, &'static str)> {
     let mut udp = spec("narada-udp", SystemUnderTest::NaradaSingle, 800);
     udp.transport = Transport::Udp;
     vec![
@@ -46,6 +54,11 @@ fn golden() -> Vec<(ExperimentSpec, &'static str)> {
              on_time=16000 late=0 lost=0 worst_burn=0.000000 delivery_p99_ms=8.704000 \
              events=51055 \
              fabric_sends=33604 executes=64823 jms_matches=16000",
+            "processed=51055 dropped=0 scheduled=51057 timers=17453 messages=33604\n\
+             type Delivery scheduled=33604 executed=33604 dropped=0 timers=0\n\
+             type PubTick scheduled=16000 executed=16000 dropped=0 timers=16000\n\
+             type CreateGen scheduled=800 executed=800 dropped=0 timers=800\n\
+             type Tick scheduled=653 executed=651 dropped=0 timers=653\n",
         ),
         (
             udp,
@@ -53,6 +66,12 @@ fn golden() -> Vec<(ExperimentSpec, &'static str)> {
              on_time=15952 late=0 lost=8 worst_burn=0.291971 delivery_p99_ms=18.176000 \
              events=98808 \
              fabric_sends=65455 executes=96578 jms_matches=15960",
+            "processed=98808 dropped=0 scheduled=98810 timers=33385 messages=65425\n\
+             type Delivery scheduled=65425 executed=65425 dropped=0 timers=0\n\
+             type ClientTimer scheduled=15972 executed=15972 dropped=0 timers=15972\n\
+             type PubTick scheduled=15960 executed=15960 dropped=0 timers=15960\n\
+             type CreateGen scheduled=800 executed=800 dropped=0 timers=800\n\
+             type Tick scheduled=653 executed=651 dropped=0 timers=653\n",
         ),
         (
             spec("narada-dbn", SystemUnderTest::NaradaDbn { brokers: 3 }, 800),
@@ -60,6 +79,12 @@ fn golden() -> Vec<(ExperimentSpec, &'static str)> {
              on_time=16000 late=0 lost=0 worst_burn=0.000000 delivery_p99_ms=10.624000 \
              events=115109 \
              fabric_sends=97606 executes=192864 jms_matches=48000",
+            "processed=115109 dropped=0 scheduled=115113 timers=17504 messages=97609\n\
+             type Delivery scheduled=97606 executed=97606 dropped=0 timers=0\n\
+             type PubTick scheduled=16000 executed=16000 dropped=0 timers=16000\n\
+             type CreateGen scheduled=800 executed=800 dropped=0 timers=800\n\
+             type Tick scheduled=704 executed=700 dropped=0 timers=704\n\
+             type <untyped> scheduled=3 executed=3 dropped=0 timers=0\n",
         ),
         (
             spec("rgma-single", SystemUnderTest::RgmaSingle, 400),
@@ -67,6 +92,16 @@ fn golden() -> Vec<(ExperimentSpec, &'static str)> {
              on_time=8000 late=0 lost=0 worst_burn=0.000000 delivery_p99_ms=1605.632000 \
              events=45505 \
              fabric_sends=29943 executes=43624 jms_matches=0",
+            "processed=45505 dropped=0 scheduled=45513 timers=15568 messages=29945\n\
+             type Delivery scheduled=29943 executed=29942 dropped=0 timers=0\n\
+             type PubTick scheduled=8000 executed=8000 dropped=0 timers=8000\n\
+             type RgmaTimer scheduled=5763 executed=5762 dropped=0 timers=5763\n\
+             type Tick scheduled=709 executed=706 dropped=0 timers=709\n\
+             type FlushTick scheduled=434 executed=433 dropped=0 timers=434\n\
+             type CreateGen scheduled=400 executed=400 dropped=0 timers=400\n\
+             type PlanTick scheduled=131 executed=130 dropped=0 timers=131\n\
+             type SweepTick scheduled=131 executed=130 dropped=0 timers=131\n\
+             type <untyped> scheduled=2 executed=2 dropped=0 timers=0\n",
         ),
         (
             spec("rgma-dist", SystemUnderTest::RgmaDistributed, 800),
@@ -74,6 +109,16 @@ fn golden() -> Vec<(ExperimentSpec, &'static str)> {
              on_time=16000 late=0 lost=0 worst_burn=0.000000 delivery_p99_ms=1654.784000 \
              events=92147 \
              fabric_sends=61368 executes=89813 jms_matches=0",
+            "processed=92147 dropped=0 scheduled=92166 timers=30794 messages=61372\n\
+             type Delivery scheduled=61368 executed=61365 dropped=0 timers=0\n\
+             type PubTick scheduled=16000 executed=16000 dropped=0 timers=16000\n\
+             type RgmaTimer scheduled=11715 executed=11714 dropped=0 timers=11715\n\
+             type Tick scheduled=887 executed=878 dropped=0 timers=887\n\
+             type FlushTick scheduled=868 executed=866 dropped=0 timers=868\n\
+             type CreateGen scheduled=800 executed=800 dropped=0 timers=800\n\
+             type PlanTick scheduled=262 executed=260 dropped=0 timers=262\n\
+             type SweepTick scheduled=262 executed=260 dropped=0 timers=262\n\
+             type <untyped> scheduled=4 executed=4 dropped=0 timers=0\n",
         ),
         (
             spec("rgma-secondary", SystemUnderTest::RgmaSecondary, 100),
@@ -81,6 +126,16 @@ fn golden() -> Vec<(ExperimentSpec, &'static str)> {
              on_time=131 late=1869 lost=0 worst_burn=100.000000 delivery_p99_ms=32243.712000 \
              events=20286 \
              fabric_sends=13064 executes=19107 jms_matches=0",
+            "processed=20286 dropped=0 scheduled=20299 timers=7233 messages=13066\n\
+             type Delivery scheduled=13064 executed=13062 dropped=0 timers=0\n\
+             type RgmaTimer scheduled=4033 executed=4032 dropped=0 timers=4033\n\
+             type PubTick scheduled=2000 executed=2000 dropped=0 timers=2000\n\
+             type Tick scheduled=524 executed=519 dropped=0 timers=524\n\
+             type FlushTick scheduled=309 executed=307 dropped=0 timers=309\n\
+             type PlanTick scheduled=178 executed=176 dropped=0 timers=178\n\
+             type CreateGen scheduled=100 executed=100 dropped=0 timers=100\n\
+             type SweepTick scheduled=89 executed=88 dropped=0 timers=89\n\
+             type <untyped> scheduled=2 executed=2 dropped=0 timers=0\n",
         ),
         (
             // Moved once (was rtt_mean_ms=11.341019, both p99s 16.128000):
@@ -92,6 +147,13 @@ fn golden() -> Vec<(ExperimentSpec, &'static str)> {
              on_time=16000 late=0 lost=0 worst_burn=0.000000 delivery_p99_ms=15.104000 \
              events=128064 \
              fabric_sends=74599 executes=69308 jms_matches=0",
+            "processed=128064 dropped=0 scheduled=128074 timers=53475 messages=74599\n\
+             type Delivery scheduled=74599 executed=74599 dropped=0 timers=0\n\
+             type BrokerTimer scheduled=20022 executed=20014 dropped=0 timers=20022\n\
+             type ClientTimer scheduled=16000 executed=16000 dropped=0 timers=16000\n\
+             type PubTick scheduled=16000 executed=16000 dropped=0 timers=16000\n\
+             type CreateGen scheduled=800 executed=800 dropped=0 timers=800\n\
+             type Tick scheduled=653 executed=651 dropped=0 timers=653\n",
         ),
     ]
 }
@@ -125,9 +187,14 @@ fn render(r: &ExperimentResult) -> String {
 
 #[test]
 fn virtual_clock_numbers_match_the_golden_table() {
-    let (specs, lines): (Vec<_>, Vec<_>) = golden().into_iter().unzip();
-    for (result, line) in run_all(&specs, 0).iter().zip(lines) {
+    let (specs, lines): (Vec<_>, Vec<_>) = golden()
+        .into_iter()
+        .map(|(spec, line, digest)| (spec, (line, digest)))
+        .unzip();
+    for (result, (line, digest)) in run_all(&specs, 0).iter().zip(lines) {
         assert_eq!(render(result), line, "{}", result.name);
+        let kernel = result.kernel.determinism_digest();
+        assert_eq!(kernel, digest, "{}", result.name);
     }
 }
 

@@ -7,11 +7,10 @@
 //! serial fast path) through one merge pipeline, so equality here is a
 //! structural property; these tests are the proof obligation. Carve-outs
 //! from comparison are exactly the documented non-deterministic fields:
-//! `wall_secs`, the wall-clock `scope` nanos, and the two
-//! layout-dependent kernel counters (`peak_queue_depth`,
-//! `depth_samples`) that `KernelStats::determinism_digest()` excludes —
-//! a queue high-watermark is a property of one queue, and shards have
-//! several.
+//! `wall_secs`, the wall-clock `scope` nanos, and the layout-dependent
+//! kernel counter (`peak_queue_depth`) that
+//! `KernelStats::determinism_digest()` excludes — a queue high-watermark
+//! is a property of one queue, and shards have several.
 
 use gridmon::core::{run_experiment, ExperimentResult, ExperimentSpec, SystemUnderTest};
 use gridmon::jms::AckMode;
