@@ -338,9 +338,13 @@ pub struct ExperimentResult {
     /// set). Derived entirely from the merged record set, so it is
     /// byte-identical across shard counts like every other artifact.
     pub slo: Option<SloArtifacts>,
-    /// Host wall-clock seconds this run took (perf-baseline input; the
-    /// only non-deterministic field).
+    /// Host wall-clock seconds the run took: world build, simulation and
+    /// taking the shards' recorders apart (perf-baseline input;
+    /// non-deterministic, like `merge_render_secs`).
     pub wall_secs: f64,
+    /// Host wall-clock seconds after the run: merging the shards'
+    /// recorders and rendering every export.
+    pub merge_render_secs: f64,
 }
 
 /// Deterministic geometry of one experiment, shared by every shard's
@@ -902,6 +906,7 @@ fn merge_results(
     partials: Vec<ShardPartial>,
     wall_secs: f64,
 ) -> ExperimentResult {
+    let merge_start = std::time::Instant::now();
     let server_nodes: Vec<NodeId> = (0..lay.server_count).map(|i| NodeId(i as u16)).collect();
     let now = partials[0].now;
     debug_assert!(
@@ -1070,6 +1075,7 @@ fn merge_results(
         scope,
         slo,
         wall_secs,
+        merge_render_secs: merge_start.elapsed().as_secs_f64(),
     }
 }
 

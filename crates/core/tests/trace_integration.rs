@@ -26,7 +26,8 @@ fn assert_trace_matches_the_summary(r: &gridmon_core::ExperimentResult) {
     let rtts: Vec<u64> = trace
         .summary
         .probes
-        .values()
+        .iter()
+        .map(|(_, p)| p)
         .filter_map(|p| p.rtt())
         .collect();
     assert_eq!(rtts.len() as u64, r.summary.received);
@@ -104,7 +105,8 @@ fn trace_covers_every_delivered_probe() {
     let with_begin = trace
         .summary
         .probes
-        .values()
+        .iter()
+        .map(|(_, p)| p)
         .filter(|p| p.publish_begin.is_some())
         .count() as u64;
     assert_eq!(
@@ -132,5 +134,16 @@ fn different_seed_traces_differ() {
     assert_ne!(
         a.jsonl, b.jsonl,
         "different seeds must perturb event timing"
+    );
+}
+
+#[test]
+fn a_traced_run_times_its_merge_and_render_beside_the_run() {
+    let r = run_experiment(&traced_spec("tr-merge", SystemUnderTest::NaradaSingle, 6));
+    assert!(r.trace.is_some_and(|t| !t.chrome.is_empty()));
+    assert!(r.wall_secs > 0.0, "the run");
+    assert!(
+        r.merge_render_secs > 0.0,
+        "the merge and the exports after it"
     );
 }

@@ -5,10 +5,12 @@
 //! or a string only where the grammar consumes it, so a comma costs a
 //! byte compare and nothing is built to be dropped. [`lex`] / [`Token`]
 //! are the public view over the same spans. *Writing* is
-//! [`write_uint`] and [`write_fixed`]: the literals a publisher wraps in
-//! its `INSERT`, appended to a buffer it reuses — [`write_fixed`] prints
-//! byte for byte what `{:.p$}` prints, by exact integer arithmetic.
+//! [`write_fixed`] and `simcore`'s [`write_uint`]: the literals a
+//! publisher wraps in its `INSERT`, appended to a buffer it reuses —
+//! [`write_fixed`] prints byte for byte what `{:.p$}` prints, by exact
+//! integer arithmetic.
 
+use simcore::write_uint;
 use std::borrow::Cow;
 use std::fmt::{self, Write};
 
@@ -451,27 +453,6 @@ const POW10: [u64; 20] = {
     }
     table
 };
-
-/// Append `v` in decimal, zero-padded to at least `min_digits` digits:
-/// what `{v:0min_digits$}` prints.
-pub fn write_uint(out: &mut String, mut v: u64, min_digits: usize) {
-    // Least significant digit first, from the end of the buffer.
-    let mut digits = [b'0'; 20];
-    let mut at = digits.len();
-    while v > 0 {
-        at -= 1;
-        digits[at] = b'0' + (v % 10) as u8;
-        v /= 10;
-    }
-    for _ in digits.len() - at..min_digits.max(1) {
-        match at.checked_sub(1) {
-            Some(left) => at = left,
-            // Padding wider than a u64 is long: beyond the buffer.
-            None => out.push('0'),
-        }
-    }
-    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
-}
 
 /// Append `x` with exactly `precision` decimals: byte for byte what
 /// `{x:.precision$}` prints.

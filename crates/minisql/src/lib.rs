@@ -10,8 +10,9 @@
 //!   PRECISION`/`CHAR(n)`/`VARCHAR(n)` columns,
 //! * `INSERT INTO … VALUES …` with validation, coercion and width checks,
 //! * `SELECT cols FROM t WHERE …` with three-valued predicates,
-//! * the writer of the literals an `INSERT` wraps ([`write_uint`],
-//!   [`write_fixed`]), beside the lexer that reads them back,
+//! * the writer of the literals an `INSERT` wraps ([`write_fixed`], and
+//!   `simcore::write_uint` for integers), beside the lexer that reads
+//!   them back,
 //!
 //! plus a per-evaluation CPU cost model charged to R-GMA server nodes.
 //! (Joins and aggregate functions are outside the study's workload and are
@@ -26,6 +27,6 @@ pub mod schema;
 
 pub use ast::{CmpOp, ColumnDef, Predicate, SqlType, Statement};
 pub use eval::{eval_predicate, predicate_cost, row_matches};
-pub use lexer::{lex, write_fixed, write_uint, LexError, Lexer, Token};
+pub use lexer::{lex, write_fixed, LexError, Lexer, Token};
 pub use parser::{parse, ParseError};
 pub use schema::{BindError, Catalog, SchemaError, TableSchema};

@@ -3,8 +3,9 @@
 //! bind against its two-step reference, and the literal writer against
 //! `core::fmt`.
 
-use minisql::{parse, write_fixed, write_uint, BindError, Catalog, SqlType, Statement};
+use minisql::{parse, write_fixed, BindError, Catalog, SqlType, Statement};
 use proptest::prelude::*;
+use simcore::write_uint;
 use wire::Value;
 
 /// The reference the servlet's one-pass bind must reproduce: build the

@@ -100,6 +100,22 @@ struct DurableSub {
     attached: bool,
 }
 
+/// The names this broker's metrics go by: built once per broker index,
+/// not formatted per publish.
+struct MetricNames {
+    publishes: String,
+    pending_acks: String,
+}
+
+impl MetricNames {
+    fn of(broker: u16) -> Self {
+        MetricNames {
+            publishes: format!("narada.broker{broker}.publishes"),
+            pending_acks: format!("narada.broker{broker}.pending_acks"),
+        }
+    }
+}
+
 /// The broker actor.
 pub struct Broker {
     cfg: NaradaConfig,
@@ -124,6 +140,10 @@ pub struct Broker {
     /// Durable (CLIENT-ack UDP topic) subscriptions remembered across
     /// crashes, keyed by subscriber actor index.
     durable_subs: std::collections::BTreeMap<u64, Vec<DurableSub>>,
+    /// Deliveries awaiting a client ack: the sum of every held
+    /// connection's `pending`, kept as entries come and go.
+    pending_acks: usize,
+    metric_names: MetricNames,
     stats: StatsHandle,
 }
 
@@ -142,6 +162,8 @@ impl Broker {
             seen_forwards: FastMap::default(),
             stable: std::collections::BTreeMap::new(),
             durable_subs: std::collections::BTreeMap::new(),
+            pending_acks: 0,
+            metric_names: MetricNames::of(0),
             stats: StatsHandle::default(),
         }
     }
@@ -221,7 +243,8 @@ impl Broker {
     }
 
     fn on_disconnect(&mut self, ctx: &mut Context<'_>, conn: ConnId) {
-        if self.server.release(ctx, conn).is_some() {
+        if let Some(state) = self.server.release(ctx, conn) {
+            self.pending_acks -= state.pending.len();
             simprof::hit(ctx, Component::OsSched);
             self.engine.drop_connection(conn);
             self.gossip_interests(ctx);
@@ -363,8 +386,9 @@ impl Broker {
         let done = simprof::profile_span!(ctx, Component::NaradaRoute, {
             self.cpu_matched(ctx, cost, match_cost)
         });
+        let publishes = &self.metric_names.publishes;
         telemetry::with_metrics(ctx, |m, _| {
-            m.add_counter(&format!("narada.broker{broker}.publishes"), 1);
+            m.add_counter(publishes, 1);
             m.observe("narada.publish_cost_us", cost.as_micros());
         });
 
@@ -467,29 +491,32 @@ impl Broker {
                         .map_or(m.deliver_seq, |s| s.max(m.deliver_seq)),
                 );
                 if m.ack_mode == AckMode::Client {
-                    state.pending.insert(
-                        m.deliver_seq,
-                        PendingDelivery {
-                            sub_id: m.sub_id,
-                            probe,
-                            message: message.clone(),
-                            retransmitted: false,
-                        },
-                    );
+                    let pending = PendingDelivery {
+                        sub_id: m.sub_id,
+                        probe,
+                        message: message.clone(),
+                        retransmitted: false,
+                    };
+                    if state.pending.insert(m.deliver_seq, pending).is_none() {
+                        self.pending_acks += 1;
+                    }
                 }
             }
         }
         // Per-broker queue depth: deliveries awaiting client acks
-        // (CLIENT-ack UDP retention). Only computed when the metrics
-        // plane is on.
-        let broker_ix = self.my_ix;
-        let server = &self.server;
+        // (CLIENT-ack UDP retention).
+        let (depth, name, server) = (
+            self.pending_acks,
+            &self.metric_names.pending_acks,
+            &self.server,
+        );
         telemetry::with_metrics(ctx, |m, _| {
-            let depth: usize = server.states().map(|c| c.pending.len()).sum();
-            m.set_gauge(
-                &format!("narada.broker{broker_ix}.pending_acks"),
-                depth as f64,
+            debug_assert_eq!(
+                depth,
+                server.states().map(|c| c.pending.len()).sum::<usize>(),
+                "the running pending-ack count is the sum over connections"
             );
+            m.set_gauge(name, depth as f64);
         });
     }
 
@@ -640,6 +667,7 @@ impl Broker {
         self.stats.borrow_mut().crashes += 1;
         for (conn, state) in held {
             let peer = self.subscriber_on(ctx, conn);
+            self.pending_acks -= state.pending.len();
             let mut pending: Vec<(u64, PendingDelivery)> = state.pending.into_iter().collect();
             pending.sort_unstable_by_key(|&(seq, _)| seq);
             for (_, p) in pending {
@@ -716,15 +744,15 @@ impl Broker {
             }
             if let Some(state) = self.server.state_mut(conn) {
                 state.max_sent_seq = Some(state.max_sent_seq.map_or(seq, |s| s.max(seq)));
-                state.pending.insert(
-                    seq,
-                    PendingDelivery {
-                        sub_id,
-                        probe: e.probe,
-                        message: e.message,
-                        retransmitted: false,
-                    },
-                );
+                let pending = PendingDelivery {
+                    sub_id,
+                    probe: e.probe,
+                    message: e.message,
+                    retransmitted: false,
+                };
+                if state.pending.insert(seq, pending).is_none() {
+                    self.pending_acks += 1;
+                }
             }
         }
         simfault::with_faults(ctx, |inj, _| inj.stats.recovered += n);
@@ -744,6 +772,7 @@ impl Broker {
             return;
         }
         // Everything at or below the cumulative seq (or listed) is acked.
+        let before = state.pending.len();
         state
             .pending
             .retain(|&seq, _| seq > cumulative && extra.binary_search(&seq).is_err());
@@ -767,6 +796,7 @@ impl Broker {
         for seq in drop_list {
             state.pending.remove(&seq);
         }
+        self.pending_acks -= before - state.pending.len();
         let actor = ctx.self_id().index() as u64;
         for seq in to_retx {
             let state = self.server.state_mut(conn).expect("checked above");
@@ -802,6 +832,7 @@ impl Broker {
             Ok(ctrl) => {
                 let BrokerControl::SetPeers { my_ix, peers } = *ctrl;
                 self.my_ix = my_ix;
+                self.metric_names = MetricNames::of(my_ix);
                 self.peers = peers;
                 self.gossip_interests(ctx);
                 return;

@@ -6,8 +6,8 @@
 //! R-GMA tests: "four integer, eight double and four char (length 20)
 //! values, which were wrapped in an SQL statement".
 
-use minisql::{write_fixed, write_uint};
-use simcore::{SimRng, SimTime};
+use minisql::write_fixed;
+use simcore::{write_uint, SimRng, SimTime};
 use std::borrow::Cow;
 use std::sync::Arc;
 use wire::{Body, Headers, Message, MessageId, Text, Value};

@@ -15,6 +15,8 @@
 //!   hasher every table in the workspace uses.
 //! * [`SimRng`] — a frozen xoshiro256++ implementation for reproducible
 //!   randomness.
+//! * [`write_uint`] — the one decimal writer, into a `String` or a byte
+//!   buffer ([`AsciiBuf`]).
 //! * [`Site`] / [`WallAccum`] — the one wall-clock table of the host
 //!   time spent per hot path (`repro --scope`): armed by
 //!   [`Simulation::enable_hotpath_timing`], written by the kernel and
@@ -29,6 +31,7 @@
 //! win is for a measurement-study reproduction.
 
 pub mod actor;
+pub mod digits;
 pub mod event;
 pub mod hash;
 pub mod kernel;
@@ -37,6 +40,7 @@ pub mod service;
 pub mod time;
 
 pub use actor::{Actor, ActorId, FnActor, NullActor};
+pub use digits::{write_uint, AsciiBuf};
 pub use event::{
     EventQueue, EventTypeStat, Payload, ScheduledEvent, Site, WallAccum, EXTERNAL_LANE,
 };

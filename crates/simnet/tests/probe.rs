@@ -101,7 +101,9 @@ impl World {
     /// instant for instant.
     fn assert_trace_matches_the_record(&self, probe: ProbeId) {
         let trace = self.sim.service::<TraceCollector>().unwrap();
-        let b = TraceSummary::from_collector(trace).probes[&TraceId(probe.0)];
+        let b = *TraceSummary::from_collector(trace)
+            .probe(TraceId(probe.0))
+            .expect("a traced probe");
         let i = self.instants(probe).expect("a record");
         assert_eq!(
             (b.publish_begin, b.publish_end, b.available, b.delivered),

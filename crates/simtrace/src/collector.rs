@@ -15,20 +15,38 @@
 //! key*, not by insertion order — events are stamped in the future
 //! (`NetDeliver` at its delivery instant, `NetDrop` at `tx_done`), so
 //! the last `capacity` records made are not the last `capacity` of the
-//! merged order. Each store buffers up to `2 × capacity` records, then
-//! selects the newest `capacity` by key and drops the rest (amortised
-//! O(1) per record). An event in the newest `capacity` of the whole run
-//! is in the newest `capacity` of every subset that holds it, so no
-//! store ever drops one and the merge-time trim of the union is exact
-//! at any shard count. `evicted()` is `recorded − retained`. The gauge
-//! log is bounded the same way: a sample reads only the max-key write
+//! merged order. Each store holds up to `2 × capacity` records: the
+//! newest `capacity` by key as of its last trim, in key order, and the
+//! records made since. When those fill a second `capacity` buffer, or the
+//! store its `2 × capacity`, a trim folds them in and drops all but the
+//! newest `capacity`. An event in the newest
+//! `capacity` of the whole run is in the newest `capacity` of every
+//! subset that holds it, so no store ever drops one and the merge-time
+//! trim of the union is exact at any shard count. `evicted()` is
+//! `recorded − retained`.
+//!
+//! A trim is cheap because records arrive nearly in key order: the
+//! kernel clock only moves forward. A record stamped ahead of the clock
+//! (a frame's delivery) would be passed by every record made while the
+//! frame is in flight, so it is held back, in key order, until the clock
+//! reaches its stamp; a trim keeps every held record, as each is stamped
+//! after every stored one. What the store then receives is out of order
+//! only among same-instant records of different lanes, a place or two,
+//! and is ordered by insertion, in place ([`fold_newest`]). The records
+//! made since the last trim are then the newest but for a few at the
+//! seam, so they become the window where they lie and the two buffers
+//! take turns: a trim moves no more than the seam. The merge of a single
+//! store does the same; the union of several is far from key order, so
+//! it selects the newest `capacity` and sorts only those. The gauge log
+//! is bounded the same way: a sample reads only the max-key write
 //! of each gauge at or before its instant, so writes fold as they are
 //! made to one op per (gauge, sample interval).
 
 use crate::event::{Counter, EventKind, Gauge, TraceEvent, TraceId, COUNTER_COUNT, GAUGE_COUNT};
 use crate::sampler::CounterSample;
 use simcore::{Context, FastMap, SimTime};
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, VecDeque};
 
 /// Default ring capacity: enough for every event of the scaled
 /// experiment suite while bounding the exported artifact to a few MB of
@@ -58,12 +76,63 @@ fn event_key((lane, seq, ev): &Keyed) -> (SimTime, u32, u64) {
     (ev.at, *lane, *seq)
 }
 
-/// Keep the newest `capacity` of `events` by key, in no particular order.
-fn keep_newest(events: &mut Vec<Keyed>, capacity: usize) {
-    if events.len() > capacity {
-        events.select_nth_unstable_by_key(capacity - 1, |e| std::cmp::Reverse(event_key(e)));
-        events.truncate(capacity);
+/// Put `events` in key order, given `events[..sorted]` already is.
+///
+/// The rest is in record order, which is key order but for a few places
+/// (module doc), so it is inserted: one compare per event and one
+/// 64-byte move per place it moves, in place.
+fn insertion_sort(events: &mut [Keyed], sorted: usize) {
+    for i in sorted.max(1)..events.len() {
+        let ev = events[i];
+        let key = event_key(&ev);
+        let mut at = i;
+        while at > 0 && event_key(&events[at - 1]) > key {
+            at -= 1;
+        }
+        events.copy_within(at..i, at + 1);
+        events[at] = ev;
     }
+}
+
+/// Fold `events` into the window `kept[*from..]`: the window becomes
+/// the newest `room` of both by key, in key order, and `events` the other,
+/// empty, buffer. The window is in key order; `events` is in record order
+/// and at least `room` long.
+///
+/// The newest are the last `room` of `events` but for the few of the
+/// window's last that outrank `events`' first (same-instant records at
+/// the seam): those are merged in forward, in `events`' own buffer, which
+/// becomes `kept` with nothing else moved. What lies before the new
+/// window in it is dead.
+fn fold_newest(kept: &mut Vec<Keyed>, from: &mut usize, events: &mut Vec<Keyed>, room: usize) {
+    insertion_sort(events, 0);
+    let window = &kept[*from..];
+    let e_len = events.len();
+    let first = e_len - room;
+    // The window's last `x` displace `events`' first `x` of the newest.
+    let mut x = 0;
+    while x < window.len().min(room)
+        && event_key(&window[window.len() - 1 - x]) > event_key(&events[first + x])
+    {
+        x += 1;
+    }
+    // The write index trails the read index by the window records still
+    // to merge, so no unread record is overwritten, and once they are
+    // merged the rest is in place.
+    let (mut k, mut r, mut w) = (window.len() - x, first + x, first);
+    while k < window.len() {
+        if r == e_len || event_key(&window[k]) < event_key(&events[r]) {
+            events[w] = window[k];
+            k += 1;
+        } else {
+            events[w] = events[r];
+            r += 1;
+        }
+        w += 1;
+    }
+    std::mem::swap(kept, events);
+    *from = first;
+    events.clear();
 }
 
 /// Event sink plus live counters, registered as a kernel service. A
@@ -72,8 +141,16 @@ fn keep_newest(events: &mut Vec<Keyed>, capacity: usize) {
 /// [`merged`](TraceCollector::merged), which every run (any shard
 /// count) goes through before exporting, orders them.
 pub struct TraceCollector {
-    /// `(lane, seq, event)`; in key order only after `merged`.
+    /// `(lane, seq, event)`. `kept[kept_from..]` is the window: the
+    /// newest `capacity` by key as of the last trim, in key order; after
+    /// `merged`, every retained event.
+    kept: Vec<Keyed>,
+    kept_from: usize,
+    /// Records made since the last trim, in record order.
     events: Vec<Keyed>,
+    /// Records stamped ahead of the recorder clock, in key order, until
+    /// the clock reaches them.
+    ahead: VecDeque<Keyed>,
     capacity: usize,
     /// Events ever recorded, retained or not.
     recorded: u64,
@@ -97,7 +174,10 @@ impl TraceCollector {
     /// Collector bounded to `capacity` retained events (at least 1).
     pub fn with_capacity(capacity: usize) -> Self {
         TraceCollector {
+            kept: Vec::new(),
+            kept_from: 0,
             events: Vec::new(),
+            ahead: VecDeque::new(),
             capacity: capacity.max(1),
             recorded: 0,
             counters: [0; COUNTER_COUNT],
@@ -125,20 +205,89 @@ impl TraceCollector {
         n
     }
 
+    /// Keep at most `capacity` held records, and return the room the
+    /// window has beside them. A held record is stamped after every
+    /// stored one, so the held ones are the newest.
+    fn hold_newest(&mut self) -> usize {
+        let held = self.ahead.len();
+        self.ahead.drain(..held.saturating_sub(self.capacity));
+        self.capacity - self.ahead.len()
+    }
+
+    /// Fold the records made since the last trim into the window, which
+    /// keeps the newest that fit beside the held ones. From the first
+    /// trim on, the two `capacity` buffers take turns.
+    fn trim(&mut self) {
+        let room = self.hold_newest();
+        fold_newest(&mut self.kept, &mut self.kept_from, &mut self.events, room);
+        self.events.reserve_exact(self.capacity);
+    }
+
+    /// Leave the newest `capacity` records by key in the window, in key
+    /// order, and nothing else held.
+    fn settle(&mut self) {
+        let room = self.hold_newest();
+        if self.events.len() >= room {
+            fold_newest(&mut self.kept, &mut self.kept_from, &mut self.events, room);
+        } else {
+            // Fewer made since the last trim than fit: drop the oldest of
+            // both, the window's first but for the seam, and append the
+            // rest.
+            insertion_sort(&mut self.events, 0);
+            let (window, events) = (&self.kept[self.kept_from..], &self.events);
+            let (mut a, mut b) = (0, 0);
+            for _ in room..window.len() + events.len() {
+                if b == events.len()
+                    || (a < window.len() && event_key(&window[a]) < event_key(&events[b]))
+                {
+                    a += 1;
+                } else {
+                    b += 1;
+                }
+            }
+            if a == window.len() {
+                std::mem::swap(&mut self.kept, &mut self.events);
+                self.kept_from = b;
+            } else {
+                self.kept.drain(..self.kept_from + a);
+                self.kept_from = 0;
+                let sorted = self.kept.len();
+                self.kept.reserve_exact(events.len() - b + self.ahead.len());
+                self.kept.extend_from_slice(&self.events[b..]);
+                insertion_sort(&mut self.kept, sorted);
+            }
+            self.events = Vec::new();
+        }
+        self.kept.extend(self.ahead.drain(..));
+    }
+
+    /// Store a record the clock has reached.
+    fn store(&mut self, ev: Keyed) {
+        let len = self.events.len();
+        if len == self.events.capacity() {
+            if len < self.capacity {
+                // Double, up to a `capacity` buffer and never past it.
+                self.events
+                    .reserve_exact(len.max(16).min(self.capacity - len));
+            } else {
+                self.trim();
+            }
+        }
+        self.events.push(ev);
+    }
+
     /// Record one event.
     #[inline]
     pub fn record(&mut self, at: SimTime, trace: Option<TraceId>, actor: u64, kind: EventKind) {
         let seq = self.next_seq();
         self.recorded += 1;
-        if self.events.len() == self.events.capacity() {
-            // Full: drop what can no longer be exported, then double, up
-            // to the 2 × capacity buffer and never past it.
-            keep_newest(&mut self.events, self.capacity);
-            let len = self.events.len();
-            self.events
-                .reserve_exact(len.max(16).min(2 * self.capacity - len));
+        if self.len() >= 2 * self.capacity {
+            // The bound counts held records too: with more frames in
+            // flight than at the last trim, it is reached before the
+            // buffer fills.
+            self.trim();
         }
-        self.events.push((
+        let ev = (
             self.cur_lane,
             seq,
             TraceEvent {
@@ -147,7 +296,21 @@ impl TraceCollector {
                 actor,
                 kind,
             },
-        ));
+        );
+        if at > self.cur_at {
+            let key = event_key(&ev);
+            let after = self.ahead.iter().rposition(|e| event_key(e) < key);
+            self.ahead.insert(after.map_or(0, |ix| ix + 1), ev);
+        } else {
+            while let Some(&held) = self.ahead.front() {
+                if held.2.at > self.cur_at {
+                    break;
+                }
+                self.ahead.pop_front();
+                self.store(held);
+            }
+            self.store(ev);
+        }
     }
 
     /// Bump a counter. Sums across shards at merge: call only from
@@ -211,23 +374,25 @@ impl TraceCollector {
 
     /// Retained events; oldest first once [`merged`](Self::merged).
     pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter().map(|(_, _, ev)| ev)
+        let since = self.events.iter().chain(&self.ahead);
+        let window = &self.kept[self.kept_from..];
+        window.iter().chain(since).map(|(_, _, ev)| ev)
     }
 
     /// Events recorded and still retained.
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.kept.len() - self.kept_from + self.events.len() + self.ahead.len()
     }
 
     /// True when nothing was recorded.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.len() == 0
     }
 
     /// Events evicted by the capacity bound so far (0 means the trace is
     /// complete): recorded minus retained.
     pub fn evicted(&self) -> u64 {
-        self.recorded - self.events.len() as u64
+        self.recorded - self.len() as u64
     }
 
     /// Merge per-shard collectors into the canonical whole-run trace.
@@ -246,16 +411,22 @@ impl TraceCollector {
         let mut capacity = 1;
         let mut recorded = 0;
         let mut events: Vec<Keyed> = Vec::new();
+        let mut from = 0;
+        let mut stores = 0;
         let mut counters = [0u64; COUNTER_COUNT];
         let mut gauge_ops: Vec<GaugeOp> = Vec::new();
         let mut sample_sums: BTreeMap<SimTime, [u64; COUNTER_COUNT]> = BTreeMap::new();
-        for part in parts {
+        for mut part in parts {
             capacity = capacity.max(part.capacity);
             recorded += part.recorded;
-            if events.is_empty() {
-                events = part.events;
-            } else {
-                events.extend(part.events);
+            if !part.is_empty() {
+                stores += 1;
+                part.settle();
+                if stores == 1 {
+                    (events, from) = (part.kept, part.kept_from);
+                } else {
+                    events.extend_from_slice(&part.kept[part.kept_from..]);
+                }
             }
             for (i, v) in part.counters.iter().enumerate() {
                 counters[i] += v;
@@ -268,8 +439,17 @@ impl TraceCollector {
                 }
             }
         }
-        keep_newest(&mut events, capacity);
-        events.sort_unstable_by_key(event_key);
+        if stores > 1 {
+            // Several stores one after another are far from key order:
+            // select the newest, then sort only those.
+            events.drain(..from);
+            from = 0;
+            if events.len() > capacity {
+                events.select_nth_unstable_by_key(capacity - 1, |e| Reverse(event_key(e)));
+                events.truncate(capacity);
+            }
+            events.sort_unstable_by_key(event_key);
+        }
         gauge_ops.sort_unstable_by_key(GaugeOp::key);
         // Rebuild samples: counters are the summed snapshots; gauges are
         // the op log replayed up to each instant.
@@ -290,7 +470,10 @@ impl TraceCollector {
             gauges[op.gauge] = op.value;
         }
         TraceCollector {
-            events,
+            kept: events,
+            kept_from: from,
+            events: Vec::new(),
+            ahead: VecDeque::new(),
             capacity,
             recorded,
             counters,
@@ -374,13 +557,58 @@ mod tests {
     }
 
     #[test]
+    fn the_store_stays_in_key_order_while_frames_are_in_flight() {
+        // One send per µs, each delivered 10 µs later: more frames in
+        // flight than the capacity, and a trim every few records.
+        let mut c = TraceCollector::with_capacity(4);
+        for n in 0..40 {
+            c.set_recorder(0, SimTime::from_micros(n));
+            c.record(SimTime::from_micros(n), None, n, EventKind::PublishBegin);
+            c.record(SimTime::from_micros(n + 10), None, n, EventKind::PublishEnd);
+            let window = &c.kept[c.kept_from..];
+            let keys: Vec<_> = window.iter().chain(&c.events).map(event_key).collect();
+            assert!(keys.is_sorted(), "nothing left to insert after {n}");
+            assert!(c.len() <= 8);
+        }
+        let m = TraceCollector::merged([c]);
+        let newest: Vec<u64> = m.events().map(|e| e.actor).collect();
+        assert_eq!(newest, vec![36, 37, 38, 39], "the last four deliveries");
+    }
+
+    #[test]
+    fn a_trim_merges_same_instant_records_across_the_seam() {
+        // Lane 3's record at 5 µs is folded into the window before lanes
+        // 1, 2, 4 and 5 record at the same instant: by key it sits among
+        // them. Lane 0's frame delivered at 10 µs is held throughout, so
+        // each trim drops the oldest stored record too.
+        let mut c = TraceCollector::with_capacity(4);
+        let steps = [(1, 0, 1), (2, 0, 2), (3, 0, 3), (4, 0, 10), (5, 3, 5)];
+        let seam = [(5, 1, 5), (5, 2, 5), (5, 4, 5), (5, 5, 5)];
+        for (now, lane, at) in steps.into_iter().chain(seam) {
+            c.set_recorder(lane, SimTime::from_micros(now));
+            let actor = u64::from(lane);
+            c.record(
+                SimTime::from_micros(at),
+                None,
+                actor,
+                EventKind::PublishBegin,
+            );
+        }
+        let m = TraceCollector::merged([c]);
+        let lanes: Vec<u64> = m.events().map(|e| e.actor).collect();
+        assert_eq!(lanes, vec![3, 4, 5, 0]);
+    }
+
+    #[test]
     fn store_never_holds_more_than_twice_capacity() {
         for capacity in [1usize, 7, 64, 1000] {
             let mut c = TraceCollector::with_capacity(capacity);
             for n in 0..10 * capacity as u64 {
                 let (at, t, a, k) = ev(n);
                 c.record(at, t, a, k);
-                assert!(c.events.capacity() <= 2 * capacity, "capacity {capacity}");
+                let buffers = c.kept.capacity() + c.events.capacity();
+                assert!(buffers <= 2 * capacity, "capacity {capacity}");
+                assert!(c.len() <= 2 * capacity, "capacity {capacity}");
             }
             assert_eq!(c.evicted() + c.len() as u64, 10 * capacity as u64);
             assert_eq!(TraceCollector::merged([c]).evicted(), 9 * capacity as u64);

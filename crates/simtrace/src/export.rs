@@ -1,16 +1,22 @@
 //! Byte-deterministic trace exporters: JSONL and Chrome `trace_event`.
 //!
-//! Both formats are assembled with plain string formatting over data
-//! that is already deterministically ordered (the event ring is in
-//! simulation-time order; summaries use `BTreeMap`), so two runs with
-//! the same seed produce byte-identical artifacts. No wall-clock value
-//! ever enters an export.
+//! Both formats are rendered over data that is already deterministically
+//! ordered (the event ring is in `(time, lane, seq)` order, a summary's
+//! probes in id order), so two runs with the same seed produce
+//! byte-identical artifacts. No wall-clock value ever enters an export.
+//!
+//! A run's events are the bulk of both files (tens of MB), so their lines
+//! are appended to one byte buffer, sized once, as constant fragments and
+//! `simcore::write_uint` numbers; the few hundred counter and vmstat rows
+//! go through `write!`.
 
 use crate::collector::TraceCollector;
-use crate::event::{Counter, EventKind, Gauge};
+use crate::event::{Counter, EventKind, Gauge, TraceId};
 use crate::summary::TraceSummary;
-use simcore::SimTime;
-use std::fmt::Write;
+use simcore::{write_uint, SimTime};
+use std::io::Write;
+
+const IN_MEMORY: &str = "writing to memory cannot fail";
 
 /// One row of the machine-level resource log (vmstat mirror). The
 /// caller converts `simos::VmSample`s into these, keeping this crate
@@ -27,35 +33,52 @@ pub struct ResourceRow {
     pub mem_bytes: u64,
 }
 
-fn kind_args(out: &mut String, kind: EventKind) {
+/// Append `key` (a constant fragment ending in `:`) and `v` in decimal.
+#[inline]
+fn field(out: &mut Vec<u8>, key: &[u8], v: u64) {
+    out.extend_from_slice(key);
+    write_uint(out, v, 1);
+}
+
+fn kind_args(out: &mut Vec<u8>, kind: EventKind) {
     match kind {
         EventKind::PublishBegin
         | EventKind::PublishEnd
         | EventKind::Available
         | EventKind::Delivered => {}
         EventKind::NetSend { conn, bytes } => {
-            write!(out, ",\"conn\":{conn},\"bytes\":{bytes}").unwrap()
+            field(out, b",\"conn\":", conn);
+            field(out, b",\"bytes\":", bytes.into());
         }
         EventKind::NetDeliver { conn } | EventKind::NetDrop { conn } => {
-            write!(out, ",\"conn\":{conn}").unwrap()
+            field(out, b",\"conn\":", conn)
         }
-        EventKind::BrokerRecv { broker } => write!(out, ",\"broker\":{broker}").unwrap(),
+        EventKind::BrokerRecv { broker } => field(out, b",\"broker\":", broker.into()),
         EventKind::SelectorMatch { matched, missed } => {
-            write!(out, ",\"matched\":{matched},\"missed\":{missed}").unwrap()
+            field(out, b",\"matched\":", matched.into());
+            field(out, b",\"missed\":", missed.into());
         }
         EventKind::BrokerDeliver { broker, fanout } => {
-            write!(out, ",\"broker\":{broker},\"fanout\":{fanout}").unwrap()
+            field(out, b",\"broker\":", broker.into());
+            field(out, b",\"fanout\":", fanout.into());
         }
         EventKind::BrokerForward { broker, peers } => {
-            write!(out, ",\"broker\":{broker},\"peers\":{peers}").unwrap()
+            field(out, b",\"broker\":", broker.into());
+            field(out, b",\"peers\":", peers.into());
         }
-        EventKind::Retransmit { attempt } => write!(out, ",\"attempt\":{attempt}").unwrap(),
-        EventKind::StorageInsert { rows } => write!(out, ",\"rows\":{rows}").unwrap(),
-        EventKind::SelectMatch { consumers } => write!(out, ",\"consumers\":{consumers}").unwrap(),
-        EventKind::BatchEnqueue { occupancy } => write!(out, ",\"occupancy\":{occupancy}").unwrap(),
-        EventKind::BatchFlush { tuples } => write!(out, ",\"tuples\":{tuples}").unwrap(),
-        EventKind::GcPause { micros } => write!(out, ",\"micros\":{micros}").unwrap(),
+        EventKind::Retransmit { attempt } => field(out, b",\"attempt\":", attempt.into()),
+        EventKind::StorageInsert { rows } => field(out, b",\"rows\":", rows.into()),
+        EventKind::SelectMatch { consumers } => field(out, b",\"consumers\":", consumers.into()),
+        EventKind::BatchEnqueue { occupancy } => field(out, b",\"occupancy\":", occupancy.into()),
+        EventKind::BatchFlush { tuples } => field(out, b",\"tuples\":", tuples.into()),
+        EventKind::GcPause { micros } => field(out, b",\"micros\":", micros.into()),
     }
+}
+
+/// A track per traced message: its trace id + 1 (wrapping), 0 for
+/// anonymous infrastructure events.
+fn track(trace: Option<TraceId>) -> u64 {
+    trace.map_or(0, |t| t.0.wrapping_add(1))
 }
 
 /// True if any sample shows movement on a fault-only counter. When not,
@@ -69,32 +92,40 @@ fn faults_active(tr: &TraceCollector) -> bool {
     })
 }
 
+/// The rendered bytes as the `String` callers keep.
+fn into_text(out: Vec<u8>) -> String {
+    String::from_utf8(out).expect("exports are ASCII")
+}
+
 /// Export the full trace as JSON Lines: every event, every counter
 /// sample, and (merged in time order) the machine resource rows —
 /// the "one unified resource log".
 pub fn jsonl(tr: &TraceCollector, resources: &[ResourceRow]) -> String {
     // ~105 B per event line: sized once, not grown by doubling.
-    let mut out = String::with_capacity(tr.len() * 112);
+    let mut out = Vec::with_capacity(tr.len() * 112);
+    write_jsonl(&mut out, tr, resources);
+    into_text(out)
+}
+
+fn write_jsonl(out: &mut Vec<u8>, tr: &TraceCollector, resources: &[ResourceRow]) {
     let with_faults = faults_active(tr);
     // Events first (time-ordered by construction).
     for ev in tr.events() {
-        write!(out, "{{\"type\":\"event\",\"at_us\":{}", ev.at.as_micros()).unwrap();
+        field(out, b"{\"type\":\"event\",\"at_us\":", ev.at.as_micros());
         match ev.trace {
-            Some(id) => write!(out, ",\"trace\":{}", id.0).unwrap(),
-            None => out.push_str(",\"trace\":null"),
+            Some(id) => field(out, b",\"trace\":", id.0),
+            None => out.extend_from_slice(b",\"trace\":null"),
         }
-        write!(
-            out,
-            ",\"actor\":{},\"kind\":\"{}\"",
-            ev.actor,
-            ev.kind.name()
-        )
-        .unwrap();
-        kind_args(&mut out, ev.kind);
-        out.push_str("}\n");
+        field(out, b",\"actor\":", ev.actor);
+        out.extend_from_slice(b",\"kind\":\"");
+        out.extend_from_slice(ev.kind.name().as_bytes());
+        out.push(b'"');
+        kind_args(out, ev.kind);
+        out.extend_from_slice(b"}\n");
     }
     // Unified resource log: counter samples and vmstat rows, merged by
-    // instant (counters before vmstat on ties, then node order).
+    // instant (counters before vmstat on ties, then node order). A few
+    // hundred rows, so `write!` (and `f64`'s `Display` for `idle`).
     let mut ci = tr.samples().iter().peekable();
     let mut ri = resources.iter().peekable();
     loop {
@@ -111,17 +142,17 @@ pub fn jsonl(tr: &TraceCollector, resources: &[ResourceRow]) -> String {
                 "{{\"type\":\"counters\",\"at_us\":{}",
                 s.at.as_micros()
             )
-            .unwrap();
+            .expect(IN_MEMORY);
             for c in Counter::ALL {
                 if c.fault_only() && !with_faults {
                     continue;
                 }
-                write!(out, ",\"{}\":{}", c.name(), s.counter(c)).unwrap();
+                write!(out, ",\"{}\":{}", c.name(), s.counter(c)).expect(IN_MEMORY);
             }
             for g in Gauge::ALL {
-                write!(out, ",\"{}\":{}", g.name(), s.gauge(g)).unwrap();
+                write!(out, ",\"{}\":{}", g.name(), s.gauge(g)).expect(IN_MEMORY);
             }
-            out.push_str("}\n");
+            out.extend_from_slice(b"}\n");
         } else {
             let r = ri.next().unwrap();
             writeln!(
@@ -132,10 +163,9 @@ pub fn jsonl(tr: &TraceCollector, resources: &[ResourceRow]) -> String {
                 r.idle,
                 r.mem_bytes
             )
-            .unwrap();
+            .expect(IN_MEMORY);
         }
     }
-    out
 }
 
 /// Export the trace in Chrome `trace_event` JSON (open in Perfetto or
@@ -146,42 +176,48 @@ pub fn jsonl(tr: &TraceCollector, resources: &[ResourceRow]) -> String {
 /// `summary` is [`TraceSummary::from_collector`] of the same `tr`.
 pub fn chrome_trace(tr: &TraceCollector, summary: &TraceSummary) -> String {
     // ~140 B per event, its share of phase rows included.
-    let mut out = String::with_capacity(tr.len() * 160);
-    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-    out.push_str(
-        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\
-         \"args\":{\"name\":\"gridmon-sim\"}}",
+    let mut out = Vec::with_capacity(tr.len() * 160);
+    write_chrome_trace(&mut out, tr, summary);
+    into_text(out)
+}
+
+fn write_chrome_trace(out: &mut Vec<u8>, tr: &TraceCollector, summary: &TraceSummary) {
+    out.extend_from_slice(b"{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
+    out.extend_from_slice(
+        b"{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\
+          \"args\":{\"name\":\"gridmon-sim\"}}",
     );
     for ev in tr.events() {
-        let tid = ev.trace.map_or(0, |t| t.0 + 1);
-        write!(
+        out.extend_from_slice(b",\n{\"name\":\"");
+        out.extend_from_slice(ev.kind.name().as_bytes());
+        field(
             out,
-            ",\n{{\"name\":\"{}\",\"cat\":\"hop\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\
-             \"pid\":0,\"tid\":{tid},\"args\":{{\"actor\":{}",
-            ev.kind.name(),
+            b"\",\"cat\":\"hop\",\"ph\":\"i\",\"s\":\"t\",\"ts\":",
             ev.at.as_micros(),
-            ev.actor
-        )
-        .unwrap();
-        kind_args(&mut out, ev.kind);
-        out.push_str("}}");
+        );
+        field(out, b",\"pid\":0,\"tid\":", track(ev.trace));
+        field(out, b",\"args\":{\"actor\":", ev.actor);
+        kind_args(out, ev.kind);
+        out.extend_from_slice(b"}}");
     }
     for (id, b) in &summary.probes {
-        let tid = id.0 + 1;
-        let phases = [
-            ("PRT", b.publish_begin, b.prt()),
-            ("PT", b.publish_end, b.pt()),
-            ("SRT", b.available, b.srt()),
+        let tid = track(Some(*id));
+        let phases: [(&[u8], _, _); 3] = [
+            (b",\n{\"name\":\"PRT\"", b.publish_begin, b.prt()),
+            (b",\n{\"name\":\"PT\"", b.publish_end, b.pt()),
+            (b",\n{\"name\":\"SRT\"", b.available, b.srt()),
         ];
         for (name, start, dur) in phases {
             if let (Some(start), Some(dur)) = (start, dur) {
-                write!(
+                out.extend_from_slice(name);
+                field(
                     out,
-                    ",\n{{\"name\":\"{name}\",\"cat\":\"phase\",\"ph\":\"X\",\"ts\":{},\
-                     \"dur\":{dur},\"pid\":0,\"tid\":{tid}}}",
-                    start.as_micros()
-                )
-                .unwrap();
+                    b",\"cat\":\"phase\",\"ph\":\"X\",\"ts\":",
+                    start.as_micros(),
+                );
+                field(out, b",\"dur\":", dur);
+                field(out, b",\"pid\":0,\"tid\":", tid);
+                out.push(b'}');
             }
         }
     }
@@ -199,7 +235,7 @@ pub fn chrome_trace(tr: &TraceCollector, summary: &TraceSummary) -> String {
                 s.at.as_micros(),
                 s.counter(c)
             )
-            .unwrap();
+            .expect(IN_MEMORY);
         }
         for g in Gauge::ALL {
             write!(
@@ -210,17 +246,15 @@ pub fn chrome_trace(tr: &TraceCollector, summary: &TraceSummary) -> String {
                 s.at.as_micros(),
                 s.gauge(g)
             )
-            .unwrap();
+            .expect(IN_MEMORY);
         }
     }
-    out.push_str("\n]}\n");
-    out
+    out.extend_from_slice(b"\n]}\n");
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::TraceId;
 
     fn sample_collector() -> TraceCollector {
         let mut c = TraceCollector::new();

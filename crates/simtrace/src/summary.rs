@@ -2,8 +2,7 @@
 
 use crate::collector::TraceCollector;
 use crate::event::{EventKind, TraceId};
-use simcore::SimTime;
-use std::collections::BTreeMap;
+use simcore::{FastMap, SimTime};
 
 /// The four fig-15 instants of one traced message, rebuilt from spans,
 /// plus a count of the hops observed in between.
@@ -70,8 +69,8 @@ impl ProbeBreakdown {
 /// Everything reconstructed from one run's trace.
 #[derive(Debug, Clone, Default)]
 pub struct TraceSummary {
-    /// Per-message breakdowns, keyed (and therefore ordered) by trace id.
-    pub probes: BTreeMap<TraceId, ProbeBreakdown>,
+    /// Per-message breakdowns, one per trace id, in trace-id order.
+    pub probes: Vec<(TraceId, ProbeBreakdown)>,
     /// Events the summary was built from.
     pub total_events: u64,
     /// Events lost to the ring bound before the summary ran.
@@ -84,12 +83,17 @@ impl TraceSummary {
     /// Duplicate `Available`/`Delivered` events (UDP redelivery) keep
     /// the first instant, matching `RttCollector` idempotence.
     pub fn from_collector(tr: &TraceCollector) -> Self {
-        let mut probes: BTreeMap<TraceId, ProbeBreakdown> = BTreeMap::new();
+        let mut probes: Vec<(TraceId, ProbeBreakdown)> = Vec::new();
+        let mut slots: FastMap<TraceId, usize> = FastMap::default();
         let mut total = 0u64;
         for ev in tr.events() {
             total += 1;
             let Some(id) = ev.trace else { continue };
-            let slot = probes.entry(id).or_default();
+            let ix = *slots.entry(id).or_insert_with(|| {
+                probes.push((id, ProbeBreakdown::default()));
+                probes.len() - 1
+            });
+            let slot = &mut probes[ix].1;
             match ev.kind {
                 EventKind::PublishBegin => slot.publish_begin = Some(ev.at),
                 EventKind::PublishEnd => slot.publish_end = Some(ev.at),
@@ -106,11 +110,18 @@ impl TraceSummary {
                 _ => slot.hops += 1,
             }
         }
+        probes.sort_unstable_by_key(|&(id, _)| id);
         TraceSummary {
             probes,
             total_events: total,
             evicted_events: tr.evicted(),
         }
+    }
+
+    /// The breakdown of one traced message, if the trace saw it.
+    pub fn probe(&self, id: TraceId) -> Option<&ProbeBreakdown> {
+        let ix = self.probes.binary_search_by_key(&id, |&(id, _)| id).ok()?;
+        Some(&self.probes[ix].1)
     }
 }
 
@@ -147,7 +158,7 @@ mod tests {
     fn decomposition_telescopes() {
         let c = collector_with_full_lifecycle();
         let s = TraceSummary::from_collector(&c);
-        let b = s.probes[&TraceId(7)];
+        let b = *s.probe(TraceId(7)).expect("traced");
         assert!(b.complete());
         assert_eq!(b.prt(), Some(2_000));
         assert_eq!(b.pt(), Some(28_000));

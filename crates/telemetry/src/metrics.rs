@@ -15,7 +15,6 @@
 use crate::histogram::LatencyHistogram;
 use crate::report::trim_float;
 use simcore::{Context, FastMap, SimTime};
-use std::collections::BTreeMap;
 
 /// One recorded mutation of the registry, replayable at merge time.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -65,8 +64,11 @@ impl OpRec {
 /// Registry of named metrics plus the sampled time series.
 ///
 /// Names are dotted (`narada.broker0.queue_depth`); exporters sanitize
-/// them where the target format requires it. `BTreeMap` keys keep every
-/// export deterministic.
+/// them where the target format requires it. Each name is interned once:
+/// an op hashes its name to an id and everything after (the live
+/// counters, gauges and histograms, the op log, the series) is keyed by
+/// that id. Exports list metrics in name order, so every export is
+/// deterministic.
 ///
 /// Every mutation is also logged under the key `(time, recorder lane,
 /// per-lane seq)` — interleaving-invariant, since each lane's op stream
@@ -81,13 +83,18 @@ impl OpRec {
 /// the max-key write of a gauge, and a lane writes in key order.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    hists: BTreeMap<String, LatencyHistogram>,
-    /// Long-format samples: (instant, metric, value).
-    series: Vec<(SimTime, String, f64)>,
-    /// Interned metric names; ids are per registry until merged.
-    names: FastMap<String, u32>,
+    /// Interned metric names, by id; ids are per registry until merged.
+    names: Vec<String>,
+    ids: FastMap<String, u32>,
+    /// Every id, in name order: the order snapshots and exports list
+    /// metrics in.
+    by_name: Vec<u32>,
+    /// Live state, by id; `None` where the name was never used so.
+    counters: Vec<Option<u64>>,
+    gauges: Vec<Option<f64>>,
+    hists: Vec<Option<LatencyHistogram>>,
+    /// Long-format samples: (instant, metric id, value).
+    series: Vec<(SimTime, u32, f64)>,
     observes: Vec<OpRec>,
     marks: Vec<OpRec>,
     /// (sample interval, lane, name, is gauge) → that interval's folded
@@ -112,15 +119,25 @@ impl MetricsRegistry {
         self.cur_at = at;
     }
 
-    fn record(&mut self, at: SimTime, name: &str, kind: OpKind) {
-        let name = match self.names.get(name) {
-            Some(&id) => id,
-            None => {
-                let id = self.names.len() as u32;
-                self.names.insert(name.to_owned(), id);
-                id
-            }
-        };
+    /// The id of `name`, interning it on first use.
+    fn intern(&mut self, name: &str) -> u32 {
+        if let Some(&id) = self.ids.get(name) {
+            return id;
+        }
+        let id = u32::try_from(self.names.len()).expect("fewer than 2^32 metric names");
+        let at = self
+            .by_name
+            .partition_point(|&other| self.names[other as usize].as_str() < name);
+        self.by_name.insert(at, id);
+        self.names.push(name.to_owned());
+        self.ids.insert(name.to_owned(), id);
+        self.counters.push(None);
+        self.gauges.push(None);
+        self.hists.push(None);
+        id
+    }
+
+    fn record(&mut self, at: SimTime, name: u32, kind: OpKind) {
         let seq = self.lane_seqs.entry(self.cur_lane).or_insert(0);
         let rec = OpRec {
             at,
@@ -162,72 +179,71 @@ impl MetricsRegistry {
         }
     }
 
-    fn apply_counter(&mut self, name: &str, delta: u64) {
-        if let Some(v) = self.counters.get_mut(name) {
-            *v += delta;
-        } else {
-            self.counters.insert(name.to_owned(), delta);
-        }
+    fn apply_counter(&mut self, id: u32, delta: u64) {
+        *self.counters[id as usize].get_or_insert(0) += delta;
     }
 
-    fn apply_gauge(&mut self, name: &str, value: f64) {
-        if let Some(v) = self.gauges.get_mut(name) {
-            *v = value;
-        } else {
-            self.gauges.insert(name.to_owned(), value);
-        }
+    fn apply_gauge(&mut self, id: u32, value: f64) {
+        self.gauges[id as usize] = Some(value);
     }
 
-    fn apply_observe(&mut self, name: &str, micros: u64) {
-        if let Some(h) = self.hists.get_mut(name) {
-            h.record(micros);
-        } else {
-            let mut h = LatencyHistogram::new();
-            h.record(micros);
-            self.hists.insert(name.to_owned(), h);
-        }
+    fn apply_observe(&mut self, id: u32, micros: u64) {
+        self.hists[id as usize]
+            .get_or_insert_with(LatencyHistogram::new)
+            .record(micros);
     }
 
     fn apply_sample(&mut self, at: SimTime) {
-        for (name, &v) in &self.counters {
-            self.series.push((at, name.clone(), v as f64));
+        for &id in &self.by_name {
+            if let Some(v) = self.counters[id as usize] {
+                self.series.push((at, id, v as f64));
+            }
         }
-        for (name, &v) in &self.gauges {
-            self.series.push((at, name.clone(), v));
+        for &id in &self.by_name {
+            if let Some(v) = self.gauges[id as usize] {
+                self.series.push((at, id, v));
+            }
         }
     }
 
     /// Add `delta` to a monotonic counter (created at 0 on first use).
     pub fn add_counter(&mut self, name: &str, delta: u64) {
-        self.apply_counter(name, delta);
-        self.record(self.cur_at, name, OpKind::CounterAdd(delta));
+        let id = self.intern(name);
+        self.apply_counter(id, delta);
+        self.record(self.cur_at, id, OpKind::CounterAdd(delta));
     }
 
     /// Set an instantaneous gauge level.
     pub fn set_gauge(&mut self, name: &str, value: f64) {
-        self.apply_gauge(name, value);
-        self.record(self.cur_at, name, OpKind::GaugeSet(value));
+        let id = self.intern(name);
+        self.apply_gauge(id, value);
+        self.record(self.cur_at, id, OpKind::GaugeSet(value));
     }
 
     /// Record one observation (microseconds) into a latency histogram.
     pub fn observe(&mut self, name: &str, micros: u64) {
-        self.apply_observe(name, micros);
-        self.record(self.cur_at, name, OpKind::Observe(micros));
+        let id = self.intern(name);
+        self.apply_observe(id, micros);
+        self.record(self.cur_at, id, OpKind::Observe(micros));
+    }
+
+    fn id(&self, name: &str) -> Option<usize> {
+        self.ids.get(name).map(|&id| id as usize)
     }
 
     /// Current value of a counter (0 if never touched).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+        self.id(name).and_then(|id| self.counters[id]).unwrap_or(0)
     }
 
     /// Current level of a gauge.
     pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
+        self.id(name).and_then(|id| self.gauges[id])
     }
 
     /// Borrow a histogram.
     pub fn histogram(&self, name: &str) -> Option<&LatencyHistogram> {
-        self.hists.get(name)
+        self.id(name).and_then(|id| self.hists[id].as_ref())
     }
 
     /// Snapshot every counter and gauge into the time series at `at`
@@ -236,7 +252,7 @@ impl MetricsRegistry {
     /// does: the merged replay snapshots in key order.
     pub fn sample(&mut self, at: SimTime) {
         self.apply_sample(at);
-        self.record(at, "", OpKind::Sample);
+        self.record(at, 0, OpKind::Sample);
     }
 
     /// Merge per-shard registries by replaying the union of their op
@@ -256,16 +272,22 @@ impl MetricsRegistry {
         derived_gauges: &[(String, Vec<(SimTime, f64)>)],
     ) -> MetricsRegistry {
         let parts: Vec<MetricsRegistry> = parts.into_iter().collect();
-        // Renumber names by rank so ids compare like the names do.
-        let mut names: Vec<String> = parts.iter().flat_map(|p| p.names.keys().cloned()).collect();
+        // Interned in name order, so ids compare like the names do.
+        let mut names: Vec<&str> = parts
+            .iter()
+            .flat_map(|p| p.names.iter())
+            .chain(derived_gauges.iter().map(|(name, _)| name))
+            .map(String::as_str)
+            .collect();
         names.sort_unstable();
         names.dedup();
+        let mut out = MetricsRegistry::new();
+        for name in names {
+            out.intern(name);
+        }
         let mut ops: Vec<OpRec> = Vec::new();
         for p in parts {
-            let mut rank = vec![0u32; p.names.len()];
-            for (name, &id) in &p.names {
-                rank[id as usize] = names.binary_search(name).expect("collected above") as u32;
-            }
+            let rank: Vec<u32> = p.names.iter().map(|name| out.ids[name]).collect();
             let from = ops.len();
             if ops.is_empty() {
                 ops = p.observes;
@@ -275,24 +297,38 @@ impl MetricsRegistry {
             ops.extend(p.folded.into_values());
             ops.extend(p.marks);
             for rec in &mut ops[from..] {
-                rec.name = rank[rec.name as usize];
+                // A mark names no metric.
+                if rec.kind != OpKind::Sample {
+                    rec.name = rank[rec.name as usize];
+                }
             }
         }
-        ops.sort_unstable_by_key(OpRec::sort_key);
+        // The observations are in record order, nearly key order, which
+        // the run-merging sort is quick on (two to three times the
+        // unstable sort, for a scratch half the size of the log). The
+        // content part of the order decides only between replicas' ops
+        // under one key: build it for those pairs alone.
+        ops.sort_by(|a, b| {
+            a.key()
+                .cmp(&b.key())
+                .then_with(|| a.sort_key().cmp(&b.sort_key()))
+        });
         ops.dedup_by_key(|rec| rec.sort_key());
-        let mut out = MetricsRegistry::new();
-        let mut cursors = vec![0usize; derived_gauges.len()];
+        let derived: Vec<(u32, &[(SimTime, f64)])> = derived_gauges
+            .iter()
+            .map(|(name, points)| (out.ids[name], points.as_slice()))
+            .collect();
+        let mut cursors = vec![0usize; derived.len()];
         for rec in ops {
-            let name = &names[rec.name as usize];
             match rec.kind {
-                OpKind::CounterAdd(d) => out.apply_counter(name, d),
-                OpKind::GaugeSet(v) => out.apply_gauge(name, v),
-                OpKind::Observe(us) => out.apply_observe(name, us),
+                OpKind::CounterAdd(d) => out.apply_counter(rec.name, d),
+                OpKind::GaugeSet(v) => out.apply_gauge(rec.name, v),
+                OpKind::Observe(us) => out.apply_observe(rec.name, us),
                 OpKind::Sample => {
-                    for (i, (name, points)) in derived_gauges.iter().enumerate() {
-                        while cursors[i] < points.len() && points[cursors[i]].0 <= rec.at {
-                            out.apply_gauge(name, points[cursors[i]].1);
-                            cursors[i] += 1;
+                    for (&(id, points), cursor) in derived.iter().zip(&mut cursors) {
+                        while *cursor < points.len() && points[*cursor].0 <= rec.at {
+                            out.apply_gauge(id, points[*cursor].1);
+                            *cursor += 1;
                         }
                     }
                     out.apply_sample(rec.at);
@@ -301,29 +337,24 @@ impl MetricsRegistry {
         }
         // Late derived points (after the final snapshot) still set the
         // end-of-run gauge level for the Prometheus export.
-        for (name, points) in derived_gauges {
+        for &(id, points) in &derived {
             if let Some(&(_, v)) = points.last() {
-                out.apply_gauge(name, v);
+                out.apply_gauge(id, v);
             }
         }
         out
-    }
-
-    /// The sampled time series, in (instant, registration-name) order.
-    pub fn series(&self) -> &[(SimTime, String, f64)] {
-        &self.series
     }
 
     /// Deterministic long-format CSV: `t_s,metric,value`, one row per
     /// metric per sample instant.
     pub fn csv(&self) -> String {
         let mut out = String::from("t_s,metric,value\n");
-        for (at, name, v) in &self.series {
+        for &(at, id, v) in &self.series {
             out.push_str(&trim_float(at.as_micros() as f64 / 1e6));
             out.push(',');
-            out.push_str(name);
+            out.push_str(&self.names[id as usize]);
             out.push(',');
-            out.push_str(&trim_float(*v));
+            out.push_str(&trim_float(v));
             out.push('\n');
         }
         out
@@ -335,15 +366,21 @@ impl MetricsRegistry {
     /// the histogram's exact Welford mean).
     pub fn prometheus(&self) -> String {
         let mut out = String::new();
-        for (name, &v) in &self.counters {
-            let n = sanitize(name);
-            out.push_str(&format!("# TYPE {n} counter\n{n} {v}\n"));
+        let named = |id: &u32| (self.names[*id as usize].as_str(), *id as usize);
+        for (name, id) in self.by_name.iter().map(named) {
+            if let Some(v) = self.counters[id] {
+                let n = sanitize(name);
+                out.push_str(&format!("# TYPE {n} counter\n{n} {v}\n"));
+            }
         }
-        for (name, &v) in &self.gauges {
-            let n = sanitize(name);
-            out.push_str(&format!("# TYPE {n} gauge\n{n} {}\n", trim_float(v)));
+        for (name, id) in self.by_name.iter().map(named) {
+            if let Some(v) = self.gauges[id] {
+                let n = sanitize(name);
+                out.push_str(&format!("# TYPE {n} gauge\n{n} {}\n", trim_float(v)));
+            }
         }
-        for (name, h) in &self.hists {
+        for (name, id) in self.by_name.iter().map(named) {
+            let Some(h) = &self.hists[id] else { continue };
             let n = sanitize(name);
             out.push_str(&format!("# TYPE {n} summary\n"));
             for (q, label) in [(0.5, "0.5"), (0.95, "0.95"), (0.99, "0.99")] {

@@ -7,8 +7,8 @@
 //! serial fast path) through one merge pipeline, so equality here is a
 //! structural property; these tests are the proof obligation. Carve-outs
 //! from comparison are exactly the documented non-deterministic fields:
-//! `wall_secs`, the wall-clock `scope` nanos, and the layout-dependent
-//! kernel counter (`peak_queue_depth`) that
+//! `wall_secs` / `merge_render_secs`, the wall-clock `scope` nanos, and
+//! the layout-dependent kernel counter (`peak_queue_depth`) that
 //! `KernelStats::determinism_digest()` excludes — a queue high-watermark
 //! is a property of one queue, and shards have several.
 
