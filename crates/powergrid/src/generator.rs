@@ -76,46 +76,50 @@ impl GeneratorState {
     pub fn narada_message(&self, msg_id: u64, now: SimTime, repeat: usize) -> Message {
         let mut entries: Vec<(Cow<'static, str>, Value)> = Vec::with_capacity(16 * repeat);
         for r in 0..repeat {
-            // The schema's own names are borrowed; only a copy's are built.
-            let p = |name: &'static str| {
-                if r == 0 {
-                    Cow::Borrowed(name)
-                } else {
-                    Cow::Owned(format!("{name}_{r}"))
-                }
-            };
-            entries.extend([
-                // 2 int
-                (p("gen_id"), Value::Int(self.id as i32)),
-                (p("status"), Value::Int(i32::from(self.online))),
-                // 5 float
-                (p("voltage"), Value::Float(self.voltage_v as f32)),
-                (p("frequency"), Value::Float(self.frequency_hz as f32)),
-                (
-                    p("current"),
-                    Value::Float((self.power_kw * 1000.0 / self.voltage_v) as f32),
-                ),
-                (p("temp_c"), Value::Float(35.5)),
-                (p("wind_ms"), Value::Float(7.25)),
-                // 2 long
-                (p("seq"), Value::Long(self.seq as i64)),
-                (p("uptime_s"), Value::Long((self.seq * 10) as i64)),
-                // 3 double
-                (p("power_kw"), Value::Double(self.power_kw)),
-                (p("energy_kwh"), Value::Double(self.energy_kwh)),
-                (p("rating_kw"), Value::Double(self.rating_kw)),
-                // 4 string
-                (p("site"), Value::Str(self.site())),
-                (p("operator"), Value::Str("gridcc".into())),
-                (p("model"), Value::Str("WT-2000/E".into())),
-                (p("fw"), Value::Str("v1.1.3".into())),
-            ]);
+            entries.extend(self.reading_fields(r));
         }
         Message::new(
             Headers::new(MessageId(msg_id), SHARED_TOPIC.with(Arc::clone), now),
             [("id", Value::Int(self.id as i32))].into_iter().collect(),
             Body::Map(entries.into_iter().collect()),
         )
+    }
+
+    /// Copy `r` of the reading's 16 fields — 2 int (gen_id, status), 5
+    /// float (current, frequency, temp_c, voltage, wind_ms), 2 long (seq,
+    /// uptime_s), 3 double (energy_kwh, power_kw, rating_kw), 4 string
+    /// (fw, model, operator, site) — in byte-wise name order, so the first
+    /// copy's map is kept as built, with no sort.
+    fn reading_fields(&self, r: usize) -> [(Cow<'static, str>, Value); 16] {
+        // The schema's own names are borrowed; only a copy's are built.
+        let p = |name: &'static str| {
+            if r == 0 {
+                Cow::Borrowed(name)
+            } else {
+                Cow::Owned(format!("{name}_{r}"))
+            }
+        };
+        [
+            (
+                p("current"),
+                Value::Float((self.power_kw * 1000.0 / self.voltage_v) as f32),
+            ),
+            (p("energy_kwh"), Value::Double(self.energy_kwh)),
+            (p("frequency"), Value::Float(self.frequency_hz as f32)),
+            (p("fw"), Value::Str("v1.1.3".into())),
+            (p("gen_id"), Value::Int(self.id as i32)),
+            (p("model"), Value::Str("WT-2000/E".into())),
+            (p("operator"), Value::Str("gridcc".into())),
+            (p("power_kw"), Value::Double(self.power_kw)),
+            (p("rating_kw"), Value::Double(self.rating_kw)),
+            (p("seq"), Value::Long(self.seq as i64)),
+            (p("site"), Value::Str(self.site())),
+            (p("status"), Value::Int(i32::from(self.online))),
+            (p("temp_c"), Value::Float(35.5)),
+            (p("uptime_s"), Value::Long((self.seq * 10) as i64)),
+            (p("voltage"), Value::Float(self.voltage_v as f32)),
+            (p("wind_ms"), Value::Float(7.25)),
+        ]
     }
 
     /// `site-NNNN`, the site this generator stands on (one of 977).
@@ -222,6 +226,48 @@ mod tests {
         // The paper's selector matches.
         let sel = jms::Selector::compile(PAPER_SELECTOR).unwrap();
         assert!(sel.matches(&m));
+    }
+
+    #[test]
+    fn a_reading_is_built_in_name_order() {
+        let mut rng = SimRng::new(6);
+        let mut g = GeneratorState::new(1234, &mut rng);
+        g.step(&mut rng, 10.0);
+        let fields = g.reading_fields(0);
+        assert!(
+            fields.windows(2).all(|w| w[0].0 < w[1].0),
+            "a field out of name order makes every reading pay a sort"
+        );
+        let m = g.narada_message(1, SimTime::ZERO, 1);
+        let wire::Body::Map(map) = m.body() else {
+            panic!("map message")
+        };
+        // Each value sits under its own name: the schema listed by type,
+        // collected through the sort.
+        let by_type: wire::ValueMap = [
+            ("gen_id", Value::Int(g.id as i32)),
+            ("status", Value::Int(i32::from(g.online))),
+            ("voltage", Value::Float(g.voltage_v as f32)),
+            ("frequency", Value::Float(g.frequency_hz as f32)),
+            (
+                "current",
+                Value::Float((g.power_kw * 1000.0 / g.voltage_v) as f32),
+            ),
+            ("temp_c", Value::Float(35.5)),
+            ("wind_ms", Value::Float(7.25)),
+            ("seq", Value::Long(g.seq as i64)),
+            ("uptime_s", Value::Long((g.seq * 10) as i64)),
+            ("power_kw", Value::Double(g.power_kw)),
+            ("energy_kwh", Value::Double(g.energy_kwh)),
+            ("rating_kw", Value::Double(g.rating_kw)),
+            ("site", Value::Str(g.site())),
+            ("operator", Value::Str("gridcc".into())),
+            ("model", Value::Str("WT-2000/E".into())),
+            ("fw", Value::Str("v1.1.3".into())),
+        ]
+        .into_iter()
+        .collect();
+        assert_eq!(map, &by_type);
     }
 
     #[test]

@@ -130,6 +130,11 @@ impl<K: Into<Cow<'static, str>>> FromIterator<(K, Value)> for ValueMap {
     fn from_iter<I: IntoIterator<Item = (K, Value)>>(iter: I) -> Self {
         let mut entries: Vec<(Cow<'static, str>, Value)> =
             iter.into_iter().map(|(k, v)| (k.into(), v)).collect();
+        // A schema builder and the decoder hand their pairs over in name
+        // order, each name once: kept as given.
+        if entries.is_sorted_by(|a, b| a.0 < b.0) {
+            return ValueMap(entries.into_boxed_slice());
+        }
         // Stable: equal names stay in input order, so the value that ends
         // up in the kept (first) slot of a run is the last one given.
         entries.sort_by(|a, b| a.0.cmp(&b.0));
@@ -369,6 +374,52 @@ mod tests {
         assert_eq!(map.get("c"), None);
         assert_eq!(map.len(), 3);
         assert!(ValueMap::default().is_empty());
+    }
+
+    fn names(map: &ValueMap) -> Vec<&str> {
+        map.iter().map(|(k, _)| k).collect()
+    }
+
+    #[test]
+    fn value_map_keeps_strictly_ascending_input_as_given() {
+        let map: ValueMap = [
+            ("a", Value::Int(1)),
+            ("a_1", Value::Int(2)),
+            ("b", Value::Int(3)),
+        ]
+        .into_iter()
+        .collect();
+        assert_eq!(names(&map), ["a", "a_1", "b"]);
+        assert_eq!(map.get("a_1"), Some(&Value::Int(2)));
+    }
+
+    #[test]
+    fn value_map_ascending_with_a_repeated_name_keeps_the_last_value() {
+        let map: ValueMap = [
+            ("a", Value::Int(1)),
+            ("b", Value::Int(2)),
+            ("b", Value::Int(3)),
+            ("c", Value::Int(4)),
+        ]
+        .into_iter()
+        .collect();
+        assert_eq!(names(&map), ["a", "b", "c"]);
+        assert_eq!(map.get("b"), Some(&Value::Int(3)));
+    }
+
+    #[test]
+    fn value_map_with_one_pair_out_of_order_is_sorted() {
+        let map: ValueMap = [
+            ("a", Value::Int(1)),
+            ("c", Value::Int(2)),
+            ("b", Value::Int(3)),
+            ("d", Value::Int(4)),
+        ]
+        .into_iter()
+        .collect();
+        assert_eq!(names(&map), ["a", "b", "c", "d"]);
+        assert_eq!(map.get("b"), Some(&Value::Int(3)));
+        assert_eq!(map.get("c"), Some(&Value::Int(2)));
     }
 
     #[test]
