@@ -498,7 +498,7 @@ impl GridlogClientSet {
                     if fresh {
                         *next = rec.offset + 1;
                     }
-                    let bytes = rec.message.wire_size() + RECORD_OVERHEAD_BYTES;
+                    let bytes = rec.bytes as usize + RECORD_OVERHEAD_BYTES;
                     // Deserialization is paid for duplicates too; only
                     // fresh records reach the listener and the probes.
                     if fresh {

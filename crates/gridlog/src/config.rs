@@ -129,7 +129,9 @@ impl Default for GroupPolicy {
 pub struct BrokerMemory {
     /// Heap retained per live connection (session, socket buffers).
     /// Log segments are modeled as disk-backed (page cache pressure is
-    /// out of scope), so connections are the only heap consumers.
+    /// out of scope), so connections are the only heap consumers. The
+    /// simulator's log holds no message either: 16 bytes per record
+    /// (probe, key, size).
     pub heap_per_conn: Bytes,
 }
 

@@ -36,7 +36,7 @@ pub use client::{ClientEvent, GridlogClientSet};
 pub use config::{
     Batching, BrokerMemory, CostModel, Fetching, GridlogConfig, GroupPolicy, OffsetReset,
 };
-pub use log::{partition_for, PartitionLog, Segment, StoredRecord, TopicLog};
+pub use log::{partition_for, PartitionLog, StoredRecord, TopicLog};
 pub use protocol::{
     fetch_response_bytes, offsets_bytes, produce_bytes, BrokerToClient, ClientToBroker,
     FetchedRecord, Membership, Produce, ProducerRecord,

@@ -10,7 +10,8 @@ use crate::protocol::FetchedRecord;
 use telemetry::ProbeId;
 use wire::Message;
 
-/// One record at rest in a segment.
+/// One record as handed to [`PartitionLog::append`]. The log keeps only
+/// its size: the message is dropped at append.
 #[derive(Debug, Clone)]
 pub struct StoredRecord {
     /// Telemetry probe threaded from the produce call.
@@ -21,14 +22,23 @@ pub struct StoredRecord {
     pub message: Message,
 }
 
+/// One record at rest: 16 bytes. Nothing downstream of the log reads a
+/// payload, only its `wire_size()`, so that is what the segment holds.
+#[derive(Debug)]
+struct AtRest {
+    probe: ProbeId,
+    key: u32,
+    bytes: u32,
+}
+
 /// One append-only segment file: a base offset plus a dense run of
 /// records. The log rolls a new segment every `segment_records` appends.
-#[derive(Debug, Default)]
-pub struct Segment {
+#[derive(Debug)]
+struct Segment {
     /// Offset of the first record in this segment.
-    pub base_offset: u64,
+    base_offset: u64,
     /// The records, offset `base_offset + index`.
-    pub records: Vec<StoredRecord>,
+    records: Vec<AtRest>,
 }
 
 /// One partition: an ordered list of segments and the next offset to
@@ -51,8 +61,11 @@ impl PartitionLog {
         }
     }
 
-    /// Append one record, returning its assigned offset.
+    /// Append one record, returning its assigned offset. The record's
+    /// message is sized here and dropped.
     pub fn append(&mut self, record: StoredRecord) -> u64 {
+        let bytes = u32::try_from(record.message.wire_size())
+            .expect("a record's wire size fits the log's u32 size field");
         let offset = self.next_offset;
         self.next_offset += 1;
         let roll = match self.segments.last() {
@@ -69,7 +82,11 @@ impl PartitionLog {
             .last_mut()
             .expect("just ensured")
             .records
-            .push(record);
+            .push(AtRest {
+                probe: record.probe,
+                key: record.key,
+                bytes,
+            });
         offset
     }
 
@@ -94,8 +111,9 @@ impl PartitionLog {
     }
 
     /// Read up to `max` records starting at `offset`, as fetch-response
-    /// records. Offsets below 0 or at/after the end yield fewer (or no)
-    /// records, never an error — exactly Kafka's fetch semantics.
+    /// records. A read that runs past the end yields fewer records, and
+    /// one that starts at or after the end yields none, never an error
+    /// — exactly Kafka's fetch semantics.
     pub fn read_from(&self, offset: u64, max: usize) -> Vec<FetchedRecord> {
         let mut out = Vec::new();
         if offset >= self.next_offset || max == 0 {
@@ -124,7 +142,7 @@ impl PartitionLog {
                     probe: rec.probe,
                     offset: seg.base_offset + i as u64,
                     key: rec.key,
-                    message: rec.message.clone(),
+                    bytes: rec.bytes,
                 });
                 at = seg.base_offset + i as u64 + 1;
             }
@@ -221,6 +239,36 @@ mod tests {
             cross.iter().map(|r| r.offset).collect::<Vec<_>>(),
             vec![2, 3, 4, 5]
         );
+    }
+
+    #[test]
+    fn fetched_sizes_are_the_appended_sizes() {
+        // Bodies of 0..7 × 100 bytes, across three segments of 3.
+        let msg = |n: u64| {
+            Message::text(
+                Headers::new(MessageId(n), "power.monitor", SimTime::ZERO),
+                "y".repeat(100 * n as usize),
+            )
+        };
+        let mut p = PartitionLog::new(3);
+        let sizes: Vec<usize> = (0..8).map(|n| msg(n).wire_size()).collect();
+        for n in 0..8 {
+            p.append(StoredRecord {
+                probe: ProbeId(n),
+                key: n as u32,
+                message: msg(n),
+            });
+        }
+        let fetched = p.read_from(1, 6);
+        assert_eq!(
+            fetched.iter().map(|r| r.offset).collect::<Vec<_>>(),
+            (1..7).collect::<Vec<u64>>()
+        );
+        for r in &fetched {
+            assert_eq!(r.bytes as usize, sizes[r.offset as usize]);
+            assert_eq!(r.probe, ProbeId(r.offset));
+        }
+        assert!(sizes.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Wire protocol between gridlog clients and the log broker.
 //!
 //! These enums travel as [`simnet::Delivery`] payloads, exactly like the
-//! narada protocol does. Sizes on the wire are computed from the carried
-//! messages (`wire::Message::wire_size`) plus fixed framing modeled on
-//! the Kafka v2 record-batch format.
+//! narada protocol does. Sizes on the wire are computed from the produced
+//! messages (`wire::Message::wire_size`, which a fetched record carries
+//! as `bytes`) plus fixed framing modeled on the Kafka v2 record-batch
+//! format.
 
 use crate::config::OffsetReset;
 use telemetry::ProbeId;
@@ -29,7 +30,8 @@ pub struct ProducerRecord {
     pub message: Message,
 }
 
-/// One record as fetched: the payload plus its position in the log.
+/// One record as fetched: the payload's size plus its position in the
+/// log.
 #[derive(Debug, Clone)]
 pub struct FetchedRecord {
     /// Telemetry probe threaded from the produce call.
@@ -38,8 +40,8 @@ pub struct FetchedRecord {
     pub offset: u64,
     /// Partitioning key.
     pub key: u32,
-    /// The payload.
-    pub message: Message,
+    /// The payload's `wire_size()`, taken at append.
+    pub bytes: u32,
 }
 
 /// Client → broker.
@@ -185,7 +187,7 @@ pub fn fetch_response_bytes(records: &[FetchedRecord]) -> usize {
     BATCH_HEADER_BYTES
         + records
             .iter()
-            .map(|r| r.message.wire_size() + RECORD_OVERHEAD_BYTES)
+            .map(|r| r.bytes as usize + RECORD_OVERHEAD_BYTES)
             .sum::<usize>()
 }
 
@@ -212,15 +214,15 @@ mod tests {
             produce_bytes(std::slice::from_ref(&rec)),
             BATCH_HEADER_BYTES + m.wire_size() + RECORD_OVERHEAD_BYTES
         );
-        let fr = FetchedRecord {
+        let fr = |bytes| FetchedRecord {
             probe: ProbeId(0),
             offset: 0,
             key: 7,
-            message: m.clone(),
+            bytes,
         };
         assert_eq!(
-            fetch_response_bytes(&[fr.clone(), fr]),
-            BATCH_HEADER_BYTES + 2 * (m.wire_size() + RECORD_OVERHEAD_BYTES)
+            fetch_response_bytes(&[fr(40), fr(1000)]),
+            BATCH_HEADER_BYTES + 40 + 1000 + 2 * RECORD_OVERHEAD_BYTES
         );
         assert_eq!(offsets_bytes(0), CONTROL_FRAME_BYTES);
         assert!(offsets_bytes(8) > offsets_bytes(1));
