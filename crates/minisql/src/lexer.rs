@@ -205,9 +205,15 @@ impl LexError {
 /// Tokenize SQL text lazily: the iterator yields one token per call and
 /// ends after the first error.
 pub fn lex(input: &str) -> Lexer<'_> {
+    lex_from(input, 0)
+}
+
+/// Tokenize `input` from byte `at` (a token boundary) on; spans and error
+/// offsets still count from the start of `input`.
+pub(crate) fn lex_from(input: &str, at: usize) -> Lexer<'_> {
     Lexer {
         input,
-        pos: 0,
+        pos: at,
         error: None,
     }
 }

@@ -1,7 +1,7 @@
 //! Recursive-descent parser for the SQL subset.
 
 use crate::ast::{CmpOp, ColumnDef, Predicate, SqlType, Statement};
-use crate::lexer::{lex, Keyword, Kind, LexError, Lexer, Span};
+use crate::lexer::{lex, lex_from, Keyword, Kind, LexError, Lexer, Span};
 use std::fmt;
 use wire::Value;
 
@@ -48,7 +48,7 @@ impl std::error::Error for ParseError {}
 
 /// Parse one SQL statement (a trailing `;` is allowed).
 pub fn parse(input: &str) -> Result<Statement, ParseError> {
-    let mut p = Parser::new(input);
+    let mut p = Parser::new(lex(input));
     let stmt = p.statement()?;
     p.finish()?;
     Ok(stmt)
@@ -71,7 +71,7 @@ pub(crate) trait InsertSink {
 /// instead of building its AST. Returns whether it was an `INSERT`; the
 /// errors are exactly [`parse`]'s.
 pub(crate) fn parse_insert(input: &str, sink: &mut impl InsertSink) -> Result<bool, ParseError> {
-    let mut p = Parser::new(input);
+    let mut p = Parser::new(lex(input));
     let is_insert = p.eat_kw(Keyword::Insert);
     if is_insert {
         p.insert(sink)?;
@@ -80,6 +80,19 @@ pub(crate) fn parse_insert(input: &str, sink: &mut impl InsertSink) -> Result<bo
     }
     p.finish()?;
     Ok(is_insert)
+}
+
+/// Read on from byte `at`, just past the `(` that opens an `INSERT`'s
+/// value list whose head `sink` has already been given: the literals and
+/// the end of the statement, with [`parse_insert`]'s errors.
+pub(crate) fn parse_insert_values(
+    input: &str,
+    at: usize,
+    sink: &mut impl InsertSink,
+) -> Result<(), ParseError> {
+    let mut p = Parser::new(lex_from(input, at));
+    p.values(sink)?;
+    p.finish()
 }
 
 /// The sink behind [`Statement::Insert`].
@@ -119,8 +132,7 @@ struct Parser<'a> {
 }
 
 impl<'a> Parser<'a> {
-    fn new(input: &'a str) -> Self {
-        let mut lexer = lex(input);
+    fn new(mut lexer: Lexer<'a>) -> Self {
         let cur = lexer.next_span();
         Parser {
             lexer,
@@ -305,6 +317,11 @@ impl<'a> Parser<'a> {
         }
         self.expect_kw(Keyword::Values)?;
         self.expect(Kind::LParen, "'(' before values")?;
+        self.values(sink)
+    }
+
+    /// The value list of an `INSERT`, after its `(`.
+    fn values(&mut self, sink: &mut impl InsertSink) -> Result<(), ParseError> {
         sink.expect_values(|| self.list_len_hint());
         loop {
             sink.value(self.literal()?);

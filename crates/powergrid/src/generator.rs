@@ -313,6 +313,32 @@ mod tests {
     }
 
     #[test]
+    fn every_reading_opens_with_the_head_the_servlet_matches_in_place() {
+        let mut cat = minisql::Catalog::new();
+        let schema = cat.create(&minisql::parse(TABLE_SQL).unwrap()).unwrap();
+        let mut rng = SimRng::new(8);
+        let mut fleet: Vec<GeneratorState> = [0, 7, 976, 977, 3999]
+            .into_iter()
+            .map(|id| GeneratorState::new(id, &mut rng))
+            .collect();
+        let mut sql = String::new();
+        for _ in 0..200 {
+            for g in &mut fleet {
+                g.step(&mut rng, 10.0);
+                sql.clear();
+                g.rgma_insert_sql(&mut sql);
+                // A reading off this head still binds, through the whole
+                // grammar at about twice the host time.
+                assert_eq!(
+                    schema.insert_head_len(&sql),
+                    Some(RGMA_INSERT_HEAD.len()),
+                    "{sql}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn rgma_sql_fits_its_reservation() {
         let mut rng = SimRng::new(5);
         let mut g = GeneratorState::new(3999, &mut rng);
