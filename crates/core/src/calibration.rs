@@ -97,11 +97,6 @@ pub fn driver_process() -> ProcessSpec {
 /// most tests, 1000 once).
 pub const MAX_GENERATORS_PER_NODE: usize = 1000;
 
-/// The paper's standard test length (30 minutes).
-pub fn standard_test_duration() -> SimDuration {
-    SimDuration::from_secs(30 * 60)
-}
-
 /// The paper's generator creation stagger for Narada tests.
 pub fn narada_creation_interval() -> SimDuration {
     SimDuration::from_millis(500)
@@ -153,7 +148,6 @@ mod tests {
 
     #[test]
     fn paper_timings() {
-        assert_eq!(standard_test_duration().as_secs_f64(), 1800.0);
         assert_eq!(publish_interval().as_secs_f64(), 10.0);
         let (lo, hi) = warmup_range();
         assert!(lo < hi);

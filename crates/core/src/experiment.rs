@@ -40,9 +40,8 @@ use simnet::session::ReconnectPolicy;
 use simnet::{Endpoint, NetworkFabric, Transport};
 use simos::{NodeId, OsModel, ProcessId, VmstatLog, VmstatSampler};
 use simshard::ShardPlan;
-use simslo::{SloReport, SloSpec};
 use simtrace::{TraceCollector, TraceSampler, TraceSummary};
-use telemetry::{RttCollector, RttSummary};
+use telemetry::{slo, RttCollector, RttSummary, SloReport, SloSpec};
 
 /// Which deployment is under test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,10 +125,11 @@ pub struct ExperimentSpec {
     /// Wall-clock reads never touch the RNG or the event order, so scoped
     /// runs are byte-identical to plain runs at a fixed seed.
     pub scope: bool,
-    /// Data-freshness / SLO accounting (`simslo`). Off by default: the
-    /// `RttCollector` keeps no topic or per-subscriber column. Armed, it
-    /// keeps them, which is bookkeeping only: no event, no RNG draw and
-    /// no wire byte changes, so every other artifact is byte-identical.
+    /// Data-freshness / SLO accounting (`telemetry::slo`). Off by
+    /// default: the `RttCollector` keeps no topic or per-subscriber
+    /// column. Armed, it keeps them, which is bookkeeping only: no event,
+    /// no RNG draw and no wire byte changes, so every other artifact is
+    /// byte-identical.
     pub slo: Option<SloSpec>,
     /// Conservative-parallel shard count (`simshard`). The cluster's
     /// nodes partition round-robin into this many shards, each a full
@@ -219,11 +219,6 @@ impl ExperimentSpec {
     pub fn scaled(mut self, msgs: u32) -> Self {
         self.msgs_per_generator = msgs;
         self
-    }
-
-    /// Total messages this spec will publish.
-    pub fn total_messages(&self) -> u64 {
-        self.generators as u64 * u64::from(self.msgs_per_generator)
     }
 }
 
@@ -1004,8 +999,8 @@ fn merge_results(
             &rtt,
             slo_spec,
             now,
-            simslo::SAMPLE_CADENCE,
-            simslo::DEFAULT_WINDOW,
+            slo::SAMPLE_CADENCE,
+            slo::DEFAULT_WINDOW,
         )
     });
 
@@ -1145,7 +1140,7 @@ mod tests {
     fn spec_helpers() {
         let spec =
             ExperimentSpec::paper_default("x", SystemUnderTest::NaradaSingle, 800).scaled(10);
-        assert_eq!(spec.total_messages(), 8000);
+        assert_eq!(spec.generators * spec.msgs_per_generator as usize, 8000);
         assert!(!spec.system.is_rgma());
         assert!(SystemUnderTest::RgmaSingle.is_rgma());
         assert_eq!(spec.shards, 1);

@@ -27,8 +27,8 @@ pub use experiment::{
 };
 pub use report::HotpathReport;
 pub use simfault::{FaultKind, FaultSchedule, FaultStats};
-pub use simslo::{SloReport, SloSpec};
 pub use sweep::run_all;
+pub use telemetry::{SloReport, SloSpec};
 
 #[cfg(test)]
 mod tests {

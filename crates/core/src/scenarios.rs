@@ -309,10 +309,13 @@ mod tests {
         assert_eq!(specs[5].msgs_per_generator, 1800);
         assert_eq!(
             specs[5].generators as u64 * u64::from(specs[5].msgs_per_generator),
-            specs[3].total_messages()
+            specs[3].generators as u64 * u64::from(specs[3].msgs_per_generator)
         );
         // Paper totals: 800 generators × 180 messages = 144,000.
-        assert_eq!(specs[0].total_messages(), 144_000);
+        assert_eq!(
+            specs[0].generators * specs[0].msgs_per_generator as usize,
+            144_000
+        );
     }
 
     #[test]

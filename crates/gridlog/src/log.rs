@@ -105,11 +105,6 @@ impl PartitionLog {
         self.next_offset == 0
     }
 
-    /// Number of segments rolled so far.
-    pub fn segment_count(&self) -> usize {
-        self.segments.len()
-    }
-
     /// Read up to `max` records starting at `offset`, as fetch-response
     /// records. A read that runs past the end yields fewer records, and
     /// one that starts at or after the end yields none, never an error
@@ -210,7 +205,6 @@ mod tests {
             assert_eq!(p.append(rec(n)), n);
         }
         assert_eq!(p.end_offset(), 10);
-        assert_eq!(p.segment_count(), 3); // 4 + 4 + 2
         let all = p.read_from(0, 100);
         assert_eq!(all.len(), 10);
         for (i, r) in all.iter().enumerate() {

@@ -36,11 +36,6 @@ impl Destination {
             Destination::Topic(s) | Destination::Queue(s) => s,
         }
     }
-
-    /// True for topics.
-    pub fn is_topic(&self) -> bool {
-        matches!(self, Destination::Topic(_))
-    }
 }
 
 impl std::fmt::Display for Destination {
@@ -87,11 +82,6 @@ impl Selector {
     /// Source text.
     pub fn text(&self) -> &str {
         &self.text
-    }
-
-    /// Compiled AST.
-    pub fn expr(&self) -> &Expr {
-        &self.expr
     }
 
     /// Does `msg` match? (UNKNOWN rejects, per JMS.)
@@ -145,11 +135,9 @@ mod tests {
     #[test]
     fn destination_accessors() {
         let t = Destination::Topic("power".into());
-        assert!(t.is_topic());
         assert_eq!(t.name(), "power");
         assert_eq!(format!("{t}"), "topic:power");
         let q = Destination::Queue("jobs".into());
-        assert!(!q.is_topic());
         assert_eq!(format!("{q}"), "queue:jobs");
     }
 

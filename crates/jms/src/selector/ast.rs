@@ -140,35 +140,6 @@ impl Expr {
             Expr::IsNull { expr, .. } => expr.node_count(),
         }
     }
-
-    /// Property names referenced by this expression.
-    pub fn referenced_properties(&self) -> Vec<&str> {
-        let mut out = Vec::new();
-        self.collect_idents(&mut out);
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    fn collect_idents<'a>(&'a self, out: &mut Vec<&'a str>) {
-        match self {
-            Expr::Ident(name) => out.push(name),
-            Expr::Int(_) | Expr::Float(_) | Expr::Str(_) | Expr::Bool(_) => {}
-            Expr::And(a, b) | Expr::Or(a, b) | Expr::Cmp(_, a, b) | Expr::Arith(_, a, b) => {
-                a.collect_idents(out);
-                b.collect_idents(out);
-            }
-            Expr::Not(a) | Expr::Neg(a) => a.collect_idents(out),
-            Expr::Between { expr, lo, hi, .. } => {
-                expr.collect_idents(out);
-                lo.collect_idents(out);
-                hi.collect_idents(out);
-            }
-            Expr::InList { expr, .. } | Expr::Like { expr, .. } | Expr::IsNull { expr, .. } => {
-                expr.collect_idents(out)
-            }
-        }
-    }
 }
 
 impl fmt::Display for Expr {
@@ -251,7 +222,6 @@ mod tests {
             }),
         );
         assert_eq!(e.node_count(), 6);
-        assert_eq!(e.referenced_properties(), vec!["id", "region"]);
     }
 
     #[test]

@@ -506,9 +506,5 @@ mod tests {
         let e = p("(gen_id BETWEEN 0 AND 750 AND region IN ('uk','ie')) \
                    OR (power > 1000.0 AND status <> 'OFF' AND site LIKE 'hydra%')");
         assert!(e.node_count() > 10);
-        assert_eq!(
-            e.referenced_properties(),
-            vec!["gen_id", "power", "region", "site", "status"]
-        );
     }
 }

@@ -152,12 +152,6 @@ impl ConnSettings {
             reconnect: None,
         }
     }
-
-    /// Builder: enable reconnect with the given policy.
-    pub fn with_reconnect(mut self, policy: ReconnectPolicy) -> Self {
-        self.reconnect = Some(policy);
-        self
-    }
 }
 
 #[cfg(test)]
@@ -180,8 +174,7 @@ mod tests {
         assert_eq!(s.transport, Transport::Tcp);
         assert_eq!(s.ack_mode, AckMode::Auto);
         assert_eq!(s.reconnect, None);
-        let r = s.with_reconnect(ReconnectPolicy::default());
-        let p = r.reconnect.expect("policy set");
+        let p = ReconnectPolicy::default();
         assert!(p.detect_timeout > p.heartbeat_interval);
         assert!(p.backoff_max >= p.backoff_initial);
         assert!(p.max_attempts >= 1);

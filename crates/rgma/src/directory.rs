@@ -132,42 +132,10 @@ impl Directory {
         id
     }
 
-    /// Remove a registration (producer or consumer).
-    pub fn unregister(&mut self, id: RegistrationId) {
-        for entries in self.producers.values_mut() {
-            entries.retain(|p| p.id != id);
-        }
-        self.consumers.retain(|c| c.id != id);
-    }
-
     /// Producers for `resource` visible at `now`, in registration order.
     pub fn find_producers(&self, now: SimTime, resource: &str) -> Vec<&ProducerEntry> {
         let entries = self.producers.get(resource).map_or(&[][..], Vec::as_slice);
         entries.iter().filter(|p| p.visible_at <= now).collect()
-    }
-
-    /// Consumers for `resource` visible at `now`.
-    pub fn find_consumers(&self, now: SimTime, resource: &str) -> Vec<&ConsumerEntry> {
-        self.consumers
-            .iter()
-            .filter(|c| c.resource == resource && c.visible_at <= now)
-            .collect()
-    }
-
-    /// All producer registrations (including not-yet-visible), for
-    /// diagnostics.
-    pub fn producer_count(&self) -> usize {
-        self.producers.values().map(Vec::len).sum()
-    }
-
-    /// All consumer registrations.
-    pub fn consumer_count(&self) -> usize {
-        self.consumers.len()
-    }
-
-    /// The configured propagation delay.
-    pub fn propagation(&self) -> simcore::SimDuration {
-        self.propagation
     }
 }
 
@@ -207,18 +175,6 @@ mod tests {
         assert_eq!(d.find_producers(t, "generator").len(), 1);
         assert_eq!(d.find_producers(t, "weather").len(), 1);
         assert_eq!(d.find_producers(t, "nothing").len(), 0);
-        assert_eq!(d.find_consumers(t, "generator").len(), 1);
-    }
-
-    #[test]
-    fn unregister_removes() {
-        let mut d = Directory::new(SimDuration::ZERO);
-        let t = SimTime::ZERO;
-        let id = d.register_producer(t, ep(0), "generator", vec![]);
-        assert_eq!(d.producer_count(), 1);
-        d.unregister(id);
-        assert_eq!(d.producer_count(), 0);
-        assert!(d.find_producers(t, "generator").is_empty());
     }
 
     #[test]
@@ -227,6 +183,5 @@ mod tests {
         let a = d.register_producer(SimTime::ZERO, ep(0), "x", vec![]);
         let b = d.register_consumer(SimTime::ZERO, ep(1), "x");
         assert_ne!(a, b);
-        assert_eq!(d.consumer_count(), 1);
     }
 }

@@ -38,6 +38,6 @@ pub use config::{HttpRetryPolicy, RgmaConfig, RgmaCostModel, RgmaMemory};
 pub use consumer::{ConsumerControl, ConsumerServlet};
 pub use producer::{ProducerControl, ProducerServlet};
 pub use protocol::{ConsumerId, ProducerId, QueryType};
-pub use registry::{RegistryActor, RegistryStats, RegistryStatsHandle};
+pub use registry::RegistryActor;
 pub use secondary::SecondaryProducer;
 pub use storage::{MemoryStorage, StoredTuple};

@@ -16,22 +16,6 @@ use simfault::FaultSignal;
 use simnet::http::Reply;
 use simnet::{server, Delivery, Endpoint, HttpRequest};
 use simos::{NodeId, ProcessId};
-use std::cell::RefCell;
-use std::rc::Rc;
-
-/// Registry counters shared with the experiment driver.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct RegistryStats {
-    /// Producer registrations accepted (including soft-state refreshes).
-    pub registrations: u64,
-    /// Consumer registrations accepted.
-    pub consumer_registrations: u64,
-    /// Fault-injected restarts (directory wiped).
-    pub restarts: u32,
-}
-
-/// Shared handle to registry statistics.
-pub type RegistryStatsHandle = Rc<RefCell<RegistryStats>>;
 
 /// The registry servlet actor.
 pub struct RegistryActor {
@@ -44,7 +28,6 @@ pub struct RegistryActor {
     /// already registered. Wiped (with the directory) on restart, so the
     /// next refresh re-lands the entry.
     registered: FastMap<(String, Endpoint), RegistrationId>,
-    stats: RegistryStatsHandle,
 }
 
 impl RegistryActor {
@@ -59,13 +42,7 @@ impl RegistryActor {
             directory: Directory::new(propagation),
             instance_of: FastMap::default(),
             registered: FastMap::default(),
-            stats: RegistryStatsHandle::default(),
         }
-    }
-
-    /// Statistics handle; clone before `add_actor`.
-    pub fn stats_handle(&self) -> RegistryStatsHandle {
-        self.stats.clone()
     }
 
     /// A Tomcat restart: every soft-state registration is lost.
@@ -73,7 +50,6 @@ impl RegistryActor {
         self.directory = Directory::new(self.cfg.registry_propagation);
         self.instance_of.clear();
         self.registered.clear();
-        self.stats.borrow_mut().restarts += 1;
     }
 
     fn handle_request(&mut self, ctx: &mut Context<'_>, reply: Reply, body: Payload) {
@@ -94,7 +70,6 @@ impl RegistryActor {
                     );
                     self.instance_of.insert(reg, pid);
                     self.registered.insert((table, endpoint), reg);
-                    self.stats.borrow_mut().registrations += 1;
                 }
                 RegistryResponse::Registered
             }
@@ -104,7 +79,6 @@ impl RegistryActor {
                         .directory
                         .register_consumer(ctx.now(), endpoint, &table);
                     self.registered.insert((table, endpoint), reg);
-                    self.stats.borrow_mut().consumer_registrations += 1;
                 }
                 RegistryResponse::Registered
             }

@@ -376,12 +376,6 @@ impl Simulation {
         self.current_node = Some(node);
     }
 
-    /// Whether a locality filter is installed (i.e. this world is one shard
-    /// of a partitioned run — possibly a 1-shard one).
-    pub fn is_sharded(&self) -> bool {
-        self.world.locality.is_some()
-    }
-
     /// Mark this shard as the accounting primary (shard 0). Replicated
     /// actors' events are only counted on the primary so that summed
     /// [`KernelStats`] equal a serial run. Serial worlds are primary.
@@ -392,16 +386,6 @@ impl Simulation {
     /// Install the cross-shard router consulted for messages to ghosts.
     pub fn set_router(&mut self, r: impl RemoteRouter + 'static) {
         self.world.router = Some(Box::new(r));
-    }
-
-    /// True if `id` is a ghost here (hosted by another shard).
-    pub fn is_ghost(&self, id: ActorId) -> bool {
-        self.world.slots.get(id.index()).is_some_and(|s| s.ghost)
-    }
-
-    /// The declared node of an actor, if any.
-    pub fn actor_node(&self, id: ActorId) -> Option<u16> {
-        self.world.slots.get(id.index()).and_then(|s| s.node)
     }
 
     /// Register an actor; returns its id. Actors registered before the
@@ -456,13 +440,6 @@ impl Simulation {
             .enqueue(at, EXTERNAL_LANE, target, payload, None, false);
     }
 
-    /// Schedule at an absolute instant (must not be in the past).
-    pub fn schedule_at(&mut self, at: SimTime, target: ActorId, payload: Payload) {
-        assert!(at >= self.world.now, "cannot schedule into the past");
-        self.world
-            .enqueue(at, EXTERNAL_LANE, target, payload, None, false);
-    }
-
     /// Inject an event that crossed the shard boundary. Its `scheduled`
     /// accounting happened on the sender shard; here it is only enqueued
     /// (and will be accounted as executed/dropped where it dispatches).
@@ -481,11 +458,6 @@ impl Simulation {
             payload: env.payload,
             type_ix,
         });
-    }
-
-    /// Number of pending events.
-    pub fn pending_events(&self) -> usize {
-        self.world.queue.len()
     }
 
     /// Time of the earliest pending event (the shard's contribution to the
@@ -616,11 +588,6 @@ impl Context<'_> {
         &mut self.world.slots[self.self_id.index()].rng
     }
 
-    /// True if `id` is hosted by another shard (always false serially).
-    pub fn is_remote(&self, id: ActorId) -> bool {
-        self.world.slots.get(id.index()).is_some_and(|s| s.ghost)
-    }
-
     /// True on the accounting-primary shard (and in serial runs). Lets
     /// replicated actors count a side effect exactly once across shards.
     pub fn accounting_primary(&self) -> bool {
@@ -643,11 +610,8 @@ impl Context<'_> {
         self.world.queue.wall_record(site, t0);
     }
 
-    /// Send a message to `target` after `delay`. The value is boxed here;
-    /// to forward an already-boxed [`Payload`] use [`send_raw_in`] instead
-    /// (passing a `Payload` to this method would nest the box).
-    ///
-    /// [`send_raw_in`]: Context::send_raw_in
+    /// Send a message to `target` after `delay`. The value is boxed here
+    /// (passing a [`Payload`] to this method would nest the box).
     pub fn send_in<T: std::any::Any + Send>(
         &mut self,
         delay: SimDuration,
@@ -679,11 +643,6 @@ impl Context<'_> {
     /// lane, then FIFO within the lane).
     pub fn send_now<T: std::any::Any + Send>(&mut self, target: ActorId, value: T) {
         self.send_in(SimDuration::ZERO, target, value);
-    }
-
-    /// Forward an already-boxed payload without re-boxing.
-    pub fn send_raw_in(&mut self, delay: SimDuration, target: ActorId, payload: Payload) {
-        self.send(delay, target, payload, None, false);
     }
 
     /// Send a message to self after `delay` (a timer). Counted separately
@@ -827,7 +786,7 @@ mod tests {
         let outcome = sim.run_until(SimTime::from_secs(4));
         assert_eq!(outcome, RunOutcome::HorizonReached);
         assert_eq!(sim.now(), SimTime::from_secs(4));
-        assert_eq!(sim.pending_events(), 1);
+        assert_eq!(sim.next_event_time(), Some(SimTime::from_secs(10)));
         // Resume past the event.
         assert_eq!(
             sim.run_until(SimTime::from_secs(20)),
@@ -863,7 +822,7 @@ mod tests {
         // Window [_, 2): only the t=1 event fires; t=2 stays pending.
         sim.run_window(SimTime::from_secs(2), SimTime::from_secs(100));
         assert_eq!(hits.load(Ordering::Relaxed), 1);
-        assert_eq!(sim.pending_events(), 2);
+        assert_eq!(sim.next_event_time(), Some(SimTime::from_secs(2)));
         // The clock does not jump to the window end on its own.
         assert_eq!(sim.now(), SimTime::from_secs(1));
         sim.run_window(SimTime::from_secs(10), SimTime::from_secs(2));
@@ -1082,7 +1041,8 @@ mod tests {
                 );
             }
             for &(actor, at_ms) in schedule {
-                sim.schedule_at(SimTime::from_millis(at_ms), ids[actor], Box::new(()));
+                let at = SimTime::from_millis(at_ms).saturating_since(sim.now());
+                sim.schedule(at, ids[actor], Box::new(()));
             }
             sim.run_to_completion(100);
             let mut v = out.lock().unwrap().clone();
@@ -1124,14 +1084,11 @@ mod tests {
             ActorId::from_index(1)
         };
         let sender = sim.add_actor(FnActor(move |_m: Payload, ctx: &mut Context| {
-            assert!(ctx.is_remote(remote_target));
             ctx.send_in(SimDuration::from_millis(5), remote_target, 7u32);
         }));
         sim.on_node(1);
         let ghost = sim.add_actor(crate::actor::NullActor);
         assert_eq!(ghost, remote_target);
-        assert!(sim.is_ghost(ghost));
-        assert_eq!(sim.actor_node(ghost), Some(1));
 
         // A replicated ticker: executes here but is not accounted (not
         // primary), and its send to the ghost is dropped, not routed.

@@ -87,12 +87,6 @@ impl SimRng {
         result
     }
 
-    /// Next 32-bit output.
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform float in `[0, 1)`. Uses the top 53 bits for a dyadic uniform.
     #[inline]
     pub fn f64(&mut self) -> f64 {
@@ -121,12 +115,6 @@ impl SimRng {
             return self.next_u64();
         }
         lo + self.below(hi - lo + 1)
-    }
-
-    /// Uniform float in `[lo, hi)`.
-    pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        debug_assert!(lo <= hi);
-        lo + (hi - lo) * self.f64()
     }
 
     /// Bernoulli trial with probability `p` (clamped to `[0,1]`).
@@ -175,14 +163,6 @@ impl SimRng {
     /// Exponentially-distributed duration with the given mean.
     pub fn exp_duration(&mut self, mean: SimDuration) -> SimDuration {
         SimDuration::from_micros(self.exp_f64(mean.as_micros() as f64).round() as u64)
-    }
-
-    /// Shuffle a slice in place (Fisher–Yates).
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            xs.swap(i, j);
-        }
     }
 }
 
@@ -309,17 +289,5 @@ mod tests {
         let sum: u64 = (0..n).map(|_| rng.exp_duration(mean).as_micros()).sum();
         let avg = sum as f64 / n as f64;
         assert!((avg - 100_000.0).abs() < 3_000.0, "avg={avg}");
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut rng = SimRng::new(31);
-        let mut xs: Vec<u32> = (0..100).collect();
-        rng.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        // Overwhelmingly likely to actually move something.
-        assert_ne!(xs, (0..100).collect::<Vec<_>>());
     }
 }

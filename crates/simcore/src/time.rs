@@ -65,24 +65,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked difference: `None` if `earlier > self`.
-    #[inline]
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
-
-    /// The larger of two instants.
-    #[inline]
-    pub fn max(self, other: SimTime) -> SimTime {
-        SimTime(self.0.max(other.0))
-    }
-
-    /// The smaller of two instants.
-    #[inline]
-    pub fn min(self, other: SimTime) -> SimTime {
-        SimTime(self.0.min(other.0))
-    }
 }
 
 impl SimDuration {
@@ -107,19 +89,6 @@ impl SimDuration {
     #[inline]
     pub const fn from_secs(s: u64) -> Self {
         SimDuration(s * 1_000_000)
-    }
-
-    /// Construct from fractional seconds (rounds to the nearest microsecond,
-    /// saturating at zero for negative input).
-    #[inline]
-    pub fn from_secs_f64(s: f64) -> Self {
-        SimDuration((s.max(0.0) * 1_000_000.0).round() as u64)
-    }
-
-    /// Construct from fractional milliseconds (rounds; clamps negatives to 0).
-    #[inline]
-    pub fn from_millis_f64(ms: f64) -> Self {
-        SimDuration((ms.max(0.0) * 1_000.0).round() as u64)
     }
 
     /// Raw microsecond count.
@@ -156,18 +125,6 @@ impl SimDuration {
     #[inline]
     pub fn mul_f64(self, k: f64) -> SimDuration {
         SimDuration(((self.0 as f64) * k.max(0.0)).round() as u64)
-    }
-
-    /// The larger of two durations.
-    #[inline]
-    pub fn max(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.max(other.0))
-    }
-
-    /// The smaller of two durations.
-    #[inline]
-    pub fn min(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.min(other.0))
     }
 }
 
@@ -272,16 +229,10 @@ mod tests {
         let t = SimTime::from_micros(1_500_000);
         assert!((t.as_secs_f64() - 1.5).abs() < 1e-12);
         assert!((t.as_millis_f64() - 1500.0).abs() < 1e-9);
-        let d = SimDuration::from_secs_f64(0.25);
-        assert_eq!(d.as_micros(), 250_000);
-        let d = SimDuration::from_millis_f64(1.5);
-        assert_eq!(d.as_micros(), 1_500);
     }
 
     #[test]
     fn negative_float_durations_clamp_to_zero() {
-        assert_eq!(SimDuration::from_secs_f64(-1.0), SimDuration::ZERO);
-        assert_eq!(SimDuration::from_millis_f64(-0.1), SimDuration::ZERO);
         assert_eq!(SimDuration::from_millis(3).mul_f64(-2.0), SimDuration::ZERO);
     }
 
@@ -304,8 +255,6 @@ mod tests {
         let late = SimTime::from_secs(2);
         assert_eq!(early.saturating_since(late), SimDuration::ZERO);
         assert_eq!(late.saturating_since(early), SimDuration::from_secs(1));
-        assert_eq!(early.checked_since(late), None);
-        assert_eq!(late.checked_since(early), Some(SimDuration::from_secs(1)));
         assert_eq!(SimTime::MAX + SimDuration::from_secs(1), SimTime::MAX);
     }
 

@@ -190,24 +190,9 @@ impl NetworkFabric {
         }
     }
 
-    /// Configuration in force.
-    pub fn config(&self) -> &FabricConfig {
-        &self.cfg
-    }
-
     /// Counters so far.
     pub fn stats(&self) -> FabricStats {
         self.stats
-    }
-
-    /// The fabric's conservative lookahead: the minimum virtual-time
-    /// distance between handing a frame to the fabric and its delivery.
-    /// Every delivery pays at least the one-way `base_latency` (plus
-    /// transmission time and non-negative jitter), so a shard executing
-    /// events in `[t, t + lookahead)` can never receive a frame dated
-    /// inside that window from a peer shard still at time ≥ t.
-    pub fn lookahead(&self) -> SimDuration {
-        self.cfg.base_latency
     }
 
     /// Mark the end of the deterministic build phase. Connections opened

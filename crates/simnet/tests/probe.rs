@@ -70,7 +70,8 @@ impl World {
     }
 
     fn at(&mut self, when: u64, actor: ActorId, stamp: Stamp) {
-        self.sim.schedule_at(ms(when), actor, Box::new(stamp));
+        let at = ms(when).saturating_since(self.sim.now());
+        self.sim.schedule(at, actor, Box::new(stamp));
     }
 
     /// Published at 10 ms, the call returns at 12; within subscriber 0's

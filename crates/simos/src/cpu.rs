@@ -32,8 +32,6 @@ pub struct CpuServer {
     /// runnable job waits while the scheduler cycles through other
     /// threads. Pure latency — it does not occupy the core.
     sched_latency_per_thread: SimDuration,
-    /// Jobs accepted (for diagnostics).
-    jobs: u64,
 }
 
 impl CpuServer {
@@ -48,7 +46,6 @@ impl CpuServer {
             threads: baseline_threads,
             baseline_threads,
             sched_latency_per_thread: SimDuration::ZERO,
-            jobs: 0,
         }
     }
 
@@ -89,24 +86,8 @@ impl CpuServer {
         let busy_done = start + effective;
         self.busy_until = busy_done;
         self.total_work += effective;
-        self.jobs += 1;
         let extra_threads = u64::from(self.threads.saturating_sub(self.baseline_threads));
         busy_done + self.sched_latency_per_thread.saturating_mul(extra_threads)
-    }
-
-    /// Submit a job but give up if it could not *start* within `patience`
-    /// (models bounded accept queues). Returns `Err(backlog)` if rejected.
-    pub fn execute_with_patience(
-        &mut self,
-        now: SimTime,
-        cost: SimDuration,
-        patience: SimDuration,
-    ) -> Result<SimTime, SimDuration> {
-        let backlog = self.backlog(now);
-        if backlog > patience {
-            return Err(backlog);
-        }
-        Ok(self.execute(now, cost))
     }
 
     /// Work remaining in the queue as of `now`.
@@ -123,11 +104,6 @@ impl CpuServer {
     /// the invariant holds by construction.
     pub fn busy_integral(&self, now: SimTime) -> SimDuration {
         self.total_work.saturating_sub(self.backlog(now))
-    }
-
-    /// Jobs ever accepted.
-    pub fn jobs(&self) -> u64 {
-        self.jobs
     }
 
     /// Sum of all effective (inflated) costs ever accepted — the
@@ -196,14 +172,5 @@ mod tests {
         cpu.execute(at(0), ms(100));
         assert_eq!(cpu.busy_integral(at(40)), ms(40));
         assert_eq!(cpu.backlog(at(40)), ms(60));
-    }
-
-    #[test]
-    fn patience_rejects_when_backlogged() {
-        let mut cpu = CpuServer::new(0.0, 0);
-        cpu.execute(at(0), ms(100));
-        assert!(cpu.execute_with_patience(at(0), ms(1), ms(50)).is_err());
-        assert!(cpu.execute_with_patience(at(60), ms(1), ms(50)).is_ok());
-        assert_eq!(cpu.jobs(), 2);
     }
 }

@@ -172,11 +172,6 @@ impl ProcessMemory {
         Bytes(self.heap_used)
     }
 
-    /// Peak heap usage observed.
-    pub fn heap_peak(&self) -> Bytes {
-        Bytes(self.heap_peak)
-    }
-
     /// The paper's "memory consumption": peak heap minus idle baseline,
     /// plus resident stack pages.
     pub fn consumption(&self) -> Bytes {
@@ -221,7 +216,6 @@ mod tests {
         assert_eq!(m.heap_used(), Bytes::mib(132));
         m.free(Bytes::mib(50));
         assert_eq!(m.heap_used(), Bytes::mib(82));
-        assert_eq!(m.heap_peak(), Bytes::mib(132));
         // Free below baseline clamps.
         m.free(Bytes::mib(1000));
         assert_eq!(m.heap_used(), Bytes::mib(32));

@@ -125,15 +125,6 @@ impl ProcessSpec {
             baseline: Bytes::mib(48),
         }
     }
-
-    /// A lighter client JVM (simulation driver programs).
-    pub fn jvm_client() -> Self {
-        ProcessSpec {
-            heap_cap: Bytes::mib(512),
-            stack_size: Bytes::kib(256),
-            baseline: Bytes::mib(24),
-        }
-    }
 }
 
 /// The cluster-wide OS resource model, registered as a kernel service.
@@ -171,19 +162,9 @@ impl OsModel {
         ProcessId { node, ix }
     }
 
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Borrow a node.
     pub fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id.0 as usize]
-    }
-
-    /// Borrow a node mutably.
-    pub fn node_mut(&mut self, id: NodeId) -> &mut Node {
-        &mut self.nodes[id.0 as usize]
     }
 
     /// Borrow a process's memory accounting.
@@ -196,15 +177,10 @@ impl OsModel {
         &mut self.nodes[pid.node.0 as usize].procs[pid.ix as usize]
     }
 
-    /// Run `cost` on a node's CPU; returns completion time. While a
-    /// fault-injected slowdown window is open the cost is scaled by the
-    /// node's slowdown factor.
-    pub fn execute(&mut self, node: NodeId, now: SimTime, cost: SimDuration) -> SimTime {
-        self.execute_metered(node, now, cost).0
-    }
-
-    /// Like [`OsModel::execute`], but also returns the *effective* cost
-    /// the CPU accepted (after slowdown and thread inflation) — what a
+    /// Run `cost` on a node's CPU; returns the completion time and the
+    /// *effective* cost the CPU accepted. While a fault-injected slowdown
+    /// window is open the cost is scaled by the node's slowdown factor;
+    /// the effective cost (after slowdown and thread inflation) is what a
     /// profiling site must charge so attribution conserves exactly
     /// against [`OsModel::total_submitted_work`]. Its callers time it as
     /// the `os.execute` wall-clock site (`simcore::Site::OsExecute`).
@@ -323,7 +299,7 @@ mod tests {
     fn execute_delegates_to_cpu() {
         let mut os = OsModel::new();
         let n = os.add_node(NodeSpec::hydra("hydra1", 0.0));
-        let done = os.execute(n, SimTime::from_millis(1), SimDuration::from_millis(2));
+        let (done, _) = os.execute_metered(n, SimTime::from_millis(1), SimDuration::from_millis(2));
         assert_eq!(done, SimTime::from_millis(3));
     }
 
@@ -331,8 +307,13 @@ mod tests {
     fn node_resident_sums_processes() {
         let mut os = OsModel::new();
         let n = os.add_node(NodeSpec::hydra("hydra1", 0.0));
-        let a = os.add_process(n, ProcessSpec::jvm_client());
-        let b = os.add_process(n, ProcessSpec::jvm_client());
+        let client = ProcessSpec {
+            heap_cap: Bytes::mib(512),
+            stack_size: Bytes::kib(256),
+            baseline: Bytes::mib(24),
+        };
+        let a = os.add_process(n, client.clone());
+        let b = os.add_process(n, client);
         os.alloc(a, Bytes::mib(10)).unwrap();
         os.alloc(b, Bytes::mib(20)).unwrap();
         assert_eq!(os.node(n).resident(), Bytes::mib(24 + 24 + 30));

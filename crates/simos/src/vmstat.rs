@@ -51,12 +51,6 @@ impl VmstatLog {
         self.samples.iter().filter(move |s| s.node == node)
     }
 
-    /// Mean CPU idle fraction for a node over all samples (the paper's
-    /// "CPU idle time was calculated as the average during the tests").
-    pub fn mean_idle(&self, node: NodeId) -> Option<f64> {
-        self.mean_idle_between(node, SimTime::ZERO, SimTime::MAX)
-    }
-
     /// Mean CPU idle restricted to a window (used to exclude the
     /// connection ramp from the reported figure, as the paper's
     /// steady-state measurement does).
@@ -208,7 +202,7 @@ mod tests {
         let worker = sim.add_actor(FnActor(move |_m: Payload, ctx: &mut Context| {
             let now = ctx.now();
             ctx.service_mut::<OsModel>()
-                .execute(node, now, SimDuration::from_millis(500));
+                .execute_metered(node, now, SimDuration::from_millis(500));
         }));
         sim.schedule(SimDuration::from_millis(2_100), worker, Box::new(()));
         sim.run_until(SimTime::from_secs(4));
@@ -238,9 +232,10 @@ mod tests {
                 mem_bytes: mem,
             });
         }
-        assert!((log.mean_idle(node).unwrap() - 0.75).abs() < 1e-12);
+        let all = |node| log.mean_idle_between(node, SimTime::ZERO, SimTime::MAX);
+        assert!((all(node).unwrap() - 0.75).abs() < 1e-12);
         assert_eq!(log.peak_mem(node), Some(30));
-        assert_eq!(log.mean_idle(NodeId(9)), None);
+        assert_eq!(all(NodeId(9)), None);
         assert_eq!(log.peak_mem(NodeId(9)), None);
     }
 }

@@ -28,25 +28,26 @@
 //! A trim is cheap because records arrive nearly in key order: the
 //! kernel clock only moves forward. A record stamped ahead of the clock
 //! (a frame's delivery) would be passed by every record made while the
-//! frame is in flight, so it is held back, in key order, until the clock
-//! reaches its stamp; a trim keeps every held record, as each is stamped
-//! after every stored one. What the store then receives is out of order
-//! only among same-instant records of different lanes, a place or two,
-//! and is ordered by insertion, in place ([`fold_newest`]). The records
-//! made since the last trim are then the newest but for a few at the
-//! seam, so they become the window where they lie and the two buffers
-//! take turns: a trim moves no more than the seam. The merge of a single
-//! store does the same; the union of several is far from key order, so
-//! it selects the newest `capacity` and sorts only those. The gauge log
-//! is bounded the same way: a sample reads only the max-key write
-//! of each gauge at or before its instant, so writes fold as they are
-//! made to one op per (gauge, sample interval).
+//! frame is in flight, so it is held back, in a min-heap on its key,
+//! until the clock reaches its stamp; a trim keeps every held record,
+//! as each is stamped after every stored one. What the store then
+//! receives is out of order only among same-instant records of
+//! different lanes, a place or two, and is ordered by insertion, in
+//! place ([`fold_newest`]). The records made since the last trim are
+//! then the newest but for a few at the seam, so they become the window
+//! where they lie and the two buffers take turns: a trim moves no more
+//! than the seam. The merge of a single store does the same; the union
+//! of several is far from key order, so it selects the newest
+//! `capacity` and sorts only those. The gauge log is bounded the same
+//! way: a sample reads only the max-key write of each gauge at or
+//! before its instant, so writes fold as they are made to one op per
+//! (gauge, sample interval).
 
 use crate::event::{Counter, EventKind, Gauge, TraceEvent, TraceId, COUNTER_COUNT, GAUGE_COUNT};
 use crate::sampler::CounterSample;
 use simcore::{Context, FastMap, SimTime};
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, VecDeque};
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// Default ring capacity: enough for every event of the scaled
 /// experiment suite while bounding the exported artifact to a few MB of
@@ -75,6 +76,33 @@ type Keyed = (u32, u64, TraceEvent);
 fn event_key((lane, seq, ev): &Keyed) -> (SimTime, u32, u64) {
     (ev.at, *lane, *seq)
 }
+
+/// A record stamped ahead of the recorder clock. Ordered by key,
+/// reversed, so the top of a [`BinaryHeap`] is the smallest key.
+#[derive(Clone, Copy)]
+struct Held(Keyed);
+
+impl Ord for Held {
+    fn cmp(&self, other: &Self) -> Ordering {
+        #[cfg(test)]
+        tests::KEY_COMPARES.with(|n| n.set(n.get() + 1));
+        event_key(&other.0).cmp(&event_key(&self.0))
+    }
+}
+
+impl PartialOrd for Held {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Held {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Held {}
 
 /// Put `events` in key order, given `events[..sorted]` already is.
 ///
@@ -148,9 +176,9 @@ pub struct TraceCollector {
     kept_from: usize,
     /// Records made since the last trim, in record order.
     events: Vec<Keyed>,
-    /// Records stamped ahead of the recorder clock, in key order, until
-    /// the clock reaches them.
-    ahead: VecDeque<Keyed>,
+    /// Records stamped ahead of the recorder clock, until the clock
+    /// reaches them.
+    ahead: BinaryHeap<Held>,
     capacity: usize,
     /// Events ever recorded, retained or not.
     recorded: u64,
@@ -177,7 +205,7 @@ impl TraceCollector {
             kept: Vec::new(),
             kept_from: 0,
             events: Vec::new(),
-            ahead: VecDeque::new(),
+            ahead: BinaryHeap::new(),
             capacity: capacity.max(1),
             recorded: 0,
             counters: [0; COUNTER_COUNT],
@@ -209,8 +237,9 @@ impl TraceCollector {
     /// window has beside them. A held record is stamped after every
     /// stored one, so the held ones are the newest.
     fn hold_newest(&mut self) -> usize {
-        let held = self.ahead.len();
-        self.ahead.drain(..held.saturating_sub(self.capacity));
+        while self.ahead.len() > self.capacity {
+            self.ahead.pop();
+        }
         self.capacity - self.ahead.len()
     }
 
@@ -258,7 +287,9 @@ impl TraceCollector {
             }
             self.events = Vec::new();
         }
-        self.kept.extend(self.ahead.drain(..));
+        while let Some(Held(held)) = self.ahead.pop() {
+            self.kept.push(held);
+        }
     }
 
     /// Store a record the clock has reached.
@@ -298,15 +329,13 @@ impl TraceCollector {
             },
         );
         if at > self.cur_at {
-            let key = event_key(&ev);
-            let after = self.ahead.iter().rposition(|e| event_key(e) < key);
-            self.ahead.insert(after.map_or(0, |ix| ix + 1), ev);
+            self.ahead.push(Held(ev));
         } else {
-            while let Some(&held) = self.ahead.front() {
+            while let Some(&Held(held)) = self.ahead.peek() {
                 if held.2.at > self.cur_at {
                     break;
                 }
-                self.ahead.pop_front();
+                self.ahead.pop();
                 self.store(held);
             }
             self.store(ev);
@@ -374,7 +403,7 @@ impl TraceCollector {
 
     /// Retained events; oldest first once [`merged`](Self::merged).
     pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        let since = self.events.iter().chain(&self.ahead);
+        let since = self.events.iter().chain(self.ahead.iter().map(|h| &h.0));
         let window = &self.kept[self.kept_from..];
         window.iter().chain(since).map(|(_, _, ev)| ev)
     }
@@ -473,7 +502,7 @@ impl TraceCollector {
             kept: events,
             kept_from: from,
             events: Vec::new(),
-            ahead: VecDeque::new(),
+            ahead: BinaryHeap::new(),
             capacity,
             recorded,
             counters,
@@ -512,6 +541,12 @@ pub fn with_trace(ctx: &mut Context<'_>, f: impl FnOnce(&mut TraceCollector, Sim
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Key comparisons [`Held`]'s `Ord` made on this thread.
+        pub(super) static KEY_COMPARES: Cell<u64> = const { Cell::new(0) };
+    }
 
     fn ev(n: u64) -> (SimTime, Option<TraceId>, u64, EventKind) {
         (
@@ -597,6 +632,39 @@ mod tests {
         let m = TraceCollector::merged([c]);
         let lanes: Vec<u64> = m.events().map(|e| e.actor).collect();
         assert_eq!(lanes, vec![3, 4, 5, 0]);
+    }
+
+    #[test]
+    fn a_held_record_costs_logarithmic_key_compares() {
+        // Every frame in flight at once, each stamped before all those
+        // held: in a key-ordered list each would go in front of the rest.
+        const N: u64 = 200_000;
+        let mut c = TraceCollector::with_capacity(1 << 18);
+        let before = KEY_COMPARES.get();
+        for n in 0..N {
+            c.record(
+                SimTime::from_micros(2 * N - n),
+                None,
+                n,
+                EventKind::Delivered,
+            );
+        }
+        assert_eq!(c.ahead.len() as u64, N);
+        // The clock reaches the latest stamp and releases them all.
+        c.set_recorder(0, SimTime::from_micros(2 * N));
+        c.record(
+            SimTime::from_micros(2 * N),
+            None,
+            N,
+            EventKind::PublishBegin,
+        );
+        assert!(c.ahead.is_empty());
+        let per_record = (KEY_COMPARES.get() - before) as f64 / N as f64;
+        let bound = 2.0 * (N as f64).log2().ceil() + 4.0;
+        assert!(per_record <= bound, "{per_record} key compares a record");
+        // Released smallest key first: the stamp order, not the record order.
+        let m = TraceCollector::merged([c]);
+        assert!(m.events().map(|e| e.actor).eq((0..N).rev().chain([N])));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! The collector is the run's only record of a reading. A run that
 //! measures freshness builds it [`with_freshness`](RttCollector::with_freshness):
 //! two more columns, each probe's topic and each subscriber's first copy,
-//! from which `simslo` derives its report.
+//! from which [`slo`](crate::slo) derives its report.
 
 use crate::histogram::{HistogramSummary, LatencyHistogram};
 use crate::probe_table::{ProbeTable, Slot};
@@ -276,7 +276,7 @@ impl RttCollector {
     }
 
     /// Empty collector that also keeps each probe's topic and each
-    /// subscriber's first copy of it: what `simslo` reports on.
+    /// subscriber's first copy of it: what [`crate::slo`] reports on.
     pub fn with_freshness() -> Self {
         RttCollector {
             freshness: Some(Box::default()),

@@ -2,21 +2,21 @@
 //! stamps — on sparse and very large lanes, in any order, restamped,
 //! delivered twice or to two subscribers, received before they were
 //! sent — fed to `RttCollector::with_freshness` (summarized, and reported
-//! on by `simslo::SloReport::from_collector`) and to the two `BTreeMap`
+//! on by `telemetry::slo::SloReport::from_collector`) and to the two `BTreeMap`
 //! collectors it replaced (kept below verbatim as the reference model),
 //! serially and split into 1–4 shards merged in any order, must
 //! summarize, report and render identically, float bit for float bit.
 
 use proptest::prelude::*;
 use simcore::{SimDuration, SimTime};
-use simslo::{SloReport, SloSpec};
+use telemetry::slo::{self, SloReport, SloSpec};
 use telemetry::{ProbeId, ProbeInstants, RttCollector, RttSummary};
 
 /// The parent's collectors: one `BTreeMap` entry per probe.
 mod reference {
     use simcore::{FastMap, SimDuration, SimTime};
-    use simslo::{AoiSample, SloReport, SloSpec, SloWindow};
     use std::collections::BTreeMap;
+    use telemetry::slo::{AoiSample, SloReport, SloSpec, SloWindow};
     use telemetry::{Conservation, LatencyHistogram, ProbeId, ProbeInstants, RttSummary, Welford};
 
     #[derive(Debug, Clone, Copy, Default)]
@@ -712,11 +712,7 @@ fn summary_bits(s: &RttSummary) -> Vec<u64> {
 }
 
 fn reports(w: &Pair, spec: &SloSpec) -> (SloReport, SloReport) {
-    let (horizon, cadence, window) = (
-        ms(70_000),
-        SimDuration::from_secs(1),
-        simslo::DEFAULT_WINDOW,
-    );
+    let (horizon, cadence, window) = (ms(70_000), SimDuration::from_secs(1), slo::DEFAULT_WINDOW);
     (
         SloReport::from_collector(&w.rtt, spec, horizon, cadence, window),
         w.ref_slo.report(spec, horizon, cadence, window),

@@ -1,15 +1,14 @@
 //! Binary codec for messages and tuples.
 //!
-//! The simulation does not strictly need real bytes — but encoding for real
-//! keeps the wire-size model honest (`wire_size()` is asserted equal to the
-//! actual encoded length) and provides a natural place to charge
-//! serialization CPU cost. Format: little-endian, length-prefixed strings,
-//! one tag byte per value.
+//! No simulated message passes through it: every simulated byte count
+//! is a `wire_size()`. Encoding for real keeps that model honest, since
+//! the tests assert `wire_size()` equal to the encoded length. Format:
+//! little-endian, length-prefixed strings, one tag byte per value. It
+//! writes a `Vec<u8>` and reads a `&[u8]`.
 
 use crate::message::{Body, DeliveryMode, Headers, Message, MessageId, ValueMap};
 use crate::tuple::Tuple;
 use crate::value::Value;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use simcore::SimTime;
 use std::borrow::Cow;
 use std::fmt;
@@ -55,115 +54,101 @@ mod tag {
 
 /// A length-prefixed string, as its bytes (a [`Text`](crate::Text)
 /// hands them over unchecked).
-fn put_str(buf: &mut BytesMut, s: &[u8]) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s);
+fn put_str(buf: &mut Vec<u8>, s: &[u8]) {
+    buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
+    buf.extend_from_slice(s);
+}
+
+/// The next `n` bytes of the input, which then starts after them; or
+/// [`CodecError::Truncated`] when fewer are left.
+fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8]> {
+    if buf.len() < n {
+        return Err(CodecError::Truncated);
+    }
+    let (head, rest) = buf.split_at(n);
+    *buf = rest;
+    Ok(head)
+}
+
+/// The next `N` bytes, for a `from_le_bytes`.
+fn array<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N]> {
+    Ok(take(buf, N)?.try_into().expect("`take` returns `N` bytes"))
+}
+
+fn get_u8(buf: &mut &[u8]) -> Result<u8> {
+    array(buf).map(u8::from_le_bytes)
+}
+
+fn get_u32(buf: &mut &[u8]) -> Result<u32> {
+    array(buf).map(u32::from_le_bytes)
+}
+
+fn get_u64(buf: &mut &[u8]) -> Result<u64> {
+    array(buf).map(u64::from_le_bytes)
 }
 
 /// The next `len` bytes as text, converted by `make` straight from the
-/// buffer (a short [`Text`](crate::Text) never touches the heap).
-fn get_utf8<T>(buf: &mut Bytes, len: usize, make: impl FnOnce(&str) -> T) -> Result<T> {
-    if buf.remaining() < len {
-        return Err(CodecError::Truncated);
-    }
-    let text = std::str::from_utf8(&buf[..len]).map_err(|_| CodecError::BadUtf8)?;
-    let out = make(text);
-    buf.advance(len);
-    Ok(out)
+/// input (a short [`Text`](crate::Text) never touches the heap).
+fn get_utf8<T>(buf: &mut &[u8], len: usize, make: impl FnOnce(&str) -> T) -> Result<T> {
+    let text = std::str::from_utf8(take(buf, len)?).map_err(|_| CodecError::BadUtf8)?;
+    Ok(make(text))
 }
 
-fn get_str<T: for<'a> From<&'a str>>(buf: &mut Bytes) -> Result<T> {
-    if buf.remaining() < 4 {
-        return Err(CodecError::Truncated);
-    }
-    let len = buf.get_u32_le() as usize;
+fn get_str<T: for<'a> From<&'a str>>(buf: &mut &[u8]) -> Result<T> {
+    let len = get_u32(buf)? as usize;
     get_utf8(buf, len, |text| T::from(text))
 }
 
 /// Encode one value (tag + payload).
-pub fn encode_value(buf: &mut BytesMut, v: &Value) {
+pub fn encode_value(buf: &mut Vec<u8>, v: &Value) {
     match v {
         Value::Int(x) => {
-            buf.put_u8(tag::INT);
-            buf.put_i32_le(*x);
+            buf.push(tag::INT);
+            buf.extend_from_slice(&x.to_le_bytes());
         }
         Value::Long(x) => {
-            buf.put_u8(tag::LONG);
-            buf.put_i64_le(*x);
+            buf.push(tag::LONG);
+            buf.extend_from_slice(&x.to_le_bytes());
         }
         Value::Float(x) => {
-            buf.put_u8(tag::FLOAT);
-            buf.put_f32_le(*x);
+            buf.push(tag::FLOAT);
+            buf.extend_from_slice(&x.to_le_bytes());
         }
         Value::Double(x) => {
-            buf.put_u8(tag::DOUBLE);
-            buf.put_f64_le(*x);
+            buf.push(tag::DOUBLE);
+            buf.extend_from_slice(&x.to_le_bytes());
         }
         Value::Str(s) => {
-            buf.put_u8(tag::STR);
+            buf.push(tag::STR);
             put_str(buf, s.as_bytes());
         }
         Value::Bool(b) => {
-            buf.put_u8(tag::BOOL);
-            buf.put_u8(u8::from(*b));
+            buf.push(tag::BOOL);
+            buf.push(u8::from(*b));
         }
         Value::Char { content, width } => {
-            buf.put_u8(tag::CHAR);
-            buf.put_u16_le(*width);
+            buf.push(tag::CHAR);
+            buf.extend_from_slice(&width.to_le_bytes());
             // Space-padded to declared width, like SQL CHAR(n).
             let content = content.as_bytes();
             let kept = content.len().min(usize::from(*width));
-            buf.put_slice(&content[..kept]);
-            for _ in kept..usize::from(*width) {
-                buf.put_u8(b' ');
-            }
+            buf.extend_from_slice(&content[..kept]);
+            buf.resize(buf.len() + usize::from(*width) - kept, b' ');
         }
     }
 }
 
-/// Decode one value.
-pub fn decode_value(buf: &mut Bytes) -> Result<Value> {
-    if buf.remaining() < 1 {
-        return Err(CodecError::Truncated);
-    }
-    let t = buf.get_u8();
-    Ok(match t {
-        tag::INT => {
-            if buf.remaining() < 4 {
-                return Err(CodecError::Truncated);
-            }
-            Value::Int(buf.get_i32_le())
-        }
-        tag::LONG => {
-            if buf.remaining() < 8 {
-                return Err(CodecError::Truncated);
-            }
-            Value::Long(buf.get_i64_le())
-        }
-        tag::FLOAT => {
-            if buf.remaining() < 4 {
-                return Err(CodecError::Truncated);
-            }
-            Value::Float(buf.get_f32_le())
-        }
-        tag::DOUBLE => {
-            if buf.remaining() < 8 {
-                return Err(CodecError::Truncated);
-            }
-            Value::Double(buf.get_f64_le())
-        }
+/// Decode one value off the front of `buf`.
+pub fn decode_value(buf: &mut &[u8]) -> Result<Value> {
+    Ok(match get_u8(buf)? {
+        tag::INT => Value::Int(array(buf).map(i32::from_le_bytes)?),
+        tag::LONG => Value::Long(array(buf).map(i64::from_le_bytes)?),
+        tag::FLOAT => Value::Float(array(buf).map(f32::from_le_bytes)?),
+        tag::DOUBLE => Value::Double(array(buf).map(f64::from_le_bytes)?),
         tag::STR => Value::Str(get_str(buf)?),
-        tag::BOOL => {
-            if buf.remaining() < 1 {
-                return Err(CodecError::Truncated);
-            }
-            Value::Bool(buf.get_u8() != 0)
-        }
+        tag::BOOL => Value::Bool(get_u8(buf)? != 0),
         tag::CHAR => {
-            if buf.remaining() < 2 {
-                return Err(CodecError::Truncated);
-            }
-            let width = buf.get_u16_le();
+            let width = array(buf).map(u16::from_le_bytes)?;
             let content = get_utf8(buf, usize::from(width), |padded| {
                 padded.trim_end_matches(' ').into()
             })?;
@@ -173,8 +158,8 @@ pub fn decode_value(buf: &mut Bytes) -> Result<Value> {
     })
 }
 
-fn encode_value_map(buf: &mut BytesMut, map: &ValueMap) {
-    buf.put_u32_le(map.len() as u32);
+fn encode_value_map(buf: &mut Vec<u8>, map: &ValueMap) {
+    buf.extend_from_slice(&(map.len() as u32).to_le_bytes());
     for (k, v) in map.iter() {
         put_str(buf, k.as_bytes());
         encode_value(buf, v);
@@ -187,15 +172,12 @@ const MIN_VALUE_BYTES: usize = 2;
 /// a value.
 const MIN_ENTRY_BYTES: usize = 4 + MIN_VALUE_BYTES;
 
-fn decode_value_map(buf: &mut Bytes) -> Result<ValueMap> {
-    if buf.remaining() < 4 {
-        return Err(CodecError::Truncated);
-    }
-    let n = buf.get_u32_le() as usize;
+fn decode_value_map(buf: &mut &[u8]) -> Result<ValueMap> {
+    let n = get_u32(buf)? as usize;
     // The count is the sender's word: reserve for no more entries than
     // the bytes that are actually there could hold.
     let mut entries: Vec<(Cow<'static, str>, Value)> =
-        Vec::with_capacity(n.min(buf.remaining() / MIN_ENTRY_BYTES));
+        Vec::with_capacity(n.min(buf.len() / MIN_ENTRY_BYTES));
     for _ in 0..n {
         let k: String = get_str(buf)?;
         let v = decode_value(buf)?;
@@ -204,79 +186,63 @@ fn decode_value_map(buf: &mut Bytes) -> Result<ValueMap> {
     Ok(entries.into_iter().collect())
 }
 
-/// Encode a full message; returns the frozen buffer.
-pub fn encode_message(m: &Message) -> Bytes {
-    let mut buf = BytesMut::with_capacity(m.wire_size());
+/// Encode a full message.
+pub fn encode_message(m: &Message) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(m.wire_size());
     let h = &m.headers;
-    buf.put_u64_le(h.message_id.0);
-    buf.put_u64_le(h.timestamp.as_micros());
-    buf.put_u8(h.priority);
-    buf.put_u8(match h.delivery_mode {
+    buf.extend_from_slice(&h.message_id.0.to_le_bytes());
+    buf.extend_from_slice(&h.timestamp.as_micros().to_le_bytes());
+    buf.push(h.priority);
+    buf.push(match h.delivery_mode {
         DeliveryMode::NonPersistent => 0,
         DeliveryMode::Persistent => 1,
     });
-    match h.correlation_id {
-        None => {
-            buf.put_u8(0);
-            buf.put_u64_le(0);
-        }
-        Some(c) => {
-            buf.put_u8(1);
-            buf.put_u64_le(c);
-        }
-    }
+    let (corr_flag, corr_val) = match h.correlation_id {
+        None => (0u8, 0u64),
+        Some(c) => (1, c),
+    };
+    buf.push(corr_flag);
+    buf.extend_from_slice(&corr_val.to_le_bytes());
     put_str(&mut buf, h.destination.as_bytes());
     encode_value_map(&mut buf, m.properties());
     match m.body() {
         Body::Map(map) => {
-            buf.put_u8(tag::BODY_MAP);
+            buf.push(tag::BODY_MAP);
             encode_value_map(&mut buf, map);
         }
         Body::Text(s) => {
-            buf.put_u8(tag::BODY_TEXT);
+            buf.push(tag::BODY_TEXT);
             put_str(&mut buf, s.as_bytes());
         }
         Body::Bytes(b) => {
-            buf.put_u8(tag::BODY_BYTES);
-            buf.put_u32_le(b.len() as u32);
-            buf.put_slice(b);
+            buf.push(tag::BODY_BYTES);
+            put_str(&mut buf, b);
         }
     }
-    buf.freeze()
+    buf
 }
 
 /// Decode a full message.
-pub fn decode_message(mut buf: Bytes) -> Result<Message> {
-    if buf.remaining() < 8 + 8 + 1 + 1 + 9 {
-        return Err(CodecError::Truncated);
-    }
-    let message_id = MessageId(buf.get_u64_le());
-    let timestamp = SimTime::from_micros(buf.get_u64_le());
-    let priority = buf.get_u8();
-    let delivery_mode = if buf.get_u8() == 0 {
+pub fn decode_message(bytes: impl AsRef<[u8]>) -> Result<Message> {
+    let buf = &mut bytes.as_ref();
+    let message_id = MessageId(get_u64(buf)?);
+    let timestamp = SimTime::from_micros(get_u64(buf)?);
+    let priority = get_u8(buf)?;
+    let delivery_mode = if get_u8(buf)? == 0 {
         DeliveryMode::NonPersistent
     } else {
         DeliveryMode::Persistent
     };
-    let corr_flag = buf.get_u8();
-    let corr_val = buf.get_u64_le();
-    let destination: Arc<str> = get_str(&mut buf)?;
-    let properties = decode_value_map(&mut buf)?;
-    if buf.remaining() < 1 {
-        return Err(CodecError::Truncated);
-    }
-    let body = match buf.get_u8() {
-        tag::BODY_MAP => Body::Map(decode_value_map(&mut buf)?),
-        tag::BODY_TEXT => Body::Text(get_str(&mut buf)?),
+    let corr_flag = get_u8(buf)?;
+    let corr_val = get_u64(buf)?;
+    let destination: Arc<str> = get_str(buf)?;
+    let properties = decode_value_map(buf)?;
+    let body = match get_u8(buf)? {
+        tag::BODY_MAP => Body::Map(decode_value_map(buf)?),
+        tag::BODY_TEXT => Body::Text(get_str(buf)?),
         tag::BODY_BYTES => {
-            if buf.remaining() < 4 {
-                return Err(CodecError::Truncated);
-            }
-            let n = buf.get_u32_le() as usize;
-            if buf.remaining() < n {
-                return Err(CodecError::Truncated);
-            }
-            Body::Bytes(buf.copy_to_bytes(n).to_vec())
+            let n = get_u32(buf)? as usize;
+            Body::Bytes(take(buf, n)?.to_vec())
         }
         other => return Err(CodecError::BadTag(other)),
     };
@@ -288,33 +254,28 @@ pub fn decode_message(mut buf: Bytes) -> Result<Message> {
 }
 
 /// Encode a tuple.
-pub fn encode_tuple(t: &Tuple) -> Bytes {
-    let mut buf = BytesMut::with_capacity(t.wire_size());
+pub fn encode_tuple(t: &Tuple) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(t.wire_size());
     put_str(&mut buf, t.table.as_bytes());
-    buf.put_u32_le(t.values.len() as u32);
+    buf.extend_from_slice(&(t.values.len() as u32).to_le_bytes());
     for v in &t.values {
         encode_value(&mut buf, v);
     }
-    buf.put_u64_le(t.inserted_at.as_micros());
-    buf.freeze()
+    buf.extend_from_slice(&t.inserted_at.as_micros().to_le_bytes());
+    buf
 }
 
 /// Decode a tuple.
-pub fn decode_tuple(mut buf: Bytes) -> Result<Tuple> {
-    let table: Arc<str> = get_str(&mut buf)?;
-    if buf.remaining() < 4 {
-        return Err(CodecError::Truncated);
-    }
-    let n = buf.get_u32_le() as usize;
+pub fn decode_tuple(bytes: impl AsRef<[u8]>) -> Result<Tuple> {
+    let buf = &mut bytes.as_ref();
+    let table: Arc<str> = get_str(buf)?;
+    let n = get_u32(buf)? as usize;
     // As in `decode_value_map`: the count is not to be trusted.
-    let mut values = Vec::with_capacity(n.min(buf.remaining() / MIN_VALUE_BYTES));
+    let mut values = Vec::with_capacity(n.min(buf.len() / MIN_VALUE_BYTES));
     for _ in 0..n {
-        values.push(decode_value(&mut buf)?);
+        values.push(decode_value(buf)?);
     }
-    if buf.remaining() < 8 {
-        return Err(CodecError::Truncated);
-    }
-    let inserted_at = SimTime::from_micros(buf.get_u64_le());
+    let inserted_at = SimTime::from_micros(get_u64(buf)?);
     Ok(Tuple {
         table,
         values,
@@ -404,7 +365,7 @@ mod tests {
         let m = sample_message();
         let full = encode_message(&m);
         for cut in 0..full.len() {
-            let r = decode_message(full.slice(0..cut));
+            let r = decode_message(&full[..cut]);
             assert!(r.is_err(), "cut at {cut} should fail");
         }
     }
@@ -412,29 +373,28 @@ mod tests {
     #[test]
     fn a_huge_element_count_is_an_error_not_an_allocation() {
         // Empty table name, then 2^32 - 1 values announced and none sent.
-        let tuple = Bytes::from(vec![0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff]);
+        let tuple = [0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff];
         assert_eq!(decode_tuple(tuple), Err(CodecError::Truncated));
         // The same count where a message's properties start.
         let m = encode_message(&sample_message());
         let mut bytes = m[..sample_message().headers.wire_size()].to_vec();
         bytes.extend_from_slice(&[0xff; 4]);
-        assert_eq!(decode_message(bytes.into()), Err(CodecError::Truncated));
+        assert_eq!(decode_message(bytes), Err(CodecError::Truncated));
     }
 
     #[test]
     fn bad_tag_detected() {
-        let mut buf = BytesMut::new();
-        buf.put_u8(0xEE);
-        let mut b = buf.freeze();
-        assert_eq!(decode_value(&mut b), Err(CodecError::BadTag(0xEE)));
+        assert_eq!(
+            decode_value(&mut &[0xEE][..]),
+            Err(CodecError::BadTag(0xEE))
+        );
     }
 
     #[test]
     fn char_padding_normalises() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_value(&mut buf, &Value::fixed_char("ab", 6));
-        let mut b = buf.freeze();
-        let v = decode_value(&mut b).unwrap();
+        let v = decode_value(&mut buf.as_slice()).unwrap();
         assert_eq!(v, Value::fixed_char("ab", 6));
     }
 

@@ -13,8 +13,9 @@
 //!   database.
 //! * [`TopicId`] / [`TopicTable`] — interned topic names for routing
 //!   tables and partition maps (dense `u32` handles, broker-local).
-//! * [`codec`] — a real binary codec; `wire_size()` is asserted equal to
-//!   the true encoded length, keeping the simulator's byte accounting
+//! * [`codec`] — a real binary codec over `Vec<u8>` / `&[u8]` that no
+//!   simulated message passes through: tests assert `wire_size()` equal
+//!   to the true encoded length, keeping the simulator's byte accounting
 //!   honest.
 
 pub mod codec;

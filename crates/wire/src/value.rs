@@ -97,14 +97,6 @@ impl Value {
         }
     }
 
-    /// True for the four numeric types.
-    pub fn is_numeric(&self) -> bool {
-        matches!(
-            self,
-            Value::Int(_) | Value::Long(_) | Value::Float(_) | Value::Double(_)
-        )
-    }
-
     /// Numeric view as `f64` (selectors and SQL compare numerics this way).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
@@ -151,13 +143,6 @@ impl Value {
             (Some(a), Some(b)) => Some(a.cmp(&b)),
             _ => None,
         }
-    }
-
-    /// SQL equality (same three-valued semantics as [`sql_cmp`]).
-    ///
-    /// [`sql_cmp`]: Value::sql_cmp
-    pub fn sql_eq(&self, other: &Value) -> Option<bool> {
-        self.sql_cmp(other).map(|o| o == Ordering::Equal)
     }
 
     /// Size of this value as encoded on the wire (matches `codec`).
@@ -261,7 +246,6 @@ mod tests {
             Value::Long(10).sql_cmp(&Value::Float(2.5)),
             Some(Ordering::Greater)
         );
-        assert_eq!(Value::Int(1).sql_eq(&Value::Long(1)), Some(true));
     }
 
     #[test]
@@ -275,7 +259,6 @@ mod tests {
     #[test]
     fn mixed_kinds_are_unknown() {
         assert_eq!(Value::Int(1).sql_cmp(&Value::Str("1".into())), None);
-        assert_eq!(Value::Bool(true).sql_eq(&Value::Int(1)), None);
     }
 
     #[test]

@@ -3,7 +3,6 @@
 //! [`ValueMap`] is a `BTreeMap` and [`Text`] a `String` in everything a
 //! reader or the wire can see.
 
-use bytes::BufMut;
 use proptest::prelude::*;
 use simcore::SimTime;
 use std::collections::BTreeMap;
@@ -108,22 +107,22 @@ fn arb_string() -> impl Strategy<Value = String> {
 
 /// The map layout written straight from a `BTreeMap`: what the codec
 /// produced when messages held one.
-fn reference_map(buf: &mut bytes::BytesMut, map: &BTreeMap<String, Value>) {
-    buf.put_u32_le(map.len() as u32);
+fn reference_map(buf: &mut Vec<u8>, map: &BTreeMap<String, Value>) {
+    buf.extend_from_slice(&(map.len() as u32).to_le_bytes());
     for (k, v) in map {
-        buf.put_u32_le(k.len() as u32);
-        buf.put_slice(k.as_bytes());
+        buf.extend_from_slice(&(k.len() as u32).to_le_bytes());
+        buf.extend_from_slice(k.as_bytes());
         wire::codec::encode_value(buf, v);
     }
 }
 
 /// A valid encoding cut right before a 32-bit element count, continued
 /// with `count` and `tail`.
-fn with_count(prefix: &[u8], count: u32, tail: &[u8]) -> bytes::Bytes {
+fn with_count(prefix: &[u8], count: u32, tail: &[u8]) -> Vec<u8> {
     let mut buf = prefix.to_vec();
     buf.extend_from_slice(&count.to_le_bytes());
     buf.extend_from_slice(tail);
-    bytes::Bytes::from(buf)
+    buf
 }
 
 proptest! {
@@ -152,15 +151,15 @@ proptest! {
         let encoded = encode_message(&m);
         let cut = ((encoded.len() as f64) * frac) as usize;
         if cut < encoded.len() {
-            prop_assert!(decode_message(encoded.slice(0..cut)).is_err());
+            prop_assert!(decode_message(&encoded[..cut]).is_err());
         }
     }
 
     #[test]
     fn garbage_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
         // Any byte soup must decode to Ok or Err without panicking.
-        let _ = decode_message(bytes::Bytes::from(bytes.clone()));
-        let _ = decode_tuple(bytes::Bytes::from(bytes));
+        let _ = decode_message(&bytes);
+        let _ = decode_tuple(&bytes);
     }
 
     #[test]
@@ -201,13 +200,12 @@ proptest! {
         let headers = Headers::new(MessageId(1), "t", SimTime::ZERO);
         let m = Message::new(headers.clone(), map.clone(), Body::Map(map));
         let encoded = encode_message(&m);
-        let mut expected = bytes::BytesMut::new();
-        expected.put_slice(&encoded[..headers.wire_size()]);
+        let mut expected = encoded[..headers.wire_size()].to_vec();
         reference_map(&mut expected, &reference);
-        expected.put_u8(0x10);
+        expected.push(0x10);
         reference_map(&mut expected, &reference);
         prop_assert_eq!(m.wire_size(), expected.len());
-        prop_assert_eq!(encoded, expected.freeze());
+        prop_assert_eq!(encoded, expected);
     }
 
     #[test]
@@ -224,14 +222,13 @@ proptest! {
         prop_assert_eq!(format!("{ta}|{ta:?}|{ta:<25}|"), format!("{a}|{a:?}|{a:<25}|"));
         prop_assert_eq!(tb.to_string(), b);
         // On the wire: the bytes a `String` cell wrote, and back.
-        let mut encoded = bytes::BytesMut::new();
+        let mut encoded = Vec::new();
         wire::codec::encode_value(&mut encoded, &Value::Str(ta.clone()));
-        let mut expected = bytes::BytesMut::new();
-        expected.put_u8(0x05);
-        expected.put_u32_le(a.len() as u32);
-        expected.put_slice(a.as_bytes());
-        prop_assert_eq!(encoded.clone().freeze(), expected.freeze());
-        let back = wire::codec::decode_value(&mut encoded.freeze());
+        let mut expected = vec![0x05];
+        expected.extend_from_slice(&(a.len() as u32).to_le_bytes());
+        expected.extend_from_slice(a.as_bytes());
+        prop_assert_eq!(&encoded, &expected);
+        let back = wire::codec::decode_value(&mut encoded.as_slice());
         prop_assert_eq!(back, Ok(Value::Str(ta)));
         // A CHAR(n) cell keeps whole characters and pads with spaces.
         let cell = Value::fixed_char(a.as_str(), width);
@@ -239,14 +236,13 @@ proptest! {
         prop_assert!(a.starts_with(kept) && kept.len() <= usize::from(width));
         let dropped = a[kept.len()..].chars().next();
         prop_assert!(dropped.is_none_or(|c| kept.len() + c.len_utf8() > usize::from(width)));
-        let mut encoded = bytes::BytesMut::new();
+        let mut encoded = Vec::new();
         wire::codec::encode_value(&mut encoded, &cell);
-        let mut expected = bytes::BytesMut::new();
-        expected.put_u8(0x07);
-        expected.put_u16_le(width);
-        expected.put_slice(kept.as_bytes());
-        expected.put_slice(&b" ".repeat(usize::from(width) - kept.len()));
-        prop_assert_eq!(encoded.freeze(), expected.freeze());
+        let mut expected = vec![0x07];
+        expected.extend_from_slice(&width.to_le_bytes());
+        expected.extend_from_slice(kept.as_bytes());
+        expected.extend_from_slice(&b" ".repeat(usize::from(width) - kept.len()));
+        prop_assert_eq!(encoded, expected);
     }
 
     #[test]

@@ -16,7 +16,6 @@ pub use simfault;
 pub use simnet;
 pub use simos;
 pub use simprof;
-pub use simslo;
 pub use simtrace;
 pub use telemetry;
 pub use wire;

@@ -8,7 +8,7 @@
 
 use gridmon::core::scenarios::three_way_specs;
 use gridmon::core::{run_all, ExperimentResult};
-use gridmon::simslo::SloSpec;
+use gridmon::telemetry::SloSpec;
 
 /// Messages per generator (the paper's runs are 180).
 const MSGS: u32 = 20;

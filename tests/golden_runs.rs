@@ -26,7 +26,7 @@
 
 use gridmon::core::{run_all, run_experiment, ExperimentResult, ExperimentSpec, SystemUnderTest};
 use gridmon::simnet::Transport;
-use gridmon::simslo::SloSpec;
+use gridmon::telemetry::SloSpec;
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;

@@ -125,7 +125,7 @@ proptest! {
         let s = &r.summary;
         // Conservation: everything sent is either received or lost.
         prop_assert!(s.received <= s.sent, "received {} > sent {}", s.received, s.sent);
-        prop_assert_eq!(s.sent, spec.total_messages() * u64::from(r.connected) / spec.generators as u64);
+        prop_assert_eq!(s.sent, u64::from(spec.msgs_per_generator) * u64::from(r.connected));
         // Only UDP may lose (R-GMA at these scales, with warm-up, is
         // lossless, and gridlog always runs over TCP).
         if spec.transport != Transport::Udp
