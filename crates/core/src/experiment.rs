@@ -41,7 +41,8 @@ use simnet::{Endpoint, NetworkFabric, Transport};
 use simos::{NodeId, OsModel, ProcessId, VmstatLog, VmstatSampler};
 use simshard::ShardPlan;
 use simtrace::{TraceCollector, TraceSampler, TraceSummary};
-use telemetry::{slo, RttCollector, RttSummary, SloReport, SloSpec};
+use telemetry::slo::{self, SloReport, SloSpec};
+use telemetry::{RttCollector, RttSummary};
 
 /// Which deployment is under test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

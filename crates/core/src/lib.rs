@@ -28,7 +28,7 @@ pub use experiment::{
 pub use report::HotpathReport;
 pub use simfault::{FaultKind, FaultSchedule, FaultStats};
 pub use sweep::run_all;
-pub use telemetry::{SloReport, SloSpec};
+pub use telemetry::slo::{SloReport, SloSpec};
 
 #[cfg(test)]
 mod tests {

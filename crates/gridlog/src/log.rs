@@ -205,6 +205,7 @@ mod tests {
             assert_eq!(p.append(rec(n)), n);
         }
         assert_eq!(p.end_offset(), 10);
+        assert_eq!(p.segments.len(), 3); // 4 + 4 + 2
         let all = p.read_from(0, 100);
         assert_eq!(all.len(), 10);
         for (i, r) in all.iter().enumerate() {

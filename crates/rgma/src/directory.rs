@@ -1,5 +1,5 @@
-//! The GMA directory service: an in-memory registry of producers and
-//! consumers with *registration propagation delay*.
+//! The GMA directory service: an in-memory registry of producers with
+//! *registration propagation delay*.
 //!
 //! The GGF Grid Monitoring Architecture (GFD.7), through which the paper
 //! frames both middlewares, separates discovery from data transfer:
@@ -50,27 +50,11 @@ pub struct ProducerEntry {
     pub visible_at: SimTime,
 }
 
-/// A registered consumer.
-#[derive(Debug, Clone)]
-pub struct ConsumerEntry {
-    /// Registration handle.
-    pub id: RegistrationId,
-    /// Where the consumer's control interface lives.
-    pub endpoint: Endpoint,
-    /// Resource (topic/table) it wants.
-    pub resource: String,
-    /// When the registration was submitted.
-    pub registered_at: SimTime,
-    /// When it becomes visible.
-    pub visible_at: SimTime,
-}
-
 /// In-memory directory with propagation delay.
 pub struct Directory {
     /// Producers by resource, each list in registration order: a search
     /// hashes the resource name once and compares no strings.
     producers: FastMap<String, Vec<ProducerEntry>>,
-    consumers: Vec<ConsumerEntry>,
     propagation: simcore::SimDuration,
     next_id: u64,
 }
@@ -80,7 +64,6 @@ impl Directory {
     pub fn new(propagation: simcore::SimDuration) -> Self {
         Directory {
             producers: FastMap::default(),
-            consumers: Vec::new(),
             propagation,
             next_id: 0,
         }
@@ -114,22 +97,10 @@ impl Directory {
         id
     }
 
-    /// Register a consumer; visible after the propagation delay.
-    pub fn register_consumer(
-        &mut self,
-        now: SimTime,
-        endpoint: Endpoint,
-        resource: impl Into<String>,
-    ) -> RegistrationId {
-        let id = self.next();
-        self.consumers.push(ConsumerEntry {
-            id,
-            endpoint,
-            resource: resource.into(),
-            registered_at: now,
-            visible_at: now + self.propagation,
-        });
-        id
+    /// Register a consumer. Nothing searches for consumers, so this only
+    /// mints its handle, from the same sequence as producers'.
+    pub fn register_consumer(&mut self) -> RegistrationId {
+        self.next()
     }
 
     /// Producers for `resource` visible at `now`, in registration order.
@@ -171,7 +142,7 @@ mod tests {
         let t = SimTime::from_secs(1);
         d.register_producer(t, ep(0), "generator", vec![]);
         d.register_producer(t, ep(1), "weather", vec![]);
-        d.register_consumer(t, ep(2), "generator");
+        d.register_consumer();
         assert_eq!(d.find_producers(t, "generator").len(), 1);
         assert_eq!(d.find_producers(t, "weather").len(), 1);
         assert_eq!(d.find_producers(t, "nothing").len(), 0);
@@ -181,7 +152,7 @@ mod tests {
     fn ids_unique_across_kinds() {
         let mut d = Directory::new(SimDuration::ZERO);
         let a = d.register_producer(SimTime::ZERO, ep(0), "x", vec![]);
-        let b = d.register_consumer(SimTime::ZERO, ep(1), "x");
+        let b = d.register_consumer();
         assert_ne!(a, b);
     }
 }

@@ -75,9 +75,7 @@ impl RegistryActor {
             }
             Ok(RegistryRequest::RegisterConsumer { table, endpoint }) => {
                 if !self.registered.contains_key(&(table.clone(), endpoint)) {
-                    let reg = self
-                        .directory
-                        .register_consumer(ctx.now(), endpoint, &table);
+                    let reg = self.directory.register_consumer();
                     self.registered.insert((table, endpoint), reg);
                 }
                 RegistryResponse::Registered

@@ -14,7 +14,7 @@
 //! * [`ProbeTable`] — a reading's record keyed by its [`ProbeId`],
 //!   stored per publisher lane in `seq`-indexed chunks; what the RTT and
 //!   SLO recorders keep their records in.
-//! * [`SloReport`] — the freshness / deadline-SLO view of the
+//! * [`slo::SloReport`] — the freshness / deadline-SLO view of the
 //!   [`RttCollector`] record (module [`slo`]).
 //! * [`MetricsRegistry`] — the time-series metrics plane: named
 //!   counters/gauges/histograms sampled on the vmstat cadence, exported
@@ -34,7 +34,6 @@ pub use metrics::{with_metrics, MetricsRegistry};
 pub use probe_table::{ProbeTable, Slot};
 pub use report::{degradation_table, trim_float, Figure, Series, Table};
 pub use rtt::{Conservation, ProbeId, ProbeInstants, RttCollector, RttSummary};
-pub use slo::{SloReport, SloSpec};
 pub use stats::Welford;
 
 #[cfg(test)]

@@ -7,8 +7,7 @@
 //! same at every `GRIDMON_SHARDS` value.
 
 use gridmon::core::scenarios::three_way_specs;
-use gridmon::core::{run_all, ExperimentResult};
-use gridmon::telemetry::SloSpec;
+use gridmon::core::{run_all, ExperimentResult, SloSpec};
 
 /// Messages per generator (the paper's runs are 180).
 const MSGS: u32 = 20;

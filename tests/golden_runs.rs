@@ -24,9 +24,10 @@
 //! reading, or a quadratic re-send like a UDP ack list that grows with
 //! the run.
 
-use gridmon::core::{run_all, run_experiment, ExperimentResult, ExperimentSpec, SystemUnderTest};
+use gridmon::core::{
+    run_all, run_experiment, ExperimentResult, ExperimentSpec, SloSpec, SystemUnderTest,
+};
 use gridmon::simnet::Transport;
-use gridmon::telemetry::SloSpec;
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
