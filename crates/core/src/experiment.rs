@@ -40,7 +40,8 @@ use simnet::session::ReconnectPolicy;
 use simnet::{Endpoint, NetworkFabric, Transport};
 use simos::{NodeId, OsModel, ProcessId, VmstatLog, VmstatSampler};
 use simshard::ShardPlan;
-use simtrace::{TraceCollector, TraceSampler, TraceSummary};
+use simtrace::{export, TraceCollector, TraceSampler, TraceSummary};
+use std::sync::atomic::{AtomicBool, Ordering};
 use telemetry::slo::{self, SloReport, SloSpec};
 use telemetry::{RttCollector, RttSummary};
 
@@ -969,41 +970,79 @@ fn merge_results(
         .map(|&m| m as f64 / (1024.0 * 1024.0))
         .fold(0.0f64, f64::max);
 
-    let trace = if spec.trace {
+    // Freshness plane: every statistic derives from the merged record.
+    let slo_report = || {
+        spec.slo.as_ref().map(|slo_spec| {
+            SloReport::from_collector(
+                &rtt,
+                slo_spec,
+                now,
+                slo::SAMPLE_CADENCE,
+                slo::DEFAULT_WINDOW,
+            )
+        })
+    };
+
+    // A traced run renders on two threads: a scoped helper writes the
+    // Chrome trace while this thread writes the JSONL and builds the SLO
+    // report. Both buffers are sized and allocated here, JSONL first, so
+    // the helper allocates nothing. The helper does free the blocks
+    // std's spawn allocated for it, and glibc hands them back to this
+    // thread's heap when the helper exits, so the helper parks until
+    // this thread has made its last allocation before the join (`done`):
+    // an exit in the middle of the SLO report would let that timing pick
+    // where the report lands, and peak RSS would vary from run to run.
+    // The renderers are pure, so the bytes do not depend on which thread
+    // finishes first. The merged store is dropped before the metrics
+    // merge below.
+    let (trace, slo_report) = if spec.trace {
         let tr = TraceCollector::merged(traces.into_iter().flatten());
         let trace_summary = TraceSummary::from_collector(&tr);
         // Unified resource log: vmstat rows ride along with the counter
         // samples in the JSONL export.
-        let resources: Vec<simtrace::export::ResourceRow> = vm
+        let resources: Vec<export::ResourceRow> = vm
             .samples()
             .iter()
-            .map(|s| simtrace::export::ResourceRow {
+            .map(|s| export::ResourceRow {
                 at: s.at,
                 node: u64::from(s.node.0),
                 idle: s.idle,
                 mem_bytes: s.mem_bytes,
             })
             .collect();
-        Some(TraceArtifacts {
-            jsonl: simtrace::export::jsonl(&tr, &resources),
-            chrome: simtrace::export::chrome_trace(&tr, &trace_summary),
+        let mut jsonl = Vec::with_capacity(export::jsonl_len(&tr, &resources));
+        let mut chrome = Vec::with_capacity(export::chrome_trace_len(&tr, &trace_summary));
+        let done = AtomicBool::new(false);
+        let (jsonl, chrome, slo_report) = std::thread::scope(|s| {
+            let (tr, summary, done) = (&tr, &trace_summary, &done);
+            let helper = s.spawn(move || {
+                export::write_chrome_trace(&mut chrome, tr, summary);
+                let chrome = String::from_utf8(chrome).expect("exports are ASCII");
+                while !done.load(Ordering::Acquire) {
+                    std::thread::park();
+                }
+                chrome
+            });
+            export::write_jsonl(&mut jsonl, tr, &resources);
+            let jsonl = String::from_utf8(jsonl).expect("exports are ASCII");
+            let slo_report = slo_report();
+            done.store(true, Ordering::Release);
+            helper.thread().unpark();
+            let chrome = helper
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            (jsonl, chrome, slo_report)
+        });
+        let trace = TraceArtifacts {
+            jsonl,
+            chrome,
             summary: trace_summary,
             disagreements: Vec::new(),
-        })
+        };
+        (Some(trace), slo_report)
     } else {
-        None
+        (None, slo_report())
     };
-
-    // Freshness plane: every statistic derives from the merged record.
-    let slo_report = spec.slo.as_ref().map(|slo_spec| {
-        SloReport::from_collector(
-            &rtt,
-            slo_spec,
-            now,
-            slo::SAMPLE_CADENCE,
-            slo::DEFAULT_WINDOW,
-        )
-    });
 
     let profile = if spec.profile {
         let p = simprof::Profiler::merged(profilers.into_iter().flatten());

@@ -1,6 +1,7 @@
 //! The one decimal writer. A reading's `INSERT` text (`minisql`,
 //! `powergrid`) and the trace exports (`simtrace`) print their integers
-//! through [`write_uint`], into whichever buffer they build.
+//! through [`write_uint`], into whichever buffer they build; [`uint_len`]
+//! is what it appends, for a caller that sizes the buffer first.
 
 /// A buffer ASCII text is appended to: the `String` an `INSERT` is
 /// written into, or the byte buffer an export is rendered into.
@@ -43,4 +44,29 @@ pub fn write_uint(out: &mut impl AsciiBuf, mut v: u64, min_digits: usize) {
         }
     }
     out.push_ascii(&digits[at..]);
+}
+
+/// How many bytes [`write_uint`] appends for `v` unpadded (`min_digits`
+/// ≤ 1): its decimal digits.
+#[inline]
+pub fn uint_len(v: u64) -> usize {
+    v.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn uint_len_is_what_write_uint_appends() {
+        let mut edges = vec![0, u64::MAX];
+        for p in (0..20).map(|e| 10u64.pow(e)) {
+            edges.extend([p - 1, p, p + 1]);
+        }
+        for v in edges {
+            let mut out = Vec::new();
+            write_uint(&mut out, v, 1);
+            assert_eq!(uint_len(v), out.len(), "{v}");
+        }
+    }
 }

@@ -16,7 +16,7 @@
 //! * [`SimRng`] — a frozen xoshiro256++ implementation for reproducible
 //!   randomness.
 //! * [`write_uint`] — the one decimal writer, into a `String` or a byte
-//!   buffer ([`AsciiBuf`]).
+//!   buffer ([`AsciiBuf`]); [`uint_len`] is how much it writes.
 //! * [`Site`] / [`WallAccum`] — the one wall-clock table of the host
 //!   time spent per hot path (`repro --scope`): armed by
 //!   [`Simulation::enable_hotpath_timing`], written by the kernel and
@@ -40,7 +40,7 @@ pub mod service;
 pub mod time;
 
 pub use actor::{Actor, ActorId, FnActor, NullActor};
-pub use digits::{write_uint, AsciiBuf};
+pub use digits::{uint_len, write_uint, AsciiBuf};
 pub use event::{
     EventQueue, EventTypeStat, Payload, ScheduledEvent, Site, WallAccum, EXTERNAL_LANE,
 };

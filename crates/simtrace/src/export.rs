@@ -5,16 +5,19 @@
 //! probes in id order), so two runs with the same seed produce
 //! byte-identical artifacts. No wall-clock value ever enters an export.
 //!
-//! A run's events are the bulk of both files (tens of MB), so their lines
-//! are appended to one byte buffer, sized once, as constant fragments and
-//! `simcore::write_uint` numbers; the few hundred counter and vmstat rows
-//! go through `write!`.
+//! A run's events are the bulk of both files (tens of MB), so each export
+//! is appended to one byte buffer the caller sizes from [`jsonl_len`] or
+//! [`chrome_trace_len`]: the same renderer run over a sink that only
+//! counts, so the buffer holds the export exactly and never regrows (and
+//! a thread writing into it allocates nothing). Lines are constant
+//! fragments and `simcore::write_uint` numbers; only a vmstat row's
+//! `idle` goes through `write!`.
 
 use crate::collector::TraceCollector;
 use crate::event::{Counter, EventKind, Gauge, TraceId};
 use crate::summary::TraceSummary;
-use simcore::{write_uint, SimTime};
-use std::io::Write;
+use simcore::{uint_len, write_uint, SimTime};
+use std::io::{self, Write};
 
 const IN_MEMORY: &str = "writing to memory cannot fail";
 
@@ -33,14 +36,65 @@ pub struct ResourceRow {
     pub mem_bytes: u64,
 }
 
-/// Append `key` (a constant fragment ending in `:`) and `v` in decimal.
-#[inline]
-fn field(out: &mut Vec<u8>, key: &[u8], v: u64) {
-    out.extend_from_slice(key);
-    write_uint(out, v, 1);
+/// Where a renderer's bytes go: the caller's buffer, or [`Len`].
+trait Sink: Write {
+    fn bytes(&mut self, b: &[u8]);
+    fn uint(&mut self, v: u64);
 }
 
-fn kind_args(out: &mut Vec<u8>, kind: EventKind) {
+impl Sink for Vec<u8> {
+    #[inline]
+    fn bytes(&mut self, b: &[u8]) {
+        self.extend_from_slice(b);
+    }
+
+    #[inline]
+    fn uint(&mut self, v: u64) {
+        write_uint(self, v, 1);
+    }
+}
+
+/// Counts the bytes a renderer would append, writing none.
+struct Len(usize);
+
+impl Sink for Len {
+    #[inline]
+    fn bytes(&mut self, b: &[u8]) {
+        self.0 += b.len();
+    }
+
+    #[inline]
+    fn uint(&mut self, v: u64) {
+        self.0 += uint_len(v);
+    }
+}
+
+impl Write for Len {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.0 += buf.len();
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// The length of what `render` appends.
+fn counted(render: impl FnOnce(&mut Len)) -> usize {
+    let mut n = Len(0);
+    render(&mut n);
+    n.0
+}
+
+/// Append `key` (a constant fragment ending in `:`) and `v` in decimal.
+#[inline]
+fn field(out: &mut impl Sink, key: &[u8], v: u64) {
+    out.bytes(key);
+    out.uint(v);
+}
+
+fn kind_args(out: &mut impl Sink, kind: EventKind) {
     match kind {
         EventKind::PublishBegin
         | EventKind::PublishEnd
@@ -92,40 +146,36 @@ fn faults_active(tr: &TraceCollector) -> bool {
     })
 }
 
-/// The rendered bytes as the `String` callers keep.
-fn into_text(out: Vec<u8>) -> String {
-    String::from_utf8(out).expect("exports are ASCII")
+/// The exact byte length of [`write_jsonl`]'s export.
+pub fn jsonl_len(tr: &TraceCollector, resources: &[ResourceRow]) -> usize {
+    counted(|n| render_jsonl(n, tr, resources))
 }
 
-/// Export the full trace as JSON Lines: every event, every counter
+/// Append the full trace as JSON Lines: every event, every counter
 /// sample, and (merged in time order) the machine resource rows —
-/// the "one unified resource log".
-pub fn jsonl(tr: &TraceCollector, resources: &[ResourceRow]) -> String {
-    // ~105 B per event line: sized once, not grown by doubling.
-    let mut out = Vec::with_capacity(tr.len() * 112);
-    write_jsonl(&mut out, tr, resources);
-    into_text(out)
+/// the "one unified resource log". Size `out` with [`jsonl_len`].
+pub fn write_jsonl(out: &mut Vec<u8>, tr: &TraceCollector, resources: &[ResourceRow]) {
+    render_jsonl(out, tr, resources);
 }
 
-fn write_jsonl(out: &mut Vec<u8>, tr: &TraceCollector, resources: &[ResourceRow]) {
+fn render_jsonl(out: &mut impl Sink, tr: &TraceCollector, resources: &[ResourceRow]) {
     let with_faults = faults_active(tr);
     // Events first (time-ordered by construction).
     for ev in tr.events() {
         field(out, b"{\"type\":\"event\",\"at_us\":", ev.at.as_micros());
         match ev.trace {
             Some(id) => field(out, b",\"trace\":", id.0),
-            None => out.extend_from_slice(b",\"trace\":null"),
+            None => out.bytes(b",\"trace\":null"),
         }
         field(out, b",\"actor\":", ev.actor);
-        out.extend_from_slice(b",\"kind\":\"");
-        out.extend_from_slice(ev.kind.name().as_bytes());
-        out.push(b'"');
+        out.bytes(b",\"kind\":\"");
+        out.bytes(ev.kind.name().as_bytes());
+        out.bytes(b"\"");
         kind_args(out, ev.kind);
-        out.extend_from_slice(b"}\n");
+        out.bytes(b"}\n");
     }
     // Unified resource log: counter samples and vmstat rows, merged by
-    // instant (counters before vmstat on ties, then node order). A few
-    // hundred rows, so `write!` (and `f64`'s `Display` for `idle`).
+    // instant (counters before vmstat on ties, then node order).
     let mut ci = tr.samples().iter().peekable();
     let mut ri = resources.iter().peekable();
     loop {
@@ -137,23 +187,23 @@ fn write_jsonl(out: &mut Vec<u8>, tr: &TraceCollector, resources: &[ResourceRow]
         };
         if take_counter {
             let s = ci.next().unwrap();
-            write!(
-                out,
-                "{{\"type\":\"counters\",\"at_us\":{}",
-                s.at.as_micros()
-            )
-            .expect(IN_MEMORY);
+            field(out, b"{\"type\":\"counters\",\"at_us\":", s.at.as_micros());
             for c in Counter::ALL {
                 if c.fault_only() && !with_faults {
                     continue;
                 }
-                write!(out, ",\"{}\":{}", c.name(), s.counter(c)).expect(IN_MEMORY);
+                out.bytes(b",\"");
+                out.bytes(c.name().as_bytes());
+                field(out, b"\":", s.counter(c));
             }
             for g in Gauge::ALL {
-                write!(out, ",\"{}\":{}", g.name(), s.gauge(g)).expect(IN_MEMORY);
+                out.bytes(b",\"");
+                out.bytes(g.name().as_bytes());
+                field(out, b"\":", s.gauge(g));
             }
-            out.extend_from_slice(b"}\n");
+            out.bytes(b"}\n");
         } else {
+            // `f64`'s `Display` for `idle`.
             let r = ri.next().unwrap();
             writeln!(
                 out,
@@ -168,28 +218,31 @@ fn write_jsonl(out: &mut Vec<u8>, tr: &TraceCollector, resources: &[ResourceRow]
     }
 }
 
-/// Export the trace in Chrome `trace_event` JSON (open in Perfetto or
+/// The exact byte length of [`write_chrome_trace`]'s export.
+pub fn chrome_trace_len(tr: &TraceCollector, summary: &TraceSummary) -> usize {
+    counted(|n| render_chrome_trace(n, tr, summary))
+}
+
+/// Append the trace in Chrome `trace_event` JSON (open in Perfetto or
 /// `chrome://tracing`). Each traced message gets its own track (tid =
 /// trace id + 1); its reconstructed PRT/PT/SRT phases are duration
 /// events and its hops are instants. Counter samples become `ph:"C"`
 /// counter tracks. Anonymous infrastructure events share track 0.
-/// `summary` is [`TraceSummary::from_collector`] of the same `tr`.
-pub fn chrome_trace(tr: &TraceCollector, summary: &TraceSummary) -> String {
-    // ~140 B per event, its share of phase rows included.
-    let mut out = Vec::with_capacity(tr.len() * 160);
-    write_chrome_trace(&mut out, tr, summary);
-    into_text(out)
+/// `summary` is [`TraceSummary::from_collector`] of the same `tr`; size
+/// `out` with [`chrome_trace_len`].
+pub fn write_chrome_trace(out: &mut Vec<u8>, tr: &TraceCollector, summary: &TraceSummary) {
+    render_chrome_trace(out, tr, summary);
 }
 
-fn write_chrome_trace(out: &mut Vec<u8>, tr: &TraceCollector, summary: &TraceSummary) {
-    out.extend_from_slice(b"{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-    out.extend_from_slice(
+fn render_chrome_trace(out: &mut impl Sink, tr: &TraceCollector, summary: &TraceSummary) {
+    out.bytes(b"{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
+    out.bytes(
         b"{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\
           \"args\":{\"name\":\"gridmon-sim\"}}",
     );
     for ev in tr.events() {
-        out.extend_from_slice(b",\n{\"name\":\"");
-        out.extend_from_slice(ev.kind.name().as_bytes());
+        out.bytes(b",\n{\"name\":\"");
+        out.bytes(ev.kind.name().as_bytes());
         field(
             out,
             b"\",\"cat\":\"hop\",\"ph\":\"i\",\"s\":\"t\",\"ts\":",
@@ -198,7 +251,7 @@ fn write_chrome_trace(out: &mut Vec<u8>, tr: &TraceCollector, summary: &TraceSum
         field(out, b",\"pid\":0,\"tid\":", track(ev.trace));
         field(out, b",\"args\":{\"actor\":", ev.actor);
         kind_args(out, ev.kind);
-        out.extend_from_slice(b"}}");
+        out.bytes(b"}}");
     }
     for (id, b) in &summary.probes {
         let tid = track(Some(*id));
@@ -209,7 +262,7 @@ fn write_chrome_trace(out: &mut Vec<u8>, tr: &TraceCollector, summary: &TraceSum
         ];
         for (name, start, dur) in phases {
             if let (Some(start), Some(dur)) = (start, dur) {
-                out.extend_from_slice(name);
+                out.bytes(name);
                 field(
                     out,
                     b",\"cat\":\"phase\",\"ph\":\"X\",\"ts\":",
@@ -217,44 +270,50 @@ fn write_chrome_trace(out: &mut Vec<u8>, tr: &TraceCollector, summary: &TraceSum
                 );
                 field(out, b",\"dur\":", dur);
                 field(out, b",\"pid\":0,\"tid\":", tid);
-                out.push(b'}');
+                out.bytes(b"}");
             }
         }
     }
     let with_faults = faults_active(tr);
     for s in tr.samples() {
-        for c in Counter::ALL {
-            if c.fault_only() && !with_faults {
-                continue;
-            }
-            write!(
-                out,
-                ",\n{{\"name\":\"{}\",\"ph\":\"C\",\"ts\":{},\"pid\":0,\
-                 \"args\":{{\"value\":{}}}}}",
-                c.name(),
-                s.at.as_micros(),
-                s.counter(c)
-            )
-            .expect(IN_MEMORY);
-        }
-        for g in Gauge::ALL {
-            write!(
-                out,
-                ",\n{{\"name\":\"{}\",\"ph\":\"C\",\"ts\":{},\"pid\":0,\
-                 \"args\":{{\"value\":{}}}}}",
-                g.name(),
-                s.at.as_micros(),
-                s.gauge(g)
-            )
-            .expect(IN_MEMORY);
+        let counters = Counter::ALL
+            .into_iter()
+            .filter(|c| with_faults || !c.fault_only())
+            .map(|c| (c.name(), s.counter(c)));
+        let gauges = Gauge::ALL.into_iter().map(|g| (g.name(), s.gauge(g)));
+        for (name, value) in counters.chain(gauges) {
+            out.bytes(b",\n{\"name\":\"");
+            out.bytes(name.as_bytes());
+            field(out, b"\",\"ph\":\"C\",\"ts\":", s.at.as_micros());
+            field(out, b",\"pid\":0,\"args\":{\"value\":", value);
+            out.bytes(b"}}");
         }
     }
-    out.extend_from_slice(b"\n]}\n");
+    out.bytes(b"\n]}\n");
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Render into a buffer sized by `len`; the buffer must come out
+    /// exactly full, never regrown.
+    fn rendered(len: usize, write: impl FnOnce(&mut Vec<u8>)) -> String {
+        let mut out = Vec::with_capacity(len);
+        write(&mut out);
+        assert_eq!((out.len(), out.capacity()), (len, len), "sized exactly");
+        String::from_utf8(out).expect("exports are ASCII")
+    }
+
+    fn jsonl(tr: &TraceCollector, rows: &[ResourceRow]) -> String {
+        rendered(jsonl_len(tr, rows), |out| write_jsonl(out, tr, rows))
+    }
+
+    fn chrome_trace(tr: &TraceCollector, summary: &TraceSummary) -> String {
+        rendered(chrome_trace_len(tr, summary), |out| {
+            write_chrome_trace(out, tr, summary)
+        })
+    }
 
     fn sample_collector() -> TraceCollector {
         let mut c = TraceCollector::new();
@@ -322,5 +381,77 @@ mod tests {
             text.matches('}').count(),
             "unbalanced braces"
         );
+    }
+
+    /// Every kind at its widest: `u64::MAX` instants, actors and
+    /// connections, the trace id whose track is `u64::MAX`, `u32::MAX` arguments, fault counters moved, and a
+    /// full probe lifecycle so every phase row is written. A fixed
+    /// per-event reservation of 112 B (JSONL) or 160 B (Chrome) falls
+    /// short here, as the last assertions show.
+    #[test]
+    fn worst_case_exports_fill_their_sized_buffers_exactly() {
+        let max = u32::MAX;
+        let kinds = [
+            EventKind::NetSend {
+                conn: u64::MAX,
+                bytes: max,
+            },
+            EventKind::NetDeliver { conn: u64::MAX },
+            EventKind::NetDrop { conn: u64::MAX },
+            EventKind::BrokerRecv { broker: max },
+            EventKind::SelectorMatch {
+                matched: max,
+                missed: max,
+            },
+            EventKind::BrokerDeliver {
+                broker: max,
+                fanout: max,
+            },
+            EventKind::BrokerForward {
+                broker: max,
+                peers: max,
+            },
+            EventKind::Retransmit { attempt: max },
+            EventKind::StorageInsert { rows: max },
+            EventKind::SelectMatch { consumers: max },
+            EventKind::BatchEnqueue { occupancy: max },
+            EventKind::BatchFlush { tuples: max },
+            EventKind::GcPause { micros: max },
+        ];
+        let mut c = TraceCollector::new();
+        let (at, id) = (SimTime::MAX, Some(TraceId(u64::MAX - 1)));
+        for kind in [
+            EventKind::PublishBegin,
+            EventKind::PublishEnd,
+            EventKind::Available,
+            EventKind::Delivered,
+        ] {
+            c.record(at, id, u64::MAX, kind);
+        }
+        for _ in 0..64 {
+            for kind in kinds {
+                c.record(at, id, u64::MAX, kind);
+            }
+        }
+        for counter in Counter::ALL {
+            c.count(counter, u64::MAX);
+        }
+        for g in Gauge::ALL {
+            c.gauge_set(g, u64::MAX);
+        }
+        c.sample(at);
+        let rows = [ResourceRow {
+            at,
+            node: u64::MAX,
+            idle: 0.1 + 0.2,
+            mem_bytes: u64::MAX,
+        }];
+        let tr = TraceCollector::merged([c]);
+        let per_event = |len: usize| len / tr.len();
+        let text = jsonl(&tr, &rows);
+        assert!(per_event(text.len()) > 112, "{}", per_event(text.len()));
+        let text = chrome_trace(&tr, &TraceSummary::from_collector(&tr));
+        assert!(text.contains("\"name\":\"SRT\""));
+        assert!(per_event(text.len()) > 160, "{}", per_event(text.len()));
     }
 }

@@ -6,7 +6,9 @@
 //! every `EventKind`, `0` and `u64::MAX` for instants, actors,
 //! connections and trace ids beside `None`, fault counters moved or not,
 //! and vmstat rows with a fractional `idle`, some at a counter sample's
-//! instant.
+//! instant. Each export is written through its buffer entry point
+//! (`write_jsonl` / `write_chrome_trace`) into a buffer sized by its
+//! length function, which it must fill exactly without regrowing.
 
 use proptest::prelude::*;
 use simcore::SimTime;
@@ -423,10 +425,22 @@ proptest! {
         let summary = TraceSummary::from_collector(&tr);
         let probes: Vec<_> = reference::probes(&tr).into_iter().collect();
         prop_assert_eq!(&summary.probes, &probes);
-        prop_assert_eq!(export::jsonl(&tr, &resources), reference::jsonl(&tr, &resources));
-        prop_assert_eq!(
-            export::chrome_trace(&tr, &summary),
-            reference::chrome_trace(&tr, &summary)
-        );
+        let jsonl = sized(export::jsonl_len(&tr, &resources), |out| {
+            export::write_jsonl(out, &tr, &resources)
+        });
+        prop_assert_eq!(jsonl, reference::jsonl(&tr, &resources));
+        let chrome = sized(export::chrome_trace_len(&tr, &summary), |out| {
+            export::write_chrome_trace(out, &tr, &summary)
+        });
+        prop_assert_eq!(chrome, reference::chrome_trace(&tr, &summary));
     }
+}
+
+/// What a buffer-writing entry point appends to a buffer sized by its
+/// length function, which it must fill exactly, without regrowing.
+fn sized(len: usize, write: impl FnOnce(&mut Vec<u8>)) -> String {
+    let mut out = Vec::with_capacity(len);
+    write(&mut out);
+    assert_eq!((out.len(), out.capacity()), (len, len), "sized exactly");
+    String::from_utf8(out).expect("exports are ASCII")
 }
