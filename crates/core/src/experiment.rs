@@ -893,6 +893,18 @@ fn probes_in_flight_series(rtt: &RttCollector) -> Vec<(SimTime, f64)> {
     series
 }
 
+/// Sets the flag a parked render helper waits on and wakes it, when
+/// dropped: before the join, or while the calling thread unwinds (the
+/// scope would otherwise wait forever on the parked helper).
+struct Release<'a>(&'a AtomicBool, &'a std::thread::Thread);
+
+impl Drop for Release<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
+        self.1.unpark();
+    }
+}
+
 /// Fuse the per-shard partials into the final result. Every collector
 /// goes through its canonical merge — the same code for one partial
 /// (serial) as for many — so all derived artifacts are a function of the
@@ -1023,11 +1035,11 @@ fn merge_results(
                 }
                 chrome
             });
+            let release = Release(done, helper.thread());
             export::write_jsonl(&mut jsonl, tr, &resources);
             let jsonl = String::from_utf8(jsonl).expect("exports are ASCII");
             let slo_report = slo_report();
-            done.store(true, Ordering::Release);
-            helper.thread().unpark();
+            drop(release);
             let chrome = helper
                 .join()
                 .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
