@@ -507,7 +507,9 @@ fn build_world(
     }
     if spec.profile {
         sim.add_service(simprof::Profiler::new());
-        sim.add_service(telemetry::MetricsRegistry::new());
+        // Sized for one snapshot a vmstat tick.
+        let ticks = lay.horizon.as_micros() / SimDuration::from_secs(1).as_micros();
+        sim.add_service(telemetry::MetricsRegistry::with_ticks(ticks as usize));
     }
     if spec.scope {
         sim.enable_hotpath_timing();
@@ -1059,15 +1061,11 @@ fn merge_results(
     let profile = if spec.profile {
         let p = simprof::Profiler::merged(profilers.into_iter().flatten());
         let report = p.report(kernel_busy);
-        let mut derived: Vec<(String, Vec<(SimTime, f64)>)> = vec![(
-            "probes_in_flight".to_string(),
-            probes_in_flight_series(&rtt),
-        )];
-        if let Some(slo) = &slo_report {
-            derived.extend(slo.series.iter().cloned());
+        let mut metrics = telemetry::MetricsRegistry::merged(metrics_parts.into_iter().flatten());
+        metrics.add_derived_gauge("probes_in_flight", &probes_in_flight_series(&rtt));
+        for (name, points) in slo_report.iter().flat_map(|slo| &slo.series) {
+            metrics.add_derived_gauge(name, points);
         }
-        let metrics =
-            telemetry::MetricsRegistry::merged(metrics_parts.into_iter().flatten(), &derived);
         Some(ProfileArtifacts {
             table: report
                 .table(format!("{} — self time by component", spec.name))

@@ -83,13 +83,8 @@ struct Tick;
 /// Synthetic metric-op lane for one node's vmstat gauges
 /// (`base | node id`). High bit set so it can never collide with a real
 /// actor lane (actor indices stay far below 2^31), and sorts after actor
-/// lanes at the same instant — gauge levels land before the snapshot.
+/// lanes at the same instant.
 const NODE_GAUGE_LANE_BASE: u32 = 0x8000_0000;
-
-/// Synthetic metric-op lane for the sampler's snapshot mark. `u32::MAX`
-/// sorts after every other lane at the same instant, so the snapshot
-/// includes every same-instant counter/gauge update in the merged replay.
-const SAMPLE_LANE: u32 = u32::MAX;
 
 impl VmstatSampler {
     /// Sample the given nodes every `interval` (the paper used 1 s).
@@ -160,22 +155,14 @@ impl Actor for VmstatSampler {
         }
         self.last_at = now;
         // Snapshot the metrics plane at the same instant (no-op unless a
-        // registry is registered): one time-series row per counter/gauge.
-        // Riding the existing tick keeps profiled runs free of extra
-        // kernel events. The snapshot mark rides its own dedicated lane
-        // (one op per tick → seq = tick index on every replica), so the
-        // replicated samplers' marks are *exact* duplicates that the
-        // merge collapses to one snapshot — and `SAMPLE_LANE` sorts
-        // after every other lane, so the snapshot sees all of the
-        // instant's updates. The end-to-end `probes_in_flight` gauge is NOT
-        // refreshed here: it needs the whole run's RTT records, which no
-        // single shard holds — the experiment driver derives its series
-        // from the merged collector and splices it in at these same
-        // sample instants (`MetricsRegistry::merged`).
-        telemetry::with_metrics(ctx, |m, at| {
-            m.set_recorder(SAMPLE_LANE, at);
-            m.sample(at);
-        });
+        // registry is registered): one time-series row per counter and
+        // gauge, holding every write at or before the instant. Riding the
+        // existing tick keeps observed runs free of extra kernel events.
+        // The end-to-end `probes_in_flight` gauge is not written here: it
+        // needs the whole run's RTT records, which no single shard holds,
+        // so the experiment driver derives it from the merged collector
+        // (`MetricsRegistry::add_derived_gauge`).
+        telemetry::with_metrics(ctx, |m, at| m.sample(at));
         ctx.timer(self.interval, Tick);
     }
 

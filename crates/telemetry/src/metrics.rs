@@ -16,71 +16,83 @@ use crate::histogram::LatencyHistogram;
 use crate::report::trim_float;
 use simcore::{Context, FastMap, SimTime};
 
-/// One recorded mutation of the registry, replayable at merge time.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum OpKind {
-    /// `add_counter(name, delta)`.
-    CounterAdd(u64),
-    /// `set_gauge(name, value)`.
-    GaugeSet(f64),
-    /// `observe(name, micros)`.
-    Observe(u64),
-    /// `sample(at)` — snapshot the live maps into the series.
-    Sample,
+/// One `set_gauge`. Of the writes at or before a snapshot instant, the
+/// one with the highest `(at, lane, seq)` key is the level there.
+#[derive(Debug, Clone, Copy)]
+struct GaugeWrite {
+    at: SimTime,
+    seq: u64,
+    lane: u32,
+    /// Interval `i` ends at tick `i`'s instant, inclusive; the one after
+    /// the last tick is open.
+    interval: u32,
+    value: f64,
 }
 
-/// 40 bytes, `Copy`: the metric name is an interned id.
+impl GaugeWrite {
+    /// Replay order. The value decides between writes under one key:
+    /// only replicas of a replicated recorder make those, and only when
+    /// each writes a level of its own (a vmstat replica gauging its own
+    /// nodes).
+    fn key(&self) -> (SimTime, u32, u64, u64) {
+        (self.at, self.lane, self.seq, self.value.to_bits())
+    }
+}
+
+/// One `observe`, kept in order: the histograms' Welford means are
+/// rebuilt from the log in key order.
 #[derive(Debug, Clone, Copy)]
-struct OpRec {
+struct Observation {
     at: SimTime,
     seq: u64,
     lane: u32,
     name: u32,
-    kind: OpKind,
+    micros: u64,
 }
 
-impl OpRec {
-    fn key(&self) -> (SimTime, u32, u64) {
-        (self.at, self.lane, self.seq)
-    }
-
-    /// Total order of the merged replay. The content part orders ops
-    /// sharing a (time, lane, seq) key — only replicated recorders
-    /// produce such ties, and only when their replicas record
-    /// *different* content (e.g. each shard's vmstat replica gauging its
-    /// own nodes). Name ids compare like the names once
+impl Observation {
+    /// Replay order. The content part decides between replicas'
+    /// observations under one key; name ids compare like the names once
     /// [`merged`](MetricsRegistry::merged) has renumbered them.
-    fn sort_key(&self) -> (SimTime, u32, u64, u8, u32, u64) {
-        let (tag, raw) = match self.kind {
-            OpKind::CounterAdd(v) => (0, v),
-            OpKind::GaugeSet(v) => (1, v.to_bits()),
-            OpKind::Observe(v) => (2, v),
-            OpKind::Sample => (3, 0),
-        };
-        (self.at, self.lane, self.seq, tag, self.name, raw)
+    fn key(&self) -> (SimTime, u32, u64, u32, u64) {
+        (self.at, self.lane, self.seq, self.name, self.micros)
     }
+}
+
+/// One name's live values and series.
+#[derive(Debug, Default)]
+struct Metric {
+    /// Live counter value; `None` until the first add.
+    counter: Option<u64>,
+    /// The counter at each tick from `first` on.
+    counts: Vec<u64>,
+    first: usize,
+    /// Each tick interval's max-key write, in interval order, which is
+    /// key order.
+    writes: Vec<GaugeWrite>,
+    hist: Option<LatencyHistogram>,
 }
 
 /// Registry of named metrics plus the sampled time series.
 ///
 /// Names are dotted (`narada.broker0.queue_depth`); exporters sanitize
 /// them where the target format requires it. Each name is interned once:
-/// an op hashes its name to an id and everything after (the live
-/// counters, gauges and histograms, the op log, the series) is keyed by
-/// that id. Exports list metrics in name order, so every export is
+/// an op hashes its name to an id and everything after is keyed by that
+/// id. Exports list metrics in name order, so every export is
 /// deterministic.
 ///
-/// Every mutation is also logged under the key `(time, recorder lane,
-/// per-lane seq)` — interleaving-invariant, since each lane's op stream
-/// is a function of that actor's own deterministic execution (a lane
-/// recorded on several shards records the same stream on each).
-/// [`merged`](Self::merged) replays the union of per-shard logs in key
-/// order, so any sharding of the same run rebuilds byte-identical
-/// counters, gauges, histograms, and time series. The log holds what
-/// that replay can still tell apart: every observation in order (they
-/// feed a Welford mean), but one op per (lane, counter or gauge, sample
-/// interval) — a snapshot reads only the sum of a counter's deltas and
-/// the max-key write of a gauge, and a lane writes in key order.
+/// Each name keeps a live value, and [`sample`](Self::sample) (the vmstat
+/// tick) snapshots every live counter. A row holds every write at or
+/// before its instant: a write stamped at the last snapshot's instant,
+/// made after it, is folded into it. A gauge keeps, per tick interval,
+/// the write with the highest key `(time, recorder lane, per-lane seq)` —
+/// interleaving-invariant, since each lane's writes are a function of
+/// that actor's own deterministic execution. Observations keep their
+/// ordered log. [`merged`](Self::merged) sums the shards' counter
+/// snapshots per instant (a counter is bumped on one shard only: a
+/// replicated actor gates on `ctx.accounting_primary()`), replays the
+/// gauge writes and the observations in key order, and so rebuilds
+/// byte-identical exports from any sharding of the same run.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     /// Interned metric names, by id; ids are per registry until merged.
@@ -89,17 +101,10 @@ pub struct MetricsRegistry {
     /// Every id, in name order: the order snapshots and exports list
     /// metrics in.
     by_name: Vec<u32>,
-    /// Live state, by id; `None` where the name was never used so.
-    counters: Vec<Option<u64>>,
-    gauges: Vec<Option<f64>>,
-    hists: Vec<Option<LatencyHistogram>>,
-    /// Long-format samples: (instant, metric id, value).
-    series: Vec<(SimTime, u32, f64)>,
-    observes: Vec<OpRec>,
-    marks: Vec<OpRec>,
-    /// (sample interval, lane, name, is gauge) → that interval's folded
-    /// op, carrying the key of the lane's last write in it.
-    folded: FastMap<(usize, u32, u32, bool), OpRec>,
+    metrics: Vec<Metric>,
+    /// Snapshot instants, in time order.
+    ticks: Vec<SimTime>,
+    observations: Vec<Observation>,
     lane_seqs: FastMap<u32, u64>,
     cur_lane: u32,
     cur_at: SimTime,
@@ -111,6 +116,16 @@ impl MetricsRegistry {
         Self::default()
     }
 
+    /// An empty registry sized for `ticks` snapshots: each series
+    /// reserves room for the rest of them at its first value, so neither
+    /// a snapshot nor a write reallocates mid-run.
+    pub fn with_ticks(ticks: usize) -> Self {
+        MetricsRegistry {
+            ticks: Vec::with_capacity(ticks),
+            ..Self::default()
+        }
+    }
+
     /// Set the recording context for subsequent ops; called by
     /// [`with_metrics`] with the acting actor's lane and the kernel
     /// clock so op keys are shard-invariant.
@@ -120,9 +135,9 @@ impl MetricsRegistry {
     }
 
     /// The id of `name`, interning it on first use.
-    fn intern(&mut self, name: &str) -> u32 {
+    fn intern(&mut self, name: &str) -> usize {
         if let Some(&id) = self.ids.get(name) {
-            return id;
+            return id as usize;
         }
         let id = u32::try_from(self.names.len()).expect("fewer than 2^32 metric names");
         let at = self
@@ -131,152 +146,147 @@ impl MetricsRegistry {
         self.by_name.insert(at, id);
         self.names.push(name.to_owned());
         self.ids.insert(name.to_owned(), id);
-        self.counters.push(None);
-        self.gauges.push(None);
-        self.hists.push(None);
-        id
+        self.metrics.push(Metric::default());
+        id as usize
     }
 
-    fn record(&mut self, at: SimTime, name: u32, kind: OpKind) {
+    fn next_seq(&mut self) -> u64 {
         let seq = self.lane_seqs.entry(self.cur_lane).or_insert(0);
-        let rec = OpRec {
-            at,
-            seq: *seq,
-            lane: self.cur_lane,
-            name,
-            kind,
-        };
         *seq += 1;
-        match kind {
-            OpKind::Observe(_) => self.observes.push(rec),
-            OpKind::Sample => {
-                debug_assert!(
-                    self.folded.values().all(|op| op.key() < rec.key()),
-                    "a snapshot mark sorts after every counter and gauge op made before it"
-                );
-                self.marks.push(rec);
-            }
-            OpKind::CounterAdd(_) | OpKind::GaugeSet(_) => {
-                // The clock never runs behind the last snapshot, but an op
-                // stamped at its instant on a lower lane is made after it
-                // and replays before it: the key decides, not call order.
-                let closed = self.marks.last().is_some_and(|m| rec.key() < m.key());
-                let interval = self.marks.len() - usize::from(closed);
-                let is_gauge = matches!(kind, OpKind::GaugeSet(_));
-                self.folded
-                    .entry((interval, rec.lane, name, is_gauge))
-                    .and_modify(|old| {
-                        let kind = match (old.kind, kind) {
-                            (OpKind::CounterAdd(sum), OpKind::CounterAdd(d)) => {
-                                OpKind::CounterAdd(sum + d)
-                            }
-                            _ => kind,
-                        };
-                        *old = OpRec { kind, ..rec };
-                    })
-                    .or_insert(rec);
-            }
-        }
+        *seq - 1
     }
 
-    fn apply_counter(&mut self, id: u32, delta: u64) {
-        *self.counters[id as usize].get_or_insert(0) += delta;
+    /// True when the recorder clock stands at the last snapshot's
+    /// instant: a write made now belongs to that snapshot. The clock
+    /// never runs behind it.
+    fn at_last_tick(&self) -> bool {
+        debug_assert!(self.ticks.last().is_none_or(|&t| t <= self.cur_at));
+        self.ticks.last() == Some(&self.cur_at)
     }
 
-    fn apply_gauge(&mut self, id: u32, value: f64) {
-        self.gauges[id as usize] = Some(value);
-    }
-
-    fn apply_observe(&mut self, id: u32, micros: u64) {
-        self.hists[id as usize]
-            .get_or_insert_with(LatencyHistogram::new)
-            .record(micros);
-    }
-
-    fn apply_sample(&mut self, at: SimTime) {
-        for &id in &self.by_name {
-            if let Some(v) = self.counters[id as usize] {
-                self.series.push((at, id, v as f64));
-            }
-        }
-        for &id in &self.by_name {
-            if let Some(v) = self.gauges[id as usize] {
-                self.series.push((at, id, v));
-            }
-        }
+    /// Room for a series that starts at tick `from`: through every tick
+    /// the registry is sized for, and the open interval after them.
+    fn room(&self, from: usize) -> usize {
+        self.ticks.capacity() + 1 - from
     }
 
     /// Add `delta` to a monotonic counter (created at 0 on first use).
     pub fn add_counter(&mut self, name: &str, delta: u64) {
         let id = self.intern(name);
-        self.apply_counter(id, delta);
-        self.record(self.cur_at, id, OpKind::CounterAdd(delta));
+        let last = self.at_last_tick().then(|| self.ticks.len() - 1);
+        let room = last.map_or(0, |tick| self.room(tick));
+        let m = &mut self.metrics[id];
+        *m.counter.get_or_insert(0) += delta;
+        match (last, m.counts.last_mut()) {
+            (None, _) => {}
+            // A live counter is in every snapshot since its first.
+            (Some(_), Some(v)) => *v += delta,
+            (Some(tick), None) => {
+                m.first = tick;
+                m.counts.reserve_exact(room);
+                m.counts.push(delta);
+            }
+        }
     }
 
     /// Set an instantaneous gauge level.
     pub fn set_gauge(&mut self, name: &str, value: f64) {
         let id = self.intern(name);
-        self.apply_gauge(id, value);
-        self.record(self.cur_at, id, OpKind::GaugeSet(value));
+        let interval = self.ticks.len() - usize::from(self.at_last_tick());
+        let w = GaugeWrite {
+            at: self.cur_at,
+            seq: self.next_seq(),
+            lane: self.cur_lane,
+            interval: interval as u32,
+            value,
+        };
+        let room = self.room(interval);
+        let writes = &mut self.metrics[id].writes;
+        match writes.last_mut() {
+            Some(last) if last.interval == w.interval => {
+                if last.key() < w.key() {
+                    *last = w;
+                }
+            }
+            _ => {
+                if writes.capacity() == 0 {
+                    writes.reserve_exact(room);
+                }
+                writes.push(w);
+            }
+        }
     }
 
     /// Record one observation (microseconds) into a latency histogram.
     pub fn observe(&mut self, name: &str, micros: u64) {
         let id = self.intern(name);
-        self.apply_observe(id, micros);
-        self.record(self.cur_at, id, OpKind::Observe(micros));
+        self.metrics[id]
+            .hist
+            .get_or_insert_with(LatencyHistogram::new)
+            .record(micros);
+        let rec = Observation {
+            at: self.cur_at,
+            seq: self.next_seq(),
+            lane: self.cur_lane,
+            name: id as u32,
+            micros,
+        };
+        self.observations.push(rec);
     }
 
-    fn id(&self, name: &str) -> Option<usize> {
-        self.ids.get(name).map(|&id| id as usize)
+    fn metric(&self, name: &str) -> Option<&Metric> {
+        self.ids.get(name).map(|&id| &self.metrics[id as usize])
     }
 
     /// Current value of a counter (0 if never touched).
     pub fn counter(&self, name: &str) -> u64 {
-        self.id(name).and_then(|id| self.counters[id]).unwrap_or(0)
+        self.metric(name).and_then(|m| m.counter).unwrap_or(0)
     }
 
-    /// Current level of a gauge.
+    /// Current level of a gauge: its max-key write.
     pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.id(name).and_then(|id| self.gauges[id])
+        self.metric(name)
+            .and_then(|m| m.writes.last())
+            .map(|w| w.value)
     }
 
     /// Borrow a histogram.
     pub fn histogram(&self, name: &str) -> Option<&LatencyHistogram> {
-        self.id(name).and_then(|id| self.hists[id].as_ref())
+        self.metric(name).and_then(|m| m.hist.as_ref())
     }
 
-    /// Snapshot every counter and gauge into the time series at `at`
-    /// (called by the vmstat sampler on its cadence). The mark must ride
-    /// a lane that sorts after every op already made, as the sampler's
-    /// does: the merged replay snapshots in key order.
+    /// Snapshot every live counter at `at` (called by the vmstat sampler
+    /// on its cadence, once an instant). Gauges need no snapshot: their
+    /// writes are kept by interval.
     pub fn sample(&mut self, at: SimTime) {
-        self.apply_sample(at);
-        self.record(at, 0, OpKind::Sample);
+        debug_assert!(self.ticks.last().is_none_or(|&t| t < at));
+        self.ticks.push(at);
+        let tick = self.ticks.len() - 1;
+        let room = self.room(tick);
+        for m in &mut self.metrics {
+            if let Some(v) = m.counter {
+                if m.counts.is_empty() {
+                    m.first = tick;
+                    m.counts.reserve_exact(room);
+                }
+                m.counts.push(v);
+            }
+        }
     }
 
-    /// Merge per-shard registries by replaying the union of their op
-    /// logs in `(time, lane, seq, content)` order. Exact duplicates
-    /// (the same op recorded by two replicas of a replicated actor, e.g.
-    /// the per-shard vmstat samplers' `Sample` marks) collapse to one.
-    /// The replayed log is not retained.
-    ///
-    /// `derived_gauges` are whole-run gauges that no single shard can
-    /// compute (e.g. `probes_in_flight`, which needs the merged RTT
-    /// record set): each is a time-ordered series spliced in just before
-    /// every `Sample` snapshot, exactly where the serial sampler used to
-    /// refresh them. Names are owned because some series are minted per
-    /// subscriber lane (`freshness_age_ms/lane3`) rather than static.
-    pub fn merged(
-        parts: impl IntoIterator<Item = MetricsRegistry>,
-        derived_gauges: &[(String, Vec<(SimTime, f64)>)],
-    ) -> MetricsRegistry {
+    /// Merge per-shard registries. Every shard snapshots at the same
+    /// instants (the vmstat sampler is replicated), so counter snapshots
+    /// add up tick by tick, and a counter's column runs from its first
+    /// tick to the last on every shard. Gauge writes and observations
+    /// replay in key order; replicas' identical observations collapse to
+    /// one. A gauge level a shard writes for itself on a replicated lane
+    /// is told apart by its value. The replayed log is not retained.
+    pub fn merged(parts: impl IntoIterator<Item = MetricsRegistry>) -> MetricsRegistry {
         let parts: Vec<MetricsRegistry> = parts.into_iter().collect();
         // Interned in name order, so ids compare like the names do.
         let mut names: Vec<&str> = parts
             .iter()
             .flat_map(|p| p.names.iter())
-            .chain(derived_gauges.iter().map(|(name, _)| name))
             .map(String::as_str)
             .collect();
         names.sort_unstable();
@@ -285,77 +295,107 @@ impl MetricsRegistry {
         for name in names {
             out.intern(name);
         }
-        let mut ops: Vec<OpRec> = Vec::new();
+        let mut observations: Vec<Observation> = Vec::new();
         for p in parts {
+            debug_assert!(out.ticks.is_empty() || p.ticks.is_empty() || out.ticks == p.ticks);
+            if out.ticks.is_empty() {
+                out.ticks = p.ticks;
+            }
             let rank: Vec<u32> = p.names.iter().map(|name| out.ids[name]).collect();
-            let from = ops.len();
-            if ops.is_empty() {
-                ops = p.observes;
-            } else {
-                ops.extend(p.observes);
-            }
-            ops.extend(p.folded.into_values());
-            ops.extend(p.marks);
-            for rec in &mut ops[from..] {
-                // A mark names no metric.
-                if rec.kind != OpKind::Sample {
-                    rec.name = rank[rec.name as usize];
+            for (&id, m) in rank.iter().zip(p.metrics) {
+                let o = &mut out.metrics[id as usize];
+                if let Some(v) = m.counter {
+                    *o.counter.get_or_insert(0) += v;
                 }
+                // Both columns end at the last tick, so the one that
+                // starts first is the longer.
+                if !m.counts.is_empty() {
+                    let (mut long, short) = if o.counts.is_empty() || m.first < o.first {
+                        o.first = m.first;
+                        (m.counts, std::mem::take(&mut o.counts))
+                    } else {
+                        (std::mem::take(&mut o.counts), m.counts)
+                    };
+                    let skip = long.len() - short.len();
+                    for (sum, v) in long[skip..].iter_mut().zip(short) {
+                        *sum += v;
+                    }
+                    o.counts = long;
+                }
+                o.writes.extend(m.writes);
             }
+            let from = observations.len();
+            if observations.is_empty() {
+                observations = p.observations;
+            } else {
+                observations.extend(p.observations);
+            }
+            for rec in &mut observations[from..] {
+                rec.name = rank[rec.name as usize];
+            }
+        }
+        for m in &mut out.metrics {
+            m.writes.sort_unstable_by_key(GaugeWrite::key);
         }
         // The observations are in record order, nearly key order, which
-        // the run-merging sort is quick on (two to three times the
-        // unstable sort, for a scratch half the size of the log). The
-        // content part of the order decides only between replicas' ops
-        // under one key: build it for those pairs alone.
-        ops.sort_by(|a, b| {
-            a.key()
-                .cmp(&b.key())
-                .then_with(|| a.sort_key().cmp(&b.sort_key()))
-        });
-        ops.dedup_by_key(|rec| rec.sort_key());
-        let derived: Vec<(u32, &[(SimTime, f64)])> = derived_gauges
-            .iter()
-            .map(|(name, points)| (out.ids[name], points.as_slice()))
-            .collect();
-        let mut cursors = vec![0usize; derived.len()];
-        for rec in ops {
-            match rec.kind {
-                OpKind::CounterAdd(d) => out.apply_counter(rec.name, d),
-                OpKind::GaugeSet(v) => out.apply_gauge(rec.name, v),
-                OpKind::Observe(us) => out.apply_observe(rec.name, us),
-                OpKind::Sample => {
-                    for (&(id, points), cursor) in derived.iter().zip(&mut cursors) {
-                        while *cursor < points.len() && points[*cursor].0 <= rec.at {
-                            out.apply_gauge(id, points[*cursor].1);
-                            *cursor += 1;
-                        }
-                    }
-                    out.apply_sample(rec.at);
-                }
-            }
-        }
-        // Late derived points (after the final snapshot) still set the
-        // end-of-run gauge level for the Prometheus export.
-        for &(id, points) in &derived {
-            if let Some(&(_, v)) = points.last() {
-                out.apply_gauge(id, v);
-            }
+        // the run-merging sort is quick on.
+        observations.sort_by_key(Observation::key);
+        observations.dedup_by_key(|rec| rec.key());
+        for rec in observations {
+            out.metrics[rec.name as usize]
+                .hist
+                .get_or_insert_with(LatencyHistogram::new)
+                .record(rec.micros);
         }
         out
     }
 
+    /// Add a whole-run gauge that no single shard can compute (e.g.
+    /// `probes_in_flight`, which needs the merged RTT record set) to a
+    /// merged registry: a time-ordered series whose point at an instant
+    /// is read by that instant's row, after every write of the instant.
+    pub fn add_derived_gauge(&mut self, name: &str, points: &[(SimTime, f64)]) {
+        let id = self.intern(name);
+        let writes = &mut self.metrics[id].writes;
+        writes.extend(
+            points
+                .iter()
+                .zip(0..)
+                .map(|(&(at, value), seq)| GaugeWrite {
+                    at,
+                    seq,
+                    lane: u32::MAX,
+                    interval: 0,
+                    value,
+                }),
+        );
+        writes.sort_by_key(GaugeWrite::key);
+    }
+
     /// Deterministic long-format CSV: `t_s,metric,value`, one row per
-    /// metric per sample instant.
+    /// metric per sample instant, counters before gauges.
     pub fn csv(&self) -> String {
         let mut out = String::from("t_s,metric,value\n");
-        for &(at, id, v) in &self.series {
-            out.push_str(&trim_float(at.as_micros() as f64 / 1e6));
-            out.push(',');
-            out.push_str(&self.names[id as usize]);
-            out.push(',');
-            out.push_str(&trim_float(v));
-            out.push('\n');
+        // Per gauge, the writes read so far.
+        let mut read = vec![0usize; self.metrics.len()];
+        for (tick, &at) in self.ticks.iter().enumerate() {
+            let t = trim_float(at.as_micros() as f64 / 1e6);
+            for &id in &self.by_name {
+                let m = &self.metrics[id as usize];
+                let count = tick.checked_sub(m.first).and_then(|j| m.counts.get(j));
+                if let Some(&v) = count {
+                    row(&mut out, &t, &self.names[id as usize], v as f64);
+                }
+            }
+            for &id in &self.by_name {
+                let (writes, r) = (&self.metrics[id as usize].writes, &mut read[id as usize]);
+                while writes.get(*r).is_some_and(|w| w.at <= at) {
+                    *r += 1;
+                }
+                if let Some(w) = r.checked_sub(1).map(|r| writes[r]) {
+                    row(&mut out, &t, &self.names[id as usize], w.value);
+                }
+            }
         }
         out
     }
@@ -366,21 +406,27 @@ impl MetricsRegistry {
     /// the histogram's exact Welford mean).
     pub fn prometheus(&self) -> String {
         let mut out = String::new();
-        let named = |id: &u32| (self.names[*id as usize].as_str(), *id as usize);
-        for (name, id) in self.by_name.iter().map(named) {
-            if let Some(v) = self.counters[id] {
+        let named = |id: &u32| {
+            (
+                self.names[*id as usize].as_str(),
+                &self.metrics[*id as usize],
+            )
+        };
+        for (name, m) in self.by_name.iter().map(named) {
+            if let Some(v) = m.counter {
                 let n = sanitize(name);
                 out.push_str(&format!("# TYPE {n} counter\n{n} {v}\n"));
             }
         }
-        for (name, id) in self.by_name.iter().map(named) {
-            if let Some(v) = self.gauges[id] {
+        for (name, m) in self.by_name.iter().map(named) {
+            if let Some(w) = m.writes.last() {
                 let n = sanitize(name);
-                out.push_str(&format!("# TYPE {n} gauge\n{n} {}\n", trim_float(v)));
+                let v = trim_float(w.value);
+                out.push_str(&format!("# TYPE {n} gauge\n{n} {v}\n"));
             }
         }
-        for (name, id) in self.by_name.iter().map(named) {
-            let Some(h) = &self.hists[id] else { continue };
+        for (name, m) in self.by_name.iter().map(named) {
+            let Some(h) = &m.hist else { continue };
             let n = sanitize(name);
             out.push_str(&format!("# TYPE {n} summary\n"));
             for (q, label) in [(0.5, "0.5"), (0.95, "0.95"), (0.99, "0.99")] {
@@ -393,6 +439,16 @@ impl MetricsRegistry {
         }
         out
     }
+}
+
+/// Append one CSV row.
+fn row(out: &mut String, t: &str, name: &str, v: f64) {
+    out.push_str(t);
+    out.push(',');
+    out.push_str(name);
+    out.push(',');
+    out.push_str(&trim_float(v));
+    out.push('\n');
 }
 
 /// Prometheus metric names allow `[a-zA-Z0-9_:]` only.
@@ -442,9 +498,10 @@ mod tests {
     }
 
     #[test]
-    fn log_folds_writes_and_keeps_observations_small() {
-        assert_eq!(std::mem::size_of::<OpRec>(), 40);
-        let mut m = MetricsRegistry::new();
+    fn a_gauge_keeps_one_write_per_tick_interval() {
+        assert_eq!(std::mem::size_of::<GaugeWrite>(), 32);
+        assert_eq!(std::mem::size_of::<Observation>(), 32);
+        let mut m = MetricsRegistry::with_ticks(10);
         for tick in 1..=10u64 {
             for n in 0..1000u64 {
                 m.set_recorder(
@@ -454,14 +511,39 @@ mod tests {
                 m.add_counter("c", 1);
                 m.set_gauge("g", n as f64);
             }
-            m.set_recorder(u32::MAX, SimTime::from_secs(tick));
             m.sample(SimTime::from_secs(tick));
         }
-        // 3 lanes x (counter, gauge) x 10 intervals, not 20 000 ops.
-        assert_eq!(m.folded.len(), 60);
-        let merged = MetricsRegistry::merged([m], &[]);
+        // One write an interval, not 10 000, and a counter snapshot a tick.
+        let g = &m.metrics[m.ids["g"] as usize];
+        assert_eq!(g.writes.len(), 10);
+        assert_eq!(m.metrics[m.ids["c"] as usize].counts.len(), 10);
+        let merged = MetricsRegistry::merged([m]);
         assert_eq!(merged.counter("c"), 10_000);
         assert!(merged.csv().ends_with("10,c,10000\n10,g,999\n"));
+    }
+
+    #[test]
+    fn a_write_at_a_snapshot_instant_lands_in_that_snapshot() {
+        let t = SimTime::from_secs;
+        let mut m = MetricsRegistry::new();
+        m.set_recorder(5, t(1));
+        m.set_gauge("g", 1.0);
+        m.sample(t(1));
+        // Made after the snapshot, stamped at its instant: a lower lane
+        // than the write before, so that one stays the level.
+        m.set_recorder(2, t(1));
+        m.add_counter("c", 3);
+        m.add_counter("c", 4);
+        m.set_gauge("g", 2.0);
+        m.set_gauge("h", 5.0);
+        m.set_recorder(2, t(2));
+        m.add_counter("c", 1);
+        m.set_gauge("g", 3.0);
+        m.sample(t(2));
+        assert_eq!(
+            m.csv(),
+            "t_s,metric,value\n1,c,7\n1,g,1\n1,h,5\n2,c,8\n2,g,3\n2,h,5\n"
+        );
     }
 
     #[test]
@@ -471,6 +553,7 @@ mod tests {
             m.add_counter("z.count", 1);
             m.set_gauge("a.level", 3.0);
             m.sample(SimTime::from_secs(1));
+            m.set_recorder(0, SimTime::from_millis(1_500));
             m.add_counter("z.count", 1);
             m.sample(SimTime::from_secs(2));
             m.csv()
@@ -488,50 +571,44 @@ mod tests {
     #[test]
     fn merged_replay_matches_serial_and_splices_derived_gauges() {
         let t = SimTime::from_secs;
-        // Serial world: lanes 2 and 5 both write; sampler (lane 9) marks
-        // snapshots at 1 s and 2 s.
+        // Serial world: lanes 2 and 5 both write; the sampler snapshots
+        // at 1 s and 2 s.
         let serial_ops = |m: &mut MetricsRegistry| {
             m.set_recorder(2, t(0));
             m.add_counter("a.sent", 1);
             m.set_recorder(5, t(0));
             m.add_counter("b.sent", 2);
-            m.set_recorder(9, t(1));
             m.sample(t(1));
             m.set_recorder(2, t(1));
             m.add_counter("a.sent", 4);
             m.observe("a.cost_us", 300);
-            m.set_recorder(9, t(2));
             m.sample(t(2));
         };
         let mut serial = MetricsRegistry::new();
         serial_ops(&mut serial);
 
         // Sharded world: lane 2 on shard A, lane 5 on shard B, the
-        // sampler replicated on both (identical Sample ops → dedup).
+        // sampler replicated on both.
         let mut a = MetricsRegistry::new();
         a.set_recorder(2, t(0));
         a.add_counter("a.sent", 1);
-        a.set_recorder(9, t(1));
         a.sample(t(1));
         a.set_recorder(2, t(1));
         a.add_counter("a.sent", 4);
         a.observe("a.cost_us", 300);
-        a.set_recorder(9, t(2));
         a.sample(t(2));
         let mut b = MetricsRegistry::new();
         b.set_recorder(5, t(0));
         b.add_counter("b.sent", 2);
-        b.set_recorder(9, t(1));
         b.sample(t(1));
-        b.set_recorder(9, t(2));
         b.sample(t(2));
 
-        let derived = [(
-            "probes_in_flight".to_string(),
-            vec![(t(1), 3.0), (t(2), 0.0)],
-        )];
-        let merged = MetricsRegistry::merged([a, b], &derived);
-        let reference = MetricsRegistry::merged([serial], &derived);
+        let derived = |mut m: MetricsRegistry| {
+            m.add_derived_gauge("probes_in_flight", &[(t(1), 3.0), (t(2), 0.0)]);
+            m
+        };
+        let merged = derived(MetricsRegistry::merged([a, b]));
+        let reference = derived(MetricsRegistry::merged([serial]));
         assert_eq!(merged.csv(), reference.csv(), "byte-identical series");
         assert_eq!(merged.prometheus(), reference.prometheus());
         assert_eq!(merged.counter("a.sent"), 5);

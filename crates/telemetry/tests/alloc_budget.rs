@@ -14,14 +14,17 @@ use counting_alloc::{allocations, Counting};
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
+/// Every name and lane used once, and a snapshot taken: each series has
+/// its storage.
 fn warmed_up() -> MetricsRegistry {
-    let mut m = MetricsRegistry::new();
-    m.set_recorder(u32::MAX, SimTime::from_secs(1));
-    m.sample(SimTime::from_secs(1));
-    m.set_recorder(3, SimTime::from_secs(2));
+    let mut m = MetricsRegistry::with_ticks(101);
+    m.set_recorder(3, SimTime::from_secs(1));
     m.add_counter("gridlog.appended_records", 1);
     m.set_gauge("gridlog.end_offset_lag", 1.0);
     m.observe("gridlog.append_cost_us", 1);
+    m.set_recorder(2, SimTime::from_secs(1));
+    m.set_gauge("gridlog.end_offset_lag", 1.0);
+    m.sample(SimTime::from_secs(1));
     m
 }
 
@@ -29,16 +32,41 @@ fn warmed_up() -> MetricsRegistry {
 fn counter_and_gauge_writes_on_a_known_name_allocate_nothing() {
     let mut m = warmed_up();
     let ((), allocs) = allocations(|| {
+        // 100 ticks of 100 writes each, every tenth stamped at the tick's
+        // instant after its snapshot: it lands in the closed snapshot.
         for n in 0..10_000u64 {
-            m.set_recorder(3, SimTime::from_micros(2_000_000 + n));
+            let at = SimTime::from_micros(2_000_000 + n * 10_000);
+            if n % 100 == 0 {
+                m.set_recorder(3, at);
+                m.sample(at);
+            }
+            let closed = n % 10 == 0;
+            let lane = if closed { 2 } else { 3 };
+            m.set_recorder(
+                lane,
+                if closed {
+                    at
+                } else {
+                    at + SimDuration::from_micros(1)
+                },
+            );
             m.add_counter("gridlog.appended_records", n);
             m.set_gauge("gridlog.end_offset_lag", n as f64);
         }
     });
-    assert_eq!(allocs, 0, "20 000 folded writes allocated {allocs} times");
+    assert_eq!(
+        allocs, 0,
+        "20 000 writes over 100 ticks allocated {allocs} times"
+    );
     assert_eq!(
         m.counter("gridlog.appended_records"),
         1 + (0..10_000).sum::<u64>()
+    );
+    let csv = MetricsRegistry::merged([m]).csv();
+    // The write at 101 s came after the snapshot, at its instant.
+    assert!(
+        csv.contains("\n101,gridlog.appended_records,49009951\n"),
+        "{csv}"
     );
 }
 

@@ -1,16 +1,17 @@
 //! Property tests for the measurement substrate: histogram quantiles
 //! against exact order statistics, Welford against naive moments,
-//! collector conservation, and the folded metrics op log against a
-//! replay-everything reference.
+//! collector conservation, and the merged per-shard metrics store against
+//! a replay-everything reference.
 
 use proptest::prelude::*;
 use simcore::SimTime;
 use telemetry::{LatencyHistogram, MetricsRegistry, RttCollector, Welford};
 
-/// Lane of the replicated snapshot marks; sorts after every other lane,
-/// like `simos::VmstatSampler`'s.
+/// The reference's lane for snapshots: it sorts after every other lane,
+/// so a snapshot replays after every write of its instant.
 const SAMPLE_LANE: u32 = u32::MAX;
-/// A replicated lane: every shard records the same op stream on it.
+/// A replicated lane: every shard records the same gauge writes and
+/// observations on it, and only the accounting primary (shard 0) counts.
 const REPLICATED_LANE: u32 = 4;
 /// A lane whose replicas record *different* gauge content under one key.
 const TIE_LANE: u32 = 5;
@@ -33,6 +34,7 @@ enum MetricAction {
     TieGauge {
         value: u32,
     },
+    /// The replicated vmstat tick: every shard snapshots.
     Sample,
 }
 
@@ -42,6 +44,7 @@ fn metric_action() -> impl Strategy<Value = MetricAction> {
     prop_oneof![
         // Deltas include 0: a zero first touch still creates the series row.
         (0usize..3, 0u64..3).prop_map(|(name, delta)| MetricAction::Counter { name, delta }),
+        (0usize..3, 0u32..50).prop_map(|(name, value)| MetricAction::Gauge { name, value }),
         (0usize..3, 0u32..50).prop_map(|(name, value)| MetricAction::Gauge { name, value }),
         (0usize..3, 1u64..100_000)
             .prop_map(|(name, micros)| MetricAction::Observe { name, micros }),
@@ -55,12 +58,14 @@ type LoggedOp = ((SimTime, u32, u64, u8, &'static str, u64), MetricAction);
 
 /// The reference: every op of every shard kept, sorted by the full key,
 /// exact duplicates dropped, applied one by one to a fresh registry whose
-/// live maps are then exported (no fold, no merge).
-fn replay_all(mut log: Vec<LoggedOp>) -> (String, String) {
+/// exports are then read (no write after a snapshot at its instant, no
+/// merge).
+fn replay_all(mut log: Vec<LoggedOp>) -> MetricsRegistry {
     log.sort_by_key(|(key, _)| *key);
     log.dedup_by_key(|(key, _)| *key);
     let mut m = MetricsRegistry::new();
-    for ((at, _, _, _, name, _), action) in log {
+    for ((at, lane, _, _, name, _), action) in log {
+        m.set_recorder(lane, at);
         match action {
             MetricAction::Counter { delta, .. } => m.add_counter(name, delta),
             MetricAction::Gauge { value, .. } | MetricAction::TieGauge { value } => {
@@ -70,17 +75,25 @@ fn replay_all(mut log: Vec<LoggedOp>) -> (String, String) {
             MetricAction::Sample => m.sample(at),
         }
     }
-    (m.csv(), m.prometheus())
+    m
 }
 
 proptest! {
     #[test]
     fn folded_registry_equals_replay_all(
         // (clock advance, lane, action); a zero advance after a `Sample`
-        // stamps an op at the sample instant, made after the mark but
-        // replayed before it.
-        steps in proptest::collection::vec((0u64..2, 0u32..5, metric_action()), 0..300),
+        // stamps a write at the snapshot's instant, made after it but
+        // replayed before it, and zero advances put writes of several
+        // lanes at one instant.
+        steps in proptest::collection::vec(
+            (prop_oneof![Just(0u64), 0u64..3], 0u32..5, metric_action()),
+            0..300,
+        ),
+        // Where each lane runs (lanes 4 and 5 run everywhere).
+        lane_shard in proptest::collection::vec(0usize..4, 4..5),
         shards in 1usize..5,
+        // The order the shards are merged in.
+        merge_keys in proptest::collection::vec(any::<u64>(), 4..5),
     ) {
         let mut parts: Vec<MetricsRegistry> = (0..shards).map(|_| MetricsRegistry::new()).collect();
         let mut log: Vec<LoggedOp> = Vec::new();
@@ -89,14 +102,24 @@ proptest! {
         let mut last_sample = None;
         for &(dt, lane, action) in &steps {
             now = SimTime::from_micros(now.as_micros() + dt);
+            let everywhere: Vec<usize> = (0..shards).collect();
             let (lane, on): (u32, Vec<usize>) = match action {
                 MetricAction::Sample if last_sample == Some(now) => continue,
-                MetricAction::Sample => (SAMPLE_LANE, (0..shards).collect()),
-                MetricAction::TieGauge { .. } => (TIE_LANE, (0..shards).collect()),
-                _ if lane == REPLICATED_LANE => (lane, (0..shards).collect()),
-                _ => (lane, vec![lane as usize % shards]),
+                MetricAction::Sample => (SAMPLE_LANE, everywhere),
+                MetricAction::TieGauge { .. } => (TIE_LANE, everywhere),
+                MetricAction::Counter { .. } if lane == REPLICATED_LANE => (lane, vec![0]),
+                _ if lane == REPLICATED_LANE => (lane, everywhere),
+                _ => (lane, vec![lane_shard[lane as usize] % shards]),
             };
-            let seq = seqs.entry(lane).or_insert(0);
+            // A counter takes no seq; a gauge write and an observation do.
+            let seq = match action {
+                MetricAction::Counter { .. } | MetricAction::Sample => 0,
+                _ => {
+                    let seq = seqs.entry(lane).or_insert(0);
+                    *seq += 1;
+                    *seq - 1
+                }
+            };
             for shard in on {
                 let m = &mut parts[shard];
                 m.set_recorder(lane, now);
@@ -125,14 +148,22 @@ proptest! {
                         (3, "", 0, action)
                     }
                 };
-                log.push(((now, lane, *seq, tag, name, raw), logged));
+                // Counter adds are kept apart by a running index: the
+                // reference sums every one of them.
+                let seq = if tag == 0 { log.len() as u64 } else { seq };
+                log.push(((now, lane, seq, tag, name, raw), logged));
             }
-            *seq += 1;
         }
-        let merged = MetricsRegistry::merged(parts, &[]);
-        let (csv, prometheus) = replay_all(log);
-        prop_assert_eq!(merged.csv(), csv);
-        prop_assert_eq!(merged.prometheus(), prometheus);
+        let mut order: Vec<(u64, MetricsRegistry)> = merge_keys.iter().copied().zip(parts).collect();
+        order.sort_by_key(|(key, _)| *key);
+        let merged = MetricsRegistry::merged(order.into_iter().map(|(_, part)| part));
+        let reference = replay_all(log);
+        prop_assert_eq!(merged.csv(), reference.csv());
+        prop_assert_eq!(merged.prometheus(), reference.prometheus());
+        for name in NAMES.into_iter().chain(["tie"]) {
+            prop_assert_eq!(merged.counter(name), reference.counter(name));
+            prop_assert_eq!(merged.gauge(name), reference.gauge(name));
+        }
     }
 
     #[test]
