@@ -267,6 +267,7 @@ impl LogBroker {
         }
         telemetry::with_metrics(ctx, |m, _| {
             m.add_counter("gridlog.appended_records", n);
+            m.add_counter("broker_publishes", n);
             m.observe("gridlog.append_cost_us", cost.as_micros());
         });
         self.control(ctx, conn, BrokerToClient::ProduceAck { batch_seq }, done);
@@ -356,6 +357,7 @@ impl LogBroker {
         }
         telemetry::with_metrics(ctx, |m, _| {
             m.set_gauge("gridlog.fetch_batch_occupancy", n as f64);
+            m.add_counter("broker_deliveries", n);
             m.observe("gridlog.fetch_cost_us", cost.as_micros());
         });
         let response = BrokerToClient::Records {
@@ -725,6 +727,7 @@ impl LogBroker {
             simtrace::with_trace(ctx, |tr, _| {
                 tr.count(simtrace::Counter::FaultRecoveries, recovered);
             });
+            telemetry::with_metrics(ctx, |m, _| m.add_counter("fault_recoveries", recovered));
         }
     }
 }

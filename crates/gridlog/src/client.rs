@@ -323,6 +323,7 @@ impl GridlogClientSet {
             tr.record(at, None, actor, simtrace::EventKind::BatchFlush { tuples });
             tr.count(simtrace::Counter::BatchFlushes, 1);
         });
+        telemetry::with_metrics(ctx, |m, _| m.add_counter("batch_flushes", 1));
         let ser_done = self.sessions.cpu(ctx, self.serialize_cost(bytes));
         for rec in &records {
             probe::sent(ctx, rec.probe, ser_done);

@@ -389,6 +389,7 @@ impl Broker {
         let publishes = &self.metric_names.publishes;
         telemetry::with_metrics(ctx, |m, _| {
             m.add_counter(publishes, 1);
+            m.add_counter("broker_publishes", 1);
             m.observe("narada.publish_cost_us", cost.as_micros());
         });
 
@@ -441,6 +442,10 @@ impl Broker {
             tr.count(simtrace::Counter::SelectorMatches, u64::from(matched));
             tr.count(simtrace::Counter::SelectorMisses, u64::from(missed));
         });
+        telemetry::with_metrics(ctx, |m, _| {
+            m.add_counter("selector_matches", u64::from(matched));
+            m.add_counter("selector_misses", u64::from(missed));
+        });
     }
 
     fn dispatch_deliveries(
@@ -464,6 +469,8 @@ impl Broker {
                 );
                 tr.count(simtrace::Counter::BrokerDeliveries, u64::from(fanout));
             });
+            let fanout = u64::from(fanout);
+            telemetry::with_metrics(ctx, |m, _| m.add_counter("broker_deliveries", fanout));
         }
         for m in matches {
             // Each delivery costs serialization on the broker.
@@ -591,6 +598,8 @@ impl Broker {
                 );
                 tr.count(simtrace::Counter::BrokerForwards, u64::from(sent));
             });
+            let sent = u64::from(sent);
+            telemetry::with_metrics(ctx, |m, _| m.add_counter("broker_forwards", sent));
         }
     }
 
@@ -759,6 +768,7 @@ impl Broker {
         simtrace::with_trace(ctx, |tr, _| {
             tr.count(simtrace::Counter::FaultRecoveries, n);
         });
+        telemetry::with_metrics(ctx, |m, _| m.add_counter("fault_recoveries", n));
     }
 
     fn on_ack(&mut self, ctx: &mut Context<'_>, conn: ConnId, cumulative: u64, extra: Vec<u64>) {
@@ -822,6 +832,7 @@ impl Broker {
                 );
                 tr.count(simtrace::Counter::Retries, 1);
             });
+            telemetry::with_metrics(ctx, |m, _| m.add_counter("retries", 1));
         }
     }
 

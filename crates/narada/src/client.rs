@@ -552,6 +552,7 @@ impl NaradaClientSet {
             );
             tr.count(simtrace::Counter::Retries, 1);
         });
+        telemetry::with_metrics(ctx, |m, _| m.add_counter("retries", 1));
         let timer = self
             .sessions
             .arm(ctx, timeout, TimerKind::PubRetry { conn, seq });

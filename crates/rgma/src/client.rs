@@ -437,6 +437,10 @@ impl RgmaClientSet {
                         simtrace::with_trace(ctx, |tr, _| {
                             tr.count(simtrace::Counter::TuplesDelivered, n as u64);
                         });
+                        let delivered = n as u64;
+                        telemetry::with_metrics(ctx, |m, _| {
+                            m.add_counter("tuples_delivered", delivered)
+                        });
                         events.push(RgmaEvent::Polled(handle, n));
                     }
                 }
@@ -465,6 +469,7 @@ impl RgmaClientSet {
                 simtrace::with_trace(ctx, |tr, _| {
                     tr.count(simtrace::Counter::Retries, 1);
                 });
+                telemetry::with_metrics(ctx, |m, _| m.add_counter("retries", 1));
                 if self
                     .producers
                     .get(&handle)
@@ -477,6 +482,7 @@ impl RgmaClientSet {
                 simtrace::with_trace(ctx, |tr, _| {
                     tr.count(simtrace::Counter::Retries, 1);
                 });
+                telemetry::with_metrics(ctx, |m, _| m.add_counter("retries", 1));
                 self.send_create(ctx, handle);
             }
         }

@@ -381,6 +381,8 @@ impl ConsumerServlet {
         telemetry::with_metrics(ctx, |m, _| {
             let backlog: usize = instances.values().map(|i| i.buffer.len()).sum();
             m.set_gauge("rgma.consumer.buffered_tuples", backlog as f64);
+            m.add_counter("selector_matches", accepted);
+            m.add_counter("selector_misses", filtered);
         });
     }
 

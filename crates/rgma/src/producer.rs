@@ -163,6 +163,7 @@ impl ProducerServlet {
                     );
                     tr.count(simtrace::Counter::TuplesStored, 1);
                 });
+                telemetry::with_metrics(ctx, |m, _| m.add_counter("tuples_stored", 1));
             }
             Err(reason) => reply.send_at(ctx, 400, 64, ProducerResponse::Error { reason }, done),
         }

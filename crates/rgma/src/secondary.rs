@@ -157,6 +157,10 @@ impl SecondaryProducer {
                 tr.count(simtrace::Counter::BatchFlushes, 1);
                 tr.gauge_set(simtrace::Gauge::BatchOccupancy, 0);
             });
+            telemetry::with_metrics(ctx, |m, _| {
+                m.add_counter("batch_flushes", 1);
+                m.set_gauge("rgma.secondary.batch_tuples", 0.0);
+            });
             // Stream to downstream consumers.
             let mut sends = Vec::new();
             for ds in &mut self.downstreams {

@@ -420,6 +420,14 @@ impl NetworkFabric {
                 }
                 tr.gauge_set(simtrace::Gauge::NicBacklogUs, backlog_us);
             });
+            telemetry::with_metrics(ctx, |m, _| {
+                m.add_counter("net_frames_sent", 1);
+                m.add_counter("net_drops", 1);
+                if fault_dropped {
+                    m.add_counter("fault_drops", 1);
+                }
+                m.set_gauge("nic_backlog_us", backlog_us as f64);
+            });
             simprof::hit(ctx, simprof::Component::NetFabric);
             return None;
         }
@@ -471,6 +479,11 @@ impl NetworkFabric {
             tr.count(simtrace::Counter::NetFramesSent, 1);
             tr.count(simtrace::Counter::NetFramesDelivered, 1);
             tr.gauge_set(simtrace::Gauge::NicBacklogUs, backlog_us);
+        });
+        telemetry::with_metrics(ctx, |m, _| {
+            m.add_counter("net_frames_sent", 1);
+            m.add_counter("net_frames_delivered", 1);
+            m.set_gauge("nic_backlog_us", backlog_us as f64);
         });
         simprof::hit(ctx, simprof::Component::NetFabric);
         simprof::hit(ctx, simprof::Component::NetLink);

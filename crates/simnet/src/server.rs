@@ -248,6 +248,7 @@ impl<S> Acceptor<S> {
             simtrace::with_trace(ctx, |tr, _| {
                 tr.count(simtrace::Counter::FaultDrops, 1);
             });
+            telemetry::with_metrics(ctx, |m, _| m.add_counter("fault_drops", 1));
             return Inbound::Dropped;
         }
         if !delivery.payload.is::<F>() {
@@ -293,6 +294,7 @@ impl Acceptor<()> {
             simtrace::with_trace(ctx, |tr, _| {
                 tr.count(simtrace::Counter::FaultRejections, 1);
             });
+            telemetry::with_metrics(ctx, |m, _| m.add_counter("fault_rejections", 1));
             Some("servlet stalled".to_owned())
         } else {
             self.accept(ctx, conn, ()).err().map(|e| e.to_string())

@@ -141,6 +141,7 @@ impl Actor for GcPauser {
             );
             tr.count(simtrace::Counter::GcPauses, 1);
         });
+        telemetry::with_metrics(ctx, |m, _| m.add_counter("gc_pauses", 1));
     }
 
     fn name(&self) -> &str {

@@ -15,13 +15,13 @@ const MSGS: u32 = 20;
 /// One line per contender: each export's digest.
 const EXPECTED: [&str; 3] = [
     "compare/narada: jsonl=0x7c58844161a02620 chrome=0x1a7186813c4eed30 \
-     prometheus=0xcddee1d6fe4206d5 metrics_csv=0x89cc4b222b3743da \
+     prometheus=0x24c077722aa6bfba metrics_csv=0x909be9dd019551ca \
      collapsed=0x16f7734d88db14ea slo_csv=0x9217c354c1b1d104",
     "compare/rgma: jsonl=0xa50eeb25efa61760 chrome=0xdfbe6e52b2558913 \
-     prometheus=0x634085630330f60e metrics_csv=0x27795e67b93122b1 \
+     prometheus=0xc99e3757e1a37314 metrics_csv=0x8deef27633f22829 \
      collapsed=0x203203f42bf1e4a6 slo_csv=0x86bf24962e1d7abb",
     "compare/gridlog: jsonl=0x2cd541496d9bcb11 chrome=0x18a126cc4933a593 \
-     prometheus=0x2edfa5115e792f8a metrics_csv=0x932fb17ce1b7cd1e \
+     prometheus=0x72d57429d79b800f metrics_csv=0x1de2a64fef491aed \
      collapsed=0xebd0cbc23e9edb60 slo_csv=0x6597824334084830",
 ];
 
