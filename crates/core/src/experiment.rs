@@ -40,7 +40,7 @@ use simnet::session::ReconnectPolicy;
 use simnet::{Endpoint, NetworkFabric, Transport};
 use simos::{NodeId, OsModel, ProcessId, VmstatLog, VmstatSampler};
 use simshard::ShardPlan;
-use simtrace::{export, TraceCollector, TraceSampler, TraceSummary};
+use simtrace::{export, TraceCollector, TraceSummary};
 use std::sync::atomic::{AtomicBool, Ordering};
 use telemetry::slo::{self, SloReport, SloSpec};
 use telemetry::{RttCollector, RttSummary};
@@ -115,10 +115,10 @@ pub struct ExperimentSpec {
     /// registered and no recovery policy is enabled, so fault-free runs
     /// are byte-identical to builds without fault support.
     pub faults: FaultSchedule,
-    /// Enable the virtual-time profiler and the metrics plane. Off by
-    /// default: no `Profiler`/`MetricsRegistry` service is registered, so
-    /// every charge site reduces to one failed type-map probe and the
-    /// run is byte-identical to an unprofiled build.
+    /// Enable the virtual-time profiler and the metrics plane's exports.
+    /// Off by default: no `Profiler` (nor, untraced, `MetricsRegistry`) is
+    /// registered, so every charge site is one failed type-map probe and
+    /// the run is byte-identical to an unprofiled build.
     pub profile: bool,
     /// Enable wall-clock hot-path attribution: arm the kernel's site
     /// table (`Simulation::enable_hotpath_timing`) and report it as a
@@ -228,7 +228,7 @@ impl ExperimentSpec {
 #[derive(Debug, Clone)]
 pub struct TraceArtifacts {
     /// JSON Lines export: every event plus the unified resource log
-    /// (counter samples merged with vmstat rows).
+    /// (counter rows merged with vmstat rows).
     pub jsonl: String,
     /// Chrome `trace_event` JSON (open in Perfetto / `chrome://tracing`).
     pub chrome: String,
@@ -460,8 +460,8 @@ fn add_fleets<P: FleetProtocol + 'static>(
 /// same actor order — so actor indices, per-actor RNG streams, and
 /// build-phase connection ids agree across replicas. `sim.on_node`
 /// precedes every placed actor so the kernel's locality filter (if any)
-/// can ghost foreign-node actors; the vmstat sampler, the trace sampler
-/// and the fault driver are *replicated* (run on every shard) instead.
+/// can ghost foreign-node actors; the vmstat sampler and the fault
+/// driver are *replicated* (run on every shard) instead.
 fn build_world(
     spec: &ExperimentSpec,
     lay: &Layout,
@@ -507,7 +507,10 @@ fn build_world(
     }
     if spec.profile {
         sim.add_service(simprof::Profiler::new());
-        // Sized for one snapshot a vmstat tick.
+    }
+    if spec.trace || spec.profile {
+        // The one store of counters and gauges: the trace's counter rows
+        // and the profile's series. Sized for one snapshot a vmstat tick.
         let ticks = lay.horizon.as_micros() / SimDuration::from_secs(1).as_micros();
         sim.add_service(telemetry::MetricsRegistry::with_ticks(ticks as usize));
     }
@@ -752,21 +755,13 @@ fn build_world(
         }
     }
 
-    // Conditional observation/fault actors register *after* every
-    // production actor: per-actor RNG streams are keyed by actor index, so
-    // an actor that only exists in instrumented runs must not shift the
-    // indices (and hence the randomness) of the actors common to all runs.
-    // Both are replicated — they run on every shard, observing/driving
-    // their shard's replica of the world.
-    if spec.trace {
-        // Counters sampled on the same cadence as the vmstat sampler so
-        // the unified resource log interleaves 1:1.
-        sim.add_replicated_actor(TraceSampler::new(SimDuration::from_secs(1)));
-    }
-    // The driver is added last so its `on_start` timers land after every
-    // deployment actor exists; targets that a schedule names but the
-    // deployment lacks (e.g. a registry in a Narada run) are ignored.
-    // Replicated: each replica drives its own shard's injector service;
+    // The fault driver registers *after* every production actor: per-actor
+    // RNG streams are keyed by actor index, so an actor that only exists
+    // in faulted runs must not shift the indices (and hence the
+    // randomness) of the actors common to all runs. Its `on_start` timers
+    // land after every deployment actor exists; targets that a schedule
+    // names but the deployment lacks (e.g. a registry in a Narada run) are
+    // ignored. Replicated: each replica drives its own shard's injector service;
     // control messages to actors its shard doesn't host are ghost-dropped
     // (the owning shard's replica delivers them), and the `injected`
     // count is gated on the accounting primary.
@@ -871,9 +866,7 @@ fn inject_delivery(sim: &mut Simulation, env: RemoteEnvelope) {
 /// The whole-run `probes_in_flight` gauge series: +1 at each publish
 /// instant, −1 at each delivery instant, cumulative. No single shard can
 /// compute it (publisher and subscriber may live on different shards),
-/// so it is derived from the *merged* RTT collector and spliced into the
-/// merged metrics registry at the sample instants — exactly where the
-/// old serial sampler used to refresh it.
+/// so it is derived from the *merged* RTT collector.
 fn probes_in_flight_series(rtt: &RttCollector) -> Vec<(SimTime, f64)> {
     let mut deltas: Vec<(SimTime, i64)> = Vec::new();
     for (_, i) in rtt.records() {
@@ -1007,13 +1000,14 @@ fn merge_results(
     // an exit in the middle of the SLO report would let that timing pick
     // where the report lands, and peak RSS would vary from run to run.
     // The renderers are pure, so the bytes do not depend on which thread
-    // finishes first. The merged store is dropped before the metrics
-    // merge below.
+    // finishes first. The counter rows are the merged registry's, which
+    // the profile's exports read too.
+    let mut metrics = telemetry::MetricsRegistry::merged(metrics_parts.into_iter().flatten());
     let (trace, slo_report) = if spec.trace {
         let tr = TraceCollector::merged(traces.into_iter().flatten());
         let trace_summary = TraceSummary::from_collector(&tr);
         // Unified resource log: vmstat rows ride along with the counter
-        // samples in the JSONL export.
+        // rows in the JSONL export.
         let resources: Vec<export::ResourceRow> = vm
             .samples()
             .iter()
@@ -1024,13 +1018,14 @@ fn merge_results(
                 mem_bytes: s.mem_bytes,
             })
             .collect();
-        let mut jsonl = Vec::with_capacity(export::jsonl_len(&tr, &resources));
-        let mut chrome = Vec::with_capacity(export::chrome_trace_len(&tr, &trace_summary));
+        let m = &metrics;
+        let mut jsonl = Vec::with_capacity(export::jsonl_len(&tr, m, &resources));
+        let mut chrome = Vec::with_capacity(export::chrome_trace_len(&tr, m, &trace_summary));
         let done = AtomicBool::new(false);
         let (jsonl, chrome, slo_report) = std::thread::scope(|s| {
             let (tr, summary, done) = (&tr, &trace_summary, &done);
             let helper = s.spawn(move || {
-                export::write_chrome_trace(&mut chrome, tr, summary);
+                export::write_chrome_trace(&mut chrome, tr, m, summary);
                 let chrome = String::from_utf8(chrome).expect("exports are ASCII");
                 while !done.load(Ordering::Acquire) {
                     std::thread::park();
@@ -1038,7 +1033,7 @@ fn merge_results(
                 chrome
             });
             let release = Release(done, helper.thread());
-            export::write_jsonl(&mut jsonl, tr, &resources);
+            export::write_jsonl(&mut jsonl, tr, m, &resources);
             let jsonl = String::from_utf8(jsonl).expect("exports are ASCII");
             let slo_report = slo_report();
             drop(release);
@@ -1061,7 +1056,6 @@ fn merge_results(
     let profile = if spec.profile {
         let p = simprof::Profiler::merged(profilers.into_iter().flatten());
         let report = p.report(kernel_busy);
-        let mut metrics = telemetry::MetricsRegistry::merged(metrics_parts.into_iter().flatten());
         metrics.add_derived_gauge("probes_in_flight", &probes_in_flight_series(&rtt));
         for (name, points) in slo_report.iter().flat_map(|slo| &slo.series) {
             metrics.add_derived_gauge(name, points);
@@ -1288,15 +1282,24 @@ mod tests {
 
     #[test]
     fn slo_runs_leave_other_artifacts_untouched() {
-        let plain =
-            ExperimentSpec::paper_default("slo/inert", SystemUnderTest::NaradaSingle, 8).scaled(3);
-        let slo = plain.clone().with_slo(SloSpec::grid_default());
-        let a = run_experiment(&plain);
-        let b = run_experiment(&slo);
-        assert!(a.slo.is_none());
-        assert_eq!(a.summary.rtt_mean_ms, b.summary.rtt_mean_ms);
-        assert_eq!(a.events, b.events);
-        assert_eq!(a.kernel.determinism_digest(), b.kernel.determinism_digest());
+        for system in [
+            SystemUnderTest::NaradaSingle,
+            SystemUnderTest::GridlogSingle,
+            SystemUnderTest::RgmaSingle,
+        ] {
+            let plain = ExperimentSpec::paper_default("slo/inert", system, 8).scaled(3);
+            let slo = plain.clone().with_slo(SloSpec::grid_default());
+            let a = run_experiment(&plain);
+            assert!(a.slo.is_none());
+            // The planes sample on the vmstat tick every run has: none
+            // adds a kernel event.
+            for spec in [slo.clone(), slo.traced().profiled()] {
+                let b = run_experiment(&spec);
+                assert_eq!(a.summary.rtt_mean_ms, b.summary.rtt_mean_ms);
+                assert_eq!(a.events, b.events, "{system:?}");
+                assert_eq!(a.kernel.determinism_digest(), b.kernel.determinism_digest());
+            }
+        }
     }
 
     #[test]

@@ -262,7 +262,6 @@ impl LogBroker {
                     actor,
                     simtrace::EventKind::BrokerRecv { broker: 0 },
                 );
-                tr.count(simtrace::Counter::BrokerPublishes, 1);
             });
         }
         telemetry::with_metrics(ctx, |m, _| {
@@ -352,7 +351,6 @@ impl LogBroker {
                         fanout: 1,
                     },
                 );
-                tr.count(simtrace::Counter::BrokerDeliveries, 1);
             });
         }
         telemetry::with_metrics(ctx, |m, _| {
@@ -724,9 +722,6 @@ impl LogBroker {
         }
         if recovered > 0 {
             simfault::with_faults(ctx, |inj, _| inj.stats.recovered += recovered);
-            simtrace::with_trace(ctx, |tr, _| {
-                tr.count(simtrace::Counter::FaultRecoveries, recovered);
-            });
             telemetry::with_metrics(ctx, |m, _| m.add_counter("fault_recoveries", recovered));
         }
     }

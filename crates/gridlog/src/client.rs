@@ -321,7 +321,6 @@ impl GridlogClientSet {
         let actor = ctx.self_id().index() as u64;
         simtrace::with_trace(ctx, |tr, at| {
             tr.record(at, None, actor, simtrace::EventKind::BatchFlush { tuples });
-            tr.count(simtrace::Counter::BatchFlushes, 1);
         });
         telemetry::with_metrics(ctx, |m, _| m.add_counter("batch_flushes", 1));
         let ser_done = self.sessions.cpu(ctx, self.serialize_cost(bytes));

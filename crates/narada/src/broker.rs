@@ -363,7 +363,6 @@ impl Broker {
                 actor,
                 simtrace::EventKind::BrokerRecv { broker },
             );
-            tr.count(simtrace::Counter::BrokerPublishes, 1);
         });
 
         // Processing cost: deserialize + route + match. Queue sends
@@ -439,8 +438,6 @@ impl Broker {
                 actor,
                 simtrace::EventKind::SelectorMatch { matched, missed },
             );
-            tr.count(simtrace::Counter::SelectorMatches, u64::from(matched));
-            tr.count(simtrace::Counter::SelectorMisses, u64::from(missed));
         });
         telemetry::with_metrics(ctx, |m, _| {
             m.add_counter("selector_matches", u64::from(matched));
@@ -467,10 +464,10 @@ impl Broker {
                     actor,
                     simtrace::EventKind::BrokerDeliver { broker, fanout },
                 );
-                tr.count(simtrace::Counter::BrokerDeliveries, u64::from(fanout));
             });
-            let fanout = u64::from(fanout);
-            telemetry::with_metrics(ctx, |m, _| m.add_counter("broker_deliveries", fanout));
+            telemetry::with_metrics(ctx, |m, _| {
+                m.add_counter("broker_deliveries", fanout.into())
+            });
         }
         for m in matches {
             // Each delivery costs serialization on the broker.
@@ -596,10 +593,8 @@ impl Broker {
                         peers: sent,
                     },
                 );
-                tr.count(simtrace::Counter::BrokerForwards, u64::from(sent));
             });
-            let sent = u64::from(sent);
-            telemetry::with_metrics(ctx, |m, _| m.add_counter("broker_forwards", sent));
+            telemetry::with_metrics(ctx, |m, _| m.add_counter("broker_forwards", sent.into()));
         }
     }
 
@@ -765,9 +760,6 @@ impl Broker {
             }
         }
         simfault::with_faults(ctx, |inj, _| inj.stats.recovered += n);
-        simtrace::with_trace(ctx, |tr, _| {
-            tr.count(simtrace::Counter::FaultRecoveries, n);
-        });
         telemetry::with_metrics(ctx, |m, _| m.add_counter("fault_recoveries", n));
     }
 
@@ -830,7 +822,6 @@ impl Broker {
                     actor,
                     simtrace::EventKind::Retransmit { attempt: 1 },
                 );
-                tr.count(simtrace::Counter::Retries, 1);
             });
             telemetry::with_metrics(ctx, |m, _| m.add_counter("retries", 1));
         }

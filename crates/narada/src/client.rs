@@ -550,7 +550,6 @@ impl NaradaClientSet {
                 actor,
                 simtrace::EventKind::Retransmit { attempt },
             );
-            tr.count(simtrace::Counter::Retries, 1);
         });
         telemetry::with_metrics(ctx, |m, _| m.add_counter("retries", 1));
         let timer = self

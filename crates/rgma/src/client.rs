@@ -434,9 +434,6 @@ impl RgmaClientSet {
                             // poll-result processing is done.
                             probe::delivered(ctx, probe, done);
                         }
-                        simtrace::with_trace(ctx, |tr, _| {
-                            tr.count(simtrace::Counter::TuplesDelivered, n as u64);
-                        });
                         let delivered = n as u64;
                         telemetry::with_metrics(ctx, |m, _| {
                             m.add_counter("tuples_delivered", delivered)
@@ -466,9 +463,6 @@ impl RgmaClientSet {
                 probe,
                 retries,
             } => {
-                simtrace::with_trace(ctx, |tr, _| {
-                    tr.count(simtrace::Counter::Retries, 1);
-                });
                 telemetry::with_metrics(ctx, |m, _| m.add_counter("retries", 1));
                 if self
                     .producers
@@ -479,9 +473,6 @@ impl RgmaClientSet {
                 }
             }
             TimerPurpose::CreateRetry(handle) => {
-                simtrace::with_trace(ctx, |tr, _| {
-                    tr.count(simtrace::Counter::Retries, 1);
-                });
                 telemetry::with_metrics(ctx, |m, _| m.add_counter("retries", 1));
                 self.send_create(ctx, handle);
             }

@@ -368,10 +368,6 @@ impl ConsumerServlet {
             inst.buffer.push((probe, tuple));
             accepted += 1;
         }
-        simtrace::with_trace(ctx, |tr, _| {
-            tr.count(simtrace::Counter::SelectorMatches, accepted);
-            tr.count(simtrace::Counter::SelectorMisses, filtered);
-        });
         if accepted > 0 {
             let heap = Bytes(self.cfg.memory.heap_per_tuple.0 * accepted);
             let _ = self.server.alloc(ctx, heap);

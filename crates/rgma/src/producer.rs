@@ -161,7 +161,6 @@ impl ProducerServlet {
                         actor,
                         simtrace::EventKind::StorageInsert { rows },
                     );
-                    tr.count(simtrace::Counter::TuplesStored, 1);
                 });
                 telemetry::with_metrics(ctx, |m, _| m.add_counter("tuples_stored", 1));
             }

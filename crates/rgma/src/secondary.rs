@@ -154,8 +154,6 @@ impl SecondaryProducer {
                     actor,
                     simtrace::EventKind::BatchFlush { tuples: n as u32 },
                 );
-                tr.count(simtrace::Counter::BatchFlushes, 1);
-                tr.gauge_set(simtrace::Gauge::BatchOccupancy, 0);
             });
             telemetry::with_metrics(ctx, |m, _| {
                 m.add_counter("batch_flushes", 1);
@@ -242,7 +240,6 @@ impl Actor for SecondaryProducer {
                         actor,
                         simtrace::EventKind::BatchEnqueue { occupancy },
                     );
-                    tr.gauge_set(simtrace::Gauge::BatchOccupancy, u64::from(occupancy));
                 });
                 telemetry::with_metrics(ctx, |m, _| {
                     m.set_gauge("rgma.secondary.batch_tuples", f64::from(occupancy));

@@ -413,12 +413,6 @@ impl NetworkFabric {
                         conn: u64::from(conn.0),
                     },
                 );
-                tr.count(simtrace::Counter::NetFramesSent, 1);
-                tr.count(simtrace::Counter::NetDrops, 1);
-                if fault_dropped {
-                    tr.count(simtrace::Counter::FaultDrops, 1);
-                }
-                tr.gauge_set(simtrace::Gauge::NicBacklogUs, backlog_us);
             });
             telemetry::with_metrics(ctx, |m, _| {
                 m.add_counter("net_frames_sent", 1);
@@ -476,9 +470,6 @@ impl NetworkFabric {
                     conn: u64::from(conn.0),
                 },
             );
-            tr.count(simtrace::Counter::NetFramesSent, 1);
-            tr.count(simtrace::Counter::NetFramesDelivered, 1);
-            tr.gauge_set(simtrace::Gauge::NicBacklogUs, backlog_us);
         });
         telemetry::with_metrics(ctx, |m, _| {
             m.add_counter("net_frames_sent", 1);

@@ -245,9 +245,6 @@ impl<S> Acceptor<S> {
         if self.down {
             // A dead process: every frame aimed at it evaporates.
             simfault::with_faults(ctx, |inj, _| inj.stats.crash_drops += 1);
-            simtrace::with_trace(ctx, |tr, _| {
-                tr.count(simtrace::Counter::FaultDrops, 1);
-            });
             telemetry::with_metrics(ctx, |m, _| m.add_counter("fault_drops", 1));
             return Inbound::Dropped;
         }
@@ -291,9 +288,6 @@ impl Acceptor<()> {
         let reply = Reply { conn, req_id, from };
         let refused = if simfault::node_stalled(ctx, self.node) {
             simfault::with_faults(ctx, |inj, _| inj.stats.stall_rejections += 1);
-            simtrace::with_trace(ctx, |tr, _| {
-                tr.count(simtrace::Counter::FaultRejections, 1);
-            });
             telemetry::with_metrics(ctx, |m, _| m.add_counter("fault_rejections", 1));
             Some("servlet stalled".to_owned())
         } else {

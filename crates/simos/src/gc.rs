@@ -139,7 +139,6 @@ impl Actor for GcPauser {
                     micros: pause.as_micros().min(u64::from(u32::MAX)) as u32,
                 },
             );
-            tr.count(simtrace::Counter::GcPauses, 1);
         });
         telemetry::with_metrics(ctx, |m, _| m.add_counter("gc_pauses", 1));
     }

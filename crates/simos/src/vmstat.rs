@@ -208,6 +208,35 @@ mod tests {
     }
 
     #[test]
+    fn the_tick_snapshots_the_metrics_registry() {
+        let mut sim = Simulation::new(7);
+        let mut os = OsModel::new();
+        let node = os.add_node(NodeSpec::hydra("hydra1", 0.0));
+        sim.add_service(os);
+        sim.add_service(VmstatLog::new());
+        sim.add_service(telemetry::MetricsRegistry::new());
+        sim.add_actor(VmstatSampler::new(SimDuration::from_secs(1), vec![node]));
+        // A worker counts every 500 ms from t = 0, so also at every tick's
+        // instant, before or after the tick.
+        let worker = sim.add_actor(FnActor(|_m: Payload, ctx: &mut Context| {
+            telemetry::with_metrics(ctx, |m, _| m.add_counter("worker.beats", 1));
+            ctx.timer(SimDuration::from_millis(500), ());
+        }));
+        sim.schedule(SimDuration::ZERO, worker, Box::new(()));
+        sim.run_until(SimTime::from_secs(5));
+        let m = sim.service::<telemetry::MetricsRegistry>().unwrap();
+        // N seconds on a 1 s cadence: N rows, the kernel runs the tick at
+        // the horizon, and there is no row at t = 0.
+        let ticks: Vec<u64> = m.ticks().iter().map(|t| t.as_micros()).collect();
+        assert_eq!(ticks, [1, 2, 3, 4, 5].map(|s| s * 1_000_000));
+        // Every beat at or before k s: 2k + 1.
+        let rows: Vec<u64> = (0..5)
+            .filter_map(|i| m.counter_at("worker.beats", i))
+            .collect();
+        assert_eq!(rows, [3, 5, 7, 9, 11]);
+    }
+
+    #[test]
     fn log_aggregates() {
         let mut log = VmstatLog::new();
         let node = NodeId(0);

@@ -5,11 +5,8 @@
 //! per-lane seq)` — interleaving-invariant, because a lane's record
 //! stream is a function of that actor's own deterministic execution —
 //! and [`TraceCollector::merged`] re-sorts the union of per-shard
-//! stores by that key. Counters merge by element-wise sum (each bump
-//! happens on exactly one shard), gauges by replaying a keyed op log
-//! (a gauge like the NIC backlog has many writers spread across
-//! shards), and counter samples by summing the per-shard snapshots the
-//! replicated sampler takes at identical instants.
+//! stores by that key. The counters and gauges the trace exports beside
+//! its events live in the metrics registry (`telemetry::MetricsRegistry`).
 //!
 //! Retention rule: the trace keeps the newest `capacity` events *by
 //! key*, not by insertion order — events are stamped in the future
@@ -38,38 +35,17 @@
 //! where they lie and the two buffers take turns: a trim moves no more
 //! than the seam. The merge of a single store does the same; the union
 //! of several is far from key order, so it selects the newest
-//! `capacity` and sorts only those. The gauge log is bounded the same
-//! way: a sample reads only the max-key write of each gauge at or
-//! before its instant, so writes fold as they are made to one op per
-//! (gauge, sample interval).
+//! `capacity` and sorts only those.
 
-use crate::event::{Counter, EventKind, Gauge, TraceEvent, TraceId, COUNTER_COUNT, GAUGE_COUNT};
-use crate::sampler::CounterSample;
+use crate::event::{EventKind, TraceEvent, TraceId};
 use simcore::{Context, FastMap, SimTime};
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 
 /// Default ring capacity: enough for every event of the scaled
 /// experiment suite while bounding the exported artifact to a few MB of
 /// `Copy` events.
 pub const DEFAULT_CAPACITY: usize = 1 << 18;
-
-/// One `gauge_set`. Gauges are last-writer-by-key: of the writes to a
-/// gauge at or before a sample instant, the max-key one is the level.
-#[derive(Debug, Clone, Copy)]
-struct GaugeOp {
-    at: SimTime,
-    lane: u32,
-    seq: u64,
-    gauge: usize,
-    value: u64,
-}
-
-impl GaugeOp {
-    fn key(&self) -> (SimTime, u32, u64, usize, u64) {
-        (self.at, self.lane, self.seq, self.gauge, self.value)
-    }
-}
 
 type Keyed = (u32, u64, TraceEvent);
 
@@ -163,7 +139,7 @@ fn fold_newest(kept: &mut Vec<Keyed>, from: &mut usize, events: &mut Vec<Keyed>,
     events.clear();
 }
 
-/// Event sink plus live counters, registered as a kernel service. A
+/// Event sink, registered as a kernel service. A
 /// store holds at most `2 × capacity` events and always the newest
 /// `capacity` by key of those it recorded (module doc);
 /// [`merged`](TraceCollector::merged), which every run (any shard
@@ -182,12 +158,6 @@ pub struct TraceCollector {
     capacity: usize,
     /// Events ever recorded, retained or not.
     recorded: u64,
-    counters: [u64; COUNTER_COUNT],
-    gauges: [u64; GAUGE_COUNT],
-    samples: Vec<CounterSample>,
-    /// `[sample interval][gauge]`: that interval's max-key write.
-    /// Interval `i` ends at `samples[i].at` inclusive; the last is open.
-    gauge_ops: Vec<[Option<GaugeOp>; GAUGE_COUNT]>,
     cur_lane: u32,
     cur_at: SimTime,
     lane_seqs: FastMap<u32, u64>,
@@ -208,10 +178,6 @@ impl TraceCollector {
             ahead: BinaryHeap::new(),
             capacity: capacity.max(1),
             recorded: 0,
-            counters: [0; COUNTER_COUNT],
-            gauges: [0; GAUGE_COUNT],
-            samples: Vec::new(),
-            gauge_ops: Vec::new(),
             cur_lane: 0,
             cur_at: SimTime::ZERO,
             lane_seqs: FastMap::default(),
@@ -342,65 +308,6 @@ impl TraceCollector {
         }
     }
 
-    /// Bump a counter. Sums across shards at merge: call only from
-    /// actors that run on exactly one shard (replicated actors must
-    /// gate on `ctx.accounting_primary()` themselves).
-    #[inline]
-    pub fn count(&mut self, c: Counter, delta: u64) {
-        self.counters[c as usize] += delta;
-    }
-
-    /// Set a gauge level. The recorder clock never runs behind the last
-    /// sample, so the write belongs to the open interval unless it is
-    /// stamped exactly at that sample's instant, which still reads it.
-    #[inline]
-    pub fn gauge_set(&mut self, g: Gauge, v: u64) {
-        self.gauges[g as usize] = v;
-        let op = GaugeOp {
-            at: self.cur_at,
-            lane: self.cur_lane,
-            seq: self.next_seq(),
-            gauge: g as usize,
-            value: v,
-        };
-        let closed = self.samples.last().is_some_and(|s| op.at <= s.at);
-        debug_assert!(self.samples.last().is_none_or(|s| s.at <= op.at));
-        let interval = self.samples.len() - usize::from(closed);
-        if self.gauge_ops.len() <= interval {
-            self.gauge_ops.resize(interval + 1, [None; GAUGE_COUNT]);
-        }
-        let slot = &mut self.gauge_ops[interval][op.gauge];
-        if slot.is_none_or(|old| old.key() < op.key()) {
-            *slot = Some(op);
-        }
-    }
-
-    /// Current value of one counter.
-    pub fn counter(&self, c: Counter) -> u64 {
-        self.counters[c as usize]
-    }
-
-    /// Current level of one gauge.
-    pub fn gauge(&self, g: Gauge) -> u64 {
-        self.gauges[g as usize]
-    }
-
-    /// Snapshot all counters/gauges into the sample log (called by
-    /// [`crate::TraceSampler`] on the vmstat cadence).
-    pub fn sample(&mut self, at: SimTime) {
-        debug_assert!(self.cur_at <= at, "samples follow the recorder clock");
-        self.samples.push(CounterSample {
-            at,
-            counters: self.counters,
-            gauges: self.gauges,
-        });
-    }
-
-    /// All counter samples, in time order.
-    pub fn samples(&self) -> &[CounterSample] {
-        &self.samples
-    }
-
     /// Retained events; oldest first once [`merged`](Self::merged).
     pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
         let since = self.events.iter().chain(self.ahead.iter().map(|h| &h.0));
@@ -424,15 +331,9 @@ impl TraceCollector {
         self.recorded - self.len() as u64
     }
 
-    /// Merge per-shard collectors into the canonical whole-run trace.
-    ///
-    /// * events: the newest `capacity` of the union by `(time, lane,
-    ///   seq)`, sorted by it (exact: see the module doc);
-    /// * counters: element-wise sum;
-    /// * gauges: the folded per-interval writes replayed in key order
-    ///   (not retained afterwards);
-    /// * samples: per-instant element-wise sum of counter snapshots,
-    ///   with gauge levels recomputed from the op log at each instant.
+    /// Merge per-shard collectors into the canonical whole-run trace: the
+    /// newest `capacity` events of the union by `(time, lane, seq)`,
+    /// sorted by it (exact: see the module doc).
     ///
     /// Every run goes through this — a serial run is merged-of-one — so
     /// exports are byte-identical across shard counts by construction.
@@ -442,9 +343,6 @@ impl TraceCollector {
         let mut events: Vec<Keyed> = Vec::new();
         let mut from = 0;
         let mut stores = 0;
-        let mut counters = [0u64; COUNTER_COUNT];
-        let mut gauge_ops: Vec<GaugeOp> = Vec::new();
-        let mut sample_sums: BTreeMap<SimTime, [u64; COUNTER_COUNT]> = BTreeMap::new();
         for mut part in parts {
             capacity = capacity.max(part.capacity);
             recorded += part.recorded;
@@ -455,16 +353,6 @@ impl TraceCollector {
                     (events, from) = (part.kept, part.kept_from);
                 } else {
                     events.extend_from_slice(&part.kept[part.kept_from..]);
-                }
-            }
-            for (i, v) in part.counters.iter().enumerate() {
-                counters[i] += v;
-            }
-            gauge_ops.extend(part.gauge_ops.into_iter().flatten().flatten());
-            for s in part.samples {
-                let sums = sample_sums.entry(s.at).or_insert([0; COUNTER_COUNT]);
-                for (i, v) in s.counters.iter().enumerate() {
-                    sums[i] += v;
                 }
             }
         }
@@ -479,25 +367,6 @@ impl TraceCollector {
             }
             events.sort_unstable_by_key(event_key);
         }
-        gauge_ops.sort_unstable_by_key(GaugeOp::key);
-        // Rebuild samples: counters are the summed snapshots; gauges are
-        // the op log replayed up to each instant.
-        let mut samples = Vec::with_capacity(sample_sums.len());
-        let mut gauges = [0u64; GAUGE_COUNT];
-        let mut ops = gauge_ops.into_iter().peekable();
-        for (at, sums) in sample_sums {
-            while let Some(op) = ops.next_if(|op| op.at <= at) {
-                gauges[op.gauge] = op.value;
-            }
-            samples.push(CounterSample {
-                at,
-                counters: sums,
-                gauges,
-            });
-        }
-        for op in ops {
-            gauges[op.gauge] = op.value;
-        }
         TraceCollector {
             kept: events,
             kept_from: from,
@@ -505,10 +374,6 @@ impl TraceCollector {
             ahead: BinaryHeap::new(),
             capacity,
             recorded,
-            counters,
-            gauges,
-            samples,
-            gauge_ops: Vec::new(),
             cur_lane: 0,
             cur_at: SimTime::ZERO,
             lane_seqs: FastMap::default(),
@@ -684,75 +549,21 @@ mod tests {
     }
 
     #[test]
-    fn gauge_log_folds_to_one_op_per_gauge_and_interval() {
-        let mut c = TraceCollector::new();
-        for n in 0..1_000_000u64 {
-            if n % 100_000 == 0 {
-                c.sample(SimTime::from_micros(n));
-            }
-            c.set_recorder((n % 7) as u32, SimTime::from_micros(n));
-            c.gauge_set(Gauge::ALL[(n % 2) as usize], n);
-        }
-        assert_eq!(c.samples().len(), 10);
-        let ops = c.gauge_ops.iter().flatten().flatten().count();
-        assert!(ops <= GAUGE_COUNT * 11, "{ops} ops retained");
-        let m = TraceCollector::merged([c]);
-        // The write stamped exactly at a sample instant is read by it.
-        assert_eq!(m.samples()[1].gauge(Gauge::NicBacklogUs), 100_000);
-        assert_eq!(m.samples()[1].gauge(Gauge::BatchOccupancy), 99_999);
-        assert_eq!(m.gauge(Gauge::BatchOccupancy), 999_999);
-    }
-
-    #[test]
-    fn counters_and_gauges() {
-        let mut c = TraceCollector::new();
-        c.count(Counter::NetDrops, 2);
-        c.count(Counter::NetDrops, 1);
-        c.gauge_set(Gauge::NicBacklogUs, 5);
-        c.gauge_set(Gauge::NicBacklogUs, 3);
-        assert_eq!(c.counter(Counter::NetDrops), 3);
-        assert_eq!(c.gauge(Gauge::NicBacklogUs), 3);
-        assert_eq!(c.gauge(Gauge::BatchOccupancy), 0);
-        c.sample(SimTime::from_secs(1));
-        assert_eq!(c.samples().len(), 1);
-        assert_eq!(c.samples()[0].counter(Counter::NetDrops), 3);
-    }
-
-    #[test]
-    fn merged_interleaves_shards_and_replays_gauges() {
-        // Shard A: lane 1 records at t=1,3; bumps a counter; moves a
-        // gauge. Shard B: lane 2 records at t=2; the replicated sampler
-        // snapshots on both shards at t=5.
+    fn merged_interleaves_shards() {
+        // Shard A: lane 1 records at t=1,3. Shard B: lane 2 at t=2.
         let t = SimTime::from_micros;
         let mut a = TraceCollector::new();
         a.set_recorder(1, t(1));
         a.record(t(1), Some(TraceId(10)), 1, EventKind::PublishBegin);
-        a.count(Counter::BrokerPublishes, 2);
-        a.gauge_set(Gauge::NicBacklogUs, 7);
         a.set_recorder(1, t(3));
         a.record(t(3), Some(TraceId(11)), 1, EventKind::PublishEnd);
-        a.sample(t(5));
-        a.set_recorder(1, t(6));
-        a.gauge_set(Gauge::NicBacklogUs, 9);
         let mut b = TraceCollector::new();
         b.set_recorder(2, t(2));
         b.record(t(2), Some(TraceId(20)), 2, EventKind::Available);
-        b.count(Counter::BrokerPublishes, 1);
-        b.gauge_set(Gauge::NicBacklogUs, 4);
-        b.sample(t(5));
 
         let m = TraceCollector::merged([a, b]);
         let order: Vec<u64> = m.events().map(|e| e.trace.unwrap().0).collect();
         assert_eq!(order, vec![10, 20, 11], "canonical (at, lane, seq) order");
-        assert_eq!(m.counter(Counter::BrokerPublishes), 3);
-        assert_eq!(m.samples().len(), 1, "same-instant snapshots fuse");
-        assert_eq!(m.samples()[0].counter(Counter::BrokerPublishes), 3);
-        assert_eq!(
-            m.samples()[0].gauge(Gauge::NicBacklogUs),
-            4,
-            "7 at t=1 then 4 at t=2 in key order"
-        );
-        assert_eq!(m.gauge(Gauge::NicBacklogUs), 9, "written after the sample");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Trace events, counters, and gauges.
+//! Trace events.
 
 use simcore::SimTime;
 
@@ -137,135 +137,4 @@ pub struct TraceEvent {
     pub actor: u64,
     /// What happened.
     pub kind: EventKind,
-}
-
-/// Monotonic counters sampled into the unified resource log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum Counter {
-    /// Frames handed to the network fabric.
-    NetFramesSent,
-    /// Frames delivered by the fabric.
-    NetFramesDelivered,
-    /// Frames dropped by the fabric (UDP).
-    NetDrops,
-    /// Selector evaluations that matched.
-    SelectorMatches,
-    /// Selector evaluations that missed.
-    SelectorMisses,
-    /// Publishes accepted by brokers.
-    BrokerPublishes,
-    /// Local deliveries fanned out by brokers.
-    BrokerDeliveries,
-    /// Messages forwarded between brokers.
-    BrokerForwards,
-    /// Retransmissions (UDP gap recovery).
-    Retries,
-    /// Tuples stored by R-GMA producers.
-    TuplesStored,
-    /// Tuples streamed to consumers by continuous SELECTs.
-    TuplesDelivered,
-    /// Secondary-producer batch flushes.
-    BatchFlushes,
-    /// Simulated GC pauses.
-    GcPauses,
-    /// Fault events fired by the simfault driver.
-    FaultsInjected,
-    /// Frames/messages dropped by injected faults (link bursts,
-    /// partitions, crashed brokers).
-    FaultDrops,
-    /// Requests rejected because of injected faults (stalled servlets).
-    FaultRejections,
-    /// Messages recovered by client-side fault handling (resync,
-    /// republish, retry).
-    FaultRecoveries,
-}
-
-/// Number of [`Counter`] slots.
-pub const COUNTER_COUNT: usize = 17;
-
-impl Counter {
-    /// All counters, in slot order.
-    pub const ALL: [Counter; COUNTER_COUNT] = [
-        Counter::NetFramesSent,
-        Counter::NetFramesDelivered,
-        Counter::NetDrops,
-        Counter::SelectorMatches,
-        Counter::SelectorMisses,
-        Counter::BrokerPublishes,
-        Counter::BrokerDeliveries,
-        Counter::BrokerForwards,
-        Counter::Retries,
-        Counter::TuplesStored,
-        Counter::TuplesDelivered,
-        Counter::BatchFlushes,
-        Counter::GcPauses,
-        Counter::FaultsInjected,
-        Counter::FaultDrops,
-        Counter::FaultRejections,
-        Counter::FaultRecoveries,
-    ];
-
-    /// True for counters that only move when fault injection is active.
-    /// Exporters omit these slots when every sample is zero, keeping
-    /// no-fault trace exports byte-identical to pre-fault builds.
-    pub fn fault_only(self) -> bool {
-        matches!(
-            self,
-            Counter::FaultsInjected
-                | Counter::FaultDrops
-                | Counter::FaultRejections
-                | Counter::FaultRecoveries
-        )
-    }
-
-    /// Stable snake_case name used by every exporter.
-    pub fn name(self) -> &'static str {
-        match self {
-            Counter::NetFramesSent => "net_frames_sent",
-            Counter::NetFramesDelivered => "net_frames_delivered",
-            Counter::NetDrops => "net_drops",
-            Counter::SelectorMatches => "selector_matches",
-            Counter::SelectorMisses => "selector_misses",
-            Counter::BrokerPublishes => "broker_publishes",
-            Counter::BrokerDeliveries => "broker_deliveries",
-            Counter::BrokerForwards => "broker_forwards",
-            Counter::Retries => "retries",
-            Counter::TuplesStored => "tuples_stored",
-            Counter::TuplesDelivered => "tuples_delivered",
-            Counter::BatchFlushes => "batch_flushes",
-            Counter::GcPauses => "gc_pauses",
-            Counter::FaultsInjected => "faults_injected",
-            Counter::FaultDrops => "fault_drops",
-            Counter::FaultRejections => "fault_rejections",
-            Counter::FaultRecoveries => "fault_recoveries",
-        }
-    }
-}
-
-/// Instantaneous levels sampled into the unified resource log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum Gauge {
-    /// Transmit backlog of the most recently used NIC, microseconds
-    /// (the model's only queue: the per-node FIFO transmit server).
-    NicBacklogUs,
-    /// Tuples currently buffered in the secondary-producer batch.
-    BatchOccupancy,
-}
-
-/// Number of [`Gauge`] slots.
-pub const GAUGE_COUNT: usize = 2;
-
-impl Gauge {
-    /// All gauges, in slot order.
-    pub const ALL: [Gauge; GAUGE_COUNT] = [Gauge::NicBacklogUs, Gauge::BatchOccupancy];
-
-    /// Stable snake_case name used by every exporter.
-    pub fn name(self) -> &'static str {
-        match self {
-            Gauge::NicBacklogUs => "nic_backlog_us",
-            Gauge::BatchOccupancy => "batch_occupancy",
-        }
-    }
 }

@@ -2,8 +2,10 @@
 //!
 //! Both formats are rendered over data that is already deterministically
 //! ordered (the event ring is in `(time, lane, seq)` order, a summary's
-//! probes in id order), so two runs with the same seed produce
-//! byte-identical artifacts. No wall-clock value ever enters an export.
+//! probes in id order, the counter rows in tick order), so two runs with
+//! the same seed produce byte-identical artifacts. No wall-clock value
+//! ever enters an export. The counter rows are the merged metrics
+//! registry's series, read at each vmstat tick under the keys below.
 //!
 //! A run's events are the bulk of both files (tens of MB), so each export
 //! is appended to one byte buffer the caller sizes from [`jsonl_len`] or
@@ -14,12 +16,47 @@
 //! `idle` goes through `write!`.
 
 use crate::collector::TraceCollector;
-use crate::event::{Counter, EventKind, Gauge, TraceId};
+use crate::event::{EventKind, TraceId};
 use crate::summary::TraceSummary;
 use simcore::{uint_len, write_uint, SimTime};
 use std::io::{self, Write};
+use telemetry::MetricsRegistry;
 
 const IN_MEMORY: &str = "writing to memory cannot fail";
+
+/// The counters of a counter row: registry counters, each exported under
+/// its own name, in row order.
+const COUNTERS: [&str; 13] = [
+    "net_frames_sent",      // frames handed to the network fabric
+    "net_frames_delivered", // frames the fabric delivers
+    "net_drops",            // frames the fabric drops (UDP loss, faults)
+    "selector_matches",     // selector evaluations that matched
+    "selector_misses",      // selector evaluations that missed
+    "broker_publishes",     // publishes brokers accepted
+    "broker_deliveries",    // local deliveries brokers fanned out
+    "broker_forwards",      // messages forwarded between brokers
+    "retries",              // retransmissions and client retries
+    "tuples_stored",        // tuples R-GMA producers stored
+    "tuples_delivered",     // tuples R-GMA subscribers polled
+    "batch_flushes",        // R-GMA secondary-producer and gridlog producer batches
+    "gc_pauses",            // simulated GC pauses
+];
+
+/// Counters only injected faults move, after [`COUNTERS`]. A row lists
+/// them only when one moved, so a run without faults exports what it did
+/// before fault injection existed.
+const FAULT_COUNTERS: [&str; 4] = [
+    "faults_injected",  // fault events the simfault driver fired
+    "fault_drops",      // frames and messages dropped by faults
+    "fault_rejections", // requests a stalled servlet rejected
+    "fault_recoveries", // messages client-side fault handling recovered
+];
+
+/// The gauges of a counter row: `(key, registry gauge)`, 0 until written.
+const GAUGES: [(&str, &str); 2] = [
+    ("nic_backlog_us", "nic_backlog_us"), // the last NIC's transmit backlog, µs
+    ("batch_occupancy", "rgma.secondary.batch_tuples"), // the secondary producer's batch
+];
 
 /// One row of the machine-level resource log (vmstat mirror). The
 /// caller converts `simos::VmSample`s into these, keeping this crate
@@ -135,31 +172,53 @@ fn track(trace: Option<TraceId>) -> u64 {
     trace.map_or(0, |t| t.0.wrapping_add(1))
 }
 
-/// True if any sample shows movement on a fault-only counter. When not,
-/// the fault slots are omitted from exports so no-fault runs stay
-/// byte-identical to builds that predate fault injection.
-fn faults_active(tr: &TraceCollector) -> bool {
-    tr.samples().iter().any(|s| {
-        Counter::ALL
-            .iter()
-            .any(|c| c.fault_only() && s.counter(*c) > 0)
-    })
+/// A counter row's `(key, value)` pairs at `tick`, with the fault
+/// counters when `faults`.
+fn row(m: &MetricsRegistry, tick: usize, faults: bool) -> impl Iterator<Item = (&str, u64)> + '_ {
+    let faults: &[&str] = if faults { &FAULT_COUNTERS } else { &[] };
+    let counters = COUNTERS
+        .iter()
+        .chain(faults)
+        .map(move |&name| (name, m.counter_at(name, tick).unwrap_or(0)));
+    let gauges = GAUGES
+        .iter()
+        .map(move |&(key, name)| (key, m.gauge_at(name, tick).map_or(0, |v| v as u64)));
+    counters.chain(gauges)
+}
+
+/// True if a fault-only counter moved by the last tick.
+fn faults_active(m: &MetricsRegistry) -> bool {
+    let last = m.ticks().len().wrapping_sub(1);
+    FAULT_COUNTERS
+        .iter()
+        .any(|c| m.counter_at(c, last) > Some(0))
 }
 
 /// The exact byte length of [`write_jsonl`]'s export.
-pub fn jsonl_len(tr: &TraceCollector, resources: &[ResourceRow]) -> usize {
-    counted(|n| render_jsonl(n, tr, resources))
+pub fn jsonl_len(tr: &TraceCollector, m: &MetricsRegistry, resources: &[ResourceRow]) -> usize {
+    counted(|n| render_jsonl(n, tr, m, resources))
 }
 
-/// Append the full trace as JSON Lines: every event, every counter
-/// sample, and (merged in time order) the machine resource rows —
-/// the "one unified resource log". Size `out` with [`jsonl_len`].
-pub fn write_jsonl(out: &mut Vec<u8>, tr: &TraceCollector, resources: &[ResourceRow]) {
-    render_jsonl(out, tr, resources);
+/// Append the full trace as JSON Lines: every event, a counter row at
+/// every tick of `m` (the merged metrics registry), and (merged in time
+/// order) the machine resource rows — the "one unified resource log".
+/// Size `out` with [`jsonl_len`].
+pub fn write_jsonl(
+    out: &mut Vec<u8>,
+    tr: &TraceCollector,
+    m: &MetricsRegistry,
+    resources: &[ResourceRow],
+) {
+    render_jsonl(out, tr, m, resources);
 }
 
-fn render_jsonl(out: &mut impl Sink, tr: &TraceCollector, resources: &[ResourceRow]) {
-    let with_faults = faults_active(tr);
+fn render_jsonl(
+    out: &mut impl Sink,
+    tr: &TraceCollector,
+    m: &MetricsRegistry,
+    resources: &[ResourceRow],
+) {
+    let with_faults = faults_active(m);
     // Events first (time-ordered by construction).
     for ev in tr.events() {
         field(out, b"{\"type\":\"event\",\"at_us\":", ev.at.as_micros());
@@ -174,32 +233,24 @@ fn render_jsonl(out: &mut impl Sink, tr: &TraceCollector, resources: &[ResourceR
         kind_args(out, ev.kind);
         out.bytes(b"}\n");
     }
-    // Unified resource log: counter samples and vmstat rows, merged by
+    // Unified resource log: counter rows and vmstat rows, merged by
     // instant (counters before vmstat on ties, then node order).
-    let mut ci = tr.samples().iter().peekable();
+    let mut ci = m.ticks().iter().enumerate().peekable();
     let mut ri = resources.iter().peekable();
     loop {
         let take_counter = match (ci.peek(), ri.peek()) {
-            (Some(c), Some(r)) => c.at <= r.at,
+            (Some((_, &at)), Some(r)) => at <= r.at,
             (Some(_), None) => true,
             (None, Some(_)) => false,
             (None, None) => break,
         };
         if take_counter {
-            let s = ci.next().unwrap();
-            field(out, b"{\"type\":\"counters\",\"at_us\":", s.at.as_micros());
-            for c in Counter::ALL {
-                if c.fault_only() && !with_faults {
-                    continue;
-                }
+            let (tick, at) = ci.next().unwrap();
+            field(out, b"{\"type\":\"counters\",\"at_us\":", at.as_micros());
+            for (key, value) in row(m, tick, with_faults) {
                 out.bytes(b",\"");
-                out.bytes(c.name().as_bytes());
-                field(out, b"\":", s.counter(c));
-            }
-            for g in Gauge::ALL {
-                out.bytes(b",\"");
-                out.bytes(g.name().as_bytes());
-                field(out, b"\":", s.gauge(g));
+                out.bytes(key.as_bytes());
+                field(out, b"\":", value);
             }
             out.bytes(b"}\n");
         } else {
@@ -219,22 +270,33 @@ fn render_jsonl(out: &mut impl Sink, tr: &TraceCollector, resources: &[ResourceR
 }
 
 /// The exact byte length of [`write_chrome_trace`]'s export.
-pub fn chrome_trace_len(tr: &TraceCollector, summary: &TraceSummary) -> usize {
-    counted(|n| render_chrome_trace(n, tr, summary))
+pub fn chrome_trace_len(tr: &TraceCollector, m: &MetricsRegistry, summary: &TraceSummary) -> usize {
+    counted(|n| render_chrome_trace(n, tr, m, summary))
 }
 
 /// Append the trace in Chrome `trace_event` JSON (open in Perfetto or
 /// `chrome://tracing`). Each traced message gets its own track (tid =
 /// trace id + 1); its reconstructed PRT/PT/SRT phases are duration
-/// events and its hops are instants. Counter samples become `ph:"C"`
-/// counter tracks. Anonymous infrastructure events share track 0.
-/// `summary` is [`TraceSummary::from_collector`] of the same `tr`; size
-/// `out` with [`chrome_trace_len`].
-pub fn write_chrome_trace(out: &mut Vec<u8>, tr: &TraceCollector, summary: &TraceSummary) {
-    render_chrome_trace(out, tr, summary);
+/// events and its hops are instants. The counter rows of `m` (the merged
+/// metrics registry) become `ph:"C"` counter tracks. Anonymous
+/// infrastructure events share track 0. `summary` is
+/// [`TraceSummary::from_collector`] of the same `tr`; size `out` with
+/// [`chrome_trace_len`].
+pub fn write_chrome_trace(
+    out: &mut Vec<u8>,
+    tr: &TraceCollector,
+    m: &MetricsRegistry,
+    summary: &TraceSummary,
+) {
+    render_chrome_trace(out, tr, m, summary);
 }
 
-fn render_chrome_trace(out: &mut impl Sink, tr: &TraceCollector, summary: &TraceSummary) {
+fn render_chrome_trace(
+    out: &mut impl Sink,
+    tr: &TraceCollector,
+    m: &MetricsRegistry,
+    summary: &TraceSummary,
+) {
     out.bytes(b"{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
     out.bytes(
         b"{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\
@@ -274,17 +336,12 @@ fn render_chrome_trace(out: &mut impl Sink, tr: &TraceCollector, summary: &Trace
             }
         }
     }
-    let with_faults = faults_active(tr);
-    for s in tr.samples() {
-        let counters = Counter::ALL
-            .into_iter()
-            .filter(|c| with_faults || !c.fault_only())
-            .map(|c| (c.name(), s.counter(c)));
-        let gauges = Gauge::ALL.into_iter().map(|g| (g.name(), s.gauge(g)));
-        for (name, value) in counters.chain(gauges) {
+    let with_faults = faults_active(m);
+    for (tick, at) in m.ticks().iter().enumerate() {
+        for (key, value) in row(m, tick, with_faults) {
             out.bytes(b",\n{\"name\":\"");
-            out.bytes(name.as_bytes());
-            field(out, b"\",\"ph\":\"C\",\"ts\":", s.at.as_micros());
+            out.bytes(key.as_bytes());
+            field(out, b"\",\"ph\":\"C\",\"ts\":", at.as_micros());
             field(out, b",\"pid\":0,\"args\":{\"value\":", value);
             out.bytes(b"}}");
         }
@@ -305,14 +362,23 @@ mod tests {
         String::from_utf8(out).expect("exports are ASCII")
     }
 
-    fn jsonl(tr: &TraceCollector, rows: &[ResourceRow]) -> String {
-        rendered(jsonl_len(tr, rows), |out| write_jsonl(out, tr, rows))
+    fn jsonl(tr: &TraceCollector, m: &MetricsRegistry, rows: &[ResourceRow]) -> String {
+        rendered(jsonl_len(tr, m, rows), |out| write_jsonl(out, tr, m, rows))
     }
 
-    fn chrome_trace(tr: &TraceCollector, summary: &TraceSummary) -> String {
-        rendered(chrome_trace_len(tr, summary), |out| {
-            write_chrome_trace(out, tr, summary)
+    fn chrome_trace(tr: &TraceCollector, m: &MetricsRegistry, summary: &TraceSummary) -> String {
+        rendered(chrome_trace_len(tr, m, summary), |out| {
+            write_chrome_trace(out, tr, m, summary)
         })
+    }
+
+    /// One frame sent, and one tick at 1 s.
+    fn sample_metrics() -> MetricsRegistry {
+        let mut m = MetricsRegistry::new();
+        m.add_counter("net_frames_sent", 1);
+        m.set_gauge("nic_backlog_us", 1.0);
+        m.sample(SimTime::from_secs(1));
+        m
     }
 
     fn sample_collector() -> TraceCollector {
@@ -331,9 +397,6 @@ mod tests {
         );
         c.record(SimTime::from_millis(5), id, 2, EventKind::Available);
         c.record(SimTime::from_millis(6), id, 2, EventKind::Delivered);
-        c.count(Counter::NetFramesSent, 1);
-        c.gauge_set(Gauge::NicBacklogUs, 1);
-        c.sample(SimTime::from_secs(1));
         c
     }
 
@@ -346,7 +409,7 @@ mod tests {
             idle: 0.5,
             mem_bytes: 1024,
         }];
-        let text = jsonl(&c, &rows);
+        let text = jsonl(&c, &sample_metrics(), &rows);
         assert_eq!(text.lines().count(), 5 + 2);
         for line in text.lines() {
             assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
@@ -355,20 +418,21 @@ mod tests {
         }
         assert!(text.contains("\"kind\":\"net_send\",\"conn\":4,\"bytes\":512"));
         assert!(text.contains("\"type\":\"vmstat\""));
-        assert!(text.contains("\"net_frames_sent\":1"));
+        assert!(text.contains("\"net_frames_sent\":1,\"net_frames_delivered\":0"));
+        assert!(text.contains("\"nic_backlog_us\":1,\"batch_occupancy\":0}"));
     }
 
     #[test]
     fn jsonl_is_deterministic() {
-        let a = jsonl(&sample_collector(), &[]);
-        let b = jsonl(&sample_collector(), &[]);
+        let a = jsonl(&sample_collector(), &sample_metrics(), &[]);
+        let b = jsonl(&sample_collector(), &sample_metrics(), &[]);
         assert_eq!(a, b);
     }
 
     #[test]
     fn chrome_trace_has_phases_and_counters() {
         let tr = sample_collector();
-        let text = chrome_trace(&tr, &TraceSummary::from_collector(&tr));
+        let text = chrome_trace(&tr, &sample_metrics(), &TraceSummary::from_collector(&tr));
         assert!(text.starts_with('{') && text.trim_end().ends_with('}'));
         assert!(text.contains("\"name\":\"PRT\""));
         assert!(text.contains("\"name\":\"PT\""));
@@ -384,7 +448,7 @@ mod tests {
     }
 
     /// Every kind at its widest: `u64::MAX` instants, actors and
-    /// connections, the trace id whose track is `u64::MAX`, `u32::MAX` arguments, fault counters moved, and a
+    /// connections, the trace id whose track is `u64::MAX`, `u32::MAX` arguments, counters and gauges at `u64::MAX`, and a
     /// full probe lifecycle so every phase row is written. A fixed
     /// per-event reservation of 112 B (JSONL) or 160 B (Chrome) falls
     /// short here, as the last assertions show.
@@ -433,13 +497,15 @@ mod tests {
                 c.record(at, id, u64::MAX, kind);
             }
         }
-        for counter in Counter::ALL {
-            c.count(counter, u64::MAX);
+        let mut m = MetricsRegistry::new();
+        m.set_recorder(0, at);
+        for counter in COUNTERS.iter().chain(&FAULT_COUNTERS) {
+            m.add_counter(counter, u64::MAX);
         }
-        for g in Gauge::ALL {
-            c.gauge_set(g, u64::MAX);
+        for (_, gauge) in GAUGES {
+            m.set_gauge(gauge, u64::MAX as f64);
         }
-        c.sample(at);
+        m.sample(at);
         let rows = [ResourceRow {
             at,
             node: u64::MAX,
@@ -448,9 +514,10 @@ mod tests {
         }];
         let tr = TraceCollector::merged([c]);
         let per_event = |len: usize| len / tr.len();
-        let text = jsonl(&tr, &rows);
+        let text = jsonl(&tr, &m, &rows);
+        assert!(text.contains(",\"batch_occupancy\":18446744073709551615}"));
         assert!(per_event(text.len()) > 112, "{}", per_event(text.len()));
-        let text = chrome_trace(&tr, &TraceSummary::from_collector(&tr));
+        let text = chrome_trace(&tr, &m, &TraceSummary::from_collector(&tr));
         assert!(text.contains("\"name\":\"SRT\""));
         assert!(per_event(text.len()) > 160, "{}", per_event(text.len()));
     }

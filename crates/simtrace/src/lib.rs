@@ -14,16 +14,14 @@
 //!
 //! * [`TraceId`] — causal id carried in `wire::Message` headers and
 //!   mirrored from `telemetry::ProbeId` for probe traffic.
-//! * [`TraceCollector`] — a bounded store of the newest [`TraceEvent`]s
-//!   plus live [`Counter`]s/[`Gauge`]s, registered as a kernel service.
-//!   Instrumentation sites look it up with `Context::try_service_mut`,
-//!   so when tracing is off (service absent) the cost is one scan of the
-//!   kernel's few service slots and no allocation.
-//! * [`TraceSampler`] — an actor sampling the counters on the same
-//!   cadence as `simos::VmstatSampler`, producing the unified resource
-//!   log.
+//! * [`TraceCollector`] — a bounded store of the newest [`TraceEvent`]s,
+//!   registered as a kernel service. Instrumentation sites look it up
+//!   with `Context::try_service_mut`, so when tracing is off (service
+//!   absent) the cost is one scan of the kernel's few service slots and
+//!   no allocation.
 //! * [`export`] — JSONL and Chrome `trace_event` (Perfetto-loadable)
-//!   exporters, all byte-deterministic for a given event stream.
+//!   exporters, all byte-deterministic for a given event stream, with
+//!   counter rows read from `telemetry::MetricsRegistry`.
 //! * [`TraceSummary`] — per-message PRT/PT/SRT reconstruction from the
 //!   lifecycle events `simnet::probe` writes beside the `RttCollector`
 //!   record, with each hop counted between them.
@@ -31,10 +29,8 @@
 mod collector;
 mod event;
 pub mod export;
-mod sampler;
 mod summary;
 
 pub use collector::{with_trace, TraceCollector, DEFAULT_CAPACITY};
-pub use event::{Counter, EventKind, Gauge, TraceEvent, TraceId, COUNTER_COUNT, GAUGE_COUNT};
-pub use sampler::{CounterSample, TraceSampler};
+pub use event::{EventKind, TraceEvent, TraceId};
 pub use summary::{ProbeBreakdown, TraceSummary};

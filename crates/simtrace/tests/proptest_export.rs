@@ -6,26 +6,61 @@
 //! every `EventKind`, `0` and `u64::MAX` for instants, actors,
 //! connections and trace ids beside `None`, fault counters moved or not,
 //! and vmstat rows with a fractional `idle`, some at a counter sample's
-//! instant. Each export is written through its buffer entry point
+//! instant. The counters and gauges live in a metrics registry; the
+//! reference reads its snapshot rows as the collector's samples. Each export is written through its buffer entry point
 //! (`write_jsonl` / `write_chrome_trace`) into a buffer sized by its
 //! length function, which it must fill exactly without regrowing.
 
 use proptest::prelude::*;
 use simcore::SimTime;
 use simtrace::export::{self, ResourceRow};
-use simtrace::{Counter, EventKind, Gauge, TraceCollector, TraceId, TraceSummary, GAUGE_COUNT};
+use simtrace::{EventKind, TraceCollector, TraceId, TraceSummary};
+use telemetry::MetricsRegistry;
 
-/// Verbatim but for one edit: a message's track is its trace id + 1
+/// Verbatim but for two edits: a message's track is its trace id + 1
 /// *wrapping*, what the release build of this code computed for the id
-/// `u64::MAX` (a debug build stops on the overflow).
+/// `u64::MAX` (a debug build stops on the overflow); and the counter
+/// samples are passed in, not read from the collector.
 #[allow(clippy::all)]
 mod reference {
     use simtrace::export::ResourceRow;
-    use simtrace::{
-        Counter, EventKind, Gauge, ProbeBreakdown, TraceCollector, TraceId, TraceSummary,
-    };
+    use simtrace::{EventKind, ProbeBreakdown, TraceCollector, TraceId, TraceSummary};
     use std::collections::BTreeMap;
     use std::fmt::Write;
+
+    /// The trace's counter slots: `(name, only faults move it)`.
+    pub const COUNTERS: [(&str, bool); 17] = [
+        ("net_frames_sent", false),
+        ("net_frames_delivered", false),
+        ("net_drops", false),
+        ("selector_matches", false),
+        ("selector_misses", false),
+        ("broker_publishes", false),
+        ("broker_deliveries", false),
+        ("broker_forwards", false),
+        ("retries", false),
+        ("tuples_stored", false),
+        ("tuples_delivered", false),
+        ("batch_flushes", false),
+        ("gc_pauses", false),
+        ("faults_injected", true),
+        ("fault_drops", true),
+        ("fault_rejections", true),
+        ("fault_recoveries", true),
+    ];
+
+    /// The trace's gauge slots: `(name, registry gauge)`.
+    pub const GAUGES: [(&str, &str); 2] = [
+        ("nic_backlog_us", "nic_backlog_us"),
+        ("batch_occupancy", "rgma.secondary.batch_tuples"),
+    ];
+
+    /// One snapshot of every counter and gauge.
+    pub struct CounterSample {
+        pub at: simcore::SimTime,
+        pub counters: [u64; 17],
+        pub gauges: [u64; 2],
+    }
 
     fn kind_args(out: &mut String, kind: EventKind) {
         match kind {
@@ -65,21 +100,23 @@ mod reference {
     /// True if any sample shows movement on a fault-only counter. When not,
     /// the fault slots are omitted from exports so no-fault runs stay
     /// byte-identical to builds that predate fault injection.
-    fn faults_active(tr: &TraceCollector) -> bool {
-        tr.samples().iter().any(|s| {
-            Counter::ALL
-                .iter()
-                .any(|c| c.fault_only() && s.counter(*c) > 0)
-        })
+    fn faults_active(samples: &[CounterSample]) -> bool {
+        samples
+            .iter()
+            .any(|s| (0..17).any(|c| COUNTERS[c].1 && s.counters[c] > 0))
     }
 
     /// Export the full trace as JSON Lines: every event, every counter
     /// sample, and (merged in time order) the machine resource rows —
     /// the "one unified resource log".
-    pub fn jsonl(tr: &TraceCollector, resources: &[ResourceRow]) -> String {
+    pub fn jsonl(
+        tr: &TraceCollector,
+        samples: &[CounterSample],
+        resources: &[ResourceRow],
+    ) -> String {
         // ~105 B per event line: sized once, not grown by doubling.
         let mut out = String::with_capacity(tr.len() * 112);
-        let with_faults = faults_active(tr);
+        let with_faults = faults_active(samples);
         // Events first (time-ordered by construction).
         for ev in tr.events() {
             write!(out, "{{\"type\":\"event\",\"at_us\":{}", ev.at.as_micros()).unwrap();
@@ -99,7 +136,7 @@ mod reference {
         }
         // Unified resource log: counter samples and vmstat rows, merged by
         // instant (counters before vmstat on ties, then node order).
-        let mut ci = tr.samples().iter().peekable();
+        let mut ci = samples.iter().peekable();
         let mut ri = resources.iter().peekable();
         loop {
             let take_counter = match (ci.peek(), ri.peek()) {
@@ -116,14 +153,14 @@ mod reference {
                     s.at.as_micros()
                 )
                 .unwrap();
-                for c in Counter::ALL {
-                    if c.fault_only() && !with_faults {
+                for c in 0..17 {
+                    if COUNTERS[c].1 && !with_faults {
                         continue;
                     }
-                    write!(out, ",\"{}\":{}", c.name(), s.counter(c)).unwrap();
+                    write!(out, ",\"{}\":{}", COUNTERS[c].0, s.counters[c]).unwrap();
                 }
-                for g in Gauge::ALL {
-                    write!(out, ",\"{}\":{}", g.name(), s.gauge(g)).unwrap();
+                for g in 0..2 {
+                    write!(out, ",\"{}\":{}", GAUGES[g].0, s.gauges[g]).unwrap();
                 }
                 out.push_str("}\n");
             } else {
@@ -148,7 +185,11 @@ mod reference {
     /// events and its hops are instants. Counter samples become `ph:"C"`
     /// counter tracks. Anonymous infrastructure events share track 0.
     /// `summary` is [`TraceSummary::from_collector`] of the same `tr`.
-    pub fn chrome_trace(tr: &TraceCollector, summary: &TraceSummary) -> String {
+    pub fn chrome_trace(
+        tr: &TraceCollector,
+        samples: &[CounterSample],
+        summary: &TraceSummary,
+    ) -> String {
         // ~140 B per event, its share of phase rows included.
         let mut out = String::with_capacity(tr.len() * 160);
         out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
@@ -189,30 +230,30 @@ mod reference {
                 }
             }
         }
-        let with_faults = faults_active(tr);
-        for s in tr.samples() {
-            for c in Counter::ALL {
-                if c.fault_only() && !with_faults {
+        let with_faults = faults_active(samples);
+        for s in samples {
+            for c in 0..17 {
+                if COUNTERS[c].1 && !with_faults {
                     continue;
                 }
                 write!(
                     out,
                     ",\n{{\"name\":\"{}\",\"ph\":\"C\",\"ts\":{},\"pid\":0,\
                      \"args\":{{\"value\":{}}}}}",
-                    c.name(),
+                    COUNTERS[c].0,
                     s.at.as_micros(),
-                    s.counter(c)
+                    s.counters[c]
                 )
                 .unwrap();
             }
-            for g in Gauge::ALL {
+            for g in 0..2 {
                 write!(
                     out,
                     ",\n{{\"name\":\"{}\",\"ph\":\"C\",\"ts\":{},\"pid\":0,\
                      \"args\":{{\"value\":{}}}}}",
-                    g.name(),
+                    GAUGES[g].0,
                     s.at.as_micros(),
-                    s.gauge(g)
+                    s.gauges[g]
                 )
                 .unwrap();
             }
@@ -320,7 +361,7 @@ enum Step {
     },
     Gauge {
         gauge: usize,
-        value: u64,
+        value: u32,
     },
     Sample,
 }
@@ -352,7 +393,7 @@ fn step() -> impl Strategy<Value = Step> {
         record.clone(),
         record,
         (0usize..17, 0u64..1_000).prop_map(|(counter, delta)| Step::Count { counter, delta }),
-        (0..GAUGE_COUNT, edge_u64()).prop_map(|(gauge, value)| Step::Gauge { gauge, value }),
+        (0usize..2, edge_u32()).prop_map(|(gauge, value)| Step::Gauge { gauge, value }),
         Just(Step::Sample),
     ]
 }
@@ -376,6 +417,7 @@ proptest! {
         rows in proptest::collection::vec((0usize..8, 0u64..4, idle(), edge_u64()), 0..12),
     ) {
         let mut tr = TraceCollector::new();
+        let mut m = MetricsRegistry::new();
         let mut now = 0u64;
         let mut instants = vec![0u64];
         // One event of every kind, then the drawn steps.
@@ -385,27 +427,42 @@ proptest! {
         for (dt, lane, step) in steps {
             now += dt;
             tr.set_recorder(lane, SimTime::from_micros(now));
+            m.set_recorder(lane, SimTime::from_micros(now));
             match step {
                 Step::Record { kind: ix, at, ahead, trace, actor, wide, narrow } => {
                     let at = at.unwrap_or(now + ahead);
                     tr.record(SimTime::from_micros(at), trace, actor, kind(ix, wide, narrow));
                 }
                 Step::Count { counter, delta } => {
-                    let c = Counter::ALL[counter];
-                    if faults || !c.fault_only() {
-                        tr.count(c, delta);
+                    let (name, fault_only) = reference::COUNTERS[counter];
+                    if faults || !fault_only {
+                        m.add_counter(name, delta);
                     }
                 }
-                Step::Gauge { gauge, value } => tr.gauge_set(Gauge::ALL[gauge], value),
+                Step::Gauge { gauge, value } => {
+                    m.set_gauge(reference::GAUGES[gauge].1, f64::from(value))
+                }
                 Step::Sample => {
                     if instants.last() != Some(&now) {
-                        tr.sample(SimTime::from_micros(now));
+                        m.sample(SimTime::from_micros(now));
                         instants.push(now);
                     }
                 }
             }
         }
         let tr = TraceCollector::merged([tr]);
+        let m = MetricsRegistry::merged([m]);
+        // The registry's rows, as the collector's samples were.
+        let samples: Vec<reference::CounterSample> = m
+            .ticks()
+            .iter()
+            .enumerate()
+            .map(|(tick, &at)| reference::CounterSample {
+                at,
+                counters: reference::COUNTERS.map(|(c, _)| m.counter_at(c, tick).unwrap_or(0)),
+                gauges: reference::GAUGES.map(|(_, g)| m.gauge_at(g, tick).map_or(0, |v| v as u64)),
+            })
+            .collect();
         // vmstat rows at counter-sample instants or between them, in
         // (instant, node) order like the merged vmstat log.
         let mut resources: Vec<ResourceRow> = rows
@@ -425,14 +482,14 @@ proptest! {
         let summary = TraceSummary::from_collector(&tr);
         let probes: Vec<_> = reference::probes(&tr).into_iter().collect();
         prop_assert_eq!(&summary.probes, &probes);
-        let jsonl = sized(export::jsonl_len(&tr, &resources), |out| {
-            export::write_jsonl(out, &tr, &resources)
+        let jsonl = sized(export::jsonl_len(&tr, &m, &resources), |out| {
+            export::write_jsonl(out, &tr, &m, &resources)
         });
-        prop_assert_eq!(jsonl, reference::jsonl(&tr, &resources));
-        let chrome = sized(export::chrome_trace_len(&tr, &summary), |out| {
-            export::write_chrome_trace(out, &tr, &summary)
+        prop_assert_eq!(jsonl, reference::jsonl(&tr, &samples, &resources));
+        let chrome = sized(export::chrome_trace_len(&tr, &m, &summary), |out| {
+            export::write_chrome_trace(out, &tr, &m, &summary)
         });
-        prop_assert_eq!(chrome, reference::chrome_trace(&tr, &summary));
+        prop_assert_eq!(chrome, reference::chrome_trace(&tr, &samples, &summary));
     }
 }
 

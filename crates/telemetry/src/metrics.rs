@@ -4,13 +4,11 @@
 //! The paper's resource story is told in 1 s vmstat rows (CPU idle,
 //! memory); the metrics plane generalizes that cadence to middleware
 //! internals — per-broker queue depth, per-servlet backlog, in-flight
-//! count, reconnect attempts — and exports both Prometheus
-//! text-exposition format (end-of-run snapshot) and a deterministic
-//! long-format time-series CSV that lands next to the fig CSVs.
-//!
-//! Registered as a kernel service only when profiling/metrics are on;
-//! instrumentation sites go through [`with_metrics`] which reduces to a
-//! single failed type-map probe when the service is absent.
+//! count, reconnect attempts, the trace's counters — and exports both
+//! Prometheus text-exposition format (end-of-run snapshot) and a
+//! deterministic long-format time-series CSV. Registered as a kernel
+//! service only when the trace or the profile plane is on; sites go
+//! through [`with_metrics`], one failed type-map probe without it.
 
 use crate::histogram::LatencyHistogram;
 use crate::report::trim_float;
@@ -30,34 +28,19 @@ struct GaugeWrite {
 }
 
 impl GaugeWrite {
-    /// Replay order. The value decides between writes under one key:
-    /// only replicas of a replicated recorder make those, and only when
-    /// each writes a level of its own (a vmstat replica gauging its own
-    /// nodes).
+    /// Replay order. The value decides between writes under one key,
+    /// which only replicas of a replicated recorder make, each writing a
+    /// level of its own.
     fn key(&self) -> (SimTime, u32, u64, u64) {
         (self.at, self.lane, self.seq, self.value.to_bits())
     }
 }
 
-/// One `observe`, kept in order: the histograms' Welford means are
-/// rebuilt from the log in key order.
-#[derive(Debug, Clone, Copy)]
-struct Observation {
-    at: SimTime,
-    seq: u64,
-    lane: u32,
-    name: u32,
-    micros: u64,
-}
-
-impl Observation {
-    /// Replay order. The content part decides between replicas'
-    /// observations under one key; name ids compare like the names once
-    /// [`merged`](MetricsRegistry::merged) has renumbered them.
-    fn key(&self) -> (SimTime, u32, u64, u32, u64) {
-        (self.at, self.lane, self.seq, self.name, self.micros)
-    }
-}
+/// One `observe`, `(at, lane, seq, name id, micros)`: the histograms'
+/// Welford means are rebuilt from the log in this order. Its content part
+/// decides between replicas' observations under one key; name ids compare
+/// like the names once [`merged`](MetricsRegistry::merged) renumbered them.
+type Observation = (SimTime, u32, u64, u32, u64);
 
 /// One name's live values and series.
 #[derive(Debug, Default)]
@@ -73,26 +56,41 @@ struct Metric {
     hist: Option<LatencyHistogram>,
 }
 
-/// Registry of named metrics plus the sampled time series.
+impl Metric {
+    /// Extend the counter's column, which starts at `tick` with room for
+    /// `room` values when this is its first.
+    fn push_count(&mut self, tick: usize, value: u64, room: usize) {
+        if self.counts.is_empty() {
+            self.first = tick;
+            self.counts.reserve_exact(room);
+        }
+        self.counts.push(value);
+    }
+
+    /// The counter in the row of tick `tick`; `None` before its first.
+    fn count_at(&self, tick: usize) -> Option<u64> {
+        let j = tick.checked_sub(self.first)?;
+        self.counts.get(j).copied()
+    }
+
+    /// The gauge's level at `at`: its max-key write at or before it.
+    fn level_at(&self, at: SimTime) -> Option<f64> {
+        let read = self.writes.partition_point(|w| w.at <= at);
+        read.checked_sub(1).map(|w| self.writes[w].value)
+    }
+}
+
+/// Registry of named metrics plus the sampled time series: the one store
+/// of counters and gauges (the trace's counter rows are read from it).
 ///
-/// Names are dotted (`narada.broker0.queue_depth`); exporters sanitize
-/// them where the target format requires it. Each name is interned once:
-/// an op hashes its name to an id and everything after is keyed by that
-/// id. Exports list metrics in name order, so every export is
-/// deterministic.
-///
-/// Each name keeps a live value, and [`sample`](Self::sample) (the vmstat
-/// tick) snapshots every live counter. A row holds every write at or
-/// before its instant: a write stamped at the last snapshot's instant,
-/// made after it, is folded into it. A gauge keeps, per tick interval,
-/// the write with the highest key `(time, recorder lane, per-lane seq)` —
-/// interleaving-invariant, since each lane's writes are a function of
-/// that actor's own deterministic execution. Observations keep their
-/// ordered log. [`merged`](Self::merged) sums the shards' counter
-/// snapshots per instant (a counter is bumped on one shard only: a
-/// replicated actor gates on `ctx.accounting_primary()`), replays the
-/// gauge writes and the observations in key order, and so rebuilds
-/// byte-identical exports from any sharding of the same run.
+/// Names are dotted (`narada.broker0.queue_depth`) and interned once; an
+/// op hashes its name to an id. Exports list metrics in name order.
+/// Each name keeps a live value, which [`sample`](Self::sample) (the
+/// vmstat tick) snapshots. A row holds every write at or before its
+/// instant: a write stamped at the last snapshot's instant, made after
+/// it, is folded into it. A gauge keeps, per tick interval, its write with
+/// the highest key `(time, recorder lane, per-lane seq)`, which no shard
+/// layout changes. Observations keep their ordered log.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     /// Interned metric names, by id; ids are per registry until merged.
@@ -116,9 +114,8 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    /// An empty registry sized for `ticks` snapshots: each series
-    /// reserves room for the rest of them at its first value, so neither
-    /// a snapshot nor a write reallocates mid-run.
+    /// An empty registry sized for `ticks` snapshots: each series reserves
+    /// room for the rest at its first value, so none reallocates mid-run.
     pub fn with_ticks(ticks: usize) -> Self {
         MetricsRegistry {
             ticks: Vec::with_capacity(ticks),
@@ -126,9 +123,8 @@ impl MetricsRegistry {
         }
     }
 
-    /// Set the recording context for subsequent ops; called by
-    /// [`with_metrics`] with the acting actor's lane and the kernel
-    /// clock so op keys are shard-invariant.
+    /// Set the recording context (acting actor's lane, kernel clock) for
+    /// subsequent ops; called by [`with_metrics`].
     pub fn set_recorder(&mut self, lane: u32, at: SimTime) {
         self.cur_lane = lane;
         self.cur_at = at;
@@ -156,9 +152,8 @@ impl MetricsRegistry {
         *seq - 1
     }
 
-    /// True when the recorder clock stands at the last snapshot's
-    /// instant: a write made now belongs to that snapshot. The clock
-    /// never runs behind it.
+    /// True when the recorder clock (never behind the last snapshot)
+    /// stands at its instant: a write made now belongs to it.
     fn at_last_tick(&self) -> bool {
         debug_assert!(self.ticks.last().is_none_or(|&t| t <= self.cur_at));
         self.ticks.last() == Some(&self.cur_at)
@@ -177,15 +172,11 @@ impl MetricsRegistry {
         let room = last.map_or(0, |tick| self.room(tick));
         let m = &mut self.metrics[id];
         *m.counter.get_or_insert(0) += delta;
+        // A live counter is in every snapshot since its first.
         match (last, m.counts.last_mut()) {
-            (None, _) => {}
-            // A live counter is in every snapshot since its first.
             (Some(_), Some(v)) => *v += delta,
-            (Some(tick), None) => {
-                m.first = tick;
-                m.counts.reserve_exact(room);
-                m.counts.push(delta);
-            }
+            (Some(tick), None) => m.push_count(tick, delta, room),
+            (None, _) => {}
         }
     }
 
@@ -224,13 +215,8 @@ impl MetricsRegistry {
             .hist
             .get_or_insert_with(LatencyHistogram::new)
             .record(micros);
-        let rec = Observation {
-            at: self.cur_at,
-            seq: self.next_seq(),
-            lane: self.cur_lane,
-            name: id as u32,
-            micros,
-        };
+        let seq = self.next_seq();
+        let rec = (self.cur_at, self.cur_lane, seq, id as u32, micros);
         self.observations.push(rec);
     }
 
@@ -245,14 +231,29 @@ impl MetricsRegistry {
 
     /// Current level of a gauge: its max-key write.
     pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.metric(name)
-            .and_then(|m| m.writes.last())
-            .map(|w| w.value)
+        Some(self.metric(name)?.writes.last()?.value)
     }
 
     /// Borrow a histogram.
     pub fn histogram(&self, name: &str) -> Option<&LatencyHistogram> {
         self.metric(name).and_then(|m| m.hist.as_ref())
+    }
+
+    /// The snapshot instants, in time order.
+    pub fn ticks(&self) -> &[SimTime] {
+        &self.ticks
+    }
+
+    /// A counter's value in the row of tick `tick`; `None` before its
+    /// first add.
+    pub fn counter_at(&self, name: &str, tick: usize) -> Option<u64> {
+        self.metric(name)?.count_at(tick)
+    }
+
+    /// A gauge's level in the row of tick `tick`; `None` before its first
+    /// write.
+    pub fn gauge_at(&self, name: &str, tick: usize) -> Option<f64> {
+        self.metric(name)?.level_at(self.ticks[tick])
     }
 
     /// Snapshot every live counter at `at` (called by the vmstat sampler
@@ -265,22 +266,18 @@ impl MetricsRegistry {
         let room = self.room(tick);
         for m in &mut self.metrics {
             if let Some(v) = m.counter {
-                if m.counts.is_empty() {
-                    m.first = tick;
-                    m.counts.reserve_exact(room);
-                }
-                m.counts.push(v);
+                m.push_count(tick, v, room);
             }
         }
     }
 
-    /// Merge per-shard registries. Every shard snapshots at the same
-    /// instants (the vmstat sampler is replicated), so counter snapshots
-    /// add up tick by tick, and a counter's column runs from its first
-    /// tick to the last on every shard. Gauge writes and observations
-    /// replay in key order; replicas' identical observations collapse to
-    /// one. A gauge level a shard writes for itself on a replicated lane
-    /// is told apart by its value. The replayed log is not retained.
+    /// Merge per-shard registries, so that any sharding of a run exports
+    /// the same bytes. Every shard snapshots at the same instants (the
+    /// vmstat sampler is replicated), so counter snapshots add up tick by
+    /// tick: a counter is bumped on one shard only (a replicated actor
+    /// counts on `ctx.accounting_primary()`). Gauge writes and
+    /// observations replay in key order; replicas' identical observations
+    /// collapse to one.
     pub fn merged(parts: impl IntoIterator<Item = MetricsRegistry>) -> MetricsRegistry {
         let parts: Vec<MetricsRegistry> = parts.into_iter().collect();
         // Interned in name order, so ids compare like the names do.
@@ -302,25 +299,20 @@ impl MetricsRegistry {
                 out.ticks = p.ticks;
             }
             let rank: Vec<u32> = p.names.iter().map(|name| out.ids[name]).collect();
-            for (&id, m) in rank.iter().zip(p.metrics) {
+            for (&id, mut m) in rank.iter().zip(p.metrics) {
                 let o = &mut out.metrics[id as usize];
                 if let Some(v) = m.counter {
                     *o.counter.get_or_insert(0) += v;
                 }
-                // Both columns end at the last tick, so the one that
-                // starts first is the longer.
-                if !m.counts.is_empty() {
-                    let (mut long, short) = if o.counts.is_empty() || m.first < o.first {
-                        o.first = m.first;
-                        (m.counts, std::mem::take(&mut o.counts))
-                    } else {
-                        (std::mem::take(&mut o.counts), m.counts)
-                    };
-                    let skip = long.len() - short.len();
-                    for (sum, v) in long[skip..].iter_mut().zip(short) {
-                        *sum += v;
-                    }
-                    o.counts = long;
+                // Both columns end at the last tick: add the shorter into
+                // the longer's tail.
+                if o.counts.len() < m.counts.len() {
+                    std::mem::swap(&mut o.counts, &mut m.counts);
+                    o.first = m.first;
+                }
+                let skip = o.counts.len() - m.counts.len();
+                for (sum, v) in o.counts[skip..].iter_mut().zip(m.counts) {
+                    *sum += v;
                 }
                 o.writes.extend(m.writes);
             }
@@ -331,7 +323,7 @@ impl MetricsRegistry {
                 observations.extend(p.observations);
             }
             for rec in &mut observations[from..] {
-                rec.name = rank[rec.name as usize];
+                rec.3 = rank[rec.3 as usize];
             }
         }
         for m in &mut out.metrics {
@@ -339,13 +331,13 @@ impl MetricsRegistry {
         }
         // The observations are in record order, nearly key order, which
         // the run-merging sort is quick on.
-        observations.sort_by_key(Observation::key);
-        observations.dedup_by_key(|rec| rec.key());
-        for rec in observations {
-            out.metrics[rec.name as usize]
+        observations.sort();
+        observations.dedup();
+        for (_, _, _, id, micros) in observations {
+            out.metrics[id as usize]
                 .hist
                 .get_or_insert_with(LatencyHistogram::new)
-                .record(rec.micros);
+                .record(micros);
         }
         out
     }
@@ -376,24 +368,22 @@ impl MetricsRegistry {
     /// metric per sample instant, counters before gauges.
     pub fn csv(&self) -> String {
         let mut out = String::from("t_s,metric,value\n");
-        // Per gauge, the writes read so far.
-        let mut read = vec![0usize; self.metrics.len()];
+        let named = |id: &u32| {
+            (
+                self.names[*id as usize].as_str(),
+                &self.metrics[*id as usize],
+            )
+        };
         for (tick, &at) in self.ticks.iter().enumerate() {
             let t = trim_float(at.as_micros() as f64 / 1e6);
-            for &id in &self.by_name {
-                let m = &self.metrics[id as usize];
-                let count = tick.checked_sub(m.first).and_then(|j| m.counts.get(j));
-                if let Some(&v) = count {
-                    row(&mut out, &t, &self.names[id as usize], v as f64);
+            for (name, m) in self.by_name.iter().map(named) {
+                if let Some(v) = m.count_at(tick) {
+                    row(&mut out, &t, name, v as f64);
                 }
             }
-            for &id in &self.by_name {
-                let (writes, r) = (&self.metrics[id as usize].writes, &mut read[id as usize]);
-                while writes.get(*r).is_some_and(|w| w.at <= at) {
-                    *r += 1;
-                }
-                if let Some(w) = r.checked_sub(1).map(|r| writes[r]) {
-                    row(&mut out, &t, &self.names[id as usize], w.value);
+            for (name, m) in self.by_name.iter().map(named) {
+                if let Some(v) = m.level_at(at) {
+                    row(&mut out, &t, name, v);
                 }
             }
         }
@@ -498,7 +488,7 @@ mod tests {
     }
 
     #[test]
-    fn a_gauge_keeps_one_write_per_tick_interval() {
+    fn log_folds_writes_and_keeps_observations_small() {
         assert_eq!(std::mem::size_of::<GaugeWrite>(), 32);
         assert_eq!(std::mem::size_of::<Observation>(), 32);
         let mut m = MetricsRegistry::with_ticks(10);

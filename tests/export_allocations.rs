@@ -11,20 +11,24 @@ use counting_alloc::{allocations, Counting};
 
 use gridmon::simcore::{SimDuration, SimTime};
 use gridmon::simtrace::export::{self, ResourceRow};
-use gridmon::simtrace::{Counter, EventKind, Gauge, TraceCollector, TraceId, TraceSummary};
+use gridmon::simtrace::{EventKind, TraceCollector, TraceId, TraceSummary};
+use gridmon::telemetry::MetricsRegistry;
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
 /// Probes published, hopped and delivered on two lanes, with fabric
-/// frames stamped ahead of the clock and a counter sample a second.
-fn recorded() -> TraceCollector {
+/// frames stamped ahead of the clock and a counter row a second.
+fn recorded() -> (TraceCollector, MetricsRegistry) {
     let mut parts = Vec::new();
+    let mut metrics = Vec::new();
     for lane in 0..2u32 {
         let mut tr = TraceCollector::new();
+        let mut m = MetricsRegistry::new();
         for ms in 0..5_000u64 {
             let now = SimTime::from_millis(ms);
             tr.set_recorder(lane, now);
+            m.set_recorder(lane, now);
             let id = Some(TraceId(ms * 2 + u64::from(lane)));
             tr.record(now, id, 7, EventKind::PublishBegin);
             tr.record(now, id, 7, EventKind::PublishEnd);
@@ -36,40 +40,44 @@ fn recorded() -> TraceCollector {
             tr.record(now, id, 9, EventKind::BrokerRecv { broker: lane });
             tr.record(now, id, 9, EventKind::Available);
             tr.record(now, id, 11, EventKind::Delivered);
-            tr.count(Counter::NetFramesSent, 1);
-            tr.gauge_set(Gauge::NicBacklogUs, ms % 300);
+            m.add_counter("net_frames_sent", 1);
+            m.set_gauge("nic_backlog_us", (ms % 300) as f64);
             if ms % 1_000 == 0 {
-                tr.sample(now);
+                m.sample(now);
             }
         }
         parts.push(tr);
+        metrics.push(m);
     }
-    TraceCollector::merged(parts)
+    (
+        TraceCollector::merged(parts),
+        MetricsRegistry::merged(metrics),
+    )
 }
 
 #[test]
 fn an_export_written_into_its_sized_buffer_allocates_nothing() {
-    let tr = recorded();
+    let (tr, m) = recorded();
     assert!(tr.len() > 10_000, "{} events", tr.len());
     let summary = TraceSummary::from_collector(&tr);
-    let rows: Vec<ResourceRow> = tr
-        .samples()
+    let rows: Vec<ResourceRow> = m
+        .ticks()
         .iter()
-        .map(|s| ResourceRow {
-            at: s.at,
+        .map(|&at| ResourceRow {
+            at,
             node: 0,
             idle: 1.0 / 3.0,
             mem_bytes: 1 << 30,
         })
         .collect();
 
-    let mut chrome = Vec::with_capacity(export::chrome_trace_len(&tr, &summary));
-    let ((), allocs) = allocations(|| export::write_chrome_trace(&mut chrome, &tr, &summary));
+    let mut chrome = Vec::with_capacity(export::chrome_trace_len(&tr, &m, &summary));
+    let ((), allocs) = allocations(|| export::write_chrome_trace(&mut chrome, &tr, &m, &summary));
     assert_eq!(allocs, 0, "Chrome trace");
     assert_eq!(chrome.len(), chrome.capacity());
 
-    let mut jsonl = Vec::with_capacity(export::jsonl_len(&tr, &rows));
-    let ((), allocs) = allocations(|| export::write_jsonl(&mut jsonl, &tr, &rows));
+    let mut jsonl = Vec::with_capacity(export::jsonl_len(&tr, &m, &rows));
+    let ((), allocs) = allocations(|| export::write_jsonl(&mut jsonl, &tr, &m, &rows));
     assert_eq!(allocs, 0, "JSONL");
     assert_eq!(jsonl.len(), jsonl.capacity());
 }

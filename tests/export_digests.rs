@@ -14,13 +14,13 @@ const MSGS: u32 = 20;
 
 /// One line per contender: each export's digest.
 const EXPECTED: [&str; 3] = [
-    "compare/narada: jsonl=0x7c58844161a02620 chrome=0x1a7186813c4eed30 \
+    "compare/narada: jsonl=0xbf46ea1bb9f43b27 chrome=0x47e34faaeb25db12 \
      prometheus=0x24c077722aa6bfba metrics_csv=0x909be9dd019551ca \
      collapsed=0x16f7734d88db14ea slo_csv=0x9217c354c1b1d104",
-    "compare/rgma: jsonl=0xa50eeb25efa61760 chrome=0xdfbe6e52b2558913 \
+    "compare/rgma: jsonl=0x15855844d0b0c4aa chrome=0xfd3ef70920112500 \
      prometheus=0xc99e3757e1a37314 metrics_csv=0x8deef27633f22829 \
      collapsed=0x203203f42bf1e4a6 slo_csv=0x86bf24962e1d7abb",
-    "compare/gridlog: jsonl=0x2cd541496d9bcb11 chrome=0x18a126cc4933a593 \
+    "compare/gridlog: jsonl=0x5e1942a25ce6cc20 chrome=0x47ad1d9b2c7e94d3 \
      prometheus=0x72d57429d79b800f metrics_csv=0x1de2a64fef491aed \
      collapsed=0xebd0cbc23e9edb60 slo_csv=0x6597824334084830",
 ];
