@@ -460,12 +460,10 @@ impl Actor for FaultDriver {
         // The driver is replicated on every shard (fault windows must open
         // everywhere), but each firing is one logical event: only the
         // accounting-primary replica counts it.
-        let primary = ctx.accounting_primary();
-        with_faults(ctx, |inj, _| {
-            if primary {
-                inj.stats.injected += 1;
-            }
-        });
+        if ctx.accounting_primary() {
+            with_faults(ctx, |inj, _| inj.stats.injected += 1);
+            telemetry::with_metrics(ctx, |m, _| m.add_counter("faults_injected", 1));
+        }
         let now = ctx.now();
         match ev.kind {
             FaultKind::LinkLossBurst {

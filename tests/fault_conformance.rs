@@ -330,6 +330,26 @@ fn assert_shard_invariant_faults(spec: &ExperimentSpec) {
     assert_conserved(&sharded);
 }
 
+/// The trace's `faults_injected` row is the driver's own count, at one
+/// shard and at two (the driver runs on both; its primary counts).
+#[test]
+fn narada_tcp_trace_counts_every_injected_fault() {
+    let spec = narada_spec("conf/trace-faults", Transport::Tcp, AckMode::Auto, SEEDS[0])
+        .with_faults(crash())
+        .traced();
+    for spec in [spec.clone(), spec.sharded(2)] {
+        let r = run_experiment(&spec);
+        let injected = r.fault_stats.expect("faulted run has stats").injected;
+        assert!(injected > 0);
+        let trace = r.trace.expect("traced");
+        let mut rows = trace.jsonl.lines().rev();
+        let last = rows.find(|l| l.contains("\"type\":\"counters\""));
+        let last = last.expect("counter rows");
+        let counted = format!("\"faults_injected\":{injected},");
+        assert!(last.contains(&counted), "{last}");
+    }
+}
+
 #[test]
 fn narada_tcp_crash_is_shard_invariant() {
     let spec =
