@@ -1018,12 +1018,12 @@ fn merge_results(
                 mem_bytes: s.mem_bytes,
             })
             .collect();
-        let m = &metrics;
-        let mut jsonl = Vec::with_capacity(export::jsonl_len(&tr, m, &resources));
-        let mut chrome = Vec::with_capacity(export::chrome_trace_len(&tr, m, &trace_summary));
+        let mut jsonl = Vec::with_capacity(export::jsonl_len(&tr, &metrics, &resources));
+        let mut chrome =
+            Vec::with_capacity(export::chrome_trace_len(&tr, &metrics, &trace_summary));
         let done = AtomicBool::new(false);
         let (jsonl, chrome, slo_report) = std::thread::scope(|s| {
-            let (tr, summary, done) = (&tr, &trace_summary, &done);
+            let (tr, m, summary, done) = (&tr, &metrics, &trace_summary, &done);
             let helper = s.spawn(move || {
                 export::write_chrome_trace(&mut chrome, tr, m, summary);
                 let chrome = String::from_utf8(chrome).expect("exports are ASCII");

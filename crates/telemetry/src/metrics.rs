@@ -11,7 +11,7 @@
 //! through [`with_metrics`], one failed type-map probe without it.
 
 use crate::histogram::LatencyHistogram;
-use crate::report::trim_float;
+use crate::report::{push_trimmed, trim_float};
 use simcore::{Context, FastMap, SimTime};
 
 /// One `set_gauge`. Of the writes at or before a snapshot instant, the
@@ -21,9 +21,6 @@ struct GaugeWrite {
     at: SimTime,
     seq: u64,
     lane: u32,
-    /// Interval `i` ends at tick `i`'s instant, inclusive; the one after
-    /// the last tick is open.
-    interval: u32,
     value: f64,
 }
 
@@ -51,7 +48,8 @@ struct Metric {
     counts: Vec<u64>,
     first: usize,
     /// Each tick interval's max-key write, in interval order, which is
-    /// key order.
+    /// key order. Interval `i` ends at tick `i`'s instant, inclusive; the
+    /// one after the last tick is open.
     writes: Vec<GaugeWrite>,
     hist: Option<LatencyHistogram>,
 }
@@ -183,18 +181,19 @@ impl MetricsRegistry {
     /// Set an instantaneous gauge level.
     pub fn set_gauge(&mut self, name: &str, value: f64) {
         let id = self.intern(name);
+        // The tick interval the write falls in, and the tick opening it.
         let interval = self.ticks.len() - usize::from(self.at_last_tick());
+        let opened = interval.checked_sub(1).map(|tick| self.ticks[tick]);
         let w = GaugeWrite {
             at: self.cur_at,
             seq: self.next_seq(),
             lane: self.cur_lane,
-            interval: interval as u32,
             value,
         };
         let room = self.room(interval);
         let writes = &mut self.metrics[id].writes;
         match writes.last_mut() {
-            Some(last) if last.interval == w.interval => {
+            Some(last) if opened.is_none_or(|t| last.at > t) => {
                 if last.key() < w.key() {
                     *last = w;
                 }
@@ -357,31 +356,32 @@ impl MetricsRegistry {
                     at,
                     seq,
                     lane: u32::MAX,
-                    interval: 0,
                     value,
                 }),
         );
         writes.sort_by_key(GaugeWrite::key);
     }
 
+    /// Every metric with its name, in name order.
+    fn named(&self) -> impl Iterator<Item = (&str, &Metric)> {
+        let metric = |&id: &u32| (self.names[id as usize].as_str(), &self.metrics[id as usize]);
+        self.by_name.iter().map(metric)
+    }
+
     /// Deterministic long-format CSV: `t_s,metric,value`, one row per
     /// metric per sample instant, counters before gauges.
     pub fn csv(&self) -> String {
         let mut out = String::from("t_s,metric,value\n");
-        let named = |id: &u32| {
-            (
-                self.names[*id as usize].as_str(),
-                &self.metrics[*id as usize],
-            )
-        };
+        let mut t = String::new();
         for (tick, &at) in self.ticks.iter().enumerate() {
-            let t = trim_float(at.as_micros() as f64 / 1e6);
-            for (name, m) in self.by_name.iter().map(named) {
+            t.clear();
+            push_trimmed(&mut t, at.as_micros() as f64 / 1e6);
+            for (name, m) in self.named() {
                 if let Some(v) = m.count_at(tick) {
                     row(&mut out, &t, name, v as f64);
                 }
             }
-            for (name, m) in self.by_name.iter().map(named) {
+            for (name, m) in self.named() {
                 if let Some(v) = m.level_at(at) {
                     row(&mut out, &t, name, v);
                 }
@@ -396,26 +396,20 @@ impl MetricsRegistry {
     /// the histogram's exact Welford mean).
     pub fn prometheus(&self) -> String {
         let mut out = String::new();
-        let named = |id: &u32| {
-            (
-                self.names[*id as usize].as_str(),
-                &self.metrics[*id as usize],
-            )
-        };
-        for (name, m) in self.by_name.iter().map(named) {
+        for (name, m) in self.named() {
             if let Some(v) = m.counter {
                 let n = sanitize(name);
                 out.push_str(&format!("# TYPE {n} counter\n{n} {v}\n"));
             }
         }
-        for (name, m) in self.by_name.iter().map(named) {
+        for (name, m) in self.named() {
             if let Some(w) = m.writes.last() {
                 let n = sanitize(name);
                 let v = trim_float(w.value);
                 out.push_str(&format!("# TYPE {n} gauge\n{n} {v}\n"));
             }
         }
-        for (name, m) in self.by_name.iter().map(named) {
+        for (name, m) in self.named() {
             let Some(h) = &m.hist else { continue };
             let n = sanitize(name);
             out.push_str(&format!("# TYPE {n} summary\n"));
@@ -437,7 +431,7 @@ fn row(out: &mut String, t: &str, name: &str, v: f64) {
     out.push(',');
     out.push_str(name);
     out.push(',');
-    out.push_str(&trim_float(v));
+    push_trimmed(out, v);
     out.push('\n');
 }
 

@@ -223,11 +223,24 @@ pub fn degradation_table(title: impl Into<String>, rows: &[(&'static str, u64)])
 
 /// Format a float without trailing zero noise.
 pub fn trim_float(v: f64) -> String {
+    let mut s = String::new();
+    push_trimmed(&mut s, v);
+    s
+}
+
+/// Append `v` as [`trim_float`] formats it, into `out` itself.
+pub(crate) fn push_trimmed(out: &mut String, v: f64) {
+    use std::fmt::Write;
     if v == v.trunc() && v.abs() < 1e15 {
-        format!("{}", v as i64)
+        let _ = write!(out, "{}", v as i64);
     } else {
-        let s = format!("{v:.3}");
-        s.trim_end_matches('0').trim_end_matches('.').to_owned()
+        let from = out.len();
+        let _ = write!(out, "{v:.3}");
+        let kept = out[from..]
+            .trim_end_matches('0')
+            .trim_end_matches('.')
+            .len();
+        out.truncate(from + kept);
     }
 }
 

@@ -134,8 +134,8 @@ pub struct SloReport {
     /// `freshness_age_ms` gauges (a subscriber's gauge is its stalest
     /// topic's age) and cumulative `deadline_miss_total` counters (late
     /// deliveries, attributed to the subscriber that received them
-    /// late). Spliced into the metrics op log by the experiment merge
-    /// exactly like `probes_in_flight`.
+    /// late). Added to the merged metrics registry by the experiment
+    /// merge exactly like `probes_in_flight`.
     pub series: Vec<MetricSeries>,
     /// Burn/percentile windows.
     pub windows: Vec<SloWindow>,
