@@ -244,7 +244,7 @@ impl LogBroker {
             + self.per_byte(bytes)
             + self.cfg.costs.broker_append_per_record.saturating_mul(n);
         let done = self.server.cpu(ctx, Component::GridlogAppend, cost);
-        let actor = ctx.self_id().index() as u64;
+        let now = ctx.now();
         let mut touched: BTreeSet<u32> = BTreeSet::new();
         for rec in records {
             let p = partition_for(rec.key, self.cfg.partitions);
@@ -255,14 +255,8 @@ impl LogBroker {
                 message: rec.message,
             });
             touched.insert(p);
-            simtrace::with_trace(ctx, |tr, at| {
-                tr.record(
-                    at,
-                    Some(simtrace::TraceId(probe.0)),
-                    actor,
-                    simtrace::EventKind::BrokerRecv { broker: 0 },
-                );
-            });
+            let recv = simtrace::EventKind::BrokerRecv { broker: 0 };
+            simtrace::hop(ctx, now, Some(simtrace::TraceId(probe.0)), recv);
         }
         telemetry::with_metrics(ctx, |m, _| {
             m.add_counter("gridlog.appended_records", n);
@@ -338,20 +332,13 @@ impl LogBroker {
             st.fetches += 1;
             st.records_served += n;
         }
-        let actor = ctx.self_id().index() as u64;
+        let now = ctx.now();
+        let deliver = simtrace::EventKind::BrokerDeliver {
+            broker: 0,
+            fanout: 1,
+        };
         for rec in &records {
-            let probe = rec.probe;
-            simtrace::with_trace(ctx, |tr, at| {
-                tr.record(
-                    at,
-                    Some(simtrace::TraceId(probe.0)),
-                    actor,
-                    simtrace::EventKind::BrokerDeliver {
-                        broker: 0,
-                        fanout: 1,
-                    },
-                );
-            });
+            simtrace::hop(ctx, now, Some(simtrace::TraceId(rec.probe.0)), deliver);
         }
         telemetry::with_metrics(ctx, |m, _| {
             m.set_gauge("gridlog.fetch_batch_occupancy", n as f64);

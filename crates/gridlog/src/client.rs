@@ -270,15 +270,9 @@ impl GridlogClientSet {
         if arm {
             prod.linger_armed = true;
         }
-        let actor = ctx.self_id().index() as u64;
-        simtrace::with_trace(ctx, |tr, at| {
-            tr.record(
-                at,
-                Some(simtrace::TraceId(probe.0)),
-                actor,
-                simtrace::EventKind::BatchEnqueue { occupancy },
-            );
-        });
+        let now = ctx.now();
+        let enqueued = simtrace::EventKind::BatchEnqueue { occupancy };
+        simtrace::hop(ctx, now, Some(simtrace::TraceId(probe.0)), enqueued);
         if full {
             self.flush_batch(ctx, conn);
         } else if arm {
@@ -318,11 +312,8 @@ impl GridlogClientSet {
         let topic = prod.topic.clone();
         let tuples = records.len() as u32;
         let bytes = produce_bytes(&records);
-        let actor = ctx.self_id().index() as u64;
-        simtrace::with_trace(ctx, |tr, at| {
-            tr.record(at, None, actor, simtrace::EventKind::BatchFlush { tuples });
-        });
-        telemetry::with_metrics(ctx, |m, _| m.add_counter("batch_flushes", 1));
+        let now = ctx.now();
+        simtrace::hop(ctx, now, None, simtrace::EventKind::BatchFlush { tuples });
         let ser_done = self.sessions.cpu(ctx, self.serialize_cost(bytes));
         for rec in &records {
             probe::sent(ctx, rec.probe, ser_done);

@@ -15,6 +15,7 @@ use simnet::server::{Acceptor, Inbound};
 use simnet::{ConnId, Delivery, NetworkFabric, Transport};
 use simos::{NodeId, OsModel, ProcessId};
 use simprof::Component;
+use simtrace::{EventKind, TraceId};
 use telemetry::ProbeId;
 use wire::Message;
 
@@ -355,15 +356,7 @@ impl Broker {
         state.last_pub_seq = Some(state.last_pub_seq.map_or(seq, |l| l.max(seq)));
         self.stats.borrow_mut().published += 1;
         let broker = u32::from(self.my_ix);
-        let actor = ctx.self_id().index() as u64;
-        simtrace::with_trace(ctx, |tr, at| {
-            tr.record(
-                at,
-                Some(simtrace::TraceId(probe.0)),
-                actor,
-                simtrace::EventKind::BrokerRecv { broker },
-            );
-        });
+        hop(ctx, probe, EventKind::BrokerRecv { broker });
 
         // Processing cost: deserialize + route + match. Queue sends
         // (point-to-point) deliver to exactly one receiver and are not
@@ -400,7 +393,7 @@ impl Broker {
         } else {
             (self.engine.topic_len(topic) as u32).saturating_sub(matched)
         };
-        self.record_selector_outcome(ctx, probe, matched, missed);
+        hop(ctx, probe, EventKind::SelectorMatch { matched, missed });
 
         if !queue {
             self.capture_orphans(probe, &message);
@@ -423,28 +416,6 @@ impl Broker {
         self.forward_to_peers(ctx, probe, &message, done, flood);
     }
 
-    fn record_selector_outcome(
-        &self,
-        ctx: &mut Context<'_>,
-        probe: ProbeId,
-        matched: u32,
-        missed: u32,
-    ) {
-        let actor = ctx.self_id().index() as u64;
-        simtrace::with_trace(ctx, |tr, at| {
-            tr.record(
-                at,
-                Some(simtrace::TraceId(probe.0)),
-                actor,
-                simtrace::EventKind::SelectorMatch { matched, missed },
-            );
-        });
-        telemetry::with_metrics(ctx, |m, _| {
-            m.add_counter("selector_matches", u64::from(matched));
-            m.add_counter("selector_misses", u64::from(missed));
-        });
-    }
-
     fn dispatch_deliveries(
         &mut self,
         ctx: &mut Context<'_>,
@@ -456,15 +427,7 @@ impl Broker {
         let fanout = matches.len() as u32;
         if fanout > 0 {
             let broker = u32::from(self.my_ix);
-            let actor = ctx.self_id().index() as u64;
-            simtrace::with_trace(ctx, |tr, at| {
-                tr.record(
-                    at,
-                    Some(simtrace::TraceId(probe.0)),
-                    actor,
-                    simtrace::EventKind::BrokerDeliver { broker, fanout },
-                );
-            });
+            hop(ctx, probe, EventKind::BrokerDeliver { broker, fanout });
             telemetry::with_metrics(ctx, |m, _| {
                 m.add_counter("broker_deliveries", fanout.into())
             });
@@ -539,7 +502,7 @@ impl Broker {
         let my_ix = self.my_ix;
         let bytes = deliver_bytes(message);
         let topic: &str = &message.headers.destination;
-        let mut sent: u32 = 0;
+        let mut peers: u32 = 0;
         for &(peer_ix, conn) in &self.peers {
             // Never send back where it came from or to the origin.
             if peer_ix == flood.from_ix || peer_ix == flood.origin {
@@ -578,23 +541,11 @@ impl Broker {
             };
             self.server.send_at(ctx, conn, bytes, fwd, at);
             self.stats.borrow_mut().forwarded += 1;
-            sent += 1;
+            peers += 1;
         }
-        if sent > 0 {
+        if peers > 0 {
             let broker = u32::from(my_ix);
-            let actor = ctx.self_id().index() as u64;
-            simtrace::with_trace(ctx, |tr, at| {
-                tr.record(
-                    at,
-                    Some(simtrace::TraceId(probe.0)),
-                    actor,
-                    simtrace::EventKind::BrokerForward {
-                        broker,
-                        peers: sent,
-                    },
-                );
-            });
-            telemetry::with_metrics(ctx, |m, _| m.add_counter("broker_forwards", sent.into()));
+            hop(ctx, probe, EventKind::BrokerForward { broker, peers });
         }
     }
 
@@ -617,15 +568,7 @@ impl Broker {
         }
         let topic: &str = &message.headers.destination;
         let broker = u32::from(self.my_ix);
-        let actor = ctx.self_id().index() as u64;
-        simtrace::with_trace(ctx, |tr, at| {
-            tr.record(
-                at,
-                Some(simtrace::TraceId(probe.0)),
-                actor,
-                simtrace::EventKind::BrokerRecv { broker },
-            );
-        });
+        hop(ctx, probe, EventKind::BrokerRecv { broker });
         let match_t0 = ctx.wall_start();
         let (matches, match_cost) = self.engine.match_message(topic, &message);
         ctx.wall_record(Site::JmsMatch, match_t0);
@@ -635,7 +578,7 @@ impl Broker {
         });
         let matched = matches.len() as u32;
         let missed = (self.engine.topic_len(topic) as u32).saturating_sub(matched);
-        self.record_selector_outcome(ctx, probe, matched, missed);
+        hop(ctx, probe, EventKind::SelectorMatch { matched, missed });
         self.capture_orphans(probe, &message);
         self.dispatch_deliveries(ctx, probe, &message, matches, done);
         // v1.1.3 floods onward (the congestion the paper found).
@@ -799,7 +742,6 @@ impl Broker {
             state.pending.remove(&seq);
         }
         self.pending_acks -= before - state.pending.len();
-        let actor = ctx.self_id().index() as u64;
         for seq in to_retx {
             let state = self.server.state_mut(conn).expect("checked above");
             let p = state.pending.get_mut(&seq).expect("just selected");
@@ -815,15 +757,7 @@ impl Broker {
             let bytes = deliver_bytes(&p.message);
             self.server.send_at(ctx, conn, bytes, deliver, done);
             self.stats.borrow_mut().retransmissions += 1;
-            simtrace::with_trace(ctx, |tr, at| {
-                tr.record(
-                    at,
-                    Some(simtrace::TraceId(probe.0)),
-                    actor,
-                    simtrace::EventKind::Retransmit { attempt: 1 },
-                );
-            });
-            telemetry::with_metrics(ctx, |m, _| m.add_counter("retries", 1));
+            hop(ctx, probe, EventKind::Retransmit { attempt: 1 });
         }
     }
 
@@ -897,4 +831,10 @@ impl Actor for Broker {
     fn name(&self) -> &str {
         "narada-broker"
     }
+}
+
+/// One hop of `probe`'s message through the calling broker, now.
+fn hop(ctx: &mut Context<'_>, probe: ProbeId, kind: EventKind) {
+    let now = ctx.now();
+    simtrace::hop(ctx, now, Some(TraceId(probe.0)), kind);
 }

@@ -542,16 +542,9 @@ impl NaradaClientSet {
         p.retries += 1;
         let (probe, message, queue) = (p.probe, p.message.clone(), p.queue);
         let attempt = p.retries;
-        let actor = ctx.self_id().index() as u64;
-        simtrace::with_trace(ctx, |tr, at| {
-            tr.record(
-                at,
-                Some(simtrace::TraceId(probe.0)),
-                actor,
-                simtrace::EventKind::Retransmit { attempt },
-            );
-        });
-        telemetry::with_metrics(ctx, |m, _| m.add_counter("retries", 1));
+        let now = ctx.now();
+        let retransmit = simtrace::EventKind::Retransmit { attempt };
+        simtrace::hop(ctx, now, Some(simtrace::TraceId(probe.0)), retransmit);
         let timer = self
             .sessions
             .arm(ctx, timeout, TimerKind::PubRetry { conn, seq });

@@ -341,7 +341,6 @@ impl ConsumerServlet {
         let schema = self.catalog.table(&inst.table).ok();
         let mut accepted = 0u64;
         let mut filtered = 0u64;
-        let actor = ctx.self_id().index() as u64;
         for (probe, tuple) in chunk.entries {
             // Continuous-query predicate filter at the consumer.
             let matches = match (&inst.predicate, schema) {
@@ -355,14 +354,8 @@ impl ConsumerServlet {
                 filtered += 1;
                 continue;
             }
-            simtrace::with_trace(ctx, |tr, _| {
-                tr.record(
-                    done,
-                    Some(simtrace::TraceId(probe.0)),
-                    actor,
-                    simtrace::EventKind::SelectMatch { consumers: 1 },
-                );
-            });
+            let matched = simtrace::EventKind::SelectMatch { consumers: 1 };
+            simtrace::hop(ctx, done, Some(simtrace::TraceId(probe.0)), matched);
             // The tuple is now *available* to the subscriber.
             probe::available(ctx, probe, done);
             inst.buffer.push((probe, tuple));

@@ -153,16 +153,8 @@ impl ProducerServlet {
             Ok(rows) => {
                 let _ = self.server.alloc(ctx, self.cfg.memory.heap_per_tuple);
                 reply.send_at(ctx, 200, 24, ProducerResponse::InsertOk, done);
-                let actor = ctx.self_id().index() as u64;
-                simtrace::with_trace(ctx, |tr, _| {
-                    tr.record(
-                        done,
-                        Some(simtrace::TraceId(probe.0)),
-                        actor,
-                        simtrace::EventKind::StorageInsert { rows },
-                    );
-                });
-                telemetry::with_metrics(ctx, |m, _| m.add_counter("tuples_stored", 1));
+                let stored = simtrace::EventKind::StorageInsert { rows };
+                simtrace::hop(ctx, done, Some(simtrace::TraceId(probe.0)), stored);
             }
             Err(reason) => reply.send_at(ctx, 400, 64, ProducerResponse::Error { reason }, done),
         }

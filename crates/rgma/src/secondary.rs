@@ -146,17 +146,13 @@ impl SecondaryProducer {
                 self.storage
                     .insert(Arc::unwrap_or_clone(tuple), probe, done);
             }
-            let actor = ctx.self_id().index() as u64;
-            simtrace::with_trace(ctx, |tr, _| {
-                tr.record(
-                    done,
-                    None,
-                    actor,
-                    simtrace::EventKind::BatchFlush { tuples: n as u32 },
-                );
-            });
-            telemetry::with_metrics(ctx, |m, _| {
-                m.add_counter("batch_flushes", 1);
+            let flush = simtrace::TraceEvent {
+                at: done,
+                trace: None,
+                actor: ctx.self_id().index() as u64,
+                kind: simtrace::EventKind::BatchFlush { tuples: n as u32 },
+            };
+            simtrace::hops(ctx, [flush], |m| {
                 m.set_gauge("rgma.secondary.batch_tuples", 0.0);
             });
             // Stream to downstream consumers.
@@ -232,15 +228,9 @@ impl Actor for SecondaryProducer {
                 let _ = self.server.alloc(ctx, heap);
                 self.batch.extend(chunk.entries);
                 let occupancy = self.batch.len() as u32;
-                let actor = ctx.self_id().index() as u64;
-                simtrace::with_trace(ctx, |tr, at| {
-                    tr.record(
-                        at,
-                        None,
-                        actor,
-                        simtrace::EventKind::BatchEnqueue { occupancy },
-                    );
-                });
+                let now = ctx.now();
+                let enqueued = simtrace::EventKind::BatchEnqueue { occupancy };
+                simtrace::hop(ctx, now, None, enqueued);
                 telemetry::with_metrics(ctx, |m, _| {
                     m.set_gauge("rgma.secondary.batch_tuples", f64::from(occupancy));
                 });

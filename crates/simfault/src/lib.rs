@@ -377,7 +377,7 @@ impl FaultInjector {
 
 /// Run `f` against the fault injector if one is installed; no-op (and
 /// zero-cost beyond a map probe) otherwise. Mirrors
-/// `simtrace::with_trace`.
+/// `telemetry::with_metrics`.
 #[inline]
 pub fn with_faults<F: FnOnce(&mut FaultInjector, SimTime)>(ctx: &mut Context<'_>, f: F) {
     let now = ctx.now();

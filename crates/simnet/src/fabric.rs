@@ -10,6 +10,7 @@
 
 use crate::addr::Endpoint;
 use simcore::{Context, FastMap, Payload, SimDuration, SimTime, Site};
+use simtrace::{EventKind, TraceEvent};
 
 /// Fabric configuration.
 #[derive(Debug, Clone)]
@@ -392,31 +393,18 @@ impl NetworkFabric {
         let tx_done = tx_start + tx_time;
         nic.tx_busy_until = tx_done;
         let backlog_us = tx_done.saturating_since(now).as_micros();
+        let conn_ix = u64::from(conn.0);
+        let sent = EventKind::NetSend {
+            conn: conn_ix,
+            bytes: bytes as u32,
+        };
+        // Stamped at the kernel clock, not at the NIC start `now`.
+        let sent = frame(ctx.now(), from, sent);
 
         if dropped || fault_dropped {
             self.stats.frames_dropped += 1;
-            simtrace::with_trace(ctx, |tr, at| {
-                tr.record(
-                    at,
-                    None,
-                    from.actor.index() as u64,
-                    simtrace::EventKind::NetSend {
-                        conn: u64::from(conn.0),
-                        bytes: bytes as u32,
-                    },
-                );
-                tr.record(
-                    tx_done,
-                    None,
-                    from.actor.index() as u64,
-                    simtrace::EventKind::NetDrop {
-                        conn: u64::from(conn.0),
-                    },
-                );
-            });
-            telemetry::with_metrics(ctx, |m, _| {
-                m.add_counter("net_frames_sent", 1);
-                m.add_counter("net_drops", 1);
+            let drop = frame(tx_done, from, EventKind::NetDrop { conn: conn_ix });
+            simtrace::hops(ctx, [sent, drop], |m| {
                 if fault_dropped {
                     m.add_counter("fault_drops", 1);
                 }
@@ -451,29 +439,9 @@ impl NetworkFabric {
         };
 
         self.stats.frames_delivered += 1;
-        simtrace::with_trace(ctx, |tr, at| {
-            tr.record(
-                at,
-                None,
-                from.actor.index() as u64,
-                simtrace::EventKind::NetSend {
-                    conn: u64::from(conn.0),
-                    bytes: bytes as u32,
-                },
-            );
-            // Timestamped at the scheduled arrival instant.
-            tr.record(
-                deliver_at,
-                None,
-                to.actor.index() as u64,
-                simtrace::EventKind::NetDeliver {
-                    conn: u64::from(conn.0),
-                },
-            );
-        });
-        telemetry::with_metrics(ctx, |m, _| {
-            m.add_counter("net_frames_sent", 1);
-            m.add_counter("net_frames_delivered", 1);
+        // Timestamped at the scheduled arrival instant.
+        let deliver = frame(deliver_at, to, EventKind::NetDeliver { conn: conn_ix });
+        simtrace::hops(ctx, [sent, deliver], |m| {
             m.set_gauge("nic_backlog_us", backlog_us as f64);
         });
         simprof::hit(ctx, simprof::Component::NetFabric);
@@ -492,6 +460,17 @@ impl NetworkFabric {
             },
         );
         Some(deliver_at)
+    }
+}
+
+/// A frame's trace event at `at`, filed under `end`'s actor: payloads are
+/// opaque here, so it carries no trace id.
+fn frame(at: SimTime, end: Endpoint, kind: EventKind) -> TraceEvent {
+    TraceEvent {
+        at,
+        trace: None,
+        actor: end.actor.index() as u64,
+        kind,
     }
 }
 

@@ -9,23 +9,14 @@
 //! keeps the topic and each subscriber's copy when the run measures
 //! freshness), and the [`simtrace::TraceCollector`]'s lifecycle event
 //! when the trace plane is on. The lane and the actor a stamp is filed
-//! under are the calling actor's own. Hop events and counters (a broker's
-//! receive, a selector match, a batch flush) are not lifecycle stamps and
-//! stay `simtrace::with_trace` closures at their sites.
+//! under are the calling actor's own. Hop events (a broker's receive, a
+//! selector match, a batch flush) are not lifecycle stamps: their sites
+//! make them through the same `simtrace::hop`, which also adds the
+//! counters a hop moves.
 
 use simcore::{Context, SimTime};
 use simtrace::{EventKind, TraceId};
 use telemetry::{ProbeId, RttCollector};
-
-/// One lifecycle event of `probe` at `at` into the trace, if the trace
-/// plane is on.
-#[inline]
-fn trace(ctx: &mut Context<'_>, probe: ProbeId, at: SimTime, kind: EventKind) {
-    let actor = u64::from(ctx.self_id().lane());
-    simtrace::with_trace(ctx, |tr, _| {
-        tr.record(at, Some(TraceId(probe.0)), actor, kind)
-    });
-}
 
 /// The application hands a reading for `topic` to its middleware, now
 /// (`before_sending`): mints the reading's probe.
@@ -36,7 +27,7 @@ pub fn published(ctx: &mut Context<'_>, topic: &str) -> ProbeId {
     let probe = ctx
         .service_mut::<RttCollector>()
         .published(lane, topic, now);
-    trace(ctx, probe, now, EventKind::PublishBegin);
+    simtrace::hop(ctx, now, Some(TraceId(probe.0)), EventKind::PublishBegin);
     probe
 }
 
@@ -45,7 +36,7 @@ pub fn published(ctx: &mut Context<'_>, topic: &str) -> ProbeId {
 #[inline]
 pub fn sent(ctx: &mut Context<'_>, probe: ProbeId, at: SimTime) {
     ctx.service_mut::<RttCollector>().after_sending(probe, at);
-    trace(ctx, probe, at, EventKind::PublishEnd);
+    simtrace::hop(ctx, at, Some(TraceId(probe.0)), EventKind::PublishEnd);
 }
 
 /// The reading is within the subscriber's reach at `at`
@@ -54,7 +45,7 @@ pub fn sent(ctx: &mut Context<'_>, probe: ProbeId, at: SimTime) {
 pub fn available(ctx: &mut Context<'_>, probe: ProbeId, at: SimTime) {
     ctx.service_mut::<RttCollector>()
         .before_receiving(probe, at);
-    trace(ctx, probe, at, EventKind::Available);
+    simtrace::hop(ctx, at, Some(TraceId(probe.0)), EventKind::Available);
 }
 
 /// The subscribing application has the reading at `at`
@@ -63,7 +54,7 @@ pub fn available(ctx: &mut Context<'_>, probe: ProbeId, at: SimTime) {
 pub fn delivered(ctx: &mut Context<'_>, probe: ProbeId, at: SimTime) {
     let lane = ctx.self_id().lane();
     ctx.service_mut::<RttCollector>().delivered(probe, lane, at);
-    trace(ctx, probe, at, EventKind::Delivered);
+    simtrace::hop(ctx, at, Some(TraceId(probe.0)), EventKind::Delivered);
 }
 
 #[cfg(test)]

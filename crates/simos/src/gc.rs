@@ -129,18 +129,9 @@ impl Actor for GcPauser {
             ctx.wall_record(Site::OsExecute, t0);
             simprof::charge(ctx, simprof::Component::OsGc, effective);
         });
-        let actor = ctx.self_id().index() as u64;
-        simtrace::with_trace(ctx, |tr, at| {
-            tr.record(
-                at,
-                None,
-                actor,
-                simtrace::EventKind::GcPause {
-                    micros: pause.as_micros().min(u64::from(u32::MAX)) as u32,
-                },
-            );
-        });
-        telemetry::with_metrics(ctx, |m, _| m.add_counter("gc_pauses", 1));
+        let micros = pause.as_micros().min(u64::from(u32::MAX)) as u32;
+        let now = ctx.now();
+        simtrace::hop(ctx, now, None, simtrace::EventKind::GcPause { micros });
     }
 
     fn name(&self) -> &str {

@@ -50,7 +50,7 @@ use simcore::{Context, SimDuration};
 
 /// Run `f` against the profiler if one is registered; no-op (one failed
 /// type-map probe) otherwise. The standard instrumentation entry point,
-/// mirroring `simtrace::with_trace`.
+/// mirroring `telemetry::with_metrics`.
 #[inline]
 pub fn with_profile(ctx: &mut Context<'_>, f: impl FnOnce(&mut Profiler)) {
     if let Some(p) = ctx.try_service_mut::<Profiler>() {

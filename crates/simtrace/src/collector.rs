@@ -41,6 +41,7 @@ use crate::event::{EventKind, TraceEvent, TraceId};
 use simcore::{Context, FastMap, SimTime};
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
+use telemetry::MetricsRegistry;
 
 /// Default ring capacity: enough for every event of the scaled
 /// experiment suite while bounding the exported artifact to a few MB of
@@ -185,8 +186,8 @@ impl TraceCollector {
     }
 
     /// Set the recording context for subsequent records; called by
-    /// [`with_trace`] with the acting actor's lane and the kernel clock
-    /// so record keys are shard-invariant.
+    /// [`hop`] with the acting actor's lane and the kernel clock so
+    /// record keys are shard-invariant.
     pub fn set_recorder(&mut self, lane: u32, at: SimTime) {
         self.cur_lane = lane;
         self.cur_at = at;
@@ -388,19 +389,63 @@ impl Default for TraceCollector {
 }
 
 /// Run `f` against the trace collector if one is registered; a no-op
-/// otherwise. This is the only call instrumentation sites need: when
-/// tracing is off the service is simply absent and the cost is one
-/// type-map probe — no allocation, no event, no branch on message data.
-/// Sets the recorder context (acting actor's lane, kernel clock) so
-/// records carry shard-invariant keys.
+/// otherwise: when tracing is off the service is simply absent and the
+/// cost is one type-map probe — no allocation, no event, no branch on
+/// message data. Sets the recorder context (acting actor's lane, kernel
+/// clock) so records carry shard-invariant keys.
 #[inline]
-pub fn with_trace(ctx: &mut Context<'_>, f: impl FnOnce(&mut TraceCollector, SimTime)) {
+fn with_trace(ctx: &mut Context<'_>, f: impl FnOnce(&mut TraceCollector, SimTime)) {
     let now = ctx.now();
     let lane = ctx.self_id().lane();
     if let Some(tr) = ctx.try_service_mut::<TraceCollector>() {
         tr.set_recorder(lane, now);
         f(tr, now);
     }
+}
+
+/// One observed hop of the calling actor, the one call instrumentation
+/// sites make: records `kind` at `at` (a stamp ahead of the clock is
+/// held, see the module doc) when the trace plane is on, and adds the
+/// counters it moves ([`EventKind::counters`]) to the metrics registry
+/// when that is registered, at the kernel clock whatever the stamp. A
+/// kind that moves no counter costs one type-map probe with every plane
+/// off.
+#[inline]
+pub fn hop(ctx: &mut Context<'_>, at: SimTime, trace: Option<TraceId>, kind: EventKind) {
+    let actor = u64::from(ctx.self_id().lane());
+    let event = TraceEvent {
+        at,
+        trace,
+        actor,
+        kind,
+    };
+    if kind.counters().next().is_none() {
+        with_trace(ctx, |tr, _| tr.record(at, trace, actor, kind));
+    } else {
+        hops(ctx, [event], |_| {});
+    }
+}
+
+/// Several hops made together, each under its own actor, plus the
+/// registry writes `also` makes beside their counters (a gauge the site
+/// sets with them): one probe of each store, as one [`hop`] costs.
+#[inline]
+pub fn hops<const N: usize>(
+    ctx: &mut Context<'_>,
+    events: [TraceEvent; N],
+    also: impl FnOnce(&mut MetricsRegistry),
+) {
+    with_trace(ctx, |tr, _| {
+        for ev in events {
+            tr.record(ev.at, ev.trace, ev.actor, ev.kind);
+        }
+    });
+    telemetry::with_metrics(ctx, |m, _| {
+        for (name, delta) in events.iter().flat_map(|ev| ev.kind.counters()) {
+            m.add_counter(name, delta);
+        }
+        also(m);
+    });
 }
 
 #[cfg(test)]
@@ -564,6 +609,94 @@ mod tests {
         let m = TraceCollector::merged([a, b]);
         let order: Vec<u64> = m.events().map(|e| e.trace.unwrap().0).collect();
         assert_eq!(order, vec![10, 20, 11], "canonical (at, lane, seq) order");
+    }
+
+    /// A world whose one actor makes `hops` at 1 s, with the planes asked
+    /// for registered; the registry is sampled at 1 s before the actor
+    /// runs, then at 2 s.
+    fn hop_world(
+        trace: bool,
+        metrics: bool,
+        hops: impl FnMut(simcore::Payload, &mut Context) + 'static,
+    ) -> simcore::Simulation {
+        let t = SimTime::from_secs;
+        let mut sim = simcore::Simulation::new(1);
+        if trace {
+            sim.add_service(TraceCollector::new());
+        }
+        if metrics {
+            sim.add_service(MetricsRegistry::new());
+        }
+        let actor = sim.add_actor(simcore::FnActor(hops));
+        sim.advance_to(t(1));
+        if let Some(m) = sim.service_mut::<MetricsRegistry>() {
+            m.sample(t(1));
+        }
+        sim.schedule(simcore::SimDuration::ZERO, actor, Box::new(()));
+        sim.run_until(t(2));
+        if let Some(m) = sim.service_mut::<MetricsRegistry>() {
+            m.sample(t(2));
+        }
+        sim
+    }
+
+    #[test]
+    fn a_hop_counts_only_into_a_registry_and_records_only_into_a_collector() {
+        let selected = |_: simcore::Payload, ctx: &mut Context| {
+            let now = ctx.now();
+            let kind = EventKind::SelectorMatch {
+                matched: 2,
+                missed: 0,
+            };
+            hop(ctx, now, Some(TraceId(7)), kind);
+        };
+        let counted = hop_world(false, true, selected);
+        assert!(counted.service::<TraceCollector>().is_none());
+        let m = counted.service::<MetricsRegistry>().unwrap();
+        assert_eq!(m.counter_at("selector_matches", 0), Some(2));
+        // A zero delta is a write: the column starts with it.
+        assert_eq!(m.counter_at("selector_misses", 0), Some(0));
+
+        let traced = hop_world(true, false, selected);
+        assert!(traced.service::<MetricsRegistry>().is_none());
+        let tr = traced.service::<TraceCollector>().unwrap();
+        let recorded: Vec<_> = tr.events().map(|e| (e.at, e.trace, e.kind)).collect();
+        let kind = EventKind::SelectorMatch {
+            matched: 2,
+            missed: 0,
+        };
+        assert_eq!(recorded, [(SimTime::from_secs(1), Some(TraceId(7)), kind)]);
+    }
+
+    #[test]
+    fn a_hop_stamped_ahead_counts_in_the_row_of_now() {
+        let sim = hop_world(true, true, |_, ctx| {
+            let now = ctx.now();
+            let done = now + simcore::SimDuration::from_millis(500);
+            hop(ctx, done, None, EventKind::StorageInsert { rows: 1 });
+            let frame = |at, kind| TraceEvent {
+                at,
+                trace: None,
+                actor: 3,
+                kind,
+            };
+            let sent = frame(now, EventKind::NetSend { conn: 0, bytes: 9 });
+            let delivered = frame(done, EventKind::NetDeliver { conn: 0 });
+            hops(ctx, [sent, delivered], |m| {
+                m.set_gauge("nic_backlog_us", 4.0)
+            });
+        });
+        // Made at 1 s, after the 1 s snapshot: folded into its row, not
+        // the 2 s one the stamps fall before.
+        let m = sim.service::<MetricsRegistry>().unwrap();
+        for counter in ["tuples_stored", "net_frames_sent", "net_frames_delivered"] {
+            assert_eq!(m.counter_at(counter, 0), Some(1), "{counter}");
+        }
+        assert_eq!(m.gauge_at("nic_backlog_us", 0), Some(4.0));
+        let tr = sim.service::<TraceCollector>().unwrap();
+        let mut stamps: Vec<_> = tr.events().map(|e| (e.at.as_micros(), e.actor)).collect();
+        stamps.sort_unstable();
+        assert_eq!(stamps, [(1_000_000, 3), (1_500_000, 0), (1_500_000, 3)]);
     }
 
     #[test]

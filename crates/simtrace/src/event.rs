@@ -122,6 +122,41 @@ impl EventKind {
             EventKind::GcPause { .. } => "gc_pause",
         }
     }
+
+    /// The `telemetry::MetricsRegistry` counters an event of this kind
+    /// moves, and by how much: [`hop`](crate::hop) adds them beside the
+    /// record. A kind that moves none records only; its sites count what
+    /// they count themselves (a gridlog broker's receives per batch, not
+    /// per record).
+    #[inline]
+    pub fn counters(self) -> impl Iterator<Item = (&'static str, u64)> {
+        let one = |name| [Some((name, 1)), None];
+        let moved = match self {
+            EventKind::NetSend { .. } => one("net_frames_sent"),
+            EventKind::NetDeliver { .. } => one("net_frames_delivered"),
+            EventKind::NetDrop { .. } => one("net_drops"),
+            EventKind::SelectorMatch { matched, missed } => [
+                Some(("selector_matches", u64::from(matched))),
+                Some(("selector_misses", u64::from(missed))),
+            ],
+            EventKind::BrokerForward { peers, .. } => {
+                [Some(("broker_forwards", u64::from(peers))), None]
+            }
+            EventKind::Retransmit { .. } => one("retries"),
+            EventKind::StorageInsert { .. } => one("tuples_stored"),
+            EventKind::BatchFlush { .. } => one("batch_flushes"),
+            EventKind::GcPause { .. } => one("gc_pauses"),
+            EventKind::PublishBegin
+            | EventKind::PublishEnd
+            | EventKind::Available
+            | EventKind::Delivered
+            | EventKind::BrokerRecv { .. }
+            | EventKind::BrokerDeliver { .. }
+            | EventKind::SelectMatch { .. }
+            | EventKind::BatchEnqueue { .. } => [None, None],
+        };
+        moved.into_iter().flatten()
+    }
 }
 
 /// One recorded instant. `actor` is the kernel actor index that emitted

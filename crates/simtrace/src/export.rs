@@ -401,6 +401,41 @@ mod tests {
     }
 
     #[test]
+    fn every_counter_a_hop_moves_is_a_counter_row_column() {
+        let (conn, broker) = (0, 0);
+        let kinds = [
+            EventKind::PublishBegin,
+            EventKind::PublishEnd,
+            EventKind::Available,
+            EventKind::Delivered,
+            EventKind::NetSend { conn, bytes: 1 },
+            EventKind::NetDeliver { conn },
+            EventKind::NetDrop { conn },
+            EventKind::BrokerRecv { broker },
+            EventKind::SelectorMatch {
+                matched: 1,
+                missed: 1,
+            },
+            EventKind::BrokerDeliver { broker, fanout: 1 },
+            EventKind::BrokerForward { broker, peers: 1 },
+            EventKind::Retransmit { attempt: 1 },
+            EventKind::StorageInsert { rows: 1 },
+            EventKind::SelectMatch { consumers: 1 },
+            EventKind::BatchEnqueue { occupancy: 1 },
+            EventKind::BatchFlush { tuples: 1 },
+            EventKind::GcPause { micros: 1 },
+        ];
+        let moved: Vec<&str> = kinds
+            .iter()
+            .flat_map(|k| k.counters().map(|(name, _)| name))
+            .collect();
+        assert_eq!(moved.len(), 10, "the ten counters hops move");
+        for name in moved {
+            assert!(COUNTERS.contains(&name), "{name} is no counter row column");
+        }
+    }
+
+    #[test]
     fn jsonl_lines_are_parseable_objects() {
         let c = sample_collector();
         let rows = [ResourceRow {

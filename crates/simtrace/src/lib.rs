@@ -15,10 +15,13 @@
 //! * [`TraceId`] — causal id carried in `wire::Message` headers and
 //!   mirrored from `telemetry::ProbeId` for probe traffic.
 //! * [`TraceCollector`] — a bounded store of the newest [`TraceEvent`]s,
-//!   registered as a kernel service. Instrumentation sites look it up
-//!   with `Context::try_service_mut`, so when tracing is off (service
-//!   absent) the cost is one scan of the kernel's few service slots and
-//!   no allocation.
+//!   registered as a kernel service.
+//! * [`hop`] — the one call an instrumentation site makes: records the
+//!   event when the collector is registered and adds the counters its
+//!   kind moves ([`EventKind::counters`]) to `telemetry::MetricsRegistry`
+//!   when that is. A plane that is off costs one scan of the kernel's few
+//!   service slots and no allocation; [`hops`] makes several events and
+//!   the site's own registry writes for the same two scans.
 //! * [`export`] — JSONL and Chrome `trace_event` (Perfetto-loadable)
 //!   exporters, all byte-deterministic for a given event stream, with
 //!   counter rows read from `telemetry::MetricsRegistry`.
@@ -31,6 +34,6 @@ mod event;
 pub mod export;
 mod summary;
 
-pub use collector::{with_trace, TraceCollector, DEFAULT_CAPACITY};
+pub use collector::{hop, hops, TraceCollector, DEFAULT_CAPACITY};
 pub use event::{EventKind, TraceEvent, TraceId};
 pub use summary::{ProbeBreakdown, TraceSummary};

@@ -449,8 +449,8 @@ fn sanitize(name: &str) -> String {
 }
 
 /// Run `f` against the metrics registry if one is registered; no-op
-/// (one failed type-map probe) otherwise — the same pattern as
-/// `simtrace::with_trace`, so metrics-off runs stay byte-identical.
+/// (one failed type-map probe) otherwise, so metrics-off runs stay
+/// byte-identical. A hop's counters go through `simtrace::hop` instead.
 #[inline]
 pub fn with_metrics(ctx: &mut Context<'_>, f: impl FnOnce(&mut MetricsRegistry, SimTime)) {
     let now = ctx.now();

@@ -60,3 +60,24 @@ fn observed_three_way_exports_keep_their_bytes() {
     let lines: Vec<String> = run_all(&specs, 0).iter().map(digests).collect();
     assert_eq!(lines, EXPECTED);
 }
+
+/// The metrics files of a profiled run without the trace are the observed
+/// run's: no count may depend on the trace plane being on.
+#[test]
+fn an_untraced_run_counts_what_a_traced_run_counts() {
+    let specs: Vec<_> = three_way_specs(MSGS)
+        .into_iter()
+        .map(|s| s.profiled().with_slo(SloSpec::grid_default()))
+        .collect();
+    for (r, expected) in run_all(&specs, 0).iter().zip(EXPECTED) {
+        assert!(r.trace.is_none(), "untraced");
+        let profile = r.profile.as_ref().expect("profiled");
+        for (file, text) in [
+            ("prometheus", &profile.prometheus),
+            ("metrics_csv", &profile.metrics_csv),
+        ] {
+            let digest = format!("{file}={:#018x}", fnv1a(text.as_bytes()));
+            assert!(expected.contains(&digest), "{}: {digest}", r.name);
+        }
+    }
+}
