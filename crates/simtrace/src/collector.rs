@@ -12,40 +12,35 @@
 //! key*, not by insertion order — events are stamped in the future
 //! (`NetDeliver` at its delivery instant, `NetDrop` at `tx_done`), so
 //! the last `capacity` records made are not the last `capacity` of the
-//! merged order. Each store holds up to `2 × capacity` records: the
-//! newest `capacity` by key as of its last trim, in key order, and the
-//! records made since. When those fill a second `capacity` buffer, or the
-//! store its `2 × capacity`, a trim folds them in and drops all but the
-//! newest `capacity`. An event in the newest
-//! `capacity` of the whole run is in the newest `capacity` of every
-//! subset that holds it, so no store ever drops one and the merge-time
-//! trim of the union is exact at any shard count. `evicted()` is
-//! `recorded − retained`.
+//! merged order. A store holds at most `capacity` records: when a full
+//! one records another, the older by key of its oldest and the new one
+//! is dropped. A record that `capacity` newer ones outrank can never be
+//! among the newest again, so no store drops an event among the newest
+//! `capacity` of the whole run, and the merge-time cut of the union is
+//! exact at any shard count. `evicted()` is `recorded − retained`.
 //!
-//! A trim is cheap because records arrive nearly in key order: the
-//! kernel clock only moves forward. A record stamped ahead of the clock
-//! (a frame's delivery) would be passed by every record made while the
-//! frame is in flight, so it is held back, in a min-heap on its key,
-//! until the clock reaches its stamp; a trim keeps every held record,
-//! as each is stamped after every stored one. What the store then
-//! receives is out of order only among same-instant records of
-//! different lanes, a place or two, and is ordered by insertion, in
-//! place ([`fold_newest`]). The records made since the last trim are
-//! then the newest but for a few at the seam, so they become the window
-//! where they lie and the two buffers take turns: a trim moves no more
-//! than the seam. The merge of a single store does the same; the union
-//! of several is far from key order, so it selects the newest
-//! `capacity` and sorts only those.
+//! The store is one ring in key order, and keeping it so is cheap
+//! because records arrive nearly in key order: the kernel clock only
+//! moves forward. A record stamped ahead of the clock (a frame's
+//! delivery) would be passed by every record made while the frame is in
+//! flight, so it is held back, in a min-heap on its key, until the clock
+//! reaches its stamp. A held record is stamped after every record in the
+//! ring, so the store's oldest is the ring's front (the heap's top when
+//! the ring is empty). What enters the ring is out of order only among
+//! same-instant records of different lanes, so it goes in a place or two
+//! from the back. The merge of a single store appends its held records
+//! in heap order; the union of several is far from key order, so it
+//! selects the newest `capacity` and sorts only those.
 
 use crate::event::{EventKind, TraceEvent, TraceId};
 use simcore::{Context, FastMap, SimTime};
 use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use telemetry::MetricsRegistry;
 
-/// Default ring capacity: enough for every event of the scaled
-/// experiment suite while bounding the exported artifact to a few MB of
-/// `Copy` events.
+/// Default store capacity, 2^18 events: every event of the scaled
+/// experiment suite. A full store is a 16 MiB ring of 64-byte records,
+/// and its rendered exports are about 70 MB a run.
 pub const DEFAULT_CAPACITY: usize = 1 << 18;
 
 type Keyed = (u32, u64, TraceEvent);
@@ -81,78 +76,14 @@ impl PartialEq for Held {
 
 impl Eq for Held {}
 
-/// Put `events` in key order, given `events[..sorted]` already is.
-///
-/// The rest is in record order, which is key order but for a few places
-/// (module doc), so it is inserted: one compare per event and one
-/// 64-byte move per place it moves, in place.
-fn insertion_sort(events: &mut [Keyed], sorted: usize) {
-    for i in sorted.max(1)..events.len() {
-        let ev = events[i];
-        let key = event_key(&ev);
-        let mut at = i;
-        while at > 0 && event_key(&events[at - 1]) > key {
-            at -= 1;
-        }
-        events.copy_within(at..i, at + 1);
-        events[at] = ev;
-    }
-}
-
-/// Fold `events` into the window `kept[*from..]`: the window becomes
-/// the newest `room` of both by key, in key order, and `events` the other,
-/// empty, buffer. The window is in key order; `events` is in record order
-/// and at least `room` long.
-///
-/// The newest are the last `room` of `events` but for the few of the
-/// window's last that outrank `events`' first (same-instant records at
-/// the seam): those are merged in forward, in `events`' own buffer, which
-/// becomes `kept` with nothing else moved. What lies before the new
-/// window in it is dead.
-fn fold_newest(kept: &mut Vec<Keyed>, from: &mut usize, events: &mut Vec<Keyed>, room: usize) {
-    insertion_sort(events, 0);
-    let window = &kept[*from..];
-    let e_len = events.len();
-    let first = e_len - room;
-    // The window's last `x` displace `events`' first `x` of the newest.
-    let mut x = 0;
-    while x < window.len().min(room)
-        && event_key(&window[window.len() - 1 - x]) > event_key(&events[first + x])
-    {
-        x += 1;
-    }
-    // The write index trails the read index by the window records still
-    // to merge, so no unread record is overwritten, and once they are
-    // merged the rest is in place.
-    let (mut k, mut r, mut w) = (window.len() - x, first + x, first);
-    while k < window.len() {
-        if r == e_len || event_key(&window[k]) < event_key(&events[r]) {
-            events[w] = window[k];
-            k += 1;
-        } else {
-            events[w] = events[r];
-            r += 1;
-        }
-        w += 1;
-    }
-    std::mem::swap(kept, events);
-    *from = first;
-    events.clear();
-}
-
-/// Event sink, registered as a kernel service. A
-/// store holds at most `2 × capacity` events and always the newest
-/// `capacity` by key of those it recorded (module doc);
-/// [`merged`](TraceCollector::merged), which every run (any shard
-/// count) goes through before exporting, orders them.
+/// Event sink, registered as a kernel service. A store holds at most
+/// `capacity` events, always the newest by key of those it recorded
+/// (module doc); [`merged`](TraceCollector::merged), which every run
+/// (any shard count) goes through before exporting, orders them.
 pub struct TraceCollector {
-    /// `(lane, seq, event)`. `kept[kept_from..]` is the window: the
-    /// newest `capacity` by key as of the last trim, in key order; after
-    /// `merged`, every retained event.
-    kept: Vec<Keyed>,
-    kept_from: usize,
-    /// Records made since the last trim, in record order.
-    events: Vec<Keyed>,
+    /// `(lane, seq, event)` of the records the clock has reached, in key
+    /// order; after `merged`, every retained event.
+    ring: VecDeque<Keyed>,
     /// Records stamped ahead of the recorder clock, until the clock
     /// reaches them.
     ahead: BinaryHeap<Held>,
@@ -165,7 +96,7 @@ pub struct TraceCollector {
 }
 
 impl TraceCollector {
-    /// Collector with the default ring capacity.
+    /// Collector with the default capacity.
     pub fn new() -> Self {
         Self::with_capacity(DEFAULT_CAPACITY)
     }
@@ -173,9 +104,7 @@ impl TraceCollector {
     /// Collector bounded to `capacity` retained events (at least 1).
     pub fn with_capacity(capacity: usize) -> Self {
         TraceCollector {
-            kept: Vec::new(),
-            kept_from: 0,
-            events: Vec::new(),
+            ring: VecDeque::new(),
             ahead: BinaryHeap::new(),
             capacity: capacity.max(1),
             recorded: 0,
@@ -200,78 +129,13 @@ impl TraceCollector {
         n
     }
 
-    /// Keep at most `capacity` held records, and return the room the
-    /// window has beside them. A held record is stamped after every
-    /// stored one, so the held ones are the newest.
-    fn hold_newest(&mut self) -> usize {
-        while self.ahead.len() > self.capacity {
-            self.ahead.pop();
-        }
-        self.capacity - self.ahead.len()
-    }
-
-    /// Fold the records made since the last trim into the window, which
-    /// keeps the newest that fit beside the held ones. From the first
-    /// trim on, the two `capacity` buffers take turns.
-    fn trim(&mut self) {
-        let room = self.hold_newest();
-        fold_newest(&mut self.kept, &mut self.kept_from, &mut self.events, room);
-        self.events.reserve_exact(self.capacity);
-    }
-
-    /// Leave the newest `capacity` records by key in the window, in key
-    /// order, and nothing else held.
-    fn settle(&mut self) {
-        let room = self.hold_newest();
-        if self.events.len() >= room {
-            fold_newest(&mut self.kept, &mut self.kept_from, &mut self.events, room);
-        } else {
-            // Fewer made since the last trim than fit: drop the oldest of
-            // both, the window's first but for the seam, and append the
-            // rest.
-            insertion_sort(&mut self.events, 0);
-            let (window, events) = (&self.kept[self.kept_from..], &self.events);
-            let (mut a, mut b) = (0, 0);
-            for _ in room..window.len() + events.len() {
-                if b == events.len()
-                    || (a < window.len() && event_key(&window[a]) < event_key(&events[b]))
-                {
-                    a += 1;
-                } else {
-                    b += 1;
-                }
-            }
-            if a == window.len() {
-                std::mem::swap(&mut self.kept, &mut self.events);
-                self.kept_from = b;
-            } else {
-                self.kept.drain(..self.kept_from + a);
-                self.kept_from = 0;
-                let sorted = self.kept.len();
-                self.kept.reserve_exact(events.len() - b + self.ahead.len());
-                self.kept.extend_from_slice(&self.events[b..]);
-                insertion_sort(&mut self.kept, sorted);
-            }
-            self.events = Vec::new();
-        }
-        while let Some(Held(held)) = self.ahead.pop() {
-            self.kept.push(held);
-        }
-    }
-
-    /// Store a record the clock has reached.
+    /// Put a record the clock has reached in its place in the ring, a
+    /// place or two from the back.
     fn store(&mut self, ev: Keyed) {
-        let len = self.events.len();
-        if len == self.events.capacity() {
-            if len < self.capacity {
-                // Double, up to a `capacity` buffer and never past it.
-                self.events
-                    .reserve_exact(len.max(16).min(self.capacity - len));
-            } else {
-                self.trim();
-            }
-        }
-        self.events.push(ev);
+        let key = event_key(&ev);
+        let after = self.ring.iter().rev().take_while(|r| event_key(r) > key);
+        let at = self.ring.len() - after.count();
+        self.ring.insert(at, ev);
     }
 
     /// Record one event.
@@ -279,12 +143,6 @@ impl TraceCollector {
     pub fn record(&mut self, at: SimTime, trace: Option<TraceId>, actor: u64, kind: EventKind) {
         let seq = self.next_seq();
         self.recorded += 1;
-        if self.len() >= 2 * self.capacity {
-            // The bound counts held records too: with more frames in
-            // flight than at the last trim, it is reached before the
-            // buffer fills.
-            self.trim();
-        }
         let ev = (
             self.cur_lane,
             seq,
@@ -295,30 +153,39 @@ impl TraceCollector {
                 kind,
             },
         );
+        while let Some(&Held(held)) = self.ahead.peek() {
+            if held.2.at > self.cur_at {
+                break;
+            }
+            self.ahead.pop();
+            self.store(held);
+        }
+        if self.len() == self.capacity {
+            // Full: drop the older of the store's oldest and this one.
+            let oldest = self.ring.front().or(self.ahead.peek().map(|h| &h.0));
+            if oldest.is_some_and(|o| event_key(o) > event_key(&ev)) {
+                return;
+            }
+            if self.ring.pop_front().is_none() {
+                self.ahead.pop();
+            }
+        }
         if at > self.cur_at {
             self.ahead.push(Held(ev));
         } else {
-            while let Some(&Held(held)) = self.ahead.peek() {
-                if held.2.at > self.cur_at {
-                    break;
-                }
-                self.ahead.pop();
-                self.store(held);
-            }
             self.store(ev);
         }
     }
 
     /// Retained events; oldest first once [`merged`](Self::merged).
     pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        let since = self.events.iter().chain(self.ahead.iter().map(|h| &h.0));
-        let window = &self.kept[self.kept_from..];
-        window.iter().chain(since).map(|(_, _, ev)| ev)
+        let held = self.ahead.iter().map(|h| &h.0);
+        self.ring.iter().chain(held).map(|(_, _, ev)| ev)
     }
 
     /// Events recorded and still retained.
     pub fn len(&self) -> usize {
-        self.kept.len() - self.kept_from + self.events.len() + self.ahead.len()
+        self.ring.len() + self.ahead.len()
     }
 
     /// True when nothing was recorded.
@@ -341,43 +208,41 @@ impl TraceCollector {
     pub fn merged(parts: impl IntoIterator<Item = TraceCollector>) -> TraceCollector {
         let mut capacity = 1;
         let mut recorded = 0;
-        let mut events: Vec<Keyed> = Vec::new();
-        let mut from = 0;
+        let mut ring = VecDeque::new();
         let mut stores = 0;
         for mut part in parts {
             capacity = capacity.max(part.capacity);
             recorded += part.recorded;
-            if !part.is_empty() {
-                stores += 1;
-                part.settle();
-                if stores == 1 {
-                    (events, from) = (part.kept, part.kept_from);
-                } else {
-                    events.extend_from_slice(&part.kept[part.kept_from..]);
-                }
+            if part.is_empty() {
+                continue;
+            }
+            stores += 1;
+            // Stamped after every record in the ring: in heap order they
+            // extend its key order.
+            while let Some(Held(held)) = part.ahead.pop() {
+                part.ring.push_back(held);
+            }
+            if stores == 1 {
+                ring = part.ring;
+            } else {
+                ring.extend(part.ring);
             }
         }
         if stores > 1 {
             // Several stores one after another are far from key order:
             // select the newest, then sort only those.
-            events.drain(..from);
-            from = 0;
+            let mut events = Vec::from(ring);
             if events.len() > capacity {
                 events.select_nth_unstable_by_key(capacity - 1, |e| Reverse(event_key(e)));
                 events.truncate(capacity);
             }
             events.sort_unstable_by_key(event_key);
+            ring = events.into();
         }
         TraceCollector {
-            kept: events,
-            kept_from: from,
-            events: Vec::new(),
-            ahead: BinaryHeap::new(),
-            capacity,
+            ring,
             recorded,
-            cur_lane: 0,
-            cur_at: SimTime::ZERO,
-            lane_seqs: FastMap::default(),
+            ..Self::with_capacity(capacity)
         }
     }
 }
@@ -472,10 +337,12 @@ mod tests {
         let mut c = TraceCollector::with_capacity(3);
         for n in 0..5 {
             let (at, t, a, k) = ev(n);
+            c.set_recorder(0, at);
             c.record(at, t, a, k);
         }
-        assert_eq!(c.len(), 5, "the store buffers up to 2 x capacity");
-        assert_eq!(c.evicted(), 0);
+        let ring: Vec<u64> = c.ring.iter().map(|(_, _, e)| e.trace.unwrap().0).collect();
+        assert_eq!(ring, vec![2, 3, 4], "the ring holds the newest capacity");
+        assert_eq!(c.evicted(), 2);
         let m = TraceCollector::merged([c]);
         assert_eq!(m.len(), 3);
         assert_eq!(m.evicted(), 2);
@@ -504,16 +371,17 @@ mod tests {
     #[test]
     fn the_store_stays_in_key_order_while_frames_are_in_flight() {
         // One send per µs, each delivered 10 µs later: more frames in
-        // flight than the capacity, and a trim every few records.
+        // flight than the capacity, so the held records crowd the ring out.
         let mut c = TraceCollector::with_capacity(4);
         for n in 0..40 {
             c.set_recorder(0, SimTime::from_micros(n));
             c.record(SimTime::from_micros(n), None, n, EventKind::PublishBegin);
             c.record(SimTime::from_micros(n + 10), None, n, EventKind::PublishEnd);
-            let window = &c.kept[c.kept_from..];
-            let keys: Vec<_> = window.iter().chain(&c.events).map(event_key).collect();
-            assert!(keys.is_sorted(), "nothing left to insert after {n}");
-            assert!(c.len() <= 8);
+            let keys: Vec<_> = c.ring.iter().map(event_key).collect();
+            assert!(keys.is_sorted(), "the ring out of key order after {n}");
+            let oldest_held = c.ahead.peek().map(|h| event_key(&h.0));
+            assert!(keys.last().zip(oldest_held).is_none_or(|(r, h)| *r < h));
+            assert!(c.len() <= 4);
         }
         let m = TraceCollector::merged([c]);
         let newest: Vec<u64> = m.events().map(|e| e.actor).collect();
@@ -521,11 +389,11 @@ mod tests {
     }
 
     #[test]
-    fn a_trim_merges_same_instant_records_across_the_seam() {
-        // Lane 3's record at 5 µs is folded into the window before lanes
-        // 1, 2, 4 and 5 record at the same instant: by key it sits among
-        // them. Lane 0's frame delivered at 10 µs is held throughout, so
-        // each trim drops the oldest stored record too.
+    fn same_instant_records_enter_the_ring_in_key_order() {
+        // Lane 3's record at 5 µs enters the ring before lanes 1, 2, 4
+        // and 5 record at the same instant: by key it sits among them.
+        // Lane 0's frame delivered at 10 µs is held throughout, so each
+        // record past the capacity drops the ring's front.
         let mut c = TraceCollector::with_capacity(4);
         let steps = [(1, 0, 1), (2, 0, 2), (3, 0, 3), (4, 0, 10), (5, 3, 5)];
         let seam = [(5, 1, 5), (5, 2, 5), (5, 4, 5), (5, 5, 5)];
@@ -578,15 +446,23 @@ mod tests {
     }
 
     #[test]
-    fn store_never_holds_more_than_twice_capacity() {
+    fn store_never_holds_more_than_capacity() {
         for capacity in [1usize, 7, 64, 1000] {
+            // Doubling from empty: never past the first power of two a
+            // full ring or heap needs.
+            let buffer = capacity.next_power_of_two().max(4);
             let mut c = TraceCollector::with_capacity(capacity);
-            for n in 0..10 * capacity as u64 {
+            for n in 0..5 * capacity as u64 {
+                // One record at the clock, one held until the clock
+                // passes `capacity` µs later.
                 let (at, t, a, k) = ev(n);
+                c.set_recorder(0, at);
                 c.record(at, t, a, k);
-                let buffers = c.kept.capacity() + c.events.capacity();
-                assert!(buffers <= 2 * capacity, "capacity {capacity}");
-                assert!(c.len() <= 2 * capacity, "capacity {capacity}");
+                let ahead = at + simcore::SimDuration::from_micros(capacity as u64);
+                c.record(ahead, t, a, k);
+                assert!(c.len() <= capacity, "capacity {capacity}");
+                assert!(c.ring.capacity() <= buffer, "capacity {capacity}");
+                assert!(c.ahead.capacity() <= buffer, "capacity {capacity}");
             }
             assert_eq!(c.evicted() + c.len() as u64, 10 * capacity as u64);
             assert_eq!(TraceCollector::merged([c]).evicted(), 9 * capacity as u64);

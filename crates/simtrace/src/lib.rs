@@ -14,8 +14,9 @@
 //!
 //! * [`TraceId`] — causal id carried in `wire::Message` headers and
 //!   mirrored from `telemetry::ProbeId` for probe traffic.
-//! * [`TraceCollector`] — a bounded store of the newest [`TraceEvent`]s,
-//!   registered as a kernel service.
+//! * [`TraceCollector`] — the newest `capacity` [`TraceEvent`]s by key,
+//!   in one ring in key order beside a min-heap of the records stamped
+//!   ahead of the clock, registered as a kernel service.
 //! * [`hop`] — the one call an instrumentation site makes: records the
 //!   event when the collector is registered and adds the counters its
 //!   kind moves ([`EventKind::counters`]) to `telemetry::MetricsRegistry`

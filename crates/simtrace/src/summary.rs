@@ -177,8 +177,8 @@ mod tests {
         let mut c = TraceCollector::with_capacity(1);
         c.record(t(1), Some(TraceId(0)), 0, EventKind::PublishBegin);
         c.record(t(2), Some(TraceId(1)), 0, EventKind::PublishBegin);
-        // The capacity bound is applied by the merge every run goes
-        // through; the live store is unbounded.
+        // The store already dropped the first; the merge every run goes
+        // through reports it.
         let c = TraceCollector::merged([c]);
         let s = TraceSummary::from_collector(&c);
         assert_eq!(s.evicted_events, 1);

@@ -22,8 +22,9 @@ impl Reference {
 }
 
 proptest! {
-    // A trim that must merge same-instant records across the seam of the
-    // kept window takes a few hundred cases to draw.
+    // A full store recording a same-instant record that belongs before
+    // records of other lanes already in its ring takes a few hundred
+    // cases to draw.
     #![proptest_config(ProptestConfig::with_cases(1000))]
     #[test]
     fn bounded_collector_equals_record_everything(
@@ -39,9 +40,9 @@ proptest! {
         cap_raw in 1usize..64,
         cap_mode in 0u8..4,
     ) {
-        // Capacities exactly at the boundaries the store acts on: the
-        // number of records made, and half of it (the 2 × capacity buffer
-        // fills on the last record).
+        // Capacities at the boundaries the store acts on: the number of
+        // records made (the store fills on the last record), and half of
+        // it (a store evicts from halfway on).
         let records = steps.len();
         let capacity = match cap_mode {
             0 => records.max(1),
@@ -63,7 +64,7 @@ proptest! {
                 kind: EventKind::NetDeliver { conn: n as u64 },
             };
             part.record(ev.at, ev.trace, ev.actor, ev.kind);
-            prop_assert!(part.len() <= 2 * capacity);
+            prop_assert!(part.len() <= capacity);
             let seq = model.next_seq(lane);
             model.events.push(((ev.at, lane, seq), ev));
         }

@@ -226,11 +226,12 @@ fn observed_artifacts_are_byte_identical_across_shard_counts() {
     }
 }
 
-/// The trace bound under sharding: the serial store fills its
-/// `2 x DEFAULT_CAPACITY` buffer and trims while recording, the three
-/// shard stores are trimmed only when merged, and both must hold exactly
-/// the newest `DEFAULT_CAPACITY` events of the run (with the metrics and
-/// gauge logs folded per shard). Only unit tests reach eviction otherwise.
+/// The trace bound under sharding: the serial store and each of the
+/// three shard stores drop their oldest past `DEFAULT_CAPACITY` while
+/// recording, the merge cuts the shards' union to it, and both must hold
+/// exactly the newest `DEFAULT_CAPACITY` events of the run (with the
+/// metrics and gauge logs folded per shard). Only unit tests reach
+/// eviction otherwise.
 #[test]
 fn evicting_traced_run_is_shard_invariant() {
     let name = "shard/evict-dbn";
