@@ -2,7 +2,8 @@
 
 /// One component of the simulated stack. The taxonomy is fixed (an enum,
 /// not strings) so attribution is allocation-free and the slot order is
-/// stable across exports — the same convention as `simtrace::Counter`.
+/// stable across exports — the same convention as `simcore::Site`, whose
+/// variant is its row of the kernel's wall-clock table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(usize)]
 pub enum Component {
