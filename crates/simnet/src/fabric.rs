@@ -398,8 +398,7 @@ impl NetworkFabric {
             conn: conn_ix,
             bytes: bytes as u32,
         };
-        // Stamped at the kernel clock, not at the NIC start `now`.
-        let sent = frame(ctx.now(), from, sent);
+        let sent = frame(now, from, sent);
 
         if dropped || fault_dropped {
             self.stats.frames_dropped += 1;
@@ -567,6 +566,33 @@ mod tests {
         let times: Vec<u64> = log.iter().map(|e| e.0).collect();
         assert!(times[1] - times[0] >= 1240, "{times:?}");
         assert!(times[2] - times[1] >= 1240, "{times:?}");
+    }
+
+    #[test]
+    fn send_at_stamps_net_send_at_nic_entry() {
+        let (mut sim, _log) = fabric_sim(FabricConfig::default());
+        sim.add_service(simtrace::TraceCollector::new());
+        let rx = simcore::ActorId::from_index(0);
+        let start_at = SimTime::from_millis(5);
+        let sender = sim.add_actor(FnActor(move |_m: Payload, ctx: &mut Context| {
+            let a = ep(0, ctx.self_id());
+            let b = ep(1, rx);
+            ctx.with_service::<NetworkFabric, _>(|net, ctx| {
+                let conn = net.open(ctx.now(), Transport::Udp, a, b);
+                net.send_at(ctx, conn, a, 100, Box::new(()), start_at);
+            });
+        }));
+        sim.schedule(SimDuration::ZERO, sender, Box::new(()));
+        sim.run_to_completion(100);
+        let trace = sim.service::<simtrace::TraceCollector>().unwrap();
+        let sends: Vec<SimTime> = trace
+            .events()
+            .filter(|e| matches!(e.kind, EventKind::NetSend { .. }))
+            .map(|e| e.at)
+            .collect();
+        // Sent when the CPU work that makes the frame ends, not at the
+        // instant the handler ran.
+        assert_eq!(sends, [start_at]);
     }
 
     #[test]

@@ -14,13 +14,13 @@ const MSGS: u32 = 20;
 
 /// One line per contender: each export's digest.
 const EXPECTED: [&str; 3] = [
-    "compare/narada: jsonl=0xbf46ea1bb9f43b27 chrome=0x47e34faaeb25db12 \
+    "compare/narada: jsonl=0x5f13583faaa79d96 chrome=0x328babea647df337 \
      prometheus=0x24c077722aa6bfba metrics_csv=0x909be9dd019551ca \
      collapsed=0x16f7734d88db14ea slo_csv=0x9217c354c1b1d104",
-    "compare/rgma: jsonl=0x15855844d0b0c4aa chrome=0xfd3ef70920112500 \
+    "compare/rgma: jsonl=0x4d09a3520d79e10e chrome=0x9b9bd6164a883a08 \
      prometheus=0xc99e3757e1a37314 metrics_csv=0x8deef27633f22829 \
      collapsed=0x203203f42bf1e4a6 slo_csv=0x86bf24962e1d7abb",
-    "compare/gridlog: jsonl=0x5e1942a25ce6cc20 chrome=0x47ad1d9b2c7e94d3 \
+    "compare/gridlog: jsonl=0x36f5aeb47d545caf chrome=0xe7c12a25aedc8bb6 \
      prometheus=0x72d57429d79b800f metrics_csv=0x1de2a64fef491aed \
      collapsed=0xebd0cbc23e9edb60 slo_csv=0x6597824334084830",
 ];
