@@ -38,9 +38,9 @@ use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, VecDeque};
 use telemetry::MetricsRegistry;
 
-/// Default store capacity, 2^18 events: every event of the scaled
-/// experiment suite. A full store is a 16 MiB ring of 64-byte records,
-/// and its rendered exports are about 70 MB a run.
+/// Default store capacity, 2^18 events. A full store is a 16 MiB ring
+/// of 64-byte records, and the JSONL and Chrome traces rendered from it
+/// are about 70 MB.
 pub const DEFAULT_CAPACITY: usize = 1 << 18;
 
 type Keyed = (u32, u64, TraceEvent);
