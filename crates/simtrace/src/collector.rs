@@ -396,8 +396,8 @@ mod tests {
         // record past the capacity drops the ring's front.
         let mut c = TraceCollector::with_capacity(4);
         let steps = [(1, 0, 1), (2, 0, 2), (3, 0, 3), (4, 0, 10), (5, 3, 5)];
-        let seam = [(5, 1, 5), (5, 2, 5), (5, 4, 5), (5, 5, 5)];
-        for (now, lane, at) in steps.into_iter().chain(seam) {
+        let same_instant = [(5, 1, 5), (5, 2, 5), (5, 4, 5), (5, 5, 5)];
+        for (now, lane, at) in steps.into_iter().chain(same_instant) {
             c.set_recorder(lane, SimTime::from_micros(now));
             let actor = u64::from(lane);
             c.record(
