@@ -25,7 +25,7 @@
 use crate::calibration;
 use crate::report::HotpathReport;
 use jms::AckMode;
-use narada::{BrokerNetwork, ConnSettings, NaradaConfig};
+use narada::{BrokerNetwork, ConnSettings};
 use powergrid::{
     Fleet, FleetConfig, FleetProtocol, FleetStatsHandle, GridlogPublisher, GridlogSubscriber,
     NaradaPublisher, NaradaSubscriber, RgmaPublisher, RgmaSubscriber, TABLE_SQL,
@@ -577,11 +577,6 @@ fn build_world(
 
     match spec.system {
         SystemUnderTest::NaradaSingle | SystemUnderTest::NaradaDbn { .. } => {
-            let ncfg = if spec.dbn_broadcast {
-                NaradaConfig::v1_1_3()
-            } else {
-                NaradaConfig::routed()
-            };
             // Brokers.
             let hosts: Vec<(NodeId, ProcessId)> = server_nodes
                 .iter()
@@ -589,14 +584,18 @@ fn build_world(
                 .zip(server_procs.iter().copied())
                 .collect();
             let endpoints: Vec<Endpoint> = if hosts.len() == 1 {
-                let broker = narada::Broker::new(ncfg.clone(), hosts[0].0, hosts[0].1);
+                let broker = narada::Broker::new(spec.dbn_broadcast, hosts[0].0, hosts[0].1);
                 broker_stats.push(broker.stats_handle());
                 sim.on_node(hosts[0].0 .0);
                 let id = sim.add_actor(broker);
                 vec![Endpoint::new(hosts[0].0, id)]
             } else {
-                let network =
-                    BrokerNetwork::deploy(&mut *sim, &ncfg, &hosts, SimDuration::from_millis(200));
+                let network = BrokerNetwork::deploy(
+                    &mut *sim,
+                    spec.dbn_broadcast,
+                    &hosts,
+                    SimDuration::from_millis(200),
+                );
                 broker_stats.extend(network.stats.iter().cloned());
                 network.endpoints
             };
@@ -623,18 +622,17 @@ fn build_world(
             };
             // Fleets: fleet i connects to broker i % n.
             fleet_stats = add_fleets(sim, spec, lay, &drivers, &pub_eps, |node| {
-                NaradaPublisher::new(node, settings, spec.payload_repeat, ncfg.clone())
+                NaradaPublisher::new(node, settings, spec.payload_repeat)
             });
             // Subscribers: one per subscribing broker, on the dedicated
             // client node.
             for ep in &sub_eps {
                 sim.on_node(sub_node.0);
-                sim.add_actor(NaradaSubscriber::new(sub_node, *ep, settings, ncfg.clone()));
+                sim.add_actor(NaradaSubscriber::new(sub_node, *ep, settings));
             }
         }
         SystemUnderTest::GridlogSingle => {
-            let gcfg = gridlog::GridlogConfig::default();
-            let broker = gridlog::LogBroker::new(gcfg.clone(), server_nodes[0], server_procs[0]);
+            let broker = gridlog::LogBroker::new(server_nodes[0], server_procs[0]);
             sim.on_node(server_nodes[0].0);
             let id = sim.add_actor(broker);
             let broker_ep = Endpoint::new(server_nodes[0], id);
@@ -649,13 +647,13 @@ fn build_world(
                 gridlog::OffsetReset::Latest
             };
             fleet_stats = add_fleets(sim, spec, lay, &drivers, &[broker_ep], |node| {
-                GridlogPublisher::new(node, reconnect, spec.payload_repeat, gcfg.clone())
+                GridlogPublisher::new(node, reconnect, spec.payload_repeat)
             });
             // One consumer host with a two-member group on the dedicated
             // client node: the partitions split between the members.
             sim.on_node(sub_node.0);
             sim.add_actor(GridlogSubscriber::new(
-                sub_node, broker_ep, 2, reset, reconnect, gcfg,
+                sub_node, broker_ep, 2, reset, reconnect,
             ));
         }
         SystemUnderTest::RgmaSingle
@@ -668,16 +666,11 @@ fn build_world(
             if !spec.faults.is_empty() && spec.rgma_config.is_none() {
                 // Default recovery policies ride along with the faults:
                 // insert retry-on-5xx and soft-state re-registration.
-                rcfg.insert_retry = Some(rgma::HttpRetryPolicy::default());
-                rcfg.soft_state_refresh = Some(SimDuration::from_secs(10));
+                rcfg.recover = true;
             }
             // Registry always on server node 0.
             sim.on_node(server_nodes[0].0);
-            let reg = sim.add_actor(RegistryActor::new(
-                rcfg.clone(),
-                server_nodes[0],
-                server_procs[0],
-            ));
+            let reg = sim.add_actor(RegistryActor::new(server_nodes[0], server_procs[0]));
             fault_registry = Some(reg);
             let reg_ep = Endpoint::new(server_nodes[0], reg);
             // Producer/Consumer servlets.

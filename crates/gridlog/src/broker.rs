@@ -9,7 +9,12 @@
 //! disk. Connections, group membership, assignments, and parked fetches
 //! are volatile and die with the process.
 
-use crate::config::{GridlogConfig, OffsetReset};
+use crate::config::{
+    OffsetReset, BROKER_ACCEPT, BROKER_APPEND_BASE, BROKER_APPEND_PER_RECORD,
+    BROKER_COMMIT_PROCESS, BROKER_FETCH_BASE, BROKER_FETCH_PER_RECORD, BROKER_PER_BYTE_NS,
+    BROKER_REBALANCE, BROKER_REPLAY_PER_RECORD, FETCH_MAX_RECORDS, FETCH_MAX_WAIT, HEAP_PER_CONN,
+    PARTITIONS, SEGMENT_RECORDS, SESSION_TIMEOUT,
+};
 use crate::log::{partition_for, StoredRecord, TopicLog};
 use crate::protocol::{
     fetch_response_bytes, offsets_bytes, BrokerToClient, ClientToBroker, Membership, Produce,
@@ -110,8 +115,7 @@ enum TimerKind {
 
 /// The log-broker actor.
 pub struct LogBroker {
-    cfg: GridlogConfig,
-    /// Accepted connections: a thread and `heap_per_conn` each.
+    /// Accepted connections: a thread and `HEAP_PER_CONN` each.
     server: Acceptor<()>,
     /// Broker-local topic interning table; `logs` is indexed by the
     /// dense [`TopicId`]s it hands out.
@@ -133,10 +137,9 @@ pub struct LogBroker {
 
 impl LogBroker {
     /// Create a log broker to be hosted on `node` inside process `proc`.
-    pub fn new(cfg: GridlogConfig, node: NodeId, proc: ProcessId) -> Self {
+    pub fn new(node: NodeId, proc: ProcessId) -> Self {
         LogBroker {
-            server: Acceptor::new(node, proc, cfg.memory.heap_per_conn),
-            cfg,
+            server: Acceptor::new(node, proc, HEAP_PER_CONN),
             topics: wire::TopicTable::new(),
             logs: Vec::new(),
             producer_seqs: BTreeMap::new(),
@@ -154,7 +157,7 @@ impl LogBroker {
     }
 
     fn per_byte(&self, bytes: usize) -> SimDuration {
-        SimDuration::from_micros((bytes as u64 * self.cfg.costs.broker_per_byte_ns).div_ceil(1000))
+        SimDuration::from_micros((bytes as u64 * BROKER_PER_BYTE_NS).div_ceil(1000))
     }
 
     /// Put a control frame on `conn` at `at`.
@@ -175,11 +178,8 @@ impl LogBroker {
     fn topic_log(&mut self, topic: &str) -> TopicId {
         let tid = self.topics.intern(topic);
         if tid.0 as usize >= self.logs.len() {
-            self.logs.push(TopicLog::new(
-                tid,
-                self.cfg.partitions,
-                self.cfg.segment_records,
-            ));
+            self.logs
+                .push(TopicLog::new(tid, PARTITIONS, SEGMENT_RECORDS));
         }
         tid
     }
@@ -189,7 +189,7 @@ impl LogBroker {
             Ok(()) => {
                 simprof::hit(ctx, Component::OsSched);
                 self.stats.borrow_mut().accepted += 1;
-                let cost = self.cfg.costs.broker_accept;
+                let cost = BROKER_ACCEPT;
                 let done = self.server.cpu(ctx, Component::GridlogRebalance, cost);
                 self.control(ctx, conn, BrokerToClient::ConnectOk, done);
             }
@@ -225,7 +225,7 @@ impl LogBroker {
             if let Some(&last) = self.producer_seqs.get(&producer_id) {
                 if batch_seq <= last {
                     self.stats.borrow_mut().dup_batches += 1;
-                    let cost = self.cfg.costs.broker_append_base + self.per_byte(bytes);
+                    let cost = BROKER_APPEND_BASE + self.per_byte(bytes);
                     let done = self.server.cpu(ctx, Component::GridlogAppend, cost);
                     self.control(ctx, conn, BrokerToClient::ProduceAck { batch_seq }, done);
                     return;
@@ -240,14 +240,13 @@ impl LogBroker {
             st.appended += n;
         }
         let tid = self.topic_log(&topic);
-        let cost = self.cfg.costs.broker_append_base
-            + self.per_byte(bytes)
-            + self.cfg.costs.broker_append_per_record.saturating_mul(n);
+        let cost =
+            BROKER_APPEND_BASE + self.per_byte(bytes) + BROKER_APPEND_PER_RECORD.saturating_mul(n);
         let done = self.server.cpu(ctx, Component::GridlogAppend, cost);
         let now = ctx.now();
         let mut touched: BTreeSet<u32> = BTreeSet::new();
         for rec in records {
-            let p = partition_for(rec.key, self.cfg.partitions);
+            let p = partition_for(rec.key, PARTITIONS);
             let probe = rec.probe;
             self.logs[tid.0 as usize].partitions[p as usize].append(StoredRecord {
                 probe: rec.probe,
@@ -317,12 +316,11 @@ impl LogBroker {
             offset,
         } = fetch;
         let plog = &self.logs[topic.0 as usize].partitions[partition as usize];
-        let records = plog.read_from(offset, self.cfg.fetching.max_records);
+        let records = plog.read_from(offset, FETCH_MAX_RECORDS);
         let end_offset = plog.end_offset();
         let n = records.len() as u64;
         let bytes = fetch_response_bytes(&records);
-        let cost = self.cfg.costs.broker_fetch_base
-            + self.cfg.costs.broker_fetch_per_record.saturating_mul(n);
+        let cost = BROKER_FETCH_BASE + BROKER_FETCH_PER_RECORD.saturating_mul(n);
         let done = self
             .server
             .cpu(ctx, Component::GridlogFetch, cost)
@@ -380,7 +378,7 @@ impl LogBroker {
     /// Recompute the range assignment, bump the epoch, and push the new
     /// [`BrokerToClient::Assignment`] to every member.
     fn rebalance(&mut self, ctx: &mut Context<'_>, group: &str) {
-        let cost = self.cfg.costs.broker_rebalance;
+        let cost = BROKER_REBALANCE;
         let done = self.server.cpu(ctx, Component::GridlogRebalance, cost);
         let Some(g) = self.groups.get_mut(group) else {
             return;
@@ -391,15 +389,14 @@ impl LogBroker {
         g.epoch += 1;
         self.stats.borrow_mut().rebalances += 1;
         let members: Vec<u64> = g.members.keys().copied().collect();
-        let parts = self.cfg.partitions;
         g.assignment.clear();
         if !members.is_empty() {
             // Range assignment: contiguous partition chunks in sorted
             // member order, front-loading the remainder — deterministic
             // and identical to Kafka's RangeAssignor for one topic.
             let n = members.len() as u32;
-            let base = parts / n;
-            let extra = parts % n;
+            let base = PARTITIONS / n;
+            let extra = PARTITIONS % n;
             let mut next = 0u32;
             for (i, m) in members.iter().enumerate() {
                 let take = base + u32::from((i as u32) < extra);
@@ -410,7 +407,7 @@ impl LogBroker {
         }
         // Drop parked fetches for this topic: owners may have changed,
         // and every member re-fetches once it sees the new assignment.
-        for p in 0..parts {
+        for p in 0..PARTITIONS {
             if let Some(waiters) = self.parked.remove(&(tid, p)) {
                 for (token, _) in waiters {
                     self.timers.remove(&token);
@@ -516,7 +513,7 @@ impl LogBroker {
         let Some(tid) = g.topic else {
             return;
         };
-        if partition >= self.cfg.partitions {
+        if partition >= PARTITIONS {
             return;
         }
         let end = self.logs[tid.0 as usize].partitions[partition as usize].end_offset();
@@ -526,12 +523,11 @@ impl LogBroker {
         } else {
             // Nothing to read yet: park until an append or the long-poll
             // deadline, whichever comes first.
-            let max_wait = self.cfg.fetching.max_wait;
             let expire = TimerKind::FetchExpire {
                 topic: tid,
                 partition,
             };
-            let token = self.arm_timer(ctx, max_wait, expire);
+            let token = self.arm_timer(ctx, FETCH_MAX_WAIT, expire);
             let waiters = self.parked.entry((tid, partition)).or_default();
             waiters.push((token, fetch));
         }
@@ -584,7 +580,7 @@ impl LogBroker {
             *slot = (*slot).max(off);
         }
         self.stats.borrow_mut().commits += 1;
-        let cost = self.cfg.costs.broker_commit_process;
+        let cost = BROKER_COMMIT_PROCESS;
         let done = self.server.cpu(ctx, Component::GridlogCommit, cost);
         // End-offset lag: how far the group's durable position trails
         // the head of the log, summed over committed partitions.
@@ -607,7 +603,6 @@ impl LogBroker {
 
     fn on_heartbeat(&mut self, ctx: &mut Context<'_>, conn: ConnId, group: String, member: u64) {
         let now = ctx.now();
-        let session = self.cfg.group.session_timeout;
         let mut arm = false;
         {
             let Some(g) = self.groups.get_mut(&group) else {
@@ -624,14 +619,17 @@ impl LogBroker {
             }
         }
         if arm {
-            self.arm_timer(ctx, session, TimerKind::SessionCheck { group, member });
+            self.arm_timer(
+                ctx,
+                SESSION_TIMEOUT,
+                TimerKind::SessionCheck { group, member },
+            );
         }
         self.control(ctx, conn, BrokerToClient::Pong, now);
     }
 
     fn on_session_check(&mut self, ctx: &mut Context<'_>, group: String, member: u64) {
         let now = ctx.now();
-        let session = self.cfg.group.session_timeout;
         let remaining = {
             let Some(g) = self.groups.get_mut(&group) else {
                 return;
@@ -640,12 +638,12 @@ impl LogBroker {
                 return;
             };
             let silence = now.saturating_since(m.last_seen);
-            if silence >= session {
+            if silence >= SESSION_TIMEOUT {
                 None
             } else {
                 // Re-check when the current silence would hit the limit.
                 m.session_armed = true;
-                Some(session - silence)
+                Some(SESSION_TIMEOUT - silence)
             }
         };
         if let Some(remaining) = remaining {
@@ -686,11 +684,7 @@ impl LogBroker {
     fn on_restart(&mut self, ctx: &mut Context<'_>) {
         let total: u64 = self.logs.iter().map(TopicLog::total_records).sum();
         if total > 0 {
-            let cost = self
-                .cfg
-                .costs
-                .broker_replay_per_record
-                .saturating_mul(total);
+            let cost = BROKER_REPLAY_PER_RECORD.saturating_mul(total);
             self.server.cpu(ctx, Component::GridlogRebalance, cost);
         }
         self.stats.borrow_mut().replayed_records += total;

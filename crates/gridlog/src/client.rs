@@ -9,7 +9,10 @@
 //! [`GridlogClientSet::handle_timer`]; both return [`ClientEvent`]s for
 //! the host to act on.
 
-use crate::config::{GridlogConfig, OffsetReset};
+use crate::config::{
+    OffsetReset, BATCH_MAX_RECORDS, CLIENT_DELIVER_BASE, CLIENT_DELIVER_PER_BYTE_NS,
+    CLIENT_SERIALIZE_BASE, CLIENT_SERIALIZE_PER_BYTE_NS, COMMIT_INTERVAL, LINGER,
+};
 use crate::protocol::{
     offsets_bytes, produce_bytes, BrokerToClient, ClientToBroker, Membership, Produce,
     ProducerRecord, CONTROL_FRAME_BYTES, RECORD_OVERHEAD_BYTES,
@@ -155,7 +158,6 @@ impl SessionProtocol for LogSession {
 
 /// A set of gridlog client connections owned by one host actor.
 pub struct GridlogClientSet {
-    cfg: GridlogConfig,
     sessions: SessionSet<LogSession>,
     /// Cross-member duplicate filter: partition → first offset not yet
     /// surfaced to the host. Partition handoffs between members of the
@@ -167,26 +169,21 @@ pub struct GridlogClientSet {
 
 impl GridlogClientSet {
     /// New client set for a host actor on `node`.
-    pub fn new(cfg: GridlogConfig, node: NodeId) -> Self {
+    pub fn new(node: NodeId) -> Self {
         GridlogClientSet {
-            cfg,
             sessions: SessionSet::new(node),
             delivered_to: BTreeMap::new(),
         }
     }
 
     fn serialize_cost(&self, bytes: usize) -> SimDuration {
-        self.cfg.costs.client_serialize_base
-            + SimDuration::from_micros(
-                (bytes as u64 * self.cfg.costs.client_serialize_per_byte_ns).div_ceil(1000),
-            )
+        CLIENT_SERIALIZE_BASE
+            + SimDuration::from_micros((bytes as u64 * CLIENT_SERIALIZE_PER_BYTE_NS).div_ceil(1000))
     }
 
     fn deliver_cost(&self, bytes: usize) -> SimDuration {
-        self.cfg.costs.client_deliver_base
-            + SimDuration::from_micros(
-                (bytes as u64 * self.cfg.costs.client_deliver_per_byte_ns).div_ceil(1000),
-            )
+        CLIENT_DELIVER_BASE
+            + SimDuration::from_micros((bytes as u64 * CLIENT_DELIVER_PER_BYTE_NS).div_ceil(1000))
     }
 
     /// Open a producer connection. `producer_id` is the stable
@@ -265,7 +262,7 @@ impl GridlogClientSet {
         assert!(ready, "produce before ConnectOk");
         prod.batch.push(rec);
         let occupancy = prod.batch.len() as u32;
-        let full = prod.batch.len() >= self.cfg.batching.max_records;
+        let full = prod.batch.len() >= BATCH_MAX_RECORDS;
         let arm = !full && !prod.linger_armed;
         if arm {
             prod.linger_armed = true;
@@ -276,8 +273,7 @@ impl GridlogClientSet {
         if full {
             self.flush_batch(ctx, conn);
         } else if arm {
-            let linger = self.cfg.batching.linger;
-            self.sessions.arm(ctx, linger, TimerKind::Linger { conn });
+            self.sessions.arm(ctx, LINGER, TimerKind::Linger { conn });
         }
         probe
     }
@@ -391,8 +387,8 @@ impl GridlogClientSet {
                         let join = ClientToBroker::JoinGroup(join);
                         self.sessions.send(ctx, conn, bytes, join);
                         if committed {
-                            let interval = self.cfg.group.commit_interval;
-                            self.sessions.arm(ctx, interval, TimerKind::Commit { conn });
+                            self.sessions
+                                .arm(ctx, COMMIT_INTERVAL, TimerKind::Commit { conn });
                         }
                     }
                     Role::Producer(_) => {
@@ -588,8 +584,8 @@ impl GridlogClientSet {
             };
             self.sessions.send(ctx, conn, bytes, msg);
         }
-        let interval = self.cfg.group.commit_interval;
-        self.sessions.arm(ctx, interval, TimerKind::Commit { conn });
+        self.sessions
+            .arm(ctx, COMMIT_INTERVAL, TimerKind::Commit { conn });
     }
 
     /// Re-send every flushed-but-unacked batch on a reconnected
@@ -614,7 +610,7 @@ impl GridlogClientSet {
             let bytes = produce_bytes(&records);
             // Retransmission re-serializes from the buffered form:
             // cheaper than first serialization.
-            let done = self.sessions.cpu(ctx, self.cfg.costs.client_serialize_base);
+            let done = self.sessions.cpu(ctx, CLIENT_SERIALIZE_BASE);
             let msg = ClientToBroker::Produce(Produce {
                 producer_id,
                 batch_seq: seq,

@@ -1,177 +1,95 @@
-//! Configuration and CPU cost model for the partitioned-log broker.
+//! Calibration for the partitioned-log broker.
 //!
-//! Like narada's [`CostModel`], the constants here are *inputs* to the
+//! Like narada's calibration, the constants here are *inputs* to the
 //! mechanisms, scaled to the same reference node (Pentium III 866 MHz):
 //! the shape of the RTT distribution — linger-dominated produce latency,
 //! amortized batch fetches, the long-poll cadence — emerges from the
-//! protocol, not from these numbers directly.
-//!
-//! [`CostModel`]: struct.CostModel.html
+//! protocol, not from these numbers directly. No scenario varies them, so
+//! they are constants; what a scenario varies is each consumer's
+//! [`OffsetReset`].
 
 use simcore::SimDuration;
 use simos::Bytes;
 
-/// Per-operation CPU costs on the log broker and client JVMs.
-#[derive(Debug, Clone)]
-pub struct CostModel {
-    /// Client: serialize a produce batch (fixed part).
-    pub client_serialize_base: SimDuration,
-    /// Client: serialize, per byte.
-    pub client_serialize_per_byte_ns: u64,
-    /// Client: deserialize + hand one fetched record to the listener
-    /// (fixed part).
-    pub client_deliver_base: SimDuration,
-    /// Client: deserialize, per byte.
-    pub client_deliver_per_byte_ns: u64,
-    /// Broker: accept + deserialize a produce batch (fixed part).
-    pub broker_append_base: SimDuration,
-    /// Broker: per-byte deserialize/copy cost.
-    pub broker_per_byte_ns: u64,
-    /// Broker: assign an offset and append one record to its segment.
-    pub broker_append_per_record: SimDuration,
-    /// Broker: serve one fetch (fixed part: offset lookup, response
-    /// assembly).
-    pub broker_fetch_base: SimDuration,
-    /// Broker: serialize one record into a fetch response.
-    pub broker_fetch_per_record: SimDuration,
-    /// Broker: process one offset-commit request.
-    pub broker_commit_process: SimDuration,
-    /// Broker: recompute the group assignment on join/leave/expiry.
-    pub broker_rebalance: SimDuration,
-    /// Broker: cost to accept a connection and start its thread.
-    pub broker_accept: SimDuration,
-    /// Broker: scan one record while replaying segments after a
-    /// crash-restart (sequential read, much cheaper than an append).
-    pub broker_replay_per_record: SimDuration,
-}
+// --- CPU costs on the log broker and client JVMs ------------------------
 
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            client_serialize_base: SimDuration::from_micros(100),
-            client_serialize_per_byte_ns: 300,
-            client_deliver_base: SimDuration::from_micros(120),
-            client_deliver_per_byte_ns: 300,
-            broker_append_base: SimDuration::from_micros(250),
-            broker_per_byte_ns: 400,
-            broker_append_per_record: SimDuration::from_micros(40),
-            broker_fetch_base: SimDuration::from_micros(200),
-            broker_fetch_per_record: SimDuration::from_micros(25),
-            broker_commit_process: SimDuration::from_micros(150),
-            broker_rebalance: SimDuration::from_micros(500),
-            broker_accept: SimDuration::from_micros(1_500),
-            broker_replay_per_record: SimDuration::from_micros(2),
-        }
-    }
-}
+/// Client: serialize a produce batch (fixed part).
+pub const CLIENT_SERIALIZE_BASE: SimDuration = SimDuration::from_micros(100);
+/// Client: serialize, per byte.
+pub const CLIENT_SERIALIZE_PER_BYTE_NS: u64 = 300;
+/// Client: deserialize + hand one fetched record to the listener (fixed
+/// part).
+pub const CLIENT_DELIVER_BASE: SimDuration = SimDuration::from_micros(120);
+/// Client: deserialize, per byte.
+pub const CLIENT_DELIVER_PER_BYTE_NS: u64 = 300;
+/// Broker: accept + deserialize a produce batch (fixed part).
+pub const BROKER_APPEND_BASE: SimDuration = SimDuration::from_micros(250);
+/// Broker: per-byte deserialize/copy cost.
+pub const BROKER_PER_BYTE_NS: u64 = 400;
+/// Broker: assign an offset and append one record to its segment.
+pub const BROKER_APPEND_PER_RECORD: SimDuration = SimDuration::from_micros(40);
+/// Broker: serve one fetch (fixed part: offset lookup, response assembly).
+pub const BROKER_FETCH_BASE: SimDuration = SimDuration::from_micros(200);
+/// Broker: serialize one record into a fetch response.
+pub const BROKER_FETCH_PER_RECORD: SimDuration = SimDuration::from_micros(25);
+/// Broker: process one offset-commit request.
+pub const BROKER_COMMIT_PROCESS: SimDuration = SimDuration::from_micros(150);
+/// Broker: recompute the group assignment on join/leave/expiry.
+pub const BROKER_REBALANCE: SimDuration = SimDuration::from_micros(500);
+/// Broker: cost to accept a connection and start its thread.
+pub const BROKER_ACCEPT: SimDuration = SimDuration::from_micros(1_500);
+/// Broker: scan one record while replaying segments after a crash-restart
+/// (sequential read, much cheaper than an append).
+pub const BROKER_REPLAY_PER_RECORD: SimDuration = SimDuration::from_micros(2);
 
-/// Producer batching: records accumulate per connection until the batch
-/// fills or the linger timer fires (Kafka's `linger.ms`/`batch.size`).
-#[derive(Debug, Clone, Copy)]
-pub struct Batching {
-    /// How long a non-full batch waits for more records.
-    pub linger: SimDuration,
-    /// Records per batch before an immediate flush.
-    pub max_records: usize,
-}
+// --- Producer batching (Kafka's `linger.ms` / `batch.size`) -------------
 
-impl Default for Batching {
-    fn default() -> Self {
-        Batching {
-            linger: SimDuration::from_millis(5),
-            max_records: 64,
-        }
-    }
-}
+/// How long a non-full batch waits for more records.
+pub const LINGER: SimDuration = SimDuration::from_millis(5);
+/// Records per batch before an immediate flush.
+pub const BATCH_MAX_RECORDS: usize = 64;
 
-/// Consumer fetch shaping: long-poll parking and batch bounds
-/// (Kafka's `fetch.max.wait.ms`/`max.poll.records`).
-#[derive(Debug, Clone, Copy)]
-pub struct Fetching {
-    /// A fetch with no data parks at the broker this long before an
-    /// empty response unblocks the consumer's poll loop.
-    pub max_wait: SimDuration,
-    /// Records per fetch response.
-    pub max_records: usize,
-}
+// --- Consumer fetch shaping (`fetch.max.wait.ms` / `max.poll.records`) --
 
-impl Default for Fetching {
-    fn default() -> Self {
-        Fetching {
-            max_wait: SimDuration::from_millis(500),
-            max_records: 512,
-        }
-    }
-}
+/// A fetch with no data parks at the broker this long before an empty
+/// response unblocks the consumer's poll loop.
+pub const FETCH_MAX_WAIT: SimDuration = SimDuration::from_millis(500);
+/// Records per fetch response.
+pub const FETCH_MAX_RECORDS: usize = 512;
 
-/// Consumer-group timing: commit cadence and broker-side liveness.
-#[derive(Debug, Clone, Copy)]
-pub struct GroupPolicy {
-    /// Committed-mode consumers flush offset commits at this interval.
-    pub commit_interval: SimDuration,
-    /// Broker expels a member silent for longer than this (the session
-    /// timer only arms once a member's first heartbeat arrives, so
-    /// heartbeat-free paper-mode runs never expire anyone).
-    pub session_timeout: SimDuration,
-}
+// --- Consumer-group timing ----------------------------------------------
 
-impl Default for GroupPolicy {
-    fn default() -> Self {
-        GroupPolicy {
-            commit_interval: SimDuration::from_secs(5),
-            session_timeout: SimDuration::from_secs(10),
-        }
-    }
-}
+/// Committed-mode consumers flush offset commits at this interval.
+pub const COMMIT_INTERVAL: SimDuration = SimDuration::from_secs(5);
+/// Broker expels a member silent for longer than this (the session timer
+/// only arms once a member's first heartbeat arrives, so heartbeat-free
+/// paper-mode runs never expire anyone).
+pub const SESSION_TIMEOUT: SimDuration = SimDuration::from_secs(10);
 
-/// Broker memory model.
-#[derive(Debug, Clone)]
-pub struct BrokerMemory {
-    /// Heap retained per live connection (session, socket buffers).
-    /// Log segments are modeled as disk-backed (page cache pressure is
-    /// out of scope), so connections are the only heap consumers. The
-    /// simulator's log holds no message either: 16 bytes per record
-    /// (probe, key, size).
-    pub heap_per_conn: Bytes,
-}
+// --- Broker memory and log layout ---------------------------------------
 
-impl Default for BrokerMemory {
-    fn default() -> Self {
-        BrokerMemory {
-            heap_per_conn: Bytes::kib(120),
-        }
-    }
-}
+/// Heap retained per live connection (session, socket buffers). Log
+/// segments are modeled as disk-backed (page cache pressure is out of
+/// scope), so connections are the only heap consumers. The simulator's
+/// log holds no message either: 16 bytes per record (probe, key, size).
+pub const HEAP_PER_CONN: Bytes = Bytes::kib(120);
+/// Partitions per topic (fixed at topic creation, like Kafka).
+pub const PARTITIONS: u32 = 8;
+/// Records per append-only segment before the log rolls a new one.
+pub const SEGMENT_RECORDS: u64 = 4096;
 
-/// Full configuration for one log-broker deployment.
+/// [`SEGMENT_RECORDS`], as gridbench reads it. A shim: ROADMAP item 1
+/// deletes it once gridbench reads the constant.
 #[derive(Debug, Clone)]
 pub struct GridlogConfig {
-    /// CPU cost model.
-    pub costs: CostModel,
-    /// Producer batching.
-    pub batching: Batching,
-    /// Fetch shaping.
-    pub fetching: Fetching,
-    /// Consumer-group timing.
-    pub group: GroupPolicy,
-    /// Memory model.
-    pub memory: BrokerMemory,
-    /// Partitions per topic (fixed at topic creation, like Kafka).
-    pub partitions: u32,
-    /// Records per append-only segment before the log rolls a new one.
+    /// Always [`SEGMENT_RECORDS`].
     pub segment_records: u64,
 }
 
 impl Default for GridlogConfig {
     fn default() -> Self {
         GridlogConfig {
-            costs: CostModel::default(),
-            batching: Batching::default(),
-            fetching: Fetching::default(),
-            group: GroupPolicy::default(),
-            memory: BrokerMemory::default(),
-            partitions: 8,
-            segment_records: 4096,
+            segment_records: SEGMENT_RECORDS,
         }
     }
 }
@@ -196,16 +114,15 @@ mod tests {
 
     #[test]
     fn defaults_are_sane() {
-        let c = GridlogConfig::default();
-        assert!(c.costs.broker_append_base > SimDuration::ZERO);
-        assert!(c.batching.linger > SimDuration::ZERO);
-        assert!(c.batching.max_records >= 1);
-        assert!(c.fetching.max_wait > c.batching.linger);
-        assert!(c.partitions >= 1);
-        assert!(c.segment_records >= 1);
+        const _: () = assert!(BROKER_APPEND_BASE.as_micros() > 0);
+        const _: () = assert!(LINGER.as_micros() > 0);
+        const _: () = assert!(BATCH_MAX_RECORDS >= 1);
+        const _: () = assert!(FETCH_MAX_WAIT.as_micros() > LINGER.as_micros());
+        const _: () = assert!(PARTITIONS >= 1);
+        const _: () = assert!(SEGMENT_RECORDS >= 1);
         let p = simnet::session::ReconnectPolicy::default();
         assert!(p.detect_timeout > p.heartbeat_interval);
         assert!(p.backoff_max >= p.backoff_initial);
-        assert!(c.group.session_timeout > p.detect_timeout);
+        assert!(SESSION_TIMEOUT > p.detect_timeout);
     }
 }

@@ -33,9 +33,7 @@ pub mod protocol;
 
 pub use broker::{BrokerTimer, LogBroker, LogBrokerStats, StatsHandle};
 pub use client::{ClientEvent, GridlogClientSet};
-pub use config::{
-    Batching, BrokerMemory, CostModel, Fetching, GridlogConfig, GroupPolicy, OffsetReset,
-};
+pub use config::{GridlogConfig, OffsetReset};
 pub use log::{partition_for, PartitionLog, StoredRecord, TopicLog};
 pub use protocol::{
     fetch_response_bytes, offsets_bytes, produce_bytes, BrokerToClient, ClientToBroker,

@@ -3,8 +3,8 @@
 //! members join back to back (the shape every gridlog experiment has).
 
 use gridlog::{
-    BrokerToClient, ClientEvent, ClientTimer, ClientToBroker, GridlogClientSet, GridlogConfig,
-    LogBroker, LogBrokerStats, Membership, OffsetReset,
+    BrokerToClient, ClientEvent, ClientTimer, ClientToBroker, GridlogClientSet, LogBroker,
+    LogBrokerStats, Membership, OffsetReset,
 };
 use simcore::{Actor, Context, FastMap, Payload, SimDuration, SimTime, Simulation};
 use simnet::{ConnId, Delivery, Endpoint, FabricConfig, NetworkFabric};
@@ -88,7 +88,7 @@ struct Driver {
 
 impl Actor for Driver {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
-        let mut set = GridlogClientSet::new(GridlogConfig::default(), self.node);
+        let mut set = GridlogClientSet::new(self.node);
         self.producer = Some(set.connect_producer(ctx, self.broker_ep, 7, TOPIC, None));
         for member in 0..2 {
             let join = Membership {
@@ -200,7 +200,7 @@ fn run(replay_at: Option<SimTime>) -> (LogBrokerStats, Watch) {
     sim.add_service(os);
     sim.add_service(NetworkFabric::new(FabricConfig::default(), 2));
     sim.add_service(RttCollector::new());
-    let broker = LogBroker::new(GridlogConfig::default(), nodes[0], proc);
+    let broker = LogBroker::new(nodes[0], proc);
     let stats = broker.stats_handle();
     let watch = Rc::new(RefCell::new(Watch::default()));
     let broker_id = sim.add_actor(FetchTap {

@@ -7,7 +7,8 @@
 mod counting_alloc;
 use counting_alloc::{live_bytes, Counting};
 
-use gridlog::{GridlogConfig, PartitionLog, StoredRecord};
+use gridlog::config::SEGMENT_RECORDS;
+use gridlog::{PartitionLog, StoredRecord};
 use simcore::SimTime;
 use telemetry::ProbeId;
 use wire::{Headers, Message, MessageId, Value};
@@ -37,7 +38,7 @@ fn reading(n: u64) -> Message {
 /// Heap the log retains per record after `records` appends, each of a
 /// reading the caller drops.
 fn retained_per_record(records: u64) -> f64 {
-    let segment_records = GridlogConfig::default().segment_records;
+    let segment_records = SEGMENT_RECORDS;
     let (log, bytes) = live_bytes(|| {
         let mut log = PartitionLog::new(segment_records);
         for n in 0..records {

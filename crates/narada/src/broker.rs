@@ -2,7 +2,10 @@
 //! subscription matching, delivery, the UDP reliability layer, and
 //! forwarding across the broker network.
 
-use crate::config::NaradaConfig;
+use crate::config::{
+    BROKER_ACCEPT, BROKER_ACK_PROCESS, BROKER_DELIVER_BASE, BROKER_PER_BYTE_NS,
+    BROKER_PUBLISH_BASE, HEAP_PER_CONN, NIO_EXTRA,
+};
 use crate::matching::{MatchedDelivery, MatchingEngine};
 use crate::protocol::{
     deliver_bytes, BrokerToBroker, BrokerToClient, ClientToBroker, Flood, Publish, Subscribe,
@@ -119,8 +122,11 @@ impl MetricNames {
 
 /// The broker actor.
 pub struct Broker {
-    cfg: NaradaConfig,
-    /// Accepted connections: a thread and `heap_per_conn` each.
+    /// Whether the inter-broker layer uses the v1.1.3 broadcast behaviour
+    /// (the deficiency the paper found) or correct subscription-aware
+    /// routing (the fix the authors expected from the next release).
+    dbn_broadcast: bool,
+    /// Accepted connections: a thread and `HEAP_PER_CONN` each.
     server: Acceptor<ConnState>,
     engine: MatchingEngine,
     my_ix: u16,
@@ -149,11 +155,13 @@ pub struct Broker {
 }
 
 impl Broker {
-    /// Create a broker to be hosted on `node` inside process `proc`.
-    pub fn new(cfg: NaradaConfig, node: NodeId, proc: ProcessId) -> Self {
+    /// Create a broker to be hosted on `node` inside process `proc`,
+    /// flooding every peer as v1.1.3 does (`dbn_broadcast`) or routing by
+    /// subscription interest.
+    pub fn new(dbn_broadcast: bool, node: NodeId, proc: ProcessId) -> Self {
         Broker {
-            server: Acceptor::new(node, proc, cfg.memory.heap_per_conn),
-            cfg,
+            dbn_broadcast,
+            server: Acceptor::new(node, proc, HEAP_PER_CONN),
             engine: MatchingEngine::new(),
             my_ix: 0,
             peers: Vec::new(),
@@ -202,7 +210,7 @@ impl Broker {
     }
 
     fn per_byte(&self, bytes: usize) -> SimDuration {
-        SimDuration::from_micros((bytes as u64 * self.cfg.costs.broker_per_byte_ns).div_ceil(1000))
+        SimDuration::from_micros((bytes as u64 * BROKER_PER_BYTE_NS).div_ceil(1000))
     }
 
     /// Put a control frame on `conn` at `at`.
@@ -230,7 +238,7 @@ impl Broker {
                 // churn the profiler counts against `simos.sched`.
                 simprof::hit(ctx, Component::OsSched);
                 self.stats.borrow_mut().accepted += 1;
-                let cost = self.cfg.costs.broker_accept;
+                let cost = BROKER_ACCEPT;
                 let done = self.server.cpu(ctx, Component::NaradaRoute, cost);
                 self.control(ctx, conn, BrokerToClient::ConnectOk, done);
             }
@@ -260,7 +268,7 @@ impl Broker {
             ack_mode,
             queue,
         } = sub;
-        let cost = self.cfg.costs.broker_accept / 2;
+        let cost = BROKER_ACCEPT / 2;
         let Ok(selector) = Selector::compile(&selector) else {
             // JMS raises InvalidSelectorException at createSubscriber and
             // creates nothing: the work is done, no SubscribeOk follows.
@@ -338,7 +346,7 @@ impl Broker {
         // UDP transport reliability: ack every publish, including
         // duplicates (the original ack may have been lost).
         if transport == Transport::Udp {
-            let cost = self.cfg.costs.broker_ack_process;
+            let cost = BROKER_ACK_PROCESS;
             let ack_done = self.server.cpu(ctx, Component::NaradaAck, cost);
             self.control(ctx, conn, BrokerToClient::PublishAck { seq }, ack_done);
         }
@@ -371,9 +379,9 @@ impl Broker {
             self.engine.match_message(topic, &message)
         };
         ctx.wall_record(Site::JmsMatch, match_t0);
-        let mut cost = self.cfg.costs.broker_publish_base + self.per_byte(bytes) + match_cost;
+        let mut cost = BROKER_PUBLISH_BASE + self.per_byte(bytes) + match_cost;
         if transport == Transport::Nio {
-            cost += self.cfg.costs.nio_extra;
+            cost += NIO_EXTRA;
         }
         let done = simprof::profile_span!(ctx, Component::NaradaRoute, {
             self.cpu_matched(ctx, cost, match_cost)
@@ -434,7 +442,7 @@ impl Broker {
         }
         for m in matches {
             // Each delivery costs serialization on the broker.
-            let cost = self.cfg.costs.broker_deliver_base;
+            let cost = BROKER_DELIVER_BASE;
             ready_at = self
                 .server
                 .cpu(ctx, Component::NaradaTransport, cost)
@@ -511,7 +519,7 @@ impl Broker {
             // v1.1.3 deficiency: flood to every peer regardless of
             // interest. Routed mode prunes using gossiped interests and
             // never re-floods (single hop suffices in a full mesh).
-            if !self.cfg.dbn_broadcast {
+            if !self.dbn_broadcast {
                 if my_ix != flood.origin {
                     continue;
                 }
@@ -526,7 +534,7 @@ impl Broker {
                     continue;
                 }
             }
-            let cost = self.cfg.costs.broker_deliver_base;
+            let cost = BROKER_DELIVER_BASE;
             let at = self
                 .server
                 .cpu(ctx, Component::NaradaRoute, cost)
@@ -562,7 +570,7 @@ impl Broker {
         let seen = self.seen_forwards.entry(flood.origin).or_default();
         if !seen.insert(flood.seq) {
             self.stats.borrow_mut().dup_publishes += 1;
-            let cost = self.cfg.costs.broker_publish_base / 2 + self.per_byte(bytes);
+            let cost = BROKER_PUBLISH_BASE / 2 + self.per_byte(bytes);
             self.server.cpu(ctx, Component::NaradaRoute, cost);
             return;
         }
@@ -572,7 +580,7 @@ impl Broker {
         let match_t0 = ctx.wall_start();
         let (matches, match_cost) = self.engine.match_message(topic, &message);
         ctx.wall_record(Site::JmsMatch, match_t0);
-        let cost = self.cfg.costs.broker_publish_base + self.per_byte(bytes) + match_cost;
+        let cost = BROKER_PUBLISH_BASE + self.per_byte(bytes) + match_cost;
         let done = simprof::profile_span!(ctx, Component::NaradaRoute, {
             self.cpu_matched(ctx, cost, match_cost)
         });
@@ -582,7 +590,7 @@ impl Broker {
         self.capture_orphans(probe, &message);
         self.dispatch_deliveries(ctx, probe, &message, matches, done);
         // v1.1.3 floods onward (the congestion the paper found).
-        if self.cfg.dbn_broadcast {
+        if self.dbn_broadcast {
             self.forward_to_peers(ctx, probe, &message, done, flood);
         }
     }
@@ -670,7 +678,7 @@ impl Broker {
             let Some(seq) = self.engine.assign_seq(conn, sub_id) else {
                 continue;
             };
-            let cost = self.cfg.costs.broker_deliver_base;
+            let cost = BROKER_DELIVER_BASE;
             ready_at = self
                 .server
                 .cpu(ctx, Component::NaradaTransport, cost)
@@ -708,7 +716,7 @@ impl Broker {
 
     fn on_ack(&mut self, ctx: &mut Context<'_>, conn: ConnId, cumulative: u64, extra: Vec<u64>) {
         self.stats.borrow_mut().acks += 1;
-        let cost = self.cfg.costs.broker_ack_process;
+        let cost = BROKER_ACK_PROCESS;
         let done = self.server.cpu(ctx, Component::NaradaAck, cost);
         let Some(state) = self.server.state_mut(conn) else {
             return;

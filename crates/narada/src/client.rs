@@ -8,7 +8,10 @@
 //! [`NaradaClientSet::handle_timer`]; both return [`ClientEvent`]s for the
 //! host to act on.
 
-use crate::config::{ConnSettings, NaradaConfig};
+use crate::config::{
+    ConnSettings, CLIENT_DELIVER_BASE, CLIENT_DELIVER_PER_BYTE_NS, CLIENT_SERIALIZE_BASE,
+    CLIENT_SERIALIZE_PER_BYTE_NS, UDP_ACK_TIMEOUT, UDP_CLIENT_ACK_FLUSH, UDP_MAX_RETRIES,
+};
 use crate::protocol::{
     publish_bytes, BrokerToClient, ClientToBroker, Publish, Subscribe, CONTROL_FRAME_BYTES,
 };
@@ -148,31 +151,25 @@ impl SessionProtocol for Jms {
 
 /// A set of client connections owned by one host actor.
 pub struct NaradaClientSet {
-    cfg: NaradaConfig,
     sessions: SessionSet<Jms>,
 }
 
 impl NaradaClientSet {
     /// New client set for a host actor on `node`.
-    pub fn new(cfg: NaradaConfig, node: NodeId) -> Self {
+    pub fn new(node: NodeId) -> Self {
         NaradaClientSet {
-            cfg,
             sessions: SessionSet::new(node),
         }
     }
 
     fn serialize_cost(&self, bytes: usize) -> SimDuration {
-        self.cfg.costs.client_serialize_base
-            + SimDuration::from_micros(
-                (bytes as u64 * self.cfg.costs.client_serialize_per_byte_ns).div_ceil(1000),
-            )
+        CLIENT_SERIALIZE_BASE
+            + SimDuration::from_micros((bytes as u64 * CLIENT_SERIALIZE_PER_BYTE_NS).div_ceil(1000))
     }
 
     fn deliver_cost(&self, bytes: usize) -> SimDuration {
-        self.cfg.costs.client_deliver_base
-            + SimDuration::from_micros(
-                (bytes as u64 * self.cfg.costs.client_deliver_per_byte_ns).div_ceil(1000),
-            )
+        CLIENT_DELIVER_BASE
+            + SimDuration::from_micros((bytes as u64 * CLIENT_DELIVER_PER_BYTE_NS).div_ceil(1000))
     }
 
     /// Open a connection to `broker_ep`. The broker replies ConnectOk /
@@ -313,10 +310,9 @@ impl NaradaClientSet {
 
         if transport == Transport::Udp {
             // JMS-over-UDP: publish() is synchronous until the broker ack.
-            let timeout = self.cfg.udp.ack_timeout;
             let timer = self
                 .sessions
-                .arm(ctx, timeout, TimerKind::PubRetry { conn, seq });
+                .arm(ctx, UDP_ACK_TIMEOUT, TimerKind::PubRetry { conn, seq });
             let sess = self.sessions.get_mut(conn).expect("still here");
             sess.state.pending_pubs.insert(
                 seq,
@@ -459,8 +455,11 @@ impl NaradaClientSet {
                             let sess = self.sessions.get_mut(conn).expect("still here");
                             if !sess.state.ack_flush_armed {
                                 sess.state.ack_flush_armed = true;
-                                let flush = self.cfg.udp.client_ack_flush;
-                                self.sessions.arm(ctx, flush, TimerKind::AckFlush { conn });
+                                self.sessions.arm(
+                                    ctx,
+                                    UDP_CLIENT_ACK_FLUSH,
+                                    TimerKind::AckFlush { conn },
+                                );
                             }
                         }
                     }
@@ -507,8 +506,7 @@ impl NaradaClientSet {
     /// A UDP publish went unacknowledged for one ack timeout: retransmit,
     /// fail over, or give up.
     fn retry_publish(&mut self, ctx: &mut Context<'_>, conn: ConnId, seq: u64) -> Vec<ClientEvent> {
-        let max_retries = self.cfg.udp.max_retries;
-        let mut timeout = self.cfg.udp.ack_timeout;
+        let mut timeout = UDP_ACK_TIMEOUT;
         let Some(sess) = self.sessions.get_mut(conn) else {
             return Vec::new();
         };
@@ -517,7 +515,7 @@ impl NaradaClientSet {
         let Some(p) = sess.state.pending_pubs.get_mut(&seq) else {
             return Vec::new(); // acked meanwhile
         };
-        if p.retries >= max_retries {
+        if p.retries >= UDP_MAX_RETRIES {
             if !recoverable {
                 let probe = p.probe;
                 sess.state.pending_pubs.remove(&seq);
@@ -569,7 +567,7 @@ impl NaradaClientSet {
         queue: bool,
     ) {
         let bytes = publish_bytes(&message);
-        let done = self.sessions.cpu(ctx, self.cfg.costs.client_serialize_base);
+        let done = self.sessions.cpu(ctx, CLIENT_SERIALIZE_BASE);
         let msg = ClientToBroker::Publish(Publish {
             probe,
             seq,
@@ -617,10 +615,9 @@ impl NaradaClientSet {
         seqs.sort_unstable();
         let n = seqs.len() as u64;
         for seq in seqs {
-            let timeout = self.cfg.udp.ack_timeout;
             let timer = self
                 .sessions
-                .arm(ctx, timeout, TimerKind::PubRetry { conn, seq });
+                .arm(ctx, UDP_ACK_TIMEOUT, TimerKind::PubRetry { conn, seq });
             let sess = self.sessions.get_mut(conn).expect("still here");
             let p = sess.state.pending_pubs.get_mut(&seq).expect("listed above");
             p.retries = 0;

@@ -26,7 +26,7 @@ mod seqset;
 
 pub use broker::{Broker, BrokerControl, BrokerStats, StatsHandle};
 pub use client::{ClientEvent, NaradaClientSet};
-pub use config::{ConnSettings, CostModel, NaradaConfig, UdpReliability};
+pub use config::ConnSettings;
 pub use matching::{MatchedDelivery, MatchingEngine, Subscription};
 pub use network::{BrokerDiscoveryNode, BrokerList, BrokerNetwork, DiscoverBrokers};
 pub use simnet::session::{ClientTimer, ReconnectPolicy};

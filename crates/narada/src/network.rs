@@ -4,7 +4,6 @@
 //! validate that the full mesh is the optimal topology at this scale.
 
 use crate::broker::{Broker, BrokerControl, StatsHandle};
-use crate::config::NaradaConfig;
 use simcore::{Actor, ActorId, Context, Payload, SimDuration, Simulation};
 use simnet::{Endpoint, NetworkFabric, Transport};
 use simos::{NodeId, ProcessId};
@@ -25,10 +24,11 @@ impl BrokerNetwork {
     /// Deploy brokers on the given `(node, process)` pairs, fully meshed
     /// over TCP, and register them with a Broker Discovery Node. Peer
     /// assignments arrive via the BDN after `assign_delay` (the unit
-    /// controller handing out addresses).
+    /// controller handing out addresses). `dbn_broadcast` as in
+    /// [`Broker::new`].
     pub fn deploy(
         sim: &mut Simulation,
-        cfg: &NaradaConfig,
+        dbn_broadcast: bool,
         hosts: &[(NodeId, ProcessId)],
         assign_delay: SimDuration,
     ) -> BrokerNetwork {
@@ -36,7 +36,7 @@ impl BrokerNetwork {
         let mut endpoints = Vec::new();
         let mut stats = Vec::new();
         for &(node, proc) in hosts {
-            let b = Broker::new(cfg.clone(), node, proc);
+            let b = Broker::new(dbn_broadcast, node, proc);
             stats.push(b.stats_handle());
             sim.on_node(node.0);
             let id = sim.add_actor(b);

@@ -3,9 +3,7 @@
 
 use jms::AckMode;
 use narada::protocol::{BrokerToClient, ClientToBroker};
-use narada::{
-    Broker, BrokerNetwork, ClientEvent, ClientTimer, ConnSettings, NaradaClientSet, NaradaConfig,
-};
+use narada::{Broker, BrokerNetwork, ClientEvent, ClientTimer, ConnSettings, NaradaClientSet};
 use simcore::{Actor, Context, Payload, SimDuration, SimTime, Simulation};
 use simnet::{ConnId, Delivery, Endpoint, FabricConfig, NetworkFabric, Transport};
 use simos::{Bytes, NodeId, NodeSpec, OsModel, ProcessId, ProcessSpec, VmstatLog};
@@ -56,7 +54,6 @@ struct Driver {
     msgs_per_conn: u32,
     interval: SimDuration,
     set: Option<NaradaClientSet>,
-    cfg: NaradaConfig,
     sub_conn: Option<ConnId>,
     publishers: Vec<ConnId>,
     shared: Rc<RefCell<Shared>>,
@@ -75,7 +72,6 @@ struct PublishTick {
 }
 
 impl Driver {
-    #[allow(clippy::too_many_arguments)]
     fn new(
         node: NodeId,
         broker_ep: Endpoint,
@@ -83,7 +79,6 @@ impl Driver {
         selector: &str,
         pub_conns: usize,
         msgs_per_conn: u32,
-        cfg: NaradaConfig,
         shared: Rc<RefCell<Shared>>,
     ) -> Self {
         Driver {
@@ -95,7 +90,6 @@ impl Driver {
             msgs_per_conn,
             interval: SimDuration::from_millis(200),
             set: None,
-            cfg,
             sub_conn: None,
             publishers: Vec::new(),
             shared,
@@ -120,7 +114,7 @@ impl Driver {
 
 impl Actor for Driver {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
-        let mut set = NaradaClientSet::new(self.cfg.clone(), self.node);
+        let mut set = NaradaClientSet::new(self.node);
         // Subscriber connection first.
         let sub = set.connect(ctx, self.broker_ep, self.settings);
         self.sub_conn = Some(sub);
@@ -242,7 +236,7 @@ fn single_broker_run(
 ) -> (Simulation, Rc<RefCell<Shared>>) {
     let (mut sim, nodes) = build_world(2, fabric, 11);
     let broker_proc = jvm(&mut sim, nodes[0]);
-    let broker = Broker::new(NaradaConfig::v1_1_3(), nodes[0], broker_proc);
+    let broker = Broker::new(true, nodes[0], broker_proc);
     let broker_id = sim.add_actor(broker);
     let broker_ep = Endpoint::new(nodes[0], broker_id);
     let shared = Rc::new(RefCell::new(Shared::default()));
@@ -253,7 +247,6 @@ fn single_broker_run(
         selector,
         1,
         msgs,
-        NaradaConfig::v1_1_3(),
         shared.clone(),
     ));
     sim.run_until(SimTime::from_secs(120));
@@ -398,7 +391,7 @@ fn broker_refuses_connections_when_out_of_memory() {
             baseline: Bytes::mib(16),
         },
     );
-    let broker = Broker::new(NaradaConfig::v1_1_3(), nodes[0], proc);
+    let broker = Broker::new(true, nodes[0], proc);
     let stats = broker.stats_handle();
     let broker_id = sim.add_actor(broker);
     let broker_ep = Endpoint::new(nodes[0], broker_id);
@@ -410,7 +403,6 @@ fn broker_refuses_connections_when_out_of_memory() {
         "",
         20, // 21 connections total vs ~4 thread slots
         1,
-        NaradaConfig::v1_1_3(),
         shared.clone(),
     ));
     sim.run_until(SimTime::from_secs(60));
@@ -425,13 +417,9 @@ fn dbn_broadcast_reaches_uninterested_brokers_routed_does_not() {
     for (broadcast, expect_waste) in [(true, true), (false, false)] {
         let (mut sim, nodes) = build_world(4, quiet_fabric(), 23);
         let procs: Vec<ProcessId> = (0..3).map(|i| jvm(&mut sim, nodes[i])).collect();
-        let cfg = if broadcast {
-            NaradaConfig::v1_1_3()
-        } else {
-            NaradaConfig::routed()
-        };
         let hosts: Vec<(NodeId, ProcessId)> = (0..3).map(|i| (nodes[i], procs[i])).collect();
-        let network = BrokerNetwork::deploy(&mut sim, &cfg, &hosts, SimDuration::from_millis(10));
+        let network =
+            BrokerNetwork::deploy(&mut sim, broadcast, &hosts, SimDuration::from_millis(10));
         // Driver connects to broker 0 only; brokers 1 and 2 have no
         // subscribers.
         let shared = Rc::new(RefCell::new(Shared::default()));
@@ -442,7 +430,6 @@ fn dbn_broadcast_reaches_uninterested_brokers_routed_does_not() {
             "",
             1,
             10,
-            cfg.clone(),
             shared.clone(),
         ));
         sim.run_until(SimTime::from_secs(60));
@@ -466,9 +453,8 @@ fn cross_broker_delivery_works() {
     // the broker network.
     let (mut sim, nodes) = build_world(4, quiet_fabric(), 29);
     let procs: Vec<ProcessId> = (0..2).map(|i| jvm(&mut sim, nodes[i])).collect();
-    let cfg = NaradaConfig::v1_1_3();
     let hosts: Vec<(NodeId, ProcessId)> = (0..2).map(|i| (nodes[i], procs[i])).collect();
-    let network = BrokerNetwork::deploy(&mut sim, &cfg, &hosts, SimDuration::from_millis(10));
+    let network = BrokerNetwork::deploy(&mut sim, true, &hosts, SimDuration::from_millis(10));
 
     // Subscriber driver (no publishers) on broker 1.
     let sub_shared = Rc::new(RefCell::new(Shared::default()));
@@ -479,7 +465,6 @@ fn cross_broker_delivery_works() {
         "",
         0,
         0,
-        cfg.clone(),
         sub_shared.clone(),
     ));
     // Publisher driver on broker 0 (its own subscriber conn also gets the
@@ -492,7 +477,6 @@ fn cross_broker_delivery_works() {
         "",
         1,
         10,
-        cfg,
         pub_shared.clone(),
     ));
     sim.run_until(SimTime::from_secs(60));
@@ -509,7 +493,6 @@ fn cross_broker_delivery_works() {
 struct QueueDriver {
     node: NodeId,
     broker_ep: Endpoint,
-    cfg: NaradaConfig,
     set: Option<NaradaClientSet>,
     sender: Option<ConnId>,
     receivers: Vec<ConnId>,
@@ -521,7 +504,7 @@ struct SendTick(u32);
 
 impl Actor for QueueDriver {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
-        let mut set = NaradaClientSet::new(self.cfg.clone(), self.node);
+        let mut set = NaradaClientSet::new(self.node);
         self.sender = Some(set.connect(ctx, self.broker_ep, ConnSettings::tcp_auto()));
         for _ in 0..2 {
             self.receivers
@@ -592,13 +575,12 @@ impl Actor for QueueDriver {
 fn ptp_queue_splits_work_between_receivers() {
     let (mut sim, nodes) = build_world(2, quiet_fabric(), 67);
     let proc = jvm(&mut sim, nodes[0]);
-    let broker = Broker::new(NaradaConfig::v1_1_3(), nodes[0], proc);
+    let broker = Broker::new(true, nodes[0], proc);
     let broker_id = sim.add_actor(broker);
     let per_receiver: Rc<RefCell<Vec<u32>>> = Rc::new(RefCell::new(vec![0, 0]));
     sim.add_actor(QueueDriver {
         node: nodes[1],
         broker_ep: Endpoint::new(nodes[0], broker_id),
-        cfg: NaradaConfig::v1_1_3(),
         set: None,
         sender: None,
         receivers: Vec::new(),
@@ -620,7 +602,6 @@ fn ptp_queue_splits_work_between_receivers() {
 struct ChurnDriver {
     node: NodeId,
     broker_ep: Endpoint,
-    cfg: NaradaConfig,
     set: Option<NaradaClientSet>,
     first_wave: Vec<ConnId>,
     outcomes: Rc<RefCell<(u32, u32)>>, // (accepted, refused)
@@ -631,7 +612,7 @@ struct NextPhase;
 
 impl Actor for ChurnDriver {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
-        let mut set = NaradaClientSet::new(self.cfg.clone(), self.node);
+        let mut set = NaradaClientSet::new(self.node);
         // Phase 1: fill the broker to its ceiling (the tiny test process
         // below fits ~6 threads).
         for _ in 0..6 {
@@ -704,13 +685,12 @@ fn disconnect_frees_broker_threads_for_new_connections() {
             baseline: Bytes::mib(16),
         },
     );
-    let broker = Broker::new(NaradaConfig::v1_1_3(), nodes[0], proc);
+    let broker = Broker::new(true, nodes[0], proc);
     let broker_id = sim.add_actor(broker);
     let outcomes: Rc<RefCell<(u32, u32)>> = Default::default();
     sim.add_actor(ChurnDriver {
         node: nodes[1],
         broker_ep: Endpoint::new(nodes[0], broker_id),
-        cfg: NaradaConfig::v1_1_3(),
         set: None,
         first_wave: Vec::new(),
         outcomes: outcomes.clone(),
@@ -767,7 +747,7 @@ struct GapRun {
 fn udp_run_with_delivery_gap(ack_mode: AckMode, msgs: u32) -> GapRun {
     let (mut sim, nodes) = build_world(2, quiet_fabric(), 31);
     let proc = jvm(&mut sim, nodes[0]);
-    let broker = Broker::new(NaradaConfig::v1_1_3(), nodes[0], proc);
+    let broker = Broker::new(true, nodes[0], proc);
     let stats = broker.stats_handle();
     let acks = Rc::new(RefCell::new(Vec::new()));
     let broker_id = sim.add_actor(AckTap {
@@ -786,7 +766,6 @@ fn udp_run_with_delivery_gap(ack_mode: AckMode, msgs: u32) -> GapRun {
         "",
         1,
         msgs,
-        NaradaConfig::v1_1_3(),
         shared.clone(),
     );
     driver.lose_delivery = Some(1);
@@ -963,7 +942,7 @@ fn run_beside_raw_peer(
             baseline: Bytes::mib(16),
         },
     );
-    let broker = Broker::new(NaradaConfig::v1_1_3(), nodes[0], proc);
+    let broker = Broker::new(true, nodes[0], proc);
     let stats = broker.stats_handle();
     let broker_id = sim.add_actor(broker);
     let broker_ep = Endpoint::new(nodes[0], broker_id);
@@ -975,7 +954,6 @@ fn run_beside_raw_peer(
         "",
         1,
         msgs,
-        NaradaConfig::v1_1_3(),
         shared.clone(),
     ));
     let heard: Rc<RefCell<Heard>> = Default::default();

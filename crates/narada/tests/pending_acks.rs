@@ -13,7 +13,7 @@
 
 use gridmon_core::{run_experiment, ExperimentSpec, FaultSchedule, SystemUnderTest};
 use jms::AckMode;
-use narada::{Broker, ClientEvent, ClientTimer, ConnSettings, NaradaClientSet, NaradaConfig};
+use narada::{Broker, ClientEvent, ClientTimer, ConnSettings, NaradaClientSet};
 use simcore::{Actor, Context, Payload, SimDuration, SimTime, Simulation};
 use simnet::{ConnId, Delivery, Endpoint, FabricConfig, NetworkFabric, Transport};
 use simos::{NodeId, NodeSpec, OsModel, ProcessSpec, VmstatLog};
@@ -86,7 +86,7 @@ struct Tick;
 
 impl Actor for Leaver {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
-        let mut set = NaradaClientSet::new(NaradaConfig::v1_1_3(), self.node);
+        let mut set = NaradaClientSet::new(self.node);
         let udp_client = ConnSettings {
             transport: Transport::Udp,
             ack_mode: AckMode::Client,
@@ -164,7 +164,7 @@ fn pending_ack_count_drops_what_a_disconnect_leaves_unacked() {
     sim.add_service(RttCollector::new());
     sim.add_service(VmstatLog::new());
     sim.add_service(MetricsRegistry::new());
-    let broker = sim.add_actor(Broker::new(NaradaConfig::v1_1_3(), nodes[0], proc));
+    let broker = sim.add_actor(Broker::new(true, nodes[0], proc));
     let held_at_leave = Rc::new(Cell::new(0.0));
     sim.add_actor(Leaver {
         node: nodes[1],

@@ -2,7 +2,7 @@
 //! delivered exactly once to every subscription whose selector matches —
 //! for arbitrary fleets of publishers, subscribers and selector bounds.
 
-use narada::{Broker, ClientEvent, ClientTimer, ConnSettings, NaradaClientSet, NaradaConfig};
+use narada::{Broker, ClientEvent, ClientTimer, ConnSettings, NaradaClientSet};
 use proptest::prelude::*;
 use simcore::{Actor, Context, FastMap, Payload, SimDuration, SimTime, Simulation};
 use simnet::{ConnId, Delivery, Endpoint, FabricConfig, NetworkFabric, Transport};
@@ -60,7 +60,7 @@ impl Actor for Host {
             ack_mode: jms::AckMode::Auto,
             reconnect: None,
         };
-        let mut set = NaradaClientSet::new(NaradaConfig::v1_1_3(), NodeId(1));
+        let mut set = NaradaClientSet::new(NodeId(1));
         for i in 0..self.scenario.sub_bounds.len() {
             let c = set.connect(ctx, self.broker_ep, settings);
             self.sub_conns.push(c);
@@ -137,7 +137,7 @@ fn run(scenario: &Scenario) -> FastMap<(usize, i32), u32> {
     ));
     sim.add_service(RttCollector::new());
     sim.add_service(VmstatLog::new());
-    let broker = sim.add_actor(Broker::new(NaradaConfig::v1_1_3(), n0, proc));
+    let broker = sim.add_actor(Broker::new(true, n0, proc));
     let arrivals: Arrivals = Default::default();
     sim.add_actor(Host {
         scenario: scenario.clone(),

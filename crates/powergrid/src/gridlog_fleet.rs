@@ -5,8 +5,7 @@
 use crate::fleet::{dispatch, ClientSet, FleetProtocol, Signal};
 use crate::generator::{GeneratorState, TOPIC};
 use gridlog::{
-    ClientEvent, ClientTimer, GridlogClientSet, GridlogConfig, Membership, OffsetReset,
-    ReconnectPolicy,
+    ClientEvent, ClientTimer, GridlogClientSet, Membership, OffsetReset, ReconnectPolicy,
 };
 use simcore::{Actor, Context, FastMap, Payload};
 use simnet::{ConnId, Delivery, Endpoint};
@@ -36,16 +35,10 @@ pub struct GridlogPublisher {
 
 impl GridlogPublisher {
     /// Publisher for a driver on `node`: `reconnect` is `None` outside
-    /// fault campaigns, `payload_repeat` the payload multiplier,
-    /// `gridlog` the client-side costs and batching.
-    pub fn new(
-        node: NodeId,
-        reconnect: Option<ReconnectPolicy>,
-        payload_repeat: usize,
-        gridlog: GridlogConfig,
-    ) -> Self {
+    /// fault campaigns, `payload_repeat` the payload multiplier.
+    pub fn new(node: NodeId, reconnect: Option<ReconnectPolicy>, payload_repeat: usize) -> Self {
         GridlogPublisher {
-            set: GridlogClientSet::new(gridlog, node),
+            set: GridlogClientSet::new(node),
             reconnect,
             payload_repeat,
         }
@@ -105,14 +98,13 @@ impl GridlogSubscriber {
         members: u32,
         reset: OffsetReset,
         reconnect: Option<ReconnectPolicy>,
-        gridlog: GridlogConfig,
     ) -> Self {
         GridlogSubscriber {
             broker_ep,
             members,
             reset,
             reconnect,
-            set: GridlogClientSet::new(gridlog, node),
+            set: GridlogClientSet::new(node),
             member_of_conn: FastMap::default(),
         }
     }

@@ -4,7 +4,7 @@
 
 use crate::fleet::{dispatch, ClientSet, FleetProtocol, Signal};
 use crate::generator::{GeneratorState, PAPER_SELECTOR, TOPIC};
-use narada::{ClientEvent, ClientTimer, ConnSettings, NaradaClientSet, NaradaConfig};
+use narada::{ClientEvent, ClientTimer, ConnSettings, NaradaClientSet};
 use simcore::{Actor, Context, Payload};
 use simnet::{ConnId, Delivery, Endpoint};
 use simos::NodeId;
@@ -33,15 +33,10 @@ pub struct NaradaPublisher {
 impl NaradaPublisher {
     /// Publisher for a driver on `node`: `settings` is the transport + ack
     /// mode (Table II), `payload_repeat` the payload multiplier (the
-    /// "Triple" test used 3), `narada` the client-side costs.
-    pub fn new(
-        node: NodeId,
-        settings: ConnSettings,
-        payload_repeat: usize,
-        narada: NaradaConfig,
-    ) -> Self {
+    /// "Triple" test used 3).
+    pub fn new(node: NodeId, settings: ConnSettings, payload_repeat: usize) -> Self {
         NaradaPublisher {
-            set: NaradaClientSet::new(narada, node),
+            set: NaradaClientSet::new(node),
             settings,
             payload_repeat,
         }
@@ -89,16 +84,11 @@ pub struct NaradaSubscriber {
 
 impl NaradaSubscriber {
     /// New subscriber with the paper's selector.
-    pub fn new(
-        node: NodeId,
-        broker_ep: Endpoint,
-        settings: ConnSettings,
-        narada: NaradaConfig,
-    ) -> Self {
+    pub fn new(node: NodeId, broker_ep: Endpoint, settings: ConnSettings) -> Self {
         NaradaSubscriber {
             broker_ep,
             settings,
-            set: NaradaClientSet::new(narada, node),
+            set: NaradaClientSet::new(node),
         }
     }
 }

@@ -7,7 +7,9 @@
 //! [`RgmaClientSet::handle_delivery`] and [`RgmaTimer`] payloads to
 //! [`RgmaClientSet::handle_timer`].
 
-use crate::config::RgmaConfig;
+use crate::config::{
+    RgmaConfig, CLIENT_HTTP, RETRY_BACKOFF_INITIAL, RETRY_BACKOFF_MAX, RETRY_MAX_RETRIES,
+};
 use crate::protocol::{
     ConsumerId, ConsumerRequest, ConsumerResponse, ProducerId, ProducerRequest, ProducerResponse,
     QueryType,
@@ -112,8 +114,8 @@ pub struct RgmaClientSet {
 }
 
 /// Exponential backoff for the `retries`-th retry.
-fn http_backoff(policy: &crate::config::HttpRetryPolicy, retries: u32) -> SimDuration {
-    backoff_step(policy.backoff_initial, policy.backoff_max, retries)
+fn http_backoff(retries: u32) -> SimDuration {
+    backoff_step(RETRY_BACKOFF_INITIAL, RETRY_BACKOFF_MAX, retries)
 }
 
 impl RgmaClientSet {
@@ -209,7 +211,7 @@ impl RgmaClientSet {
             .expect("insert before ProducerReady — wait for the event");
         let conn = state.conn;
         // Client-side HTTP assembly cost.
-        let done = self.cpu(ctx, self.cfg.costs.client_http);
+        let done = self.cpu(ctx, CLIENT_HTTP);
         let body = ProducerRequest::Insert {
             producer: server,
             sql: sql.clone(),
@@ -328,15 +330,14 @@ impl RgmaClientSet {
                         // Transient server failure (stall / OOM): retry
                         // with backoff when the policy allows it.
                         let retriable = status >= 500
-                            && self.cfg.insert_retry.is_some_and(|p| {
-                                self.producers
-                                    .get(&handle)
-                                    .is_some_and(|s| s.create_retries < p.max_retries)
-                            });
+                            && self.cfg.recover
+                            && self
+                                .producers
+                                .get(&handle)
+                                .is_some_and(|s| s.create_retries < RETRY_MAX_RETRIES);
                         if retriable {
-                            let policy = self.cfg.insert_retry.expect("checked");
                             let s = self.producers.get_mut(&handle).expect("checked");
-                            let delay = http_backoff(&policy, s.create_retries);
+                            let delay = http_backoff(s.create_retries);
                             s.create_retries += 1;
                             simfault::with_faults(ctx, |inj, _| inj.stats.http_retries += 1);
                             self.arm_timer(ctx, delay, TimerPurpose::CreateRetry(handle));
@@ -364,14 +365,11 @@ impl RgmaClientSet {
                         }
                         ProducerResponse::Error { reason } => {
                             let retriable = status >= 500
-                                && info.is_some()
-                                && self.cfg.insert_retry.is_some_and(|p| {
-                                    info.as_ref().expect("checked").retries < p.max_retries
-                                });
+                                && self.cfg.recover
+                                && info.as_ref().is_some_and(|i| i.retries < RETRY_MAX_RETRIES);
                             if retriable {
-                                let policy = self.cfg.insert_retry.expect("checked");
                                 let info = info.expect("checked");
-                                let delay = http_backoff(&policy, info.retries);
+                                let delay = http_backoff(info.retries);
                                 simfault::with_faults(ctx, |inj, _| inj.stats.http_retries += 1);
                                 self.arm_timer(
                                     ctx,
@@ -426,8 +424,7 @@ impl RgmaClientSet {
                     if let ConsumerResponse::PollResult { entries } = *r {
                         let n = entries.len();
                         // Client-side processing of the poll result.
-                        let cost =
-                            self.cfg.costs.client_http + SimDuration::from_micros(50 * n as u64);
+                        let cost = CLIENT_HTTP + SimDuration::from_micros(50 * n as u64);
                         let done = self.cpu(ctx, cost);
                         for (probe, _) in entries {
                             // The subscriber has the tuple once the

@@ -3,7 +3,10 @@
 //! visible producer instances, ingests stream chunks into per-instance
 //! buffers, and answers subscriber polls.
 
-use crate::config::RgmaConfig;
+use crate::config::{
+    RgmaConfig, CHUNK_INGEST_BASE, CREATE_INSTANCE, HEAP_PER_CONSUMER, HEAP_PER_TUPLE, PER_TUPLE,
+    PLAN_REFRESH, POLL_ANSWER, SERVLET_DISPATCH,
+};
 use crate::protocol::{
     poll_result_bytes, ConsumerId, ConsumerRequest, ConsumerResponse, Entry, ProducerId,
     ProducerRequest, ProducerResponse, QueryType, RegistryRequest, RegistryResponse, StreamChunk,
@@ -135,7 +138,7 @@ impl ConsumerServlet {
     }
 
     fn on_create_consumer(&mut self, ctx: &mut Context<'_>, reply: Reply, query: String) {
-        if let Err(e) = self.server.alloc(ctx, self.cfg.memory.heap_per_consumer) {
+        if let Err(e) = self.server.alloc(ctx, HEAP_PER_CONSUMER) {
             return Self::fail(ctx, reply, 503, e.to_string());
         }
         let (table, predicate, columns) = match minisql::parse(&query) {
@@ -159,7 +162,7 @@ impl ConsumerServlet {
                 planned: FastSet::default(),
             },
         );
-        let cost = self.cfg.costs.create_instance;
+        let cost = CREATE_INSTANCE;
         let done = self.server.cpu(ctx, Component::RgmaServlet, cost);
         // Announce the consumer to the registry (soft-state mode only),
         // then kick an immediate mediation pass for this instance.
@@ -207,7 +210,7 @@ impl ConsumerServlet {
                 collected: Vec::new(),
             },
         );
-        let cost = self.cfg.costs.create_instance / 4;
+        let cost = CREATE_INSTANCE / 4;
         self.server.cpu(ctx, Component::RgmaServlet, cost);
         // Mediate: look the producers up, then fan the fetch out.
         let rid = self.lookup(ctx, table);
@@ -254,8 +257,7 @@ impl ConsumerServlet {
     /// One producer servlet answered a fetch.
     fn on_fetch_result(&mut self, ctx: &mut Context<'_>, qid: u64, entries: Vec<Entry>) {
         let n = entries.len() as u64;
-        let cost = self.cfg.costs.chunk_ingest_base
-            + SimDuration::from_micros(self.cfg.costs.per_tuple.as_micros() * n);
+        let cost = CHUNK_INGEST_BASE + SimDuration::from_micros(PER_TUPLE.as_micros() * n);
         self.server.cpu(ctx, Component::RgmaSelect, cost);
         let Some(q) = self.queries.get_mut(&qid) else {
             return;
@@ -283,8 +285,7 @@ impl ConsumerServlet {
             .map(|(p, t)| (p, project(schema, &q.columns, t)))
             .collect();
         let n = entries.len() as u64;
-        let cost = self.cfg.costs.poll_answer
-            + SimDuration::from_micros(self.cfg.costs.per_tuple.as_micros() * n / 2);
+        let cost = POLL_ANSWER + SimDuration::from_micros(PER_TUPLE.as_micros() * n / 2);
         let done = self.server.cpu(ctx, Component::RgmaSelect, cost);
         let bytes = poll_result_bytes(&entries);
         let result = ConsumerResponse::QueryResult { entries };
@@ -332,8 +333,7 @@ impl ConsumerServlet {
 
     fn on_chunk(&mut self, ctx: &mut Context<'_>, chunk: StreamChunk) {
         let n = chunk.entries.len() as u64;
-        let cost = self.cfg.costs.chunk_ingest_base
-            + SimDuration::from_micros(self.cfg.costs.per_tuple.as_micros() * n);
+        let cost = CHUNK_INGEST_BASE + SimDuration::from_micros(PER_TUPLE.as_micros() * n);
         let done = self.server.cpu(ctx, Component::RgmaSelect, cost);
         let Some(inst) = self.instances.get_mut(&chunk.consumer) else {
             return;
@@ -362,7 +362,7 @@ impl ConsumerServlet {
             accepted += 1;
         }
         if accepted > 0 {
-            let heap = Bytes(self.cfg.memory.heap_per_tuple.0 * accepted);
+            let heap = Bytes(HEAP_PER_TUPLE.0 * accepted);
             let _ = self.server.alloc(ctx, heap);
         }
         // Servlet backlog: tuples buffered awaiting the next client poll.
@@ -387,11 +387,9 @@ impl ConsumerServlet {
             .collect();
         let n = entries.len() as u64;
         if n > 0 {
-            self.server
-                .free(ctx, Bytes(self.cfg.memory.heap_per_tuple.0 * n));
+            self.server.free(ctx, Bytes(HEAP_PER_TUPLE.0 * n));
         }
-        let cost = self.cfg.costs.poll_answer
-            + SimDuration::from_micros(self.cfg.costs.per_tuple.as_micros() * n / 2);
+        let cost = POLL_ANSWER + SimDuration::from_micros(PER_TUPLE.as_micros() * n / 2);
         let done = self.server.cpu(ctx, Component::RgmaSelect, cost);
         let bytes = poll_result_bytes(&entries);
         let result = ConsumerResponse::PollResult { entries };
@@ -403,7 +401,7 @@ impl ConsumerServlet {
     /// is enabled; re-sent every mediation cycle so a restarted registry
     /// re-learns the consumer — the registry dedups live entries.
     fn register_interest(&mut self, ctx: &mut Context<'_>, table: String) {
-        if self.cfg.soft_state_refresh.is_none() {
+        if !self.cfg.recover {
             return;
         }
         let endpoint = self.server.endpoint(ctx);
@@ -416,7 +414,7 @@ impl ConsumerServlet {
     fn on_plan_tick(&mut self, ctx: &mut Context<'_>) {
         let mut cids: Vec<ConsumerId> = self.instances.keys().copied().collect();
         cids.sort_unstable();
-        if self.cfg.soft_state_refresh.is_some() {
+        if self.cfg.recover {
             let tables: std::collections::BTreeSet<String> =
                 self.instances.values().map(|i| i.table.clone()).collect();
             for table in tables {
@@ -426,14 +424,14 @@ impl ConsumerServlet {
         for cid in cids {
             self.lookup_for(ctx, cid);
         }
-        ctx.timer(self.cfg.plan_refresh, PlanTick);
+        ctx.timer(PLAN_REFRESH, PlanTick);
     }
 }
 
 impl Actor for ConsumerServlet {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         self.registry_conn = Some(self.http.open(ctx, self.registry_ep));
-        ctx.timer(self.cfg.plan_refresh, PlanTick);
+        ctx.timer(PLAN_REFRESH, PlanTick);
     }
 
     fn handle(&mut self, msg: Payload, ctx: &mut Context<'_>) {
@@ -501,7 +499,7 @@ impl Actor for ConsumerServlet {
         let Some((reply, body)) = self.server.admit(ctx, conn, *req, refusal) else {
             return;
         };
-        let cost = self.cfg.costs.servlet_dispatch;
+        let cost = SERVLET_DISPATCH;
         self.server.cpu(ctx, Component::RgmaServlet, cost);
         match body {
             ConsumerRequest::CreateConsumer { query } => self.on_create_consumer(ctx, reply, query),

@@ -34,7 +34,7 @@ pub mod storage;
 pub use client::{
     ProducerHandle, QueryHandle, RgmaClientSet, RgmaEvent, RgmaTimer, SubscriberHandle,
 };
-pub use config::{HttpRetryPolicy, RgmaConfig, RgmaCostModel, RgmaMemory};
+pub use config::RgmaConfig;
 pub use consumer::{ConsumerControl, ConsumerServlet};
 pub use producer::{ProducerControl, ProducerServlet};
 pub use protocol::{ConsumerId, ProducerId, QueryType};

@@ -7,7 +7,11 @@
 //! with `port = producer instance id`, so lookups return addressable
 //! instances without a separate id field.
 
-use crate::config::RgmaConfig;
+use crate::config::{
+    RgmaConfig, CREATE_INSTANCE, HEAP_PER_PRODUCER, HEAP_PER_TUPLE, INSERT_BASE,
+    INSERT_PER_BYTE_NS, LATEST_RETENTION, PER_TUPLE, POLL_ANSWER, SERVLET_DISPATCH,
+    SOFT_STATE_REFRESH, STREAMING_PERIOD, STREAM_SEND,
+};
 use crate::protocol::{
     chunk_bytes, ConsumerId, Entry, ProducerId, ProducerRequest, ProducerResponse, QueryType,
     RegistryRequest, StreamChunk,
@@ -97,7 +101,7 @@ impl ProducerServlet {
 
     fn on_create_producer(&mut self, ctx: &mut Context<'_>, reply: Reply, table: String) {
         // Heap for the instance.
-        if let Err(e) = self.server.alloc(ctx, self.cfg.memory.heap_per_producer) {
+        if let Err(e) = self.server.alloc(ctx, HEAP_PER_PRODUCER) {
             let reason = e.to_string();
             let now = ctx.now();
             reply.send_at(ctx, 503, 64, ProducerResponse::Error { reason }, now);
@@ -106,10 +110,10 @@ impl ProducerServlet {
         let pid = ProducerId(self.instances.len() as u32);
         self.instances.push(Instance {
             table: table.clone(),
-            storage: MemoryStorage::new(self.cfg.latest_retention, self.cfg.history_retention),
+            storage: MemoryStorage::new(LATEST_RETENTION, self.cfg.history_retention),
             cursors: Vec::new(),
         });
-        let cost = self.cfg.costs.create_instance;
+        let cost = CREATE_INSTANCE;
         let done = self.server.cpu(ctx, Component::RgmaServlet, cost);
         // Register the instance with the registry (async; the instance is
         // immediately usable by its client, but invisible to consumers
@@ -127,10 +131,8 @@ impl ProducerServlet {
         sql: Arc<str>,
         probe: ProbeId,
     ) {
-        let cost = self.cfg.costs.insert_base
-            + SimDuration::from_micros(
-                (sql.len() as u64 * self.cfg.costs.insert_per_byte_ns).div_ceil(1000),
-            );
+        let cost = INSERT_BASE
+            + SimDuration::from_micros((sql.len() as u64 * INSERT_PER_BYTE_NS).div_ceil(1000));
         let done = self.server.cpu(ctx, Component::RgmaInsert, cost);
         telemetry::with_metrics(ctx, |m, _| {
             m.add_counter("rgma.inserts", 1);
@@ -151,7 +153,7 @@ impl ProducerServlet {
         })();
         match result {
             Ok(rows) => {
-                let _ = self.server.alloc(ctx, self.cfg.memory.heap_per_tuple);
+                let _ = self.server.alloc(ctx, HEAP_PER_TUPLE);
                 reply.send_at(ctx, 200, 24, ProducerResponse::InsertOk, done);
                 let stored = simtrace::EventKind::StorageInsert { rows };
                 simtrace::hop(ctx, done, Some(simtrace::TraceId(probe.0)), stored);
@@ -168,7 +170,7 @@ impl ProducerServlet {
         consumer: ConsumerId,
         producers: Vec<ProducerId>,
     ) {
-        let cost = self.cfg.costs.servlet_dispatch;
+        let cost = SERVLET_DISPATCH;
         let done = self.server.cpu(ctx, Component::RgmaServlet, cost);
         // Attach (or extend) the stream for this consumer: any instance of
         // `table` not yet covered gets a cursor at the start of its
@@ -246,8 +248,7 @@ impl ProducerServlet {
             }
         }
         let n = entries.len() as u64;
-        let cost = self.cfg.costs.poll_answer
-            + SimDuration::from_micros(self.cfg.costs.per_tuple.as_micros() * n / 2);
+        let cost = POLL_ANSWER + SimDuration::from_micros(PER_TUPLE.as_micros() * n / 2);
         let done = self.server.cpu(ctx, Component::RgmaSelect, cost);
         let bytes = crate::protocol::poll_result_bytes(&entries);
         let result = ProducerResponse::FetchResult { token, entries };
@@ -280,22 +281,21 @@ impl ProducerServlet {
                 entries,
             };
             let n = chunk.entries.len() as u64;
-            let cost = self.cfg.costs.stream_send
-                + SimDuration::from_micros(self.cfg.costs.per_tuple.as_micros() * n / 4);
+            let cost = STREAM_SEND + SimDuration::from_micros(PER_TUPLE.as_micros() * n / 4);
             let done = self.server.cpu(ctx, Component::RgmaSelect, cost);
             let bytes = chunk_bytes(&chunk);
             self.server.send_at(ctx, conn, bytes, chunk, done);
         }
-        ctx.timer(self.cfg.streaming_period, FlushTick);
+        ctx.timer(STREAMING_PERIOD, FlushTick);
     }
 
     /// Soft-state refresh: re-register every live instance. After a
     /// registry restart (Tomcat bounce) the wiped directory re-learns
     /// them here; while the registry is healthy these are idempotent.
     fn on_refresh(&mut self, ctx: &mut Context<'_>) {
-        let Some(period) = self.cfg.soft_state_refresh else {
+        if !self.cfg.recover {
             return;
-        };
+        }
         let n = self.instances.len() as u64;
         for pid in 0..self.instances.len() {
             let table = self.instances[pid].table.clone();
@@ -304,7 +304,7 @@ impl ProducerServlet {
         if n > 0 {
             simfault::with_faults(ctx, |inj, _| inj.stats.reregistrations += n);
         }
-        ctx.timer(period, RefreshTick);
+        ctx.timer(SOFT_STATE_REFRESH, RefreshTick);
     }
 
     fn on_sweep(&mut self, ctx: &mut Context<'_>) {
@@ -314,7 +314,7 @@ impl ProducerServlet {
             evicted += inst.storage.sweep(now);
         }
         if evicted > 0 {
-            let heap = Bytes(self.cfg.memory.heap_per_tuple.0 * evicted as u64);
+            let heap = Bytes(HEAP_PER_TUPLE.0 * evicted as u64);
             self.server.free(ctx, heap);
         }
         ctx.timer(SimDuration::from_secs(5), SweepTick);
@@ -324,10 +324,10 @@ impl ProducerServlet {
 impl Actor for ProducerServlet {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         self.registry_conn = Some(self.http.open(ctx, self.registry_ep));
-        ctx.timer(self.cfg.streaming_period, FlushTick);
+        ctx.timer(STREAMING_PERIOD, FlushTick);
         ctx.timer(SimDuration::from_secs(5), SweepTick);
-        if let Some(period) = self.cfg.soft_state_refresh {
-            ctx.timer(period, RefreshTick);
+        if self.cfg.recover {
+            ctx.timer(SOFT_STATE_REFRESH, RefreshTick);
         }
     }
 
@@ -383,7 +383,7 @@ impl Actor for ProducerServlet {
             return;
         };
         // Base servlet dispatch cost applies to every request.
-        let cost = self.cfg.costs.servlet_dispatch;
+        let cost = SERVLET_DISPATCH;
         self.server.cpu(ctx, Component::RgmaServlet, cost);
         match body {
             ProducerRequest::CreateProducer { table } => self.on_create_producer(ctx, reply, table),

@@ -8,7 +8,7 @@
 //! not modelled here: the servlets get their table replicas at deployment,
 //! through `ProducerControl` / `ConsumerControl`.)
 
-use crate::config::RgmaConfig;
+use crate::config::{REGISTRY_OP, REGISTRY_PROPAGATION, SERVLET_DISPATCH};
 use crate::directory::{Directory, RegistrationId, TransferMode};
 use crate::protocol::{ProducerId, RegistryRequest, RegistryResponse};
 use simcore::{Actor, Context, FastMap, Payload};
@@ -19,7 +19,6 @@ use simos::{NodeId, ProcessId};
 
 /// The registry servlet actor.
 pub struct RegistryActor {
-    cfg: RgmaConfig,
     node: NodeId,
     directory: Directory,
     /// Parallel map: registration → producer instance id.
@@ -34,12 +33,10 @@ impl RegistryActor {
     /// New registry on `node`. It takes its host process like the
     /// servlets do, but holds no per-process memory to account there and
     /// takes no thread for a connection (ROADMAP item 4).
-    pub fn new(cfg: RgmaConfig, node: NodeId, _proc: ProcessId) -> Self {
-        let propagation = cfg.registry_propagation;
+    pub fn new(node: NodeId, _proc: ProcessId) -> Self {
         RegistryActor {
-            cfg,
             node,
-            directory: Directory::new(propagation),
+            directory: Directory::new(REGISTRY_PROPAGATION),
             instance_of: FastMap::default(),
             registered: FastMap::default(),
         }
@@ -47,13 +44,13 @@ impl RegistryActor {
 
     /// A Tomcat restart: every soft-state registration is lost.
     fn on_restart(&mut self) {
-        self.directory = Directory::new(self.cfg.registry_propagation);
+        self.directory = Directory::new(REGISTRY_PROPAGATION);
         self.instance_of.clear();
         self.registered.clear();
     }
 
     fn handle_request(&mut self, ctx: &mut Context<'_>, reply: Reply, body: Payload) {
-        let cost = self.cfg.costs.servlet_dispatch + self.cfg.costs.registry_op;
+        let cost = SERVLET_DISPATCH + REGISTRY_OP;
         server::cpu(ctx, self.node, simprof::Component::RgmaRegistry, cost);
         let resp = match body.downcast::<RegistryRequest>().map(|b| *b) {
             Ok(RegistryRequest::RegisterProducer { table, endpoint }) => {
@@ -148,9 +145,9 @@ mod tests {
         let proc = os.add_process(n0, ProcessSpec::jvm_1g());
         sim.add_service(os);
         sim.add_service(NetworkFabric::new(FabricConfig::default(), 2));
-        let mut cfg = RgmaConfig::glite_3_0();
-        cfg.registry_propagation = SimDuration::from_secs(4);
-        let reg = sim.add_actor(RegistryActor::new(cfg, n0, proc));
+        // The lookups below at 1 s and 6 s straddle the propagation delay.
+        const _: () = assert!(REGISTRY_PROPAGATION.as_micros() == 4_000_000);
+        let reg = sim.add_actor(RegistryActor::new(n0, proc));
         let reg_ep = Endpoint::new(n0, reg);
 
         let results: Rc<RefCell<Vec<usize>>> = Default::default();

@@ -8,7 +8,10 @@
 //! it behaves like a producer servlet hosting a single instance
 //! publishing `output_table`.
 
-use crate::config::RgmaConfig;
+use crate::config::{
+    RgmaConfig, CHUNK_INGEST_BASE, HEAP_PER_TUPLE, INSERT_BASE, LATEST_RETENTION, PER_TUPLE,
+    PLAN_REFRESH, SERVLET_DISPATCH, STREAM_SEND,
+};
 use crate::protocol::{
     chunk_bytes, ConsumerId, Entry, ProducerId, ProducerRequest, ProducerResponse, RegistryRequest,
     RegistryResponse, StreamChunk,
@@ -71,7 +74,7 @@ impl SecondaryProducer {
         input_table: impl Into<String>,
         output_table: impl Into<String>,
     ) -> Self {
-        let storage = MemoryStorage::new(cfg.latest_retention, cfg.history_retention * 10);
+        let storage = MemoryStorage::new(LATEST_RETENTION, cfg.history_retention * 10);
         SecondaryProducer {
             cfg,
             server: Acceptor::new(node, proc, Bytes(0)),
@@ -135,10 +138,8 @@ impl SecondaryProducer {
         let n = self.batch.len() as u64;
         if n > 0 {
             // The republished batch leaves the accumulation buffer.
-            self.server
-                .free(ctx, Bytes(self.cfg.memory.heap_per_tuple.0 * n));
-            let cost = self.cfg.costs.insert_base
-                + SimDuration::from_micros(self.cfg.costs.per_tuple.as_micros() * n);
+            self.server.free(ctx, Bytes(HEAP_PER_TUPLE.0 * n));
+            let cost = INSERT_BASE + SimDuration::from_micros(PER_TUPLE.as_micros() * n);
             let done = self.server.cpu(ctx, Component::RgmaSecondary, cost);
             // Republishing re-stamps `inserted_at`, so this producer makes
             // its own copy unless the primary has already evicted its.
@@ -172,7 +173,7 @@ impl SecondaryProducer {
             }
             for (conn, chunk) in sends {
                 let bytes = chunk_bytes(&chunk);
-                let cost = self.cfg.costs.stream_send;
+                let cost = STREAM_SEND;
                 let at = self.server.cpu(ctx, Component::RgmaSecondary, cost);
                 self.server.send_at(ctx, conn, bytes, chunk, at);
             }
@@ -192,7 +193,7 @@ impl Actor for SecondaryProducer {
             endpoint: Endpoint::with_port(me.node, me.actor, self.my_pid_port),
         };
         self.http.request(ctx, conn, "/registry/register", 96, req);
-        ctx.timer(self.cfg.plan_refresh, PlanTick);
+        ctx.timer(PLAN_REFRESH, PlanTick);
         ctx.timer(self.cfg.secondary_flush, FlushTick);
     }
 
@@ -207,7 +208,7 @@ impl Actor for SecondaryProducer {
         let msg = match msg.downcast::<PlanTick>() {
             Ok(_) => {
                 self.lookup_upstream(ctx);
-                ctx.timer(self.cfg.plan_refresh, PlanTick);
+                ctx.timer(PLAN_REFRESH, PlanTick);
                 return;
             }
             Err(m) => m,
@@ -221,10 +222,9 @@ impl Actor for SecondaryProducer {
         let payload = match payload.downcast::<StreamChunk>() {
             Ok(chunk) => {
                 let n = chunk.entries.len() as u64;
-                let cost = self.cfg.costs.chunk_ingest_base
-                    + SimDuration::from_micros(self.cfg.costs.per_tuple.as_micros() * n);
+                let cost = CHUNK_INGEST_BASE + SimDuration::from_micros(PER_TUPLE.as_micros() * n);
                 self.server.cpu(ctx, Component::RgmaSecondary, cost);
-                let heap = Bytes(self.cfg.memory.heap_per_tuple.0 * n);
+                let heap = Bytes(HEAP_PER_TUPLE.0 * n);
                 let _ = self.server.alloc(ctx, heap);
                 self.batch.extend(chunk.entries);
                 let occupancy = self.batch.len() as u32;
@@ -269,7 +269,7 @@ impl Actor for SecondaryProducer {
                     consumer,
                     cursor: self.storage.tail_cursor(),
                 });
-                let cost = self.cfg.costs.servlet_dispatch;
+                let cost = SERVLET_DISPATCH;
                 let done = self.server.cpu(ctx, Component::RgmaSecondary, cost);
                 let from = self.server.endpoint(ctx);
                 let reply = Reply { conn, req_id, from };

@@ -56,7 +56,7 @@ struct SingleServer {
 
 fn deploy_single_server(sim: &mut Simulation, node: NodeId, cfg: &RgmaConfig) -> SingleServer {
     let proc = rgma_jvm(sim, node);
-    let reg = sim.add_actor(RegistryActor::new(cfg.clone(), node, proc));
+    let reg = sim.add_actor(RegistryActor::new(node, proc));
     let reg_ep = Endpoint::new(node, reg);
     let prod = sim.add_actor(ProducerServlet::new(cfg.clone(), node, proc, reg_ep));
     let cons = sim.add_actor(ConsumerServlet::new(cfg.clone(), node, proc, reg_ep));
@@ -328,7 +328,7 @@ fn server_refuses_producers_when_thread_pool_exhausted() {
             baseline: simos::Bytes::mib(16),
         },
     );
-    let reg = sim.add_actor(RegistryActor::new(cfg.clone(), nodes[0], proc));
+    let reg = sim.add_actor(RegistryActor::new(nodes[0], proc));
     let reg_ep = Endpoint::new(nodes[0], reg);
     let prod = sim.add_actor(ProducerServlet::new(cfg.clone(), nodes[0], proc, reg_ep));
     let cons = sim.add_actor(ConsumerServlet::new(cfg.clone(), nodes[0], proc, reg_ep));
@@ -746,7 +746,7 @@ impl WalkEveryCursor {
     fn step(&mut self, now: SimTime, step: &Step) {
         match step {
             Step::Create => self.instances.push(MemoryStorage::new(
-                self.cfg.latest_retention,
+                rgma::config::LATEST_RETENTION,
                 self.cfg.history_retention,
             )),
             Step::Insert(pid, probe) => {
@@ -808,7 +808,7 @@ fn chunks_are_those_of_a_walk_over_every_cursor() {
     // Short enough that tuples are evicted under the streams' feet, long
     // enough that none is evicted between its replay and its flush.
     cfg.history_retention = SimDuration::from_secs(8);
-    let period = cfg.streaming_period.as_micros();
+    let period = rgma::config::STREAMING_PERIOD.as_micros();
     assert_eq!(period, 1_500_000, "the script's offsets assume 1.5 s");
     let at = |k: u64, offset_ms: u64| SimTime::from_micros(k * period + offset_ms * 1000);
 

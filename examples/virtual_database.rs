@@ -152,7 +152,7 @@ fn main() {
     sim.add_service(VmstatLog::new());
 
     let cfg = RgmaConfig::glite_3_0();
-    let reg = sim.add_actor(RegistryActor::new(cfg.clone(), server, proc));
+    let reg = sim.add_actor(RegistryActor::new(server, proc));
     let reg_ep = Endpoint::new(server, reg);
     let prod = sim.add_actor(ProducerServlet::new(cfg.clone(), server, proc, reg_ep));
     let cons = sim.add_actor(ConsumerServlet::new(cfg.clone(), server, proc, reg_ep));
