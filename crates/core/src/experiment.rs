@@ -105,7 +105,8 @@ pub struct ExperimentSpec {
     pub seed: u64,
     /// Use the v1.1.3 broadcast DBN (true) or routed ablation (false).
     pub dbn_broadcast: bool,
-    /// Override the R-GMA configuration (None = gLite 3.0 defaults).
+    /// Override the R-GMA configuration (None = gLite 3.0 defaults). Its
+    /// `recover` flag is set from `faults` either way.
     pub rgma_config: Option<RgmaConfig>,
     /// Enable `simtrace` lifecycle tracing. Off by default: no collector
     /// service is registered, so every instrumentation site reduces to
@@ -209,8 +210,7 @@ impl ExperimentSpec {
 
     /// Inject a scripted fault schedule. Also arms the default client
     /// recovery policies (Narada reconnect, R-GMA HTTP retry and
-    /// soft-state refresh) unless an explicit `rgma_config` overrides
-    /// them.
+    /// soft-state refresh).
     pub fn with_faults(mut self, faults: FaultSchedule) -> Self {
         self.faults = faults;
         self
@@ -663,11 +663,10 @@ fn build_world(
                 .rgma_config
                 .clone()
                 .unwrap_or_else(RgmaConfig::glite_3_0);
-            if !spec.faults.is_empty() && spec.rgma_config.is_none() {
-                // Default recovery policies ride along with the faults:
-                // insert retry-on-5xx and soft-state re-registration.
-                rcfg.recover = true;
-            }
+            // Recovery rides along with the faults, whatever the spec's
+            // `rgma_config`: insert retry-on-5xx and soft-state
+            // re-registration.
+            rcfg.recover = !spec.faults.is_empty();
             // Registry always on server node 0.
             sim.on_node(server_nodes[0].0);
             let reg = sim.add_actor(RegistryActor::new(server_nodes[0], server_procs[0]));

@@ -404,6 +404,28 @@ fn rgma_consumer_outlives_registry_restart() {
     }
 }
 
+/// Both legs of the Secondary Producer ablation recover, so the ablation
+/// compares the two delays under one recovery policy: the leg that sets
+/// an `rgma_config` (the 0.5 s flush) retries its rejected inserts too.
+#[test]
+fn rgma_secondary_ablation_legs_both_retry_under_servlet_stall() {
+    let stall = FaultSchedule::scenario("servlet-stall").expect("known scenario");
+    for spec in gridmon::core::scenarios::secondary_delay_ablation(20) {
+        let r = run_experiment(&spec.with_faults(stall.clone()));
+        let f = r.fault_stats.expect("faulted run has stats");
+        assert!(
+            f.stall_rejections > 0,
+            "{}: the stall rejected nothing ({f:?})",
+            r.name
+        );
+        assert!(
+            f.http_retries > 0,
+            "{}: no rejected request was retried ({f:?})",
+            r.name
+        );
+    }
+}
+
 #[test]
 fn rgma_insert_retry_rides_out_servlet_stall() {
     for seed in SEEDS {
