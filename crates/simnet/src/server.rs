@@ -18,8 +18,9 @@ use simprof::Component;
 use std::any::Any;
 
 /// Run `cost` on `node`'s CPU, charged to `component`; returns the
-/// completion time. The one metered CPU submission every client and
-/// server in the workspace makes.
+/// completion time. Every client and server submits its metered CPU
+/// work here, except narada's `Broker::cpu_matched`, which splits one
+/// submission between route and match.
 #[inline]
 pub fn cpu(
     ctx: &mut Context<'_>,
