@@ -15,9 +15,6 @@ use simcore::SimDuration;
 use simnet::FabricConfig;
 use simos::{Bytes, NodeSpec, ProcessSpec};
 
-/// Number of nodes in the Hydra cluster.
-pub const HYDRA_NODES: usize = 8;
-
 /// Per-runnable-thread CPU inflation on middleware *server* nodes.
 ///
 /// Thousands of thread-per-connection Java threads on a single-core

@@ -156,10 +156,6 @@ impl LogBroker {
         self.stats.clone()
     }
 
-    fn per_byte(&self, bytes: usize) -> SimDuration {
-        SimDuration::from_micros((bytes as u64 * BROKER_PER_BYTE_NS).div_ceil(1000))
-    }
-
     /// Put a control frame on `conn` at `at`.
     fn control(&self, ctx: &mut Context<'_>, conn: ConnId, frame: BrokerToClient, at: SimTime) {
         self.server
@@ -225,7 +221,8 @@ impl LogBroker {
             if let Some(&last) = self.producer_seqs.get(&producer_id) {
                 if batch_seq <= last {
                     self.stats.borrow_mut().dup_batches += 1;
-                    let cost = BROKER_APPEND_BASE + self.per_byte(bytes);
+                    let cost =
+                        BROKER_APPEND_BASE + SimDuration::per_byte(bytes, BROKER_PER_BYTE_NS);
                     let done = self.server.cpu(ctx, Component::GridlogAppend, cost);
                     self.control(ctx, conn, BrokerToClient::ProduceAck { batch_seq }, done);
                     return;
@@ -240,8 +237,9 @@ impl LogBroker {
             st.appended += n;
         }
         let tid = self.topic_log(&topic);
-        let cost =
-            BROKER_APPEND_BASE + self.per_byte(bytes) + BROKER_APPEND_PER_RECORD.saturating_mul(n);
+        let cost = BROKER_APPEND_BASE
+            + SimDuration::per_byte(bytes, BROKER_PER_BYTE_NS)
+            + BROKER_APPEND_PER_RECORD.saturating_mul(n);
         let done = self.server.cpu(ctx, Component::GridlogAppend, cost);
         let now = ctx.now();
         let mut touched: BTreeSet<u32> = BTreeSet::new();

@@ -176,16 +176,6 @@ impl GridlogClientSet {
         }
     }
 
-    fn serialize_cost(&self, bytes: usize) -> SimDuration {
-        CLIENT_SERIALIZE_BASE
-            + SimDuration::from_micros((bytes as u64 * CLIENT_SERIALIZE_PER_BYTE_NS).div_ceil(1000))
-    }
-
-    fn deliver_cost(&self, bytes: usize) -> SimDuration {
-        CLIENT_DELIVER_BASE
-            + SimDuration::from_micros((bytes as u64 * CLIENT_DELIVER_PER_BYTE_NS).div_ceil(1000))
-    }
-
     /// Open a producer connection. `producer_id` is the stable
     /// idempotence identity (survives reconnects).
     pub fn connect_producer(
@@ -310,7 +300,9 @@ impl GridlogClientSet {
         let bytes = produce_bytes(&records);
         let now = ctx.now();
         simtrace::hop(ctx, now, None, simtrace::EventKind::BatchFlush { tuples });
-        let ser_done = self.sessions.cpu(ctx, self.serialize_cost(bytes));
+        let cost =
+            CLIENT_SERIALIZE_BASE + SimDuration::per_byte(bytes, CLIENT_SERIALIZE_PER_BYTE_NS);
+        let ser_done = self.sessions.cpu(ctx, cost);
         for rec in &records {
             probe::sent(ctx, rec.probe, ser_done);
         }
@@ -491,7 +483,9 @@ impl GridlogClientSet {
                     if fresh {
                         probe::available(ctx, rec.probe, now);
                     }
-                    let done = self.sessions.cpu(ctx, self.deliver_cost(bytes));
+                    let cost = CLIENT_DELIVER_BASE
+                        + SimDuration::per_byte(bytes, CLIENT_DELIVER_PER_BYTE_NS);
+                    let done = self.sessions.cpu(ctx, cost);
                     if fresh {
                         // Committed-offset replay after a crash redelivers
                         // records, but the `fresh` gate (and first-wins

@@ -1,6 +1,5 @@
-//! JMS API-level types shared by brokers and clients: destinations,
-//! acknowledgement modes, compiled selectors, and subscription
-//! descriptors.
+//! JMS API-level types shared by brokers and clients: acknowledgement
+//! modes and compiled selectors.
 
 use crate::selector::{self, Expr, ParseError};
 use simcore::SimDuration;
@@ -16,35 +15,6 @@ pub enum AckMode {
     /// Application acknowledges explicitly; acks are batched (the paper's
     /// "UDP CLI" test used CLIENT_ACKNOWLEDGE).
     Client,
-    /// Lazy acknowledgement permitting duplicates.
-    DupsOk,
-}
-
-/// A JMS destination.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum Destination {
-    /// Pub/sub topic.
-    Topic(String),
-    /// Point-to-point queue.
-    Queue(String),
-}
-
-impl Destination {
-    /// Destination name.
-    pub fn name(&self) -> &str {
-        match self {
-            Destination::Topic(s) | Destination::Queue(s) => s,
-        }
-    }
-}
-
-impl std::fmt::Display for Destination {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Destination::Topic(s) => write!(f, "topic:{s}"),
-            Destination::Queue(s) => write!(f, "queue:{s}"),
-        }
-    }
 }
 
 /// A compiled message selector: source text, AST, and a CPU cost model
@@ -100,46 +70,11 @@ impl Selector {
     }
 }
 
-/// A topic subscription as registered with a broker.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SubscriptionDesc {
-    /// Destination subscribed to.
-    pub destination: Destination,
-    /// Message filter.
-    pub selector: Selector,
-    /// Durable subscriptions survive disconnect (paper: non-durable).
-    pub durable: bool,
-    /// Suppress messages published on the same connection.
-    pub no_local: bool,
-}
-
-impl SubscriptionDesc {
-    /// Non-durable subscription with the given selector — the study's
-    /// configuration.
-    pub fn new(destination: Destination, selector: Selector) -> Self {
-        SubscriptionDesc {
-            destination,
-            selector,
-            durable: false,
-            no_local: false,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use simcore::SimTime;
     use wire::{Headers, MessageId};
-
-    #[test]
-    fn destination_accessors() {
-        let t = Destination::Topic("power".into());
-        assert_eq!(t.name(), "power");
-        assert_eq!(format!("{t}"), "topic:power");
-        let q = Destination::Queue("jobs".into());
-        assert_eq!(format!("{q}"), "queue:jobs");
-    }
 
     #[test]
     fn selector_compile_and_match() {
@@ -169,12 +104,5 @@ mod tests {
         let complex =
             Selector::compile("a = 1 AND b = 2 AND c LIKE 'x%' AND d BETWEEN 1 AND 9").unwrap();
         assert!(complex.eval_cost() > simple.eval_cost());
-    }
-
-    #[test]
-    fn subscription_defaults() {
-        let sub = SubscriptionDesc::new(Destination::Topic("power".into()), Selector::match_all());
-        assert!(!sub.durable);
-        assert!(!sub.no_local);
     }
 }

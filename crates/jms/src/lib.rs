@@ -10,12 +10,11 @@
 //!   `LIKE`/`BETWEEN`/`IN`/`IS NULL`.
 //! * [`Selector`] — compiled selectors with a per-evaluation CPU cost
 //!   model charged to broker nodes.
-//! * [`AckMode`], [`Destination`], [`SubscriptionDesc`] — the JMS settings
-//!   the study varies (AUTO vs CLIENT acknowledge, topics, non-durable
-//!   subscriptions).
+//! * [`AckMode`] — the acknowledge mode the study varies (AUTO vs
+//!   CLIENT).
 
 pub mod api;
 pub mod selector;
 
-pub use api::{AckMode, Destination, Selector, SubscriptionDesc};
+pub use api::{AckMode, Selector};
 pub use selector::{Expr, ParseError};

@@ -209,10 +209,6 @@ impl Broker {
         })
     }
 
-    fn per_byte(&self, bytes: usize) -> SimDuration {
-        SimDuration::from_micros((bytes as u64 * BROKER_PER_BYTE_NS).div_ceil(1000))
-    }
-
     /// Put a control frame on `conn` at `at`.
     fn control(&self, ctx: &mut Context<'_>, conn: ConnId, frame: BrokerToClient, at: SimTime) {
         self.server
@@ -266,7 +262,6 @@ impl Broker {
             topic,
             selector,
             ack_mode,
-            queue,
         } = sub;
         let cost = BROKER_ACCEPT / 2;
         let Ok(selector) = Selector::compile(&selector) else {
@@ -282,7 +277,7 @@ impl Broker {
         // matching publishes into stable storage while the subscriber is
         // still reconnecting, then resync on request.
         let transport = self.server.state(conn).map(|c| c.transport);
-        if !queue && ack_mode == AckMode::Client && transport == Some(Transport::Udp) {
+        if ack_mode == AckMode::Client && transport == Some(Transport::Udp) {
             let peer = self.subscriber_on(ctx, conn);
             let subs = self.durable_subs.entry(peer).or_default();
             match subs.iter_mut().find(|d| d.sub_id == sub_id) {
@@ -299,13 +294,8 @@ impl Broker {
                 }),
             }
         }
-        if queue {
-            self.engine
-                .subscribe_queue(&topic, conn, sub_id, selector, ack_mode);
-        } else {
-            self.engine
-                .subscribe(&topic, conn, sub_id, selector, ack_mode);
-        }
+        self.engine
+            .subscribe(&topic, conn, sub_id, selector, ack_mode);
         let done = self.server.cpu(ctx, Component::NaradaRoute, cost);
         self.control(ctx, conn, BrokerToClient::SubscribeOk { sub_id }, done);
         if !had_interest {
@@ -337,7 +327,6 @@ impl Broker {
             seq,
             message,
             retransmit,
-            queue,
         } = publish;
         let Some(transport) = self.server.state(conn).map(|c| c.transport) else {
             return;
@@ -366,20 +355,13 @@ impl Broker {
         let broker = u32::from(self.my_ix);
         hop(ctx, probe, EventKind::BrokerRecv { broker });
 
-        // Processing cost: deserialize + route + match. Queue sends
-        // (point-to-point) deliver to exactly one receiver and are not
-        // forwarded through the broker network (queues live on the broker
-        // they were created on).
+        // Processing cost: deserialize + route + match.
         let topic: &str = &message.headers.destination;
         let match_t0 = ctx.wall_start();
-        let (matches, match_cost) = if queue {
-            let (hit, cost) = self.engine.match_queue(topic, &message);
-            (hit.into_iter().collect(), cost)
-        } else {
-            self.engine.match_message(topic, &message)
-        };
+        let (matches, match_cost) = self.engine.match_message(topic, &message);
         ctx.wall_record(Site::JmsMatch, match_t0);
-        let mut cost = BROKER_PUBLISH_BASE + self.per_byte(bytes) + match_cost;
+        let mut cost =
+            BROKER_PUBLISH_BASE + SimDuration::per_byte(bytes, BROKER_PER_BYTE_NS) + match_cost;
         if transport == Transport::Nio {
             cost += NIO_EXTRA;
         }
@@ -393,24 +375,13 @@ impl Broker {
             m.observe("narada.publish_cost_us", cost.as_micros());
         });
 
-        // Queue matching early-exits at the first eligible receiver, so
-        // misses are only tracked for topic (fan-out) matching.
         let matched = matches.len() as u32;
-        let missed = if queue {
-            0
-        } else {
-            (self.engine.topic_len(topic) as u32).saturating_sub(matched)
-        };
+        let missed = (self.engine.topic_len(topic) as u32).saturating_sub(matched);
         hop(ctx, probe, EventKind::SelectorMatch { matched, missed });
 
-        if !queue {
-            self.capture_orphans(probe, &message);
-        }
+        self.capture_orphans(probe, &message);
         self.dispatch_deliveries(ctx, probe, &message, matches, done);
 
-        if queue {
-            return;
-        }
         // Forward through the broker network.
         let seq = self.next_fwd_seq;
         self.next_fwd_seq += 1;
@@ -570,7 +541,7 @@ impl Broker {
         let seen = self.seen_forwards.entry(flood.origin).or_default();
         if !seen.insert(flood.seq) {
             self.stats.borrow_mut().dup_publishes += 1;
-            let cost = BROKER_PUBLISH_BASE / 2 + self.per_byte(bytes);
+            let cost = BROKER_PUBLISH_BASE / 2 + SimDuration::per_byte(bytes, BROKER_PER_BYTE_NS);
             self.server.cpu(ctx, Component::NaradaRoute, cost);
             return;
         }
@@ -580,7 +551,8 @@ impl Broker {
         let match_t0 = ctx.wall_start();
         let (matches, match_cost) = self.engine.match_message(topic, &message);
         ctx.wall_record(Site::JmsMatch, match_t0);
-        let cost = BROKER_PUBLISH_BASE + self.per_byte(bytes) + match_cost;
+        let cost =
+            BROKER_PUBLISH_BASE + SimDuration::per_byte(bytes, BROKER_PER_BYTE_NS) + match_cost;
         let done = simprof::profile_span!(ctx, Component::NaradaRoute, {
             self.cpu_matched(ctx, cost, match_cost)
         });
@@ -816,10 +788,6 @@ impl Actor for Broker {
             ClientToBroker::Connect => self.on_connect(ctx, conn),
             ClientToBroker::Disconnect => self.on_disconnect(ctx, conn),
             ClientToBroker::Subscribe(sub) => self.on_subscribe(ctx, conn, sub),
-            ClientToBroker::Unsubscribe { sub_id } => {
-                self.engine.unsubscribe(conn, sub_id);
-                self.gossip_interests(ctx);
-            }
             ClientToBroker::Publish(publish) => self.on_publish(ctx, conn, publish, bytes),
             ClientToBroker::Ack {
                 cumulative_seq,

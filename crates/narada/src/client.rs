@@ -72,7 +72,6 @@ struct PendingPub {
     message: Message,
     retries: u32,
     timer: u64,
-    queue: bool,
 }
 
 #[derive(Default)]
@@ -90,7 +89,6 @@ struct SubSpec {
     sub_id: u32,
     topic: String,
     selector: String,
-    queue: bool,
     /// CLIENT-ack UDP subscriptions ask the broker for a stable-storage
     /// resync once the re-subscribe is confirmed.
     needs_resync: bool,
@@ -110,7 +108,7 @@ struct ConnState {
     /// re-subscribe after reconnect.
     subs: Vec<SubSpec>,
     /// Publishes issued while reconnecting, drained on reconnect.
-    offline: Vec<(ProbeId, Message, bool)>,
+    offline: Vec<(ProbeId, Message)>,
     /// Probes already surfaced to the listener; filters the duplicates a
     /// resync can produce. Only populated when reconnect is enabled.
     seen_probes: FastSet<u64>,
@@ -162,16 +160,6 @@ impl NaradaClientSet {
         }
     }
 
-    fn serialize_cost(&self, bytes: usize) -> SimDuration {
-        CLIENT_SERIALIZE_BASE
-            + SimDuration::from_micros((bytes as u64 * CLIENT_SERIALIZE_PER_BYTE_NS).div_ceil(1000))
-    }
-
-    fn deliver_cost(&self, bytes: usize) -> SimDuration {
-        CLIENT_DELIVER_BASE
-            + SimDuration::from_micros((bytes as u64 * CLIENT_DELIVER_PER_BYTE_NS).div_ceil(1000))
-    }
-
     /// Open a connection to `broker_ep`. The broker replies ConnectOk /
     /// ConnectRefused, surfaced later as a [`ClientEvent`].
     pub fn connect(
@@ -202,31 +190,7 @@ impl NaradaClientSet {
         topic: impl Into<String>,
         selector: impl Into<String>,
     ) {
-        self.subscribe_inner(ctx, conn, sub_id, topic.into(), selector.into(), false)
-    }
-
-    /// Register as a queue receiver (JMS point-to-point mode): each
-    /// message sent to the queue reaches exactly one receiver.
-    pub fn subscribe_queue(
-        &mut self,
-        ctx: &mut Context<'_>,
-        conn: ConnId,
-        sub_id: u32,
-        queue: impl Into<String>,
-        selector: impl Into<String>,
-    ) {
-        self.subscribe_inner(ctx, conn, sub_id, queue.into(), selector.into(), true)
-    }
-
-    fn subscribe_inner(
-        &mut self,
-        ctx: &mut Context<'_>,
-        conn: ConnId,
-        sub_id: u32,
-        topic: String,
-        selector: String,
-        queue: bool,
-    ) {
+        let (topic, selector) = (topic.into(), selector.into());
         let sess = self.sessions.get_mut(conn).expect("unknown connection");
         assert!(sess.is_ready(), "subscribe before ConnectOk");
         sess.state.recv.insert(sub_id, SubRecv::default());
@@ -236,7 +200,6 @@ impl NaradaClientSet {
                 sub_id,
                 topic: topic.clone(),
                 selector: selector.clone(),
-                queue,
                 needs_resync: false,
             });
         }
@@ -245,7 +208,6 @@ impl NaradaClientSet {
             topic,
             selector,
             ack_mode,
-            queue,
         });
         self.sessions.send(ctx, conn, CONTROL_FRAME_BYTES + 64, msg);
     }
@@ -254,38 +216,18 @@ impl NaradaClientSet {
     /// `before_sending`/`after_sending` ([`simnet::probe`]) and returns
     /// the probe id.
     pub fn publish(&mut self, ctx: &mut Context<'_>, conn: ConnId, message: Message) -> ProbeId {
-        self.publish_inner(ctx, conn, message, false)
-    }
-
-    /// Send a message to a queue (point-to-point mode).
-    pub fn send_to_queue(
-        &mut self,
-        ctx: &mut Context<'_>,
-        conn: ConnId,
-        message: Message,
-    ) -> ProbeId {
-        self.publish_inner(ctx, conn, message, true)
-    }
-
-    fn publish_inner(
-        &mut self,
-        ctx: &mut Context<'_>,
-        conn: ConnId,
-        message: Message,
-        queue: bool,
-    ) -> ProbeId {
         let probe = probe::published(ctx, &message.headers.destination);
         let sess = self.sessions.get_mut(conn).expect("unknown connection");
         if sess.reconnecting() {
             // Broker presumed dead and a reconnect is in flight: buffer
             // the publish; it is re-sent (delayed, not dropped) once the
             // replacement connection comes up.
-            sess.state.offline.push((probe, message, queue));
+            sess.state.offline.push((probe, message));
             simfault::with_faults(ctx, |inj, _| inj.stats.delayed += 1);
             return probe;
         }
         assert!(sess.is_ready(), "publish before ConnectOk");
-        self.send_publish(ctx, conn, probe, message, queue);
+        self.send_publish(ctx, conn, probe, message);
         probe
     }
 
@@ -297,7 +239,6 @@ impl NaradaClientSet {
         conn: ConnId,
         probe: ProbeId,
         message: Message,
-        queue: bool,
     ) {
         let sess = self.sessions.get_mut(conn).expect("unknown connection");
         let seq = sess.state.next_pub_seq;
@@ -306,7 +247,9 @@ impl NaradaClientSet {
         let bytes = publish_bytes(&message);
 
         // Serialization on the client CPU.
-        let ser_done = self.sessions.cpu(ctx, self.serialize_cost(bytes));
+        let cost =
+            CLIENT_SERIALIZE_BASE + SimDuration::per_byte(bytes, CLIENT_SERIALIZE_PER_BYTE_NS);
+        let ser_done = self.sessions.cpu(ctx, cost);
 
         if transport == Transport::Udp {
             // JMS-over-UDP: publish() is synchronous until the broker ack.
@@ -321,7 +264,6 @@ impl NaradaClientSet {
                     message: message.clone(),
                     retries: 0,
                     timer,
-                    queue,
                 },
             );
         } else {
@@ -334,7 +276,6 @@ impl NaradaClientSet {
             seq,
             message,
             retransmit: false,
-            queue,
         });
         self.sessions.send_at(ctx, conn, bytes, pub_msg, ser_done);
     }
@@ -434,7 +375,9 @@ impl NaradaClientSet {
                 if fresh {
                     probe::available(ctx, probe, now);
                 }
-                let done = self.sessions.cpu(ctx, self.deliver_cost(bytes));
+                let cost =
+                    CLIENT_DELIVER_BASE + SimDuration::per_byte(bytes, CLIENT_DELIVER_PER_BYTE_NS);
+                let done = self.sessions.cpu(ctx, cost);
                 if fresh {
                     probe::delivered(ctx, probe, done);
                     events.push(ClientEvent::MessageArrived {
@@ -448,7 +391,7 @@ impl NaradaClientSet {
                 // Acknowledgements (UDP reliability layer).
                 if transport == Transport::Udp {
                     match ack_mode {
-                        AckMode::Auto | AckMode::DupsOk => {
+                        AckMode::Auto => {
                             self.flush_acks(ctx, conn, done);
                         }
                         AckMode::Client => {
@@ -492,7 +435,7 @@ impl NaradaClientSet {
                     let probe = state.pending_pubs[&seq].probe;
                     events.push(ClientEvent::PublishAbandoned { conn, probe });
                 }
-                for (probe, _, _) in &state.offline {
+                for (probe, _) in &state.offline {
                     events.push(ClientEvent::PublishAbandoned {
                         conn,
                         probe: *probe,
@@ -538,7 +481,7 @@ impl NaradaClientSet {
             timeout = timeout.saturating_mul(4);
         }
         p.retries += 1;
-        let (probe, message, queue) = (p.probe, p.message.clone(), p.queue);
+        let (probe, message) = (p.probe, p.message.clone());
         let attempt = p.retries;
         let now = ctx.now();
         let retransmit = simtrace::EventKind::Retransmit { attempt };
@@ -550,7 +493,7 @@ impl NaradaClientSet {
         if let Some(p) = sess.state.pending_pubs.get_mut(&seq) {
             p.timer = timer;
         }
-        self.resend(ctx, conn, probe, seq, message, queue);
+        self.resend(ctx, conn, probe, seq, message);
         Vec::new()
     }
 
@@ -564,7 +507,6 @@ impl NaradaClientSet {
         probe: ProbeId,
         seq: u64,
         message: Message,
-        queue: bool,
     ) {
         let bytes = publish_bytes(&message);
         let done = self.sessions.cpu(ctx, CLIENT_SERIALIZE_BASE);
@@ -573,13 +515,12 @@ impl NaradaClientSet {
             seq,
             message,
             retransmit: true,
-            queue,
         });
         self.sessions.send_at(ctx, conn, bytes, msg, done);
     }
 
     /// Re-create every subscription of a reconnected connection, flagging
-    /// CLIENT-ack UDP topic subs for a stable-storage resync.
+    /// CLIENT-ack UDP subs for a stable-storage resync.
     fn resubscribe_all(&mut self, ctx: &mut Context<'_>, conn: ConnId) {
         let Some(sess) = self.sessions.get_mut(conn) else {
             return;
@@ -589,14 +530,13 @@ impl NaradaClientSet {
         let ConnState { subs, recv, .. } = &mut sess.state;
         let mut msgs = Vec::new();
         for spec in subs.iter_mut() {
-            spec.needs_resync = durable && !spec.queue;
+            spec.needs_resync = durable;
             recv.insert(spec.sub_id, SubRecv::default());
             msgs.push(ClientToBroker::Subscribe(Subscribe {
                 sub_id: spec.sub_id,
                 topic: spec.topic.clone(),
                 selector: spec.selector.clone(),
                 ack_mode,
-                queue: spec.queue,
             }));
         }
         for msg in msgs {
@@ -622,8 +562,8 @@ impl NaradaClientSet {
             let p = sess.state.pending_pubs.get_mut(&seq).expect("listed above");
             p.retries = 0;
             p.timer = timer;
-            let (probe, message, queue) = (p.probe, p.message.clone(), p.queue);
-            self.resend(ctx, conn, probe, seq, message, queue);
+            let (probe, message) = (p.probe, p.message.clone());
+            self.resend(ctx, conn, probe, seq, message);
         }
         if n > 0 {
             simfault::with_faults(ctx, |inj, _| inj.stats.republished += n);
@@ -636,8 +576,8 @@ impl NaradaClientSet {
             return;
         };
         let offline = std::mem::take(&mut sess.state.offline);
-        for (probe, message, queue) in offline {
-            self.send_publish(ctx, conn, probe, message, queue);
+        for (probe, message) in offline {
+            self.send_publish(ctx, conn, probe, message);
         }
     }
 
@@ -648,11 +588,11 @@ impl NaradaClientSet {
             return;
         };
         // Only a CLIENT-ack broker retains deliveries, so only then does
-        // the selective part of the ack tell it anything. In AUTO and
-        // DUPS_OK the set of seqs above an unrecovered gap never drains;
-        // listing it on every delivery made the host cost of a run
-        // quadratic in its length. The frame is `CONTROL_FRAME_BYTES`
-        // on the simulated wire whatever it lists.
+        // the selective part of the ack tell it anything. In AUTO the set
+        // of seqs above an unrecovered gap never drains; listing it on
+        // every delivery made the host cost of a run quadratic in its
+        // length. The frame is `CONTROL_FRAME_BYTES` on the simulated wire
+        // whatever it lists.
         let selective = sess.state.ack_mode == AckMode::Client;
         for recv in sess.state.recv.values_mut() {
             if !recv.dirty {

@@ -13,8 +13,8 @@
 //!   acknowledgement protocol — the cause of the paper's surprising UDP
 //!   results ([`client`], [`broker`]).
 //! * The Broker Network Map with full-mesh deployment, a Broker Discovery
-//!   Node, Dijkstra routing, and the v1.1.3 broadcast deficiency behind
-//!   the paper's DBN findings ([`network`]).
+//!   Node, and the v1.1.3 broadcast deficiency behind the paper's DBN
+//!   findings ([`network`]).
 
 pub mod broker;
 pub mod client;
@@ -28,5 +28,5 @@ pub use broker::{Broker, BrokerControl, BrokerStats, StatsHandle};
 pub use client::{ClientEvent, NaradaClientSet};
 pub use config::ConnSettings;
 pub use matching::{MatchedDelivery, MatchingEngine, Subscription};
-pub use network::{BrokerDiscoveryNode, BrokerList, BrokerNetwork, DiscoverBrokers};
+pub use network::{BrokerDiscoveryNode, BrokerNetwork};
 pub use simnet::session::{ClientTimer, ReconnectPolicy};

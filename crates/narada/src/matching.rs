@@ -37,12 +37,10 @@ pub struct MatchedDelivery {
     pub ack_mode: AckMode,
 }
 
-/// Topic-indexed subscription store, plus point-to-point queues.
+/// Topic-indexed subscription store.
 #[derive(Default)]
 pub struct MatchingEngine {
     by_topic: FastMap<String, Vec<Subscription>>,
-    /// PTP queues: receivers share the queue; each message goes to one.
-    by_queue: FastMap<String, (Vec<Subscription>, usize)>,
     subscription_count: usize,
 }
 
@@ -74,53 +72,9 @@ impl MatchingEngine {
         self.subscription_count += 1;
     }
 
-    /// Register a queue receiver (JMS point-to-point mode): each message
-    /// sent to the queue is delivered to exactly one eligible receiver,
-    /// round-robin.
-    pub fn subscribe_queue(
-        &mut self,
-        queue: impl Into<String>,
-        conn: ConnId,
-        sub_id: u32,
-        selector: Selector,
-        ack_mode: AckMode,
-    ) {
-        self.by_queue
-            .entry(queue.into())
-            .or_default()
-            .0
-            .push(Subscription {
-                conn,
-                sub_id,
-                selector,
-                ack_mode,
-                next_seq: 0,
-            });
-        self.subscription_count += 1;
-    }
-
-    /// Remove one subscription.
-    pub fn unsubscribe(&mut self, conn: ConnId, sub_id: u32) {
-        for subs in self.by_topic.values_mut() {
-            let before = subs.len();
-            subs.retain(|s| !(s.conn == conn && s.sub_id == sub_id));
-            self.subscription_count -= before - subs.len();
-        }
-        for (subs, _) in self.by_queue.values_mut() {
-            let before = subs.len();
-            subs.retain(|s| !(s.conn == conn && s.sub_id == sub_id));
-            self.subscription_count -= before - subs.len();
-        }
-    }
-
     /// Remove everything owned by a connection (client disconnect).
     pub fn drop_connection(&mut self, conn: ConnId) {
         for subs in self.by_topic.values_mut() {
-            let before = subs.len();
-            subs.retain(|s| s.conn != conn);
-            self.subscription_count -= before - subs.len();
-        }
-        for (subs, _) in self.by_queue.values_mut() {
             let before = subs.len();
             subs.retain(|s| s.conn != conn);
             self.subscription_count -= before - subs.len();
@@ -160,41 +114,6 @@ impl MatchingEngine {
         ts
     }
 
-    /// Match a message against a queue: at most one delivery, round-robin
-    /// over receivers whose selector matches. Returns the delivery (if an
-    /// eligible receiver exists) and the evaluation cost.
-    pub fn match_queue(
-        &mut self,
-        queue: &str,
-        message: &Message,
-    ) -> (Option<MatchedDelivery>, SimDuration) {
-        let mut cost = SimDuration::ZERO;
-        let Some((subs, rr)) = self.by_queue.get_mut(queue) else {
-            return (None, cost);
-        };
-        let n = subs.len();
-        for probe_ix in 0..n {
-            let ix = (*rr + probe_ix) % n;
-            let sub = &mut subs[ix];
-            cost += sub.selector.eval_cost();
-            if sub.selector.matches(message) {
-                *rr = (ix + 1) % n;
-                let deliver_seq = sub.next_seq;
-                sub.next_seq += 1;
-                return (
-                    Some(MatchedDelivery {
-                        conn: sub.conn,
-                        sub_id: sub.sub_id,
-                        deliver_seq,
-                        ack_mode: sub.ack_mode,
-                    }),
-                    cost,
-                );
-            }
-        }
-        (None, cost)
-    }
-
     /// Match a message against the topic's subscriptions. Returns the
     /// deliveries plus the CPU cost of the selector evaluations performed.
     pub fn match_message(
@@ -228,15 +147,6 @@ impl MatchingEngine {
     /// subscription does not exist.
     pub fn assign_seq(&mut self, conn: ConnId, sub_id: u32) -> Option<u64> {
         for subs in self.by_topic.values_mut() {
-            for sub in subs.iter_mut() {
-                if sub.conn == conn && sub.sub_id == sub_id {
-                    let seq = sub.next_seq;
-                    sub.next_seq += 1;
-                    return Some(seq);
-                }
-            }
-        }
-        for (subs, _) in self.by_queue.values_mut() {
             for sub in subs.iter_mut() {
                 if sub.conn == conn && sub.sub_id == sub_id {
                     let seq = sub.next_seq;
@@ -303,14 +213,12 @@ mod tests {
     }
 
     #[test]
-    fn unsubscribe_and_drop_connection() {
+    fn drop_connection_removes_every_subscription_of_the_connection() {
         let mut m = MatchingEngine::new();
         m.subscribe("t", conn(1), 0, Selector::match_all(), AckMode::Auto);
         m.subscribe("t", conn(1), 1, Selector::match_all(), AckMode::Auto);
         m.subscribe("t", conn(2), 0, Selector::match_all(), AckMode::Auto);
         assert_eq!(m.len(), 3);
-        m.unsubscribe(conn(1), 0);
-        assert_eq!(m.len(), 2);
         m.drop_connection(conn(1));
         assert_eq!(m.len(), 1);
         let (hits, _) = m.match_message("t", &msg("t", 1));
@@ -332,75 +240,6 @@ mod tests {
         m.drop_connection(conn(1));
         assert!(!m.has_interest("t"));
         assert!(m.is_empty());
-    }
-
-    #[test]
-    fn queue_round_robin_delivers_to_one() {
-        let mut m = MatchingEngine::new();
-        m.subscribe_queue("jobs", conn(1), 0, Selector::match_all(), AckMode::Auto);
-        m.subscribe_queue("jobs", conn(2), 0, Selector::match_all(), AckMode::Auto);
-        let mut targets = Vec::new();
-        for i in 0..6 {
-            let (hit, _) = m.match_queue("jobs", &msg("jobs", i));
-            targets.push(hit.unwrap().conn);
-        }
-        // Strict alternation between the two receivers.
-        assert_eq!(
-            targets,
-            vec![conn(1), conn(2), conn(1), conn(2), conn(1), conn(2)]
-        );
-        assert_eq!(m.len(), 2);
-    }
-
-    #[test]
-    fn queue_selector_skips_ineligible_receivers() {
-        let mut m = MatchingEngine::new();
-        m.subscribe_queue(
-            "jobs",
-            conn(1),
-            0,
-            Selector::compile("id >= 100").unwrap(),
-            AckMode::Auto,
-        );
-        m.subscribe_queue("jobs", conn(2), 0, Selector::match_all(), AckMode::Auto);
-        for i in 0..4 {
-            let (hit, _) = m.match_queue("jobs", &msg("jobs", i));
-            assert_eq!(hit.unwrap().conn, conn(2), "only conn 2 matches id < 100");
-        }
-        let (hit, _) = m.match_queue("jobs", &msg("jobs", 500));
-        assert!(hit.is_some());
-    }
-
-    #[test]
-    fn queue_empty_or_missing() {
-        let mut m = MatchingEngine::new();
-        let (hit, cost) = m.match_queue("nope", &msg("nope", 1));
-        assert!(hit.is_none());
-        assert_eq!(cost, SimDuration::ZERO);
-        m.subscribe_queue(
-            "q",
-            conn(1),
-            0,
-            Selector::compile("id > 10").unwrap(),
-            AckMode::Auto,
-        );
-        let (hit, cost) = m.match_queue("q", &msg("q", 1));
-        assert!(hit.is_none(), "no eligible receiver");
-        assert!(cost > SimDuration::ZERO, "but evaluation was paid");
-    }
-
-    #[test]
-    fn queues_and_topics_are_separate_namespaces() {
-        let mut m = MatchingEngine::new();
-        m.subscribe("x", conn(1), 0, Selector::match_all(), AckMode::Auto);
-        m.subscribe_queue("x", conn(2), 1, Selector::match_all(), AckMode::Auto);
-        let (topic_hits, _) = m.match_message("x", &msg("x", 1));
-        assert_eq!(topic_hits.len(), 1);
-        assert_eq!(topic_hits[0].conn, conn(1));
-        let (queue_hit, _) = m.match_queue("x", &msg("x", 1));
-        assert_eq!(queue_hit.unwrap().conn, conn(2));
-        m.drop_connection(conn(2));
-        assert!(m.match_queue("x", &msg("x", 2)).0.is_none());
     }
 
     #[test]

@@ -21,11 +21,6 @@ pub enum ClientToBroker {
     Disconnect,
     /// Create a subscription on this connection.
     Subscribe(Subscribe),
-    /// Tear down a subscription.
-    Unsubscribe {
-        /// Id from `Subscribe`.
-        sub_id: u32,
-    },
     /// Publish a message to its destination.
     Publish(Publish),
     /// Subscriber acknowledges deliveries (UDP reliability / CLIENT mode).
@@ -53,15 +48,12 @@ pub enum ClientToBroker {
 pub struct Subscribe {
     /// Client-chosen id, unique per connection.
     pub sub_id: u32,
-    /// Destination name.
+    /// Topic name.
     pub topic: String,
     /// Selector source text (compiled broker-side, as real JMS does).
     pub selector: String,
     /// Acknowledge mode of the consuming session.
     pub ack_mode: AckMode,
-    /// True for a JMS queue receiver (point-to-point mode); false for
-    /// a topic subscription.
-    pub queue: bool,
 }
 
 /// The fields of [`ClientToBroker::Publish`].
@@ -75,8 +67,6 @@ pub struct Publish {
     pub message: Message,
     /// True if this is a retransmission (duplicates are filtered).
     pub retransmit: bool,
-    /// True for a queue send (point-to-point); false for pub/sub.
-    pub queue: bool,
 }
 
 /// Broker → client.

@@ -488,115 +488,6 @@ fn cross_broker_delivery_works() {
     assert_eq!(pub_shared.borrow().arrived, 10, "local subscriber too");
 }
 
-/// Point-to-point mode: two queue receivers split the messages; every
-/// message reaches exactly one of them.
-struct QueueDriver {
-    node: NodeId,
-    broker_ep: Endpoint,
-    set: Option<NaradaClientSet>,
-    sender: Option<ConnId>,
-    receivers: Vec<ConnId>,
-    per_receiver: Rc<RefCell<Vec<u32>>>,
-    to_send: u32,
-}
-
-struct SendTick(u32);
-
-impl Actor for QueueDriver {
-    fn on_start(&mut self, ctx: &mut Context<'_>) {
-        let mut set = NaradaClientSet::new(self.node);
-        self.sender = Some(set.connect(ctx, self.broker_ep, ConnSettings::tcp_auto()));
-        for _ in 0..2 {
-            self.receivers
-                .push(set.connect(ctx, self.broker_ep, ConnSettings::tcp_auto()));
-        }
-        self.set = Some(set);
-    }
-
-    fn handle(&mut self, msg: Payload, ctx: &mut Context<'_>) {
-        let set = self.set.as_mut().expect("started");
-        let msg = match msg.downcast::<Delivery>() {
-            Ok(d) => {
-                for ev in set.handle_delivery(ctx, *d) {
-                    match ev {
-                        ClientEvent::Connected(conn) => {
-                            if let Some(ix) = self.receivers.iter().position(|&c| c == conn) {
-                                let set = self.set.as_mut().unwrap();
-                                set.subscribe_queue(ctx, conn, 0, "jobs", "");
-                                if ix == self.receivers.len() - 1 {
-                                    ctx.timer(SimDuration::from_millis(500), SendTick(0));
-                                }
-                            }
-                        }
-                        ClientEvent::MessageArrived { conn, .. } => {
-                            let ix = self
-                                .receivers
-                                .iter()
-                                .position(|&c| c == conn)
-                                .expect("arrived at a receiver");
-                            self.per_receiver.borrow_mut()[ix] += 1;
-                        }
-                        _ => {}
-                    }
-                }
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.downcast::<narada::ClientTimer>() {
-            Ok(t) => {
-                set.handle_timer(ctx, *t);
-                return;
-            }
-            Err(m) => m,
-        };
-        if let Ok(tick) = msg.downcast::<SendTick>() {
-            let n = tick.0;
-            if n >= self.to_send {
-                return;
-            }
-            let sender = self.sender.expect("connected");
-            if set.is_ready(sender) {
-                let m = wire::Message::text(
-                    wire::Headers::new(wire::MessageId(u64::from(n)), "jobs", ctx.now()),
-                    "work item",
-                )
-                .with_property("id", n as i32);
-                set.send_to_queue(ctx, sender, m);
-                ctx.timer(SimDuration::from_millis(100), SendTick(n + 1));
-            } else {
-                ctx.timer(SimDuration::from_millis(100), *tick);
-            }
-        }
-    }
-}
-
-#[test]
-fn ptp_queue_splits_work_between_receivers() {
-    let (mut sim, nodes) = build_world(2, quiet_fabric(), 67);
-    let proc = jvm(&mut sim, nodes[0]);
-    let broker = Broker::new(true, nodes[0], proc);
-    let broker_id = sim.add_actor(broker);
-    let per_receiver: Rc<RefCell<Vec<u32>>> = Rc::new(RefCell::new(vec![0, 0]));
-    sim.add_actor(QueueDriver {
-        node: nodes[1],
-        broker_ep: Endpoint::new(nodes[0], broker_id),
-        set: None,
-        sender: None,
-        receivers: Vec::new(),
-        per_receiver: per_receiver.clone(),
-        to_send: 20,
-    });
-    sim.run_until(SimTime::from_secs(30));
-    let counts = per_receiver.borrow();
-    assert_eq!(counts[0] + counts[1], 20, "every message delivered once");
-    assert_eq!(counts[0], 10, "round-robin split");
-    assert_eq!(counts[1], 10);
-    let summary = sim.service::<RttCollector>().unwrap().summary();
-    assert_eq!(summary.sent, 20);
-    assert_eq!(summary.received, 20, "PTP: one delivery per message");
-}
-
 /// Connection churn: a broker at its thread ceiling accepts new
 /// connections again once old ones disconnect (resources are freed).
 struct ChurnDriver {
@@ -912,7 +803,6 @@ fn subscribe(sub_id: u32, selector: &str) -> Option<ClientToBroker> {
         topic: "power.monitor".into(),
         selector: selector.into(),
         ack_mode: AckMode::Auto,
-        queue: false,
     }))
 }
 

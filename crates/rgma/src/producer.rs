@@ -131,8 +131,7 @@ impl ProducerServlet {
         sql: Arc<str>,
         probe: ProbeId,
     ) {
-        let cost = INSERT_BASE
-            + SimDuration::from_micros((sql.len() as u64 * INSERT_PER_BYTE_NS).div_ceil(1000));
+        let cost = INSERT_BASE + SimDuration::per_byte(sql.len(), INSERT_PER_BYTE_NS);
         let done = self.server.cpu(ctx, Component::RgmaInsert, cost);
         telemetry::with_metrics(ctx, |m, _| {
             m.add_counter("rgma.inserts", 1);

@@ -85,6 +85,13 @@ impl SimDuration {
         SimDuration(ms * 1_000)
     }
 
+    /// CPU time for `bytes` at `ns_per_byte`, rounded up to a whole
+    /// microsecond. Every calibrated per-byte cost goes through it.
+    #[inline]
+    pub const fn per_byte(bytes: usize, ns_per_byte: u64) -> Self {
+        SimDuration((bytes as u64 * ns_per_byte).div_ceil(1000))
+    }
+
     /// Construct from whole seconds.
     #[inline]
     pub const fn from_secs(s: u64) -> Self {
@@ -222,6 +229,14 @@ mod tests {
         assert_eq!(SimDuration::from_secs(2).as_micros(), 2_000_000);
         assert_eq!(SimDuration::from_millis(7).as_micros(), 7_000);
         assert_eq!(SimDuration::from_micros(42).as_micros(), 42);
+    }
+
+    #[test]
+    fn per_byte_rounds_up_to_whole_micros() {
+        assert_eq!(SimDuration::per_byte(0, 600), SimDuration::ZERO);
+        assert_eq!(SimDuration::per_byte(1, 1).as_micros(), 1);
+        assert_eq!(SimDuration::per_byte(1000, 1).as_micros(), 1);
+        assert_eq!(SimDuration::per_byte(1001, 1).as_micros(), 2);
     }
 
     #[test]

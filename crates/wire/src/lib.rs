@@ -9,8 +9,7 @@
 //! * [`Message`] — JMS-style messages (headers, properties, Map/Text/Bytes
 //!   bodies) with an exact wire-size model; [`ValueMap`] is the sorted
 //!   name→value block behind properties and map bodies.
-//! * [`Tuple`] / [`Column`] — relational rows for the R-GMA virtual
-//!   database.
+//! * [`Tuple`] — relational rows for the R-GMA virtual database.
 //! * [`TopicId`] / [`TopicTable`] — interned topic names for routing
 //!   tables and partition maps (dense `u32` handles, broker-local).
 //! * [`codec`] — a real binary codec over `Vec<u8>` / `&[u8]` that no
@@ -29,5 +28,5 @@ pub use codec::{decode_message, decode_tuple, encode_message, encode_tuple, Code
 pub use message::{Body, DeliveryMode, Headers, Message, MessageId, ValueMap};
 pub use text::Text;
 pub use topic::{TopicId, TopicTable};
-pub use tuple::{Column, Tuple};
+pub use tuple::Tuple;
 pub use value::{Value, ValueType};

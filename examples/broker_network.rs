@@ -2,15 +2,11 @@
 //! connection ceiling, and quantify the v1.1.3 broadcast deficiency
 //! against subscription-aware routing (the fix the paper anticipated).
 //!
-//! Also demonstrates the BNM shortest-path machinery on the full-mesh
-//! topology.
-//!
 //! ```sh
 //! cargo run --release --example broker_network
 //! ```
 
 use gridmon::core::{run_experiment, scenarios, ExperimentSpec, SystemUnderTest};
-use gridmon::narada::network::shortest_paths;
 
 fn main() {
     let msgs = 10;
@@ -47,16 +43,6 @@ fn main() {
             r.broker_forwards,
             r.server_idle * 100.0
         );
-    }
-
-    // 4. BNM routing sanity: the full mesh is single-hop everywhere.
-    let n = 3;
-    let adj: Vec<Vec<(usize, u64)>> = (0..n)
-        .map(|i| (0..n).filter(|&j| j != i).map(|j| (j, 150)).collect())
-        .collect();
-    println!("\nBNM shortest paths (µs) over the full mesh:");
-    for src in 0..n {
-        println!("  from broker {src}: {:?}", shortest_paths(&adj, src));
     }
 
     assert!(single.refused > 0);
