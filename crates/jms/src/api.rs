@@ -1,7 +1,7 @@
 //! JMS API-level types shared by brokers and clients: acknowledgement
 //! modes and compiled selectors.
 
-use crate::selector::{self, Expr, ParseError};
+use minisql::{ParseError, Predicate};
 use simcore::SimDuration;
 use wire::Message;
 
@@ -17,31 +17,20 @@ pub enum AckMode {
     Client,
 }
 
-/// A compiled message selector: source text, AST, and a CPU cost model
-/// for one evaluation (charged to the broker node per candidate message).
+/// A compiled message selector: the predicate and the CPU cost of one
+/// evaluation (charged to the broker node per candidate message).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Selector {
-    text: String,
-    expr: Expr,
-    nodes: usize,
-    /// Compile-time tautology flag: empty/whitespace selectors match
-    /// everything, and they dominate the broker's matching hot loop (the
-    /// fleet's default subscription is `match_all`), so `matches` skips
-    /// the AST walk for them.
-    matches_all: bool,
+    predicate: Predicate,
+    cost: SimDuration,
 }
 
 impl Selector {
     /// Compile a selector. Empty/whitespace text matches everything.
     pub fn compile(text: &str) -> Result<Selector, ParseError> {
-        let expr = selector::parse(text)?;
-        let nodes = expr.node_count();
-        Ok(Selector {
-            text: text.to_owned(),
-            expr,
-            nodes,
-            matches_all: text.trim().is_empty(),
-        })
+        let predicate = minisql::parse_predicate(text)?;
+        let cost = SimDuration::from_micros(2 + 2 * nodes(&predicate) as u64);
+        Ok(Selector { predicate, cost })
     }
 
     /// The match-everything selector.
@@ -49,24 +38,29 @@ impl Selector {
         Selector::compile("").expect("empty selector compiles")
     }
 
-    /// Source text.
-    pub fn text(&self) -> &str {
-        &self.text
-    }
-
-    /// Does `msg` match? (UNKNOWN rejects, per JMS.)
+    /// Does `msg` match? (A missing property or incomparable kinds is
+    /// UNKNOWN, and UNKNOWN rejects, per JMS.)
     #[inline]
     pub fn matches(&self, msg: &Message) -> bool {
-        if self.matches_all {
-            return true;
-        }
-        selector::matches(&self.expr, msg)
+        self.predicate.eval(msg) == Some(true)
     }
 
     /// CPU cost of one evaluation on the reference node (Pentium III):
-    /// a small fixed dispatch cost plus a per-AST-node term.
+    /// a small fixed dispatch cost plus a per-node term.
     pub fn eval_cost(&self) -> SimDuration {
-        SimDuration::from_micros(2 + 2 * self.nodes as u64)
+        self.cost
+    }
+}
+
+/// The selector's node count as the JMS cost model counts it: a
+/// comparison is three nodes (identifier, operator and literal), where
+/// minisql's [`Predicate::node_count`] counts it as one.
+fn nodes(p: &Predicate) -> usize {
+    match p {
+        Predicate::Cmp { .. } => 3,
+        Predicate::Const(_) => 1,
+        Predicate::And(a, b) | Predicate::Or(a, b) => 1 + nodes(a) + nodes(b),
+        Predicate::Not(a) => 1 + nodes(a),
     }
 }
 
@@ -82,7 +76,6 @@ mod tests {
         let m = Message::text(Headers::new(MessageId(1), "power", SimTime::ZERO), "x")
             .with_property("id", 5i32);
         assert!(s.matches(&m));
-        assert_eq!(s.text(), "id < 10000");
         assert!(s.eval_cost() > SimDuration::ZERO);
     }
 
@@ -101,8 +94,7 @@ mod tests {
     #[test]
     fn eval_cost_scales_with_complexity() {
         let simple = Selector::compile("a = 1").unwrap();
-        let complex =
-            Selector::compile("a = 1 AND b = 2 AND c LIKE 'x%' AND d BETWEEN 1 AND 9").unwrap();
+        let complex = Selector::compile("a = 1 AND b = 2 AND (c > 3 OR NOT d <= 9)").unwrap();
         assert!(complex.eval_cost() > simple.eval_cost());
     }
 }

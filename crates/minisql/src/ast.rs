@@ -7,16 +7,10 @@ use wire::{Value, ValueType};
 pub enum SqlType {
     /// `INTEGER` / `INT`.
     Integer,
-    /// `BIGINT`.
-    Bigint,
-    /// `REAL`.
-    Real,
     /// `DOUBLE PRECISION` / `DOUBLE`.
     Double,
     /// `CHAR(n)`.
     Char(u16),
-    /// `VARCHAR(n)`.
-    Varchar(u16),
 }
 
 impl SqlType {
@@ -24,11 +18,8 @@ impl SqlType {
     pub fn value_type(self) -> ValueType {
         match self {
             SqlType::Integer => ValueType::Int,
-            SqlType::Bigint => ValueType::Long,
-            SqlType::Real => ValueType::Float,
             SqlType::Double => ValueType::Double,
             SqlType::Char(_) => ValueType::Char,
-            SqlType::Varchar(_) => ValueType::Str,
         }
     }
 }
@@ -37,11 +28,8 @@ impl std::fmt::Display for SqlType {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SqlType::Integer => write!(f, "INTEGER"),
-            SqlType::Bigint => write!(f, "BIGINT"),
-            SqlType::Real => write!(f, "REAL"),
             SqlType::Double => write!(f, "DOUBLE PRECISION"),
             SqlType::Char(n) => write!(f, "CHAR({n})"),
-            SqlType::Varchar(n) => write!(f, "VARCHAR({n})"),
         }
     }
 }

@@ -1,51 +1,79 @@
-//! Predicate evaluation over rows (three-valued SQL semantics) and the
-//! CPU cost model for query execution on the reference node.
+//! Predicate evaluation (three-valued SQL semantics) over a table's row
+//! or a message's properties, and the CPU cost model for query execution
+//! on the reference node.
 
 use crate::ast::{CmpOp, Predicate};
 use crate::schema::TableSchema;
 use simcore::SimDuration;
-use wire::Value;
+use std::cmp::Ordering;
+use wire::{Message, Value};
 
-/// Evaluate a predicate against a row. `None` = UNKNOWN (incomparable
-/// kinds); rows match only on `Some(true)`, as in SQL.
-pub fn eval_predicate(pred: &Predicate, schema: &TableSchema, row: &[Value]) -> Option<bool> {
-    match pred {
-        Predicate::Const(b) => Some(*b),
-        Predicate::Cmp { column, op, value } => {
-            let ix = schema.column_index(column)?;
-            let cell = row.get(ix)?;
-            let ord = cell.sql_cmp(value)?;
-            Some(match op {
-                CmpOp::Eq => ord == std::cmp::Ordering::Equal,
-                CmpOp::Ne => ord != std::cmp::Ordering::Equal,
-                CmpOp::Lt => ord == std::cmp::Ordering::Less,
-                CmpOp::Le => ord != std::cmp::Ordering::Greater,
-                CmpOp::Gt => ord == std::cmp::Ordering::Greater,
-                CmpOp::Ge => ord != std::cmp::Ordering::Less,
-            })
-        }
-        Predicate::And(a, b) => {
-            match (
-                eval_predicate(a, schema, row),
-                eval_predicate(b, schema, row),
-            ) {
-                (Some(false), _) | (_, Some(false)) => Some(false),
-                (Some(true), Some(true)) => Some(true),
-                _ => None,
-            }
-        }
-        Predicate::Or(a, b) => {
-            match (
-                eval_predicate(a, schema, row),
-                eval_predicate(b, schema, row),
-            ) {
-                (Some(true), _) | (_, Some(true)) => Some(true),
-                (Some(false), Some(false)) => Some(false),
-                _ => None,
-            }
-        }
-        Predicate::Not(a) => eval_predicate(a, schema, row).map(|b| !b),
+/// Where a predicate reads the value a column name stands for.
+pub trait Lookup {
+    /// The value of `column`, `None` when there is none.
+    fn value(&self, column: &str) -> Option<&Value>;
+}
+
+/// A row of a table: its cells by the schema's column names.
+impl Lookup for (&TableSchema, &[Value]) {
+    fn value(&self, column: &str) -> Option<&Value> {
+        self.1.get(self.0.column_index(column)?)
     }
+}
+
+/// A message: its properties by name, as a JMS selector reads them.
+impl Lookup for Message {
+    fn value(&self, column: &str) -> Option<&Value> {
+        self.property(column)
+    }
+}
+
+impl Predicate {
+    /// Evaluate against `src`. `None` = UNKNOWN (a missing column or
+    /// property, or incomparable kinds); a row or message matches only on
+    /// `Some(true)`, as in SQL and JMS. Numbers of any width compare as
+    /// `f64` ([`Value::sql_cmp`]).
+    pub fn eval(&self, src: &impl Lookup) -> Option<bool> {
+        match self {
+            Predicate::Const(b) => Some(*b),
+            Predicate::Cmp { column, op, value } => {
+                let ord = src.value(column)?.sql_cmp(value)?;
+                Some(match op {
+                    CmpOp::Eq => ord == Ordering::Equal,
+                    CmpOp::Ne => ord != Ordering::Equal,
+                    CmpOp::Lt => ord == Ordering::Less,
+                    CmpOp::Le => ord != Ordering::Greater,
+                    CmpOp::Gt => ord == Ordering::Greater,
+                    CmpOp::Ge => ord != Ordering::Less,
+                })
+            }
+            // FALSE AND anything is FALSE, TRUE OR anything is TRUE: the
+            // right side is read only when it can change the answer.
+            Predicate::And(a, b) => match a.eval(src) {
+                Some(false) => Some(false),
+                left => match (left, b.eval(src)) {
+                    (_, Some(false)) => Some(false),
+                    (Some(true), Some(true)) => Some(true),
+                    _ => None,
+                },
+            },
+            Predicate::Or(a, b) => match a.eval(src) {
+                Some(true) => Some(true),
+                left => match (left, b.eval(src)) {
+                    (_, Some(true)) => Some(true),
+                    (Some(false), Some(false)) => Some(false),
+                    _ => None,
+                },
+            },
+            Predicate::Not(a) => a.eval(src).map(|b| !b),
+        }
+    }
+}
+
+/// Evaluate a predicate against a row of `schema`'s table
+/// ([`Predicate::eval`]).
+pub fn eval_predicate(pred: &Predicate, schema: &TableSchema, row: &[Value]) -> Option<bool> {
+    pred.eval(&(schema, row))
 }
 
 /// True iff the row definitely satisfies the predicate (`None` = no

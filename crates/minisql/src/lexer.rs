@@ -71,12 +71,9 @@ pub enum Keyword {
     False,
     Integer,
     Int,
-    Bigint,
-    Real,
     Double,
     Precision,
     Char,
-    Varchar,
 }
 
 /// What a token is, apart from its text. `Copy`, and compared as one or
@@ -119,7 +116,7 @@ impl Keyword {
     /// The keyword `word` spells, in any case. Keywords are two to nine
     /// letters long and a statement is mostly names, so the length picks
     /// the few candidates first: a column name is compared with the
-    /// keywords of its length, not with all twenty-two.
+    /// keywords of its length, not with all nineteen.
     fn parse(word: &[u8]) -> Option<Keyword> {
         use Keyword::*;
         let candidates: &[(&str, Keyword)] = match word.len() {
@@ -130,7 +127,6 @@ impl Keyword {
                 ("FROM", From),
                 ("NULL", Null),
                 ("TRUE", True),
-                ("REAL", Real),
                 ("CHAR", Char),
             ],
             5 => &[("TABLE", Table), ("WHERE", Where), ("FALSE", False)],
@@ -139,10 +135,9 @@ impl Keyword {
                 ("INSERT", Insert),
                 ("VALUES", Values),
                 ("SELECT", Select),
-                ("BIGINT", Bigint),
                 ("DOUBLE", Double),
             ],
-            7 => &[("INTEGER", Integer), ("VARCHAR", Varchar)],
+            7 => &[("INTEGER", Integer)],
             9 => &[("PRECISION", Precision)],
             _ => return None,
         };

@@ -6,10 +6,15 @@
 //! `INSERT`, consumers `SELECT`, and the middleware mediates. This crate
 //! implements the SQL surface the paper's tests exercise:
 //!
-//! * `CREATE TABLE` with `INTEGER`/`BIGINT`/`REAL`/`DOUBLE
-//!   PRECISION`/`CHAR(n)`/`VARCHAR(n)` columns,
+//! * `CREATE TABLE` with `INTEGER` (`INT`), `DOUBLE PRECISION` (`DOUBLE`)
+//!   and `CHAR(n)` columns, the types of the paper's table,
 //! * `INSERT INTO … VALUES …` with validation, coercion and width checks,
-//! * `SELECT cols FROM t WHERE …` with three-valued predicates,
+//! * `SELECT cols FROM t WHERE …` with three-valued predicates:
+//!   `column op literal` comparisons under `AND` / `OR` / `NOT` and
+//!   parentheses, evaluated over a row or, through [`Lookup`], over a
+//!   message's properties. [`parse_predicate`] reads the bare condition,
+//!   and `jms::Selector` is this predicate: one condition language for
+//!   both contenders,
 //! * the writer of the literals an `INSERT` wraps ([`write_fixed`], and
 //!   `simcore::write_uint` for integers), beside the lexer that reads
 //!   them back,
@@ -26,7 +31,7 @@ pub mod parser;
 pub mod schema;
 
 pub use ast::{CmpOp, ColumnDef, Predicate, SqlType, Statement};
-pub use eval::{eval_predicate, predicate_cost, row_matches};
+pub use eval::{eval_predicate, predicate_cost, row_matches, Lookup};
 pub use lexer::{lex, write_fixed, LexError, Lexer, Token};
-pub use parser::{parse, ParseError};
+pub use parser::{parse, parse_predicate, ParseError};
 pub use schema::{BindError, Catalog, SchemaError, TableSchema};

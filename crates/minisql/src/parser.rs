@@ -19,15 +19,15 @@ pub enum ParseError {
     },
     /// Trailing token (as written) after a complete statement.
     TrailingInput(String),
-    /// The `WHERE` clause nests past [`MAX_DEPTH`].
+    /// A `WHERE` clause or selector nests past [`MAX_DEPTH`].
     TooDeep,
 }
 
 /// How deep a predicate's syntax tree may grow: each `NOT` and `(`, and
 /// each further term of an `OR` / `AND` chain, is one level. The parser,
 /// the evaluator and the tree's `Drop` all recurse once per level and a
-/// query is text a peer sends, so the depth is bounded here, far above any
-/// query a person writes.
+/// query or selector is text a peer sends, so the depth is bounded here,
+/// far above any condition a person writes.
 pub const MAX_DEPTH: usize = 128;
 
 impl fmt::Display for ParseError {
@@ -39,7 +39,7 @@ impl fmt::Display for ParseError {
                 None => write!(f, "unexpected end of SQL (expected {expected})"),
             },
             ParseError::TrailingInput(t) => write!(f, "trailing input at `{t}`"),
-            ParseError::TooDeep => write!(f, "WHERE clause nests deeper than {MAX_DEPTH} levels"),
+            ParseError::TooDeep => write!(f, "condition nests deeper than {MAX_DEPTH} levels"),
         }
     }
 }
@@ -52,6 +52,20 @@ pub fn parse(input: &str) -> Result<Statement, ParseError> {
     let stmt = p.statement()?;
     p.finish()?;
     Ok(stmt)
+}
+
+/// Parse a bare condition, the grammar of a `WHERE` clause: `column op
+/// literal` comparisons joined by `AND` / `OR` / `NOT` and parentheses.
+/// This is also the JMS message-selector language (`jms::Selector`). Empty
+/// or all-whitespace text is `TRUE`, as an empty selector is in JMS.
+pub fn parse_predicate(input: &str) -> Result<Predicate, ParseError> {
+    let mut p = Parser::new(lex(input));
+    if p.cur.kind == Kind::End && p.lexer.error().is_none() {
+        return Ok(Predicate::Const(true));
+    }
+    let pred = p.or_pred()?;
+    p.end()?;
+    Ok(pred)
 }
 
 /// Receives the parts of an `INSERT` in text order as the grammar reads
@@ -201,6 +215,11 @@ impl<'a> Parser<'a> {
     /// After a complete statement: an optional `;`, then nothing.
     fn finish(&mut self) -> Result<(), ParseError> {
         self.eat(Kind::Semi);
+        self.end()
+    }
+
+    /// Nothing but the end of the input is left.
+    fn end(&self) -> Result<(), ParseError> {
         match self.found() {
             Err(e) => Err(ParseError::Lex(e)),
             Ok(Some(t)) => Err(ParseError::TrailingInput(t)),
@@ -269,18 +288,12 @@ impl<'a> Parser<'a> {
     fn sql_type(&mut self) -> Result<SqlType, ParseError> {
         if self.eat_kw(Keyword::Integer) || self.eat_kw(Keyword::Int) {
             Ok(SqlType::Integer)
-        } else if self.eat_kw(Keyword::Bigint) {
-            Ok(SqlType::Bigint)
-        } else if self.eat_kw(Keyword::Real) {
-            Ok(SqlType::Real)
         } else if self.eat_kw(Keyword::Double) {
             // Optional PRECISION.
             self.eat_kw(Keyword::Precision);
             Ok(SqlType::Double)
         } else if self.eat_kw(Keyword::Char) {
             Ok(SqlType::Char(self.width()?))
-        } else if self.eat_kw(Keyword::Varchar) {
-            Ok(SqlType::Varchar(self.width()?))
         } else {
             Err(self.unexpected("column type"))
         }

@@ -32,7 +32,7 @@ pub enum SchemaError {
         /// Provided value (display form).
         got: String,
     },
-    /// String too long for CHAR(n)/VARCHAR(n).
+    /// String too long for CHAR(n).
     TooLong {
         /// Column name.
         column: String,
@@ -255,12 +255,6 @@ fn coerce(v: Value, col: &ColumnDef) -> Result<Value, SchemaError> {
         (SqlType::Integer, Value::Long(x)) => {
             Value::Int(i32::try_from(x).map_err(|_| mismatch(&Value::Long(x)))?)
         }
-        (SqlType::Bigint, Value::Int(x)) => Value::Long(i64::from(x)),
-        (SqlType::Bigint, Value::Long(x)) => Value::Long(x),
-        (SqlType::Real, Value::Float(x)) => Value::Float(x),
-        (SqlType::Real, Value::Int(x)) => Value::Float(x as f32),
-        (SqlType::Real, Value::Long(x)) => Value::Float(x as f32),
-        (SqlType::Real, Value::Double(x)) => Value::Float(x as f32),
         (SqlType::Double, Value::Double(x)) => Value::Double(x),
         (SqlType::Double, Value::Float(x)) => Value::Double(f64::from(x)),
         (SqlType::Double, Value::Int(x)) => Value::Double(f64::from(x)),
@@ -268,11 +262,6 @@ fn coerce(v: Value, col: &ColumnDef) -> Result<Value, SchemaError> {
         (SqlType::Char(w), Value::Str(s)) | (SqlType::Char(w), Value::Char { content: s, .. }) => {
             check_width(&s, w)?;
             Value::fixed_char(s, w)
-        }
-        (SqlType::Varchar(w), Value::Str(s))
-        | (SqlType::Varchar(w), Value::Char { content: s, .. }) => {
-            check_width(&s, w)?;
-            Value::Str(s)
         }
         (_, v) => return Err(mismatch(&v)),
     })

@@ -223,12 +223,9 @@ fn ident() -> impl Strategy<Value = String> {
             "false",
             "integer",
             "int",
-            "bigint",
-            "real",
             "double",
             "precision",
             "char",
-            "varchar",
         ]
         .contains(&s.as_str())
     })
@@ -237,11 +234,8 @@ fn ident() -> impl Strategy<Value = String> {
 fn arb_type() -> impl Strategy<Value = SqlType> {
     prop_oneof![
         Just(SqlType::Integer),
-        Just(SqlType::Bigint),
-        Just(SqlType::Real),
         Just(SqlType::Double),
         (1u16..64).prop_map(SqlType::Char),
-        (1u16..64).prop_map(SqlType::Varchar),
     ]
 }
 
@@ -270,12 +264,11 @@ fn value_for(ty: SqlType, seed: i64) -> (String, Value) {
             format!("{}", seed as i32),
             Value::Long(i64::from(seed as i32)),
         ),
-        SqlType::Bigint => (format!("{seed}"), Value::Long(seed)),
-        SqlType::Real | SqlType::Double => {
+        SqlType::Double => {
             let v = (seed % 10_000) as f64 / 4.0;
             (format!("{v:.2}"), Value::Double(v))
         }
-        SqlType::Char(w) | SqlType::Varchar(w) => {
+        SqlType::Char(w) => {
             let s: String = "abcdefgh"
                 .chars()
                 .cycle()

@@ -41,7 +41,6 @@ pub struct MatchedDelivery {
 #[derive(Default)]
 pub struct MatchingEngine {
     by_topic: FastMap<String, Vec<Subscription>>,
-    subscription_count: usize,
 }
 
 impl MatchingEngine {
@@ -69,26 +68,13 @@ impl MatchingEngine {
                 ack_mode,
                 next_seq: 0,
             });
-        self.subscription_count += 1;
     }
 
     /// Remove everything owned by a connection (client disconnect).
     pub fn drop_connection(&mut self, conn: ConnId) {
         for subs in self.by_topic.values_mut() {
-            let before = subs.len();
             subs.retain(|s| s.conn != conn);
-            self.subscription_count -= before - subs.len();
         }
-    }
-
-    /// Total live subscriptions.
-    pub fn len(&self) -> usize {
-        self.subscription_count
-    }
-
-    /// True if no subscriptions exist.
-    pub fn is_empty(&self) -> bool {
-        self.subscription_count == 0
     }
 
     /// Whether any subscription exists for `topic` (interest gossip).
@@ -218,9 +204,9 @@ mod tests {
         m.subscribe("t", conn(1), 0, Selector::match_all(), AckMode::Auto);
         m.subscribe("t", conn(1), 1, Selector::match_all(), AckMode::Auto);
         m.subscribe("t", conn(2), 0, Selector::match_all(), AckMode::Auto);
-        assert_eq!(m.len(), 3);
+        let (hits, _) = m.match_message("t", &msg("t", 1));
+        assert_eq!(hits.len(), 3);
         m.drop_connection(conn(1));
-        assert_eq!(m.len(), 1);
         let (hits, _) = m.match_message("t", &msg("t", 1));
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].conn, conn(2));
@@ -239,7 +225,8 @@ mod tests {
         );
         m.drop_connection(conn(1));
         assert!(!m.has_interest("t"));
-        assert!(m.is_empty());
+        assert!(!m.has_interest("a"));
+        assert!(m.interested_topics().is_empty());
     }
 
     #[test]

@@ -906,14 +906,17 @@ fn a_refused_peer_that_subscribes_anyway_gets_nothing() {
 fn an_invalid_selector_is_counted_and_the_connection_lives_on() {
     // JMS: InvalidSelectorException, nothing created. The same
     // connection's next, valid subscribe is served — as any accepted
-    // peer's is.
+    // peer's is. `LIKE` is outside the selector grammar the broker
+    // keeps (column op literal under AND / OR / NOT), so it is refused
+    // like a malformed selector.
     let script = vec![
         (MS(1), Some(ClientToBroker::Connect)),
         (MS(5), subscribe(0, "a = = 1")),
+        (MS(7), subscribe(2, "site LIKE 'a%'")),
         (MS(10), subscribe(1, "")),
     ];
     let run = run_beside_raw_peer(100, 5, script);
-    assert_eq!(run.stats.invalid_selectors, 1);
+    assert_eq!(run.stats.invalid_selectors, 2);
     let served = Heard {
         connect_ok: 1,
         subscribed: vec![1],

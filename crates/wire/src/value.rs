@@ -2,8 +2,9 @@
 //! tuples.
 //!
 //! The same value model backs the JMS `MapMessage` body (Narada tests), the
-//! JMS selector language, and the `minisql`/R-GMA tuple cells, so the two
-//! middlewares exchange exactly comparable payloads.
+//! message properties a selector reads, and the `minisql`/R-GMA tuple
+//! cells, so the two middlewares exchange exactly comparable payloads and
+//! one comparison ([`Value::sql_cmp`]) serves both.
 
 use crate::text::Text;
 use std::cmp::Ordering;
