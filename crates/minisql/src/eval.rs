@@ -1,10 +1,8 @@
 //! Predicate evaluation (three-valued SQL semantics) over a table's row
-//! or a message's properties, and the CPU cost model for query execution
-//! on the reference node.
+//! or a message's properties.
 
 use crate::ast::{CmpOp, Predicate};
 use crate::schema::TableSchema;
-use simcore::SimDuration;
 use std::cmp::Ordering;
 use wire::{Message, Value};
 
@@ -74,23 +72,6 @@ impl Predicate {
 /// ([`Predicate::eval`]).
 pub fn eval_predicate(pred: &Predicate, schema: &TableSchema, row: &[Value]) -> Option<bool> {
     pred.eval(&(schema, row))
-}
-
-/// True iff the row definitely satisfies the predicate (`None` = no
-/// predicate = match all).
-pub fn row_matches(pred: Option<&Predicate>, schema: &TableSchema, row: &[Value]) -> bool {
-    match pred {
-        None => true,
-        Some(p) => eval_predicate(p, schema, row) == Some(true),
-    }
-}
-
-/// CPU cost of evaluating a predicate once on the reference node.
-pub fn predicate_cost(pred: Option<&Predicate>) -> SimDuration {
-    match pred {
-        None => SimDuration::from_micros(1),
-        Some(p) => SimDuration::from_micros(2 + 2 * p.node_count() as u64),
-    }
 }
 
 #[cfg(test)]
@@ -166,22 +147,5 @@ mod tests {
             value: Value::Int(1),
         };
         assert_eq!(eval_predicate(&p, s, &row), None);
-    }
-
-    #[test]
-    fn row_matches_semantics() {
-        let (c, row) = setup();
-        let s = c.table("g").unwrap();
-        assert!(row_matches(None, s, &row));
-        assert!(row_matches(Some(&pred("id = 42")), s, &row));
-        assert!(
-            !row_matches(Some(&pred("id = 'x'")), s, &row),
-            "UNKNOWN rejects"
-        );
-    }
-
-    #[test]
-    fn cost_scales() {
-        assert!(predicate_cost(Some(&pred("id = 1 AND power > 2"))) > predicate_cost(None));
     }
 }

@@ -5,12 +5,14 @@
 //! or a string only where the grammar consumes it, so a comma costs a
 //! byte compare and nothing is built to be dropped. [`lex`] / [`Token`]
 //! are the public view over the same spans. *Writing* is
-//! [`write_fixed`] and `simcore`'s [`write_uint`]: the literals a
-//! publisher wraps in its `INSERT`, appended to a buffer it reuses —
-//! [`write_fixed`] prints byte for byte what `{:.p$}` prints, by exact
-//! integer arithmetic.
+//! [`write_fixed`] and `simcore`'s [`write_uint`]: the literals of a
+//! reading's `INSERT` — [`write_fixed`] prints byte for byte what
+//! `{:.p$}` prints, by exact integer arithmetic. [`fixed_literal`] is
+//! the same arithmetic left unwritten: the length of such a literal and
+//! the double it reads back as, which is all a publisher sends (a row,
+//! and the length of the text it stands for).
 
-use simcore::write_uint;
+use simcore::{uint_len, write_uint};
 use std::borrow::Cow;
 use std::fmt::{self, Write};
 
@@ -200,15 +202,9 @@ impl LexError {
 /// Tokenize SQL text lazily: the iterator yields one token per call and
 /// ends after the first error.
 pub fn lex(input: &str) -> Lexer<'_> {
-    lex_from(input, 0)
-}
-
-/// Tokenize `input` from byte `at` (a token boundary) on; spans and error
-/// offsets still count from the start of `input`.
-pub(crate) fn lex_from(input: &str, at: usize) -> Lexer<'_> {
     Lexer {
         input,
-        pos: at,
+        pos: 0,
         error: None,
     }
 }
@@ -248,7 +244,8 @@ impl<'a> Lexer<'a> {
     /// malformed one is reported by [`int`](Self::int) /
     /// [`float`](Self::float) / [`token`](Self::token). Inlined into its
     /// three callers (the parser's `bump`, its constructor, the token
-    /// iterator): a separate call per token was a sixth of `bind_insert`.
+    /// iterator): a separate call per token was a sixth of binding an
+    /// `INSERT`.
     #[inline(always)]
     pub(crate) fn next_span(&mut self) -> Span {
         let bytes = self.input.as_bytes();
@@ -459,11 +456,61 @@ const POW10: [u64; 20] = {
 /// `{x:.precision$}` prints.
 ///
 /// `core::fmt` rounds the *exact* binary value half-to-even, so this does
-/// too, in integers: `|x| = m × 2^e`, and its fraction times `10^p` is a
-/// `u128` product whose low `-e` bits are the exact remainder to round
-/// on. Values at or past `2^63`, precisions past 19 and non-finite input
-/// are left to `core::fmt` itself.
+/// too, in integers (see `fixed_parts`). Values at or past `2^63`,
+/// precisions past 19 and non-finite input are left to `core::fmt`
+/// itself.
 pub fn write_fixed(out: &mut String, x: f64, precision: usize) {
+    let Some((whole, decimals)) = fixed_parts(x, precision) else {
+        write!(out, "{x:.precision$}").expect("writing to a String cannot fail");
+        return;
+    };
+    if x.is_sign_negative() {
+        out.push('-');
+    }
+    write_uint(out, whole, 1);
+    if precision > 0 {
+        out.push('.');
+        write_uint(out, decimals, precision);
+    }
+}
+
+/// The literal [`write_fixed`] appends for `x` at `precision`, left
+/// unwritten: its length in bytes, and the double the lexer reads back
+/// from it.
+///
+/// The printed digits are the integer `m = whole × 10^p + decimals` over
+/// `10^p`. Below `2^53` both are exact doubles, and one division rounds
+/// their quotient correctly, as parsing the digits does: the two agree
+/// bit for bit, a negative zero included. Past that bound, and wherever
+/// [`write_fixed`] defers to `core::fmt`, the digits are printed and
+/// parsed.
+pub fn fixed_literal(x: f64, precision: usize) -> (usize, f64) {
+    let parts = fixed_parts(x, precision).and_then(|(whole, decimals)| {
+        let m = whole.checked_mul(POW10[precision])?.checked_add(decimals)?;
+        (m < 1 << 53).then_some((whole, m))
+    });
+    let Some((whole, m)) = parts else {
+        let mut digits = String::new();
+        write_fixed(&mut digits, x, precision);
+        let value = digits
+            .parse()
+            .expect("core::fmt prints what str::parse reads");
+        return (digits.len(), value);
+    };
+    let negative = x.is_sign_negative();
+    let point = if precision > 0 { 1 + precision } else { 0 };
+    let len = usize::from(negative) + uint_len(whole) + point;
+    let magnitude = m as f64 / POW10[precision] as f64;
+    (len, if negative { -magnitude } else { magnitude })
+}
+
+/// `|x|` rounded to `precision` decimals as `core::fmt` rounds it: the
+/// whole part and the decimals, as integers; `None` past what a `u64`
+/// holds.
+///
+/// `|x| = m × 2^e`, and its fraction times `10^p` is a `u128` product
+/// whose low `-e` bits are the exact remainder to round on, half to even.
+fn fixed_parts(x: f64, precision: usize) -> Option<(u64, u64)> {
     const FRACTION_BITS: u32 = 52;
     let bits = x.to_bits();
     let biased = (bits >> FRACTION_BITS) & 0x7ff;
@@ -475,8 +522,7 @@ pub fn write_fixed(out: &mut String, x: f64, precision: usize) {
     };
     if exponent > 10 || precision >= POW10.len() {
         // Huge, infinite, NaN, or more decimals than a u64 holds.
-        write!(out, "{x:.precision$}").expect("writing to a String cannot fail");
-        return;
+        return None;
     }
     let scale = POW10[precision];
     // |x| = whole + part / 2^shift, with part < 2^shift.
@@ -507,14 +553,7 @@ pub fn write_fixed(out: &mut String, x: f64, precision: usize) {
             whole += 1;
         }
     }
-    if x.is_sign_negative() {
-        out.push('-');
-    }
-    write_uint(out, whole, 1);
-    if precision > 0 {
-        out.push('.');
-        write_uint(out, decimals, precision);
-    }
+    Some((whole, decimals))
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Recursive-descent parser for the SQL subset.
 
 use crate::ast::{CmpOp, ColumnDef, Predicate, SqlType, Statement};
-use crate::lexer::{lex, lex_from, Keyword, Kind, LexError, Lexer, Span};
+use crate::lexer::{lex, Keyword, Kind, LexError, Lexer, Span};
 use std::fmt;
 use wire::Value;
 
@@ -66,73 +66,6 @@ pub fn parse_predicate(input: &str) -> Result<Predicate, ParseError> {
     let pred = p.or_pred()?;
     p.end()?;
     Ok(pred)
-}
-
-/// Receives the parts of an `INSERT` in text order as the grammar reads
-/// them: the table, the named columns (none for a positional insert),
-/// then the literals.
-pub(crate) trait InsertSink {
-    fn table(&mut self, name: &str);
-    /// A column list of about `n()` names follows.
-    fn expect_columns(&mut self, _n: impl FnOnce() -> usize) {}
-    fn column(&mut self, name: &str);
-    /// A value list of about `n()` literals follows.
-    fn expect_values(&mut self, _n: impl FnOnce() -> usize) {}
-    fn value(&mut self, literal: Value);
-}
-
-/// Parse one statement like [`parse`], but feed an `INSERT` to `sink`
-/// instead of building its AST. Returns whether it was an `INSERT`; the
-/// errors are exactly [`parse`]'s.
-pub(crate) fn parse_insert(input: &str, sink: &mut impl InsertSink) -> Result<bool, ParseError> {
-    let mut p = Parser::new(lex(input));
-    let is_insert = p.eat_kw(Keyword::Insert);
-    if is_insert {
-        p.insert(sink)?;
-    } else {
-        p.statement()?;
-    }
-    p.finish()?;
-    Ok(is_insert)
-}
-
-/// Read on from byte `at`, just past the `(` that opens an `INSERT`'s
-/// value list whose head `sink` has already been given: the literals and
-/// the end of the statement, with [`parse_insert`]'s errors.
-pub(crate) fn parse_insert_values(
-    input: &str,
-    at: usize,
-    sink: &mut impl InsertSink,
-) -> Result<(), ParseError> {
-    let mut p = Parser::new(lex_from(input, at));
-    p.values(sink)?;
-    p.finish()
-}
-
-/// The sink behind [`Statement::Insert`].
-#[derive(Default)]
-struct OwnedInsert {
-    table: String,
-    columns: Vec<String>,
-    values: Vec<Value>,
-}
-
-impl InsertSink for OwnedInsert {
-    fn table(&mut self, name: &str) {
-        self.table = name.to_owned();
-    }
-    fn expect_columns(&mut self, n: impl FnOnce() -> usize) {
-        self.columns.reserve(n());
-    }
-    fn column(&mut self, name: &str) {
-        self.columns.push(name.to_owned());
-    }
-    fn expect_values(&mut self, n: impl FnOnce() -> usize) {
-        self.values.reserve(n());
-    }
-    fn value(&mut self, literal: Value) {
-        self.values.push(literal);
-    }
 }
 
 /// One token of lookahead over the streaming lexer, held as a span: its
@@ -253,13 +186,7 @@ impl<'a> Parser<'a> {
         if self.eat_kw(Keyword::Create) {
             self.create_table()
         } else if self.eat_kw(Keyword::Insert) {
-            let mut owned = OwnedInsert::default();
-            self.insert(&mut owned)?;
-            Ok(Statement::Insert {
-                table: owned.table,
-                columns: owned.columns,
-                values: owned.values,
-            })
+            self.insert()
         } else if self.eat_kw(Keyword::Select) {
             self.select()
         } else {
@@ -314,13 +241,14 @@ impl<'a> Parser<'a> {
     }
 
     /// The one INSERT grammar (after the `INSERT` keyword).
-    fn insert(&mut self, sink: &mut impl InsertSink) -> Result<(), ParseError> {
+    fn insert(&mut self) -> Result<Statement, ParseError> {
         self.expect_kw(Keyword::Into)?;
-        sink.table(self.ident("table name")?);
+        let table = self.ident("table name")?.to_owned();
+        let mut columns = Vec::new();
         if self.eat(Kind::LParen) {
-            sink.expect_columns(|| self.list_len_hint());
+            columns.reserve(self.list_len_hint());
             loop {
-                sink.column(self.ident("column name")?);
+                columns.push(self.ident("column name")?.to_owned());
                 if self.eat(Kind::Comma) {
                     continue;
                 }
@@ -330,21 +258,20 @@ impl<'a> Parser<'a> {
         }
         self.expect_kw(Keyword::Values)?;
         self.expect(Kind::LParen, "'(' before values")?;
-        self.values(sink)
-    }
-
-    /// The value list of an `INSERT`, after its `(`.
-    fn values(&mut self, sink: &mut impl InsertSink) -> Result<(), ParseError> {
-        sink.expect_values(|| self.list_len_hint());
+        let mut values = Vec::with_capacity(self.list_len_hint());
         loop {
-            sink.value(self.literal()?);
+            values.push(self.literal()?);
             if self.eat(Kind::Comma) {
                 continue;
             }
             self.expect(Kind::RParen, "')' after values")?;
             break;
         }
-        Ok(())
+        Ok(Statement::Insert {
+            table,
+            columns,
+            values,
+        })
     }
 
     #[inline]

@@ -1,35 +1,11 @@
 //! Property tests for the SQL subset: total parser, round-trippable
-//! generated statements, insert normalization type safety, the one-pass
-//! bind against its two-step reference, and the literal writer against
-//! `core::fmt`.
+//! generated statements, insert normalization type safety, the row check
+//! against normalization, and the literal writer against `core::fmt`.
 
-use minisql::{parse, write_fixed, BindError, Catalog, SqlType, Statement};
+use minisql::{fixed_literal, parse, write_fixed, Catalog, SqlType, Statement};
 use proptest::prelude::*;
-use proptest::test_runner::TestRng;
 use simcore::write_uint;
 use wire::Value;
-
-/// The reference the servlet's one-pass bind must reproduce: build the
-/// AST, look the table up, normalize.
-fn parse_then_normalize(cat: &Catalog, sql: &str) -> Result<(String, Vec<Value>), BindError> {
-    match parse(sql).map_err(BindError::Parse)? {
-        Statement::Insert {
-            table,
-            columns,
-            values,
-        } => cat
-            .table(&table)
-            .and_then(|schema| schema.normalize_insert(&columns, &values))
-            .map(|row| (table, row))
-            .map_err(BindError::Schema),
-        _ => Err(BindError::NotInsert),
-    }
-}
-
-fn bind(cat: &Catalog, sql: &str) -> Result<(String, Vec<Value>), BindError> {
-    cat.bind_insert(sql)
-        .map(|(schema, row)| (schema.name.to_string(), row))
-}
 
 /// Any Unicode scalar value but a control character (`\PC`, which the
 /// vendored proptest's regex subset cannot spell).
@@ -279,198 +255,82 @@ fn value_for(ty: SqlType, seed: i64) -> (String, Value) {
     }
 }
 
-/// One way to get an INSERT wrong (or unusual), applied to an otherwise
-/// valid statement for the generated table.
-#[derive(Debug, Clone, Copy)]
-enum Twist {
-    None,
-    DropValue,
-    ExtraValue,
-    DropColumn,
-    DuplicateColumn,
-    UnknownColumn,
-    UnknownTable,
-    OverWideString,
-    IntOutOfRange,
-    StringIntoNumber,
-    QuotedQuote,
-    TrailingSemicolon,
-    TrailingGarbage,
-    Unterminated,
-    NotAnInsert,
-    // Near misses of the canonical head, which `bind_insert` matches in
-    // place, and the one miss past it.
-    LowerCaseInsert,
-    DoubledSpace,
-    PrefixColumn,
-    ExtendedColumn,
-    CutAfterValues,
-    EmptyValues,
-}
-
-const TWISTS: [Twist; 21] = [
-    Twist::None,
-    Twist::DropValue,
-    Twist::ExtraValue,
-    Twist::DropColumn,
-    Twist::DuplicateColumn,
-    Twist::UnknownColumn,
-    Twist::UnknownTable,
-    Twist::OverWideString,
-    Twist::IntOutOfRange,
-    Twist::StringIntoNumber,
-    Twist::QuotedQuote,
-    Twist::TrailingSemicolon,
-    Twist::TrailingGarbage,
-    Twist::Unterminated,
-    Twist::NotAnInsert,
-    Twist::LowerCaseInsert,
-    Twist::DoubledSpace,
-    Twist::PrefixColumn,
-    Twist::ExtendedColumn,
-    Twist::CutAfterValues,
-    Twist::EmptyValues,
-];
-
-/// The item of a list a twist changes: the one at `at`, if any.
-fn pick(list: &mut [String], at: usize) -> Option<&mut String> {
-    let len = list.len().max(1);
-    list.get_mut(at % len)
-}
-
-/// Render an INSERT for `table`/`cols`: positional or named, the named
-/// list rotated by `rotate`, with up to two twists applied at `at`.
-fn twisted_insert(
-    table: &str,
-    cols: &[(String, SqlType)],
-    seed: i64,
-    named: bool,
-    rotate: usize,
-    twists: [Twist; 2],
-    at: usize,
-) -> String {
-    let mut table = table.to_owned();
-    let mut names: Vec<String> = cols.iter().map(|(c, _)| c.clone()).collect();
-    let mut texts: Vec<String> = cols
-        .iter()
-        .enumerate()
-        .map(|(i, (_, ty))| value_for(*ty, seed + i as i64).0)
-        .collect();
-    if named {
-        let by = rotate % names.len();
-        names.rotate_left(by);
-        texts.rotate_left(by);
-    }
-    // Overwrite one item of a list (an earlier twist may have emptied it).
-    let set = |list: &mut Vec<String>, text: String| {
-        if let Some(item) = pick(list, at) {
-            *item = text;
-        }
+/// One cell for a column of type `ty`: its normal form (`kind` 0 or 1,
+/// so half the cells conform), or an integer, a long, a double, a string
+/// or a `CHAR` of width `width` whatever the column.
+fn cell_for(ty: SqlType, kind: usize, n: i32, text: &str, width: u16) -> Value {
+    let normal = match ty {
+        SqlType::Integer => Value::Int(n),
+        SqlType::Double => Value::Double(f64::from(n) / 4.0),
+        SqlType::Char(w) => Value::Char {
+            content: text.into(),
+            width: w,
+        },
     };
-    let (mut insert, mut space, mut cut, mut tail) = ("INSERT", " ", false, "");
-    for twist in twists {
-        match twist {
-            Twist::None => {}
-            Twist::DropValue => drop(texts.pop()),
-            Twist::ExtraValue => texts.push("0".into()),
-            Twist::DropColumn => drop(names.pop()),
-            Twist::DuplicateColumn => set(&mut names, cols[0].0.clone()),
-            Twist::UnknownColumn => set(&mut names, "no_such_column".into()),
-            Twist::UnknownTable => table = "no_such_table".into(),
-            Twist::OverWideString => set(&mut texts, format!("'{}'", "w".repeat(70))),
-            Twist::IntOutOfRange => set(&mut texts, "3000000000".into()),
-            Twist::StringIntoNumber => set(&mut texts, "'text'".into()),
-            Twist::QuotedQuote => set(&mut texts, "'o''k'".into()),
-            Twist::TrailingSemicolon => tail = ";",
-            Twist::TrailingGarbage => tail = " garbage",
-            Twist::Unterminated => tail = " 'open",
-            Twist::NotAnInsert => return format!("SELECT * FROM {table}{tail}"),
-            Twist::LowerCaseInsert => insert = "insert",
-            Twist::DoubledSpace => space = "  ",
-            Twist::PrefixColumn => {
-                if let Some(name) = pick(&mut names, at).filter(|n| n.len() > 1) {
-                    name.pop();
-                }
-            }
-            Twist::ExtendedColumn => {
-                if let Some(name) = pick(&mut names, at) {
-                    name.push('x');
-                }
-            }
-            Twist::CutAfterValues => cut = true,
-            Twist::EmptyValues => texts.clear(),
-        }
+    match kind {
+        0 | 1 => normal,
+        2 => Value::Int(n),
+        3 => Value::Long(i64::from(n)),
+        4 => Value::Double(f64::from(n)),
+        5 => Value::Str(text.into()),
+        _ => Value::Char {
+            content: text.into(),
+            width,
+        },
     }
-    let columns = if named && !names.is_empty() {
-        format!(" ({})", names.join(", "))
-    } else {
-        String::new()
-    };
-    let values = if cut {
-        String::new()
-    } else {
-        format!(" ({})", texts.join(", "))
-    };
-    format!("{insert} INTO {table}{columns}{space}VALUES{values}{tail}")
-}
-
-prop_compose! {
-    /// A table's `CREATE TABLE` and an `INSERT` for it with one or two
-    /// twists. Columns are named three times in four, in declaration
-    /// order at least half of those times, and half the first twists are
-    /// none: over a quarter of the statements keep the canonical head
-    /// (see `the_differential_reaches_the_canonical_head`).
-    fn arb_insert()(
-        (ddl, cols) in arb_table(),
-        seed in 0i64..1_000_000,
-        named in prop_oneof![Just(true), any::<bool>()],
-        rotate in prop_oneof![Just(0usize), 0usize..8],
-        first in prop_oneof![Just(0usize), 0..TWISTS.len()],
-        second in 0usize..TWISTS.len(),
-        at in 0usize..8,
-    ) -> (String, String) {
-        // Half the cases carry one twist, half two (errors must rank the
-        // same way in both implementations).
-        let twists = [TWISTS[first], if seed % 2 == 0 { Twist::None } else { TWISTS[second] }];
-        let table = parse(&ddl).unwrap().table().to_owned();
-        let sql = twisted_insert(&table, &cols, seed, named, rotate, twists, at);
-        (ddl, sql)
-    }
-}
-
-/// The differential reaches `bind_insert`'s in-place head often enough
-/// to test it, and its near misses besides.
-#[test]
-fn the_differential_reaches_the_canonical_head() {
-    const CASES: usize = 2048;
-    let strategy = arb_insert();
-    let mut rng = TestRng::new(1);
-    let mut on_head = 0;
-    for _ in 0..CASES {
-        let (ddl, sql) = strategy.new_value(&mut rng);
-        let mut cat = Catalog::new();
-        let schema = cat.create(&parse(&ddl).unwrap()).unwrap();
-        on_head += usize::from(schema.insert_head_len(&sql).is_some());
-    }
-    assert!(4 * on_head >= CASES, "{on_head} of {CASES} on the head");
 }
 
 proptest! {
-    // The vendored proptest ignores PROPTEST_CASES; the differential
-    // property is cheap, so ask for the cases in source.
+    // The vendored proptest ignores PROPTEST_CASES; the properties are
+    // cheap, so ask for the cases in source.
     #![proptest_config(ProptestConfig::with_cases(2048))]
 
+    /// A row passes the check exactly when normalizing it as a positional
+    /// insert gives it back unchanged.
     #[test]
-    fn bind_matches_parse_then_normalize((ddl, sql) in arb_insert()) {
+    fn a_row_conforms_iff_it_is_its_own_normal_form(
+        (ddl, cols) in arb_table(),
+        cells in proptest::collection::vec((0usize..7, any::<i32>(), "[a-z]{0,9}", 1u16..64), 8..9),
+        arity in prop_oneof![Just(0i32), -1i32..=1],
+    ) {
         let mut cat = Catalog::new();
-        cat.create(&parse(&ddl).unwrap()).unwrap();
-        prop_assert_eq!(bind(&cat, &sql), parse_then_normalize(&cat, &sql), "{}", sql);
+        let schema = cat.create(&parse(&ddl).unwrap()).unwrap();
+        let len = (cols.len() as i32 + arity).max(0) as usize;
+        let row: Vec<Value> = cells
+            .iter()
+            .cycle()
+            .zip(cols.iter().map(|(_, ty)| *ty).cycle())
+            .take(len)
+            .map(|(&(kind, n, ref text, width), ty)| cell_for(ty, kind, n, text, width))
+            .collect();
+        let normal = schema.normalize_insert(&[], &row);
+        prop_assert_eq!(
+            schema.check_row(&row).is_ok(),
+            normal.as_ref() == Ok(&row),
+            "{:?}: {:?}",
+            row,
+            normal
+        );
     }
 
     /// The writer prints what `core::fmt` prints, byte for byte.
     #[test]
     fn fixed_point_writer_matches_core_fmt(x in arb_double(), precision in 0usize..=6) {
         prop_assert_eq!(fixed(x, precision), format!("{x:.precision$}"), "{:?}", x);
+    }
+
+    /// The unwritten literal is the written one: as long, and the double
+    /// parsing it gives, bit for bit.
+    #[test]
+    fn fixed_literal_is_the_written_literal_read_back(
+        x in arb_double(),
+        precision in 0usize..=6,
+    ) {
+        let text = fixed(x, precision);
+        let (len, value) = fixed_literal(x, precision);
+        prop_assert_eq!(len, text.len(), "{}", text);
+        let parsed: f64 = text.parse().unwrap();
+        prop_assert_eq!(value.to_bits(), parsed.to_bits(), "{}", text);
     }
 
     #[test]
@@ -483,8 +343,8 @@ proptest! {
         prop_assert_eq!(out, format!("v = {v:0min_digits$}"));
     }
 
-    /// Neither entry point panics on arbitrary Unicode, and both say the
-    /// same about it.
+    /// Neither parsing arbitrary Unicode nor normalizing what parses
+    /// panics.
     #[test]
     fn parser_never_panics(
         noise in proptest::collection::vec(printable_char(), 0..200),
@@ -494,7 +354,11 @@ proptest! {
         cat.create(&parse("CREATE TABLE t (a INTEGER, b CHAR(4))").unwrap()).unwrap();
         let noise: String = noise.into_iter().collect();
         for sql in [noise.as_str(), shaped.as_str()] {
-            prop_assert_eq!(bind(&cat, sql), parse_then_normalize(&cat, sql), "{}", sql);
+            if let Ok(Statement::Insert { table, columns, values }) = parse(sql) {
+                if let Ok(schema) = cat.table(&table) {
+                    let _ = schema.normalize_insert(&columns, &values);
+                }
+            }
         }
     }
 }

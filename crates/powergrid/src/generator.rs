@@ -6,8 +6,8 @@
 //! R-GMA tests: "four integer, eight double and four char (length 20)
 //! values, which were wrapped in an SQL statement".
 
-use minisql::write_fixed;
-use simcore::{write_uint, SimRng, SimTime};
+use minisql::fixed_literal;
+use simcore::{uint_len, SimRng, SimTime};
 use std::borrow::Cow;
 use std::sync::Arc;
 use wire::{Body, Headers, Message, MessageId, Text, Value};
@@ -133,35 +133,57 @@ impl GeneratorState {
         std::str::from_utf8(&name).expect("ASCII").into()
     }
 
-    /// The R-GMA test payload: an SQL INSERT with 4 integer + 8 double +
-    /// 4 char(20) values, appended to `sql` — the buffer a publisher
-    /// clears and reuses, so a reading's text is written in place and
-    /// copied once, into the request that carries it.
-    pub fn rgma_insert_sql(&self, sql: &mut String) {
-        let int = |sql: &mut String, v: u64| {
-            write_uint(sql, v, 1);
-            sql.push_str(", ");
-        };
-        let fixed = |sql: &mut String, x: f64, precision: usize| {
-            write_fixed(sql, x, precision);
-            sql.push_str(", ");
-        };
-        sql.push_str(RGMA_INSERT_HEAD);
-        int(sql, u64::from(self.id));
-        int(sql, u64::from(self.online));
-        int(sql, self.seq);
-        int(sql, self.seq * 10);
-        fixed(sql, self.power_kw, 3);
-        fixed(sql, self.energy_kwh, 3);
-        fixed(sql, self.rating_kw, 3);
-        fixed(sql, self.voltage_v, 2);
-        fixed(sql, self.frequency_hz, 3);
-        fixed(sql, self.power_kw * 1000.0 / self.voltage_v, 3);
-        fixed(sql, 35.5, 1);
-        fixed(sql, 7.25, 2);
-        sql.push_str("'site-");
-        write_uint(sql, u64::from(self.id % 977), 4);
-        sql.push_str("', 'gridcc', 'WT-2000/E', 'glite-3.0')");
+    /// The R-GMA test payload: the row of an SQL `INSERT` of 4 integer +
+    /// 8 double + 4 char(20) values, in the table's column order, and the
+    /// length in bytes of the `INSERT` text it stands for, which is all
+    /// the servlet charges for and the wire carries. The text is never
+    /// written: each double is the value its printed literal reads back
+    /// as, and the length is counted from the digits. Allocates nothing.
+    pub fn rgma_insert(&self) -> ([Value; 16], usize) {
+        let ints = [
+            u64::from(self.id),
+            u64::from(self.online),
+            self.seq,
+            self.seq * 10,
+        ];
+        let doubles = [
+            fixed_literal(self.power_kw, 3),
+            fixed_literal(self.energy_kwh, 3),
+            fixed_literal(self.rating_kw, 3),
+            fixed_literal(self.voltage_v, 2),
+            fixed_literal(self.frequency_hz, 3),
+            fixed_literal(self.power_kw * 1000.0 / self.voltage_v, 3),
+            fixed_literal(35.5, 1),
+            fixed_literal(7.25, 2),
+        ];
+        let len = RGMA_INSERT_FIXED_LEN
+            + ints.iter().map(|&v| uint_len(v)).sum::<usize>()
+            + doubles.iter().map(|&(len, _)| len).sum::<usize>();
+        // A count past INTEGER stays a LONG, which no INTEGER column
+        // takes, so the servlet refuses the row.
+        let [id, status, seq, uptime] =
+            ints.map(|v| i32::try_from(v).map_or(Value::Long(v as i64), Value::Int));
+        let [power, energy, rating, voltage, frequency, current, temp, wind] =
+            doubles.map(|(_, x)| Value::Double(x));
+        let row = [
+            id,
+            status,
+            seq,
+            uptime,
+            power,
+            energy,
+            rating,
+            voltage,
+            frequency,
+            current,
+            temp,
+            wind,
+            Value::fixed_char(self.site(), 20),
+            Value::fixed_char("gridcc", 20),
+            Value::fixed_char("WT-2000/E", 20),
+            Value::fixed_char("glite-3.0", 20),
+        ];
+        (row, len)
     }
 }
 
@@ -170,9 +192,12 @@ const RGMA_INSERT_HEAD: &str = "INSERT INTO generator (id, status, seq, uptime, 
      power, energy, rating, voltage, frequency, current, temp, wind, \
      site, operator, model, fw) VALUES (";
 
-/// Bytes a publisher reserves for its [`GeneratorState::rgma_insert_sql`]
-/// buffer (a reading late in a paper-scale run is about 330).
-pub(crate) const RGMA_INSERT_SQL_CAPACITY: usize = 384;
+/// The bytes of every R-GMA `INSERT` but its twelve numbers: the head,
+/// the `, ` after each number, and the four quoted strings (a site's
+/// number is always four digits) with the closing `)`.
+const RGMA_INSERT_FIXED_LEN: usize = RGMA_INSERT_HEAD.len()
+    + 12 * ", ".len()
+    + "'site-0000', 'gridcc', 'WT-2000/E', 'glite-3.0')".len();
 
 /// Topic used by the Narada tests.
 pub const TOPIC: &str = "power.monitor";
@@ -281,74 +306,20 @@ mod tests {
     }
 
     #[test]
-    fn rgma_sql_parses_and_conforms() {
+    fn rgma_row_fits_the_paper_table() {
         let mut rng = SimRng::new(4);
         let mut g = GeneratorState::new(9, &mut rng);
         g.step(&mut rng, 10.0);
-        let create = minisql::parse(TABLE_SQL).unwrap();
         let mut cat = minisql::Catalog::new();
-        cat.create(&create).unwrap();
-        let mut sql = String::new();
-        g.rgma_insert_sql(&mut sql);
-        let stmt = minisql::parse(&sql).unwrap();
-        let minisql::Statement::Insert {
-            table,
-            columns,
-            values,
-        } = stmt
-        else {
-            panic!("INSERT expected")
-        };
-        assert_eq!(table, TABLE);
-        let schema = cat.table(&table).unwrap();
-        let row = schema.normalize_insert(&columns, &values).unwrap();
-        assert_eq!(row.len(), 16);
+        let schema = cat.create(&minisql::parse(TABLE_SQL).unwrap()).unwrap();
+        let (row, _) = g.rgma_insert();
+        assert_eq!(schema.check_row(&row), Ok(()));
         // 4 int + 8 double + 4 char(20), as in the paper.
         let count = |t: wire::ValueType| row.iter().filter(|v| v.value_type() == t).count();
         assert_eq!(count(wire::ValueType::Int), 4);
         assert_eq!(count(wire::ValueType::Double), 8);
         assert_eq!(count(wire::ValueType::Char), 4);
-        // The servlet's one-pass bind sees the same row.
-        assert_eq!(cat.bind_insert(&sql).unwrap(), (schema, row));
-    }
-
-    #[test]
-    fn every_reading_opens_with_the_head_the_servlet_matches_in_place() {
-        let mut cat = minisql::Catalog::new();
-        let schema = cat.create(&minisql::parse(TABLE_SQL).unwrap()).unwrap();
-        let mut rng = SimRng::new(8);
-        let mut fleet: Vec<GeneratorState> = [0, 7, 976, 977, 3999]
-            .into_iter()
-            .map(|id| GeneratorState::new(id, &mut rng))
-            .collect();
-        let mut sql = String::new();
-        for _ in 0..200 {
-            for g in &mut fleet {
-                g.step(&mut rng, 10.0);
-                sql.clear();
-                g.rgma_insert_sql(&mut sql);
-                // A reading off this head still binds, through the whole
-                // grammar at about twice the host time.
-                assert_eq!(
-                    schema.insert_head_len(&sql),
-                    Some(RGMA_INSERT_HEAD.len()),
-                    "{sql}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn rgma_sql_fits_its_reservation() {
-        let mut rng = SimRng::new(5);
-        let mut g = GeneratorState::new(3999, &mut rng);
-        for _ in 0..180 {
-            g.step(&mut rng, 10.0);
-        }
-        let mut sql = String::with_capacity(RGMA_INSERT_SQL_CAPACITY);
-        g.rgma_insert_sql(&mut sql);
-        assert!(sql.len() <= RGMA_INSERT_SQL_CAPACITY, "{} bytes", sql.len());
-        assert_eq!(sql.capacity(), RGMA_INSERT_SQL_CAPACITY, "never regrown");
+        assert_eq!(row[12], Value::fixed_char("site-0009", 20));
     }
 
     #[test]

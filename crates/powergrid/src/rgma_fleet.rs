@@ -3,7 +3,7 @@
 //! servlet every 100 ms.
 
 use crate::fleet::{dispatch, ClientSet, FleetProtocol, Signal};
-use crate::generator::{GeneratorState, RGMA_INSERT_SQL_CAPACITY, TABLE};
+use crate::generator::{GeneratorState, TABLE};
 use rgma::{ProducerHandle, RgmaClientSet, RgmaConfig, RgmaEvent, RgmaTimer};
 use simcore::{Actor, Context, Payload};
 use simnet::{Delivery, Endpoint};
@@ -27,9 +27,6 @@ impl ClientSet for RgmaClientSet {
 /// Producer (one HTTP connection) per generator.
 pub struct RgmaPublisher {
     set: RgmaClientSet,
-    /// The text of the reading being published: written in place, then
-    /// copied once into the request.
-    sql: String,
 }
 
 impl RgmaPublisher {
@@ -37,7 +34,6 @@ impl RgmaPublisher {
     pub fn new(node: NodeId, rgma: RgmaConfig) -> Self {
         RgmaPublisher {
             set: RgmaClientSet::new(rgma, node),
-            sql: String::with_capacity(RGMA_INSERT_SQL_CAPACITY),
         }
     }
 }
@@ -68,9 +64,8 @@ impl FleetProtocol for RgmaPublisher {
         gen: &GeneratorState,
         _msg_id: u64,
     ) {
-        self.sql.clear();
-        gen.rgma_insert_sql(&mut self.sql);
-        self.set.insert(ctx, handle, self.sql.as_str());
+        let (row, sql_len) = gen.rgma_insert();
+        self.set.insert(ctx, handle, row, sql_len);
     }
 
     fn classify(event: &RgmaEvent) -> Option<Signal<ProducerHandle>> {

@@ -1,10 +1,12 @@
 //! Allocation budget of one reading, counted, not timed: every
-//! generator builds one `narada_message` per publish and the log keeps
-//! every one of them, so an allocation here is paid — and, under
-//! gridlog, held — 720 000 times in a paper-scale run.
+//! generator builds one `narada_message` or one `rgma_insert` per
+//! publish and the log keeps every message, so an allocation here is
+//! paid — and, under gridlog, held — 720 000 times in a paper-scale run.
 
 use powergrid::GeneratorState;
 use simcore::{SimRng, SimTime};
+use std::sync::Arc;
+use wire::Value;
 
 #[path = "../../../tests/support/counting_alloc.rs"]
 mod counting_alloc;
@@ -58,4 +60,25 @@ fn a_triple_reading_owns_only_the_names_of_its_copies() {
         panic!("map message")
     };
     assert_eq!(map.len(), 48);
+}
+
+#[test]
+fn sizing_an_rgma_reading_allocates_nothing() {
+    let g = warm_generator();
+    let ((row, len), allocs) = allocations(|| g.rgma_insert());
+    // The four CHAR(20) cells hold their text inline.
+    assert_eq!(allocs, 0, "rgma_insert allocated");
+    assert_eq!(row.len(), 16);
+    assert!(len > 250, "{len} bytes");
+}
+
+#[test]
+fn an_rgma_reading_is_one_block() {
+    let g = warm_generator();
+    let (row, _) = g.rgma_insert();
+    // What the publisher hands the client: the request and the retry
+    // record then share it.
+    let (block, allocs) = allocations(|| Arc::<[Value]>::from(row));
+    assert_eq!(allocs, 1, "the row took {allocs} blocks");
+    assert_eq!(block.len(), 16);
 }

@@ -1,16 +1,52 @@
-//! The R-GMA reading's text, differentially: what the digit-loop writer
-//! appends is byte for byte what `core::fmt` wrote before it, and what
-//! the servlet's binder reads back is the reading.
+//! The R-GMA reading's text as the oracle of what a publisher sends in
+//! its place: the row [`GeneratorState::rgma_insert`] builds is the text
+//! read back, and its length is the text's. The text is rendered here
+//! only; the digit-loop renderer is byte for byte what `core::fmt` wrote
+//! before it.
 //!
-//! One byte of this text moves every R-GMA number: its length is charged
-//! per byte on the servlet's CPU and sized on the wire.
+//! One byte of this length moves every R-GMA number: it is charged per
+//! byte on the servlet's CPU and sized on the wire.
 
+use minisql::write_fixed;
 use powergrid::{GeneratorState, TABLE, TABLE_SQL};
 use proptest::prelude::*;
+use simcore::write_uint;
 use std::fmt::Write;
 use wire::Value;
 
-/// The writer this PR replaced, kept as the reference: one `write!`.
+/// The reading's `INSERT`, appended to `sql` by the digit-loop writers.
+fn rgma_insert_sql(g: &GeneratorState, sql: &mut String) {
+    let int = |sql: &mut String, v: u64| {
+        write_uint(sql, v, 1);
+        sql.push_str(", ");
+    };
+    let fixed = |sql: &mut String, x: f64, precision: usize| {
+        write_fixed(sql, x, precision);
+        sql.push_str(", ");
+    };
+    sql.push_str(
+        "INSERT INTO generator (id, status, seq, uptime, \
+         power, energy, rating, voltage, frequency, current, temp, wind, \
+         site, operator, model, fw) VALUES (",
+    );
+    int(sql, u64::from(g.id));
+    int(sql, u64::from(g.online));
+    int(sql, g.seq);
+    int(sql, g.seq * 10);
+    fixed(sql, g.power_kw, 3);
+    fixed(sql, g.energy_kwh, 3);
+    fixed(sql, g.rating_kw, 3);
+    fixed(sql, g.voltage_v, 2);
+    fixed(sql, g.frequency_hz, 3);
+    fixed(sql, g.power_kw * 1000.0 / g.voltage_v, 3);
+    fixed(sql, 35.5, 1);
+    fixed(sql, 7.25, 2);
+    sql.push_str("'site-");
+    write_uint(sql, u64::from(g.id % 977), 4);
+    sql.push_str("', 'gridcc', 'WT-2000/E', 'glite-3.0')");
+}
+
+/// The digit-loop writer's reference: one `write!`.
 fn reference_insert_sql(g: &GeneratorState) -> String {
     let mut sql = String::new();
     write!(
@@ -78,10 +114,75 @@ fn arb_working_generator() -> impl Strategy<Value = GeneratorState> {
 }
 
 fn text_of(g: &GeneratorState) -> String {
-    // Appended, not overwritten: a publisher's buffer need not be empty.
+    // Appended, not overwritten: the writer must not assume an empty
+    // buffer.
     let mut sql = String::from("-- ");
-    g.rgma_insert_sql(&mut sql);
+    rgma_insert_sql(g, &mut sql);
     sql.split_off(3)
+}
+
+/// The row the servlet would have made of `g`'s text: parsed, then
+/// normalized against the paper's table.
+fn text_read_back(g: &GeneratorState) -> Vec<Value> {
+    let mut cat = minisql::Catalog::new();
+    cat.create(&minisql::parse(TABLE_SQL).unwrap()).unwrap();
+    let sql = text_of(g);
+    let minisql::Statement::Insert {
+        table,
+        columns,
+        values,
+    } = minisql::parse(&sql).unwrap()
+    else {
+        panic!("{sql} is an INSERT")
+    };
+    assert_eq!(table, TABLE);
+    let schema = cat.table(&table).unwrap();
+    schema.normalize_insert(&columns, &values).unwrap()
+}
+
+/// Whether two rows are the same cell for cell, every double bit for bit.
+fn same_bits(a: &[Value], b: &[Value]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|pair| match pair {
+            (Value::Double(x), Value::Double(y)) => x.to_bits() == y.to_bits(),
+            (x, y) => x == y,
+        })
+}
+
+/// Edges a working generator seldom reaches: a negative zero, and
+/// quantities whose printed digits pass `2^53`, read back by parsing.
+#[test]
+fn the_row_is_the_text_read_back_at_the_edges() {
+    let base = GeneratorState {
+        id: 3999,
+        power_kw: 812.5,
+        rating_kw: 1500.0,
+        voltage_v: 230.0,
+        frequency_hz: 50.0,
+        energy_kwh: 0.0,
+        seq: 180,
+        online: true,
+    };
+    for g in [
+        GeneratorState {
+            power_kw: -0.0,
+            energy_kwh: -0.0004,
+            ..base.clone()
+        },
+        GeneratorState {
+            energy_kwh: 9_007_199_254_740.993,
+            rating_kw: 1e15 + 0.5,
+            ..base.clone()
+        },
+        GeneratorState {
+            energy_kwh: 1e300,
+            ..base.clone()
+        },
+    ] {
+        let (row, len) = g.rgma_insert();
+        assert!(same_bits(&row, &text_read_back(&g)), "{}", text_of(&g));
+        assert_eq!(len, text_of(&g).len());
+    }
 }
 
 proptest! {
@@ -92,35 +193,17 @@ proptest! {
         prop_assert_eq!(text_of(&g), reference_insert_sql(&g));
     }
 
+    /// NaN, infinities and huge values included: the length is the
+    /// text's even where no parser would read the text.
     #[test]
-    fn the_binder_reads_the_reading_back(g in arb_working_generator()) {
-        let mut cat = minisql::Catalog::new();
-        cat.create(&minisql::parse(TABLE_SQL).unwrap()).unwrap();
-        let sql = text_of(&g);
-        let (schema, row) = cat.bind_insert(&sql).unwrap();
-        prop_assert_eq!(&*schema.name, TABLE);
-        // Each double at the precision it was printed with.
-        let printed = |x: f64, precision: usize| {
-            Value::Double(format!("{x:.precision$}").parse().unwrap())
-        };
-        let expected = vec![
-            Value::Int(g.id as i32),
-            Value::Int(i32::from(g.online)),
-            Value::Int(g.seq as i32),
-            Value::Int((g.seq * 10) as i32),
-            printed(g.power_kw, 3),
-            printed(g.energy_kwh, 3),
-            printed(g.rating_kw, 3),
-            printed(g.voltage_v, 2),
-            printed(g.frequency_hz, 3),
-            printed(g.power_kw * 1000.0 / g.voltage_v, 3),
-            Value::Double(35.5),
-            Value::Double(7.25),
-            Value::fixed_char(format!("site-{:04}", g.id % 977), 20),
-            Value::fixed_char("gridcc", 20),
-            Value::fixed_char("WT-2000/E", 20),
-            Value::fixed_char("glite-3.0", 20),
-        ];
-        prop_assert_eq!(row, expected, "{}", sql);
+    fn the_length_is_the_texts(g in arb_generator()) {
+        prop_assert_eq!(g.rgma_insert().1, text_of(&g).len(), "{}", text_of(&g));
+    }
+
+    #[test]
+    fn the_row_is_the_text_read_back(g in arb_working_generator()) {
+        let (row, _) = g.rgma_insert();
+        let expected = text_read_back(&g);
+        prop_assert!(same_bits(&row, &expected), "{:?} against {}", row, text_of(&g));
     }
 }

@@ -20,6 +20,7 @@ use simnet::session::backoff_step;
 use simnet::{probe, server, ConnId, Delivery, Endpoint, HttpResponse};
 use simos::NodeId;
 use std::sync::Arc;
+use wire::Value;
 
 /// Timer payload routed back by the host actor.
 pub struct RgmaTimer(pub u64);
@@ -82,19 +83,15 @@ struct SubscriberState {
 /// Everything needed to retry a synchronous insert with the same probe
 /// (a retry is the same reading).
 struct InsertInfo {
-    sql: Arc<str>,
+    row: Arc<[Value]>,
+    sql_len: usize,
     probe: telemetry::ProbeId,
     retries: u32,
 }
 
 enum TimerPurpose {
     Poll(SubscriberHandle),
-    InsertRetry {
-        handle: ProducerHandle,
-        sql: Arc<str>,
-        probe: telemetry::ProbeId,
-        retries: u32,
-    },
+    InsertRetry(ProducerHandle, InsertInfo),
     CreateRetry(ProducerHandle),
 }
 
@@ -179,32 +176,33 @@ impl RgmaClientSet {
         self.pending.insert(rid, ReqPurpose::CreateProducer(handle));
     }
 
-    /// Insert one tuple as a full SQL text. Instruments
+    /// Insert one tuple: `row` in the table's column order, standing for
+    /// an SQL `INSERT` text of `sql_len` bytes. Instruments
     /// `before_sending`; `after_sending` fires when the HTTP 200 lands
     /// (insert is synchronous in the R-GMA API).
     pub fn insert(
         &mut self,
         ctx: &mut Context<'_>,
         handle: ProducerHandle,
-        sql: impl Into<Arc<str>>,
+        row: impl Into<Arc<[Value]>>,
+        sql_len: usize,
     ) -> telemetry::ProbeId {
         // The "topic" of an R-GMA reading is the table its producer
         // declares.
         let topic = self.producers.get(&handle).map_or("", |p| p.table.as_str());
         let probe = probe::published(ctx, topic);
-        self.send_insert(ctx, handle, sql.into(), probe, 0);
+        let info = InsertInfo {
+            row: row.into(),
+            sql_len,
+            probe,
+            retries: 0,
+        };
+        self.send_insert(ctx, handle, info);
         probe
     }
 
-    /// Send (or retry) an insert carrying `probe`.
-    fn send_insert(
-        &mut self,
-        ctx: &mut Context<'_>,
-        handle: ProducerHandle,
-        sql: Arc<str>,
-        probe: telemetry::ProbeId,
-        retries: u32,
-    ) {
+    /// Send (or retry) the insert `info` describes.
+    fn send_insert(&mut self, ctx: &mut Context<'_>, handle: ProducerHandle, info: InsertInfo) {
         let state = self.producers.get(&handle).expect("unknown producer");
         let server = state
             .server
@@ -214,19 +212,15 @@ impl RgmaClientSet {
         let done = self.cpu(ctx, CLIENT_HTTP);
         let body = ProducerRequest::Insert {
             producer: server,
-            sql: sql.clone(),
-            probe,
+            row: Arc::clone(&info.row),
+            sql_len: info.sql_len,
+            probe: info.probe,
         };
         // The path is not in the byte count (ROADMAP item 4).
         let rid = self
             .http
-            .request_at(ctx, conn, "/producer/insert", sql.len(), body, done);
+            .request_at(ctx, conn, "/producer/insert", info.sql_len, body, done);
         self.pending.insert(rid, ReqPurpose::Insert(handle));
-        let info = InsertInfo {
-            sql,
-            probe,
-            retries,
-        };
         self.insert_info.insert(rid, info);
     }
 
@@ -368,19 +362,12 @@ impl RgmaClientSet {
                                 && self.cfg.recover
                                 && info.as_ref().is_some_and(|i| i.retries < RETRY_MAX_RETRIES);
                             if retriable {
-                                let info = info.expect("checked");
+                                let mut info = info.expect("checked");
                                 let delay = http_backoff(info.retries);
+                                info.retries += 1;
                                 simfault::with_faults(ctx, |inj, _| inj.stats.http_retries += 1);
-                                self.arm_timer(
-                                    ctx,
-                                    delay,
-                                    TimerPurpose::InsertRetry {
-                                        handle,
-                                        sql: info.sql,
-                                        probe: info.probe,
-                                        retries: info.retries + 1,
-                                    },
-                                );
+                                let retry = TimerPurpose::InsertRetry(handle, info);
+                                self.arm_timer(ctx, delay, retry);
                             } else {
                                 events.push(RgmaEvent::InsertFailed(handle, reason));
                             }
@@ -454,19 +441,14 @@ impl RgmaClientSet {
         };
         match purpose {
             TimerPurpose::Poll(handle) => self.send_poll(ctx, handle),
-            TimerPurpose::InsertRetry {
-                handle,
-                sql,
-                probe,
-                retries,
-            } => {
+            TimerPurpose::InsertRetry(handle, info) => {
                 telemetry::with_metrics(ctx, |m, _| m.add_counter("retries", 1));
                 if self
                     .producers
                     .get(&handle)
                     .is_some_and(|s| s.server.is_some())
                 {
-                    self.send_insert(ctx, handle, sql, probe, retries);
+                    self.send_insert(ctx, handle, info);
                 }
             }
             TimerPurpose::CreateRetry(handle) => {

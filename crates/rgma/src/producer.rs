@@ -26,6 +26,7 @@ use simos::{Bytes, NodeId, ProcessId};
 use simprof::Component;
 use std::sync::Arc;
 use telemetry::ProbeId;
+use wire::Value;
 
 /// Deployment-time control messages.
 pub enum ProducerControl {
@@ -128,10 +129,12 @@ impl ProducerServlet {
         ctx: &mut Context<'_>,
         reply: Reply,
         producer: ProducerId,
-        sql: Arc<str>,
+        row: Arc<[Value]>,
+        sql_len: usize,
         probe: ProbeId,
     ) {
-        let cost = INSERT_BASE + SimDuration::per_byte(sql.len(), INSERT_PER_BYTE_NS);
+        // The servlet's work is parsing the text the row stands for.
+        let cost = INSERT_BASE + SimDuration::per_byte(sql_len, INSERT_PER_BYTE_NS);
         let done = self.server.cpu(ctx, Component::RgmaInsert, cost);
         telemetry::with_metrics(ctx, |m, _| {
             m.add_counter("rgma.inserts", 1);
@@ -142,11 +145,10 @@ impl ProducerServlet {
                 .instances
                 .get_mut(producer.0 as usize)
                 .ok_or_else(|| format!("no such producer {producer:?}"))?;
-            let (schema, row) = self.catalog.bind_insert(&sql).map_err(|e| e.to_string())?;
-            if *schema.name != *inst.table {
-                return Err(format!("wrong table {}", schema.name));
-            }
-            inst.storage.insert(schema.to_tuple(row), probe, done);
+            let schema = self.catalog.table(&inst.table).map_err(|e| e.to_string())?;
+            schema.check_row(&row).map_err(|e| e.to_string())?;
+            inst.storage
+                .insert(schema.to_tuple(row.to_vec()), probe, done);
             self.dirty.push(producer);
             Ok(inst.storage.len() as u32)
         })();
@@ -388,9 +390,10 @@ impl Actor for ProducerServlet {
             ProducerRequest::CreateProducer { table } => self.on_create_producer(ctx, reply, table),
             ProducerRequest::Insert {
                 producer,
-                sql,
+                row,
+                sql_len,
                 probe,
-            } => self.on_insert(ctx, reply, producer, sql, probe),
+            } => self.on_insert(ctx, reply, producer, row, sql_len, probe),
             ProducerRequest::StartStream {
                 table,
                 consumer,

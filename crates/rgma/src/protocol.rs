@@ -1,13 +1,14 @@
 //! HTTP request/response bodies exchanged between R-GMA components.
 //!
 //! Everything in R-GMA travels over HTTP into servlets; these enums are
-//! the entity bodies. Byte sizes are estimated from the carried SQL text
-//! and tuples (plus the HTTP framing added by `simnet::http`).
+//! the entity bodies. Byte sizes are estimated from the SQL text a body
+//! stands for and the tuples it carries (plus the HTTP framing added by
+//! `simnet::http`).
 
 use simnet::Endpoint;
 use std::sync::Arc;
 use telemetry::ProbeId;
-use wire::Tuple;
+use wire::{Tuple, Value};
 
 /// A tuple in flight with the telemetry probe of its insert. The tuple
 /// is the one the producer's storage stamped, shared — no hop copies it.
@@ -39,12 +40,17 @@ pub enum ProducerRequest {
         /// Table the instance declares.
         table: String,
     },
-    /// `INSERT` one tuple (the SQL text is what travels).
+    /// `INSERT` one tuple: the row an SQL `INSERT` text stands for, and
+    /// that text's length, which is what the servlet parses and the wire
+    /// carries.
     Insert {
         /// Target producer instance.
         producer: ProducerId,
-        /// Full SQL INSERT text (shared with the client's retry record).
-        sql: Arc<str>,
+        /// The values in the table's column order (shared with the
+        /// client's retry record).
+        row: Arc<[Value]>,
+        /// Bytes of the `INSERT` text.
+        sql_len: usize,
         /// Telemetry probe (out-of-band: byte accounting only counts the
         /// SQL text).
         probe: ProbeId,
@@ -92,7 +98,7 @@ pub enum ProducerResponse {
         /// Matching `(probe, tuple)` pairs.
         entries: Vec<Entry>,
     },
-    /// Request failed (OOM, unknown instance, bad SQL…).
+    /// Request failed (OOM, unknown instance, a row off its table…).
     Error {
         /// Human-readable reason.
         reason: String,

@@ -16,9 +16,23 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 use telemetry::{ProbeId, RttCollector};
+use wire::Value;
 
 const TABLE_SQL: &str =
     "CREATE TABLE generator (id INTEGER, power DOUBLE PRECISION, site CHAR(20))";
+
+/// The row of `INSERT INTO generator (id, power, site) VALUES (id, power,
+/// 'hydra')`, `power` as `{}` prints it, and that text's length: what a
+/// producer sends.
+fn reading(id: usize, power: f64) -> ([Value; 3], usize) {
+    let text = format!("INSERT INTO generator (id, power, site) VALUES ({id}, {power}, 'hydra')");
+    let row = [
+        Value::Int(id as i32),
+        Value::Double(power),
+        Value::fixed_char("hydra", 20),
+    ];
+    (row, text.len())
+}
 
 fn build_world(n: usize, seed: u64) -> (Simulation, Vec<NodeId>) {
     let mut sim = Simulation::new(seed);
@@ -170,11 +184,8 @@ impl Actor for Driver {
             if remaining == 0 {
                 return;
             }
-            let sql = format!(
-                "INSERT INTO generator (id, power, site) VALUES ({ix}, {p}, 'hydra')",
-                p = 800.0 + f64::from(ix)
-            );
-            set.insert(ctx, handle, sql);
+            let (row, sql_len) = reading(ix as usize, 800.0 + f64::from(ix));
+            set.insert(ctx, handle, row, sql_len);
             ctx.timer(
                 self.interval,
                 InsertTick {
@@ -560,11 +571,8 @@ impl Actor for QueryDriver {
                     return;
                 }
                 let h = self.handles[ix];
-                let sql = format!(
-                    "INSERT INTO generator (id, power, site) VALUES ({ix}, {p}, 'hydra')",
-                    p = 500.0 + remaining as f64
-                );
-                set.insert(ctx, h, sql);
+                let (row, sql_len) = reading(ix, 500.0 + remaining as f64);
+                set.insert(ctx, h, row, sql_len);
                 ctx.timer(
                     SimDuration::from_secs(8),
                     QueryInsertTick(ix, remaining - 1),
@@ -630,7 +638,10 @@ fn one_time_latest_and_history_queries() {
 #[derive(Clone)]
 enum Step {
     Create,
+    /// A conforming row of the table.
     Insert(ProducerId, ProbeId),
+    /// Any row at all.
+    InsertRow(ProducerId, Vec<Value>),
     Attach(ConsumerId, Vec<ProducerId>),
 }
 
@@ -642,6 +653,19 @@ struct Seen {
     created: Vec<ProducerId>,
     /// `(consumer, [(probe, inserted_at)])` per chunk.
     chunks: Vec<(ConsumerId, Vec<(ProbeId, SimTime)>)>,
+    /// Each response's status, with the reason of an error.
+    responses: Vec<(u16, Option<String>)>,
+}
+
+/// An insert request for `row`, standing for `INSERT INTO generator
+/// VALUES (1, 2.5, 'hydra')`.
+fn insert_request(producer: ProducerId, row: Vec<Value>, probe: ProbeId) -> ProducerRequest {
+    ProducerRequest::Insert {
+        producer,
+        row: row.into(),
+        sql_len: "INSERT INTO generator VALUES (1, 2.5, 'hydra')".len(),
+        probe,
+    }
 }
 
 /// Raw-protocol peer of the producer servlet: plays the clients and the
@@ -672,13 +696,17 @@ impl Actor for StreamPeer {
                             table: "generator".into(),
                         },
                     ),
-                    Step::Insert(producer, probe) => (
+                    Step::Insert(producer, probe) => {
+                        let row = vec![
+                            Value::Int(1),
+                            Value::Double(2.5),
+                            Value::fixed_char("hydra", 20),
+                        ];
+                        ("/producer/insert", insert_request(producer, row, probe))
+                    }
+                    Step::InsertRow(producer, row) => (
                         "/producer/insert",
-                        ProducerRequest::Insert {
-                            producer,
-                            sql: "INSERT INTO generator VALUES (1, 2.5, 'hydra')".into(),
-                            probe,
-                        },
+                        insert_request(producer, row, ProbeId(u64::MAX)),
                     ),
                     Step::Attach(consumer, producers) => (
                         "/producer/stream",
@@ -708,12 +736,15 @@ impl Actor for StreamPeer {
                 let response = other
                     .downcast::<simnet::HttpResponse>()
                     .expect("a response");
-                assert_eq!(response.status, 200);
+                let mut reason = None;
                 if let Ok(body) = response.body.downcast::<ProducerResponse>() {
-                    if let ProducerResponse::Created { producer } = *body {
-                        seen.created.push(producer);
+                    match *body {
+                        ProducerResponse::Created { producer } => seen.created.push(producer),
+                        ProducerResponse::Error { reason: r } => reason = Some(r),
+                        _ => {}
                     }
                 }
+                seen.responses.push((response.status, reason));
             }
         }
     }
@@ -754,6 +785,7 @@ impl WalkEveryCursor {
                 self.instances[pid.0 as usize].insert(tuple, *probe, now);
                 self.insert_times.push(now);
             }
+            Step::InsertRow(..) => unreachable!("the streaming script sends conforming rows"),
             Step::Attach(consumer, pids) => {
                 let since = self.cutoff(now, self.cfg.attach_replay);
                 let known = self.streams.iter().position(|(c, _)| c == consumer);
@@ -886,6 +918,7 @@ fn chunks_are_those_of_a_walk_over_every_cursor() {
     }
 
     let seen = seen.borrow();
+    assert!(seen.responses.iter().all(|(status, _)| *status == 200));
     assert_eq!(
         seen.created,
         (0..PRODUCERS).map(ProducerId).collect::<Vec<_>>()
@@ -910,4 +943,73 @@ fn chunks_are_those_of_a_walk_over_every_cursor() {
         let sent = oracle.insert_times[probe.0 as usize];
         assert!(*stamped >= sent && stamped.as_micros() - sent.as_micros() < 50_000);
     }
+}
+
+#[test]
+fn a_row_off_its_instances_table_gets_a_400() {
+    let at = |ms: u64| SimTime::from_micros(ms * 1000);
+    let pid = ProducerId(0);
+    let script = vec![
+        (at(100), Step::Create),
+        (at(300), Step::Insert(pid, ProbeId(0))),
+        // One value short.
+        (
+            at(500),
+            Step::InsertRow(pid, vec![Value::Int(1), Value::Double(2.5)]),
+        ),
+        // The literals as parsed, not yet coerced to the columns' types.
+        (
+            at(700),
+            Step::InsertRow(
+                pid,
+                vec![
+                    Value::Long(1),
+                    Value::Double(2.5),
+                    Value::Str("hydra".into()),
+                ],
+            ),
+        ),
+        // A CHAR of another width.
+        (
+            at(900),
+            Step::InsertRow(
+                pid,
+                vec![
+                    Value::Int(1),
+                    Value::Double(2.5),
+                    Value::fixed_char("hydra", 8),
+                ],
+            ),
+        ),
+        (at(1100), Step::Insert(pid, ProbeId(1))),
+    ];
+    let (mut sim, nodes) = build_world(2, 71);
+    let server = deploy_single_server(&mut sim, nodes[0], &RgmaConfig::glite_3_0());
+    let seen: Rc<RefCell<Seen>> = Default::default();
+    sim.add_actor(StreamPeer {
+        http: simnet::http::Caller::new(nodes[1]),
+        producer_ep: server.producer,
+        script,
+        conn: None,
+        seen: seen.clone(),
+    });
+    sim.run_until(SimTime::from_secs(2));
+    let seen = seen.borrow();
+    let statuses: Vec<u16> = seen.responses.iter().map(|(status, _)| *status).collect();
+    assert_eq!(statuses, [200, 200, 400, 400, 400, 200]);
+    let reasons: Vec<&str> = seen.responses[2..5]
+        .iter()
+        .map(|(_, reason)| reason.as_deref().expect("an Error body"))
+        .collect();
+    assert_eq!(reasons[0], "expected 3 values, got 2");
+    assert!(
+        reasons[1].starts_with("column id expects"),
+        "{}",
+        reasons[1]
+    );
+    assert!(
+        reasons[2].starts_with("column site expects"),
+        "{}",
+        reasons[2]
+    );
 }

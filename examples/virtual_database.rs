@@ -7,14 +7,16 @@
 //! cargo run --release --example virtual_database
 //! ```
 
+use gridmon::minisql::fixed_literal;
 use gridmon::rgma::{
     ConsumerControl, ConsumerServlet, ProducerControl, ProducerHandle, ProducerServlet, QueryType,
     RegistryActor, RgmaClientSet, RgmaConfig, RgmaEvent, RgmaTimer,
 };
-use gridmon::simcore::{Actor, Context, Payload, SimDuration, SimTime, Simulation};
+use gridmon::simcore::{uint_len, Actor, Context, Payload, SimDuration, SimTime, Simulation};
 use gridmon::simnet::{Delivery, Endpoint, FabricConfig, NetworkFabric};
 use gridmon::simos::{NodeSpec, OsModel, ProcessSpec, VmstatLog};
 use gridmon::telemetry::RttCollector;
+use gridmon::wire::Value;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -109,10 +111,18 @@ impl Actor for Db {
                 // Generator power ramps each period; half the fleet stays
                 // below the continuous query's 700 kW filter.
                 let power = if ix % 2 == 0 { 650.0 } else { 710.0 } + f64::from(remaining);
-                let sql = format!(
-                    "INSERT INTO generator (id, power, site) VALUES ({ix}, {power:.1}, 'site-{ix}')"
-                );
-                set.insert(ctx, self.producers[ix], sql);
+                // The row of `INSERT INTO generator (id, power, site)
+                // VALUES (1, 714.0, 'site-1')`, with that text's length.
+                let (power_len, power) = fixed_literal(power, 1);
+                let row = [
+                    Value::Int(ix as i32),
+                    Value::Double(power),
+                    Value::fixed_char(format!("site-{ix}"), 20),
+                ];
+                let sql_len = "INSERT INTO generator (id, power, site) VALUES (, , 'site-')".len()
+                    + 2 * uint_len(ix as u64)
+                    + power_len;
+                set.insert(ctx, self.producers[ix], row, sql_len);
                 ctx.timer(SimDuration::from_secs(8), InsertTick(ix, remaining - 1));
                 return;
             }
