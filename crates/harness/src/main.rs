@@ -511,18 +511,28 @@ mod tests {
         assert!(err.contains("did you mean"), "{err}");
     }
 
+    /// A row whose number falls outside its band prints `NO` and counts
+    /// once; the rows that hold count nothing.
     #[test]
     fn failed_check_counts_towards_the_exit_status() {
-        let row = |holds| ("claim".to_owned(), "p".to_owned(), "m".to_owned(), holds);
-        let checks_table = harness::artifacts::checks_table;
-        let (table, failures) = checks_table(vec![row(true), row(false), row(true)]);
+        use harness::claims::{table, Band, Claim};
+        let row = |label, measure: fn(&mut Campaign, u32) -> (Vec<f64>, String)| Claim {
+            label,
+            paper: "p",
+            bands: &[Band::Above(1.0), Band::Exactly(0.0)],
+            measure,
+        };
+        let rows = [
+            row("in", |_, _| (vec![2.0, 0.0], "m".into())),
+            row("out", |_, _| (vec![2.0, 1.0], "m".into())),
+        ];
+        let mut campaign = Campaign::new(1, 1, FaultSchedule::new(), Vec::new());
+        let (sheet, failures) = table(&rows, &mut campaign, 1);
         assert_eq!(failures, 1);
-        assert!(
-            table.to_csv().contains("claim,p,m,NO"),
-            "{}",
-            table.to_csv()
-        );
-        assert_eq!(checks_table(vec![row(true), row(true)]).1, 0);
+        let csv = sheet.to_csv();
+        assert!(csv.ends_with("in,p,m,yes\nout,p,m,NO\n"), "{csv}");
+        assert_eq!(table(&rows[..1], &mut campaign, 1).1, 0);
+        assert_eq!(campaign.runs(), 0);
     }
 
     /// One of `options`, uniformly.
