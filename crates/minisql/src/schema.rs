@@ -190,8 +190,9 @@ impl TableSchema {
             .collect()
     }
 
-    /// Convert a normalized row into a wire tuple.
-    pub fn to_tuple(&self, row: Vec<Value>) -> Tuple {
+    /// Convert a normalized row into a wire tuple, sharing the row's
+    /// block when it is already an `Arc<[Value]>`.
+    pub fn to_tuple(&self, row: impl Into<Arc<[Value]>>) -> Tuple {
         Tuple::new(self.name.clone(), row)
     }
 }

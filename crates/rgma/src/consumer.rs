@@ -52,7 +52,7 @@ fn project(schema: Option<&TableSchema>, columns: &[String], tuple: Arc<Tuple>) 
     match schema.project(&tuple.values, columns) {
         Ok(values) => Arc::new(Tuple {
             table: tuple.table.clone(),
-            values,
+            values: values.into(),
             inserted_at: tuple.inserted_at,
         }),
         Err(_) => tuple,

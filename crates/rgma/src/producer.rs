@@ -147,8 +147,7 @@ impl ProducerServlet {
                 .ok_or_else(|| format!("no such producer {producer:?}"))?;
             let schema = self.catalog.table(&inst.table).map_err(|e| e.to_string())?;
             schema.check_row(&row).map_err(|e| e.to_string())?;
-            inst.storage
-                .insert(schema.to_tuple(row.to_vec()), probe, done);
+            inst.storage.insert(schema.to_tuple(row), probe, done);
             self.dirty.push(producer);
             Ok(inst.storage.len() as u32)
         })();

@@ -155,7 +155,7 @@ mod tests {
         s.insert(tup(2), ProbeId(1), SimTime::from_secs(2));
         assert_eq!(s.len(), 2);
         assert_eq!(s.history()[0].tuple.inserted_at, SimTime::from_secs(1));
-        assert_eq!(s.history()[1].tuple.values, vec![Value::Int(2)]);
+        assert_eq!(*s.history()[1].tuple.values, [Value::Int(2)]);
     }
 
     #[test]

@@ -15,6 +15,7 @@ use simos::{NodeId, NodeSpec, OsModel, ProcessId, ProcessSpec, VmstatLog};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
+use std::sync::Arc;
 use telemetry::{ProbeId, RttCollector};
 use wire::Value;
 
@@ -655,14 +656,17 @@ struct Seen {
     chunks: Vec<(ConsumerId, Vec<(ProbeId, SimTime)>)>,
     /// Each response's status, with the reason of an error.
     responses: Vec<(u16, Option<String>)>,
+    /// The row block of each insert sent, and of each tuple streamed.
+    sent_rows: Vec<Arc<[Value]>>,
+    streamed_rows: Vec<Arc<[Value]>>,
 }
 
 /// An insert request for `row`, standing for `INSERT INTO generator
 /// VALUES (1, 2.5, 'hydra')`.
-fn insert_request(producer: ProducerId, row: Vec<Value>, probe: ProbeId) -> ProducerRequest {
+fn insert_request(producer: ProducerId, row: Arc<[Value]>, probe: ProbeId) -> ProducerRequest {
     ProducerRequest::Insert {
         producer,
-        row: row.into(),
+        row,
         sql_len: "INSERT INTO generator VALUES (1, 2.5, 'hydra')".len(),
         probe,
     }
@@ -689,6 +693,11 @@ impl Actor for StreamPeer {
     fn handle(&mut self, msg: Payload, ctx: &mut Context<'_>) {
         let msg = match msg.downcast::<Due>() {
             Ok(due) => {
+                let sent = |row: Vec<Value>| {
+                    let row: Arc<[Value]> = row.into();
+                    self.seen.borrow_mut().sent_rows.push(Arc::clone(&row));
+                    row
+                };
                 let (path, request) = match self.script[due.0].1.clone() {
                     Step::Create => (
                         "/producer/create",
@@ -702,11 +711,14 @@ impl Actor for StreamPeer {
                             Value::Double(2.5),
                             Value::fixed_char("hydra", 20),
                         ];
-                        ("/producer/insert", insert_request(producer, row, probe))
+                        (
+                            "/producer/insert",
+                            insert_request(producer, sent(row), probe),
+                        )
                     }
                     Step::InsertRow(producer, row) => (
                         "/producer/insert",
-                        insert_request(producer, row, ProbeId(u64::MAX)),
+                        insert_request(producer, sent(row), ProbeId(u64::MAX)),
                     ),
                     Step::Attach(consumer, producers) => (
                         "/producer/stream",
@@ -729,6 +741,8 @@ impl Actor for StreamPeer {
         let mut seen = self.seen.borrow_mut();
         match delivery.payload.downcast::<StreamChunk>() {
             Ok(chunk) => {
+                let rows = chunk.entries.iter().map(|(_, t)| Arc::clone(&t.values));
+                seen.streamed_rows.extend(rows);
                 let entries = chunk.entries.iter().map(|(p, t)| (*p, t.inserted_at));
                 seen.chunks.push((chunk.consumer, entries.collect()));
             }
@@ -1012,4 +1026,32 @@ fn a_row_off_its_instances_table_gets_a_400() {
         "{}",
         reasons[2]
     );
+}
+
+/// The servlet stores the request's row block itself: the tuple a stream
+/// hands out shares it, with no copy per reading.
+#[test]
+fn a_stored_tuple_shares_the_requests_row() {
+    let at = |ms: u64| SimTime::from_micros(ms * 1000);
+    let pid = ProducerId(0);
+    let script = vec![
+        (at(100), Step::Create),
+        (at(300), Step::Attach(ConsumerId(7), vec![pid])),
+        (at(500), Step::Insert(pid, ProbeId(0))),
+    ];
+    let (mut sim, nodes) = build_world(2, 73);
+    let server = deploy_single_server(&mut sim, nodes[0], &RgmaConfig::glite_3_0());
+    let seen: Rc<RefCell<Seen>> = Default::default();
+    sim.add_actor(StreamPeer {
+        http: simnet::http::Caller::new(nodes[1]),
+        producer_ep: server.producer,
+        script,
+        conn: None,
+        seen: seen.clone(),
+    });
+    sim.run_until(SimTime::from_secs(4));
+    let seen = seen.borrow();
+    assert_eq!(seen.sent_rows.len(), 1);
+    assert_eq!(seen.streamed_rows.len(), 1);
+    assert!(Arc::ptr_eq(&seen.sent_rows[0], &seen.streamed_rows[0]));
 }

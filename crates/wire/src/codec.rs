@@ -258,7 +258,7 @@ pub fn encode_tuple(t: &Tuple) -> Vec<u8> {
     let mut buf = Vec::with_capacity(t.wire_size());
     put_str(&mut buf, t.table.as_bytes());
     buf.extend_from_slice(&(t.values.len() as u32).to_le_bytes());
-    for v in &t.values {
+    for v in t.values.iter() {
         encode_value(&mut buf, v);
     }
     buf.extend_from_slice(&t.inserted_at.as_micros().to_le_bytes());
@@ -278,7 +278,7 @@ pub fn decode_tuple(bytes: impl AsRef<[u8]>) -> Result<Tuple> {
     let inserted_at = SimTime::from_micros(get_u64(buf)?);
     Ok(Tuple {
         table,
-        values,
+        values: values.into(),
         inserted_at,
     })
 }

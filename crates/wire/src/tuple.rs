@@ -10,8 +10,9 @@ pub struct Tuple {
     /// Table the tuple belongs to: one string per table, shared by every
     /// tuple the schema builds.
     pub table: Arc<str>,
-    /// Cell values, in the table's column order.
-    pub values: Vec<Value>,
+    /// Cell values, in the table's column order: one block, shared by
+    /// every copy of the tuple and with the row it was built from.
+    pub values: Arc<[Value]>,
     /// The R-GMA server-side insertion timestamp (set by the Primary
     /// Producer; drives retention).
     pub inserted_at: SimTime,
@@ -20,10 +21,10 @@ pub struct Tuple {
 impl Tuple {
     /// New tuple (insertion timestamp is stamped by the producer on
     /// arrival; callers usually leave it zero).
-    pub fn new(table: impl Into<Arc<str>>, values: Vec<Value>) -> Self {
+    pub fn new(table: impl Into<Arc<str>>, values: impl Into<Arc<[Value]>>) -> Self {
         Tuple {
             table: table.into(),
-            values,
+            values: values.into(),
             inserted_at: SimTime::ZERO,
         }
     }
