@@ -262,17 +262,6 @@ impl NetworkFabric {
         });
     }
 
-    /// The shard-invariant identity of a connection.
-    pub fn conn_meta(&self, conn: ConnId) -> ConnMeta {
-        let c = &self.conns[&conn.0];
-        ConnMeta {
-            transport: c.transport,
-            a: c.a,
-            b: c.b,
-            ready_at: c.ready_at,
-        }
-    }
-
     /// Close a connection; subsequent sends panic (a protocol bug).
     ///
     /// Sharding note: a close is a local bookkeeping change — if the peer
@@ -710,7 +699,17 @@ mod tests {
         let a = ep(0, simcore::ActorId::from_index(1));
         let b = ep(1, simcore::ActorId::from_index(2));
         let conn = net_open_runtime(&mut src, a, b);
-        let meta = src.conn_meta(conn);
+        // The shard-invariant identity a `Delivery` carries.
+        let conn_meta = |net: &NetworkFabric| {
+            let c = &net.conns[&conn.0];
+            ConnMeta {
+                transport: c.transport,
+                a: c.a,
+                b: c.b,
+                ready_at: c.ready_at,
+            }
+        };
+        let meta = conn_meta(&src);
 
         // Receiver shard materializes the connection from the Delivery's
         // sidecar; repeated frames are no-ops.
@@ -719,10 +718,10 @@ mod tests {
         dst.ensure_conn(conn, meta);
         assert_eq!(dst.endpoints(conn), (a, b));
         assert_eq!(dst.transport(conn), meta.transport);
-        let round_trip = dst.conn_meta(conn);
+        let round_trip = conn_meta(&dst);
         assert_eq!(round_trip.ready_at, meta.ready_at);
         // A locally-known connection is never clobbered.
-        let pre = dst.conn_meta(conn);
+        let pre = conn_meta(&dst);
         dst.ensure_conn(
             conn,
             ConnMeta {
@@ -730,7 +729,7 @@ mod tests {
                 ..meta
             },
         );
-        assert_eq!(dst.conn_meta(conn).ready_at, pre.ready_at);
+        assert_eq!(conn_meta(&dst).ready_at, pre.ready_at);
     }
 
     fn net_open_runtime(net: &mut NetworkFabric, a: Endpoint, b: Endpoint) -> ConnId {
