@@ -80,6 +80,33 @@ impl SystemUnderTest {
     }
 }
 
+/// The observation planes a run arms, as one set; empty by default.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Observe(u8);
+
+impl Observe {
+    /// Lifecycle tracing: the JSONL and Chrome trace exports.
+    pub const TRACE: Observe = Observe(1);
+    /// The virtual-time profiler and the metrics plane's exports.
+    pub const PROFILE: Observe = Observe(2);
+    /// Wall-clock hot-path attribution ([`HotpathReport`](crate::HotpathReport)).
+    pub const SCOPE: Observe = Observe(4);
+    /// Freshness and deadline compliance against [`SloSpec::grid_default`].
+    pub const SLO: Observe = Observe(8);
+
+    /// Is every plane of `planes` in this set?
+    pub fn contains(self, planes: Observe) -> bool {
+        self.0 & planes.0 == planes.0
+    }
+}
+
+impl std::ops::BitOr for Observe {
+    type Output = Observe;
+    fn bitor(self, rhs: Observe) -> Observe {
+        Observe(self.0 | rhs.0)
+    }
+}
+
 /// Full description of one experiment run.
 #[derive(Debug, Clone)]
 pub struct ExperimentSpec {
@@ -108,32 +135,13 @@ pub struct ExperimentSpec {
     /// Override the R-GMA configuration (None = gLite 3.0 defaults). Its
     /// `recover` flag is set from `faults` either way.
     pub rgma_config: Option<RgmaConfig>,
-    /// Enable `simtrace` lifecycle tracing. Off by default: no collector
-    /// service is registered, so every instrumentation site reduces to
-    /// one failed type-map probe.
-    pub trace: bool,
+    /// Observation planes; empty by default, when each site is one failed
+    /// type-map probe. A plane only records: no event or RNG draw moves.
+    pub observe: Observe,
     /// Scripted fault schedule. Empty by default: no injector service is
     /// registered and no recovery policy is enabled, so fault-free runs
     /// are byte-identical to builds without fault support.
     pub faults: FaultSchedule,
-    /// Enable the virtual-time profiler and the metrics plane's exports.
-    /// Off by default: no `Profiler` (nor, untraced, `MetricsRegistry`) is
-    /// registered, so every charge site is one failed type-map probe and
-    /// the run is byte-identical to an unprofiled build.
-    pub profile: bool,
-    /// Enable wall-clock hot-path attribution: arm the kernel's site
-    /// table (`Simulation::enable_hotpath_timing`) and report it as a
-    /// [`HotpathReport`](crate::HotpathReport). Off by default: the table
-    /// stays disarmed and every site reduces to one `Option` check.
-    /// Wall-clock reads never touch the RNG or the event order, so scoped
-    /// runs are byte-identical to plain runs at a fixed seed.
-    pub scope: bool,
-    /// Data-freshness / SLO accounting (`telemetry::slo`). Off by
-    /// default: the `RttCollector` keeps no topic or per-subscriber
-    /// column. Armed, it keeps them, which is bookkeeping only: no event,
-    /// no RNG draw and no wire byte changes, so every other artifact is
-    /// byte-identical.
-    pub slo: Option<SloSpec>,
     /// Conservative-parallel shard count (`simshard`). The cluster's
     /// nodes partition round-robin into this many shards, each a full
     /// replica of the world advancing in LBTS lockstep with lookahead
@@ -165,39 +173,42 @@ impl ExperimentSpec {
             seed: 0x9e3779b97f4a7c15,
             dbn_broadcast: true,
             rgma_config: None,
-            trace: false,
+            observe: Observe::default(),
             faults: FaultSchedule::new(),
-            profile: false,
-            scope: false,
-            slo: None,
             shards: 1,
         }
     }
 
-    /// Enable per-message lifecycle tracing for this run.
-    pub fn traced(mut self) -> Self {
-        self.trace = true;
+    /// Arm the planes in `set` for this run, beside those already armed.
+    pub fn observed(mut self, set: Observe) -> Self {
+        self.observe = self.observe | set;
         self
     }
 
-    /// Enable the virtual-time profiler and the time-series metrics
-    /// plane for this run.
-    pub fn profiled(mut self) -> Self {
-        self.profile = true;
-        self
+    /// Enable per-message lifecycle tracing for this run.
+    pub fn traced(self) -> Self {
+        self.observed(Observe::TRACE)
+    }
+
+    /// Enable the virtual-time profiler and the metrics plane for this run.
+    pub fn profiled(self) -> Self {
+        self.observed(Observe::PROFILE)
     }
 
     /// Enable wall-clock hot-path attribution for this run.
-    pub fn scoped(mut self) -> Self {
-        self.scope = true;
-        self
+    pub fn scoped(self) -> Self {
+        self.observed(Observe::SCOPE)
     }
 
-    /// Measure data freshness (Age-of-Information) and deadline
-    /// compliance against `spec` for this run.
-    pub fn with_slo(mut self, spec: SloSpec) -> Self {
-        self.slo = Some(spec);
-        self
+    /// Arm [`Observe::SLO`]; kept for gridbench. The plane measures only
+    /// the paper's budget, so `spec` must be [`SloSpec::grid_default`].
+    pub fn with_slo(self, spec: SloSpec) -> Self {
+        assert_eq!(
+            spec,
+            SloSpec::grid_default(),
+            "the SLO plane measures only the paper's budget, SloSpec::grid_default()"
+        );
+        self.observed(Observe::SLO)
     }
 
     /// Run on `shards` conservative parallel shards (1 = serial). Same
@@ -224,7 +235,7 @@ impl ExperimentSpec {
     }
 }
 
-/// Trace artifacts produced by a traced run (`spec.trace = true`).
+/// Trace artifacts of an [`Observe::TRACE`] run.
 #[derive(Debug, Clone)]
 pub struct TraceArtifacts {
     /// JSON Lines export: every event plus the unified resource log
@@ -240,8 +251,7 @@ pub struct TraceArtifacts {
     pub disagreements: Vec<String>,
 }
 
-/// Profiler and metrics-plane artifacts produced by a profiled run
-/// (`spec.profile = true`).
+/// Profiler and metrics-plane artifacts of an [`Observe::PROFILE`] run.
 #[derive(Debug, Clone)]
 pub struct ProfileArtifacts {
     /// Rendered per-component self-time table (the `repro --profile`
@@ -266,8 +276,7 @@ pub struct ProfileArtifacts {
     pub unattributed: SimDuration,
 }
 
-/// Wall-clock hot-path artifacts produced by a scoped run
-/// (`spec.scope = true`).
+/// Wall-clock hot-path artifacts of an [`Observe::SCOPE`] run.
 #[derive(Debug, Clone)]
 pub struct ScopeArtifacts {
     /// The per-site attribution report.
@@ -279,7 +288,8 @@ pub struct ScopeArtifacts {
     pub collapsed: String,
 }
 
-/// Freshness / SLO artifacts produced when `spec.slo` was set.
+/// Freshness / SLO artifacts of an [`Observe::SLO`] run, measured against
+/// [`SloSpec::grid_default`].
 #[derive(Debug, Clone)]
 pub struct SloArtifacts {
     /// Per-reading outcome accounting, AoI sawtooth samples, burn
@@ -317,22 +327,22 @@ pub struct ExperimentResult {
     /// the sum over shards — identical to the serial count, since every
     /// event executes on exactly one shard.
     pub events: u64,
-    /// Trace exports and cross-check (only when `spec.trace` was set).
+    /// Trace exports (only under [`Observe::TRACE`]).
     pub trace: Option<TraceArtifacts>,
     /// Graceful-degradation accounting (only when `spec.faults` was
     /// non-empty): dropped vs delayed vs recovered, per cause.
     pub fault_stats: Option<FaultStats>,
-    /// Profiler + metrics artifacts (only when `spec.profile` was set).
+    /// Profiler + metrics artifacts (only under [`Observe::PROFILE`]).
     pub profile: Option<ProfileArtifacts>,
     /// Kernel event accounting (always on): per-type counts, timer vs.
     /// message mix, queue-depth high-watermark and depth samples.
     pub kernel: simcore::KernelStats,
-    /// Wall-clock hot-path attribution (only when `spec.scope` was set).
+    /// Wall-clock hot-path attribution (only under [`Observe::SCOPE`]).
     /// Non-deterministic by nature (wall-clock), but producing it never
     /// perturbs the simulation.
     pub scope: Option<ScopeArtifacts>,
-    /// Freshness / deadline-SLO accounting (only when `spec.slo` was
-    /// set). Derived entirely from the merged record set, so it is
+    /// Freshness / deadline-SLO accounting (only under [`Observe::SLO`]).
+    /// Derived entirely from the merged record set, so it is
     /// byte-identical across shard counts like every other artifact.
     pub slo: Option<SloArtifacts>,
     /// Host wall-clock seconds the run took: world build, simulation and
@@ -486,17 +496,15 @@ fn build_world(
         calibration::hydra_fabric(),
         lay.total_nodes,
     ));
-    // The one record of every reading. An SLO adds its topic and
-    // subscriber columns: pure bookkeeping keyed by content-derived probe
-    // ids, so SLO-armed runs are byte-identical to plain runs on every
-    // other artifact.
-    sim.add_service(if spec.slo.is_some() {
+    // The one record of every reading; the SLO plane adds its topic and
+    // subscriber columns, keyed by content-derived probe ids.
+    sim.add_service(if spec.observe.contains(Observe::SLO) {
         RttCollector::with_freshness()
     } else {
         RttCollector::new()
     });
     sim.add_service(VmstatLog::new());
-    if spec.trace {
+    if spec.observe.contains(Observe::TRACE) {
         sim.add_service(TraceCollector::new());
     }
     if !spec.faults.is_empty() {
@@ -505,16 +513,16 @@ fn build_world(
         // registered at all and every fault probe is a no-op.
         sim.add_service(FaultInjector::new(spec.seed));
     }
-    if spec.profile {
+    if spec.observe.contains(Observe::PROFILE) {
         sim.add_service(simprof::Profiler::new());
     }
-    if spec.trace || spec.profile {
+    if spec.observe.contains(Observe::TRACE) || spec.observe.contains(Observe::PROFILE) {
         // The one store of counters and gauges: the trace's counter rows
         // and the profile's series. Sized for one snapshot a vmstat tick.
         let ticks = lay.horizon.as_micros() / SimDuration::from_secs(1).as_micros();
         sim.add_service(telemetry::MetricsRegistry::with_ticks(ticks as usize));
     }
-    if spec.scope {
+    if spec.observe.contains(Observe::SCOPE) {
         sim.enable_hotpath_timing();
     }
 
@@ -971,10 +979,10 @@ fn merge_results(
 
     // Freshness plane: every statistic derives from the merged record.
     let slo_report = || {
-        spec.slo.as_ref().map(|slo_spec| {
+        spec.observe.contains(Observe::SLO).then(|| {
             SloReport::from_collector(
                 &rtt,
-                slo_spec,
+                &SloSpec::grid_default(),
                 now,
                 slo::SAMPLE_CADENCE,
                 slo::DEFAULT_WINDOW,
@@ -995,7 +1003,7 @@ fn merge_results(
     // finishes first. The counter rows are the merged registry's, which
     // the profile's exports read too.
     let mut metrics = telemetry::MetricsRegistry::merged(metrics_parts.into_iter().flatten());
-    let (trace, slo_report) = if spec.trace {
+    let (trace, slo_report) = if spec.observe.contains(Observe::TRACE) {
         let tr = TraceCollector::merged(traces.into_iter().flatten());
         let trace_summary = TraceSummary::from_collector(&tr);
         // Unified resource log: vmstat rows ride along with the counter
@@ -1045,14 +1053,14 @@ fn merge_results(
         (None, slo_report())
     };
 
-    let profile = if spec.profile {
+    let profile = spec.observe.contains(Observe::PROFILE).then(|| {
         let p = simprof::Profiler::merged(profilers.into_iter().flatten());
         let report = p.report(kernel_busy);
         metrics.add_derived_gauge("probes_in_flight", &probes_in_flight_series(&rtt));
         for (name, points) in slo_report.iter().flat_map(|slo| &slo.series) {
             metrics.add_derived_gauge(name, points);
         }
-        Some(ProfileArtifacts {
+        ProfileArtifacts {
             table: report
                 .table(format!("{} — self time by component", spec.name))
                 .render(),
@@ -1062,10 +1070,8 @@ fn merge_results(
             attributed: report.attributed,
             kernel_busy: report.kernel_busy,
             unattributed: report.unattributed,
-        })
-    } else {
-        None
-    };
+        }
+    });
 
     let scope = wall.map(|table| {
         let report = HotpathReport::new(&spec.name, wall_secs, &table);
@@ -1074,17 +1080,6 @@ fn merge_results(
             collapsed: report.collapsed(),
             report,
         }
-    });
-
-    let fault_stats = if spec.faults.is_empty() {
-        None
-    } else {
-        Some(FaultStats::merged(faults.into_iter().flatten()))
-    };
-
-    let slo = slo_report.map(|report| SloArtifacts {
-        csv: report.csv(),
-        report,
     });
 
     ExperimentResult {
@@ -1100,11 +1095,15 @@ fn merge_results(
         sim_time: now,
         events: kernel.events_processed,
         trace,
-        fault_stats,
+        fault_stats: (!spec.faults.is_empty())
+            .then(|| FaultStats::merged(faults.into_iter().flatten())),
         profile,
         kernel,
         scope,
-        slo,
+        slo: slo_report.map(|report| SloArtifacts {
+            csv: report.csv(),
+            report,
+        }),
         wall_secs,
         merge_render_secs: merge_start.elapsed().as_secs_f64(),
     }
@@ -1184,6 +1183,26 @@ mod tests {
     }
 
     #[test]
+    fn builders_arm_their_planes_in_one_set() {
+        let spec = ExperimentSpec::paper_default("x", SystemUnderTest::NaradaSingle, 8);
+        assert_eq!(spec.observe, Observe::default());
+        let both = spec.clone().traced().scoped().observe;
+        assert!(both.contains(Observe::TRACE | Observe::SCOPE));
+        assert!(!both.contains(Observe::PROFILE) && !both.contains(Observe::SLO));
+        // The shim arms the SLO plane and nothing else.
+        assert_eq!(spec.with_slo(SloSpec::grid_default()).observe, Observe::SLO);
+    }
+
+    /// The SLO plane measures the paper's budget only, so another budget
+    /// fails loudly instead of being ignored.
+    #[test]
+    #[should_panic(expected = "only the paper's budget")]
+    fn with_slo_refuses_a_budget_other_than_the_papers() {
+        let _ = ExperimentSpec::paper_default("x", SystemUnderTest::NaradaSingle, 8)
+            .with_slo(SloSpec::new(SimDuration::from_millis(250), 0.9));
+    }
+
+    #[test]
     fn small_narada_experiment_runs_end_to_end() {
         let spec = ExperimentSpec::paper_default("smoke/narada", SystemUnderTest::NaradaSingle, 20)
             .scaled(5);
@@ -1255,7 +1274,7 @@ mod tests {
         ] {
             let spec = ExperimentSpec::paper_default("slo/smoke", system, 8)
                 .scaled(3)
-                .with_slo(SloSpec::grid_default());
+                .observed(Observe::SLO);
             let r = run_experiment(&spec);
             let slo = r.slo.as_ref().expect("slo artifacts present");
             let rep = &slo.report;
@@ -1280,7 +1299,7 @@ mod tests {
             SystemUnderTest::RgmaSingle,
         ] {
             let plain = ExperimentSpec::paper_default("slo/inert", system, 8).scaled(3);
-            let slo = plain.clone().with_slo(SloSpec::grid_default());
+            let slo = plain.clone().observed(Observe::SLO);
             let a = run_experiment(&plain);
             assert!(a.slo.is_none());
             // The planes sample on the vmstat tick every run has: none
@@ -1298,7 +1317,7 @@ mod tests {
     fn sharded_slo_report_matches_serial() {
         let spec = ExperimentSpec::paper_default("slo/shard", SystemUnderTest::NaradaSingle, 8)
             .scaled(3)
-            .with_slo(SloSpec::grid_default());
+            .observed(Observe::SLO);
         let serial = run_experiment(&spec);
         let sharded = run_experiment(&spec.clone().sharded(2));
         let (a, b) = (serial.slo.unwrap(), sharded.slo.unwrap());

@@ -22,7 +22,7 @@ pub mod scenarios;
 pub mod sweep;
 
 pub use experiment::{
-    run_experiment, ExperimentResult, ExperimentSpec, ProfileArtifacts, ScopeArtifacts,
+    run_experiment, ExperimentResult, ExperimentSpec, Observe, ProfileArtifacts, ScopeArtifacts,
     SloArtifacts, SystemUnderTest, TraceArtifacts,
 };
 pub use report::HotpathReport;

@@ -2,7 +2,7 @@
 //! planes ([`PLANES`]) whose exports are written as each run finishes.
 
 use gridmon_core::{
-    run_all, ExperimentResult, ExperimentSpec, FaultSchedule, FaultStats, SloReport, SloSpec,
+    run_all, ExperimentResult, ExperimentSpec, FaultSchedule, FaultStats, Observe, SloReport,
 };
 use simcore::FastMap;
 use std::mem::take;
@@ -21,8 +21,8 @@ pub struct Plane {
     pub default_dir: &'static str,
     /// What the `N <noun> files written` line calls the files.
     pub noun: &'static str,
-    /// Switch the plane on in a spec about to run.
-    pub arm: fn(&mut ExperimentSpec),
+    /// The plane's bit in the set each spec about to run observes.
+    pub observe: Observe,
     /// Take a finished run's exports out of it, as (file suffix,
     /// contents): once written they are let go, and only the small
     /// things `terminal` and the artifacts read stay in the result.
@@ -40,9 +40,7 @@ pub const SLO: Plane = Plane {
     flag: "--slo",
     default_dir: "results/slo",
     noun: "freshness",
-    arm: |s| {
-        s.slo.get_or_insert_with(SloSpec::grid_default);
-    },
+    observe: Observe::SLO,
     files: |r| match &mut r.slo {
         Some(s) => vec![(".slo.csv", take(&mut s.csv))],
         None => Vec::new(),
@@ -65,7 +63,7 @@ pub const PLANES: &[Plane] = &[
         flag: "--trace",
         default_dir: "results/trace",
         noun: "trace",
-        arm: |s| s.trace = true,
+        observe: Observe::TRACE,
         files: |r| match &mut r.trace {
             Some(t) => vec![
                 (".trace.jsonl", take(&mut t.jsonl)),
@@ -81,7 +79,7 @@ pub const PLANES: &[Plane] = &[
         flag: "--profile",
         default_dir: "results/prof",
         noun: "profile",
-        arm: |s| s.profile = true,
+        observe: Observe::PROFILE,
         files: |r| match &mut r.profile {
             Some(p) => vec![
                 (".selftime.txt", p.table.clone()),
@@ -105,7 +103,7 @@ pub const PLANES: &[Plane] = &[
         flag: "--scope",
         default_dir: "results/scope",
         noun: "hot-path",
-        arm: |s| s.scope = true,
+        observe: Observe::SCOPE,
         files: |r| match &mut r.scope {
             Some(s) => vec![
                 (".hotpath.json", take(&mut s.json)),
@@ -191,14 +189,14 @@ impl Campaign {
     /// A newly finished run's plane files are written here, right after
     /// its batch returns, so no export outlives the batch that made it.
     pub fn ensure(&mut self, specs: &[ExperimentSpec]) -> Runs {
+        let planes = self.planes.iter();
+        let observe = planes.fold(Observe::default(), |set, p| set | p.0.observe);
         let missing: Vec<ExperimentSpec> = specs
             .iter()
             .filter(|s| !self.results.contains_key(&s.name))
             .cloned()
             .map(|mut s| {
-                for (plane, ..) in &self.planes {
-                    (plane.arm)(&mut s);
-                }
+                s.observe = s.observe | observe;
                 s.shards = s.shards.max(self.shards);
                 if s.faults.is_empty() {
                     s.faults = self.faults.clone();
@@ -340,7 +338,7 @@ mod tests {
         let spec =
             ExperimentSpec::paper_default("let go/1", SystemUnderTest::GridlogSingle, 6).scaled(3);
         let kept = c.ensure(std::slice::from_ref(&spec)).remove(0);
-        let direct = run_experiment(&spec.traced().profiled().with_slo(SloSpec::grid_default()));
+        let direct = run_experiment(&spec.traced().profiled().observed(Observe::SLO));
 
         let (trace, prof, slo) = (
             direct.trace.expect("traced"),

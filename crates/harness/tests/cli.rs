@@ -1,7 +1,7 @@
 //! The `repro` binary against the two tables it is built from: what it
 //! lists, what it rejects and which files it writes.
 
-use gridmon_core::{run_experiment, scenarios, ExperimentSpec, SloSpec, SystemUnderTest};
+use gridmon_core::{run_experiment, scenarios, ExperimentSpec, Observe, SystemUnderTest};
 use harness::artifacts::ARTIFACTS;
 use harness::campaign::{PLANES, SLO};
 use std::path::{Path, PathBuf};
@@ -48,14 +48,15 @@ fn every_plane_writes_its_files_for_every_run_of_compare() {
     let out = repro(&dir, &args);
     assert!(out.status.success(), "{out:?}");
 
-    // Each plane's suffixes, from a run that has every plane's exports.
+    // Each plane's suffixes, from a run that has every plane's exports:
+    // the set is the planes' own bits, so a plane added later is in it.
+    let every = PLANES
+        .iter()
+        .fold(Observe::default(), |set, p| set | p.observe);
     let mut observed = run_experiment(
         &ExperimentSpec::paper_default("x", SystemUnderTest::NaradaSingle, 2)
             .scaled(1)
-            .traced()
-            .profiled()
-            .scoped()
-            .with_slo(SloSpec::grid_default()),
+            .observed(every),
     );
     let runs: Vec<String> = scenarios::three_way_specs(2)
         .into_iter()

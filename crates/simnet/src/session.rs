@@ -252,10 +252,13 @@ impl<P: SessionProtocol> SessionSet<P> {
             net.open(ctx.now(), s.transport, me, s.broker_ep)
         });
         self.send(ctx, conn, P::CONTROL_FRAME_BYTES, P::CONNECT);
-        // With recovery enabled every attempt, the *initial* connect
-        // included, gets a deadline: a Connect frame swallowed by a crashed
-        // broker must not strand the client in `Connecting` forever (it
-        // retries through the backoff machinery).
+        // With recovery enabled every attempt, the *initial* one included,
+        // gets a deadline, so a Connect a crashed broker swallows cannot
+        // strand the client in `Connecting` (it retries with backoff). A
+        // fault-free run arms no policy and so no deadline: a UDP Connect or
+        // ConnectOk the fabric drops leaves the client `Connecting` all run,
+        // neither connected nor refused. That is why Table II's UDP tests
+        // send 797 × 180 readings; a retry here would change Table II.
         let deadline = s.policy.map(|p| (p.detect_timeout, s.attempt));
         self.conns.insert(conn, s);
         if let Some((timeout, attempt)) = deadline {

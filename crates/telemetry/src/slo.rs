@@ -5,13 +5,13 @@
 //! actually asks about: how **stale** is the freshest reading each
 //! subscriber holds, and what fraction of readings beat a deadline.
 //!
-//! * [`SloSpec`] — a declarative per-scenario objective:
-//!   `{ deadline, target_fraction }`.
+//! * [`SloSpec`] — a declarative objective `{ deadline, target_fraction }`;
+//!   every run measures the paper's, [`SloSpec::grid_default`].
 //! * [`SloReport`] — Age-of-Information sawtooth samples on the vmstat
 //!   cadence, windowed delivery-latency percentiles, deadline-miss
 //!   counters, compliance, and windowed error-budget burn.
 //!
-//! The plane records nothing of its own. A run with an SLO builds its
+//! The plane records nothing of its own. A run with the SLO plane builds its
 //! [`RttCollector`] `with_freshness`, so the one lifecycle
 //! record of a reading also keeps its topic and each subscriber's first
 //! copy; [`SloReport::from_collector`] is a pure function of that

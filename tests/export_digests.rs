@@ -7,7 +7,7 @@
 //! same at every `GRIDMON_SHARDS` value.
 
 use gridmon::core::scenarios::three_way_specs;
-use gridmon::core::{run_all, ExperimentResult, SloSpec};
+use gridmon::core::{run_all, ExperimentResult, Observe};
 
 /// Messages per generator (the paper's runs are 180).
 const MSGS: u32 = 20;
@@ -55,7 +55,7 @@ fn digests(r: &ExperimentResult) -> String {
 fn observed_three_way_exports_keep_their_bytes() {
     let specs: Vec<_> = three_way_specs(MSGS)
         .into_iter()
-        .map(|s| s.traced().profiled().with_slo(SloSpec::grid_default()))
+        .map(|s| s.traced().profiled().observed(Observe::SLO))
         .collect();
     let lines: Vec<String> = run_all(&specs, 0).iter().map(digests).collect();
     assert_eq!(lines, EXPECTED);
@@ -67,7 +67,7 @@ fn observed_three_way_exports_keep_their_bytes() {
 fn an_untraced_run_counts_what_a_traced_run_counts() {
     let specs: Vec<_> = three_way_specs(MSGS)
         .into_iter()
-        .map(|s| s.profiled().with_slo(SloSpec::grid_default()))
+        .map(|s| s.profiled().observed(Observe::SLO))
         .collect();
     for (r, expected) in run_all(&specs, 0).iter().zip(EXPECTED) {
         assert!(r.trace.is_none(), "untraced");

@@ -25,7 +25,7 @@
 //! the run.
 
 use gridmon::core::{
-    run_all, run_experiment, ExperimentResult, ExperimentSpec, SloSpec, SystemUnderTest,
+    run_all, run_experiment, ExperimentResult, ExperimentSpec, Observe, SystemUnderTest,
 };
 use gridmon::simnet::Transport;
 
@@ -39,7 +39,7 @@ const MSGS: u32 = 20;
 fn spec(name: &str, system: SystemUnderTest, generators: usize) -> ExperimentSpec {
     ExperimentSpec::paper_default(format!("golden/{name}"), system, generators)
         .scaled(MSGS)
-        .with_slo(SloSpec::grid_default())
+        .observed(Observe::SLO)
         .scoped()
 }
 
@@ -51,7 +51,8 @@ fn golden() -> Vec<(ExperimentSpec, &'static str, &'static str)> {
     vec![
         (
             spec("narada-tcp", SystemUnderTest::NaradaSingle, 800),
-            "sent=16000 received=16000 rtt_mean_ms=6.535130 rtt_p99_ms=8.704000 \
+            "connected=800 refused=0 \
+             sent=16000 received=16000 rtt_mean_ms=6.535130 rtt_p99_ms=8.704000 \
              on_time=16000 late=0 lost=0 worst_burn=0.000000 delivery_p99_ms=8.704000 \
              events=51055 \
              fabric_sends=33604 executes=64823 jms_matches=16000",
@@ -63,7 +64,8 @@ fn golden() -> Vec<(ExperimentSpec, &'static str, &'static str)> {
         ),
         (
             udp,
-            "sent=15960 received=15952 rtt_mean_ms=10.494266 rtt_p99_ms=18.176000 \
+            "connected=798 refused=0 \
+             sent=15960 received=15952 rtt_mean_ms=10.494266 rtt_p99_ms=18.176000 \
              on_time=15952 late=0 lost=8 worst_burn=0.291971 delivery_p99_ms=18.176000 \
              events=98808 \
              fabric_sends=65455 executes=96578 jms_matches=15960",
@@ -76,7 +78,8 @@ fn golden() -> Vec<(ExperimentSpec, &'static str, &'static str)> {
         ),
         (
             spec("narada-dbn", SystemUnderTest::NaradaDbn { brokers: 3 }, 800),
-            "sent=16000 received=16000 rtt_mean_ms=8.191986 rtt_p99_ms=10.624000 \
+            "connected=800 refused=0 \
+             sent=16000 received=16000 rtt_mean_ms=8.191986 rtt_p99_ms=10.624000 \
              on_time=16000 late=0 lost=0 worst_burn=0.000000 delivery_p99_ms=10.624000 \
              events=115109 \
              fabric_sends=97606 executes=192864 jms_matches=48000",
@@ -89,7 +92,8 @@ fn golden() -> Vec<(ExperimentSpec, &'static str, &'static str)> {
         ),
         (
             spec("rgma-single", SystemUnderTest::RgmaSingle, 400),
-            "sent=8000 received=8000 rtt_mean_ms=884.774008 rtt_p99_ms=1605.632000 \
+            "connected=400 refused=0 \
+             sent=8000 received=8000 rtt_mean_ms=884.774008 rtt_p99_ms=1605.632000 \
              on_time=8000 late=0 lost=0 worst_burn=0.000000 delivery_p99_ms=1605.632000 \
              events=45505 \
              fabric_sends=29943 executes=43624 jms_matches=0",
@@ -106,7 +110,8 @@ fn golden() -> Vec<(ExperimentSpec, &'static str, &'static str)> {
         ),
         (
             spec("rgma-dist", SystemUnderTest::RgmaDistributed, 800),
-            "sent=16000 received=16000 rtt_mean_ms=904.091204 rtt_p99_ms=1654.784000 \
+            "connected=800 refused=0 \
+             sent=16000 received=16000 rtt_mean_ms=904.091204 rtt_p99_ms=1654.784000 \
              on_time=16000 late=0 lost=0 worst_burn=0.000000 delivery_p99_ms=1654.784000 \
              events=92147 \
              fabric_sends=61368 executes=89813 jms_matches=0",
@@ -123,7 +128,8 @@ fn golden() -> Vec<(ExperimentSpec, &'static str, &'static str)> {
         ),
         (
             spec("rgma-secondary", SystemUnderTest::RgmaSecondary, 100),
-            "sent=2000 received=2000 rtt_mean_ms=17687.888007 rtt_p99_ms=32243.712000 \
+            "connected=100 refused=0 \
+             sent=2000 received=2000 rtt_mean_ms=17687.888007 rtt_p99_ms=32243.712000 \
              on_time=131 late=1869 lost=0 worst_burn=100.000000 delivery_p99_ms=32243.712000 \
              events=20286 \
              fabric_sends=13064 executes=19107 jms_matches=0",
@@ -144,7 +150,8 @@ fn golden() -> Vec<(ExperimentSpec, &'static str, &'static str)> {
             // and ran nine fetch loops per partition, whose broker CPU the
             // readings queued behind. One loop per partition since.
             spec("gridlog", SystemUnderTest::GridlogSingle, 800),
-            "sent=16000 received=16000 rtt_mean_ms=11.241422 rtt_p99_ms=15.104000 \
+            "connected=800 refused=0 \
+             sent=16000 received=16000 rtt_mean_ms=11.241422 rtt_p99_ms=15.104000 \
              on_time=16000 late=0 lost=0 worst_burn=0.000000 delivery_p99_ms=15.104000 \
              events=128064 \
              fabric_sends=74599 executes=69308 jms_matches=0",
@@ -167,9 +174,11 @@ fn render(r: &ExperimentResult) -> String {
     let scope = &r.scope.as_ref().expect("spec is scoped").report;
     let count = |site| scope.site(site).map_or(0, |row| row.count);
     format!(
-        "sent={} received={} rtt_mean_ms={:.6} rtt_p99_ms={:.6} \
+        "connected={} refused={} sent={} received={} rtt_mean_ms={:.6} rtt_p99_ms={:.6} \
          on_time={} late={} lost={} worst_burn={:.6} delivery_p99_ms={:.6} \
          events={} fabric_sends={} executes={} jms_matches={}",
+        r.connected,
+        r.refused,
         r.summary.sent,
         r.summary.received,
         r.summary.rtt_mean_ms,

@@ -238,7 +238,7 @@ fn evicting_traced_run_is_shard_invariant() {
     let spec = ExperimentSpec::paper_default(name, SystemUnderTest::NaradaDbn { brokers: 3 }, 120)
         .traced()
         .profiled()
-        .with_slo(gridmon::core::SloSpec::grid_default());
+        .observed(gridmon::core::Observe::SLO);
     let serial = run_experiment(&spec);
     let summary = &serial.trace.as_ref().expect("traced").summary;
     assert_eq!(
@@ -276,7 +276,7 @@ fn slo_reports_are_shard_invariant() {
         (SystemUnderTest::GridlogSingle, "shard/slo-gridlog"),
         (SystemUnderTest::RgmaDistributed, "shard/slo-rgma"),
     ] {
-        let spec = spec_for(system, name).with_slo(gridmon::core::SloSpec::grid_default());
+        let spec = spec_for(system, name).observed(gridmon::core::Observe::SLO);
         let serial = run_experiment(&spec);
         assert!(serial.slo.is_some(), "{name}: SLO artifacts missing");
         for shards in [2usize, 4] {
@@ -286,7 +286,7 @@ fn slo_reports_are_shard_invariant() {
     }
     // A lossy transport exercises the `lost` accounting path too.
     let mut spec = spec_for(SystemUnderTest::NaradaSingle, "shard/slo-udp")
-        .with_slo(gridmon::core::SloSpec::grid_default());
+        .observed(gridmon::core::Observe::SLO);
     spec.transport = Transport::Udp;
     spec.ack_mode = AckMode::Client;
     let serial = run_experiment(&spec);

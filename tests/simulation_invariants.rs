@@ -1,7 +1,7 @@
 //! Property-based invariants over whole experiments: conservation,
 //! determinism, and metric sanity for randomly drawn configurations.
 
-use gridmon::core::{run_experiment, ExperimentSpec, SloSpec, SystemUnderTest};
+use gridmon::core::{run_experiment, ExperimentResult, ExperimentSpec, Observe, SystemUnderTest};
 use gridmon::jms::AckMode;
 use gridmon::simcore::{SimDuration, SimTime};
 use gridmon::simfault::{FaultKind, FaultSchedule};
@@ -116,6 +116,71 @@ prop_compose! {
     }
 }
 
+/// The planes a run carries artifacts for.
+fn carried(r: &ExperimentResult) -> Observe {
+    [
+        (r.trace.is_some(), Observe::TRACE),
+        (r.profile.is_some(), Observe::PROFILE),
+        (r.scope.is_some(), Observe::SCOPE),
+        (r.slo.is_some(), Observe::SLO),
+    ]
+    .into_iter()
+    .filter(|&(on, _)| on)
+    .fold(Observe::default(), |set, (_, plane)| set | plane)
+}
+
+/// Runs a traced `base` plain and with the planes of `added` armed too,
+/// and checks what arming any plane must leave alone: the reading
+/// counts, the bit-identical RTT mean and spread, the kernel events and
+/// the trace exports. Each side carries the artifacts of its own planes
+/// and no others. Returns the (plain, armed) results for the plane's
+/// own checks.
+fn run_inert(
+    base: ExperimentSpec,
+    added: Observe,
+) -> Result<(ExperimentResult, ExperimentResult), TestCaseError> {
+    let armed = base.clone().observed(added);
+    let a = run_experiment(&base);
+    let b = run_experiment(&armed);
+    prop_assert_eq!(a.summary.sent, b.summary.sent);
+    prop_assert_eq!(a.summary.received, b.summary.received);
+    prop_assert_eq!(
+        a.summary.rtt_mean_ms.to_bits(),
+        b.summary.rtt_mean_ms.to_bits()
+    );
+    prop_assert_eq!(
+        a.summary.rtt_stddev_ms.to_bits(),
+        b.summary.rtt_stddev_ms.to_bits()
+    );
+    prop_assert_eq!(
+        a.events,
+        b.events,
+        "{:?} may not add or move kernel events",
+        added
+    );
+    prop_assert_eq!(
+        carried(&a),
+        base.observe,
+        "plain run carries only its own artifacts"
+    );
+    prop_assert_eq!(
+        carried(&b),
+        armed.observe,
+        "armed run carries its planes' artifacts"
+    );
+    let (ta, tb) = (
+        a.trace.as_ref().expect("traced"),
+        b.trace.as_ref().expect("traced"),
+    );
+    prop_assert_eq!(&ta.jsonl, &tb.jsonl, "JSONL exports must be byte-identical");
+    prop_assert_eq!(
+        &ta.chrome,
+        &tb.chrome,
+        "Chrome exports must be byte-identical"
+    );
+    Ok((a, b))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -203,19 +268,7 @@ proptest! {
     /// diffs `total_work`), so turning it on may not move a single event.
     #[test]
     fn profiled_runs_are_byte_identical_to_plain(spec in arb_spec()) {
-        let plain = spec.clone().traced();
-        let profiled = spec.traced().profiled();
-        let a = run_experiment(&plain);
-        let b = run_experiment(&profiled);
-        prop_assert_eq!(a.summary.sent, b.summary.sent);
-        prop_assert_eq!(a.summary.received, b.summary.received);
-        prop_assert_eq!(a.summary.rtt_mean_ms.to_bits(), b.summary.rtt_mean_ms.to_bits());
-        prop_assert_eq!(a.summary.rtt_stddev_ms.to_bits(), b.summary.rtt_stddev_ms.to_bits());
-        prop_assert_eq!(a.events, b.events, "profiling may not add or move kernel events");
-        prop_assert!(a.profile.is_none(), "plain run must not carry profile artifacts");
-        let (ta, tb) = (a.trace.expect("traced"), b.trace.expect("traced"));
-        prop_assert_eq!(&ta.jsonl, &tb.jsonl, "JSONL exports must be byte-identical");
-        prop_assert_eq!(&ta.chrome, &tb.chrome, "Chrome exports must be byte-identical");
+        run_inert(spec.traced(), Observe::PROFILE)?;
     }
 
     /// Zero interference from wall-clock scoping: a scoped run must be
@@ -229,25 +282,13 @@ proptest! {
     /// sharded runs of one spec need not share).
     #[test]
     fn scoped_runs_are_byte_identical_to_plain(spec in arb_spec()) {
-        let plain = spec.clone().traced().profiled();
-        let scoped = spec.traced().profiled().scoped();
-        let a = run_experiment(&plain);
-        let b = run_experiment(&scoped);
-        prop_assert_eq!(a.summary.sent, b.summary.sent);
-        prop_assert_eq!(a.summary.received, b.summary.received);
-        prop_assert_eq!(a.summary.rtt_mean_ms.to_bits(), b.summary.rtt_mean_ms.to_bits());
-        prop_assert_eq!(a.summary.rtt_stddev_ms.to_bits(), b.summary.rtt_stddev_ms.to_bits());
-        prop_assert_eq!(a.events, b.events, "scoping may not add or move kernel events");
+        let (a, b) = run_inert(spec.traced().profiled(), Observe::SCOPE)?;
         prop_assert_eq!(a.kernel.determinism_digest(), b.kernel.determinism_digest(),
             "kernel event accounting must not change under scoping");
-        prop_assert!(a.scope.is_none(), "plain run must not carry hot-path artifacts");
         let scope = b.scope.expect("scoped run carries hot-path artifacts");
         prop_assert_eq!(scope.report.to_json(), scope.json, "hotpath JSON re-generates byte-stably");
         let dispatch = scope.report.site("kernel.dispatch").expect("dispatch site present");
         prop_assert_eq!(dispatch.count, a.events, "one dispatch timing per kernel event");
-        let (ta, tb) = (a.trace.expect("traced"), b.trace.expect("traced"));
-        prop_assert_eq!(&ta.jsonl, &tb.jsonl, "JSONL exports must be byte-identical");
-        prop_assert_eq!(&ta.chrome, &tb.chrome, "Chrome exports must be byte-identical");
         let (pa, pb) = (a.profile.expect("profiled"), b.profile.expect("profiled"));
         prop_assert_eq!(&pa.collapsed, &pb.collapsed,
             "virtual-time flamegraphs must be byte-identical");
@@ -263,16 +304,7 @@ proptest! {
     /// derived post-merge, so it may not move a single kernel event.
     #[test]
     fn slo_runs_are_byte_identical_to_plain(spec in arb_spec()) {
-        let plain = spec.clone().traced();
-        let slo = spec.traced().with_slo(SloSpec::grid_default());
-        let a = run_experiment(&plain);
-        let b = run_experiment(&slo);
-        prop_assert_eq!(a.summary.sent, b.summary.sent);
-        prop_assert_eq!(a.summary.received, b.summary.received);
-        prop_assert_eq!(a.summary.rtt_mean_ms.to_bits(), b.summary.rtt_mean_ms.to_bits());
-        prop_assert_eq!(a.summary.rtt_stddev_ms.to_bits(), b.summary.rtt_stddev_ms.to_bits());
-        prop_assert_eq!(a.events, b.events, "SLO tracking may not add or move kernel events");
-        prop_assert!(a.slo.is_none(), "plain run must not carry SLO artifacts");
+        let (_, b) = run_inert(spec.traced(), Observe::SLO)?;
         let s = b.slo.expect("SLO run carries artifacts");
         // Accounting closes: every published reading is exactly one of
         // on-time, late, or lost.
@@ -282,9 +314,6 @@ proptest! {
             "SLO accounting does not close"
         );
         prop_assert!(s.csv.starts_with("t_s,metric,value"));
-        let (ta, tb) = (a.trace.expect("traced"), b.trace.expect("traced"));
-        prop_assert_eq!(&ta.jsonl, &tb.jsonl, "JSONL exports must be byte-identical");
-        prop_assert_eq!(&ta.chrome, &tb.chrome, "Chrome exports must be byte-identical");
     }
 
     /// Profiler conservation: the attributed self-time table must sum to
