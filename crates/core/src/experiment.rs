@@ -227,6 +227,12 @@ impl ExperimentSpec {
         self
     }
 
+    /// When the run stops — creation ramp, warm-up, publishing, drain —
+    /// or why it may not run: a horizon past [`MAX_HORIZON`].
+    pub(crate) fn horizon(&self) -> Result<SimTime, String> {
+        layout(self).map(|l| l.horizon)
+    }
+
     /// A scaled-down variant for tests: fewer messages per generator,
     /// same mechanisms.
     pub fn scaled(mut self, msgs: u32) -> Self {
@@ -354,6 +360,12 @@ pub struct ExperimentResult {
     pub merge_render_secs: f64,
 }
 
+/// The longest a run may last: 2^39 µs, about 6.4 simulated days. A
+/// reading's instants are stored in 40 bits ([`telemetry::Stamp`]); this
+/// leaves the upper half of that range for instants stamped ahead of the
+/// clock (a frame's delivery, a CPU completion).
+pub const MAX_HORIZON: SimTime = SimTime::from_micros(1 << 39);
+
 /// Deterministic geometry of one experiment, shared by every shard's
 /// build and by the merge: node counts, workload split, time windows.
 struct Layout {
@@ -370,8 +382,9 @@ struct Layout {
     steady_to: SimTime,
 }
 
-/// Pure arithmetic on the spec — no RNG, no kernel state.
-fn layout(spec: &ExperimentSpec) -> Layout {
+/// Pure arithmetic on the spec — no RNG, no kernel state. Refuses a
+/// horizon past [`MAX_HORIZON`].
+fn layout(spec: &ExperimentSpec) -> Result<Layout, String> {
     let server_count = match spec.system {
         SystemUnderTest::NaradaSingle
         | SystemUnderTest::RgmaSingle
@@ -410,16 +423,24 @@ fn layout(spec: &ExperimentSpec) -> Layout {
     } else {
         SimDuration::from_secs(10)
     };
-    Layout {
+    let horizon = SimTime::ZERO + ramp + spec.warmup.1 + publishing + drain;
+    if horizon > MAX_HORIZON {
+        return Err(format!(
+            "{} would run to {horizon}, past the {MAX_HORIZON} (2^39 µs) a run may last: \
+             a reading's instants are stored in 40 bits",
+            spec.name
+        ));
+    }
+    Ok(Layout {
         server_count,
         fleet_nodes_n,
         total_nodes,
         per_fleet,
         creation_interval,
-        horizon: SimTime::ZERO + ramp + spec.warmup.1 + publishing + drain,
+        horizon,
         steady_from: SimTime::ZERO + ramp + spec.warmup.1,
         steady_to: SimTime::ZERO + ramp + publishing,
-    }
+    })
 }
 
 /// Thread-local build artifacts the extractor needs: `Rc` stats handles
@@ -1114,7 +1135,7 @@ fn merge_results(
 /// Same seed + same spec ⇒ byte-identical results at any shard count.
 pub fn run_experiment(spec: &ExperimentSpec) -> ExperimentResult {
     let wall_start = std::time::Instant::now();
-    let lay = layout(spec);
+    let lay = layout(spec).unwrap_or_else(|e| panic!("{e}"));
     // `GRIDMON_SHARDS` lets CI re-run the entire suite under the
     // parallel kernel without editing every spec: it only raises an
     // unsharded spec (shards == 1), never overrides an explicit choice,

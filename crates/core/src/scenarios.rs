@@ -13,6 +13,18 @@ use simnet::Transport;
 /// The paper's full scale (30 min at one message per 10 s).
 pub const FULL_SCALE: u32 = 180;
 
+/// `Err` when `msgs` messages per generator would run a spec of the
+/// catalogue past [`MAX_HORIZON`](crate::experiment::MAX_HORIZON). The
+/// longest run at every scale is distributed R-GMA at 1000 connections:
+/// a 500 s creation ramp and a 30 s drain (a test keeps it the longest).
+pub fn check_scale(msgs: u32) -> Result<(), String> {
+    // Longest first, so the error names it.
+    rgma_distributed_specs(msgs)
+        .iter()
+        .rev()
+        .try_for_each(|s| s.horizon().map(drop))
+}
+
 /// Table II / fig 3 / fig 4: the six comparison tests at 800 generators
 /// (80 for test 6 at 10× rate; test 5 uses triple payload at 1/3 rate).
 pub fn table2_specs(msgs: u32) -> Vec<ExperimentSpec> {
@@ -383,5 +395,47 @@ mod tests {
             .collect();
         assert_eq!(volume[0], volume[1]);
         assert_eq!(volume[0], volume[2]);
+    }
+
+    #[test]
+    fn check_scale_reads_the_longest_spec_of_the_catalogue() {
+        for msgs in [1, 7, FULL_SCALE, 54_920] {
+            let specs = [
+                table2_specs(msgs),
+                narada_single_specs(msgs),
+                vec![narada_single_4000(msgs)],
+                narada_dbn_specs(msgs),
+                rgma_secondary_specs(msgs),
+                rgma_single_specs(msgs),
+                vec![rgma_single_800(msgs)],
+                gridlog_single_specs(msgs),
+                three_way_specs(msgs),
+                three_way_outage_specs(msgs),
+                fig15_specs(msgs),
+                vec![rgma_no_warmup_spec(msgs)],
+                dbn_routing_ablation(msgs, 2000),
+                secondary_delay_ablation(msgs),
+                poll_period_ablation(msgs),
+                aggregation_ablation(msgs, 800),
+            ];
+            let longest = rgma_distributed_specs(msgs).pop().expect("four specs");
+            let bound = longest.horizon().expect("within the limit");
+            for s in specs.iter().flatten() {
+                assert!(
+                    s.horizon().expect("within the limit") <= bound,
+                    "{}",
+                    s.name
+                );
+            }
+            assert_eq!(check_scale(msgs), Ok(()));
+        }
+        // 10 s a message, plus a 500 s ramp, 20 s of warm-up and a 30 s
+        // drain, within 2^39 µs = 549 755.8 s.
+        let err = check_scale(54_921).expect_err("past 2^39 µs");
+        assert!(
+            err.contains("rgma/dist/1000") && err.contains("2^39"),
+            "{err}"
+        );
+        assert!(check_scale(u32::MAX).is_err());
     }
 }

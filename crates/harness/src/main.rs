@@ -198,7 +198,10 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Options, String> {
             None => (a.as_str(), None),
         };
         match opt {
-            "--scale" => opts.scale = take_value(opt, inline, &mut args)?,
+            "--scale" => {
+                opts.scale = take_value(opt, inline, &mut args)?;
+                scenarios::check_scale(opts.scale).map_err(|e| format!("bad --scale: {e}"))?;
+            }
             "--threads" => opts.threads = take_value(opt, inline, &mut args)?,
             "--shards" => {
                 opts.shards = take_value(opt, inline, &mut args)?;
@@ -501,6 +504,27 @@ mod tests {
             .collect();
         expected.sort();
         assert_eq!(found, expected);
+    }
+
+    /// A value the run cannot take is a usage error before anything
+    /// runs: no shards, or a scale whose runs would pass the 2^39 µs a
+    /// stored instant allows (about 54 900 messages at one per 10 s).
+    #[test]
+    fn parse_args_refuses_zero_shards_and_a_scale_past_the_horizon() {
+        let parse = |a: &str| parse_args([a.to_owned()].into_iter()).err();
+        assert_eq!(
+            parse("--shards=0").as_deref(),
+            Some("bad --shards: need at least 1")
+        );
+        for scale in ["--scale=54921", "--scale=4000000000"] {
+            let err = parse(scale).expect("refused");
+            assert!(
+                err.starts_with("bad --scale: rgma/dist/1000 would run to ")
+                    && err.contains("2^39"),
+                "{err}"
+            );
+        }
+        assert_eq!(parse("--scale=54920"), None);
     }
 
     #[test]

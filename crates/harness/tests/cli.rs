@@ -111,6 +111,21 @@ fn an_unknown_artifact_exits_2_and_names_the_nearest() {
 }
 
 #[test]
+fn a_scale_past_the_horizon_limit_exits_2_before_running() {
+    let dir = scratch("scale");
+    let out = repro(&dir, &["--scale=4000000000", "fig7"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(out.stdout.is_empty(), "nothing runs before validation");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.starts_with("error: bad --scale: ") && err.contains("2^39"),
+        "{err}"
+    );
+    assert_eq!(file_names(&dir), Vec::<String>::new());
+    std::fs::remove_dir_all(&dir).expect("scratch directory");
+}
+
+#[test]
 fn help_and_list_scenarios_list_the_table_in_order() {
     let dir = scratch("listings");
     let help = repro(&dir, &["--help"]);

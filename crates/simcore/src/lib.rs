@@ -4,7 +4,8 @@
 //!
 //! The foundation of the gridmon reproduction. Provides:
 //!
-//! * [`SimTime`] / [`SimDuration`] — microsecond-resolution virtual time.
+//! * [`SimTime`] / [`SimDuration`] — microsecond-resolution virtual time;
+//!   [`round_u64`] is the one float-to-microseconds rounding.
 //! * [`EventQueue`] — a time-ordered queue with FIFO tie-breaking, so a
 //!   given seed always replays the identical event history.
 //! * [`Actor`] / [`Simulation`] / [`Context`] — the actor model every
@@ -48,7 +49,7 @@ pub use hash::{FastMap, FastSet};
 pub use kernel::{Context, KernelStats, RemoteEnvelope, RemoteRouter, RunOutcome, Simulation};
 pub use rng::SimRng;
 pub use service::ServiceMap;
-pub use time::{SimDuration, SimTime};
+pub use time::{round_u64, SimDuration, SimTime};
 
 #[cfg(test)]
 mod tests {

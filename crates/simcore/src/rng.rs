@@ -10,7 +10,7 @@
 //! Vigna) instead of pulling a RNG crate so that the stream is frozen
 //! forever.
 
-use crate::time::SimDuration;
+use crate::time::{round_u64, SimDuration};
 
 /// SplitMix64, used to expand a single `u64` seed into the 256-bit xoshiro
 /// state and to derive independent sub-streams.
@@ -162,7 +162,7 @@ impl SimRng {
 
     /// Exponentially-distributed duration with the given mean.
     pub fn exp_duration(&mut self, mean: SimDuration) -> SimDuration {
-        SimDuration::from_micros(self.exp_f64(mean.as_micros() as f64).round() as u64)
+        SimDuration::from_micros(round_u64(self.exp_f64(mean.as_micros() as f64)))
     }
 }
 

@@ -131,7 +131,23 @@ impl SimDuration {
     /// Scale by a float factor (rounds; clamps negatives to 0).
     #[inline]
     pub fn mul_f64(self, k: f64) -> SimDuration {
-        SimDuration(((self.0 as f64) * k.max(0.0)).round() as u64)
+        SimDuration(round_u64((self.0 as f64) * k.max(0.0)))
+    }
+}
+
+/// `x.round() as u64` — half away from zero, then the saturating cast —
+/// without a call to `round`: the x86-64 baseline has no rounding
+/// instruction, so `f64::round` is a library call on every fabric send
+/// and CPU visit. The truncation is exact, so is the fraction it leaves,
+/// and a fraction of one half rounds up. Negatives and NaN give 0,
+/// values at or past 2^64 give `u64::MAX`.
+#[inline]
+pub fn round_u64(x: f64) -> u64 {
+    let i = x as u64;
+    if x - i as f64 >= 0.5 {
+        i.saturating_add(1)
+    } else {
+        i
     }
 }
 

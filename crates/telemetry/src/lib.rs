@@ -13,7 +13,7 @@
 //!   instrumentation points to.
 //! * [`ProbeTable`] — a reading's record keyed by its [`ProbeId`],
 //!   stored per publisher lane in `seq`-indexed chunks; what the RTT and
-//!   SLO recorders keep their records in.
+//!   SLO recorders keep their records in, each instant a 40-bit [`Stamp`].
 //! * [`slo::SloReport`] — the freshness / deadline-SLO view of the
 //!   [`RttCollector`] record (module [`slo`]).
 //! * [`MetricsRegistry`] — the time-series metrics plane: named
@@ -31,7 +31,7 @@ pub mod stats;
 
 pub use histogram::{HistogramSummary, LatencyHistogram};
 pub use metrics::{with_metrics, MetricsRegistry};
-pub use probe_table::{ProbeTable, Slot};
+pub use probe_table::{ProbeTable, Slot, Stamp};
 pub use report::{degradation_table, trim_float, Figure, Series, Table};
 pub use rtt::{Conservation, ProbeId, ProbeInstants, RttCollector, RttSummary};
 pub use stats::Welford;

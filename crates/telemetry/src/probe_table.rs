@@ -6,7 +6,8 @@
 //! double up to `CAP`, then stay at `CAP`: a chunk is never copied to
 //! grow, a lane holds at most one partly filled chunk, and a sparse lane
 //! (a receive-side shard that sees every tenth reading) allocates only the
-//! chunks its records land in.
+//! chunks its records land in. An instant at rest is a [`Stamp`], five
+//! bytes, so a reading's four instants take 20.
 
 use crate::rtt::ProbeId;
 use simcore::{FastMap, SimTime};
@@ -33,12 +34,64 @@ pub trait Slot: Copy + PartialEq {
     fn fold(&mut self, other: Self);
 }
 
-/// The earliest instant: `SimTime::MAX` is "never".
-impl Slot for SimTime {
-    const VACANT: SimTime = SimTime::MAX;
+/// An instant held in 40 bits: its microsecond count, five bytes
+/// little-endian, with all ones meaning "not stamped". 2^40 µs is 12.7
+/// simulated days; a run's horizon is held to half of that
+/// (`gridmon_core::experiment::MAX_HORIZON`), which leaves the other half for
+/// instants stamped ahead of the clock. A run's instants never use the
+/// top 24 bits of a `SimTime`, and a `Stamp` does not keep them.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Stamp([u8; 5]);
 
-    fn fold(&mut self, other: SimTime) {
-        *self = (*self).min(other);
+impl Stamp {
+    /// "Not stamped": every bit set, above every instant a `Stamp` holds.
+    pub const NONE: Stamp = Stamp([u8::MAX; 5]);
+    /// The latest instant a `Stamp` holds, 2^40 − 2 µs.
+    pub const LAST: SimTime = SimTime::from_micros((1 << 40) - 2);
+
+    /// `t`, which must not pass [`LAST`](Self::LAST): the experiment
+    /// layer refuses a horizon that could reach it.
+    pub fn new(t: SimTime) -> Stamp {
+        assert!(t <= Self::LAST, "instant {t} past a stamp's 40 bits");
+        let [b0, b1, b2, b3, b4, ..] = t.as_micros().to_le_bytes();
+        Stamp([b0, b1, b2, b3, b4])
+    }
+
+    /// The instant, `None` for [`NONE`](Self::NONE).
+    pub fn get(self) -> Option<SimTime> {
+        (self != Self::NONE).then(|| SimTime::from_micros(self.micros()))
+    }
+
+    /// The microsecond count; [`NONE`](Self::NONE) reads 2^40 − 1.
+    fn micros(self) -> u64 {
+        let [b0, b1, b2, b3, b4] = self.0;
+        u64::from_le_bytes([b0, b1, b2, b3, b4, 0, 0, 0])
+    }
+
+    /// Keep the earlier of `self` and `t`.
+    pub fn stamp(&mut self, t: SimTime) {
+        self.fold(Stamp::new(t));
+    }
+}
+
+impl std::fmt::Debug for Stamp {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.get() {
+            Some(t) => write!(f, "Stamp({t})"),
+            None => f.write_str("Stamp::NONE"),
+        }
+    }
+}
+
+/// The earliest instant: [`Stamp::NONE`] is "never", and reads above
+/// every instant, so the minimum keeps a stamped one over it.
+impl Slot for Stamp {
+    const VACANT: Stamp = Stamp::NONE;
+
+    fn fold(&mut self, other: Stamp) {
+        if other.micros() < self.micros() {
+            *self = other;
+        }
     }
 }
 
@@ -221,9 +274,36 @@ mod tests {
         assert!(offset < chunk_len(k));
     }
 
+    fn us(v: u64) -> Stamp {
+        Stamp::new(SimTime::from_micros(v))
+    }
+
+    #[test]
+    fn a_stamp_is_five_bytes_and_round_trips_to_its_last_instant() {
+        assert_eq!(std::mem::size_of::<Stamp>(), 5);
+        for v in [0, 1, 255, 256, 1 << 32, (1 << 39) + 7, (1 << 40) - 2] {
+            let t = SimTime::from_micros(v);
+            assert_eq!(Stamp::new(t).get(), Some(t));
+        }
+        assert_eq!(Stamp::NONE.get(), None);
+        let mut s = Stamp::NONE;
+        s.stamp(Stamp::LAST);
+        assert_eq!(s.get(), Some(Stamp::LAST), "the last instant beats NONE");
+        s.stamp(SimTime::from_micros(1 << 32));
+        s.stamp(SimTime::from_micros(255));
+        s.stamp(SimTime::from_micros(256));
+        assert_eq!(s, us(255), "the earliest stamp wins across byte carries");
+    }
+
+    #[test]
+    #[should_panic(expected = "past a stamp's 40 bits")]
+    fn an_instant_past_forty_bits_is_refused() {
+        Stamp::new(SimTime::from_micros((1 << 40) - 1));
+    }
+
     #[test]
     fn iterates_in_probe_id_order_and_skips_vacant_slots() {
-        let mut t: ProbeTable<SimTime> = ProbeTable::new();
+        let mut t: ProbeTable<Stamp> = ProbeTable::new();
         let ids = [
             ProbeId::compose(9, 5000),
             ProbeId::compose(3, 70),
@@ -232,17 +312,14 @@ mod tests {
             ProbeId::compose(3, 1),
         ];
         for (i, &id) in ids.iter().enumerate() {
-            t.slot_mut(id).fold(SimTime::from_micros(i as u64));
+            t.slot_mut(id).stamp(SimTime::from_micros(i as u64));
         }
         let mut sorted = ids.to_vec();
         sorted.sort_unstable();
         let walked: Vec<ProbeId> = t.iter().map(|(id, _)| id).collect();
         assert_eq!(walked, sorted);
         assert_eq!(t.count(), 5);
-        assert_eq!(
-            t.get(ProbeId::compose(3, 70)),
-            Some(SimTime::from_micros(1))
-        );
+        assert_eq!(t.get(ProbeId::compose(3, 70)), Some(us(1)));
         assert_eq!(
             t.get(ProbeId::compose(3, 2)),
             None,
@@ -255,16 +332,13 @@ mod tests {
     #[test]
     fn fold_in_keeps_the_earliest_instant_per_probe() {
         let (a, b) = (ProbeId::compose(1, 0), ProbeId::compose(1, 900));
-        let mut left: ProbeTable<SimTime> = ProbeTable::new();
-        *left.slot_mut(a) = SimTime::from_micros(7);
-        let mut right: ProbeTable<SimTime> = ProbeTable::new();
-        *right.slot_mut(a) = SimTime::from_micros(3);
-        *right.slot_mut(b) = SimTime::from_micros(9);
+        let mut left: ProbeTable<Stamp> = ProbeTable::new();
+        *left.slot_mut(a) = us(7);
+        let mut right: ProbeTable<Stamp> = ProbeTable::new();
+        *right.slot_mut(a) = us(3);
+        *right.slot_mut(b) = us(9);
         left.fold_in(right);
         let all: Vec<_> = left.iter().collect();
-        assert_eq!(
-            all,
-            [(a, SimTime::from_micros(3)), (b, SimTime::from_micros(9))]
-        );
+        assert_eq!(all, [(a, us(3)), (b, us(9))]);
     }
 }

@@ -19,7 +19,7 @@
 //! from which [`slo`](crate::slo) derives its report.
 
 use crate::histogram::{HistogramSummary, LatencyHistogram};
-use crate::probe_table::{ProbeTable, Slot};
+use crate::probe_table::{ProbeTable, Slot, Stamp};
 use crate::stats::Welford;
 use simcore::{FastMap, SimTime};
 use std::collections::BTreeMap;
@@ -53,16 +53,16 @@ impl ProbeId {
     }
 }
 
-/// One probe's four instants; [`SimTime::MAX`] means "not stamped". A
-/// shard that only hosts the subscriber has a partial record (receive
-/// side only) until the end-of-run merge folds in the publisher shard's
-/// half.
+/// One probe's four instants, 20 bytes; [`Stamp::NONE`] means "not
+/// stamped". A shard that only hosts the subscriber has a partial record
+/// (receive side only) until the end-of-run merge folds in the publisher
+/// shard's half.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Record {
-    before_sending: SimTime,
-    after_sending: SimTime,
-    before_receiving: SimTime,
-    after_receiving: SimTime,
+    before_sending: Stamp,
+    after_sending: Stamp,
+    before_receiving: Stamp,
+    after_receiving: Stamp,
 }
 
 /// Each instant keeps its earliest stamp. Within one shard calls arrive
@@ -71,32 +71,27 @@ struct Record {
 /// commutative.
 impl Slot for Record {
     const VACANT: Record = Record {
-        before_sending: SimTime::MAX,
-        after_sending: SimTime::MAX,
-        before_receiving: SimTime::MAX,
-        after_receiving: SimTime::MAX,
+        before_sending: Stamp::NONE,
+        after_sending: Stamp::NONE,
+        before_receiving: Stamp::NONE,
+        after_receiving: Stamp::NONE,
     };
 
     fn fold(&mut self, other: Record) {
-        self.before_sending = self.before_sending.min(other.before_sending);
-        self.after_sending = self.after_sending.min(other.after_sending);
-        self.before_receiving = self.before_receiving.min(other.before_receiving);
-        self.after_receiving = self.after_receiving.min(other.after_receiving);
+        self.before_sending.fold(other.before_sending);
+        self.after_sending.fold(other.after_sending);
+        self.before_receiving.fold(other.before_receiving);
+        self.after_receiving.fold(other.after_receiving);
     }
-}
-
-/// A stamped instant, `None` for the sentinel.
-fn stamped(t: SimTime) -> Option<SimTime> {
-    (t != SimTime::MAX).then_some(t)
 }
 
 impl Record {
     fn instants(&self) -> Option<ProbeInstants> {
         Some(ProbeInstants {
-            before_sending: stamped(self.before_sending)?,
-            after_sending: stamped(self.after_sending),
-            before_receiving: stamped(self.before_receiving),
-            after_receiving: stamped(self.after_receiving),
+            before_sending: self.before_sending.get()?,
+            after_sending: self.after_sending.get(),
+            before_receiving: self.before_receiving.get(),
+            after_receiving: self.after_receiving.get(),
         })
     }
 }
@@ -144,7 +139,7 @@ struct FreshnessColumns {
     /// Per subscriber lane, its first copy of each probe: the same reading
     /// delivered to two subscribers is two records, a redelivery to one
     /// keeps the first instant.
-    deliveries: BTreeMap<u32, ProbeTable<SimTime>>,
+    deliveries: BTreeMap<u32, ProbeTable<Stamp>>,
 }
 
 impl FreshnessColumns {
@@ -245,13 +240,13 @@ impl Conservation {
 /// The measurement service: middlewares and clients report instants; the
 /// experiment reads the summary at the end.
 ///
-/// Raw instants are the only thing stored during the run: one 32-byte
-/// slot per probe in a [`ProbeTable`]. All derived statistics (Welford
-/// moments, the latency histogram) are computed by
-/// [`summary`](Self::summary) from the table in probe-id order, so a
-/// merged collector and a serial one produce bit-identical summaries —
-/// the accumulation order is a function of the *keys*, never of the
-/// event interleaving that produced the records.
+/// Raw instants are the only thing stored during the run: one 20-byte
+/// slot per probe in a [`ProbeTable`], four 40-bit [`Stamp`]s. All
+/// derived statistics (Welford moments, the latency histogram) are
+/// computed by [`summary`](Self::summary) from the table in probe-id
+/// order, so a merged collector and a serial one produce bit-identical
+/// summaries — the accumulation order is a function of the *keys*, never
+/// of the event interleaving that produced the records.
 pub struct RttCollector {
     records: ProbeTable<Record>,
     lane_seqs: FastMap<u32, u32>,
@@ -306,7 +301,7 @@ impl RttCollector {
                 .entry(subscriber)
                 .or_default()
                 .slot_mut(id)
-                .fold(now);
+                .stamp(now);
         }
     }
 
@@ -317,16 +312,15 @@ impl RttCollector {
         let seq = self.lane_seqs.entry(lane).or_insert(0);
         let id = ProbeId::compose(lane, *seq);
         *seq = seq.checked_add(1).expect("2^32 probes from one publisher");
-        let r = self.records.slot_mut(id);
-        r.before_sending = r.before_sending.min(now);
+        self.records.slot_mut(id).before_sending.stamp(now);
         id
     }
 
     /// The synchronous send completed.
     pub fn after_sending(&mut self, id: ProbeId, now: SimTime) {
         let r = self.records.slot_mut(id);
-        debug_assert!(r.after_sending == SimTime::MAX, "double after_sending");
-        r.after_sending = r.after_sending.min(now);
+        debug_assert!(r.after_sending == Stamp::NONE, "double after_sending");
+        r.after_sending.stamp(now);
     }
 
     /// The middleware made the message available to the subscriber.
@@ -334,15 +328,13 @@ impl RttCollector {
     /// wins. On a shard that does not host the publisher this creates a
     /// partial record, completed by the end-of-run [`merged`](Self::merged).
     pub fn before_receiving(&mut self, id: ProbeId, now: SimTime) {
-        let r = self.records.slot_mut(id);
-        r.before_receiving = r.before_receiving.min(now);
+        self.records.slot_mut(id).before_receiving.stamp(now);
     }
 
     /// The receiving application has the message. Duplicate deliveries
     /// (UDP retransmission) are counted once — first delivery wins.
     pub fn after_receiving(&mut self, id: ProbeId, now: SimTime) {
-        let r = self.records.slot_mut(id);
-        r.after_receiving = r.after_receiving.min(now);
+        self.records.slot_mut(id).after_receiving.stamp(now);
     }
 
     /// Union per-shard collectors into the whole-run collector. Records
@@ -381,9 +373,12 @@ impl RttCollector {
     /// is here too: [`instants`](Self::instants) pairs it after the merge.
     pub fn deliveries(&self) -> impl Iterator<Item = (u32, ProbeId, SimTime)> + '_ {
         self.freshness.iter().flat_map(|f| {
-            f.deliveries
-                .iter()
-                .flat_map(|(&lane, table)| table.iter().map(move |(id, at)| (lane, id, at)))
+            f.deliveries.iter().flat_map(|(&lane, table)| {
+                // The walk skips vacant slots, so every `get` is `Some`.
+                table
+                    .iter()
+                    .filter_map(move |(id, at)| Some((lane, id, at.get()?)))
+            })
         })
     }
 
@@ -398,7 +393,7 @@ impl RttCollector {
     pub fn received(&self) -> u64 {
         self.records
             .iter()
-            .filter(|(_, r)| r.after_receiving != SimTime::MAX)
+            .filter(|(_, r)| r.after_receiving != Stamp::NONE)
             .count() as u64
     }
 
@@ -498,6 +493,11 @@ mod tests {
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
+    }
+
+    #[test]
+    fn a_record_is_four_five_byte_stamps() {
+        assert_eq!(std::mem::size_of::<Record>(), 20);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use telemetry::{MetricsRegistry, RttCollector};
 
 #[path = "../../../tests/support/counting_alloc.rs"]
 mod counting_alloc;
-use counting_alloc::{allocations, Counting};
+use counting_alloc::{allocations, live_bytes, Counting};
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
@@ -86,20 +86,26 @@ fn observations_allocate_only_to_grow_their_log() {
     );
 }
 
+/// Publisher lanes and readings of the two recording budgets below.
+const LANES: u64 = 4;
+const PROBES: u64 = 100_000;
+
+/// `PROBES` readings round-robin over `LANES` lanes, each stamped four
+/// times.
+fn stamp_readings(c: &mut RttCollector) {
+    for i in 0..PROBES {
+        let t = SimTime::from_micros(i * 10);
+        let id = c.before_sending((i % LANES) as u32, t);
+        c.after_sending(id, t + SimDuration::from_micros(100));
+        c.before_receiving(id, t + SimDuration::from_micros(4_000));
+        c.after_receiving(id, t + SimDuration::from_micros(5_000));
+    }
+}
+
 #[test]
 fn stamping_readings_allocates_only_to_grow_a_lane() {
-    const LANES: u64 = 4;
-    const PROBES: u64 = 100_000;
     let mut c = RttCollector::new();
-    let ((), allocs) = allocations(|| {
-        for i in 0..PROBES {
-            let t = SimTime::from_micros(i * 10);
-            let id = c.before_sending((i % LANES) as u32, t);
-            c.after_sending(id, t + SimDuration::from_micros(100));
-            c.before_receiving(id, t + SimDuration::from_micros(4_000));
-            c.after_receiving(id, t + SimDuration::from_micros(5_000));
-        }
-    });
+    let ((), allocs) = allocations(|| stamp_readings(&mut c));
     assert_eq!(c.received(), PROBES);
     // 25 000 records a lane: chunks of 64, 128, …, 2 048 records (4 032
     // together), then six of 4 096 — twelve blocks a lane that are never
@@ -113,14 +119,31 @@ fn stamping_readings_allocates_only_to_grow_a_lane() {
     );
 }
 
+/// A reading's four instants are four 40-bit stamps, 20 bytes at rest.
+/// Each lane holds at most one partly filled chunk of up to 4 096
+/// records, and a few hundred bytes of chunk list and map entries.
+#[test]
+fn a_stamped_reading_holds_twenty_bytes() {
+    let (c, live) = live_bytes(|| {
+        let mut c = RttCollector::new();
+        stamp_readings(&mut c);
+        c
+    });
+    assert_eq!(c.received(), PROBES);
+    let slots = PROBES + LANES * 4096;
+    let bookkeeping = LANES * 512;
+    assert!(
+        live <= (20 * slots + bookkeeping) as i64,
+        "{PROBES} readings on {LANES} lanes hold {live} bytes"
+    );
+}
+
 /// The same readings with the freshness columns armed, as an SLO run
 /// keeps them: the topic column and one subscriber's first copies are
 /// probe tables too, so each grows by the same never-copied chunks, and
 /// the topic name is stored once.
 #[test]
 fn stamping_readings_with_freshness_allocates_only_to_grow_three_tables() {
-    const LANES: u64 = 4;
-    const PROBES: u64 = 100_000;
     const SUBSCRIBER: u32 = 100;
     let mut c = RttCollector::with_freshness();
     let ((), allocs) = allocations(|| {

@@ -1,7 +1,8 @@
 //! Differential property test of the one lifecycle record: the same
 //! stamps — on sparse and very large lanes, in any order, restamped,
 //! delivered twice or to two subscribers, received before they were
-//! sent — fed to `RttCollector::with_freshness` (summarized, and reported
+//! sent or never sent at all, at instants up to the last one a 40-bit
+//! stamp holds — fed to `RttCollector::with_freshness` (summarized, and reported
 //! on by `telemetry::slo::SloReport::from_collector`) and to the two `BTreeMap`
 //! collectors it replaced (kept below verbatim as the reference model),
 //! serially and split into 1–4 shards merged in any order, must
@@ -10,7 +11,7 @@
 use proptest::prelude::*;
 use simcore::{SimDuration, SimTime};
 use telemetry::slo::{self, SloReport, SloSpec};
-use telemetry::{ProbeId, ProbeInstants, RttCollector, RttSummary};
+use telemetry::{ProbeId, ProbeInstants, RttCollector, RttSummary, Stamp};
 
 /// The parent's collectors: one `BTreeMap` entry per probe.
 mod reference {
@@ -502,8 +503,8 @@ enum Op {
     /// Mint a probe on `LANES[lane]`'s home shard, maybe complete the send.
     Publish {
         lane: usize,
-        at_ms: u64,
-        sent_ms: Option<u64>,
+        at_us: u64,
+        sent_us: Option<u64>,
         topic: usize,
     },
     /// The receive side, on any shard, of a probe that may not be minted
@@ -511,14 +512,14 @@ enum Op {
     Available {
         lane: usize,
         seq: u32,
-        at_ms: u64,
+        at_us: u64,
         part: usize,
     },
     /// One of two subscribers has a copy.
     Delivered {
         lane: usize,
         seq: u32,
-        at_ms: u64,
+        at_us: u64,
         part: usize,
         sub: u32,
     },
@@ -534,12 +535,32 @@ fn seq() -> impl Strategy<Value = u32> {
     prop_oneof![0u32..16, 0u32..300, 4000u32..4200, 60_000u32..60_100]
 }
 
-/// An instant in ms below `below_s` seconds: on a 50 ms grid, or one of
+/// An instant in µs below `below_s` seconds: on a 50 ms grid, or one of
 /// four so that stamps of one probe tie.
-fn at_ms(below_s: u64) -> impl Strategy<Value = u64> {
+fn near_us(below_s: u64) -> impl Strategy<Value = u64> {
     prop_oneof![
-        (0..below_s * 20).prop_map(|v| v * 50),
-        (0..4u64).prop_map(move |v| v * 5000 % (below_s * 1000)),
+        (0..below_s * 20).prop_map(|v| v * 50_000),
+        (0..4u64).prop_map(move |v| v * 5_000_000 % (below_s * 1_000_000)),
+    ]
+}
+
+/// An instant within a second of a bound: the longest horizon a run may
+/// have (2^39 µs), or the last instant a stamp holds.
+fn far_us() -> impl Strategy<Value = u64> {
+    let last = Stamp::LAST.as_micros();
+    prop_oneof![
+        (1u64 << 39) - 1_000_000..(1 << 39) + 1_000_000,
+        last - 1_000_000..=last,
+    ]
+}
+
+/// An instant, one in four within a second of a bound.
+fn at_us(below_s: u64) -> impl Strategy<Value = u64> {
+    prop_oneof![
+        near_us(below_s),
+        near_us(below_s),
+        near_us(below_s),
+        far_us()
     ]
 }
 
@@ -547,29 +568,30 @@ fn op() -> impl Strategy<Value = Op> {
     prop_oneof![
         (
             lane(),
-            at_ms(60),
-            proptest::option::of(0u64..500),
+            at_us(60),
+            proptest::option::of(0u64..500_000),
             0usize..3
         )
-            .prop_map(|(lane, at_ms, sent, topic)| Op::Publish {
+            .prop_map(|(lane, at_us, sent, topic)| Op::Publish {
                 lane,
-                at_ms,
-                sent_ms: sent.map(|d| at_ms + d),
+                at_us,
+                // A send completes no later than the last instant.
+                sent_us: sent.map(|d| (at_us + d).min(Stamp::LAST.as_micros())),
                 topic,
             }),
-        (lane(), seq(), at_ms(65), 0usize..4).prop_map(|(lane, seq, at_ms, part)| {
+        (lane(), seq(), at_us(65), 0usize..4).prop_map(|(lane, seq, at_us, part)| {
             Op::Available {
                 lane,
                 seq,
-                at_ms,
+                at_us,
                 part,
             }
         }),
-        (lane(), seq(), at_ms(65), 0usize..4, 100u32..102).prop_map(
-            |(lane, seq, at_ms, part, sub)| Op::Delivered {
+        (lane(), seq(), at_us(65), 0usize..4, 100u32..102).prop_map(
+            |(lane, seq, at_us, part, sub)| Op::Delivered {
                 lane,
                 seq,
-                at_ms,
+                at_us,
                 part,
                 sub,
             }
@@ -577,8 +599,8 @@ fn op() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn ms(v: u64) -> SimTime {
-    SimTime::from_millis(v)
+fn us(v: u64) -> SimTime {
+    SimTime::from_micros(v)
 }
 
 /// One world: the one record and the two reference collectors.
@@ -609,20 +631,20 @@ fn run(ops: &[Op], k: usize) -> (Pair, Vec<Pair>) {
         match *op {
             Op::Publish {
                 lane,
-                at_ms,
-                sent_ms,
+                at_us,
+                sent_us,
                 topic,
             } => {
-                let (lane_id, at) = (LANES[lane], ms(at_ms));
+                let (lane_id, at) = (LANES[lane], us(at_us));
                 let home = lane % k;
                 let mut ids = Vec::new();
                 for w in [&mut serial, &mut parts[home]] {
                     let id = w.rtt.published(lane_id, TOPICS[topic], at);
                     assert_eq!(id, w.ref_rtt.before_sending(lane_id, at));
                     w.ref_slo.record_publish(id, TOPICS[topic], at);
-                    if let Some(s) = sent_ms {
-                        w.rtt.after_sending(id, ms(s));
-                        w.ref_rtt.after_sending(id, ms(s));
+                    if let Some(s) = sent_us {
+                        w.rtt.after_sending(id, us(s));
+                        w.ref_rtt.after_sending(id, us(s));
                     }
                     ids.push(id);
                 }
@@ -631,27 +653,27 @@ fn run(ops: &[Op], k: usize) -> (Pair, Vec<Pair>) {
             Op::Available {
                 lane,
                 seq,
-                at_ms,
+                at_us,
                 part,
             } => {
                 let id = ProbeId::compose(LANES[lane], seq);
                 for w in [&mut serial, &mut parts[part % k]] {
-                    w.rtt.before_receiving(id, ms(at_ms));
-                    w.ref_rtt.before_receiving(id, ms(at_ms));
+                    w.rtt.before_receiving(id, us(at_us));
+                    w.ref_rtt.before_receiving(id, us(at_us));
                 }
             }
             Op::Delivered {
                 lane,
                 seq,
-                at_ms,
+                at_us,
                 part,
                 sub,
             } => {
                 let id = ProbeId::compose(LANES[lane], seq);
                 for w in [&mut serial, &mut parts[part % k]] {
-                    w.rtt.delivered(id, sub, ms(at_ms));
-                    w.ref_rtt.after_receiving(id, ms(at_ms));
-                    w.ref_slo.record_delivery(id, sub, ms(at_ms), None);
+                    w.rtt.delivered(id, sub, us(at_us));
+                    w.ref_rtt.after_receiving(id, us(at_us));
+                    w.ref_slo.record_delivery(id, sub, us(at_us), None);
                 }
             }
         }
@@ -712,7 +734,11 @@ fn summary_bits(s: &RttSummary) -> Vec<u64> {
 }
 
 fn reports(w: &Pair, spec: &SloSpec) -> (SloReport, SloReport) {
-    let (horizon, cadence, window) = (ms(70_000), SimDuration::from_secs(1), slo::DEFAULT_WINDOW);
+    let (horizon, cadence, window) = (
+        SimTime::from_secs(70),
+        SimDuration::from_secs(1),
+        slo::DEFAULT_WINDOW,
+    );
     (
         SloReport::from_collector(&w.rtt, spec, horizon, cadence, window),
         w.ref_slo.report(spec, horizon, cadence, window),
