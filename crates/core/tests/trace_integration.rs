@@ -107,7 +107,7 @@ fn trace_covers_every_delivered_probe() {
         .probes
         .iter()
         .map(|(_, p)| p)
-        .filter(|p| p.publish_begin.is_some())
+        .filter(|p| p.publish_begin().is_some())
         .count() as u64;
     assert_eq!(
         with_begin, r.summary.sent,

@@ -100,10 +100,20 @@ struct ConnState {
     ack_mode: AckMode,
     next_pub_seq: u64,
     pending_pubs: FastMap<u64, PendingPub>,
+    ack_flush_armed: bool,
+    /// Created by the first subscribe or offline publish: most
+    /// connections are a publisher's that never loses its broker, and
+    /// hold none of it.
+    subscriber: Option<Box<SubscriberState>>,
+}
+
+/// The part of a connection's state only subscribing or reconnecting
+/// sessions fill.
+#[derive(Default)]
+struct SubscriberState {
     /// Per-subscription receive tracking (sub_id → state; BTreeMap for
     /// deterministic ack-flush order).
     recv: BTreeMap<u32, SubRecv>,
-    ack_flush_armed: bool,
     /// Subscriptions ever created on this logical connection, for
     /// re-subscribe after reconnect.
     subs: Vec<SubSpec>,
@@ -112,6 +122,13 @@ struct ConnState {
     /// Probes already surfaced to the listener; filters the duplicates a
     /// resync can produce. Only populated when reconnect is enabled.
     seen_probes: FastSet<u64>,
+}
+
+impl ConnState {
+    /// The subscriber state, created on first use.
+    fn subscriber(&mut self) -> &mut SubscriberState {
+        self.subscriber.get_or_insert_with(Box::default)
+    }
 }
 
 enum TimerKind {
@@ -141,8 +158,11 @@ impl SessionProtocol for Jms {
     /// delivery seqs from scratch.
     fn abandon(state: &mut ConnState, _: &mut Context<'_>) {
         state.ack_flush_armed = false;
-        for recv in state.recv.values_mut() {
-            *recv = SubRecv::default();
+        if let Some(subscriber) = &mut state.subscriber {
+            subscriber
+                .recv
+                .values_mut()
+                .for_each(|r| *r = SubRecv::default());
         }
     }
 }
@@ -193,10 +213,11 @@ impl NaradaClientSet {
         let (topic, selector) = (topic.into(), selector.into());
         let sess = self.sessions.get_mut(conn).expect("unknown connection");
         assert!(sess.is_ready(), "subscribe before ConnectOk");
-        sess.state.recv.insert(sub_id, SubRecv::default());
         let ack_mode = sess.state.ack_mode;
+        let subscriber = sess.state.subscriber();
+        subscriber.recv.insert(sub_id, SubRecv::default());
         if sess.policy.is_some() {
-            sess.state.subs.push(SubSpec {
+            subscriber.subs.push(SubSpec {
                 sub_id,
                 topic: topic.clone(),
                 selector: selector.clone(),
@@ -222,7 +243,7 @@ impl NaradaClientSet {
             // Broker presumed dead and a reconnect is in flight: buffer
             // the publish; it is re-sent (delayed, not dropped) once the
             // replacement connection comes up.
-            sess.state.offline.push((probe, message));
+            sess.state.subscriber().offline.push((probe, message));
             simfault::with_faults(ctx, |inj, _| inj.stats.delayed += 1);
             return probe;
         }
@@ -323,7 +344,8 @@ impl NaradaClientSet {
                 let spec = self
                     .sessions
                     .get_mut(conn)
-                    .and_then(|s| s.state.subs.iter_mut().find(|s| s.sub_id == sub_id));
+                    .and_then(|s| s.state.subscriber.as_mut())
+                    .and_then(|s| s.subs.iter_mut().find(|s| s.sub_id == sub_id));
                 if spec.is_some_and(|spec| std::mem::take(&mut spec.needs_resync)) {
                     // Re-subscribe confirmed: ask the broker to replay
                     // this subscription's stable log.
@@ -356,7 +378,10 @@ impl NaradaClientSet {
                 let Some(sess) = self.sessions.get_mut(conn) else {
                     return events;
                 };
-                let Some(recv) = sess.state.recv.get_mut(&sub_id) else {
+                let Some(subscriber) = sess.state.subscriber.as_mut() else {
+                    return events;
+                };
+                let Some(recv) = subscriber.recv.get_mut(&sub_id) else {
                     return events;
                 };
                 // Duplicate filter.
@@ -369,7 +394,7 @@ impl NaradaClientSet {
                 // A resync after reconnect re-delivers under a fresh seq
                 // space; dedup those by probe (reconnect-enabled only, so
                 // the paper-mode hot path stays untouched).
-                let fresh = sess.policy.is_none() || sess.state.seen_probes.insert(probe.0);
+                let fresh = sess.policy.is_none() || subscriber.seen_probes.insert(probe.0);
 
                 // Listener callback: deserialize + user code.
                 if fresh {
@@ -435,7 +460,7 @@ impl NaradaClientSet {
                     let probe = state.pending_pubs[&seq].probe;
                     events.push(ClientEvent::PublishAbandoned { conn, probe });
                 }
-                for (probe, _) in &state.offline {
+                for (probe, _) in state.subscriber.iter().flat_map(|s| &s.offline) {
                     events.push(ClientEvent::PublishAbandoned {
                         conn,
                         probe: *probe,
@@ -527,7 +552,9 @@ impl NaradaClientSet {
         };
         let ack_mode = sess.state.ack_mode;
         let durable = sess.transport == Transport::Udp && ack_mode == AckMode::Client;
-        let ConnState { subs, recv, .. } = &mut sess.state;
+        let Some(SubscriberState { subs, recv, .. }) = sess.state.subscriber.as_deref_mut() else {
+            return;
+        };
         let mut msgs = Vec::new();
         for spec in subs.iter_mut() {
             spec.needs_resync = durable;
@@ -575,7 +602,10 @@ impl NaradaClientSet {
         let Some(sess) = self.sessions.get_mut(conn) else {
             return;
         };
-        let offline = std::mem::take(&mut sess.state.offline);
+        let Some(subscriber) = sess.state.subscriber.as_mut() else {
+            return;
+        };
+        let offline = std::mem::take(&mut subscriber.offline);
         for (probe, message) in offline {
             self.send_publish(ctx, conn, probe, message);
         }
@@ -594,7 +624,8 @@ impl NaradaClientSet {
         // length. The frame is `CONTROL_FRAME_BYTES` on the simulated wire
         // whatever it lists.
         let selective = sess.state.ack_mode == AckMode::Client;
-        for recv in sess.state.recv.values_mut() {
+        let subscribed = sess.state.subscriber.iter_mut();
+        for recv in subscribed.flat_map(|s| s.recv.values_mut()) {
             if !recv.dirty {
                 continue;
             }
@@ -625,5 +656,18 @@ impl NaradaClientSet {
     /// Has the broker accepted `conn`?
     pub fn is_ready(&self, conn: ConnId) -> bool {
         self.sessions.get(conn).is_some_and(|s| s.is_ready())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A fleet of thousands of idle publishing sessions: each is held in
+    /// a `SessionSet` bucket, so its size is most of the client's memory.
+    #[test]
+    fn an_idle_session_is_at_most_128_bytes() {
+        let size = std::mem::size_of::<simnet::session::Session<ConnState>>();
+        assert!(size <= 128, "{size} B a session");
     }
 }

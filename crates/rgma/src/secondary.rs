@@ -150,7 +150,7 @@ impl SecondaryProducer {
             let flush = simtrace::TraceEvent {
                 at: done,
                 trace: None,
-                actor: ctx.self_id().index() as u64,
+                actor: ctx.self_id().lane(),
                 kind: simtrace::EventKind::BatchFlush { tuples: n as u32 },
             };
             simtrace::hops(ctx, [flush], |m| {

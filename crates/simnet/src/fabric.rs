@@ -382,7 +382,7 @@ impl NetworkFabric {
         let tx_done = tx_start + tx_time;
         nic.tx_busy_until = tx_done;
         let backlog_us = tx_done.saturating_since(now).as_micros();
-        let conn_ix = u64::from(conn.0);
+        let conn_ix = conn.0;
         let sent = EventKind::NetSend {
             conn: conn_ix,
             bytes: bytes as u32,
@@ -457,7 +457,7 @@ fn frame(at: SimTime, end: Endpoint, kind: EventKind) -> TraceEvent {
     TraceEvent {
         at,
         trace: None,
-        actor: end.actor.index() as u64,
+        actor: end.actor.lane(),
         kind,
     }
 }

@@ -107,7 +107,12 @@ impl World {
             .expect("a traced probe");
         let i = self.instants(probe).expect("a record");
         assert_eq!(
-            (b.publish_begin, b.publish_end, b.available, b.delivered),
+            (
+                b.publish_begin(),
+                b.publish_end(),
+                b.available(),
+                b.delivered()
+            ),
             (
                 Some(i.before_sending),
                 i.after_sending,
@@ -139,7 +144,7 @@ fn one_lifecycle_reaches_all_three_recorders() {
     w.assert_trace_matches_the_record(probe);
     let trace = w.sim.service::<TraceCollector>().unwrap();
     // Filed under the stamping actor: publisher twice, subscriber twice.
-    let actors: Vec<u64> = trace.events().map(|e| e.actor).collect();
+    let actors: Vec<u32> = trace.events().map(|e| e.actor).collect();
     assert_eq!(actors, [0, 0, 1, 1]);
     assert_eq!(w.rtt().topic(probe), Some("grid/readings"));
     assert_eq!(w.deliveries(), [(1, probe, ms(45))]);

@@ -36,29 +36,83 @@ use crate::event::{EventKind, TraceEvent, TraceId};
 use simcore::{Context, FastMap, SimTime};
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, VecDeque};
-use telemetry::MetricsRegistry;
+use telemetry::{MetricsRegistry, Stamp};
 
-/// Default store capacity, 2^18 events. A full store is a 16 MiB ring
-/// of 64-byte records, and the JSONL and Chrome traces rendered from it
+/// Default store capacity, 2^18 events. A full store is an 8.5 MiB ring
+/// of 34-byte records, and the JSONL and Chrome traces rendered from it
 /// are about 70 MB.
 pub const DEFAULT_CAPACITY: usize = 1 << 18;
 
-type Keyed = (u32, u64, TraceEvent);
+/// A [`Record`]'s tag bit saying it carries a trace id; the tag's other
+/// bits are the kind's variant ([`EventKind::pack`]). A flag, not a
+/// reserved id: every `u64` is a trace id a probe can have.
+const TRACED: u8 = 0x80;
 
-fn event_key((lane, seq, ev): &Keyed) -> (SimTime, u32, u64) {
-    (ev.at, *lane, *seq)
+/// One event at rest, with the recorder lane and per-lane seq that key
+/// it: 34 bytes, no padding. The instant is a [`Stamp`] and the kind a
+/// tag byte and two `u32`s; [`event`](Record::event) gives the
+/// [`TraceEvent`] back.
+#[derive(Clone, Copy)]
+#[repr(C, packed)]
+struct Record {
+    at: Stamp,
+    lane: u32,
+    seq: u32,
+    actor: u32,
+    trace: u64,
+    tag: u8,
+    a: u32,
+    b: u32,
+}
+
+impl Record {
+    fn new(lane: u32, seq: u32, ev: TraceEvent) -> Record {
+        let (variant, a, b) = ev.kind.pack();
+        let (tag, trace) = match ev.trace {
+            Some(TraceId(id)) => (variant | TRACED, id),
+            None => (variant, 0),
+        };
+        Record {
+            at: Stamp::new(ev.at),
+            lane,
+            seq,
+            actor: ev.actor,
+            trace,
+            tag,
+            a,
+            b,
+        }
+    }
+
+    fn at(self) -> SimTime {
+        self.at.get().expect("a record's instant is stamped")
+    }
+
+    /// `(time, recorder lane, per-lane seq)`: the order of the merged trace.
+    fn key(self) -> (SimTime, u32, u32) {
+        (self.at(), self.lane, self.seq)
+    }
+
+    fn event(self) -> TraceEvent {
+        TraceEvent {
+            at: self.at(),
+            trace: (self.tag & TRACED != 0).then_some(TraceId(self.trace)),
+            actor: self.actor,
+            kind: EventKind::unpack(self.tag & !TRACED, self.a, self.b),
+        }
+    }
 }
 
 /// A record stamped ahead of the recorder clock. Ordered by key,
 /// reversed, so the top of a [`BinaryHeap`] is the smallest key.
 #[derive(Clone, Copy)]
-struct Held(Keyed);
+struct Held(Record);
 
 impl Ord for Held {
     fn cmp(&self, other: &Self) -> Ordering {
         #[cfg(test)]
         tests::KEY_COMPARES.with(|n| n.set(n.get() + 1));
-        event_key(&other.0).cmp(&event_key(&self.0))
+        other.0.key().cmp(&self.0.key())
     }
 }
 
@@ -81,9 +135,9 @@ impl Eq for Held {}
 /// (module doc); [`merged`](TraceCollector::merged), which every run
 /// (any shard count) goes through before exporting, orders them.
 pub struct TraceCollector {
-    /// `(lane, seq, event)` of the records the clock has reached, in key
-    /// order; after `merged`, every retained event.
-    ring: VecDeque<Keyed>,
+    /// The records the clock has reached, in key order; after `merged`,
+    /// every retained event.
+    ring: VecDeque<Record>,
     /// Records stamped ahead of the recorder clock, until the clock
     /// reaches them.
     ahead: BinaryHeap<Held>,
@@ -92,7 +146,7 @@ pub struct TraceCollector {
     recorded: u64,
     cur_lane: u32,
     cur_at: SimTime,
-    lane_seqs: FastMap<u32, u64>,
+    lane_seqs: FastMap<u32, u32>,
 }
 
 impl TraceCollector {
@@ -122,39 +176,38 @@ impl TraceCollector {
         self.cur_at = at;
     }
 
-    fn next_seq(&mut self) -> u64 {
+    fn next_seq(&mut self) -> u32 {
         let seq = self.lane_seqs.entry(self.cur_lane).or_insert(0);
         let n = *seq;
-        *seq += 1;
+        *seq = n
+            .checked_add(1)
+            .expect("a lane records fewer than 2^32 events");
         n
     }
 
     /// Put a record the clock has reached in its place in the ring, a
     /// place or two from the back.
-    fn store(&mut self, ev: Keyed) {
-        let key = event_key(&ev);
-        let after = self.ring.iter().rev().take_while(|r| event_key(r) > key);
+    fn store(&mut self, ev: Record) {
+        let key = ev.key();
+        let after = self.ring.iter().rev().take_while(|r| r.key() > key);
         let at = self.ring.len() - after.count();
         self.ring.insert(at, ev);
     }
 
-    /// Record one event.
+    /// Record one event; `at` may not pass [`Stamp::LAST`].
     #[inline]
-    pub fn record(&mut self, at: SimTime, trace: Option<TraceId>, actor: u64, kind: EventKind) {
+    pub fn record(&mut self, at: SimTime, trace: Option<TraceId>, actor: u32, kind: EventKind) {
         let seq = self.next_seq();
         self.recorded += 1;
-        let ev = (
-            self.cur_lane,
-            seq,
-            TraceEvent {
-                at,
-                trace,
-                actor,
-                kind,
-            },
-        );
+        let event = TraceEvent {
+            at,
+            trace,
+            actor,
+            kind,
+        };
+        let ev = Record::new(self.cur_lane, seq, event);
         while let Some(&Held(held)) = self.ahead.peek() {
-            if held.2.at > self.cur_at {
+            if held.at() > self.cur_at {
                 break;
             }
             self.ahead.pop();
@@ -163,7 +216,7 @@ impl TraceCollector {
         if self.len() == self.capacity {
             // Full: drop the older of the store's oldest and this one.
             let oldest = self.ring.front().or(self.ahead.peek().map(|h| &h.0));
-            if oldest.is_some_and(|o| event_key(o) > event_key(&ev)) {
+            if oldest.is_some_and(|o| o.key() > ev.key()) {
                 return;
             }
             if self.ring.pop_front().is_none() {
@@ -178,9 +231,9 @@ impl TraceCollector {
     }
 
     /// Retained events; oldest first once [`merged`](Self::merged).
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
+    pub fn events(&self) -> impl Iterator<Item = TraceEvent> + '_ {
         let held = self.ahead.iter().map(|h| &h.0);
-        self.ring.iter().chain(held).map(|(_, _, ev)| ev)
+        self.ring.iter().chain(held).map(|r| r.event())
     }
 
     /// Events recorded and still retained.
@@ -233,10 +286,10 @@ impl TraceCollector {
             // select the newest, then sort only those.
             let mut events = Vec::from(ring);
             if events.len() > capacity {
-                events.select_nth_unstable_by_key(capacity - 1, |e| Reverse(event_key(e)));
+                events.select_nth_unstable_by_key(capacity - 1, |e| Reverse(e.key()));
                 events.truncate(capacity);
             }
-            events.sort_unstable_by_key(event_key);
+            events.sort_unstable_by_key(|e| e.key());
             ring = events.into();
         }
         TraceCollector {
@@ -277,7 +330,7 @@ fn with_trace(ctx: &mut Context<'_>, f: impl FnOnce(&mut TraceCollector, SimTime
 /// off.
 #[inline]
 pub fn hop(ctx: &mut Context<'_>, at: SimTime, trace: Option<TraceId>, kind: EventKind) {
-    let actor = u64::from(ctx.self_id().lane());
+    let actor = ctx.self_id().lane();
     let event = TraceEvent {
         at,
         trace,
@@ -323,13 +376,20 @@ mod tests {
         pub(super) static KEY_COMPARES: Cell<u64> = const { Cell::new(0) };
     }
 
-    fn ev(n: u64) -> (SimTime, Option<TraceId>, u64, EventKind) {
+    fn ev(n: u64) -> (SimTime, Option<TraceId>, u32, EventKind) {
         (
             SimTime::from_micros(n),
             Some(TraceId(n)),
             0,
             EventKind::PublishBegin,
         )
+    }
+
+    #[test]
+    fn a_record_at_rest_is_34_unpadded_bytes() {
+        assert_eq!(std::mem::size_of::<Record>(), 34);
+        assert_eq!(std::mem::size_of::<Held>(), 34);
+        assert_eq!(std::mem::align_of::<Record>(), 1);
     }
 
     #[test]
@@ -340,7 +400,7 @@ mod tests {
             c.set_recorder(0, at);
             c.record(at, t, a, k);
         }
-        let ring: Vec<u64> = c.ring.iter().map(|(_, _, e)| e.trace.unwrap().0).collect();
+        let ring: Vec<u64> = c.ring.iter().map(|r| r.event().trace.unwrap().0).collect();
         assert_eq!(ring, vec![2, 3, 4], "the ring holds the newest capacity");
         assert_eq!(c.evicted(), 2);
         let m = TraceCollector::merged([c]);
@@ -375,16 +435,27 @@ mod tests {
         let mut c = TraceCollector::with_capacity(4);
         for n in 0..40 {
             c.set_recorder(0, SimTime::from_micros(n));
-            c.record(SimTime::from_micros(n), None, n, EventKind::PublishBegin);
-            c.record(SimTime::from_micros(n + 10), None, n, EventKind::PublishEnd);
-            let keys: Vec<_> = c.ring.iter().map(event_key).collect();
+            let actor = n as u32;
+            c.record(
+                SimTime::from_micros(n),
+                None,
+                actor,
+                EventKind::PublishBegin,
+            );
+            c.record(
+                SimTime::from_micros(n + 10),
+                None,
+                actor,
+                EventKind::PublishEnd,
+            );
+            let keys: Vec<_> = c.ring.iter().map(|r| r.key()).collect();
             assert!(keys.is_sorted(), "the ring out of key order after {n}");
-            let oldest_held = c.ahead.peek().map(|h| event_key(&h.0));
+            let oldest_held = c.ahead.peek().map(|h| h.0.key());
             assert!(keys.last().zip(oldest_held).is_none_or(|(r, h)| *r < h));
             assert!(c.len() <= 4);
         }
         let m = TraceCollector::merged([c]);
-        let newest: Vec<u64> = m.events().map(|e| e.actor).collect();
+        let newest: Vec<u32> = m.events().map(|e| e.actor).collect();
         assert_eq!(newest, vec![36, 37, 38, 39], "the last four deliveries");
     }
 
@@ -399,16 +470,15 @@ mod tests {
         let same_instant = [(5, 1, 5), (5, 2, 5), (5, 4, 5), (5, 5, 5)];
         for (now, lane, at) in steps.into_iter().chain(same_instant) {
             c.set_recorder(lane, SimTime::from_micros(now));
-            let actor = u64::from(lane);
             c.record(
                 SimTime::from_micros(at),
                 None,
-                actor,
+                lane,
                 EventKind::PublishBegin,
             );
         }
         let m = TraceCollector::merged([c]);
-        let lanes: Vec<u64> = m.events().map(|e| e.actor).collect();
+        let lanes: Vec<u32> = m.events().map(|e| e.actor).collect();
         assert_eq!(lanes, vec![3, 4, 5, 0]);
     }
 
@@ -423,7 +493,7 @@ mod tests {
             c.record(
                 SimTime::from_micros(2 * N - n),
                 None,
-                n,
+                n as u32,
                 EventKind::Delivered,
             );
         }
@@ -433,7 +503,7 @@ mod tests {
         c.record(
             SimTime::from_micros(2 * N),
             None,
-            N,
+            N as u32,
             EventKind::PublishBegin,
         );
         assert!(c.ahead.is_empty());
@@ -442,7 +512,10 @@ mod tests {
         assert!(per_record <= bound, "{per_record} key compares a record");
         // Released smallest key first: the stamp order, not the record order.
         let m = TraceCollector::merged([c]);
-        assert!(m.events().map(|e| e.actor).eq((0..N).rev().chain([N])));
+        assert!(m
+            .events()
+            .map(|e| u64::from(e.actor))
+            .eq((0..N).rev().chain([N])));
     }
 
     #[test]

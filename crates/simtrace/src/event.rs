@@ -12,8 +12,9 @@ pub struct TraceId(pub u64);
 ///
 /// Lifecycle variants mirror the four `RttCollector` instants of fig 15;
 /// hop variants record where the message was in between. All payloads
-/// are plain numbers so events are `Copy` and the ring buffer never
-/// allocates per event.
+/// are plain numbers, at most two `u32`s, so events are `Copy` and a
+/// stored kind is a tag byte and those two numbers
+/// ([`pack`](Self::pack)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
     /// The application called publish/INSERT (`before_sending`).
@@ -26,20 +27,20 @@ pub enum EventKind {
     Delivered,
     /// A frame entered a network connection.
     NetSend {
-        /// Connection index.
-        conn: u64,
+        /// Connection index (a `simnet::ConnId`).
+        conn: u32,
         /// Frame size in bytes.
         bytes: u32,
     },
     /// A frame left a network connection at the receiver.
     NetDeliver {
-        /// Connection index.
-        conn: u64,
+        /// Connection index (a `simnet::ConnId`).
+        conn: u32,
     },
     /// A frame was dropped (UDP loss).
     NetDrop {
-        /// Connection index.
-        conn: u64,
+        /// Connection index (a `simnet::ConnId`).
+        conn: u32,
     },
     /// A broker accepted a publish or peer forward.
     BrokerRecv {
@@ -157,19 +158,76 @@ impl EventKind {
         };
         moved.into_iter().flatten()
     }
+
+    /// The kind as its variant's index (below 32) and its payload, unused
+    /// fields 0: what a stored record keeps.
+    pub(crate) fn pack(self) -> (u8, u32, u32) {
+        match self {
+            EventKind::PublishBegin => (0, 0, 0),
+            EventKind::PublishEnd => (1, 0, 0),
+            EventKind::Available => (2, 0, 0),
+            EventKind::Delivered => (3, 0, 0),
+            EventKind::NetSend { conn, bytes } => (4, conn, bytes),
+            EventKind::NetDeliver { conn } => (5, conn, 0),
+            EventKind::NetDrop { conn } => (6, conn, 0),
+            EventKind::BrokerRecv { broker } => (7, broker, 0),
+            EventKind::SelectorMatch { matched, missed } => (8, matched, missed),
+            EventKind::BrokerDeliver { broker, fanout } => (9, broker, fanout),
+            EventKind::BrokerForward { broker, peers } => (10, broker, peers),
+            EventKind::Retransmit { attempt } => (11, attempt, 0),
+            EventKind::StorageInsert { rows } => (12, rows, 0),
+            EventKind::SelectMatch { consumers } => (13, consumers, 0),
+            EventKind::BatchEnqueue { occupancy } => (14, occupancy, 0),
+            EventKind::BatchFlush { tuples } => (15, tuples, 0),
+            EventKind::GcPause { micros } => (16, micros, 0),
+        }
+    }
+
+    /// The kind [`pack`](Self::pack) gave `(variant, a, b)` for.
+    pub(crate) fn unpack(variant: u8, a: u32, b: u32) -> EventKind {
+        match variant {
+            0 => EventKind::PublishBegin,
+            1 => EventKind::PublishEnd,
+            2 => EventKind::Available,
+            3 => EventKind::Delivered,
+            4 => EventKind::NetSend { conn: a, bytes: b },
+            5 => EventKind::NetDeliver { conn: a },
+            6 => EventKind::NetDrop { conn: a },
+            7 => EventKind::BrokerRecv { broker: a },
+            8 => EventKind::SelectorMatch {
+                matched: a,
+                missed: b,
+            },
+            9 => EventKind::BrokerDeliver {
+                broker: a,
+                fanout: b,
+            },
+            10 => EventKind::BrokerForward {
+                broker: a,
+                peers: b,
+            },
+            11 => EventKind::Retransmit { attempt: a },
+            12 => EventKind::StorageInsert { rows: a },
+            13 => EventKind::SelectMatch { consumers: a },
+            14 => EventKind::BatchEnqueue { occupancy: a },
+            15 => EventKind::BatchFlush { tuples: a },
+            16 => EventKind::GcPause { micros: a },
+            _ => unreachable!("no event kind {variant}"),
+        }
+    }
 }
 
-/// One recorded instant. `actor` is the kernel actor index that emitted
-/// the event; `trace` is `None` for anonymous infrastructure events
-/// (e.g. fabric frames, which carry opaque payloads).
+/// One recorded instant. `actor` is the lane of the kernel actor that
+/// emitted the event; `trace` is `None` for anonymous infrastructure
+/// events (e.g. fabric frames, which carry opaque payloads).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Simulated instant.
     pub at: SimTime,
     /// Causal id, when known at this layer.
     pub trace: Option<TraceId>,
-    /// Emitting actor's slab index.
-    pub actor: u64,
+    /// Emitting actor's lane (its slab index).
+    pub actor: u32,
     /// What happened.
     pub kind: EventKind,
 }

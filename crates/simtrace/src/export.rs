@@ -138,11 +138,11 @@ fn kind_args(out: &mut impl Sink, kind: EventKind) {
         | EventKind::Available
         | EventKind::Delivered => {}
         EventKind::NetSend { conn, bytes } => {
-            field(out, b",\"conn\":", conn);
+            field(out, b",\"conn\":", conn.into());
             field(out, b",\"bytes\":", bytes.into());
         }
         EventKind::NetDeliver { conn } | EventKind::NetDrop { conn } => {
-            field(out, b",\"conn\":", conn)
+            field(out, b",\"conn\":", conn.into())
         }
         EventKind::BrokerRecv { broker } => field(out, b",\"broker\":", broker.into()),
         EventKind::SelectorMatch { matched, missed } => {
@@ -226,7 +226,7 @@ fn render_jsonl(
             Some(id) => field(out, b",\"trace\":", id.0),
             None => out.bytes(b",\"trace\":null"),
         }
-        field(out, b",\"actor\":", ev.actor);
+        field(out, b",\"actor\":", ev.actor.into());
         out.bytes(b",\"kind\":\"");
         out.bytes(ev.kind.name().as_bytes());
         out.bytes(b"\"");
@@ -311,16 +311,16 @@ fn render_chrome_trace(
             ev.at.as_micros(),
         );
         field(out, b",\"pid\":0,\"tid\":", track(ev.trace));
-        field(out, b",\"args\":{\"actor\":", ev.actor);
+        field(out, b",\"args\":{\"actor\":", ev.actor.into());
         kind_args(out, ev.kind);
         out.bytes(b"}}");
     }
     for (id, b) in &summary.probes {
         let tid = track(Some(*id));
         let phases: [(&[u8], _, _); 3] = [
-            (b",\n{\"name\":\"PRT\"", b.publish_begin, b.prt()),
-            (b",\n{\"name\":\"PT\"", b.publish_end, b.pt()),
-            (b",\n{\"name\":\"SRT\"", b.available, b.srt()),
+            (b",\n{\"name\":\"PRT\"", b.publish_begin(), b.prt()),
+            (b",\n{\"name\":\"PT\"", b.publish_end(), b.pt()),
+            (b",\n{\"name\":\"SRT\"", b.available(), b.srt()),
         ];
         for (name, start, dur) in phases {
             if let (Some(start), Some(dur)) = (start, dur) {
@@ -482,8 +482,9 @@ mod tests {
         );
     }
 
-    /// Every kind at its widest: `u64::MAX` instants, actors and
-    /// connections, the trace id whose track is `u64::MAX`, `u32::MAX` arguments, counters and gauges at `u64::MAX`, and a
+    /// Every kind at its widest: [`telemetry::Stamp::LAST`] instants,
+    /// `u32::MAX` actors, connections and arguments, the trace id whose
+    /// track is `u64::MAX`, counters and gauges at `u64::MAX`, and a
     /// full probe lifecycle so every phase row is written. A fixed
     /// per-event reservation of 112 B (JSONL) or 160 B (Chrome) falls
     /// short here, as the last assertions show.
@@ -492,11 +493,11 @@ mod tests {
         let max = u32::MAX;
         let kinds = [
             EventKind::NetSend {
-                conn: u64::MAX,
+                conn: max,
                 bytes: max,
             },
-            EventKind::NetDeliver { conn: u64::MAX },
-            EventKind::NetDrop { conn: u64::MAX },
+            EventKind::NetDeliver { conn: max },
+            EventKind::NetDrop { conn: max },
             EventKind::BrokerRecv { broker: max },
             EventKind::SelectorMatch {
                 matched: max,
@@ -518,18 +519,18 @@ mod tests {
             EventKind::GcPause { micros: max },
         ];
         let mut c = TraceCollector::new();
-        let (at, id) = (SimTime::MAX, Some(TraceId(u64::MAX - 1)));
+        let (at, id) = (telemetry::Stamp::LAST, Some(TraceId(u64::MAX - 1)));
         for kind in [
             EventKind::PublishBegin,
             EventKind::PublishEnd,
             EventKind::Available,
             EventKind::Delivered,
         ] {
-            c.record(at, id, u64::MAX, kind);
+            c.record(at, id, max, kind);
         }
         for _ in 0..64 {
             for kind in kinds {
-                c.record(at, id, u64::MAX, kind);
+                c.record(at, id, max, kind);
             }
         }
         let mut m = MetricsRegistry::new();

@@ -3,29 +3,63 @@
 use crate::collector::TraceCollector;
 use crate::event::{EventKind, TraceId};
 use simcore::{FastMap, SimTime};
+use telemetry::Stamp;
 
 /// The four fig-15 instants of one traced message, rebuilt from spans,
-/// plus a count of the hops observed in between.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// plus a count of the hops observed in between: 24 bytes, each instant
+/// a [`Stamp`] ([`Stamp::NONE`] until the trace shows it).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProbeBreakdown {
-    /// `before_sending`: the application called publish/INSERT.
-    pub publish_begin: Option<SimTime>,
-    /// `after_sending`: the synchronous send returned.
-    pub publish_end: Option<SimTime>,
-    /// `before_receiving`: the middleware made the message available.
-    pub available: Option<SimTime>,
-    /// `after_receiving`: the receiving application has the message.
-    pub delivered: Option<SimTime>,
-    /// Hop events (broker/storage/network) attributed to this message.
-    pub hops: u32,
+    publish_begin: Stamp,
+    publish_end: Stamp,
+    available: Stamp,
+    delivered: Stamp,
+    hops: u32,
+}
+
+impl Default for ProbeBreakdown {
+    fn default() -> Self {
+        ProbeBreakdown {
+            publish_begin: Stamp::NONE,
+            publish_end: Stamp::NONE,
+            available: Stamp::NONE,
+            delivered: Stamp::NONE,
+            hops: 0,
+        }
+    }
 }
 
 impl ProbeBreakdown {
+    /// `before_sending`: the application called publish/INSERT.
+    pub fn publish_begin(&self) -> Option<SimTime> {
+        self.publish_begin.get()
+    }
+
+    /// `after_sending`: the synchronous send returned.
+    pub fn publish_end(&self) -> Option<SimTime> {
+        self.publish_end.get()
+    }
+
+    /// `before_receiving`: the middleware made the message available.
+    pub fn available(&self) -> Option<SimTime> {
+        self.available.get()
+    }
+
+    /// `after_receiving`: the receiving application has the message.
+    pub fn delivered(&self) -> Option<SimTime> {
+        self.delivered.get()
+    }
+
+    /// Hop events (broker/storage/network) attributed to this message.
+    pub fn hops(&self) -> u32 {
+        self.hops
+    }
+
     /// Publishing response time, when both endpoints were traced.
     pub fn prt(&self) -> Option<u64> {
         Some(
-            self.publish_end?
-                .saturating_since(self.publish_begin?)
+            self.publish_end()?
+                .saturating_since(self.publish_begin()?)
                 .as_micros(),
         )
     }
@@ -33,8 +67,8 @@ impl ProbeBreakdown {
     /// Middleware process time.
     pub fn pt(&self) -> Option<u64> {
         Some(
-            self.available?
-                .saturating_since(self.publish_end?)
+            self.available()?
+                .saturating_since(self.publish_end()?)
                 .as_micros(),
         )
     }
@@ -42,8 +76,8 @@ impl ProbeBreakdown {
     /// Subscribing response time.
     pub fn srt(&self) -> Option<u64> {
         Some(
-            self.delivered?
-                .saturating_since(self.available?)
+            self.delivered()?
+                .saturating_since(self.available()?)
                 .as_micros(),
         )
     }
@@ -51,18 +85,18 @@ impl ProbeBreakdown {
     /// End-to-end round trip.
     pub fn rtt(&self) -> Option<u64> {
         Some(
-            self.delivered?
-                .saturating_since(self.publish_begin?)
+            self.delivered()?
+                .saturating_since(self.publish_begin()?)
                 .as_micros(),
         )
     }
 
     /// True when all four instants were observed.
     pub fn complete(&self) -> bool {
-        self.publish_begin.is_some()
-            && self.publish_end.is_some()
-            && self.available.is_some()
-            && self.delivered.is_some()
+        self.publish_begin().is_some()
+            && self.publish_end().is_some()
+            && self.available().is_some()
+            && self.delivered().is_some()
     }
 }
 
@@ -94,19 +128,13 @@ impl TraceSummary {
                 probes.len() - 1
             });
             let slot = &mut probes[ix].1;
+            let at = Stamp::new(ev.at);
             match ev.kind {
-                EventKind::PublishBegin => slot.publish_begin = Some(ev.at),
-                EventKind::PublishEnd => slot.publish_end = Some(ev.at),
-                EventKind::Available => {
-                    if slot.available.is_none() {
-                        slot.available = Some(ev.at);
-                    }
-                }
-                EventKind::Delivered => {
-                    if slot.delivered.is_none() {
-                        slot.delivered = Some(ev.at);
-                    }
-                }
+                EventKind::PublishBegin => slot.publish_begin = at,
+                EventKind::PublishEnd => slot.publish_end = at,
+                EventKind::Available if slot.available == Stamp::NONE => slot.available = at,
+                EventKind::Delivered if slot.delivered == Stamp::NONE => slot.delivered = at,
+                EventKind::Available | EventKind::Delivered => {}
                 _ => slot.hops += 1,
             }
         }
@@ -155,6 +183,12 @@ mod tests {
     }
 
     #[test]
+    fn a_probe_of_the_summary_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<ProbeBreakdown>(), 24);
+        assert_eq!(std::mem::size_of::<(TraceId, ProbeBreakdown)>(), 32);
+    }
+
+    #[test]
     fn decomposition_telescopes() {
         let c = collector_with_full_lifecycle();
         let s = TraceSummary::from_collector(&c);
@@ -168,8 +202,8 @@ mod tests {
             b.rtt().unwrap(),
             b.prt().unwrap() + b.pt().unwrap() + b.srt().unwrap()
         );
-        assert_eq!(b.hops, 2);
-        assert_eq!(b.delivered, Some(t(45)), "first delivery wins");
+        assert_eq!(b.hops(), 2);
+        assert_eq!(b.delivered(), Some(t(45)), "first delivery wins");
     }
 
     #[test]

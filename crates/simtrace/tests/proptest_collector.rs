@@ -60,8 +60,8 @@ proptest! {
             let ev = TraceEvent {
                 at: SimTime::from_micros(now.as_micros() + future),
                 trace: Some(TraceId(n as u64)),
-                actor: u64::from(lane),
-                kind: EventKind::NetDeliver { conn: n as u64 },
+                actor: lane,
+                kind: EventKind::NetDeliver { conn: n as u32 },
             };
             part.record(ev.at, ev.trace, ev.actor, ev.kind);
             prop_assert!(part.len() <= capacity);
@@ -75,7 +75,7 @@ proptest! {
         let evicted = model.events.len().saturating_sub(capacity);
         let expected: Vec<TraceEvent> =
             model.events[evicted..].iter().map(|(_, ev)| *ev).collect();
-        prop_assert_eq!(merged.events().copied().collect::<Vec<_>>(), expected);
+        prop_assert_eq!(merged.events().collect::<Vec<_>>(), expected);
         prop_assert_eq!(merged.evicted(), evicted as u64);
         prop_assert_eq!(merged.len(), expected.len());
     }

@@ -3,8 +3,9 @@
 //! `reference` is the earlier `simtrace::export::{jsonl, chrome_trace,
 //! kind_args}` and `TraceSummary::from_collector`, copied verbatim; the
 //! proptest feeds both random collectors and requires the same bytes:
-//! every `EventKind`, `0` and `u64::MAX` for instants, actors,
-//! connections and trace ids beside `None`, fault counters moved or not,
+//! every `EventKind`, `0` and the widest value each field holds
+//! (`Stamp::LAST` for instants, `u32::MAX` for actors and connections,
+//! `u64::MAX` for trace ids) beside `None`, fault counters moved or not,
 //! and vmstat rows with a fractional `idle`, some at a counter sample's
 //! instant. The counters and gauges live in a metrics registry; the
 //! reference reads its snapshot rows as the collector's samples. Each export is written through its buffer entry point
@@ -15,18 +16,32 @@ use proptest::prelude::*;
 use simcore::SimTime;
 use simtrace::export::{self, ResourceRow};
 use simtrace::{EventKind, TraceCollector, TraceId, TraceSummary};
-use telemetry::MetricsRegistry;
+use telemetry::{MetricsRegistry, Stamp};
 
-/// Verbatim but for two edits: a message's track is its trace id + 1
+/// Verbatim but for three edits: a message's track is its trace id + 1
 /// *wrapping*, what the release build of this code computed for the id
-/// `u64::MAX` (a debug build stops on the overflow); and the counter
-/// samples are passed in, not read from the collector.
+/// `u64::MAX` (a debug build stops on the overflow); the counter
+/// samples are passed in, not read from the collector; and a probe's
+/// instants are read through `ProbeBreakdown`'s accessors, the reference
+/// breakdown being [`Probe`](reference::Probe), the struct of
+/// `Option<SimTime>`s `ProbeBreakdown` was.
 #[allow(clippy::all)]
 mod reference {
+    use simcore::SimTime;
     use simtrace::export::ResourceRow;
-    use simtrace::{EventKind, ProbeBreakdown, TraceCollector, TraceId, TraceSummary};
+    use simtrace::{EventKind, TraceCollector, TraceId, TraceSummary};
     use std::collections::BTreeMap;
     use std::fmt::Write;
+
+    /// One probe's instants and hops.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct Probe {
+        pub publish_begin: Option<SimTime>,
+        pub publish_end: Option<SimTime>,
+        pub available: Option<SimTime>,
+        pub delivered: Option<SimTime>,
+        pub hops: u32,
+    }
 
     /// The trace's counter slots: `(name, only faults move it)`.
     pub const COUNTERS: [(&str, bool); 17] = [
@@ -214,9 +229,9 @@ mod reference {
         for (id, b) in &summary.probes {
             let tid = id.0.wrapping_add(1);
             let phases = [
-                ("PRT", b.publish_begin, b.prt()),
-                ("PT", b.publish_end, b.pt()),
-                ("SRT", b.available, b.srt()),
+                ("PRT", b.publish_begin(), b.prt()),
+                ("PT", b.publish_end(), b.pt()),
+                ("SRT", b.available(), b.srt()),
             ];
             for (name, start, dur) in phases {
                 if let (Some(start), Some(dur)) = (start, dur) {
@@ -263,8 +278,8 @@ mod reference {
     }
 
     /// `TraceSummary::from_collector`'s probes, by `BTreeMap`.
-    pub fn probes(tr: &TraceCollector) -> BTreeMap<TraceId, ProbeBreakdown> {
-        let mut probes: BTreeMap<TraceId, ProbeBreakdown> = BTreeMap::new();
+    pub fn probes(tr: &TraceCollector) -> BTreeMap<TraceId, Probe> {
+        let mut probes: BTreeMap<TraceId, Probe> = BTreeMap::new();
         for ev in tr.events() {
             let Some(id) = ev.trace else { continue };
             let slot = probes.entry(id).or_default();
@@ -297,11 +312,11 @@ fn kind(ix: usize, wide: u64, narrow: u32) -> EventKind {
         2 => EventKind::Available,
         3 => EventKind::Delivered,
         4 => EventKind::NetSend {
-            conn: wide,
+            conn: other,
             bytes: narrow,
         },
-        5 => EventKind::NetDeliver { conn: wide },
-        6 => EventKind::NetDrop { conn: wide },
+        5 => EventKind::NetDeliver { conn: other },
+        6 => EventKind::NetDrop { conn: other },
         7 => EventKind::BrokerRecv { broker: narrow },
         8 => EventKind::SelectorMatch {
             matched: narrow,
@@ -351,7 +366,7 @@ enum Step {
         at: Option<u64>,
         ahead: u64,
         trace: Option<TraceId>,
-        actor: u64,
+        actor: u32,
         wide: u64,
         narrow: u32,
     },
@@ -369,10 +384,14 @@ enum Step {
 fn step() -> impl Strategy<Value = Step> {
     let record = (
         0usize..17,
-        prop_oneof![Just(None), Just(Some(0u64)), Just(Some(u64::MAX))],
+        prop_oneof![
+            Just(None),
+            Just(Some(0u64)),
+            Just(Some(Stamp::LAST.as_micros()))
+        ],
         0u64..3_000,
         trace_id(),
-        edge_u64(),
+        edge_u32(),
         edge_u64(),
         edge_u32(),
     )
@@ -481,7 +500,21 @@ proptest! {
 
         let summary = TraceSummary::from_collector(&tr);
         let probes: Vec<_> = reference::probes(&tr).into_iter().collect();
-        prop_assert_eq!(&summary.probes, &probes);
+        let rebuilt: Vec<_> = summary
+            .probes
+            .iter()
+            .map(|&(id, b)| {
+                let probe = reference::Probe {
+                    publish_begin: b.publish_begin(),
+                    publish_end: b.publish_end(),
+                    available: b.available(),
+                    delivered: b.delivered(),
+                    hops: b.hops(),
+                };
+                (id, probe)
+            })
+            .collect();
+        prop_assert_eq!(&rebuilt, &probes);
         let jsonl = sized(export::jsonl_len(&tr, &m, &resources), |out| {
             export::write_jsonl(out, &tr, &m, &resources)
         });

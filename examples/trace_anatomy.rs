@@ -52,7 +52,8 @@ fn print_anatomy(label: &str, trace: &TraceArtifacts) {
         );
         println!(
             "{:>6}  {prt:>10} {pt:>10} {srt:>10} {rtt:>10}  {:>5}",
-            id.0, probe.hops
+            id.0,
+            probe.hops()
         );
         assert_eq!(prt + pt + srt, rtt, "decomposition must telescope");
     }

@@ -33,7 +33,7 @@ fn recorded() -> (TraceCollector, MetricsRegistry) {
             tr.record(now, id, 7, EventKind::PublishBegin);
             tr.record(now, id, 7, EventKind::PublishEnd);
             let frame = EventKind::NetSend {
-                conn: ms % 40,
+                conn: (ms % 40) as u32,
                 bytes: 512,
             };
             tr.record(now + SimDuration::from_micros(150), None, 3, frame);
